@@ -8,17 +8,14 @@
 //! cargo bench --workspace
 //! ```
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rtgs_accel::{
     plugin_iteration, simulate_run, Aggregation, ArchConfig, DeviceSpec, FrameWorkload, GpuSpec,
     HardwareModel, PluginConfig, RunWorkload, Scheduling, TechNode,
 };
 use rtgs_core::{AdaptivePruner, PruningConfig, RtgsConfig};
 use rtgs_render::reference;
-use rtgs_render::{
-    backward, backward_fused_with, backward_with, compute_loss, render_frame, render_frame_with,
-    render_fused_with, render_with, LossConfig, WorkloadTrace,
-};
+use rtgs_render::{FrameArena, LossConfig, WorkloadTrace};
 use rtgs_runtime::{
     Backend, BackendChoice, IngestConfig, IngestHub, LatePolicy, Parallel, Serial, Serve,
 };
@@ -74,27 +71,21 @@ fn bench_render_kernels(c: &mut Criterion) {
     let scene = ds.reference_scene.clone();
     let w2c = ds.poses_c2w[0].inverse();
 
+    let mut arena = FrameArena::new();
     group.bench_function("forward_full_frame", |b| {
-        b.iter(|| render_frame(&scene, &w2c, &ds.camera, None))
+        b.iter(|| arena.forward(&scene, &w2c, &ds.camera, None, &Serial).stats)
     });
 
-    let ctx = render_frame(&scene, &w2c, &ds.camera, None);
-    let loss = compute_loss(
-        &ctx.output,
+    arena.render_fused(&ds.camera, &Serial);
+    arena.compute_loss(
         &ds.frames[0].color,
         ds.frames[0].depth.as_ref(),
         &LossConfig::default(),
     );
     group.bench_function("backward_full_frame", |b| {
         b.iter(|| {
-            backward(
-                &scene,
-                &ctx.projection,
-                &ctx.tiles,
-                &ds.camera,
-                &w2c,
-                &loss.pixel_grads,
-            )
+            arena.backward_fused(&scene, &ds.camera, &w2c, &Serial);
+            arena.backward().pose
         })
     });
     group.finish();
@@ -112,31 +103,41 @@ fn bench_soa_vs_aos(c: &mut Criterion) {
     let scene = ds.reference_scene.clone();
     let w2c = ds.poses_c2w[0].inverse();
 
+    // The AoS oracle allocates its outputs per call, so the SoA side runs
+    // on a fresh arena per call too: the delta is the layout, not reuse.
     group.bench_function("forward/soa", |b| {
-        b.iter(|| render_frame(&scene, &w2c, &ds.camera, None))
+        b.iter(|| {
+            let mut arena = FrameArena::new();
+            arena.forward(&scene, &w2c, &ds.camera, None, &Serial);
+            arena
+        })
     });
     group.bench_function("forward/aos", |b| {
         b.iter(|| reference::render_frame_aos(&scene, &w2c, &ds.camera, None))
     });
 
-    let ctx = render_frame(&scene, &w2c, &ds.camera, None);
+    let mut arena = FrameArena::new();
+    arena.forward(&scene, &w2c, &ds.camera, None, &Serial);
     let (aos_proj, aos_tiles, _) = reference::render_frame_aos(&scene, &w2c, &ds.camera, None);
-    let loss = compute_loss(
-        &ctx.output,
+    arena.compute_loss(
         &ds.frames[0].color,
         ds.frames[0].depth.as_ref(),
         &LossConfig::default(),
     );
+    let loss = arena.loss().clone();
+    // Like for like: the AoS backward re-walks, so the SoA side is the SoA
+    // re-walk driver.
     group.bench_function("backward/soa", |b| {
         b.iter(|| {
-            backward(
+            reference::backward_rewalk(
+                &mut arena,
                 &scene,
-                &ctx.projection,
-                &ctx.tiles,
                 &ds.camera,
                 &w2c,
                 &loss.pixel_grads,
-            )
+                &Serial,
+            );
+            arena.backward().pose
         })
     });
     group.bench_function("backward/aos", |b| {
@@ -172,47 +173,37 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
     let w2c = ds.poses_c2w[0].inverse();
     let backend = Serial;
 
-    // Fixed dense upstream gradients so both variants time render +
-    // backward on identical, non-degenerate inputs.
-    let mut pixel_grads = rtgs_render::PixelGrads::zeros(ds.camera.width, ds.camera.height);
-    for (i, g) in pixel_grads.color.iter_mut().enumerate() {
-        *g = rtgs_math::Vec3::splat(1.0) * (((i % 13) as f32 - 6.0) * 0.1);
-    }
-    for (i, g) in pixel_grads.depth.iter_mut().enumerate() {
-        *g = ((i % 7) as f32 - 3.0) * 0.05;
-    }
-    let ctx = render_frame(&scene, &w2c, &ds.camera, None);
-    let (projection, tiles) = (&ctx.projection, &ctx.tiles);
+    // Dense upstream gradients, identical for both variants: the loss of
+    // this pose's render against the *next* frame's observation.
+    let target = &ds.frames[1];
+    let prepared = || {
+        let mut arena = FrameArena::new();
+        arena.forward(&scene, &w2c, &ds.camera, None, &backend);
+        arena.compute_loss(&target.color, target.depth.as_ref(), &LossConfig::default());
+        arena
+    };
+    let (mut unfused, mut fused) = (prepared(), prepared());
+    let pixel_grads = unfused.loss().pixel_grads.clone();
 
     group.bench_function("render_backward/unfused", |b| {
         b.iter(|| {
-            let output = render_with(projection, tiles, &ds.camera, &backend);
-            let grads = backward_with(
+            unfused.render(&ds.camera, &backend);
+            reference::backward_rewalk(
+                &mut unfused,
                 &scene,
-                projection,
-                tiles,
                 &ds.camera,
                 &w2c,
                 &pixel_grads,
                 &backend,
             );
-            (output, grads)
+            unfused.backward().pose
         })
     });
     group.bench_function("render_backward/fused", |b| {
         b.iter(|| {
-            let fused = render_fused_with(projection, tiles, &ds.camera, &backend);
-            let grads = backward_fused_with(
-                &scene,
-                projection,
-                tiles,
-                &ds.camera,
-                &w2c,
-                &pixel_grads,
-                &fused.fragments,
-                &backend,
-            );
-            (fused.output, grads)
+            fused.render_fused(&ds.camera, &backend);
+            fused.backward_fused(&scene, &ds.camera, &w2c, &backend);
+            fused.backward().pose
         })
     });
     group.finish();
@@ -368,21 +359,17 @@ fn bench_pruning_overhead(c: &mut Criterion) {
     let ds = small_dataset();
     let scene = ds.reference_scene.clone();
     let w2c = ds.poses_c2w[0].inverse();
-    let ctx = render_frame(&scene, &w2c, &ds.camera, None);
-    let loss = compute_loss(
-        &ctx.output,
+    let mut arena = FrameArena::new();
+    arena.project(&scene, &w2c, &ds.camera, None, &Serial);
+    arena.assign_tiles(&ds.camera, &Serial);
+    arena.render_fused(&ds.camera, &Serial);
+    let loss = arena.compute_loss(
         &ds.frames[0].color,
         ds.frames[0].depth.as_ref(),
         &LossConfig::default(),
     );
-    let grads = backward(
-        &scene,
-        &ctx.projection,
-        &ctx.tiles,
-        &ds.camera,
-        &w2c,
-        &loss.pixel_grads,
-    );
+    arena.backward_fused(&scene, &ds.camera, &w2c, &Serial);
+    let grads = arena.backward();
 
     group.bench_function("importance_scoring", |b| {
         b.iter(|| {
@@ -406,11 +393,11 @@ fn bench_pruning_overhead(c: &mut Criterion) {
             let mut mask = vec![true; scene.len()];
             let artifacts = rtgs_slam::IterationArtifacts {
                 iteration: 0,
-                loss: loss.loss,
-                grads: &grads,
+                loss,
+                grads,
                 visible_ids: &all_ids,
-                tiles: &ctx.tiles,
-                output: &ctx.output,
+                tiles: arena.tiles(),
+                output: arena.output(),
             };
             pruner.begin_frame(scene.len());
             pruner.observe_iteration(&artifacts, &mut mask);
@@ -460,6 +447,8 @@ fn bench_tracking_iteration(c: &mut Criterion) {
                 &mut mask,
                 &mut NoObserver,
                 &mut t,
+                &mut FrameArena::new(),
+                &Serial,
             )
         })
     });
@@ -480,6 +469,8 @@ fn bench_tracking_iteration(c: &mut Criterion) {
                 &mut mask,
                 &mut NoObserver,
                 &mut t,
+                &mut FrameArena::new(),
+                &Serial,
             )
         })
     });
@@ -489,9 +480,10 @@ fn bench_tracking_iteration(c: &mut Criterion) {
 /// Step ❷ in isolation: the CSR + stable-radix tile assignment against the
 /// legacy per-tile `Vec` + comparison `sort_by` it replaced (both produce
 /// identical depth ordering — property-tested in
-/// `crates/render/tests/arena_equivalence.rs`). `csr_radix_reused` is the
+/// `crates/render/tests/equivalence.rs`). `csr_radix_reused` is the
 /// production path: rebuild into arena-owned storage, zero steady-state
-/// allocations; `csr_radix_fresh` pays the allocations each build.
+/// allocations; `csr_radix_fresh` builds into a new arena each time and pays
+/// the allocations (its projection happens in the untimed setup).
 fn bench_tile_sort(c: &mut Criterion) {
     let mut group = c.benchmark_group("tile_sort");
     group
@@ -503,13 +495,7 @@ fn bench_tile_sort(c: &mut Criterion) {
     // per tile, sort-dominated — the regime the radix pass targets).
     let ds = small_dataset();
     let slam_cam = ds.camera;
-    let slam_proj = rtgs_render::project_scene_with(
-        &ds.reference_scene,
-        &ds.poses_c2w[0].inverse(),
-        &slam_cam,
-        None,
-        &Serial,
-    );
+    let slam_pose = ds.poses_c2w[0].inverse();
     let dense_cam = rtgs_render::PinholeCamera::from_fov(128, 96, 1.2);
     let dense_scene: rtgs_render::GaussianScene = (0..4000)
         .map(|i| {
@@ -526,49 +512,45 @@ fn bench_tile_sort(c: &mut Criterion) {
             )
         })
         .collect();
-    let dense_proj = rtgs_render::project_scene_with(
-        &dense_scene,
-        &rtgs_math::Se3::IDENTITY,
-        &dense_cam,
-        None,
-        &Serial,
-    );
 
-    for (label, projection, camera) in [
-        ("slam", &slam_proj, &slam_cam),
-        ("dense", &dense_proj, &dense_cam),
+    for (label, scene, pose, camera) in [
+        ("slam", &ds.reference_scene, &slam_pose, &slam_cam),
+        ("dense", &dense_scene, &rtgs_math::Se3::IDENTITY, &dense_cam),
     ] {
-        group.bench_with_input(
-            BenchmarkId::new("legacy_per_tile_sort_by", label),
-            projection,
-            |b, projection| b.iter(|| rtgs_render::build_tile_lists_legacy(projection, camera)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("csr_radix_fresh", label),
-            projection,
-            |b, projection| b.iter(|| rtgs_render::TileAssignment::build(projection, camera)),
-        );
-        let mut scratch = rtgs_render::TileBinScratch::default();
-        let mut out = rtgs_render::TileAssignment::default();
-        group.bench_with_input(
-            BenchmarkId::new("csr_radix_reused", label),
-            projection,
-            |b, projection| {
-                b.iter(|| {
-                    rtgs_render::build_tiles_into(projection, camera, &mut scratch, &mut out);
-                    out.intersection_count()
-                })
-            },
-        );
+        let projected = || {
+            let mut arena = FrameArena::new();
+            arena.project(scene, pose, camera, None, &Serial);
+            arena
+        };
+        let mut arena = projected();
+        group.bench_function(BenchmarkId::new("legacy_per_tile_sort_by", label), |b| {
+            b.iter(|| reference::build_tile_lists_legacy(arena.projection(), camera))
+        });
+        group.bench_function(BenchmarkId::new("csr_radix_fresh", label), |b| {
+            b.iter_batched(
+                projected,
+                |mut fresh| {
+                    fresh.assign_tiles(camera, &Serial);
+                    fresh
+                },
+                BatchSize::SmallInput,
+            )
+        });
+        group.bench_function(BenchmarkId::new("csr_radix_reused", label), |b| {
+            b.iter(|| {
+                arena.assign_tiles(camera, &Serial);
+                arena.tiles().intersection_count()
+            })
+        });
     }
     group.finish();
 }
 
 /// One full steady-state tracking iteration — frustum cull → project →
 /// tile assign → fused forward → loss → fused backward — through a warm
-/// [`rtgs_render::FrameArena`] (the production zero-allocation path)
-/// versus the same stages through the fresh-allocation entry points. The
-/// delta is exactly the heap churn the arena removes.
+/// [`FrameArena`] (the production zero-allocation path) versus the same
+/// stages through a new arena per iteration. The delta is exactly the heap
+/// churn arena reuse removes.
 fn bench_tracking_iteration_steady_state(c: &mut Criterion) {
     let mut group = c.benchmark_group("tracking_iteration_steady_state");
     group
@@ -582,47 +564,23 @@ fn bench_tracking_iteration_steady_state(c: &mut Criterion) {
     let cfg = LossConfig::default();
     let backend = Serial;
 
-    let mut arena = rtgs_render::FrameArena::new();
-    // Warm-up: establish every buffer's steady-state capacity.
-    for _ in 0..2 {
+    let iteration = |arena: &mut FrameArena| {
         arena.cull(&map, &w2c, &ds.camera, Some(&mask), &backend);
         arena.project_visible(&w2c, &ds.camera, &backend);
         arena.assign_tiles(&ds.camera, &backend);
         arena.render_fused(&ds.camera, &backend);
-        arena.compute_loss(&frame.color, frame.depth.as_ref(), &cfg);
+        let loss = arena.compute_loss(&frame.color, frame.depth.as_ref(), &cfg);
         arena.backward_visible_fused(&ds.camera, &w2c, &backend);
+        (loss, arena.backward().pose)
+    };
+    let mut arena = FrameArena::new();
+    // Warm-up: establish every buffer's steady-state capacity.
+    for _ in 0..2 {
+        iteration(&mut arena);
     }
-    group.bench_function("arena_reuse", |b| {
-        b.iter(|| {
-            arena.cull(&map, &w2c, &ds.camera, Some(&mask), &backend);
-            arena.project_visible(&w2c, &ds.camera, &backend);
-            arena.assign_tiles(&ds.camera, &backend);
-            arena.render_fused(&ds.camera, &backend);
-            let loss = arena.compute_loss(&frame.color, frame.depth.as_ref(), &cfg);
-            arena.backward_visible_fused(&ds.camera, &w2c, &backend);
-            loss
-        })
-    });
+    group.bench_function("arena_reuse", |b| b.iter(|| iteration(&mut arena)));
     group.bench_function("fresh_alloc", |b| {
-        b.iter(|| {
-            let visible = map.visible_frame_with(&w2c, &ds.camera, Some(&mask), &backend);
-            let projection =
-                rtgs_render::project_scene_with(&visible.scene, &w2c, &ds.camera, None, &backend);
-            let tiles = rtgs_render::TileAssignment::build_with(&projection, &ds.camera, &backend);
-            let fused = render_fused_with(&projection, &tiles, &ds.camera, &backend);
-            let loss = compute_loss(&fused.output, &frame.color, frame.depth.as_ref(), &cfg);
-            let grads = backward_fused_with(
-                &visible.scene,
-                &projection,
-                &tiles,
-                &ds.camera,
-                &w2c,
-                &loss.pixel_grads,
-                &fused.fragments,
-                &backend,
-            );
-            (loss.loss, grads.pose)
-        })
+        b.iter(|| iteration(&mut FrameArena::new()))
     });
     group.finish();
 }
@@ -639,37 +597,27 @@ fn bench_runtime_scaling(c: &mut Criterion) {
     let scene = ds.reference_scene.clone();
     let w2c = ds.poses_c2w[0].inverse();
 
-    let ctx = render_frame(&scene, &w2c, &ds.camera, None);
-    let loss = compute_loss(
-        &ctx.output,
-        &ds.frames[0].color,
-        ds.frames[0].depth.as_ref(),
-        &LossConfig::default(),
-    );
-
     let mut bench_backend = |label: String, backend: Box<dyn Backend>| {
-        group.bench_with_input(
-            BenchmarkId::new("forward", &label),
-            &backend,
-            |b, backend| b.iter(|| render_frame_with(&scene, &w2c, &ds.camera, None, &**backend)),
+        let mut arena = FrameArena::new();
+        group.bench_function(BenchmarkId::new("forward", &label), |b| {
+            b.iter(|| {
+                arena
+                    .forward(&scene, &w2c, &ds.camera, None, &*backend)
+                    .stats
+            })
+        });
+        arena.render_fused(&ds.camera, &*backend);
+        arena.compute_loss(
+            &ds.frames[0].color,
+            ds.frames[0].depth.as_ref(),
+            &LossConfig::default(),
         );
-        group.bench_with_input(
-            BenchmarkId::new("backward", &label),
-            &backend,
-            |b, backend| {
-                b.iter(|| {
-                    backward_with(
-                        &scene,
-                        &ctx.projection,
-                        &ctx.tiles,
-                        &ds.camera,
-                        &w2c,
-                        &loss.pixel_grads,
-                        &**backend,
-                    )
-                })
-            },
-        );
+        group.bench_function(BenchmarkId::new("backward", &label), |b| {
+            b.iter(|| {
+                arena.backward_fused(&scene, &ds.camera, &w2c, &*backend);
+                arena.backward().pose
+            })
+        });
     };
     bench_backend("serial".to_string(), Box::new(Serial));
     for threads in [1usize, 2, 4, 8] {
@@ -691,7 +639,7 @@ fn bench_runtime_scaling(c: &mut Criterion) {
 /// near-flat in N. `flat/N` runs the same kernels over the flat full
 /// scene, which must walk (and individually cull) every Gaussian and
 /// therefore degrades linearly. Both produce bitwise-identical images
-/// (see `crates/render/tests/shard_equivalence.rs`).
+/// (see `crates/render/tests/equivalence.rs`).
 fn bench_large_scene_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("large_scene_scaling");
     group
@@ -721,21 +669,18 @@ fn bench_large_scene_scaling(c: &mut Criterion) {
         let (flat, _) = map.flatten();
         let backend = Serial;
 
+        let mut arena = FrameArena::new();
         group.bench_with_input(BenchmarkId::new("sharded", n), &map, |b, map| {
             b.iter(|| {
-                let vf = map.visible_frame_with(&w2c, &cam, None, &backend);
-                let projection =
-                    rtgs_render::project_scene_with(&vf.scene, &w2c, &cam, None, &backend);
-                let tiles = rtgs_render::TileAssignment::build_with(&projection, &cam, &backend);
-                render_with(&projection, &tiles, &cam, &backend)
+                arena.cull(map, &w2c, &cam, None, &backend);
+                arena.project_visible(&w2c, &cam, &backend);
+                arena.assign_tiles(&cam, &backend);
+                arena.render(&cam, &backend);
+                arena.output().stats
             })
         });
         group.bench_with_input(BenchmarkId::new("flat", n), &flat, |b, flat| {
-            b.iter(|| {
-                let projection = rtgs_render::project_scene_with(flat, &w2c, &cam, None, &backend);
-                let tiles = rtgs_render::TileAssignment::build_with(&projection, &cam, &backend);
-                render_with(&projection, &tiles, &cam, &backend)
-            })
+            b.iter(|| arena.forward(flat, &w2c, &cam, None, &backend).stats)
         });
     }
     group.finish();

@@ -226,10 +226,8 @@ impl AdaptivePruner {
 mod tests {
     use super::*;
     use rtgs_math::{Quat, Se3, Vec3};
-    use rtgs_render::{
-        backward, compute_loss, render_frame, Gaussian3d, GaussianScene, Image, LossConfig,
-        PinholeCamera,
-    };
+    use rtgs_render::{FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera};
+    use rtgs_runtime::Serial;
 
     fn make_artifacts_scene() -> (GaussianScene, PinholeCamera) {
         let gaussians: Vec<Gaussian3d> = (0..12)
@@ -258,24 +256,20 @@ mod tests {
         let (scene, cam) = make_artifacts_scene();
         let all_ids: Vec<u32> = (0..scene.len() as u32).collect();
         let gt = Image::from_data(32, 32, vec![Vec3::splat(0.3); 32 * 32]);
+        let mut arena = FrameArena::new();
         for it in 0..iters {
-            let ctx = render_frame(&scene, &Se3::IDENTITY, &cam, Some(mask));
-            let loss = compute_loss(&ctx.output, &gt, None, &LossConfig::default());
-            let grads = backward(
-                &scene,
-                &ctx.projection,
-                &ctx.tiles,
-                &cam,
-                &Se3::IDENTITY,
-                &loss.pixel_grads,
-            );
+            arena.project(&scene, &Se3::IDENTITY, &cam, Some(mask), &Serial);
+            arena.assign_tiles(&cam, &Serial);
+            arena.render_fused(&cam, &Serial);
+            let loss = arena.compute_loss(&gt, None, &LossConfig::default());
+            arena.backward_fused(&scene, &cam, &Se3::IDENTITY, &Serial);
             let artifacts = IterationArtifacts {
                 iteration: it,
-                loss: loss.loss,
-                grads: &grads,
+                loss,
+                grads: arena.backward(),
                 visible_ids: &all_ids,
-                tiles: &ctx.tiles,
-                output: &ctx.output,
+                tiles: arena.tiles(),
+                output: arena.output(),
             };
             pruner.observe_iteration(&artifacts, mask);
         }

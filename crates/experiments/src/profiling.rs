@@ -73,6 +73,8 @@ pub fn fig3(scale: Scale) -> String {
 pub fn fig4(scale: Scale) -> String {
     let ds = dataset(scale.profile(DatasetProfile::tum_analog()), scale.frames());
     // Accumulate per-Gaussian importance over the base run's tracking.
+    use rtgs_render::FrameArena;
+    use rtgs_runtime::Serial;
     use rtgs_slam::{track_frame, StageNanos, TrackingConfig};
     let report = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, false);
     // Re-track the last frame against the final map, collecting gradients.
@@ -115,6 +117,8 @@ pub fn fig4(scale: Scale) -> String {
         &mut mask,
         &mut observer,
         &mut timings,
+        &mut FrameArena::new(),
+        &Serial,
     );
 
     let mut sorted = scores.clone();

@@ -3,38 +3,41 @@
 //! multi-session serving demonstration.
 
 use crate::common::{f, slam_config, Scale, Table};
-use rtgs_render::{compute_loss, render_frame_fused_with, FrameArena, LossConfig};
+use rtgs_render::{FrameArena, LossConfig};
 use rtgs_runtime::Serve;
 use rtgs_runtime::{Backend, BackendChoice, Parallel, Serial};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{BaseAlgorithm, SlamPipeline};
 use std::time::Instant;
 
-/// Serial-vs-parallel wall-clock of the four hot paths plus a bitwise
-/// equivalence check, at pool sizes 1/2/4/8.
+/// Serial-vs-parallel wall-clock of the arena's forward (project → tiles →
+/// fused render) and fused backward stages plus a bitwise equivalence
+/// check, at pool sizes 1/2/4/8.
 pub fn runtime_scaling(scale: Scale) -> String {
     let ds = SyntheticDataset::generate(scale.profile(DatasetProfile::scannet_analog()), 2);
     let scene = ds.reference_scene.clone();
     let w2c = ds.poses_c2w[0].inverse();
 
     let time_backend = |backend: &dyn Backend| {
+        let mut arena = FrameArena::new();
         let t0 = Instant::now();
         // Fused tile pass: the forward records fragment sequences, the
         // backward consumes them (one tile traversal shared by both).
-        let ctx = render_frame_fused_with(&scene, &w2c, &ds.camera, None, backend);
+        arena.project(&scene, &w2c, &ds.camera, None, backend);
+        arena.assign_tiles(&ds.camera, backend);
+        arena.render_fused(&ds.camera, backend);
         let forward = t0.elapsed();
-        let loss = compute_loss(
-            &ctx.output,
+        arena.compute_loss(
             &ds.frames[0].color,
             ds.frames[0].depth.as_ref(),
             &LossConfig::default(),
         );
         let t1 = Instant::now();
-        let grads = ctx.backward(&scene, &ds.camera, &w2c, &loss.pixel_grads, backend);
-        (forward, t1.elapsed(), ctx, grads)
+        arena.backward_fused(&scene, &ds.camera, &w2c, backend);
+        (forward, t1.elapsed(), arena)
     };
 
-    let (fwd_serial, bwd_serial, ctx_serial, grads_serial) = time_backend(&Serial);
+    let (fwd_serial, bwd_serial, serial) = time_backend(&Serial);
     let mut table = Table::new(&[
         "backend",
         "forward (ms)",
@@ -49,11 +52,11 @@ pub fn runtime_scaling(scale: Scale) -> String {
     ]);
     for threads in [1usize, 2, 4, 8] {
         let backend = Parallel::new(threads);
-        let (fwd, bwd, ctx, grads) = time_backend(&backend);
-        let identical = ctx.output.image == ctx_serial.output.image
-            && ctx.output.final_transmittance == ctx_serial.output.final_transmittance
-            && grads.pose == grads_serial.pose
-            && grads.gaussians == grads_serial.gaussians;
+        let (fwd, bwd, arena) = time_backend(&backend);
+        let identical = arena.output().image == serial.output().image
+            && arena.output().final_transmittance == serial.output().final_transmittance
+            && arena.backward().pose == serial.backward().pose
+            && arena.backward().gaussians == serial.backward().gaussians;
         table.row(vec![
             format!("parallel({threads})"),
             f(fwd.as_secs_f64() * 1e3, 2),
@@ -73,9 +76,9 @@ pub fn runtime_scaling(scale: Scale) -> String {
 
 /// Frame-arena steady state: wall-clock of one full tracking-style
 /// iteration (cull → project → CSR tile assign → fused forward → loss →
-/// fused backward) through a warm reused [`FrameArena`] versus the
-/// fresh-allocation entry points, with a bitwise-equality check. The delta
-/// is the heap churn the arena removes from every optimizer iteration.
+/// fused backward) through a warm reused [`FrameArena`] versus a new arena
+/// per iteration, with a bitwise-equality check. The delta is the heap
+/// churn arena reuse removes from every optimizer iteration.
 pub fn arena_steady_state(scale: Scale) -> String {
     let ds = SyntheticDataset::generate(scale.profile(DatasetProfile::scannet_analog()), 2);
     let map = rtgs_render::ShardedScene::from_scene(&ds.reference_scene, 1.0);
@@ -107,31 +110,14 @@ pub fn arena_steady_state(scale: Scale) -> String {
     let arena_image = arena.output().image.clone();
 
     let t1 = Instant::now();
-    let mut fresh_pose = [0.0f32; 6];
-    let mut fresh_image = None;
+    let mut fresh = FrameArena::new();
     for _ in 0..iterations {
-        let visible = map.visible_frame_with(&w2c, &ds.camera, Some(&mask), &backend);
-        let projection =
-            rtgs_render::project_scene_with(&visible.scene, &w2c, &ds.camera, None, &backend);
-        let tiles = rtgs_render::TileAssignment::build_with(&projection, &ds.camera, &backend);
-        let fused = rtgs_render::render_fused_with(&projection, &tiles, &ds.camera, &backend);
-        let loss = compute_loss(&fused.output, &frame.color, frame.depth.as_ref(), &cfg);
-        let grads = rtgs_render::backward_fused_with(
-            &visible.scene,
-            &projection,
-            &tiles,
-            &ds.camera,
-            &w2c,
-            &loss.pixel_grads,
-            &fused.fragments,
-            &backend,
-        );
-        fresh_pose = grads.pose;
-        fresh_image = Some(fused.output.image);
+        fresh = FrameArena::new();
+        arena_iter(&mut fresh);
     }
     let fresh_wall = t1.elapsed();
 
-    let identical = fresh_pose == arena_pose && fresh_image.as_ref() == Some(&arena_image);
+    let identical = fresh.backward().pose == arena_pose && fresh.output().image == arena_image;
     let mut table = Table::new(&["path", "iteration (µs)", "bitwise identical"]);
     let per_iter = |wall: std::time::Duration| wall.as_secs_f64() * 1e6 / iterations as f64;
     table.row(vec![

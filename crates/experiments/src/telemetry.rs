@@ -7,8 +7,8 @@
 //! accumulator bit for bit.
 
 use crate::common::{f, slam_config, Scale, Table};
-use rtgs_render::ShardedScene;
-use rtgs_runtime::{fleet_latency, EvictionPolicy, Serve};
+use rtgs_render::{FrameArena, ShardedScene};
+use rtgs_runtime::{fleet_latency, EvictionPolicy, Serial, Serve};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{
     track_frame, BaseAlgorithm, NoObserver, SlamPipeline, StageId, StageNanos, TrackingConfig,
@@ -44,6 +44,8 @@ pub fn telemetry(scale: Scale) -> String {
         &mut mask,
         &mut NoObserver,
         &mut timings,
+        &mut FrameArena::new(),
+        &Serial,
     );
     let mut from_spans = StageNanos::default();
     for (_tid, events) in telemetry::collect_spans() {

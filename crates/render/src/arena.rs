@@ -14,18 +14,18 @@
 //! iteration or two at a new high-water mark), a steady-state iteration
 //! performs **zero heap allocations** — asserted by the counting-allocator
 //! regression test in `tests/zero_alloc.rs` — while producing output
-//! bitwise-identical to the fresh-allocation entry points
-//! (property-tested in `tests/arena_equivalence.rs`).
+//! bitwise-identical to a fresh arena's (property-tested in
+//! `tests/equivalence.rs`).
 //!
 //! Ownership model: one arena per SLAM session (owned by
 //! `rtgs_slam::SlamPipeline` alongside the optimizer state and threaded
-//! through `track_frame_with`); standalone callers create one with
+//! through `track_frame`); standalone callers create one with
 //! [`FrameArena::new`] and drive the stage methods in pipeline order. Stage
 //! results stay resident in the arena and are read through the borrowing
 //! accessors ([`FrameArena::output`], [`FrameArena::backward`], …) until
 //! the next call to the stage that produces them.
 
-use crate::backward::{backward_into, BackwardOutput, BackwardScratch, PixelGrads};
+use crate::backward::{backward_into, BackwardOutput, BackwardScratch};
 use crate::camera::{DepthImage, Image, PinholeCamera};
 use crate::forward::{render_into, FragmentCache, RenderOutput, RenderStats};
 use crate::gaussian::GaussianScene;
@@ -44,11 +44,11 @@ pub struct FrameArena {
     /// Cull workspace.
     cull_scratch: CullScratch,
     /// Projection result (SoA splat arrays).
-    projection: Projection,
+    pub(crate) projection: Projection,
     /// Projection workspace.
     project_scratch: ProjectScratch,
     /// CSR tile assignment.
-    tiles: TileAssignment,
+    pub(crate) tiles: TileAssignment,
     /// Tile binning + radix-sort workspace.
     tile_scratch: TileBinScratch,
     /// Forward render output.
@@ -62,9 +62,9 @@ pub struct FrameArena {
     /// Valid-depth-pixel scratch of the loss.
     loss_scratch: Vec<(usize, f32, f32)>,
     /// Backward output (per-Gaussian gradients + pose tangent).
-    backward: BackwardOutput,
+    pub(crate) backward: BackwardOutput,
     /// Backward workspace; its gather pool is shared with the forward pass.
-    backward_scratch: BackwardScratch,
+    pub(crate) backward_scratch: BackwardScratch,
 }
 
 impl Default for FrameArena {
@@ -87,16 +87,7 @@ impl FrameArena {
             output: RenderOutput::empty(),
             fragments: FragmentCache::default(),
             tile_stats: Vec::new(),
-            loss: LossOutput {
-                loss: 0.0,
-                photometric: 0.0,
-                geometric: 0.0,
-                pixel_grads: PixelGrads {
-                    color: Vec::new(),
-                    depth: Vec::new(),
-                    transmittance: Vec::new(),
-                },
-            },
+            loss: LossOutput::empty(),
             loss_scratch: Vec::new(),
             backward: BackwardOutput::empty(),
             backward_scratch: BackwardScratch::default(),
@@ -110,7 +101,9 @@ impl FrameArena {
     ///
     /// # Panics
     ///
-    /// As for [`ShardedScene::visible_frame_with`].
+    /// Panics when `map`'s shard bounds are stale (call
+    /// [`ShardedScene::refresh_bounds_with`] after mutations) or `active` is
+    /// not `map.capacity()` long.
     pub fn cull(
         &mut self,
         map: &ShardedScene,
@@ -130,10 +123,11 @@ impl FrameArena {
     }
 
     /// Step ❶ over an external scene: projects into [`Self::projection`].
+    /// `active` is the pruning mask (one flag per Gaussian; `None` = all).
     ///
     /// # Panics
     ///
-    /// As for [`crate::project_scene_with`].
+    /// Panics if `active` is provided with a length different from the scene.
     pub fn project(
         &mut self,
         scene: &GaussianScene,
@@ -219,6 +213,28 @@ impl FrameArena {
         );
     }
 
+    /// Steps ❶–❸ in one call — [`Self::project`] → [`Self::assign_tiles`] →
+    /// unfused [`Self::render`] — for callers that only need the image
+    /// (dataset generation, evaluation re-renders). Returns
+    /// [`Self::output`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`Self::project`].
+    pub fn forward(
+        &mut self,
+        scene: &GaussianScene,
+        w2c: &Se3,
+        camera: &PinholeCamera,
+        active: Option<&[bool]>,
+        backend: &dyn Backend,
+    ) -> &RenderOutput {
+        self.project(scene, w2c, camera, active, backend);
+        self.assign_tiles(camera, backend);
+        self.render(camera, backend);
+        &self.output
+    }
+
     /// Loss (Eq. 6) of [`Self::output`] against ground truth, with
     /// per-pixel gradients into [`Self::loss`]. Returns the loss value.
     ///
@@ -248,7 +264,9 @@ impl FrameArena {
     ///
     /// # Panics
     ///
-    /// As for [`crate::backward_fused_with`].
+    /// Panics if [`Self::fragments`] is stale (no [`Self::render_fused`]
+    /// since the last tile assignment or unfused render) or the loss
+    /// gradients do not match `camera`'s pixel count.
     pub fn backward_fused(
         &mut self,
         scene: &GaussianScene,
@@ -256,15 +274,7 @@ impl FrameArena {
         w2c: &Se3,
         backend: &dyn Backend,
     ) {
-        assert!(
-            !self.fragments.tiles.is_empty() || self.tiles.tile_count() == 0,
-            "fragment cache is stale or missing (run render_fused first)"
-        );
-        assert_eq!(
-            self.fragments.tiles.len(),
-            self.tiles.tile_count(),
-            "fragment cache must cover the tile grid (run render_fused first)"
-        );
+        self.assert_fragments_fresh();
         backward_into(
             scene,
             &self.projection,
@@ -287,15 +297,7 @@ impl FrameArena {
         w2c: &Se3,
         backend: &dyn Backend,
     ) {
-        assert!(
-            !self.fragments.tiles.is_empty() || self.tiles.tile_count() == 0,
-            "fragment cache is stale or missing (run render_fused first)"
-        );
-        assert_eq!(
-            self.fragments.tiles.len(),
-            self.tiles.tile_count(),
-            "fragment cache must cover the tile grid (run render_fused first)"
-        );
+        self.assert_fragments_fresh();
         backward_into(
             &self.visible.scene,
             &self.projection,
@@ -310,31 +312,15 @@ impl FrameArena {
         );
     }
 
-    /// Steps ❹–❺ (re-walk variant) with explicit upstream gradients —
-    /// kept for equivalence testing against the fused path.
-    ///
-    /// # Panics
-    ///
-    /// As for [`crate::backward_with`].
-    pub fn backward_rewalk(
-        &mut self,
-        scene: &GaussianScene,
-        camera: &PinholeCamera,
-        w2c: &Se3,
-        pixel_grads: &PixelGrads,
-        backend: &dyn Backend,
-    ) {
-        backward_into(
-            scene,
-            &self.projection,
-            &self.tiles,
-            camera,
-            w2c,
-            pixel_grads,
-            None,
-            backend,
-            &mut self.backward_scratch,
-            &mut self.backward,
+    fn assert_fragments_fresh(&self) {
+        assert!(
+            !self.fragments.tiles.is_empty() || self.tiles.tile_count() == 0,
+            "fragment cache is stale or missing (run render_fused first)"
+        );
+        assert_eq!(
+            self.fragments.tiles.len(),
+            self.tiles.tile_count(),
+            "fragment cache must cover the tile grid (run render_fused first)"
         );
     }
 
@@ -422,7 +408,7 @@ impl FrameArena {
 mod tests {
     use super::*;
     use crate::gaussian::Gaussian3d;
-    use crate::{render_frame_fused_with, Image};
+    use crate::Image;
     use rtgs_math::{Quat, Vec3};
     use rtgs_runtime::Serial;
 
@@ -446,31 +432,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_pipeline_matches_fresh_pipeline() {
+    fn forward_composes_pipeline() {
         let cam = PinholeCamera::from_fov(32, 32, 1.2);
-        let pose = Se3::IDENTITY;
-        let scene = scene();
-        let gt = Image::new(cam.width, cam.height);
-
-        let fresh = render_frame_fused_with(&scene, &pose, &cam, None, &Serial);
-        let fresh_loss = crate::compute_loss(&fresh.output, &gt, None, &LossConfig::default());
-        let fresh_back = fresh.backward(&scene, &cam, &pose, &fresh_loss.pixel_grads, &Serial);
-
         let mut arena = FrameArena::new();
-        // Two passes: the second runs entirely on reused storage.
-        for _ in 0..2 {
-            arena.project(&scene, &pose, &cam, None, &Serial);
-            arena.assign_tiles(&cam, &Serial);
-            arena.render_fused(&cam, &Serial);
-            let l = arena.compute_loss(&gt, None, &LossConfig::default());
-            arena.backward_fused(&scene, &cam, &pose, &Serial);
-            assert_eq!(l, fresh_loss.loss);
-            assert_eq!(arena.output().image, fresh.output.image);
-            assert_eq!(arena.output().stats, fresh.output.stats);
-            assert_eq!(arena.tiles().entries, fresh.tiles.entries);
-            assert_eq!(arena.backward().gaussians, fresh_back.gaussians);
-            assert_eq!(arena.backward().pose, fresh_back.pose);
-        }
+        let out = arena.forward(&scene(), &Se3::IDENTITY, &cam, None, &Serial);
+        assert!(out.stats.fragments_blended > 0);
+        assert!(out.image.pixel(16, 16).x > 0.0);
+        assert_eq!(arena.projection().visible_count(), 2);
     }
 
     #[test]
@@ -489,25 +457,5 @@ mod tests {
         arena.render(&cam, &Serial);
         arena.compute_loss(&gt, None, &LossConfig::default());
         arena.backward_fused(&scene, &cam, &pose, &Serial);
-    }
-
-    #[test]
-    fn arena_handles_resolution_changes() {
-        let pose = Se3::IDENTITY;
-        let scene = scene();
-        let mut arena = FrameArena::new();
-        for &(w, h) in &[(32usize, 32usize), (64, 48), (16, 16), (48, 32)] {
-            let cam = PinholeCamera::from_fov(w, h, 1.2);
-            arena.project(&scene, &pose, &cam, None, &Serial);
-            arena.assign_tiles(&cam, &Serial);
-            arena.render_fused(&cam, &Serial);
-            let fresh = render_frame_fused_with(&scene, &pose, &cam, None, &Serial);
-            assert_eq!(arena.output().image, fresh.output.image, "{w}x{h}");
-            assert_eq!(
-                arena.fragments().total_fragments(),
-                fresh.fragments.total_fragments(),
-                "{w}x{h}"
-            );
-        }
     }
 }

@@ -8,15 +8,16 @@
 //!
 //! Two Step-❹ drivers share all surrounding machinery:
 //!
-//! * [`backward_with`] mirrors the reference CUDA rasterizer: each pixel's
-//!   fragment list is re-walked in forward order (recomputing alpha and
-//!   transmittance from the SoA splat arrays), then the reverse recursion of
-//!   Eq. 4 runs with suffix accumulators.
-//! * [`backward_fused_with`] consumes the fragment records a fused forward
-//!   pass ([`crate::render_fused_with`]) cached — the re-walk disappears and
-//!   forward + backward share one tile traversal. Because the cache holds
-//!   exactly the values the re-walk would recompute, the gradients are
-//!   bitwise-identical.
+//! * The fused driver ([`crate::FrameArena::backward_fused`], production)
+//!   consumes the fragment records a fused forward pass
+//!   ([`crate::FrameArena::render_fused`]) cached — forward + backward share
+//!   one tile traversal.
+//! * The re-walk driver (`reference::backward_rewalk`, test oracle) mirrors
+//!   the reference CUDA rasterizer: each pixel's fragment list is re-walked
+//!   in forward order (recomputing alpha and transmittance from the SoA
+//!   splat arrays), then the reverse recursion of Eq. 4 runs with suffix
+//!   accumulators. Because the cache holds exactly the values the re-walk
+//!   recomputes, the gradients are bitwise-identical.
 //!
 //! Analytic gradients are verified against central finite differences in
 //! `tests/grad_check.rs`.
@@ -30,7 +31,7 @@ use crate::gaussian::{GaussianGrad, GaussianScene};
 use crate::project::{jacobian_with_clamp, Projected2d, Projection};
 use crate::tiles::TileAssignment;
 use rtgs_math::{Mat3, Se3, Sym2, Sym3, Vec2, Vec3};
-use rtgs_runtime::{Backend, ScratchPool, Serial, SharedSlice};
+use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
 
 /// Tiles per chunk in the parallel Rendering BP (fixed by the algorithm,
 /// not the worker count).
@@ -102,14 +103,14 @@ impl BackwardOutput {
     }
 }
 
-/// Caller-owned workspace of [`backward_into`]: per-tile Step-❹ partials
+/// Workspace of [`backward_into`]: per-tile Step-❹ partials
 /// (inner accumulator vectors keep their capacities across frames), the
 /// per-Gaussian 2D-gradient fold buffer, per-chunk pose partials and the
 /// shared gather-scratch pool. One workspace reused across iterations makes
 /// the steady-state backward pass allocation-free (the
 /// [`crate::FrameArena`] owns one).
 #[derive(Default)]
-pub struct BackwardScratch {
+pub(crate) struct BackwardScratch {
     /// One Step-❹ partial per tile.
     partials: Vec<TilePartial>,
     /// Per-Gaussian 2D-gradient accumulators (fold target).
@@ -180,134 +181,28 @@ pub(crate) struct FragmentRecord {
     t_before: f32,
 }
 
-/// Runs Steps ❹ and ❺: computes gradients of the loss with respect to all
-/// Gaussian parameters and the camera pose.
-///
-/// `pixel_grads` must match the camera resolution.
-///
-/// # Panics
-///
-/// Panics if the gradient buffers do not match `camera`'s pixel count.
-pub fn backward(
-    scene: &GaussianScene,
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-    w2c: &Se3,
-    pixel_grads: &PixelGrads,
-) -> BackwardOutput {
-    backward_with(scene, projection, tiles, camera, w2c, pixel_grads, &Serial)
-}
-
-/// [`backward`] on an explicit execution backend.
+/// Runs Steps ❹ and ❺ into caller-owned storage: computes gradients of the
+/// loss with respect to all Gaussian parameters and the camera pose.
 ///
 /// Step ❹ runs chunked over tiles: each tile accumulates gradients into its
 /// own `TilePartial` and the calling thread folds the partials in tile
 /// order (the software analog of the paper's GMU gradient merging — the
 /// atomic-add contention of Observation 4 is what this structure removes).
-/// Step ❺ runs chunked over Gaussians with per-chunk pose-tangent partials
-/// folded in chunk order. Both reduction trees are fixed by constants
-/// (`BP_TILE_CHUNK`, `BP_GAUSS_CHUNK`) rather than the worker count, so
-/// gradients are bitwise-identical on every backend and pool size.
+/// With `fragments` it consumes the records of a fused forward pass over
+/// the same `(projection, tiles, camera)` triple; without, it re-walks each
+/// pixel's splat list. Step ❺ runs chunked over Gaussians with per-chunk
+/// pose-tangent partials folded in chunk order. Both reduction trees are
+/// fixed by constants (`BP_TILE_CHUNK`, `BP_GAUSS_CHUNK`) rather than the
+/// worker count, so gradients are bitwise-identical on every backend and
+/// pool size.
+///
+/// The workspace and the output gradient buffer are cleared and refilled;
+/// once their capacities cover the frame, a steady-state backward pass
+/// performs **no heap allocation**.
 ///
 /// # Panics
 ///
 /// Panics if the gradient buffers do not match `camera`'s pixel count.
-pub fn backward_with(
-    scene: &GaussianScene,
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-    w2c: &Se3,
-    pixel_grads: &PixelGrads,
-    backend: &dyn Backend,
-) -> BackwardOutput {
-    backward_impl(
-        scene,
-        projection,
-        tiles,
-        camera,
-        w2c,
-        pixel_grads,
-        None,
-        backend,
-    )
-}
-
-/// [`backward_with`] consuming the fragment records of a fused forward pass
-/// instead of re-walking each pixel's splat list.
-///
-/// `fragments` must come from [`crate::render_fused_with`] over the same
-/// `(projection, tiles, camera)` triple. The cached records hold exactly
-/// the values the re-walk recomputes (fragment order, alpha, Gaussian
-/// weight, incoming transmittance), so the output is bitwise-identical to
-/// [`backward_with`] — property-tested in `tests/soa_equivalence.rs`.
-///
-/// # Panics
-///
-/// Panics if the gradient buffers do not match `camera`'s pixel count or if
-/// `fragments` does not cover the tile grid.
-#[allow(clippy::too_many_arguments)]
-pub fn backward_fused_with(
-    scene: &GaussianScene,
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-    w2c: &Se3,
-    pixel_grads: &PixelGrads,
-    fragments: &FragmentCache,
-    backend: &dyn Backend,
-) -> BackwardOutput {
-    assert_eq!(
-        fragments.tiles.len(),
-        tiles.tile_count(),
-        "fragment cache must cover the tile grid"
-    );
-    backward_impl(
-        scene,
-        projection,
-        tiles,
-        camera,
-        w2c,
-        pixel_grads,
-        Some(fragments),
-        backend,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn backward_impl(
-    scene: &GaussianScene,
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-    w2c: &Se3,
-    pixel_grads: &PixelGrads,
-    fragments: Option<&FragmentCache>,
-    backend: &dyn Backend,
-) -> BackwardOutput {
-    let mut ws = BackwardScratch::default();
-    let mut out = BackwardOutput::empty();
-    backward_into(
-        scene,
-        projection,
-        tiles,
-        camera,
-        w2c,
-        pixel_grads,
-        fragments,
-        backend,
-        &mut ws,
-        &mut out,
-    );
-    out
-}
-
-/// [`backward_impl`] writing into caller-owned storage — the
-/// zero-allocation path. The workspace and the output gradient buffer are
-/// cleared and refilled; once their capacities cover the frame, a
-/// steady-state backward pass performs **no heap allocation**. Results are
-/// bitwise-identical to a pass into fresh buffers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward_into(
     scene: &GaussianScene,
@@ -810,20 +705,34 @@ fn quat_backward(q_raw: rtgs_math::Quat, dl_dr: &Mat3) -> [f32; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::{render, render_fused};
     use crate::gaussian::Gaussian3d;
-    use crate::project::project_scene;
+    use crate::reference::backward_rewalk;
+    use crate::FrameArena;
     use rtgs_math::Quat;
+    use rtgs_runtime::Serial;
 
     fn camera() -> PinholeCamera {
         PinholeCamera::from_fov(32, 32, 1.2)
     }
 
-    fn setup(scene: &GaussianScene) -> (Projection, TileAssignment) {
+    /// Projects, bins and fused-renders `scene` at the identity pose.
+    fn setup(scene: &GaussianScene, active: Option<&[bool]>) -> FrameArena {
         let cam = camera();
-        let proj = project_scene(scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
-        (proj, tiles)
+        let mut arena = FrameArena::new();
+        arena.project(scene, &Se3::IDENTITY, &cam, active, &Serial);
+        arena.assign_tiles(&cam, &Serial);
+        arena.render_fused(&cam, &Serial);
+        arena
+    }
+
+    /// Backward pass over explicit upstream gradients (re-walk driver).
+    fn backward(
+        arena: &mut FrameArena,
+        scene: &GaussianScene,
+        grads: &PixelGrads,
+    ) -> BackwardOutput {
+        backward_rewalk(arena, scene, &camera(), &Se3::IDENTITY, grads, &Serial);
+        arena.backward().clone()
     }
 
     fn one_gaussian_scene() -> GaussianScene {
@@ -839,10 +748,10 @@ mod tests {
     #[test]
     fn zero_pixel_grads_produce_zero_output() {
         let scene = one_gaussian_scene();
-        let (proj, tiles) = setup(&scene);
+        let mut arena = setup(&scene, None);
         let cam = camera();
         let grads = PixelGrads::zeros(cam.width, cam.height);
-        let out = backward(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads);
+        let out = backward(&mut arena, &scene, &grads);
         assert_eq!(out.pose, [0.0; 6]);
         assert_eq!(out.gaussians[0].position, Vec3::ZERO);
         assert_eq!(out.stats.fragment_grad_events, 0);
@@ -851,17 +760,16 @@ mod tests {
     #[test]
     fn color_gradient_is_positive_where_gaussian_renders() {
         let scene = one_gaussian_scene();
-        let (proj, tiles) = setup(&scene);
+        let mut arena = setup(&scene, None);
         let cam = camera();
-        let fwd = render(&proj, &tiles, &cam);
         // dL/dC = 1 everywhere the Gaussian contributed.
         let mut grads = PixelGrads::zeros(cam.width, cam.height);
-        for (i, c) in fwd.image.data().iter().enumerate() {
+        for (i, c) in arena.output().image.data().iter().enumerate() {
             if c.x > 0.0 {
                 grads.color[i] = Vec3::splat(1.0);
             }
         }
-        let out = backward(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads);
+        let out = backward(&mut arena, &scene, &grads);
         // Increasing the color increases the output everywhere it renders.
         assert!(out.gaussians[0].color.x > 0.0);
         assert!(out.stats.gaussians_touched == 1);
@@ -873,13 +781,13 @@ mod tests {
         // If dL/dC is positive and the Gaussian is the only contributor,
         // raising opacity raises C, so dL/d(opacity) must be positive.
         let scene = one_gaussian_scene();
-        let (proj, tiles) = setup(&scene);
+        let mut arena = setup(&scene, None);
         let cam = camera();
         let mut grads = PixelGrads::zeros(cam.width, cam.height);
         for g in &mut grads.color {
             *g = Vec3::splat(1.0);
         }
-        let out = backward(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads);
+        let out = backward(&mut arena, &scene, &grads);
         assert!(out.gaussians[0].opacity > 0.0);
     }
 
@@ -889,13 +797,12 @@ mod tests {
         gaussians.push(gaussians[0]);
         let scene = GaussianScene::from_gaussians(gaussians);
         let cam = camera();
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, Some(&[true, false]));
-        let tiles = TileAssignment::build(&proj, &cam);
+        let mut arena = setup(&scene, Some(&[true, false]));
         let mut grads = PixelGrads::zeros(cam.width, cam.height);
         for g in &mut grads.color {
             *g = Vec3::splat(1.0);
         }
-        let out = backward(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads);
+        let out = backward(&mut arena, &scene, &grads);
         assert!(out.gaussians[0].color.norm() > 0.0);
         assert_eq!(out.gaussians[1].color, Vec3::ZERO);
     }
@@ -903,13 +810,13 @@ mod tests {
     #[test]
     fn cov_frobenius_recorded_for_importance_score() {
         let scene = one_gaussian_scene();
-        let (proj, tiles) = setup(&scene);
+        let mut arena = setup(&scene, None);
         let cam = camera();
         let mut grads = PixelGrads::zeros(cam.width, cam.height);
         for g in &mut grads.color {
             *g = Vec3::new(1.0, -0.5, 0.25);
         }
-        let out = backward(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads);
+        let out = backward(&mut arena, &scene, &grads);
         assert!(out.gaussians[0].cov_frobenius > 0.0);
         assert!(out.gaussians[0].importance_score(0.8) > 0.0);
     }
@@ -926,9 +833,8 @@ mod tests {
                 Vec3::new(0.1, 0.9, 0.4),
             ),
         ]);
-        let (proj, tiles) = setup(&scene);
+        let mut arena = setup(&scene, None);
         let cam = camera();
-        let fused = render_fused(&proj, &tiles, &cam);
         let mut grads = PixelGrads::zeros(cam.width, cam.height);
         for (i, g) in grads.color.iter_mut().enumerate() {
             *g = Vec3::new(1.0, -0.5, 0.25) * ((i % 7) as f32 - 3.0);
@@ -936,16 +842,20 @@ mod tests {
         for (i, g) in grads.depth.iter_mut().enumerate() {
             *g = ((i % 5) as f32 - 2.0) * 0.1;
         }
-        let rewalk = backward_with(&scene, &proj, &tiles, &cam, &Se3::IDENTITY, &grads, &Serial);
-        let fused_out = backward_fused_with(
+        let rewalk = backward(&mut arena, &scene, &grads);
+        // Same explicit gradients through the fused driver.
+        let mut fused_out = BackwardOutput::empty();
+        backward_into(
             &scene,
-            &proj,
-            &tiles,
+            arena.projection(),
+            arena.tiles(),
             &cam,
             &Se3::IDENTITY,
             &grads,
-            &fused.fragments,
+            Some(arena.fragments()),
             &Serial,
+            &mut BackwardScratch::default(),
+            &mut fused_out,
         );
         assert_eq!(rewalk.gaussians, fused_out.gaussians);
         assert_eq!(rewalk.pose, fused_out.pose);

@@ -5,9 +5,9 @@
 //! ([`crate::ProjectedSoA`]): each tile first gathers its (depth-sorted)
 //! splats into a compact contiguous working set — the software analog of
 //! staging a tile's Gaussians in shared memory — and every pixel of the tile
-//! then streams that working set sequentially. The fused variant
-//! ([`render_fused_with`]) additionally records, per pixel, the exact
-//! fragment sequence the blend produced (alpha, Gaussian weight, incoming
+//! then streams that working set sequentially. The fused instantiation
+//! ([`crate::FrameArena::render_fused`]) additionally records, per pixel, the
+//! exact fragment sequence the blend produced (alpha, Gaussian weight, incoming
 //! transmittance), which is precisely the bookkeeping the backward pass
 //! otherwise has to reconstruct by re-walking the sorted splat list — so
 //! forward and backward share one tile traversal.
@@ -16,7 +16,7 @@ use crate::camera::{DepthImage, Image, PinholeCamera};
 use crate::project::{ProjectedSoA, Projection};
 use crate::tiles::TileAssignment;
 use rtgs_math::{Sym2, Vec2, Vec3};
-use rtgs_runtime::{Backend, ScratchPool, Serial, SharedSlice};
+use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
 
 /// Tiles per chunk in the parallel forward render (fixed by the algorithm,
 /// not the worker count).
@@ -136,16 +136,6 @@ impl FragmentCache {
     }
 }
 
-/// Result of a fused forward render: the image plus the per-tile fragment
-/// records the backward pass consumes instead of re-walking the splat lists.
-#[derive(Debug, Clone)]
-pub struct FusedRender {
-    /// Forward render output (bitwise-identical to [`render_with`]).
-    pub output: RenderOutput,
-    /// Fragment records for [`crate::backward_fused_with`].
-    pub fragments: FragmentCache,
-}
-
 /// Center of pixel `(x, y)` in continuous pixel coordinates.
 #[inline]
 pub(crate) fn pixel_center(x: usize, y: usize) -> Vec2 {
@@ -244,90 +234,18 @@ pub(crate) fn fragment_alpha_fast(s: &TileSplat, p: Vec2) -> Option<(f32, f32)> 
     Some((alpha, g))
 }
 
-/// Renders the projected splats into an image (Step ❸).
+/// Step ❸: renders the projected splats into caller-owned storage; `RECORD`
+/// statically selects the fused (fragment-recording) instantiation.
 ///
-/// Iterates tiles, then pixels within each tile, walking the tile's
-/// depth-sorted splat list front-to-back and terminating each ray when the
-/// transmittance drops below [`TERMINATION_THRESHOLD`].
-pub fn render(
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-) -> RenderOutput {
-    render_with(projection, tiles, camera, &Serial)
-}
-
-/// [`render`] on an explicit execution backend (Step ❸, chunked over
-/// tiles).
-///
+/// Iterates tiles (chunked over `backend`), then pixels within each tile,
+/// walking the tile's depth-sorted splat list front-to-back and terminating
+/// each ray when the transmittance drops below [`TERMINATION_THRESHOLD`].
 /// Tiles partition the image, so every pixel is written by exactly one
 /// tile's task; per-tile statistics are integer counters summed afterwards.
 /// The output is therefore bitwise-identical on every backend and pool
-/// size.
-pub fn render_with(
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-    backend: &dyn Backend,
-) -> RenderOutput {
-    let mut out = RenderOutput::empty();
-    let mut tile_stats = Vec::new();
-    let pool = ScratchPool::new();
-    render_into::<false>(
-        projection,
-        tiles,
-        camera,
-        backend,
-        &pool,
-        &mut out,
-        &mut tile_stats,
-        None,
-    );
-    out
-}
-
-/// Fused forward render: [`render`] plus per-pixel fragment records for the
-/// backward pass, from one tile traversal (serial backend).
-pub fn render_fused(
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-) -> FusedRender {
-    render_fused_with(projection, tiles, camera, &Serial)
-}
-
-/// [`render_fused`] on an explicit execution backend.
-///
-/// The blend math is the same monomorphized kernel as [`render_with`] —
-/// recording only copies values the blend already computed — so the
-/// [`RenderOutput`] is bitwise-identical to the unfused pass, and the
-/// cached fragments are bitwise-identical to what a backward re-walk would
-/// reconstruct.
-pub fn render_fused_with(
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-    backend: &dyn Backend,
-) -> FusedRender {
-    let mut output = RenderOutput::empty();
-    let mut tile_stats = Vec::new();
-    let mut fragments = FragmentCache::default();
-    let pool = ScratchPool::new();
-    render_into::<true>(
-        projection,
-        tiles,
-        camera,
-        backend,
-        &pool,
-        &mut output,
-        &mut tile_stats,
-        Some(&mut fragments),
-    );
-    FusedRender { output, fragments }
-}
-
-/// Shared tile-traversal kernel writing into caller-owned storage; `RECORD`
-/// statically selects the fused (fragment-recording) instantiation.
+/// size. Recording only copies values the blend already computed, so the
+/// [`RenderOutput`] of both instantiations is bitwise-identical and the
+/// cached fragments are exactly what a backward re-walk would reconstruct.
 ///
 /// Every output buffer — image, depth, transmittance, workloads, per-tile
 /// stats and (when recording) the per-tile fragment records — is cleared
@@ -472,18 +390,18 @@ pub(crate) fn render_into<const RECORD: bool>(
 mod tests {
     use super::*;
     use crate::gaussian::{Gaussian3d, GaussianScene};
-    use crate::project::project_scene;
+    use crate::FrameArena;
     use rtgs_math::{Quat, Se3};
+    use rtgs_runtime::Serial;
 
     fn camera() -> PinholeCamera {
         PinholeCamera::from_fov(32, 32, 1.2)
     }
 
-    fn render_scene(scene: &GaussianScene) -> (RenderOutput, Projection) {
-        let cam = camera();
-        let proj = project_scene(scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
-        (render(&proj, &tiles, &cam), proj)
+    fn render_scene(scene: &GaussianScene) -> RenderOutput {
+        FrameArena::new()
+            .forward(scene, &Se3::IDENTITY, &camera(), None, &Serial)
+            .clone()
     }
 
     fn big_gaussian(z: f32, opacity: f32, color: Vec3) -> Gaussian3d {
@@ -498,7 +416,7 @@ mod tests {
 
     #[test]
     fn empty_scene_renders_black() {
-        let (out, _) = render_scene(&GaussianScene::new());
+        let out = render_scene(&GaussianScene::new());
         assert_eq!(out.image.pixel(16, 16), Vec3::ZERO);
         assert_eq!(out.final_transmittance[0], 1.0);
         assert_eq!(out.stats.fragments_processed, 0);
@@ -507,7 +425,7 @@ mod tests {
     #[test]
     fn single_opaque_gaussian_dominates_center_pixel() {
         let scene = GaussianScene::from_gaussians(vec![big_gaussian(2.0, 0.95, Vec3::X)]);
-        let (out, _) = render_scene(&scene);
+        let out = render_scene(&scene);
         let c = out.image.pixel(16, 16);
         assert!(c.x > 0.9, "center should be strongly red, got {c}");
         assert!(c.y < 1e-3 && c.z < 1e-3);
@@ -520,7 +438,7 @@ mod tests {
             big_gaussian(4.0, 0.99, Vec3::new(0.0, 1.0, 0.0)), // green behind
             big_gaussian(1.0, 0.99, Vec3::X),                  // red in front
         ]);
-        let (out, _) = render_scene(&scene);
+        let out = render_scene(&scene);
         let c = out.image.pixel(16, 16);
         assert!(
             c.x > 0.9 && c.y < 0.1,
@@ -536,15 +454,15 @@ mod tests {
         ];
         let mut b = a.clone();
         b.reverse();
-        let (out_a, _) = render_scene(&GaussianScene::from_gaussians(a));
-        let (out_b, _) = render_scene(&GaussianScene::from_gaussians(b));
+        let out_a = render_scene(&GaussianScene::from_gaussians(a));
+        let out_b = render_scene(&GaussianScene::from_gaussians(b));
         assert!((out_a.image.pixel(16, 16) - out_b.image.pixel(16, 16)).max_abs() < 1e-5);
     }
 
     #[test]
     fn depth_map_reflects_front_surface() {
         let scene = GaussianScene::from_gaussians(vec![big_gaussian(2.0, 0.99, Vec3::X)]);
-        let (out, _) = render_scene(&scene);
+        let out = render_scene(&scene);
         let d = out.depth.depth(16, 16);
         assert!((d - 2.0).abs() < 0.25, "expected depth near 2.0, got {d}");
     }
@@ -557,7 +475,7 @@ mod tests {
             .map(|i| big_gaussian(1.0 + i as f32 * 0.1, 0.95, Vec3::X))
             .collect();
         let n = layers.len();
-        let (out, _) = render_scene(&GaussianScene::from_gaussians(layers));
+        let out = render_scene(&GaussianScene::from_gaussians(layers));
         let w = out.pixel_workloads[16 * 32 + 16];
         assert!(w < n as u32 / 2, "expected early termination, workload {w}");
         assert!(out.stats.early_terminated_pixels > 0);
@@ -569,13 +487,12 @@ mod tests {
             big_gaussian(2.0, 0.3, Vec3::X),
             big_gaussian(3.0, 0.3, Vec3::X),
         ]);
-        let (out, _) = render_scene(&scene);
+        let out = render_scene(&scene);
         let single = render_scene(&GaussianScene::from_gaussians(vec![big_gaussian(
             2.0,
             0.3,
             Vec3::X,
-        )]))
-        .0;
+        )]));
         assert!(out.image.pixel(16, 16).x > single.image.pixel(16, 16).x);
     }
 
@@ -585,7 +502,7 @@ mod tests {
             big_gaussian(2.0, 0.4, Vec3::X),
             big_gaussian(3.0, 0.4, Vec3::Y),
         ]);
-        let (out, _) = render_scene(&scene);
+        let out = render_scene(&scene);
         let total: u64 = out.pixel_workloads.iter().map(|&w| w as u64).sum();
         assert_eq!(total, out.stats.fragments_processed);
     }
@@ -593,9 +510,9 @@ mod tests {
     #[test]
     fn alpha_never_exceeds_max() {
         let scene = GaussianScene::from_gaussians(vec![big_gaussian(2.0, 0.9999, Vec3::X)]);
-        let cam = camera();
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let splat = proj.splat_for_gaussian(0).unwrap();
+        let mut arena = FrameArena::new();
+        arena.project(&scene, &Se3::IDENTITY, &camera(), None, &Serial);
+        let splat = arena.projection().splat_for_gaussian(0).unwrap();
         let (alpha, _) = fragment_alpha(splat.mean, &splat.conic, splat.opacity, splat.mean);
         assert!(alpha <= ALPHA_MAX);
     }
@@ -607,17 +524,19 @@ mod tests {
             big_gaussian(3.0, 0.7, Vec3::Y),
         ]);
         let cam = camera();
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
-        let plain = render(&proj, &tiles, &cam);
-        let fused = render_fused(&proj, &tiles, &cam);
-        assert_eq!(plain.image, fused.output.image);
-        assert_eq!(plain.depth, fused.output.depth);
-        assert_eq!(plain.final_transmittance, fused.output.final_transmittance);
-        assert_eq!(plain.stats, fused.output.stats);
+        let mut arena = FrameArena::new();
+        let plain = arena
+            .forward(&scene, &Se3::IDENTITY, &cam, None, &Serial)
+            .clone();
+        arena.render_fused(&cam, &Serial);
+        let fused = arena.output();
+        assert_eq!(plain.image, fused.image);
+        assert_eq!(plain.depth, fused.depth);
+        assert_eq!(plain.final_transmittance, fused.final_transmittance);
+        assert_eq!(plain.stats, fused.stats);
         // Every blended fragment was recorded.
         assert_eq!(
-            fused.fragments.total_fragments(),
+            arena.fragments().total_fragments(),
             plain.stats.fragments_blended
         );
     }
@@ -629,12 +548,14 @@ mod tests {
             big_gaussian(3.0, 0.7, Vec3::Y),
         ]);
         let cam = camera();
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
-        let fused = render_fused(&proj, &tiles, &cam);
+        let mut arena = FrameArena::new();
+        arena.project(&scene, &Se3::IDENTITY, &cam, None, &Serial);
+        arena.assign_tiles(&cam, &Serial);
+        arena.render_fused(&cam, &Serial);
+        let tiles = arena.tiles();
         // Replaying each pixel's cached fragments must land exactly on the
         // recorded final transmittance.
-        for (tile, tf) in fused.fragments.tiles.iter().enumerate() {
+        for (tile, tf) in arena.fragments().tiles.iter().enumerate() {
             if tf.offsets.is_empty() {
                 continue;
             }
@@ -648,7 +569,7 @@ mod tests {
                     .map(|f| f.t_before * (1.0 - f.alpha))
                     .unwrap_or(1.0);
                 let (x, y) = (x0 + pi % width, y0 + pi / width);
-                assert_eq!(t, fused.output.final_transmittance[y * cam.width + x]);
+                assert_eq!(t, arena.output().final_transmittance[y * cam.width + x]);
             }
         }
     }

@@ -1,36 +1,46 @@
 //! Differentiable tile-based 3D Gaussian Splatting rasterizer.
 //!
-//! Implements the five pipeline steps of the paper (Sec. 2.1–2.2):
+//! Implements the five pipeline steps of the paper (Sec. 2.1–2.2), each
+//! reached through exactly one public path — a stage method of
+//! [`FrameArena`], which owns every transient buffer of a frame:
 //!
-//! 1. **Preprocessing** ([`project_scene`]) — EWA projection of 3D Gaussians
-//!    to 2D splats compacted into a structure-of-arrays layout
-//!    ([`ProjectedSoA`]) plus tile intersection ([`TileAssignment`]).
-//! 2. **Sorting** — front-to-back depth ordering via a stable radix sort
-//!    on the monotone depth key (inside [`TileAssignment::build`]), stored
-//!    as flat CSR tile lists.
-//! 3. **Rendering** ([`render`]) — per-pixel alpha computing and blending
-//!    with early ray termination (Eqs. 2–3), streaming a per-tile gathered
-//!    working set. The fused variant ([`render_fused`]) also records every
-//!    pixel's fragment sequence for step 4.
-//! 4. **Rendering BP** ([`backward`]) — loss gradients to per-Gaussian 2D
-//!    gradients (Eq. 4); [`backward_fused_with`] consumes the fused
-//!    forward's fragment records instead of re-walking the splat lists.
-//! 5. **Preprocessing BP** (also in [`backward`]) — 2D gradients to 3D
-//!    parameter gradients and the camera-pose tangent.
+//! 1. **Preprocessing** ([`FrameArena::project`], or [`FrameArena::cull`] +
+//!    [`FrameArena::project_visible`] over a [`ShardedScene`]) — EWA
+//!    projection of 3D Gaussians to 2D splats compacted into a
+//!    structure-of-arrays layout ([`ProjectedSoA`]).
+//! 2. **Sorting** ([`FrameArena::assign_tiles`]) — tile intersection plus
+//!    front-to-back depth ordering via a stable radix sort on the monotone
+//!    depth key, stored as flat CSR tile lists ([`TileAssignment`]).
+//! 3. **Rendering** ([`FrameArena::render_fused`]) — per-pixel alpha
+//!    computing and blending with early ray termination (Eqs. 2–3),
+//!    streaming a per-tile gathered working set and recording every pixel's
+//!    fragment sequence for step 4. [`FrameArena::render`] is the
+//!    forward-only spelling for evaluation renders.
+//! 4. **Rendering BP** ([`FrameArena::backward_fused`] /
+//!    [`FrameArena::backward_visible_fused`]) — loss gradients
+//!    ([`FrameArena::compute_loss`]) to per-Gaussian 2D gradients (Eq. 4),
+//!    consuming the fused forward's fragment records.
+//! 5. **Preprocessing BP** (same call) — 2D gradients to 3D parameter
+//!    gradients and the camera-pose tangent.
 //!
-//! The seed's array-of-structs path survives in [`mod@reference`] as the bitwise
-//! ground truth; `tests/soa_equivalence.rs` proves AoS == SoA == fused, bit
-//! for bit, over random scenes. The analytic backward pass is verified
-//! against finite differences in `tests/grad_check.rs`.
+//! [`FrameArena::forward`] runs steps 1–3 in one call for callers that only
+//! need an image.
+//!
+//! The seed's array-of-structs path, the legacy per-tile sort and the
+//! backward re-walk survive in the hidden `reference` module as the bitwise
+//! ground truth; `tests/equivalence.rs` proves AoS == SoA == fused ==
+//! sharded, fresh == reused arena, serial == parallel, bit for bit, over
+//! random scenes. The analytic backward pass is verified against finite
+//! differences in `tests/grad_check.rs`.
 //!
 //! # Example
 //!
 //! ```
 //! use rtgs_render::{
-//!     project_scene, render, backward, compute_loss, Gaussian3d, GaussianScene,
-//!     Image, LossConfig, PinholeCamera, TileAssignment,
+//!     FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera,
 //! };
 //! use rtgs_math::{Quat, Se3, Vec3};
+//! use rtgs_runtime::Serial;
 //!
 //! let scene = GaussianScene::from_gaussians(vec![Gaussian3d::from_activated(
 //!     Vec3::new(0.0, 0.0, 2.0),
@@ -42,14 +52,17 @@
 //! let camera = PinholeCamera::from_fov(64, 48, 1.2);
 //! let pose = Se3::IDENTITY; // world-to-camera
 //!
-//! let projection = project_scene(&scene, &pose, &camera, None);
-//! let tiles = TileAssignment::build(&projection, &camera);
-//! let output = render(&projection, &tiles, &camera);
+//! // One arena per session; every stage reuses its storage across frames.
+//! let mut arena = FrameArena::new();
+//! arena.project(&scene, &pose, &camera, None, &Serial);
+//! arena.assign_tiles(&camera, &Serial);
+//! arena.render_fused(&camera, &Serial);
 //!
 //! let gt = Image::new(64, 48); // all black target
-//! let loss = compute_loss(&output, &gt, None, &LossConfig::default());
-//! let grads = backward(&scene, &projection, &tiles, &camera, &pose, &loss.pixel_grads);
-//! assert_eq!(grads.gaussians.len(), scene.len());
+//! let loss = arena.compute_loss(&gt, None, &LossConfig::default());
+//! arena.backward_fused(&scene, &camera, &pose, &Serial);
+//! assert!(loss > 0.0);
+//! assert_eq!(arena.backward().gaussians.len(), scene.len());
 //! ```
 
 mod arena;
@@ -59,185 +72,28 @@ mod forward;
 mod gaussian;
 mod loss;
 mod project;
+#[doc(hidden)]
 pub mod reference;
 mod shard;
 mod tiles;
 mod trace;
 
 pub use arena::FrameArena;
-pub use backward::{
-    backward, backward_fused_with, backward_with, BackwardOutput, BackwardStats, PixelGrads,
-};
+pub use backward::{BackwardOutput, BackwardStats, PixelGrads};
 pub use camera::{DepthImage, Image, PinholeCamera};
 pub use forward::{
-    render, render_fused, render_fused_with, render_with, CachedFragment, FragmentCache,
-    FusedRender, RenderOutput, RenderStats, TileFragments, ALPHA_MAX, ALPHA_MIN,
+    CachedFragment, FragmentCache, RenderOutput, RenderStats, TileFragments, ALPHA_MAX, ALPHA_MIN,
     TERMINATION_THRESHOLD,
 };
 pub use gaussian::{Gaussian3d, GaussianGrad, GaussianScene};
-pub use loss::{compute_loss, LossConfig, LossKind, LossOutput};
+pub use loss::{LossConfig, LossKind, LossOutput};
 pub use project::{
-    jacobian_with_clamp, project_scene, project_scene_into, project_scene_with,
-    projection_jacobian, ProjectScratch, Projected2d, ProjectedSoA, Projection, TileRect,
+    jacobian_with_clamp, projection_jacobian, Projected2d, ProjectedSoA, Projection, TileRect,
     COV2D_BLUR, FRUSTUM_CLAMP, NEAR_PLANE, NO_SLOT,
 };
 pub use shard::{
-    Aabb, CullScratch, GaussianHandle, SceneState, Shard, ShardState, ShardedScene, VisibleFrame,
+    Aabb, GaussianHandle, SceneState, Shard, ShardState, ShardedScene, VisibleFrame,
     DEFAULT_CELL_SIZE, TOMBSTONED_SLOT, TOMBSTONE_FILL,
 };
-pub use tiles::{
-    build_tile_lists_legacy, build_tiles_into, TileAssignment, TileBinScratch, SUBTILES_PER_TILE,
-    SUBTILE_SIZE, TILE_SIZE,
-};
+pub use tiles::{TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE, TILE_SIZE};
 pub use trace::WorkloadTrace;
-
-/// Everything needed to run a backward pass after a forward render: the
-/// projection, tile lists and forward output for one (scene, pose, camera)
-/// triple.
-#[derive(Debug, Clone)]
-pub struct ForwardContext {
-    /// Projected splats (SoA).
-    pub projection: Projection,
-    /// Tile assignment (sorted).
-    pub tiles: TileAssignment,
-    /// Forward render output.
-    pub output: RenderOutput,
-}
-
-/// A [`ForwardContext`] from a *fused* forward pass: additionally carries
-/// the per-pixel fragment records so [`backward_fused_with`] can skip the
-/// backward re-walk — forward and backward share one tile traversal.
-#[derive(Debug, Clone)]
-pub struct FusedContext {
-    /// Projected splats (SoA).
-    pub projection: Projection,
-    /// Tile assignment (sorted).
-    pub tiles: TileAssignment,
-    /// Forward render output.
-    pub output: RenderOutput,
-    /// Fragment records for the fused backward pass.
-    pub fragments: FragmentCache,
-}
-
-impl FusedContext {
-    /// Runs the fused backward pass over this context's fragment records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gradient buffers do not match the camera resolution.
-    pub fn backward(
-        &self,
-        scene: &GaussianScene,
-        camera: &PinholeCamera,
-        w2c: &rtgs_math::Se3,
-        pixel_grads: &PixelGrads,
-        backend: &dyn rtgs_runtime::Backend,
-    ) -> BackwardOutput {
-        backward_fused_with(
-            scene,
-            &self.projection,
-            &self.tiles,
-            camera,
-            w2c,
-            pixel_grads,
-            &self.fragments,
-            backend,
-        )
-    }
-}
-
-/// Convenience wrapper running preprocessing, sorting and rendering in one
-/// call (Steps ❶–❸).
-pub fn render_frame(
-    scene: &GaussianScene,
-    w2c: &rtgs_math::Se3,
-    camera: &PinholeCamera,
-    active: Option<&[bool]>,
-) -> ForwardContext {
-    render_frame_with(scene, w2c, camera, active, &rtgs_runtime::Serial)
-}
-
-/// [`render_frame`] on an explicit execution backend: all three forward
-/// steps (projection chunked over Gaussians, per-tile sorting, rendering
-/// chunked over tiles) run on `backend`, with output bitwise-identical to
-/// the serial path at any pool size.
-pub fn render_frame_with(
-    scene: &GaussianScene,
-    w2c: &rtgs_math::Se3,
-    camera: &PinholeCamera,
-    active: Option<&[bool]>,
-    backend: &dyn rtgs_runtime::Backend,
-) -> ForwardContext {
-    let projection = project_scene_with(scene, w2c, camera, active, backend);
-    let tiles = TileAssignment::build_with(&projection, camera, backend);
-    let output = render_with(&projection, &tiles, camera, backend);
-    ForwardContext {
-        projection,
-        tiles,
-        output,
-    }
-}
-
-/// [`render_frame_with`], fused: the render additionally records the
-/// per-pixel fragment sequences so a subsequent [`backward_fused_with`]
-/// (or [`FusedContext::backward`]) skips the fragment re-walk. Output is
-/// bitwise-identical to the unfused path at any pool size.
-pub fn render_frame_fused_with(
-    scene: &GaussianScene,
-    w2c: &rtgs_math::Se3,
-    camera: &PinholeCamera,
-    active: Option<&[bool]>,
-    backend: &dyn rtgs_runtime::Backend,
-) -> FusedContext {
-    let projection = project_scene_with(scene, w2c, camera, active, backend);
-    let tiles = TileAssignment::build_with(&projection, camera, backend);
-    let fused = render_fused_with(&projection, &tiles, camera, backend);
-    FusedContext {
-        projection,
-        tiles,
-        output: fused.output,
-        fragments: fused.fragments,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rtgs_math::{Quat, Se3, Vec3};
-
-    #[test]
-    fn render_frame_composes_pipeline() {
-        let scene = GaussianScene::from_gaussians(vec![Gaussian3d::from_activated(
-            Vec3::new(0.0, 0.0, 2.0),
-            Vec3::splat(0.4),
-            Quat::IDENTITY,
-            0.9,
-            Vec3::X,
-        )]);
-        let cam = PinholeCamera::from_fov(32, 32, 1.2);
-        let ctx = render_frame(&scene, &Se3::IDENTITY, &cam, None);
-        assert_eq!(ctx.projection.visible_count(), 1);
-        assert!(ctx.output.stats.fragments_blended > 0);
-        assert!(ctx.output.image.pixel(16, 16).x > 0.0);
-    }
-
-    #[test]
-    fn fused_frame_matches_plain_frame() {
-        let scene = GaussianScene::from_gaussians(vec![Gaussian3d::from_activated(
-            Vec3::new(0.1, -0.1, 2.0),
-            Vec3::splat(0.4),
-            Quat::IDENTITY,
-            0.7,
-            Vec3::new(0.2, 0.9, 0.4),
-        )]);
-        let cam = PinholeCamera::from_fov(32, 32, 1.2);
-        let plain = render_frame(&scene, &Se3::IDENTITY, &cam, None);
-        let fused =
-            render_frame_fused_with(&scene, &Se3::IDENTITY, &cam, None, &rtgs_runtime::Serial);
-        assert_eq!(plain.output.image, fused.output.image);
-        assert_eq!(
-            fused.fragments.total_fragments(),
-            plain.output.stats.fragments_blended
-        );
-    }
-}

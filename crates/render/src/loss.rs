@@ -2,7 +2,8 @@
 //!
 //! `L = λ_pho · E_pho + (1 − λ_pho) · E_geo`: a photometric residual over
 //! RGB plus a geometric residual over rendered depth. The per-pixel
-//! gradients produced here are the input to [`crate::backward`].
+//! gradients produced here are the input to the backward pass
+//! ([`crate::FrameArena::backward_fused`]).
 
 use crate::backward::PixelGrads;
 use crate::camera::{DepthImage, Image};
@@ -54,40 +55,28 @@ pub struct LossOutput {
     pub pixel_grads: PixelGrads,
 }
 
-/// Computes the loss between a rendered frame and ground truth.
+impl LossOutput {
+    /// A zero-sized output shell for arena storage; [`compute_loss_into`]
+    /// resizes the gradient buffers to the frame before writing.
+    pub(crate) fn empty() -> Self {
+        Self {
+            loss: 0.0,
+            photometric: 0.0,
+            geometric: 0.0,
+            pixel_grads: PixelGrads::zeros(0, 0),
+        }
+    }
+}
+
+/// Computes the loss between a rendered frame and ground truth into
+/// caller-owned storage.
 ///
 /// `gt_depth` is optional: monocular pipelines (MonoGS on RGB) pass `None`
 /// and the geometric term vanishes with its weight folded out.
 ///
-/// # Panics
-///
-/// Panics if image dimensions disagree.
-pub fn compute_loss(
-    rendered: &RenderOutput,
-    gt_color: &Image,
-    gt_depth: Option<&DepthImage>,
-    config: &LossConfig,
-) -> LossOutput {
-    let mut out = LossOutput {
-        loss: 0.0,
-        photometric: 0.0,
-        geometric: 0.0,
-        pixel_grads: PixelGrads {
-            color: Vec::new(),
-            depth: Vec::new(),
-            transmittance: Vec::new(),
-        },
-    };
-    let mut valid = Vec::new();
-    compute_loss_into(rendered, gt_color, gt_depth, config, &mut valid, &mut out);
-    out
-}
-
-/// [`compute_loss`] writing into caller-owned storage — the zero-allocation
-/// path. The gradient buffers and the valid-depth-pixel scratch are cleared
-/// and refilled; once their capacities cover the frame, a steady-state loss
-/// evaluation performs **no heap allocation**. Results are
-/// bitwise-identical to [`compute_loss`].
+/// The gradient buffers and the valid-depth-pixel scratch are cleared and
+/// refilled; once their capacities cover the frame, a steady-state loss
+/// evaluation performs **no heap allocation**.
 ///
 /// # Panics
 ///
@@ -203,6 +192,24 @@ mod tests {
     use super::*;
     use crate::camera::PinholeCamera;
     use crate::forward::RenderStats;
+
+    fn compute_loss(
+        rendered: &RenderOutput,
+        gt_color: &Image,
+        gt_depth: Option<&DepthImage>,
+        config: &LossConfig,
+    ) -> LossOutput {
+        let mut out = LossOutput::empty();
+        compute_loss_into(
+            rendered,
+            gt_color,
+            gt_depth,
+            config,
+            &mut Vec::new(),
+            &mut out,
+        );
+        out
+    }
 
     fn dummy_render(w: usize, h: usize, value: Vec3, depth: f32) -> RenderOutput {
         RenderOutput {

@@ -14,7 +14,7 @@ use crate::camera::PinholeCamera;
 use crate::gaussian::{Gaussian3d, GaussianScene};
 use crate::tiles::TILE_SIZE;
 use rtgs_math::{Mat3, Se3, Sym2, Vec2, Vec3};
-use rtgs_runtime::{exclusive_prefix_sum_into, Backend, Serial, SharedSlice};
+use rtgs_runtime::{exclusive_prefix_sum_into, Backend, SharedSlice};
 
 /// Gaussians per chunk in the chunked projection. Fixed by the algorithm —
 /// never derived from the worker count — so per-chunk statistics fold
@@ -190,13 +190,13 @@ impl ProjectedSoA {
     }
 }
 
-/// Caller-owned workspace of [`project_scene_into`]: the per-Gaussian
-/// projection scratch and the chunk counters/offsets of the
-/// count → prefix-sum → scatter compaction. One workspace reused across
-/// frames makes steady-state projection allocation-free (the
-/// [`crate::FrameArena`] owns one).
+/// Workspace of [`project_scene_into`]: the per-Gaussian projection
+/// scratch and the chunk counters/offsets of the count → prefix-sum →
+/// scatter compaction. One workspace reused across frames makes
+/// steady-state projection allocation-free (the [`crate::FrameArena`] owns
+/// one).
 #[derive(Debug, Clone, Default)]
-pub struct ProjectScratch {
+pub(crate) struct ProjectScratch {
     /// One slot per Gaussian; `Some` for splats surviving projection.
     scratch: Vec<Option<Projected2d>>,
     /// Per-chunk `(visible, culled, masked)` counters.
@@ -249,28 +249,13 @@ pub(crate) fn tile_rect_of(mean: Vec2, radius: f32, tiles_x: usize, tiles_y: usi
     ]
 }
 
-/// Projects every active Gaussian into the image plane of `camera` under the
-/// world-to-camera pose `w2c`.
+/// Step ❶: projects every active Gaussian into the image plane of `camera`
+/// under the world-to-camera pose `w2c`, writing into caller-owned storage.
 ///
 /// `active` is the paper's pruning mask: `None` renders everything;
 /// `Some(mask)` (one flag per Gaussian) skips masked-out Gaussians before
 /// any math runs, which is exactly where the adaptive pruning of Sec. 4.1
 /// saves its work.
-///
-/// # Panics
-///
-/// Panics if `active` is provided with a length different from the scene.
-pub fn project_scene(
-    scene: &GaussianScene,
-    w2c: &Se3,
-    camera: &PinholeCamera,
-    active: Option<&[bool]>,
-) -> Projection {
-    project_scene_with(scene, w2c, camera, active, &Serial)
-}
-
-/// [`project_scene`] on an explicit execution backend (Step ❶, chunked over
-/// Gaussians).
 ///
 /// Runs in three phases: (1) chunked projection into per-Gaussian scratch
 /// slots with per-chunk visible/cull/mask counters, (2) a serial exclusive
@@ -280,33 +265,15 @@ pub fn project_scene(
 /// slots are assigned in Gaussian-ID order, so the result is
 /// bitwise-identical on every backend and pool size.
 ///
-/// # Panics
-///
-/// Panics if `active` is provided with a length different from the scene.
-pub fn project_scene_with(
-    scene: &GaussianScene,
-    w2c: &Se3,
-    camera: &PinholeCamera,
-    active: Option<&[bool]>,
-    backend: &dyn Backend,
-) -> Projection {
-    let mut scratch = ProjectScratch::default();
-    let mut out = Projection::default();
-    project_scene_into(scene, w2c, camera, active, backend, &mut scratch, &mut out);
-    out
-}
-
-/// [`project_scene_with`] writing into caller-owned storage — the
-/// zero-allocation path. The workspace and output buffers are cleared and
-/// refilled; once their capacities cover the frame (scene size, visible
-/// count), re-projection performs **no heap allocation**. Results are
-/// bitwise-identical to [`project_scene_with`].
+/// The workspace and output buffers are cleared and refilled; once their
+/// capacities cover the frame (scene size, visible count), re-projection
+/// performs **no heap allocation**.
 ///
 /// # Panics
 ///
 /// Panics if `active` is provided with a length different from the scene.
 #[allow(clippy::too_many_arguments)]
-pub fn project_scene_into(
+pub(crate) fn project_scene_into(
     scene: &GaussianScene,
     w2c: &Se3,
     camera: &PinholeCamera,
@@ -516,9 +483,21 @@ mod tests {
     use super::*;
     use crate::gaussian::Gaussian3d;
     use rtgs_math::Quat;
+    use rtgs_runtime::Serial;
 
     fn test_camera() -> PinholeCamera {
         PinholeCamera::from_fov(64, 48, 1.2)
+    }
+
+    fn projected(
+        scene: &GaussianScene,
+        w2c: &Se3,
+        camera: &PinholeCamera,
+        active: Option<&[bool]>,
+    ) -> Projection {
+        let mut arena = crate::FrameArena::new();
+        arena.project(scene, w2c, camera, active, &Serial);
+        arena.projection().clone()
     }
 
     fn centered_gaussian(z: f32) -> Gaussian3d {
@@ -534,7 +513,7 @@ mod tests {
     #[test]
     fn projects_centered_gaussian_to_image_center() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(2.0)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
         let splat = proj.splat_for_gaussian(0).expect("should be visible");
         assert!((splat.mean - Vec2::new(32.0, 24.0)).max_abs() < 1e-4);
         assert!((splat.depth - 2.0).abs() < 1e-6);
@@ -545,7 +524,7 @@ mod tests {
     #[test]
     fn culls_behind_camera() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(-1.0)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
         assert!(proj.splat_for_gaussian(0).is_none());
         assert_eq!(proj.culled, 1);
     }
@@ -560,7 +539,7 @@ mod tests {
             Vec3::X,
         );
         let scene = GaussianScene::from_gaussians(vec![g]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
         assert!(proj.splat_for_gaussian(0).is_none());
     }
 
@@ -568,7 +547,7 @@ mod tests {
     fn mask_skips_gaussians() {
         let scene =
             GaussianScene::from_gaussians(vec![centered_gaussian(2.0), centered_gaussian(3.0)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &test_camera(), Some(&[false, true]));
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), Some(&[false, true]));
         assert!(proj.splat_for_gaussian(0).is_none());
         assert!(proj.splat_for_gaussian(1).is_some());
         assert_eq!(proj.masked, 1);
@@ -577,7 +556,7 @@ mod tests {
     #[test]
     fn conic_is_inverse_of_cov() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(2.0)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
         let s = proj.splat_for_gaussian(0).unwrap();
         let prod = s.cov.to_mat2() * s.conic.to_mat2();
         assert!((prod.m[0][0] - 1.0).abs() < 1e-4);
@@ -588,7 +567,7 @@ mod tests {
     fn closer_gaussian_has_larger_radius() {
         let scene =
             GaussianScene::from_gaussians(vec![centered_gaussian(1.0), centered_gaussian(4.0)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
         let near = proj.splat_for_gaussian(0).unwrap();
         let far = proj.splat_for_gaussian(1).unwrap();
         assert!(near.radius > far.radius);
@@ -600,7 +579,7 @@ mod tests {
         let cam = test_camera();
         // Move the camera left: the point should appear to move right.
         let w2c = Se3::from_translation(Vec3::new(0.5, 0.0, 0.0));
-        let proj = project_scene(&scene, &w2c, &cam, None);
+        let proj = projected(&scene, &w2c, &cam, None);
         let splat = proj.splat_for_gaussian(0).unwrap();
         assert!(splat.mean.x > 32.0);
     }
@@ -613,7 +592,7 @@ mod tests {
             centered_gaussian(2.0),
             centered_gaussian(4.0),
         ]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
         assert_eq!(proj.soa.gaussian_ids, vec![0, 2, 3]);
         assert_eq!(proj.soa.slot_of_gaussian, vec![0, NO_SLOT, 1, 2]);
         assert_eq!(proj.soa.len(), 3);
@@ -627,7 +606,7 @@ mod tests {
     fn tile_rects_cover_splat_extent() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(2.0)]);
         let cam = test_camera();
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
+        let proj = projected(&scene, &Se3::IDENTITY, &cam, None);
         let [tx0, tx1, ty0, ty1] = proj.soa.tile_rects[0];
         let s = proj.soa.get(0);
         assert!(tx0 as usize <= (s.mean.x as usize) / TILE_SIZE);

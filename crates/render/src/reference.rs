@@ -1,32 +1,41 @@
-//! The seed's array-of-structs (AoS) rasterizer, preserved verbatim as the
-//! bitwise ground truth for the SoA/fused kernels.
+//! Reference implementations the production kernels are tested against —
+//! hidden from the documented API, reachable by the equivalence suite and
+//! the comparison benches only.
 //!
-//! The production pipeline stores splats in a structure-of-arrays layout and
-//! fuses the forward blend with the backward pass's transmittance
-//! bookkeeping (see [`crate::ProjectedSoA`] and [`crate::render_fused_with`]).
-//! This module keeps the original per-Gaussian path — `Vec<Option<Projected2d>>`
-//! storage, Gaussian-ID tile lists, per-pixel Option-checked fragment walks —
-//! so that:
+//! * **The seed's array-of-structs (AoS) rasterizer**, preserved verbatim as
+//!   the bitwise ground truth for the SoA/fused kernels. The production
+//!   pipeline stores splats in a structure-of-arrays layout and fuses the
+//!   forward blend with the backward pass's transmittance bookkeeping (see
+//!   [`crate::ProjectedSoA`] and [`crate::FrameArena::render_fused`]). This
+//!   module keeps the original per-Gaussian path —
+//!   `Vec<Option<Projected2d>>` storage, Gaussian-ID tile lists, per-pixel
+//!   Option-checked fragment walks.
+//! * **The legacy per-tile sort** ([`build_tile_lists_legacy`]), the
+//!   ordering ground truth for the CSR + radix tile assignment.
+//! * **The backward re-walk** ([`backward_rewalk`]), the unfused Step-❹
+//!   driver the fused pass must reproduce.
 //!
-//! * property tests (`tests/soa_equivalence.rs`) can assert that images,
-//!   depth maps and gradients are **bitwise-identical** between the two
-//!   layouts over random scenes, and
-//! * the `soa_vs_aos` benchmark group can keep measuring what the refactor
-//!   actually buys.
+//! `tests/equivalence.rs` asserts that images, depth maps and gradients are
+//! **bitwise-identical** between these and every production spelling over
+//! random scenes; the `soa_vs_aos`, `tile_sort` and `fused_tile_pass` bench
+//! groups keep measuring what the production layout actually buys.
 //!
-//! Everything here runs serially: it is a correctness oracle, not a fast
-//! path.
+//! The AoS path runs serially: it is a correctness oracle, not a fast path.
 
-use crate::backward::{preprocess_one, Accum2d, BackwardOutput, BackwardStats, PixelGrads};
+use crate::arena::FrameArena;
+use crate::backward::{
+    backward_into, preprocess_one, Accum2d, BackwardOutput, BackwardStats, PixelGrads,
+};
 use crate::camera::{DepthImage, Image, PinholeCamera};
 use crate::forward::{
     fragment_alpha, pixel_center, RenderOutput, RenderStats, ALPHA_MAX, ALPHA_MIN,
     TERMINATION_THRESHOLD,
 };
 use crate::gaussian::GaussianScene;
-use crate::project::{project_one, Projected2d};
+use crate::project::{project_one, Projected2d, Projection};
 use crate::tiles::{tile_pixel_rect, TILE_SIZE};
 use rtgs_math::{Se3, Vec3};
+use rtgs_runtime::Backend;
 
 /// Gaussians per chunk of the reference preprocessing-BP fold; must match
 /// the production constant so the pose-tangent summation tree is identical.
@@ -394,6 +403,67 @@ pub fn render_frame_aos(
     let tiles = build_tiles_aos(&projection, camera);
     let output = render_aos(&projection, &tiles, camera);
     (projection, tiles, output)
+}
+
+/// The legacy tile binning: per-tile `Vec`s filled in slot order, each
+/// stably `sort_by`-ed on the SoA depth array — the seed's Step-❷
+/// algorithm, preserved as the ordering ground truth for the CSR + radix
+/// path (equivalence property-tested in `tests/equivalence.rs`, compared
+/// in the `tile_sort` bench group).
+pub fn build_tile_lists_legacy(projection: &Projection, camera: &PinholeCamera) -> Vec<Vec<u32>> {
+    let soa = &projection.soa;
+    let tiles_x = camera.width.div_ceil(TILE_SIZE);
+    let tiles_y = camera.height.div_ceil(TILE_SIZE);
+    assert_eq!(soa.tiles_x, tiles_x, "projection/camera tile grid");
+    assert_eq!(soa.tiles_y, tiles_y, "projection/camera tile grid");
+    let mut tile_lists: Vec<Vec<u32>> = vec![Vec::new(); tiles_x * tiles_y];
+    for (slot, &[tx0, tx1, ty0, ty1]) in soa.tile_rects.iter().enumerate() {
+        for ty in ty0..=ty1 {
+            for tx in tx0..=tx1 {
+                tile_lists[ty as usize * tiles_x + tx as usize].push(slot as u32);
+            }
+        }
+    }
+    let depths = &soa.depths;
+    for list in &mut tile_lists {
+        list.sort_by(|&a, &b| {
+            depths[a as usize]
+                .partial_cmp(&depths[b as usize])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+    }
+    tile_lists
+}
+
+/// Steps ❹–❺ through the re-walk driver with explicit upstream gradients:
+/// consumes `arena`'s current projection and tile assignment (not its
+/// fragment cache or loss) and leaves the result in
+/// [`FrameArena::backward`]. `scene` must be the scene the projection was
+/// built from.
+///
+/// # Panics
+///
+/// Panics if the gradient buffers do not match `camera`'s pixel count.
+pub fn backward_rewalk(
+    arena: &mut FrameArena,
+    scene: &GaussianScene,
+    camera: &PinholeCamera,
+    w2c: &Se3,
+    pixel_grads: &PixelGrads,
+    backend: &dyn Backend,
+) {
+    backward_into(
+        scene,
+        &arena.projection,
+        &arena.tiles,
+        camera,
+        w2c,
+        pixel_grads,
+        None,
+        backend,
+        &mut arena.backward_scratch,
+        &mut arena.backward,
+    );
 }
 
 #[cfg(test)]

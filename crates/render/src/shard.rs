@@ -11,7 +11,7 @@
 //! On top of the arena, Gaussians are bucketed into spatial-hash *shards*
 //! keyed by a world-grid cell. Each shard tracks the axis-aligned bounding
 //! box of its live members, the largest activated scale among them and a
-//! dirty flag; [`ShardedScene::visible_frame_with`] runs a conservative
+//! dirty flag; [`crate::FrameArena::cull`] runs a conservative
 //! frustum test per shard (parallelized over shards through the
 //! [`Backend`] seam, deterministic output) and gathers only the surviving
 //! shards' members into a frame-local [`GaussianScene`] for the chunked
@@ -22,7 +22,7 @@
 //! when the padded camera-space bound proves every member would be culled
 //! by [`crate::project::project_one`]'s near-plane or image-extent test, so
 //! culled-sharded rendering is bitwise-identical to flat full-scene
-//! rendering (property-tested in `tests/shard_equivalence.rs`).
+//! rendering (property-tested in `tests/equivalence.rs`).
 
 use crate::camera::PinholeCamera;
 use crate::gaussian::{Gaussian3d, GaussianScene};
@@ -260,12 +260,12 @@ pub struct VisibleFrame {
     pub shard_culled: usize,
 }
 
-/// Caller-owned workspace of [`ShardedScene::visible_frame_into`]: the
-/// two-level cull's flag and candidate buffers. One workspace reused
-/// across iterations makes the steady-state frustum-cull pre-pass
-/// allocation-free (the [`crate::FrameArena`] owns one).
+/// Workspace of [`ShardedScene::visible_frame_into`]: the two-level cull's
+/// flag and candidate buffers. One workspace reused across iterations makes
+/// the steady-state frustum-cull pre-pass allocation-free (the
+/// [`crate::FrameArena`] owns one).
 #[derive(Debug, Clone, Default)]
-pub struct CullScratch {
+pub(crate) struct CullScratch {
     /// Level-1 macro-cell visibility flags.
     macro_flags: Vec<bool>,
     /// Level-2 candidate shard indices (members of surviving macro-cells).
@@ -869,44 +869,25 @@ impl ShardedScene {
         }
     }
 
-    /// The frustum-cull pre-pass: tests every shard's padded bounding box
-    /// against the camera frustum (chunked over shards on `backend`,
-    /// deterministic) and gathers the surviving shards' live members —
-    /// minus `active`-masked ones — into a frame-local scene in ascending
-    /// stable-ID order.
+    /// The frustum-cull pre-pass behind [`crate::FrameArena::cull`]: tests
+    /// every shard's padded bounding box against the camera frustum
+    /// (chunked over shards on `backend`, deterministic) and gathers the
+    /// surviving shards' live members — minus `active`-masked ones — into a
+    /// frame-local scene in ascending stable-ID order.
     ///
     /// The test is conservative: every Gaussian that could produce a splat
-    /// under [`crate::project_scene_with`] is in the result, so rendering
-    /// the gathered scene is bitwise-identical to rendering the full map.
+    /// under the per-Gaussian projection is in the result, so rendering the
+    /// gathered scene is bitwise-identical to rendering the full map.
+    ///
+    /// The workspace and the gathered frame buffers are cleared and
+    /// refilled; once their capacities cover the frustum's contents, a
+    /// steady-state cull + gather performs **no heap allocation**.
     ///
     /// # Panics
     ///
     /// Panics when bounds are stale (call [`Self::refresh_bounds_with`]
     /// after mutations) or `active` is not `capacity()` long.
-    pub fn visible_frame_with(
-        &self,
-        w2c: &Se3,
-        camera: &PinholeCamera,
-        active: Option<&[bool]>,
-        backend: &dyn Backend,
-    ) -> VisibleFrame {
-        let mut scratch = CullScratch::default();
-        let mut out = VisibleFrame::default();
-        self.visible_frame_into(w2c, camera, active, backend, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`Self::visible_frame_with`] writing into caller-owned storage — the
-    /// zero-allocation path. The workspace and the gathered frame buffers
-    /// are cleared and refilled; once their capacities cover the frustum's
-    /// contents, a steady-state cull + gather performs **no heap
-    /// allocation**. Results are bitwise-identical to
-    /// [`Self::visible_frame_with`].
-    ///
-    /// # Panics
-    ///
-    /// As for [`Self::visible_frame_with`].
-    pub fn visible_frame_into(
+    pub(crate) fn visible_frame_into(
         &self,
         w2c: &Se3,
         camera: &PinholeCamera,
@@ -1166,8 +1147,21 @@ fn shard_may_contribute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::project::project_scene;
+    use crate::FrameArena;
     use rtgs_math::Quat;
+
+    /// The cull's visible frame through the production path.
+    fn visible_frame(
+        map: &ShardedScene,
+        w2c: &Se3,
+        camera: &PinholeCamera,
+        active: Option<&[bool]>,
+        backend: &dyn Backend,
+    ) -> VisibleFrame {
+        let mut arena = FrameArena::new();
+        arena.cull(map, w2c, camera, active, backend);
+        arena.visible().clone()
+    }
 
     fn g_at(p: Vec3) -> Gaussian3d {
         Gaussian3d::from_activated(p, Vec3::splat(0.05), Quat::IDENTITY, 0.8, Vec3::X)
@@ -1270,7 +1264,7 @@ mod tests {
         map.insert(g_at(Vec3::new(0.0, 0.0, -5.0)));
         map.insert(g_at(Vec3::new(0.2, 0.0, -5.2)));
         map.refresh_bounds();
-        let vf = map.visible_frame_with(&Se3::IDENTITY, &camera(), None, &Serial);
+        let vf = visible_frame(&map, &Se3::IDENTITY, &camera(), None, &Serial);
         assert_eq!(vf.scene.len(), 0);
         assert_eq!(vf.shard_culled, 2);
     }
@@ -1281,7 +1275,7 @@ mod tests {
         map.insert(g_at(Vec3::new(0.0, 0.0, 2.0)));
         map.insert(g_at(Vec3::new(500.0, 0.0, 2.0)));
         map.refresh_bounds();
-        let vf = map.visible_frame_with(&Se3::IDENTITY, &camera(), None, &Serial);
+        let vf = visible_frame(&map, &Se3::IDENTITY, &camera(), None, &Serial);
         assert_eq!(vf.ids, vec![0]);
         assert_eq!(vf.shard_culled, 1);
     }
@@ -1303,8 +1297,10 @@ mod tests {
         let cam = camera();
         let w2c = Se3::from_translation(Vec3::new(0.3, 0.0, 1.0));
         let (flat, flat_ids) = map.flatten();
-        let proj = project_scene(&flat, &w2c, &cam, None);
-        let vf = map.visible_frame_with(&w2c, &cam, None, &Serial);
+        let mut arena = FrameArena::new();
+        arena.project(&flat, &w2c, &cam, None, &Serial);
+        let proj = arena.projection();
+        let vf = visible_frame(&map, &w2c, &cam, None, &Serial);
         for (flat_idx, &id) in flat_ids.iter().enumerate() {
             if proj.splat_for_gaussian(flat_idx).is_some() {
                 assert!(
@@ -1324,7 +1320,7 @@ mod tests {
         map.refresh_bounds();
         let mut mask = vec![true; map.capacity()];
         mask[a as usize] = false;
-        let vf = map.visible_frame_with(&Se3::IDENTITY, &camera(), Some(&mask), &Serial);
+        let vf = visible_frame(&map, &Se3::IDENTITY, &camera(), Some(&mask), &Serial);
         assert_eq!(vf.ids, vec![b]);
     }
 
@@ -1333,7 +1329,7 @@ mod tests {
     fn visible_frame_requires_fresh_bounds() {
         let mut map = ShardedScene::new(1.0);
         map.insert(g_at(Vec3::new(0.0, 0.0, 2.0)));
-        let _ = map.visible_frame_with(&Se3::IDENTITY, &camera(), None, &Serial);
+        let _ = visible_frame(&map, &Se3::IDENTITY, &camera(), None, &Serial);
     }
 
     #[test]
@@ -1446,10 +1442,10 @@ mod tests {
         map.refresh_bounds();
         let cam = camera();
         let w2c = Se3::from_translation(Vec3::new(0.0, 0.0, 4.0));
-        let serial = map.visible_frame_with(&w2c, &cam, None, &Serial);
+        let serial = visible_frame(&map, &w2c, &cam, None, &Serial);
         for threads in [1usize, 2, 4, 8] {
             let backend = rtgs_runtime::Parallel::new(threads);
-            let par = map.visible_frame_with(&w2c, &cam, None, &backend);
+            let par = visible_frame(&map, &w2c, &cam, None, &backend);
             assert_eq!(serial.ids, par.ids, "pool size {threads}");
         }
     }

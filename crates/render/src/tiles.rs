@@ -16,9 +16,9 @@
 //! Because both passes are stable and the initial entry order is slot-major
 //! (ascending Gaussian-ID order), each tile's segment is depth-ascending
 //! with slot order breaking ties — bitwise-identical to the legacy per-tile
-//! `sort_by` ([`build_tile_lists_legacy`], property-tested in
-//! `tests/arena_equivalence.rs`) without its O(n log n) comparisons or
-//! per-tile allocations.
+//! `sort_by` (`reference::build_tile_lists_legacy`, property-tested in
+//! `tests/equivalence.rs`) without its O(n log n) comparisons or per-tile
+//! allocations.
 
 use crate::camera::PinholeCamera;
 use crate::project::Projection;
@@ -56,12 +56,12 @@ pub(crate) fn depth_key(depth: f32) -> u32 {
     }
 }
 
-/// Caller-owned workspace of [`build_tiles_into`]: the flat
-/// binning arrays, radix ping-pong buffers and per-tile counters. Reusing
-/// one workspace across rebuilds makes the steady-state tile pass
-/// allocation-free (the [`crate::FrameArena`] owns one).
+/// Workspace of [`build_tiles_into`]: the flat binning arrays, radix
+/// ping-pong buffers and per-tile counters. Reusing one workspace across
+/// rebuilds makes the steady-state tile pass allocation-free (the
+/// [`crate::FrameArena`] owns one).
 #[derive(Debug, Clone, Default)]
-pub struct TileBinScratch {
+pub(crate) struct TileBinScratch {
     /// Per-tile intersection counts (then reused as scatter cursors).
     counts: Vec<usize>,
     /// Slot of every (splat, tile) intersection, slot-major order.
@@ -103,31 +103,6 @@ pub struct TileAssignment {
 }
 
 impl TileAssignment {
-    /// Builds tile lists from a projection: assigns each visible splat to
-    /// every tile its 3σ bounding square overlaps (precomputed at projection
-    /// time as [`crate::ProjectedSoA::tile_rects`]), depth-ordered
-    /// front-to-back.
-    pub fn build(projection: &Projection, camera: &PinholeCamera) -> Self {
-        let mut scratch = TileBinScratch::default();
-        let mut out = TileAssignment::default();
-        build_tiles_into(projection, camera, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`TileAssignment::build`] on an explicit execution backend (Step ❷).
-    ///
-    /// The count/scatter/radix passes are linear, memory-bound and run on
-    /// the calling thread (the backend parameter is kept for call-site
-    /// symmetry with the other pipeline steps); the result is therefore
-    /// trivially bitwise-identical on every backend and pool size.
-    pub fn build_with(
-        projection: &Projection,
-        camera: &PinholeCamera,
-        _backend: &dyn rtgs_runtime::Backend,
-    ) -> Self {
-        Self::build(projection, camera)
-    }
-
     /// Total number of tiles.
     #[inline]
     pub fn tile_count(&self) -> usize {
@@ -210,10 +185,13 @@ impl TileAssignment {
     }
 }
 
-/// Builds a [`TileAssignment`] into caller-owned storage (Step ❷, the
-/// zero-allocation path). All of `out`'s and `scratch`'s buffers are
+/// Step ❷: builds a [`TileAssignment`] into caller-owned storage, assigning
+/// each visible splat to every tile its 3σ bounding square overlaps
+/// (precomputed at projection time as [`crate::ProjectedSoA::tile_rects`]),
+/// depth-ordered front-to-back. All of `out`'s and `scratch`'s buffers are
 /// cleared and refilled; once their capacities cover the frame's
-/// intersection count, a rebuild performs **no heap allocation**.
+/// intersection count, a rebuild performs **no heap allocation**. The
+/// passes are linear and memory-bound, so they run on the calling thread.
 ///
 /// Pipeline (all passes linear and stable):
 ///
@@ -233,7 +211,7 @@ impl TileAssignment {
 /// # Panics
 ///
 /// Panics if the projection's tile grid does not match `camera`.
-pub fn build_tiles_into(
+pub(crate) fn build_tiles_into(
     projection: &Projection,
     camera: &PinholeCamera,
     scratch: &mut TileBinScratch,
@@ -355,36 +333,6 @@ fn radix_sort_by_key(scratch: &mut TileBinScratch, len: usize) {
     }
 }
 
-/// The legacy tile binning: per-tile `Vec`s filled in slot order, each
-/// stably `sort_by`-ed on the SoA depth array — the seed's Step-❷
-/// algorithm, preserved as the ordering ground truth for the CSR + radix
-/// path (equivalence property-tested in `tests/arena_equivalence.rs`,
-/// compared in the `tile_sort` bench group).
-pub fn build_tile_lists_legacy(projection: &Projection, camera: &PinholeCamera) -> Vec<Vec<u32>> {
-    let soa = &projection.soa;
-    let tiles_x = camera.width.div_ceil(TILE_SIZE);
-    let tiles_y = camera.height.div_ceil(TILE_SIZE);
-    assert_eq!(soa.tiles_x, tiles_x, "projection/camera tile grid");
-    assert_eq!(soa.tiles_y, tiles_y, "projection/camera tile grid");
-    let mut tile_lists: Vec<Vec<u32>> = vec![Vec::new(); tiles_x * tiles_y];
-    for (slot, &[tx0, tx1, ty0, ty1]) in soa.tile_rects.iter().enumerate() {
-        for ty in ty0..=ty1 {
-            for tx in tx0..=tx1 {
-                tile_lists[ty as usize * tiles_x + tx as usize].push(slot as u32);
-            }
-        }
-    }
-    let depths = &soa.depths;
-    for list in &mut tile_lists {
-        list.sort_by(|&a, &b| {
-            depths[a as usize]
-                .partial_cmp(&depths[b as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-    }
-    tile_lists
-}
-
 /// The pixel rectangle `(x0, y0, x1_exclusive, y1_exclusive)` of tile
 /// `(tx, ty)` clamped to the image bounds (free function shared with the
 /// reference pipeline).
@@ -407,11 +355,21 @@ pub(crate) fn tile_pixel_rect(
 mod tests {
     use super::*;
     use crate::gaussian::{Gaussian3d, GaussianScene};
-    use crate::project::project_scene;
+    use crate::reference::build_tile_lists_legacy;
+    use crate::FrameArena;
     use rtgs_math::{Quat, Se3, Vec3};
+    use rtgs_runtime::Serial;
 
     fn camera() -> PinholeCamera {
         PinholeCamera::from_fov(64, 32, 1.2)
+    }
+
+    /// Projects and bins `scene` at the identity pose through an arena.
+    fn binned(scene: &GaussianScene, cam: &PinholeCamera, active: Option<&[bool]>) -> FrameArena {
+        let mut arena = FrameArena::new();
+        arena.project(scene, &Se3::IDENTITY, cam, active, &Serial);
+        arena.assign_tiles(cam, &Serial);
+        arena
     }
 
     fn scene_with(points: &[(f32, f32, f32)]) -> GaussianScene {
@@ -433,8 +391,8 @@ mod tests {
     fn grid_dimensions_cover_image() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, 2.0)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
+        let arena = binned(&scene, &cam, None);
+        let tiles = arena.tiles();
         assert_eq!(tiles.tiles_x, 4); // 64/16
         assert_eq!(tiles.tiles_y, 2); // 32/16
         assert_eq!(tiles.tile_count(), 8);
@@ -445,8 +403,8 @@ mod tests {
     fn small_central_gaussian_lands_in_central_tiles_only() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, 4.0)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
+        let arena = binned(&scene, &cam, None);
+        let tiles = arena.tiles();
         let total = tiles.intersection_count();
         assert!(total >= 1, "splat must land somewhere");
         assert!(
@@ -460,8 +418,8 @@ mod tests {
         let cam = camera();
         // Two Gaussians on the same ray, different depths, inserted far-first.
         let scene = scene_with(&[(0.0, 0.0, 5.0), (0.0, 0.0, 1.5)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
+        let arena = binned(&scene, &cam, None);
+        let (proj, tiles) = (arena.projection(), arena.tiles());
         for tile in 0..tiles.tile_count() {
             let list = tiles.tile(tile);
             if list.len() == 2 {
@@ -485,9 +443,9 @@ mod tests {
             (-0.1, 0.0, 1.2),
             (0.1, -0.05, 2.0),
         ]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
-        let legacy = build_tile_lists_legacy(&proj, &cam);
+        let arena = binned(&scene, &cam, None);
+        let (proj, tiles) = (arena.projection(), arena.tiles());
+        let legacy = build_tile_lists_legacy(proj, &cam);
         assert_eq!(legacy.len(), tiles.tile_count());
         for (tile, list) in legacy.iter().enumerate() {
             assert_eq!(tiles.tile(tile), list.as_slice(), "tile {tile}");
@@ -516,24 +474,21 @@ mod tests {
     fn rebuild_into_same_storage_is_allocation_stable() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, 2.0), (0.2, 0.1, 3.0), (-0.3, 0.0, 1.4)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let mut scratch = TileBinScratch::default();
-        let mut out = TileAssignment::default();
-        build_tiles_into(&proj, &cam, &mut scratch, &mut out);
-        let first = out.clone();
+        let mut arena = binned(&scene, &cam, None);
+        let first = arena.tiles().clone();
         // Rebuilding into the same storage reproduces the result exactly.
-        build_tiles_into(&proj, &cam, &mut scratch, &mut out);
-        assert_eq!(out.entries, first.entries);
-        assert_eq!(out.offsets, first.offsets);
-        assert_eq!(out.slot_ids, first.slot_ids);
+        arena.assign_tiles(&cam, &Serial);
+        assert_eq!(arena.tiles().entries, first.entries);
+        assert_eq!(arena.tiles().offsets, first.offsets);
+        assert_eq!(arena.tiles().slot_ids, first.slot_ids);
     }
 
     #[test]
     fn tile_lists_reference_soa_slots() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, -1.0), (0.0, 0.0, 2.0)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
+        let arena = binned(&scene, &cam, None);
+        let tiles = arena.tiles();
         // Gaussian 0 is culled, so the visible splat (Gaussian 1) occupies
         // slot 0, and the ID map recovers the source Gaussian.
         let non_empty = (0..tiles.tile_count())
@@ -551,8 +506,8 @@ mod tests {
     fn change_ratio_zero_for_identical() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, 2.0), (0.2, 0.1, 3.0)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
+        let arena = binned(&scene, &cam, None);
+        let tiles = arena.tiles();
         assert_eq!(tiles.change_ratio(&tiles.clone()), 0.0);
     }
 
@@ -560,22 +515,23 @@ mod tests {
     fn change_ratio_one_for_disjoint() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, 2.0), (0.0, 0.0, 2.0)]);
-        let pa = project_scene(&scene, &Se3::IDENTITY, &cam, Some(&[true, false]));
-        let pb = project_scene(&scene, &Se3::IDENTITY, &cam, Some(&[false, true]));
-        let ta = TileAssignment::build(&pa, &cam);
-        let tb = TileAssignment::build(&pb, &cam);
+        let (a, b) = (
+            binned(&scene, &cam, Some(&[true, false])),
+            binned(&scene, &cam, Some(&[false, true])),
+        );
+        let (ta, tb) = (a.tiles(), b.tiles());
         // Same tiles — and identical slot indices — but the underlying
         // Gaussian IDs differ everywhere, which the ID-space comparison must
         // detect.
-        assert!((ta.change_ratio(&tb) - 1.0).abs() < 1e-6);
+        assert!((ta.change_ratio(tb) - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn change_ratio_empty_scenes() {
         let cam = camera();
         let scene = GaussianScene::new();
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
+        let arena = binned(&scene, &cam, None);
+        let tiles = arena.tiles();
         assert_eq!(tiles.change_ratio(&tiles.clone()), 0.0);
     }
 
@@ -583,8 +539,8 @@ mod tests {
     fn tile_pixel_rect_clamps_to_image() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, 2.0)]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
+        let arena = binned(&scene, &cam, None);
+        let tiles = arena.tiles();
         let (x0, y0, x1, y1) = tiles.tile_pixel_rect(3, 1, &cam);
         assert_eq!((x0, y0), (48, 16));
         assert_eq!((x1, y1), (64, 32));

@@ -205,10 +205,11 @@ impl WorkloadTrace {
 mod tests {
     use super::*;
     use crate::camera::{DepthImage, Image};
-    use crate::forward::{render, RenderStats};
+    use crate::forward::RenderStats;
     use crate::gaussian::{Gaussian3d, GaussianScene};
-    use crate::project::project_scene;
+    use crate::FrameArena;
     use rtgs_math::{Quat, Se3, Vec3};
+    use rtgs_runtime::Serial;
 
     fn make_trace() -> WorkloadTrace {
         let cam = PinholeCamera::from_fov(32, 32, 1.2);
@@ -219,10 +220,15 @@ mod tests {
             0.7,
             Vec3::X,
         )]);
-        let proj = project_scene(&scene, &Se3::IDENTITY, &cam, None);
-        let tiles = TileAssignment::build(&proj, &cam);
-        let out = render(&proj, &tiles, &cam);
-        WorkloadTrace::from_render(&out, &tiles, &cam, 42, proj.visible_count())
+        let mut arena = FrameArena::new();
+        arena.forward(&scene, &Se3::IDENTITY, &cam, None, &Serial);
+        WorkloadTrace::from_render(
+            arena.output(),
+            arena.tiles(),
+            &cam,
+            42,
+            arena.projection().visible_count(),
+        )
     }
 
     #[test]

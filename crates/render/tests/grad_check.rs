@@ -6,9 +6,9 @@
 
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{
-    backward, compute_loss, render_frame, DepthImage, Gaussian3d, GaussianScene, Image, LossConfig,
-    LossKind, PinholeCamera,
+    DepthImage, FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, LossKind, PinholeCamera,
 };
+use rtgs_runtime::Serial;
 
 fn camera() -> PinholeCamera {
     PinholeCamera::from_fov(40, 32, 1.2)
@@ -64,30 +64,38 @@ fn targets(cam: &PinholeCamera) -> (Image, DepthImage) {
         g.position += Vec3::new(s, -s, 0.5 * s);
         g.color += Vec3::new(-0.15, 0.12, 0.1);
     }
-    let ctx = render_frame(&gt_scene, &Se3::IDENTITY, cam, None);
-    (ctx.output.image.clone(), ctx.output.depth.clone())
+    let mut arena = FrameArena::new();
+    let out = arena.forward(&gt_scene, &Se3::IDENTITY, cam, None, &Serial);
+    (out.image.clone(), out.depth.clone())
+}
+
+/// The production iteration (project → tiles → fused render → loss) on a
+/// fresh arena; returns the arena for the backward pass and the loss.
+fn forward_loss(
+    scene: &GaussianScene,
+    pose: &Se3,
+    gt_img: &Image,
+    gt_depth: &DepthImage,
+) -> (FrameArena, f32) {
+    let cam = camera();
+    let mut arena = FrameArena::new();
+    arena.project(scene, pose, &cam, None, &Serial);
+    arena.assign_tiles(&cam, &Serial);
+    arena.render_fused(&cam, &Serial);
+    let loss = arena.compute_loss(gt_img, Some(gt_depth), &loss_config());
+    (arena, loss)
 }
 
 fn eval_loss(scene: &GaussianScene, pose: &Se3) -> f32 {
-    let cam = camera();
-    let (gt_img, gt_depth) = targets(&cam);
-    let ctx = render_frame(scene, pose, &cam, None);
-    compute_loss(&ctx.output, &gt_img, Some(&gt_depth), &loss_config()).loss
+    let (gt_img, gt_depth) = targets(&camera());
+    forward_loss(scene, pose, &gt_img, &gt_depth).1
 }
 
 fn analytic_grads(scene: &GaussianScene, pose: &Se3) -> rtgs_render::BackwardOutput {
-    let cam = camera();
-    let (gt_img, gt_depth) = targets(&cam);
-    let ctx = render_frame(scene, pose, &cam, None);
-    let loss = compute_loss(&ctx.output, &gt_img, Some(&gt_depth), &loss_config());
-    backward(
-        scene,
-        &ctx.projection,
-        &ctx.tiles,
-        &cam,
-        pose,
-        &loss.pixel_grads,
-    )
+    let (gt_img, gt_depth) = targets(&camera());
+    let (mut arena, _) = forward_loss(scene, pose, &gt_img, &gt_depth);
+    arena.backward_fused(scene, &camera(), pose, &Serial);
+    arena.backward().clone()
 }
 
 /// Relative-error comparison with an absolute floor for near-zero gradients.
@@ -248,34 +256,25 @@ fn gradients_vanish_at_perfect_reconstruction() {
     let scene = test_scene();
     let cam = camera();
     let pose = Se3::IDENTITY;
-    let ctx = render_frame(&scene, &pose, &cam, None);
+    let out = FrameArena::new()
+        .forward(&scene, &pose, &cam, None, &Serial)
+        .clone();
     // Ground-truth depth is a *surface* depth: the rendered blend divided
     // by opacity coverage (matching the dataset generator's convention).
-    let mut gt_depth = ctx.output.depth.clone();
+    let mut gt_depth = out.depth.clone();
     for y in 0..cam.height {
         for x in 0..cam.width {
-            let c = ctx.output.coverage(x, y);
+            let c = out.coverage(x, y);
             if c > 0.0 {
                 let v = gt_depth.depth(x, y) / c;
                 gt_depth.set_depth(x, y, v);
             }
         }
     }
-    let loss = compute_loss(
-        &ctx.output,
-        &ctx.output.image,
-        Some(&gt_depth),
-        &loss_config(),
-    );
-    assert!(loss.loss < 1e-10);
-    let grads = backward(
-        &scene,
-        &ctx.projection,
-        &ctx.tiles,
-        &cam,
-        &pose,
-        &loss.pixel_grads,
-    );
+    let (mut arena, loss) = forward_loss(&scene, &pose, &out.image, &gt_depth);
+    assert!(loss < 1e-10);
+    arena.backward_fused(&scene, &cam, &pose, &Serial);
+    let grads = arena.backward();
     for g in &grads.gaussians {
         assert!(g.position.max_abs() < 1e-6);
         assert!(g.opacity.abs() < 1e-6);

@@ -3,9 +3,10 @@
 use proptest::prelude::*;
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{
-    backward, compute_loss, render_frame, Gaussian3d, GaussianScene, Image, LossConfig, LossKind,
-    PinholeCamera, PixelGrads, WorkloadTrace,
+    FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, LossKind, PinholeCamera,
+    WorkloadTrace,
 };
+use rtgs_runtime::Serial;
 
 fn arb_gaussian() -> impl Strategy<Value = Gaussian3d> {
     (
@@ -34,6 +35,18 @@ fn camera() -> PinholeCamera {
     PinholeCamera::from_fov(32, 24, 1.2)
 }
 
+/// Steps ❶–❸ on a fresh arena, returned for inspection.
+fn rendered(
+    scene: &GaussianScene,
+    w2c: &Se3,
+    cam: &PinholeCamera,
+    active: Option<&[bool]>,
+) -> FrameArena {
+    let mut arena = FrameArena::new();
+    arena.forward(scene, w2c, cam, active, &Serial);
+    arena
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -43,11 +56,11 @@ proptest! {
     #[test]
     fn render_is_insertion_order_independent(scene in arb_scene(8)) {
         let cam = camera();
-        let a = render_frame(&scene, &Se3::IDENTITY, &cam, None);
+        let a = rendered(&scene, &Se3::IDENTITY, &cam, None);
         let mut reversed = scene.gaussians.clone();
         reversed.reverse();
-        let b = render_frame(&GaussianScene::from_gaussians(reversed), &Se3::IDENTITY, &cam, None);
-        for (pa, pb) in a.output.image.data().iter().zip(b.output.image.data().iter()) {
+        let b = rendered(&GaussianScene::from_gaussians(reversed), &Se3::IDENTITY, &cam, None);
+        for (pa, pb) in a.output().image.data().iter().zip(b.output().image.data().iter()) {
             prop_assert!((*pa - *pb).max_abs() < 2e-4, "{pa} vs {pb}");
         }
     }
@@ -60,8 +73,8 @@ proptest! {
         let max_c = scene.gaussians.iter().fold(0.0f32, |m, g| {
             m.max(g.color.x).max(g.color.y).max(g.color.z)
         });
-        let ctx = render_frame(&scene, &Se3::IDENTITY, &cam, None);
-        for p in ctx.output.image.data() {
+        let ctx = rendered(&scene, &Se3::IDENTITY, &cam, None);
+        for p in ctx.output().image.data() {
             prop_assert!(p.x >= -1e-6 && p.x <= max_c + 1e-4);
             prop_assert!(p.y >= -1e-6 && p.y <= max_c + 1e-4);
             prop_assert!(p.z >= -1e-6 && p.z <= max_c + 1e-4);
@@ -74,15 +87,15 @@ proptest! {
     fn masking_increases_transmittance(scene in arb_scene(6), victim in 0usize..6) {
         let cam = camera();
         prop_assume!(victim < scene.len());
-        let full = render_frame(&scene, &Se3::IDENTITY, &cam, None);
+        let full = rendered(&scene, &Se3::IDENTITY, &cam, None);
         let mut mask = vec![true; scene.len()];
         mask[victim] = false;
-        let masked = render_frame(&scene, &Se3::IDENTITY, &cam, Some(&mask));
+        let masked = rendered(&scene, &Se3::IDENTITY, &cam, Some(&mask));
         for (a, b) in full
-            .output
+            .output()
             .final_transmittance
             .iter()
-            .zip(masked.output.final_transmittance.iter())
+            .zip(masked.output().final_transmittance.iter())
         {
             prop_assert!(*b >= *a - 1e-5, "masking decreased transmittance: {a} -> {b}");
         }
@@ -93,10 +106,10 @@ proptest! {
     #[test]
     fn trace_conservation(scene in arb_scene(10)) {
         let cam = camera();
-        let ctx = render_frame(&scene, &Se3::IDENTITY, &cam, None);
+        let ctx = rendered(&scene, &Se3::IDENTITY, &cam, None);
         let trace = WorkloadTrace::from_render(
-            &ctx.output, &ctx.tiles, &cam, 0, ctx.projection.visible_count());
-        prop_assert_eq!(trace.total_fragments(), ctx.output.stats.fragments_processed);
+            ctx.output(), ctx.tiles(), &cam, 0, ctx.projection().visible_count());
+        prop_assert_eq!(trace.total_fragments(), ctx.output().stats.fragments_processed);
         let subtile_total: u64 = trace
             .subtile_workloads()
             .iter()
@@ -106,14 +119,18 @@ proptest! {
         prop_assert_eq!(subtile_total, trace.total_fragments());
     }
 
-    /// Backward with zero upstream gradient returns exactly zero.
+    /// Backward with zero upstream gradient (the loss against the render's
+    /// own image) returns exactly zero.
     #[test]
     fn zero_loss_zero_gradient(scene in arb_scene(6)) {
         let cam = camera();
-        let ctx = render_frame(&scene, &Se3::IDENTITY, &cam, None);
-        let grads = backward(
-            &scene, &ctx.projection, &ctx.tiles, &cam, &Se3::IDENTITY,
-            &PixelGrads::zeros(cam.width, cam.height));
+        let mut arena = rendered(&scene, &Se3::IDENTITY, &cam, None);
+        arena.render_fused(&cam, &Serial);
+        let own = arena.output().image.clone();
+        arena.compute_loss(&own, None, &LossConfig::default());
+        arena.backward_fused(&scene, &cam, &Se3::IDENTITY, &Serial);
+        let grads = arena.backward();
+        prop_assert_eq!(grads.stats.fragment_grad_events, 0);
         prop_assert_eq!(grads.pose, [0.0; 6]);
         for g in &grads.gaussians {
             prop_assert_eq!(g.position, Vec3::ZERO);
@@ -126,13 +143,14 @@ proptest! {
     #[test]
     fn loss_is_nonnegative_and_zero_iff_match(scene in arb_scene(6)) {
         let cam = camera();
-        let ctx = render_frame(&scene, &Se3::IDENTITY, &cam, None);
+        let mut ctx = rendered(&scene, &Se3::IDENTITY, &cam, None);
         let cfg = LossConfig { lambda_pho: 1.0, kind: LossKind::L2, ..Default::default() };
-        let self_loss = compute_loss(&ctx.output, &ctx.output.image, None, &cfg);
-        prop_assert!(self_loss.loss.abs() < 1e-12);
+        let own = ctx.output().image.clone();
+        let self_loss = ctx.compute_loss(&own, None, &cfg);
+        prop_assert!(self_loss.abs() < 1e-12);
         let black = Image::new(cam.width, cam.height);
-        let other = compute_loss(&ctx.output, &black, None, &cfg);
-        prop_assert!(other.loss >= 0.0);
+        let other = ctx.compute_loss(&black, None, &cfg);
+        prop_assert!(other >= 0.0);
     }
 
     /// Rigidly moving both the scene and the camera leaves the image
@@ -144,7 +162,7 @@ proptest! {
     ) {
         let cam = camera();
         let shift = Vec3::new(t[0], t[1], t[2]);
-        let a = render_frame(&scene, &Se3::IDENTITY, &cam, None);
+        let a = rendered(&scene, &Se3::IDENTITY, &cam, None);
         // Move scene by +shift and camera (c2w) by +shift: w2c compensates.
         let moved: GaussianScene = scene
             .gaussians
@@ -156,8 +174,8 @@ proptest! {
             })
             .collect();
         let w2c = Se3::from_translation(shift).inverse();
-        let b = render_frame(&moved, &w2c, &cam, None);
-        for (pa, pb) in a.output.image.data().iter().zip(b.output.image.data().iter()) {
+        let b = rendered(&moved, &w2c, &cam, None);
+        for (pa, pb) in a.output().image.data().iter().zip(b.output().image.data().iter()) {
             prop_assert!((*pa - *pb).max_abs() < 5e-3, "{pa} vs {pb}");
         }
     }

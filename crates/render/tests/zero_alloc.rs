@@ -24,6 +24,7 @@
 //! Observability must not cost the allocation contract.
 
 use rtgs_math::{Quat, Se3, Vec3};
+use rtgs_render::reference::backward_rewalk;
 use rtgs_render::{
     FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera, ShardedScene,
 };
@@ -81,15 +82,16 @@ fn steady_state_iteration_performs_zero_allocations() {
     let cfg = LossConfig::default();
     // Ground truth: the scene rendered from a slightly shifted pose, so the
     // loss and its gradients are dense and non-trivial.
-    let gt = {
-        let ctx = rtgs_render::render_frame(
+    let gt = FrameArena::new()
+        .forward(
             &map.flatten().0,
             &Se3::from_translation(Vec3::new(0.02, -0.01, 0.0)),
             &camera,
             None,
-        );
-        ctx.output.image
-    };
+            &Serial,
+        )
+        .image
+        .clone();
     // Two alternating poses: warm-up establishes the high-water capacity of
     // every buffer for both, as a real tracking loop's moving pose does.
     let pose_a = Se3::IDENTITY;
@@ -189,7 +191,8 @@ fn steady_state_iteration_performs_zero_allocations() {
 
 #[test]
 fn steady_state_unfused_render_backward_is_allocation_free() {
-    // The unfused (re-walk) drivers share the arena contract.
+    // The unfused render and the re-walk reference driver share the arena
+    // contract.
     let camera = PinholeCamera::from_fov(48, 32, 1.2);
     let scene = test_scene(120);
     let w2c = Se3::IDENTITY;
@@ -199,20 +202,16 @@ fn steady_state_unfused_render_backward_is_allocation_free() {
     let mut arena = FrameArena::new();
     // Warm-up. The pixel-grad clone is part of the *test setup*, not the
     // measured pipeline — the rewalk entry point takes external gradients.
-    arena.project(&scene, &w2c, &camera, None, &Serial);
-    arena.assign_tiles(&camera, &Serial);
-    arena.render(&camera, &Serial);
+    arena.forward(&scene, &w2c, &camera, None, &Serial);
     arena.compute_loss(&gt, None, &cfg);
     let grads = arena.loss().pixel_grads.clone();
-    arena.backward_rewalk(&scene, &camera, &w2c, &grads, &Serial);
+    backward_rewalk(&mut arena, &scene, &camera, &w2c, &grads, &Serial);
 
     let before = alloc_counter::thread_allocations();
     for _ in 0..3 {
-        arena.project(&scene, &w2c, &camera, None, &Serial);
-        arena.assign_tiles(&camera, &Serial);
-        arena.render(&camera, &Serial);
+        arena.forward(&scene, &w2c, &camera, None, &Serial);
         arena.compute_loss(&gt, None, &cfg);
-        arena.backward_rewalk(&scene, &camera, &w2c, &grads, &Serial);
+        backward_rewalk(&mut arena, &scene, &camera, &w2c, &grads, &Serial);
     }
     let steady_allocs = alloc_counter::thread_allocations() - before;
     assert_eq!(

@@ -9,13 +9,28 @@
 
 use proptest::prelude::*;
 use rtgs_math::{Quat, Se3, Vec3};
-use rtgs_render::{render_frame_with, Gaussian3d, PinholeCamera, ShardedScene};
+use rtgs_render::{FrameArena, Gaussian3d, PinholeCamera, ShardedScene};
 use rtgs_replicate::{
     duplex_pair, DuplexLink, FaultPlan, Follower, ReplicationError, ReplicationPolicy, Replicator,
 };
-use rtgs_runtime::Parallel;
+use rtgs_runtime::{Backend, Parallel};
 
 const FINGERPRINT: u64 = 0xC0FFEE;
+
+/// Culls and renders `map` through an arena — the production frame path.
+fn render_map(
+    map: &ShardedScene,
+    pose: &Se3,
+    cam: &PinholeCamera,
+    backend: &dyn Backend,
+) -> FrameArena {
+    let mut arena = FrameArena::new();
+    arena.cull(map, pose, cam, None, backend);
+    arena.project_visible(pose, cam, backend);
+    arena.assign_tiles(cam, backend);
+    arena.render(cam, backend);
+    arena
+}
 
 fn g_at(x: f32, y: f32, z: f32) -> Gaussian3d {
     Gaussian3d::from_activated(
@@ -121,13 +136,11 @@ proptest! {
         let pose = Se3::from_translation(Vec3::new(0.0, 0.0, -1.0));
         for threads in 1..=8usize {
             let backend = Parallel::new(threads);
-            let va = live.visible_frame_with(&pose, &cam, None, &backend);
-            let vb = standby.visible_frame_with(&pose, &cam, None, &backend);
-            prop_assert_eq!(&va.ids, &vb.ids, "{} threads: visible set", threads);
-            let ca = render_frame_with(&va.scene, &pose, &cam, None, &backend);
-            let cb = render_frame_with(&vb.scene, &pose, &cam, None, &backend);
-            prop_assert_eq!(&ca.output.image, &cb.output.image, "{} threads: image", threads);
-            prop_assert_eq!(&ca.output.depth, &cb.output.depth, "{} threads: depth", threads);
+            let a = render_map(&live, &pose, &cam, &backend);
+            let b = render_map(&standby, &pose, &cam, &backend);
+            prop_assert_eq!(&a.visible().ids, &b.visible().ids, "{} threads: visible set", threads);
+            prop_assert_eq!(&a.output().image, &b.output().image, "{} threads: image", threads);
+            prop_assert_eq!(&a.output().depth, &b.output().depth, "{} threads: depth", threads);
         }
 
         // When the stream actually lost or damaged records, recovery ran

@@ -481,12 +481,12 @@ pub struct SessionScheduler<S: Session> {
 impl<S: Session> SessionScheduler<S> {
     /// Scheduler over the shared pool with `threads` workers (`0` = machine
     /// size).
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         Self::with_pool(crate::backend::shared_pool(threads))
     }
 
     /// Scheduler over an explicit pool.
-    pub fn with_pool(pool: Arc<ThreadPool>) -> Self {
+    pub(crate) fn with_pool(pool: Arc<ThreadPool>) -> Self {
         Self {
             pool,
             sessions: Vec::new(),
@@ -500,7 +500,7 @@ impl<S: Session> SessionScheduler<S> {
     }
 
     /// Attaches a hibernate-to-disk eviction policy (see the module docs).
-    pub fn set_eviction_policy(&mut self, policy: EvictionPolicy) {
+    pub(crate) fn set_eviction_policy(&mut self, policy: EvictionPolicy) {
         self.policy = Some(policy);
     }
 
@@ -508,21 +508,21 @@ impl<S: Session> SessionScheduler<S> {
     /// hub's [`WorkSignal`](crate::ingest::WorkSignal) when no session is
     /// ready, and [`try_admit`](Self::try_admit) enforces the hub's
     /// session cap.
-    pub fn set_ingest(&mut self, hub: &IngestHub) {
+    pub(crate) fn set_ingest(&mut self, hub: &IngestHub) {
         self.ingest = Some(hub.clone());
     }
 
     /// Attaches a periodic telemetry-snapshot writer: the global registry is
     /// exported to the writer's path between rounds (rate-limited by the
     /// writer's interval) and once more on shutdown.
-    pub fn set_snapshot_writer(&mut self, writer: SnapshotWriter) {
+    pub(crate) fn set_snapshot_writer(&mut self, writer: SnapshotWriter) {
         self.snapshot_writer = Some(writer);
     }
 
     /// Attaches replication behavior (see [`ReplicationOptions`]). Without
     /// this the scheduler still drains replicating sessions at shutdown
     /// with default options — attach explicitly only to change them.
-    pub fn set_replication(&mut self, options: ReplicationOptions) {
+    pub(crate) fn set_replication(&mut self, options: ReplicationOptions) {
         self.replication = Some(options);
     }
 

@@ -1,11 +1,6 @@
-//! One front door for serving: [`Serve::builder`].
-//!
-//! The serving surface accreted entry points as features landed —
-//! `serve_sessions`, `serve_sessions_with_eviction`,
-//! `SessionScheduler::{new, with_pool, set_eviction_policy,
-//! set_snapshot_writer, set_ingest}` — each a different spelling of "run
-//! these sessions with this configuration". [`ServeBuilder`] collapses them
-//! into one chain:
+//! One front door for serving: [`Serve::builder`] is the only public way to
+//! construct and configure a [`SessionScheduler`] — "run these sessions
+//! with this configuration" has one spelling, a [`ServeBuilder`] chain:
 //!
 //! ```
 //! use rtgs_runtime::{Serve, Session, SessionStatus};
@@ -29,8 +24,7 @@
 //!
 //! Eviction, open-loop ingestion, and telemetry snapshots are opt-in rungs
 //! on the same chain: `.eviction(policy)`, `.ingest(&hub)`,
-//! `.snapshot_writer(writer)`. The old free functions in `rtgs-slam`
-//! remain as deprecated wrappers delegating here.
+//! `.snapshot_writer(writer)`.
 
 use crate::ingest::IngestHub;
 use crate::pool::ThreadPool;

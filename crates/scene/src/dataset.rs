@@ -10,7 +10,8 @@
 use crate::generator::{generate_indoor_scene, SceneConfig};
 use crate::trajectory::{generate_trajectory, TrajectoryConfig, TrajectoryStyle};
 use rtgs_math::Se3;
-use rtgs_render::{render_frame, DepthImage, GaussianScene, Image, PinholeCamera};
+use rtgs_render::{DepthImage, FrameArena, GaussianScene, Image, PinholeCamera};
+use rtgs_runtime::Serial;
 
 /// One RGB(-D) observation.
 #[derive(Debug, Clone)]
@@ -242,18 +243,19 @@ impl SyntheticDataset {
         let poses_c2w = generate_trajectory(&traj_cfg, profile.scene.room_half_extent);
 
         let mut out_frames = Vec::with_capacity(frames);
+        let mut arena = FrameArena::new();
         for (index, pose) in poses_c2w.iter().enumerate() {
             let w2c = pose.inverse();
-            let ctx = render_frame(&reference_scene, &w2c, &camera, None);
+            let rendered = arena.forward(&reference_scene, &w2c, &camera, None, &Serial);
             // Normalize blended depth by opacity coverage so the synthetic
             // depth observation is a true surface depth (a raw alpha-blend
             // under-estimates depth wherever coverage < 1, which would
             // corrupt map seeding).
             let depth = profile.has_depth.then(|| {
-                let mut d = ctx.output.depth.clone();
+                let mut d = rendered.depth.clone();
                 for y in 0..camera.height {
                     for x in 0..camera.width {
-                        let coverage = ctx.output.coverage(x, y);
+                        let coverage = rendered.coverage(x, y);
                         if coverage > 0.2 {
                             let v = d.depth(x, y) / coverage;
                             d.set_depth(x, y, v);
@@ -266,7 +268,7 @@ impl SyntheticDataset {
             });
             out_frames.push(RgbdFrame {
                 index,
-                color: ctx.output.image,
+                color: rendered.image.clone(),
                 depth,
             });
         }

@@ -3,7 +3,8 @@
 //!
 //! The build environment is offline, so the workspace vendors a minimal
 //! harness: it supports `benchmark_group`, `bench_function`,
-//! `bench_with_input`, `sample_size`, `measurement_time`, `BenchmarkId` and
+//! `bench_with_input`, `iter_batched`, `sample_size`, `measurement_time`,
+//! `BenchmarkId` and
 //! the `criterion_group!` / `criterion_main!` macros. Each benchmark is
 //! warmed up, sampled, and summarized (min / median / mean); all results are
 //! additionally appended to `BENCH_RESULTS.json` at the workspace root so
@@ -127,15 +128,35 @@ pub struct Bencher {
     measurement_time: Duration,
 }
 
+/// Batch-size hint of [`Bencher::iter_batched`]; this harness always runs
+/// one setup per sample, so the variants only mirror the real API.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    /// The setup value is small enough to build once per sample.
+    SmallInput,
+}
+
 impl Bencher {
     /// Runs `f` repeatedly, recording one timing sample per call.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
+        self.iter_batched(|| (), |()| f(), BatchSize::SmallInput);
+    }
+
+    /// Runs `routine` repeatedly on a value built by an untimed `setup`,
+    /// recording one timing sample per call; the routine's output is
+    /// dropped outside the timed interval.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
         // One untimed warm-up call.
-        let _ = f();
+        let _ = routine(setup());
         let started = Instant::now();
         for _ in 0..self.sample_size {
+            let input = setup();
             let t0 = Instant::now();
-            let out = f();
+            let out = routine(input);
             self.samples_ns.push(t0.elapsed().as_nanos());
             drop(out);
             if started.elapsed() > self.measurement_time {

@@ -35,17 +35,14 @@ mod tracking;
 pub use ingest::{OpenLoopSession, SloPolicy};
 pub use keyframe::{KeyframeContext, KeyframePolicy};
 pub use map::{densify, prune_transparent, seed_from_frame, MapConfig};
-pub use optimizer::{MapLearningRates, MapOptimizer, PoseOptimizer, PARAMS_PER_GAUSSIAN};
+pub use optimizer::{MapLearningRates, MapOptimizer, PARAMS_PER_GAUSSIAN};
 pub use pipeline::{
     BaseAlgorithm, FrameDirectives, FrameReport, NoExtension, PipelineExtension, SlamConfig,
     SlamPipeline, SlamReport,
 };
 pub use profile::StageTimings;
 pub use rtgs_telemetry::{StageId, StageNanos};
-#[allow(deprecated)] // re-exported until the deprecation window closes
-pub use serve::{serve_sessions, serve_sessions_with_eviction};
 pub use snapshot::config_fingerprint;
 pub use tracking::{
-    track_frame, track_frame_with, IterationArtifacts, NoObserver, TrackResult, TrackingConfig,
-    TrackingObserver,
+    track_frame, IterationArtifacts, NoObserver, TrackResult, TrackingConfig, TrackingObserver,
 };

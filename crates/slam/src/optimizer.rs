@@ -137,8 +137,8 @@ impl MapOptimizer {
 
     /// Applies one Adam step to the frame's visible working set: `ids[k]`
     /// is the stable ID of the Gaussian whose gradient is `grads[k]` (the
-    /// frame-local layout produced by
-    /// [`ShardedScene::visible_frame_with`]). Gaussians outside the
+    /// frame-local layout of `rtgs_render::FrameArena::visible` after a
+    /// cull). Gaussians outside the
     /// visible set — and visible ones with an all-zero gradient — are
     /// untouched, matching the sparse-update behaviour of the reference
     /// trainer.
@@ -215,73 +215,6 @@ fn apply_update(g: &mut Gaussian3d, u: &[f32; PARAMS_PER_GAUSSIAN], lrs: &MapLea
         clamp(g.color.y, 0.0, 1.0),
         clamp(g.color.z, 0.0, 1.0),
     );
-}
-
-/// Adam over the 6-dof pose tangent used by tracking (Sec. 2.2, camera pose
-/// optimization).
-#[derive(Debug, Clone)]
-pub struct PoseOptimizer {
-    /// Learning rate for the translational tangent components.
-    pub lr_translation: f32,
-    /// Learning rate for the rotational tangent components.
-    pub lr_rotation: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    step: u64,
-    m: [f32; 6],
-    v: [f32; 6],
-}
-
-impl PoseOptimizer {
-    /// Creates a pose optimizer with the given tangent learning rates.
-    pub fn new(lr_translation: f32, lr_rotation: f32) -> Self {
-        Self {
-            lr_translation,
-            lr_rotation,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            step: 0,
-            m: [0.0; 6],
-            v: [0.0; 6],
-        }
-    }
-
-    /// Resets the moment estimates (call when starting a new frame).
-    pub fn reset(&mut self) {
-        self.step = 0;
-        self.m = [0.0; 6];
-        self.v = [0.0; 6];
-    }
-
-    /// Computes the retraction step for the given pose gradient; apply with
-    /// [`rtgs_math::Se3::retract`].
-    pub fn step(&mut self, grad: &[f32; 6]) -> [f32; 6] {
-        self.step += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.step as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.step as i32);
-        let mut delta = [0.0f32; 6];
-        for i in 0..6 {
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad[i];
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            let lr = if i < 3 {
-                self.lr_translation
-            } else {
-                self.lr_rotation
-            };
-            delta[i] = -lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-        delta
-    }
-}
-
-impl Default for PoseOptimizer {
-    fn default() -> Self {
-        Self::new(2e-3, 1e-3)
-    }
 }
 
 #[cfg(test)]
@@ -462,37 +395,5 @@ mod tests {
             opt.step_visible(&mut map, &[0], &grads);
         }
         assert!((map.gaussian(0).position.x - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn pose_optimizer_descends_quadratic() {
-        // Minimize ||xi - target||^2 over the tangent.
-        let target = [0.1f32, -0.05, 0.2, 0.03, -0.02, 0.01];
-        let mut xi = [0.0f32; 6];
-        let mut opt = PoseOptimizer::new(0.02, 0.02);
-        for _ in 0..400 {
-            let grad: [f32; 6] = std::array::from_fn(|i| 2.0 * (xi[i] - target[i]));
-            let delta = opt.step(&grad);
-            for i in 0..6 {
-                xi[i] += delta[i];
-            }
-        }
-        for i in 0..6 {
-            assert!(
-                (xi[i] - target[i]).abs() < 0.02,
-                "component {i}: {} vs {}",
-                xi[i],
-                target[i]
-            );
-        }
-    }
-
-    #[test]
-    fn pose_reset_clears_momentum() {
-        let mut opt = PoseOptimizer::default();
-        let _ = opt.step(&[1.0; 6]);
-        opt.reset();
-        let d = opt.step(&[0.0; 6]);
-        assert_eq!(d, [0.0; 6]);
     }
 }

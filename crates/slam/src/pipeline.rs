@@ -5,16 +5,18 @@
 use crate::keyframe::{KeyframeContext, KeyframePolicy};
 use crate::map::{densify, prune_transparent, seed_from_frame, MapConfig};
 use crate::optimizer::{MapLearningRates, MapOptimizer};
-use crate::profile::{record_stage, StageTimings};
-use crate::tracking::{track_frame_with, IterationArtifacts, TrackingConfig, TrackingObserver};
+use crate::profile::StageTimings;
+use crate::tracking::{
+    timed_iteration, track_frame, IterationArtifacts, TrackingConfig, TrackingObserver,
+};
 use rtgs_math::Se3;
 use rtgs_metrics::{absolute_trajectory_error, psnr, AteResult};
-use rtgs_render::{render_frame_with, FrameArena, Image, ShardedScene, WorkloadTrace};
+use rtgs_render::{FrameArena, Image, ShardedScene, WorkloadTrace};
 use rtgs_runtime::{Backend, BackendChoice};
 use rtgs_scene::{RgbdFrame, SyntheticDataset};
 use rtgs_telemetry::flight::hops;
 use rtgs_telemetry::{
-    emit_flow_span, ns_since_epoch, Counter, Gauge, Histogram, StageId, StageNanos, TraceCtx,
+    emit_flow_span, ns_since_epoch, Counter, Gauge, Histogram, StageNanos, TraceCtx,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -603,7 +605,7 @@ impl<'d> SlamPipeline<'d> {
         let mut observer = ExtensionObserver {
             extension: self.extension.as_mut(),
         };
-        let result = track_frame_with(
+        let result = track_frame(
             &self.scene,
             init,
             &track_frame_data,
@@ -779,7 +781,6 @@ impl<'d> SlamPipeline<'d> {
         let densify_at = iterations / 2;
 
         for iter in 0..iterations {
-            let it = iter as u64;
             // 70% current keyframe, 30% a previous keyframe.
             let target_index = if iter % 10 < 7 || self.keyframes.is_empty() {
                 index
@@ -793,69 +794,19 @@ impl<'d> SlamPipeline<'d> {
             // moved Gaussians; re-validate shard bounds, then cull + gather
             // the keyframe frustum's working set into the session arena.
             self.scene.refresh_bounds_with(&*self.backend);
-            let t0 = Instant::now();
-            self.arena
-                .cull(&self.scene, &w2c, &camera, Some(&self.mask), &*self.backend);
-            self.arena.project_visible(&w2c, &camera, &*self.backend);
-            let t1 = Instant::now();
-            record_stage(
-                &mut self.mapping_timings,
-                StageId::Preprocess,
-                ns_since_epoch(t0),
-                (t1 - t0).as_nanos() as u64,
-                it,
-            );
-            self.arena.assign_tiles(&camera, &*self.backend);
-            let t2 = Instant::now();
-            record_stage(
-                &mut self.mapping_timings,
-                StageId::Sorting,
-                ns_since_epoch(t1),
-                (t2 - t1).as_nanos() as u64,
-                it,
-            );
-            // Fused tile pass: forward records fragment sequences so the
-            // backward pass skips the re-walk (bitwise-identical output).
-            self.arena.render_fused(&camera, &*self.backend);
-            let t3 = Instant::now();
-            record_stage(
-                &mut self.mapping_timings,
-                StageId::Render,
-                ns_since_epoch(t2),
-                (t3 - t2).as_nanos() as u64,
-                it,
-            );
-
-            self.arena.compute_loss(
-                &frame.color,
-                frame.depth.as_ref(),
+            timed_iteration(
+                &mut self.arena,
+                &self.scene,
+                &w2c,
+                &camera,
+                &self.mask,
+                frame,
                 &self.config.tracking.loss,
+                &mut self.mapping_timings,
+                iter as u64,
+                &*self.backend,
             );
-            self.arena
-                .backward_visible_fused(&camera, &w2c, &*self.backend);
             let grad_stats = self.arena.backward().stats;
-            let t4 = Instant::now();
-            // BP intervals are measured by the backward kernel itself; see
-            // the matching comment in `track_frame_with`.
-            let t3_ns = ns_since_epoch(t3);
-            let rbp = grad_stats.rendering_bp_nanos;
-            let pbp = grad_stats.preprocessing_bp_nanos;
-            record_stage(&mut self.mapping_timings, StageId::RenderBp, t3_ns, rbp, it);
-            record_stage(
-                &mut self.mapping_timings,
-                StageId::PreprocessBp,
-                t3_ns + rbp,
-                pbp,
-                it,
-            );
-            let other_ns = ((t4 - t3).as_nanos() as u64).saturating_sub(rbp + pbp);
-            record_stage(
-                &mut self.mapping_timings,
-                StageId::Other,
-                t3_ns + rbp + pbp,
-                other_ns,
-                it,
-            );
 
             if self.config.record_traces {
                 self.pending_mapping_traces.push(WorkloadTrace::from_render(
@@ -928,17 +879,18 @@ impl<'d> SlamPipeline<'d> {
         // estimated pose and compare against the observation (flattened
         // once — the report is a full-scene offline pass, not a hot path).
         let (final_scene, _) = self.scene.flatten();
+        let mut eval_arena = FrameArena::new();
         let mut psnr_acc = 0.0f64;
         let mut psnr_n = 0usize;
         for (i, pose) in self.trajectory.iter().enumerate() {
-            let ctx = render_frame_with(
+            let rendered = eval_arena.forward(
                 &final_scene,
                 &pose.inverse(),
                 &self.dataset.camera,
                 None,
                 &*self.backend,
             );
-            let p = psnr(&ctx.output.image, &self.dataset.frames[i].color);
+            let p = psnr(&rendered.image, &self.dataset.frames[i].color);
             if p.is_finite() {
                 psnr_acc += p;
                 psnr_n += 1;

@@ -11,13 +11,13 @@
 //! scheduler's spill hooks through `rtgs-snapshot` checkpoints, so an
 //! [`EvictionPolicy`] can park the coldest session on disk when a
 //! resident-session or memory budget is exceeded and transparently bring
-//! it back for its next frame ([`serve_sessions_with_eviction`]).
+//! it back for its next frame (`Serve::builder().eviction(policy)`).
 //! Hibernation is invisible in the results: an evicted-and-rehydrated
 //! session produces the same trajectory and per-session stats as one that
 //! stayed resident (tested below).
 
 use crate::pipeline::{SlamPipeline, SlamReport};
-use rtgs_runtime::{EvictionPolicy, Serve, Session, SessionIoError, SessionOutcome, SessionStatus};
+use rtgs_runtime::{Session, SessionIoError, SessionStatus};
 use std::path::Path;
 
 impl Session for SlamPipeline<'_> {
@@ -52,49 +52,11 @@ impl Session for SlamPipeline<'_> {
     }
 }
 
-/// Runs the given labelled SLAM pipelines to completion as concurrent
-/// sessions over the shared pool with `threads` workers (`0` = machine
-/// size). Returns one outcome (scheduling stats + [`SlamReport`]) per
-/// session, in input order.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `rtgs_runtime::Serve::builder().threads(n).run(sessions)` instead"
-)]
-pub fn serve_sessions<'d>(
-    sessions: Vec<(String, SlamPipeline<'d>)>,
-    threads: usize,
-) -> Vec<SessionOutcome<SlamReport>> {
-    Serve::builder().threads(threads).run(sessions)
-}
-
-/// [`serve_sessions`] under a hibernate-to-disk [`EvictionPolicy`]: when
-/// the policy's resident-session or memory budget is exceeded, the coldest
-/// session checkpoints to the policy's spill directory and is rehydrated
-/// transparently before its next frame. Results are identical to serving
-/// fully resident.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `rtgs_runtime::Serve::builder().threads(n).eviction(policy).run(sessions)` instead"
-)]
-pub fn serve_sessions_with_eviction<'d>(
-    sessions: Vec<(String, SlamPipeline<'d>)>,
-    threads: usize,
-    policy: EvictionPolicy,
-) -> Vec<SessionOutcome<SlamReport>> {
-    Serve::builder()
-        .threads(threads)
-        .eviction(policy)
-        .run(sessions)
-}
-
 #[cfg(test)]
-// The deprecated wrappers stay tested until their removal window closes:
-// they must keep producing results bitwise-identical to the builder.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::pipeline::{BaseAlgorithm, SlamConfig};
-    use rtgs_runtime::{BackendChoice, ShutdownHandle};
+    use rtgs_runtime::{BackendChoice, EvictionPolicy, Serve, ShutdownHandle};
     use rtgs_scene::{DatasetProfile, SyntheticDataset};
     use std::path::PathBuf;
 
@@ -124,7 +86,7 @@ mod tests {
                 (algo.name().to_string(), SlamPipeline::new(cfg, &ds))
             })
             .collect();
-        let outcomes = serve_sessions(sessions, 4);
+        let outcomes = Serve::builder().threads(4).run(sessions);
         assert_eq!(outcomes.len(), 4);
         for outcome in &outcomes {
             assert!(
@@ -158,7 +120,9 @@ mod tests {
         let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), 3);
         let cfg = quick_config(BaseAlgorithm::GsSlam, 3);
         let standalone = SlamPipeline::new(cfg, &ds).run();
-        let outcomes = serve_sessions(vec![("solo".to_string(), SlamPipeline::new(cfg, &ds))], 2);
+        let outcomes = Serve::builder()
+            .threads(2)
+            .run(vec![("solo".to_string(), SlamPipeline::new(cfg, &ds))]);
         let served = &outcomes[0].report;
         assert_eq!(standalone.trajectory.len(), served.trajectory.len());
         for (a, b) in standalone.trajectory.iter().zip(served.trajectory.iter()) {
@@ -192,9 +156,9 @@ mod tests {
                 .collect::<Vec<_>>()
         };
 
-        let resident = serve_sessions(build(&ds), 2);
+        let resident = Serve::builder().threads(2).run(build(&ds));
         let policy = EvictionPolicy::new(spill_dir("bitwise")).with_max_resident_sessions(2);
-        let evicted = serve_sessions_with_eviction(build(&ds), 2, policy);
+        let evicted = Serve::builder().threads(2).eviction(policy).run(build(&ds));
 
         let hibernations: usize = evicted.iter().map(|o| o.stats.hibernations).sum();
         assert!(
@@ -329,55 +293,5 @@ mod tests {
         let max = outcomes.iter().map(|o| o.stats.steps).max().unwrap();
         let min = outcomes.iter().map(|o| o.stats.steps).min().unwrap();
         assert!(max - min <= 1, "rounds are frame-fair ({min}..{max})");
-    }
-
-    /// API-redesign acceptance: the deprecated wrappers and the
-    /// [`Serve::builder`] chain are the same machine — closed-loop serving
-    /// results (trajectories, stats) are bitwise-identical through both
-    /// doors, with and without eviction.
-    #[test]
-    fn builder_is_bitwise_identical_to_deprecated_wrappers() {
-        let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), 4);
-        let algos = [BaseAlgorithm::GsSlam, BaseAlgorithm::MonoGs];
-        let build = |ds| {
-            algos
-                .iter()
-                .map(|&algo| {
-                    (
-                        algo.name().to_string(),
-                        SlamPipeline::new(quick_config(algo, 4), ds),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-
-        let via_wrapper = serve_sessions(build(&ds), 2);
-        let via_builder = Serve::builder().threads(2).run(build(&ds));
-        let policy = || EvictionPolicy::new(spill_dir("builder")).with_max_resident_sessions(1);
-        let evicted_wrapper = serve_sessions_with_eviction(build(&ds), 2, policy());
-        let evicted_builder = Serve::builder()
-            .threads(2)
-            .eviction(policy())
-            .run(build(&ds));
-
-        for (a, b) in via_wrapper
-            .iter()
-            .zip(&via_builder)
-            .chain(evicted_wrapper.iter().zip(&evicted_builder))
-        {
-            assert_eq!(a.stats.label, b.stats.label);
-            assert_eq!(a.stats.steps, b.stats.steps);
-            assert_eq!(a.stats.completed, b.stats.completed);
-            assert_eq!(a.report.frames_processed, b.report.frames_processed);
-            for (pa, pb) in a.report.trajectory.iter().zip(b.report.trajectory.iter()) {
-                assert_eq!(pa.translation, pb.translation, "{}", a.stats.label);
-                assert_eq!(pa.rotation, pb.rotation, "{}", a.stats.label);
-            }
-            assert_eq!(a.report.ate.rmse, b.report.ate.rmse);
-            assert_eq!(a.report.mean_psnr, b.report.mean_psnr);
-            assert_eq!(a.report.peak_gaussians, b.report.peak_gaussians);
-        }
-        // Closed-loop sessions report no ingest stats through either door.
-        assert!(via_builder.iter().all(|o| o.stats.ingest.is_none()));
     }
 }

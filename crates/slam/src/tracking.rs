@@ -159,6 +159,76 @@ pub struct TrackResult {
     pub fragment_grad_events: u64,
 }
 
+/// One timed render + backward iteration — the paper's five-step frame
+/// pipeline over the session arena, shared by tracking and mapping:
+/// frustum cull + projection (`Preprocess`) → tile assignment (`Sorting`) →
+/// fused render (`Render`) → loss → fused backward (`RenderBp`,
+/// `PreprocessBp`), each interval accounted through [`record_stage`].
+/// Returns the loss; gradients and stage results stay in `arena`.
+///
+/// Masked (pruned) IDs drop out in the cull, before any math. The fused
+/// render records each pixel's fragment sequence so the backward pass
+/// consumes it instead of re-walking the sorted splat lists.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn timed_iteration(
+    arena: &mut FrameArena,
+    map: &ShardedScene,
+    w2c: &Se3,
+    camera: &PinholeCamera,
+    mask: &[bool],
+    frame: &RgbdFrame,
+    loss_config: &LossConfig,
+    timings: &mut StageNanos,
+    it: u64,
+    backend: &dyn Backend,
+) -> f32 {
+    let t0 = Instant::now();
+    arena.cull(map, w2c, camera, Some(mask), backend);
+    arena.project_visible(w2c, camera, backend);
+    let t1 = Instant::now();
+    record_stage(
+        timings,
+        StageId::Preprocess,
+        ns_since_epoch(t0),
+        (t1 - t0).as_nanos() as u64,
+        it,
+    );
+    arena.assign_tiles(camera, backend);
+    let t2 = Instant::now();
+    record_stage(
+        timings,
+        StageId::Sorting,
+        ns_since_epoch(t1),
+        (t2 - t1).as_nanos() as u64,
+        it,
+    );
+    arena.render_fused(camera, backend);
+    let t3 = Instant::now();
+    record_stage(
+        timings,
+        StageId::Render,
+        ns_since_epoch(t2),
+        (t3 - t2).as_nanos() as u64,
+        it,
+    );
+
+    let loss = arena.compute_loss(&frame.color, frame.depth.as_ref(), loss_config);
+    arena.backward_visible_fused(camera, w2c, backend);
+    let t4 = Instant::now();
+    // The BP stages are measured out-of-band by the backward kernel; their
+    // spans tile the [t3, t4] interval in kernel order, with the
+    // unattributed remainder (the loss) as "other" — durations exact,
+    // offsets reconstructed.
+    let t3_ns = ns_since_epoch(t3);
+    let rbp = arena.backward().stats.rendering_bp_nanos;
+    let pbp = arena.backward().stats.preprocessing_bp_nanos;
+    record_stage(timings, StageId::RenderBp, t3_ns, rbp, it);
+    record_stage(timings, StageId::PreprocessBp, t3_ns + rbp, pbp, it);
+    let other_ns = ((t4 - t3).as_nanos() as u64).saturating_sub(rbp + pbp);
+    record_stage(timings, StageId::Other, t3_ns + rbp + pbp, other_ns, it);
+    loss
+}
+
 /// Optimizes the camera pose of `frame` against the current sharded `map`.
 ///
 /// `mask` selects the active Gaussians by stable ID (RTGS pruning masks
@@ -167,6 +237,14 @@ pub struct TrackResult {
 /// already be at the desired resolution — the dynamic-downsampling
 /// extension resizes them before calling.
 ///
+/// The shard cull and every render and backward inside the pose
+/// optimization run through `backend` into `arena`'s reused storage — a
+/// steady-state iteration performs zero heap allocations — with results
+/// bitwise-identical on a fresh arena and at any pool size. Sessions keep
+/// one arena alive across frames (`SlamPipeline` owns one per session);
+/// one-shot callers pass `&mut FrameArena::new()` and
+/// `&rtgs_runtime::Serial`.
+///
 /// # Panics
 ///
 /// Panics if `mask.len() != map.capacity()`, the frame resolution differs
@@ -174,38 +252,6 @@ pub struct TrackResult {
 /// [`ShardedScene::refresh_bounds_with`] after mutating it).
 #[allow(clippy::too_many_arguments)]
 pub fn track_frame<O: TrackingObserver>(
-    map: &ShardedScene,
-    init_w2c: Se3,
-    frame: &RgbdFrame,
-    camera: &PinholeCamera,
-    config: &TrackingConfig,
-    mask: &mut [bool],
-    observer: &mut O,
-    timings: &mut StageNanos,
-) -> TrackResult {
-    track_frame_with(
-        map,
-        init_w2c,
-        frame,
-        camera,
-        config,
-        mask,
-        observer,
-        timings,
-        &mut FrameArena::new(),
-        &rtgs_runtime::Serial,
-    )
-}
-
-/// [`track_frame`] on an explicit execution backend and a caller-owned
-/// [`FrameArena`]: the shard cull and every render and backward inside the
-/// pose optimization run through `backend` into the arena's reused storage
-/// — a steady-state iteration performs zero heap allocations — with
-/// results bitwise-identical to the serial fresh-allocation path at any
-/// pool size. Sessions keep one arena alive across frames
-/// (`SlamPipeline` owns one per session).
-#[allow(clippy::too_many_arguments)]
-pub fn track_frame_with<O: TrackingObserver>(
     map: &ShardedScene,
     init_w2c: Se3,
     frame: &RgbdFrame,
@@ -235,59 +281,20 @@ pub fn track_frame_with<O: TrackingObserver>(
     let mut rms = [0.0f32; 6];
 
     for iteration in 0..config.iterations {
-        let it = iteration as u64;
-        let t0 = Instant::now();
-        // Frustum-cull pre-pass + gather: only surviving shards feed the
-        // projection, masked (pruned) IDs drop out here before any math.
-        // All stages write into the arena's reused storage.
-        arena.cull(map, &w2c, camera, Some(&*mask), backend);
-        arena.project_visible(&w2c, camera, backend);
-        let t1 = Instant::now();
-        record_stage(
+        let loss = timed_iteration(
+            arena,
+            map,
+            &w2c,
+            camera,
+            mask,
+            frame,
+            &config.loss,
             timings,
-            StageId::Preprocess,
-            ns_since_epoch(t0),
-            (t1 - t0).as_nanos() as u64,
-            it,
+            iteration as u64,
+            backend,
         );
-        arena.assign_tiles(camera, backend);
-        let t2 = Instant::now();
-        record_stage(
-            timings,
-            StageId::Sorting,
-            ns_since_epoch(t1),
-            (t2 - t1).as_nanos() as u64,
-            it,
-        );
-        // Fused tile pass: the render records each pixel's fragment
-        // sequence so the backward pass consumes it instead of re-walking
-        // the sorted splat lists (bitwise-identical to the unfused path).
-        arena.render_fused(camera, backend);
-        let t3 = Instant::now();
-        record_stage(
-            timings,
-            StageId::Render,
-            ns_since_epoch(t2),
-            (t3 - t2).as_nanos() as u64,
-            it,
-        );
-
-        let loss = arena.compute_loss(&frame.color, frame.depth.as_ref(), &config.loss);
-        arena.backward_visible_fused(camera, &w2c, backend);
         let grad_stats = arena.backward().stats;
         let grad_pose = arena.backward().pose;
-        let t4 = Instant::now();
-        // The BP stages are measured out-of-band by the backward kernel;
-        // their spans tile the [t3, t4] interval in kernel order, with the
-        // unattributed remainder (loss, trust-region bookkeeping) as
-        // "other" — durations exact, offsets reconstructed.
-        let t3_ns = ns_since_epoch(t3);
-        let rbp = grad_stats.rendering_bp_nanos;
-        let pbp = grad_stats.preprocessing_bp_nanos;
-        record_stage(timings, StageId::RenderBp, t3_ns, rbp, it);
-        record_stage(timings, StageId::PreprocessBp, t3_ns + rbp, pbp, it);
-        let other_ns = ((t4 - t3).as_nanos() as u64).saturating_sub(rbp + pbp);
-        record_stage(timings, StageId::Other, t3_ns + rbp + pbp, other_ns, it);
 
         // Trust-region accept/reject: keep the best pose, adapt the step.
         for (r, g) in rms.iter_mut().zip(grad_pose.iter()) {
@@ -359,6 +366,7 @@ pub fn track_frame_with<O: TrackingObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtgs_runtime::Serial;
     use rtgs_scene::{DatasetProfile, SyntheticDataset};
 
     fn small_dataset() -> SyntheticDataset {
@@ -398,6 +406,8 @@ mod tests {
             &mut mask,
             &mut NoObserver,
             &mut timings,
+            &mut FrameArena::new(),
+            &Serial,
         );
         let after_err = result.w2c.translation_distance(&gt_w2c);
         let before_rot = perturbed.rotation_distance(&gt_w2c);
@@ -433,6 +443,8 @@ mod tests {
             &mut mask,
             &mut NoObserver,
             &mut timings,
+            &mut FrameArena::new(),
+            &Serial,
         );
         assert!(result.losses.last().unwrap() < result.losses.first().unwrap());
     }
@@ -455,6 +467,8 @@ mod tests {
             &mut mask,
             &mut NoObserver,
             &mut timings,
+            &mut FrameArena::new(),
+            &Serial,
         );
         assert!(timings.get(StageId::Render) > 0);
         assert!(timings.get(StageId::RenderBp) > 0);
@@ -485,6 +499,8 @@ mod tests {
             &mut mask,
             &mut NoObserver,
             &mut timings,
+            &mut FrameArena::new(),
+            &Serial,
         );
         assert_eq!(result.traces.len(), 3);
         assert!(result.traces[0].is_consistent());
@@ -511,6 +527,8 @@ mod tests {
             &mut full_mask,
             &mut NoObserver,
             &mut timings,
+            &mut FrameArena::new(),
+            &Serial,
         );
         let half = track_frame(
             &map,
@@ -521,6 +539,8 @@ mod tests {
             &mut half_mask,
             &mut NoObserver,
             &mut timings,
+            &mut FrameArena::new(),
+            &Serial,
         );
         assert!(half.fragments_processed < full.fragments_processed);
     }
@@ -555,6 +575,8 @@ mod tests {
             &mut mask,
             &mut MaskHalf,
             &mut timings,
+            &mut FrameArena::new(),
+            &Serial,
         );
         // Iteration 0 ran with everything; later iterations with a quarter.
         assert!(result.traces[1].visible_gaussians < result.traces[0].visible_gaussians);
@@ -603,6 +625,8 @@ mod tests {
             &mut mask,
             &mut obs,
             &mut timings,
+            &mut FrameArena::new(),
+            &Serial,
         );
         assert!(obs.checked);
     }

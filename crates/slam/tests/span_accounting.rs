@@ -5,7 +5,8 @@
 //!
 //! Integration test (own process): span tracing is process-global state.
 
-use rtgs_render::ShardedScene;
+use rtgs_render::{FrameArena, ShardedScene};
+use rtgs_runtime::Serial;
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{track_frame, NoObserver, StageId, StageNanos, TrackingConfig};
 use rtgs_telemetry as telemetry;
@@ -31,6 +32,8 @@ fn span_accounting_matches_stage_accumulator() {
         &mut mask,
         &mut NoObserver,
         &mut timings,
+        &mut FrameArena::new(),
+        &Serial,
     );
     telemetry::set_tracing_enabled(false);
 

@@ -252,6 +252,7 @@ pub(crate) fn is_tombstoned(member: u32) -> bool {
 mod tests {
     use super::*;
     use rtgs_math::{Quat, Se3, Vec3};
+    use rtgs_render::FrameArena;
 
     fn sample_scene() -> ShardedScene {
         let mut map = ShardedScene::new(0.7);
@@ -296,10 +297,11 @@ mod tests {
         b.refresh_bounds();
         let cam = rtgs_render::PinholeCamera::from_fov(48, 36, 1.2);
         let backend = rtgs_runtime::Serial;
-        let va = a.visible_frame_with(&Se3::IDENTITY, &cam, None, &backend);
-        let vb = b.visible_frame_with(&Se3::IDENTITY, &cam, None, &backend);
-        assert_eq!(va.ids, vb.ids);
-        assert_eq!(va.scene.gaussians, vb.scene.gaussians);
+        let (mut fa, mut fb) = (FrameArena::new(), FrameArena::new());
+        fa.cull(&a, &Se3::IDENTITY, &cam, None, &backend);
+        fb.cull(&b, &Se3::IDENTITY, &cam, None, &backend);
+        assert_eq!(fa.visible().ids, fb.visible().ids);
+        assert_eq!(fa.visible().scene.gaussians, fb.visible().scene.gaussians);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use proptest::prelude::*;
 use rtgs_math::{Quat, Se3, Vec3};
-use rtgs_render::{render_frame_with, Gaussian3d, PinholeCamera, ShardedScene};
-use rtgs_runtime::{Parallel, Serial};
+use rtgs_render::{FrameArena, Gaussian3d, PinholeCamera, ShardedScene};
+use rtgs_runtime::{Backend, Parallel, Serial};
 use rtgs_snapshot::{decode_scene, encode_scene, Channel, CheckpointLog};
 
 fn arb_gaussian() -> impl Strategy<Value = Gaussian3d> {
@@ -63,6 +63,21 @@ fn arb_map() -> impl Strategy<Value = ShardedScene> {
         .prop_filter("need a non-empty map", |m| !m.is_empty())
 }
 
+/// Culls and renders `map` through an arena — the production frame path.
+fn render_map(
+    map: &ShardedScene,
+    pose: &Se3,
+    cam: &PinholeCamera,
+    backend: &dyn Backend,
+) -> FrameArena {
+    let mut arena = FrameArena::new();
+    arena.cull(map, pose, cam, None, backend);
+    arena.project_visible(pose, cam, backend);
+    arena.assign_tiles(cam, backend);
+    arena.render(cam, backend);
+    arena
+}
+
 fn camera() -> PinholeCamera {
     PinholeCamera::from_fov(48, 36, 1.2)
 }
@@ -91,15 +106,13 @@ proptest! {
 
         for threads in 1..=8usize {
             let backend = Parallel::new(threads);
-            let va = live.visible_frame_with(&pose, &cam, None, &backend);
-            let vb = restored.visible_frame_with(&pose, &cam, None, &backend);
-            prop_assert_eq!(&va.ids, &vb.ids, "{} threads: visible set", threads);
-            let ca = render_frame_with(&va.scene, &pose, &cam, None, &backend);
-            let cb = render_frame_with(&vb.scene, &pose, &cam, None, &backend);
-            prop_assert_eq!(&ca.output.image, &cb.output.image, "{} threads: image", threads);
-            prop_assert_eq!(&ca.output.depth, &cb.output.depth, "{} threads: depth", threads);
+            let a = render_map(&live, &pose, &cam, &backend);
+            let b = render_map(&restored, &pose, &cam, &backend);
+            prop_assert_eq!(&a.visible().ids, &b.visible().ids, "{} threads: visible set", threads);
+            prop_assert_eq!(&a.output().image, &b.output().image, "{} threads: image", threads);
+            prop_assert_eq!(&a.output().depth, &b.output().depth, "{} threads: depth", threads);
             prop_assert_eq!(
-                &ca.output.final_transmittance, &cb.output.final_transmittance,
+                &a.output().final_transmittance, &b.output().final_transmittance,
                 "{} threads: transmittance", threads
             );
         }
@@ -201,9 +214,7 @@ fn encoded_log_roundtrips_through_bytes() {
     restored.refresh_bounds();
     let cam = camera();
     let pose = Se3::IDENTITY;
-    let va = map.visible_frame_with(&pose, &cam, None, &Serial);
-    let vb = restored.visible_frame_with(&pose, &cam, None, &Serial);
-    let ca = render_frame_with(&va.scene, &pose, &cam, None, &Serial);
-    let cb = render_frame_with(&vb.scene, &pose, &cam, None, &Serial);
-    assert_eq!(ca.output.image, cb.output.image);
+    let a = render_map(&map, &pose, &cam, &Serial);
+    let b = render_map(&restored, &pose, &cam, &Serial);
+    assert_eq!(a.output().image, b.output().image);
 }

@@ -3,7 +3,8 @@
 //! rests on.
 
 use rtgs::metrics::ssim;
-use rtgs::render::ShardedScene;
+use rtgs::render::{FrameArena, ShardedScene};
+use rtgs::runtime::Serial;
 use rtgs::scene::{DatasetProfile, SyntheticDataset};
 use rtgs::slam::{
     track_frame, IterationArtifacts, NoObserver, StageNanos, TrackingConfig, TrackingObserver,
@@ -42,6 +43,8 @@ fn observation3_gradient_skew() {
         &mut mask,
         &mut NoObserver,
         &mut t,
+        &mut FrameArena::new(),
+        &Serial,
     );
     // Collect over a second tracking pass with the observer.
     let _ = track_frame(
@@ -56,6 +59,8 @@ fn observation3_gradient_skew() {
         &mut mask,
         &mut obs,
         &mut t,
+        &mut FrameArena::new(),
+        &Serial,
     );
     let mut sorted = obs.scores.clone();
     sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
@@ -108,6 +113,8 @@ fn observation6_iteration_similarity() {
         &mut mask,
         &mut NoObserver,
         &mut t,
+        &mut FrameArena::new(),
+        &Serial,
     );
     assert!(result.traces.len() >= 2);
     for pair in result.traces.windows(2) {
