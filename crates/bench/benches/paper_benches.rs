@@ -88,6 +88,36 @@ fn bench_render_kernels(c: &mut Criterion) {
             arena.backward().pose
         })
     });
+
+    // The same two kernels at the size a repository-benchmark session runs
+    // them: a 75×42 `replica_analog` frame (partial edge tiles included)
+    // over the ~1 k-Gaussian map a MonoGS session holds after its first
+    // keyframe — a SLAM map's splats are far larger than the reference
+    // scene's (~170 per tile, ~560 k fragments inspected per pass), so this
+    // is a ~2.5 ms iteration against the ~140 µs one above.
+    let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), 2);
+    let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(2);
+    cfg.tracking.iterations = 4;
+    cfg.mapping_iterations = 4;
+    let mut session = SlamPipeline::new(cfg, &ds);
+    session.run();
+    let scene = session.scene().flatten().0;
+    let w2c = ds.poses_c2w[1].inverse();
+    group.bench_function("forward_session_size", |b| {
+        b.iter(|| arena.forward(&scene, &w2c, &ds.camera, None, &Serial).stats)
+    });
+    arena.render_fused(&ds.camera, &Serial);
+    arena.compute_loss(
+        &ds.frames[0].color,
+        ds.frames[0].depth.as_ref(),
+        &LossConfig::default(),
+    );
+    group.bench_function("backward_session_size", |b| {
+        b.iter(|| {
+            arena.backward_fused(&scene, &ds.camera, &w2c, &Serial);
+            arena.backward().pose
+        })
+    });
     group.finish();
 }
 

@@ -8,14 +8,14 @@
 //! [`FrameArena`] keeps all of that storage alive across iterations and
 //! frames: every stage writes into arena-owned buffers through the
 //! `*_into` kernels (`clear()` + `resize()` reuse, capacities never
-//! shrink), per-chunk gather scratch comes from a shared
-//! [`rtgs_runtime::ScratchPool`], and the tile pass uses the CSR + radix
-//! layout of [`crate::TileAssignment`]. After a short warm-up (the first
-//! iteration or two at a new high-water mark), a steady-state iteration
-//! performs **zero heap allocations** — asserted by the counting-allocator
-//! regression test in `tests/zero_alloc.rs` — while producing output
-//! bitwise-identical to a fresh arena's (property-tested in
-//! `tests/equivalence.rs`).
+//! shrink), per-chunk tile scratch (gathered splats, cut boxes, lane
+//! staging) comes from a shared [`rtgs_runtime::ScratchPool`], and the tile
+//! pass uses the CSR + radix layout of [`crate::TileAssignment`]. After a
+//! short warm-up (the first iteration or two at a new high-water mark), a
+//! steady-state iteration performs **zero heap allocations** — asserted by
+//! the counting-allocator regression test in `tests/zero_alloc.rs` — while
+//! producing output bitwise-identical to a fresh arena's (property-tested
+//! in `tests/equivalence.rs`).
 //!
 //! Ownership model: one arena per SLAM session (owned by
 //! `rtgs_slam::SlamPipeline` alongside the optimizer state and threaded
@@ -63,7 +63,8 @@ pub struct FrameArena {
     loss_scratch: Vec<(usize, f32, f32)>,
     /// Backward output (per-Gaussian gradients + pose tangent).
     pub(crate) backward: BackwardOutput,
-    /// Backward workspace; its gather pool is shared with the forward pass.
+    /// Backward workspace; its tile-scratch pool is shared with the forward
+    /// pass.
     pub(crate) backward_scratch: BackwardScratch,
 }
 
@@ -400,7 +401,12 @@ impl FrameArena {
             + (self.loss.pixel_grads.depth.capacity()
                 + self.loss.pixel_grads.transmittance.capacity())
                 * size_of::<f32>();
-        visible + tiles + forward + fragments + grads
+        // Between stages every per-chunk scratch is back in the pool.
+        let scratch = self
+            .backward_scratch
+            .pool
+            .sum_idle(crate::forward::TileScratch::capacity_bytes);
+        visible + tiles + forward + fragments + grads + scratch
     }
 }
 

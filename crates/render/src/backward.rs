@@ -24,8 +24,8 @@
 
 use crate::camera::PinholeCamera;
 use crate::forward::{
-    fragment_alpha_fast, gather_tile, pixel_center, FragmentCache, TileSplat, ALPHA_MAX,
-    TERMINATION_THRESHOLD,
+    fragment_alpha_fast, gather_tile, pixel_center, FragmentCache, TileFragments, TileScratch,
+    TileSplat, ALPHA_MAX, TERMINATION_THRESHOLD,
 };
 use crate::gaussian::{GaussianGrad, GaussianScene};
 use crate::project::{jacobian_with_clamp, Projected2d, Projection};
@@ -106,8 +106,8 @@ impl BackwardOutput {
 /// Workspace of [`backward_into`]: per-tile Step-❹ partials
 /// (inner accumulator vectors keep their capacities across frames), the
 /// per-Gaussian 2D-gradient fold buffer, per-chunk pose partials and the
-/// shared gather-scratch pool. One workspace reused across iterations makes
-/// the steady-state backward pass allocation-free (the
+/// shared per-chunk tile-scratch pool. One workspace reused across
+/// iterations makes the steady-state backward pass allocation-free (the
 /// [`crate::FrameArena`] owns one).
 #[derive(Default)]
 pub(crate) struct BackwardScratch {
@@ -117,9 +117,9 @@ pub(crate) struct BackwardScratch {
     accum: Vec<Accum2d>,
     /// Per-chunk (pose tangent, touched count) partials of Step ❺.
     pose_partials: Vec<([f32; 6], usize)>,
-    /// Pool of gathered tile working sets (shared with the forward pass
-    /// when owned by a [`crate::FrameArena`]).
-    pub(crate) pool: ScratchPool<TileSplat>,
+    /// Pool of per-chunk tile scratch (shared with the forward pass when
+    /// owned by a [`crate::FrameArena`]).
+    pub(crate) pool: ScratchPool<TileScratch>,
 }
 
 /// Per-Gaussian accumulator of 2D (image-plane) gradients — the data the
@@ -234,7 +234,8 @@ pub(crate) fn backward_into(
         backend.for_each_chunk(tile_count, BP_TILE_CHUNK, &|_, range| {
             // Per-chunk scratch from the shared pool, reused across the
             // chunk's tiles (and across iterations in the arena path).
-            let mut gathered: Vec<TileSplat> = pool.take();
+            let mut scratch = pool.take();
+            let gathered = &mut scratch.gathered;
             for tile in range {
                 // SAFETY: one partial slot per tile.
                 let partial = unsafe { partial_view.get_mut(tile) };
@@ -246,7 +247,7 @@ pub(crate) fn backward_into(
                         camera,
                         pixel_grads,
                         &cache.tiles[tile],
-                        &mut gathered,
+                        gathered,
                         partial,
                     ),
                     None => backward_tile(
@@ -255,12 +256,12 @@ pub(crate) fn backward_into(
                         tiles,
                         camera,
                         pixel_grads,
-                        &mut gathered,
+                        gathered,
                         partial,
                     ),
                 }
             }
-            pool.put(gathered);
+            pool.put(scratch);
         });
     }
 
@@ -422,7 +423,10 @@ fn backward_tile(
 }
 
 /// Step ❹ for one tile (fused variant): consumes the fragment records the
-/// fused forward pass cached — no re-walk, no alpha recomputation.
+/// fused forward pass cached — no re-walk, no alpha recomputation. The
+/// cache is indexed subtile-major ([`TileFragments::pixel_index`]), but
+/// pixels are *visited* row-major within the tile: that order is the
+/// summation order of the per-Gaussian partials.
 #[allow(clippy::too_many_arguments)]
 fn backward_tile_fused(
     tile: usize,
@@ -430,7 +434,7 @@ fn backward_tile_fused(
     tiles: &TileAssignment,
     camera: &PinholeCamera,
     pixel_grads: &PixelGrads,
-    cached: &crate::forward::TileFragments,
+    cached: &TileFragments,
     gathered: &mut Vec<TileSplat>,
     partial: &mut TilePartial,
 ) {
@@ -459,8 +463,7 @@ fn backward_tile_fused(
                 partial.accum.resize(list.len(), Accum2d::default());
             }
             let p = pixel_center(x, y);
-            let pi = (y - y0) * (x1 - x0) + (x - x0);
-            let frags = cached.pixel_fragments(pi);
+            let frags = cached.pixel_fragments(TileFragments::pixel_index(x - x0, y - y0));
             // The final transmittance is one multiply past the last cached
             // fragment — exactly the forward pass's last update of `t`.
             let t_final = frags

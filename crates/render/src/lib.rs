@@ -13,8 +13,10 @@
 //!    depth key, stored as flat CSR tile lists ([`TileAssignment`]).
 //! 3. **Rendering** ([`FrameArena::render_fused`]) — per-pixel alpha
 //!    computing and blending with early ray termination (Eqs. 2–3),
-//!    streaming a per-tile gathered working set and recording every pixel's
-//!    fragment sequence for step 4. [`FrameArena::render`] is the
+//!    streaming a per-tile gathered working set through the tile's 4×4
+//!    subtiles (16 pixel lanes, splat-outer, behind a conservative
+//!    per-subtile cull) and recording every pixel's fragment sequence for
+//!    step 4. [`FrameArena::render`] is the
 //!    forward-only spelling for evaluation renders.
 //! 4. **Rendering BP** ([`FrameArena::backward_fused`] /
 //!    [`FrameArena::backward_visible_fused`]) — loss gradients

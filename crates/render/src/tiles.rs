@@ -5,7 +5,12 @@
 //! (paper Sec. 5.1). Each tile holds a depth-sorted list of the splats that
 //! overlap it, referenced by SoA *slot* (dense index into
 //! [`crate::ProjectedSoA`]) so the render kernels never touch the sparse
-//! per-Gaussian index space on the hot path.
+//! per-Gaussian index space on the hot path. The subtile is the unit of
+//! work of the forward kernel (`forward.rs`): a tile's list is streamed
+//! through each of its [`SUBTILES_PER_TILE`] subtiles, whose
+//! `SUBTILE_SIZE²` pixels are the kernel's lanes — the same lane count the
+//! `rtgs-accel` WSU model pairs ([`crate::WorkloadTrace::subtile_workloads`]),
+//! so software and hardware model share these constants.
 //!
 //! Tile lists are stored in **CSR layout**: one flat [`TileAssignment::entries`]
 //! array plus per-tile [`TileAssignment::offsets`] — no per-tile `Vec`s, so a

@@ -55,6 +55,16 @@ fn test_scene(n: usize) -> GaussianScene {
         .collect()
 }
 
+/// The cameras both gates run at: whole 4×4 subtiles, and the 75×42 frame
+/// of a benchmark session (partial edge tiles and subtiles, so the lane
+/// staging and the out-of-image offset padding are on the measured path).
+fn cameras() -> [PinholeCamera; 2] {
+    [
+        PinholeCamera::from_fov(64, 48, 1.2),
+        PinholeCamera::from_fov(75, 42, 1.2),
+    ]
+}
+
 /// One steady-state tracking-style iteration, entirely on arena storage.
 fn iteration(
     arena: &mut FrameArena,
@@ -76,22 +86,9 @@ fn iteration(
 
 #[test]
 fn steady_state_iteration_performs_zero_allocations() {
-    let camera = PinholeCamera::from_fov(64, 48, 1.2);
     let map = ShardedScene::from_scene(&test_scene(180), 1.0);
     let mask = vec![true; map.capacity()];
     let cfg = LossConfig::default();
-    // Ground truth: the scene rendered from a slightly shifted pose, so the
-    // loss and its gradients are dense and non-trivial.
-    let gt = FrameArena::new()
-        .forward(
-            &map.flatten().0,
-            &Se3::from_translation(Vec3::new(0.02, -0.01, 0.0)),
-            &camera,
-            None,
-            &Serial,
-        )
-        .image
-        .clone();
     // Two alternating poses: warm-up establishes the high-water capacity of
     // every buffer for both, as a real tracking loop's moving pose does.
     let pose_a = Se3::IDENTITY;
@@ -106,10 +103,66 @@ fn steady_state_iteration_performs_zero_allocations() {
     rtgs_telemetry::warm_journal();
     let iter_hist = rtgs_telemetry::global().histogram("render.zero_alloc.iter_ns");
 
+    for camera in cameras() {
+        steady_state_at(&camera, &map, &mask, &cfg, [&pose_a, &pose_b], &iter_hist);
+    }
+    rtgs_telemetry::set_tracing_enabled(false);
+    rtgs_telemetry::set_journal_enabled(false);
+    let measured = 6 * cameras().len();
+    assert_eq!(
+        iter_hist.count(),
+        measured as u64,
+        "every iteration must be recorded"
+    );
+    let journaled = rtgs_telemetry::journal_events()
+        .iter()
+        .filter(|e| e.kind == rtgs_telemetry::EventKind::ShedDegrade && e.value == 1)
+        .count();
+    assert!(
+        journaled >= measured,
+        "every iteration's journal event must land in the black-box ring"
+    );
+    let recorded: usize = rtgs_telemetry::collect_spans()
+        .iter()
+        .map(|(_, events)| {
+            events
+                .iter()
+                .filter(|e| e.name == "render.zero_alloc.iter")
+                .count()
+        })
+        .sum();
+    assert_eq!(
+        recorded, measured,
+        "every iteration span must be in the ring"
+    );
+}
+
+/// Warms a fresh arena up at `camera` and asserts that six further
+/// iterations, alternating between the two poses, allocate nothing.
+fn steady_state_at(
+    camera: &PinholeCamera,
+    map: &ShardedScene,
+    mask: &[bool],
+    cfg: &LossConfig,
+    [pose_a, pose_b]: [&Se3; 2],
+    iter_hist: &rtgs_telemetry::Histogram,
+) {
+    // Ground truth: the scene rendered from a slightly shifted pose, so the
+    // loss and its gradients are dense and non-trivial.
+    let gt = FrameArena::new()
+        .forward(
+            &map.flatten().0,
+            &Se3::from_translation(Vec3::new(0.02, -0.01, 0.0)),
+            camera,
+            None,
+            &Serial,
+        )
+        .image
+        .clone();
     let mut arena = FrameArena::new();
     let warm_start = alloc_counter::thread_allocations();
-    for w2c in [&pose_a, &pose_b, &pose_a, &pose_b] {
-        let loss = iteration(&mut arena, &map, &mask, w2c, &camera, &gt, &cfg);
+    for w2c in [pose_a, pose_b, pose_a, pose_b] {
+        let loss = iteration(&mut arena, map, mask, w2c, camera, &gt, cfg);
         assert!(loss.is_finite());
     }
     let warm_allocs = alloc_counter::thread_allocations() - warm_start;
@@ -130,14 +183,14 @@ fn steady_state_iteration_performs_zero_allocations() {
     // pose the arena did not run last — with a span and a histogram sample
     // recorded per iteration, as the instrumented pipeline does.
     let before = alloc_counter::thread_allocations();
-    for (i, w2c) in [&pose_a, &pose_b, &pose_a, &pose_b, &pose_a, &pose_b]
+    for (i, w2c) in [pose_a, pose_b, pose_a, pose_b, pose_a, pose_b]
         .into_iter()
         .enumerate()
     {
         let t0 = std::time::Instant::now();
         let trace = rtgs_telemetry::TraceCtx::fresh();
         let _span = rtgs_telemetry::SpanGuard::new("render.zero_alloc.iter", "stage", 0);
-        let loss = iteration(&mut arena, &map, &mask, w2c, &camera, &gt, &cfg);
+        let loss = iteration(&mut arena, map, mask, w2c, camera, &gt, cfg);
         let iter_ns = t0.elapsed().as_nanos() as u64;
         iter_hist.record(iter_ns);
         // The traced hot path's per-frame flight-recorder cost: one journal
@@ -161,61 +214,43 @@ fn steady_state_iteration_performs_zero_allocations() {
         assert!(loss.is_finite());
     }
     let steady_allocs = alloc_counter::thread_allocations() - before;
-    rtgs_telemetry::set_tracing_enabled(false);
-    rtgs_telemetry::set_journal_enabled(false);
     assert_eq!(
         steady_allocs, 0,
-        "steady-state iterations must not allocate (counted {steady_allocs} allocations \
-         over 6 iterations after warm-up, telemetry + journal + trace recording enabled)"
+        "steady-state iterations at {}×{} must not allocate (counted {steady_allocs} \
+         allocations over 6 iterations after warm-up, telemetry + journal + trace recording \
+         enabled)",
+        camera.width, camera.height
     );
-    assert_eq!(iter_hist.count(), 6, "every iteration must be recorded");
-    let journaled = rtgs_telemetry::journal_events()
-        .iter()
-        .filter(|e| e.kind == rtgs_telemetry::EventKind::ShedDegrade && e.value == 1)
-        .count();
-    assert!(
-        journaled >= 6,
-        "every iteration's journal event must land in the black-box ring"
-    );
-    let recorded: usize = rtgs_telemetry::collect_spans()
-        .iter()
-        .map(|(_, events)| {
-            events
-                .iter()
-                .filter(|e| e.name == "render.zero_alloc.iter")
-                .count()
-        })
-        .sum();
-    assert_eq!(recorded, 6, "every iteration span must be in the ring");
 }
 
 #[test]
 fn steady_state_unfused_render_backward_is_allocation_free() {
     // The unfused render and the re-walk reference driver share the arena
     // contract.
-    let camera = PinholeCamera::from_fov(48, 32, 1.2);
     let scene = test_scene(120);
     let w2c = Se3::IDENTITY;
-    let gt = Image::new(camera.width, camera.height);
     let cfg = LossConfig::default();
-
-    let mut arena = FrameArena::new();
-    // Warm-up. The pixel-grad clone is part of the *test setup*, not the
-    // measured pipeline — the rewalk entry point takes external gradients.
-    arena.forward(&scene, &w2c, &camera, None, &Serial);
-    arena.compute_loss(&gt, None, &cfg);
-    let grads = arena.loss().pixel_grads.clone();
-    backward_rewalk(&mut arena, &scene, &camera, &w2c, &grads, &Serial);
-
-    let before = alloc_counter::thread_allocations();
-    for _ in 0..3 {
+    for camera in [PinholeCamera::from_fov(48, 32, 1.2), cameras()[1]] {
+        let gt = Image::new(camera.width, camera.height);
+        let mut arena = FrameArena::new();
+        // Warm-up. The pixel-grad clone is part of the *test setup*, not the
+        // measured pipeline — the rewalk entry point takes external gradients.
         arena.forward(&scene, &w2c, &camera, None, &Serial);
         arena.compute_loss(&gt, None, &cfg);
+        let grads = arena.loss().pixel_grads.clone();
         backward_rewalk(&mut arena, &scene, &camera, &w2c, &grads, &Serial);
+
+        let before = alloc_counter::thread_allocations();
+        for _ in 0..3 {
+            arena.forward(&scene, &w2c, &camera, None, &Serial);
+            arena.compute_loss(&gt, None, &cfg);
+            backward_rewalk(&mut arena, &scene, &camera, &w2c, &grads, &Serial);
+        }
+        let steady_allocs = alloc_counter::thread_allocations() - before;
+        assert_eq!(
+            steady_allocs, 0,
+            "unfused steady-state iterations at {}×{} must not allocate",
+            camera.width, camera.height
+        );
     }
-    let steady_allocs = alloc_counter::thread_allocations() - before;
-    assert_eq!(
-        steady_allocs, 0,
-        "unfused steady-state iterations must not allocate"
-    );
 }

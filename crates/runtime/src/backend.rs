@@ -10,7 +10,7 @@
 use crate::pool::ThreadPool;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// An execution strategy for chunked data-parallel loops.
 pub trait Backend: Send + Sync {
@@ -167,18 +167,19 @@ pub fn exclusive_prefix_sum_into(counts: &[usize], offsets: &mut Vec<usize>) -> 
     total
 }
 
-/// A pool of reusable `Vec<T>` scratch buffers for chunked kernels.
+/// A pool of reusable scratch values for chunked kernels.
 ///
 /// Chunk bodies running on a [`Backend`] cannot own per-worker state (the
 /// body is a shared `Fn`), so kernels that need per-chunk scratch — e.g. the
-/// render kernel's gathered tile working set — [`ScratchPool::take`] a
-/// buffer at chunk entry and [`ScratchPool::put`] it back at exit. Buffers
-/// keep their capacity across uses, and the pool grows to at most the
-/// number of concurrently running chunks; after warm-up, steady-state
-/// take/put cycles perform no heap allocation.
+/// render kernels' gathered tile working set — [`ScratchPool::take`] a
+/// value at chunk entry and [`ScratchPool::put`] it back at exit. Values
+/// come back exactly as they were put (a `Vec` keeps its capacity *and*
+/// contents — users `clear()` what they refill), and the pool grows to at
+/// most the number of concurrently running chunks; after warm-up,
+/// steady-state take/put cycles perform no heap allocation.
 #[derive(Debug)]
 pub struct ScratchPool<T> {
-    buffers: Mutex<Vec<Vec<T>>>,
+    idle: Mutex<Vec<T>>,
 }
 
 impl<T> Default for ScratchPool<T> {
@@ -191,25 +192,37 @@ impl<T> ScratchPool<T> {
     /// An empty pool.
     pub fn new() -> Self {
         Self {
-            buffers: Mutex::new(Vec::new()),
+            idle: Mutex::new(Vec::new()),
         }
     }
 
-    /// Pops a pooled buffer (cleared, capacity retained) or returns a fresh
-    /// empty one when the pool is dry.
-    pub fn take(&self) -> Vec<T> {
-        self.buffers.lock().unwrap().pop().unwrap_or_default()
+    /// Pops a pooled value or returns a default one when the pool is dry.
+    pub fn take(&self) -> T
+    where
+        T: Default,
+    {
+        self.lock().pop().unwrap_or_default()
     }
 
-    /// Returns a buffer to the pool for reuse (contents cleared here).
-    pub fn put(&self, mut buffer: Vec<T>) {
-        buffer.clear();
-        self.buffers.lock().unwrap().push(buffer);
+    /// Returns a value to the pool for reuse.
+    pub fn put(&self, scratch: T) {
+        self.lock().push(scratch);
     }
 
-    /// Number of currently pooled (idle) buffers.
+    /// Number of currently pooled (idle) values.
     pub fn idle(&self) -> usize {
-        self.buffers.lock().unwrap().len()
+        self.lock().len()
+    }
+
+    /// Sums `f` over the idle values (capacity accounting).
+    pub fn sum_idle(&self, f: impl Fn(&T) -> usize) -> usize {
+        self.lock().iter().map(f).sum()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<T>> {
+        self.idle
+            .lock()
+            .expect("a chunk body panicked while holding the scratch pool")
     }
 }
 
@@ -391,14 +404,15 @@ mod tests {
 
     #[test]
     fn scratch_pool_recycles_buffers() {
-        let pool: ScratchPool<u32> = ScratchPool::new();
+        let pool: ScratchPool<Vec<u32>> = ScratchPool::new();
         let mut a = pool.take();
         a.extend(0..100);
         let cap = a.capacity();
         pool.put(a);
         assert_eq!(pool.idle(), 1);
+        assert_eq!(pool.sum_idle(Vec::capacity), cap);
         let b = pool.take();
-        assert!(b.is_empty(), "pooled buffers come back cleared");
+        assert_eq!(b.len(), 100, "pooled values come back as they were put");
         assert_eq!(b.capacity(), cap, "pooled buffers keep capacity");
         assert_eq!(pool.idle(), 0);
     }
