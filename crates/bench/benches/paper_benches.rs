@@ -106,7 +106,15 @@ fn bench_render_kernels(c: &mut Criterion) {
     group.bench_function("forward_session_size", |b| {
         b.iter(|| arena.forward(&scene, &w2c, &ds.camera, None, &Serial).stats)
     });
-    arena.render_fused(&ds.camera, &Serial);
+    // The recording pass — the one a session's tracking and mapping
+    // iterations run: the same blend plus the R&B records Step ❹ consumes
+    // (over the projection and tile lists the bench above left behind).
+    group.bench_function("forward_fused_session_size", |b| {
+        b.iter(|| {
+            arena.render_fused(&ds.camera, &Serial);
+            arena.output().stats
+        })
+    });
     arena.compute_loss(
         &ds.frames[0].color,
         ds.frames[0].depth.as_ref(),

@@ -16,12 +16,14 @@
 //! assert_eq!(p, Vec3::new(1.0, 0.0, 0.0));
 //! ```
 
+mod exp;
 mod mat;
 mod quat;
 mod se3;
 mod sym;
 mod vec;
 
+pub use exp::exp_nonpos;
 pub use mat::{Mat2, Mat3};
 pub use quat::Quat;
 pub use se3::Se3;

@@ -8,8 +8,8 @@
 //! [`FrameArena`] keeps all of that storage alive across iterations and
 //! frames: every stage writes into arena-owned buffers through the
 //! `*_into` kernels (`clear()` + `resize()` reuse, capacities never
-//! shrink), per-chunk tile scratch (gathered splats, cut boxes, lane
-//! staging) comes from a shared [`rtgs_runtime::ScratchPool`], and the tile
+//! shrink), per-chunk tile scratch (gathered splats, cut boxes, survivor
+//! list) comes from a shared [`rtgs_runtime::ScratchPool`], and the tile
 //! pass uses the CSR + radix layout of [`crate::TileAssignment`]. After a
 //! short warm-up (the first iteration or two at a new high-water mark), a
 //! steady-state iteration performs **zero heap allocations** — asserted by
@@ -185,7 +185,7 @@ impl FrameArena {
     /// [`Self::backward_fused`] panics until the next
     /// [`Self::render_fused`].
     pub fn render(&mut self, camera: &PinholeCamera, backend: &dyn Backend) {
-        self.fragments.tiles.clear();
+        self.fragments.invalidate();
         render_into::<false>(
             &self.projection,
             &self.tiles,
@@ -315,11 +315,11 @@ impl FrameArena {
 
     fn assert_fragments_fresh(&self) {
         assert!(
-            !self.fragments.tiles.is_empty() || self.tiles.tile_count() == 0,
+            !self.fragments.tiles().is_empty() || self.tiles.tile_count() == 0,
             "fragment cache is stale or missing (run render_fused first)"
         );
         assert_eq!(
-            self.fragments.tiles.len(),
+            self.fragments.tiles().len(),
             self.tiles.tile_count(),
             "fragment cache must cover the tile grid (run render_fused first)"
         );
@@ -387,15 +387,7 @@ impl FrameArena {
         // share the camera's pixel count.
         let pixels = self.output.final_transmittance.capacity();
         let forward = pixels * (size_of::<Vec3>() + 2 * size_of::<f32>() + size_of::<u32>());
-        let fragments = self
-            .fragments
-            .tiles
-            .iter()
-            .map(|t| {
-                t.frags.capacity() * size_of::<crate::forward::CachedFragment>()
-                    + t.offsets.capacity() * size_of::<u32>()
-            })
-            .sum::<usize>();
+        let fragments = self.fragments.capacity_bytes();
         let grads = self.backward.gaussians.capacity() * size_of::<GaussianGrad>()
             + self.loss.pixel_grads.color.capacity() * size_of::<Vec3>()
             + (self.loss.pixel_grads.depth.capacity()

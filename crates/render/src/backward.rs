@@ -9,27 +9,46 @@
 //! Two Step-❹ drivers share all surrounding machinery:
 //!
 //! * The fused driver ([`crate::FrameArena::backward_fused`], production)
-//!   consumes the fragment records a fused forward pass
-//!   ([`crate::FrameArena::render_fused`]) cached — forward + backward share
-//!   one tile traversal.
+//!   consumes the R&B records a fused forward pass
+//!   ([`crate::FrameArena::render_fused`]) wrote — forward + backward share
+//!   one tile traversal. It is lane-wide like the forward kernel: per
+//!   subtile it walks the records back to front with the recursion's suffix
+//!   state held as 16 pixel lanes, evaluates the per-fragment expressions
+//!   four lanes (one record row) at a time on the rows that blended, and
+//!   merges a record's contributions into the splat's accumulator in one
+//!   read-modify-write (`merge_subtile`) — the GMU's job in the paper's
+//!   hardware.
 //! * The re-walk driver (`reference::backward_rewalk`, test oracle) mirrors
 //!   the reference CUDA rasterizer: each pixel's fragment list is re-walked
 //!   in forward order (recomputing alpha and transmittance from the SoA
 //!   splat arrays), then the reverse recursion of Eq. 4 runs with suffix
-//!   accumulators. Because the cache holds exactly the values the re-walk
-//!   recomputes, the gradients are bitwise-identical.
+//!   accumulators (`reverse_recursion`, the one scalar definition of the
+//!   per-fragment expressions; the lane kernel reproduces it and
+//!   `reference::backward_aos` mirrors it).
+//!
+//! **Summation order.** A Gaussian's accumulator receives one contribution
+//! per pixel it blended at, and floating-point sums depend on their order,
+//! so the order is part of the definition, on every path: within a tile,
+//! ascending [`TileFragments::pixel_index`] — subtile by subtile, lane by
+//! lane — which is the order the lane kernel produces naturally and the
+//! order in which both scalar oracles visit pixels
+//! ([`crate::forward::tile_pixels`]); across tiles, tile order (the fold in
+//! `backward_into`). Because the records hold exactly the values the
+//! re-walk recomputes and every path adds the same terms in the same order,
+//! the gradients are bitwise-identical.
 //!
 //! Analytic gradients are verified against central finite differences in
 //! `tests/grad_check.rs`.
 
 use crate::camera::PinholeCamera;
 use crate::forward::{
-    fragment_alpha_fast, gather_tile, pixel_center, FragmentCache, TileFragments, TileScratch,
-    TileSplat, ALPHA_MAX, TERMINATION_THRESHOLD,
+    fragment_alpha_fast, gather_tile, lane_mask, pixel_center, pixel_centers, select, tile_pixels,
+    FragmentCache, RecordRow, TileFragments, TileScratch, TileSplat, ALPHA_MAX, LANES, SUBTILES_X,
+    TERMINATION_THRESHOLD,
 };
 use crate::gaussian::{GaussianGrad, GaussianScene};
 use crate::project::{jacobian_with_clamp, Projected2d, Projection};
-use crate::tiles::TileAssignment;
+use crate::tiles::{TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE};
 use rtgs_math::{Mat3, Se3, Sym2, Sym3, Vec2, Vec3};
 use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
 
@@ -225,11 +244,15 @@ pub(crate) fn backward_into(
 
     // ---- Step ❹: Rendering BP -------------------------------------------
     let tile_count = tiles.tile_count();
-    // Resize (not clear) the per-tile partials: each tile's accumulator
-    // vector keeps its capacity and is reset inside the tile kernel.
-    ws.partials.resize_with(tile_count, TilePartial::default);
+    // The per-tile partials only ever grow in number: each tile's
+    // accumulator vector keeps its capacity — across a smaller grid too —
+    // and is reset inside the tile kernel.
+    if ws.partials.len() < tile_count {
+        ws.partials.resize_with(tile_count, TilePartial::default);
+    }
+    let partials = &mut ws.partials[..tile_count];
     {
-        let partial_view = SharedSlice::new(&mut ws.partials);
+        let partial_view = SharedSlice::new(&mut *partials);
         let pool = &ws.pool;
         backend.for_each_chunk(tile_count, BP_TILE_CHUNK, &|_, range| {
             // Per-chunk scratch from the shared pool, reused across the
@@ -246,7 +269,7 @@ pub(crate) fn backward_into(
                         tiles,
                         camera,
                         pixel_grads,
-                        &cache.tiles[tile],
+                        &cache.tiles()[tile],
                         gathered,
                         partial,
                     ),
@@ -271,7 +294,7 @@ pub(crate) fn backward_into(
     ws.accum.clear();
     ws.accum.resize(scene.len(), Accum2d::default());
     let accum = &mut ws.accum;
-    for (tile, partial) in ws.partials.iter().enumerate() {
+    for (tile, partial) in partials.iter().enumerate() {
         stats.fragment_grad_events += partial.events;
         if partial.accum.is_empty() {
             continue;
@@ -288,7 +311,7 @@ pub(crate) fn backward_into(
     let t_phase2 = std::time::Instant::now();
 
     // ---- Step ❺: Preprocessing BP ----------------------------------------
-    let rot_w2c = w2c.rotation_matrix();
+    let frame = PoseFrame::of(w2c);
     out.gaussians.clear();
     out.gaussians.resize(scene.len(), GaussianGrad::default());
     let chunks = scene.len().div_ceil(BP_GAUSS_CHUNK).max(1);
@@ -320,7 +343,7 @@ pub(crate) fn backward_into(
                     &splat,
                     a,
                     camera,
-                    &rot_w2c,
+                    &frame,
                     out,
                     &mut pose,
                 );
@@ -363,70 +386,65 @@ fn backward_tile(
         return;
     }
     gather_tile(&projection.soa, list, gathered);
-    let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);
-    let (x0, y0, x1, y1) = tiles.tile_pixel_rect(tx, ty, camera);
+    let rect = tiles.tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
     let mut touched = false;
 
-    for y in y0..y1 {
-        for x in x0..x1 {
-            let idx = y * camera.width + x;
-            let g_color = pixel_grads.color[idx];
-            let g_depth = pixel_grads.depth[idx];
-            let g_trans = pixel_grads.transmittance[idx];
-            if g_color == Vec3::ZERO && g_depth == 0.0 && g_trans == 0.0 {
-                continue;
-            }
-            if !touched {
-                touched = true;
-                partial.accum.resize(list.len(), Accum2d::default());
-            }
-            let p = pixel_center(x, y);
-
-            // Re-walk forward to reconstruct the fragment sequence.
-            partial.rewalk.clear();
-            let mut t = 1.0f32;
-            for (pos, s) in gathered.iter().enumerate() {
-                let Some((alpha, weight)) = fragment_alpha_fast(s, p) else {
-                    continue;
-                };
-                partial.rewalk.push(FragmentRecord {
-                    list_pos: pos,
-                    alpha,
-                    weight,
-                    t_before: t,
-                });
-                t *= 1.0 - alpha;
-                if t < TERMINATION_THRESHOLD {
-                    break;
-                }
-            }
-
-            // `t` now holds the pixel's final transmittance. The rewalk
-            // records are moved out of the partial for the recursion's
-            // split borrow and swapped back after (both are O(1)).
-            let records = std::mem::take(&mut partial.rewalk);
-            reverse_recursion(
-                gathered,
-                partial,
-                p,
-                t,
-                g_color,
-                g_depth,
-                g_trans,
-                records
-                    .iter()
-                    .map(|f| (f.list_pos, f.alpha, f.weight, f.t_before)),
-            );
-            partial.rewalk = records;
+    for (x, y) in tile_pixels(rect) {
+        let idx = y * camera.width + x;
+        let g_color = pixel_grads.color[idx];
+        let g_depth = pixel_grads.depth[idx];
+        let g_trans = pixel_grads.transmittance[idx];
+        if g_color == Vec3::ZERO && g_depth == 0.0 && g_trans == 0.0 {
+            continue;
         }
+        if !touched {
+            touched = true;
+            partial.accum.resize(list.len(), Accum2d::default());
+        }
+        let p = pixel_center(x, y);
+
+        // Re-walk forward to reconstruct the fragment sequence.
+        partial.rewalk.clear();
+        let mut t = 1.0f32;
+        for (pos, s) in gathered.iter().enumerate() {
+            let Some((alpha, weight)) = fragment_alpha_fast(s, p) else {
+                continue;
+            };
+            partial.rewalk.push(FragmentRecord {
+                list_pos: pos,
+                alpha,
+                weight,
+                t_before: t,
+            });
+            t *= 1.0 - alpha;
+            if t < TERMINATION_THRESHOLD {
+                break;
+            }
+        }
+
+        // `t` now holds the pixel's final transmittance. The rewalk
+        // records are moved out of the partial for the recursion's
+        // split borrow and swapped back after (both are O(1)).
+        let records = std::mem::take(&mut partial.rewalk);
+        reverse_recursion(
+            gathered,
+            partial,
+            p,
+            t,
+            g_color,
+            g_depth,
+            g_trans,
+            records
+                .iter()
+                .map(|f| (f.list_pos, f.alpha, f.weight, f.t_before)),
+        );
+        partial.rewalk = records;
     }
 }
 
-/// Step ❹ for one tile (fused variant): consumes the fragment records the
-/// fused forward pass cached — no re-walk, no alpha recomputation. The
-/// cache is indexed subtile-major ([`TileFragments::pixel_index`]), but
-/// pixels are *visited* row-major within the tile: that order is the
-/// summation order of the per-Gaussian partials.
+/// Step ❹ for one tile (fused variant): consumes the R&B records the fused
+/// forward pass wrote — no re-walk, no alpha recomputation — one subtile at
+/// a time, 16 pixel lanes wide (`merge_subtile`).
 #[allow(clippy::too_many_arguments)]
 fn backward_tile_fused(
     tile: usize,
@@ -445,44 +463,220 @@ fn backward_tile_fused(
         return;
     }
     gather_tile(&projection.soa, list, gathered);
-    let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);
-    let (x0, y0, x1, y1) = tiles.tile_pixel_rect(tx, ty, camera);
-    let mut touched = false;
+    let (x0, y0, x1, y1) =
+        tiles.tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
 
-    for y in y0..y1 {
-        for x in x0..x1 {
-            let idx = y * camera.width + x;
-            let g_color = pixel_grads.color[idx];
-            let g_depth = pixel_grads.depth[idx];
-            let g_trans = pixel_grads.transmittance[idx];
-            if g_color == Vec3::ZERO && g_depth == 0.0 && g_trans == 0.0 {
+    for subtile in 0..SUBTILES_PER_TILE {
+        // Nothing blended here (which includes every subtile outside the
+        // image): no fragment, no gradient.
+        if cached.subtile(subtile).is_empty() {
+            continue;
+        }
+        let sx0 = x0 + (subtile % SUBTILES_X) * SUBTILE_SIZE;
+        let sy0 = y0 + (subtile / SUBTILES_X) * SUBTILE_SIZE;
+        // Upstream gradients per lane. A pixel with none (and a lane
+        // outside the image) is skipped, as the scalar walk skips it.
+        let mut upstream = LaneGrads::default();
+        for dy in 0..(y1 - sy0).min(SUBTILE_SIZE) {
+            for dx in 0..(x1 - sx0).min(SUBTILE_SIZE) {
+                let l = dy * SUBTILE_SIZE + dx;
+                let idx = (sy0 + dy) * camera.width + sx0 + dx;
+                let g_color = pixel_grads.color[idx];
+                let g_depth = pixel_grads.depth[idx];
+                let g_trans = pixel_grads.transmittance[idx];
+                if g_color == Vec3::ZERO && g_depth == 0.0 && g_trans == 0.0 {
+                    continue;
+                }
+                upstream.live |= 1 << l;
+                upstream.color[0][l] = g_color.x;
+                upstream.color[1][l] = g_color.y;
+                upstream.color[2][l] = g_color.z;
+                upstream.depth[l] = g_depth;
+                upstream.trans[l] = g_trans;
+            }
+        }
+        if upstream.live == 0 {
+            continue;
+        }
+        if partial.accum.is_empty() {
+            partial.accum.resize(list.len(), Accum2d::default());
+        }
+        merge_subtile(gathered, partial, cached, subtile, (sx0, sy0), &upstream);
+    }
+}
+
+/// Upstream gradients of one subtile's 16 pixels, one lane each.
+#[derive(Default)]
+struct LaneGrads {
+    /// `dL/dC`, one array per channel.
+    color: [[f32; LANES]; 3],
+    /// `dL/dD`.
+    depth: [f32; LANES],
+    /// `dL/dT_final`.
+    trans: [f32; LANES],
+    /// Bit `l` set when lane `l` carries any gradient.
+    live: u32,
+}
+
+/// Step ❹ for one subtile: walks its R&B records back to front with the
+/// reverse recursion's suffix state held as 16 lanes, and merges each
+/// record's per-pixel contributions into that splat's accumulator — the
+/// software analog of the paper's GMU, which merges the gradients of one
+/// Gaussian across a subtile's pixels before they reach the accumulators:
+/// one read-modify-write per (subtile, splat), not one per fragment.
+///
+/// Per pixel this is [`reverse_recursion`]'s floating-point program,
+/// expression for expression, evaluated four lanes (one record row) at a
+/// time on the rows that blended. A record's contributions are added in
+/// ascending lane order; lanes the record did not blend, lanes without
+/// upstream gradient and — for the opacity, mean and conic terms — lanes at
+/// the [`ALPHA_MAX`] cap add `+0.0`, which leaves an accumulator that
+/// started at `+0.0` unchanged bit for bit (such an accumulator is never
+/// `−0.0`: a sum is `−0.0` only when both operands are). Subtiles are
+/// visited in order, so a Gaussian's contributions arrive in ascending
+/// [`TileFragments::pixel_index`] order — the order the scalar oracles
+/// visit pixels in.
+#[allow(clippy::needless_range_loop)] // lane loops index parallel arrays
+fn merge_subtile(
+    gathered: &[TileSplat],
+    partial: &mut TilePartial,
+    cached: &TileFragments,
+    subtile: usize,
+    (x0, y0): (usize, usize),
+    upstream: &LaneGrads,
+) {
+    let (px, py) = (pixel_centers(x0), pixel_centers(y0));
+    let t_final = &cached.final_t[subtile];
+    let mut suffix = LaneSuffix {
+        color: [[0.0; LANES]; 3],
+        depth: [0.0; LANES],
+    };
+    for head in cached.subtile(subtile).iter().rev() {
+        let hit = head.mask as u32 & upstream.live;
+        if hit == 0 {
+            continue;
+        }
+        let pos = head.list_pos as usize;
+        let s = &gathered[pos];
+        let mut acc = partial.accum[pos];
+        acc.hit = true;
+        partial.events += hit.count_ones() as u64;
+        // The record's rows: one per subtile row it blended in.
+        let mut row = head.first_row as usize;
+        for r in 0..SUBTILE_SIZE {
+            if head.row_mask(r) == 0 {
                 continue;
             }
-            if !touched {
-                touched = true;
-                partial.accum.resize(list.len(), Accum2d::default());
+            let hit_row = (hit >> (r * SUBTILE_SIZE)) & ((1 << SUBTILE_SIZE) - 1);
+            if hit_row != 0 {
+                let at = (&px, py[r] - s.mean.y, r);
+                let record = &cached.rows[row];
+                merge_row(
+                    s,
+                    record,
+                    hit_row,
+                    at,
+                    upstream,
+                    t_final,
+                    &mut suffix,
+                    &mut acc,
+                );
             }
-            let p = pixel_center(x, y);
-            let frags = cached.pixel_fragments(TileFragments::pixel_index(x - x0, y - y0));
-            // The final transmittance is one multiply past the last cached
-            // fragment — exactly the forward pass's last update of `t`.
-            let t_final = frags
-                .last()
-                .map(|f| f.t_before * (1.0 - f.alpha))
-                .unwrap_or(1.0);
-            reverse_recursion(
-                gathered,
-                partial,
-                p,
-                t_final,
-                g_color,
-                g_depth,
-                g_trans,
-                frags
-                    .iter()
-                    .map(|f| (f.list_pos as usize, f.alpha, f.weight, f.t_before)),
-            );
+            row += 1;
         }
+        partial.accum[pos] = acc;
+    }
+}
+
+/// The suffix accumulators of [`reverse_recursion`], one lane per pixel of a
+/// subtile.
+struct LaneSuffix {
+    color: [[f32; LANES]; 3],
+    depth: [f32; LANES],
+}
+
+/// One record row of [`merge_subtile`] — the four pixels of subtile row `r`
+/// that splat `s` blended at, of which the lanes in `hit_row` carry upstream
+/// gradient. `px` holds the columns' pixel-centre coordinates and `dy` the
+/// row's offset from the splat's mean.
+///
+/// (The lane arrays arrive as separate reference parameters on purpose:
+/// behind fields of one struct the compiler can no longer tell the suffix
+/// stores from the gradient loads and gives up on vectorising — Step ❹
+/// then takes 2.4× as long.)
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)] // lane loops index parallel arrays
+#[inline(always)]
+fn merge_row(
+    s: &TileSplat,
+    row: &RecordRow,
+    hit_row: u32,
+    (px, dy, r): (&[f32; SUBTILE_SIZE], f32, usize),
+    upstream: &LaneGrads,
+    t_final: &[f32; LANES],
+    suffix: &mut LaneSuffix,
+    acc: &mut Accum2d,
+) {
+    const N: usize = SUBTILE_SIZE;
+    let splat_color = [s.color.x, s.color.y, s.color.z];
+    // The ten contributions of each lane, zero where the lane adds
+    // nothing.
+    let mut d_color = [[0.0f32; N]; 3];
+    let mut d_depth = [0.0f32; N];
+    let mut d_opacity = [0.0f32; N];
+    let mut d_mean = [[0.0f32; N]; 2];
+    let mut d_conic = [[0.0f32; N]; 3];
+    for c in 0..N {
+        let l = r * N + c;
+        let hit = lane_mask(hit_row & (1 << c) != 0);
+        let (alpha, weight, t_k) = (row.alpha[c], row.weight[c], row.t_before[c]);
+        let w = t_k * alpha;
+        let one_minus = 1.0 - alpha;
+
+        // `g_color.dot(dc_dalpha)`, from the `0.0` `Vec3::dot` starts at.
+        let mut dl_dalpha = 0.0f32;
+        for ch in 0..3 {
+            let dc_dalpha = splat_color[ch] * t_k - suffix.color[ch][l] / one_minus;
+            dl_dalpha += upstream.color[ch][l] * dc_dalpha;
+        }
+        let dd_dalpha = s.depth * t_k - suffix.depth[l] / one_minus;
+        let dt_dalpha = -t_final[l] / one_minus;
+        let dl_dalpha = dl_dalpha + upstream.depth[l] * dd_dalpha + upstream.trans[l] * dt_dalpha;
+
+        for ch in 0..3 {
+            d_color[ch][c] = select(hit, upstream.color[ch][l] * w, 0.0);
+        }
+        d_depth[c] = select(hit, upstream.depth[l] * w, 0.0);
+
+        // Alpha clamping zeroes the parameter gradient at the cap.
+        let uncapped = hit & lane_mask(alpha < ALPHA_MAX);
+        d_opacity[c] = select(uncapped, dl_dalpha * weight, 0.0);
+        let dl_dq = -0.5 * dl_dalpha * s.opacity * weight;
+        let dx = px[c] - s.mean.x;
+        let conic_delta = (
+            s.conic.xx * dx + s.conic.xy * dy,
+            s.conic.xy * dx + s.conic.yy * dy,
+        );
+        let k = -2.0 * dl_dq;
+        d_mean[0][c] = select(uncapped, conic_delta.0 * k, 0.0);
+        d_mean[1][c] = select(uncapped, conic_delta.1 * k, 0.0);
+        d_conic[0][c] = select(uncapped, dx * dx * dl_dq, 0.0);
+        d_conic[1][c] = select(uncapped, dx * dy * dl_dq, 0.0);
+        d_conic[2][c] = select(uncapped, dy * dy * dl_dq, 0.0);
+
+        // Outside `hit` the suffix terms are replaced by `+0.0`, which a
+        // sum that started at `+0.0` absorbs unchanged.
+        for ch in 0..3 {
+            suffix.color[ch][l] += select(hit, splat_color[ch] * w, 0.0);
+        }
+        suffix.depth[l] += select(hit, s.depth * w, 0.0);
+    }
+    // The merge: ascending lane order.
+    for c in 0..N {
+        acc.color += Vec3::new(d_color[0][c], d_color[1][c], d_color[2][c]);
+        acc.depth += d_depth[c];
+        acc.opacity += d_opacity[c];
+        acc.mean += Vec2::new(d_mean[0][c], d_mean[1][c]);
+        acc.conic = acc.conic + Sym2::new(d_conic[0][c], d_conic[1][c], d_conic[2][c]);
     }
 }
 
@@ -538,6 +732,26 @@ fn reverse_recursion<I>(
     }
 }
 
+/// What Step ❺ needs of the world-to-camera pose, computed once per pass.
+pub(crate) struct PoseFrame {
+    /// The pose's rotation `W`.
+    rot_w2c: Mat3,
+    /// `d(exp(φ̂)·W)/dφ_axis` at `φ = 0`: the generators `ê_axis·W` of the
+    /// left retraction, one per rotation axis.
+    generators: [Mat3; 3],
+}
+
+impl PoseFrame {
+    pub(crate) fn of(w2c: &Se3) -> Self {
+        let rot_w2c = w2c.rotation_matrix();
+        let generators = [Vec3::X, Vec3::Y, Vec3::Z].map(|e| Mat3::skew(e) * rot_w2c);
+        Self {
+            rot_w2c,
+            generators,
+        }
+    }
+}
+
 /// Step ❺ for one Gaussian: chains the aggregated 2D gradients to the 3D
 /// parameters and accumulates the camera-pose tangent contribution.
 #[allow(clippy::too_many_arguments)]
@@ -546,11 +760,11 @@ pub(crate) fn preprocess_one(
     splat: &Projected2d,
     a: &Accum2d,
     camera: &PinholeCamera,
-    rot_w2c: &Mat3,
+    frame: &PoseFrame,
     out: &mut GaussianGrad,
     pose: &mut [f32; 6],
 ) {
-    let rot_w2c = *rot_w2c;
+    let rot_w2c = frame.rot_w2c;
     let t_cam = splat.t_cam;
 
     // conic = cov⁻¹  ⇒  dL/dcov = -conic · dL/dconic · conic.
@@ -626,10 +840,7 @@ pub(crate) fn preprocess_one(
     pose[3] += torque.x;
     pose[4] += torque.y;
     pose[5] += torque.z;
-    for axis in 0..3 {
-        let mut e = Vec3::ZERO;
-        e[axis] = 1.0;
-        let dw = Mat3::skew(e) * rot_w2c;
+    for (axis, dw) in frame.generators.iter().enumerate() {
         let mut contrib = 0.0;
         for r_ in 0..3 {
             for c_ in 0..3 {
@@ -870,5 +1081,128 @@ mod tests {
             rewalk.stats.gaussians_touched,
             fused_out.stats.gaussians_touched
         );
+    }
+
+    /// Every float of a gradient as its bit pattern: NaNs must compare too.
+    fn grad_bits(g: &GaussianGrad) -> [u32; 15] {
+        let (p, s, c, [rw, rx, ry, rz]) = (g.position, g.log_scale, g.color, g.rotation);
+        let floats = [
+            p.x,
+            p.y,
+            p.z,
+            s.x,
+            s.y,
+            s.z,
+            rw,
+            rx,
+            ry,
+            rz,
+            g.opacity,
+            c.x,
+            c.y,
+            c.z,
+            g.cov_frobenius,
+        ];
+        floats.map(f32::to_bits)
+    }
+
+    /// A splat whose conic is NaN has `q = NaN` at every pixel: no range
+    /// test rejects it, its weight is NaN and its alpha the `ALPHA_MAX` cap
+    /// (`min` of a NaN product). It blends over its whole tile, its color
+    /// and depth gradients flow, its NaN weight must never reach an
+    /// accumulator — and the lane kernels, the scalar re-walk and the AoS
+    /// oracle must agree on all of it bit for bit, NaN gradients of the
+    /// poisoned Gaussian itself included.
+    #[test]
+    fn nan_conic_splat_matches_the_oracles_bitwise() {
+        use crate::reference::{backward_aos, build_tiles_aos, project_scene_aos, render_aos};
+        let scene = GaussianScene::from_gaussians(vec![
+            one_gaussian_scene().gaussians[0],
+            Gaussian3d::from_activated(
+                Vec3::new(0.3, -0.2, 3.0),
+                Vec3::splat(0.8),
+                Quat::IDENTITY,
+                0.8,
+                Vec3::new(0.1, 0.9, 0.4),
+            ),
+            Gaussian3d::from_activated(
+                Vec3::new(-0.1, 0.1, 2.5),
+                Vec3::splat(0.3),
+                Quat::IDENTITY,
+                0.5,
+                Vec3::new(0.7, 0.2, 0.6),
+            ),
+        ]);
+        // Partial edge tiles and subtiles.
+        let cam = PinholeCamera::from_fov(27, 21, 1.2);
+        let poisoned = 2usize;
+        let nan_conic = Sym2::new(f32::NAN, f32::NAN, f32::NAN);
+
+        let mut aos = project_scene_aos(&scene, &Se3::IDENTITY, &cam, None);
+        aos.splats[poisoned].as_mut().expect("visible").conic = nan_conic;
+        let aos_tiles = build_tiles_aos(&aos, &cam);
+        let want = render_aos(&aos, &aos_tiles, &cam);
+
+        let mut arena = FrameArena::new();
+        arena.project(&scene, &Se3::IDENTITY, &cam, None, &Serial);
+        let slot = arena.projection.soa.slot(poisoned).expect("visible");
+        arena.projection.soa.conics[slot] = nan_conic;
+        arena.assign_tiles(&cam, &Serial);
+        arena.render_fused(&cam, &Serial);
+        let got = arena.output();
+        assert_eq!(got.image, want.image);
+        assert_eq!(got.depth, want.depth);
+        assert_eq!(got.final_transmittance, want.final_transmittance);
+        assert_eq!(got.pixel_workloads, want.pixel_workloads);
+        assert_eq!(got.stats, want.stats);
+        // The poisoned splat covers its whole tile at the cap.
+        let capped = want
+            .final_transmittance
+            .iter()
+            .filter(|&&t| t <= 1.0 - ALPHA_MAX)
+            .count();
+        assert!(capped >= 16 * 16, "{capped} pixels under the NaN splat");
+
+        let mut grads = PixelGrads::zeros(cam.width, cam.height);
+        for (i, g) in grads.color.iter_mut().enumerate() {
+            *g = Vec3::new(1.0, -0.5, 0.25) * ((i % 7) as f32 - 3.0);
+        }
+        for (i, g) in grads.depth.iter_mut().enumerate() {
+            *g = ((i % 5) as f32 - 2.0) * 0.1;
+        }
+        let oracle = backward_aos(&scene, &aos, &aos_tiles, &cam, &Se3::IDENTITY, &grads);
+        assert!(
+            grad_bits(&oracle.gaussians[poisoned])
+                .iter()
+                .any(|&b| f32::from_bits(b).is_nan()),
+            "a NaN conic poisons its own Step-❺ gradient"
+        );
+        assert!(oracle.gaussians[poisoned].color.is_finite());
+        assert!(oracle.gaussians[0].position.is_finite());
+        for fragments in [Some(arena.fragments()), None] {
+            let mut out = BackwardOutput::empty();
+            backward_into(
+                &scene,
+                arena.projection(),
+                arena.tiles(),
+                &cam,
+                &Se3::IDENTITY,
+                &grads,
+                fragments,
+                &Serial,
+                &mut BackwardScratch::default(),
+                &mut out,
+            );
+            let fused = fragments.is_some();
+            for (got, want) in out.gaussians.iter().zip(&oracle.gaussians) {
+                assert_eq!(grad_bits(got), grad_bits(want), "fused: {fused}");
+            }
+            assert_eq!(out.pose.map(f32::to_bits), oracle.pose.map(f32::to_bits));
+            assert_eq!(
+                out.stats.fragment_grad_events,
+                oracle.stats.fragment_grad_events
+            );
+            assert_eq!(out.stats.gaussians_touched, oracle.stats.gaussians_touched);
+        }
     }
 }

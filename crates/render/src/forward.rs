@@ -16,38 +16,48 @@
 //! 2. for a survivor, the quadratic form `q` is evaluated for all 16 lanes
 //!    in the scalar path's exact operation order (straight-line array code
 //!    the compiler vectorises) and reduced to a lane mask
-//!    `0 ≤ q ≤ q_cut ∧ alive`;
-//! 3. the scalar `exp → α → ALPHA_MIN test → blend → termination` program
-//!    runs on the set bits only.
+//!    `0 ≤ q ≤ q_cut ∧ alive`; a splat no lane admits ends here;
+//! 3. the tail runs lane-wide too: `G = exp(−q/2)`
+//!    ([`rtgs_math::exp_nonpos`], the one `exp` of the workspace — pure
+//!    `f32`, scalar == vector bit for bit), `α = min(o·G, ALPHA_MAX)`, the
+//!    pass mask `admitted ∧ ¬(α < ALPHA_MIN)`, the blend and the
+//!    termination test are straight-line code over `[f32; 16]` arrays with
+//!    mask selects (`to_bits` / `from_bits`; no `std::simd`, no
+//!    intrinsics). A lane outside the mask keeps its state bit for bit.
 //!
 //! Every pixel therefore executes the floating-point program of
 //! [`fragment_alpha_fast`] on its front-to-back fragment sequence, exactly
 //! as a pixel-outer walk would — the output is bit-identical to the serial
 //! AoS oracle (`reference::render_aos`, still pixel-outer) — while the
-//! per-fragment data-dependent branch and the scalar quadratic forms are
-//! gone.
+//! per-fragment data-dependent branches, the libm call and the scalar
+//! quadratic forms are gone.
 //!
 //! The fused instantiation ([`crate::FrameArena::render_fused`])
-//! additionally records, per pixel, the exact fragment sequence the blend
-//! produced (alpha, Gaussian weight, incoming transmittance), which is
-//! precisely the bookkeeping the backward pass otherwise has to reconstruct
-//! by re-walking the sorted splat list — so forward and backward share one
-//! tile traversal.
+//! additionally writes out what the blend holds at that moment — the
+//! software analog of the paper's **R&B Buffer**: per subtile,
+//! splat-major, one [`RecordHead`] `{list position, 16-bit pass mask, first
+//! row}` per splat that blended anywhere in the subtile, plus one
+//! [`RecordRow`] `[α; 4], [G; 4], [T_before; 4]` per 4-pixel row of the
+//! subtile with a passing lane (zeros in its other lanes), and the
+//! subtile's 16 final transmittances. That is precisely the bookkeeping
+//! the backward pass otherwise has to reconstruct by re-walking the sorted
+//! splat list, already in the lane layout Step ❹ consumes — so forward and
+//! backward share one tile traversal.
 
 use crate::camera::{DepthImage, Image, PinholeCamera};
 use crate::project::{ProjectedSoA, Projection};
 use crate::tiles::{TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE, TILE_SIZE};
-use rtgs_math::{Sym2, Vec2, Vec3};
+use rtgs_math::{exp_nonpos, Sym2, Vec2, Vec3};
 use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
 
 /// Tiles per chunk in the parallel forward render (fixed by the algorithm,
 /// not the worker count).
 pub(crate) const RENDER_CHUNK: usize = 4;
 
-/// Lanes of the blend kernel: the pixels of one subtile.
-const LANES: usize = SUBTILE_SIZE * SUBTILE_SIZE;
+/// Lanes of the tile kernels: the pixels of one subtile.
+pub(crate) const LANES: usize = SUBTILE_SIZE * SUBTILE_SIZE;
 /// Subtiles along one tile edge.
-const SUBTILES_X: usize = TILE_SIZE / SUBTILE_SIZE;
+pub(crate) const SUBTILES_X: usize = TILE_SIZE / SUBTILE_SIZE;
 
 /// Transmittance threshold below which a ray terminates early (full
 /// occlusion for everything behind), matching the reference rasterizer.
@@ -115,70 +125,156 @@ impl RenderOutput {
     }
 }
 
-/// One fragment the forward blend produced at one pixel, cached for the
-/// fused backward pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachedFragment {
+/// One (subtile, splat) record of a fused forward pass: the splat blended
+/// at the pixels in [`Self::mask`]; the values are in the record's rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordHead {
     /// Position of the splat in the tile's depth-sorted list (indexes both
     /// the tile's gathered working set and the backward tile partial).
     pub list_pos: u32,
-    /// Blended alpha (Eq. 2, clamped to [`ALPHA_MAX`]).
-    pub alpha: f32,
-    /// Gaussian weight `G = exp(-q/2)` (pre-opacity), needed by Eq. 4.
-    pub weight: f32,
-    /// Transmittance *before* this fragment was blended.
-    pub t_before: f32,
+    /// Index into [`TileFragments::rows`] of the record's first row; one row
+    /// follows per 4-lane row of the subtile with a bit in [`Self::mask`],
+    /// top to bottom.
+    pub first_row: u32,
+    /// The lanes (bit `dy·4 + dx`) at which the splat was blended. Never
+    /// zero.
+    pub mask: u16,
 }
 
-/// Per-tile fragment records from one fused forward pass.
+impl RecordHead {
+    /// The four mask bits of subtile row `r`.
+    #[inline]
+    pub fn row_mask(&self, r: usize) -> u32 {
+        (self.mask as u32 >> (r * SUBTILE_SIZE)) & ((1 << SUBTILE_SIZE) - 1)
+    }
+}
+
+/// What the blend held for one 4-pixel row of a subtile when it blended one
+/// splat; lanes outside the record's mask hold zeros.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RecordRow {
+    /// Blended alpha (Eq. 2, clamped to [`ALPHA_MAX`]).
+    pub alpha: [f32; SUBTILE_SIZE],
+    /// Gaussian weight `G = exp(-q/2)` (pre-opacity), needed by Eq. 4.
+    pub weight: [f32; SUBTILE_SIZE],
+    /// Transmittance *before* the splat was blended.
+    pub t_before: [f32; SUBTILE_SIZE],
+}
+
+/// Per-tile R&B records from one fused forward pass.
 #[derive(Debug, Clone, Default)]
 pub struct TileFragments {
-    /// Blended fragments of the whole tile, pixel-major in the
-    /// **subtile-major** pixel order of [`Self::pixel_index`] (the order the
-    /// subtile-streamed blend emits them), front-to-back within each pixel.
-    pub frags: Vec<CachedFragment>,
-    /// Per-pixel exclusive offsets into [`Self::frags`], indexed by
-    /// [`Self::pixel_index`]; length is `TILE_SIZE² + 1` — pixels of the
-    /// tile square that fall outside the image own empty ranges. Empty when
-    /// the tile had no splats.
-    pub offsets: Vec<u32>,
+    /// The records of the whole tile: subtile-major (subtiles row-major
+    /// within the tile), front-to-back within a subtile — the order the
+    /// subtile-streamed blend emits them.
+    pub heads: Vec<RecordHead>,
+    /// The rows of [`Self::heads`], in the same order.
+    pub rows: Vec<RecordRow>,
+    /// Per-subtile exclusive offsets into [`Self::heads`]; a subtile outside
+    /// the image, and every subtile of a tile without splats, owns an empty
+    /// range.
+    pub subtile_heads: [u32; SUBTILES_PER_TILE + 1],
+    /// Final transmittance of every lane of every subtile (`1.0` where
+    /// nothing blended).
+    pub final_t: [[f32; LANES]; SUBTILES_PER_TILE],
 }
 
 impl TileFragments {
     /// Index of the pixel at offset `(dx, dy)` inside its tile:
     /// `subtile · 16 + lane`, subtiles row-major within the tile and lanes
-    /// row-major within the subtile.
+    /// row-major within the subtile. Ascending `pixel_index` is the order in
+    /// which Step ❹ sums a Gaussian's per-pixel gradient contributions, on
+    /// every path.
     #[inline]
     pub fn pixel_index(dx: usize, dy: usize) -> usize {
         let subtile = (dy / SUBTILE_SIZE) * SUBTILES_X + dx / SUBTILE_SIZE;
         subtile * LANES + (dy % SUBTILE_SIZE) * SUBTILE_SIZE + dx % SUBTILE_SIZE
     }
 
-    /// The fragments of pixel `pi` (a [`Self::pixel_index`]).
+    /// The records of one subtile, front to back.
     #[inline]
-    pub fn pixel_fragments(&self, pi: usize) -> &[CachedFragment] {
-        if self.offsets.is_empty() {
-            return &[];
-        }
-        let start = self.offsets[pi] as usize;
-        let end = self.offsets[pi + 1] as usize;
-        &self.frags[start..end]
+    pub fn subtile(&self, subtile: usize) -> &[RecordHead] {
+        let start = self.subtile_heads[subtile] as usize;
+        let end = self.subtile_heads[subtile + 1] as usize;
+        &self.heads[start..end]
+    }
+
+    /// Empties the records, keeping the vectors' capacities.
+    fn reset(&mut self) {
+        self.heads.clear();
+        self.rows.clear();
+        self.subtile_heads = [0; SUBTILES_PER_TILE + 1];
     }
 }
 
+/// The in-image pixels `(x, y)` of the tile rectangle `[x0, x1) × [y0, y1)`
+/// in ascending [`TileFragments::pixel_index`] order — the pixel visit
+/// order of the scalar Step-❹ oracles.
+pub(crate) fn tile_pixels(
+    (x0, y0, x1, y1): (usize, usize, usize, usize),
+) -> impl Iterator<Item = (usize, usize)> {
+    let origins = |from: usize, to: usize| (from..to).step_by(SUBTILE_SIZE);
+    let subtiles = origins(y0, y1).flat_map(move |sy| origins(x0, x1).map(move |sx| (sx, sy)));
+    subtiles.flat_map(move |(sx, sy)| {
+        let (ex, ey) = ((sx + SUBTILE_SIZE).min(x1), (sy + SUBTILE_SIZE).min(y1));
+        (sy..ey).flat_map(move |y| (sx..ex).map(move |x| (x, y)))
+    })
+}
+
 /// The transmittance bookkeeping a fused forward pass hands to the backward
-/// pass: per tile, the exact fragment sequence every pixel blended.
+/// pass: per tile, the R&B records of every subtile.
+///
+/// The tile slots are kept at the largest grid ever rendered: a session
+/// that alternates between resolutions (downsampled tracking, SLO shedding)
+/// gets each slot's record capacity back when the grid grows again.
 #[derive(Debug, Clone, Default)]
 pub struct FragmentCache {
-    /// One record set per tile (row-major tile grid).
-    pub tiles: Vec<TileFragments>,
+    /// One record set per tile slot; the first `live` describe the last
+    /// fused pass.
+    slots: Vec<TileFragments>,
+    live: usize,
 }
 
 impl FragmentCache {
+    /// One record set per tile of the last fused pass (row-major tile
+    /// grid); empty when there is none.
+    #[inline]
+    pub fn tiles(&self) -> &[TileFragments] {
+        &self.slots[..self.live]
+    }
+
     /// Total cached fragments (equals the forward pass's
     /// [`RenderStats::fragments_blended`]).
     pub fn total_fragments(&self) -> u64 {
-        self.tiles.iter().map(|t| t.frags.len() as u64).sum()
+        let heads = self.tiles().iter().flat_map(|t| &t.heads);
+        heads.map(|h| h.mask.count_ones() as u64).sum()
+    }
+
+    /// Forgets the last fused pass (its records no longer describe the
+    /// arena's output); capacities stay.
+    pub(crate) fn invalidate(&mut self) {
+        self.live = 0;
+    }
+
+    /// The slots of a `tile_count`-tile pass, for the kernel to refill.
+    fn begin(&mut self, tile_count: usize) -> &mut [TileFragments] {
+        if self.slots.len() < tile_count {
+            self.slots.resize_with(tile_count, TileFragments::default);
+        }
+        self.live = tile_count;
+        &mut self.slots[..tile_count]
+    }
+
+    /// Bytes held at current capacities, idle slots included (for the
+    /// arena's high-water mark).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let slot = |t: &TileFragments| {
+            size_of::<TileFragments>()
+                + t.heads.capacity() * size_of::<RecordHead>()
+                + t.rows.capacity() * size_of::<RecordRow>()
+        };
+        self.slots.iter().map(slot).sum()
     }
 }
 
@@ -186,6 +282,27 @@ impl FragmentCache {
 #[inline]
 pub(crate) fn pixel_center(x: usize, y: usize) -> Vec2 {
     Vec2::new(x as f32 + 0.5, y as f32 + 0.5)
+}
+
+/// The Gaussian weight `G = exp(−q/2)` of a fragment with quadratic form
+/// `q ≥ 0` — the one place a fragment's weight is computed, for every
+/// kernel and both oracles.
+#[inline]
+pub(crate) fn gaussian_weight(q: f32) -> f32 {
+    exp_nonpos(-0.5 * q)
+}
+
+/// Eq. 2's alpha `o·G`, capped at [`ALPHA_MAX`]. `f32::min` spelled as the
+/// compare-select a lane loop vectorises to; like `min`, it turns a NaN
+/// product into the cap.
+#[inline]
+pub(crate) fn capped_alpha(opacity: f32, weight: f32) -> f32 {
+    let alpha = opacity * weight;
+    if alpha < ALPHA_MAX {
+        alpha
+    } else {
+        ALPHA_MAX
+    }
 }
 
 /// Evaluates the alpha of a splat (given its 2D mean, conic and activated
@@ -200,16 +317,22 @@ pub(crate) fn fragment_alpha(mean: Vec2, conic: &Sym2, opacity: f32, p: Vec2) ->
         // Numerically indefinite conic; treat as no contribution.
         return (0.0, 0.0);
     }
-    let g = (-0.5 * q).exp();
-    ((opacity * g).min(ALPHA_MAX), g)
+    let g = gaussian_weight(q);
+    (capped_alpha(opacity, g), g)
 }
 
 /// Safety margin added to the per-splat quadratic-form cutoff. An exact
 /// real-valued cutoff sits where `opacity·exp(-q/2) == ALPHA_MIN`; fragments
 /// beyond `q_cut = cutoff + margin` have an exact alpha at least a factor
-/// `exp(margin/2) − 1 ≈ 5·10⁻⁴` below `ALPHA_MIN`, which dominates the few
-/// ULP of f32 rounding in `ln`/`exp` — so skipping them can never disagree
-/// with the exact `alpha < ALPHA_MIN` test.
+/// `exp(margin/2) − 1 ≈ 5·10⁻⁴` below `ALPHA_MIN`. Against that stand
+/// [`rtgs_math::exp_nonpos`]'s error (under 1 ulp measured, 2 ulp
+/// asserted: `2.4·10⁻⁷` relative; `−q/2` itself is exact), the rounding of
+/// `o·G` (`6·10⁻⁸`), and the few ulp of `ln` and of the two operations
+/// around it in [`splat_q_cut`] (an absolute `~2·10⁻⁶` on a cutoff of at
+/// most 11.1, i.e. `10⁻⁶` relative on `G`) — more than two orders of
+/// magnitude inside the margin, so skipping such a fragment can never
+/// disagree with the exact `alpha < ALPHA_MIN` test
+/// (`q_cut_skip_agrees_with_the_exact_alpha_test` property-tests it).
 const Q_CUT_MARGIN: f32 = 1e-3;
 
 /// The conservative quadratic-form cutoff of a splat with the given
@@ -287,8 +410,8 @@ fn q_out_of_range(q: f32, q_cut: f32) -> bool {
 /// [`ALPHA_MIN`].
 #[inline]
 fn alpha_of_q(opacity: f32, q: f32) -> Option<(f32, f32)> {
-    let g = (-0.5 * q).exp();
-    let alpha = (opacity * g).min(ALPHA_MAX);
+    let g = gaussian_weight(q);
+    let alpha = capped_alpha(opacity, g);
     if alpha < ALPHA_MIN {
         return None;
     }
@@ -414,10 +537,6 @@ pub(crate) struct TileScratch {
     /// List positions of the splats whose cut box reaches the current
     /// subtile (forward only).
     survivors: Vec<u32>,
-    /// Per-lane staging of the current subtile's fragment records: the
-    /// splat-outer blend emits them splat-major, the cache wants them
-    /// pixel-major (recording forward only).
-    staged: [Vec<CachedFragment>; LANES],
 }
 
 impl TileScratch {
@@ -427,33 +546,93 @@ impl TileScratch {
         self.gathered.capacity() * size_of::<TileSplat>()
             + self.boxes.capacity() * size_of::<CutBox>()
             + self.survivors.capacity() * size_of::<u32>()
-            + self
-                .staged
-                .iter()
-                .map(|lane| lane.capacity() * size_of::<CachedFragment>())
-                .sum::<usize>()
     }
+}
+
+/// A lane mask: all ones when `on`, zero otherwise.
+#[inline(always)]
+pub(crate) fn lane_mask(on: bool) -> u32 {
+    (on as u32).wrapping_neg()
+}
+
+/// `if mask { a } else { b }` for a [`lane_mask`], as the bit operations a
+/// lane loop vectorises to. Exact: the chosen operand's bits pass through.
+#[inline(always)]
+pub(crate) fn select(mask: u32, a: f32, b: f32) -> f32 {
+    f32::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+}
+
+/// Whether any lane's [`lane_mask`] is on.
+#[inline(always)]
+pub(crate) fn any_lane(masks: &[u32; LANES]) -> bool {
+    masks.iter().fold(0, |any, m| any | m) != 0
+}
+
+/// Bit `l` set for every lane `l` whose [`lane_mask`] is on.
+#[inline(always)]
+pub(crate) fn lane_bits(masks: &[u32; LANES]) -> u32 {
+    let mut bits = 0;
+    for (l, m) in masks.iter().enumerate() {
+        bits |= m & (1 << l);
+    }
+    bits
+}
+
+/// Pixel-centre coordinates ([`pixel_center`]) of the four columns / rows
+/// starting at pixel `origin`.
+#[inline]
+pub(crate) fn pixel_centers(origin: usize) -> [f32; SUBTILE_SIZE] {
+    std::array::from_fn(|i| (origin + i) as f32 + 0.5)
 }
 
 /// The blend state of one subtile's 16 pixels (lane = `dy·4 + dx`).
 struct SubtileLanes {
-    color: [Vec3; LANES],
+    /// Blended color, one array per channel.
+    color: [[f32; LANES]; 3],
     depth: [f32; LANES],
     /// Transmittance.
     t: [f32; LANES],
     /// Tile-list positions consumed (see [`RenderStats::fragments_processed`]).
     processed: [u32; LANES],
+    /// [`lane_mask`] of the lanes whose ray is still running.
+    alive: [u32; LANES],
+}
+
+/// Pixel-centre coordinates ([`pixel_center`]) of a subtile's 16 lanes.
+struct LaneCenters {
+    x: [f32; LANES],
+    y: [f32; LANES],
+}
+
+impl LaneCenters {
+    /// The lanes of the subtile whose top-left pixel is `(x0, y0)`.
+    fn of(x0: usize, y0: usize) -> Self {
+        let (px, py) = (pixel_centers(x0), pixel_centers(y0));
+        Self {
+            x: std::array::from_fn(|l| px[l % SUBTILE_SIZE]),
+            y: std::array::from_fn(|l| py[l / SUBTILE_SIZE]),
+        }
+    }
 }
 
 /// Streams the tile's gathered splats (`scratch.gathered`, with their
-/// `scratch.boxes`) through the subtile whose top-left pixel is `(x0, y0)`
-/// and whose in-image extent is `w × h` pixels (`1..=SUBTILE_SIZE` each;
-/// lanes beyond it stay idle). Blended and terminated counts go to `stats`;
-/// when `RECORD`, each lane's fragment sequence is appended to its
-/// `scratch.staged` vector.
+/// `scratch.boxes`) through subtile `subtile` of the tile, whose lanes sit at
+/// `centers` and whose in-image extent is `w × h` pixels
+/// (`1..=SUBTILE_SIZE` each; lanes beyond it stay idle). Blended and
+/// terminated counts go to `stats`; when `RECORD`, the subtile's R&B
+/// records and final transmittances are written to `records`.
+///
+/// Kept out of line so that `centers` reaches the kernel as data: inlined,
+/// the compiler re-derives the lane coordinates from the tile origin and
+/// rebuilds the quadratic form row by column, which costs more in shuffles
+/// than it saves in multiplies (the forward pass is 5 % slower for it).
+#[inline(never)]
+#[allow(clippy::needless_range_loop)] // lane loops index parallel arrays
 fn blend_subtile<const RECORD: bool>(
     scratch: &mut TileScratch,
-    (x0, y0): (usize, usize),
+    records: &mut TileFragments,
+    subtile: usize,
+    centers: &LaneCenters,
     (w, h): (usize, usize),
     stats: &mut RenderStats,
 ) -> SubtileLanes {
@@ -461,23 +640,18 @@ fn blend_subtile<const RECORD: bool>(
         gathered: splats,
         boxes,
         survivors,
-        staged,
     } = scratch;
     let mut lanes = SubtileLanes {
-        color: [Vec3::ZERO; LANES],
+        color: [[0.0; LANES]; 3],
         depth: [0.0; LANES],
         t: [1.0; LANES],
         processed: [0; LANES],
+        // Out-of-image lanes never start.
+        alive: std::array::from_fn(|l| lane_mask(l % SUBTILE_SIZE < w && l / SUBTILE_SIZE < h)),
     };
-    // Pixel-centre coordinates per column / row ([`pixel_center`]).
-    let px: [f32; SUBTILE_SIZE] = std::array::from_fn(|c| (x0 + c) as f32 + 0.5);
-    let py: [f32; SUBTILE_SIZE] = std::array::from_fn(|r| (y0 + r) as f32 + 0.5);
-    let (cx_hi, cy_hi) = (px[w - 1], py[h - 1]);
-    // Lanes whose ray is still running; out-of-image lanes never start.
-    let mut alive = 0u32;
-    for r in 0..h {
-        alive |= ((1 << w) - 1) << (r * SUBTILE_SIZE);
-    }
+    // The in-image lanes' extent in pixel-centre coordinates.
+    let (cx_lo, cy_lo) = (centers.x[0], centers.y[0]);
+    let (cx_hi, cy_hi) = (centers.x[w - 1], centers.y[(h - 1) * SUBTILE_SIZE]);
 
     // The cull: list positions whose cut box reaches this subtile's pixel
     // centres, compacted branch-free (the slot is always written, the
@@ -485,78 +659,120 @@ fn blend_subtile<const RECORD: bool>(
     let mut reached = 0;
     for (pos, cut) in boxes.iter().enumerate() {
         survivors[reached] = pos as u32;
-        reached += cut.overlaps(px[0], cx_hi, py[0], cy_hi) as usize;
+        reached += cut.overlaps(cx_lo, cx_hi, cy_lo, cy_hi) as usize;
+    }
+    if RECORD {
+        // Worst case: every survivor blends in every row.
+        records.heads.reserve(reached);
+        records.rows.reserve(reached * SUBTILE_SIZE);
     }
 
     for &pos in &survivors[..reached] {
         let s = &splats[pos as usize];
-        // `Sym2::quadratic_form(p − mean)` for all lanes: the scalar
-        // expression `xx·dx·dx + 2·xy·dx·dy + yy·dy·dy` with its products
-        // and sums in the same order, the column- and row-only factors
-        // hoisted (same operands, same roundings).
-        let two_xy = 2.0 * s.conic.xy;
-        let mut qx = [0.0f32; SUBTILE_SIZE];
-        let mut qxy = [0.0f32; SUBTILE_SIZE];
-        for c in 0..SUBTILE_SIZE {
-            let dx = px[c] - s.mean.x;
-            qx[c] = s.conic.xx * dx * dx;
-            qxy[c] = two_xy * dx;
-        }
+        // `Sym2::quadratic_form(p − mean)` for all lanes, as the scalar
+        // path spells it.
         let mut q = [0.0f32; LANES];
-        for r in 0..SUBTILE_SIZE {
-            let dy = py[r] - s.mean.y;
-            let qy = s.conic.yy * dy * dy;
-            for c in 0..SUBTILE_SIZE {
-                q[r * SUBTILE_SIZE + c] = qx[c] + qxy[c] * dy + qy;
+        for l in 0..LANES {
+            let d = Vec2::new(centers.x[l] - s.mean.x, centers.y[l] - s.mean.y);
+            q[l] = s.conic.quadratic_form(d);
+        }
+        // Lanes that pass the quadratic-form test and whose ray is still
+        // running.
+        let mut admitted = [0u32; LANES];
+        for l in 0..LANES {
+            admitted[l] = lane_mask(!q_out_of_range(q[l], s.q_cut)) & lanes.alive[l];
+        }
+        if !any_lane(&admitted) {
+            continue;
+        }
+
+        // [`alpha_of_q`] for all lanes. A lane outside `admitted` evaluates
+        // `q = 0` instead of its own, which can be far enough out for the
+        // weight to underflow (subnormal arithmetic is an order of
+        // magnitude slower, and such a lane's result is discarded).
+        let mut weight = [0.0f32; LANES];
+        let mut alpha = [0.0f32; LANES];
+        let mut pass = [0u32; LANES];
+        for l in 0..LANES {
+            weight[l] = gaussian_weight(select(admitted[l], q[l], 0.0));
+            alpha[l] = capped_alpha(s.opacity, weight[l]);
+            pass[l] = admitted[l] & !lane_mask(alpha[l] < ALPHA_MIN);
+        }
+        let pass_bits = lane_bits(&pass);
+        if pass_bits == 0 {
+            continue;
+        }
+        stats.fragments_blended += pass_bits.count_ones() as u64;
+
+        // The blend, the transmittance update and the termination test of
+        // the scalar path. Outside `pass` the alpha is zeroed first, which
+        // makes the lane's update the identity bit for bit: its color and
+        // depth terms are replaced by `+0.0` (an accumulator that starts at
+        // `+0.0` is never `−0.0` — a sum is `−0.0` only when both operands
+        // are — so adding `+0.0` returns it unchanged), and `t·(1 − 0)` is
+        // `t`.
+        let t_before = lanes.t;
+        let mut done = [0u32; LANES];
+        for l in 0..LANES {
+            alpha[l] = select(pass[l], alpha[l], 0.0);
+            let t = t_before[l];
+            let contribution = t * alpha[l];
+            for (channel, c) in lanes
+                .color
+                .iter_mut()
+                .zip([s.color.x, s.color.y, s.color.z])
+            {
+                channel[l] += select(pass[l], c * contribution, 0.0);
+            }
+            lanes.depth[l] += select(pass[l], s.depth * contribution, 0.0);
+            let t_after = t * (1.0 - alpha[l]);
+            lanes.t[l] = t_after;
+            done[l] = pass[l] & lane_mask(t_after < TERMINATION_THRESHOLD);
+        }
+        // Few splats end a ray: the bookkeeping of those that do stays off
+        // the common path.
+        let terminated = any_lane(&done);
+        if terminated {
+            stats.early_terminated_pixels += lane_bits(&done).count_ones() as u64;
+            for l in 0..LANES {
+                lanes.processed[l] = (done[l] & (pos + 1)) | (!done[l] & lanes.processed[l]);
+                lanes.alive[l] &= !done[l];
             }
         }
-        // Branch-free lane mask: bit `l` set when lane `l` passes the
-        // quadratic-form test and its ray is still running.
-        let mut bit = [0u32; LANES];
-        for l in 0..LANES {
-            bit[l] = if q_out_of_range(q[l], s.q_cut) {
-                0
-            } else {
-                1 << l
-            };
-        }
-        let mut hits = bit.iter().fold(0, |acc, b| acc | b) & alive;
 
-        while hits != 0 {
-            let l = hits.trailing_zeros() as usize;
-            hits &= hits - 1;
-            let Some((alpha, weight)) = alpha_of_q(s.opacity, q[l]) else {
-                continue;
+        if RECORD {
+            let head = RecordHead {
+                list_pos: pos,
+                first_row: records.rows.len() as u32,
+                mask: pass_bits as u16,
             };
-            stats.fragments_blended += 1;
-            let t = lanes.t[l];
-            if RECORD {
-                staged[l].push(CachedFragment {
-                    list_pos: pos,
-                    alpha,
-                    weight,
-                    t_before: t,
+            for r in (0..SUBTILE_SIZE).filter(|&r| head.row_mask(r) != 0) {
+                let lanes = r * SUBTILE_SIZE..(r + 1) * SUBTILE_SIZE;
+                let zero_idle = |values: &[f32; LANES]| -> [f32; SUBTILE_SIZE] {
+                    std::array::from_fn(|c| {
+                        let l = lanes.start + c;
+                        select(pass[l], values[l], 0.0)
+                    })
+                };
+                records.rows.push(RecordRow {
+                    alpha: zero_idle(&alpha),
+                    weight: zero_idle(&weight),
+                    t_before: zero_idle(&t_before),
                 });
             }
-            lanes.color[l] += s.color * (t * alpha);
-            lanes.depth[l] += s.depth * (t * alpha);
-            let t = t * (1.0 - alpha);
-            lanes.t[l] = t;
-            if t < TERMINATION_THRESHOLD {
-                stats.early_terminated_pixels += 1;
-                lanes.processed[l] = pos + 1;
-                alive &= !(1 << l);
-            }
+            records.heads.push(head);
         }
-        if alive == 0 {
+        if terminated && !any_lane(&lanes.alive) {
             break;
         }
     }
 
     // Rays that never terminated consumed the whole list.
-    while alive != 0 {
-        lanes.processed[alive.trailing_zeros() as usize] = splats.len() as u32;
-        alive &= alive - 1;
+    for l in 0..LANES {
+        lanes.processed[l] |= lanes.alive[l] & splats.len() as u32;
+    }
+    if RECORD {
+        records.final_t[subtile] = lanes.t;
     }
     lanes
 }
@@ -577,10 +793,10 @@ fn blend_subtile<const RECORD: bool>(
 /// re-walk would reconstruct.
 ///
 /// Every output buffer — image, depth, transmittance, workloads, per-tile
-/// stats and (when recording) the per-tile fragment records — is cleared
-/// and refilled in place, and per-chunk scratch (gathered splats, cut
-/// boxes, lane staging) comes from `pool`, so a steady-state re-render into
-/// the same storage performs **no heap allocation**. Results are
+/// stats and (when recording) the per-tile R&B records — is cleared and
+/// refilled in place, and per-chunk scratch (gathered splats, cut boxes,
+/// survivor list) comes from `pool`, so a steady-state re-render into the
+/// same storage performs **no heap allocation**. Results are
 /// bitwise-identical to a render into fresh buffers.
 ///
 /// # Panics
@@ -609,18 +825,13 @@ pub(crate) fn render_into<const RECORD: bool>(
     tile_stats.clear();
     tile_stats.resize(tile_count, RenderStats::default());
 
-    // Reused per-tile fragment storage: the tile vector is resized to the
-    // grid (retained tiles keep their inner capacities) and each tile's
-    // records are cleared inside the kernel before refilling.
-    let mut no_fragments: Vec<TileFragments> = Vec::new();
-    let frag_tiles: &mut Vec<TileFragments> = match fragments {
-        Some(cache) => {
-            cache.tiles.resize_with(tile_count, TileFragments::default);
-            &mut cache.tiles
-        }
+    // Reused per-tile record storage: each tile's records are reset inside
+    // the kernel before refilling.
+    let frag_tiles: &mut [TileFragments] = match fragments {
+        Some(cache) => cache.begin(tile_count),
         None => {
             assert!(!RECORD, "recording pass requires a fragment cache");
-            &mut no_fragments
+            &mut []
         }
     };
 
@@ -630,22 +841,24 @@ pub(crate) fn render_into<const RECORD: bool>(
         let t_view = SharedSlice::new(&mut out.final_transmittance);
         let workload_view = SharedSlice::new(&mut out.pixel_workloads);
         let stats_view = SharedSlice::new(tile_stats.as_mut_slice());
-        let frag_view = SharedSlice::new(frag_tiles.as_mut_slice());
+        let frag_view = SharedSlice::new(frag_tiles);
         backend.for_each_chunk(tile_count, RENDER_CHUNK, &|_, range| {
             // Per-chunk scratch comes from the shared pool, so steady-state
             // chunks allocate nothing.
             let mut scratch = pool.take();
+            // Stands in for the tile's record set in the pass that records
+            // nothing.
+            let mut unrecorded = TileFragments::default();
             for tile in range {
-                // SAFETY (all accesses below): one fragment record set and
-                // one stats slot per tile; tiles partition the image, so
-                // every pixel index is written by exactly one tile's task.
-                let mut tf: Option<&mut TileFragments> = if RECORD {
-                    let tf = unsafe { frag_view.get_mut(tile) };
-                    tf.frags.clear();
-                    tf.offsets.clear();
-                    Some(tf)
+                // SAFETY (all accesses below): one record set and one stats
+                // slot per tile; tiles partition the image, so every pixel
+                // index is written by exactly one tile's task.
+                let records = if RECORD {
+                    let records = unsafe { frag_view.get_mut(tile) };
+                    records.reset();
+                    records
                 } else {
-                    None
+                    &mut unrecorded
                 };
                 let list = tiles.tile(tile);
                 if list.is_empty() {
@@ -660,24 +873,27 @@ pub(crate) fn render_into<const RECORD: bool>(
                 let mut stats = RenderStats::default();
                 let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);
                 let (x0, y0, x1, y1) = tiles.tile_pixel_rect(tx, ty, camera);
-                if let Some(tf) = tf.as_deref_mut() {
-                    tf.offsets.reserve(SUBTILES_PER_TILE * LANES + 1);
-                    tf.offsets.push(0);
-                }
                 for subtile in 0..SUBTILES_PER_TILE {
                     let sx0 = x0 + (subtile % SUBTILES_X) * SUBTILE_SIZE;
                     let sy0 = y0 + (subtile / SUBTILES_X) * SUBTILE_SIZE;
                     if sx0 < x1 && sy0 < y1 {
                         let (w, h) = ((x1 - sx0).min(SUBTILE_SIZE), (y1 - sy0).min(SUBTILE_SIZE));
-                        let lanes =
-                            blend_subtile::<RECORD>(&mut scratch, (sx0, sy0), (w, h), &mut stats);
+                        let lanes = blend_subtile::<RECORD>(
+                            &mut scratch,
+                            records,
+                            subtile,
+                            &LaneCenters::of(sx0, sy0),
+                            (w, h),
+                            &mut stats,
+                        );
                         for dy in 0..h {
                             for dx in 0..w {
                                 let l = dy * SUBTILE_SIZE + dx;
                                 let idx = (sy0 + dy) * camera.width + sx0 + dx;
+                                let [r, g, b] = lanes.color.map(|channel| channel[l]);
                                 stats.fragments_processed += lanes.processed[l] as u64;
                                 unsafe {
-                                    image_view.write(idx, lanes.color[l]);
+                                    image_view.write(idx, Vec3::new(r, g, b));
                                     depth_view.write(idx, lanes.depth[l]);
                                     t_view.write(idx, lanes.t[l]);
                                     workload_view.write(idx, lanes.processed[l]);
@@ -685,14 +901,8 @@ pub(crate) fn render_into<const RECORD: bool>(
                             }
                         }
                     }
-                    // Lane by lane, the staged records become the tile's
-                    // pixel-major cache; idle and out-of-image lanes own
-                    // empty ranges.
-                    if let Some(tf) = tf.as_deref_mut() {
-                        for lane in scratch.staged.iter_mut() {
-                            tf.frags.append(lane);
-                            tf.offsets.push(tf.frags.len() as u32);
-                        }
+                    if RECORD {
+                        records.subtile_heads[subtile + 1] = records.heads.len() as u32;
                     }
                 }
                 unsafe { stats_view.write(tile, stats) };
@@ -947,6 +1157,41 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The `q > q_cut` skip never disagrees with the exact
+        /// `α < ALPHA_MIN` test as `exp_nonpos` evaluates it: for opacities
+        /// across `(0, 1]` (negative cutoffs included) and `q` from the
+        /// first float past the cutoff to far beyond it, the exact path
+        /// rejects the fragment too.
+        #[test]
+        fn q_cut_skip_agrees_with_the_exact_alpha_test(
+            (opacity_kind, opacity) in (0usize..3, 0.0f32..1.0),
+            (beyond_kind, beyond) in (0usize..4, 0.0f32..1.0),
+        ) {
+            let opacity = match opacity_kind {
+                // Around the `q_cut` sign change.
+                0 => ALPHA_MIN * (0.5 + opacity),
+                // Up to the cap and past it.
+                1 => 0.9 + 0.1 * opacity,
+                _ => opacity.max(1e-6),
+            };
+            let q_cut = splat_q_cut(opacity);
+            // The smallest non-negative `q` the skip applies to.
+            let first = f32::from_bits(q_cut.max(0.0).to_bits() + 1);
+            let q = match beyond_kind {
+                0 => first,
+                1 => first + beyond * 1e-3,
+                2 => first + beyond * 2.0,
+                _ => first + 200.0 * beyond * beyond,
+            };
+            prop_assert!(q_out_of_range(q, q_cut));
+            let (alpha, _) = fragment_alpha(Vec2::ZERO, &Sym2::new(q, 0.0, 0.0), opacity, Vec2::new(1.0, 0.0));
+            prop_assert!(alpha < ALPHA_MIN, "opacity {opacity}, q {q} (cutoff {q_cut}): alpha {alpha}");
+        }
+    }
+
     #[test]
     fn cut_box_of_a_round_splat_is_tight() {
         // σ = 2 px, q_cut ≈ 10.6: the ellipse reaches 6.5 px from the mean.
@@ -1026,28 +1271,56 @@ mod tests {
         arena.assign_tiles(&cam, &Serial);
         arena.render_fused(&cam, &Serial);
         let tiles = arena.tiles();
-        // Replaying each pixel's cached fragments must land exactly on the
-        // recorded final transmittance.
-        for (tile, tf) in arena.fragments().tiles.iter().enumerate() {
-            if tf.offsets.is_empty() {
-                continue;
-            }
+        let final_t = &arena.output().final_transmittance;
+        // Replaying each lane's records front to back must reproduce every
+        // recorded incoming transmittance and land exactly on the final one.
+        let mut blended = 0;
+        for (tile, tf) in arena.fragments().tiles().iter().enumerate() {
             let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);
             let (x0, y0, x1, y1) = tiles.tile_pixel_rect(tx, ty, &cam);
-            assert_eq!(tf.offsets.len(), TILE_SIZE * TILE_SIZE + 1);
-            let mut replayed = 0;
-            for y in y0..y1 {
-                for x in x0..x1 {
-                    let frags = tf.pixel_fragments(TileFragments::pixel_index(x - x0, y - y0));
-                    replayed += frags.len();
-                    let t = frags
-                        .last()
-                        .map(|f| f.t_before * (1.0 - f.alpha))
-                        .unwrap_or(1.0);
-                    assert_eq!(t, arena.output().final_transmittance[y * cam.width + x]);
+            let mut next_row = 0;
+            for subtile in 0..SUBTILES_PER_TILE {
+                let sx0 = x0 + (subtile % SUBTILES_X) * SUBTILE_SIZE;
+                let sy0 = y0 + (subtile / SUBTILES_X) * SUBTILE_SIZE;
+                let mut t = [1.0f32; LANES];
+                for head in tf.subtile(subtile) {
+                    assert_ne!(head.mask, 0, "a record blends somewhere");
+                    assert_eq!(head.first_row as usize, next_row, "rows are contiguous");
+                    blended += head.mask.count_ones() as u64;
+                    for r in (0..SUBTILE_SIZE).filter(|&r| head.row_mask(r) != 0) {
+                        let row = &tf.rows[next_row];
+                        next_row += 1;
+                        for c in 0..SUBTILE_SIZE {
+                            let l = r * SUBTILE_SIZE + c;
+                            if head.mask & (1 << l) == 0 {
+                                let idle = [row.alpha[c], row.weight[c], row.t_before[c]];
+                                assert_eq!(idle.map(f32::to_bits), [0; 3], "idle lanes hold zeros");
+                                continue;
+                            }
+                            assert!(
+                                sx0 + c < x1 && sy0 + r < y1,
+                                "out-of-image lanes own nothing"
+                            );
+                            assert_eq!(row.t_before[c], t[l]);
+                            assert!((ALPHA_MIN..=ALPHA_MAX).contains(&row.alpha[c]));
+                            t[l] *= 1.0 - row.alpha[c];
+                        }
+                    }
+                }
+                if sx0 >= x1 || sy0 >= y1 {
+                    assert!(tf.subtile(subtile).is_empty());
+                    continue;
+                }
+                for (l, t) in t.iter().enumerate() {
+                    let (x, y) = (sx0 + l % SUBTILE_SIZE, sy0 + l / SUBTILE_SIZE);
+                    if x < x1 && y < y1 {
+                        assert_eq!(*t, tf.final_t[subtile][l]);
+                        assert_eq!(*t, final_t[y * cam.width + x]);
+                    }
                 }
             }
-            assert_eq!(replayed, tf.frags.len(), "out-of-image pixels own nothing");
+            assert_eq!(next_row, tf.rows.len(), "every row belongs to a record");
         }
+        assert_eq!(blended, arena.output().stats.fragments_blended);
     }
 }

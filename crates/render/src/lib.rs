@@ -14,14 +14,18 @@
 //! 3. **Rendering** ([`FrameArena::render_fused`]) — per-pixel alpha
 //!    computing and blending with early ray termination (Eqs. 2–3),
 //!    streaming a per-tile gathered working set through the tile's 4×4
-//!    subtiles (16 pixel lanes, splat-outer, behind a conservative
-//!    per-subtile cull) and recording every pixel's fragment sequence for
-//!    step 4. [`FrameArena::render`] is the
-//!    forward-only spelling for evaluation renders.
+//!    subtiles: 16 pixel lanes, splat-outer, behind a conservative
+//!    per-subtile cull, with the exponential, the blend and the termination
+//!    test lane-wide under masks — and writing, per (subtile, splat), the
+//!    R&B record ([`RecordHead`] + [`RecordRow`]s) step 4 consumes.
+//!    [`FrameArena::render`] is the forward-only spelling for evaluation
+//!    renders.
 //! 4. **Rendering BP** ([`FrameArena::backward_fused`] /
 //!    [`FrameArena::backward_visible_fused`]) — loss gradients
 //!    ([`FrameArena::compute_loss`]) to per-Gaussian 2D gradients (Eq. 4),
-//!    consuming the fused forward's fragment records.
+//!    walking each subtile's records back to front, 16 lanes wide, and
+//!    merging every record's per-pixel gradients into its Gaussian's
+//!    accumulator at once.
 //! 5. **Preprocessing BP** (same call) — 2D gradients to 3D parameter
 //!    gradients and the camera-pose tangent.
 //!
@@ -84,8 +88,8 @@ pub use arena::FrameArena;
 pub use backward::{BackwardOutput, BackwardStats, PixelGrads};
 pub use camera::{DepthImage, Image, PinholeCamera};
 pub use forward::{
-    CachedFragment, FragmentCache, RenderOutput, RenderStats, TileFragments, ALPHA_MAX, ALPHA_MIN,
-    TERMINATION_THRESHOLD,
+    FragmentCache, RecordHead, RecordRow, RenderOutput, RenderStats, TileFragments, ALPHA_MAX,
+    ALPHA_MIN, TERMINATION_THRESHOLD,
 };
 pub use gaussian::{Gaussian3d, GaussianGrad, GaussianScene};
 pub use loss::{LossConfig, LossKind, LossOutput};

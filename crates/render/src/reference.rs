@@ -24,11 +24,11 @@
 
 use crate::arena::FrameArena;
 use crate::backward::{
-    backward_into, preprocess_one, Accum2d, BackwardOutput, BackwardStats, PixelGrads,
+    backward_into, preprocess_one, Accum2d, BackwardOutput, BackwardStats, PixelGrads, PoseFrame,
 };
 use crate::camera::{DepthImage, Image, PinholeCamera};
 use crate::forward::{
-    fragment_alpha, pixel_center, RenderOutput, RenderStats, ALPHA_MAX, ALPHA_MIN,
+    fragment_alpha, pixel_center, tile_pixels, RenderOutput, RenderStats, ALPHA_MAX, ALPHA_MIN,
     TERMINATION_THRESHOLD,
 };
 use crate::gaussian::GaussianScene;
@@ -259,84 +259,81 @@ pub fn backward_aos(
         let mut partial: Vec<Accum2d> = Vec::new();
         let mut events = 0u64;
         let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);
-        let (x0, y0, x1, y1) = tile_pixel_rect(tx, ty, camera);
-        for y in y0..y1 {
-            for x in x0..x1 {
-                let idx = y * camera.width + x;
-                let g_color = pixel_grads.color[idx];
-                let g_depth = pixel_grads.depth[idx];
-                let g_trans = pixel_grads.transmittance[idx];
-                if g_color == Vec3::ZERO && g_depth == 0.0 && g_trans == 0.0 {
+        // Pixels in `TileFragments::pixel_index` order: the per-Gaussian
+        // summation order of Step ❹ on every path.
+        for (x, y) in tile_pixels(tile_pixel_rect(tx, ty, camera)) {
+            let idx = y * camera.width + x;
+            let g_color = pixel_grads.color[idx];
+            let g_depth = pixel_grads.depth[idx];
+            let g_trans = pixel_grads.transmittance[idx];
+            if g_color == Vec3::ZERO && g_depth == 0.0 && g_trans == 0.0 {
+                continue;
+            }
+            if partial.is_empty() {
+                partial = vec![Accum2d::default(); list.len()];
+            }
+            let p = pixel_center(x, y);
+
+            fragments.clear();
+            let mut t = 1.0f32;
+            for (slot, &id) in list.iter().enumerate() {
+                let Some(splat) = projection.splats[id as usize].as_ref() else {
+                    continue;
+                };
+                let (alpha, weight) = fragment_alpha(splat.mean, &splat.conic, splat.opacity, p);
+                if alpha < ALPHA_MIN {
                     continue;
                 }
-                if partial.is_empty() {
-                    partial = vec![Accum2d::default(); list.len()];
+                fragments.push(AosFragment {
+                    splat,
+                    slot,
+                    alpha,
+                    weight,
+                    t_before: t,
+                });
+                t *= 1.0 - alpha;
+                if t < TERMINATION_THRESHOLD {
+                    break;
                 }
-                let p = pixel_center(x, y);
+            }
 
-                fragments.clear();
-                let mut t = 1.0f32;
-                for (slot, &id) in list.iter().enumerate() {
-                    let Some(splat) = projection.splats[id as usize].as_ref() else {
-                        continue;
-                    };
-                    let (alpha, weight) =
-                        fragment_alpha(splat.mean, &splat.conic, splat.opacity, p);
-                    if alpha < ALPHA_MIN {
-                        continue;
-                    }
-                    fragments.push(AosFragment {
-                        splat,
-                        slot,
-                        alpha,
-                        weight,
-                        t_before: t,
-                    });
-                    t *= 1.0 - alpha;
-                    if t < TERMINATION_THRESHOLD {
-                        break;
-                    }
+            let t_final = t;
+            let mut suffix_color = Vec3::ZERO;
+            let mut suffix_depth = 0.0f32;
+            for frag in fragments.iter().rev() {
+                let s = frag.splat;
+                let t_k = frag.t_before;
+                let alpha = frag.alpha;
+                let w = t_k * alpha;
+                let one_minus = 1.0 - alpha;
+
+                let dc_dalpha = s.color * t_k - suffix_color / one_minus;
+                let dd_dalpha = s.depth * t_k - suffix_depth / one_minus;
+                let dt_dalpha = -t_final / one_minus;
+                let dl_dalpha = g_color.dot(dc_dalpha) + g_depth * dd_dalpha + g_trans * dt_dalpha;
+
+                let a = &mut partial[frag.slot];
+                a.hit = true;
+                a.color += g_color * w;
+                a.depth += g_depth * w;
+
+                if alpha < ALPHA_MAX {
+                    a.opacity += dl_dalpha * frag.weight;
+                    let dl_dq = -0.5 * dl_dalpha * s.opacity * frag.weight;
+                    let delta = p - s.mean;
+                    let conic_delta = s.conic.mul_vec(delta);
+                    a.mean += conic_delta * (-2.0 * dl_dq);
+                    a.conic = a.conic
+                        + rtgs_math::Sym2::new(
+                            delta.x * delta.x,
+                            delta.x * delta.y,
+                            delta.y * delta.y,
+                        ) * dl_dq;
                 }
+                events += 1;
 
-                let t_final = t;
-                let mut suffix_color = Vec3::ZERO;
-                let mut suffix_depth = 0.0f32;
-                for frag in fragments.iter().rev() {
-                    let s = frag.splat;
-                    let t_k = frag.t_before;
-                    let alpha = frag.alpha;
-                    let w = t_k * alpha;
-                    let one_minus = 1.0 - alpha;
-
-                    let dc_dalpha = s.color * t_k - suffix_color / one_minus;
-                    let dd_dalpha = s.depth * t_k - suffix_depth / one_minus;
-                    let dt_dalpha = -t_final / one_minus;
-                    let dl_dalpha =
-                        g_color.dot(dc_dalpha) + g_depth * dd_dalpha + g_trans * dt_dalpha;
-
-                    let a = &mut partial[frag.slot];
-                    a.hit = true;
-                    a.color += g_color * w;
-                    a.depth += g_depth * w;
-
-                    if alpha < ALPHA_MAX {
-                        a.opacity += dl_dalpha * frag.weight;
-                        let dl_dq = -0.5 * dl_dalpha * s.opacity * frag.weight;
-                        let delta = p - s.mean;
-                        let conic_delta = s.conic.mul_vec(delta);
-                        a.mean += conic_delta * (-2.0 * dl_dq);
-                        a.conic = a.conic
-                            + rtgs_math::Sym2::new(
-                                delta.x * delta.x,
-                                delta.x * delta.y,
-                                delta.y * delta.y,
-                            ) * dl_dq;
-                    }
-                    events += 1;
-
-                    suffix_color += s.color * w;
-                    suffix_depth += s.depth * w;
-                }
+                suffix_color += s.color * w;
+                suffix_depth += s.depth * w;
             }
         }
         stats.fragment_grad_events += events;
@@ -351,7 +348,7 @@ pub fn backward_aos(
     let t_phase2 = std::time::Instant::now();
 
     // ---- Step ❺: Preprocessing BP (production chunk fold) ----------------
-    let rot_w2c = w2c.rotation_matrix();
+    let frame = PoseFrame::of(w2c);
     let mut gaussian_grads = scene.zero_grads();
     let mut pose = [0.0f32; 6];
     let mut start = 0usize;
@@ -372,7 +369,7 @@ pub fn backward_aos(
                 splat,
                 a,
                 camera,
-                &rot_w2c,
+                &frame,
                 &mut gaussian_grads[id],
                 &mut chunk_pose,
             );

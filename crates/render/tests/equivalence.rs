@@ -52,7 +52,14 @@ struct Case {
     camera: PinholeCamera,
     /// Active mask over stable IDs (`map.capacity()` long, dead IDs off).
     mask: Option<Vec<bool>>,
+    /// Pixels `(x, y)` whose loss targets reproduce the render exactly, so
+    /// that they carry no upstream gradient at all (`None`: every pixel gets
+    /// the dense targets of [`targets`]).
+    quiet: Option<PixelPattern>,
 }
+
+/// A predicate over pixel coordinates `(x, y)`.
+type PixelPattern = fn(usize, usize) -> bool;
 
 /// A Gaussian in unit coordinates; [`arb_case`] scales the position into
 /// the case's world extent.
@@ -142,6 +149,7 @@ fn arb_case(wide: bool) -> impl Strategy<Value = Case> {
                     pose: Se3::from_translation(Vec3::new(t[0], t[1], t[2]) * reach),
                     camera: PinholeCamera::from_fov(w, h, 1.2),
                     mask,
+                    quiet: None,
                 }
             },
         )
@@ -149,13 +157,23 @@ fn arb_case(wide: bool) -> impl Strategy<Value = Case> {
 }
 
 /// Loss targets: a black image plus a constant-depth map, so the color,
-/// depth and transmittance gradient channels are all exercised.
-fn targets(camera: &PinholeCamera) -> (Image, DepthImage) {
-    let (w, h) = (camera.width, camera.height);
-    (
-        Image::new(w, h),
-        DepthImage::from_data(w, h, vec![2.0; w * h]),
-    )
+/// depth and transmittance gradient channels are all exercised — except at
+/// the case's `quiet` pixels, whose color target is the rendered color
+/// itself (an L1 residual of exactly zero has gradient zero) and whose
+/// depth target is "no measurement".
+fn targets(case: &Case, rendered: &RenderOutput) -> (Image, DepthImage) {
+    let (w, h) = (case.camera.width, case.camera.height);
+    let mut color = Image::new(w, h);
+    let mut depth = vec![2.0; w * h];
+    if let Some(quiet) = case.quiet {
+        for (y, x) in (0..h).flat_map(|y| (0..w).map(move |x| (y, x))) {
+            if quiet(x, y) {
+                color.set_pixel(x, y, rendered.image.pixel(x, y));
+                depth[y * w + x] = 0.0;
+            }
+        }
+    }
+    (color, DepthImage::from_data(w, h, depth))
 }
 
 /// The serial AoS ground truth for one case.
@@ -187,6 +205,7 @@ impl Oracle {
             pose,
             camera,
             mask,
+            quiet: _,
         } = case;
         let (flat, flat_ids) = map.flatten();
         let flat_mask: Option<Vec<bool>> = mask
@@ -198,7 +217,7 @@ impl Oracle {
         // The loss is a deterministic function of the rendered output, so
         // the upstream gradients come from any arena whose output the
         // matrix then proves equal to `out`.
-        let (gt, gt_depth) = targets(camera);
+        let (gt, gt_depth) = targets(case, &out);
         let mut seed = FrameArena::new();
         seed.forward(&flat, pose, camera, flat_mask.as_deref(), &Serial);
         seed.compute_loss(&gt, Some(&gt_depth), &LossConfig::default());
@@ -253,6 +272,7 @@ fn check_cell(
         pose,
         camera,
         mask,
+        quiet: _,
     } = case;
 
     // Step ❶, and the frame-local → stable-ID map of its index space.
@@ -445,6 +465,7 @@ fn case_of(
         pose,
         camera: PinholeCamera::from_fov(w, h, 1.2),
         mask: None,
+        quiet: None,
     }
 }
 
@@ -521,4 +542,85 @@ fn arena_handles_resolution_changes() {
         .map(|res| case_of(ramp_scene(), 1.0, Se3::IDENTITY, res))
         .collect();
     run_matrix(&cases);
+}
+
+/// The quiet-pixel patterns of [`sparse_upstream_gradients_merge_like_the_oracle`],
+/// in units the Step-❹ lane kernel cares about (4×4 subtiles, 4-lane rows).
+const QUIET_PATTERNS: [(&str, PixelPattern); 5] = [
+    // Whole 4-lane rows of every subtile carry nothing.
+    ("rows", |_, y| y % 4 == 1 || y % 4 == 2),
+    // One live lane per row, a different one from row to row.
+    ("single lanes", |x, y| x % 4 != y % 4),
+    // Whole subtiles, checkerboard.
+    ("subtiles", |x, y| (x / 4 + y / 4) % 2 == 0),
+    // Every tile but the first column of tiles, and an odd scatter there.
+    ("tiles and a scatter", |x, y| {
+        x >= 16 || (3 * x + 5 * y) % 7 < 4
+    }),
+    // Everything: no gradient anywhere.
+    ("everything", |_, _| true),
+];
+
+/// Pixels without upstream gradient — single lanes, whole rows, whole
+/// subtiles, a whole tile — are skipped by the lane-wide merge exactly as
+/// the pixel-outer oracle skips them: same `hit` flags (hence the same
+/// Gaussians touched), same event counts, same sums, at a whole-subtile
+/// camera and at the two partial-subtile ones.
+#[test]
+fn sparse_upstream_gradients_merge_like_the_oracle() {
+    for res in [(48, 36), (75, 42), (19, 13)] {
+        let dense = Oracle::of(&case_of(ramp_scene(), 1.0, Se3::IDENTITY, res));
+        assert!(dense.grad_events > 0);
+        let cases: Vec<Case> = QUIET_PATTERNS
+            .iter()
+            .map(|&(name, quiet)| {
+                let mut case = case_of(ramp_scene(), 1.0, Se3::IDENTITY, res);
+                case.quiet = Some(quiet);
+                let sparse = Oracle::of(&case);
+                assert!(
+                    sparse.grad_events < dense.grad_events,
+                    "{name} at {res:?}: the pattern must silence fragments"
+                );
+                assert_eq!(
+                    sparse.grad_events == 0,
+                    name == "everything",
+                    "{name} at {res:?}"
+                );
+                case
+            })
+            .collect();
+        run_matrix(&cases);
+    }
+}
+
+/// A near-opaque splat in front: its alpha sits at the `ALPHA_MAX` cap over
+/// its core, where the opacity, mean and conic gradients are switched off
+/// while color and depth still flow — lane by lane inside one record.
+#[test]
+fn splat_capped_at_alpha_max_matches_on_every_path() {
+    let front = Gaussian3d::from_activated(
+        Vec3::new(0.05, -0.02, 1.0),
+        Vec3::splat(0.25),
+        Quat::IDENTITY,
+        0.9999,
+        Vec3::new(0.3, 0.8, 0.5),
+    );
+    for res in [(48, 36), (75, 42)] {
+        let case = case_of(ramp_scene().chain([front]), 1.0, Se3::IDENTITY, res);
+        let oracle = Oracle::of(&case);
+        // One fragment at the cap leaves `T = 1 − 0.99`; the core of the
+        // front splat shows exactly that, its rim does not.
+        let at_cap = 1.0 - rtgs_render::ALPHA_MAX;
+        let capped = oracle
+            .out
+            .final_transmittance
+            .iter()
+            .filter(|&&t| t <= at_cap)
+            .count();
+        assert!(
+            capped > 16 && capped < res.0 * res.1 / 2,
+            "{capped} pixels at the cap"
+        );
+        run_matrix(&[case]);
+    }
 }

@@ -56,8 +56,8 @@ fn test_scene(n: usize) -> GaussianScene {
 }
 
 /// The cameras both gates run at: whole 4×4 subtiles, and the 75×42 frame
-/// of a benchmark session (partial edge tiles and subtiles, so the lane
-/// staging and the out-of-image offset padding are on the measured path).
+/// of a benchmark session (partial edge tiles and subtiles, so idle lanes
+/// and out-of-image subtiles are on the measured path).
 fn cameras() -> [PinholeCamera; 2] {
     [
         PinholeCamera::from_fov(64, 48, 1.2),
@@ -220,6 +220,66 @@ fn steady_state_at(
          allocations over 6 iterations after warm-up, telemetry + journal + trace recording \
          enabled)",
         camera.width, camera.height
+    );
+}
+
+/// A session under downsampled tracking or SLO shedding alternates between
+/// its full resolution and a coarser one. Every tile-indexed buffer (R&B
+/// records, Step-❹ partials) keeps its high-water slots while the grid is
+/// small, so after one warm cycle through both resolutions nothing is
+/// allocated again — the 15-tile frame does not pay for the 6-tile one.
+#[test]
+fn alternating_resolutions_allocate_nothing_after_one_warm_cycle() {
+    let map = ShardedScene::from_scene(&test_scene(180), 1.0);
+    let mask = vec![true; map.capacity()];
+    let cfg = LossConfig::default();
+    let poses = [
+        Se3::IDENTITY,
+        Se3::from_translation(Vec3::new(0.015, 0.01, -0.005)),
+    ];
+    // 75×42 is 5×3 tiles, its 2× downsample 3×2.
+    let frames: Vec<(PinholeCamera, Image)> = [(75, 42), (38, 21)]
+        .into_iter()
+        .map(|(w, h)| {
+            let camera = PinholeCamera::from_fov(w, h, 1.2);
+            let gt = FrameArena::new()
+                .forward(
+                    &map.flatten().0,
+                    &Se3::from_translation(Vec3::new(0.02, -0.01, 0.0)),
+                    &camera,
+                    None,
+                    &Serial,
+                )
+                .image
+                .clone();
+            (camera, gt)
+        })
+        .collect();
+    let mut arena = FrameArena::new();
+    let cycle = |arena: &mut FrameArena| {
+        for (camera, gt) in &frames {
+            for w2c in &poses {
+                let loss = iteration(arena, &map, &mask, w2c, camera, gt, &cfg);
+                assert!(loss.is_finite());
+                assert!(arena.backward().stats.gaussians_touched > 0);
+            }
+        }
+    };
+
+    let warm_start = alloc_counter::thread_allocations();
+    cycle(&mut arena);
+    assert!(
+        alloc_counter::thread_allocations() > warm_start,
+        "sanity: the warm cycle must allocate (counter must be live)"
+    );
+    let before = alloc_counter::thread_allocations();
+    for _ in 0..3 {
+        cycle(&mut arena);
+    }
+    let steady_allocs = alloc_counter::thread_allocations() - before;
+    assert_eq!(
+        steady_allocs, 0,
+        "alternating 75×42 ↔ 38×21 must not allocate after one warm cycle"
     );
 }
 
