@@ -7,7 +7,7 @@ use crate::common::{f, slam_config, Scale, Table};
 use rtgs_replicate::{
     duplex_pair, FaultPlan, Follower, ReplicatedSession, ReplicationPolicy, Replicator,
 };
-use rtgs_runtime::{ReplicationOptions, Serve};
+use rtgs_runtime::Serve;
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{config_fingerprint, BaseAlgorithm, SlamPipeline};
 use rtgs_telemetry as telemetry;
@@ -144,10 +144,7 @@ pub fn failover(scale: Scale) -> String {
             ),
         ));
     }
-    let outcomes = Serve::builder()
-        .threads(2)
-        .replicate(ReplicationOptions::new())
-        .run(sessions);
+    let outcomes = Serve::builder().threads(2).run(sessions);
     for stop in &stops {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
     }

@@ -211,7 +211,11 @@ impl<L: ByteLink> FaultyLink<L> {
         Ok(())
     }
 
-    /// Sends one envelope through the fault stream.
+    /// Sends one envelope through the fault stream. The faults are drawn
+    /// first; the envelope is copied only when one of them needs bytes of
+    /// its own (a flipped bit, a held-back release) — a healthy, duplicated
+    /// or truncated envelope is written to the link from the caller's
+    /// buffer.
     ///
     /// # Errors
     ///
@@ -229,29 +233,41 @@ impl<L: ByteLink> FaultyLink<L> {
             1
         };
         for _ in 0..copies {
-            let mut out = bytes.to_vec();
-            if self.plan.truncate > 0.0 && self.rng.gen_bool(self.plan.truncate) && out.len() > 1 {
-                let keep = self.rng.gen_range(1..out.len());
-                out.truncate(keep);
+            let mut keep = bytes.len();
+            if self.plan.truncate > 0.0 && self.rng.gen_bool(self.plan.truncate) && keep > 1 {
+                keep = self.rng.gen_range(1..keep);
                 self.stats.truncated += 1;
             }
-            if self.plan.corrupt > 0.0 && self.rng.gen_bool(self.plan.corrupt) {
-                let i = self.rng.gen_range(0..out.len());
-                out[i] ^= 1 << self.rng.gen_range(0u32..8) as u8;
+            let flip = if self.plan.corrupt > 0.0 && self.rng.gen_bool(self.plan.corrupt) {
+                let i = self.rng.gen_range(0..keep);
                 self.stats.corrupted += 1;
-            }
-            if self.plan.delay > 0.0
+                Some((i, 1u8 << self.rng.gen_range(0u32..8)))
+            } else {
+                None
+            };
+            let hold_ticks = if self.plan.delay > 0.0
                 && self.plan.max_delay_ticks > 0
                 && self.rng.gen_bool(self.plan.delay)
             {
-                let ticks = u64::from(self.rng.gen_range(1..=self.plan.max_delay_ticks));
-                self.held.push(Held {
+                self.stats.delayed += 1;
+                Some(u64::from(self.rng.gen_range(1..=self.plan.max_delay_ticks)))
+            } else {
+                None
+            };
+            if flip.is_none() && hold_ticks.is_none() {
+                self.inner.write(&bytes[..keep])?;
+                continue;
+            }
+            let mut out = bytes[..keep].to_vec();
+            if let Some((i, bit)) = flip {
+                out[i] ^= bit;
+            }
+            match hold_ticks {
+                Some(ticks) => self.held.push(Held {
                     release_tick: self.tick + ticks,
                     bytes: out,
-                });
-                self.stats.delayed += 1;
-            } else {
-                self.inner.write(&out)?;
+                }),
+                None => self.inner.write(&out)?,
             }
         }
         Ok(())
@@ -312,6 +328,131 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42).1, run(43).1, "different seeds should differ");
+    }
+
+    /// The send path as it was before copy-on-fault: every copy gets its own
+    /// buffer up front, then the faults are drawn against it. Kept as the
+    /// reference the production path must match draw for draw.
+    fn send_envelope_copying(link: &mut FaultyLink<crate::transport::DuplexLink>, bytes: &[u8]) {
+        link.stats.offered += 1;
+        if link.plan.drop > 0.0 && link.rng.gen_bool(link.plan.drop) {
+            link.stats.dropped += 1;
+            return;
+        }
+        let copies = if link.plan.duplicate > 0.0 && link.rng.gen_bool(link.plan.duplicate) {
+            link.stats.duplicated += 1;
+            2
+        } else {
+            1
+        };
+        for _ in 0..copies {
+            let mut out = bytes.to_vec();
+            if link.plan.truncate > 0.0 && link.rng.gen_bool(link.plan.truncate) && out.len() > 1 {
+                let keep = link.rng.gen_range(1..out.len());
+                out.truncate(keep);
+                link.stats.truncated += 1;
+            }
+            if link.plan.corrupt > 0.0 && link.rng.gen_bool(link.plan.corrupt) {
+                let i = link.rng.gen_range(0..out.len());
+                out[i] ^= 1 << link.rng.gen_range(0u32..8) as u8;
+                link.stats.corrupted += 1;
+            }
+            if link.plan.delay > 0.0
+                && link.plan.max_delay_ticks > 0
+                && link.rng.gen_bool(link.plan.delay)
+            {
+                let ticks = u64::from(link.rng.gen_range(1..=link.plan.max_delay_ticks));
+                link.held.push(Held {
+                    release_tick: link.tick + ticks,
+                    bytes: out,
+                });
+                link.stats.delayed += 1;
+            } else {
+                link.inner.write(&out).unwrap();
+            }
+        }
+    }
+
+    /// 200 envelopes of 1–48 bytes through `plan`, one tick per send, then
+    /// everything still held: the fault counters and the delivered stream.
+    fn drive(
+        plan: FaultPlan,
+        send: impl Fn(&mut FaultyLink<crate::transport::DuplexLink>, &[u8]),
+    ) -> (FaultStats, Vec<u8>) {
+        let (a, mut b) = duplex_pair();
+        let mut faulty = FaultyLink::new(a, plan);
+        for i in 0..200usize {
+            let envelope: Vec<u8> = (0..1 + (i * 7) % 48).map(|k| (i * 31 + k) as u8).collect();
+            send(&mut faulty, &envelope);
+            faulty.tick().unwrap();
+        }
+        pump_all(&mut faulty);
+        let mut bytes = Vec::new();
+        b.read_available(&mut bytes).unwrap();
+        (faulty.stats(), bytes)
+    }
+
+    /// Copy-on-fault changes no draw and no delivered byte: against the
+    /// copy-always reference over the plan space `tests/faults.rs` samples
+    /// (every class alone, all at once, none), and against the stream the
+    /// previous implementation produced for three chaos seeds.
+    #[test]
+    fn copy_on_fault_matches_copy_always_draw_for_draw() {
+        let mut plans = vec![FaultPlan::lossless(3)];
+        for seed in 0..24u64 {
+            let p = |k: u64, max: f64| ((seed * 7 + k * 13) % 10) as f64 / 10.0 * max;
+            plans.push(FaultPlan::chaos(seed));
+            plans.push(
+                FaultPlan::lossless(seed * 41 + 5)
+                    .with_drop(p(0, 0.5))
+                    .with_duplicate(p(1, 0.4))
+                    .with_truncate(p(2, 0.3))
+                    .with_corrupt(p(3, 0.3))
+                    .with_delay(p(4, 0.5), 1 + (seed % 3) as u32),
+            );
+        }
+        for seed in 100..104u64 {
+            plans.push(FaultPlan::lossless(seed).with_drop(0.5));
+            plans.push(FaultPlan::lossless(seed).with_duplicate(0.5));
+            plans.push(FaultPlan::lossless(seed).with_truncate(0.5));
+            plans.push(FaultPlan::lossless(seed).with_corrupt(0.5));
+            plans.push(FaultPlan::lossless(seed).with_delay(0.5, 3));
+        }
+        for plan in plans {
+            let new = drive(plan.clone(), |link, bytes| {
+                link.send_envelope(bytes).unwrap()
+            });
+            let old = drive(plan.clone(), send_envelope_copying);
+            assert_eq!(new, old, "{plan:?}");
+        }
+
+        // Per chaos seed: [dropped, duplicated, truncated, corrupted,
+        // delayed], bytes delivered and their CRC-32, recorded from the
+        // copy-always code.
+        for (seed, faults, len, crc) in [
+            (7u64, [19u64, 15, 15, 10, 24], 4509usize, 0x9cb9_9112u32),
+            (42, [23, 13, 4, 13, 26], 4421, 0xdc6b_82c3),
+            (99, [19, 18, 12, 11, 31], 4509, 0x569a_e3a2),
+        ] {
+            let (stats, bytes) = drive(FaultPlan::chaos(seed), |link, bytes| {
+                link.send_envelope(bytes).unwrap()
+            });
+            let [dropped, duplicated, truncated, corrupted, delayed] = faults;
+            let expected = FaultStats {
+                offered: 200,
+                dropped,
+                duplicated,
+                truncated,
+                corrupted,
+                delayed,
+            };
+            assert_eq!(stats, expected, "seed {seed}");
+            assert_eq!(
+                (bytes.len(), rtgs_snapshot::crc32(&bytes)),
+                (len, crc),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

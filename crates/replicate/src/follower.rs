@@ -15,13 +15,13 @@
 //! identical to the primary at the last applied record (proven by the
 //! tests in `rtgs-slam::snapshot` and the `failover` experiment).
 
-use crate::protocol::{Message, ResyncReason};
+use crate::protocol::{Message, RecordKind, ResyncReason, StreamRecord};
 use crate::transport::ByteLink;
-use crate::wire::{seal, FrameScanner};
+use crate::wire::FrameScanner;
 use crate::ReplicationError;
 use rtgs_scene::SyntheticDataset;
 use rtgs_slam::{SlamConfig, SlamPipeline};
-use rtgs_snapshot::{RecordKind, ReplayState, StreamRecord};
+use rtgs_snapshot::ReplayState;
 use rtgs_telemetry::flight::hops;
 use rtgs_telemetry::{emit_flow_span, journal_record, ns_since_epoch, EventKind};
 use std::time::{Duration, Instant};
@@ -144,8 +144,8 @@ impl<L: ByteLink> Follower<L> {
         self.replay.as_ref().map_or(0, ReplayState::resident_bytes)
     }
 
-    fn send(&mut self, message: &Message) -> Result<(), ReplicationError> {
-        self.link.write(&seal(&message.encode()))?;
+    fn send(&mut self, message: &Message<'_>) -> Result<(), ReplicationError> {
+        self.link.write(&message.seal())?;
         Ok(())
     }
 
@@ -185,9 +185,45 @@ impl<L: ByteLink> Follower<L> {
         self.send(&Message::ResyncRequest { epoch, reason })
     }
 
-    /// Emits the replay-side flow span for an applied record carrying a
-    /// trace tag — the cross-process end of the frame's flight trace.
-    fn emit_replay_span(&self, record: &StreamRecord, started: Instant) {
+    fn ignore(&mut self) {
+        self.records_ignored += 1;
+        self.metrics.records_ignored.incr();
+    }
+
+    /// Applies an in-order record to the standby and acks it. This is the
+    /// one place a payload's section checksums and structure are checked:
+    /// a failure here passed the wire CRC and is still bad, so the standby
+    /// is untrusted and gets rebuilt from a fresh base.
+    fn apply(&mut self, record: &StreamRecord<'_>) -> Result<(), ReplicationError> {
+        let started = Instant::now();
+        let (applied, on_failure) = match (record.kind, self.replay.as_mut()) {
+            (RecordKind::Base, _) => (
+                ReplayState::from_base(record.payload).map(|state| self.replay = Some(state)),
+                ResyncReason::BadBase,
+            ),
+            (RecordKind::Delta, Some(replay)) => (
+                replay.apply_delta(record.payload),
+                ResyncReason::ApplyFailed,
+            ),
+            // Deltas before any base: the chain start is missing.
+            (RecordKind::Delta, None) => return self.request_resync(ResyncReason::SequenceGap),
+        };
+        if applied.is_err() {
+            return self.request_resync(on_failure);
+        }
+        if record.kind == RecordKind::Base {
+            self.epoch = record.epoch;
+            self.requested_resync_for = None;
+        } else {
+            self.metrics
+                .replay_ns
+                .record(started.elapsed().as_nanos() as u64);
+        }
+        self.last_seq = record.seq;
+        self.records_applied += 1;
+        self.metrics.records_applied.incr();
+        self.metrics.standby_bytes.set(self.standby_bytes() as i64);
+        // The cross-process end of the frame's flight trace.
         if let Some(tag) = &record.trace {
             emit_flow_span(
                 "replicate.replay",
@@ -199,51 +235,10 @@ impl<L: ByteLink> Follower<L> {
                 hops::REPLAY,
             );
         }
+        self.ack_current()
     }
 
-    fn apply_base(&mut self, record: &StreamRecord) -> Result<(), ReplicationError> {
-        let started = Instant::now();
-        match ReplayState::from_base(&record.payload) {
-            Ok(state) => {
-                self.replay = Some(state);
-                self.epoch = record.epoch;
-                self.last_seq = record.seq;
-                self.requested_resync_for = None;
-                self.records_applied += 1;
-                self.metrics.records_applied.incr();
-                self.metrics.standby_bytes.set(self.standby_bytes() as i64);
-                self.emit_replay_span(record, started);
-                self.ack_current()
-            }
-            Err(_) => self.request_resync(ResyncReason::BadBase),
-        }
-    }
-
-    fn apply_delta(&mut self, record: &StreamRecord) -> Result<(), ReplicationError> {
-        let Some(replay) = self.replay.as_mut() else {
-            // Deltas before any base: the chain start is missing.
-            return self.request_resync(ResyncReason::SequenceGap);
-        };
-        let started = Instant::now();
-        match replay.apply_delta(&record.payload) {
-            Ok(()) => {
-                self.last_seq = record.seq;
-                self.records_applied += 1;
-                self.metrics.records_applied.incr();
-                self.metrics
-                    .replay_ns
-                    .record(started.elapsed().as_nanos() as u64);
-                self.metrics.standby_bytes.set(self.standby_bytes() as i64);
-                self.emit_replay_span(record, started);
-                self.ack_current()
-            }
-            // The payload passed the wire CRC but failed structural
-            // validation — the standby is untrusted now; rebuild it.
-            Err(_) => self.request_resync(ResyncReason::ApplyFailed),
-        }
-    }
-
-    fn handle_record(&mut self, record: &StreamRecord) -> Result<(), ReplicationError> {
+    fn handle_record(&mut self, record: &StreamRecord<'_>) -> Result<(), ReplicationError> {
         if record.config_fingerprint != self.expected_fingerprint {
             // Replaying a stream from a differently-configured primary
             // would diverge silently — refuse loudly instead.
@@ -253,12 +248,11 @@ impl<L: ByteLink> Follower<L> {
             });
         }
         if record.epoch < self.epoch {
-            self.records_ignored += 1;
-            self.metrics.records_ignored.incr();
+            self.ignore();
             return Ok(()); // stale epoch: superseded by a resync base
         }
         match record.kind {
-            RecordKind::Base => self.apply_base(record),
+            RecordKind::Base => self.apply(record),
             RecordKind::Delta if record.epoch > self.epoch => {
                 // Deltas of an epoch whose base we never saw.
                 self.epoch = record.epoch;
@@ -266,13 +260,12 @@ impl<L: ByteLink> Follower<L> {
                 self.request_resync(ResyncReason::SequenceGap)
             }
             RecordKind::Delta => {
-                if record.seq == self.last_seq + 1 && self.replay.is_some() {
-                    self.apply_delta(record)
+                if record.seq == self.last_seq + 1 {
+                    self.apply(record)
                 } else if record.seq <= self.last_seq {
                     // Duplicate (or retransmission of something applied):
                     // re-ack so the primary stops retransmitting.
-                    self.records_ignored += 1;
-                    self.metrics.records_ignored.incr();
+                    self.ignore();
                     self.ack_current()
                 } else {
                     self.request_resync(ResyncReason::SequenceGap)
@@ -298,18 +291,11 @@ impl<L: ByteLink> Follower<L> {
         while let Some(payload) = self.scanner.next_payload() {
             match Message::decode(&payload) {
                 Ok(Message::Record(record)) => self.handle_record(&record)?,
-                Ok(Message::Ack { .. } | Message::ResyncRequest { .. }) => {
-                    // Peer-direction traffic on our inbound path: ignore.
-                    self.records_ignored += 1;
-                    self.metrics.records_ignored.incr();
-                }
-                Err(_) => {
-                    // Passed CRC but not the protocol layer — count and
-                    // move on; sequence tracking will force a resync if a
-                    // real record was lost inside it.
-                    self.records_ignored += 1;
-                    self.metrics.records_ignored.incr();
-                }
+                // Peer-direction traffic on our inbound path, or bytes that
+                // passed the CRC but not the protocol layer: count and move
+                // on — sequence tracking forces a resync if a real record
+                // was lost inside it.
+                _ => self.ignore(),
             }
         }
         Ok(())
@@ -356,6 +342,7 @@ impl<L: ByteLink> Follower<L> {
 mod tests {
     use super::*;
     use crate::transport::{duplex_pair, DuplexLink};
+    use crate::wire::tests::seal;
     use rtgs_math::{Quat, Vec3};
     use rtgs_render::{Gaussian3d, ShardedScene};
     use rtgs_snapshot::CheckpointLog;
@@ -383,20 +370,18 @@ mod tests {
         log
     }
 
-    fn record(kind: RecordKind, epoch: u32, seq: u64, fp: u64, payload: Vec<u8>) -> Vec<u8> {
-        seal(
-            &Message::Record(StreamRecord {
-                kind,
-                epoch,
-                seq,
-                frame: seq,
-                frames_covered: 1,
-                config_fingerprint: fp,
-                payload,
-                trace: None,
-            })
-            .encode(),
-        )
+    fn record(kind: RecordKind, epoch: u32, seq: u64, fp: u64, payload: &[u8]) -> Vec<u8> {
+        Message::Record(StreamRecord {
+            kind,
+            epoch,
+            seq,
+            frame: seq,
+            frames_covered: 1,
+            config_fingerprint: fp,
+            payload,
+            trace: None,
+        })
+        .seal()
     }
 
     /// Feeds `bytes` into the follower's inbound direction.
@@ -407,7 +392,7 @@ mod tests {
     }
 
     /// Drains the follower's outbound messages.
-    fn outbound(peer: &mut DuplexLink) -> Vec<Message> {
+    fn outbound(peer: &mut DuplexLink) -> Vec<Message<'static>> {
         use crate::transport::ByteLink;
         let mut bytes = Vec::new();
         peer.read_available(&mut bytes).unwrap();
@@ -415,7 +400,13 @@ mod tests {
         scanner.extend(&bytes);
         let mut out = Vec::new();
         while let Some(payload) = scanner.next_payload() {
-            out.push(Message::decode(&payload).unwrap());
+            out.push(match Message::decode(&payload).unwrap() {
+                Message::Ack { epoch, seq } => Message::Ack { epoch, seq },
+                Message::ResyncRequest { epoch, reason } => {
+                    Message::ResyncRequest { epoch, reason }
+                }
+                Message::Record(_) => panic!("a follower never sends records"),
+            });
         }
         out
     }
@@ -428,7 +419,7 @@ mod tests {
         feed(
             &mut peer,
             &mut follower,
-            &record(RecordKind::Base, 0, 0, FP, log.base_bytes().to_vec()),
+            &record(RecordKind::Base, 0, 0, FP, log.base_bytes()),
         );
         assert!(follower.is_warm());
         assert!(matches!(
@@ -440,24 +431,12 @@ mod tests {
         feed(
             &mut peer,
             &mut follower,
-            &record(
-                RecordKind::Delta,
-                0,
-                2,
-                FP,
-                log.delta_bytes(1).unwrap().to_vec(),
-            ),
+            &record(RecordKind::Delta, 0, 2, FP, log.delta_bytes(1).unwrap()),
         );
         feed(
             &mut peer,
             &mut follower,
-            &record(
-                RecordKind::Delta,
-                0,
-                3,
-                FP,
-                log.delta_bytes(2).unwrap().to_vec(),
-            ),
+            &record(RecordKind::Delta, 0, 3, FP, log.delta_bytes(2).unwrap()),
         );
         assert!(
             follower.is_warm(),
@@ -486,15 +465,9 @@ mod tests {
         feed(
             &mut peer,
             &mut follower,
-            &record(RecordKind::Base, 0, 0, FP, log.base_bytes().to_vec()),
+            &record(RecordKind::Base, 0, 0, FP, log.base_bytes()),
         );
-        let delta = record(
-            RecordKind::Delta,
-            0,
-            1,
-            FP,
-            log.delta_bytes(0).unwrap().to_vec(),
-        );
+        let delta = record(RecordKind::Delta, 0, 1, FP, log.delta_bytes(0).unwrap());
         feed(&mut peer, &mut follower, &delta);
         feed(&mut peer, &mut follower, &delta); // retransmission of an applied record
         let msgs = outbound(&mut peer);
@@ -510,14 +483,8 @@ mod tests {
         let mut follower = Follower::new(link, FP);
         let log = seeded_log(1);
         use crate::transport::ByteLink;
-        peer.write(&record(
-            RecordKind::Base,
-            0,
-            0,
-            FP ^ 1,
-            log.base_bytes().to_vec(),
-        ))
-        .unwrap();
+        peer.write(&record(RecordKind::Base, 0, 0, FP ^ 1, log.base_bytes()))
+            .unwrap();
         match follower.pump() {
             Err(ReplicationError::FingerprintMismatch { expected, found }) => {
                 assert_eq!(expected, FP);
@@ -531,13 +498,13 @@ mod tests {
     fn corrupt_base_payload_requests_resync() {
         let (mut peer, link) = duplex_pair();
         let mut follower = Follower::new(link, FP);
-        // An empty-but-well-formed container: survives record decode, then
-        // fails base replay (no scene state inside).
+        // An empty-but-well-formed container: fails base replay (no scene
+        // state inside).
         let hollow = rtgs_snapshot::SectionBuilder::new().finish();
         feed(
             &mut peer,
             &mut follower,
-            &record(RecordKind::Base, 0, 0, FP, hollow),
+            &record(RecordKind::Base, 0, 0, FP, &hollow),
         );
         assert!(!follower.is_warm());
         assert!(matches!(
@@ -549,6 +516,145 @@ mod tests {
         ));
     }
 
+    /// A follower that has applied `log`'s base as (epoch 0, seq 0), with
+    /// the base's ack already drained from the return path.
+    fn warm(log: &CheckpointLog) -> (DuplexLink, Follower<DuplexLink>) {
+        let (mut peer, link) = duplex_pair();
+        let mut follower = Follower::new(link, FP);
+        feed(
+            &mut peer,
+            &mut follower,
+            &record(RecordKind::Base, 0, 0, FP, log.base_bytes()),
+        );
+        assert_eq!(follower.records_applied(), 1);
+        outbound(&mut peer);
+        (peer, follower)
+    }
+
+    /// The next in-order delta of `log`, traced so the optional header
+    /// tail is on the wire too.
+    fn traced_delta(log: &CheckpointLog) -> Message<'_> {
+        Message::Record(StreamRecord {
+            kind: RecordKind::Delta,
+            epoch: 0,
+            seq: 1,
+            frame: 1,
+            frames_covered: 1,
+            config_fingerprint: FP,
+            payload: log.delta_bytes(0).unwrap(),
+            trace: Some(crate::protocol::TraceTag {
+                trace_id: 0xABCD,
+                hop: hops::WIRE,
+            }),
+        })
+    }
+
+    /// Link damage: every single-bit flip and every truncation point of a
+    /// sealed delta record is stopped by the envelope layer — nothing is
+    /// applied, nothing panics, the standby stays promotable.
+    #[test]
+    fn every_flip_and_truncation_of_a_sealed_delta_applies_nothing() {
+        let log = seeded_log(2);
+        let sealed = traced_delta(&log).seal();
+        {
+            let (mut peer, mut follower) = warm(&log);
+            feed(&mut peer, &mut follower, &sealed);
+            assert_eq!(follower.records_applied(), 2, "the intact record applies");
+        }
+        for bit in 0..sealed.len() * 8 {
+            let mut damaged = sealed.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            let (mut peer, mut follower) = warm(&log);
+            feed(&mut peer, &mut follower, &damaged);
+            assert_eq!(follower.records_applied(), 1, "bit {bit} applied a record");
+            assert_eq!(follower.last_seq(), 0, "bit {bit}");
+            assert!(follower.is_warm(), "bit {bit} cost the standby");
+            assert!(outbound(&mut peer).is_empty(), "bit {bit} was answered");
+        }
+        for cut in 0..sealed.len() {
+            let (mut peer, mut follower) = warm(&log);
+            feed(&mut peer, &mut follower, &sealed[..cut]);
+            assert_eq!(follower.records_applied(), 1, "cut {cut} applied a record");
+            assert!(follower.is_warm(), "cut {cut} cost the standby");
+            assert!(outbound(&mut peer).is_empty(), "cut {cut} was answered");
+        }
+    }
+
+    /// Damage *behind* the envelope CRC (a peer that seals bad bytes): every
+    /// single-bit flip of the message body, re-sealed. The follower answers
+    /// each with a typed outcome and never panics. Header flips apply only
+    /// in fields that carry no validity (`frame`, `frames_covered`, the
+    /// trace tag); payload flips are caught by the container's own section
+    /// checksums in the replay, which discards the standby and asks for a
+    /// resync — and whatever does apply leaves exactly the intact record's
+    /// standby (a section-table offset can land on identical bytes), never a
+    /// different one.
+    #[test]
+    fn every_flip_behind_the_envelope_crc_is_typed() {
+        let log = seeded_log(2);
+        let message = traced_delta(&log);
+        let mut body = Vec::new();
+        message.encode_into(&mut body);
+        let intact = {
+            let (mut peer, mut follower) = warm(&log);
+            feed(&mut peer, &mut follower, &seal(&body));
+            follower.standby().unwrap().to_log().base_bytes().to_vec()
+        };
+        let payload_at = body.len() - log.delta_bytes(0).unwrap().len();
+        // Offsets in the body (kind byte first) of the unvalidated fields.
+        let unvalidated = |at: usize| (15..31).contains(&at) || (39..payload_at).contains(&at);
+        let mut payload_flips_caught = 0;
+        for bit in 0..body.len() * 8 {
+            let at = bit / 8;
+            let mut damaged = body.clone();
+            damaged[at] ^= 1 << (bit % 8);
+            let (mut peer, mut follower) = warm(&log);
+            {
+                use crate::transport::ByteLink;
+                peer.write(&seal(&damaged)).unwrap();
+            }
+            match follower.pump() {
+                Ok(()) => {}
+                Err(ReplicationError::FingerprintMismatch { .. }) => {
+                    assert!(
+                        (31..39).contains(&at),
+                        "bit {bit}: mismatch outside the field"
+                    );
+                }
+                Err(other) => panic!("bit {bit}: untyped failure {other}"),
+            }
+            if follower.records_applied() == 2 {
+                assert!(unvalidated(at) || at >= payload_at, "bit {bit} applied");
+                assert_eq!(
+                    follower.standby().unwrap().to_log().base_bytes(),
+                    intact,
+                    "bit {bit}: silent divergence"
+                );
+            } else {
+                assert!(!unvalidated(at), "bit {bit} should not matter");
+                if at >= payload_at {
+                    payload_flips_caught += 1;
+                    assert!(!follower.is_warm(), "bit {bit}: damaged payload kept");
+                    assert!(
+                        matches!(
+                            outbound(&mut peer).as_slice(),
+                            [Message::ResyncRequest {
+                                reason: ResyncReason::ApplyFailed,
+                                ..
+                            }]
+                        ),
+                        "bit {bit}: payload damage must request a resync"
+                    );
+                }
+            }
+        }
+        let payload_bits = (body.len() - payload_at) * 8;
+        assert!(
+            payload_flips_caught * 100 >= payload_bits * 99,
+            "{payload_flips_caught} of {payload_bits} payload flips caught"
+        );
+    }
+
     #[test]
     fn stale_epoch_records_are_ignored() {
         let (mut peer, link) = duplex_pair();
@@ -557,20 +663,14 @@ mod tests {
         feed(
             &mut peer,
             &mut follower,
-            &record(RecordKind::Base, 1, 5, FP, log.base_bytes().to_vec()),
+            &record(RecordKind::Base, 1, 5, FP, log.base_bytes()),
         );
         assert_eq!(follower.epoch(), 1);
         // A straggler from epoch 0 arrives late: ignored, no state change.
         feed(
             &mut peer,
             &mut follower,
-            &record(
-                RecordKind::Delta,
-                0,
-                1,
-                FP,
-                log.delta_bytes(0).unwrap().to_vec(),
-            ),
+            &record(RecordKind::Delta, 0, 1, FP, log.delta_bytes(0).unwrap()),
         );
         assert_eq!(follower.records_ignored(), 1);
         assert_eq!(follower.last_seq(), 5);

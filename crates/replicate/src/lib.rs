@@ -4,14 +4,15 @@
 //! a **warm standby** per session: the primary streams its
 //! [`CheckpointLog`](rtgs_snapshot::CheckpointLog) — the base once, then
 //! each dirty-shard delta as it is captured — over a byte-stream transport
-//! to a follower, which validates (container CRC + sequence numbers +
+//! to a follower, which validates (envelope CRC + sequence numbers +
 //! config fingerprint), acknowledges, and applies every record into an
 //! incrementally-maintained
 //! [`ReplayState`](rtgs_snapshot::ReplayState). Failover is
-//! [`Follower::promote`]: re-base the replay and restore a
-//! [`SlamPipeline`](rtgs_slam::SlamPipeline) from it — the continuation is
-//! **bitwise-identical** to the primary's, because the re-based log is
-//! byte-identical to the primary compacting at the same stream position.
+//! [`Follower::promote`]: restore a
+//! [`SlamPipeline`](rtgs_slam::SlamPipeline) from the replay's decoded
+//! state — the continuation is **bitwise-identical** to the primary's,
+//! because that state is what the primary compacting at the same stream
+//! position would restore.
 //!
 //! Three layers:
 //!
@@ -20,7 +21,9 @@
 //!    [`duplex_pair`] now, a socket later.
 //! 2. **Wire + protocol** ([`wire`], [`protocol`]) — self-synchronizing
 //!    length-prefixed CRC-framed envelopes carrying records
-//!    (primary→follower) and acks / resync requests (follower→primary).
+//!    (primary→follower) and acks / resync requests (follower→primary). A
+//!    record is one fixed header plus the log's base or delta container
+//!    verbatim: one frame, one link checksum.
 //! 3. **Roles** ([`primary`], [`follower`], [`session`]) — the
 //!    [`Replicator`] drives capture/send/retransmit with capped
 //!    exponential backoff, the [`Follower`] validates/applies/acks, and

@@ -16,15 +16,12 @@
 //! stale-epoch records.
 
 use crate::fault::{FaultPlan, FaultStats, FaultyLink};
-use crate::protocol::Message;
+use crate::protocol::{Message, RecordKind, StreamRecord, TraceTag};
 use crate::transport::ByteLink;
-use crate::wire::{seal, FrameScanner};
+use crate::wire::FrameScanner;
 use crate::ReplicationError;
 use rtgs_runtime::ReplicationStats;
-use rtgs_snapshot::{
-    write_file_atomic, CaptureStats, CheckpointLog, RecordKind, SnapshotError, StreamRecord,
-    TraceTag,
-};
+use rtgs_snapshot::{write_file_atomic, CaptureStats, CheckpointLog, SnapshotError};
 use rtgs_telemetry::flight::hops;
 use rtgs_telemetry::{emit_flow_span, journal_record, ns_since_epoch, EventKind, TraceCtx};
 use std::collections::VecDeque;
@@ -247,33 +244,40 @@ impl<L: ByteLink> Replicator<L> {
         self.metrics.bytes_queued.set(stats.bytes_queued as i64);
     }
 
+    /// Ships the log's newest capture — its base for [`RecordKind::Base`],
+    /// its last delta otherwise — written from the log straight into the
+    /// envelope kept for retransmission.
     fn send_record(
         &mut self,
         kind: RecordKind,
         frame: u64,
         frames_covered: u64,
-        payload: Vec<u8>,
         trace: TraceCtx,
     ) -> Result<(), ReplicationError> {
         let seq = self.next_seq;
-        let record = StreamRecord {
+        self.next_seq += 1;
+        let t0 = Instant::now();
+        let envelope = Message::Record(StreamRecord {
             kind,
             epoch: self.epoch,
             seq,
             frame,
             frames_covered,
             config_fingerprint: self.fingerprint,
-            payload,
-            // Version-gated optional section: the frame's flight trace rides
-            // the wire so the follower's replay span joins the same trace.
+            // The frame's flight trace rides the wire so the follower's
+            // replay span joins the same trace.
             trace: trace.is_traced().then_some(TraceTag {
                 trace_id: trace.trace_id,
                 hop: hops::WIRE,
             }),
-        };
-        self.next_seq += 1;
-        let t0 = Instant::now();
-        let envelope = seal(&Message::Record(record).encode());
+            payload: match kind {
+                RecordKind::Base => self.log.base_bytes(),
+                RecordKind::Delta => (self.log.delta_count().checked_sub(1))
+                    .and_then(|last| self.log.delta_bytes(last))
+                    .expect("capture appended a delta"),
+            },
+        })
+        .seal();
         self.link.send_envelope(&envelope)?;
         if trace.is_traced() {
             emit_flow_span(
@@ -338,7 +342,6 @@ impl<L: ByteLink> Replicator<L> {
             self.frames_dropped_by_policy += 1;
             return Ok(());
         }
-        let before = self.log.delta_count();
         let t0 = Instant::now();
         let stats = checkpoint(&mut self.log)?;
         if trace.is_traced() {
@@ -352,18 +355,12 @@ impl<L: ByteLink> Replicator<L> {
                 hops::CHECKPOINT,
             );
         }
-        if stats.is_base {
-            let payload = self.log.base_bytes().to_vec();
-            self.send_record(RecordKind::Base, frame, 1, payload, trace)
+        let kind = if stats.is_base {
+            RecordKind::Base
         } else {
-            debug_assert_eq!(self.log.delta_count(), before + 1);
-            let payload = self
-                .log
-                .delta_bytes(self.log.delta_count() - 1)
-                .expect("capture appended a delta")
-                .to_vec();
-            self.send_record(RecordKind::Delta, frame, 1, payload, trace)
-        }
+            RecordKind::Delta
+        };
+        self.send_record(kind, frame, 1, trace)
     }
 
     /// Compacts the primary's log in place (folds deltas into the base).
@@ -413,14 +410,7 @@ impl<L: ByteLink> Replicator<L> {
             u64::from(self.epoch),
         );
         let frame = 0; // a base is positionless; coverage is in frames_covered
-        let payload = self.log.base_bytes().to_vec();
-        self.send_record(
-            RecordKind::Base,
-            frame,
-            outstanding,
-            payload,
-            TraceCtx::NONE,
-        )
+        self.send_record(RecordKind::Base, frame, outstanding, TraceCtx::NONE)
     }
 
     fn handle_ack(&mut self, epoch: u32, seq: u64) {
@@ -481,7 +471,7 @@ impl<L: ByteLink> Replicator<L> {
 
         // Retransmission: every overdue pending record goes out again.
         let mut overdue = Vec::new();
-        for pending in &mut self.pending {
+        for (i, pending) in self.pending.iter_mut().enumerate() {
             if self.tick.saturating_sub(pending.sent_tick) >= pending.backoff {
                 if pending.attempts >= self.policy.max_attempts {
                     return Err(ReplicationError::RetriesExhausted {
@@ -492,18 +482,19 @@ impl<L: ByteLink> Replicator<L> {
                 pending.attempts += 1;
                 pending.sent_tick = self.tick;
                 pending.backoff = (pending.backoff * 2).min(self.policy.backoff_cap_ticks);
-                overdue.push((pending.envelope.clone(), pending.seq, pending.trace_id));
+                overdue.push(i);
             }
         }
-        for (envelope, seq, trace_id) in overdue {
-            self.link.send_envelope(&envelope)?;
+        for i in overdue {
+            let pending = &self.pending[i];
+            self.link.send_envelope(&pending.envelope)?;
             self.retransmits += 1;
             self.metrics.retransmits.incr();
             journal_record(
                 EventKind::Retransmit,
                 self.session_index,
-                trace_id,
-                seq,
+                pending.trace_id,
+                pending.seq,
                 self.tick,
             );
         }

@@ -6,8 +6,13 @@
 //! offset 0   magic        4 bytes  "RPLW"
 //!        4   payload len  u32 LE
 //!        8   payload crc  u32 LE   (CRC-32 over the payload bytes)
-//!       12   payload      len bytes
+//!       12   payload      len bytes  (one [`crate::protocol::Message`])
 //! ```
+//!
+//! The envelope CRC is the link's trust boundary: the sender computes it
+//! once over the whole message, the [`FrameScanner`] verifies it before a
+//! byte of the message is looked at, and nothing between the two checksums
+//! those bytes again.
 //!
 //! The [`FrameScanner`] re-frames a damaged stream: it hunts for the magic
 //! (discarding leading junk), waits for incomplete envelopes, and on a CRC
@@ -26,14 +31,20 @@ pub const HEADER_LEN: usize = 12;
 /// corrupt length field cannot stall the scanner waiting forever.
 pub const MAX_FRAME_LEN: usize = 1 << 26;
 
-/// Wraps `payload` in a wire envelope.
+/// Builds an envelope around a payload written in place: `write_payload`
+/// appends the payload (about `payload_len` bytes — a sizing hint) straight
+/// behind the header, and the length and CRC are filled in afterwards, so a
+/// large record is copied into its envelope once and checksummed once.
 #[must_use]
-pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+pub fn seal_with(payload_len: usize, write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; HEADER_LEN - WIRE_MAGIC.len()]);
+    write_payload(&mut out);
+    let len = (out.len() - HEADER_LEN) as u32;
+    let crc = crc32(&out[HEADER_LEN..]);
+    out[4..8].copy_from_slice(&len.to_le_bytes());
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -129,8 +140,14 @@ impl FrameScanner {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// An envelope around raw bytes (production envelopes hold a
+    /// [`crate::protocol::Message`]).
+    pub(crate) fn seal(payload: &[u8]) -> Vec<u8> {
+        seal_with(payload.len(), |out| out.extend_from_slice(payload))
+    }
 
     #[test]
     fn seal_and_scan_roundtrip() {

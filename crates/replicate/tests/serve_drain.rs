@@ -16,7 +16,7 @@
 use rtgs_replicate::{
     duplex_pair, DuplexLink, FaultPlan, Follower, ReplicatedSession, ReplicationPolicy, Replicator,
 };
-use rtgs_runtime::{ReplicationOptions, Serve};
+use rtgs_runtime::Serve;
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{config_fingerprint, BaseAlgorithm, SlamConfig, SlamPipeline};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,10 +95,7 @@ fn serve_shutdown_drains_every_replication_stream() {
         ));
     }
 
-    let outcomes = Serve::builder()
-        .threads(2)
-        .replicate(ReplicationOptions::new())
-        .run(sessions);
+    let outcomes = Serve::builder().threads(2).run(sessions);
 
     assert_eq!(outcomes.len(), 3);
     for outcome in &outcomes {
@@ -144,37 +141,4 @@ fn serve_shutdown_drains_every_replication_stream() {
             .expect("standby state must restore cleanly");
         assert!(follower.records_applied() > 0);
     }
-}
-
-#[test]
-fn drain_can_be_disabled_per_fleet() {
-    let config = quick_config();
-    let fingerprint = config_fingerprint(&config);
-    let dataset = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), FRAMES);
-
-    // A link nobody ever reads: with drain enabled this would stall the
-    // shutdown (and eventually error); with drain disabled the fleet
-    // shuts down immediately and simply reports the lag it left behind.
-    let (primary_link, _parked_follower_link) = duplex_pair();
-    let replicator = Replicator::new(
-        primary_link,
-        fingerprint,
-        ReplicationPolicy::new(),
-        FaultPlan::lossless(5),
-    );
-    let pipeline = SlamPipeline::new(config, &dataset);
-
-    let outcomes = Serve::builder()
-        .threads(1)
-        .replicate(ReplicationOptions::new().with_drain_on_shutdown(false))
-        .run(vec![(
-            "undrained".to_string(),
-            ReplicatedSession::new(pipeline, replicator),
-        )]);
-
-    let replication = outcomes[0].stats.replication.unwrap();
-    assert!(
-        replication.frames_behind > 0,
-        "with drain disabled and no follower, lag must be visible: {replication:?}"
-    );
 }

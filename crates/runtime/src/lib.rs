@@ -65,7 +65,7 @@ pub use ingest::{
 pub use pool::{PoolStats, Scope, ThreadPool};
 pub use rtgs_telemetry::{HealthReport, HealthVerdict};
 pub use scheduler::{
-    fleet_latency, EvictionPolicy, ReplicationOptions, ReplicationStats, Session, SessionIoError,
-    SessionOutcome, SessionScheduler, SessionStats, SessionStatus, ShutdownHandle,
+    fleet_latency, EvictionPolicy, ReplicationStats, Session, SessionIoError, SessionOutcome,
+    SessionScheduler, SessionStats, SessionStatus, ShutdownHandle,
 };
 pub use serve::{Serve, ServeBuilder};

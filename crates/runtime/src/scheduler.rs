@@ -226,44 +226,6 @@ pub struct ReplicationStats {
     pub epoch: u32,
 }
 
-/// Scheduler-level replication behavior, attached via
-/// [`crate::ServeBuilder::replicate`].
-///
-/// `#[non_exhaustive]`: construct via [`ReplicationOptions::new`] plus the
-/// `with_*` builders.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct ReplicationOptions {
-    /// Drain every session's replication stream at graceful shutdown so
-    /// final stats balance (default `true`). Disable only for
-    /// fire-and-forget streams where shutdown latency matters more than
-    /// exact frame accounting.
-    pub drain_on_shutdown: bool,
-}
-
-impl Default for ReplicationOptions {
-    fn default() -> Self {
-        Self {
-            drain_on_shutdown: true,
-        }
-    }
-}
-
-impl ReplicationOptions {
-    /// The default options: drain on shutdown.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets whether graceful shutdown drains replication streams.
-    #[must_use]
-    pub fn with_drain_on_shutdown(mut self, drain: bool) -> Self {
-        self.drain_on_shutdown = drain;
-        self
-    }
-}
-
 /// Residency budget driving hibernate-to-disk eviction.
 ///
 /// `#[non_exhaustive]`: construct via [`EvictionPolicy::new`] plus the
@@ -475,7 +437,6 @@ pub struct SessionScheduler<S: Session> {
     ingest: Option<IngestHub>,
     metrics: SchedulerMetrics,
     snapshot_writer: Option<SnapshotWriter>,
-    replication: Option<ReplicationOptions>,
 }
 
 impl<S: Session> SessionScheduler<S> {
@@ -495,7 +456,6 @@ impl<S: Session> SessionScheduler<S> {
             ingest: None,
             metrics: SchedulerMetrics::from_global(),
             snapshot_writer: None,
-            replication: None,
         }
     }
 
@@ -517,13 +477,6 @@ impl<S: Session> SessionScheduler<S> {
     /// writer's interval) and once more on shutdown.
     pub(crate) fn set_snapshot_writer(&mut self, writer: SnapshotWriter) {
         self.snapshot_writer = Some(writer);
-    }
-
-    /// Attaches replication behavior (see [`ReplicationOptions`]). Without
-    /// this the scheduler still drains replicating sessions at shutdown
-    /// with default options — attach explicitly only to change them.
-    pub(crate) fn set_replication(&mut self, options: ReplicationOptions) {
-        self.replication = Some(options);
     }
 
     /// Mirrors the pool's scheduling counters into the global registry so
@@ -918,21 +871,13 @@ impl<S: Session> SessionScheduler<S> {
         // Drain replication streams before reports are taken: outstanding
         // records get acked (or typed-fail) and journals are fsynced, so
         // `frames_processed == frames_replicated + frames_dropped_by_policy`
-        // holds in the final stats. On by default; an attached
-        // ReplicationOptions can opt out. Failures are counted, not fatal —
-        // the report still collects.
-        let drain = self
-            .replication
-            .as_ref()
-            .map_or(true, |options| options.drain_on_shutdown);
-        if drain {
-            let drain_failures =
-                rtgs_telemetry::global().counter("serve.replication.drain_failures");
-            for entry in &mut self.sessions {
-                if entry.session.drain_replication().is_err() {
-                    drain_failures.incr();
-                    entry.drain_failed = true;
-                }
+        // holds in the final stats. Failures are counted, not fatal — the
+        // report still collects.
+        let drain_failures = rtgs_telemetry::global().counter("serve.replication.drain_failures");
+        for entry in &mut self.sessions {
+            if entry.session.drain_replication().is_err() {
+                drain_failures.incr();
+                entry.drain_failed = true;
             }
         }
 

@@ -28,9 +28,7 @@
 
 use crate::ingest::IngestHub;
 use crate::pool::ThreadPool;
-use crate::scheduler::{
-    EvictionPolicy, ReplicationOptions, Session, SessionOutcome, SessionScheduler,
-};
+use crate::scheduler::{EvictionPolicy, Session, SessionOutcome, SessionScheduler};
 use rtgs_telemetry::SnapshotWriter;
 use std::sync::Arc;
 
@@ -61,7 +59,6 @@ pub struct ServeBuilder {
     eviction: Option<EvictionPolicy>,
     ingest: Option<IngestHub>,
     snapshot_writer: Option<SnapshotWriter>,
-    replicate: Option<ReplicationOptions>,
 }
 
 impl ServeBuilder {
@@ -105,15 +102,6 @@ impl ServeBuilder {
         self
     }
 
-    /// Configures replication behavior for replicating sessions (see
-    /// [`ReplicationOptions`]). Streams of replicating sessions are drained
-    /// at graceful shutdown even without this rung — attach it only to
-    /// change the defaults.
-    pub fn replicate(mut self, options: ReplicationOptions) -> Self {
-        self.replicate = Some(options);
-        self
-    }
-
     /// Finishes the chain into a configured [`SessionScheduler`] with no
     /// sessions yet — the escape hatch when the caller needs
     /// [`try_admit`](SessionScheduler::try_admit), a
@@ -132,9 +120,6 @@ impl ServeBuilder {
         }
         if let Some(writer) = self.snapshot_writer {
             scheduler.set_snapshot_writer(writer);
-        }
-        if let Some(options) = self.replicate {
-            scheduler.set_replication(options);
         }
         scheduler
     }

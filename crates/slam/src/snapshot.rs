@@ -330,11 +330,14 @@ impl SlamPipeline<'_> {
         Ok(log)
     }
 
-    /// Restores the checkpointed state into this pipeline in place,
-    /// keeping its extension object (which is notified of the restored
-    /// capacity).
-    pub(crate) fn apply_restored(&mut self, log: &CheckpointLog) -> Result<(), SnapshotError> {
-        let (scene, channels, meta_bytes) = log.restore()?;
+    /// Installs restored state — what [`CheckpointLog::restore`] or a
+    /// follower's [`ReplayState::restore`](rtgs_snapshot::ReplayState::restore)
+    /// returned — into this pipeline in place, keeping its extension object
+    /// (which is notified of the restored capacity).
+    pub(crate) fn apply_restored(
+        &mut self,
+        (scene, channels, meta_bytes): (ShardedScene, Vec<Channel>, Vec<u8>),
+    ) -> Result<(), SnapshotError> {
         let meta = decode_session_meta(&meta_bytes)?;
         let expected = config_fingerprint(&self.config);
         if meta.fingerprint != expected {
@@ -447,8 +450,7 @@ impl SlamPipeline<'_> {
     pub fn rehydrate_from(&mut self, path: &Path) -> Result<(), SnapshotError> {
         let t0 = Instant::now();
         let bytes = std::fs::read(path)?;
-        let log = CheckpointLog::decode(&bytes)?;
-        self.apply_restored(&log)?;
+        self.apply_restored(CheckpointLog::decode(&bytes)?.restore()?)?;
         let registry = rtgs_telemetry::global();
         registry
             .counter("snapshot.rehydrate.bytes")
@@ -516,15 +518,15 @@ impl<'d> SlamPipeline<'d> {
         log: &CheckpointLog,
     ) -> Result<Self, SnapshotError> {
         let mut pipeline = Self::with_extension(config, dataset, extension);
-        pipeline.apply_restored(log)?;
+        pipeline.apply_restored(log.restore()?)?;
         Ok(pipeline)
     }
 
     /// Rebuilds a session from a replication follower's accumulated
     /// [`ReplayState`](rtgs_snapshot::ReplayState) — the promote step of a
-    /// failover. The replay re-bases into a log whose base is
-    /// byte-identical to the primary compacting at the same stream
-    /// position, so the promoted pipeline continues bitwise-identically.
+    /// failover. The standby's decoded state is installed as it stands; it
+    /// equals what the primary compacting at the same stream position would
+    /// restore, so the promoted pipeline continues bitwise-identically.
     ///
     /// # Errors
     ///
@@ -536,7 +538,9 @@ impl<'d> SlamPipeline<'d> {
         dataset: &'d SyntheticDataset,
         replay: &rtgs_snapshot::ReplayState,
     ) -> Result<Self, SnapshotError> {
-        Self::restore_from(config, dataset, &replay.to_log())
+        let mut pipeline = Self::new(config, dataset);
+        pipeline.apply_restored(replay.restore()?)?;
+        Ok(pipeline)
     }
 }
 
@@ -826,7 +830,9 @@ mod tests {
     /// Promoting from a follower's replay state continues exactly like
     /// restoring from the primary's own log: stream base + deltas into a
     /// ReplayState, promote, and the continuation is bitwise-identical to
-    /// an uninterrupted run.
+    /// an uninterrupted run — and to the oracle that re-bases the replay
+    /// into a log (`to_log`, byte-identical to the compacted primary) and
+    /// restores from that.
     #[test]
     fn restore_from_replay_matches_restore_from_log() {
         let ds = tiny_dataset(5);
@@ -853,20 +859,32 @@ mod tests {
             }
         }
         drop(primary); // the crash
+        let replay = replay.unwrap();
+        log.compact().unwrap();
+        assert_eq!(replay.to_log().base_bytes(), log.base_bytes());
 
-        let mut promoted =
-            SlamPipeline::restore_from_replay(cfg, &ds, &replay.unwrap()).expect("promote");
+        let mut promoted = SlamPipeline::restore_from_replay(cfg, &ds, &replay).expect("promote");
+        let mut rebased =
+            SlamPipeline::restore_from(cfg, &ds, &replay.to_log()).expect("oracle restore");
+        assert_eq!(promoted.scene.export_state(), rebased.scene.export_state());
+        assert_eq!(promoted.mask, rebased.mask);
         while uninterrupted.step().is_some() {}
         while promoted.step().is_some() {}
+        while rebased.step().is_some() {}
 
         let a = uninterrupted.report();
-        let b = promoted.report();
-        assert_eq!(a.frames_processed, b.frames_processed);
-        for (pa, pb) in a.trajectory.iter().zip(b.trajectory.iter()) {
-            assert_eq!(pa.translation, pb.translation);
-            assert_eq!(pa.rotation, pb.rotation);
+        for b in [promoted.report(), rebased.report()] {
+            assert_eq!(a.frames_processed, b.frames_processed);
+            for (pa, pb) in a.trajectory.iter().zip(b.trajectory.iter()) {
+                assert_eq!(pa.translation, pb.translation);
+                assert_eq!(pa.rotation, pb.rotation);
+            }
+            assert_eq!(a.mean_psnr, b.mean_psnr);
+            for (fa, fb) in a.frames.iter().zip(b.frames.iter()) {
+                assert_eq!(fa.tracking_loss.to_bits(), fb.tracking_loss.to_bits());
+                assert_eq!(fa.gaussians, fb.gaussians);
+            }
         }
-        assert_eq!(a.mean_psnr, b.mean_psnr);
     }
 
     #[test]

@@ -27,9 +27,9 @@ use crate::format::{
     put_f32, put_i32, put_len, put_str, put_u32, Cursor, SectionBuilder, Sections,
 };
 use crate::scene::{
-    decode_state, encode_state_into, is_tombstoned, put_gaussian, read_gaussian, tombstone_fill,
-    GAUSSIANS_TAG,
+    encode_state_into, is_tombstoned, put_gaussian, read_gaussian, tombstone_fill, GAUSSIANS_TAG,
 };
+use crate::stream::ReplayState;
 use rtgs_render::{SceneState, ShardState, ShardedScene};
 
 /// Tag of the base/delta channel section.
@@ -248,10 +248,7 @@ impl CheckpointLog {
     /// Any container/section error of the stored bytes, or
     /// [`SnapshotError::Corrupt`] when replayed state is inconsistent.
     pub fn restore(&self) -> Result<(ShardedScene, Vec<Channel>, Vec<u8>), SnapshotError> {
-        let (state, channels, meta) = self.replay()?;
-        let scene = ShardedScene::import_state(&state)
-            .map_err(|context| SnapshotError::Corrupt { context })?;
-        Ok((scene, channels, meta))
+        self.replay()?.restore()
     }
 
     /// Folds the delta chain into a new base. The new base is
@@ -265,8 +262,7 @@ impl CheckpointLog {
         if self.deltas.is_empty() {
             return Ok(());
         }
-        let (state, channels, meta) = self.replay()?;
-        self.base = encode_base(&state, &channels, &meta);
+        self.base = self.replay()?.encode_base();
         self.deltas.clear();
         Ok(())
     }
@@ -320,21 +316,18 @@ impl CheckpointLog {
         })
     }
 
-    /// Replays the chain into plain state without importing the scene.
-    fn replay(&self) -> Result<(SceneState, Vec<Channel>, Vec<u8>), SnapshotError> {
+    /// Folds base + deltas through the one replay a follower also uses.
+    fn replay(&self) -> Result<ReplayState, SnapshotError> {
         if self.base.is_empty() {
             return Err(SnapshotError::Unsupported {
                 context: "restore from an empty log (no base captured)",
             });
         }
-        let sections = Sections::parse(&self.base)?;
-        let mut state = decode_state(&sections)?;
-        let mut channels = decode_channels(&sections, state.gaussians.len())?;
-        let mut meta = sections.get(META_TAG)?.to_vec();
+        let mut replay = ReplayState::from_base(&self.base)?;
         for delta in &self.deltas {
-            meta = apply_delta(delta, &mut state, &mut channels)?;
+            replay.apply_delta(delta)?;
         }
-        Ok((state, channels, meta))
+        Ok(replay)
     }
 }
 

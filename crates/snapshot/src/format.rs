@@ -33,15 +33,39 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Bytes per section-table entry.
 const TABLE_ENTRY: usize = 4 + 8 + 8 + 4;
 
-/// CRC-32 (IEEE 802.3, reflected) of `bytes`.
+/// Reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// One shift-xor round per bit of `byte`: the definition the table is
+/// built from.
+const fn crc_byte_rounds(byte: u32) -> u32 {
+    let mut crc = byte;
+    let mut bit = 0;
+    while bit < 8 {
+        crc = (crc >> 1) ^ (CRC_POLY & 0u32.wrapping_sub(crc & 1));
+        bit += 1;
+    }
+    crc
+}
+
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        table[i] = crc_byte_rounds(i as u32);
+        i += 1;
+    }
+    table
+}
+
+static CRC_TABLE: [u32; 256] = crc_table();
+
+/// CRC-32 (IEEE 802.3, reflected) of `bytes`, one table lookup per byte.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
-        }
+        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -373,11 +397,42 @@ impl<'a> Sections<'a> {
 mod tests {
     use super::*;
 
+    /// The bit-at-a-time definition `crc32` used before it went by table.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & 0u32.wrapping_sub(crc & 1));
+            }
+        }
+        !crc
+    }
+
     #[test]
-    fn crc32_matches_known_vector() {
+    fn crc32_matches_known_vector_and_the_bitwise_reference() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b""), 0);
+        // Every length 0..=4096 of one LCG byte stream.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..4096)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect();
+        for len in 0..=bytes.len() {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bitwise(&bytes[..len]),
+                "length {len}"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!    carrying only changed shards (plus their members' ID-keyed
 //!    [`Channel`] rows and the small global free-list); restore is base +
 //!    replay, and [`CheckpointLog::compact`] folds a chain back into a
-//!    base byte-identical to a fresh full snapshot.
+//!    base byte-identical to a fresh full snapshot. The replay is one
+//!    type, [`ReplayState`] ([`stream`]): a log folds its chain through
+//!    it, and a replication follower keeps one warm, a delta at a time.
 //!
 //! The SLAM layer builds session hibernate/resume on top of this crate
 //! (`rtgs_slam::SlamPipeline::checkpoint_into` / `restore_from`), and the
@@ -74,4 +76,4 @@ pub use checkpoint::{CaptureStats, Channel, CheckpointLog};
 pub use error::SnapshotError;
 pub use format::{crc32, Cursor, SectionBuilder, Sections, FORMAT_VERSION, MAGIC};
 pub use scene::{decode_scene, decode_scene_sections, encode_scene, encode_scene_into};
-pub use stream::{RecordKind, ReplayState, StreamRecord, TraceTag};
+pub use stream::ReplayState;

@@ -1,184 +1,28 @@
-//! Delta-stream framing for live checkpoint replication.
+//! Incremental replay of a base + delta chain.
 //!
 //! A [`CheckpointLog`] is also a *stream*: the base once, then one delta
-//! per capture. This module defines the record framing a primary ships to
-//! a follower, and the follower-side [`ReplayState`] that applies those
-//! records incrementally so a warm standby is always one replay away from
-//! a promotable pipeline.
+//! per capture. [`ReplayState`] is the one fold over that stream — the
+//! decoded state a base and its deltas accumulate into. A log restores and
+//! compacts through it, and a replication follower keeps one warm, applying
+//! each delta as it arrives, so a standby is always one
+//! [`ReplayState::restore`] away from a promotable pipeline.
 //!
-//! Two record kinds exist ([`RecordKind`]):
-//!
-//! - **`Base`** — a full base snapshot. The first record of a stream, and
-//!   the *resync record*: whenever the delta chain breaks (loss, damage,
-//!   reordering beyond repair), the primary compacts its log and ships a
-//!   fresh base under a new epoch, and the follower restarts its replay
-//!   from it.
-//! - **`Delta`** — one dirty-shard delta, applied on top of the follower's
-//!   accumulated state.
-//!
-//! Each record carries an epoch (bumped per resync), a stream-wide
-//! sequence number, the latest frame it covers, how many replicated frames
-//! it newly covers (for exact frames-replicated accounting across
-//! resyncs), and the session's config fingerprint, so a follower can
-//! detect both chain breaks and operator error (replicating into a
-//! differently-configured standby) with typed results, never silent
-//! divergence. Records are encoded through the crate's checksummed section
-//! container, so every decode is CRC-verified before a byte of payload is
-//! interpreted.
+//! The payloads are the log's own base and delta containers, verbatim; how
+//! they are framed, ordered and acknowledged on a link is the replication
+//! crate's business (`rtgs_replicate::protocol`), not this one's.
 
 use crate::checkpoint::{
     apply_delta, decode_channels, encode_base, Channel, CheckpointLog, META_TAG,
 };
 use crate::error::SnapshotError;
-use crate::format::{put_u32, put_u64, put_u8, Cursor, SectionBuilder, Sections};
+use crate::format::Sections;
 use crate::scene::decode_state;
 use rtgs_render::{SceneState, ShardedScene};
 
-/// Tag of a stream record's header section.
-const RECORD_HEADER_TAG: [u8; 4] = *b"RHDR";
-/// Tag of a stream record's payload section (an encoded base or delta).
-const RECORD_PAYLOAD_TAG: [u8; 4] = *b"RPAY";
-/// Tag of a stream record's optional flight-recorder trace section.
-const RECORD_TRACE_TAG: [u8; 4] = *b"RTRC";
-
-/// Flight-recorder trace context riding a stream record: the frame's trace
-/// id plus the hop number of the stage that captured the record. Carried
-/// as an *optional* section, which is the version gate — records written
-/// before tracing existed (or with tracing off) simply lack the section
-/// and decode with `trace: None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceTag {
-    /// Flow id of the frame this record was captured for (never 0 when
-    /// the tag is present).
-    pub trace_id: u64,
-    /// Monotone hop sequence at capture time.
-    pub hop: u32,
-}
-
-/// What a [`StreamRecord`] carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// A full base snapshot: the stream's first record, or a resync point
-    /// starting a new epoch.
-    Base,
-    /// A dirty-shard delta on top of the follower's accumulated state.
-    Delta,
-}
-
-/// One replication stream record: a framed base or delta payload plus the
-/// ordering and identity headers a follower validates before applying.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamRecord {
-    /// Base (chain start / resync) or delta.
-    pub kind: RecordKind,
-    /// Resync epoch: bumped every time the primary re-bases the stream.
-    /// Records of a stale epoch are discarded by the follower.
-    pub epoch: u32,
-    /// Stream-wide monotone sequence number (never reused across epochs).
-    pub seq: u64,
-    /// Latest session frame this record covers.
-    pub frame: u64,
-    /// Replicated-class frames this record *newly* covers: 1 for a normal
-    /// per-frame delta, everything outstanding for a resync base. Summing
-    /// acked records' `frames_covered` gives exact frames-replicated
-    /// accounting.
-    pub frames_covered: u64,
-    /// Fingerprint of the session config the stream was captured under; a
-    /// follower standing by with a different config rejects loudly.
-    pub config_fingerprint: u64,
-    /// Optional flight-recorder trace context (see [`TraceTag`]); `None`
-    /// on records from primaries with tracing off and on pre-tracing
-    /// streams.
-    pub trace: Option<TraceTag>,
-    /// The encoded base or delta container.
-    pub payload: Vec<u8>,
-}
-
-impl StreamRecord {
-    /// Serializes the record as a checksummed container.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut builder = SectionBuilder::new();
-        let head = builder.section(RECORD_HEADER_TAG);
-        put_u8(
-            head,
-            match self.kind {
-                RecordKind::Base => 0,
-                RecordKind::Delta => 1,
-            },
-        );
-        put_u32(head, self.epoch);
-        put_u64(head, self.seq);
-        put_u64(head, self.frame);
-        put_u64(head, self.frames_covered);
-        put_u64(head, self.config_fingerprint);
-        if let Some(trace) = &self.trace {
-            let sec = builder.section(RECORD_TRACE_TAG);
-            put_u64(sec, trace.trace_id);
-            put_u32(sec, trace.hop);
-        }
-        builder
-            .section(RECORD_PAYLOAD_TAG)
-            .extend_from_slice(&self.payload);
-        builder.finish()
-    }
-
-    /// Parses a record produced by [`Self::encode`], verifying the
-    /// container checksums and that the payload is itself a parseable
-    /// section container.
-    ///
-    /// # Errors
-    ///
-    /// Any container error, or [`SnapshotError::Corrupt`] for an unknown
-    /// record kind.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let sections = Sections::parse(bytes)?;
-        let mut head = Cursor::new(sections.get(RECORD_HEADER_TAG)?, "stream record header");
-        let kind = match head.u8()? {
-            0 => RecordKind::Base,
-            1 => RecordKind::Delta,
-            other => {
-                return Err(SnapshotError::Corrupt {
-                    context: format!("unknown stream record kind {other}"),
-                })
-            }
-        };
-        let epoch = head.u32()?;
-        let seq = head.u64()?;
-        let frame = head.u64()?;
-        let frames_covered = head.u64()?;
-        let config_fingerprint = head.u64()?;
-        head.expect_end()?;
-        let trace = match sections.get_optional(RECORD_TRACE_TAG) {
-            Some(bytes) => {
-                let mut cur = Cursor::new(bytes, "stream record trace");
-                let trace_id = cur.u64()?;
-                let hop = cur.u32()?;
-                cur.expect_end()?;
-                Some(TraceTag { trace_id, hop })
-            }
-            None => None,
-        };
-        let payload = sections.get(RECORD_PAYLOAD_TAG)?.to_vec();
-        // Validate the payload's own framing eagerly, so a damaged record
-        // is rejected here rather than halfway through a replay.
-        Sections::parse(&payload)?;
-        Ok(Self {
-            kind,
-            epoch,
-            seq,
-            frame,
-            frames_covered,
-            config_fingerprint,
-            trace,
-            payload,
-        })
-    }
-}
-
-/// Follower-side incremental replay: the decoded state a stream of base +
-/// delta records accumulates into, kept warm so promotion is a single
-/// restore away instead of a full chain replay.
+/// The decoded state a base and its deltas accumulate into: what a
+/// [`CheckpointLog`] folds its chain through to restore or compact, and what
+/// a replication follower keeps warm so promotion is a single restore away
+/// instead of a full chain replay.
 ///
 /// Every [`Self::apply_delta`] is validated like a restore would validate
 /// it; an error leaves the state **unchanged** conceptually — callers must
@@ -193,8 +37,9 @@ pub struct ReplayState {
 }
 
 impl ReplayState {
-    /// Starts a replay from an encoded base snapshot (the payload of a
-    /// [`RecordKind::Base`] record).
+    /// Starts a replay from an encoded base snapshot
+    /// ([`CheckpointLog::base_bytes`]). This parse is where the base's
+    /// section checksums are verified.
     ///
     /// # Errors
     ///
@@ -212,8 +57,8 @@ impl ReplayState {
         })
     }
 
-    /// Applies one encoded delta (the payload of a [`RecordKind::Delta`]
-    /// record) on top of the accumulated state.
+    /// Applies one encoded delta ([`CheckpointLog::delta_bytes`]) on top of
+    /// the accumulated state, verifying its section checksums first.
     ///
     /// # Errors
     ///
@@ -261,13 +106,20 @@ impl ReplayState {
         Ok((scene, self.channels.clone(), self.meta.clone()))
     }
 
+    /// The canonical base encoding of the accumulated state — byte-identical
+    /// to a fresh full capture of the same state.
+    pub(crate) fn encode_base(&self) -> Vec<u8> {
+        encode_base(&self.state, &self.channels, &self.meta)
+    }
+
     /// Re-encodes the accumulated state as a detached single-base
     /// [`CheckpointLog`] — byte-identical to the primary compacting its
-    /// own log at the same point in the stream, which is what makes a
-    /// promoted follower's continuation bitwise-identical to the primary's.
+    /// own log at the same point in the stream. Promotion restores from
+    /// [`Self::restore`] directly; this is the oracle the tests hold it to
+    /// ("promoted == compacted primary").
     #[must_use]
     pub fn to_log(&self) -> CheckpointLog {
-        CheckpointLog::from_base_bytes(encode_base(&self.state, &self.channels, &self.meta))
+        CheckpointLog::from_base_bytes(self.encode_base())
     }
 }
 
@@ -287,84 +139,6 @@ mod tests {
             map.insert(g_at(Vec3::new(i as f32 * 1.5, 0.0, 2.0)));
         }
         map
-    }
-
-    #[test]
-    fn stream_record_roundtrips() {
-        let record = StreamRecord {
-            kind: RecordKind::Delta,
-            epoch: 3,
-            seq: 41,
-            frame: 17,
-            frames_covered: 2,
-            config_fingerprint: 0xfeed_beef,
-            trace: Some(TraceTag {
-                trace_id: 0x1234_5678_9abc_def1,
-                hop: 3,
-            }),
-            payload: SectionBuilder::new().finish(),
-        };
-        let decoded = StreamRecord::decode(&record.encode()).unwrap();
-        assert_eq!(decoded, record);
-    }
-
-    /// The trace section is the version gate: a record written without one
-    /// (tracing off, or a pre-tracing primary) decodes cleanly with
-    /// `trace: None`, and adding the section never perturbs the other
-    /// header fields.
-    #[test]
-    fn traceless_record_decodes_with_none() {
-        let record = StreamRecord {
-            kind: RecordKind::Base,
-            epoch: 1,
-            seq: 2,
-            frame: 3,
-            frames_covered: 4,
-            config_fingerprint: 5,
-            trace: None,
-            payload: SectionBuilder::new().finish(),
-        };
-        let decoded = StreamRecord::decode(&record.encode()).unwrap();
-        assert_eq!(decoded.trace, None);
-        assert_eq!(decoded, record);
-
-        let mut traced = record.clone();
-        traced.trace = Some(TraceTag {
-            trace_id: 9,
-            hop: 2,
-        });
-        let decoded = StreamRecord::decode(&traced.encode()).unwrap();
-        assert_eq!(
-            decoded.trace,
-            Some(TraceTag {
-                trace_id: 9,
-                hop: 2
-            })
-        );
-        assert_eq!(decoded.seq, record.seq);
-        assert_eq!(decoded.config_fingerprint, record.config_fingerprint);
-    }
-
-    #[test]
-    fn damaged_record_is_a_typed_error() {
-        let record = StreamRecord {
-            kind: RecordKind::Base,
-            epoch: 0,
-            seq: 1,
-            frame: 0,
-            frames_covered: 1,
-            config_fingerprint: 7,
-            trace: None,
-            payload: SectionBuilder::new().finish(),
-        };
-        let bytes = record.encode();
-        for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
-            assert!(StreamRecord::decode(&bytes[..cut]).is_err());
-        }
-        let mut bad = bytes.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x20;
-        assert!(StreamRecord::decode(&bad).is_err());
     }
 
     /// Streaming a log's records through a ReplayState converges on the

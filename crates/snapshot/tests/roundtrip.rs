@@ -11,13 +11,17 @@
 //! 2. **base + deltas == full snapshot after compaction** — capturing a
 //!    delta after every churn step and compacting yields base bytes
 //!    identical to a fresh full capture of the final state, channels
-//!    included.
+//!    included. A [`ReplayState`] fed the same records (what a replication
+//!    follower holds) restores to that state directly, exactly as its
+//!    re-based log does.
+//! 3. **the persisted format does not move** — the encoded log of a fixed
+//!    churn script hashes to a pinned value.
 
 use proptest::prelude::*;
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{FrameArena, Gaussian3d, PinholeCamera, ShardedScene};
 use rtgs_runtime::{Backend, Parallel, Serial};
-use rtgs_snapshot::{decode_scene, encode_scene, Channel, CheckpointLog};
+use rtgs_snapshot::{decode_scene, encode_scene, Channel, CheckpointLog, ReplayState};
 
 fn arb_gaussian() -> impl Strategy<Value = Gaussian3d> {
     (
@@ -141,6 +145,7 @@ proptest! {
         let mut moments = Channel::zeroed("adam.m", 3, map.capacity());
         let mut log = CheckpointLog::new();
         let _ = log.capture(&map, &[moments.clone()], b"step-0").expect("base capture");
+        let mut replay = ReplayState::from_base(log.base_bytes()).expect("base replays");
 
         for (round, (sel, g, dv)) in churn.into_iter().enumerate() {
             // One churn step: tombstone, recycle-insert, nudge a survivor
@@ -162,7 +167,20 @@ proptest! {
                 .expect("delta capture");
             prop_assert!(!stats.is_base);
             prop_assert!(stats.shards_written <= stats.total_shards);
+            replay.apply_delta(log.delta_bytes(round).expect("captured")).expect("delta replays");
         }
+
+        // The warm replay restores directly to what its re-based log (the
+        // promote oracle) and the chained log restore to.
+        let direct = replay.restore().expect("direct restore");
+        let rebased = replay.to_log().restore().expect("re-based restore");
+        let chained = log.restore().expect("chained restore");
+        for (scene, channels, meta) in [&rebased, &chained] {
+            prop_assert_eq!(direct.0.export_state(), scene.export_state());
+            prop_assert_eq!(&direct.1, channels);
+            prop_assert_eq!(&direct.2, meta);
+        }
+        prop_assert_eq!(direct.0.export_state(), map.export_state());
 
         let deltas = log.delta_count();
         prop_assert!(deltas >= 1);
@@ -217,4 +235,65 @@ fn encoded_log_roundtrips_through_bytes() {
     let a = render_map(&map, &pose, &cam, &Serial);
     let b = render_map(&restored, &pose, &cam, &Serial);
     assert_eq!(a.output().image, b.output().image);
+}
+
+/// Contract 3: the persisted container does not move. A fixed churn script
+/// (insert, tombstone, recycle, growth; one ID-keyed channel; Gaussians from
+/// exact binary fractions, so no libm call shapes a byte) encodes to the
+/// same bytes it always has — length and CRC-32 were recorded before
+/// replication records stopped being snapshot containers (and before
+/// `crc32` went by table; its values are pinned in `format.rs`).
+#[test]
+fn persisted_log_bytes_are_pinned() {
+    let g = |i: u32| Gaussian3d {
+        position: Vec3::new(
+            i as f32 * 0.75 - 3.0,
+            (i % 3) as f32 * 0.5,
+            2.0 + (i % 5) as f32,
+        ),
+        log_scale: Vec3::new(-2.5, -2.25, -2.0 - (i % 2) as f32 * 0.5),
+        rotation: Quat::new(1.0, 0.0, 0.0, 0.0),
+        opacity: 0.5 + (i % 4) as f32 * 0.125,
+        color: Vec3::new(0.25, 0.5, (i % 8) as f32 * 0.125),
+    };
+    let mut map = ShardedScene::new(1.0);
+    for i in 0..24 {
+        map.insert(g(i));
+    }
+    let mut moments = Channel::zeroed("adam.m", 2, map.capacity());
+    let touch = |moments: &mut Channel, map: &ShardedScene, id: u32, v: f32| {
+        moments.data.resize(map.capacity() * 2, 0.0);
+        moments.data[id as usize * 2..][..2].copy_from_slice(&[v, -v]);
+    };
+    let mut log = CheckpointLog::new();
+    let _ = log.capture(&map, &[moments.clone()], b"frame 0").unwrap();
+
+    // Delta 1: a nudge and two tombstones.
+    map.gaussian_mut(5).position.y += 0.25;
+    touch(&mut moments, &map, 5, 1.5);
+    map.tombstone(3);
+    map.tombstone(17);
+    let _ = log.capture(&map, &[moments.clone()], b"frame 1").unwrap();
+
+    // Delta 2: recycle both freed IDs, then grow past the old capacity.
+    for i in 24..28 {
+        let id = map.insert(g(i));
+        touch(&mut moments, &map, id, i as f32 * 0.5);
+    }
+    let _ = log.capture(&map, &[moments.clone()], b"frame 2").unwrap();
+
+    // Delta 3: nothing changed but the meta blob.
+    let _ = log.capture(&map, &[moments.clone()], b"frame 3").unwrap();
+
+    let bytes = log.encode();
+    assert_eq!(
+        (bytes.len(), rtgs_snapshot::crc32(&bytes)),
+        (4127, 0xa228_dfd7),
+        "persisted log bytes moved"
+    );
+
+    let (restored, channels, meta) = CheckpointLog::decode(&bytes).unwrap().restore().unwrap();
+    assert_eq!(restored.export_state(), map.export_state());
+    assert_eq!(channels, vec![moments]);
+    assert_eq!(meta, b"frame 3");
 }

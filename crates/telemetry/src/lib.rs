@@ -6,10 +6,10 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero-cost when disabled.** Hot paths route probes through the
-//!    statically-dispatched [`Recorder`] seam; the [`NoopRecorder`] compiles
-//!    every probe away. The default [`RingRecorder`] guards span recording
-//!    behind one relaxed atomic load.
+//! 1. **Near-free when disabled.** The runtime enable flags
+//!    ([`set_tracing_enabled`], [`set_journal_enabled`]) are the off
+//!    switch: a disabled span or journal probe is one relaxed atomic load,
+//!    with no clock read and nothing recorded.
 //! 2. **Allocation-free when enabled.** Histograms are fixed atomic bucket
 //!    arrays, span rings are pre-sized and overwrite-on-wrap, and metric
 //!    handles are `Arc`s resolved once at registration — the steady-state
@@ -59,7 +59,7 @@ pub use recent::RecentWindow;
 pub use registry::{global, Counter, Gauge, MetricValue, Registry, RegistrySnapshot};
 pub use spans::{
     clear_spans, collect_spans, dropped_spans, emit_flow_span, emit_span, ns_since_epoch,
-    set_ring_capacity, set_tracing_enabled, tracing_enabled, warm_thread_ring, NoopRecorder,
-    Recorder, RingRecorder, SpanEvent, SpanGuard, DEFAULT_RING_CAPACITY,
+    set_ring_capacity, set_tracing_enabled, tracing_enabled, warm_thread_ring, SpanEvent,
+    SpanGuard, DEFAULT_RING_CAPACITY,
 };
 pub use stage::{StageId, StageNanos, STAGE_COUNT};

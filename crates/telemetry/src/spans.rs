@@ -233,17 +233,6 @@ impl SpanGuard {
             start,
         }
     }
-
-    /// A guard that records nothing (what [`Recorder`] no-ops return).
-    #[inline]
-    pub fn disabled() -> Self {
-        SpanGuard {
-            name: "",
-            cat: "",
-            arg: 0,
-            start: None,
-        }
-    }
 }
 
 impl Drop for SpanGuard {
@@ -297,73 +286,6 @@ pub fn clear_spans() {
     let rings = rings().lock().unwrap();
     for (_, ring) in rings.iter() {
         ring.lock().unwrap().clear();
-    }
-}
-
-/// Statically-dispatched instrumentation seam. Hot code paths route their
-/// telemetry through a `Recorder` type chosen at compile time: the default
-/// [`RingRecorder`] records (guarded by the runtime enable flags), while
-/// substituting [`NoopRecorder`] compiles every probe down to nothing —
-/// the "zero-cost when disabled" story is a one-line type-alias change,
-/// not a runtime branch.
-pub trait Recorder: Copy + Default + Send + Sync + 'static {
-    /// Opens a scoped span (inert guard for no-op recorders).
-    #[inline]
-    fn span(self, _name: &'static str, _cat: &'static str, _arg: u64) -> SpanGuard {
-        SpanGuard::disabled()
-    }
-
-    /// Records a completed interval with explicit timing.
-    #[inline]
-    fn emit(
-        self,
-        _name: &'static str,
-        _cat: &'static str,
-        _start_ns: u64,
-        _dur_ns: u64,
-        _arg: u64,
-    ) {
-    }
-
-    /// Records a value into a histogram.
-    #[inline]
-    fn record(self, _hist: &crate::Histogram, _value: u64) {}
-
-    /// Adds to a counter.
-    #[inline]
-    fn count(self, _counter: &crate::Counter, _n: u64) {}
-}
-
-/// The all-no-op recorder: every probe is an empty inlined function.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
-
-/// The live recorder: spans go to the per-thread rings (when tracing is
-/// enabled), histogram/counter updates always apply.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RingRecorder;
-
-impl Recorder for RingRecorder {
-    #[inline]
-    fn span(self, name: &'static str, cat: &'static str, arg: u64) -> SpanGuard {
-        SpanGuard::new(name, cat, arg)
-    }
-
-    #[inline]
-    fn emit(self, name: &'static str, cat: &'static str, start_ns: u64, dur_ns: u64, arg: u64) {
-        emit_span(name, cat, start_ns, dur_ns, arg);
-    }
-
-    #[inline]
-    fn record(self, hist: &crate::Histogram, value: u64) {
-        hist.record(value);
-    }
-
-    #[inline]
-    fn count(self, counter: &crate::Counter, n: u64) {
-        counter.add(n);
     }
 }
 
@@ -478,32 +400,5 @@ mod tests {
         .unwrap();
         set_tracing_enabled(false);
         assert_eq!(events_named("test.thread").len(), 1);
-    }
-
-    #[test]
-    fn noop_recorder_is_inert_and_ring_recorder_records() {
-        let _guard = test_lock();
-        clear_spans();
-        set_tracing_enabled(true);
-        let hist = crate::Histogram::new();
-        let counter = crate::Counter::default();
-
-        let noop = NoopRecorder;
-        drop(noop.span("test.recorder", "test", 0));
-        noop.emit("test.recorder", "test", 0, 1, 0);
-        noop.record(&hist, 5);
-        noop.count(&counter, 5);
-        assert!(events_named("test.recorder").is_empty());
-        assert_eq!(hist.count(), 0);
-        assert_eq!(counter.get(), 0);
-
-        let live = RingRecorder;
-        drop(live.span("test.recorder", "test", 3));
-        live.record(&hist, 5);
-        live.count(&counter, 5);
-        set_tracing_enabled(false);
-        assert_eq!(events_named("test.recorder").len(), 1);
-        assert_eq!(hist.count(), 1);
-        assert_eq!(counter.get(), 5);
     }
 }
