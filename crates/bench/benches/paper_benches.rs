@@ -106,6 +106,16 @@ fn bench_render_kernels(c: &mut Criterion) {
     group.bench_function("forward_session_size", |b| {
         b.iter(|| arena.forward(&scene, &w2c, &ds.camera, None, &Serial).stats)
     });
+    // Step ❶ alone over the same map: the per-Gaussian lane kernel, its
+    // scalar libm activations and the scatter (Step ❺, its counterpart,
+    // shows in `backward_session_size` below). Re-projecting the same scene
+    // at the same pose leaves the arena as the bench above left it.
+    group.bench_function("project_session_size", |b| {
+        b.iter(|| {
+            arena.project(&scene, &w2c, &ds.camera, None, &Serial);
+            arena.projection().visible_count()
+        })
+    });
     // The recording pass — the one a session's tracking and mapping
     // iterations run: the same blend plus the R&B records Step ❹ consumes
     // (over the projection and tile lists the bench above left behind).

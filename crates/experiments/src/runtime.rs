@@ -7,7 +7,7 @@ use rtgs_render::{FrameArena, LossConfig};
 use rtgs_runtime::Serve;
 use rtgs_runtime::{Backend, BackendChoice, Parallel, Serial};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
-use rtgs_slam::{BaseAlgorithm, SlamPipeline};
+use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
 use std::time::Instant;
 
 /// Serial-vs-parallel wall-clock of the arena's forward (project → tiles →
@@ -131,9 +131,103 @@ pub fn arena_steady_state(scale: Scale) -> String {
         identical.to_string(),
     ]);
     format!(
-        "Zero-allocation steady state on {} ({} Gaussians, {} iterations):\n{}",
+        "Zero-allocation steady state on {} ({} Gaussians, {} iterations):\n{}\n{}",
         ds.profile.name,
         map.len(),
+        iterations,
+        table.render(),
+        session_stage_table(scale)
+    )
+}
+
+/// The same warm-arena loop at the size a repository-benchmark session runs
+/// it — the map a MonoGS session builds over 75×42 `replica_analog` frames
+/// (12 of them at full scale: ~1 k Gaussians, ~80 k blended fragments) —
+/// timed stage by stage: the in-process table to read before and after a
+/// kernel change (run the binary of each commit; stages the change did not
+/// touch show the host's drift between the two runs).
+fn session_stage_table(scale: Scale) -> String {
+    let frames = match scale {
+        Scale::Quick => 3,
+        Scale::Full => 12,
+    };
+    let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), frames);
+    let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(frames);
+    if scale == Scale::Quick {
+        cfg.tracking.iterations = 4;
+        cfg.mapping_iterations = 4;
+    }
+    let mut session = SlamPipeline::new(cfg, &ds);
+    session.run();
+    let mut map = session.scene().clone();
+    map.refresh_bounds_with(&Serial);
+    let w2c = ds.poses_c2w[frames - 1].inverse();
+    let frame = &ds.frames[frames - 1];
+    let cfg = LossConfig::default();
+    let iterations = match scale {
+        Scale::Quick => 20,
+        Scale::Full => 400,
+    };
+
+    const STAGES: [&str; 7] = [
+        "cull",
+        "Step ❶ project",
+        "tile-bin",
+        "Step ❸ render",
+        "loss",
+        "Step ❹ render BP",
+        "Step ❺ preprocess BP",
+    ];
+    let mut nanos = [0u64; STAGES.len()];
+    let mut arena = FrameArena::new();
+
+    for iteration in 0..iterations + 2 {
+        let mut lap = [0u64; STAGES.len()];
+        let mut timed = |stage: usize, run: &mut dyn FnMut()| {
+            let t = Instant::now();
+            run();
+            lap[stage] = t.elapsed().as_nanos() as u64;
+        };
+        timed(0, &mut || arena.cull(&map, &w2c, &ds.camera, None, &Serial));
+        timed(1, &mut || arena.project_visible(&w2c, &ds.camera, &Serial));
+        timed(2, &mut || arena.assign_tiles(&ds.camera, &Serial));
+        timed(3, &mut || arena.render_fused(&ds.camera, &Serial));
+        timed(4, &mut || {
+            arena.compute_loss(&frame.color, frame.depth.as_ref(), &cfg);
+        });
+        arena.backward_visible_fused(&ds.camera, &w2c, &Serial);
+        let stats = arena.backward().stats;
+        lap[5] = stats.rendering_bp_nanos;
+        lap[6] = stats.preprocessing_bp_nanos;
+        // The first two iterations establish the arena's capacities.
+        if iteration >= 2 {
+            for (total, ns) in nanos.iter_mut().zip(lap) {
+                *total += ns;
+            }
+        }
+    }
+
+    let mut table = Table::new(&["stage", "µs / iteration", "share"]);
+    let total: u64 = nanos.iter().sum();
+    for (stage, ns) in STAGES.iter().zip(nanos) {
+        table.row(vec![
+            stage.to_string(),
+            f(ns as f64 / 1e3 / iterations as f64, 1),
+            f(ns as f64 / total as f64, 3),
+        ]);
+    }
+    table.row(vec![
+        "iteration".into(),
+        f(total as f64 / 1e3 / iterations as f64, 1),
+        f(1.0, 3),
+    ]);
+    format!(
+        "Stage budget at session size ({} Gaussians visible of {}, {}x{}, {} blended fragments, {} warm iterations):\n{}",
+        arena.projection().visible_count(),
+        map.len(),
+        ds.camera.width,
+        ds.camera.height,
+        arena.output().stats.fragments_blended,
         iterations,
         table.render()
     )
@@ -218,6 +312,8 @@ mod tests {
         assert!(out.contains("arena_reuse"));
         assert!(out.contains("true"));
         assert!(!out.contains("false"));
+        assert!(out.contains("Stage budget at session size"), "{out}");
+        assert!(out.contains("Step ❺ preprocess BP"), "{out}");
     }
 
     #[test]

@@ -6,6 +6,17 @@
 //! math ([`Se3`]) keeps `f32` storage but performs exp/log in `f64` for
 //! stability.
 //!
+//! Every arithmetic method of the value types is `#[inline]`: the callers that matter
+//! sit in other crates (the scalar definitions of `rtgs-render`'s
+//! per-Gaussian stages chain a dozen 3×3 products per Gaussian) and a build
+//! without LTO would otherwise pay an opaque call for each. Floating-point
+//! sums are spelled out term by term, left to right — never
+//! `Iterator::sum`, whose starting value differs between toolchains — so
+//! the order is part of each method's contract: `rtgs-render`'s lane
+//! kernels reproduce [`Mat3`]'s and [`Mat2`]'s products, [`Vec3::dot`] and
+//! [`Quat::to_rotation_matrix`] expression for expression and are tested
+//! bit for bit against them.
+//!
 //! # Example
 //!
 //! ```

@@ -32,6 +32,7 @@ impl Mat2 {
 
     /// Matrix inverse, or `None` when the determinant magnitude is below
     /// `1e-12`.
+    #[inline]
     pub fn inverse(&self) -> Option<Self> {
         let d = self.det();
         if d.abs() < 1e-12 {
@@ -64,11 +65,17 @@ impl Mat2 {
 
 impl Mul for Mat2 {
     type Output = Self;
+    /// Each entry is `a[i][0]·b[0][j] + a[i][1]·b[1][j]`, added left to
+    /// right — spelled out rather than `Iterator::sum`, whose starting
+    /// value (and with it the sign of an all-zero sum) differs between
+    /// toolchains.
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
+        let (a, b) = (&self.m, &rhs.m);
         let mut out = [[0.0f32; 2]; 2];
         for (i, row) in out.iter_mut().enumerate() {
             for (j, cell) in row.iter_mut().enumerate() {
-                *cell = (0..2).map(|k| self.m[i][k] * rhs.m[k][j]).sum();
+                *cell = a[i][0] * b[0][j] + a[i][1] * b[1][j];
             }
         }
         Self { m: out }
@@ -122,6 +129,7 @@ impl Mat3 {
     }
 
     /// Transpose.
+    #[inline]
     pub fn transpose(&self) -> Self {
         let mut out = [[0.0f32; 3]; 3];
         for (i, row) in out.iter_mut().enumerate() {
@@ -133,6 +141,7 @@ impl Mat3 {
     }
 
     /// Determinant.
+    #[inline]
     pub fn det(&self) -> f32 {
         let m = &self.m;
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -142,6 +151,7 @@ impl Mat3 {
 
     /// Matrix inverse via the adjugate, or `None` when the determinant
     /// magnitude is below `1e-18`.
+    #[inline]
     pub fn inverse(&self) -> Option<Self> {
         let d = self.det();
         if d.abs() < 1e-18 {
@@ -176,6 +186,7 @@ impl Mat3 {
     }
 
     /// Outer product `a * b^T`.
+    #[inline]
     pub fn outer(a: Vec3, b: Vec3) -> Self {
         Self::from_rows(
             [a.x * b.x, a.x * b.y, a.x * b.z],
@@ -185,6 +196,7 @@ impl Mat3 {
     }
 
     /// Skew-symmetric cross-product matrix `[v]_×` with `[v]_× w = v × w`.
+    #[inline]
     pub fn skew(v: Vec3) -> Self {
         Self::from_rows([0.0, -v.z, v.y], [v.z, 0.0, -v.x], [-v.y, v.x, 0.0])
     }
@@ -196,6 +208,7 @@ impl Mat3 {
     }
 
     /// Scales every entry.
+    #[inline]
     pub fn scale(&self, s: f32) -> Self {
         let mut out = *self;
         for row in &mut out.m {
@@ -209,11 +222,17 @@ impl Mat3 {
 
 impl Mul for Mat3 {
     type Output = Self;
+    /// Each entry is `a[i][0]·b[0][j] + a[i][1]·b[1][j] + a[i][2]·b[2][j]`,
+    /// added left to right (spelled out for the reason given at
+    /// [`Mat2`]'s product; the per-Gaussian lane kernels of `rtgs-render`
+    /// reproduce exactly this order).
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
+        let (a, b) = (&self.m, &rhs.m);
         let mut out = [[0.0f32; 3]; 3];
         for (i, row) in out.iter_mut().enumerate() {
             for (j, cell) in row.iter_mut().enumerate() {
-                *cell = (0..3).map(|k| self.m[i][k] * rhs.m[k][j]).sum();
+                *cell = a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j];
             }
         }
         Self { m: out }
@@ -222,6 +241,7 @@ impl Mul for Mat3 {
 
 impl Add for Mat3 {
     type Output = Self;
+    #[inline]
     fn add(self, rhs: Self) -> Self {
         let mut out = self;
         for i in 0..3 {
@@ -235,6 +255,7 @@ impl Add for Mat3 {
 
 impl Sub for Mat3 {
     type Output = Self;
+    #[inline]
     fn sub(self, rhs: Self) -> Self {
         let mut out = self;
         for i in 0..3 {

@@ -37,6 +37,7 @@ impl Quat {
 
     /// Creates a rotation of `angle` radians about the (not necessarily
     /// unit) `axis`. A zero axis yields the identity.
+    #[inline]
     pub fn from_axis_angle(axis: Vec3, angle: f32) -> Self {
         let n = axis.norm();
         if n < 1e-12 {
@@ -55,6 +56,7 @@ impl Quat {
 
     /// Returns the unit quaternion with the same orientation; the identity
     /// when the norm is (numerically) zero.
+    #[inline]
     pub fn normalized(self) -> Self {
         let n = self.norm();
         if n < 1e-12 {
@@ -70,6 +72,7 @@ impl Quat {
     }
 
     /// Converts to a rotation matrix, normalizing first.
+    #[inline]
     pub fn to_rotation_matrix(self) -> Mat3 {
         let q = self.normalized();
         let (w, x, y, z) = (q.w, q.x, q.y, q.z);
@@ -93,6 +96,7 @@ impl Quat {
     }
 
     /// Rotates a vector (normalizes first).
+    #[inline]
     pub fn rotate(self, v: Vec3) -> Vec3 {
         self.to_rotation_matrix().mul_vec(v)
     }
@@ -101,6 +105,7 @@ impl Quat {
     ///
     /// The input is assumed to be a proper rotation; small orthogonality
     /// errors are absorbed by the final normalization.
+    #[inline]
     pub fn from_rotation_matrix(m: &Mat3) -> Self {
         let t = m.trace();
         let q = if t > 0.0 {
@@ -145,6 +150,7 @@ impl Quat {
     /// `r = a⁻¹·b`, which stays well-conditioned for small angles (the
     /// naive `2·acos(|a·b|)` amplifies f32 rounding to ~1e-3 rad near
     /// identity).
+    #[inline]
     pub fn angle_to(self, other: Quat) -> f32 {
         let r = self.normalized().conjugate() * other.normalized();
         let vec_norm = (r.x * r.x + r.y * r.y + r.z * r.z).sqrt();
@@ -153,6 +159,7 @@ impl Quat {
 }
 
 impl Default for Quat {
+    #[inline]
     fn default() -> Self {
         Self::IDENTITY
     }
@@ -161,6 +168,7 @@ impl Default for Quat {
 impl Mul for Quat {
     type Output = Self;
     /// Hamilton product; composes rotations (`a * b` rotates by `b` then `a`).
+    #[inline]
     fn mul(self, r: Self) -> Self {
         Self::new(
             self.w * r.w - self.x * r.x - self.y * r.y - self.z * r.z,

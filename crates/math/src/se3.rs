@@ -57,6 +57,7 @@ impl Se3 {
     }
 
     /// The inverse transform.
+    #[inline]
     pub fn inverse(&self) -> Self {
         let rot_inv = self.rotation.conjugate().normalized();
         Self {
@@ -66,6 +67,7 @@ impl Se3 {
     }
 
     /// Composition: `(self ∘ rhs)(x) = self(rhs(x))`.
+    #[inline]
     pub fn compose(&self, rhs: &Se3) -> Self {
         Self {
             rotation: (self.rotation * rhs.rotation).normalized(),
@@ -81,6 +83,7 @@ impl Se3 {
 
     /// Exponential map from a twist `ξ = (ρ, φ)` — translation part `ρ`
     /// first, rotation part `φ` (axis-angle) second.
+    #[inline]
     pub fn exp(xi: [f32; 6]) -> Self {
         let rho = Vec3::new(xi[0], xi[1], xi[2]);
         let phi = Vec3::new(xi[3], xi[4], xi[5]);
@@ -104,6 +107,7 @@ impl Se3 {
     }
 
     /// Logarithm map to a twist `(ρ, φ)`; inverse of [`Se3::exp`].
+    #[inline]
     pub fn log(&self) -> [f32; 6] {
         let q = self.rotation.normalized();
         let w = (q.w as f64).clamp(-1.0, 1.0);
@@ -132,6 +136,7 @@ impl Se3 {
     ///
     /// This is the update used by tracking: the pose gradient lives in the
     /// tangent space at the current estimate.
+    #[inline]
     pub fn retract(&self, delta: [f32; 6]) -> Self {
         Se3::exp(delta).compose(self)
     }
@@ -150,6 +155,7 @@ impl Se3 {
 }
 
 impl Default for Se3 {
+    #[inline]
     fn default() -> Self {
         Self::IDENTITY
     }

@@ -39,6 +39,7 @@ impl Sym2 {
     }
 
     /// Inverse, or `None` when the determinant magnitude is below `1e-12`.
+    #[inline]
     pub fn inverse(&self) -> Option<Self> {
         let d = self.det();
         if d.abs() < 1e-12 {
@@ -61,6 +62,7 @@ impl Sym2 {
     }
 
     /// Eigenvalues in descending order. Always real for symmetric matrices.
+    #[inline]
     pub fn eigenvalues(&self) -> (f32, f32) {
         let mean = 0.5 * (self.xx + self.yy);
         let diff = 0.5 * (self.xx - self.yy);
@@ -69,6 +71,7 @@ impl Sym2 {
     }
 
     /// True when the matrix is positive definite (both eigenvalues > 0).
+    #[inline]
     pub fn is_positive_definite(&self) -> bool {
         self.xx > 0.0 && self.det() > 0.0
     }
@@ -86,6 +89,7 @@ impl Sym2 {
     }
 
     /// Frobenius norm, counting the off-diagonal entry twice.
+    #[inline]
     pub fn frobenius_norm(&self) -> f32 {
         (self.xx * self.xx + 2.0 * self.xy * self.xy + self.yy * self.yy).sqrt()
     }
@@ -152,6 +156,7 @@ impl Sym3 {
     ///
     /// This is the canonical construction of a 3D Gaussian covariance
     /// `Σ = R S S^T R^T` where `M = R S` (rotation times scale).
+    #[inline]
     pub fn from_m_mt(m: &Mat3) -> Self {
         let r0 = m.row(0);
         let r1 = m.row(1);
@@ -167,6 +172,7 @@ impl Sym3 {
     }
 
     /// Expands to a full [`Mat3`].
+    #[inline]
     pub fn to_mat3(self) -> Mat3 {
         Mat3::from_rows(
             [self.xx, self.xy, self.xz],
@@ -179,6 +185,7 @@ impl Sym3 {
     ///
     /// Used by EWA splatting to push a 3D covariance through the affine
     /// approximation of the perspective projection.
+    #[inline]
     pub fn congruence(&self, a: &Mat3) -> Sym3 {
         let full = *a * self.to_mat3() * a.transpose();
         Sym3::new(
@@ -214,6 +221,7 @@ impl Sym3 {
     }
 
     /// Frobenius norm counting off-diagonal entries twice.
+    #[inline]
     pub fn frobenius_norm(&self) -> f32 {
         (self.xx * self.xx
             + self.yy * self.yy

@@ -37,6 +37,16 @@
 //! re-walk recomputes and every path adds the same terms in the same order,
 //! the gradients are bitwise-identical.
 //!
+//! **Step ❺ is lane-wide too, lanes = Gaussians.** Each `BP_GAUSS_CHUNK`
+//! chunk compacts its touched Gaussians into blocks of [`GAUSS_LANES`] and
+//! runs them through [`preprocess_block`] — [`preprocess_one`]'s
+//! floating-point program (the one scalar definition, which the AoS oracle
+//! calls), expression for expression, over plain lane arrays, reading the
+//! activated scale and the normalized quaternion Step ❶ kept instead of
+//! calling `exp` and normalizing again. Per-lane gradient stores and
+//! pose-tangent adds then happen in ascending Gaussian ID, so the chunk fold
+//! is the same sum in the same order.
+//!
 //! Analytic gradients are verified against central finite differences in
 //! `tests/grad_check.rs`.
 
@@ -46,8 +56,11 @@ use crate::forward::{
     FragmentCache, RecordRow, TileFragments, TileScratch, TileSplat, ALPHA_MAX, LANES, SUBTILES_X,
     TERMINATION_THRESHOLD,
 };
-use crate::gaussian::{GaussianGrad, GaussianScene};
-use crate::project::{jacobian_with_clamp, Projected2d, Projection};
+use crate::gaussian::{Activation, GaussianGrad, GaussianScene};
+use crate::project::{
+    covariance3, diagonal3, frustum_limits, jacobian_lane, jacobian_with_clamp, mul3, mul_vec3,
+    rotation3, transpose3, Lanes, Projected2d, Projection, GAUSS_LANES, M3,
+};
 use crate::tiles::{TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE};
 use rtgs_math::{Mat3, Se3, Sym2, Sym3, Vec2, Vec3};
 use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
@@ -326,27 +339,50 @@ pub(crate) fn backward_into(
         backend.for_each_chunk(scene.len(), BP_GAUSS_CHUNK, &|chunk, range| {
             let mut pose = [0.0f32; 6];
             let mut touched = 0usize;
+            // The chunk's touched Gaussians, compacted into blocks of
+            // `GAUSS_LANES` (a block never spans a chunk). Per block: gather
+            // the lanes, run the kernel, then store gradients and add pose
+            // terms lane by lane — ascending ID, `preprocess_one`'s order.
+            let mut preprocess = |ids: &[usize]| {
+                let mut lanes = PreprocessLanes::default();
+                for l in 0..GAUSS_LANES {
+                    // Lanes past the chunk's last touched Gaussian replicate
+                    // it; their results are not stored.
+                    let id = ids[l.min(ids.len() - 1)];
+                    let slot = soa.slot_of_gaussian[id] as usize;
+                    lanes.set(
+                        l,
+                        soa.conics[slot],
+                        soa.t_cams[slot],
+                        soa.opacities[slot],
+                        &accum[id],
+                        &soa.activations[slot],
+                    );
+                }
+                let block = preprocess_block(&lanes, camera, &frame);
+                for (l, &id) in ids.iter().enumerate() {
+                    // SAFETY: each Gaussian id is written by at most one
+                    // chunk.
+                    let out = unsafe { grad_view.get_mut(id) };
+                    block.store(l, accum[id].color, out, &mut pose);
+                }
+            };
+            let mut ids = [0usize; GAUSS_LANES];
+            let mut live = 0usize;
             for id in range {
-                let a = &accum[id];
-                if !a.hit {
+                if !accum[id].hit || soa.slot(id).is_none() {
                     continue;
                 }
-                let Some(slot) = soa.slot(id) else {
-                    continue;
-                };
-                let splat = soa.get(slot);
                 touched += 1;
-                // SAFETY: each Gaussian id is written by at most one chunk.
-                let out = unsafe { grad_view.get_mut(id) };
-                preprocess_one(
-                    &scene.gaussians[id],
-                    &splat,
-                    a,
-                    camera,
-                    &frame,
-                    out,
-                    &mut pose,
-                );
+                ids[live] = id;
+                live += 1;
+                if live == GAUSS_LANES {
+                    preprocess(&ids);
+                    live = 0;
+                }
+            }
+            if live > 0 {
+                preprocess(&ids[..live]);
             }
             // SAFETY: one partial slot per chunk.
             unsafe { pose_view.write(chunk, (pose, touched)) };
@@ -754,6 +790,11 @@ impl PoseFrame {
 
 /// Step ❺ for one Gaussian: chains the aggregated 2D gradients to the 3D
 /// parameters and accumulates the camera-pose tangent contribution.
+///
+/// The scalar definition of Step ❺: the AoS oracle
+/// (`reference::backward_aos`) calls it, activating the Gaussian's raw
+/// parameters itself, and [`preprocess_block`] — what production runs, on
+/// the activations Step ❶ kept — reproduces it expression for expression.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn preprocess_one(
     g: &crate::gaussian::Gaussian3d,
@@ -825,7 +866,8 @@ pub(crate) fn preprocess_one(
     let n = r * Mat3::from_diagonal(s);
     let dl_dn = (dl_dsigma * n).scale(2.0);
     for i in 0..3 {
-        let ds_i: f32 = (0..3).map(|row| dl_dn.m[row][i] * r.m[row][i]).sum();
+        let ds_i =
+            dl_dn.m[0][i] * r.m[0][i] + dl_dn.m[1][i] * r.m[1][i] + dl_dn.m[2][i] * r.m[2][i];
         out.log_scale[i] = ds_i * s[i];
     }
     let dl_dr = dl_dn * Mat3::from_diagonal(s);
@@ -908,10 +950,286 @@ fn quat_backward(q_raw: rtgs_math::Quat, dl_dr: &Mat3) -> [f32; 4] {
 
     // Chain through normalization: dq̂/dq = (I - q̂ q̂ᵀ) / |q|.
     let qv = [w, x, y, z];
-    let dot: f32 = g_unit.iter().zip(qv.iter()).map(|(a, b)| a * b).sum();
+    let dot = g_unit[0] * qv[0] + g_unit[1] * qv[1] + g_unit[2] * qv[2] + g_unit[3] * qv[3];
     let mut out = [0.0f32; 4];
     for i in 0..4 {
         out[i] = (g_unit[i] - dot * qv[i]) / norm;
+    }
+    out
+}
+
+/// The inputs of [`preprocess_block`]: what [`preprocess_one`] reads of a
+/// Gaussian's splat, its 2D-gradient accumulator and its activations, one
+/// lane array per scalar.
+#[derive(Default)]
+pub(crate) struct PreprocessLanes {
+    /// Splat conic `(xx, xy, yy)`.
+    conic: [Lanes; 3],
+    t_cam: [Lanes; 3],
+    /// Activated opacity.
+    opacity: Lanes,
+    /// Accumulated `dL/dμ★`.
+    d_mean: [Lanes; 2],
+    /// Accumulated `dL/d conic` `(xx, xy, yy)`.
+    d_conic: [Lanes; 3],
+    d_opacity: Lanes,
+    d_depth: Lanes,
+    /// The Gaussian's activated scale.
+    scale: [Lanes; 3],
+    /// Its unit quaternion `(w, x, y, z)` and the raw quaternion's norm.
+    unit_q: [Lanes; 4],
+    q_norm: Lanes,
+}
+
+impl PreprocessLanes {
+    /// Fills lane `l` with one Gaussian: its splat's conic, camera-frame
+    /// mean and opacity, its accumulator and its activations.
+    fn set(
+        &mut self,
+        l: usize,
+        conic: Sym2,
+        t_cam: Vec3,
+        opacity: f32,
+        a: &Accum2d,
+        act: &Activation,
+    ) {
+        let put = |lanes: &mut [Lanes], values: &[f32]| {
+            for (lane, &v) in lanes.iter_mut().zip(values) {
+                lane[l] = v;
+            }
+        };
+        put(&mut self.conic, &[conic.xx, conic.xy, conic.yy]);
+        put(&mut self.t_cam, &[t_cam.x, t_cam.y, t_cam.z]);
+        self.opacity[l] = opacity;
+        put(&mut self.d_mean, &[a.mean.x, a.mean.y]);
+        put(&mut self.d_conic, &[a.conic.xx, a.conic.xy, a.conic.yy]);
+        self.d_opacity[l] = a.opacity;
+        self.d_depth[l] = a.depth;
+        put(&mut self.scale, &[act.scale.x, act.scale.y, act.scale.z]);
+        let q = act.unit_rotation;
+        put(&mut self.unit_q, &[q.w, q.x, q.y, q.z]);
+        self.q_norm[l] = act.rotation_norm;
+    }
+}
+
+/// The results of [`preprocess_block`], one lane array per scalar
+/// [`preprocess_one`] stores or adds.
+#[derive(Default)]
+pub(crate) struct PreprocessedBlock {
+    position: [Lanes; 3],
+    log_scale: [Lanes; 3],
+    rotation: [Lanes; 4],
+    opacity: Lanes,
+    cov_frobenius: Lanes,
+    /// `dL/dt_cam`: the pose tangent's translation part.
+    dl_dt: [Lanes; 3],
+    /// `t_cam × dL/dt_cam`.
+    torque: [Lanes; 3],
+    /// The covariance chain's term per rotation generator.
+    spin: [Lanes; 3],
+}
+
+impl PreprocessedBlock {
+    /// Lane `l`'s results: the gradient into `out` (`color` passes through
+    /// from the accumulator) and the nine pose adds, in
+    /// [`preprocess_one`]'s sequence.
+    fn store(&self, l: usize, color: Vec3, out: &mut GaussianGrad, pose: &mut [f32; 6]) {
+        let vec3 = |v: &[Lanes; 3]| Vec3::new(v[0][l], v[1][l], v[2][l]);
+        out.position = vec3(&self.position);
+        out.color = color;
+        out.opacity = self.opacity[l];
+        out.cov_frobenius = self.cov_frobenius[l];
+        out.log_scale = vec3(&self.log_scale);
+        out.rotation = self.rotation.map(|lanes| lanes[l]);
+        let (translation, rotation) = pose.split_at_mut(3);
+        for (axis, p) in translation.iter_mut().enumerate() {
+            *p += self.dl_dt[axis][l];
+        }
+        for (axis, p) in rotation.iter_mut().enumerate() {
+            *p += self.torque[axis][l];
+        }
+        for (axis, p) in rotation.iter_mut().enumerate() {
+            *p += self.spin[axis][l];
+        }
+    }
+}
+
+/// `Mat2`'s product on plain arrays (see [`mul3`]).
+#[inline(always)]
+fn mul2(a: &[[f32; 2]; 2], b: &[[f32; 2]; 2]) -> [[f32; 2]; 2] {
+    let e = |i: usize, j: usize| a[i][0] * b[0][j] + a[i][1] * b[1][j];
+    [[e(0, 0), e(0, 1)], [e(1, 0), e(1, 1)]]
+}
+
+/// `Mat3::scale` on plain arrays.
+#[inline(always)]
+fn scale3(a: &M3, s: f32) -> M3 {
+    let row = |i: usize| [a[i][0] * s, a[i][1] * s, a[i][2] * s];
+    [row(0), row(1), row(2)]
+}
+
+/// `Σ a[r][c]·b[r][c]` accumulated from `0.0` in row-major order — the
+/// nested loops of [`quat_backward`]'s `inner` and of [`preprocess_one`]'s
+/// generator contributions, unrolled.
+#[inline(always)]
+fn inner3(a: &M3, b: &M3) -> f32 {
+    0.0 + a[0][0] * b[0][0]
+        + a[0][1] * b[0][1]
+        + a[0][2] * b[0][2]
+        + a[1][0] * b[1][0]
+        + a[1][1] * b[1][1]
+        + a[1][2] * b[1][2]
+        + a[2][0] * b[2][0]
+        + a[2][1] * b[2][1]
+        + a[2][2] * b[2][2]
+}
+
+/// Step ❺ for a block of [`GAUSS_LANES`] Gaussians, one lane each:
+/// [`preprocess_one`]'s floating-point program, expression for expression —
+/// the 2×2 and 3×3 products in `Mat2` / `Mat3`'s order with their zero
+/// entries multiplied through, the two clamp branches and
+/// [`quat_backward`]'s zero-norm early return as mask selects — as
+/// straight-line code inside one lane loop the compiler vectorises. No libm
+/// call is left in it: the activated scale and the normalized quaternion
+/// come in through `lanes`, from Step ❶, and the rotation matrix and the
+/// covariance are rebuilt from them in the loop (`sqrt` is correctly rounded
+/// in scalar and vector form alike). Lanes do not interact, so a lane's
+/// results are the bits [`preprocess_one`] produces for that Gaussian
+/// whatever its neighbours hold.
+#[allow(clippy::needless_range_loop)] // the lane loop indexes parallel arrays
+pub(crate) fn preprocess_block(
+    lanes: &PreprocessLanes,
+    camera: &PinholeCamera,
+    frame: &PoseFrame,
+) -> PreprocessedBlock {
+    let rot_w2c = &frame.rot_w2c.m;
+    let rot_w2c_t = transpose3(rot_w2c);
+    let generators = [
+        &frame.generators[0].m,
+        &frame.generators[1].m,
+        &frame.generators[2].m,
+    ];
+    let limits = frustum_limits(camera);
+    let (fx, fy) = (camera.fx, camera.fy);
+    let mut out = PreprocessedBlock::default();
+    for l in 0..GAUSS_LANES {
+        let t = [lanes.t_cam[0][l], lanes.t_cam[1][l], lanes.t_cam[2][l]];
+
+        // conic = cov⁻¹  ⇒  dL/dcov = -conic · dL/dconic · conic.
+        let (cxx, cxy, cyy) = (lanes.conic[0][l], lanes.conic[1][l], lanes.conic[2][l]);
+        let conic_m = [[cxx, cxy], [cxy, cyy]];
+        let (dxx, dxy, dyy) = (
+            lanes.d_conic[0][l],
+            lanes.d_conic[1][l],
+            lanes.d_conic[2][l],
+        );
+        let dcov_m = mul2(&mul2(&conic_m, &[[dxx, dxy], [dxy, dyy]]), &conic_m);
+        let dcov3 = [
+            [-dcov_m[0][0], -dcov_m[0][1], 0.0],
+            [-dcov_m[1][0], -dcov_m[1][1], 0.0],
+            [0.0, 0.0, 0.0],
+        ];
+
+        let (j, clamped_x, clamped_y) = jacobian_lane(camera, limits, t);
+        let m = mul3(&j, rot_w2c);
+        // `g.rotation.to_rotation_matrix()`, `g.scale()`, `g.covariance()`,
+        // from the unit quaternion and the scale Step ❶ kept.
+        let q = &lanes.unit_q;
+        let qv = [q[0][l], q[1][l], q[2][l], q[3][l]];
+        let r = rotation3(qv);
+        let scale = [lanes.scale[0][l], lanes.scale[1][l], lanes.scale[2][l]];
+        let sigma3 = covariance3(&r, scale);
+
+        // cov2d = M Σ Mᵀ:
+        let dl_dsigma = mul3(&mul3(&transpose3(&m), &dcov3), &m);
+        let dl_dm = scale3(&mul3(&dcov3, &mul3(&m, &sigma3)), 2.0);
+        let dl_dj = mul3(&dl_dm, &rot_w2c_t);
+        let j_t = transpose3(&j);
+        let dl_dw_cov = mul3(&j_t, &dl_dm);
+
+        // dL/dt_cam: mean2d chain, J-in-cov chain (one form per clamp
+        // state, selected by mask), blended-depth chain.
+        let mut dl_dt = mul_vec3(&j_t, [lanes.d_mean[0][l], lanes.d_mean[1][l], 0.0]);
+        let inv_z = 1.0 / t[2];
+        let inv_z2 = inv_z * inv_z;
+        let inv_z3 = inv_z2 * inv_z;
+        let z_clamped = dl_dt[2] + dl_dj[0][2] * (-j[0][2] * inv_z);
+        let z_free = dl_dt[2] + dl_dj[0][2] * (2.0 * fx * t[0] * inv_z3);
+        let x_free = dl_dt[0] + dl_dj[0][2] * (-fx * inv_z2);
+        dl_dt[0] = select(clamped_x, dl_dt[0], x_free);
+        dl_dt[2] = select(clamped_x, z_clamped, z_free);
+        let z_clamped = dl_dt[2] + dl_dj[1][2] * (-j[1][2] * inv_z);
+        let z_free = dl_dt[2] + dl_dj[1][2] * (2.0 * fy * t[1] * inv_z3);
+        let y_free = dl_dt[1] + dl_dj[1][2] * (-fy * inv_z2);
+        dl_dt[1] = select(clamped_y, dl_dt[1], y_free);
+        dl_dt[2] = select(clamped_y, z_clamped, z_free);
+        dl_dt[2] += dl_dj[0][0] * (-fx * inv_z2) + dl_dj[1][1] * (-fy * inv_z2);
+        dl_dt[2] += lanes.d_depth[l];
+
+        let position = mul_vec3(&rot_w2c_t, dl_dt);
+        let o = lanes.opacity[l];
+        out.opacity[l] = lanes.d_opacity[l] * o * (1.0 - o);
+        // `sym_from_full(dl_dsigma).frobenius_norm()`.
+        let d = &dl_dsigma;
+        let (xx, yy, zz) = (d[0][0], d[1][1], d[2][2]);
+        let xy = 0.5 * (d[0][1] + d[1][0]);
+        let xz = 0.5 * (d[0][2] + d[2][0]);
+        let yz = 0.5 * (d[1][2] + d[2][1]);
+        out.cov_frobenius[l] =
+            (xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz)).sqrt();
+
+        // Σ = N Nᵀ with N = R diag(s):
+        let diag = diagonal3(scale);
+        let n = mul3(&r, &diag);
+        let dl_dn = scale3(&mul3(&dl_dsigma, &n), 2.0);
+        let dl_dr = mul3(&dl_dn, &diag);
+
+        // `quat_backward`.
+        let [w, x, y, z] = qv;
+        let norm = lanes.q_norm[l];
+        let dr_dw = [
+            [0.0, -2.0 * z, 2.0 * y],
+            [2.0 * z, 0.0, -2.0 * x],
+            [-2.0 * y, 2.0 * x, 0.0],
+        ];
+        let dr_dx = [
+            [0.0, 2.0 * y, 2.0 * z],
+            [2.0 * y, -4.0 * x, -2.0 * w],
+            [2.0 * z, 2.0 * w, -4.0 * x],
+        ];
+        let dr_dy = [
+            [-4.0 * y, 2.0 * x, 2.0 * w],
+            [2.0 * x, 0.0, 2.0 * z],
+            [-2.0 * w, 2.0 * z, -4.0 * y],
+        ];
+        let dr_dz = [
+            [-4.0 * z, -2.0 * w, 2.0 * x],
+            [2.0 * w, -4.0 * z, 2.0 * y],
+            [2.0 * x, 2.0 * y, 0.0],
+        ];
+        let g_unit = [
+            inner3(&dl_dr, &dr_dw),
+            inner3(&dl_dr, &dr_dx),
+            inner3(&dl_dr, &dr_dy),
+            inner3(&dl_dr, &dr_dz),
+        ];
+        let dot = g_unit[0] * qv[0] + g_unit[1] * qv[1] + g_unit[2] * qv[2] + g_unit[3] * qv[3];
+        let degenerate = lane_mask(norm < 1e-12);
+
+        for i in 0..3 {
+            out.position[i][l] = position[i];
+            let ds_i = dl_dn[0][i] * r[0][i] + dl_dn[1][i] * r[1][i] + dl_dn[2][i] * r[2][i];
+            out.log_scale[i][l] = ds_i * scale[i];
+            out.dl_dt[i][l] = dl_dt[i];
+            out.spin[i][l] = inner3(&dl_dw_cov, generators[i]);
+        }
+        for i in 0..4 {
+            out.rotation[i][l] = select(degenerate, 0.0, (g_unit[i] - dot * qv[i]) / norm);
+        }
+        // `t_cam.cross(dl_dt)`.
+        out.torque[0][l] = t[1] * dl_dt[2] - t[2] * dl_dt[1];
+        out.torque[1][l] = t[2] * dl_dt[0] - t[0] * dl_dt[2];
+        out.torque[2][l] = t[0] * dl_dt[1] - t[1] * dl_dt[0];
     }
     out
 }
@@ -1146,7 +1464,12 @@ mod tests {
         let mut arena = FrameArena::new();
         arena.project(&scene, &Se3::IDENTITY, &cam, None, &Serial);
         let slot = arena.projection.soa.slot(poisoned).expect("visible");
-        arena.projection.soa.conics[slot] = nan_conic;
+        let soa = &mut arena.projection.soa;
+        soa.conics[slot] = nan_conic;
+        // The cut box is derived from the conic at projection time.
+        let mut hot = Vec::new();
+        gather_tile(soa, &[slot as u32], &mut hot);
+        soa.cut_boxes[slot] = crate::forward::CutBox::of(&hot[0]);
         arena.assign_tiles(&cam, &Serial);
         arena.render_fused(&cam, &Serial);
         let got = arena.output();
@@ -1203,6 +1526,296 @@ mod tests {
                 oracle.stats.fragment_grad_events
             );
             assert_eq!(out.stats.gaussians_touched, oracle.stats.gaussians_touched);
+        }
+    }
+
+    // ---- preprocess_block == preprocess_one, bit for bit ---------------------
+
+    use crate::gaussian::test_support::{
+        arb_gaussian, same_float, session_camera, tilted_pose, visible_gaussians,
+    };
+    use crate::project::{project_one, NEAR_PLANE};
+    use proptest::prelude::*;
+
+    /// One lane's worth of Step-❺ input.
+    #[derive(Debug, Clone, Copy)]
+    struct LaneCase {
+        g: Gaussian3d,
+        splat: Projected2d,
+        a: Accum2d,
+    }
+
+    /// A 2D-gradient accumulator with every channel populated.
+    fn accum(seed: [f32; 10]) -> Accum2d {
+        let [mx, my, cxx, cxy, cyy, r, g, b, o, d] = seed;
+        Accum2d {
+            mean: Vec2::new(mx, my),
+            conic: Sym2::new(cxx, cxy, cyy),
+            color: Vec3::new(r, g, b),
+            opacity: o,
+            depth: d,
+            hit: true,
+        }
+    }
+
+    /// `g` projected under `w2c`; `None` when Step ❶ culls it (Step ❺ never
+    /// sees such a Gaussian).
+    fn lane_case(g: Gaussian3d, a: Accum2d, w2c: &Se3) -> Option<LaneCase> {
+        let splat = project_one(&g, 0, &w2c.rotation_matrix(), w2c, &session_camera())?;
+        Some(LaneCase { g, splat, a })
+    }
+
+    /// Runs `cases` (at most a block's worth; the last one replicated into
+    /// the tail, as `backward_into` does) through [`preprocess_block`] and
+    /// holds every lane's gradient and pose terms to [`preprocess_one`] on
+    /// bits — for a lane with a non-finite input, equal or both NaN.
+    fn assert_lanes_match_scalar(cases: &[LaneCase], w2c: &Se3) {
+        assert!((1..=GAUSS_LANES).contains(&cases.len()));
+        let cam = session_camera();
+        let frame = PoseFrame::of(w2c);
+        let mut lanes = PreprocessLanes::default();
+        for l in 0..GAUSS_LANES {
+            let c = &cases[l.min(cases.len() - 1)];
+            let s = &c.splat;
+            lanes.set(l, s.conic, s.t_cam, s.opacity, &c.a, &Activation::of(&c.g));
+        }
+        let block = preprocess_block(&lanes, &cam, &frame);
+        for (l, c) in cases.iter().enumerate() {
+            let (mut got, mut got_pose) = (GaussianGrad::default(), [0.0f32; 6]);
+            block.store(l, c.a.color, &mut got, &mut got_pose);
+            let (mut want, mut want_pose) = (GaussianGrad::default(), [0.0f32; 6]);
+            preprocess_one(
+                &c.g,
+                &c.splat,
+                &c.a,
+                &cam,
+                &frame,
+                &mut want,
+                &mut want_pose,
+            );
+
+            let a = &c.a;
+            let inputs = [
+                a.mean.x,
+                a.mean.y,
+                a.conic.xx,
+                a.conic.xy,
+                a.conic.yy,
+                a.opacity,
+                a.depth,
+                c.splat.conic.xx,
+                c.g.log_scale.x,
+                c.g.log_scale.y,
+                c.g.log_scale.z,
+                c.g.rotation.w,
+                c.g.rotation.x,
+                c.g.rotation.y,
+                c.g.rotation.z,
+            ];
+            let exact = inputs.iter().all(|v| v.is_finite());
+            let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (!exact && same_float(a, b));
+            let floats = |g: &GaussianGrad, pose: &[f32; 6]| {
+                let mut all = grad_bits(g).map(f32::from_bits).to_vec();
+                all.extend_from_slice(pose);
+                all
+            };
+            for (k, (x, y)) in floats(&got, &got_pose)
+                .into_iter()
+                .zip(floats(&want, &want_pose))
+                .enumerate()
+            {
+                assert!(same(x, y), "lane {l}, float {k}: {x} vs {y} for {c:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn block_lanes_match_preprocess_one_bitwise(
+            gaussians in prop::collection::vec(arb_gaussian(), 4 * GAUSS_LANES),
+            seeds in prop::collection::vec(-2.0f32..2.0, 40 * GAUSS_LANES),
+            tilted in 0usize..2,
+        ) {
+            let w2c = if tilted == 1 { tilted_pose() } else { Se3::IDENTITY };
+            let cases: Vec<LaneCase> = gaussians
+                .iter()
+                .zip(seeds.chunks(10))
+                .filter_map(|(g, seed)| lane_case(*g, accum(seed.try_into().unwrap()), &w2c))
+                .take(GAUSS_LANES)
+                .collect();
+            prop_assume!(!cases.is_empty());
+            assert_lanes_match_scalar(&cases, &w2c);
+        }
+    }
+
+    /// Deterministic visible Gaussians with distinct accumulators.
+    fn ordinary_cases(n: usize, w2c: &Se3) -> Vec<LaneCase> {
+        let cases = visible_gaussians(n).into_iter().enumerate().map(|(i, g)| {
+            let f = i as f32;
+            let a = accum([
+                0.3 - 0.1 * f,
+                0.2 * f,
+                0.01 * f,
+                -0.02,
+                0.03 + 0.01 * f,
+                0.1,
+                -0.2,
+                0.3,
+                0.5 - 0.1 * f,
+                0.05 * f,
+            ]);
+            lane_case(g, a, w2c).expect("visible")
+        });
+        cases.collect()
+    }
+
+    /// `hostile` at every lane position among ordinary neighbours.
+    fn assert_hostile_lane_matches(hostile: LaneCase, w2c: &Se3) {
+        for at in 0..GAUSS_LANES {
+            let mut cases = ordinary_cases(GAUSS_LANES, w2c);
+            cases[at] = hostile;
+            assert_lanes_match_scalar(&cases, w2c);
+        }
+    }
+
+    #[test]
+    fn every_tail_length_of_a_block_matches() {
+        let w2c = tilted_pose();
+        let cases = ordinary_cases(GAUSS_LANES, &w2c);
+        for len in 1..=GAUSS_LANES {
+            assert_lanes_match_scalar(&cases[..len], &w2c);
+            assert_lanes_match_scalar(&cases[GAUSS_LANES - len..], &w2c);
+        }
+    }
+
+    #[test]
+    fn clamped_off_axis_lanes_match() {
+        let cam = session_camera();
+        let w2c = Se3::IDENTITY;
+        let (lim_x, lim_y) = frustum_limits(&cam);
+        for (rx, ry, want) in [
+            (lim_x * 1.2, 0.1, (true, false)),
+            (-lim_x * 1.2, 0.1, (true, false)),
+            (0.1, lim_y * 1.3, (false, true)),
+            (0.1, -lim_y * 1.3, (false, true)),
+            (lim_x * 1.1, -lim_y * 1.2, (true, true)),
+            (-lim_x * 1.1, lim_y * 1.2, (true, true)),
+        ] {
+            let mut hostile = ordinary_cases(1, &w2c)[0];
+            hostile.g.position = Vec3::new(rx, ry, 1.0);
+            hostile.g.log_scale = Vec3::splat(-0.5);
+            let hostile = lane_case(hostile.g, hostile.a, &w2c).expect("a fat splat stays visible");
+            let (_, cx, cy) = jacobian_with_clamp(&cam, hostile.splat.t_cam);
+            assert_eq!((cx, cy), want, "({rx}, {ry})");
+            assert_hostile_lane_matches(hostile, &w2c);
+        }
+    }
+
+    #[test]
+    fn zero_norm_quaternion_lanes_match() {
+        let w2c = tilted_pose();
+        for q in [
+            Quat::new(0.0, 0.0, 0.0, 0.0),
+            Quat::new(1e-20, -1e-21, 0.0, 3e-20),
+            // Just either side of the 1e-12 threshold.
+            Quat::new(0.0, 0.9e-12, 0.0, 0.0),
+            Quat::new(0.0, 1.1e-12, 0.0, 0.0),
+        ] {
+            let mut hostile = ordinary_cases(3, &w2c)[2];
+            hostile.g.rotation = q;
+            let hostile = lane_case(hostile.g, hostile.a, &w2c).expect("visible");
+            // The early return fires exactly below the threshold.
+            let (mut out, mut pose) = (GaussianGrad::default(), [0.0; 6]);
+            let frame = PoseFrame::of(&w2c);
+            let LaneCase { g, splat, a } = &hostile;
+            preprocess_one(g, splat, a, &session_camera(), &frame, &mut out, &mut pose);
+            assert_eq!(out.rotation == [0.0; 4], q.norm() < 1e-12, "{q:?}");
+            assert_hostile_lane_matches(hostile, &w2c);
+        }
+    }
+
+    #[test]
+    fn non_finite_lane_leaves_its_neighbours_untouched() {
+        type Poison = fn(&mut LaneCase);
+        let poisons: [Poison; 9] = [
+            |c| c.a.mean.x = f32::NAN,
+            |c| c.a.conic.xy = f32::INFINITY,
+            |c| c.a.depth = f32::NEG_INFINITY,
+            |c| c.a.opacity = f32::NAN,
+            |c| c.splat.conic = Sym2::new(f32::NAN, f32::NAN, f32::NAN),
+            |c| c.g.log_scale.y = f32::INFINITY,
+            |c| c.g.log_scale.z = f32::NEG_INFINITY,
+            |c| c.g.rotation.w = f32::NAN,
+            |c| c.g.rotation = Quat::new(f32::INFINITY, 1.0, f32::NEG_INFINITY, 0.0),
+        ];
+        let w2c = tilted_pose();
+        for poison in poisons {
+            let mut hostile = ordinary_cases(2, &w2c)[1];
+            poison(&mut hostile);
+            // The neighbours are finite, so `assert_lanes_match_scalar`
+            // holds them to exact bits whatever the poisoned lane does.
+            assert_hostile_lane_matches(hostile, &w2c);
+        }
+    }
+
+    /// The chunk loop around the kernel — compaction of touched IDs, tail
+    /// replication, per-lane stores and pose adds in ascending ID — at every
+    /// tail length, with untouched (masked, culled) Gaussians in between,
+    /// against the AoS oracle.
+    #[test]
+    fn every_touched_count_matches_the_oracle() {
+        use crate::reference::{backward_aos, build_tiles_aos, project_scene_aos};
+        let cam = camera();
+        let w2c = Se3::IDENTITY;
+        for n in 1..=2 * GAUSS_LANES + 1 {
+            let mut gaussians = Vec::new();
+            for i in 0..n {
+                let f = i as f32;
+                gaussians.push(Gaussian3d::from_activated(
+                    Vec3::new(0.05 * f - 0.3, 0.2 - 0.03 * f, 2.0 + 0.1 * f),
+                    Vec3::splat(0.3),
+                    Quat::from_axis_angle(Vec3::new(0.2, 0.5, 0.1), 0.1 * f),
+                    0.5,
+                    Vec3::new(0.8, 0.3, 0.2),
+                ));
+                // Never touched: behind the camera.
+                let mut behind = gaussians[gaussians.len() - 1];
+                behind.position.z = -NEAR_PLANE;
+                gaussians.push(behind);
+            }
+            let scene = GaussianScene::from_gaussians(gaussians);
+            let mut arena = FrameArena::new();
+            arena.project(&scene, &w2c, &cam, None, &Serial);
+            arena.assign_tiles(&cam, &Serial);
+            arena.render_fused(&cam, &Serial);
+            let mut grads = PixelGrads::zeros(cam.width, cam.height);
+            for (i, g) in grads.color.iter_mut().enumerate() {
+                *g = Vec3::new(1.0, -0.5, 0.25) * ((i % 7) as f32 - 3.0);
+            }
+            let aos = project_scene_aos(&scene, &w2c, &cam, None);
+            let aos_tiles = build_tiles_aos(&aos, &cam);
+            let oracle = backward_aos(&scene, &aos, &aos_tiles, &cam, &w2c, &grads);
+            assert_eq!(oracle.stats.gaussians_touched, n);
+            let mut out = BackwardOutput::empty();
+            backward_into(
+                &scene,
+                arena.projection(),
+                arena.tiles(),
+                &cam,
+                &w2c,
+                &grads,
+                Some(arena.fragments()),
+                &Serial,
+                &mut BackwardScratch::default(),
+                &mut out,
+            );
+            for (got, want) in out.gaussians.iter().zip(&oracle.gaussians) {
+                assert_eq!(grad_bits(got), grad_bits(want), "{n} touched");
+            }
+            assert_eq!(out.pose.map(f32::to_bits), oracle.pose.map(f32::to_bits));
+            assert_eq!(out.stats.gaussians_touched, n);
         }
     }
 }

@@ -10,7 +10,8 @@
 //! as 16 *lanes* of blend state in fixed arrays; the loop is splat-outer:
 //!
 //! 1. a splat whose conservative [`CutBox`] (the axis-aligned extent of
-//!    `{d : dᵀ·conic·d ≤ q_cut}`, computed once per gathered splat) misses
+//!    `{d : dᵀ·conic·d ≤ q_cut}`, computed once per visible splat at
+//!    projection time and copied into the tile's working set) misses
 //!    the subtile is rejected with four compares (the survivors are
 //!    compacted branch-free before the blend walks them);
 //! 2. for a survivor, the quadratic form `q` is evaluated for all 16 lanes
@@ -454,14 +455,16 @@ impl CutBox {
         y_hi: f32::INFINITY,
     };
     /// A splat no pixel can pass.
-    const NOWHERE: Self = Self {
+    pub(crate) const NOWHERE: Self = Self {
         x_lo: f32::INFINITY,
         x_hi: f32::NEG_INFINITY,
         y_lo: f32::INFINITY,
         y_hi: f32::NEG_INFINITY,
     };
 
-    /// The cut box of a gathered splat.
+    /// The cut box of a splat, from its hot fields `(mean, conic, q_cut)` —
+    /// computed once per visible splat by the projection scatter
+    /// (`ProjectedSoA::cut_boxes`).
     ///
     /// With `Σ = conic⁻¹` the ellipse's half-extents are `sqrt(q_cut·Σxx)`
     /// and `sqrt(q_cut·Σyy)`. The kernel's f32 `q` differs from the exact
@@ -868,7 +871,7 @@ pub(crate) fn render_into<const RECORD: bool>(
                 scratch.boxes.clear();
                 scratch
                     .boxes
-                    .extend(scratch.gathered.iter().map(CutBox::of));
+                    .extend(list.iter().map(|&slot| soa.cut_boxes[slot as usize]));
                 scratch.survivors.resize(list.len(), 0);
                 let mut stats = RenderStats::default();
                 let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);

@@ -69,6 +69,42 @@ impl Gaussian3d {
     }
 }
 
+/// The activations of one Gaussian's raw scale and rotation parameters that
+/// cost a libm call or a square root and a division chain: what Step ❶
+/// computes on the way to the 2D covariance and Step ❺ would otherwise
+/// compute again.
+///
+/// Step ❶ stores one per visible slot (`ProjectedSoA::activations`); Step ❺
+/// of the same iteration reads it back rather than activating the
+/// parameters a second time — the paper's R&B idea (the backward step reuses
+/// what the forward step already computed) applied to preprocessing. The
+/// rotation matrix and the covariance are a few dozen lane-wide flops from
+/// these eight floats and are rebuilt rather than stored (three times the
+/// bytes per slot, for less than the time it takes to load them).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct Activation {
+    /// [`Gaussian3d::scale`]: `exp(log_scale)`.
+    pub(crate) scale: Vec3,
+    /// Norm of the raw rotation quaternion.
+    pub(crate) rotation_norm: f32,
+    /// The raw rotation quaternion normalized ([`Quat::normalized`]).
+    pub(crate) unit_rotation: Quat,
+}
+
+#[cfg(test)]
+impl Activation {
+    /// The scalar definition: every field is what the named [`Gaussian3d`] /
+    /// [`Quat`] method returns. Production never calls it — the projection
+    /// lane kernel computes the same bits (property-tested against this).
+    pub(crate) fn of(g: &Gaussian3d) -> Self {
+        Self {
+            scale: g.scale(),
+            rotation_norm: g.rotation.norm(),
+            unit_rotation: g.rotation.normalized(),
+        }
+    }
+}
+
 /// Gradient of the loss with respect to one Gaussian's parameters, in the
 /// same (pre-activation) parameterization as [`Gaussian3d`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -168,6 +204,74 @@ impl FromIterator<Gaussian3d> for GaussianScene {
 impl Extend<Gaussian3d> for GaussianScene {
     fn extend<T: IntoIterator<Item = Gaussian3d>>(&mut self, iter: T) {
         self.gaussians.extend(iter);
+    }
+}
+
+/// Generators shared by the lane-kernel property tests of `project` and
+/// `backward`.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A Gaussian anywhere around a camera at the origin looking down +z —
+    /// inside the frustum, beside it, behind the near plane — with scales
+    /// from a millimetre to two metres and a raw (non-unit) quaternion.
+    pub(crate) fn arb_gaussian() -> impl Strategy<Value = Gaussian3d> {
+        (
+            (-3.0f32..3.0, -2.0f32..2.0, -1.0f32..6.0),
+            (-7.0f32..0.7, -7.0f32..0.7, -7.0f32..0.7),
+            (-2.0f32..2.0, -2.0f32..2.0, -2.0f32..2.0, -2.0f32..2.0),
+            -4.0f32..4.0,
+            (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
+        )
+            .prop_map(
+                |((x, y, z), (sx, sy, sz), (qw, qx, qy, qz), o, (r, g, b))| Gaussian3d {
+                    position: Vec3::new(x, y, z),
+                    log_scale: Vec3::new(sx, sy, sz),
+                    rotation: Quat::new(qw, qx, qy, qz),
+                    opacity: o,
+                    color: Vec3::new(r, g, b),
+                },
+            )
+    }
+
+    /// The 75×42 camera every benchmark session renders with.
+    pub(crate) fn session_camera() -> crate::PinholeCamera {
+        crate::PinholeCamera::from_fov(75, 42, 1.2)
+    }
+
+    /// A world-to-camera pose with all nine rotation entries and the
+    /// translation non-zero.
+    pub(crate) fn tilted_pose() -> rtgs_math::Se3 {
+        rtgs_math::Se3::new(
+            Quat::from_axis_angle(Vec3::new(0.3, -0.5, 0.2), 0.35),
+            Vec3::new(0.1, -0.05, 0.3),
+        )
+    }
+
+    /// `n` (at most 8) distinct, finite Gaussians, each visible from the
+    /// identity pose and from [`tilted_pose`] through [`session_camera`].
+    pub(crate) fn visible_gaussians(n: usize) -> Vec<Gaussian3d> {
+        assert!(n <= 8);
+        (0..n)
+            .map(|i| {
+                let f = i as f32;
+                Gaussian3d {
+                    position: Vec3::new(0.1 * f - 0.4, 0.2 - 0.05 * f, 1.4 + 0.3 * f),
+                    log_scale: Vec3::new(-2.0 - 0.1 * f, -1.5 + 0.05 * f, -2.5),
+                    rotation: Quat::new(0.9, 0.1 * f, -0.3, 0.2 + 0.05 * f),
+                    opacity: 0.4 * f - 1.0,
+                    color: Vec3::new(0.1 * f, 0.5, 0.9 - 0.1 * f),
+                }
+            })
+            .collect()
+    }
+
+    /// `a == b` on bits, or both NaN (whose payloads the hardware is free
+    /// to pick between when two NaNs meet).
+    pub(crate) fn same_float(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 }
 

@@ -7,7 +7,9 @@
 //! 1. **Preprocessing** ([`FrameArena::project`], or [`FrameArena::cull`] +
 //!    [`FrameArena::project_visible`] over a [`ShardedScene`]) — EWA
 //!    projection of 3D Gaussians to 2D splats compacted into a
-//!    structure-of-arrays layout ([`ProjectedSoA`]).
+//!    structure-of-arrays layout ([`ProjectedSoA`]), eight Gaussians (one
+//!    per lane) at a time, keeping what it activates of a Gaussian's scale
+//!    and rotation for step 5.
 //! 2. **Sorting** ([`FrameArena::assign_tiles`]) — tile intersection plus
 //!    front-to-back depth ordering via a stable radix sort on the monotone
 //!    depth key, stored as flat CSR tile lists ([`TileAssignment`]).
@@ -27,7 +29,8 @@
 //!    merging every record's per-pixel gradients into its Gaussian's
 //!    accumulator at once.
 //! 5. **Preprocessing BP** (same call) — 2D gradients to 3D parameter
-//!    gradients and the camera-pose tangent.
+//!    gradients and the camera-pose tangent, lanes = Gaussians like step 1,
+//!    on step 1's activations.
 //!
 //! [`FrameArena::forward`] runs steps 1–3 in one call for callers that only
 //! need an image.

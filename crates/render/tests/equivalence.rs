@@ -532,6 +532,37 @@ fn corridor_scene_culls_shards_and_stays_bitwise_identical() {
     run_matrix(&[case]);
 }
 
+/// Visible counts around the per-Gaussian kernels' boundaries — Steps ❶ and
+/// ❺ run blocks of 8 lanes inside chunks of 256 Gaussians: one short of a
+/// chunk (a 7-lane tail block), one past it and one past two (a second and
+/// a third chunk holding a single 1-lane block), every one of them visible
+/// and in the gradient's reach, on every backend and pool size.
+#[test]
+fn block_and_chunk_boundaries_match_on_every_backend() {
+    for visible in [255usize, 257, 513] {
+        let lattice = (0..visible).map(|i| {
+            let (col, row, layer) = ((i % 19) as f32, ((i / 19) % 9) as f32, (i / 171) as f32);
+            let z = 2.0 + 0.6 * layer;
+            Gaussian3d::from_activated(
+                Vec3::new((col / 18.0 - 0.5) * z, (row / 8.0 - 0.5) * 0.55 * z, z),
+                Vec3::new(0.03 + 0.002 * col, 0.05, 0.04 + 0.003 * row),
+                Quat::from_axis_angle(Vec3::new(0.3, 0.2, 0.9), 0.1 * i as f32),
+                0.3 + 0.02 * row,
+                Vec3::new(col / 18.0, row / 8.0, 0.5),
+            )
+        });
+        let case = case_of(lattice, 1.0, Se3::IDENTITY, (75, 42));
+        let oracle = Oracle::of(&case);
+        assert_eq!(oracle.visible, visible, "every lattice point is in view");
+        assert!(
+            oracle.touched > visible - 8,
+            "{} of {visible} touched: the tail blocks must carry gradient",
+            oracle.touched
+        );
+        run_matrix(&[case]);
+    }
+}
+
 /// One arena driven through growing and shrinking resolutions of the same
 /// scene — partial edge subtiles included, whatever the random matrix
 /// happens to pick — reproduces the oracle at every step.
