@@ -8,14 +8,17 @@
 //! cargo bench --workspace
 //! ```
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{
+    criterion_group, criterion_main, BatchSize, BenchmarkGroup, BenchmarkId, Criterion,
+};
 use rtgs_accel::{
     plugin_iteration, simulate_run, Aggregation, ArchConfig, DeviceSpec, FrameWorkload, GpuSpec,
     HardwareModel, PluginConfig, RunWorkload, Scheduling, TechNode,
 };
 use rtgs_core::{AdaptivePruner, PruningConfig, RtgsConfig};
+use rtgs_math::Se3;
 use rtgs_render::reference;
-use rtgs_render::{FrameArena, LossConfig, WorkloadTrace};
+use rtgs_render::{FrameArena, GaussianScene, LossConfig, WorkloadTrace};
 use rtgs_runtime::{
     Backend, BackendChoice, IngestConfig, IngestHub, LatePolicy, Parallel, Serial, Serve,
 };
@@ -27,6 +30,18 @@ use std::time::Duration;
 fn quick(c: &mut Criterion) -> &mut Criterion {
     c
 }
+
+/// Untimed warm-up of every row that runs on more than one thread: the
+/// sessions on the default (machine) backend, the served fleets and the
+/// session-size `parallel` rows of `runtime_scaling`. A sample is one call,
+/// so the ten samples of a 1–6 ms routine are over in tens of milliseconds,
+/// and on the bench host a pool thread that was just woken shares its
+/// waker's vCPU until the kernel's periodic balancer has moved it — about a
+/// second (`.claude/skills/verify/SKILL.md`, gotchas). Without the warm-up
+/// such a row reads as its serial twin whatever the code does
+/// (`scheduled_4_sessions` ≈ `sequential_4_sessions`: ROADMAP's "the
+/// scheduler currently buys nothing").
+const THREADED_WARM_UP: Duration = Duration::from_millis(1500);
 
 fn small_dataset() -> SyntheticDataset {
     SyntheticDataset::generate(DatasetProfile::tum_analog().small(), 4)
@@ -61,6 +76,24 @@ fn traced_run() -> (RunWorkload, Vec<WorkloadTrace>) {
     (to_workload(&report), traces)
 }
 
+/// The size a repository-benchmark session runs the kernels at: a 75×42
+/// `replica_analog` frame (partial edge tiles included) over the
+/// ~1 k-Gaussian map a MonoGS session holds after its first keyframe — a
+/// SLAM map's splats are far larger than the reference scene's (~170 per
+/// tile, ~560 k fragments inspected per pass). Returns the dataset, the
+/// flattened map and the world-to-camera pose of frame 1.
+fn session_size_scene() -> (SyntheticDataset, GaussianScene, Se3) {
+    let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), 2);
+    let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(2);
+    cfg.tracking.iterations = 4;
+    cfg.mapping_iterations = 4;
+    let mut session = SlamPipeline::new(cfg, &ds);
+    session.run();
+    let scene = session.scene().flatten().0;
+    let w2c = ds.poses_c2w[1].inverse();
+    (ds, scene, w2c)
+}
+
 /// Rendering kernels (Steps ❶–❺): the substrate every experiment rests on.
 fn bench_render_kernels(c: &mut Criterion) {
     let mut group = quick(c).benchmark_group("render_kernels");
@@ -89,20 +122,9 @@ fn bench_render_kernels(c: &mut Criterion) {
         })
     });
 
-    // The same two kernels at the size a repository-benchmark session runs
-    // them: a 75×42 `replica_analog` frame (partial edge tiles included)
-    // over the ~1 k-Gaussian map a MonoGS session holds after its first
-    // keyframe — a SLAM map's splats are far larger than the reference
-    // scene's (~170 per tile, ~560 k fragments inspected per pass), so this
-    // is a ~2.5 ms iteration against the ~140 µs one above.
-    let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), 2);
-    let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(2);
-    cfg.tracking.iterations = 4;
-    cfg.mapping_iterations = 4;
-    let mut session = SlamPipeline::new(cfg, &ds);
-    session.run();
-    let scene = session.scene().flatten().0;
-    let w2c = ds.poses_c2w[1].inverse();
+    // The same two kernels at session size (see `session_size_scene`), a
+    // ~2.5 ms iteration against the ~140 µs one above.
+    let (ds, scene, w2c) = session_size_scene();
     group.bench_function("forward_session_size", |b| {
         b.iter(|| arena.forward(&scene, &w2c, &ds.camera, None, &Serial).stats)
     });
@@ -262,7 +284,8 @@ fn bench_table2_baseline_slams(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2_baseline_slams");
     group
         .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
+        .measurement_time(Duration::from_secs(3))
+        .warm_up_time(THREADED_WARM_UP);
     let ds = small_dataset();
     for algo in BaseAlgorithm::all() {
         group.bench_with_input(
@@ -286,7 +309,8 @@ fn bench_table6_rtgs_algorithm(c: &mut Criterion) {
     let mut group = c.benchmark_group("table6_rtgs_algorithm");
     group
         .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
+        .measurement_time(Duration::from_secs(3))
+        .warm_up_time(THREADED_WARM_UP);
     let ds = small_dataset();
     let mk_cfg = || {
         let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(3);
@@ -634,46 +658,73 @@ fn bench_tracking_iteration_steady_state(c: &mut Criterion) {
 }
 
 /// Runtime subsystem: serial-vs-parallel wall-clock of the forward and
-/// backward kernels at pool sizes 1/2/4/8 (the perf trajectory of the
-/// `rtgs-runtime` work-stealing backend, recorded in `BENCH_RESULTS.json`).
+/// backward kernels (the perf trajectory of the `rtgs-runtime` backend
+/// seam, recorded in `BENCH_RESULTS.json`), at two sizes.
+///
+/// `forward/*` and `backward/*` run the reference scene — a 46 µs / 5 µs
+/// pair of passes over four tiles. They are the **dispatch-overhead rows**:
+/// a loop that short is over before a parked thread could be woken, so
+/// what they show is what publishing a loop costs and what a helper that
+/// is already looking can still pick up (`BENCH_RESULTS.json`: `backward`
+/// 5.3 µs serial, 5.8–7.2 µs on a pool — a loop costs about a microsecond
+/// and a half; `forward` 46 → 36–37 µs). PR 19 closed ROADMAP item 1's
+/// "never beats serial, `backward` gets slower with threads" with them:
+/// before the allocation-free parallel-for the same rows read `forward`
+/// 46–72 µs and `backward` 6–16 µs on a pool, all of it dispatch.
+///
+/// `forward_session_size/*` and `backward_session_size/*` run the size
+/// that matters ([`session_size_scene`]) on `Serial` and on the default
+/// backend — the machine, `available_parallelism() − 1` workers beside the
+/// benching thread: the rows a second core has to show up in, which is why
+/// the `parallel` pair is warmed up for [`THREADED_WARM_UP`] first.
 fn bench_runtime_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("runtime_scaling");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    let ds = small_dataset();
-    let scene = ds.reference_scene.clone();
-    let w2c = ds.poses_c2w[0].inverse();
-
-    let mut bench_backend = |label: String, backend: Box<dyn Backend>| {
+    /// One `forward` row and one `backward` row of `scene` on `backend`.
+    fn bench_backend(
+        group: &mut BenchmarkGroup<'_>,
+        names: [&str; 2],
+        label: &str,
+        backend: &dyn Backend,
+        (ds, scene, w2c): &(SyntheticDataset, GaussianScene, Se3),
+    ) {
         let mut arena = FrameArena::new();
-        group.bench_function(BenchmarkId::new("forward", &label), |b| {
-            b.iter(|| {
-                arena
-                    .forward(&scene, &w2c, &ds.camera, None, &*backend)
-                    .stats
-            })
+        group.bench_function(BenchmarkId::new(names[0], label), |b| {
+            b.iter(|| arena.forward(scene, w2c, &ds.camera, None, backend).stats)
         });
-        arena.render_fused(&ds.camera, &*backend);
+        arena.render_fused(&ds.camera, backend);
         arena.compute_loss(
             &ds.frames[0].color,
             ds.frames[0].depth.as_ref(),
             &LossConfig::default(),
         );
-        group.bench_function(BenchmarkId::new("backward", &label), |b| {
+        group.bench_function(BenchmarkId::new(names[1], label), |b| {
             b.iter(|| {
-                arena.backward_fused(&scene, &ds.camera, &w2c, &*backend);
+                arena.backward_fused(scene, &ds.camera, w2c, backend);
                 arena.backward().pose
             })
         });
-    };
-    bench_backend("serial".to_string(), Box::new(Serial));
-    for threads in [1usize, 2, 4, 8] {
-        bench_backend(
-            format!("parallel-{threads}"),
-            Box::new(Parallel::new(threads)),
-        );
     }
+
+    let mut group = c.benchmark_group("runtime_scaling");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2));
+
+    let ds = small_dataset();
+    let (scene, w2c) = (ds.reference_scene.clone(), ds.poses_c2w[0].inverse());
+    let toy = (ds, scene, w2c);
+    let names = ["forward", "backward"];
+    bench_backend(&mut group, names, "serial", &Serial, &toy);
+    for threads in [1usize, 2, 4, 8] {
+        let label = format!("parallel-{threads}");
+        bench_backend(&mut group, names, &label, &Parallel::new(threads), &toy);
+    }
+
+    let session = session_size_scene();
+    let names = ["forward_session_size", "backward_session_size"];
+    bench_backend(&mut group, names, "serial", &Serial, &session);
+    group.warm_up_time(THREADED_WARM_UP);
+    let machine = BackendChoice::default().instantiate();
+    bench_backend(&mut group, names, "parallel", &*machine, &session);
     group.finish();
 }
 
@@ -758,6 +809,7 @@ fn bench_session_serving(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
+    group.warm_up_time(THREADED_WARM_UP);
     group.bench_function("scheduled_4_sessions", |b| {
         b.iter(|| {
             let sessions = BaseAlgorithm::all()
@@ -825,6 +877,7 @@ fn bench_loadgen(c: &mut Criterion) {
         cfg.mapping_iterations = 2;
         cfg
     };
+    group.warm_up_time(THREADED_WARM_UP);
     group.bench_function("open_loop_4_sessions_prequeued", |b| {
         b.iter(|| {
             let hub = IngestHub::new(IngestConfig::new().with_inbox_capacity(8));

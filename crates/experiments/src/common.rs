@@ -10,8 +10,9 @@ use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline, SlamReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Encoded process-wide default backend: `0` = serial, `n > 0` =
-/// parallel over `n - 1` threads (`1` = parallel at machine size).
-static DEFAULT_BACKEND: AtomicUsize = AtomicUsize::new(0);
+/// parallel over `n - 1` threads (`1` = the machine, which is also
+/// [`BackendChoice::default`] and what the process starts with).
+static DEFAULT_BACKEND: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the execution backend every subsequently-built SLAM configuration
 /// uses (the `--parallel[=N]` flag of the experiments binary).

@@ -4,9 +4,10 @@
 //! experiments <name>|all [--full] [--parallel[=N]]
 //! ```
 //!
-//! `--parallel` runs every SLAM configuration on the work-stealing parallel
-//! backend (machine-sized pool, or `N` threads with `--parallel=N`);
-//! results are bitwise-identical to serial runs.
+//! Every SLAM configuration runs on the default backend — the machine:
+//! `available_parallelism() − 1` pool workers beside the calling thread.
+//! `--parallel=N` pins the pool to `N` workers instead (`--parallel` alone
+//! spells the default); results are bitwise-identical on every backend.
 
 use rtgs_experiments::{run_experiment, set_default_backend, Scale, EXPERIMENTS};
 use rtgs_runtime::BackendChoice;

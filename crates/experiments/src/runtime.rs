@@ -2,7 +2,7 @@
 //! kernel scaling, the zero-allocation frame-arena steady state, and the
 //! multi-session serving demonstration.
 
-use crate::common::{f, slam_config, Scale, Table};
+use crate::common::{default_backend, f, slam_config, Scale, Table};
 use rtgs_render::{FrameArena, LossConfig};
 use rtgs_runtime::Serve;
 use rtgs_runtime::{Backend, BackendChoice, Parallel, Serial};
@@ -143,9 +143,13 @@ pub fn arena_steady_state(scale: Scale) -> String {
 /// The same warm-arena loop at the size a repository-benchmark session runs
 /// it — the map a MonoGS session builds over 75×42 `replica_analog` frames
 /// (12 of them at full scale: ~1 k Gaussians, ~80 k blended fragments) —
-/// timed stage by stage: the in-process table to read before and after a
-/// kernel change (run the binary of each commit; stages the change did not
-/// touch show the host's drift between the two runs).
+/// timed stage by stage, on [`Serial`] and on the process default backend
+/// (the machine, or `--parallel=N`) side by side: the in-process table to
+/// read before and after a kernel or runtime change (run the binary of each
+/// commit; stages the change did not touch show the host's drift between
+/// the two runs). The two columns come from one binary, one map and one
+/// process, in alternating blocks, so their ratio is what the second core
+/// buys.
 fn session_stage_table(scale: Scale) -> String {
     let frames = match scale {
         Scale::Quick => 3,
@@ -164,7 +168,7 @@ fn session_stage_table(scale: Scale) -> String {
     let w2c = ds.poses_c2w[frames - 1].inverse();
     let frame = &ds.frames[frames - 1];
     let cfg = LossConfig::default();
-    let iterations = match scale {
+    let iterations: usize = match scale {
         Scale::Quick => 20,
         Scale::Full => 400,
     };
@@ -178,57 +182,95 @@ fn session_stage_table(scale: Scale) -> String {
         "Step ❹ render BP",
         "Step ❺ preprocess BP",
     ];
-    let mut nanos = [0u64; STAGES.len()];
-    let mut arena = FrameArena::new();
-
-    for iteration in 0..iterations + 2 {
-        let mut lap = [0u64; STAGES.len()];
-        let mut timed = |stage: usize, run: &mut dyn FnMut()| {
-            let t = Instant::now();
-            run();
-            lap[stage] = t.elapsed().as_nanos() as u64;
-        };
-        timed(0, &mut || arena.cull(&map, &w2c, &ds.camera, None, &Serial));
-        timed(1, &mut || arena.project_visible(&w2c, &ds.camera, &Serial));
-        timed(2, &mut || arena.assign_tiles(&ds.camera, &Serial));
-        timed(3, &mut || arena.render_fused(&ds.camera, &Serial));
-        timed(4, &mut || {
-            arena.compute_loss(&frame.color, frame.depth.as_ref(), &cfg);
-        });
-        arena.backward_visible_fused(&ds.camera, &w2c, &Serial);
-        let stats = arena.backward().stats;
-        lap[5] = stats.rendering_bp_nanos;
-        lap[6] = stats.preprocessing_bp_nanos;
-        // The first two iterations establish the arena's capacities.
-        if iteration >= 2 {
-            for (total, ns) in nanos.iter_mut().zip(lap) {
-                *total += ns;
+    // One warm arena per backend, timed in alternating blocks so that the
+    // host's drift over the run lands on both columns alike.
+    const BLOCKS: usize = 10;
+    let run_block = |backend: &dyn Backend,
+                     arena: &mut FrameArena,
+                     nanos: &mut [u64; STAGES.len()],
+                     iterations: usize,
+                     record: bool| {
+        for _ in 0..iterations {
+            let mut lap = [0u64; STAGES.len()];
+            let mut timed = |stage: usize, run: &mut dyn FnMut()| {
+                let t = Instant::now();
+                run();
+                lap[stage] = t.elapsed().as_nanos() as u64;
+            };
+            timed(0, &mut || arena.cull(&map, &w2c, &ds.camera, None, backend));
+            timed(1, &mut || arena.project_visible(&w2c, &ds.camera, backend));
+            timed(2, &mut || arena.assign_tiles(&ds.camera, backend));
+            timed(3, &mut || arena.render_fused(&ds.camera, backend));
+            timed(4, &mut || {
+                arena.compute_loss(&frame.color, frame.depth.as_ref(), &cfg);
+            });
+            arena.backward_visible_fused(&ds.camera, &w2c, backend);
+            let stats = arena.backward().stats;
+            lap[5] = stats.rendering_bp_nanos;
+            lap[6] = stats.preprocessing_bp_nanos;
+            if record {
+                for (total, ns) in nanos.iter_mut().zip(lap) {
+                    *total += ns;
+                }
             }
         }
+    };
+    let choice = default_backend();
+    let chosen_backend = choice.instantiate();
+    let (mut arena, mut chosen_arena) = (FrameArena::new(), FrameArena::new());
+    let (mut serial, mut chosen) = ([0u64; STAGES.len()], [0u64; STAGES.len()]);
+    // Two unrecorded iterations establish each arena's capacities.
+    run_block(&Serial, &mut arena, &mut serial, 2, false);
+    run_block(&*chosen_backend, &mut chosen_arena, &mut chosen, 2, false);
+    let per_block = iterations.div_ceil(BLOCKS);
+    let iterations = per_block * BLOCKS;
+    for _ in 0..BLOCKS {
+        run_block(&Serial, &mut arena, &mut serial, per_block, true);
+        run_block(
+            &*chosen_backend,
+            &mut chosen_arena,
+            &mut chosen,
+            per_block,
+            true,
+        );
     }
+    let identical = chosen_arena.output().image == arena.output().image
+        && chosen_arena.backward().pose == arena.backward().pose
+        && chosen_arena.backward().gaussians == arena.backward().gaussians;
 
-    let mut table = Table::new(&["stage", "µs / iteration", "share"]);
-    let total: u64 = nanos.iter().sum();
-    for (stage, ns) in STAGES.iter().zip(nanos) {
+    let us = |ns: u64| f(ns as f64 / 1e3 / iterations as f64, 1);
+    let mut table = Table::new(&[
+        "stage",
+        "serial µs",
+        "share",
+        &format!("{} µs", choice.label()),
+        "vs serial",
+    ]);
+    let (total, chosen_total): (u64, u64) = (serial.iter().sum(), chosen.iter().sum());
+    let rows = STAGES
+        .iter()
+        .copied()
+        .zip(serial.into_iter().zip(chosen))
+        .chain([("iteration", (total, chosen_total))]);
+    for (stage, (ns, chosen_ns)) in rows {
         table.row(vec![
             stage.to_string(),
-            f(ns as f64 / 1e3 / iterations as f64, 1),
+            us(ns),
             f(ns as f64 / total as f64, 3),
+            us(chosen_ns),
+            format!("×{}", f(chosen_ns as f64 / ns as f64, 2)),
         ]);
     }
-    table.row(vec![
-        "iteration".into(),
-        f(total as f64 / 1e3 / iterations as f64, 1),
-        f(1.0, 3),
-    ]);
     format!(
-        "Stage budget at session size ({} Gaussians visible of {}, {}x{}, {} blended fragments, {} warm iterations):\n{}",
+        "Stage budget at session size ({} Gaussians visible of {}, {}x{}, {} blended fragments, {} warm iterations, {} CPUs; {} bitwise == serial: {identical}):\n{}",
         arena.projection().visible_count(),
         map.len(),
         ds.camera.width,
         ds.camera.height,
         arena.output().stats.fragments_blended,
         iterations,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        choice.label(),
         table.render()
     )
 }

@@ -66,8 +66,11 @@ use rtgs_math::{Mat3, Se3, Sym2, Sym3, Vec2, Vec3};
 use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
 
 /// Tiles per chunk in the parallel Rendering BP (fixed by the algorithm,
-/// not the worker count).
-pub(crate) const BP_TILE_CHUNK: usize = 4;
+/// not the worker count). The per-tile partials fold in tile order whatever
+/// the chunking, so the value moves no bit; one tile per chunk for the
+/// reason and with the numbers at `forward::RENDER_CHUNK` (Step ❹ on two
+/// threads: ×0.62…0.68 of serial at 4, ×0.52…0.57 at 1).
+pub(crate) const BP_TILE_CHUNK: usize = 1;
 /// Gaussians per chunk in the parallel Preprocessing BP. The per-chunk
 /// pose-tangent partial sums fold in chunk order, so this constant — never
 /// the worker count — defines the floating-point summation tree.

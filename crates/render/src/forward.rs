@@ -52,8 +52,16 @@ use rtgs_math::{exp_nonpos, Sym2, Vec2, Vec3};
 use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
 
 /// Tiles per chunk in the parallel forward render (fixed by the algorithm,
-/// not the worker count).
-pub(crate) const RENDER_CHUNK: usize = 4;
+/// not the worker count). Tiles are independent and their statistics fold
+/// per tile, so the value moves no bit — only how evenly the claimed chunks
+/// split the frame. One tile per chunk: a 75×42 session frame is 15 tiles of
+/// very unequal cost (edge tiles are partial, splats cluster), and in chunks
+/// of 4 the second thread's share was whatever two of four chunks happened
+/// to hold. `experiments arena --full`, 2 vCPUs, Step ❸ on the machine
+/// backend against serial in the same process: ×0.62…0.69 at 4, ×0.52…0.57
+/// at 1 (the whole iteration ×0.62…0.70 → ×0.55…0.61); on one thread 1 and 4
+/// are indistinguishable (a chunk costs one scratch-pool take/put).
+pub(crate) const RENDER_CHUNK: usize = 1;
 
 /// Lanes of the tile kernels: the pixels of one subtile.
 pub(crate) const LANES: usize = SUBTILE_SIZE * SUBTILE_SIZE;

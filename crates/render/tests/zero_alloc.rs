@@ -10,9 +10,10 @@
 //! The assertion uses the per-thread counter with the `Serial` backend, so
 //! the whole pipeline runs on this thread and the measurement is immune to
 //! allocations from the test harness's other threads. (The parallel
-//! backend's task dispatch allocates in the pool by design; the zero-alloc
-//! contract covers the kernels and their buffers, which the parallel path
-//! shares — see CONTRIBUTING.md "Zero-allocation steady state".)
+//! backend's dispatch allocates nothing either; its chunks run on pool
+//! threads, so `zero_alloc_parallel.rs` holds it to the same bar with the
+//! process-wide counter in a test binary of its own — see CONTRIBUTING.md
+//! "Zero-allocation steady state".)
 //!
 //! The measured iterations run with **telemetry recording on**: span
 //! tracing enabled, the thread ring pre-warmed, a histogram recorded and a

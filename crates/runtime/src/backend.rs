@@ -6,9 +6,17 @@
 //! count), so a deterministic fold over chunk results in index order
 //! produces bitwise-identical output on [`Serial`] and on [`Parallel`] at
 //! any pool size.
+//!
+//! **One pool, always.** A [`Parallel`] loop started on a thread that is
+//! executing a job of some pool — a worker stepping a served session, or
+//! the `Serve` caller helping inside the round's scope — is published on
+//! *that* pool, whatever pool the backend itself names: a served session
+//! fans out onto the executors that are stepping it (the idle ones), and
+//! only a free-standing caller brings the backend's own pool. Two pools
+//! never compete for the same cores.
 
 use crate::pool::ThreadPool;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -16,9 +24,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 pub trait Backend: Send + Sync {
     /// Human-readable backend name (for reports and benches).
     fn name(&self) -> &'static str;
-
-    /// Upper bound on chunks that may run simultaneously (1 for serial).
-    fn concurrency(&self) -> usize;
 
     /// Partitions `0..len` into `chunk_size`-sized chunks and invokes
     /// `body(chunk_index, range)` for each, in any order and possibly
@@ -41,10 +46,6 @@ impl Backend for Serial {
         "serial"
     }
 
-    fn concurrency(&self) -> usize {
-        1
-    }
-
     fn for_each_chunk(
         &self,
         len: usize,
@@ -63,35 +64,42 @@ impl Backend for Serial {
     }
 }
 
-/// Work-stealing parallel backend over a [`ThreadPool`].
+/// Parallel backend: chunked loops run on the caller and on the idle
+/// threads of a [`ThreadPool`] — the pool that is running the calling
+/// thread's job if there is one, this backend's own otherwise (see the
+/// module docs, "One pool, always").
 #[derive(Debug, Clone)]
 pub struct Parallel {
-    pool: Arc<ThreadPool>,
+    threads: usize,
+    /// Resolved on the first loop a free-standing caller starts, so a
+    /// backend that only ever runs inside another pool's jobs creates none.
+    pool: OnceLock<Arc<ThreadPool>>,
 }
 
 impl Parallel {
-    /// Backend over a shared process-wide pool of the given size. Pools are
-    /// cached per size, so constructing the same configuration repeatedly
-    /// (e.g. one per SLAM session) does not multiply threads.
+    /// Backend over the process-wide shared pool of `threads` workers (`0`
+    /// = the machine, see [`shared_pool`]). Pools are cached per size, so
+    /// constructing the same configuration repeatedly (e.g. one per SLAM
+    /// session) does not multiply threads.
     pub fn new(threads: usize) -> Self {
         Self {
-            pool: shared_pool(threads),
+            threads,
+            pool: OnceLock::new(),
         }
-    }
-
-    /// Backend over the machine-sized shared pool.
-    pub fn with_default_size() -> Self {
-        Self::new(0)
     }
 
     /// Backend over an explicit pool (dedicated, not cached).
     pub fn over(pool: Arc<ThreadPool>) -> Self {
-        Self { pool }
+        Self {
+            threads: pool.threads(),
+            pool: OnceLock::from(pool),
+        }
     }
 
-    /// The underlying pool.
+    /// The backend's own pool: where a thread that is running no pool's job
+    /// publishes its loops.
     pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
+        self.pool.get_or_init(|| shared_pool(self.threads))
     }
 }
 
@@ -100,38 +108,57 @@ impl Backend for Parallel {
         "parallel"
     }
 
-    fn concurrency(&self) -> usize {
-        self.pool.threads()
-    }
-
     fn for_each_chunk(
         &self,
         len: usize,
         chunk_size: usize,
         body: &(dyn Fn(usize, Range<usize>) + Sync),
     ) {
-        self.pool.for_each_chunk(len, chunk_size, body);
+        if !ThreadPool::for_each_chunk_in_job(len, chunk_size, body) {
+            self.pool().for_each_chunk(len, chunk_size, body);
+        }
     }
 }
 
-/// Returns the process-wide shared pool for a worker count (`0` = machine
-/// size). Pools live for the process lifetime and are created on first use.
+/// Workers of the machine pool: `available_parallelism() − 1`, because the
+/// thread that starts a loop (or calls `Serve::run`) is an executor too —
+/// `0` on a one-CPU host. Read once: the answer costs system calls and
+/// cgroup file reads.
+fn machine_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(0, |cpus| cpus.get() - 1))
+}
+
+fn pools() -> MutexGuard<'static, BTreeMap<usize, Arc<ThreadPool>>> {
+    static POOLS: Mutex<BTreeMap<usize, Arc<ThreadPool>>> = Mutex::new(BTreeMap::new());
+    POOLS
+        .lock()
+        .expect("spawning a pool's threads failed under the pool cache lock")
+}
+
+/// Returns the process-wide shared pool for a worker count. `0` means the
+/// machine, *counting the caller*: `available_parallelism() − 1` workers
+/// (at least one), so that the workers plus the thread that publishes loops
+/// or serves sessions on the pool fill the cores without oversubscribing
+/// them. Pools live for the process lifetime and are created on first use.
 pub fn shared_pool(threads: usize) -> Arc<ThreadPool> {
-    static POOLS: OnceLock<Mutex<HashMap<usize, Arc<ThreadPool>>>> = OnceLock::new();
     let resolved = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        machine_workers().max(1)
     } else {
         threads
     };
-    let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut pools = pools.lock().unwrap();
     Arc::clone(
-        pools
+        pools()
             .entry(resolved)
             .or_insert_with(|| Arc::new(ThreadPool::new(resolved))),
     )
+}
+
+/// Worker counts of the shared pools created so far, ascending — the check
+/// behind "one pool, always": a process that serves on `threads(3)` and
+/// runs every session on the default backend lists `[3]`.
+pub fn shared_pool_sizes() -> Vec<usize> {
+    pools().keys().copied().collect()
 }
 
 /// Exclusive prefix sum over per-chunk counts, used by chunked kernels that
@@ -228,24 +255,40 @@ impl<T> ScratchPool<T> {
 
 /// Copyable backend selector for configuration structs (`SlamConfig` stays
 /// `Copy`); [`BackendChoice::instantiate`] resolves it to a backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+///
+/// The default is `Parallel { threads: 0 }` — the machine: results are
+/// bitwise those of [`Serial`](BackendChoice::Serial) on every backend and
+/// pool size, so the only thing the choice decides is how many cores one
+/// frame gets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendChoice {
     /// Single-threaded execution.
-    #[default]
     Serial,
-    /// Work-stealing execution on the shared pool of `threads` workers
-    /// (`0` = machine size).
+    /// Chunked loops on the caller plus the idle threads of a pool: the
+    /// pool that is stepping the session when it is served, the shared pool
+    /// of `threads` workers otherwise.
     Parallel {
-        /// Worker count; `0` picks `available_parallelism`.
+        /// Worker count; `0` is the machine, counting the caller:
+        /// `available_parallelism() − 1` workers, and plain serial
+        /// execution on a one-CPU host.
         threads: usize,
     },
 }
 
+impl Default for BackendChoice {
+    fn default() -> Self {
+        Self::Parallel { threads: 0 }
+    }
+}
+
 impl BackendChoice {
-    /// Resolves the choice to a backend instance.
+    /// Resolves the choice to a backend instance. No thread is created
+    /// here: a [`Parallel`] backend resolves its pool on first use, and
+    /// `Parallel { threads: 0 }` on a one-CPU host is [`Serial`].
     pub fn instantiate(&self) -> Arc<dyn Backend> {
         match *self {
             Self::Serial => Arc::new(Serial),
+            Self::Parallel { threads: 0 } if machine_workers() == 0 => Arc::new(Serial),
             Self::Parallel { threads } => Arc::new(Parallel::new(threads)),
         }
     }
@@ -376,7 +419,39 @@ mod tests {
             BackendChoice::Parallel { threads: 0 }.label(),
             "parallel(auto)"
         );
-        assert_eq!(BackendChoice::default(), BackendChoice::Serial);
+        assert_eq!(BackendChoice::default().label(), "parallel(auto)");
+    }
+
+    #[test]
+    fn auto_counts_the_caller_and_is_serial_on_one_cpu() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(machine_workers(), cpus - 1);
+        let expected = if cpus == 1 { "serial" } else { "parallel" };
+        assert_eq!(BackendChoice::default().instantiate().name(), expected);
+        assert_eq!(shared_pool(0).threads(), (cpus - 1).max(1));
+    }
+
+    #[test]
+    fn a_loop_started_inside_a_job_runs_on_that_jobs_pool() {
+        // 61 is nobody else's size: were the backend's own pool ever
+        // resolved, the shared cache would list it.
+        let backend = Parallel::new(61);
+        let serving = ThreadPool::new(2);
+        let sum = std::sync::atomic::AtomicUsize::new(0);
+        let body = |_: usize, range: Range<usize>| {
+            sum.fetch_add(range.sum(), std::sync::atomic::Ordering::Relaxed);
+        };
+        // From a spawned job (a worker, or this thread helping in the
+        // scope) and from a step the scheduler runs on its own thread.
+        serving.scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| backend.for_each_chunk(100, 7, &body));
+            }
+        });
+        serving.run_as_job(|| backend.for_each_chunk(100, 7, &body));
+        assert_eq!(sum.into_inner(), 5 * 4950);
+        assert!(backend.pool.get().is_none(), "the backend resolved a pool");
+        assert!(!shared_pool_sizes().contains(&61));
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //!
 //! Three layers, bottom to top:
 //!
-//! 1. **[`ThreadPool`]** — a std-only work-stealing thread pool with scoped
-//!    (borrow-friendly) tasks. Waiting threads help execute queued work, so
-//!    scopes nest without deadlock.
+//! 1. **[`ThreadPool`]** — a std-only work-stealing thread pool: scoped
+//!    (borrow-friendly) tasks for session steps, and an allocation-free
+//!    parallel-for whose chunks the caller and the pool's idle threads
+//!    claim one index at a time. Waiting threads help, so both nest
+//!    without deadlock.
 //! 2. **[`Backend`]** — the execution seam algorithm code programs against:
 //!    chunked index-range loops that run on [`Serial`] (reference) or
 //!    [`Parallel`] (pool) backends. Chunk geometry is fixed by the caller,
 //!    never by the worker count, so deterministic reductions over chunk
 //!    results are bitwise-identical across backends and pool sizes.
-//!    [`BackendChoice`] is the `Copy` selector configuration structs embed.
+//!    [`BackendChoice`] is the `Copy` selector configuration structs embed;
+//!    its default is the machine.
 //! 3. **[`SessionScheduler`]** — multi-tenant serving: N concurrent
 //!    [`Session`]s advance in round-robin rounds over one pool, with
 //!    per-session stats and graceful shutdown. Configure a run through the
@@ -45,7 +48,8 @@
 //! let serial = squares(&Serial, 100);
 //! let parallel = squares(&Parallel::new(4), 100);
 //! assert_eq!(serial, parallel);
-//! assert_eq!(BackendChoice::default(), BackendChoice::Serial);
+//! // The default is the machine; it only decides how many cores work.
+//! assert_eq!(BackendChoice::default(), BackendChoice::Parallel { threads: 0 });
 //! ```
 
 mod backend;
@@ -55,8 +59,8 @@ mod scheduler;
 mod serve;
 
 pub use backend::{
-    exclusive_prefix_sum, exclusive_prefix_sum_into, shared_pool, Backend, BackendChoice, Parallel,
-    ScratchPool, Serial, SharedSlice,
+    exclusive_prefix_sum, exclusive_prefix_sum_into, shared_pool, shared_pool_sizes, Backend,
+    BackendChoice, Parallel, ScratchPool, Serial, SharedSlice,
 };
 pub use ingest::{
     AdmissionError, FrameInbox, FrameProducer, IngestConfig, IngestFrame, IngestHub, IngestStats,

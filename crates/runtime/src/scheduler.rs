@@ -8,9 +8,14 @@
 //! concurrently on the pool. The per-round barrier is the fairness
 //! guarantee: no tenant ever runs more than one step ahead of another, which
 //! is the round-robin frame scheduling a multi-tenant serving substrate
-//! needs. Steps may internally fan out onto the same pool (nested scopes are
-//! deadlock-free), so per-session parallel backends compose with cross-
-//! session parallelism.
+//! needs. Steps fan their chunked loops out onto the *same* pool — a
+//! `Parallel` backend publishes on the pool that is stepping the session,
+//! whatever pool it names itself — so a frame borrows the executors that
+//! are idle and never brings threads of its own. The thread that waits at
+//! the round barrier is one of them: with no step of its own round left to
+//! take, it runs *chunks* of the steps still in flight, one at a time —
+//! never another session's step, which would run outside that round's
+//! bookkeeping — and so fills the tail of an unbalanced round.
 //!
 //! # Eviction
 //!
@@ -715,7 +720,16 @@ impl<S: Session> SessionScheduler<S> {
     /// Re-raises the first panic of any session step; panics when a
     /// hibernated session cannot be rehydrated (its spill file is the only
     /// copy of its state) or the spill directory cannot be created.
-    pub fn run(mut self) -> Vec<SessionOutcome<S::Report>> {
+    pub fn run(self) -> Vec<SessionOutcome<S::Report>> {
+        // Everything this thread does for its sessions from here on — the
+        // steps it takes in a round, the steps of rehydrated sessions, the
+        // final `finish()` (a SLAM report renders) — is this pool's work:
+        // chunked loops started inside are published on it.
+        let pool = Arc::clone(&self.pool);
+        pool.run_as_job(|| self.serve())
+    }
+
+    fn serve(mut self) -> Vec<SessionOutcome<S::Report>> {
         if let Some(policy) = &self.policy {
             std::fs::create_dir_all(&policy.spill_dir).unwrap_or_else(|e| {
                 panic!(

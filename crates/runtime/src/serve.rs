@@ -66,8 +66,11 @@ impl ServeBuilder {
         Self::default()
     }
 
-    /// Serves over the shared pool with `threads` workers (`0`, the
-    /// default, means machine size). Ignored when an explicit
+    /// Serves over the shared pool with `threads` workers. The thread that
+    /// calls [`run`](Self::run) steps sessions too, so `threads(n)` is
+    /// `n + 1` executors; `0`, the default, is the machine counted that
+    /// way (`available_parallelism() − 1` workers, at least one — see
+    /// [`shared_pool`](crate::shared_pool)). Ignored when an explicit
     /// [`pool`](Self::pool) is set.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;

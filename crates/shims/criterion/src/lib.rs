@@ -4,7 +4,7 @@
 //! The build environment is offline, so the workspace vendors a minimal
 //! harness: it supports `benchmark_group`, `bench_function`,
 //! `bench_with_input`, `iter_batched`, `sample_size`, `measurement_time`,
-//! `BenchmarkId` and
+//! `warm_up_time`, `BenchmarkId` and
 //! the `criterion_group!` / `criterion_main!` macros. Each benchmark is
 //! warmed up, sampled, and summarized (min / median / mean); all results are
 //! additionally appended to `BENCH_RESULTS.json` at the workspace root so
@@ -17,6 +17,9 @@
 //! measurement wall-clock, overriding whatever the benchmarks request. The
 //! CI `perf-smoke` job uses this to finish the whole suite in minutes while
 //! keeping medians meaningful enough for a coarse (>25%) regression gate.
+//! A requested `warm_up_time` is *not* capped: only the handful of rows that
+//! run on more than one thread ask for one, and without it they time the
+//! scheduler's first placement of the threads, not the code.
 
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -126,6 +129,7 @@ pub struct Bencher {
     samples_ns: Vec<u128>,
     sample_size: usize,
     measurement_time: Duration,
+    warm_up_time: Duration,
 }
 
 /// Batch-size hint of [`Bencher::iter_batched`]; this harness always runs
@@ -150,8 +154,14 @@ impl Bencher {
         S: FnMut() -> I,
         R: FnMut(I) -> O,
     {
-        // One untimed warm-up call.
-        let _ = routine(setup());
+        // Untimed warm-up: one call, and more until `warm_up_time` is over.
+        let warming = Instant::now();
+        loop {
+            let _ = routine(setup());
+            if warming.elapsed() >= self.warm_up_time {
+                break;
+            }
+        }
         let started = Instant::now();
         for _ in 0..self.sample_size {
             let input = setup();
@@ -172,6 +182,7 @@ pub struct BenchmarkGroup<'c> {
     name: String,
     sample_size: usize,
     measurement_time: Duration,
+    warm_up_time: Duration,
 }
 
 impl BenchmarkGroup<'_> {
@@ -188,17 +199,23 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Keeps calling the routine, untimed, for `d` before the first sample
+    /// of every benchmark run from here on (the default is one call). For
+    /// rows that run on more than one thread: a sample is a single call, so
+    /// ten of them are over before the operating system has spread the
+    /// threads over the cores, and the row would time that placement.
+    pub fn warm_up_time(&mut self, d: Duration) -> &mut Self {
+        self.warm_up_time = d;
+        self
+    }
+
     /// Runs one benchmark.
     pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        let mut bencher = Bencher {
-            samples_ns: Vec::new(),
-            sample_size: self.sample_size,
-            measurement_time: self.measurement_time,
-        };
+        let mut bencher = self.bencher();
         f(&mut bencher);
         self.record(id, bencher.samples_ns);
         self
@@ -215,11 +232,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let id = id.into();
-        let mut bencher = Bencher {
-            samples_ns: Vec::new(),
-            sample_size: self.sample_size,
-            measurement_time: self.measurement_time,
-        };
+        let mut bencher = self.bencher();
         f(&mut bencher, input);
         self.record(id, bencher.samples_ns);
         self
@@ -227,6 +240,15 @@ impl BenchmarkGroup<'_> {
 
     /// Finishes the group (results are flushed when the harness exits).
     pub fn finish(&mut self) {}
+
+    fn bencher(&self) -> Bencher {
+        Bencher {
+            samples_ns: Vec::new(),
+            sample_size: self.sample_size,
+            measurement_time: self.measurement_time,
+            warm_up_time: self.warm_up_time,
+        }
+    }
 
     fn record(&mut self, id: BenchmarkId, samples_ns: Vec<u128>) {
         let record = Record {
@@ -274,6 +296,7 @@ impl Criterion {
             name: name.into(),
             sample_size: clamp_samples(10, quick),
             measurement_time: clamp_measurement(Duration::from_secs(2), quick),
+            warm_up_time: Duration::ZERO,
         }
     }
 
@@ -378,6 +401,25 @@ mod tests {
         assert_eq!(c.records.len(), 2);
         assert!(!c.records[0].samples_ns.is_empty());
         assert_eq!(c.records[1].bench, "param/4");
+    }
+
+    #[test]
+    fn warm_up_calls_are_untimed_and_last_the_requested_time() {
+        let mut c = Criterion::default();
+        let mut calls = 0u32;
+        let mut g = c.benchmark_group("g");
+        g.sample_size(3)
+            .warm_up_time(Duration::from_millis(20))
+            .bench_function("sleepy", |b| {
+                b.iter(|| {
+                    calls += 1;
+                    std::thread::sleep(Duration::from_millis(5));
+                })
+            });
+        g.finish();
+        assert_eq!(c.records[0].samples_ns.len(), 3);
+        // 20 ms of 5 ms calls, then the three samples.
+        assert!(calls >= 4 + 3, "{calls} calls");
     }
 
     #[test]

@@ -93,9 +93,11 @@ pub struct SlamConfig {
     /// Record per-iteration workload traces (memory-heavy; hardware
     /// modelling only).
     pub record_traces: bool,
-    /// Execution backend for every render/backward in the pipeline
-    /// (`Serial` by default; `Parallel` fans the tile/Gaussian chunks out
-    /// over the shared thread pool with bitwise-identical results).
+    /// Execution backend for every render/backward in the pipeline. The
+    /// default, `Parallel { threads: 0 }`, fans the tile/Gaussian chunks
+    /// out over the machine — the pool that is serving the session, or the
+    /// shared machine pool for a lone one — with results bitwise those of
+    /// `Serial`.
     pub backend: BackendChoice,
 }
 
@@ -112,7 +114,7 @@ impl SlamConfig {
             map_lrs: MapLearningRates::default(),
             max_frames: None,
             record_traces: false,
-            backend: BackendChoice::Serial,
+            backend: BackendChoice::default(),
         };
         match algorithm {
             BaseAlgorithm::MonoGs => Self {

@@ -3,9 +3,11 @@
 //! multiplex over one thread pool with round-robin frame scheduling.
 //!
 //! One scheduler step is one SLAM frame, so fairness is per-frame: no
-//! tenant ever runs more than one frame ahead of another. Sessions may
-//! themselves use a [`rtgs_runtime::BackendChoice::Parallel`] backend —
-//! intra-frame fan-out nests on the same pool without deadlock.
+//! tenant ever runs more than one frame ahead of another. A session on a
+//! [`rtgs_runtime::BackendChoice::Parallel`] backend — the default — fans
+//! its frame's chunked loops out on the pool that is stepping it, onto
+//! whichever executors are idle, whatever pool size the choice names:
+//! nothing deadlocks and no second pool competes for the cores.
 //!
 //! Sessions are **hibernatable** tenants: the pipeline implements the
 //! scheduler's spill hooks through `rtgs-snapshot` checkpoints, so an
