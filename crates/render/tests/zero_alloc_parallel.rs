@@ -14,7 +14,11 @@
 //! iterations, not after a fixed number. The test therefore waits for a
 //! quiet window instead of counting warm-up iterations — a dispatch that
 //! allocates per loop (one `Arc` and one `Box` per chunk, before the
-//! parallel-for) never produces one.
+//! parallel-for) never produces one. The pool's loop registry is no part
+//! of the warm-up: it is sized when the pool is built for one top-level and
+//! one nested loop per executor (`2 × (threads + 1)` entries — a served
+//! round plus a kernel's loop under each step), so publishing never grows
+//! it, here or in the first round a scheduler serves.
 
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{FrameArena, Gaussian3d, GaussianScene, LossConfig, PinholeCamera, ShardedScene};

@@ -8,12 +8,12 @@
 //! any pool size.
 //!
 //! **One pool, always.** A [`Parallel`] loop started on a thread that is
-//! executing a job of some pool — a worker stepping a served session, or
-//! the `Serve` caller helping inside the round's scope — is published on
-//! *that* pool, whatever pool the backend itself names: a served session
-//! fans out onto the executors that are stepping it (the idle ones), and
-//! only a free-standing caller brings the backend's own pool. Two pools
-//! never compete for the same cores.
+//! executing work of some pool — inside a chunk of one of its loops, which
+//! is where a served session's step runs, or on the `Serve` caller between
+//! rounds — is published on *that* pool, whatever pool the backend itself
+//! names: a served session fans out onto the executors that are stepping
+//! it (the idle ones), and only a free-standing caller brings the
+//! backend's own pool. Two pools never compete for the same cores.
 
 use crate::pool::ThreadPool;
 use std::collections::BTreeMap;
@@ -65,14 +65,15 @@ impl Backend for Serial {
 }
 
 /// Parallel backend: chunked loops run on the caller and on the idle
-/// threads of a [`ThreadPool`] — the pool that is running the calling
-/// thread's job if there is one, this backend's own otherwise (see the
-/// module docs, "One pool, always").
+/// threads of a [`ThreadPool`] — the pool whose work the calling thread is
+/// executing if there is one, this backend's own otherwise (see the module
+/// docs, "One pool, always").
 #[derive(Debug, Clone)]
 pub struct Parallel {
     threads: usize,
     /// Resolved on the first loop a free-standing caller starts, so a
-    /// backend that only ever runs inside another pool's jobs creates none.
+    /// backend that only ever runs inside another pool's chunks creates
+    /// none.
     pool: OnceLock<Arc<ThreadPool>>,
 }
 
@@ -88,17 +89,9 @@ impl Parallel {
         }
     }
 
-    /// Backend over an explicit pool (dedicated, not cached).
-    pub fn over(pool: Arc<ThreadPool>) -> Self {
-        Self {
-            threads: pool.threads(),
-            pool: OnceLock::from(pool),
-        }
-    }
-
-    /// The backend's own pool: where a thread that is running no pool's job
+    /// The backend's own pool: where a thread that is running no pool's work
     /// publishes its loops.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
+    fn pool(&self) -> &Arc<ThreadPool> {
         self.pool.get_or_init(|| shared_pool(self.threads))
     }
 }
@@ -161,28 +154,19 @@ pub fn shared_pool_sizes() -> Vec<usize> {
     pools().keys().copied().collect()
 }
 
-/// Exclusive prefix sum over per-chunk counts, used by chunked kernels that
-/// compact variable-sized per-chunk output into one dense
-/// structure-of-arrays buffer (count in parallel, scan serially, scatter in
-/// parallel at `offsets[chunk]`).
+/// Exclusive prefix sum over per-chunk counts into caller-owned storage,
+/// used by chunked kernels that compact variable-sized per-chunk output
+/// into one dense structure-of-arrays buffer (count in parallel, scan
+/// serially, scatter in parallel at `offsets[chunk]`).
 ///
-/// Returns `(offsets, total)` where `offsets[i]` is the output position of
-/// chunk `i`'s first element and `total` the summed count. The scan runs on
-/// the calling thread — it is O(chunks) — so the resulting offsets, and
-/// therefore the scatter layout, are identical on every backend and pool
-/// size.
-pub fn exclusive_prefix_sum(counts: &[usize]) -> (Vec<usize>, usize) {
-    let mut offsets = Vec::new();
-    let total = exclusive_prefix_sum_into(counts, &mut offsets);
-    (offsets, total)
-}
-
-/// [`exclusive_prefix_sum`] writing into caller-owned storage.
-///
-/// `offsets` is cleared and refilled; once its capacity covers
+/// `offsets` is cleared and refilled so that `offsets[i]` is the output
+/// position of chunk `i`'s first element; returns the summed count. The
+/// scan runs on the calling thread — it is O(chunks) — so the resulting
+/// offsets, and therefore the scatter layout, are identical on every
+/// backend and pool size. Once the capacity of `offsets` covers
 /// `counts.len()` the scan performs no heap allocation, which is what lets
 /// chunked kernels run allocation-free in the steady state (the frame-arena
-/// contract of `rtgs-render`). Returns the summed total.
+/// contract of `rtgs-render`).
 pub fn exclusive_prefix_sum_into(counts: &[usize], offsets: &mut Vec<usize>) -> usize {
     offsets.clear();
     offsets.reserve(counts.len());
@@ -441,13 +425,11 @@ mod tests {
         let body = |_: usize, range: Range<usize>| {
             sum.fetch_add(range.sum(), std::sync::atomic::Ordering::Relaxed);
         };
-        // From a spawned job (a worker, or this thread helping in the
-        // scope) and from a step the scheduler runs on its own thread.
-        serving.scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| backend.for_each_chunk(100, 7, &body));
-            }
-        });
+        // From the chunks of a loop published by a free thread (a round's
+        // steps: on a worker, or on this thread, whose own chunks are the
+        // pool's work too) and from a step the scheduler runs on its own
+        // thread between rounds.
+        serving.for_each_chunk(4, 1, &|_, _| backend.for_each_chunk(100, 7, &body));
         serving.run_as_job(|| backend.for_each_chunk(100, 7, &body));
         assert_eq!(sum.into_inner(), 5 * 4950);
         assert!(backend.pool.get().is_none(), "the backend resolved a pool");
@@ -456,12 +438,11 @@ mod tests {
 
     #[test]
     fn exclusive_prefix_sum_offsets() {
-        let (offsets, total) = exclusive_prefix_sum(&[3, 0, 2, 5]);
+        let mut offsets = vec![7];
+        assert_eq!(exclusive_prefix_sum_into(&[3, 0, 2, 5], &mut offsets), 10);
         assert_eq!(offsets, vec![0, 3, 3, 5]);
-        assert_eq!(total, 10);
-        let (empty, zero) = exclusive_prefix_sum(&[]);
-        assert!(empty.is_empty());
-        assert_eq!(zero, 0);
+        assert_eq!(exclusive_prefix_sum_into(&[], &mut offsets), 0);
+        assert!(offsets.is_empty());
     }
 
     #[test]

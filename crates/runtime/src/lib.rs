@@ -2,11 +2,12 @@
 //!
 //! Three layers, bottom to top:
 //!
-//! 1. **[`ThreadPool`]** — a std-only work-stealing thread pool: scoped
-//!    (borrow-friendly) tasks for session steps, and an allocation-free
-//!    parallel-for whose chunks the caller and the pool's idle threads
-//!    claim one index at a time. Waiting threads help, so both nest
-//!    without deadlock.
+//! 1. **[`ThreadPool`]** — a std-only thread pool with one unit of work
+//!    and one mechanism: an allocation-free parallel-for whose chunks the
+//!    caller and the pool's idle threads claim one index at a time. A
+//!    chunk may start a loop of its own, and a thread waiting for a round
+//!    of steps helps with the loops inside them, so loops nest without
+//!    deadlock.
 //! 2. **[`Backend`]** — the execution seam algorithm code programs against:
 //!    chunked index-range loops that run on [`Serial`] (reference) or
 //!    [`Parallel`] (pool) backends. Chunk geometry is fixed by the caller,
@@ -15,8 +16,9 @@
 //!    [`BackendChoice`] is the `Copy` selector configuration structs embed;
 //!    its default is the machine.
 //! 3. **[`SessionScheduler`]** — multi-tenant serving: N concurrent
-//!    [`Session`]s advance in round-robin rounds over one pool, with
-//!    per-session stats and graceful shutdown. Configure a run through the
+//!    [`Session`]s advance in round-robin rounds over one pool — a round
+//!    is a parallel-for over the ready sessions — with per-session stats
+//!    and graceful shutdown. Configure a run through the
 //!    single front door, [`Serve::builder`].
 //! 4. **[`ingest`]** — the open-loop front-end: tenants stream timestamped
 //!    frames into bounded per-session inboxes under admission control and
@@ -59,14 +61,14 @@ mod scheduler;
 mod serve;
 
 pub use backend::{
-    exclusive_prefix_sum, exclusive_prefix_sum_into, shared_pool, shared_pool_sizes, Backend,
-    BackendChoice, Parallel, ScratchPool, Serial, SharedSlice,
+    exclusive_prefix_sum_into, shared_pool, shared_pool_sizes, Backend, BackendChoice, Parallel,
+    ScratchPool, Serial, SharedSlice,
 };
 pub use ingest::{
     AdmissionError, FrameInbox, FrameProducer, IngestConfig, IngestFrame, IngestHub, IngestStats,
     LatePolicy, PushOutcome, WorkSignal,
 };
-pub use pool::{PoolStats, Scope, ThreadPool};
+pub use pool::{PoolStats, ThreadPool};
 pub use rtgs_telemetry::{HealthReport, HealthVerdict};
 pub use scheduler::{
     fleet_latency, EvictionPolicy, ReplicationStats, Session, SessionIoError, SessionOutcome,

@@ -1,46 +1,49 @@
-//! A std-only work-stealing thread pool with two kinds of traffic, one
-//! mechanism each.
+//! A std-only thread pool with one unit of work, the chunk, and one
+//! mechanism that hands it out.
 //!
-//! **Scoped tasks** ([`ThreadPool::scope`] / [`Scope::spawn`]) carry coarse,
-//! heterogeneous work — one session step per task. Each worker owns a local
-//! deque; `spawn` from a worker pushes to that worker's deque (LIFO pop for
-//! cache locality), `spawn` from any other thread pushes to a shared
-//! injector queue (FIFO). Idle workers drain their own deque, then the
-//! injector, then steal from siblings (FIFO end, the classic Chase–Lev
-//! discipline approximated with mutexed deques — a task is a whole frame,
-//! so queue contention is not the bottleneck). A task costs one `Box`.
+//! [`ThreadPool::for_each_chunk`] is an allocation-free parallel-for: the
+//! caller *publishes* one descriptor that lives on its own stack, and the
+//! caller plus every idle thread of the pool claim chunk indices from it
+//! with a `fetch_add` until none is left. Claiming decides *who* runs a
+//! chunk, never its index, its range or the order results are folded in,
+//! which is what keeps parallel == serial a bitwise law. Everything the
+//! runtime runs concurrently is such a loop: the five and more loops of
+//! 15–800 µs inside a tracking iteration, and the serving round around
+//! them, whose chunks are the ready sessions' steps.
 //!
-//! **Chunked loops** ([`ThreadPool::for_each_chunk`]) carry the fine,
-//! homogeneous work inside a step — five and more loops of 15–800 µs per
-//! tracking iteration — and allocate nothing: the caller *publishes* one
-//! descriptor that lives on its own stack, and the caller plus every idle
-//! thread of the pool claim chunk indices from it with a `fetch_add` until
-//! none is left. Claiming decides *who* runs a chunk, never its index, its
-//! range or the order results are folded in, which is what keeps parallel
-//! == serial a bitwise law.
+//! A loop published from inside a chunk is *nested* (a step's kernels under
+//! the round); any other is *top-level*. One rule says who runs what:
 //!
-//! Idle means idle: a thread with neither a queued task nor a published
-//! loop with an unclaimed chunk looks again a bounded number of times,
-//! yielding its time slice in between ([`IDLE_YIELDS`]), and then parks on
-//! the pool's one condvar; a loop whose chunks are all claimed is not work.
-//! Nobody spins, and nobody pays a system call to wake a pool in which
-//! nobody sleeps.
-//! Threads waiting for a scope to drain *help* instead of blocking — with
-//! their own scope's tasks, and with the chunks of any loop published on
-//! the pool — so nested use is safe: a session step running on a worker may
-//! fan out chunks on the same pool without deadlocking, even on a
-//! single-worker pool, because a publisher never depends on a helper.
+//! * an idle worker joins any published loop that has an unclaimed chunk,
+//!   the earliest published first, and claims from it until none is left —
+//!   so the round, registered before anything its steps publish, has every
+//!   step started before anyone takes a kernel's chunks;
+//! * a thread waiting for its own *top-level* loop to settle runs chunks of
+//!   *nested* loops, one at a time — the round barrier lends its idle time
+//!   to the steps still in flight and is never more than one chunk away
+//!   from noticing that its round is over, and no step ever runs inside
+//!   another step's stack frame or timing window;
+//! * a thread waiting for its own *nested* loop runs nothing: the tail it
+//!   waits for is at most one chunk long.
+//!
+//! Nothing can deadlock, even on a single-worker pool, because a publisher
+//! never depends on a helper: it claims chunks itself until none is left
+//! and then waits only for chunks that are already running.
+//!
+//! Idle means idle: a thread that finds no loop with an unclaimed chunk
+//! looks again a bounded number of times, yielding its time slice in
+//! between ([`IDLE_YIELDS`]), and then parks on the pool's one condvar; a
+//! loop whose chunks are all claimed is not work. Nobody spins, and nobody
+//! pays a system call to wake a pool in which nobody sleeps.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::Thread;
 
-type JobFn = Box<dyn FnOnce() + Send + 'static>;
 type ChunkBody<'a> = dyn Fn(usize, Range<usize>) + Sync + 'a;
 type PanicPayload = Box<dyn Any + Send>;
 
@@ -68,12 +71,12 @@ type PanicPayload = Box<dyn Any + Send>;
 /// ×1.15): ×1.01, ×1.00, ×0.98…1.07.
 ///
 /// The bound is a count, so it cannot outlast the check it wraps: every
-/// round reads `queued` and the loop registry first, and an unclaimed chunk
-/// ends the wait at once.
+/// round reads the loop registry first, and an unclaimed chunk ends the
+/// wait at once.
 const IDLE_YIELDS: u32 = 256;
 
-/// Times a publisher yields its time slice while the last helpers finish
-/// the chunks they claimed, before it parks.
+/// Times the publisher of a nested loop yields its time slice while the
+/// last helpers finish the chunks they claimed, before it parks.
 ///
 /// The tail it covers is at most one chunk long, and the helper that owns
 /// it is either running on another core (a yield then returns at once, and
@@ -90,15 +93,6 @@ const SETTLE_YIELDS: u32 = 32;
 /// — there is none by construction — could not have broken an invariant.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A queued task, tagged with the identity of the scope that spawned it so
-/// scope waiters can help with their *own* work without executing
-/// unrelated tasks (which would distort callers' timing and nest foreign
-/// work inside their stack frames).
-struct Job {
-    scope: usize,
-    run: JobFn,
 }
 
 /// One chunked loop in flight. It lives on its publisher's stack for the
@@ -118,40 +112,31 @@ struct ChunkLoop {
     helpers: AtomicUsize,
     /// First panic of any chunk body, re-raised on the publisher.
     panic: Mutex<Option<PanicPayload>>,
-    /// Unparked by the last helper to leave.
+    /// Published from inside a chunk. Decides who may help (waiters take
+    /// nested loops only) and how the publisher waits (see [`Published`]).
+    nested: bool,
+    /// Unparked by the last helper to leave a nested loop.
     publisher: Thread,
 }
 
 impl ChunkLoop {
-    /// A loop whose chunks are all claimed is not work, even while some of
-    /// them still run.
-    fn has_unclaimed_chunk(&self) -> bool {
+    /// Whether a chunk is left for a helper that takes any loop, or nested
+    /// loops only. A loop whose chunks are all claimed is not work, even
+    /// while some of them still run.
+    fn offers_chunk(&self, nested_only: bool) -> bool {
         // Relaxed: a hint. A stale "yes" costs one `fetch_add` that finds
         // nothing; a "no" is final, `next` only grows.
-        self.next.load(Ordering::Relaxed) < self.chunks
+        (self.nested || !nested_only) && self.next.load(Ordering::Relaxed) < self.chunks
     }
 
-    /// Claims and runs chunks until none is left or `at_most` have run.
-    fn run_chunks(&self, at_most: usize) {
-        for _ in 0..at_most {
-            // Relaxed: the read-modify-write alone makes a claim unique;
-            // what a chunk reads was published by the registry lock, what
-            // it writes is published by `done` / `helpers`.
-            let index = self.next.fetch_add(1, Ordering::Relaxed);
-            if index >= self.chunks {
-                return;
-            }
-            let start = index * self.chunk_size;
-            let end = (start + self.chunk_size).min(self.len);
-            // SAFETY: whoever holds `&self` holds it under the protocol of
-            // `Shared::for_each_chunk`, which keeps the publisher's frame —
-            // and with it the borrow `body` was erased from — alive.
-            let body = unsafe { &*self.body };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(index, start..end))) {
-                lock(&self.panic).get_or_insert(payload);
-            }
-            self.done.fetch_add(1, Ordering::Release);
-        }
+    /// Every chunk has run and every helper has let go of the descriptor.
+    /// Only meaningful to the publisher, after it withdrew the loop.
+    fn settled(&self) -> bool {
+        // `helpers` first, SeqCst: it is the half of the sleep handshake
+        // (`Shared::wake`) a top-level publisher relies on, and reading the
+        // last helper's decrement is what publishes every helper's chunk
+        // results — and its `done` counts — to this thread.
+        self.helpers.load(Ordering::SeqCst) == 0 && self.done.load(Ordering::Acquire) >= self.chunks
     }
 }
 
@@ -164,104 +149,29 @@ struct LoopRef(*const ChunkLoop);
 unsafe impl Send for LoopRef {}
 
 struct Shared {
-    /// FIFO queue for jobs submitted from outside the pool.
-    injector: Mutex<VecDeque<Job>>,
-    /// Per-worker deques (own end: back; steal end: front).
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    /// Chunked loops with, possibly, an unclaimed chunk. Its capacity grows
-    /// to the largest number of simultaneous publishers ever seen and stays.
+    /// Chunked loops with, possibly, an unclaimed chunk, in the order they
+    /// were published. Sized up front for one top-level and one nested loop
+    /// per executor, so a served round never grows it.
     loops: Mutex<Vec<LoopRef>>,
     /// `loops.len()`, readable without the lock: what an idle thread polls.
     published: AtomicUsize,
-    /// Every idle thread — worker or scope waiter — parks here.
+    /// Every idle thread — a worker, or the publisher of a top-level loop
+    /// waiting for it to settle — parks here.
     wake_up: Condvar,
     /// Guards the sleep/wake handshake.
     sleep_lock: Mutex<()>,
     /// Threads parked on `wake_up`, or committed to parking after one last
     /// look for work. Only changed under `sleep_lock`.
     sleepers: AtomicUsize,
-    /// Jobs pushed but not yet popped.
-    queued: AtomicUsize,
     shutdown: AtomicBool,
-    /// Telemetry: jobs ever pushed, cross-deque steals, parks.
+    /// Telemetry, see [`PoolStats`]: loops ever published, chunks run by a
+    /// helper, parks.
     jobs: AtomicU64,
     steals: AtomicU64,
     parks: AtomicU64,
 }
 
-/// Removes the most appropriate job from one deque: the back (LIFO) for an
-/// owner, the front (FIFO) for the injector/steals — optionally restricted
-/// to jobs of one scope.
-fn take_from(deque: &mut VecDeque<Job>, from_back: bool, only_scope: Option<usize>) -> Option<Job> {
-    match only_scope {
-        None => {
-            if from_back {
-                deque.pop_back()
-            } else {
-                deque.pop_front()
-            }
-        }
-        Some(tag) => {
-            let position = if from_back {
-                deque.iter().rposition(|job| job.scope == tag)
-            } else {
-                deque.iter().position(|job| job.scope == tag)
-            };
-            position.and_then(|i| deque.remove(i))
-        }
-    }
-}
-
 impl Shared {
-    /// Pops one job: own deque first (LIFO), then the injector, then steals
-    /// round-robin from siblings (FIFO). With `only_scope`, jobs of other
-    /// scopes are left in place (used by helping scope waiters).
-    fn pop_job(&self, own: Option<usize>, only_scope: Option<usize>) -> Option<Job> {
-        if let Some(i) = own {
-            if let Some(job) = take_from(&mut lock(&self.locals[i]), true, only_scope) {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        if let Some(job) = take_from(&mut lock(&self.injector), false, only_scope) {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
-        let n = self.locals.len();
-        let start = own.unwrap_or(0);
-        for k in 1..=n {
-            let victim = (start + k) % n;
-            if Some(victim) == own {
-                continue;
-            }
-            if let Some(job) = take_from(&mut lock(&self.locals[victim]), false, only_scope) {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Whether a job of scope `tag` sits in any deque.
-    fn has_job_of(&self, tag: usize) -> bool {
-        std::iter::once(&self.injector)
-            .chain(&self.locals)
-            .any(|deque| lock(deque).iter().any(|job| job.scope == tag))
-    }
-
-    fn push_job(&self, job: Job, own: Option<usize>) {
-        match own {
-            Some(i) => lock(&self.locals[i]).push_back(job),
-            None => lock(&self.injector).push_back(job),
-        }
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        self.jobs.fetch_add(1, Ordering::Relaxed);
-        // Everyone: a waiter of another scope may not take this job, so one
-        // wake-up could land on a thread that has to ignore it.
-        self.wake(usize::MAX);
-    }
-
     /// Wakes up to `at_most` parked threads — and makes no system call when
     /// nobody sleeps, the steady state of a busy pool.
     ///
@@ -310,26 +220,59 @@ impl Shared {
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn has_unclaimed_chunk(&self) -> bool {
+    fn has_unclaimed_chunk(&self, nested_only: bool) -> bool {
         self.published.load(Ordering::SeqCst) > 0
             && lock(&self.loops).iter().any(|entry| {
                 // SAFETY: a registered loop is alive — its publisher removes
                 // the entry, under this lock, before its frame ends.
-                unsafe { &*entry.0 }.has_unclaimed_chunk()
+                unsafe { &*entry.0 }.offers_chunk(nested_only)
             })
     }
 
-    /// Joins one published loop that still has an unclaimed chunk and runs
-    /// up to `at_most` of its chunks; `false` when there is no such loop.
-    fn help(&self, at_most: usize) -> bool {
-        // A pool that only steps sessions never touches the registry lock.
+    /// Claims and runs chunks of `chunk_loop` until none is left or
+    /// `at_most` have run; returns how many ran.
+    fn run_chunks(&self, chunk_loop: &ChunkLoop, at_most: usize) -> usize {
+        // A chunk is this pool's work whoever runs it — publisher, worker
+        // or waiter: a loop started inside is published here, as a nested
+        // loop ("one pool, always").
+        let _in_chunk = Enter::new(self, true);
+        let mut ran = 0;
+        while ran < at_most {
+            // Relaxed: the read-modify-write alone makes a claim unique;
+            // what a chunk reads was published by the registry lock, what
+            // it writes is published by `done` / `helpers`.
+            let index = chunk_loop.next.fetch_add(1, Ordering::Relaxed);
+            if index >= chunk_loop.chunks {
+                break;
+            }
+            let start = index * chunk_loop.chunk_size;
+            let end = (start + chunk_loop.chunk_size).min(chunk_loop.len);
+            // SAFETY: whoever holds `chunk_loop` holds it under the protocol
+            // of `for_each_chunk`, which keeps the publisher's frame — and
+            // with it the borrow `body` was erased from — alive.
+            let body = unsafe { &*chunk_loop.body };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(index, start..end))) {
+                lock(&chunk_loop.panic).get_or_insert(payload);
+            }
+            chunk_loop.done.fetch_add(1, Ordering::Release);
+            ran += 1;
+        }
+        ran
+    }
+
+    /// Joins the earliest published loop that still has an unclaimed chunk
+    /// and runs chunks of it; `false` when there is no such loop. A worker
+    /// takes any loop and stays until its chunks are claimed; a waiter
+    /// (`nested_only`) takes nested loops only, one chunk at a time.
+    fn help(&self, nested_only: bool) -> bool {
+        // A pool nobody publishes on never touches the registry lock.
         if self.published.load(Ordering::SeqCst) == 0 {
             return false;
         }
         let joined = lock(&self.loops).iter().find_map(|entry| {
             // SAFETY: as in `has_unclaimed_chunk` — registered means alive.
             let chunk_loop = unsafe { &*entry.0 };
-            chunk_loop.has_unclaimed_chunk().then(|| {
+            chunk_loop.offers_chunk(nested_only).then(|| {
                 // Relaxed: raised under the registry lock, which the
                 // publisher takes to withdraw the loop before it reads
                 // `helpers` for the first time.
@@ -344,14 +287,20 @@ impl Shared {
         // and its publisher does not leave `for_each_chunk` before `helpers`
         // is back to zero (see there).
         let chunk_loop = unsafe { &*joined };
-        chunk_loop.run_chunks(at_most);
-        // Leaving: the handle is cloned first (a reference count, no
-        // allocation) because the publisher's frame may be gone the moment
-        // `helpers` reads zero. Release publishes this thread's chunk
-        // results to the publisher's Acquire load.
-        let publisher = chunk_loop.publisher.clone();
-        if chunk_loop.helpers.fetch_sub(1, Ordering::Release) == 1 {
-            publisher.unpark();
+        let ran = self.run_chunks(chunk_loop, if nested_only { 1 } else { usize::MAX });
+        self.steals.fetch_add(ran as u64, Ordering::Relaxed);
+        // Leaving: what the wake-up needs is copied out first (the handle
+        // is a reference count, no allocation) because the publisher's
+        // frame may be gone the moment `helpers` reads zero. The decrement
+        // publishes this thread's chunk results to `ChunkLoop::settled`.
+        let parked_privately = chunk_loop.nested.then(|| chunk_loop.publisher.clone());
+        if chunk_loop.helpers.fetch_sub(1, Ordering::SeqCst) == 1 {
+            match parked_privately {
+                Some(publisher) => publisher.unpark(),
+                // Everyone: the publisher of a top-level loop sleeps among
+                // the workers, and one wake-up could land on a worker.
+                None => self.wake(usize::MAX),
+            }
         }
         true
     }
@@ -388,6 +337,7 @@ impl Shared {
             done: AtomicUsize::new(0),
             helpers: AtomicUsize::new(0),
             panic: Mutex::new(None),
+            nested: CONTEXT.with(Cell::get).in_chunk,
             publisher: std::thread::current(),
         };
         {
@@ -399,10 +349,13 @@ impl Shared {
             pool: self,
             chunk_loop: &chunk_loop,
         };
+        self.jobs.fetch_add(1, Ordering::Relaxed);
         // At most once per loop, and only as many threads as there are
-        // chunks for besides the caller's own.
+        // chunks for besides the caller's own. One of them may be a waiter
+        // that has to leave a top-level loop alone: that costs the loop a
+        // helper, never progress.
         self.wake(chunks - 1);
-        chunk_loop.run_chunks(usize::MAX);
+        self.run_chunks(&chunk_loop, usize::MAX);
         drop(published);
         let panic = chunk_loop
             .panic
@@ -422,30 +375,51 @@ struct Published<'a> {
 
 impl Drop for Published<'_> {
     fn drop(&mut self) {
-        let chunk_loop = self.chunk_loop;
+        let (pool, chunk_loop) = (self.pool, self.chunk_loop);
         {
-            let mut loops = lock(&self.pool.loops);
+            let mut loops = lock(&pool.loops);
             if let Some(at) = loops
                 .iter()
                 .position(|entry| std::ptr::eq(entry.0, chunk_loop))
             {
-                loops.swap_remove(at);
-                self.pool.published.store(loops.len(), Ordering::SeqCst);
+                // Not `swap_remove`: registry order is publication order.
+                loops.remove(at);
+                pool.published.store(loops.len(), Ordering::SeqCst);
             }
         }
-        // Nobody new can join now. Yield, then park, while the helpers
-        // still inside finish the chunks they claimed (`SETTLE_YIELDS`).
-        // The last of them unparks this thread *after* lowering `helpers`,
-        // so a wake-up cannot be missed; a stale one only costs a re-check.
-        let mut yields = 0;
-        while chunk_loop.done.load(Ordering::Acquire) < chunk_loop.chunks
-            || chunk_loop.helpers.load(Ordering::Acquire) > 0
-        {
-            if yields < SETTLE_YIELDS {
-                yields += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::park();
+        // Nobody new can join now; the helpers still inside finish the
+        // chunks they claimed. How to wait for them follows from what the
+        // loop is, and the two waits are not interchangeable.
+        if chunk_loop.nested {
+            // A kernel's loop under a step: the tail is at most one chunk
+            // long. Yield, then park privately (`SETTLE_YIELDS`); the last
+            // helper unparks this thread *after* lowering `helpers`, so a
+            // wake-up cannot be missed, and a stale one only costs a
+            // re-check. Sleeping on the pool's condvar instead ("one sleep
+            // primitive") makes `sleepers` non-zero all through a busy
+            // fleet, so every publish of every session takes `sleep_lock`,
+            // notifies, and wakes this thread for a loop it cannot help:
+            // `fleet_closed` frames/s −3 % over five alternating pairs
+            // (32 yields, then the condvar) and −6 % over six, medians
+            // 71.3 → 66.8 (256 yields, then the condvar).
+            let mut yields = 0;
+            while !chunk_loop.settled() {
+                if yields < SETTLE_YIELDS {
+                    yields += 1;
+                    std::thread::yield_now();
+                } else {
+                    std::thread::park();
+                }
+            }
+        } else {
+            // A round, or a free-standing caller's loop: the tail can be a
+            // whole step long, so this thread works meanwhile — one chunk
+            // of a nested loop at a time — and otherwise idles like a
+            // worker, woken by the next publish or by the last helper.
+            while !chunk_loop.settled() {
+                if !pool.help(true) {
+                    pool.idle(|| chunk_loop.settled() || pool.has_unclaimed_chunk(true));
+                }
             }
         }
     }
@@ -456,15 +430,15 @@ impl Drop for Published<'_> {
 struct Context {
     /// The pool whose work this thread is executing (null: none).
     pool: *const Shared,
-    /// Its index among that pool's workers, if it is one.
-    worker: Option<usize>,
+    /// Whether that work is a chunk: a loop published now is nested.
+    in_chunk: bool,
 }
 
 thread_local! {
     static CONTEXT: Cell<Context> = const {
         Cell::new(Context {
             pool: std::ptr::null(),
-            worker: None,
+            in_chunk: false,
         })
     };
 }
@@ -475,9 +449,9 @@ struct Enter {
 }
 
 impl Enter {
-    fn new(pool: &Shared, worker: Option<usize>) -> Self {
+    fn new(pool: &Shared, in_chunk: bool) -> Self {
         Self {
-            previous: CONTEXT.with(|c| c.replace(Context { pool, worker })),
+            previous: CONTEXT.with(|c| c.replace(Context { pool, in_chunk })),
         }
     }
 }
@@ -488,22 +462,21 @@ impl Drop for Enter {
     }
 }
 
-/// Cumulative scheduling counters for one pool: jobs ever pushed, jobs taken
-/// from another worker's deque (steals), and idle condvar parks. Cheap
-/// relaxed counters, exported by the serving layer as pool-utilization
-/// telemetry. Chunked loops push no job: `jobs` counts scoped tasks only.
+/// Cumulative scheduling counters for one pool. Cheap relaxed counters,
+/// exported by the serving layer as pool-utilization telemetry. A loop of
+/// one chunk runs inline on its caller and counts nowhere.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Jobs pushed onto the pool (local deques + injector).
+    /// Chunked loops published on the pool.
     pub jobs: u64,
-    /// Jobs popped from a sibling worker's deque.
+    /// Chunks run by a thread other than their loop's publisher.
     pub steals: u64,
-    /// Times a thread — a worker, or a caller waiting in
-    /// [`ThreadPool::scope`] — went to sleep on the idle condvar.
+    /// Times a thread — a worker, or the publisher of a top-level loop
+    /// waiting for it to settle — went to sleep on the idle condvar.
     pub parks: u64,
 }
 
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size thread pool that runs chunked loops.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -522,15 +495,13 @@ impl ThreadPool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            // Every worker and one outside caller publishing at once.
-            loops: Mutex::new(Vec::with_capacity(threads + 1)),
+            // Every worker and one outside caller, each with a top-level
+            // loop (a round) and a nested one (a kernel) in flight.
+            loops: Mutex::new(Vec::with_capacity(2 * (threads + 1))),
             published: AtomicUsize::new(0),
             wake_up: Condvar::new(),
             sleep_lock: Mutex::new(()),
             sleepers: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             jobs: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -541,7 +512,7 @@ impl ThreadPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("rtgs-worker-{index}"))
-                    .spawn(move || worker_loop(&shared, index))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning pool worker")
             })
             .collect();
@@ -562,91 +533,22 @@ impl ThreadPool {
         }
     }
 
-    /// Worker index of the calling thread *within this pool*, if any.
-    fn current_worker(&self) -> Option<usize> {
-        let context = CONTEXT.with(Cell::get);
-        if std::ptr::eq(context.pool, Arc::as_ptr(&self.shared)) {
-            context.worker
-        } else {
-            None
-        }
-    }
-
-    fn push(&self, job: Job) {
-        self.shared.push_job(job, self.current_worker());
-    }
-
-    /// Runs `f` with a [`Scope`] on which borrowing tasks can be spawned;
-    /// returns once every spawned task has completed.
-    ///
-    /// The calling thread helps while it waits, so scopes may be nested
-    /// (tasks may themselves open scopes on the same pool) without
-    /// deadlock. It runs tasks of *this* scope only — never another scope's,
-    /// which would put, say, another session's step inside this thread's
-    /// stack frame and timing window — and, when none is queued, chunks of
-    /// loops published on the pool, one at a time: a round barrier lends its
-    /// idle time to the steps still running, and is never more than one
-    /// chunk away from noticing that its own scope has drained.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic of any spawned task (after all tasks have
-    /// settled), or the closure's own panic.
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: FnOnce(&Scope<'_, 'env>) -> R,
-    {
-        let state = Arc::new(ScopeState {
-            remaining: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-        });
-        let scope = Scope {
-            pool: self,
-            state: Arc::clone(&state),
-            _env: std::marker::PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-
-        let shared = &*self.shared;
-        let own = self.current_worker();
-        let tag = Arc::as_ptr(&state) as usize;
-        let pending = || state.remaining.load(Ordering::SeqCst) > 0;
-        // Everything this thread runs while it drains is this pool's work.
-        let draining = Enter::new(shared, own);
-        while pending() {
-            if let Some(job) = shared.pop_job(own, Some(tag)) {
-                (job.run)();
-            } else if !shared.help(1) {
-                shared
-                    .idle(|| !pending() || shared.has_job_of(tag) || shared.has_unclaimed_chunk());
-            }
-        }
-        drop(draining);
-
-        if let Some(payload) = lock(&state.panic).take() {
-            resume_unwind(payload);
-        }
-        match result {
-            Ok(r) => r,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
     /// Runs `f` on the calling thread as work of this pool: chunked loops a
     /// [`Parallel`](crate::Parallel) backend starts inside it are published
-    /// here, as they are inside a spawned task. The scheduler serves under
-    /// it.
+    /// here — as top-level loops, `f` is not a chunk. The scheduler serves
+    /// under it.
     pub(crate) fn run_as_job<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _context = Enter::new(&self.shared, self.current_worker());
+        let _context = Enter::new(&self.shared, false);
         f()
     }
 
     /// Splits `0..len` into `chunk_size`-sized chunks and runs `body`
     /// concurrently as `body(chunk_index, range)`: on the calling thread and
     /// on every thread of this pool that is idle — parked workers (woken at
-    /// most once per loop, and only if one is asleep) and callers waiting
-    /// in [`scope`](Self::scope) — each claiming the next chunk index until
-    /// none is left. Returns once every chunk has run.
+    /// most once per loop, and only if one is asleep) and, for a loop
+    /// started inside a chunk, callers waiting for a loop of their own —
+    /// each claiming the next chunk index until none is left. Returns once
+    /// every chunk has run.
     ///
     /// The chunk geometry depends only on `len` and `chunk_size` — never on
     /// the worker count or on who claims what — which is what lets callers
@@ -654,8 +556,11 @@ impl ThreadPool {
     /// index order).
     ///
     /// Allocates nothing. Never blocks on another loop: any number of
-    /// threads may publish on one pool at once, and a publisher nobody
-    /// helps runs all of its chunks itself.
+    /// threads may publish on one pool at once, a chunk may start a loop of
+    /// its own, and a publisher nobody helps runs all of its chunks itself.
+    /// While the caller waits for chunks other threads claimed it may run
+    /// single chunks of loops that were started inside chunks (see the
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -671,9 +576,10 @@ impl ThreadPool {
     }
 
     /// [`for_each_chunk`](Self::for_each_chunk) on the pool whose work the
-    /// calling thread is executing right now — it is one of its workers, or
-    /// it is helping inside that pool's [`scope`](Self::scope). Returns
-    /// `false`, having run nothing, on a thread that works for no pool.
+    /// calling thread is executing right now — it is inside a chunk of one
+    /// of that pool's loops, or inside its
+    /// [`run_as_job`](Self::run_as_job). Returns `false`, having run
+    /// nothing, on a thread that works for no pool.
     pub(crate) fn for_each_chunk_in_job(
         len: usize,
         chunk_size: usize,
@@ -685,9 +591,10 @@ impl ThreadPool {
         }
         // SAFETY: `CONTEXT` names a pool only for the lifetime of an
         // `Enter`, and every `Enter` is created from a `&Shared` that
-        // outlives it: `worker_loop`'s argument, or the `ThreadPool`
-        // borrowed by the `scope` / `run_as_job` call further up this
-        // thread's stack.
+        // outlives it: the receiver of the `run_chunks` call further up
+        // this thread's stack (a worker's `Arc`, or the `ThreadPool`
+        // borrowed by the `for_each_chunk` this thread published or waits
+        // in), or the `ThreadPool` borrowed by `run_as_job`.
         unsafe { &*pool }.for_each_chunk(len, chunk_size, body);
         true
     }
@@ -703,68 +610,17 @@ impl Drop for ThreadPool {
     }
 }
 
-fn worker_loop(shared: &Shared, index: usize) {
-    let _context = Enter::new(shared, Some(index));
+fn worker_loop(shared: &Shared) {
     loop {
-        if let Some(job) = shared.pop_job(Some(index), None) {
-            (job.run)();
-        } else if shared.help(usize::MAX) {
+        if shared.help(false) {
             // Ran what was left of a published loop.
         } else if shared.shutdown.load(Ordering::SeqCst) {
             return;
         } else {
             shared.idle(|| {
-                shared.shutdown.load(Ordering::SeqCst)
-                    || shared.queued.load(Ordering::SeqCst) > 0
-                    || shared.has_unclaimed_chunk()
+                shared.shutdown.load(Ordering::SeqCst) || shared.has_unclaimed_chunk(false)
             });
         }
-    }
-}
-
-struct ScopeState {
-    remaining: AtomicUsize,
-    panic: Mutex<Option<PanicPayload>>,
-}
-
-/// Spawn handle passed to [`ThreadPool::scope`] closures. Tasks may borrow
-/// from the environment (`'env`).
-pub struct Scope<'pool, 'env> {
-    pool: &'pool ThreadPool,
-    state: Arc<ScopeState>,
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> Scope<'_, 'env> {
-    /// Spawns a task; the scope will not exit until it completes.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        self.state.remaining.fetch_add(1, Ordering::SeqCst);
-        let tag = Arc::as_ptr(&self.state) as usize;
-        let state = Arc::clone(&self.state);
-        // Owned, not borrowed: the scope's caller may return — and drop the
-        // pool — the moment `remaining` reads zero.
-        let shared = Arc::clone(&self.pool.shared);
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(f));
-            if let Err(payload) = result {
-                lock(&state.panic).get_or_insert(payload);
-            }
-            if state.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // The waiter may be parked among the pool's sleepers.
-                shared.wake(usize::MAX);
-            }
-        });
-        // SAFETY: `scope` does not return (normally or by unwinding) until
-        // `remaining` reaches zero, i.e. until this job has run to
-        // completion, so every `'env` borrow the job captures outlives the
-        // job. This is the same lifetime-erasure argument scoped-thread
-        // libraries rely on.
-        let run: JobFn =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, JobFn>(job) };
-        self.pool.push(Job { scope: tag, run });
     }
 }
 
@@ -773,17 +629,14 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::Barrier;
+    use std::thread::ThreadId;
 
     #[test]
     fn scope_runs_all_tasks() {
         let pool = ThreadPool::new(4);
         let counter = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..100 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
+        pool.for_each_chunk(100, 1, &|_, _| {
+            counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
@@ -792,10 +645,10 @@ mod tests {
     fn tasks_can_borrow_stack_data() {
         let pool = ThreadPool::new(2);
         let mut results = vec![0u64; 64];
-        pool.scope(|s| {
-            for (i, slot) in results.iter_mut().enumerate() {
-                s.spawn(move || *slot = (i as u64) * 2);
-            }
+        let slots = crate::SharedSlice::new(&mut results);
+        pool.for_each_chunk(64, 1, &|i, _| {
+            // SAFETY: chunk `i` is the only writer of slot `i`.
+            unsafe { slots.write(i, (i as u64) * 2) };
         });
         assert!(results.iter().enumerate().all(|(i, &v)| v == i as u64 * 2));
     }
@@ -867,7 +720,9 @@ mod tests {
     fn a_publisher_nobody_helps_runs_every_chunk_itself() {
         // The one worker is held inside a chunk of the first loop until the
         // second loop, published meanwhile by another thread, is through:
-        // a second publisher never waits for the pool.
+        // a second publisher never waits for the pool. The first publisher,
+        // waiting for its own loop, leaves the second alone too: both are
+        // top-level.
         let pool = ThreadPool::new(1);
         let worker_inside = Barrier::new(2);
         let release_worker = Barrier::new(2);
@@ -893,49 +748,118 @@ mod tests {
         });
     }
 
+    /// A round of `steps` chunks, each running an inner loop of its own on
+    /// the same pool; `inner` gets the pool and the step's index.
+    fn round_of(pool: &ThreadPool, steps: usize, inner: &(dyn Fn(&ThreadPool, usize) + Sync)) {
+        pool.for_each_chunk(steps, 1, &|step, _| inner(pool, step));
+    }
+
     #[test]
     fn a_loop_inside_a_scope_job_does_not_deadlock() {
-        // A single worker: each job's loop is helped by whoever is idle —
-        // the scope's caller, or nobody.
-        let pool = ThreadPool::new(1);
-        let total = AtomicU64::new(0);
-        pool.scope(|outer| {
-            for _ in 0..4 {
-                outer.spawn(|| {
+        // On a single worker each step's loop is helped by whoever is idle
+        // — the round's caller, or nobody.
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            for _ in 0..200 {
+                let total = AtomicU64::new(0);
+                round_of(&pool, 4, &|pool, _| {
                     pool.for_each_chunk(16, 4, &|_, range| {
                         total.fetch_add(range.len() as u64, Ordering::Relaxed);
                     });
+                    assert_exact_cover(pool, 33, 8);
                 });
+                assert_eq!(total.into_inner(), 64, "{threads} workers");
             }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 64);
+        }
+    }
+
+    #[test]
+    fn nested_scopes_do_not_deadlock() {
+        // Three levels deep: the publisher of a nested loop waits without
+        // helping, so a single worker — the deadlock case if waiting were
+        // blocking on someone else — has to get through on its own chunks.
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            for _ in 0..200 {
+                let total = AtomicU64::new(0);
+                round_of(&pool, 4, &|pool, _| {
+                    round_of(pool, 4, &|pool, _| {
+                        pool.for_each_chunk(4, 1, &|_, _| {
+                            total.fetch_add(1, Ordering::Relaxed);
+                        });
+                    });
+                });
+                assert_eq!(total.into_inner(), 64, "{threads} workers");
+            }
+        }
     }
 
     #[test]
     fn a_scope_waiter_runs_chunks_of_a_step_still_in_flight() {
-        // The round-barrier shape: the pool's only worker is inside a job
-        // that publishes a loop of two chunks which meet at a barrier, so
-        // the second chunk can only be run by the caller waiting in `scope`.
+        // The round-barrier shape: a round of two steps that meet at a
+        // barrier, so the caller and the pool's only worker run one each.
+        // The caller's returns at once; the worker's publishes a loop of
+        // two chunks which meet at a barrier too, so the second chunk can
+        // only be run by the caller, which is waiting for its round.
         let pool = ThreadPool::new(1);
         let caller = std::thread::current().id();
-        let ran_on: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let job_started = Barrier::new(2);
-        pool.scope(|scope| {
-            scope.spawn(|| {
-                job_started.wait();
-                let both = Barrier::new(2);
+        let ran_on: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+        let both_steps = Barrier::new(2);
+        round_of(&pool, 2, &|pool, _| {
+            both_steps.wait();
+            if std::thread::current().id() != caller {
+                let both_chunks = Barrier::new(2);
                 pool.for_each_chunk(2, 1, &|_, _| {
-                    both.wait();
+                    both_chunks.wait();
                     ran_on.lock().unwrap().insert(std::thread::current().id());
                 });
-            });
-            // Leave the closure — and start draining — only once the worker
-            // has taken the job, so this thread cannot pop it itself.
-            job_started.wait();
+            }
         });
         let ran_on = ran_on.into_inner().unwrap();
         assert_eq!(ran_on.len(), 2, "both executors ran a chunk");
         assert!(ran_on.contains(&caller));
+    }
+
+    #[test]
+    fn a_nested_waiter_never_starts_a_step() {
+        // The converse: a thread inside a step, waiting for that step's own
+        // loop, must not take another step of the round — it would run
+        // inside the first one's stack frame and timing window. A third
+        // thread helps the way a round waiter does, one nested chunk at a
+        // time, so that steps do wait for a chunk somebody else claimed
+        // while the round (eight steps, one worker) has steps left over.
+        thread_local! {
+            static INSIDE_A_STEP: Cell<bool> = const { Cell::new(false) };
+        }
+        let pool = ThreadPool::new(1);
+        let started_inside_another = AtomicUsize::new(0);
+        let chunks = AtomicUsize::new(0);
+        let rounds_over = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !rounds_over.load(Ordering::SeqCst) {
+                    if !pool.shared.help(true) {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            for _ in 0..100 {
+                round_of(&pool, 8, &|pool, _| {
+                    if INSIDE_A_STEP.with(|inside| inside.replace(true)) {
+                        started_inside_another.fetch_add(1, Ordering::Relaxed);
+                    }
+                    pool.for_each_chunk(6, 1, &|_, _| {
+                        chunks.fetch_add(1, Ordering::Relaxed);
+                        std::thread::yield_now();
+                    });
+                    INSIDE_A_STEP.with(|inside| inside.set(false));
+                });
+            }
+            rounds_over.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(chunks.into_inner(), 100 * 8 * 6);
+        assert_eq!(started_inside_another.into_inner(), 0);
+        assert!(lock(&pool.shared.loops).is_empty());
     }
 
     #[test]
@@ -990,6 +914,27 @@ mod tests {
         assert!(lock(&pool.shared.loops).is_empty());
     }
 
+    #[test]
+    fn panics_propagate_after_settling() {
+        // A step that panics — below its own loop, on whichever thread took
+        // it — is re-raised on the round's caller after every other step,
+        // and every chunk of every step's loop, ran.
+        let pool = ThreadPool::new(2);
+        let completed = AtomicU64::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            round_of(&pool, 8, &|pool, step| {
+                pool.for_each_chunk(4, 1, &|_, _| {
+                    completed.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_ne!(step, 3, "step failure");
+            });
+        }));
+        assert!(result.is_err());
+        assert_eq!(completed.load(Ordering::Relaxed), 8 * 4);
+        assert_exact_cover(&pool, 1001, 64);
+        assert!(lock(&pool.shared.loops).is_empty());
+    }
+
     /// Idle workers park after their bounded look for work: returns when
     /// all of them are waiting on the condvar (a sleeper holds `sleep_lock`
     /// until its wait begins).
@@ -1019,66 +964,25 @@ mod tests {
             pool.for_each_chunk(10, 10, &|_, _| {});
         }
         assert_eq!(pool.stats().parks, parked);
-        assert_eq!(pool.stats().jobs, 0, "chunked loops push no job");
-    }
-
-    #[test]
-    fn nested_scopes_do_not_deadlock() {
-        // A single worker forces the outer task's inner scope to be drained
-        // by helping — the deadlock case if waiting were blocking.
-        let pool = ThreadPool::new(1);
-        let total = AtomicU64::new(0);
-        pool.scope(|outer| {
-            for _ in 0..4 {
-                outer.spawn(|| {
-                    pool.scope(|inner| {
-                        for _ in 0..4 {
-                            inner.spawn(|| {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
-    fn panics_propagate_after_settling() {
-        let pool = ThreadPool::new(2);
-        let completed = Arc::new(AtomicU64::new(0));
-        let completed2 = Arc::clone(&completed);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("task failure"));
-                s.spawn(move || {
-                    completed2.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-        }));
-        assert!(result.is_err());
-        assert_eq!(completed.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.stats().jobs, 0, "a one-chunk loop publishes nothing");
     }
 
     #[test]
     fn stats_count_jobs_and_observe_steals() {
         let pool = ThreadPool::new(4);
-        let start = pool.stats();
-        assert_eq!(start.jobs, 0);
-        assert_eq!(start.steals, 0);
-        let counter = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..256 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
+        assert_eq!(pool.stats().jobs, 0);
+        assert_eq!(pool.stats().steals, 0);
+        let publisher = std::thread::current().id();
+        let helped = AtomicU64::new(0);
+        pool.for_each_chunk(256, 1, &|_, _| {
+            if std::thread::current().id() != publisher {
+                helped.fetch_add(1, Ordering::Relaxed);
             }
         });
+        // Who ran what is scheduling-dependent; that it is counted is not.
         let stats = pool.stats();
-        assert_eq!(stats.jobs, 256);
-        // Steals and parks are scheduling-dependent; just require sanity.
-        assert!(stats.steals <= stats.jobs);
+        assert_eq!(stats.jobs, 1, "one loop published");
+        assert_eq!(stats.steals, helped.into_inner());
     }
 
     #[test]
@@ -1086,15 +990,11 @@ mod tests {
         let pool = ThreadPool::new(2);
         for round in 0..50 {
             let sum = AtomicU64::new(0);
-            pool.scope(|s| {
-                for i in 0..8 {
-                    let sum = &sum;
-                    s.spawn(move || {
-                        sum.fetch_add(i, Ordering::Relaxed);
-                    });
-                }
+            pool.for_each_chunk(8, 1, &|i, _| {
+                sum.fetch_add(i as u64, Ordering::Relaxed);
             });
             assert_eq!(sum.load(Ordering::Relaxed), 28, "round {round}");
         }
+        assert_eq!(pool.stats().jobs, 50);
     }
 }

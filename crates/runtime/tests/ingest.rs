@@ -7,9 +7,10 @@
 //!    `drops == offered − processed` exactly.
 //! 2. **Admission rejection is side-effect-free**: a `try_admit` refusal
 //!    returns the session intact and leaves scheduler state untouched.
-//! 3. **Idle tenants consume no pool jobs** (regression for the
-//!    round-robin idle-spin): a session with an empty inbox parks instead
-//!    of being stepped, so the pool's job counter counts only real steps.
+//! 3. **Idle tenants are not stepped** (regression for the round-robin
+//!    idle-spin): a session with an empty inbox parks instead of being
+//!    stepped, and the round of the one tenant that is ready runs inline on
+//!    the serving thread — nothing is published on the pool.
 
 use proptest::prelude::*;
 use rtgs_runtime::{
@@ -363,7 +364,7 @@ fn admission_counts_live_resident_bytes_not_estimates() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Idle tenants consume no pool jobs (idle-spin regression)
+// 3. Idle tenants are not stepped (idle-spin regression)
 // ---------------------------------------------------------------------------
 
 /// Minimal open-loop session: pops one frame per step, finishes when its
@@ -406,8 +407,8 @@ impl Session for InboxSession {
 }
 
 #[test]
-fn idle_tenant_consumes_no_pool_jobs() {
-    // A dedicated pool so the job counter is exclusively this test's.
+fn idle_tenant_is_not_stepped_and_a_one_session_round_publishes_nothing() {
+    // A dedicated pool so its counters are exclusively this test's.
     let pool = Arc::new(ThreadPool::new(2));
     let hub = IngestHub::new(IngestConfig::new().with_inbox_capacity(16));
 
@@ -460,13 +461,14 @@ fn idle_tenant_consumes_no_pool_jobs() {
         idle.stats.idle_rounds
     );
 
-    // The regression: pool jobs count only real steps (5 busy + 1 idle
-    // end-of-stream). Before readiness gating, every round stepped every
-    // session, so the idle tenant burned a job per round.
-    let jobs = pool.stats().jobs;
+    // The regression, seen from the pool: before readiness gating every
+    // round stepped every session, so every round was a two-chunk loop.
+    // Now at most one tenant is ready at a time, and a round of one step
+    // runs inline on the serving thread.
     assert_eq!(
-        jobs, 6,
-        "idle tenant consumed pool jobs (total {jobs}, expected 6)"
+        pool.stats().jobs,
+        0,
+        "a one-session round published a loop on the pool"
     );
 
     // Ingest stats surfaced into serving outcomes.

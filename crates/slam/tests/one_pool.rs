@@ -70,8 +70,8 @@ fn default_backend_sessions_use_the_pool_that_steps_them() {
         assert_bitwise_equal(&outcome.stats.label, serial, &outcome.report);
     }
 
-    // Hibernated sessions are stepped by the serving thread itself, outside
-    // the round's scope: still the serving pool's work.
+    // Hibernated sessions are stepped by the serving thread itself, after
+    // the round's loop: still the serving pool's work.
     let spill = std::env::temp_dir().join(format!("rtgs-one-pool-{}", std::process::id()));
     let policy = EvictionPolicy::new(&spill).with_max_resident_sessions(2);
     let evicted = Serve::builder()

@@ -38,6 +38,7 @@ use crate::export::{
     chrome_trace_events, escape_json, render_json, wrap_trace_events, write_atomic,
 };
 use crate::registry::global;
+use crate::ring::Ring;
 use crate::spans::ns_since_epoch;
 
 // ---------------------------------------------------------------------------
@@ -116,7 +117,7 @@ impl TraceCtx {
 // Black-box event journal
 // ---------------------------------------------------------------------------
 
-/// Default journal capacity (events). Events are rare relative to frames —
+/// Journal capacity (events). Events are rare relative to frames —
 /// 4k covers hours of steady serving and several seconds of pathology.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
@@ -197,58 +198,14 @@ const EMPTY_EVENT: JournalEvent = JournalEvent {
     ts_ns: 0,
 };
 
-struct JournalRing {
-    events: Vec<JournalEvent>,
-    next: usize,
-    total: u64,
-}
-
-impl JournalRing {
-    fn with_capacity(capacity: usize) -> Self {
-        JournalRing {
-            events: vec![EMPTY_EVENT; capacity.max(1)],
-            next: 0,
-            total: 0,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, event: JournalEvent) {
-        let cap = self.events.len();
-        self.events[self.next] = event;
-        self.next = (self.next + 1) % cap;
-        self.total += 1;
-    }
-
-    fn ordered(&self) -> Vec<JournalEvent> {
-        let cap = self.events.len();
-        let len = (self.total as usize).min(cap);
-        let start = if self.total as usize > cap {
-            self.next
-        } else {
-            0
-        };
-        (0..len).map(|k| self.events[(start + k) % cap]).collect()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.total.saturating_sub(self.events.len() as u64)
-    }
-}
-
 static JOURNAL_ENABLED: AtomicBool = AtomicBool::new(false);
-static JOURNAL_CAPACITY: AtomicU64 = AtomicU64::new(DEFAULT_JOURNAL_CAPACITY as u64);
 
-fn journal() -> &'static Mutex<JournalRing> {
-    static JOURNAL: OnceLock<Mutex<JournalRing>> = OnceLock::new();
-    JOURNAL.get_or_init(|| {
-        Mutex::new(JournalRing::with_capacity(
-            JOURNAL_CAPACITY.load(Ordering::Relaxed) as usize,
-        ))
-    })
+fn journal() -> &'static Mutex<Ring<JournalEvent>> {
+    static JOURNAL: OnceLock<Mutex<Ring<JournalEvent>>> = OnceLock::new();
+    JOURNAL.get_or_init(|| Mutex::new(Ring::with_capacity(DEFAULT_JOURNAL_CAPACITY, EMPTY_EVENT)))
 }
 
-fn journal_lock() -> std::sync::MutexGuard<'static, JournalRing> {
+fn journal_lock() -> std::sync::MutexGuard<'static, Ring<JournalEvent>> {
     match journal().lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -265,12 +222,6 @@ pub fn set_journal_enabled(enabled: bool) {
 #[inline]
 pub fn journal_enabled() -> bool {
     JOURNAL_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Sets the capacity used when the journal ring is first created. Call
-/// once at startup, before the first event.
-pub fn set_journal_capacity(capacity: usize) {
-    JOURNAL_CAPACITY.store(capacity.max(1) as u64, Ordering::Relaxed);
 }
 
 /// Performs the journal's one-time allocation now, so subsequent
@@ -318,9 +269,7 @@ pub fn journal_dropped() -> u64 {
 
 /// Empties the journal (capacity is kept).
 pub fn clear_journal() {
-    let mut ring = journal_lock();
-    ring.next = 0;
-    ring.total = 0;
+    journal_lock().clear();
 }
 
 fn journal_events_json(events: &[JournalEvent], out: &mut String) {
@@ -898,7 +847,7 @@ mod tests {
 
     #[test]
     fn journal_ring_overwrites_oldest() {
-        let mut ring = JournalRing::with_capacity(4);
+        let mut ring = Ring::with_capacity(4, EMPTY_EVENT);
         for k in 0..9u64 {
             let mut ev = EMPTY_EVENT;
             ev.seq = k;

@@ -40,6 +40,7 @@ pub mod flight;
 mod hist;
 mod recent;
 mod registry;
+mod ring;
 mod spans;
 mod stage;
 
@@ -50,16 +51,15 @@ pub use export::{
 pub use flight::{
     bundle_is_valid, clear_journal, disarm_panic_hook, install_panic_hook, journal_dropped,
     journal_enabled, journal_events, journal_record, journal_tail, json_balanced,
-    set_journal_capacity, set_journal_enabled, warm_journal, EventKind, FlightRecorder,
-    HealthReport, HealthVerdict, JournalEvent, TraceCtx, TriggerKind, TriggerSpec,
-    DEFAULT_JOURNAL_CAPACITY,
+    set_journal_enabled, warm_journal, EventKind, FlightRecorder, HealthReport, HealthVerdict,
+    JournalEvent, TraceCtx, TriggerKind, TriggerSpec, DEFAULT_JOURNAL_CAPACITY,
 };
 pub use hist::{bucket_index, bucket_lower_bound, Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use recent::RecentWindow;
 pub use registry::{global, Counter, Gauge, MetricValue, Registry, RegistrySnapshot};
 pub use spans::{
     clear_spans, collect_spans, dropped_spans, emit_flow_span, emit_span, ns_since_epoch,
-    set_ring_capacity, set_tracing_enabled, tracing_enabled, warm_thread_ring, SpanEvent,
-    SpanGuard, DEFAULT_RING_CAPACITY,
+    set_tracing_enabled, tracing_enabled, warm_thread_ring, SpanEvent, SpanGuard,
+    DEFAULT_RING_CAPACITY,
 };
 pub use stage::{StageId, StageNanos, STAGE_COUNT};

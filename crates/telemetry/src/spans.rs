@@ -11,11 +11,12 @@
 //! threads line up on a single timeline when exported as Chrome
 //! `trace_event` JSON (see [`crate::export::chrome_trace_json`]).
 
+use crate::ring::Ring;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Default per-thread ring capacity (events). ~16k events ≈ 2.7k pipeline
+/// Per-thread ring capacity (events). ~16k events ≈ 2.7k pipeline
 /// iterations at 6 stage spans each.
 pub const DEFAULT_RING_CAPACITY: usize = 16_384;
 
@@ -52,66 +53,14 @@ impl SpanEvent {
     };
 }
 
-struct Ring {
-    events: Vec<SpanEvent>,
-    /// Next write position (wraps at capacity).
-    next: usize,
-    /// Total events ever written; `total - len` have been overwritten.
-    total: u64,
-}
-
-impl Ring {
-    fn with_capacity(capacity: usize) -> Self {
-        Ring {
-            events: vec![SpanEvent::EMPTY; capacity.max(1)],
-            next: 0,
-            total: 0,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, event: SpanEvent) {
-        let cap = self.events.len();
-        self.events[self.next] = event;
-        self.next = (self.next + 1) % cap;
-        self.total += 1;
-    }
-
-    /// Live events in recording order (oldest first).
-    fn ordered(&self) -> Vec<SpanEvent> {
-        let cap = self.events.len();
-        let len = (self.total as usize).min(cap);
-        let mut out = Vec::with_capacity(len);
-        let start = if self.total as usize > cap {
-            self.next
-        } else {
-            0
-        };
-        for k in 0..len {
-            out.push(self.events[(start + k) % cap]);
-        }
-        out
-    }
-
-    fn dropped(&self) -> u64 {
-        self.total.saturating_sub(self.events.len() as u64)
-    }
-
-    fn clear(&mut self) {
-        self.next = 0;
-        self.total = 0;
-    }
-}
-
 static TRACING: AtomicBool = AtomicBool::new(false);
-static RING_CAPACITY: AtomicU64 = AtomicU64::new(DEFAULT_RING_CAPACITY as u64);
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-type SharedRing = Arc<Mutex<Ring>>;
+type SharedRing = Arc<Mutex<Ring<SpanEvent>>>;
 
 /// `(tid, ring)` pairs for every thread that has recorded a span.
 fn rings() -> &'static Mutex<Vec<(u64, SharedRing)>> {
@@ -124,13 +73,13 @@ thread_local! {
         const { std::cell::OnceCell::new() };
 }
 
-fn local_ring_with<R>(f: impl FnOnce(&mut Ring) -> R) -> R {
+fn local_ring_with<R>(f: impl FnOnce(&mut Ring<SpanEvent>) -> R) -> R {
     LOCAL_RING.with(|cell| {
         let ring = cell.get_or_init(|| {
             static NEXT_TID: AtomicU64 = AtomicU64::new(0);
             let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            let capacity = RING_CAPACITY.load(Ordering::Relaxed) as usize;
-            let ring = Arc::new(Mutex::new(Ring::with_capacity(capacity)));
+            let ring = Ring::with_capacity(DEFAULT_RING_CAPACITY, SpanEvent::EMPTY);
+            let ring = Arc::new(Mutex::new(ring));
             rings().lock().unwrap().push((tid, Arc::clone(&ring)));
             ring
         });
@@ -152,12 +101,6 @@ pub fn set_tracing_enabled(enabled: bool) {
 #[inline]
 pub fn tracing_enabled() -> bool {
     TRACING.load(Ordering::Relaxed)
-}
-
-/// Sets the capacity used for rings created *after* this call (existing
-/// per-thread rings keep their size). Call once at startup, before tracing.
-pub fn set_ring_capacity(capacity: usize) {
-    RING_CAPACITY.store(capacity.max(1) as u64, Ordering::Relaxed);
 }
 
 /// Nanoseconds between the trace epoch and `t` (0 if `t` predates it).
@@ -343,7 +286,7 @@ mod tests {
 
     #[test]
     fn ring_wraps_and_counts_drops() {
-        let mut ring = Ring::with_capacity(4);
+        let mut ring = Ring::with_capacity(4, SpanEvent::EMPTY);
         for k in 0..10u64 {
             ring.push(SpanEvent {
                 name: "w",
