@@ -281,6 +281,12 @@ impl<L: ByteLink> FaultyLink<L> {
     pub fn read_available(&mut self, out: &mut Vec<u8>) -> std::io::Result<usize> {
         self.inner.read_available(out)
     }
+
+    /// The wrapped link, for reading the clean return direction straight
+    /// into a `FrameScanner`.
+    pub(crate) fn inner_mut(&mut self) -> &mut L {
+        &mut self.inner
+    }
 }
 
 #[cfg(test)]

@@ -285,9 +285,7 @@ impl<L: ByteLink> Follower<L> {
     /// out-of-order records are *not* errors; they are handled by the
     /// ack/resync machinery.
     pub fn pump(&mut self) -> Result<(), ReplicationError> {
-        let mut incoming = Vec::new();
-        self.link.read_available(&mut incoming)?;
-        self.scanner.extend(&incoming);
+        self.scanner.fill_from(&mut self.link)?;
         while let Some(payload) = self.scanner.next_payload() {
             match Message::decode(&payload) {
                 Ok(Message::Record(record)) => self.handle_record(&record)?,

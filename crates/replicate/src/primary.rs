@@ -444,9 +444,7 @@ impl<L: ByteLink> Replicator<L> {
 
         // Return path: acks and resync requests (clean — the fault plan
         // applies to the forward direction only).
-        let mut incoming = Vec::new();
-        self.link.read_available(&mut incoming)?;
-        self.acks.extend(&incoming);
+        self.acks.fill_from(self.link.inner_mut())?;
         let mut resync_now = false;
         while let Some(payload) = self.acks.next_payload() {
             match Message::decode(&payload) {
