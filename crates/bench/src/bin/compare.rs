@@ -1,50 +1,61 @@
 //! Perf-regression comparator for the CI `perf-smoke` gate.
 //!
-//! Compares a freshly produced `BENCH_RESULTS.json` against the committed
-//! baseline and fails (exit code 1) when any benchmark *group* regresses
-//! beyond the allowed percentage. A group's metric is the **sum of the
-//! min_ns of its benchmarks present in both files** — min-of-N is the
-//! standard low-noise estimator for CPU microbenches (scheduler preemption
-//! and cache pollution only ever add time), and summing makes the gate
-//! robust to individual noisy microbenches while still catching a real
+//! Compares freshly produced `BENCH_RESULTS.json` files against the
+//! committed baseline and fails (exit code 1) when any benchmark *group*
+//! regresses beyond [`DEFAULT_MAX_REGRESSION`]. A group's metric is the
+//! **sum of the min_ns of its benchmarks present in both files** — min-of-N
+//! is the standard low-noise estimator for CPU microbenches (scheduler
+//! preemption and cache pollution only ever add time), and summing makes the
+//! gate robust to individual noisy microbenches while still catching a real
 //! regression anywhere in the group. Baselines written before `min_ns`
 //! existed fall back to `median_ns` per entry.
 //!
-//! On top of the percentage threshold, an **absolute noise floor** guards
-//! tiny groups: a group fails only when its regression exceeds the
-//! percentage *and* grows by more than `--noise-floor` nanoseconds in
-//! absolute terms. A 3ns→4ns microbench group is +33% but pure jitter;
+//! On top of the percentage threshold, an **absolute noise floor**
+//! ([`DEFAULT_NOISE_FLOOR_NS`]) guards tiny groups: a group fails only when
+//! its regression exceeds the percentage *and* grows by more than the floor
+//! in absolute terms. A 3ns→4ns microbench group is +33% but pure jitter;
 //! the floor keeps it from flaking the gate.
 //!
+//! **A baseline gates only on the host that wrote it.** The criterion shim
+//! stamps every entry with a `host` string (CPU count, CPU model, `rustc
+//! -V`). When the baseline's stamp and the current run's differ — or a file
+//! carries none, or several — the table is still printed, the JSON report
+//! says `"gated": false`, and the exit code is 0: wall-clock minima from two
+//! machines measure the machines, not the change.
+//!
 //! ```text
-//! compare <baseline.json> <current.json> [--max-regression <percent>]
-//!         [--noise-floor <ns>] [--json <path>]
+//! compare <baseline.json> <current.json>... [--json <path>]
 //! ```
 //!
-//! Benchmarks present only in the current file (new benches) or only in the
-//! baseline (removed benches) are reported but never fail the gate; refresh
-//! the committed baseline to adopt them (see CONTRIBUTING.md).
+//! Several current files are several rounds of the suite on one host: each
+//! benchmark is gated on its smallest minimum across them (min-of-min).
+//!
+//! Benchmarks present only in the current files (new benches) or only in
+//! the baseline (removed benches) are reported but never fail the gate;
+//! refresh the committed baseline to adopt them (see CONTRIBUTING.md).
 //!
 //! `--json <path>` additionally writes the per-group verdict table as
-//! machine-readable JSON (groups, deltas, statuses, thresholds, overall
-//! verdict); CI uploads it as an artifact alongside `BENCH_RESULTS.json` so
-//! perf history can be mined without re-parsing the human table.
+//! machine-readable JSON (groups, deltas, statuses, thresholds, whether it
+//! gated, overall verdict); CI uploads it as an artifact
+//! alongside `BENCH_RESULTS.json` so perf history can be mined without
+//! re-parsing the human table.
 //!
 //! The parser is a minimal, std-only reader for the flat
-//! `[{"group": .., "bench": .., "median_ns": .., "min_ns": ..}, ..]` schema
-//! the criterion shim writes (string and numeric values only).
+//! `[{"group": .., "bench": .., "median_ns": .., "min_ns": .., "host": ..}, ..]`
+//! schema the criterion shim writes (string and numeric values only).
 
+use std::collections::btree_map::Entry as Slot;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Default failure threshold: a group regressing more than this fraction
-/// versus the baseline fails the gate.
+/// Failure threshold: a group regressing more than this fraction versus the
+/// baseline fails the gate.
 const DEFAULT_MAX_REGRESSION: f64 = 0.25;
 
-/// Default absolute noise floor in nanoseconds: a group must regress by more
-/// than this much wall time (on top of the percentage threshold) to fail.
-/// 100µs is far above timer/scheduler jitter but far below any regression
-/// the paper-level benchmarks could meaningfully suffer.
+/// Absolute noise floor in nanoseconds: a group must regress by more than
+/// this much wall time (on top of the percentage threshold) to fail. 100µs
+/// is far above timer/scheduler jitter but far below any regression the
+/// session-size benchmarks could meaningfully suffer.
 const DEFAULT_NOISE_FLOOR_NS: f64 = 100_000.0;
 
 /// One benchmark entry from a results file.
@@ -56,6 +67,9 @@ struct Entry {
     /// Minimum-of-samples, absent in baselines written before the shim
     /// recorded it.
     min_ns: Option<f64>,
+    /// Where the entry was measured, absent in files written before the
+    /// shim stamped them.
+    host: Option<String>,
 }
 
 impl Entry {
@@ -67,72 +81,48 @@ impl Entry {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: compare <baseline.json> <current.json> [--max-regression <pct>] \
-                 [--noise-floor <ns>] [--json <path>]";
+    let usage = "usage: compare <baseline.json> <current.json>... [--json <path>]";
     let mut paths = Vec::new();
-    let mut max_regression = DEFAULT_MAX_REGRESSION;
-    let mut noise_floor_ns = DEFAULT_NOISE_FLOOR_NS;
     let mut json_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--json" => {
-                i += 1;
-                let Some(p) = args.get(i) else {
+                let Some(p) = args.next() else {
                     eprintln!("--json requires an output path");
                     return ExitCode::from(2);
                 };
-                json_path = Some(p.clone());
-            }
-            "--max-regression" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--max-regression requires a numeric percentage");
-                    return ExitCode::from(2);
-                };
-                max_regression = v / 100.0;
-            }
-            "--noise-floor" => {
-                i += 1;
-                let Some(v) = args.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--noise-floor requires a numeric nanosecond value");
-                    return ExitCode::from(2);
-                };
-                noise_floor_ns = v;
+                json_path = Some(p);
             }
             "--help" | "-h" => {
                 eprintln!("{usage}");
                 return ExitCode::SUCCESS;
             }
-            p => paths.push(p.to_string()),
+            _ => paths.push(arg),
         }
-        i += 1;
     }
-    if paths.len() != 2 {
+    if paths.len() < 2 {
         eprintln!("{usage}");
         return ExitCode::from(2);
     }
 
-    let read = |path: &str| -> Result<Vec<Entry>, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        parse_entries(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-    };
-    let baseline = match read(&paths[0]) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
+    let mut files = Vec::new();
+    for path in &paths {
+        let read = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|text| parse_entries(&text).map_err(|e| format!("cannot parse {path}: {e}")));
+        match read {
+            Ok(entries) => files.push(entries),
+            Err(e) => {
+                eprintln!("{e}");
+                return ExitCode::from(2);
+            }
         }
-    };
-    let current = match read(&paths[1]) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
+    }
+    let baseline = files.remove(0);
+    let current = min_over(files);
 
+    let (max_regression, noise_floor_ns) = (DEFAULT_MAX_REGRESSION, DEFAULT_NOISE_FLOOR_NS);
     let report = compare(&baseline, &current, max_regression, noise_floor_ns);
     print!("{}", report.text);
     if let Some(path) = json_path {
@@ -150,14 +140,50 @@ fn main() -> ExitCode {
             noise_floor_ns
         );
         ExitCode::FAILURE
-    } else {
+    } else if report.gated {
         println!(
             "\nperf gate passed (threshold {:.0}%, noise floor {:.0}ns)",
             max_regression * 100.0,
             noise_floor_ns
         );
         ExitCode::SUCCESS
+    } else {
+        println!("\nperf gate not applied: the baseline was written on another host");
+        ExitCode::SUCCESS
     }
+}
+
+/// Folds several rounds of the suite into one run: each benchmark keeps its
+/// smallest gated metric (min-of-min). An entry measured on different hosts
+/// in different rounds loses its stamp, so the folded run never gates.
+fn min_over(rounds: Vec<Vec<Entry>>) -> Vec<Entry> {
+    let mut best: BTreeMap<(String, String), Entry> = BTreeMap::new();
+    for e in rounds.into_iter().flatten() {
+        match best.entry((e.group.clone(), e.bench.clone())) {
+            Slot::Vacant(slot) => {
+                slot.insert(e);
+            }
+            Slot::Occupied(mut slot) => {
+                let same_host = slot.get().host == e.host;
+                if e.metric_ns() < slot.get().metric_ns() {
+                    slot.insert(e);
+                }
+                if !same_host {
+                    slot.get_mut().host = None;
+                }
+            }
+        }
+    }
+    best.into_values().collect()
+}
+
+/// The one host stamp every entry of a run carries, if there is one.
+fn host_of(entries: &[Entry]) -> Option<&str> {
+    let host = entries.first()?.host.as_deref()?;
+    entries
+        .iter()
+        .all(|e| e.host.as_deref() == Some(host))
+        .then_some(host)
 }
 
 /// One group's row of the verdict table, in machine-readable form.
@@ -174,6 +200,9 @@ struct GroupVerdict {
 /// Result of one comparison run.
 struct Report {
     text: String,
+    /// Both runs carry one and the same host stamp.
+    gated: bool,
+    /// Gated, and some group regressed.
     failed: bool,
     groups: Vec<GroupVerdict>,
     /// `group/bench` names present only in the current run.
@@ -185,7 +214,7 @@ struct Report {
 impl Report {
     /// Renders the verdict table as JSON for the CI artifact. Emitted with
     /// the same minimal vocabulary `parse_entries` reads (objects of
-    /// string/number values), plus `null` for absent baselines.
+    /// string/number values), plus booleans and `null`.
     fn render_json(&self, max_regression: f64, noise_floor_ns: f64) -> String {
         let num = |v: f64| {
             if v.is_finite() {
@@ -216,10 +245,12 @@ impl Report {
         }
         format!(
             "{{\n  \"max_regression_pct\": {},\n  \"noise_floor_ns\": {},\n  \
-             \"failed\": {},\n  \"groups\": [\n{}\n  ],\n  \
+             \"gated\": {},\n  \"failed\": {},\n  \
+             \"groups\": [\n{}\n  ],\n  \
              \"new_benches\": {},\n  \"missing_benches\": {}\n}}\n",
             num(max_regression * 100.0),
             num(noise_floor_ns),
+            self.gated,
             self.failed,
             groups,
             str_list(&self.new_benches),
@@ -233,15 +264,53 @@ fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
+/// A compared group's delta and status, and whether it regressed: past the
+/// relative threshold *and* the absolute noise floor.
+fn verdict(
+    b_ns: f64,
+    c_ns: f64,
+    max_regression: f64,
+    noise_floor_ns: f64,
+    renamed: bool,
+) -> (f64, String, bool) {
+    let delta = if b_ns > 0.0 { c_ns / b_ns - 1.0 } else { 0.0 };
+    let over = delta > max_regression;
+    let regressed = over && c_ns - b_ns > noise_floor_ns;
+    let (word, note) = if regressed {
+        ("REGRESSED", None)
+    } else if over {
+        ("ok", Some("within noise floor"))
+    } else if delta < -0.05 {
+        ("improved", None)
+    } else {
+        ("ok", None)
+    };
+    let notes: Vec<&str> = note
+        .into_iter()
+        .chain(renamed.then_some("renamed benches"))
+        .collect();
+    let status = if notes.is_empty() {
+        word.to_string()
+    } else {
+        format!("{word} ({})", notes.join(", "))
+    };
+    (delta, status, regressed)
+}
+
 /// Compares current gate metrics (min-of-N, median fallback) against the
 /// baseline, grouping by bench group. A group fails only when it exceeds
-/// both the relative threshold and the absolute noise floor.
+/// both the relative threshold and the absolute noise floor, and only when
+/// both runs were measured on the same host.
 fn compare(
     baseline: &[Entry],
     current: &[Entry],
     max_regression: f64,
     noise_floor_ns: f64,
 ) -> Report {
+    let baseline_host = host_of(baseline);
+    let current_host = host_of(current);
+    let gated = baseline_host.is_some() && baseline_host == current_host;
+
     let index = |entries: &[Entry]| -> BTreeMap<(String, String), f64> {
         entries
             .iter()
@@ -251,115 +320,88 @@ fn compare(
     let base = index(baseline);
     let cur = index(current);
 
-    // Per-group sums over the shared benches.
-    let mut groups: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-    for ((g, b), &b_ns) in &base {
-        if let Some(&c_ns) = cur.get(&(g.clone(), b.clone())) {
-            let e = groups.entry(g.clone()).or_insert((0.0, 0.0));
-            e.0 += b_ns;
-            e.1 += c_ns;
+    // Per group of the current run: the sums over the benches both runs
+    // share, and each side's whole-group total.
+    #[derive(Default)]
+    struct Sums {
+        shared: Option<(f64, f64)>,
+        baseline: Option<f64>,
+        current: f64,
+    }
+    let mut sums: BTreeMap<&str, Sums> = BTreeMap::new();
+    for ((g, b), &c_ns) in &cur {
+        let s = sums.entry(g).or_default();
+        s.current += c_ns;
+        if let Some(&b_ns) = base.get(&(g.clone(), b.clone())) {
+            let (sb, sc) = s.shared.get_or_insert((0.0, 0.0));
+            *sb += b_ns;
+            *sc += c_ns;
+        }
+    }
+    for ((g, _), &b_ns) in &base {
+        if let Some(s) = sums.get_mut(g.as_str()) {
+            *s.baseline.get_or_insert(0.0) += b_ns;
         }
     }
 
-    let mut text = String::new();
-    let mut failed = false;
-    let mut verdicts = Vec::new();
+    const UNSTAMPED: &str = "(unstamped, or several hosts)";
+    let mut text = format!(
+        "baseline host: {}\ncurrent host:  {}\n",
+        baseline_host.unwrap_or(UNSTAMPED),
+        current_host.unwrap_or(UNSTAMPED)
+    );
+    if !gated {
+        text.push_str("not gated: the host stamps differ, the table is informational\n");
+    }
     text.push_str(&format!(
-        "{:<28} {:>14} {:>14} {:>9}  {}\n",
+        "\n{:<32} {:>14} {:>14} {:>9}  {}\n",
         "group", "baseline (ns)", "current (ns)", "delta", "status"
     ));
-    for (g, (b_ns, c_ns)) in &groups {
-        let delta = if *b_ns > 0.0 { c_ns / b_ns - 1.0 } else { 0.0 };
-        let status = if delta > max_regression && c_ns - b_ns > noise_floor_ns {
-            failed = true;
-            "REGRESSED"
-        } else if delta > max_regression {
-            "ok (within noise floor)"
-        } else if delta < -0.05 {
-            "improved"
-        } else {
-            "ok"
+    let mut failed = false;
+    let mut verdicts = Vec::new();
+    for (g, s) in sums {
+        // A group that shares no bench with the baseline but exists there
+        // had all its benches renamed; letting it drop out would silently
+        // un-gate it, so it gates on the whole-group totals. A group absent
+        // from the baseline is new and informational: its total is reported
+        // so reviewers see the cost, and it starts gating once a baseline
+        // refresh carries it.
+        let compared = match (s.shared, s.baseline) {
+            (Some((b_ns, c_ns)), _) => Some((b_ns, c_ns, false)),
+            (None, Some(b_ns)) => Some((b_ns, s.current, true)),
+            (None, None) => None,
+        };
+        let row = match compared {
+            Some((b_ns, c_ns, renamed)) => {
+                let (delta, status, regressed) =
+                    verdict(b_ns, c_ns, max_regression, noise_floor_ns, renamed);
+                failed |= gated && regressed;
+                GroupVerdict {
+                    group: g.to_string(),
+                    baseline_ns: Some(b_ns),
+                    current_ns: c_ns,
+                    delta_pct: Some(delta * 100.0),
+                    status,
+                }
+            }
+            None => GroupVerdict {
+                group: g.to_string(),
+                baseline_ns: None,
+                current_ns: s.current,
+                delta_pct: None,
+                status: "new (informational)".to_string(),
+            },
         };
         text.push_str(&format!(
-            "{:<28} {:>14.0} {:>14.0} {:>+8.1}%  {}\n",
-            g,
-            b_ns,
-            c_ns,
-            delta * 100.0,
-            status
+            "{:<32} {:>14} {:>14.0} {:>9}  {}\n",
+            row.group,
+            row.baseline_ns
+                .map_or("-".to_string(), |b| format!("{b:.0}")),
+            row.current_ns,
+            row.delta_pct.map_or(String::new(), |d| format!("{d:+.1}%")),
+            row.status
         ));
-        verdicts.push(GroupVerdict {
-            group: g.clone(),
-            baseline_ns: Some(*b_ns),
-            current_ns: *c_ns,
-            delta_pct: Some(delta * 100.0),
-            status: status.to_string(),
-        });
-    }
-
-    // Groups with no benchmark shared with the baseline fall into two
-    // cases. A group absent from the baseline entirely is *new* and
-    // informational: its total is reported so reviewers see the cost, but
-    // it never fails the gate — a group can land in the same PR as its
-    // first baseline entry and starts gating on the next refresh. A group
-    // that *does* exist in the baseline but shares no bench names had all
-    // its benches renamed; letting it drop out would silently un-gate it,
-    // so it gates on the whole-group totals instead.
-    let base_group_totals: BTreeMap<&String, f64> =
-        base.iter().fold(BTreeMap::new(), |mut m, ((g, _), &ns)| {
-            *m.entry(g).or_insert(0.0) += ns;
-            m
-        });
-    let mut unshared_groups: BTreeMap<String, f64> = BTreeMap::new();
-    for ((g, _), &c_ns) in &cur {
-        if !groups.contains_key(g) {
-            *unshared_groups.entry(g.clone()).or_insert(0.0) += c_ns;
-        }
-    }
-    for (g, c_ns) in &unshared_groups {
-        match base_group_totals.get(g) {
-            Some(&b_ns) => {
-                let delta = if b_ns > 0.0 { c_ns / b_ns - 1.0 } else { 0.0 };
-                let status = if delta > max_regression && c_ns - b_ns > noise_floor_ns {
-                    failed = true;
-                    "REGRESSED (renamed benches)"
-                } else if delta > max_regression {
-                    "ok (within noise floor, renamed benches)"
-                } else if delta < -0.05 {
-                    "improved (renamed benches)"
-                } else {
-                    "ok (renamed benches)"
-                };
-                text.push_str(&format!(
-                    "{:<28} {:>14.0} {:>14.0} {:>+8.1}%  {}\n",
-                    g,
-                    b_ns,
-                    c_ns,
-                    delta * 100.0,
-                    status
-                ));
-                verdicts.push(GroupVerdict {
-                    group: g.clone(),
-                    baseline_ns: Some(b_ns),
-                    current_ns: *c_ns,
-                    delta_pct: Some(delta * 100.0),
-                    status: status.to_string(),
-                });
-            }
-            None => {
-                text.push_str(&format!(
-                    "{:<28} {:>14} {:>14.0} {:>9}  {}\n",
-                    g, "-", c_ns, "", "new (informational)"
-                ));
-                verdicts.push(GroupVerdict {
-                    group: g.clone(),
-                    baseline_ns: None,
-                    current_ns: *c_ns,
-                    delta_pct: None,
-                    status: "new (informational)".to_string(),
-                });
-            }
-        }
+        verdicts.push(row);
     }
 
     // Informational: benches not shared between the files.
@@ -375,23 +417,22 @@ fn compare(
         .collect();
     if !new.is_empty() {
         text.push_str(&format!(
-            "\n{} new benchmark(s) not in baseline (not gated): ",
-            new.len()
+            "\n{} new benchmark(s) not in baseline (not gated): {}\n",
+            new.len(),
+            new.join(", ")
         ));
-        text.push_str(&new.join(", "));
-        text.push('\n');
     }
     if !gone.is_empty() {
         text.push_str(&format!(
-            "\n{} baseline benchmark(s) missing from current run: ",
-            gone.len()
+            "\n{} baseline benchmark(s) missing from current run: {}\n",
+            gone.len(),
+            gone.join(", ")
         ));
-        text.push_str(&gone.join(", "));
-        text.push('\n');
     }
 
     Report {
         text,
+        gated,
         failed,
         groups: verdicts,
         new_benches: new,
@@ -437,10 +478,9 @@ fn parse_entries(text: &str) -> Result<Vec<Entry>, String> {
             bench: get_str("bench")?,
             median_ns: get_num("median_ns")?,
             // Optional: baselines predating the min-of-N gate lack it.
-            min_ns: match obj.get("min_ns") {
-                Some(Value::Num(n)) => Some(*n),
-                _ => None,
-            },
+            min_ns: get_num("min_ns").ok(),
+            // Optional: files predating the host stamp lack it.
+            host: get_str("host").ok(),
         });
         p.skip_ws();
         match p.next() {
@@ -521,20 +561,25 @@ impl Parser<'_> {
         Ok(map)
     }
 
+    /// A string literal's bytes, unescaped and decoded as UTF-8.
     fn parse_string(&mut self) -> Result<String, String> {
+        let start = self.pos;
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Vec::new();
         loop {
             match self.next() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
+                Some(b'"') => {
+                    return String::from_utf8(out)
+                        .map_err(|e| format!("string at byte {start} is not UTF-8: {e}"))
+                }
+                Some(b'\\') => out.push(match self.next() {
+                    Some(b'"') => b'"',
+                    Some(b'\\') => b'\\',
+                    Some(b'n') => b'\n',
+                    Some(b't') => b'\t',
                     other => return Err(format!("unsupported escape {other:?}")),
-                },
-                Some(b) => out.push(b as char),
+                }),
+                Some(b) => out.push(b),
                 None => return Err("unterminated string".into()),
             }
         }
@@ -559,29 +604,39 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    /// The stamp the helpers put on every entry: unit tests compare runs
+    /// from one host unless they say otherwise.
+    const HOST: &str = "2 x Test CPU, rustc 1.0.0";
+
     fn entry(group: &str, bench: &str, median_ns: f64) -> Entry {
         Entry {
             group: group.into(),
             bench: bench.into(),
             median_ns,
             min_ns: None,
+            host: Some(HOST.into()),
         }
     }
 
     fn entry_min(group: &str, bench: &str, median_ns: f64, min_ns: f64) -> Entry {
         Entry {
-            group: group.into(),
-            bench: bench.into(),
-            median_ns,
             min_ns: Some(min_ns),
+            ..entry(group, bench, median_ns)
+        }
+    }
+
+    fn on(host: Option<&str>, e: Entry) -> Entry {
+        Entry {
+            host: host.map(str::to_string),
+            ..e
         }
     }
 
     #[test]
     fn parses_shim_schema() {
         let text = r#"[
-  {"group": "render_kernels", "bench": "forward_full_frame", "min_ns": 1, "median_ns": 100, "mean_ns": 110, "samples": 10},
-  {"group": "g2", "bench": "b/param", "min_ns": 2, "median_ns": 200, "mean_ns": 210, "samples": 5}
+  {"group": "render_kernels", "bench": "forward_full_frame", "min_ns": 1, "median_ns": 100, "mean_ns": 110, "samples": 10, "host": "2 x Test CPU, rustc 1.0.0", "commit": "abc1234"},
+  {"group": "g2", "bench": "b/param", "min_ns": 2, "median_ns": 200, "mean_ns": 210, "samples": 5, "host": "2 x Test CPU, rustc 1.0.0", "commit": "abc1234"}
 ]
 "#;
         let entries = parse_entries(text).unwrap();
@@ -598,7 +653,7 @@ mod tests {
     fn parses_entries_without_min_ns() {
         let text = r#"[{"group": "g", "bench": "b", "median_ns": 100}]"#;
         let entries = parse_entries(text).unwrap();
-        assert_eq!(entries, vec![entry("g", "b", 100.0)]);
+        assert_eq!(entries, vec![on(None, entry("g", "b", 100.0))]);
         assert_eq!(entries[0].metric_ns(), 100.0, "median fallback");
     }
 
@@ -612,6 +667,25 @@ mod tests {
     fn rejects_garbage() {
         assert!(parse_entries("not json").is_err());
         assert!(parse_entries(r#"[{"group": 3}]"#).is_err());
+    }
+
+    /// Strings are decoded as UTF-8, not byte by byte: a CPU model or a
+    /// bench name may carry multi-byte characters. Bytes that are not UTF-8
+    /// are an error, never mojibake.
+    #[test]
+    fn parses_multibyte_strings() {
+        let text = r#"[{"group": "µs", "bench": "a → b", "median_ns": 1, "host": "2 × CPU™"}]"#;
+        let entries = parse_entries(text).unwrap();
+        assert_eq!(entries[0].group, "µs");
+        assert_eq!(entries[0].bench, "a → b");
+        assert_eq!(entries[0].host.as_deref(), Some("2 × CPU™"));
+
+        let mut bad = Parser {
+            bytes: b"\"\xb5s\"",
+            pos: 0,
+        };
+        let err = bad.parse_string().unwrap_err();
+        assert!(err.contains("not UTF-8"), "{err}");
     }
 
     #[test]
@@ -630,6 +704,89 @@ mod tests {
         let r = compare(&base, &cur, 0.25, 0.0);
         assert!(r.failed, "{}", r.text);
         assert!(r.text.contains("REGRESSED"));
+    }
+
+    /// Two runs stamped with one host gate exactly as before the stamp
+    /// existed: a regression fails, and the JSON says it gated.
+    #[test]
+    fn equal_host_stamps_gate() {
+        let base = vec![entry("g", "a", 100.0)];
+        let cur = vec![entry("g", "a", 160.0)];
+        let r = compare(&base, &cur, 0.25, 0.0);
+        assert!(r.gated && r.failed, "{}", r.text);
+        assert!(r.text.contains(HOST), "{}", r.text);
+        assert!(r.render_json(0.25, 0.0).contains("\"gated\": true"));
+    }
+
+    /// A baseline from another host — or one with no stamp — is a table to
+    /// read, not a gate: the same regression reports, but does not fail.
+    #[test]
+    fn different_hosts_are_reported_not_gated() {
+        let base = vec![entry("g", "a", 100.0)];
+        for cur_host in [Some("8 x Other CPU, rustc 1.0.0"), None] {
+            let cur = vec![on(cur_host, entry("g", "a", 160.0))];
+            let r = compare(&base, &cur, 0.25, 0.0);
+            assert!(!r.gated && !r.failed, "{}", r.text);
+            assert!(r.text.contains("REGRESSED"), "{}", r.text);
+            assert!(r.text.contains("not gated"), "{}", r.text);
+            let json = r.render_json(0.25, 0.0);
+            assert!(json.contains("\"gated\": false"), "{json}");
+            assert!(json.contains("\"failed\": false"), "{json}");
+        }
+        // Entries from two hosts in one run stamp it with neither.
+        let mixed = vec![
+            entry("g", "a", 160.0),
+            on(Some("other"), entry("g", "b", 1.0)),
+        ];
+        assert!(!compare(&base, &mixed, 0.25, 0.0).gated);
+    }
+
+    /// Several current files are several rounds: each bench is gated on
+    /// its smallest minimum across them, whichever round produced it.
+    #[test]
+    fn rounds_gate_on_each_benchs_smaller_minimum() {
+        let base = vec![
+            entry_min("g", "a", 100.0, 100.0),
+            entry_min("g", "b", 100.0, 100.0),
+        ];
+        let round1 = vec![
+            entry_min("g", "a", 300.0, 200.0),
+            entry_min("g", "b", 110.0, 100.0),
+        ];
+        let round2 = vec![
+            entry_min("g", "a", 120.0, 105.0),
+            entry_min("g", "b", 300.0, 200.0),
+        ];
+        let folded = min_over(vec![round1.clone(), round2]);
+        assert_eq!(
+            folded,
+            vec![
+                entry_min("g", "a", 120.0, 105.0),
+                entry_min("g", "b", 110.0, 100.0)
+            ]
+        );
+        let r = compare(&base, &folded, 0.25, 0.0);
+        assert!(r.gated && !r.failed, "{}", r.text);
+        // Either round alone regresses the group by half.
+        assert!(compare(&base, &round1, 0.25, 0.0).failed);
+        // Rounds from two hosts fold into an unstamped run.
+        let elsewhere = vec![on(Some("other"), entry_min("g", "a", 1.0, 1.0))];
+        let mixed = min_over(vec![round1, elsewhere]);
+        assert!(!compare(&base, &mixed, 0.25, 0.0).gated);
+    }
+
+    /// The committed baseline is what CI gates on: few groups, one host
+    /// stamp, a minimum per entry, and it passes against itself.
+    #[test]
+    fn committed_baseline_is_stamped_and_gates_against_itself() {
+        let file = parse_entries(include_str!("../../../../BENCH_RESULTS.json")).unwrap();
+        let groups: std::collections::BTreeSet<&str> =
+            file.iter().map(|e| e.group.as_str()).collect();
+        assert!(groups.len() <= 10, "{groups:?}");
+        assert!(host_of(&file).is_some(), "one host string on every entry");
+        assert!(file.iter().all(|e| e.min_ns.is_some()));
+        let r = compare(&file, &file, DEFAULT_MAX_REGRESSION, DEFAULT_NOISE_FLOOR_NS);
+        assert!(r.gated && !r.failed, "{}", r.text);
     }
 
     #[test]
@@ -814,8 +971,8 @@ mod tests {
 
     /// `--json` emits the same verdict table machine-readably: one object
     /// per group with baseline/current/delta/status, the not-gated bench
-    /// lists, the thresholds and the overall verdict — parseable by the
-    /// same minimal reader vocabulary the comparator consumes.
+    /// lists, the thresholds, whether it gated and the overall verdict — parseable
+    /// by the same minimal reader vocabulary the comparator consumes.
     #[test]
     fn json_report_carries_the_full_verdict_table() {
         let base = vec![entry("g", "a", 100.0), entry("old", "gone", 50.0)];
@@ -830,6 +987,7 @@ mod tests {
         for needle in [
             "\"max_regression_pct\": 25.0",
             "\"noise_floor_ns\": 0.0",
+            "\"gated\": true",
             "\"failed\": true",
             "\"group\": \"g\"",
             "\"status\": \"REGRESSED\"",

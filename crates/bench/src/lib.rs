@@ -1,22 +1,23 @@
 //! Benchmark harness crate. The Criterion benchmarks live in
-//! `benches/paper_benches.rs`, one group per paper table/figure plus the
-//! perf-trajectory groups of this reproduction's own subsystems:
+//! `benches/paper_benches.rs` and keep only what a microbenchmark alone can
+//! measure — the paper's artifacts are printed by `experiments`, whole
+//! sessions are timed by the repository benchmark (`benchmark/`):
 //!
-//! | group | artifact |
+//! | group | measures |
 //! |---|---|
-//! | `render_kernels` | substrate (Steps ❶–❺ wall-clock) |
-//! | `soa_vs_aos` | SoA kernels vs the preserved AoS reference path |
-//! | `fused_tile_pass` | fused render+backward vs the unfused pair |
-//! | `table2_baseline_slams` | Tab. 2 |
-//! | `table6_rtgs_algorithm` | Tab. 6 / Fig. 14 |
-//! | `fig15_hardware_fps` | Fig. 15 / Tab. 7 |
-//! | `fig17_ablation` | Fig. 17(a)/(b) |
-//! | `ablation_pruning_overhead` | the "zero-overhead scoring" claim |
-//! | `tracking_iteration` | per-iteration tracking unit cost |
-//! | `runtime_scaling` | serial vs parallel kernels at pool sizes 1–8 |
-//! | `session_serving` | multi-session scheduling vs back-to-back runs |
+//! | `render_kernels` | Step ❶ and the recording Step ❸ at session size |
+//! | `fused_tile_pass` | fused render+backward vs the unfused re-walk, session size |
+//! | `tile_sort` | CSR + radix tile assignment vs the legacy sort, dense scene |
+//! | `tracking_iteration_steady_state` | one tracking iteration, warm arena vs fresh, session size |
+//! | `runtime_scaling` | forward / backward at session size, serial vs the machine |
+//! | `large_scene_scaling` | sharded vs flat cull + render, 60k–500k Gaussians |
+//! | `snapshot_full` | base capture and restore |
+//! | `snapshot_delta` | delta capture, full recapture, chain compaction |
+//! | `replication_stream` | one delta record's round trip vs capture alone |
+//! | `flight_recorder` | probe costs, recording on vs off |
 //!
-//! Results land in `BENCH_RESULTS.json` at the workspace root — the
-//! committed copy is the CI perf gate's baseline (see CONTRIBUTING.md and
-//! `src/bin/compare.rs`). Set `BENCH_QUICK=1` for the capped quick mode the
-//! `perf-smoke` job uses.
+//! Results land in `BENCH_RESULTS.json` at the workspace root, every entry
+//! stamped with the host that measured it — the committed copy is the CI
+//! perf gate's baseline, and it gates only on that host (see
+//! CONTRIBUTING.md and `src/bin/compare.rs`). Set `BENCH_QUICK=1` for the
+//! capped quick mode the `perf-smoke` job uses.

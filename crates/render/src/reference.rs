@@ -17,8 +17,8 @@
 //!
 //! `tests/equivalence.rs` asserts that images, depth maps and gradients are
 //! **bitwise-identical** between these and every production spelling over
-//! random scenes; the `soa_vs_aos`, `tile_sort` and `fused_tile_pass` bench
-//! groups keep measuring what the production layout actually buys.
+//! random scenes; the `tile_sort` and `fused_tile_pass` bench groups keep
+//! measuring what the production radix sort and fused pass actually buy.
 //!
 //! The AoS path runs serially: it is a correctness oracle, not a fast path.
 

@@ -4,21 +4,26 @@
 //! The build environment is offline, so the workspace vendors a minimal
 //! harness: it supports `benchmark_group`, `bench_function`,
 //! `bench_with_input`, `iter_batched`, `sample_size`, `measurement_time`,
-//! `warm_up_time`, `BenchmarkId` and
+//! `warm_up_time`, `BenchmarkId::new` and
 //! the `criterion_group!` / `criterion_main!` macros. Each benchmark is
 //! warmed up, sampled, and summarized (min / median / mean); all results are
-//! additionally appended to `BENCH_RESULTS.json` at the workspace root so
+//! additionally written to `BENCH_RESULTS.json` at the workspace root so
 //! the performance trajectory is machine-readable across PRs.
+//!
+//! Every entry of that file carries two plain string fields naming where it
+//! was measured: `"host"` (CPU count, CPU model and `rustc -V`) and
+//! `"commit"` (the source tree's `git describe`, informational). The perf
+//! gate's comparator only gates between files whose `host` strings are
+//! equal.
 //!
 //! # Quick mode
 //!
 //! Setting `BENCH_QUICK=1` (any non-empty value other than `0`) caps every
 //! group at [`QUICK_MAX_SAMPLES`] samples and [`QUICK_MAX_MEASUREMENT`] of
 //! measurement wall-clock, overriding whatever the benchmarks request. The
-//! CI `perf-smoke` job uses this to finish the whole suite in minutes while
-//! keeping medians meaningful enough for a coarse (>25%) regression gate.
-//! A requested `warm_up_time` is *not* capped: only the handful of rows that
-//! run on more than one thread ask for one, and without it they time the
+//! CI `perf-smoke` job uses this to finish the whole suite in minutes.
+//! A requested `warm_up_time` is *not* capped: only the rows that run on
+//! more than one thread ask for one, and without it they time the
 //! scheduler's first placement of the threads, not the code.
 
 use std::fmt::Display;
@@ -107,13 +112,6 @@ impl BenchmarkId {
     pub fn new<S: Display, P: Display>(name: S, parameter: P) -> Self {
         Self {
             id: format!("{name}/{parameter}"),
-        }
-    }
-
-    /// Id from a parameter alone.
-    pub fn from_parameter<P: Display>(parameter: P) -> Self {
-        Self {
-            id: parameter.to_string(),
         }
     }
 }
@@ -306,13 +304,35 @@ impl Criterion {
         if self.records.is_empty() {
             return;
         }
+        let path = workspace_root().join("BENCH_RESULTS.json");
+        if let Err(e) = std::fs::write(&path, self.to_json()) {
+            eprintln!("warning: could not write {}: {e}", path.display());
+        } else {
+            println!("\nwrote {}", path.display());
+        }
+    }
+
+    /// The results file: one object per record, each stamped with the
+    /// host and the commit.
+    fn to_json(&self) -> String {
+        let host = escape(&host_stamp());
+        let commit = escape(&command_line(
+            "git",
+            &[
+                "-C",
+                env!("CARGO_MANIFEST_DIR"),
+                "describe",
+                "--always",
+                "--dirty",
+            ],
+        ));
         let mut json = String::from("[\n");
         for (i, r) in self.records.iter().enumerate() {
             if i > 0 {
                 json.push_str(",\n");
             }
             json.push_str(&format!(
-                "  {{\"group\": \"{}\", \"bench\": \"{}\", \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}}}",
+                "  {{\"group\": \"{}\", \"bench\": \"{}\", \"min_ns\": {}, \"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}, \"host\": \"{host}\", \"commit\": \"{commit}\"}}",
                 escape(&r.group),
                 escape(&r.bench),
                 r.min_ns(),
@@ -322,13 +342,35 @@ impl Criterion {
             ));
         }
         json.push_str("\n]\n");
-        let path = workspace_root().join("BENCH_RESULTS.json");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("\nwrote {}", path.display());
-        }
+        json
     }
+}
+
+/// Where a results file is comparable: the CPU count the default backend
+/// sizes its pool by, the CPU model, and the compiler.
+fn host_stamp() -> String {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| std::env::consts::ARCH.to_string());
+    format!("{cpus} x {model}, {}", command_line("rustc", &["-V"]))
+}
+
+/// A command's trimmed stdout, or `unknown` when it cannot run or fails.
+fn command_line(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn escape(s: &str) -> String {
@@ -440,6 +482,18 @@ mod tests {
             clamp_measurement(Duration::from_secs(3), false),
             Duration::from_secs(3)
         );
+    }
+
+    #[test]
+    fn written_records_carry_host_and_commit() {
+        let mut c = Criterion::default();
+        c.benchmark_group("g")
+            .sample_size(1)
+            .bench_function("noop", |b| b.iter(|| 1 + 1));
+        let json = c.to_json();
+        let host = format!("\"host\": \"{}\"", escape(&host_stamp()));
+        assert!(json.contains(&host), "{json}");
+        assert!(json.contains("\"commit\": \""), "{json}");
     }
 
     #[test]
