@@ -75,7 +75,7 @@ pub fn fig4(scale: Scale) -> String {
     // Accumulate per-Gaussian importance over the base run's tracking.
     use rtgs_render::FrameArena;
     use rtgs_runtime::Serial;
-    use rtgs_slam::{track_frame, StageNanos, TrackingConfig};
+    use rtgs_slam::{track_frame, StageTimings, TrackingConfig};
     let report = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, false);
     // Re-track the last frame against the final map, collecting gradients.
     let map = {
@@ -85,7 +85,7 @@ pub fn fig4(scale: Scale) -> String {
         rtgs_render::ShardedScene::from_scene(&ds.reference_scene, 1.0)
     };
     let mut mask = vec![true; map.capacity()];
-    let mut timings = StageNanos::default();
+    let mut timings = StageTimings::default();
     let mut scores = vec![0.0f64; map.capacity()];
     struct Collect<'a> {
         scores: &'a mut Vec<f64>,

@@ -3,7 +3,7 @@
 //! the always-on instrumentation collected — latency percentiles from the
 //! registry histograms, hibernation I/O totals, a Chrome `trace_event`
 //! export, and an exactness check that the span-derived stage breakdown
-//! (the paper's Fig. 3 decomposition) agrees with the `StageNanos`
+//! (the paper's Fig. 3 decomposition) agrees with the `StageTimings`
 //! accumulator bit for bit.
 
 use crate::common::{f, slam_config, Scale, Table};
@@ -11,7 +11,7 @@ use rtgs_render::{FrameArena, ShardedScene};
 use rtgs_runtime::{fleet_latency, EvictionPolicy, Serial, Serve};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{
-    track_frame, BaseAlgorithm, NoObserver, SlamPipeline, StageId, StageNanos, TrackingConfig,
+    track_frame, BaseAlgorithm, NoObserver, SlamPipeline, StageId, StageTimings, TrackingConfig,
 };
 use rtgs_telemetry as telemetry;
 
@@ -31,7 +31,7 @@ pub fn telemetry(scale: Scale) -> String {
     // adds, so the two Fig. 3 decompositions must be identical.
     let map = ShardedScene::from_scene(&ds.reference_scene, 1.0);
     let mut mask = vec![true; map.capacity()];
-    let mut timings = StageNanos::default();
+    let mut timings = StageTimings::default();
     let _ = track_frame(
         &map,
         ds.poses_c2w[1].inverse(),
@@ -47,7 +47,7 @@ pub fn telemetry(scale: Scale) -> String {
         &mut FrameArena::new(),
         &Serial,
     );
-    let mut from_spans = StageNanos::default();
+    let mut from_spans = StageTimings::default();
     for (_tid, events) in telemetry::collect_spans() {
         if !events.iter().any(|e| e.name == SENTINEL) {
             continue; // another thread's ring
@@ -80,7 +80,7 @@ pub fn telemetry(scale: Scale) -> String {
 
     // Part 3 — Chrome trace export, validated structurally.
     let trace = telemetry::chrome_trace_json();
-    let trace_valid = trace.contains("\"traceEvents\"") && json_is_balanced(&trace);
+    let trace_valid = trace.contains("\"traceEvents\"") && telemetry::json_balanced(&trace);
     let trace_events = trace.matches("\"ph\"").count();
 
     // Part 4 — what the registry collected, as percentile rows.
@@ -154,38 +154,6 @@ pub fn telemetry(scale: Scale) -> String {
     out
 }
 
-/// Structural JSON check: braces/brackets balance outside of strings and
-/// the document is one value. Enough to catch a malformed export without a
-/// full parser.
-fn json_is_balanced(text: &str) -> bool {
-    let mut depth = 0i64;
-    let mut in_string = false;
-    let mut escaped = false;
-    for b in text.bytes() {
-        if in_string {
-            match b {
-                _ if escaped => escaped = false,
-                b'\\' => escaped = true,
-                b'"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    depth == 0 && !in_string
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,12 +168,5 @@ mod tests {
         assert!(out.contains("chrome trace JSON: valid"), "{out}");
         assert!(out.contains("slam.frame_ns"), "{out}");
         assert!(out.contains("p999"), "{out}");
-    }
-
-    #[test]
-    fn json_balance_checker() {
-        assert!(json_is_balanced(r#"{"a": [1, 2, {"b": "}"}]}"#));
-        assert!(!json_is_balanced(r#"{"a": [1, 2}"#));
-        assert!(!json_is_balanced(r#"{"a": "unterminated}"#));
     }
 }

@@ -21,8 +21,10 @@
 //! does. The flight-recorder surfaces are held to the same bar: the
 //! black-box journal is enabled and pre-warmed, and every measured
 //! iteration mints a [`rtgs_telemetry::TraceCtx`], records a journal event
-//! and emits a flow span, as the traced ingest/track path does.
-//! Observability must not cost the allocation contract.
+//! and emits a flow span, as the traced ingest/track path does. So is the
+//! load shedder's [`rtgs_telemetry::RecentWindow`]: every measured
+//! iteration records into it and queries its p99, as `OpenLoopSession`
+//! does per frame. Observability must not cost the allocation contract.
 
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::reference::backward_rewalk;
@@ -162,9 +164,13 @@ fn steady_state_at(
         .clone();
     let mut arena = FrameArena::new();
     let warm_start = alloc_counter::thread_allocations();
+    // The shedder's window: built (its two buffers allocated) in warm-up.
+    let mut recent = rtgs_telemetry::RecentWindow::new(4);
     for w2c in [pose_a, pose_b, pose_a, pose_b] {
         let loss = iteration(&mut arena, map, mask, w2c, camera, &gt, cfg);
         assert!(loss.is_finite());
+        recent.record(1);
+        recent.p99();
     }
     let warm_allocs = alloc_counter::thread_allocations() - warm_start;
     assert!(
@@ -194,6 +200,9 @@ fn steady_state_at(
         let loss = iteration(&mut arena, map, mask, w2c, camera, &gt, cfg);
         let iter_ns = t0.elapsed().as_nanos() as u64;
         iter_hist.record(iter_ns);
+        // The open-loop session's per-frame shed check, on a wrapped window.
+        recent.record(iter_ns.max(2));
+        assert!(recent.p99() >= 1);
         // The traced hot path's per-frame flight-recorder cost: one journal
         // event and one flow span, stamped with the frame's trace context.
         rtgs_telemetry::journal_record(
@@ -218,9 +227,13 @@ fn steady_state_at(
     assert_eq!(
         steady_allocs, 0,
         "steady-state iterations at {}×{} must not allocate (counted {steady_allocs} \
-         allocations over 6 iterations after warm-up, telemetry + journal + trace recording \
-         enabled)",
+         allocations over 6 iterations after warm-up, telemetry + journal + trace + \
+         recent-window recording enabled)",
         camera.width, camera.height
+    );
+    assert!(
+        recent.quantile(0.0) >= 2,
+        "the measured samples slid the warm-up ones out of the window"
     );
 }
 

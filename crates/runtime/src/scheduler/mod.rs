@@ -44,7 +44,7 @@ use crate::backend::SharedSlice;
 use crate::ingest::{AdmissionError, IngestHub};
 use crate::pool::ThreadPool;
 use outcome::{Entry, SchedulerMetrics};
-use rtgs_telemetry::{journal_record, EventKind, SnapshotWriter, SpanGuard};
+use rtgs_telemetry::{journal_record, EventKind, SpanGuard};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,7 +88,6 @@ pub struct SessionScheduler<S: Session> {
     policy: Option<EvictionPolicy>,
     ingest: Option<IngestHub>,
     metrics: SchedulerMetrics,
-    snapshot_writer: Option<SnapshotWriter>,
 }
 
 impl<S: Session> SessionScheduler<S> {
@@ -107,7 +106,6 @@ impl<S: Session> SessionScheduler<S> {
             policy: None,
             ingest: None,
             metrics: SchedulerMetrics::from_global(),
-            snapshot_writer: None,
         }
     }
 
@@ -122,13 +120,6 @@ impl<S: Session> SessionScheduler<S> {
     /// session cap.
     pub(crate) fn set_ingest(&mut self, hub: &IngestHub) {
         self.ingest = Some(hub.clone());
-    }
-
-    /// Attaches a periodic telemetry-snapshot writer: the global registry is
-    /// exported to the writer's path between rounds (rate-limited by the
-    /// writer's interval) and once more on shutdown.
-    pub(crate) fn set_snapshot_writer(&mut self, writer: SnapshotWriter) {
-        self.snapshot_writer = Some(writer);
     }
 
     /// Registers a session; returns its index (stable in the output).
@@ -267,13 +258,6 @@ impl<S: Session> SessionScheduler<S> {
             // Budgets may be exceeded on the very first round (every
             // session starts resident) or after sessions finished.
             self.enforce_budget(0, 0);
-
-            if self.snapshot_writer.is_some() {
-                self.export_pool_stats();
-                if let Some(writer) = &mut self.snapshot_writer {
-                    writer.maybe_write(rtgs_telemetry::global()).ok();
-                }
-            }
 
             // Park the whole scheduler when every live session was idle:
             // block on the ingest signal (woken by the next delivery or

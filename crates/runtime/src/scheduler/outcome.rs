@@ -1,7 +1,7 @@
 //! What a serving run leaves behind: the record the scheduler keeps per
 //! session, the statistics and reports it becomes, the fleet-wide metric
 //! handles, and the shutdown sequence that turns one into the other —
-//! replication drain, telemetry dump, health roll-up.
+//! replication drain, pool-stats export, health roll-up.
 
 use super::{ReplicationStats, Session, SessionScheduler};
 use crate::ingest::IngestStats;
@@ -182,7 +182,8 @@ impl SchedulerMetrics {
 
 impl<S: Session> SessionScheduler<S> {
     /// Mirrors the pool's scheduling counters into the global registry so
-    /// exports carry worker utilization alongside session latency.
+    /// registry snapshots and bundles carry worker utilization alongside
+    /// session latency.
     pub(super) fn export_pool_stats(&self) {
         let stats = self.pool.stats();
         self.metrics.pool_jobs.set(stats.jobs as i64);
@@ -191,8 +192,8 @@ impl<S: Session> SessionScheduler<S> {
     }
 
     /// The shutdown sequence, after the last round: every session resident
-    /// again, replication drained, telemetry dumped, one outcome per session
-    /// in insertion order.
+    /// again, replication drained, pool stats exported, one outcome per
+    /// session in insertion order.
     pub(super) fn collect(mut self) -> Vec<SessionOutcome<S::Report>> {
         // A hibernated session must be brought back before it can report
         // (graceful shutdown can leave sessions parked).
@@ -216,12 +217,8 @@ impl<S: Session> SessionScheduler<S> {
             }
         }
 
-        // Shutdown dump: one final registry export with fresh pool stats —
-        // after the replication drain, so follower-lag gauges are settled.
+        // Fresh pool stats in the registry, after the replication drain.
         self.export_pool_stats();
-        if let Some(writer) = &mut self.snapshot_writer {
-            writer.write_now(rtgs_telemetry::global()).ok();
-        }
 
         let budget_bytes = self.budget_bytes();
         self.sessions

@@ -22,14 +22,12 @@
 //! assert!(outcomes.iter().all(|o| o.report == 2));
 //! ```
 //!
-//! Eviction, open-loop ingestion, and telemetry snapshots are opt-in rungs
-//! on the same chain: `.eviction(policy)`, `.ingest(&hub)`,
-//! `.snapshot_writer(writer)`.
+//! Eviction and open-loop ingestion are opt-in rungs on the same chain:
+//! `.eviction(policy)`, `.ingest(&hub)`.
 
 use crate::ingest::IngestHub;
 use crate::pool::ThreadPool;
 use crate::scheduler::{EvictionPolicy, Session, SessionOutcome, SessionScheduler};
-use rtgs_telemetry::SnapshotWriter;
 use std::sync::Arc;
 
 /// Namespace for the serving entry point; see [`Serve::builder`].
@@ -43,8 +41,8 @@ impl Serve {
     }
 }
 
-/// Builder for a serving run: threads/pool, eviction, ingestion, telemetry
-/// snapshots — finished with [`build`](ServeBuilder::build) (a configured
+/// Builder for a serving run: threads/pool, eviction, ingestion — finished
+/// with [`build`](ServeBuilder::build) (a configured
 /// [`SessionScheduler`]) or [`run`](ServeBuilder::run) (add sessions and
 /// serve to completion).
 ///
@@ -58,7 +56,6 @@ pub struct ServeBuilder {
     pool: Option<Arc<ThreadPool>>,
     eviction: Option<EvictionPolicy>,
     ingest: Option<IngestHub>,
-    snapshot_writer: Option<SnapshotWriter>,
 }
 
 impl ServeBuilder {
@@ -98,13 +95,6 @@ impl ServeBuilder {
         self
     }
 
-    /// Attaches a periodic telemetry-snapshot writer (exported between
-    /// rounds and once on shutdown).
-    pub fn snapshot_writer(mut self, writer: SnapshotWriter) -> Self {
-        self.snapshot_writer = Some(writer);
-        self
-    }
-
     /// Finishes the chain into a configured [`SessionScheduler`] with no
     /// sessions yet — the escape hatch when the caller needs
     /// [`try_admit`](SessionScheduler::try_admit), a
@@ -120,9 +110,6 @@ impl ServeBuilder {
         }
         if let Some(hub) = &self.ingest {
             scheduler.set_ingest(hub);
-        }
-        if let Some(writer) = self.snapshot_writer {
-            scheduler.set_snapshot_writer(writer);
         }
         scheduler
     }

@@ -27,7 +27,6 @@ mod keyframe;
 mod map;
 mod optimizer;
 mod pipeline;
-mod profile;
 mod serve;
 mod snapshot;
 mod tracking;
@@ -40,8 +39,7 @@ pub use pipeline::{
     BaseAlgorithm, FrameDirectives, FrameReport, NoExtension, PipelineExtension, SlamConfig,
     SlamPipeline, SlamReport,
 };
-pub use profile::StageTimings;
-pub use rtgs_telemetry::{StageId, StageNanos};
+pub use rtgs_telemetry::{StageId, StageTimings};
 pub use snapshot::config_fingerprint;
 pub use tracking::{
     track_frame, IterationArtifacts, NoObserver, TrackResult, TrackingConfig, TrackingObserver,

@@ -5,7 +5,6 @@
 use crate::keyframe::{KeyframeContext, KeyframePolicy};
 use crate::map::{densify, prune_transparent, seed_from_frame, MapConfig};
 use crate::optimizer::{MapLearningRates, MapOptimizer};
-use crate::profile::StageTimings;
 use crate::tracking::{
     timed_iteration, track_frame, IterationArtifacts, TrackingConfig, TrackingObserver,
 };
@@ -16,7 +15,7 @@ use rtgs_runtime::{Backend, BackendChoice};
 use rtgs_scene::{RgbdFrame, SyntheticDataset};
 use rtgs_telemetry::flight::hops;
 use rtgs_telemetry::{
-    emit_flow_span, ns_since_epoch, Counter, Gauge, Histogram, StageNanos, TraceCtx,
+    emit_flow_span, ns_since_epoch, Counter, Gauge, Histogram, StageTimings, TraceCtx,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -405,8 +404,8 @@ pub struct SlamPipeline<'d> {
     pub(crate) keyframes: Vec<usize>,
     pub(crate) last_keyframe_image: Option<Image>,
     pub(crate) frame_reports: Vec<FrameReport>,
-    pub(crate) tracking_timings: StageNanos,
-    pub(crate) mapping_timings: StageNanos,
+    pub(crate) tracking_timings: StageTimings,
+    pub(crate) mapping_timings: StageTimings,
     pub(crate) metrics: PipelineMetrics,
     pub(crate) tracking_wall: Duration,
     pub(crate) mapping_wall: Duration,
@@ -457,8 +456,8 @@ impl<'d> SlamPipeline<'d> {
             keyframes: Vec::new(),
             last_keyframe_image: None,
             frame_reports: Vec::new(),
-            tracking_timings: StageNanos::default(),
-            mapping_timings: StageNanos::default(),
+            tracking_timings: StageTimings::default(),
+            mapping_timings: StageTimings::default(),
             metrics: PipelineMetrics::default(),
             tracking_wall: Duration::ZERO,
             mapping_wall: Duration::ZERO,
@@ -899,8 +898,6 @@ impl<'d> SlamPipeline<'d> {
             }
         }
 
-        // The report exposes `Duration`-typed views over the hot-path
-        // nanosecond accumulators (exact conversion).
         let mut stage = self.tracking_timings;
         stage.accumulate(&self.mapping_timings);
         let total_wall = self
@@ -922,9 +919,9 @@ impl<'d> SlamPipeline<'d> {
             tracking_wall: self.tracking_wall,
             mapping_wall: self.mapping_wall,
             total_wall,
-            stage_timings: StageTimings::from(&stage),
-            tracking_timings: StageTimings::from(&self.tracking_timings),
-            mapping_timings: StageTimings::from(&self.mapping_timings),
+            stage_timings: stage,
+            tracking_timings: self.tracking_timings,
+            mapping_timings: self.mapping_timings,
             keyframes: self.keyframes.len(),
             frames: self.frame_reports.clone(),
         }

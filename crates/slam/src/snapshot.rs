@@ -39,7 +39,7 @@ use rtgs_snapshot::format::{put_f32, put_len, put_u64, put_u8, Cursor};
 use rtgs_snapshot::{
     CaptureStats, Channel, CheckpointLog, SectionBuilder, Sections, SnapshotError,
 };
-use rtgs_telemetry::StageNanos;
+use rtgs_telemetry::StageTimings;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -150,20 +150,20 @@ fn read_duration(c: &mut Cursor<'_>) -> Result<Duration, SnapshotError> {
 
 // Stage accumulators travel as six u64 nanosecond counts — the exact byte
 // layout the format has always used (each stage was a `Duration` encoded
-// via `put_duration`), so moving the pipeline to `StageNanos` changes no
-// snapshot bytes.
-fn put_timings(out: &mut Vec<u8>, t: &StageNanos) {
+// via `put_duration`), so the nanosecond `StageTimings` changes no snapshot
+// bytes.
+fn put_timings(out: &mut Vec<u8>, t: &StageTimings) {
     for ns in t.nanos {
         put_u64(out, ns);
     }
 }
 
-fn read_timings(c: &mut Cursor<'_>) -> Result<StageNanos, SnapshotError> {
+fn read_timings(c: &mut Cursor<'_>) -> Result<StageTimings, SnapshotError> {
     let mut nanos = [0u64; rtgs_telemetry::STAGE_COUNT];
     for ns in &mut nanos {
         *ns = c.u64()?;
     }
-    Ok(StageNanos { nanos })
+    Ok(StageTimings { nanos })
 }
 
 fn put_pose(out: &mut Vec<u8>, pose: &Se3) {
@@ -199,8 +199,8 @@ struct SessionMeta {
     optimizer_step: u64,
     tracking_wall: Duration,
     mapping_wall: Duration,
-    tracking_timings: StageNanos,
-    mapping_timings: StageNanos,
+    tracking_timings: StageTimings,
+    mapping_timings: StageTimings,
     trajectory: Vec<Se3>,
     keyframes: Vec<usize>,
     last_keyframe_image: Option<Image>,

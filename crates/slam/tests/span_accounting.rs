@@ -1,4 +1,4 @@
-//! The span-derived latency breakdown must agree with the `StageNanos`
+//! The span-derived latency breakdown must agree with the `StageTimings`
 //! accumulator *exactly*: every stage span is emitted with the same
 //! measured nanoseconds the accumulator adds, so the Fig. 3 numbers are
 //! identical whichever side computes them.
@@ -8,7 +8,7 @@
 use rtgs_render::{FrameArena, ShardedScene};
 use rtgs_runtime::Serial;
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
-use rtgs_slam::{track_frame, NoObserver, StageId, StageNanos, TrackingConfig};
+use rtgs_slam::{track_frame, NoObserver, StageId, StageTimings, TrackingConfig};
 use rtgs_telemetry as telemetry;
 
 #[test]
@@ -19,7 +19,7 @@ fn span_accounting_matches_stage_accumulator() {
     let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), 2);
     let map = ShardedScene::from_scene(&ds.reference_scene, 1.0);
     let mut mask = vec![true; map.capacity()];
-    let mut timings = StageNanos::default();
+    let mut timings = StageTimings::default();
     let _ = track_frame(
         &map,
         ds.poses_c2w[1].inverse(),
@@ -37,10 +37,13 @@ fn span_accounting_matches_stage_accumulator() {
     );
     telemetry::set_tracing_enabled(false);
 
-    assert!(timings.total() > 0, "tracking must account stage time");
+    assert!(
+        !timings.total().is_zero(),
+        "tracking must account stage time"
+    );
     assert_eq!(telemetry::dropped_spans(), 0, "ring overflowed");
 
-    let mut from_spans = StageNanos::default();
+    let mut from_spans = StageTimings::default();
     for (_tid, events) in telemetry::collect_spans() {
         for ev in events {
             if let Some(stage) = StageId::from_span_name(ev.name) {

@@ -27,7 +27,7 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 ///
 /// Assumes a single writer per path (concurrent writers would race on the
 /// same `.tmp` sibling), which is how the serving stack uses it: one
-/// scheduler owns each spill file and telemetry snapshot.
+/// scheduler owns each spill file.
 ///
 /// # Errors
 ///

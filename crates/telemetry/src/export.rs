@@ -1,12 +1,11 @@
-//! Exporters: registry snapshots as plain text or JSON, span rings as Chrome
-//! `trace_event` JSON, and a periodic snapshot writer for serving runs.
+//! Exporters, one per format: registry snapshots as the JSON a post-mortem
+//! bundle embeds, span rings as Chrome `trace_event` JSON.
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
-use crate::registry::{MetricValue, Registry, RegistrySnapshot};
+use crate::registry::{MetricValue, RegistrySnapshot};
 use crate::spans::collect_spans;
 
 pub(crate) fn escape_json(s: &str, out: &mut String) {
@@ -25,55 +24,19 @@ pub(crate) fn escape_json(s: &str, out: &mut String) {
     }
 }
 
-/// Renders a registry snapshot as aligned plain text, one metric per line.
-pub fn render_text(snapshot: &RegistrySnapshot) -> String {
-    let width = snapshot
-        .entries
-        .keys()
-        .map(String::len)
-        .max()
-        .unwrap_or(0)
-        .max(6);
-    let mut out = String::new();
-    for (name, value) in &snapshot.entries {
-        match value {
-            MetricValue::Counter(v) => {
-                let _ = writeln!(out, "counter    {name:<width$}  {v}");
-            }
-            MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "gauge      {name:<width$}  {v}");
-            }
-            MetricValue::Histogram(h) => {
-                let _ = writeln!(
-                    out,
-                    "histogram  {name:<width$}  count={} mean={:.0} min={} p50={} p99={} p999={} max={}",
-                    h.count(),
-                    h.mean(),
-                    h.min(),
-                    h.p50(),
-                    h.p99(),
-                    h.p999(),
-                    h.max(),
-                );
-            }
-        }
-    }
-    out
-}
-
-/// Renders a registry snapshot as a JSON object keyed by metric name.
-/// Histograms are summarized (count/sum/min/max/mean/p50/p99/p999) rather
-/// than dumped bucket-by-bucket.
-pub fn render_json(snapshot: &RegistrySnapshot) -> String {
-    let mut out = String::from("{\n  \"metrics\": {");
-    let mut first = true;
-    for (name, value) in &snapshot.entries {
-        if !first {
+/// Writes a registry snapshot into `out` as the JSON object a post-mortem
+/// bundle embeds under `"registry"` (indented for that nesting), keyed by
+/// metric name. Histograms are summarized
+/// (count/sum/min/max/mean/p50/p99/p999) rather than dumped
+/// bucket-by-bucket.
+pub(crate) fn write_registry_json(snapshot: &RegistrySnapshot, out: &mut String) {
+    out.push_str("{\n    \"metrics\": {");
+    for (i, (name, value)) in snapshot.entries.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        out.push_str("\n    \"");
-        escape_json(name, &mut out);
+        out.push_str("\n      \"");
+        escape_json(name, out);
         out.push_str("\": ");
         match value {
             MetricValue::Counter(v) => {
@@ -98,8 +61,7 @@ pub fn render_json(snapshot: &RegistrySnapshot) -> String {
             }
         }
     }
-    out.push_str("\n  }\n}\n");
-    out
+    out.push_str("\n    }\n  }");
 }
 
 /// Serializes every thread's recorded spans as Chrome `trace_event` JSON
@@ -192,7 +154,7 @@ pub fn wrap_trace_events(parts: &[String]) -> String {
 }
 
 /// Crash-safe write: stage in a `.tmp` sibling, fsync, rename into place,
-/// so a crash mid-dump never leaves a torn snapshot behind the valid one.
+/// so a crash mid-dump never leaves a torn bundle visible.
 /// (Duplicated from `rtgs-snapshot` deliberately — telemetry stays
 /// dependency-free.)
 pub(crate) fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
@@ -212,63 +174,10 @@ pub(crate) fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     result
 }
 
-/// Periodically writes registry snapshots to a file during a run, plus a
-/// final one-shot dump on shutdown (`write_now`). The format follows the
-/// file extension: `.json` gets [`render_json`], anything else plain text.
-/// Every dump is staged to a temp file and renamed into place, so readers
-/// never observe a half-written snapshot even if the process dies mid-write.
-pub struct SnapshotWriter {
-    path: PathBuf,
-    every: Duration,
-    last: Option<Instant>,
-}
-
-impl SnapshotWriter {
-    /// Creates a writer targeting `path`, rewriting at most every `every`.
-    pub fn new(path: impl Into<PathBuf>, every: Duration) -> Self {
-        SnapshotWriter {
-            path: path.into(),
-            every,
-            last: None,
-        }
-    }
-
-    /// Destination path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    fn render(&self, registry: &Registry) -> String {
-        let snapshot = registry.snapshot();
-        if self.path.extension().is_some_and(|e| e == "json") {
-            render_json(&snapshot)
-        } else {
-            render_text(&snapshot)
-        }
-    }
-
-    /// Writes a snapshot if at least `every` has elapsed since the last
-    /// write (the first call always writes). Returns whether it wrote.
-    pub fn maybe_write(&mut self, registry: &Registry) -> io::Result<bool> {
-        let due = self.last.map_or(true, |last| last.elapsed() >= self.every);
-        if due {
-            write_atomic(&self.path, &self.render(registry))?;
-            self.last = Some(Instant::now());
-        }
-        Ok(due)
-    }
-
-    /// Unconditionally writes a snapshot (the shutdown dump).
-    pub fn write_now(&mut self, registry: &Registry) -> io::Result<()> {
-        write_atomic(&self.path, &self.render(registry))?;
-        self.last = Some(Instant::now());
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Registry;
 
     fn sample_registry() -> Registry {
         let r = Registry::new();
@@ -282,24 +191,13 @@ mod tests {
     }
 
     #[test]
-    fn text_render_lists_every_metric() {
-        let text = render_text(&sample_registry().snapshot());
-        assert!(text.contains("counter"));
-        assert!(text.contains("serve.steps"));
-        assert!(text.contains("42"));
-        assert!(text.contains("gauge"));
-        assert!(text.contains("histogram"));
-        assert!(text.contains("p999="));
-        assert_eq!(text.lines().count(), 3);
-    }
-
-    #[test]
     fn json_render_is_parseable_shape() {
-        let json = render_json(&sample_registry().snapshot());
+        let mut json = String::new();
+        write_registry_json(&sample_registry().snapshot(), &mut json);
         assert!(json.contains("\"serve.steps\": {\"type\": \"counter\", \"value\": 42}"));
         assert!(json.contains("\"type\": \"histogram\""));
         assert!(json.contains("\"p999\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(crate::json_balanced(&json), "{json}");
     }
 
     #[test]
@@ -316,34 +214,5 @@ mod tests {
         assert!(json.trim_end().ends_with("]}"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn snapshot_writer_honors_interval_and_extension() {
-        let registry = sample_registry();
-        let dir = std::env::temp_dir().join("rtgs-telemetry-export-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("metrics.json");
-
-        let mut writer = SnapshotWriter::new(&path, Duration::from_secs(3600));
-        assert!(writer.maybe_write(&registry).unwrap(), "first write is due");
-        assert!(
-            !writer.maybe_write(&registry).unwrap(),
-            "second write within the interval is skipped"
-        );
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(contents.contains("\"type\": \"histogram\""), "json format");
-
-        let text_path = dir.join("metrics.txt");
-        let mut text_writer = SnapshotWriter::new(&text_path, Duration::ZERO);
-        text_writer.write_now(&registry).unwrap();
-        let contents = std::fs::read_to_string(&text_path).unwrap();
-        assert!(contents.contains("histogram"), "text format");
-
-        // Writes commit via rename: no temp sibling survives a dump.
-        assert!(!dir.join("metrics.json.tmp").exists());
-        assert!(!dir.join("metrics.txt.tmp").exists());
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,25 +17,25 @@
 //!   epoch bumps, promote), each stamped with trace id, session and
 //!   sequence. Overwrite-on-wrap like the span rings; recording is a mutex
 //!   fast-path lock plus an array write.
-//! - **[`FlightRecorder`]** — declarative triggers (p99 over SLO for N
-//!   consecutive windows, drop-rate spike, resync, failover, panic hook)
-//!   that atomically dump a post-mortem bundle — registry snapshot,
-//!   journal tail, recent spans, config fingerprint and caller-provided
-//!   context — via temp-file + fsync + rename, rate-limited per trigger by
-//!   a hard bundle-count cap so a trigger storm cannot fill a disk.
+//! - **[`FlightRecorder`]** — declarative triggers (drop-rate spike,
+//!   failover) that atomically dump a post-mortem bundle — registry
+//!   snapshot, journal tail, recent spans, config fingerprint and
+//!   caller-provided context — via temp-file + fsync + rename,
+//!   rate-limited per trigger by a hard bundle-count cap so a trigger
+//!   storm cannot fill a disk.
 //!
 //! [`HealthReport`] is the per-session roll-up the serving layer surfaces:
 //! ingest backlog, shed state, replication lag and resident bytes vs.
 //! budget, folded into a three-level verdict.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::export::{
-    chrome_trace_events, escape_json, render_json, wrap_trace_events, write_atomic,
+    chrome_trace_events, escape_json, wrap_trace_events, write_atomic, write_registry_json,
 };
 use crate::registry::global;
 use crate::ring::Ring;
@@ -101,16 +101,6 @@ impl TraceCtx {
     pub fn is_traced(&self) -> bool {
         self.trace_id != 0
     }
-
-    /// The same trace at hop `hop` (stages hand the frame on by number so
-    /// out-of-order arrival on the wire cannot scramble the sequence).
-    #[inline]
-    pub fn at_hop(&self, hop: u32) -> TraceCtx {
-        TraceCtx {
-            trace_id: self.trace_id,
-            hop,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -119,7 +109,7 @@ impl TraceCtx {
 
 /// Journal capacity (events). Events are rare relative to frames —
 /// 4k covers hours of steady serving and several seconds of pathology.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
+const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 /// What happened. The taxonomy is closed on purpose: a bounded set of
 /// load-bearing control decisions, not a free-form log (see
@@ -218,12 +208,6 @@ pub fn set_journal_enabled(enabled: bool) {
     JOURNAL_ENABLED.store(enabled, Ordering::Relaxed);
 }
 
-/// Whether journal recording is currently enabled.
-#[inline]
-pub fn journal_enabled() -> bool {
-    JOURNAL_ENABLED.load(Ordering::Relaxed)
-}
-
 /// Performs the journal's one-time allocation now, so subsequent
 /// [`journal_record`] calls are allocation-free (the zero-alloc gate runs
 /// with the journal enabled).
@@ -236,7 +220,7 @@ pub fn warm_journal() {
 /// write. No-op while the journal is disabled.
 #[inline]
 pub fn journal_record(kind: EventKind, session: u32, trace_id: u64, seq: u64, value: u64) {
-    if !journal_enabled() {
+    if !JOURNAL_ENABLED.load(Ordering::Relaxed) {
         return;
     }
     let ts_ns = ns_since_epoch(Instant::now());
@@ -251,7 +235,7 @@ pub fn journal_record(kind: EventKind, session: u32, trace_id: u64, seq: u64, va
 }
 
 /// The newest `n` events, oldest first. Copies; the ring is left intact.
-pub fn journal_tail(n: usize) -> Vec<JournalEvent> {
+fn journal_tail(n: usize) -> Vec<JournalEvent> {
     let all = journal_lock().ordered();
     let skip = all.len().saturating_sub(n);
     all[skip..].to_vec()
@@ -260,11 +244,6 @@ pub fn journal_tail(n: usize) -> Vec<JournalEvent> {
 /// Every live event, oldest first.
 pub fn journal_events() -> Vec<JournalEvent> {
     journal_lock().ordered()
-}
-
-/// Events overwritten since the last [`clear_journal`].
-pub fn journal_dropped() -> u64 {
-    journal_lock().dropped()
 }
 
 /// Empties the journal (capacity is kept).
@@ -301,41 +280,29 @@ fn journal_events_json(events: &[JournalEvent], out: &mut String) {
 /// What fires a bundle dump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TriggerKind {
-    /// Step/frame p99 above the SLO for N consecutive observation windows.
-    P99OverSlo,
     /// Frame drop rate above a threshold fraction.
     DropRateSpike,
-    /// A replication resync (epoch bump) happened.
-    Resync,
     /// A standby was promoted (failover).
     Failover,
-    /// The process panicked (see [`install_panic_hook`]).
-    Panic,
 }
 
 impl TriggerKind {
-    /// Stable lower-snake name used in bundle file names and docs.
-    pub fn name(&self) -> &'static str {
+    /// Stable lower-snake name used in bundle file names.
+    fn name(&self) -> &'static str {
         match self {
-            TriggerKind::P99OverSlo => "p99_over_slo",
             TriggerKind::DropRateSpike => "drop_rate_spike",
-            TriggerKind::Resync => "resync",
             TriggerKind::Failover => "failover",
-            TriggerKind::Panic => "panic",
         }
     }
 }
 
-/// One declarative trigger: what fires, how much evidence it needs, and
-/// the hard cap on bundles it may ever write (the rate limit — a trigger
-/// storm produces at most `max_bundles` dumps, the rest are counted as
-/// suppressed).
+/// One declarative trigger: what fires, its threshold, and the hard cap on
+/// bundles it may ever write (the rate limit — a trigger storm produces at
+/// most `max_bundles` dumps, the rest write nothing).
 #[derive(Debug, Clone, Copy)]
 pub struct TriggerSpec {
     /// What fires.
     pub kind: TriggerKind,
-    /// Consecutive over-SLO windows required ([`TriggerKind::P99OverSlo`]).
-    pub consecutive_windows: u32,
     /// Drop-rate fraction that fires ([`TriggerKind::DropRateSpike`]).
     pub drop_rate_threshold: f64,
     /// Hard cap on bundles this trigger writes.
@@ -343,31 +310,19 @@ pub struct TriggerSpec {
 }
 
 impl TriggerSpec {
-    /// p99-over-SLO after `windows` consecutive bad windows.
-    pub fn p99_over_slo(windows: u32, max_bundles: u32) -> Self {
-        TriggerSpec {
-            kind: TriggerKind::P99OverSlo,
-            consecutive_windows: windows.max(1),
-            drop_rate_threshold: 0.0,
-            max_bundles,
-        }
-    }
-
     /// Drop-rate spike above `threshold` (fraction of offered frames).
     pub fn drop_rate(threshold: f64, max_bundles: u32) -> Self {
         TriggerSpec {
             kind: TriggerKind::DropRateSpike,
-            consecutive_windows: 1,
             drop_rate_threshold: threshold,
             max_bundles,
         }
     }
 
-    /// Edge trigger with no threshold (Resync / Failover / Panic).
+    /// Edge trigger with no threshold ([`TriggerKind::Failover`]).
     pub fn on(kind: TriggerKind, max_bundles: u32) -> Self {
         TriggerSpec {
             kind,
-            consecutive_windows: 1,
             drop_rate_threshold: 0.0,
             max_bundles,
         }
@@ -376,9 +331,7 @@ impl TriggerSpec {
 
 struct TriggerState {
     spec: TriggerSpec,
-    streak: u32,
     written: u32,
-    suppressed: u64,
 }
 
 /// The trigger engine: owns the bundle directory, the configured triggers
@@ -421,12 +374,7 @@ impl FlightRecorder {
     /// Adds a trigger.
     #[must_use]
     pub fn with_trigger(mut self, spec: TriggerSpec) -> Self {
-        self.triggers.push(TriggerState {
-            spec,
-            streak: 0,
-            written: 0,
-            suppressed: 0,
-        });
+        self.triggers.push(TriggerState { spec, written: 0 });
         self
     }
 
@@ -437,11 +385,6 @@ impl FlightRecorder {
         self
     }
 
-    /// Bundle directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Sets (or replaces) one context value embedded in every bundle —
     /// config fingerprints, replication counters, budget bytes.
     pub fn set_context(&mut self, key: &'static str, value: u64) {
@@ -450,26 +393,6 @@ impl FlightRecorder {
         } else {
             self.context.push((key, value));
         }
-    }
-
-    /// Feeds one latency observation window to the p99-over-SLO triggers.
-    /// Returns the bundle path when one fired and wrote.
-    pub fn observe_window(&mut self, session: u32, p99_ns: u64, slo_ns: u64) -> Option<PathBuf> {
-        for i in 0..self.triggers.len() {
-            if self.triggers[i].spec.kind != TriggerKind::P99OverSlo {
-                continue;
-            }
-            if p99_ns > slo_ns {
-                self.triggers[i].streak += 1;
-                if self.triggers[i].streak >= self.triggers[i].spec.consecutive_windows {
-                    self.triggers[i].streak = 0;
-                    return self.fire(i, session, 0);
-                }
-            } else {
-                self.triggers[i].streak = 0;
-            }
-        }
-        None
     }
 
     /// Feeds one drop-rate observation to the drop-rate triggers.
@@ -493,7 +416,7 @@ impl FlightRecorder {
         None
     }
 
-    /// Notifies the edge triggers (Resync / Failover / Panic) that their
+    /// Notifies the edge triggers ([`TriggerKind::Failover`]) that their
     /// event happened.
     pub fn notify(&mut self, kind: TriggerKind, session: u32, trace_id: u64) -> Option<PathBuf> {
         for i in 0..self.triggers.len() {
@@ -504,55 +427,37 @@ impl FlightRecorder {
         None
     }
 
-    /// Bundles written across all triggers.
-    pub fn bundles_written(&self) -> u64 {
-        self.triggers.iter().map(|t| u64::from(t.written)).sum()
-    }
-
-    /// Dumps suppressed by the per-trigger rate limit.
-    pub fn suppressed(&self) -> u64 {
-        self.triggers.iter().map(|t| t.suppressed).sum()
-    }
-
     /// The most recent bundle-write error, if any (a failed write never
     /// leaves a partial bundle — the temp sibling is removed).
     pub fn last_error(&self) -> Option<&io::Error> {
         self.last_error.as_ref()
     }
 
+    /// Writes the trigger's next bundle unless it reached its cap.
     fn fire(&mut self, idx: usize, session: u32, trace_id: u64) -> Option<PathBuf> {
-        let (name, written) = {
-            let state = &mut self.triggers[idx];
-            if state.written >= state.spec.max_bundles {
-                state.suppressed += 1;
-                return None;
-            }
-            (state.spec.kind.name(), state.written)
-        };
-        let path = self.dir.join(format!("bundle-{name}-{written}.json"));
+        let state = &self.triggers[idx];
+        if state.written >= state.spec.max_bundles {
+            return None;
+        }
+        let name = state.spec.kind.name();
+        let path = self
+            .dir
+            .join(format!("bundle-{name}-{}.json", state.written));
         let body = bundle_json(name, session, trace_id, &self.context, self.journal_tail);
-        if let Err(e) = std::fs::create_dir_all(&self.dir) {
+        let written = std::fs::create_dir_all(&self.dir).and_then(|()| write_atomic(&path, &body));
+        if let Err(e) = written {
             self.last_error = Some(e);
             return None;
         }
-        match write_atomic(&path, &body) {
-            Ok(()) => {
-                self.triggers[idx].written += 1;
-                Some(path)
-            }
-            Err(e) => {
-                self.last_error = Some(e);
-                None
-            }
-        }
+        self.triggers[idx].written += 1;
+        Some(path)
     }
 }
 
 /// Renders a post-mortem bundle document from the live global telemetry
 /// state (registry snapshot, journal tail, recent spans) plus the given
-/// identity and context. Public so the panic hook and tests share the
-/// exact writer path.
-pub fn bundle_json(
+/// identity and context.
+fn bundle_json(
     trigger: &str,
     session: u32,
     trace_id: u64,
@@ -577,18 +482,7 @@ pub fn bundle_json(
         let _ = write!(out, "\": {value}");
     }
     out.push_str("},\n  \"registry\": ");
-    // render_json yields a standalone `{"metrics": {..}}` document; embed
-    // it trimmed so the bundle stays one JSON value.
-    let registry = render_json(&global().snapshot());
-    for line in registry.trim_end().lines() {
-        out.push_str(line);
-        out.push('\n');
-        out.push_str("  ");
-    }
-    // Undo the trailing indent from the loop above.
-    while out.ends_with(' ') || out.ends_with('\n') {
-        out.pop();
-    }
+    write_registry_json(&global().snapshot(), &mut out);
     out.push_str(",\n  \"journal\": ");
     journal_events_json(&journal_tail(journal_tail_events), &mut out);
     out.push_str(",\n  \"spans\": ");
@@ -611,13 +505,20 @@ pub fn bundle_is_valid(text: &str) -> bool {
         && text.contains("\"traceEvents\"")
 }
 
-/// Brace/bracket balance outside strings — catches torn or interleaved
-/// output without a full JSON parser.
+/// Whether `text` is exactly one JSON object or array: brackets outside
+/// strings close in kind and order, and only whitespace follows the
+/// top-level value. Structural only — catches torn, truncated or
+/// interleaved output (two documents run together) without a full JSON
+/// parser.
 pub fn json_balanced(text: &str) -> bool {
-    let mut depth = 0i64;
+    let body = text.trim_start();
+    if !body.starts_with(['{', '[']) {
+        return false;
+    }
+    let mut open = Vec::new();
     let mut in_string = false;
     let mut escaped = false;
-    for b in text.bytes() {
+    for (i, b) in body.bytes().enumerate() {
         if in_string {
             match b {
                 _ if escaped => escaped = false,
@@ -629,62 +530,20 @@ pub fn json_balanced(text: &str) -> bool {
         }
         match b {
             b'"' => in_string = true,
-            b'{' | b'[' => depth += 1,
+            b'{' => open.push(b'}'),
+            b'[' => open.push(b']'),
             b'}' | b']' => {
-                depth -= 1;
-                if depth < 0 {
+                if open.pop() != Some(b) {
                     return false;
+                }
+                if open.is_empty() {
+                    return body[i + 1..].trim().is_empty();
                 }
             }
             _ => {}
         }
     }
-    depth == 0 && !in_string
-}
-
-// ---------------------------------------------------------------------------
-// Panic hook
-// ---------------------------------------------------------------------------
-
-static PANIC_ARMED: AtomicBool = AtomicBool::new(false);
-
-fn panic_dir() -> &'static Mutex<PathBuf> {
-    static DIR: OnceLock<Mutex<PathBuf>> = OnceLock::new();
-    DIR.get_or_init(|| Mutex::new(PathBuf::new()))
-}
-
-/// Arms a process-wide panic hook that dumps one `bundle-panic-0.json`
-/// under `dir` on the first panic, then chains to the previous hook. The
-/// dump itself is wrapped in `catch_unwind` so a poisoned lock can never
-/// turn a panic into an abort. Re-calling re-arms with a new directory;
-/// [`disarm_panic_hook`] disarms without uninstalling.
-pub fn install_panic_hook(dir: impl Into<PathBuf>) {
-    *panic_dir().lock().unwrap_or_else(|p| p.into_inner()) = dir.into();
-    PANIC_ARMED.store(true, Ordering::SeqCst);
-    static INSTALLED: AtomicBool = AtomicBool::new(false);
-    if INSTALLED.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if PANIC_ARMED.swap(false, Ordering::SeqCst) {
-            let _ = std::panic::catch_unwind(|| {
-                let dir = panic_dir()
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .clone();
-                let body = bundle_json(TriggerKind::Panic.name(), 0, 0, &[], 256);
-                let _ = std::fs::create_dir_all(&dir);
-                let _ = write_atomic(&dir.join("bundle-panic-0.json"), &body);
-            });
-        }
-        previous(info);
-    }));
-}
-
-/// Disarms the panic hook (the hook stays installed but writes nothing).
-pub fn disarm_panic_hook() {
-    PANIC_ARMED.store(false, Ordering::SeqCst);
+    false
 }
 
 // ---------------------------------------------------------------------------
@@ -817,8 +676,6 @@ mod tests {
         let b = TraceCtx::fresh();
         assert!(a.is_traced() && b.is_traced());
         assert_ne!(a.trace_id, b.trace_id);
-        assert_eq!(a.at_hop(hops::WIRE).hop, hops::WIRE);
-        assert_eq!(a.at_hop(hops::WIRE).trace_id, a.trace_id);
         assert!(!TraceCtx::NONE.is_traced());
     }
 
@@ -842,7 +699,6 @@ mod tests {
         assert_eq!(seqs, [7, 8, 9]);
         clear_journal();
         assert!(journal_events().is_empty());
-        assert_eq!(journal_dropped(), 0);
     }
 
     #[test]
@@ -859,44 +715,19 @@ mod tests {
     }
 
     #[test]
-    fn p99_trigger_needs_consecutive_windows() {
-        let _guard = test_lock();
-        clear_journal();
-        let dir = test_dir("p99");
-        let mut rec = FlightRecorder::new(&dir).with_trigger(TriggerSpec::p99_over_slo(3, 4));
-        rec.set_context("config_fingerprint", 0xfeed);
-        // Two bad windows, one good one: streak resets, nothing fires.
-        assert!(rec.observe_window(0, 10, 5).is_none());
-        assert!(rec.observe_window(0, 10, 5).is_none());
-        assert!(rec.observe_window(0, 3, 5).is_none());
-        assert!(rec.observe_window(0, 10, 5).is_none());
-        assert!(rec.observe_window(0, 10, 5).is_none());
-        let path = rec
-            .observe_window(0, 10, 5)
-            .expect("third consecutive fires");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(bundle_is_valid(&text), "{text}");
-        assert!(text.contains("\"config_fingerprint\": 65261"));
-        assert_eq!(rec.bundles_written(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn trigger_storm_is_rate_limited_to_max_bundles() {
         let _guard = test_lock();
         clear_journal();
         let dir = test_dir("storm");
         let mut rec =
-            FlightRecorder::new(&dir).with_trigger(TriggerSpec::on(TriggerKind::Resync, 2));
+            FlightRecorder::new(&dir).with_trigger(TriggerSpec::on(TriggerKind::Failover, 2));
         let mut written = 0;
         for _ in 0..100 {
-            if rec.notify(TriggerKind::Resync, 0, 1).is_some() {
+            if rec.notify(TriggerKind::Failover, 0, 1).is_some() {
                 written += 1;
             }
         }
         assert_eq!(written, 2, "storm capped at max_bundles");
-        assert_eq!(rec.bundles_written(), 2);
-        assert_eq!(rec.suppressed(), 98);
         let on_disk = std::fs::read_dir(&dir)
             .unwrap()
             .filter(|e| {
@@ -922,7 +753,7 @@ mod tests {
         journal_record(EventKind::Resync, 0, 42, 1, 2);
         set_journal_enabled(false);
         let dir = test_dir("torn");
-        let bundle = dir.join("bundle-resync-0.json");
+        let bundle = dir.join("bundle-failover-0.json");
         // The torn fixture: a crashed writer left garbage at the staging
         // path of the exact bundle about to be written.
         std::fs::write(
@@ -931,8 +762,8 @@ mod tests {
         )
         .unwrap();
         let mut rec =
-            FlightRecorder::new(&dir).with_trigger(TriggerSpec::on(TriggerKind::Resync, 1));
-        let path = rec.notify(TriggerKind::Resync, 0, 42).expect("fires");
+            FlightRecorder::new(&dir).with_trigger(TriggerSpec::on(TriggerKind::Failover, 1));
+        let path = rec.notify(TriggerKind::Failover, 0, 42).expect("fires");
         assert_eq!(path, bundle);
         let text = std::fs::read_to_string(&bundle).unwrap();
         assert!(bundle_is_valid(&text), "visible bundle is complete: {text}");
@@ -944,8 +775,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A failed dump (unwritable directory) leaves nothing visible and
-    /// surfaces through `last_error`.
+    /// A failed dump (unwritable directory) leaves nothing visible,
+    /// surfaces through `last_error` and does not use up the trigger's
+    /// bundle budget.
     #[test]
     fn failed_dump_leaves_no_partial_bundle() {
         let _guard = test_lock();
@@ -955,7 +787,8 @@ mod tests {
             FlightRecorder::new(&dir).with_trigger(TriggerSpec::on(TriggerKind::Failover, 1));
         assert!(rec.notify(TriggerKind::Failover, 0, 0).is_none());
         assert!(rec.last_error().is_some());
-        assert_eq!(rec.bundles_written(), 0);
+        assert_eq!(rec.triggers[0].written, 0);
+        assert!(!dir.join("bundle-failover-0.json").exists());
     }
 
     #[test]
@@ -964,33 +797,16 @@ mod tests {
         clear_journal();
         let dir = test_dir("droprate");
         let mut rec = FlightRecorder::new(&dir).with_trigger(TriggerSpec::drop_rate(0.2, 1));
+        rec.set_context("config_fingerprint", 0xfeed);
         assert!(rec.observe_drop_rate(0, 1, 10).is_none(), "10% is fine");
         assert!(
             rec.observe_drop_rate(0, 0, 0).is_none(),
             "no frames, no rate"
         );
         let path = rec.observe_drop_rate(0, 5, 10).expect("50% fires");
-        assert!(bundle_is_valid(&std::fs::read_to_string(path).unwrap()));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn panic_hook_dumps_one_bundle() {
-        let _guard = test_lock();
-        clear_journal();
-        let dir = test_dir("panic");
-        install_panic_hook(&dir);
-        let result = std::panic::catch_unwind(|| panic!("flight recorder drill"));
-        assert!(result.is_err());
-        let bundle = dir.join("bundle-panic-0.json");
-        let text = std::fs::read_to_string(&bundle).expect("panic bundle written");
+        let text = std::fs::read_to_string(path).unwrap();
         assert!(bundle_is_valid(&text), "{text}");
-        assert!(text.contains("\"trigger\": \"panic\""));
-        // Disarmed after the first dump: a second panic writes nothing new.
-        std::fs::remove_file(&bundle).unwrap();
-        let _ = std::panic::catch_unwind(|| panic!("second drill"));
-        assert!(!bundle.exists(), "hook fires once per arm");
-        disarm_panic_hook();
+        assert!(text.contains("\"config_fingerprint\": 65261"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1024,5 +840,29 @@ mod tests {
         assert!(json_balanced(&text), "{text}");
         assert!(text.contains("\"epoch_bump\""));
         assert!(text.contains("quote\\\"inside"));
+    }
+
+    #[test]
+    fn json_balanced_accepts_exactly_one_value() {
+        assert!(json_balanced(r#"{"a": [1, 2, {"b": "}"}]}"#));
+        assert!(json_balanced("  [1, {\"x\": \"\\\"]\"}]\n"));
+        assert!(json_balanced(&crate::chrome_trace_json()));
+        let _guard = test_lock();
+        assert!(bundle_is_valid(&bundle_json("failover", 0, 0, &[], 4)));
+        for bad in [
+            "",
+            "   ",
+            "{}{}",
+            "{} []",
+            "{]",
+            "[}",
+            "}{",
+            r#"{"a": [1, 2}"#,
+            r#"{"a": "unterminated}"#,
+            r#"{"a": 1"#,
+            "42",
+        ] {
+            assert!(!json_balanced(bad), "{bad:?}");
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! bucket each (exact), and every octave above that is split into
 //! `2^SUB_BITS` sub-buckets, bounding the relative quantization error at
 //! `2^-SUB_BITS` (6.25% for `SUB_BITS = 4`). The full `u64` range fits in
-//! [`BUCKET_COUNT`] buckets, so a histogram is a fixed-size array of atomic
+//! `BUCKET_COUNT` buckets, so a histogram is a fixed-size array of atomic
 //! counters: recording is two relaxed `fetch_add`s and never allocates, which
 //! is what lets the steady-state render path keep its zero-allocation
 //! contract with recording enabled.
@@ -18,12 +18,12 @@ const SUB_BITS: u32 = 4;
 const SUB_COUNT: u64 = 1 << SUB_BITS;
 
 /// Total number of buckets covering the full `u64` range.
-pub const BUCKET_COUNT: usize = ((64 - SUB_BITS) as usize + 1) * SUB_COUNT as usize;
+const BUCKET_COUNT: usize = ((64 - SUB_BITS) as usize + 1) * SUB_COUNT as usize;
 
 /// Maps a value to its bucket index. Exact below `2^SUB_BITS`, log-scale with
 /// `2^SUB_BITS` sub-buckets per octave above.
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+fn bucket_index(value: u64) -> usize {
     if value < SUB_COUNT {
         return value as usize;
     }
@@ -37,7 +37,7 @@ pub fn bucket_index(value: u64) -> usize {
 /// percentile falling in that bucket (a deterministic underestimate of at
 /// most the sub-bucket width).
 #[inline]
-pub fn bucket_lower_bound(index: usize) -> u64 {
+fn bucket_lower_bound(index: usize) -> u64 {
     if index < SUB_COUNT as usize {
         return index as u64;
     }
@@ -114,17 +114,6 @@ impl Histogram {
             },
             max: self.max.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets all buckets and summary counters to the empty state.
-    pub fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -365,15 +354,6 @@ mod tests {
         assert_eq!(s.p999(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s, HistogramSnapshot::empty());
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let h = Histogram::new();
-        h.record(123);
-        h.record(456_789);
-        h.reset();
-        assert_eq!(h.snapshot(), HistogramSnapshot::empty());
     }
 
     #[test]

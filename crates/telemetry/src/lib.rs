@@ -1,8 +1,9 @@
 //! Always-on observability for the RTGS serving stack: a lock-cheap metrics
-//! registry (counters, gauges, log-scale latency histograms with exact
-//! p50/p99/p999 extraction), structured span tracing into pre-sized
-//! per-thread rings with Chrome `trace_event` export, and text/JSON snapshot
-//! exporters.
+//! registry (counters, gauges, log-scale latency histograms whose
+//! p50/p99/p999 are bucket lower bounds, at most 6.25 % below the true
+//! value), structured span tracing into pre-sized per-thread rings with
+//! Chrome `trace_event` export, the per-stage timer behind the paper's
+//! Fig. 3, and a flight recorder for post-mortem bundles.
 //!
 //! Design constraints, in order:
 //!
@@ -25,7 +26,7 @@
 //! let frame_ns = telemetry::global().histogram("doc.frame_ns");
 //! telemetry::set_tracing_enabled(true);
 //! {
-//!     let _span = telemetry::span!("doc.track_frame", 0);
+//!     let _span = telemetry::SpanGuard::new("doc.track_frame", "span", 0);
 //!     frame_ns.record(1_250_000); // 1.25 ms
 //! }
 //! telemetry::set_tracing_enabled(false);
@@ -44,22 +45,17 @@ mod ring;
 mod spans;
 mod stage;
 
-pub use export::{
-    chrome_trace_events, chrome_trace_json, render_json, render_text, wrap_trace_events,
-    SnapshotWriter,
-};
+pub use export::{chrome_trace_events, chrome_trace_json, wrap_trace_events};
 pub use flight::{
-    bundle_is_valid, clear_journal, disarm_panic_hook, install_panic_hook, journal_dropped,
-    journal_enabled, journal_events, journal_record, journal_tail, json_balanced,
+    bundle_is_valid, clear_journal, journal_events, journal_record, json_balanced,
     set_journal_enabled, warm_journal, EventKind, FlightRecorder, HealthReport, HealthVerdict,
-    JournalEvent, TraceCtx, TriggerKind, TriggerSpec, DEFAULT_JOURNAL_CAPACITY,
+    JournalEvent, TraceCtx, TriggerKind, TriggerSpec,
 };
-pub use hist::{bucket_index, bucket_lower_bound, Histogram, HistogramSnapshot, BUCKET_COUNT};
+pub use hist::{Histogram, HistogramSnapshot};
 pub use recent::RecentWindow;
 pub use registry::{global, Counter, Gauge, MetricValue, Registry, RegistrySnapshot};
 pub use spans::{
     clear_spans, collect_spans, dropped_spans, emit_flow_span, emit_span, ns_since_epoch,
-    set_tracing_enabled, tracing_enabled, warm_thread_ring, SpanEvent, SpanGuard,
-    DEFAULT_RING_CAPACITY,
+    set_tracing_enabled, warm_thread_ring, SpanEvent, SpanGuard,
 };
-pub use stage::{StageId, StageNanos, STAGE_COUNT};
+pub use stage::{StageId, StageTimings, STAGE_COUNT};

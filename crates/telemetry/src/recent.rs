@@ -3,20 +3,19 @@
 //!
 //! The registry's [`Histogram`](crate::Histogram) accumulates over a whole
 //! run — exactly wrong for load-shedding, where the question is "what is the
-//! p99 of the last N frames *right now*". [`RecentWindow`] keeps a fixed ring
-//! of the latest N samples and extracts exact quantiles from a scratch sort:
-//! both buffers are allocated once at construction, so recording and querying
-//! stay allocation-free in the steady state. It is single-owner (`&mut`),
-//! which matches its use inside a session's step loop.
+//! p99 of the last N frames *right now*". [`RecentWindow`] keeps the latest
+//! N samples in the crate's overwrite-on-wrap ring and extracts exact
+//! quantiles from a scratch sort: both buffers are allocated once at
+//! construction, so recording and querying stay allocation-free in the
+//! steady state. It is single-owner (`&mut`), which matches its use inside a
+//! session's step loop.
+
+use crate::ring::Ring;
 
 /// Fixed-size ring of the most recent `u64` samples with exact quantiles.
 #[derive(Debug, Clone)]
 pub struct RecentWindow {
-    ring: Vec<u64>,
-    /// Next write position.
-    head: usize,
-    /// Samples currently held (saturates at `ring.len()`).
-    len: usize,
+    samples: Ring<u64>,
     /// Pre-sized sort buffer reused by every quantile query.
     scratch: Vec<u64>,
 }
@@ -25,49 +24,31 @@ impl RecentWindow {
     /// Window over the last `capacity` samples (`capacity` is clamped to at
     /// least 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
-            ring: vec![0; capacity],
-            head: 0,
-            len: 0,
-            scratch: Vec::with_capacity(capacity),
+            samples: Ring::with_capacity(capacity, 0),
+            scratch: Vec::with_capacity(capacity.max(1)),
         }
     }
 
     /// Records one sample, evicting the oldest once the window is full.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.ring[self.head] = value;
-        self.head = (self.head + 1) % self.ring.len();
-        self.len = (self.len + 1).min(self.ring.len());
-    }
-
-    /// Samples currently in the window.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no samples have been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether the window has wrapped at least once.
-    pub fn is_full(&self) -> bool {
-        self.len == self.ring.len()
+        self.samples.push(value);
     }
 
     /// Exact quantile (`q` in `[0, 1]`) over the windowed samples by
     /// nearest-rank; returns 0 on an empty window. Takes `&mut self` for the
     /// reusable scratch sort — no allocation after construction.
     pub fn quantile(&mut self, q: f64) -> u64 {
-        if self.len == 0 {
+        let live = self.samples.live();
+        if live.is_empty() {
             return 0;
         }
         self.scratch.clear();
-        self.scratch.extend_from_slice(&self.ring[..self.len]);
+        self.scratch.extend_from_slice(live);
         self.scratch.sort_unstable();
-        let rank = ((q.clamp(0.0, 1.0) * self.len as f64).ceil() as usize).clamp(1, self.len) - 1;
+        let len = live.len();
+        let rank = ((q.clamp(0.0, 1.0) * len as f64).ceil() as usize).clamp(1, len) - 1;
         self.scratch[rank]
     }
 
@@ -84,7 +65,6 @@ mod tests {
     #[test]
     fn empty_window_reports_zero() {
         let mut w = RecentWindow::new(8);
-        assert!(w.is_empty());
         assert_eq!(w.p99(), 0);
         assert_eq!(w.quantile(0.5), 0);
     }
@@ -95,7 +75,6 @@ mod tests {
         for v in 1..=100 {
             w.record(v);
         }
-        assert!(w.is_full());
         assert_eq!(w.quantile(0.5), 50);
         assert_eq!(w.p99(), 99);
         assert_eq!(w.quantile(1.0), 100);
@@ -114,7 +93,7 @@ mod tests {
             w.record(v);
         }
         assert_eq!(w.p99(), 10);
-        assert_eq!(w.len(), 4);
+        assert_eq!(w.quantile(0.0), 10);
     }
 
     #[test]

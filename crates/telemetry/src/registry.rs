@@ -202,13 +202,6 @@ impl Registry {
             .collect();
         RegistrySnapshot { entries }
     }
-
-    /// Removes every registered metric. Existing `Arc` handles keep working
-    /// but are no longer exported; meant for test isolation on the global
-    /// registry.
-    pub fn clear(&self) {
-        self.metrics.lock().unwrap().clear();
-    }
 }
 
 /// The process-wide default registry.
@@ -262,15 +255,5 @@ mod tests {
         assert_eq!(snap.gauge("a.gauge"), Some(-2));
         assert_eq!(snap.histogram("c.hist").unwrap().count(), 1);
         assert_eq!(snap.counter("missing"), None);
-    }
-
-    #[test]
-    fn clear_empties_the_registry_but_keeps_handles_alive() {
-        let r = Registry::new();
-        let c = r.counter("ephemeral");
-        r.clear();
-        c.incr();
-        assert_eq!(c.get(), 1);
-        assert!(r.snapshot().entries.is_empty());
     }
 }

@@ -1,9 +1,11 @@
-//! The fixed-capacity overwrite-on-wrap ring both recorders write into: the
-//! per-thread span rings and the black-box journal.
+//! The fixed-capacity overwrite-on-wrap ring every recorder writes into:
+//! the per-thread span rings, the black-box journal and the
+//! [`RecentWindow`](crate::RecentWindow) the load shedder reads.
 
 /// A pre-sized ring of `Copy` records. It never grows: pushing is an array
 /// write, and once the ring wraps the oldest records are overwritten and
 /// counted as dropped.
+#[derive(Debug, Clone)]
 pub(crate) struct Ring<T> {
     slots: Vec<T>,
     /// Next write position (wraps at capacity).
@@ -30,16 +32,23 @@ impl<T: Copy> Ring<T> {
         self.total += 1;
     }
 
+    /// Live records in slot order — recording order rotated by the wrap
+    /// point. Borrows; for readers that do not care about order.
+    pub(crate) fn live(&self) -> &[T] {
+        &self.slots[..(self.total as usize).min(self.slots.len())]
+    }
+
     /// Live records in recording order (oldest first).
     pub(crate) fn ordered(&self) -> Vec<T> {
-        let cap = self.slots.len();
-        let len = (self.total as usize).min(cap);
-        let start = if self.total as usize > cap {
+        let live = self.live();
+        let start = if live.len() == self.slots.len() {
             self.next
         } else {
             0
         };
-        (0..len).map(|k| self.slots[(start + k) % cap]).collect()
+        (0..live.len())
+            .map(|k| live[(start + k) % live.len()])
+            .collect()
     }
 
     /// Records overwritten since the last [`clear`](Self::clear).

@@ -1,11 +1,12 @@
 //! Structured span tracing into per-thread ring buffers.
 //!
-//! A span is a named interval (`span!("tracking.render", frame)`) recorded
-//! into the calling thread's pre-sized ring when tracing is enabled. Rings
-//! never grow: once a thread's ring exists, recording a span is a mutex
-//! fast-path lock plus an array write — no allocation, which keeps the
-//! steady-state render path inside the zero-allocation contract. When a ring
-//! wraps, the oldest events are overwritten and counted as dropped.
+//! A span is a named interval (`SpanGuard::new("serve.step", "session",
+//! idx)`) recorded into the calling thread's pre-sized ring when tracing is
+//! enabled. Rings never grow: once a thread's ring exists, recording a span
+//! is a mutex fast-path lock plus an array write — no allocation, which
+//! keeps the steady-state render path inside the zero-allocation contract.
+//! When a ring wraps, the oldest events are overwritten and counted as
+//! dropped.
 //!
 //! All rings share one monotonic clock epoch, so events from different
 //! threads line up on a single timeline when exported as Chrome
@@ -18,7 +19,7 @@ use std::time::Instant;
 
 /// Per-thread ring capacity (events). ~16k events ≈ 2.7k pipeline
 /// iterations at 6 stage spans each.
-pub const DEFAULT_RING_CAPACITY: usize = 16_384;
+const DEFAULT_RING_CAPACITY: usize = 16_384;
 
 /// One completed span: a named interval on the shared trace timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +100,7 @@ pub fn set_tracing_enabled(enabled: bool) {
 
 /// Whether span recording is currently enabled.
 #[inline]
-pub fn tracing_enabled() -> bool {
+pub(crate) fn tracing_enabled() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 
@@ -118,7 +119,7 @@ pub fn warm_thread_ring() {
 
 /// Records a completed span with an explicit timestamp and duration. Used
 /// for intervals measured out-of-band (e.g. backward-pass nanoseconds
-/// reported by a kernel) — `span!`/[`SpanGuard`] cover the common RAII case.
+/// reported by a kernel) — [`SpanGuard`] covers the common RAII case.
 #[inline]
 pub fn emit_span(name: &'static str, cat: &'static str, start_ns: u64, dur_ns: u64, arg: u64) {
     emit_flow_span(name, cat, start_ns, dur_ns, arg, 0, 0);
@@ -188,23 +189,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Opens a scoped span recorded when the returned guard drops:
-/// `let _span = span!("tracking.render");` or
-/// `let _span = span!("tracking.render", frame_index)`. An optional third
-/// argument sets the trace category (default `"span"`).
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::SpanGuard::new($name, "span", 0)
-    };
-    ($name:expr, $arg:expr) => {
-        $crate::SpanGuard::new($name, "span", $arg as u64)
-    };
-    ($name:expr, $arg:expr, $cat:expr) => {
-        $crate::SpanGuard::new($name, $cat, $arg as u64)
-    };
-}
-
 /// Copies every thread's live events, as `(tid, events)` with events oldest
 /// first. Does not clear the rings.
 pub fn collect_spans() -> Vec<(u64, Vec<SpanEvent>)> {
@@ -261,7 +245,7 @@ mod tests {
         clear_spans();
         set_tracing_enabled(true);
         {
-            let _span = span!("test.guard", 42, "test");
+            let _span = SpanGuard::new("test.guard", "test", 42);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         set_tracing_enabled(false);
@@ -278,7 +262,7 @@ mod tests {
         clear_spans();
         set_tracing_enabled(false);
         {
-            let _span = span!("test.disabled");
+            let _span = SpanGuard::new("test.disabled", "test", 0);
         }
         emit_span("test.disabled", "test", 0, 5, 0);
         assert!(events_named("test.disabled").is_empty());

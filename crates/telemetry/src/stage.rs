@@ -1,11 +1,12 @@
-//! Pipeline-stage identifiers and the nanosecond accumulator behind the
-//! paper's Fig. 3 latency breakdown.
+//! Pipeline-stage identifiers and the per-stage timer behind the paper's
+//! Fig. 3 latency breakdown.
 //!
 //! The render/SLAM crates account per-iteration stage time into a
-//! [`StageNanos`] (plain `u64` adds on the hot path) and emit one span per
+//! [`StageTimings`] (plain `u64` adds on the hot path) and emit one span per
 //! stage with the *same* measured interval, so the span-derived breakdown
-//! and the accumulator agree exactly. Higher layers (e.g.
-//! `rtgs_slam::StageTimings`) are `Duration`-typed views over this type.
+//! and the accumulator agree exactly.
+
+use std::time::Duration;
 
 /// The five paper pipeline steps plus "other" (loss, optimizer, bookkeeping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,12 +26,12 @@ pub enum StageId {
     Other = 5,
 }
 
-/// Number of stages tracked by [`StageNanos`].
+/// Number of stages tracked by [`StageTimings`].
 pub const STAGE_COUNT: usize = 6;
 
 impl StageId {
     /// All stages, in accumulator order.
-    pub const ALL: [StageId; STAGE_COUNT] = [
+    const ALL: [StageId; STAGE_COUNT] = [
         StageId::Preprocess,
         StageId::Sorting,
         StageId::Render,
@@ -51,34 +52,22 @@ impl StageId {
         }
     }
 
-    /// Short human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            StageId::Preprocess => "preprocess",
-            StageId::Sorting => "sorting",
-            StageId::Render => "render",
-            StageId::RenderBp => "render_bp",
-            StageId::PreprocessBp => "preprocess_bp",
-            StageId::Other => "other",
-        }
-    }
-
     /// Maps a stage span name back to its stage (export-side parsing).
     pub fn from_span_name(name: &str) -> Option<StageId> {
         StageId::ALL.into_iter().find(|s| s.span_name() == name)
     }
 }
 
-/// Accumulated per-stage wall-clock nanoseconds. The hot-path representation
-/// behind `StageTimings`: adding a sample is one array add, no `Duration`
-/// arithmetic, no allocation.
+/// Accumulated wall-clock nanoseconds per pipeline step (Steps ❶–❺ plus
+/// "other"). Adding a sample is one array add, no `Duration` arithmetic, no
+/// allocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageNanos {
+pub struct StageTimings {
     /// Nanoseconds per stage, indexed by [`StageId`] discriminant.
     pub nanos: [u64; STAGE_COUNT],
 }
 
-impl StageNanos {
+impl StageTimings {
     /// Adds `ns` to `stage`.
     #[inline]
     pub fn add(&mut self, stage: StageId, ns: u64) {
@@ -92,15 +81,27 @@ impl StageNanos {
     }
 
     /// Adds another accumulator's times into this one.
-    pub fn accumulate(&mut self, other: &StageNanos) {
+    pub fn accumulate(&mut self, other: &StageTimings) {
         for (dst, src) in self.nanos.iter_mut().zip(other.nanos.iter()) {
             *dst += src;
         }
     }
 
     /// Sum over all stages.
-    pub fn total(&self) -> u64 {
-        self.nanos.iter().sum()
+    pub fn total(&self) -> Duration {
+        Duration::from_nanos(self.nanos.iter().sum())
+    }
+
+    /// Per-stage shares of the total, in [`StageId`] order
+    /// `[preprocess, sorting, render, render_bp, preprocess_bp, other]`.
+    /// Returns zeros when nothing was recorded.
+    pub fn shares(&self) -> [f64; STAGE_COUNT] {
+        let total = self.total().as_secs_f64();
+        if total <= 0.0 {
+            return [0.0; STAGE_COUNT];
+        }
+        self.nanos
+            .map(|ns| Duration::from_nanos(ns).as_secs_f64() / total)
     }
 }
 
@@ -110,24 +111,59 @@ mod tests {
 
     #[test]
     fn add_and_get_roundtrip() {
-        let mut s = StageNanos::default();
+        let mut s = StageTimings::default();
         s.add(StageId::Render, 100);
         s.add(StageId::Render, 50);
         s.add(StageId::Other, 7);
         assert_eq!(s.get(StageId::Render), 150);
         assert_eq!(s.get(StageId::Other), 7);
-        assert_eq!(s.total(), 157);
+        assert_eq!(s.total(), Duration::from_nanos(157));
+    }
+
+    #[test]
+    fn total_sums_stages() {
+        let t = StageTimings {
+            nanos: [1, 22, 333, 4_444, 55_555, 666_666_666_666],
+        };
+        assert_eq!(t.total(), Duration::from_nanos(666_666_727_021));
+    }
+
+    #[test]
+    fn shares_sum_to_one() {
+        let t = StageTimings {
+            nanos: [0, 0, 30_000_000, 50_000_000, 0, 20_000_000],
+        };
+        let s: f64 = t.shares().iter().sum();
+        assert!((s - 1.0).abs() < 1e-9);
+        assert_eq!(t.shares()[StageId::RenderBp as usize], 0.5);
+    }
+
+    #[test]
+    fn empty_shares_are_zero() {
+        assert_eq!(StageTimings::default().shares(), [0.0; STAGE_COUNT]);
+    }
+
+    #[test]
+    fn accumulate_adds() {
+        let mut a = StageTimings::default();
+        a.add(StageId::Render, 10);
+        let mut b = StageTimings::default();
+        b.add(StageId::Render, 5);
+        b.add(StageId::Sorting, 1);
+        a.accumulate(&b);
+        assert_eq!(a.get(StageId::Render), 15);
+        assert_eq!(a.get(StageId::Sorting), 1);
     }
 
     #[test]
     fn accumulate_is_associative() {
-        let a = StageNanos {
+        let a = StageTimings {
             nanos: [1, 2, 3, 4, 5, 6],
         };
-        let b = StageNanos {
+        let b = StageTimings {
             nanos: [10, 20, 30, 40, 50, 60],
         };
-        let c = StageNanos {
+        let c = StageTimings {
             nanos: [100, 200, 300, 400, 500, 600],
         };
         let mut ab = a;

@@ -7,7 +7,7 @@ use rtgs::render::{FrameArena, ShardedScene};
 use rtgs::runtime::Serial;
 use rtgs::scene::{DatasetProfile, SyntheticDataset};
 use rtgs::slam::{
-    track_frame, IterationArtifacts, NoObserver, StageNanos, TrackingConfig, TrackingObserver,
+    track_frame, IterationArtifacts, NoObserver, StageTimings, TrackingConfig, TrackingObserver,
 };
 
 /// Observation 3: the Gaussian gradient distribution during tracking is
@@ -30,7 +30,7 @@ fn observation3_gradient_skew() {
         scores: vec![0.0; map.capacity()],
     };
     let mut mask = vec![true; map.capacity()];
-    let mut t = StageNanos::default();
+    let mut t = StageTimings::default();
     let _ = track_frame(
         &map,
         ds.poses_c2w[1].inverse(),
@@ -99,7 +99,7 @@ fn observation6_iteration_similarity() {
     let ds = SyntheticDataset::generate(DatasetProfile::tum_analog(), 2);
     let map = ShardedScene::from_scene(&ds.reference_scene, 1.0);
     let mut mask = vec![true; map.capacity()];
-    let mut t = StageNanos::default();
+    let mut t = StageTimings::default();
     let result = track_frame(
         &map,
         ds.poses_c2w[1].inverse(),
