@@ -8,20 +8,6 @@ use rtgs_accel::*;
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
 
-fn workload(report: &rtgs_slam::SlamReport) -> RunWorkload {
-    RunWorkload {
-        frames: report
-            .frames
-            .iter()
-            .map(|f| FrameWorkload {
-                tracking: f.traces.clone(),
-                mapping: f.mapping_traces.clone(),
-                is_keyframe: f.is_keyframe,
-            })
-            .collect(),
-    }
-}
-
 fn real_run() -> RunWorkload {
     let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), 6);
     let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs)
@@ -29,8 +15,7 @@ fn real_run() -> RunWorkload {
         .with_traces();
     cfg.tracking.iterations = 5;
     cfg.mapping_iterations = 6;
-    let report = SlamPipeline::new(cfg, &ds).run();
-    workload(&report)
+    RunWorkload::from(&SlamPipeline::new(cfg, &ds).run())
 }
 
 fn plugin(scheduling: Scheduling, rb: bool, agg: Aggregation) -> HardwareModel {

@@ -11,9 +11,9 @@
 //! - [`LightGaussianPruner`] — LightGaussian \[7\]: global one-shot
 //!   importance from volume × opacity × hit-count, requiring a dedicated
 //!   scoring pass over all training views (extra cost, better quality).
-//! - [`FlashGsPruner`] — FlashGS \[8\]-style precise selection: adds an
-//!   image-saliency weighting on top of hit counts, the most expensive
-//!   evaluation of the three.
+//! - [`FlashGsPruner`] — FlashGS \[8\]-style precise selection: hits
+//!   weighted by gradient magnitude (position + color), so the Gaussians
+//!   that move the image most rank highest.
 //!
 //! All baselines implement [`Pruner`] and plug into the SLAM pipeline
 //! through [`BaselineExtension`]. Like the RTGS pruner, their per-Gaussian
@@ -23,7 +23,7 @@
 //! the pipeline applies by tombstoning — no statistic ever has to survive a
 //! reindexing, because there is none.
 
-use rtgs_render::{GaussianGrad, ShardedScene, WorkloadTrace};
+use rtgs_render::{GaussianGrad, ShardedScene};
 use rtgs_slam::{IterationArtifacts, PipelineExtension};
 
 /// A Gaussian-pruning baseline: observes training, then selects which
@@ -31,18 +31,12 @@ use rtgs_slam::{IterationArtifacts, PipelineExtension};
 pub trait Pruner {
     /// Observes one optimization iteration: `grads[k]` belongs to the
     /// Gaussian with stable ID `ids[k]` (the frame's visible working set).
-    fn observe(&mut self, ids: &[u32], grads: &[GaussianGrad], trace: Option<&WorkloadTrace>);
+    fn observe(&mut self, ids: &[u32], grads: &[GaussianGrad]);
 
     /// Returns the keep-mask (one entry per stable ID, `map.capacity()`
     /// long) that prunes `ratio` of the live Gaussians (0.0–1.0), or
     /// `None` if the method has not gathered enough evidence yet.
     fn select(&mut self, map: &ShardedScene, ratio: f32) -> Option<Vec<bool>>;
-
-    /// Extra *score-evaluation* work performed per observed iteration, in
-    /// fragment-equivalent operations. RTGS's score is free (gradients are
-    /// reused); these baselines pay for their evaluation passes, which is
-    /// what Fig. 13(a) charges them for.
-    fn evaluation_overhead(&self) -> u64;
 
     /// Method name.
     fn name(&self) -> &'static str;
@@ -67,7 +61,6 @@ pub struct TamingPruner {
     seen: usize,
     scores: Vec<f32>,
     prev_scores: Vec<f32>,
-    overhead: u64,
 }
 
 impl TamingPruner {
@@ -83,7 +76,6 @@ impl TamingPruner {
             seen: 0,
             scores: Vec::new(),
             prev_scores: Vec::new(),
-            overhead: 0,
         }
     }
 
@@ -100,7 +92,7 @@ impl Default for TamingPruner {
 }
 
 impl Pruner for TamingPruner {
-    fn observe(&mut self, ids: &[u32], grads: &[GaussianGrad], _trace: Option<&WorkloadTrace>) {
+    fn observe(&mut self, ids: &[u32], grads: &[GaussianGrad]) {
         self.seen += 1;
         ensure_len(&mut self.scores, ids);
         ensure_len(&mut self.prev_scores, ids);
@@ -120,8 +112,6 @@ impl Pruner for TamingPruner {
             let s = g.position.norm() + g.cov_frobenius;
             self.scores[id as usize] += 0.01 * s;
         }
-        // Maintaining the dual score buffers costs one pass over the map.
-        self.overhead += self.scores.len() as u64;
     }
 
     fn select(&mut self, map: &ShardedScene, ratio: f32) -> Option<Vec<bool>> {
@@ -138,10 +128,6 @@ impl Pruner for TamingPruner {
         ))
     }
 
-    fn evaluation_overhead(&self) -> u64 {
-        self.overhead
-    }
-
     fn name(&self) -> &'static str {
         "Taming 3DGS"
     }
@@ -152,7 +138,6 @@ impl Pruner for TamingPruner {
 #[derive(Debug, Clone, Default)]
 pub struct LightGaussianPruner {
     hits: Vec<f32>,
-    overhead: u64,
 }
 
 impl LightGaussianPruner {
@@ -163,7 +148,7 @@ impl LightGaussianPruner {
 }
 
 impl Pruner for LightGaussianPruner {
-    fn observe(&mut self, ids: &[u32], grads: &[GaussianGrad], _trace: Option<&WorkloadTrace>) {
+    fn observe(&mut self, ids: &[u32], grads: &[GaussianGrad]) {
         ensure_len(&mut self.hits, ids);
         for (&id, g) in ids.iter().zip(grads.iter()) {
             // A Gaussian that received gradient was rendered (hit).
@@ -171,14 +156,10 @@ impl Pruner for LightGaussianPruner {
                 self.hits[id as usize] += 1.0;
             }
         }
-        // Hit counting plus the global score pass below are extra work the
-        // reference implementation runs on every scoring round.
-        self.overhead += 2 * grads.len() as u64;
     }
 
     fn select(&mut self, map: &ShardedScene, ratio: f32) -> Option<Vec<bool>> {
         self.hits.resize(map.capacity(), 0.0);
-        self.overhead += map.len() as u64;
         let hits = &self.hits;
         Some(keep_top_live(
             map,
@@ -192,21 +173,16 @@ impl Pruner for LightGaussianPruner {
         ))
     }
 
-    fn evaluation_overhead(&self) -> u64 {
-        self.overhead
-    }
-
     fn name(&self) -> &'static str {
         "LightGaussian"
     }
 }
 
-/// FlashGS-style pruner: hit counts weighted by an image-saliency proxy
-/// (per-pixel workload), the most precise and most expensive evaluation.
+/// FlashGS-style pruner: hit counts weighted by each hit's gradient
+/// magnitude (position + color), the most precise selection of the three.
 #[derive(Debug, Clone, Default)]
 pub struct FlashGsPruner {
     weighted_hits: Vec<f32>,
-    overhead: u64,
 }
 
 impl FlashGsPruner {
@@ -217,32 +193,20 @@ impl FlashGsPruner {
 }
 
 impl Pruner for FlashGsPruner {
-    fn observe(&mut self, ids: &[u32], grads: &[GaussianGrad], trace: Option<&WorkloadTrace>) {
+    fn observe(&mut self, ids: &[u32], grads: &[GaussianGrad]) {
         ensure_len(&mut self.weighted_hits, ids);
-        // Saliency proxy: busier images weight hits more.
-        let saliency = trace
-            .map(|t| (1.0 + t.mean_pixel_workload() as f32).ln())
-            .unwrap_or(1.0);
         for (&id, g) in ids.iter().zip(grads.iter()) {
             let mag = g.position.norm() + g.color.norm();
             if mag > 0.0 {
-                self.weighted_hits[id as usize] += saliency * (1.0 + mag);
+                self.weighted_hits[id as usize] += 1.0 + mag;
             }
         }
-        // Saliency evaluation walks the image as well as the observed set.
-        let image_cost = trace.map(|t| (t.width * t.height) as u64).unwrap_or(0);
-        self.overhead += 3 * grads.len() as u64 + image_cost;
     }
 
     fn select(&mut self, map: &ShardedScene, ratio: f32) -> Option<Vec<bool>> {
         self.weighted_hits.resize(map.capacity(), 0.0);
-        self.overhead += map.len() as u64;
         let hits = &self.weighted_hits;
         Some(keep_top_live(map, |id| hits[id as usize], 1.0 - ratio))
-    }
-
-    fn evaluation_overhead(&self) -> u64 {
-        self.overhead
     }
 
     fn name(&self) -> &'static str {
@@ -292,7 +256,7 @@ impl<P: Pruner> BaselineExtension<P> {
 impl<P: Pruner> PipelineExtension for BaselineExtension<P> {
     fn after_tracking_iteration(&mut self, artifacts: &IterationArtifacts<'_>, _mask: &mut [bool]) {
         self.pruner
-            .observe(artifacts.visible_ids, &artifacts.grads.gaussians, None);
+            .observe(artifacts.visible_ids, &artifacts.grads.gaussians);
     }
 
     fn end_of_frame(
@@ -353,7 +317,7 @@ mod tests {
     fn taming_refuses_before_warmup() {
         let mut p = TamingPruner::with_warmup(100);
         let map = map_of(10);
-        p.observe(&ids_of(10), &grads_with_signal(10, &[0, 1]), None);
+        p.observe(&ids_of(10), &grads_with_signal(10, &[0, 1]));
         assert!(p.select(&map, 0.5).is_none());
         assert_eq!(p.iterations_seen(), 1);
     }
@@ -363,7 +327,7 @@ mod tests {
         let mut p = TamingPruner::with_warmup(5);
         let map = map_of(10);
         for _ in 0..6 {
-            p.observe(&ids_of(10), &grads_with_signal(10, &[0, 1, 2]), None);
+            p.observe(&ids_of(10), &grads_with_signal(10, &[0, 1, 2]));
         }
         let keep = p.select(&map, 0.5).unwrap();
         assert_eq!(keep.iter().filter(|&&k| !k).count(), 5);
@@ -376,7 +340,7 @@ mod tests {
         let mut p = LightGaussianPruner::new();
         let map = map_of(10);
         for _ in 0..3 {
-            p.observe(&ids_of(10), &grads_with_signal(10, &[7, 8, 9]), None);
+            p.observe(&ids_of(10), &grads_with_signal(10, &[7, 8, 9]));
         }
         let keep = p.select(&map, 0.7).unwrap();
         assert_eq!(keep.iter().filter(|&&k| k).count(), 3);
@@ -387,7 +351,7 @@ mod tests {
     fn flashgs_prunes_to_requested_ratio() {
         let mut p = FlashGsPruner::new();
         let map = map_of(20);
-        p.observe(&ids_of(20), &grads_with_signal(20, &[1, 3, 5, 7]), None);
+        p.observe(&ids_of(20), &grads_with_signal(20, &[1, 3, 5, 7]));
         let keep = p.select(&map, 0.5).unwrap();
         assert_eq!(keep.iter().filter(|&&k| k).count(), 10);
         assert!(keep[1] && keep[3] && keep[5] && keep[7]);
@@ -401,7 +365,7 @@ mod tests {
         let map = map_of(10);
         // Only IDs 4 and 9 visible this iteration, both with signal.
         let ids = vec![4u32, 9u32];
-        p.observe(&ids, &grads_with_signal(2, &[0, 1]), None);
+        p.observe(&ids, &grads_with_signal(2, &[0, 1]));
         let keep = p.select(&map, 0.8).unwrap();
         assert_eq!(keep.iter().filter(|&&k| k).count(), 2);
         assert!(keep[4] && keep[9]);
@@ -412,7 +376,7 @@ mod tests {
     fn selection_ignores_tombstoned_ids() {
         let mut p = FlashGsPruner::new();
         let mut map = map_of(10);
-        p.observe(&ids_of(10), &grads_with_signal(10, &[0, 1, 2, 3]), None);
+        p.observe(&ids_of(10), &grads_with_signal(10, &[0, 1, 2, 3]));
         map.tombstone(0);
         map.tombstone(5);
         let keep = p.select(&map, 0.5).unwrap();
@@ -425,24 +389,6 @@ mod tests {
             .filter(|&(id, &k)| !k && map.is_live(id as u32))
             .count();
         assert_eq!(removed_live, 4);
-    }
-
-    #[test]
-    fn overhead_grows_with_observations() {
-        let mut taming = TamingPruner::with_warmup(5);
-        let mut light = LightGaussianPruner::new();
-        let mut flash = FlashGsPruner::new();
-        let ids = ids_of(100);
-        let grads = grads_with_signal(100, &[0]);
-        for _ in 0..4 {
-            taming.observe(&ids, &grads, None);
-            light.observe(&ids, &grads, None);
-            flash.observe(&ids, &grads, None);
-        }
-        assert!(taming.evaluation_overhead() > 0);
-        // FlashGS is the most expensive evaluator per design.
-        assert!(flash.evaluation_overhead() > light.evaluation_overhead());
-        assert!(light.evaluation_overhead() > taming.evaluation_overhead());
     }
 
     #[test]

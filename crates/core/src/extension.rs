@@ -54,40 +54,22 @@ impl RtgsConfig {
     }
 }
 
-/// Statistics the extension gathers over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RtgsStats {
-    /// Gaussians permanently pruned.
-    pub gaussians_pruned: usize,
-    /// Frames tracked at reduced resolution.
-    pub downsampled_frames: usize,
-    /// Total frames seen.
-    pub frames: usize,
-}
-
-/// The live extension state.
+/// The live extension state, reachable only as the box
+/// [`RtgsConfig::into_extension`] returns.
 #[derive(Debug)]
-pub struct RtgsExtension {
+struct RtgsExtension {
     config: RtgsConfig,
     pruner: Option<AdaptivePruner>,
-    stats: RtgsStats,
     frame_active: bool,
 }
 
 impl RtgsExtension {
-    /// Creates the extension from a configuration.
-    pub fn new(config: RtgsConfig) -> Self {
+    fn new(config: RtgsConfig) -> Self {
         Self {
             config,
             pruner: config.pruning.map(|p| AdaptivePruner::new(p, 0)),
-            stats: RtgsStats::default(),
             frame_active: false,
         }
-    }
-
-    /// Run statistics so far.
-    pub fn stats(&self) -> RtgsStats {
-        self.stats
     }
 }
 
@@ -97,18 +79,13 @@ impl PipelineExtension for RtgsExtension {
         _frame_index: usize,
         frames_since_keyframe: usize,
     ) -> FrameDirectives {
-        self.stats.frames += 1;
         self.frame_active = true;
-        let factor = self
-            .config
-            .downsampling
-            .map(|d| d.factor_for(frames_since_keyframe))
-            .unwrap_or(1);
-        if factor > 1 {
-            self.stats.downsampled_frames += 1;
-        }
         FrameDirectives {
-            resolution_factor: factor,
+            resolution_factor: self
+                .config
+                .downsampling
+                .map(|d| d.factor_for(frames_since_keyframe))
+                .unwrap_or(1),
         }
     }
 
@@ -133,9 +110,7 @@ impl PipelineExtension for RtgsExtension {
         self.frame_active = false;
         let pruner = self.pruner.as_mut()?;
         pruner.resize(map.capacity());
-        let keep = pruner.end_frame(is_keyframe)?;
-        self.stats.gaussians_pruned += keep.iter().filter(|&&k| !k).count();
-        Some(keep)
+        pruner.end_frame(is_keyframe)
     }
 
     fn on_scene_resized(&mut self, new_capacity: usize) {

@@ -41,5 +41,5 @@ mod pruning;
 
 pub use device::{DeviceBusy, FlagBuffer, RtgsDevice, RtgsStatus};
 pub use downsample::DownsamplingConfig;
-pub use extension::{RtgsConfig, RtgsExtension, RtgsStats};
+pub use extension::RtgsConfig;
 pub use pruning::{AdaptivePruner, PruningConfig};

@@ -54,16 +54,11 @@ pub struct AdaptivePruner {
     since_prune: usize,
     /// Tile assignment snapshot at the last pruning point.
     tiles_snapshot: Option<TileAssignment>,
-    /// Fraction of the original map permanently pruned so far.
+    /// Gaussians permanently removed over the run (counts against the
+    /// `max_prune_ratio` cap).
     cumulative_pruned: usize,
-    /// Baseline map size for the cumulative ratio.
+    /// Baseline map size for the cumulative cap.
     baseline_size: usize,
-    /// Total Gaussians permanently removed over the run.
-    pub total_pruned: usize,
-    /// Number of times the interval was halved.
-    pub interval_halvings: usize,
-    /// Number of times the interval was doubled.
-    pub interval_doublings: usize,
 }
 
 impl AdaptivePruner {
@@ -78,20 +73,12 @@ impl AdaptivePruner {
             tiles_snapshot: None,
             cumulative_pruned: 0,
             baseline_size: n.max(1),
-            total_pruned: 0,
-            interval_halvings: 0,
-            interval_doublings: 0,
         }
     }
 
     /// Current pruning interval K.
     pub fn interval(&self) -> usize {
         self.interval
-    }
-
-    /// Fraction of the baseline map pruned so far.
-    pub fn pruned_ratio(&self) -> f32 {
-        self.cumulative_pruned as f32 / self.baseline_size as f32
     }
 
     /// Resets per-frame state (call at the start of each frame's tracking).
@@ -155,10 +142,8 @@ impl AdaptivePruner {
                     let ratio = artifacts.tiles.change_ratio(snapshot);
                     if ratio > self.config.change_ratio_threshold {
                         self.interval = (self.interval / 2).max(1);
-                        self.interval_halvings += 1;
                     } else {
                         self.interval = (self.interval * 2).min(64);
-                        self.interval_doublings += 1;
                     }
                 }
             }
@@ -216,7 +201,6 @@ impl AdaptivePruner {
             return None;
         }
         self.cumulative_pruned += pruned;
-        self.total_pruned += pruned;
         let keep: Vec<bool> = self.masked_this_frame.iter().map(|&m| !m).collect();
         Some(keep)
     }
@@ -261,15 +245,13 @@ mod tests {
             arena.project(&scene, &Se3::IDENTITY, &cam, Some(mask), &Serial);
             arena.assign_tiles(&cam, &Serial);
             arena.render_fused(&cam, &Serial);
-            let loss = arena.compute_loss(&gt, None, &LossConfig::default());
+            arena.compute_loss(&gt, None, &LossConfig::default());
             arena.backward_fused(&scene, &cam, &Se3::IDENTITY, &Serial);
             let artifacts = IterationArtifacts {
                 iteration: it,
-                loss,
                 grads: arena.backward(),
                 visible_ids: &all_ids,
                 tiles: arena.tiles(),
-                output: arena.output(),
             };
             pruner.observe_iteration(&artifacts, mask);
         }
@@ -341,7 +323,7 @@ mod tests {
         let mut mask = vec![true; 12];
         drive(&mut pruner, 3, &mut mask);
         assert!(pruner.end_frame(true).is_none());
-        assert_eq!(pruner.total_pruned, 0);
+        assert_eq!(pruner.cumulative_pruned, 0);
     }
 
     #[test]
@@ -359,7 +341,7 @@ mod tests {
         let masked = mask.iter().filter(|&&m| !m).count();
         let keep = pruner.end_frame(false).expect("should prune");
         assert_eq!(keep.iter().filter(|&&k| !k).count(), masked);
-        assert_eq!(pruner.total_pruned, masked);
+        assert_eq!(pruner.cumulative_pruned, masked);
     }
 
     #[test]
@@ -385,10 +367,15 @@ mod tests {
         let mut mask = vec![true; 12];
         // Aggressive pruning changes tile intersections > 5% -> halvings;
         // once stable -> doublings. Either way the interval must adapt.
-        drive(&mut pruner, 10, &mut mask);
+        let intervals: Vec<usize> = (0..10)
+            .map(|_| {
+                drive(&mut pruner, 1, &mut mask);
+                pruner.interval()
+            })
+            .collect();
         assert!(
-            pruner.interval_halvings + pruner.interval_doublings > 0,
-            "interval should have adapted"
+            intervals.iter().any(|&k| k != 2),
+            "interval should have adapted: {intervals:?}"
         );
     }
 
@@ -397,6 +384,7 @@ mod tests {
         let mut pruner = AdaptivePruner::new(PruningConfig::default(), 10);
         pruner.resize(20);
         assert_eq!(pruner.scores.len(), 20);
-        assert!((pruner.pruned_ratio() - 0.0).abs() < 1e-9);
+        assert_eq!(pruner.baseline_size, 20);
+        assert_eq!(pruner.cumulative_pruned, 0);
     }
 }

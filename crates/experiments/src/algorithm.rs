@@ -2,8 +2,8 @@
 //! (main algorithm results), Tab. 7 (GauSPU comparison), Fig. 13
 //! (precision baselines + drift) and Fig. 14 (pruning ablations).
 
-use crate::common::{dataset, f, run_variant, slam_config, to_workload, Scale, Table, Variant};
-use rtgs_accel::{simulate_run, HardwareModel};
+use crate::common::{dataset, f, run_variant, slam_config, Scale, Table, Variant};
+use rtgs_accel::{simulate_run, HardwareModel, RunWorkload};
 use rtgs_baselines::{BaselineExtension, FlashGsPruner, LightGaussianPruner};
 use rtgs_core::{PruningConfig, RtgsConfig};
 use rtgs_metrics::per_frame_errors;
@@ -29,7 +29,7 @@ pub fn table2(scale: Scale) -> String {
     ]);
     for algo in BaseAlgorithm::all() {
         let report = run_variant(algo, &ds, scale, Variant::Base, true);
-        let cost = simulate_run(&to_workload(&report), &HardwareModel::onx(), true);
+        let cost = simulate_run(&RunWorkload::from(&report), &HardwareModel::onx(), true);
         table.row(vec![
             algo.name().into(),
             f(report.ate.rmse_cm(), 2),
@@ -97,8 +97,8 @@ pub fn table7(scale: Scale) -> String {
     let base = run_variant(BaseAlgorithm::SplaTam, &ds, scale, Variant::Base, true);
     let ours = run_variant(BaseAlgorithm::SplaTam, &ds, scale, Variant::Ours, true);
 
-    let base_run = to_workload(&base);
-    let ours_run = to_workload(&ours);
+    let base_run = RunWorkload::from(&base);
+    let ours_run = RunWorkload::from(&ours);
     let rtx = simulate_run(&base_run, &HardwareModel::rtx3090(), true);
     let gauspu = simulate_run(&base_run, &HardwareModel::gauspu(), true);
     let ours_hw = simulate_run(&ours_run, &HardwareModel::rtgs_on_rtx3090(), true);
@@ -150,7 +150,7 @@ pub fn fig13(scale: Scale) -> String {
     );
     let mut out =
         String::from("Fig. 13(a): 50% pruning — quality vs throughput vs evaluation cost\n");
-    let mut table = Table::new(&["method", "ATE(cm)", "relFPS", "eval overhead (ops)"]);
+    let mut table = Table::new(&["method", "ATE(cm)", "relFPS", "score evaluation cost"]);
 
     let base = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, false);
     let base_fps = base.overall_fps();

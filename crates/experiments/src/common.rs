@@ -1,7 +1,6 @@
 //! Shared experiment infrastructure: SLAM run orchestration, workload
 //! conversion and table formatting.
 
-use rtgs_accel::{FrameWorkload, RunWorkload};
 use rtgs_baselines::{BaselineExtension, TamingPruner};
 use rtgs_core::RtgsConfig;
 use rtgs_runtime::BackendChoice;
@@ -33,7 +32,7 @@ pub fn default_backend() -> BackendChoice {
 }
 
 /// Experiment scale: `Quick` keeps every experiment in tens of seconds on a
-/// laptop CPU; `Full` runs the sizes reported in EXPERIMENTS.md.
+/// laptop CPU; `Full` runs the larger profiles and longer sequences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced frames/iterations for smoke runs.
@@ -107,7 +106,7 @@ pub fn slam_config(algo: BaseAlgorithm, scale: Scale, traces: bool) -> SlamConfi
     let k = scale.iteration_factor();
     cfg.tracking.iterations = ((cfg.tracking.iterations as f32 * k) as usize).max(2);
     cfg.mapping_iterations = ((cfg.mapping_iterations as f32 * k) as usize).max(2);
-    cfg.record_traces = traces;
+    cfg.tracking.record_traces = traces;
     cfg.backend = default_backend();
     cfg
 }
@@ -140,22 +139,6 @@ pub fn run_variant(
 /// Generates (and memoizes per call-site) the dataset for a profile.
 pub fn dataset(profile: DatasetProfile, frames: usize) -> SyntheticDataset {
     SyntheticDataset::generate(profile, frames)
-}
-
-/// Converts a SLAM report's recorded traces into the hardware simulator's
-/// input.
-pub fn to_workload(report: &SlamReport) -> RunWorkload {
-    RunWorkload {
-        frames: report
-            .frames
-            .iter()
-            .map(|f| FrameWorkload {
-                tracking: f.traces.clone(),
-                mapping: f.mapping_traces.clone(),
-                is_keyframe: f.is_keyframe,
-            })
-            .collect(),
-    }
 }
 
 /// Simple fixed-width table printer.

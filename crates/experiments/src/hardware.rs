@@ -2,10 +2,10 @@
 //! (GauSPU comparison per Replica scene), Fig. 17 (ablations) and
 //! Tab. 4/5 (configuration tables).
 
-use crate::common::{dataset, f, run_variant, to_workload, Scale, Table, Variant};
+use crate::common::{dataset, f, run_variant, Scale, Table, Variant};
 use rtgs_accel::{
     imbalance_factor, simulate_run, Aggregation, ArchConfig, DeviceSpec, GpuSpec, HardwareModel,
-    MemoryConfig, PluginConfig, Scheduling, TechNode,
+    MemoryConfig, PluginConfig, RunWorkload, Scheduling, TechNode,
 };
 use rtgs_scene::DatasetProfile;
 use rtgs_slam::BaseAlgorithm;
@@ -50,8 +50,8 @@ pub fn fig15(scale: Scale) -> String {
         for algo in BaseAlgorithm::keyframe_based() {
             let base = run_variant(algo, &ds, scale, Variant::Base, true);
             let ours = run_variant(algo, &ds, scale, Variant::Ours, true);
-            let base_run = to_workload(&base);
-            let ours_run = to_workload(&ours);
+            let base_run = RunWorkload::from(&base);
+            let ours_run = RunWorkload::from(&ours);
 
             let onx = simulate_run(&base_run, &HardwareModel::onx(), true);
             let dw = simulate_run(&base_run, &HardwareModel::onx_distwar(), true);
@@ -109,8 +109,8 @@ pub fn fig16(scale: Scale) -> String {
         );
         let base = run_variant(BaseAlgorithm::SplaTam, &ds, scale, Variant::Base, true);
         let ours = run_variant(BaseAlgorithm::SplaTam, &ds, scale, Variant::Ours, true);
-        let base_run = to_workload(&base);
-        let ours_run = to_workload(&ours);
+        let base_run = RunWorkload::from(&base);
+        let ours_run = RunWorkload::from(&ours);
         let rtx = simulate_run(&base_run, &HardwareModel::rtx3090(), true);
         let gauspu = simulate_run(&base_run, &HardwareModel::gauspu(), true);
         let ours_hw = simulate_run(&ours_run, &HardwareModel::rtgs_on_rtx3090(), true);
@@ -136,7 +136,7 @@ pub fn fig17(scale: Scale) -> String {
         scale.frames(),
     );
     let base = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, true);
-    let base_run = to_workload(&base);
+    let base_run = RunWorkload::from(&base);
 
     // (a) imbalance factors from a real mid-run trace pair.
     let mut out = String::from("Fig. 17(a): workload-imbalance ablation (achieved/ideal cycles)\n");
@@ -204,7 +204,7 @@ pub fn fig17(scale: Scale) -> String {
     // Algorithm steps change the workload itself.
     let pruned = {
         let r = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Ours, true);
-        to_workload(&r)
+        RunWorkload::from(&r)
     };
     let full_hw = plugin(Scheduling::StreamingPaired, true, Aggregation::Gmu);
     let cost = simulate_run(&pruned, &full_hw, true);

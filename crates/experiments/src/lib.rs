@@ -12,7 +12,8 @@
 //! Absolute numbers differ from the paper (CPU rasterizer, dataset analogs
 //! at 1/16 resolution, cycle models instead of GPGPU-Sim); the *shape* —
 //! who wins, by what factor, where crossovers fall — is the reproduction
-//! target. See EXPERIMENTS.md for paper-vs-measured records.
+//! target, and the figures and result tables print the paper's expected
+//! shape or reference values beneath their own.
 
 mod algorithm;
 mod blackbox;
@@ -28,8 +29,8 @@ mod telemetry;
 pub use algorithm::{fig13, fig14, table2, table6, table7};
 pub use blackbox::blackbox;
 pub use common::{
-    dataset, default_backend, f, run_variant, set_default_backend, slam_config, to_workload, Scale,
-    Table, Variant,
+    dataset, default_backend, f, run_variant, set_default_backend, slam_config, Scale, Table,
+    Variant,
 };
 pub use failover::failover;
 pub use hardware::{fig15, fig16, fig17, table4};

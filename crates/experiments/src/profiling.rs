@@ -4,8 +4,12 @@
 
 use crate::common::{dataset, f, run_variant, Scale, Table, Variant};
 use rtgs_metrics::{rmse, ssim};
+use rtgs_render::{FrameArena, ShardedScene};
+use rtgs_runtime::Serial;
 use rtgs_scene::DatasetProfile;
-use rtgs_slam::BaseAlgorithm;
+use rtgs_slam::{
+    track_frame, BaseAlgorithm, IterationArtifacts, PipelineExtension, StageTimings, TrackingConfig,
+};
 
 /// Fig. 3: latency breakdown of the SLAM pipeline.
 ///
@@ -72,38 +76,25 @@ pub fn fig3(scale: Scale) -> String {
 /// majority.
 pub fn fig4(scale: Scale) -> String {
     let ds = dataset(scale.profile(DatasetProfile::tum_analog()), scale.frames());
-    // Accumulate per-Gaussian importance over the base run's tracking.
-    use rtgs_render::FrameArena;
-    use rtgs_runtime::Serial;
-    use rtgs_slam::{track_frame, StageTimings, TrackingConfig};
-    let report = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, false);
-    // Re-track the last frame against the final map, collecting gradients.
-    let map = {
-        // Rebuild via a short pipeline run is costly; instead track frame 1
-        // against the reference scene (the distribution shape is a property
-        // of the scene structure).
-        rtgs_render::ShardedScene::from_scene(&ds.reference_scene, 1.0)
-    };
+    // Track frame 1 against the reference scene, accumulating each
+    // Gaussian's importance over the iterations (the distribution shape is
+    // a property of the scene structure).
+    let map = ShardedScene::from_scene(&ds.reference_scene, 1.0);
     let mut mask = vec![true; map.capacity()];
     let mut timings = StageTimings::default();
-    let mut scores = vec![0.0f64; map.capacity()];
-    struct Collect<'a> {
-        scores: &'a mut Vec<f64>,
+    struct Collect {
+        scores: Vec<f64>,
     }
-    impl rtgs_slam::TrackingObserver for Collect<'_> {
-        fn after_iteration(
-            &mut self,
-            artifacts: &rtgs_slam::IterationArtifacts<'_>,
-            _mask: &mut [bool],
-        ) {
+    impl PipelineExtension for Collect {
+        fn after_tracking_iteration(&mut self, artifacts: &IterationArtifacts<'_>, _: &mut [bool]) {
             for (k, g) in artifacts.grads.gaussians.iter().enumerate() {
                 let id = artifacts.visible_ids[k] as usize;
                 self.scores[id] += g.importance_score(0.8) as f64;
             }
         }
     }
-    let mut observer = Collect {
-        scores: &mut scores,
+    let mut collect = Collect {
+        scores: vec![0.0f64; map.capacity()],
     };
     let _ = track_frame(
         &map,
@@ -115,13 +106,13 @@ pub fn fig4(scale: Scale) -> String {
             ..Default::default()
         },
         &mut mask,
-        &mut observer,
+        &mut collect,
         &mut timings,
         &mut FrameArena::new(),
         &Serial,
     );
 
-    let mut sorted = scores.clone();
+    let mut sorted = collect.scores;
     sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
     let total: f64 = sorted.iter().sum::<f64>().max(1e-12);
     let mut out = String::from("Fig. 4: Gaussian importance distribution during tracking\n");
@@ -136,7 +127,6 @@ pub fn fig4(scale: Scale) -> String {
         String::new(),
     ]);
     out.push_str(&table.render());
-    let _ = report;
     out
 }
 

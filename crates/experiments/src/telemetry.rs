@@ -11,7 +11,7 @@ use rtgs_render::{FrameArena, ShardedScene};
 use rtgs_runtime::{fleet_latency, EvictionPolicy, Serial, Serve};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{
-    track_frame, BaseAlgorithm, NoObserver, SlamPipeline, StageId, StageTimings, TrackingConfig,
+    track_frame, BaseAlgorithm, NoExtension, SlamPipeline, StageId, StageTimings, TrackingConfig,
 };
 use rtgs_telemetry as telemetry;
 
@@ -42,7 +42,7 @@ pub fn telemetry(scale: Scale) -> String {
             ..Default::default()
         },
         &mut mask,
-        &mut NoObserver,
+        &mut NoExtension,
         &mut timings,
         &mut FrameArena::new(),
         &Serial,

@@ -4,9 +4,10 @@
 //! The pipeline alternates per-frame tracking (camera-pose optimization
 //! through the differentiable rasterizer) with keyframe mapping (Gaussian
 //! parameter optimization, densification and cleanup), exactly as described
-//! in paper Sec. 2.2. Extension points ([`PipelineExtension`],
-//! [`TrackingObserver`]) let the RTGS redundancy-reduction techniques in
-//! `rtgs-core` plug in without modifying the base pipeline.
+//! in paper Sec. 2.2. One extension seam, [`PipelineExtension`] — which
+//! [`track_frame`] and [`SlamPipeline`] both call — lets the RTGS
+//! redundancy-reduction techniques in `rtgs-core` plug in without
+//! modifying the base pipeline.
 //!
 //! # Example
 //!
@@ -41,6 +42,4 @@ pub use pipeline::{
 };
 pub use rtgs_telemetry::{StageId, StageTimings};
 pub use snapshot::config_fingerprint;
-pub use tracking::{
-    track_frame, IterationArtifacts, NoObserver, TrackResult, TrackingConfig, TrackingObserver,
-};
+pub use tracking::{track_frame, IterationArtifacts, TrackResult, TrackingConfig};

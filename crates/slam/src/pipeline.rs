@@ -1,13 +1,11 @@
 //! The end-to-end 3DGS-SLAM pipeline: alternating tracking and
-//! keyframe-based mapping (paper Sec. 2.2, Fig. 2), with extension points
-//! for the RTGS redundancy-reduction techniques.
+//! keyframe-based mapping (paper Sec. 2.2, Fig. 2), with one extension seam
+//! ([`PipelineExtension`]) for the RTGS redundancy-reduction techniques.
 
 use crate::keyframe::{KeyframeContext, KeyframePolicy};
 use crate::map::{densify, prune_transparent, seed_from_frame, MapConfig};
 use crate::optimizer::{MapLearningRates, MapOptimizer};
-use crate::tracking::{
-    timed_iteration, track_frame, IterationArtifacts, TrackingConfig, TrackingObserver,
-};
+use crate::tracking::{timed_iteration, track_frame, IterationArtifacts, TrackingConfig};
 use rtgs_math::Se3;
 use rtgs_metrics::{absolute_trajectory_error, psnr, AteResult};
 use rtgs_render::{FrameArena, Image, ShardedScene, WorkloadTrace};
@@ -79,7 +77,8 @@ pub struct SlamConfig {
     pub algorithm: BaseAlgorithm,
     /// Keyframe policy.
     pub keyframe_policy: KeyframePolicy,
-    /// Tracking settings.
+    /// Tracking settings; `tracking.record_traces` switches workload-trace
+    /// recording on for tracking and mapping alike.
     pub tracking: TrackingConfig,
     /// Mapping iterations per keyframe.
     pub mapping_iterations: usize,
@@ -89,9 +88,6 @@ pub struct SlamConfig {
     pub map_lrs: MapLearningRates,
     /// Cap on frames processed (`None` = whole dataset).
     pub max_frames: Option<usize>,
-    /// Record per-iteration workload traces (memory-heavy; hardware
-    /// modelling only).
-    pub record_traces: bool,
     /// Execution backend for every render/backward in the pipeline. The
     /// default, `Parallel { threads: 0 }`, fans the tile/Gaussian chunks
     /// out over the machine — the pool that is serving the session, or the
@@ -112,7 +108,6 @@ impl SlamConfig {
             map: MapConfig::default(),
             map_lrs: MapLearningRates::default(),
             max_frames: None,
-            record_traces: false,
             backend: BackendChoice::default(),
         };
         match algorithm {
@@ -185,9 +180,10 @@ impl SlamConfig {
         self
     }
 
-    /// Enables workload-trace recording.
+    /// Enables workload-trace recording (memory-heavy; hardware modelling
+    /// only) for tracking and mapping.
     pub fn with_traces(mut self) -> Self {
-        self.record_traces = true;
+        self.tracking.record_traces = true;
         self
     }
 
@@ -214,8 +210,10 @@ impl Default for FrameDirectives {
     }
 }
 
-/// Extension points for redundancy-reduction techniques. `rtgs-core`
-/// implements this trait; base algorithms run with [`NoExtension`].
+/// The one seam between the SLAM pipeline and what plugs into it: the
+/// redundancy-reduction techniques (`rtgs-core`), the pruning baselines
+/// (`rtgs-baselines`) and standalone [`track_frame`] callers implement
+/// it; base algorithms run with [`NoExtension`].
 pub trait PipelineExtension {
     /// Called before each frame; returns directives (e.g. the dynamic
     /// downsampling factor).
@@ -227,8 +225,10 @@ pub trait PipelineExtension {
         FrameDirectives::default()
     }
 
-    /// Called after each tracking iteration; may mask Gaussians off for the
-    /// rest of the frame (adaptive pruning).
+    /// Called after each tracking iteration — never during mapping or the
+    /// first frame's initialisation — with `artifacts.iteration` restarting
+    /// at 0 on every frame; may mask Gaussians off for the rest of the
+    /// frame (adaptive pruning), effective from the next iteration.
     fn after_tracking_iteration(
         &mut self,
         _artifacts: &IterationArtifacts<'_>,
@@ -373,16 +373,6 @@ impl Default for PipelineMetrics {
             visible_gaussians: registry.histogram("slam.visible_gaussians"),
             arena_high_water: registry.gauge("arena.high_water_bytes"),
         }
-    }
-}
-
-struct ExtensionObserver<'e> {
-    extension: &'e mut dyn PipelineExtension,
-}
-
-impl TrackingObserver for ExtensionObserver<'_> {
-    fn after_iteration(&mut self, artifacts: &IterationArtifacts<'_>, mask: &mut [bool]) {
-        self.extension.after_tracking_iteration(artifacts, mask);
     }
 }
 
@@ -601,19 +591,14 @@ impl<'d> SlamPipeline<'d> {
         // on fresh boxes.
         self.scene.refresh_bounds_with(&*self.backend);
         let t0 = Instant::now();
-        let mut tracking_cfg = self.config.tracking;
-        tracking_cfg.record_traces = self.config.record_traces;
-        let mut observer = ExtensionObserver {
-            extension: self.extension.as_mut(),
-        };
         let result = track_frame(
             &self.scene,
             init,
             &track_frame_data,
             &camera,
-            &tracking_cfg,
+            &self.config.tracking,
             &mut self.mask,
-            &mut observer,
+            self.extension.as_mut(),
             &mut self.tracking_timings,
             &mut self.arena,
             &*self.backend,
@@ -809,7 +794,7 @@ impl<'d> SlamPipeline<'d> {
             );
             let grad_stats = self.arena.backward().stats;
 
-            if self.config.record_traces {
+            if self.config.tracking.record_traces {
                 self.pending_mapping_traces.push(WorkloadTrace::from_render(
                     self.arena.output(),
                     self.arena.tiles(),
@@ -1058,6 +1043,71 @@ mod tests {
         let base = SlamPipeline::new(cfg, &ds).run();
         let pruned = SlamPipeline::with_extension(cfg, &ds, Box::new(HalfPruner)).run();
         assert!(pruned.frames.last().unwrap().gaussians < base.frames.last().unwrap().gaussians);
+    }
+
+    /// The per-iteration contract `rtgs-core`'s pruner relies on, seen
+    /// through the pipeline: one `after_tracking_iteration` per tracking
+    /// iteration, `iteration` restarting at 0 on every frame, no call during
+    /// mapping or frame 0's initialisation, one gradient per visible ID, and
+    /// a mask edit in effect from the next iteration.
+    #[test]
+    fn extension_sees_each_tracking_iteration_once() {
+        use std::sync::Mutex;
+        struct Probe {
+            frame: Option<usize>,
+            masked: Vec<u32>,
+            /// `(frame, iteration)` of every call, in order.
+            calls: Arc<Mutex<Vec<(usize, usize)>>>,
+        }
+        impl PipelineExtension for Probe {
+            fn frame_directives(&mut self, frame_index: usize, _: usize) -> FrameDirectives {
+                self.frame = Some(frame_index);
+                FrameDirectives::default()
+            }
+            fn after_tracking_iteration(&mut self, a: &IterationArtifacts<'_>, mask: &mut [bool]) {
+                let frame = self.frame.expect("called before the first tracked frame");
+                self.calls.lock().unwrap().push((frame, a.iteration));
+                assert_eq!(a.grads.gaussians.len(), a.visible_ids.len());
+                // Iteration 0 masks every other visible Gaussian off; no
+                // later iteration of the frame may render one of them.
+                if a.iteration == 0 {
+                    self.masked = a.visible_ids.iter().copied().step_by(2).collect();
+                    assert!(!self.masked.is_empty());
+                    self.masked.iter().for_each(|&id| mask[id as usize] = false);
+                } else {
+                    assert!(a.visible_ids.iter().all(|id| !self.masked.contains(id)));
+                }
+            }
+        }
+
+        // SplaTAM maps every frame: each tracked frame is followed by
+        // mapping iterations the extension must not see.
+        let ds = tiny_dataset(4);
+        let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::SplaTam)
+            .with_frames(4)
+            .with_traces();
+        cfg.tracking.iterations = 3;
+        cfg.mapping_iterations = 2;
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let probe = Probe {
+            frame: None,
+            masked: Vec::new(),
+            calls: Arc::clone(&calls),
+        };
+        let report = SlamPipeline::with_extension(cfg, &ds, Box::new(probe)).run();
+
+        // Tracking records one trace per iteration it ran (mapping's go to
+        // `mapping_traces`), so the calls are each frame's 0..trace count
+        // in order: none for frame 0, none from mapping.
+        let expected: Vec<(usize, usize)> = report
+            .frames
+            .iter()
+            .flat_map(|f| (0..f.traces.len()).map(move |it| (f.index, it)))
+            .collect();
+        assert_eq!(*calls.lock().unwrap(), expected);
+        assert!(report.frames[1..]
+            .iter()
+            .all(|f| f.traces.len() >= 2 && !f.mapping_traces.is_empty()));
     }
 
     #[test]

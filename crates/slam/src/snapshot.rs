@@ -24,14 +24,13 @@
 //! What is *not* persisted: wall-clock origins (`total_wall` restarts at
 //! resume), workload traces (checkpointing a trace-recording pipeline is
 //! rejected with [`SnapshotError::Unsupported`]) and extension-internal
-//! state (extensions are re-attached by the caller; they are notified of
-//! the restored capacity through `on_scene_resized`).
+//! state (a restored session starts with no extension; a rehydrated one
+//! keeps its live extension, notified of the restored capacity through
+//! `on_scene_resized`).
 
 use crate::keyframe::KeyframePolicy;
 use crate::optimizer::{MapOptimizer, PARAMS_PER_GAUSSIAN};
-use crate::pipeline::{
-    BaseAlgorithm, FrameReport, NoExtension, PipelineExtension, SlamConfig, SlamPipeline,
-};
+use crate::pipeline::{BaseAlgorithm, FrameReport, SlamConfig, SlamPipeline};
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{FrameArena, Image, LossKind, ShardedScene};
 use rtgs_scene::SyntheticDataset;
@@ -276,7 +275,7 @@ impl SlamPipeline<'_> {
     /// enabled (traces are not persisted), or any capture error of the
     /// underlying [`CheckpointLog`].
     pub fn checkpoint_into(&self, log: &mut CheckpointLog) -> Result<CaptureStats, SnapshotError> {
-        if self.config.record_traces {
+        if self.config.tracking.record_traces {
             return Err(SnapshotError::Unsupported {
                 context: "checkpointing a pipeline with workload-trace recording enabled",
             });
@@ -489,7 +488,8 @@ impl SlamPipeline<'_> {
 
 impl<'d> SlamPipeline<'d> {
     /// Rebuilds a session from a checkpoint log with no extension
-    /// attached.
+    /// attached (extension-internal state is not part of a checkpoint;
+    /// [`Self::rehydrate_from`] keeps a live session's extension).
     ///
     /// # Errors
     ///
@@ -501,23 +501,7 @@ impl<'d> SlamPipeline<'d> {
         dataset: &'d SyntheticDataset,
         log: &CheckpointLog,
     ) -> Result<Self, SnapshotError> {
-        Self::restore_with_extension(config, dataset, Box::new(NoExtension), log)
-    }
-
-    /// [`Self::restore_from`] with a freshly constructed extension.
-    /// Extension-internal state is not part of a checkpoint; the extension
-    /// is notified of the restored capacity through `on_scene_resized`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::restore_from`].
-    pub fn restore_with_extension(
-        config: SlamConfig,
-        dataset: &'d SyntheticDataset,
-        extension: Box<dyn PipelineExtension + Send>,
-        log: &CheckpointLog,
-    ) -> Result<Self, SnapshotError> {
-        let mut pipeline = Self::with_extension(config, dataset, extension);
+        let mut pipeline = Self::new(config, dataset);
         pipeline.apply_restored(log.restore()?)?;
         Ok(pipeline)
     }
@@ -756,8 +740,7 @@ mod tests {
     #[test]
     fn record_traces_checkpoint_is_rejected() {
         let ds = tiny_dataset(2);
-        let mut cfg = quick_config(2);
-        cfg.record_traces = true;
+        let cfg = quick_config(2).with_traces();
         let mut p = SlamPipeline::new(cfg, &ds);
         p.step();
         assert!(matches!(

@@ -9,10 +9,11 @@
 //! not the total map size, while staying bitwise-identical to rendering
 //! the full map.
 
+use crate::pipeline::PipelineExtension;
 use rtgs_math::Se3;
 use rtgs_render::{
-    BackwardOutput, FrameArena, LossConfig, PinholeCamera, RenderOutput, ShardedScene,
-    TileAssignment, WorkloadTrace,
+    BackwardOutput, FrameArena, LossConfig, PinholeCamera, ShardedScene, TileAssignment,
+    WorkloadTrace,
 };
 use rtgs_runtime::Backend;
 use rtgs_scene::RgbdFrame;
@@ -41,7 +42,8 @@ pub struct TrackingConfig {
     /// amount over a 4-iteration window (0 disables).
     pub convergence_threshold: f32,
     /// Record per-iteration workload traces (needed by the hardware model;
-    /// costs memory).
+    /// costs memory). The pipeline's one trace switch: a `SlamPipeline`
+    /// records its mapping iterations' traces under it too.
     pub record_traces: bool,
 }
 
@@ -104,13 +106,12 @@ fn pose_step(grad: &[f32; 6], rms: &[f32; 6], step: f32, rotation_scale: f32) ->
     ]
 }
 
-/// Artifacts of one tracking iteration, passed to observers.
+/// Artifacts of one tracking iteration, passed to
+/// [`PipelineExtension::after_tracking_iteration`].
 #[derive(Debug)]
 pub struct IterationArtifacts<'a> {
-    /// Iteration index within the frame.
+    /// Iteration index within the frame (0 on each frame's first).
     pub iteration: usize,
-    /// Loss value.
-    pub loss: f32,
     /// Full backward output in the iteration's frame-local index space
     /// (per-Gaussian gradients + pose tangent): `grads.gaussians[k]` is the
     /// gradient of the Gaussian with stable ID `visible_ids[k]`.
@@ -120,24 +121,6 @@ pub struct IterationArtifacts<'a> {
     pub visible_ids: &'a [u32],
     /// Tile assignment of this iteration.
     pub tiles: &'a TileAssignment,
-    /// Forward render output.
-    pub output: &'a RenderOutput,
-}
-
-/// Observer of tracking iterations; the RTGS adaptive pruning plugs in
-/// here (`rtgs-core`). The observer may update the active mask used by
-/// subsequent iterations.
-pub trait TrackingObserver {
-    /// Called after every tracking iteration.
-    fn after_iteration(&mut self, artifacts: &IterationArtifacts<'_>, mask: &mut [bool]);
-}
-
-/// The do-nothing observer (base algorithms).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoObserver;
-
-impl TrackingObserver for NoObserver {
-    fn after_iteration(&mut self, _artifacts: &IterationArtifacts<'_>, _mask: &mut [bool]) {}
 }
 
 /// Result of tracking one frame.
@@ -246,6 +229,12 @@ pub(crate) fn timed_iteration(
 /// already be at the desired resolution — the dynamic-downsampling
 /// extension resizes them before calling.
 ///
+/// After every iteration `extension`'s
+/// [`PipelineExtension::after_tracking_iteration`] sees the iteration's
+/// [`IterationArtifacts`] and may mask Gaussians off for the iterations
+/// that follow (the RTGS adaptive pruning plugs in here). Standalone
+/// callers that observe nothing pass `&mut NoExtension`.
+///
 /// The shard cull and every render and backward inside the pose
 /// optimization run through `backend` into `arena`'s reused storage — a
 /// steady-state iteration performs zero heap allocations — with results
@@ -260,14 +249,14 @@ pub(crate) fn timed_iteration(
 /// from the camera, or the map's shard bounds are stale (call
 /// [`ShardedScene::refresh_bounds_with`] after mutating it).
 #[allow(clippy::too_many_arguments)]
-pub fn track_frame<O: TrackingObserver>(
+pub fn track_frame(
     map: &ShardedScene,
     init_w2c: Se3,
     frame: &RgbdFrame,
     camera: &PinholeCamera,
     config: &TrackingConfig,
     mask: &mut [bool],
-    observer: &mut O,
+    extension: &mut dyn PipelineExtension,
     timings: &mut StageTimings,
     arena: &mut FrameArena,
     backend: &dyn Backend,
@@ -341,13 +330,11 @@ pub fn track_frame<O: TrackingObserver>(
 
         let artifacts = IterationArtifacts {
             iteration,
-            loss,
             grads: arena.backward(),
             visible_ids: &arena.visible().ids,
             tiles: arena.tiles(),
-            output: arena.output(),
         };
-        observer.after_iteration(&artifacts, mask);
+        extension.after_tracking_iteration(&artifacts, mask);
 
         // Early stop once the best loss has plateaued or the trust region
         // collapsed.
@@ -375,6 +362,7 @@ pub fn track_frame<O: TrackingObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::NoExtension;
     use rtgs_runtime::Serial;
     use rtgs_scene::{DatasetProfile, SyntheticDataset};
 
@@ -413,7 +401,7 @@ mod tests {
             &ds.camera,
             &config,
             &mut mask,
-            &mut NoObserver,
+            &mut NoExtension,
             &mut timings,
             &mut FrameArena::new(),
             &Serial,
@@ -450,7 +438,7 @@ mod tests {
                 ..Default::default()
             },
             &mut mask,
-            &mut NoObserver,
+            &mut NoExtension,
             &mut timings,
             &mut FrameArena::new(),
             &Serial,
@@ -474,7 +462,7 @@ mod tests {
                 ..Default::default()
             },
             &mut mask,
-            &mut NoObserver,
+            &mut NoExtension,
             &mut timings,
             &mut FrameArena::new(),
             &Serial,
@@ -501,7 +489,7 @@ mod tests {
                 ..Default::default()
             },
             &mut mask,
-            &mut NoObserver,
+            &mut NoExtension,
             &mut timings,
             &mut FrameArena::new(),
             &Serial,
@@ -529,7 +517,7 @@ mod tests {
             &ds.camera,
             &cfg,
             &mut full_mask,
-            &mut NoObserver,
+            &mut NoExtension,
             &mut timings,
             &mut FrameArena::new(),
             &Serial,
@@ -541,7 +529,7 @@ mod tests {
             &ds.camera,
             &cfg,
             &mut half_mask,
-            &mut NoObserver,
+            &mut NoExtension,
             &mut timings,
             &mut FrameArena::new(),
             &Serial,
@@ -549,12 +537,16 @@ mod tests {
         assert!(half.fragments_processed < full.fragments_processed);
     }
 
-    /// An observer can mask Gaussians mid-frame.
+    /// An extension can mask Gaussians mid-frame.
     #[test]
     fn observer_mask_updates_take_effect() {
         struct MaskHalf;
-        impl TrackingObserver for MaskHalf {
-            fn after_iteration(&mut self, artifacts: &IterationArtifacts<'_>, mask: &mut [bool]) {
+        impl PipelineExtension for MaskHalf {
+            fn after_tracking_iteration(
+                &mut self,
+                artifacts: &IterationArtifacts<'_>,
+                mask: &mut [bool],
+            ) {
                 if artifacts.iteration == 0 {
                     for (i, m) in mask.iter_mut().enumerate() {
                         *m = i % 4 == 0;
@@ -587,15 +579,19 @@ mod tests {
         assert!(mask.iter().filter(|&&m| m).count() <= map.capacity() / 4 + 1);
     }
 
-    /// The observer sees frame-local gradients plus the stable-ID map that
+    /// The extension sees frame-local gradients plus the stable-ID map that
     /// relates them to its mask.
     #[test]
     fn artifacts_expose_visible_ids() {
         struct CheckIds {
             checked: bool,
         }
-        impl TrackingObserver for CheckIds {
-            fn after_iteration(&mut self, artifacts: &IterationArtifacts<'_>, mask: &mut [bool]) {
+        impl PipelineExtension for CheckIds {
+            fn after_tracking_iteration(
+                &mut self,
+                artifacts: &IterationArtifacts<'_>,
+                mask: &mut [bool],
+            ) {
                 assert_eq!(
                     artifacts.grads.gaussians.len(),
                     artifacts.visible_ids.len(),

@@ -8,7 +8,7 @@
 use rtgs_render::{FrameArena, ShardedScene};
 use rtgs_runtime::Serial;
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
-use rtgs_slam::{track_frame, NoObserver, StageId, StageTimings, TrackingConfig};
+use rtgs_slam::{track_frame, NoExtension, StageId, StageTimings, TrackingConfig};
 use rtgs_telemetry as telemetry;
 
 #[test]
@@ -30,7 +30,7 @@ fn span_accounting_matches_stage_accumulator() {
             ..Default::default()
         },
         &mut mask,
-        &mut NoObserver,
+        &mut NoExtension,
         &mut timings,
         &mut FrameArena::new(),
         &Serial,

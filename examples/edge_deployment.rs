@@ -9,40 +9,27 @@
 //! cargo run --release --example edge_deployment
 //! ```
 
-use rtgs::accel::{simulate_run, FrameWorkload, HardwareModel, RunWorkload};
+use rtgs::accel::{simulate_run, HardwareModel, RunWorkload};
 use rtgs::core::RtgsConfig;
 use rtgs::scene::{DatasetProfile, SyntheticDataset};
-use rtgs::slam::{BaseAlgorithm, SlamConfig, SlamPipeline, SlamReport};
-
-fn to_workload(report: &SlamReport) -> RunWorkload {
-    RunWorkload {
-        frames: report
-            .frames
-            .iter()
-            .map(|f| FrameWorkload {
-                tracking: f.traces.clone(),
-                mapping: f.mapping_traces.clone(),
-                is_keyframe: f.is_keyframe,
-            })
-            .collect(),
-    }
-}
+use rtgs::slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
 
 fn main() {
     let frames = 8;
     let dataset = SyntheticDataset::generate(DatasetProfile::scannet_analog().small(), frames);
 
-    let mut config = SlamConfig::for_algorithm(BaseAlgorithm::GsSlam).with_frames(frames);
+    let mut config = SlamConfig::for_algorithm(BaseAlgorithm::GsSlam)
+        .with_frames(frames)
+        .with_traces();
     config.tracking.iterations = 6;
     config.mapping_iterations = 8;
-    config.record_traces = true;
 
     println!("Capturing workload traces (GS-SLAM on ScanNet-analog)...");
     let base = SlamPipeline::new(config, &dataset).run();
     let ours =
         SlamPipeline::with_extension(config, &dataset, RtgsConfig::full().into_extension()).run();
-    let base_run = to_workload(&base);
-    let ours_run = to_workload(&ours);
+    let base_run = RunWorkload::from(&base);
+    let ours_run = RunWorkload::from(&ours);
 
     println!("\nSimulated deployment options:");
     println!(

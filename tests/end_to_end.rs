@@ -1,24 +1,10 @@
 //! Cross-crate integration tests: the full RTGS stack from dataset
 //! synthesis through SLAM, the RTGS algorithm, and the hardware models.
 
-use rtgs::accel::{simulate_run, FrameWorkload, HardwareModel, RunWorkload};
+use rtgs::accel::{simulate_run, HardwareModel, RunWorkload};
 use rtgs::core::RtgsConfig;
 use rtgs::scene::{DatasetProfile, SyntheticDataset};
 use rtgs::slam::{BaseAlgorithm, SlamConfig, SlamPipeline, SlamReport};
-
-fn to_workload(report: &SlamReport) -> RunWorkload {
-    RunWorkload {
-        frames: report
-            .frames
-            .iter()
-            .map(|f| FrameWorkload {
-                tracking: f.traces.clone(),
-                mapping: f.mapping_traces.clone(),
-                is_keyframe: f.is_keyframe,
-            })
-            .collect(),
-    }
-}
 
 fn quick_config(algo: BaseAlgorithm, frames: usize) -> SlamConfig {
     let mut cfg = SlamConfig::for_algorithm(algo).with_frames(frames);
@@ -46,10 +32,8 @@ fn full_stack_base_vs_rtgs() {
 #[test]
 fn traces_flow_into_hardware_simulation() {
     let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), 4);
-    let mut cfg = quick_config(BaseAlgorithm::GsSlam, 4);
-    cfg.record_traces = true;
-    let report = SlamPipeline::new(cfg, &ds).run();
-    let run = to_workload(&report);
+    let cfg = quick_config(BaseAlgorithm::GsSlam, 4).with_traces();
+    let run = RunWorkload::from(&SlamPipeline::new(cfg, &ds).run());
     assert!(run.frames.iter().any(|f| !f.tracking.is_empty()));
 
     let onx = simulate_run(&run, &HardwareModel::onx(), true);

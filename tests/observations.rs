@@ -7,7 +7,7 @@ use rtgs::render::{FrameArena, ShardedScene};
 use rtgs::runtime::Serial;
 use rtgs::scene::{DatasetProfile, SyntheticDataset};
 use rtgs::slam::{
-    track_frame, IterationArtifacts, NoObserver, StageTimings, TrackingConfig, TrackingObserver,
+    track_frame, IterationArtifacts, NoExtension, PipelineExtension, StageTimings, TrackingConfig,
 };
 
 /// Observation 3: the Gaussian gradient distribution during tracking is
@@ -19,8 +19,8 @@ fn observation3_gradient_skew() {
     struct Collect {
         scores: Vec<f64>,
     }
-    impl TrackingObserver for Collect {
-        fn after_iteration(&mut self, a: &IterationArtifacts<'_>, _m: &mut [bool]) {
+    impl PipelineExtension for Collect {
+        fn after_tracking_iteration(&mut self, a: &IterationArtifacts<'_>, _m: &mut [bool]) {
             for (k, g) in a.grads.gaussians.iter().enumerate() {
                 self.scores[a.visible_ids[k] as usize] += g.importance_score(0.8) as f64;
             }
@@ -41,12 +41,12 @@ fn observation3_gradient_skew() {
             ..Default::default()
         },
         &mut mask,
-        &mut NoObserver,
+        &mut NoExtension,
         &mut t,
         &mut FrameArena::new(),
         &Serial,
     );
-    // Collect over a second tracking pass with the observer.
+    // Collect over a second tracking pass with the extension.
     let _ = track_frame(
         &map,
         ds.poses_c2w[1].inverse(),
@@ -111,7 +111,7 @@ fn observation6_iteration_similarity() {
             ..Default::default()
         },
         &mut mask,
-        &mut NoObserver,
+        &mut NoExtension,
         &mut t,
         &mut FrameArena::new(),
         &Serial,
