@@ -16,54 +16,28 @@
 //! shape or reference values beneath their own.
 
 mod algorithm;
-mod blackbox;
 mod common;
-mod failover;
 mod hardware;
 mod loadgen;
-mod persistence;
 mod profiling;
 mod runtime;
-mod telemetry;
 
 pub use algorithm::{fig13, fig14, table2, table6, table7};
-pub use blackbox::blackbox;
 pub use common::{
     dataset, default_backend, f, run_variant, set_default_backend, slam_config, Scale, Table,
     Variant,
 };
-pub use failover::failover;
 pub use hardware::{fig15, fig16, fig17, table4};
 pub use loadgen::loadgen;
-pub use persistence::persistence;
 pub use profiling::{fig3, fig4, fig5, fig6};
-pub use runtime::{arena_steady_state, runtime_scaling, serving};
-pub use telemetry::telemetry;
+pub use runtime::arena_steady_state;
 
-/// All experiments: the paper artifacts in paper order, then the runtime
-/// subsystem's scaling, serving and persistence scenarios.
+/// All experiments: the paper artifacts in paper order, then the two
+/// measurement tools — `arena`, the per-stage budget at session size, and
+/// `loadgen`, the open-loop overload sweep.
 pub const EXPERIMENTS: &[&str] = &[
-    "table2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "table6",
-    "table7",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "table4",
-    "runtime",
-    "arena",
-    "serving",
-    "loadgen",
-    "persistence",
-    "failover",
-    "telemetry",
-    "blackbox",
+    "table2", "fig3", "fig4", "fig5", "fig6", "table6", "table7", "fig13", "fig14", "fig15",
+    "fig16", "fig17", "table4", "arena", "loadgen",
 ];
 
 /// Runs one experiment by name.
@@ -86,14 +60,8 @@ pub fn run_experiment(name: &str, scale: Scale) -> Result<String, String> {
         "fig16" => fig16(scale),
         "fig17" => fig17(scale),
         "table4" | "table5" => table4(),
-        "runtime" => runtime_scaling(scale),
         "arena" => arena_steady_state(scale),
-        "serving" => serving(scale),
         "loadgen" => loadgen(scale),
-        "persistence" => persistence(scale),
-        "failover" => failover(scale),
-        "telemetry" => telemetry(scale),
-        "blackbox" => blackbox(scale),
         other => return Err(format!("unknown experiment: {other}")),
     })
 }

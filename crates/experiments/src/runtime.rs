@@ -1,78 +1,12 @@
-//! Runtime-subsystem experiments (not a paper artifact): serial-vs-parallel
-//! kernel scaling, the zero-allocation frame-arena steady state, and the
-//! multi-session serving demonstration.
+//! Runtime measurement (not a paper artifact): the zero-allocation
+//! frame-arena steady state and the per-stage budget at session size.
 
-use crate::common::{default_backend, f, slam_config, Scale, Table};
+use crate::common::{default_backend, f, Scale, Table};
 use rtgs_render::{FrameArena, LossConfig};
-use rtgs_runtime::Serve;
-use rtgs_runtime::{Backend, BackendChoice, Parallel, Serial};
+use rtgs_runtime::{Backend, Serial};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
 use std::time::Instant;
-
-/// Serial-vs-parallel wall-clock of the arena's forward (project → tiles →
-/// fused render) and fused backward stages plus a bitwise equivalence
-/// check, at pool sizes 1/2/4/8.
-pub fn runtime_scaling(scale: Scale) -> String {
-    let ds = SyntheticDataset::generate(scale.profile(DatasetProfile::scannet_analog()), 2);
-    let scene = ds.reference_scene.clone();
-    let w2c = ds.poses_c2w[0].inverse();
-
-    let time_backend = |backend: &dyn Backend| {
-        let mut arena = FrameArena::new();
-        let t0 = Instant::now();
-        // Fused tile pass: the forward records fragment sequences, the
-        // backward consumes them (one tile traversal shared by both).
-        arena.project(&scene, &w2c, &ds.camera, None, backend);
-        arena.assign_tiles(&ds.camera, backend);
-        arena.render_fused(&ds.camera, backend);
-        let forward = t0.elapsed();
-        arena.compute_loss(
-            &ds.frames[0].color,
-            ds.frames[0].depth.as_ref(),
-            &LossConfig::default(),
-        );
-        let t1 = Instant::now();
-        arena.backward_fused(&scene, &ds.camera, &w2c, backend);
-        (forward, t1.elapsed(), arena)
-    };
-
-    let (fwd_serial, bwd_serial, serial) = time_backend(&Serial);
-    let mut table = Table::new(&[
-        "backend",
-        "forward (ms)",
-        "backward (ms)",
-        "bitwise == serial",
-    ]);
-    table.row(vec![
-        "serial".into(),
-        f(fwd_serial.as_secs_f64() * 1e3, 2),
-        f(bwd_serial.as_secs_f64() * 1e3, 2),
-        "-".into(),
-    ]);
-    for threads in [1usize, 2, 4, 8] {
-        let backend = Parallel::new(threads);
-        let (fwd, bwd, arena) = time_backend(&backend);
-        let identical = arena.output().image == serial.output().image
-            && arena.output().final_transmittance == serial.output().final_transmittance
-            && arena.backward().pose == serial.backward().pose
-            && arena.backward().gaussians == serial.backward().gaussians;
-        table.row(vec![
-            format!("parallel({threads})"),
-            f(fwd.as_secs_f64() * 1e3, 2),
-            f(bwd.as_secs_f64() * 1e3, 2),
-            identical.to_string(),
-        ]);
-    }
-    format!(
-        "Runtime scaling on {} ({} Gaussians, {}x{}):\n{}",
-        ds.profile.name,
-        scene.len(),
-        ds.camera.width,
-        ds.camera.height,
-        table.render()
-    )
-}
 
 /// Frame-arena steady state: wall-clock of one full tracking-style
 /// iteration (cull → project → CSR tile assign → fused forward → loss →
@@ -275,78 +209,9 @@ fn session_stage_table(scale: Scale) -> String {
     )
 }
 
-/// Multi-session serving: one SLAM session per base algorithm, multiplexed
-/// concurrently over the shared pool with round-robin frame scheduling.
-pub fn serving(scale: Scale) -> String {
-    let ds =
-        SyntheticDataset::generate(scale.profile(DatasetProfile::tum_analog()), scale.frames());
-    let t0 = Instant::now();
-    let sessions = BaseAlgorithm::all()
-        .into_iter()
-        .map(|algo| {
-            let cfg = slam_config(algo, scale, false)
-                .with_backend(BackendChoice::Parallel { threads: 0 });
-            (algo.name().to_string(), SlamPipeline::new(cfg, &ds))
-        })
-        .collect();
-    let outcomes = Serve::builder().threads(0).run(sessions);
-    let wall = t0.elapsed();
-
-    let mut table = Table::new(&[
-        "session",
-        "frames",
-        "steps",
-        "ATE (cm)",
-        "PSNR (dB)",
-        "wall (s)",
-        "p50 (ms)",
-        "p99 (ms)",
-        "p999 (ms)",
-        "I/O (ms)",
-    ]);
-    let ms = |ns: u64| f(ns as f64 / 1e6, 2);
-    let mut busy = 0.0f64;
-    for outcome in &outcomes {
-        busy += outcome.stats.wall.as_secs_f64();
-        let io = outcome.stats.hibernate_wall + outcome.stats.rehydrate_wall;
-        table.row(vec![
-            outcome.stats.label.clone(),
-            outcome.report.frames_processed.to_string(),
-            outcome.stats.steps.to_string(),
-            f(outcome.report.ate.rmse * 100.0, 2),
-            f(outcome.report.mean_psnr, 2),
-            f(outcome.stats.wall.as_secs_f64(), 2),
-            ms(outcome.stats.latency.p50()),
-            ms(outcome.stats.latency.p99()),
-            ms(outcome.stats.latency.p999()),
-            f(io.as_secs_f64() * 1e3, 2),
-        ]);
-    }
-    let fleet = rtgs_runtime::fleet_latency(&outcomes);
-    format!(
-        "{} concurrent SLAM sessions over one pool ({} wall seconds, {:.2} busy-seconds served):\n{}\nfleet step latency: {} steps, p50 {} ms, p99 {} ms, p999 {} ms\n",
-        outcomes.len(),
-        f(wall.as_secs_f64(), 2),
-        busy,
-        table.render(),
-        fleet.count(),
-        ms(fleet.p50()),
-        ms(fleet.p99()),
-        ms(fleet.p999()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn runtime_scaling_reports_bitwise_equality() {
-        let out = runtime_scaling(Scale::Quick);
-        assert!(out.contains("parallel(2)"));
-        assert!(out.contains("true"));
-        assert!(!out.contains("false"));
-    }
 
     #[test]
     fn arena_steady_state_is_bitwise_identical_to_fresh() {
@@ -356,15 +221,5 @@ mod tests {
         assert!(!out.contains("false"));
         assert!(out.contains("Stage budget at session size"), "{out}");
         assert!(out.contains("Step ❺ preprocess BP"), "{out}");
-    }
-
-    #[test]
-    fn serving_runs_all_four_algorithms() {
-        let out = serving(Scale::Quick);
-        for algo in BaseAlgorithm::all() {
-            assert!(out.contains(algo.name()), "missing {}", algo.name());
-        }
-        assert!(out.contains("fleet step latency"), "{out}");
-        assert!(out.contains("p999"), "{out}");
     }
 }

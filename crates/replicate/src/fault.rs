@@ -3,7 +3,8 @@
 //! Every failure path in the replication stack must be exercisable on
 //! demand, reproducibly. A [`FaultPlan`] is a seeded recipe of envelope-
 //! granularity faults — drop, duplicate, reorder, truncate, corrupt,
-//! delay — plus an optional `kill_primary_at_frame` for failover drills.
+//! delay. It shapes the link only: a failover drill stops the primary at
+//! a frame of its own choosing (`tests/failover.rs`).
 //! [`FaultyLink`] applies the plan to a [`ByteLink`]'s **forward**
 //! direction (records); the return direction (acks) stays clean, which
 //! keeps the harness simple without weakening coverage — a lost ack is
@@ -42,10 +43,6 @@ pub struct FaultPlan {
     pub delay: f64,
     /// Maximum pump ticks a delayed envelope is held.
     pub max_delay_ticks: u32,
-    /// Crash drill: the primary is declared dead once it has processed
-    /// this many frames (enforced by the harness driving the primary, not
-    /// by the link).
-    pub kill_primary_at_frame: Option<u64>,
 }
 
 impl FaultPlan {
@@ -59,7 +56,6 @@ impl FaultPlan {
             corrupt: 0.0,
             delay: 0.0,
             max_delay_ticks: 0,
-            kill_primary_at_frame: None,
         }
     }
 
@@ -73,7 +69,6 @@ impl FaultPlan {
             corrupt: 0.05,
             delay: 0.15,
             max_delay_ticks: 3,
-            kill_primary_at_frame: None,
         }
     }
 
@@ -105,12 +100,6 @@ impl FaultPlan {
     pub fn with_delay(mut self, p: f64, max_ticks: u32) -> Self {
         self.delay = p;
         self.max_delay_ticks = max_ticks;
-        self
-    }
-
-    /// Arms the kill-primary-at-frame-N crash drill.
-    pub fn with_kill_primary_at_frame(mut self, frame: u64) -> Self {
-        self.kill_primary_at_frame = Some(frame);
         self
     }
 }

@@ -13,7 +13,7 @@
 //! [`Follower::promote`] is the failover path: it consumes the follower
 //! and rebuilds a live [`SlamPipeline`] from the standby state, bitwise-
 //! identical to the primary at the last applied record (proven by the
-//! tests in `rtgs-slam::snapshot` and the `failover` experiment).
+//! tests in `rtgs-slam::snapshot` and by `tests/failover.rs`).
 
 use crate::protocol::{Message, RecordKind, ResyncReason, StreamRecord};
 use crate::transport::ByteLink;
@@ -133,8 +133,7 @@ impl<L: ByteLink> Follower<L> {
     }
 
     /// The standby replay state, when warm (read-only inspection; tests
-    /// and the failover experiment compare it bitwise against the
-    /// primary).
+    /// compare it bitwise against the primary).
     pub fn standby(&self) -> Option<&ReplayState> {
         self.replay.as_ref()
     }

@@ -929,10 +929,14 @@ mod tests {
             SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(4),
             &ds,
         );
+        let frame_ns = rtgs_telemetry::global().histogram("slam.frame_ns");
+        let recorded_before = frame_ns.count();
         let report = p.run();
         assert_eq!(report.frames_processed, 4);
         assert_eq!(report.trajectory.len(), 4);
         assert_eq!(report.frames.len(), 4);
+        // One latency sample per frame (concurrent tests may add more).
+        assert!(frame_ns.count() >= recorded_before + 4);
     }
 
     #[test]

@@ -643,41 +643,57 @@ mod tests {
 
     /// The core crash/restore contract: checkpoint at frame k, rebuild a
     /// pipeline from the log (the "restart"), continue both to the end —
-    /// trajectories and reports match bit for bit.
+    /// trajectories and reports match bit for bit. Two logs survive the
+    /// crash: one full checkpoint at frame k, and the incremental log a
+    /// session writes with `checkpoint_into` after every frame (a base,
+    /// then one delta per frame). Keyframes fall on even frames, so the
+    /// incremental log holds a mapped delta that no later delta rewrites.
     #[test]
     fn restore_continues_bitwise_identically() {
         let ds = tiny_dataset(6);
-        let cfg = quick_config(6);
+        let mut cfg = quick_config(6);
+        cfg.keyframe_policy = crate::keyframe::KeyframePolicy::Interval { interval: 2 };
 
         let mut uninterrupted = SlamPipeline::new(cfg, &ds);
         let mut crashing = SlamPipeline::new(cfg, &ds);
-        for _ in 0..3 {
+        let mut incremental = CheckpointLog::new();
+        for frame in 0..4 {
             uninterrupted.step();
             crashing.step();
+            let capture = crashing
+                .checkpoint_into(&mut incremental)
+                .expect("checkpoint_into");
+            assert_eq!(capture.is_base, frame == 0, "frame {frame}");
+            assert_eq!(capture.shards_written > 0, frame % 2 == 0, "frame {frame}");
         }
-        let log = crashing.checkpoint().expect("checkpoint");
+        let full = crashing.checkpoint().expect("checkpoint");
         drop(crashing); // the "crash"
-
-        let mut restored = SlamPipeline::restore_from(cfg, &ds, &log).expect("restore");
         while uninterrupted.step().is_some() {}
-        while restored.step().is_some() {}
-
         let a = uninterrupted.report();
-        let b = restored.report();
-        assert_eq!(a.frames_processed, b.frames_processed);
-        assert_eq!(a.keyframes, b.keyframes);
-        for (pa, pb) in a.trajectory.iter().zip(b.trajectory.iter()) {
-            assert_eq!(pa.translation, pb.translation);
-            assert_eq!(pa.rotation, pb.rotation);
-        }
-        assert_eq!(a.ate.rmse, b.ate.rmse);
-        assert_eq!(a.mean_psnr, b.mean_psnr);
-        assert_eq!(a.peak_gaussians, b.peak_gaussians);
-        for (fa, fb) in a.frames.iter().zip(b.frames.iter()) {
-            assert_eq!(fa.tracking_loss, fb.tracking_loss);
-            assert_eq!(fa.gaussians, fb.gaussians);
-            assert_eq!(fa.is_keyframe, fb.is_keyframe);
-            assert_eq!(fa.tracking_fragments, fb.tracking_fragments);
+
+        for log in [&full, &incremental] {
+            let mut restored = SlamPipeline::restore_from(cfg, &ds, log).expect("restore");
+            assert_eq!(
+                restored.next_frame, 4,
+                "restore resumes after the last capture"
+            );
+            while restored.step().is_some() {}
+            let b = restored.report();
+            assert_eq!(a.frames_processed, b.frames_processed);
+            assert_eq!(a.keyframes, b.keyframes);
+            for (pa, pb) in a.trajectory.iter().zip(b.trajectory.iter()) {
+                assert_eq!(pa.translation, pb.translation);
+                assert_eq!(pa.rotation, pb.rotation);
+            }
+            assert_eq!(a.ate.rmse, b.ate.rmse);
+            assert_eq!(a.mean_psnr, b.mean_psnr);
+            assert_eq!(a.peak_gaussians, b.peak_gaussians);
+            for (fa, fb) in a.frames.iter().zip(b.frames.iter()) {
+                assert_eq!(fa.tracking_loss, fb.tracking_loss);
+                assert_eq!(fa.gaussians, fb.gaussians);
+                assert_eq!(fa.is_keyframe, fb.is_keyframe);
+                assert_eq!(fa.tracking_fragments, fb.tracking_fragments);
+            }
         }
     }
 

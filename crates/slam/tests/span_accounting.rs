@@ -56,8 +56,10 @@ fn span_accounting_matches_stage_accumulator() {
         "span-derived breakdown must equal the accumulator bit for bit"
     );
 
-    // And the Chrome trace export carries the same stage events.
+    // And the Chrome trace export carries the same stage events, as one
+    // balanced JSON document.
     let trace = telemetry::chrome_trace_json();
     assert!(trace.contains("stage.render"));
     assert!(trace.contains("\"traceEvents\""));
+    assert!(telemetry::json_balanced(&trace), "chrome trace JSON");
 }

@@ -1,6 +1,6 @@
 //! Corrupted-snapshot fixtures: every class of damage must surface as a
 //! clean typed [`SnapshotError`] — never a panic, never a silently wrong
-//! map. Exercised directly by CI's persistence smoke job.
+//! map. CI re-runs it by name in its corrupted-snapshot fixtures step.
 
 use rtgs_math::{Quat, Vec3};
 use rtgs_render::{Gaussian3d, ShardedScene};

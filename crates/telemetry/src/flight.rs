@@ -492,9 +492,8 @@ fn bundle_json(
     out
 }
 
-/// Structural bundle validation shared by tests, the blackbox experiment
-/// and CI: the document must be one balanced JSON value containing every
-/// bundle section.
+/// Structural bundle validation: the document must be one balanced JSON
+/// value containing every bundle section.
 pub fn bundle_is_valid(text: &str) -> bool {
     json_balanced(text)
         && text.contains("\"bundle\"")
@@ -562,20 +561,9 @@ pub enum HealthVerdict {
     Critical,
 }
 
-impl HealthVerdict {
-    /// Stable lower-case name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            HealthVerdict::Healthy => "healthy",
-            HealthVerdict::Degraded => "degraded",
-            HealthVerdict::Critical => "critical",
-        }
-    }
-}
-
-/// Per-session health aggregate the serving layer computes at drain time
-/// (and the blackbox experiment prints): ingest backlog, shed state,
-/// replication lag and resident bytes vs. budget.
+/// Per-session health aggregate the serving layer computes at drain time:
+/// ingest backlog, shed state, replication lag and resident bytes vs.
+/// budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReport {
     /// Session label.
@@ -629,24 +617,6 @@ impl HealthReport {
         } else {
             HealthVerdict::Healthy
         }
-    }
-
-    /// One grep-stable summary line (`health verdict: <session> <verdict>
-    /// (...)`), used by the blackbox experiment and the CI smoke step.
-    pub fn render(&self) -> String {
-        format!(
-            "health verdict: {} {} (backlog={}, degraded={}, dropped={}, lag={}, \
-             resident={}B, budget={})",
-            self.session,
-            self.verdict().name(),
-            self.ingest_backlog,
-            self.degraded_frames,
-            self.dropped_frames,
-            self.replication_lag_frames,
-            self.resident_bytes,
-            self.budget_bytes
-                .map_or_else(|| "unbounded".to_string(), |b| format!("{b}B")),
-        )
     }
 }
 
@@ -825,8 +795,6 @@ mod tests {
         assert_eq!(report.verdict(), HealthVerdict::Critical, "over budget");
         report.budget_bytes = Some(20);
         assert_eq!(report.verdict(), HealthVerdict::Healthy);
-        let line = report.render();
-        assert!(line.starts_with("health verdict: s0 healthy"), "{line}");
     }
 
     #[test]
