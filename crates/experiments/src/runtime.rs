@@ -2,7 +2,7 @@
 //! frame-arena steady state and the per-stage budget at session size.
 
 use crate::common::{default_backend, f, Scale, Table};
-use rtgs_render::{FrameArena, LossConfig};
+use rtgs_render::{FrameArena, GradSet, LossConfig};
 use rtgs_runtime::{Backend, Serial};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
@@ -83,7 +83,10 @@ pub fn arena_steady_state(scale: Scale) -> String {
 /// commit; stages the change did not touch show the host's drift between
 /// the two runs). The two columns come from one binary, one map and one
 /// process, in alternating blocks, so their ratio is what the second core
-/// buys.
+/// buys. Below the `iteration` row (cull through the full backward) come
+/// the pose-only Steps ❹–❺ a base pipeline's tracking runs instead, from
+/// the iterations in between, and the header's bitwise check includes that
+/// their pose is the full pass's.
 fn session_stage_table(scale: Scale) -> String {
     let frames = match scale {
         Scale::Quick => 3,
@@ -116,20 +119,45 @@ fn session_stage_table(scale: Scale) -> String {
         "Step ❹ render BP",
         "Step ❺ preprocess BP",
     ];
+    // What a base pipeline's tracking iterations run instead of the last
+    // two rows; printed below the `iteration` row, which stays the
+    // full-backward total.
+    const POSE_STAGES: [&str; 2] = ["Step ❹ render BP (pose)", "Step ❺ preprocess BP (pose)"];
+    const COLUMNS: usize = STAGES.len() + POSE_STAGES.len();
+    /// Per-column sums — nanoseconds, and the iterations that ran the stage
+    /// — and the pose-only passes whose pose was not the full pass's.
+    #[derive(Clone, Copy, Default)]
+    struct Tally {
+        nanos: [u64; COLUMNS],
+        runs: [u64; COLUMNS],
+        pose_mismatches: u64,
+    }
+    impl Tally {
+        fn us(&self, column: usize) -> f64 {
+            self.nanos[column] as f64 / 1e3 / self.runs[column].max(1) as f64
+        }
+        fn iteration_us(&self) -> f64 {
+            (0..STAGES.len()).map(|c| self.us(c)).sum()
+        }
+    }
     // One warm arena per backend, timed in alternating blocks so that the
-    // host's drift over the run lands on both columns alike.
+    // host's drift over the run lands on both columns alike. Within a block
+    // iterations alternate between the full and the pose-only backward,
+    // each right after its own forward, as in a session. Every iteration is
+    // the same one, so each pose-only pose must be the full pose's bits.
     const BLOCKS: usize = 10;
     let run_block = |backend: &dyn Backend,
                      arena: &mut FrameArena,
-                     nanos: &mut [u64; STAGES.len()],
+                     tally: &mut Tally,
                      iterations: usize,
                      record: bool| {
-        for _ in 0..iterations {
-            let mut lap = [0u64; STAGES.len()];
+        for i in 0..iterations {
+            let mut lap = Tally::default();
             let mut timed = |stage: usize, run: &mut dyn FnMut()| {
                 let t = Instant::now();
                 run();
-                lap[stage] = t.elapsed().as_nanos() as u64;
+                lap.nanos[stage] = t.elapsed().as_nanos() as u64;
+                lap.runs[stage] = 1;
             };
             timed(0, &mut || arena.cull(&map, &w2c, &ds.camera, None, backend));
             timed(1, &mut || arena.project_visible(&w2c, &ds.camera, backend));
@@ -138,13 +166,26 @@ fn session_stage_table(scale: Scale) -> String {
             timed(4, &mut || {
                 arena.compute_loss(&frame.color, frame.depth.as_ref(), &cfg);
             });
-            arena.backward_visible_fused(&ds.camera, &w2c, backend);
+            let pose_only = i % 2 == 1;
+            let (grads, first) = if pose_only {
+                (GradSet::PoseOnly, STAGES.len())
+            } else {
+                (GradSet::Full, 5)
+            };
+            let full_pose = arena.backward().pose.map(f32::to_bits);
+            arena.backward_visible_grads(&ds.camera, &w2c, grads, backend);
             let stats = arena.backward().stats;
-            lap[5] = stats.rendering_bp_nanos;
-            lap[6] = stats.preprocessing_bp_nanos;
+            lap.nanos[first] = stats.rendering_bp_nanos;
+            lap.nanos[first + 1] = stats.preprocessing_bp_nanos;
+            lap.runs[first] = 1;
+            lap.runs[first + 1] = 1;
+            if pose_only && arena.backward().pose.map(f32::to_bits) != full_pose {
+                tally.pose_mismatches += 1;
+            }
             if record {
-                for (total, ns) in nanos.iter_mut().zip(lap) {
-                    *total += ns;
+                for c in 0..COLUMNS {
+                    tally.nanos[c] += lap.nanos[c];
+                    tally.runs[c] += lap.runs[c];
                 }
             }
         }
@@ -152,11 +193,12 @@ fn session_stage_table(scale: Scale) -> String {
     let choice = default_backend();
     let chosen_backend = choice.instantiate();
     let (mut arena, mut chosen_arena) = (FrameArena::new(), FrameArena::new());
-    let (mut serial, mut chosen) = ([0u64; STAGES.len()], [0u64; STAGES.len()]);
-    // Two unrecorded iterations establish each arena's capacities.
+    let (mut serial, mut chosen) = (Tally::default(), Tally::default());
+    // Two unrecorded iterations, one of each backward, establish each
+    // arena's capacities.
     run_block(&Serial, &mut arena, &mut serial, 2, false);
     run_block(&*chosen_backend, &mut chosen_arena, &mut chosen, 2, false);
-    let per_block = iterations.div_ceil(BLOCKS);
+    let per_block = iterations.div_ceil(BLOCKS).next_multiple_of(2);
     let iterations = per_block * BLOCKS;
     for _ in 0..BLOCKS {
         run_block(&Serial, &mut arena, &mut serial, per_block, true);
@@ -168,11 +210,14 @@ fn session_stage_table(scale: Scale) -> String {
             true,
         );
     }
-    let identical = chosen_arena.output().image == arena.output().image
+    // Both arenas end on a pose-only pass; compare full gradients.
+    arena.backward_visible_fused(&ds.camera, &w2c, &Serial);
+    chosen_arena.backward_visible_fused(&ds.camera, &w2c, &*chosen_backend);
+    let identical = serial.pose_mismatches + chosen.pose_mismatches == 0
+        && chosen_arena.output().image == arena.output().image
         && chosen_arena.backward().pose == arena.backward().pose
         && chosen_arena.backward().gaussians == arena.backward().gaussians;
 
-    let us = |ns: u64| f(ns as f64 / 1e3 / iterations as f64, 1);
     let mut table = Table::new(&[
         "stage",
         "serial µs",
@@ -180,23 +225,27 @@ fn session_stage_table(scale: Scale) -> String {
         &format!("{} µs", choice.label()),
         "vs serial",
     ]);
-    let (total, chosen_total): (u64, u64) = (serial.iter().sum(), chosen.iter().sum());
+    let (total, chosen_total) = (serial.iteration_us(), chosen.iteration_us());
     let rows = STAGES
         .iter()
-        .copied()
-        .zip(serial.into_iter().zip(chosen))
-        .chain([("iteration", (total, chosen_total))]);
-    for (stage, (ns, chosen_ns)) in rows {
+        .enumerate()
+        .map(|(c, &stage)| (stage, serial.us(c), chosen.us(c)))
+        .chain([("iteration", total, chosen_total)])
+        .chain(POSE_STAGES.iter().enumerate().map(|(k, &stage)| {
+            let c = STAGES.len() + k;
+            (stage, serial.us(c), chosen.us(c))
+        }));
+    for (stage, us, chosen_us) in rows {
         table.row(vec![
             stage.to_string(),
-            us(ns),
-            f(ns as f64 / total as f64, 3),
-            us(chosen_ns),
-            format!("×{}", f(chosen_ns as f64 / ns as f64, 2)),
+            f(us, 1),
+            f(us / total, 3),
+            f(chosen_us, 1),
+            format!("×{}", f(chosen_us / us, 2)),
         ]);
     }
     format!(
-        "Stage budget at session size ({} Gaussians visible of {}, {}x{}, {} blended fragments, {} warm iterations, {} CPUs; {} bitwise == serial: {identical}):\n{}",
+        "Stage budget at session size ({} Gaussians visible of {}, {}x{}, {} blended fragments, {} warm iterations, {} CPUs; pose-only pose == full pose and {} bitwise == serial: {identical}):\n{}",
         arena.projection().visible_count(),
         map.len(),
         ds.camera.width,
@@ -221,5 +270,6 @@ mod tests {
         assert!(!out.contains("false"));
         assert!(out.contains("Stage budget at session size"), "{out}");
         assert!(out.contains("Step ❺ preprocess BP"), "{out}");
+        assert!(out.contains("Step ❺ preprocess BP (pose)"), "{out}");
     }
 }

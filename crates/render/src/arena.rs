@@ -25,7 +25,7 @@
 //! accessors ([`FrameArena::output`], [`FrameArena::backward`], …) until
 //! the next call to the stage that produces them.
 
-use crate::backward::{backward_into, BackwardOutput, BackwardScratch};
+use crate::backward::{backward_into, BackwardOutput, BackwardScratch, GradSet};
 use crate::camera::{DepthImage, Image, PinholeCamera};
 use crate::forward::{render_into, FragmentCache, RenderOutput, RenderStats};
 use crate::gaussian::GaussianScene;
@@ -276,7 +276,7 @@ impl FrameArena {
         backend: &dyn Backend,
     ) {
         self.assert_fragments_fresh();
-        backward_into(
+        backward_into::<true>(
             scene,
             &self.projection,
             &self.tiles,
@@ -298,8 +298,27 @@ impl FrameArena {
         w2c: &Se3,
         backend: &dyn Backend,
     ) {
+        self.backward_visible_grads(camera, w2c, GradSet::Full, backend);
+    }
+
+    /// [`Self::backward_visible_fused`] computing only `grads`. With
+    /// [`GradSet::PoseOnly`], [`BackwardOutput::pose`] and the counters are
+    /// bit for bit the full pass's and [`BackwardOutput::gaussians`] is left
+    /// empty — what a tracking iteration runs when nothing reads the
+    /// per-Gaussian gradients.
+    pub fn backward_visible_grads(
+        &mut self,
+        camera: &PinholeCamera,
+        w2c: &Se3,
+        grads: GradSet,
+        backend: &dyn Backend,
+    ) {
         self.assert_fragments_fresh();
-        backward_into(
+        let run = match grads {
+            GradSet::Full => backward_into::<true>,
+            GradSet::PoseOnly => backward_into::<false>,
+        };
+        run(
             &self.visible.scene,
             &self.projection,
             &self.tiles,

@@ -47,6 +47,14 @@
 //! pose-tangent adds then happen in ascending Gaussian ID, so the chunk fold
 //! is the same sum in the same order.
 //!
+//! **Two gradient sets, one program.** The fused Step ❹ and Step ❺ are
+//! instantiated twice, on a `const FULL: bool` (as `render_into::<RECORD>`
+//! is): [`GradSet::Full`] for mapping and for tracking readers of
+//! per-Gaussian gradients, [`GradSet::PoseOnly`] for a tracking iteration
+//! whose readers need only the pose step. The pose-only instantiation drops
+//! the expressions no pose term reads and keeps every other one, in the same
+//! order, so its pose tangent is the full pass's bit for bit.
+//!
 //! Analytic gradients are verified against central finite differences in
 //! `tests/grad_check.rs`.
 
@@ -69,12 +77,33 @@ use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
 /// not the worker count). The per-tile partials fold in tile order whatever
 /// the chunking, so the value moves no bit; one tile per chunk for the
 /// reason and with the numbers at `forward::RENDER_CHUNK` (Step ❹ on two
-/// threads: ×0.62…0.68 of serial at 4, ×0.52…0.57 at 1).
+/// threads: ×0.62…0.68 of serial at 4, ×0.52…0.57 at 1; with the pool's
+/// two-ended claiming, which runs a tile's Step ❹ where its Step ❸ ran,
+/// ×0.52…0.56 against ×0.54…0.59 over the same runs).
 pub(crate) const BP_TILE_CHUNK: usize = 1;
 /// Gaussians per chunk in the parallel Preprocessing BP. The per-chunk
 /// pose-tangent partial sums fold in chunk order, so this constant — never
 /// the worker count — defines the floating-point summation tree.
 pub(crate) const BP_GAUSS_CHUNK: usize = 256;
+
+/// Which gradients a backward pass computes.
+///
+/// The map is frozen while tracking, so a tracking iteration whose readers
+/// need only the pose step can skip everything the per-Gaussian gradients
+/// cost. The two sets are two instantiations of the same kernels: the pose
+/// tangent of a [`GradSet::PoseOnly`] pass is the same expressions summed in
+/// the same (subtile, lane) order, minus the dead ones, so it equals the
+/// [`GradSet::Full`] pose bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GradSet {
+    /// Only [`BackwardOutput::pose`]: Step ❹ drops the color and opacity
+    /// terms, Step ❺ the position, opacity, `cov_frobenius` and
+    /// scale/rotation chains, and [`BackwardOutput::gaussians`] is left
+    /// empty.
+    PoseOnly,
+    /// Every per-Gaussian gradient and the pose tangent.
+    Full,
+}
 
 /// Per-pixel upstream gradients, produced by the loss module.
 #[derive(Debug, Clone)]
@@ -113,10 +142,11 @@ pub struct BackwardStats {
     pub preprocessing_bp_nanos: u64,
 }
 
-/// Full gradient set from one backward pass.
+/// Gradients from one backward pass.
 #[derive(Debug, Clone)]
 pub struct BackwardOutput {
-    /// Per-Gaussian parameter gradients (Step ❺ output, mapping).
+    /// Per-Gaussian parameter gradients (Step ❺ output, mapping); empty
+    /// after a [`GradSet::PoseOnly`] pass.
     pub gaussians: Vec<GaussianGrad>,
     /// Camera-pose gradient in the left tangent space of the world-to-camera
     /// pose: `(ρ, φ)` ordered translation-then-rotation, for
@@ -177,12 +207,15 @@ pub(crate) struct Accum2d {
 }
 
 impl Accum2d {
-    /// Adds another tile's partial accumulation for the same Gaussian.
-    pub(crate) fn merge(&mut self, rhs: &Accum2d) {
+    /// Adds another tile's partial accumulation for the same Gaussian —
+    /// without `FULL`, only the channels the pose tangent reads.
+    pub(crate) fn merge<const FULL: bool>(&mut self, rhs: &Accum2d) {
         self.mean += rhs.mean;
         self.conic = self.conic + rhs.conic;
-        self.color += rhs.color;
-        self.opacity += rhs.opacity;
+        if FULL {
+            self.color += rhs.color;
+            self.opacity += rhs.opacity;
+        }
         self.depth += rhs.depth;
         self.hit |= rhs.hit;
     }
@@ -231,6 +264,10 @@ pub(crate) struct FragmentRecord {
 /// worker count, so gradients are bitwise-identical on every backend and
 /// pool size.
 ///
+/// `FULL` selects the [`GradSet`]: without it, the fused Step ❹ and Step ❺
+/// compute only what the pose tangent reads and `out.gaussians` is left
+/// empty. The re-walk driver always accumulates every channel.
+///
 /// The workspace and the output gradient buffer are cleared and refilled;
 /// once their capacities cover the frame, a steady-state backward pass
 /// performs **no heap allocation**.
@@ -239,7 +276,7 @@ pub(crate) struct FragmentRecord {
 ///
 /// Panics if the gradient buffers do not match `camera`'s pixel count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn backward_into(
+pub(crate) fn backward_into<const FULL: bool>(
     scene: &GaussianScene,
     projection: &Projection,
     tiles: &TileAssignment,
@@ -275,11 +312,11 @@ pub(crate) fn backward_into(
             // chunk's tiles (and across iterations in the arena path).
             let mut scratch = pool.take();
             let gathered = &mut scratch.gathered;
-            for tile in range {
+            for tile in range.map(|chunk| tiles.tile_of_chunk(chunk)) {
                 // SAFETY: one partial slot per tile.
                 let partial = unsafe { partial_view.get_mut(tile) };
                 match fragments {
-                    Some(cache) => backward_tile_fused(
+                    Some(cache) => backward_tile_fused::<FULL>(
                         tile,
                         projection,
                         tiles,
@@ -318,7 +355,7 @@ pub(crate) fn backward_into(
         for (pos, &slot) in tiles.tile(tile).iter().enumerate() {
             let a = &partial.accum[pos];
             if a.hit {
-                accum[soa.gaussian_ids[slot as usize] as usize].merge(a);
+                accum[soa.gaussian_ids[slot as usize] as usize].merge::<FULL>(a);
             }
         }
     }
@@ -329,7 +366,9 @@ pub(crate) fn backward_into(
     // ---- Step ❺: Preprocessing BP ----------------------------------------
     let frame = PoseFrame::of(w2c);
     out.gaussians.clear();
-    out.gaussians.resize(scene.len(), GaussianGrad::default());
+    if FULL {
+        out.gaussians.resize(scene.len(), GaussianGrad::default());
+    }
     let chunks = scene.len().div_ceil(BP_GAUSS_CHUNK).max(1);
     // Per-chunk (pose tangent, touched count) partials, folded in order.
     ws.pose_partials.clear();
@@ -362,12 +401,15 @@ pub(crate) fn backward_into(
                         &soa.activations[slot],
                     );
                 }
-                let block = preprocess_block(&lanes, camera, &frame);
+                let block = preprocess_block::<FULL>(&lanes, camera, &frame);
                 for (l, &id) in ids.iter().enumerate() {
-                    // SAFETY: each Gaussian id is written by at most one
-                    // chunk.
-                    let out = unsafe { grad_view.get_mut(id) };
-                    block.store(l, accum[id].color, out, &mut pose);
+                    if FULL {
+                        // SAFETY: each Gaussian id is written by at most one
+                        // chunk.
+                        let out = unsafe { grad_view.get_mut(id) };
+                        block.store(l, accum[id].color, out);
+                    }
+                    block.add_pose(l, &mut pose);
                 }
             };
             let mut ids = [0usize; GAUSS_LANES];
@@ -485,7 +527,7 @@ fn backward_tile(
 /// forward pass wrote — no re-walk, no alpha recomputation — one subtile at
 /// a time, 16 pixel lanes wide (`merge_subtile`).
 #[allow(clippy::too_many_arguments)]
-fn backward_tile_fused(
+fn backward_tile_fused<const FULL: bool>(
     tile: usize,
     projection: &Projection,
     tiles: &TileAssignment,
@@ -540,7 +582,7 @@ fn backward_tile_fused(
         if partial.accum.is_empty() {
             partial.accum.resize(list.len(), Accum2d::default());
         }
-        merge_subtile(gathered, partial, cached, subtile, (sx0, sy0), &upstream);
+        merge_subtile::<FULL>(gathered, partial, cached, subtile, (sx0, sy0), &upstream);
     }
 }
 
@@ -576,7 +618,7 @@ struct LaneGrads {
 /// [`TileFragments::pixel_index`] order — the order the scalar oracles
 /// visit pixels in.
 #[allow(clippy::needless_range_loop)] // lane loops index parallel arrays
-fn merge_subtile(
+fn merge_subtile<const FULL: bool>(
     gathered: &[TileSplat],
     partial: &mut TilePartial,
     cached: &TileFragments,
@@ -610,7 +652,7 @@ fn merge_subtile(
             if hit_row != 0 {
                 let at = (&px, py[r] - s.mean.y, r);
                 let record = &cached.rows[row];
-                merge_row(
+                merge_row::<FULL>(
                     s,
                     record,
                     hit_row,
@@ -639,13 +681,17 @@ struct LaneSuffix {
 /// gradient. `px` holds the columns' pixel-centre coordinates and `dy` the
 /// row's offset from the splat's mean.
 ///
+/// Without `FULL` the color and opacity contributions — which no pose
+/// term reads — are neither formed nor merged; every other expression, and
+/// the order of the remaining merges, is the same.
+///
 /// (The lane arrays arrive as separate reference parameters on purpose:
 /// behind fields of one struct the compiler can no longer tell the suffix
 /// stores from the gradient loads and gives up on vectorising — Step ❹
 /// then takes 2.4× as long.)
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)] // lane loops index parallel arrays
 #[inline(always)]
-fn merge_row(
+fn merge_row<const FULL: bool>(
     s: &TileSplat,
     row: &RecordRow,
     hit_row: u32,
@@ -681,14 +727,18 @@ fn merge_row(
         let dt_dalpha = -t_final[l] / one_minus;
         let dl_dalpha = dl_dalpha + upstream.depth[l] * dd_dalpha + upstream.trans[l] * dt_dalpha;
 
-        for ch in 0..3 {
-            d_color[ch][c] = select(hit, upstream.color[ch][l] * w, 0.0);
+        if FULL {
+            for ch in 0..3 {
+                d_color[ch][c] = select(hit, upstream.color[ch][l] * w, 0.0);
+            }
         }
         d_depth[c] = select(hit, upstream.depth[l] * w, 0.0);
 
         // Alpha clamping zeroes the parameter gradient at the cap.
         let uncapped = hit & lane_mask(alpha < ALPHA_MAX);
-        d_opacity[c] = select(uncapped, dl_dalpha * weight, 0.0);
+        if FULL {
+            d_opacity[c] = select(uncapped, dl_dalpha * weight, 0.0);
+        }
         let dl_dq = -0.5 * dl_dalpha * s.opacity * weight;
         let dx = px[c] - s.mean.x;
         let conic_delta = (
@@ -711,9 +761,13 @@ fn merge_row(
     }
     // The merge: ascending lane order.
     for c in 0..N {
-        acc.color += Vec3::new(d_color[0][c], d_color[1][c], d_color[2][c]);
+        if FULL {
+            acc.color += Vec3::new(d_color[0][c], d_color[1][c], d_color[2][c]);
+        }
         acc.depth += d_depth[c];
-        acc.opacity += d_opacity[c];
+        if FULL {
+            acc.opacity += d_opacity[c];
+        }
         acc.mean += Vec2::new(d_mean[0][c], d_mean[1][c]);
         acc.conic = acc.conic + Sym2::new(d_conic[0][c], d_conic[1][c], d_conic[2][c]);
     }
@@ -1033,10 +1087,9 @@ pub(crate) struct PreprocessedBlock {
 }
 
 impl PreprocessedBlock {
-    /// Lane `l`'s results: the gradient into `out` (`color` passes through
-    /// from the accumulator) and the nine pose adds, in
-    /// [`preprocess_one`]'s sequence.
-    fn store(&self, l: usize, color: Vec3, out: &mut GaussianGrad, pose: &mut [f32; 6]) {
+    /// Lane `l`'s gradient into `out` (`color` passes through from the
+    /// accumulator). Only a full block holds one.
+    fn store(&self, l: usize, color: Vec3, out: &mut GaussianGrad) {
         let vec3 = |v: &[Lanes; 3]| Vec3::new(v[0][l], v[1][l], v[2][l]);
         out.position = vec3(&self.position);
         out.color = color;
@@ -1044,6 +1097,10 @@ impl PreprocessedBlock {
         out.cov_frobenius = self.cov_frobenius[l];
         out.log_scale = vec3(&self.log_scale);
         out.rotation = self.rotation.map(|lanes| lanes[l]);
+    }
+
+    /// Lane `l`'s nine pose adds, in [`preprocess_one`]'s sequence.
+    fn add_pose(&self, l: usize, pose: &mut [f32; 6]) {
         let (translation, rotation) = pose.split_at_mut(3);
         for (axis, p) in translation.iter_mut().enumerate() {
             *p += self.dl_dt[axis][l];
@@ -1099,8 +1156,12 @@ fn inner3(a: &M3, b: &M3) -> f32 {
 /// in scalar and vector form alike). Lanes do not interact, so a lane's
 /// results are the bits [`preprocess_one`] produces for that Gaussian
 /// whatever its neighbours hold.
+///
+/// Without `FULL` only the pose terms (`dl_dt`, `torque`, `spin`) are
+/// computed: the lane stops before `dL/dΣ`, the position, opacity and
+/// `cov_frobenius` gradients and the scale/rotation chain.
 #[allow(clippy::needless_range_loop)] // the lane loop indexes parallel arrays
-pub(crate) fn preprocess_block(
+pub(crate) fn preprocess_block<const FULL: bool>(
     lanes: &PreprocessLanes,
     camera: &PinholeCamera,
     frame: &PoseFrame,
@@ -1143,8 +1204,7 @@ pub(crate) fn preprocess_block(
         let scale = [lanes.scale[0][l], lanes.scale[1][l], lanes.scale[2][l]];
         let sigma3 = covariance3(&r, scale);
 
-        // cov2d = M Σ Mᵀ:
-        let dl_dsigma = mul3(&mul3(&transpose3(&m), &dcov3), &m);
+        // cov2d = M Σ Mᵀ, towards M:
         let dl_dm = scale3(&mul3(&dcov3, &mul3(&m, &sigma3)), 2.0);
         let dl_dj = mul3(&dl_dm, &rot_w2c_t);
         let j_t = transpose3(&j);
@@ -1169,6 +1229,20 @@ pub(crate) fn preprocess_block(
         dl_dt[2] += dl_dj[0][0] * (-fx * inv_z2) + dl_dj[1][1] * (-fy * inv_z2);
         dl_dt[2] += lanes.d_depth[l];
 
+        for i in 0..3 {
+            out.dl_dt[i][l] = dl_dt[i];
+            out.spin[i][l] = inner3(&dl_dw_cov, generators[i]);
+        }
+        // `t_cam.cross(dl_dt)`.
+        out.torque[0][l] = t[1] * dl_dt[2] - t[2] * dl_dt[1];
+        out.torque[1][l] = t[2] * dl_dt[0] - t[0] * dl_dt[2];
+        out.torque[2][l] = t[0] * dl_dt[1] - t[1] * dl_dt[0];
+        if !FULL {
+            continue;
+        }
+
+        // cov2d = M Σ Mᵀ, towards Σ:
+        let dl_dsigma = mul3(&mul3(&transpose3(&m), &dcov3), &m);
         let position = mul_vec3(&rot_w2c_t, dl_dt);
         let o = lanes.opacity[l];
         out.opacity[l] = lanes.d_opacity[l] * o * (1.0 - o);
@@ -1223,16 +1297,10 @@ pub(crate) fn preprocess_block(
             out.position[i][l] = position[i];
             let ds_i = dl_dn[0][i] * r[0][i] + dl_dn[1][i] * r[1][i] + dl_dn[2][i] * r[2][i];
             out.log_scale[i][l] = ds_i * scale[i];
-            out.dl_dt[i][l] = dl_dt[i];
-            out.spin[i][l] = inner3(&dl_dw_cov, generators[i]);
         }
         for i in 0..4 {
             out.rotation[i][l] = select(degenerate, 0.0, (g_unit[i] - dot * qv[i]) / norm);
         }
-        // `t_cam.cross(dl_dt)`.
-        out.torque[0][l] = t[1] * dl_dt[2] - t[2] * dl_dt[1];
-        out.torque[1][l] = t[2] * dl_dt[0] - t[0] * dl_dt[2];
-        out.torque[2][l] = t[0] * dl_dt[1] - t[1] * dl_dt[0];
     }
     out
 }
@@ -1380,7 +1448,7 @@ mod tests {
         let rewalk = backward(&mut arena, &scene, &grads);
         // Same explicit gradients through the fused driver.
         let mut fused_out = BackwardOutput::empty();
-        backward_into(
+        backward_into::<true>(
             &scene,
             arena.projection(),
             arena.tiles(),
@@ -1507,7 +1575,7 @@ mod tests {
         assert!(oracle.gaussians[0].position.is_finite());
         for fragments in [Some(arena.fragments()), None] {
             let mut out = BackwardOutput::empty();
-            backward_into(
+            backward_into::<true>(
                 &scene,
                 arena.projection(),
                 arena.tiles(),
@@ -1569,9 +1637,10 @@ mod tests {
     }
 
     /// Runs `cases` (at most a block's worth; the last one replicated into
-    /// the tail, as `backward_into` does) through [`preprocess_block`] and
-    /// holds every lane's gradient and pose terms to [`preprocess_one`] on
-    /// bits — for a lane with a non-finite input, equal or both NaN.
+    /// the tail, as `backward_into` does) through both instantiations of
+    /// [`preprocess_block`] and holds every lane's gradient and pose terms —
+    /// the pose-only block's included — to [`preprocess_one`] on bits — for
+    /// a lane with a non-finite input, equal or both NaN.
     fn assert_lanes_match_scalar(cases: &[LaneCase], w2c: &Se3) {
         assert!((1..=GAUSS_LANES).contains(&cases.len()));
         let cam = session_camera();
@@ -1582,10 +1651,14 @@ mod tests {
             let s = &c.splat;
             lanes.set(l, s.conic, s.t_cam, s.opacity, &c.a, &Activation::of(&c.g));
         }
-        let block = preprocess_block(&lanes, &cam, &frame);
+        let block = preprocess_block::<true>(&lanes, &cam, &frame);
+        let pose_block = preprocess_block::<false>(&lanes, &cam, &frame);
         for (l, c) in cases.iter().enumerate() {
             let (mut got, mut got_pose) = (GaussianGrad::default(), [0.0f32; 6]);
-            block.store(l, c.a.color, &mut got, &mut got_pose);
+            block.store(l, c.a.color, &mut got);
+            block.add_pose(l, &mut got_pose);
+            let mut pose_only = [0.0f32; 6];
+            pose_block.add_pose(l, &mut pose_only);
             let (mut want, mut want_pose) = (GaussianGrad::default(), [0.0f32; 6]);
             preprocess_one(
                 &c.g,
@@ -1628,6 +1701,9 @@ mod tests {
                 .enumerate()
             {
                 assert!(same(x, y), "lane {l}, float {k}: {x} vs {y} for {c:?}");
+            }
+            for (k, (x, y)) in pose_only.into_iter().zip(want_pose).enumerate() {
+                assert!(same(x, y), "lane {l}, pose-only {k}: {x} vs {y} for {c:?}");
             }
         }
     }
@@ -1766,7 +1842,7 @@ mod tests {
     /// The chunk loop around the kernel — compaction of touched IDs, tail
     /// replication, per-lane stores and pose adds in ascending ID — at every
     /// tail length, with untouched (masked, culled) Gaussians in between,
-    /// against the AoS oracle.
+    /// against the AoS oracle, in both instantiations.
     #[test]
     fn every_touched_count_matches_the_oracle() {
         use crate::reference::{backward_aos, build_tiles_aos, project_scene_aos};
@@ -1802,7 +1878,7 @@ mod tests {
             let oracle = backward_aos(&scene, &aos, &aos_tiles, &cam, &w2c, &grads);
             assert_eq!(oracle.stats.gaussians_touched, n);
             let mut out = BackwardOutput::empty();
-            backward_into(
+            backward_into::<true>(
                 &scene,
                 arena.projection(),
                 arena.tiles(),
@@ -1819,6 +1895,26 @@ mod tests {
             }
             assert_eq!(out.pose.map(f32::to_bits), oracle.pose.map(f32::to_bits));
             assert_eq!(out.stats.gaussians_touched, n);
+            // The pose-only instantiation, into the same (stale) output.
+            backward_into::<false>(
+                &scene,
+                arena.projection(),
+                arena.tiles(),
+                &cam,
+                &w2c,
+                &grads,
+                Some(arena.fragments()),
+                &Serial,
+                &mut BackwardScratch::default(),
+                &mut out,
+            );
+            assert!(out.gaussians.is_empty());
+            assert_eq!(out.pose.map(f32::to_bits), oracle.pose.map(f32::to_bits));
+            assert_eq!(out.stats.gaussians_touched, n);
+            assert_eq!(
+                out.stats.fragment_grad_events,
+                oracle.stats.fragment_grad_events
+            );
         }
     }
 }

@@ -60,7 +60,12 @@ use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
 /// to hold. `experiments arena --full`, 2 vCPUs, Step ❸ on the machine
 /// backend against serial in the same process: ×0.62…0.69 at 4, ×0.52…0.57
 /// at 1 (the whole iteration ×0.62…0.70 → ×0.55…0.61); on one thread 1 and 4
-/// are indistinguishable (a chunk costs one scratch-pool take/put).
+/// are indistinguishable (a chunk costs one scratch-pool take/put). Since
+/// the pool claims from both ends, so that each core keeps the tiles it
+/// rendered for Step ❹, six alternating runs of each read Step ❸
+/// ×0.51…0.55 against ×0.52…0.59 before, and the iteration ×0.54…0.59
+/// (median ×0.57) against ×0.56…0.63 (median ×0.59; one more run before,
+/// still inside its first second, read ×0.86).
 pub(crate) const RENDER_CHUNK: usize = 1;
 
 /// Lanes of the tile kernels: the pixels of one subtile.
@@ -860,7 +865,7 @@ pub(crate) fn render_into<const RECORD: bool>(
             // Stands in for the tile's record set in the pass that records
             // nothing.
             let mut unrecorded = TileFragments::default();
-            for tile in range {
+            for tile in range.map(|chunk| tiles.tile_of_chunk(chunk)) {
                 // SAFETY (all accesses below): one record set and one stats
                 // slot per tile; tiles partition the image, so every pixel
                 // index is written by exactly one tile's task.

@@ -32,6 +32,10 @@
 //!    gradients and the camera-pose tangent, lanes = Gaussians like step 1,
 //!    on step 1's activations.
 //!
+//! Steps 4–5 come in two [`GradSet`]s: [`FrameArena::backward_visible_grads`]
+//! with [`GradSet::PoseOnly`] computes only the pose tangent — the full
+//! pass's bits — for tracking iterations nothing else reads.
+//!
 //! [`FrameArena::forward`] runs steps 1–3 in one call for callers that only
 //! need an image.
 //!
@@ -88,7 +92,7 @@ mod tiles;
 mod trace;
 
 pub use arena::FrameArena;
-pub use backward::{BackwardOutput, BackwardStats, PixelGrads};
+pub use backward::{BackwardOutput, BackwardStats, GradSet, PixelGrads};
 pub use camera::{DepthImage, Image, PinholeCamera};
 pub use forward::{
     FragmentCache, RecordHead, RecordRow, RenderOutput, RenderStats, TileFragments, ALPHA_MAX,

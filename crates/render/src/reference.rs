@@ -339,7 +339,7 @@ pub fn backward_aos(
         stats.fragment_grad_events += events;
         for (slot, &id) in list.iter().enumerate() {
             if !partial.is_empty() && partial[slot].hit {
-                accum[id as usize].merge(&partial[slot]);
+                accum[id as usize].merge::<true>(&partial[slot]);
             }
         }
     }
@@ -449,7 +449,7 @@ pub fn backward_rewalk(
     pixel_grads: &PixelGrads,
     backend: &dyn Backend,
 ) {
-    backward_into(
+    backward_into::<true>(
         scene,
         &arena.projection,
         &arena.tiles,

@@ -178,6 +178,28 @@ impl TileAssignment {
         }
     }
 
+    /// The tile that chunk `chunk` of a Step ❸ or Step ❹ loop covers: tiles
+    /// in row-major order, rotated to start at the middle tile row.
+    ///
+    /// The pool's publisher claims ascending chunk indices and its helpers
+    /// descending ones, so the two meet in the middle of the chunk sequence,
+    /// and the chunk they meet at sets the loop's tail. Row-major order puts
+    /// the light tiles — the partial last row and column — last, and on a
+    /// two-row frame both heavy tiles first, next to each other: the two
+    /// ends would meet on a heavy tile. Rotated, both ends start in a heavy
+    /// row and the light last row sits mid-sequence. Same host, one pool,
+    /// one process, alternating blocks against one ascending counter: the
+    /// unrotated two ends read the iteration ×0.97 at 75×42 (15 tiles) but
+    /// ×1.06 at 38×21 (6 tiles, where RTGS tracks most frames); rotated,
+    /// ×0.96 and ×1.01.
+    ///
+    /// A tile's results go to its own slots and fold in tile order, so the
+    /// mapping decides only which thread renders what, never a bit.
+    #[inline]
+    pub(crate) fn tile_of_chunk(&self, chunk: usize) -> usize {
+        (chunk + self.tiles_y / 2 * self.tiles_x) % self.tile_count()
+    }
+
     /// The pixel rectangle `(x0, y0, x1_exclusive, y1_exclusive)` of tile
     /// `(tx, ty)` clamped to the image bounds.
     pub fn tile_pixel_rect(

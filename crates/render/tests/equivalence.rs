@@ -7,7 +7,11 @@
 //! (`rtgs_render::reference::*_aos`) over the flattened map — and then by
 //! the full cross product of
 //!
-//! * **backend**: `Serial`, `Parallel` pools of size 1–8;
+//! * **backend**: `Serial`, `Parallel` pools of size 1–8, and two test
+//!   backends that run every loop's chunks on the caller out of index
+//!   order — last first ([`Reversed`]) and in a seeded permutation
+//!   ([`Shuffled`]) — because claiming may change who runs a chunk and
+//!   when, never its index, its range or the fold;
 //! * **arena**: a fresh [`FrameArena`], and one arena reused across an
 //!   interleaving of cases and resolutions (stale capacities and stale
 //!   contents from an unrelated frame must never leak into results);
@@ -20,7 +24,10 @@
 //! stable-ID space and against the legacy per-tile sort in slot space),
 //! image, depth, transmittance, per-pixel workloads, render stats, the
 //! loss and its pixel gradients, per-Gaussian gradients (in stable-ID
-//! space), the pose tangent and the backward counters.
+//! space), the pose tangent and the backward counters. The fused sharded
+//! cells — what tracking runs — also run the [`GradSet::PoseOnly`]
+//! backward and assert that it leaves `gaussians` empty and equals the full
+//! pass's pose and counters.
 //!
 //! One documented limit: the pose tangent is a sum over Gaussians whose
 //! reduction tree is chunked over the pass's *own* index space
@@ -34,14 +41,83 @@ use proptest::prelude::*;
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::reference;
 use rtgs_render::{
-    DepthImage, FrameArena, Gaussian3d, GaussianGrad, GaussianScene, Image, LossConfig, LossOutput,
-    PinholeCamera, RenderOutput, ShardedScene,
+    BackwardOutput, DepthImage, FrameArena, Gaussian3d, GaussianGrad, GaussianScene, GradSet,
+    Image, LossConfig, LossOutput, PinholeCamera, RenderOutput, ShardedScene,
 };
 use rtgs_runtime::{Backend, Parallel, Serial};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Gaussians per pose-tangent partial sum in Preprocessing BP (the
 /// kernel's `BP_GAUSS_CHUNK`).
 const POSE_CHUNK: usize = 256;
+
+/// The range of chunk `index` of a loop, as every backend must give it.
+fn chunk_range(index: usize, len: usize, chunk_size: usize) -> Range<usize> {
+    index * chunk_size..((index + 1) * chunk_size).min(len)
+}
+
+/// Runs a loop's chunks on the caller, last index first.
+struct Reversed;
+
+impl Backend for Reversed {
+    fn name(&self) -> &'static str {
+        "reversed"
+    }
+
+    fn for_each_chunk(
+        &self,
+        len: usize,
+        chunk_size: usize,
+        body: &(dyn Fn(usize, Range<usize>) + Sync),
+    ) {
+        let chunk_size = chunk_size.max(1);
+        for index in (0..len.div_ceil(chunk_size)).rev() {
+            body(index, chunk_range(index, len, chunk_size));
+        }
+    }
+}
+
+/// Runs a loop's chunks on the caller in a permutation drawn from a seeded
+/// LCG, a fresh one per loop.
+struct Shuffled {
+    state: AtomicU64,
+}
+
+impl Shuffled {
+    fn new(seed: u64) -> Self {
+        Self {
+            state: AtomicU64::new(seed),
+        }
+    }
+}
+
+impl Backend for Shuffled {
+    fn name(&self) -> &'static str {
+        "shuffled"
+    }
+
+    fn for_each_chunk(
+        &self,
+        len: usize,
+        chunk_size: usize,
+        body: &(dyn Fn(usize, Range<usize>) + Sync),
+    ) {
+        let chunk_size = chunk_size.max(1);
+        let mut order: Vec<usize> = (0..len.div_ceil(chunk_size)).collect();
+        let mut state = self.state.fetch_add(1, Ordering::Relaxed);
+        // Fisher–Yates.
+        for i in (1..order.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        for index in order {
+            body(index, chunk_range(index, len, chunk_size));
+        }
+    }
+}
 
 /// One pipeline case.
 #[derive(Debug, Clone)]
@@ -346,9 +422,23 @@ fn check_cell(
     assert_eq!(got.depth, want.depth, "{cell}: dL/dD");
     assert_eq!(got.transmittance, want.transmittance, "{cell}: dL/dT");
 
-    // Steps ❹–❺.
+    // Steps ❹–❺. The fused sharded spelling is what tracking runs, so it
+    // runs the pose-only pass first, on the same arena: no Gaussian rows,
+    // and the full pass's pose and counters, bit for bit.
+    let pose_and_counters = |back: &BackwardOutput| {
+        let stats = back.stats;
+        let counters = (stats.fragment_grad_events, stats.gaussians_touched);
+        (back.pose.map(f32::to_bits), counters)
+    };
+    let mut pose_only = None;
     match (fused, sharded) {
-        (true, true) => arena.backward_visible_fused(camera, pose, backend),
+        (true, true) => {
+            arena.backward_visible_grads(camera, pose, GradSet::PoseOnly, backend);
+            let back = arena.backward();
+            assert!(back.gaussians.is_empty(), "{cell}: pose-only rows");
+            pose_only = Some(pose_and_counters(back));
+            arena.backward_visible_fused(camera, pose, backend);
+        }
         (true, false) => arena.backward_fused(&oracle.flat, camera, pose, backend),
         (false, _) => {
             let gathered;
@@ -378,6 +468,13 @@ fn check_cell(
         back.stats.gaussians_touched, oracle.touched,
         "{cell}: touched"
     );
+    if let Some(pose_only) = pose_only {
+        assert_eq!(
+            pose_only,
+            pose_and_counters(back),
+            "{cell}: pose-only pose == full pose"
+        );
+    }
 }
 
 /// Runs the whole matrix over an interleaving of cases: per backend, one
@@ -387,7 +484,14 @@ fn check_cell(
 /// arenas.
 fn run_matrix(cases: &[Case]) {
     let oracles: Vec<Oracle> = cases.iter().map(Oracle::of).collect();
-    let mut backends: Vec<(String, Box<dyn Backend>)> = vec![("serial".into(), Box::new(Serial))];
+    let mut backends: Vec<(String, Box<dyn Backend>)> = vec![
+        ("serial".into(), Box::new(Serial)),
+        ("reversed".into(), Box::new(Reversed)),
+        (
+            "shuffled".into(),
+            Box::new(Shuffled::new(cases.len() as u64)),
+        ),
+    ];
     for threads in 1..=8usize {
         backends.push((format!("pool-{threads}"), Box::new(Parallel::new(threads))));
     }
@@ -430,8 +534,9 @@ fn run_matrix(cases: &[Case]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// {Serial, pool 1–8} × {fresh, reused arena} × {fused, re-walk} ×
-    /// {flat, sharded} all reproduce the AoS oracle bitwise over random
+    /// {Serial, reversed, shuffled, pool 1–8} × {fresh, reused arena} ×
+    /// {fused, re-walk} × {flat, sharded} (pose-only included where
+    /// tracking runs) all reproduce the AoS oracle bitwise over random
     /// interleavings of random cases (two tests, one per world regime, so
     /// they run side by side).
     #[test]

@@ -29,7 +29,7 @@
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::reference::backward_rewalk;
 use rtgs_render::{
-    FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera, ShardedScene,
+    FrameArena, Gaussian3d, GaussianScene, GradSet, Image, LossConfig, PinholeCamera, ShardedScene,
 };
 use rtgs_runtime::Serial;
 
@@ -295,6 +295,63 @@ fn alternating_resolutions_allocate_nothing_after_one_warm_cycle() {
         steady_allocs, 0,
         "alternating 75×42 ↔ 38×21 must not allocate after one warm cycle"
     );
+}
+
+/// What a base pipeline's tracked frame runs, then a keyframe's mapping
+/// iteration: pose-only iterations, a last trial that stops after its loss
+/// (no backward), then a full iteration — the gradient rows the pose-only
+/// passes leave empty are refilled from kept capacity, and nothing
+/// allocates once one such cycle has run.
+#[test]
+fn pose_only_frames_and_a_backwardless_last_trial_allocate_nothing() {
+    let map = ShardedScene::from_scene(&test_scene(180), 1.0);
+    let mask = vec![true; map.capacity()];
+    let cfg = LossConfig::default();
+    let poses = [
+        Se3::IDENTITY,
+        Se3::from_translation(Vec3::new(0.015, 0.01, -0.005)),
+        Se3::from_translation(Vec3::new(-0.01, 0.005, 0.01)),
+    ];
+    for camera in cameras() {
+        let gt = Image::new(camera.width, camera.height);
+        let mut arena = FrameArena::new();
+        let forward = |arena: &mut FrameArena, w2c: &Se3| {
+            arena.cull(&map, w2c, &camera, Some(&mask), &Serial);
+            arena.project_visible(w2c, &camera, &Serial);
+            arena.assign_tiles(&camera, &Serial);
+            arena.render_fused(&camera, &Serial);
+            arena.compute_loss(&gt, None, &cfg)
+        };
+        let cycle = |arena: &mut FrameArena| {
+            let (last, trials) = poses.split_last().unwrap();
+            for w2c in trials {
+                assert!(forward(arena, w2c).is_finite());
+                arena.backward_visible_grads(&camera, w2c, GradSet::PoseOnly, &Serial);
+                assert!(arena.backward().gaussians.is_empty());
+                assert!(arena.backward().stats.gaussians_touched > 0);
+            }
+            assert!(forward(arena, last).is_finite());
+            assert!(forward(arena, &poses[0]).is_finite());
+            arena.backward_visible_fused(&camera, &poses[0], &Serial);
+            assert_eq!(arena.backward().gaussians.len(), arena.visible().ids.len());
+        };
+        let warm_start = alloc_counter::thread_allocations();
+        cycle(&mut arena);
+        assert!(
+            alloc_counter::thread_allocations() > warm_start,
+            "sanity: the warm cycle must allocate (counter must be live)"
+        );
+        let before = alloc_counter::thread_allocations();
+        for _ in 0..3 {
+            cycle(&mut arena);
+        }
+        let steady_allocs = alloc_counter::thread_allocations() - before;
+        assert_eq!(
+            steady_allocs, 0,
+            "pose-only tracking + mapping at {}×{} must not allocate after one warm cycle",
+            camera.width, camera.height
+        );
+    }
 }
 
 #[test]

@@ -40,6 +40,7 @@ pub use pipeline::{
     BaseAlgorithm, FrameDirectives, FrameReport, NoExtension, PipelineExtension, SlamConfig,
     SlamPipeline, SlamReport,
 };
+pub use rtgs_render::GradSet;
 pub use rtgs_telemetry::{StageId, StageTimings};
 pub use snapshot::config_fingerprint;
 pub use tracking::{track_frame, IterationArtifacts, TrackResult, TrackingConfig};

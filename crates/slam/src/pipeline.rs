@@ -8,7 +8,7 @@ use crate::optimizer::{MapLearningRates, MapOptimizer};
 use crate::tracking::{timed_iteration, track_frame, IterationArtifacts, TrackingConfig};
 use rtgs_math::Se3;
 use rtgs_metrics::{absolute_trajectory_error, psnr, AteResult};
-use rtgs_render::{FrameArena, Image, ShardedScene, WorkloadTrace};
+use rtgs_render::{FrameArena, GradSet, Image, ShardedScene, WorkloadTrace};
 use rtgs_runtime::{Backend, BackendChoice};
 use rtgs_scene::{RgbdFrame, SyntheticDataset};
 use rtgs_telemetry::flight::hops;
@@ -225,6 +225,18 @@ pub trait PipelineExtension {
         FrameDirectives::default()
     }
 
+    /// Which gradients [`Self::after_tracking_iteration`] reads, and so which
+    /// backward each tracking iteration runs. [`GradSet::Full`] (the
+    /// default) sees every iteration's per-Gaussian gradients.
+    /// [`GradSet::PoseOnly`] promises to read none of them: iterations run
+    /// the pose-only backward (the same pose bits), and the iteration after
+    /// which tracking stops runs no backward at all. Mapping always runs
+    /// the full backward, and so does tracking with
+    /// [`TrackingConfig::record_traces`] on, whatever this returns.
+    fn tracking_grads(&self) -> GradSet {
+        GradSet::Full
+    }
+
     /// Called after each tracking iteration — never during mapping or the
     /// first frame's initialisation — with `artifacts.iteration` restarting
     /// at 0 on every frame; may mask Gaussians off for the rest of the
@@ -262,11 +274,16 @@ pub trait PipelineExtension {
     }
 }
 
-/// The identity extension (no redundancy reduction).
+/// The identity extension (no redundancy reduction). It reads no
+/// gradients, so tracking runs the pose-only backward for it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoExtension;
 
-impl PipelineExtension for NoExtension {}
+impl PipelineExtension for NoExtension {
+    fn tracking_grads(&self) -> GradSet {
+        GradSet::PoseOnly
+    }
+}
 
 /// Report for one processed frame.
 #[derive(Debug, Clone)]
@@ -289,7 +306,8 @@ pub struct FrameReport {
     pub gaussians: usize,
     /// Fragments processed during tracking (forward).
     pub tracking_fragments: u64,
-    /// Fragment gradient events during tracking (backward).
+    /// Fragment gradient events of the backward passes tracking ran (see
+    /// [`TrackResult::fragment_grad_events`](crate::TrackResult)).
     pub tracking_grad_events: u64,
     /// Workload traces from tracking iterations (if enabled).
     pub traces: Vec<WorkloadTrace>,

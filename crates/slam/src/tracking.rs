@@ -12,8 +12,8 @@
 use crate::pipeline::PipelineExtension;
 use rtgs_math::Se3;
 use rtgs_render::{
-    BackwardOutput, FrameArena, LossConfig, PinholeCamera, ShardedScene, TileAssignment,
-    WorkloadTrace,
+    BackwardOutput, BackwardStats, FrameArena, GradSet, LossConfig, PinholeCamera, ShardedScene,
+    TileAssignment, WorkloadTrace,
 };
 use rtgs_runtime::Backend;
 use rtgs_scene::RgbdFrame;
@@ -23,8 +23,10 @@ use std::time::Instant;
 /// Tracking configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackingConfig {
-    /// Optimization iterations per frame (each costs one render +
-    /// backward, matching the paper's per-frame iteration counts).
+    /// Optimization iterations per frame, at most (matching the paper's
+    /// per-frame iteration counts). Each costs one render and, except the
+    /// one after which tracking stops when the extension reads only the
+    /// pose ([`GradSet::PoseOnly`]), one backward.
     pub iterations: usize,
     /// Initial trust-region step length in meters along the normalized
     /// pose-gradient direction.
@@ -112,9 +114,13 @@ fn pose_step(grad: &[f32; 6], rms: &[f32; 6], step: f32, rotation_scale: f32) ->
 pub struct IterationArtifacts<'a> {
     /// Iteration index within the frame (0 on each frame's first).
     pub iteration: usize,
-    /// Full backward output in the iteration's frame-local index space
-    /// (per-Gaussian gradients + pose tangent): `grads.gaussians[k]` is the
-    /// gradient of the Gaussian with stable ID `visible_ids[k]`.
+    /// The iteration's backward output in frame-local index space: with
+    /// [`GradSet::Full`] (see [`PipelineExtension::tracking_grads`])
+    /// `grads.gaussians[k]` is the gradient of the Gaussian with stable ID
+    /// `visible_ids[k]`; with [`GradSet::PoseOnly`] `gaussians` is empty,
+    /// and on the iteration after which tracking stops, which then runs no
+    /// backward, the whole output is empty: zero pose, zero counters. Never
+    /// an earlier iteration's gradients.
     pub grads: &'a BackwardOutput,
     /// Frame-local index → stable map ID for this iteration's visible
     /// working set (the frustum-cull survivors).
@@ -137,7 +143,8 @@ pub struct TrackResult {
     pub traces: Vec<WorkloadTrace>,
     /// Total fragments processed across iterations (forward).
     pub fragments_processed: u64,
-    /// Total fragment gradient events across iterations (backward).
+    /// Total fragment gradient events across the backward passes that ran
+    /// (one fewer than iterations for a [`GradSet::PoseOnly`] extension).
     pub fragment_grad_events: u64,
 }
 
@@ -152,15 +159,9 @@ fn record_stage(timings: &mut StageTimings, stage: StageId, start_ns: u64, dur_n
 }
 
 /// One timed render + backward iteration — the paper's five-step frame
-/// pipeline over the session arena, shared by tracking and mapping:
-/// frustum cull + projection (`Preprocess`) → tile assignment (`Sorting`) →
-/// fused render (`Render`) → loss → fused backward (`RenderBp`,
-/// `PreprocessBp`), each interval accounted through [`record_stage`].
-/// Returns the loss; gradients and stage results stay in `arena`.
-///
-/// Masked (pruned) IDs drop out in the cull, before any math. The fused
-/// render records each pixel's fragment sequence so the backward pass
-/// consumes it instead of re-walking the sorted splat lists.
+/// pipeline over the session arena, as mapping runs it: [`timed_forward`]
+/// then [`timed_backward`] with the full gradient set. Returns the loss;
+/// gradients and stage results stay in `arena`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn timed_iteration(
     arena: &mut FrameArena,
@@ -174,6 +175,45 @@ pub(crate) fn timed_iteration(
     it: u64,
     backend: &dyn Backend,
 ) -> f32 {
+    let (loss, loss_start) = timed_forward(
+        arena,
+        map,
+        w2c,
+        camera,
+        mask,
+        frame,
+        loss_config,
+        timings,
+        it,
+        backend,
+    );
+    let full = Some(GradSet::Full);
+    timed_backward(arena, w2c, camera, full, loss_start, timings, it, backend);
+    loss
+}
+
+/// The forward half of an iteration: frustum cull + projection
+/// (`Preprocess`) → tile assignment (`Sorting`) → fused render (`Render`),
+/// each interval accounted through [`record_stage`], then the loss. Returns
+/// the loss and the instant the loss started, which [`timed_backward`]
+/// accounts from.
+///
+/// Masked (pruned) IDs drop out in the cull, before any math. The fused
+/// render records each pixel's fragment sequence so the backward pass
+/// consumes it instead of re-walking the sorted splat lists.
+#[allow(clippy::too_many_arguments)]
+fn timed_forward(
+    arena: &mut FrameArena,
+    map: &ShardedScene,
+    w2c: &Se3,
+    camera: &PinholeCamera,
+    mask: &[bool],
+    frame: &RgbdFrame,
+    loss_config: &LossConfig,
+    timings: &mut StageTimings,
+    it: u64,
+    backend: &dyn Backend,
+) -> (f32, Instant) {
     let t0 = Instant::now();
     arena.cull(map, w2c, camera, Some(mask), backend);
     arena.project_visible(w2c, camera, backend);
@@ -203,23 +243,55 @@ pub(crate) fn timed_iteration(
         (t3 - t2).as_nanos() as u64,
         it,
     );
-
     let loss = arena.compute_loss(&frame.color, frame.depth.as_ref(), loss_config);
-    arena.backward_visible_fused(camera, w2c, backend);
-    let t4 = Instant::now();
-    // The BP stages are measured out-of-band by the backward kernel; their
-    // spans tile the [t3, t4] interval in kernel order, with the
-    // unattributed remainder (the loss) as "other" — durations exact,
-    // offsets reconstructed.
-    let t3_ns = ns_since_epoch(t3);
-    let rbp = arena.backward().stats.rendering_bp_nanos;
-    let pbp = arena.backward().stats.preprocessing_bp_nanos;
-    record_stage(timings, StageId::RenderBp, t3_ns, rbp, it);
-    record_stage(timings, StageId::PreprocessBp, t3_ns + rbp, pbp, it);
-    let other_ns = ((t4 - t3).as_nanos() as u64).saturating_sub(rbp + pbp);
-    record_stage(timings, StageId::Other, t3_ns + rbp + pbp, other_ns, it);
-    loss
+    (loss, t3)
 }
+
+/// The backward half of an iteration: the fused backward of `grads`
+/// (`RenderBp`, `PreprocessBp`), or none, then the accounting of everything
+/// since `loss_start`. The BP stages are measured out-of-band by the
+/// backward kernel; their spans tile the interval in kernel order, with the
+/// unattributed remainder — the loss, and on a trial without a backward
+/// all of it — as `Other`: durations exact, offsets reconstructed.
+#[allow(clippy::too_many_arguments)]
+fn timed_backward(
+    arena: &mut FrameArena,
+    w2c: &Se3,
+    camera: &PinholeCamera,
+    grads: Option<GradSet>,
+    loss_start: Instant,
+    timings: &mut StageTimings,
+    it: u64,
+    backend: &dyn Backend,
+) {
+    let (mut rbp, mut pbp) = (0, 0);
+    if let Some(grads) = grads {
+        arena.backward_visible_grads(camera, w2c, grads, backend);
+        rbp = arena.backward().stats.rendering_bp_nanos;
+        pbp = arena.backward().stats.preprocessing_bp_nanos;
+    }
+    let t4 = Instant::now();
+    let t3_ns = ns_since_epoch(loss_start);
+    if grads.is_some() {
+        record_stage(timings, StageId::RenderBp, t3_ns, rbp, it);
+        record_stage(timings, StageId::PreprocessBp, t3_ns + rbp, pbp, it);
+    }
+    let other_ns = ((t4 - loss_start).as_nanos() as u64).saturating_sub(rbp + pbp);
+    record_stage(timings, StageId::Other, t3_ns + rbp + pbp, other_ns, it);
+}
+
+/// What [`IterationArtifacts::grads`] holds on a trial that ran no
+/// backward: no Gaussians, a zero pose tangent, zero counters.
+static NO_BACKWARD: BackwardOutput = BackwardOutput {
+    gaussians: Vec::new(),
+    pose: [0.0; 6],
+    stats: BackwardStats {
+        fragment_grad_events: 0,
+        gaussians_touched: 0,
+        rendering_bp_nanos: 0,
+        preprocessing_bp_nanos: 0,
+    },
+};
 
 /// Optimizes the camera pose of `frame` against the current sharded `map`.
 ///
@@ -232,8 +304,13 @@ pub(crate) fn timed_iteration(
 /// After every iteration `extension`'s
 /// [`PipelineExtension::after_tracking_iteration`] sees the iteration's
 /// [`IterationArtifacts`] and may mask Gaussians off for the iterations
-/// that follow (the RTGS adaptive pruning plugs in here). Standalone
-/// callers that observe nothing pass `&mut NoExtension`.
+/// that follow (the RTGS adaptive pruning plugs in here). What the
+/// backward computes follows [`PipelineExtension::tracking_grads`]: the
+/// accept/reject decision and both stop tests read only the loss, so they
+/// are made before the backward, and the iteration after which tracking
+/// stops runs one only for a [`GradSet::Full`] reader. Standalone callers
+/// that observe nothing pass `&mut NoExtension`, which reads only the
+/// pose.
 ///
 /// The shard cull and every render and backward inside the pose
 /// optimization run through `backend` into `arena`'s reused storage — a
@@ -277,9 +354,16 @@ pub fn track_frame(
     let mut step_scale = config.initial_step;
     let max_step = config.initial_step * 4.0;
     let mut rms = [0.0f32; 6];
+    // A trace counts backward events, so recording one needs them all.
+    let grads = if config.record_traces {
+        GradSet::Full
+    } else {
+        extension.tracking_grads()
+    };
 
     for iteration in 0..config.iterations {
-        let loss = timed_iteration(
+        let it = iteration as u64;
+        let (loss, loss_start) = timed_forward(
             arena,
             map,
             &w2c,
@@ -288,63 +372,77 @@ pub fn track_frame(
             frame,
             &config.loss,
             timings,
-            iteration as u64,
+            it,
             backend,
         );
-        let grad_stats = arena.backward().stats;
-        let grad_pose = arena.backward().pose;
 
-        // Trust-region accept/reject: keep the best pose, adapt the step.
-        for (r, g) in rms.iter_mut().zip(grad_pose.iter()) {
-            let g2 = g * g;
-            *r = if iteration == 0 {
-                g2.sqrt()
-            } else {
-                (0.9 * *r * *r + 0.1 * g2).sqrt()
-            };
-        }
-        if loss <= best_loss {
+        // Trust-region accept/reject on the loss alone: keep the best pose,
+        // adapt the step.
+        let accepted = loss <= best_loss;
+        if accepted {
             best_pose = w2c;
             best_loss = loss;
-            best_grad = grad_pose;
             step_scale = (step_scale * config.step_grow).min(max_step);
         } else {
             step_scale *= config.step_shrink;
         }
         best_history.push(best_loss);
-        let delta = pose_step(&best_grad, &rms, step_scale, config.rotation_scale);
-        w2c = best_pose.retract(delta);
+        // Stop at the iteration cap, once the best loss has plateaued, or
+        // when the trust region collapsed — all decided by losses, so before
+        // the backward.
+        let plateaued = config.convergence_threshold > 0.0 && best_history.len() >= 8 && {
+            let prev = best_history[best_history.len() - 5];
+            prev > 0.0 && (prev - best_loss) / prev < config.convergence_threshold
+        };
+        let stop = iteration + 1 == config.iterations || plateaued || step_scale < 1e-6;
+
+        // Only the next pose step reads this trial's gradients, so the
+        // stopping trial needs a backward only for an extension that reads
+        // them.
+        let ran = (!stop || grads == GradSet::Full).then_some(grads);
+        timed_backward(arena, &w2c, camera, ran, loss_start, timings, it, backend);
+        let backward = if ran.is_some() {
+            arena.backward()
+        } else {
+            &NO_BACKWARD
+        };
+        if !stop {
+            for (r, g) in rms.iter_mut().zip(backward.pose.iter()) {
+                let g2 = g * g;
+                *r = if iteration == 0 {
+                    g2.sqrt()
+                } else {
+                    (0.9 * *r * *r + 0.1 * g2).sqrt()
+                };
+            }
+            if accepted {
+                best_grad = backward.pose;
+            }
+            let delta = pose_step(&best_grad, &rms, step_scale, config.rotation_scale);
+            w2c = best_pose.retract(delta);
+        }
 
         fragments_processed += arena.output().stats.fragments_processed;
-        fragment_grad_events += grad_stats.fragment_grad_events;
+        fragment_grad_events += backward.stats.fragment_grad_events;
         losses.push(loss);
         if config.record_traces {
             traces.push(WorkloadTrace::from_render(
                 arena.output(),
                 arena.tiles(),
                 camera,
-                grad_stats.fragment_grad_events,
+                backward.stats.fragment_grad_events,
                 arena.projection().visible_count(),
             ));
         }
 
         let artifacts = IterationArtifacts {
             iteration,
-            grads: arena.backward(),
+            grads: backward,
             visible_ids: &arena.visible().ids,
             tiles: arena.tiles(),
         };
         extension.after_tracking_iteration(&artifacts, mask);
-
-        // Early stop once the best loss has plateaued or the trust region
-        // collapsed.
-        if config.convergence_threshold > 0.0 && best_history.len() >= 8 {
-            let prev = best_history[best_history.len() - 5];
-            if prev > 0.0 && (prev - best_loss) / prev < config.convergence_threshold {
-                break;
-            }
-        }
-        if step_scale < 1e-6 {
+        if stop {
             break;
         }
     }
@@ -577,6 +675,100 @@ mod tests {
         // Iteration 0 ran with everything; later iterations with a quarter.
         assert!(result.traces[1].visible_gaussians < result.traces[0].visible_gaussians);
         assert!(mask.iter().filter(|&&m| m).count() <= map.capacity() / 4 + 1);
+    }
+
+    /// An extension that reads only the pose moves no output bit: the
+    /// pose-only backward gives the full pass's pose, and the only backward
+    /// it skips is the stopping trial's — at the iteration cap and at a
+    /// plateau alike. Traces force the full set back on.
+    #[test]
+    fn pose_only_reader_skips_only_the_stopping_trials_backward() {
+        /// Declares `grads` and records what each call's `grads` held:
+        /// (Gaussian rows, fragment gradient events).
+        struct Reader {
+            grads: GradSet,
+            seen: Vec<(usize, u64)>,
+        }
+        impl PipelineExtension for Reader {
+            fn tracking_grads(&self) -> GradSet {
+                self.grads
+            }
+            fn after_tracking_iteration(&mut self, a: &IterationArtifacts<'_>, _: &mut [bool]) {
+                self.seen
+                    .push((a.grads.gaussians.len(), a.grads.stats.fragment_grad_events));
+            }
+        }
+        let ds = small_dataset();
+        let map = sharded(&ds);
+        let gt_w2c = ds.poses_c2w[0].inverse();
+        let start = gt_w2c.retract([0.015, 0.01, -0.01, 0.0, 0.005, 0.0]);
+        let track = |config: &TrackingConfig, extension: &mut dyn PipelineExtension| {
+            let mut mask = vec![true; map.capacity()];
+            let result = track_frame(
+                &map,
+                start,
+                &ds.frames[0],
+                &ds.camera,
+                config,
+                &mut mask,
+                extension,
+                &mut StageTimings::default(),
+                &mut FrameArena::new(),
+                &Serial,
+            );
+            let bits: Vec<u32> = result.losses.iter().map(|l| l.to_bits()).collect();
+            (result, bits)
+        };
+        // 4 iterations stop at the cap; 100 stop early, by the plateau or
+        // the collapsed trust region.
+        for iterations in [4, 100] {
+            let config = TrackingConfig {
+                iterations,
+                ..Default::default()
+            };
+            let (base, base_losses) = track(&config, &mut NoExtension);
+            let mut full = Reader {
+                grads: GradSet::Full,
+                seen: Vec::new(),
+            };
+            let (with_full, full_losses) = track(&config, &mut full);
+            let trials = base.losses.len();
+            assert_eq!(trials < iterations, iterations == 100, "{iterations}");
+            assert_eq!(with_full.w2c, base.w2c);
+            assert_eq!(full_losses, base_losses);
+            assert_eq!(with_full.final_loss.to_bits(), base.final_loss.to_bits());
+            let (_, stopping_events) = *full.seen.last().expect("one call per trial");
+            assert!(stopping_events > 0);
+            assert_eq!(
+                with_full.fragment_grad_events - base.fragment_grad_events,
+                stopping_events
+            );
+            assert!(full.seen.iter().all(|&(rows, _)| rows > 0));
+
+            // What a pose-only reader is shown: no rows, this trial's events,
+            // and on the stopping trial an empty output.
+            let mut pose = Reader {
+                grads: GradSet::PoseOnly,
+                seen: Vec::new(),
+            };
+            let (with_pose, _) = track(&config, &mut pose);
+            assert_eq!(with_pose.w2c, base.w2c);
+            assert_eq!(pose.seen.len(), trials);
+            let mut want: Vec<(usize, u64)> = full.seen.iter().map(|&(_, e)| (0, e)).collect();
+            want[trials - 1] = (0, 0);
+            assert_eq!(pose.seen, want);
+
+            // A trace counts backward events: recording one runs them all.
+            let traced = TrackingConfig {
+                record_traces: true,
+                ..config
+            };
+            let (with_traces, _) = track(&traced, &mut NoExtension);
+            assert_eq!(
+                with_traces.fragment_grad_events,
+                with_full.fragment_grad_events
+            );
+        }
     }
 
     /// The extension sees frame-local gradients plus the stable-ID map that
