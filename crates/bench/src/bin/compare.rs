@@ -7,8 +7,8 @@
 //! is the standard low-noise estimator for CPU microbenches (scheduler
 //! preemption and cache pollution only ever add time), and summing makes the
 //! gate robust to individual noisy microbenches while still catching a real
-//! regression anywhere in the group. Baselines written before `min_ns`
-//! existed fall back to `median_ns` per entry.
+//! regression anywhere in the group. An entry without a `min_ns` is a
+//! parse error: the gate never falls back to a noisier estimator.
 //!
 //! On top of the percentage threshold, an **absolute noise floor**
 //! ([`DEFAULT_NOISE_FLOOR_NS`]) guards tiny groups: a group fails only when
@@ -41,8 +41,9 @@
 //! re-parsing the human table.
 //!
 //! The parser is a minimal, std-only reader for the flat
-//! `[{"group": .., "bench": .., "median_ns": .., "min_ns": .., "host": ..}, ..]`
-//! schema the criterion shim writes (string and numeric values only).
+//! `[{"group": .., "bench": .., "min_ns": .., "host": .., ..}, ..]` schema
+//! the criterion shim writes (string and numeric values only; the fields
+//! the gate does not read, such as `median_ns`, are skipped).
 
 use std::collections::btree_map::Entry as Slot;
 use std::collections::BTreeMap;
@@ -63,21 +64,12 @@ const DEFAULT_NOISE_FLOOR_NS: f64 = 100_000.0;
 struct Entry {
     group: String,
     bench: String,
-    median_ns: f64,
-    /// Minimum-of-samples, absent in baselines written before the shim
-    /// recorded it.
-    min_ns: Option<f64>,
+    /// Minimum-of-samples: the value this entry contributes to its group's
+    /// gated sum.
+    min_ns: f64,
     /// Where the entry was measured, absent in files written before the
     /// shim stamped them.
     host: Option<String>,
-}
-
-impl Entry {
-    /// The value this entry contributes to its group's gated sum:
-    /// min-of-N when available, median otherwise (old baselines).
-    fn metric_ns(&self) -> f64 {
-        self.min_ns.unwrap_or(self.median_ns)
-    }
 }
 
 fn main() -> ExitCode {
@@ -165,7 +157,7 @@ fn min_over(rounds: Vec<Vec<Entry>>) -> Vec<Entry> {
             }
             Slot::Occupied(mut slot) => {
                 let same_host = slot.get().host == e.host;
-                if e.metric_ns() < slot.get().metric_ns() {
+                if e.min_ns < slot.get().min_ns {
                     slot.insert(e);
                 }
                 if !same_host {
@@ -297,7 +289,7 @@ fn verdict(
     (delta, status, regressed)
 }
 
-/// Compares current gate metrics (min-of-N, median fallback) against the
+/// Compares current gate metrics (min-of-N) against the
 /// baseline, grouping by bench group. A group fails only when it exceeds
 /// both the relative threshold and the absolute noise floor, and only when
 /// both runs were measured on the same host.
@@ -314,7 +306,7 @@ fn compare(
     let index = |entries: &[Entry]| -> BTreeMap<(String, String), f64> {
         entries
             .iter()
-            .map(|e| ((e.group.clone(), e.bench.clone()), e.metric_ns()))
+            .map(|e| ((e.group.clone(), e.bench.clone()), e.min_ns))
             .collect()
     };
     let base = index(baseline);
@@ -476,9 +468,7 @@ fn parse_entries(text: &str) -> Result<Vec<Entry>, String> {
         entries.push(Entry {
             group: get_str("group")?,
             bench: get_str("bench")?,
-            median_ns: get_num("median_ns")?,
-            // Optional: baselines predating the min-of-N gate lack it.
-            min_ns: get_num("min_ns").ok(),
+            min_ns: get_num("min_ns")?,
             // Optional: files predating the host stamp lack it.
             host: get_str("host").ok(),
         });
@@ -608,20 +598,12 @@ mod tests {
     /// from one host unless they say otherwise.
     const HOST: &str = "2 x Test CPU, rustc 1.0.0";
 
-    fn entry(group: &str, bench: &str, median_ns: f64) -> Entry {
+    fn entry(group: &str, bench: &str, min_ns: f64) -> Entry {
         Entry {
             group: group.into(),
             bench: bench.into(),
-            median_ns,
-            min_ns: None,
+            min_ns,
             host: Some(HOST.into()),
-        }
-    }
-
-    fn entry_min(group: &str, bench: &str, median_ns: f64, min_ns: f64) -> Entry {
-        Entry {
-            min_ns: Some(min_ns),
-            ..entry(group, bench, median_ns)
         }
     }
 
@@ -643,18 +625,18 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(
             entries[0],
-            entry_min("render_kernels", "forward_full_frame", 100.0, 1.0)
+            entry("render_kernels", "forward_full_frame", 1.0)
         );
-        assert_eq!(entries[1], entry_min("g2", "b/param", 200.0, 2.0));
-        assert_eq!(entries[0].metric_ns(), 1.0, "min-of-N preferred");
+        assert_eq!(entries[1], entry("g2", "b/param", 2.0));
     }
 
+    /// An entry without `min_ns` (a file written before the shim recorded
+    /// it) is refused, never gated on its median.
     #[test]
     fn parses_entries_without_min_ns() {
         let text = r#"[{"group": "g", "bench": "b", "median_ns": 100}]"#;
-        let entries = parse_entries(text).unwrap();
-        assert_eq!(entries, vec![on(None, entry("g", "b", 100.0))]);
-        assert_eq!(entries[0].metric_ns(), 100.0, "median fallback");
+        let err = parse_entries(text).unwrap_err();
+        assert_eq!(err, "entry missing numeric field 'min_ns'");
     }
 
     #[test]
@@ -674,7 +656,7 @@ mod tests {
     /// are an error, never mojibake.
     #[test]
     fn parses_multibyte_strings() {
-        let text = r#"[{"group": "µs", "bench": "a → b", "median_ns": 1, "host": "2 × CPU™"}]"#;
+        let text = r#"[{"group": "µs", "bench": "a → b", "min_ns": 1, "host": "2 × CPU™"}]"#;
         let entries = parse_entries(text).unwrap();
         assert_eq!(entries[0].group, "µs");
         assert_eq!(entries[0].bench, "a → b");
@@ -745,32 +727,17 @@ mod tests {
     /// its smallest minimum across them, whichever round produced it.
     #[test]
     fn rounds_gate_on_each_benchs_smaller_minimum() {
-        let base = vec![
-            entry_min("g", "a", 100.0, 100.0),
-            entry_min("g", "b", 100.0, 100.0),
-        ];
-        let round1 = vec![
-            entry_min("g", "a", 300.0, 200.0),
-            entry_min("g", "b", 110.0, 100.0),
-        ];
-        let round2 = vec![
-            entry_min("g", "a", 120.0, 105.0),
-            entry_min("g", "b", 300.0, 200.0),
-        ];
+        let base = vec![entry("g", "a", 100.0), entry("g", "b", 100.0)];
+        let round1 = vec![entry("g", "a", 200.0), entry("g", "b", 100.0)];
+        let round2 = vec![entry("g", "a", 105.0), entry("g", "b", 200.0)];
         let folded = min_over(vec![round1.clone(), round2]);
-        assert_eq!(
-            folded,
-            vec![
-                entry_min("g", "a", 120.0, 105.0),
-                entry_min("g", "b", 110.0, 100.0)
-            ]
-        );
+        assert_eq!(folded, vec![entry("g", "a", 105.0), entry("g", "b", 100.0)]);
         let r = compare(&base, &folded, 0.25, 0.0);
         assert!(r.gated && !r.failed, "{}", r.text);
         // Either round alone regresses the group by half.
         assert!(compare(&base, &round1, 0.25, 0.0).failed);
         // Rounds from two hosts fold into an unstamped run.
-        let elsewhere = vec![on(Some("other"), entry_min("g", "a", 1.0, 1.0))];
+        let elsewhere = vec![on(Some("other"), entry("g", "a", 1.0))];
         let mixed = min_over(vec![round1, elsewhere]);
         assert!(!compare(&base, &mixed, 0.25, 0.0).gated);
     }
@@ -784,7 +751,6 @@ mod tests {
             file.iter().map(|e| e.group.as_str()).collect();
         assert!(groups.len() <= 10, "{groups:?}");
         assert!(host_of(&file).is_some(), "one host string on every entry");
-        assert!(file.iter().all(|e| e.min_ns.is_some()));
         let r = compare(&file, &file, DEFAULT_MAX_REGRESSION, DEFAULT_NOISE_FLOOR_NS);
         assert!(r.gated && !r.failed, "{}", r.text);
     }
@@ -921,34 +887,25 @@ mod tests {
         assert!(!r.failed);
     }
 
-    /// min-of-N is the gated metric when present: a doubled median with a
-    /// stable minimum is scheduler noise, not a regression — and the
-    /// converse (stable median, regressed minimum) is a real slowdown.
+    /// min-of-N is the gated metric, read from the shim's schema beside a
+    /// median it ignores: a doubled median with a stable minimum is
+    /// scheduler noise, not a regression — and the converse (stable median,
+    /// regressed minimum) is a real slowdown.
     #[test]
     fn min_of_n_is_gated_not_median() {
-        let base = vec![entry_min("g", "a", 100.0, 90.0)];
+        let run = |median: u32, min: u32| {
+            let text = format!(
+                r#"[{{"group": "g", "bench": "a", "median_ns": {median}, "min_ns": {min}, "host": "{HOST}"}}]"#
+            );
+            parse_entries(&text).unwrap()
+        };
+        let base = run(100, 90);
         // Median doubled (noisy run) but min within threshold: passes.
-        let noisy = vec![entry_min("g", "a", 200.0, 95.0)];
-        let r = compare(&base, &noisy, 0.25, 0.0);
+        let r = compare(&base, &run(200, 95), 0.25, 0.0);
         assert!(!r.failed, "{}", r.text);
         // Median flat but min regressed 2x: fails.
-        let slow = vec![entry_min("g", "a", 100.0, 180.0)];
-        let r2 = compare(&base, &slow, 0.25, 0.0);
+        let r2 = compare(&base, &run(100, 180), 0.25, 0.0);
         assert!(r2.failed, "{}", r2.text);
-    }
-
-    /// Baselines committed before the shim recorded `min_ns` gate on their
-    /// medians; current entries still contribute their minimum. The mixed
-    /// comparison stays meaningful because min <= median always.
-    #[test]
-    fn old_baseline_without_min_ns_gates_on_median() {
-        let base = vec![entry("g", "a", 100.0)];
-        let cur = vec![entry_min("g", "a", 500.0, 160.0)];
-        let r = compare(&base, &cur, 0.25, 0.0);
-        assert!(r.failed, "min 160 vs median 100 is +60%:\n{}", r.text);
-        let ok = vec![entry_min("g", "a", 500.0, 110.0)];
-        let r2 = compare(&base, &ok, 0.25, 0.0);
-        assert!(!r2.failed, "{}", r2.text);
     }
 
     /// The absolute noise floor keeps tiny groups from flaking the gate:

@@ -47,12 +47,6 @@ macro_rules! impl_vec_common {
                 if n > 1e-12 { self / n } else { Self::ZERO }
             }
 
-            /// Component-wise product (Hadamard product).
-            #[inline]
-            pub fn hadamard(self, rhs: Self) -> Self {
-                Self { $($f: self.$f * rhs.$f),+ }
-            }
-
             /// Component-wise minimum.
             #[inline]
             pub fn min(self, rhs: Self) -> Self {

@@ -199,12 +199,6 @@ impl Shard {
         self.aabb
     }
 
-    /// Whether the cached bounds are stale.
-    #[inline]
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
     /// Recomputes bounds and max scale from the arena.
     fn refresh(&mut self, arena: &[Gaussian3d], live: &[bool]) {
         let mut aabb = Aabb::EMPTY;
@@ -948,7 +942,11 @@ impl ShardedScene {
         out.shard_culled = shard_culled;
     }
 
-    /// Per-shard conservative frustum flags (`true` = may contribute).
+    /// Computes the indices of shards surviving the two-level cull into
+    /// `scratch.surviving`, in macro order then creation order
+    /// (deterministic; not sorted by index). Returns the number of level-2
+    /// (per-shard) tests performed. Allocation-free once the scratch
+    /// capacities cover the map's macro/shard counts.
     ///
     /// Two levels: macro-cells (unions of `MACRO_FACTOR`³ grid cells) are
     /// tested first, and only the member shards of surviving macro-cells
@@ -957,26 +955,6 @@ impl ShardedScene {
     /// that would pass the direct test always lives in a macro-cell that
     /// passes too — the surviving shard set is exactly the single-level
     /// one, at a fraction of the tests.
-    pub fn cull_shards_with(
-        &self,
-        w2c: &Se3,
-        camera: &PinholeCamera,
-        backend: &dyn Backend,
-    ) -> Vec<bool> {
-        let mut scratch = CullScratch::default();
-        self.surviving_shards_into(w2c, camera, backend, &mut scratch);
-        let mut flags = vec![false; self.shards.len()];
-        for &si in &scratch.surviving {
-            flags[si as usize] = true;
-        }
-        flags
-    }
-
-    /// Computes the indices of shards surviving the two-level cull into
-    /// `scratch.surviving`, in macro order then creation order
-    /// (deterministic; not sorted by index). Returns the number of level-2
-    /// (per-shard) tests performed. Allocation-free once the scratch
-    /// capacities cover the map's macro/shard counts.
     fn surviving_shards_into(
         &self,
         w2c: &Se3,

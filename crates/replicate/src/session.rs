@@ -56,12 +56,6 @@ impl<'d, L: ByteLink> ReplicatedSession<'d, L> {
         &self.replicator
     }
 
-    /// Mutable access to the replicator (interleaving `compact()` calls,
-    /// forcing resyncs in tests).
-    pub fn replicator_mut(&mut self) -> &mut Replicator<L> {
-        &mut self.replicator
-    }
-
     fn replicate_frame(&mut self, frame: u64) {
         if self.error.is_some() {
             return; // replication already failed; latch the first error

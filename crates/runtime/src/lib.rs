@@ -21,8 +21,8 @@
 //!    and graceful shutdown. Configure a run through the
 //!    single front door, [`Serve::builder`].
 //! 4. **[`ingest`]** — the open-loop front-end: tenants stream timestamped
-//!    frames into bounded per-session inboxes under admission control and
-//!    configurable late-frame policies; the scheduler parks sessions whose
+//!    frames into bounded per-session inboxes behind a session cap, and a
+//!    full inbox drops its oldest frame; the scheduler parks sessions whose
 //!    inbox is empty and sheds load when a session falls behind its SLO.
 //!
 //! The hot paths of the differentiable rasterizer (`rtgs-render`) and the

@@ -28,9 +28,10 @@
 //! runs inline on the serving thread and wakes nobody. When *no* session is
 //! ready, the scheduler blocks on the hub's
 //! [`WorkSignal`](crate::ingest::WorkSignal) instead of spinning, waking as
-//! soon as any producer delivers a frame. Admission of new sessions goes
-//! through [`SessionScheduler::try_admit`], which rejects with a typed
-//! [`AdmissionError`] instead of silently overcommitting.
+//! soon as any producer delivers a frame. Admission is the hub's, not the
+//! scheduler's: [`IngestHub::channel`] refuses a session over the cap with
+//! a typed [`AdmissionError`](crate::ingest::AdmissionError) before it has
+//! an inbox to be scheduled on.
 
 mod outcome;
 mod residency;
@@ -41,10 +42,10 @@ pub use residency::EvictionPolicy;
 pub use session::{ReplicationStats, Session, SessionIoError, SessionStatus};
 
 use crate::backend::SharedSlice;
-use crate::ingest::{AdmissionError, IngestHub};
+use crate::ingest::IngestHub;
 use crate::pool::ThreadPool;
 use outcome::{Entry, SchedulerMetrics};
-use rtgs_telemetry::{journal_record, EventKind, SpanGuard};
+use rtgs_telemetry::SpanGuard;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -116,8 +117,7 @@ impl<S: Session> SessionScheduler<S> {
 
     /// Attaches the open-loop ingestion hub: the scheduler parks on the
     /// hub's [`WorkSignal`](crate::ingest::WorkSignal) when no session is
-    /// ready, and [`try_admit`](Self::try_admit) enforces the hub's
-    /// session cap.
+    /// ready.
     pub(crate) fn set_ingest(&mut self, hub: &IngestHub) {
         self.ingest = Some(hub.clone());
     }
@@ -126,43 +126,6 @@ impl<S: Session> SessionScheduler<S> {
     pub fn add_session(&mut self, label: impl Into<String>, session: S) -> usize {
         self.sessions.push(Entry::new(label.into(), session));
         self.sessions.len() - 1
-    }
-
-    /// Admission-controlled [`add_session`](Self::add_session): the session
-    /// is checked against the ingest hub's concurrent-session cap and the
-    /// eviction policy's resident-byte budget before registration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed rejection reason **and the session back** —
-    /// scheduler state is untouched, so the caller can retry later, shrink
-    /// the session, or route it to another scheduler.
-    pub fn try_admit(
-        &mut self,
-        label: impl Into<String>,
-        session: S,
-    ) -> Result<usize, (AdmissionError, S)> {
-        if let Some(limit) = self
-            .ingest
-            .as_ref()
-            .and_then(|hub| hub.config().max_sessions)
-        {
-            let admitted = self.sessions.iter().filter(|e| !e.done).count();
-            if admitted >= limit {
-                journal_record(
-                    EventKind::AdmissionReject,
-                    self.sessions.len() as u32,
-                    0,
-                    0,
-                    admitted as u64,
-                );
-                return Err((AdmissionError::SessionLimit { limit, admitted }, session));
-            }
-        }
-        if let Err(rejection) = self.admit_bytes(&session) {
-            return Err((rejection, session));
-        }
-        Ok(self.add_session(label, session))
     }
 
     /// Number of registered sessions.

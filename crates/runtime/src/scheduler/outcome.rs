@@ -85,11 +85,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
-
-    /// Whether a stop has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
 }
 
 /// What the scheduler keeps per session while it serves; [`SessionStats`]

@@ -15,7 +15,6 @@
 //! resident (asserted end-to-end in `rtgs-slam`'s serving tests).
 
 use super::{Session, SessionScheduler};
-use crate::ingest::AdmissionError;
 use rtgs_telemetry::{journal_record, EventKind, SpanGuard};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -109,34 +108,6 @@ impl<S: Session> SessionScheduler<S> {
             .filter(|e| !e.done && !e.hibernated)
             .map(|e| e.session.resident_bytes())
             .sum()
-    }
-
-    /// The resident-byte half of [`try_admit`](Self::try_admit).
-    pub(super) fn admit_bytes(&self, session: &S) -> Result<(), AdmissionError> {
-        let Some(limit) = self.policy.as_ref().and_then(|p| p.max_resident_bytes) else {
-            return Ok(());
-        };
-        let requested = session.resident_bytes();
-        let resident = self.resident_bytes();
-        // A session larger than the whole byte budget could never be made
-        // resident — even alone — so it can never be stepped; and one that
-        // does not fit beside the current residents would immediately blow
-        // the budget the eviction policy enforces.
-        if requested > limit || resident.saturating_add(requested) > limit {
-            journal_record(
-                EventKind::AdmissionReject,
-                self.sessions.len() as u32,
-                0,
-                0,
-                resident as u64,
-            );
-            return Err(AdmissionError::ResidentBytes {
-                limit,
-                requested,
-                resident,
-            });
-        }
-        Ok(())
     }
 
     /// Hibernates coldest-first until the policy's budgets hold, keeping

@@ -88,17 +88,17 @@ impl ServeBuilder {
     }
 
     /// Attaches an open-loop [`IngestHub`]: the scheduler parks on the
-    /// hub's work signal when no session has a frame queued, and
-    /// [`SessionScheduler::try_admit`] enforces the hub's session cap.
+    /// hub's work signal when no session has a frame queued. The hub's
+    /// session cap is enforced where sessions get their inboxes,
+    /// [`IngestHub::channel`].
     pub fn ingest(mut self, hub: &IngestHub) -> Self {
         self.ingest = Some(hub.clone());
         self
     }
 
     /// Finishes the chain into a configured [`SessionScheduler`] with no
-    /// sessions yet — the escape hatch when the caller needs
-    /// [`try_admit`](SessionScheduler::try_admit), a
-    /// [`shutdown_handle`](SessionScheduler::shutdown_handle), or staged
+    /// sessions yet — the escape hatch when the caller needs a
+    /// [`shutdown_handle`](SessionScheduler::shutdown_handle) or staged
     /// session registration before serving.
     pub fn build<S: Session>(self) -> SessionScheduler<S> {
         let mut scheduler = match self.pool {
@@ -170,11 +170,12 @@ mod tests {
         let hub = IngestHub::new(IngestConfig::new().with_max_sessions(1));
         let mut scheduler = Serve::builder().threads(1).ingest(&hub).build::<Three>();
         let _handle = scheduler.shutdown_handle();
-        assert!(scheduler.try_admit("one", Three(0)).is_ok());
-        let err = scheduler.try_admit("two", Three(0)).unwrap_err();
+        // The hub is the one admission gate: the second channel is refused.
+        let _admitted = hub.channel::<()>().unwrap();
+        scheduler.add_session("one", Three(0));
         assert!(matches!(
-            err.0,
-            crate::ingest::AdmissionError::SessionLimit { limit: 1, .. }
+            hub.channel::<()>(),
+            Err(crate::ingest::AdmissionError::SessionLimit { limit: 1, .. })
         ));
         assert_eq!(scheduler.session_count(), 1);
         let outcomes = scheduler.run();

@@ -5,28 +5,25 @@
 //!    strictly increasing, the frames retained at any instant are the
 //!    newest contiguous suffix of what was offered, and after draining,
 //!    `drops == offered − processed` exactly.
-//! 2. **Admission rejection is side-effect-free**: a `try_admit` refusal
-//!    returns the session intact and leaves scheduler state untouched.
-//! 3. **Idle tenants are not stepped** (regression for the round-robin
+//! 2. **Idle tenants are not stepped** (regression for the round-robin
 //!    idle-spin): a session with an empty inbox parks instead of being
 //!    stepped, and the round of the one tenant that is ready runs inline on
 //!    the serving thread — nothing is published on the pool.
 
 use proptest::prelude::*;
 use rtgs_runtime::{
-    AdmissionError, EvictionPolicy, FrameInbox, IngestConfig, IngestHub, IngestStats, LatePolicy,
-    Serve, Session, SessionStatus, ThreadPool,
+    FrameInbox, IngestConfig, IngestHub, IngestStats, Serve, Session, SessionStatus, ThreadPool,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
-// 1. Drop-policy property tests
+// 1. Drop-oldest property test
 // ---------------------------------------------------------------------------
 
-/// Reference model of a bounded inbox under a drop policy, tracking the
-/// exact sequence numbers every operation should observe.
+/// Reference model of a bounded drop-oldest inbox, tracking the exact
+/// sequence numbers every operation should observe.
 struct Model {
     queue: VecDeque<u64>,
     next_seq: u64,
@@ -34,11 +31,10 @@ struct Model {
     dropped: u64,
     popped: Vec<u64>,
     capacity: usize,
-    policy: LatePolicy,
 }
 
 impl Model {
-    fn new(capacity: usize, policy: LatePolicy) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             queue: VecDeque::new(),
             next_seq: 0,
@@ -46,25 +42,14 @@ impl Model {
             dropped: 0,
             popped: Vec::new(),
             capacity,
-            policy,
         }
     }
 
     fn push(&mut self) {
         self.offered += 1;
         if self.queue.len() == self.capacity {
-            match self.policy {
-                LatePolicy::DropOldest => {
-                    self.queue.pop_front();
-                    self.dropped += 1;
-                }
-                LatePolicy::DropNewest => {
-                    // Rejected frames consume no sequence number.
-                    self.dropped += 1;
-                    return;
-                }
-                LatePolicy::Block => unreachable!("model is single-threaded"),
-            }
+            self.queue.pop_front();
+            self.dropped += 1;
         }
         self.queue.push_back(self.next_seq);
         self.next_seq += 1;
@@ -80,14 +65,10 @@ impl Model {
 /// Drives the real inbox and the model through the same script, popping
 /// frames through `frame_done` so processed counts are exact, then drains
 /// both and returns (model, real processed seqs, real stats).
-fn run_script(capacity: usize, policy: LatePolicy, ops: &[u8]) -> (Model, Vec<u64>, IngestStats) {
-    let hub = IngestHub::new(
-        IngestConfig::new()
-            .with_inbox_capacity(capacity)
-            .with_late_policy(policy),
-    );
+fn run_script(capacity: usize, ops: &[u8]) -> (Model, Vec<u64>, IngestStats) {
+    let hub = IngestHub::new(IngestConfig::new().with_inbox_capacity(capacity));
     let (tx, rx) = hub.channel::<u64>().unwrap();
-    let mut model = Model::new(capacity, policy);
+    let mut model = Model::new(capacity);
     let mut processed = Vec::new();
     for &op in ops {
         if op < 3 {
@@ -123,13 +104,12 @@ proptest! {
         capacity in 1usize..6,
         ops in prop::collection::vec(0u8..5, 3..120),
     ) {
-        let (model, processed, stats) = run_script(capacity, LatePolicy::DropOldest, &ops);
+        let (model, processed, stats) = run_script(capacity, &ops);
 
         // Lockstep with the reference model, element by element.
         prop_assert_eq!(&processed, &model.popped);
         prop_assert_eq!(stats.offered, model.offered);
         prop_assert_eq!(stats.dropped_oldest, model.dropped);
-        prop_assert_eq!(stats.dropped_newest, 0);
 
         // Strictly increasing: no reordering, no duplicates — every gap is
         // a drop of a then-oldest frame, so later frames never precede
@@ -148,223 +128,10 @@ proptest! {
         }
         prop_assert_eq!(stats.latency.count(), stats.processed);
     }
-
-    /// Drop-newest is the mirror image: the queue preserves the oldest
-    /// backlog and rejects fresh frames, with identical exact accounting.
-    #[test]
-    fn drop_newest_retains_prefix_and_accounts_exactly(
-        capacity in 1usize..6,
-        ops in prop::collection::vec(0u8..5, 3..120),
-    ) {
-        let (model, processed, stats) = run_script(capacity, LatePolicy::DropNewest, &ops);
-        prop_assert_eq!(&processed, &model.popped);
-        prop_assert_eq!(stats.offered, model.offered);
-        prop_assert_eq!(stats.dropped_newest, model.dropped);
-        prop_assert_eq!(stats.dropped_oldest, 0);
-        for pair in processed.windows(2) {
-            prop_assert!(pair[0] < pair[1]);
-        }
-        // Accepted seqs are gap-free under drop-newest: rejected frames
-        // never entered the queue, so the processed list is exactly
-        // 0..processed.len().
-        for (i, &seq) in processed.iter().enumerate() {
-            prop_assert_eq!(seq, i as u64);
-        }
-        prop_assert_eq!(stats.dropped(), stats.offered - stats.processed);
-    }
 }
 
 // ---------------------------------------------------------------------------
-// 2. Admission rejection is side-effect-free
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct Heavy {
-    bytes: usize,
-    steps: usize,
-}
-
-impl Session for Heavy {
-    type Report = usize;
-
-    fn step(&mut self) -> SessionStatus {
-        self.steps += 1;
-        SessionStatus::Finished
-    }
-
-    fn finish(self) -> usize {
-        self.steps
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-#[test]
-fn admission_rejection_leaves_scheduler_untouched() {
-    let dir = std::env::temp_dir().join(format!("rtgs-admit-{}", std::process::id()));
-    let hub = IngestHub::new(IngestConfig::new().with_max_sessions(2));
-    let mut scheduler = Serve::builder()
-        .threads(1)
-        .ingest(&hub)
-        .eviction(EvictionPolicy::new(&dir).with_max_resident_bytes(1_000))
-        .build::<Heavy>();
-
-    scheduler
-        .try_admit(
-            "small",
-            Heavy {
-                bytes: 100,
-                steps: 0,
-            },
-        )
-        .expect("within every budget");
-
-    // Rejected for size: resident_bytes alone exceeds the byte budget.
-    let (err, returned) = scheduler
-        .try_admit(
-            "huge",
-            Heavy {
-                bytes: 5_000,
-                steps: 0,
-            },
-        )
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            AdmissionError::ResidentBytes {
-                limit: 1_000,
-                requested: 5_000,
-                resident: 100,
-            }
-        ),
-        "wrong rejection reason: {err}"
-    );
-    // The session comes back intact...
-    assert_eq!(returned.bytes, 5_000);
-    assert_eq!(returned.steps, 0);
-    // ...and the scheduler is exactly as before the attempt.
-    assert_eq!(scheduler.session_count(), 1);
-
-    // Fill the hub's session cap, then watch the cap reject.
-    scheduler
-        .try_admit(
-            "second",
-            Heavy {
-                bytes: 100,
-                steps: 0,
-            },
-        )
-        .expect("cap is 2");
-    let (err, _returned) = scheduler
-        .try_admit(
-            "third",
-            Heavy {
-                bytes: 100,
-                steps: 0,
-            },
-        )
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        AdmissionError::SessionLimit {
-            limit: 2,
-            admitted: 2
-        }
-    ));
-    assert_eq!(scheduler.session_count(), 2);
-
-    // The run serves exactly the admitted sessions, unperturbed.
-    let outcomes = scheduler.run();
-    assert_eq!(outcomes.len(), 2);
-    assert!(outcomes.iter().all(|o| o.stats.completed));
-    assert_eq!(outcomes[0].stats.label, "small");
-    assert_eq!(outcomes[1].stats.label, "second");
-}
-
-/// A session whose footprint can grow after admission (shared cell so the
-/// test mutates it while the scheduler owns the session).
-#[derive(Debug)]
-struct Growing {
-    bytes: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-}
-
-impl Session for Growing {
-    type Report = ();
-
-    fn step(&mut self) -> SessionStatus {
-        SessionStatus::Finished
-    }
-
-    fn finish(self) {}
-
-    fn resident_bytes(&self) -> usize {
-        self.bytes.load(std::sync::atomic::Ordering::SeqCst)
-    }
-}
-
-/// Admission polls *live* resident bytes: a session that grew past its
-/// at-admission estimate shrinks the headroom later admits see, so the
-/// next admit is rejected even though the original estimates would fit.
-#[test]
-fn admission_counts_live_resident_bytes_not_estimates() {
-    let dir = std::env::temp_dir().join(format!("rtgs-admit-live-{}", std::process::id()));
-    let mut scheduler = Serve::builder()
-        .threads(1)
-        .eviction(EvictionPolicy::new(&dir).with_max_resident_bytes(1_000))
-        .build::<Growing>();
-
-    let bytes = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(200));
-    scheduler
-        .try_admit(
-            "grows",
-            Growing {
-                bytes: std::sync::Arc::clone(&bytes),
-            },
-        )
-        .expect("200 of 1000 fits");
-
-    // At the original estimate a 700-byte sibling would fit (200 + 700 <=
-    // 1000). But the session has since grown to 600 resident bytes...
-    bytes.store(600, std::sync::atomic::Ordering::SeqCst);
-    let (err, _returned) = scheduler
-        .try_admit(
-            "late",
-            Growing {
-                bytes: std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(700)),
-            },
-        )
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            AdmissionError::ResidentBytes {
-                limit: 1_000,
-                requested: 700,
-                resident: 600,
-            }
-        ),
-        "wrong rejection reason: {err}"
-    );
-
-    // A sibling that fits beside the *live* footprint is still admitted.
-    scheduler
-        .try_admit(
-            "fits",
-            Growing {
-                bytes: std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(300)),
-            },
-        )
-        .expect("600 + 300 <= 1000");
-    assert_eq!(scheduler.session_count(), 2);
-    let outcomes = scheduler.run();
-    assert_eq!(outcomes.len(), 2);
-}
-
-// ---------------------------------------------------------------------------
-// 3. Idle tenants are not stepped (idle-spin regression)
+// 2. Idle tenants are not stepped (idle-spin regression)
 // ---------------------------------------------------------------------------
 
 /// Minimal open-loop session: pops one frame per step, finishes when its

@@ -159,11 +159,6 @@ impl CheckpointLog {
         }
     }
 
-    /// Total encoded size of base plus deltas.
-    pub fn total_bytes(&self) -> usize {
-        self.base.len() + self.deltas.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Captures the current state of `scene` (plus side `channels` and an
     /// opaque `meta` blob): a full base on the first call, a
     /// changed-shards-only delta afterwards. The same `scene` instance

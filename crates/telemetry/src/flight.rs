@@ -117,9 +117,9 @@ const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// Ingest admission refused a new session (limit or memory).
+    /// Ingest admission refused a new session (session cap reached).
     AdmissionReject,
-    /// A frame was dropped from a full inbox (late policy).
+    /// A frame was dropped from a full inbox (drop-oldest).
     FrameDrop,
     /// SLO shedding engaged degraded processing for a frame.
     ShedDegrade,
@@ -334,6 +334,9 @@ struct TriggerState {
     written: u32,
 }
 
+/// Journal events included per bundle.
+const BUNDLE_JOURNAL_EVENTS: usize = 256;
+
 /// The trigger engine: owns the bundle directory, the configured triggers
 /// and the caller-provided context (config fingerprint, replication
 /// stats), and dumps rate-limited post-mortem bundles atomically.
@@ -355,7 +358,6 @@ pub struct FlightRecorder {
     dir: PathBuf,
     triggers: Vec<TriggerState>,
     context: Vec<(&'static str, u64)>,
-    journal_tail: usize,
     last_error: Option<io::Error>,
 }
 
@@ -366,7 +368,6 @@ impl FlightRecorder {
             dir: dir.into(),
             triggers: Vec::new(),
             context: Vec::new(),
-            journal_tail: 256,
             last_error: None,
         }
     }
@@ -375,13 +376,6 @@ impl FlightRecorder {
     #[must_use]
     pub fn with_trigger(mut self, spec: TriggerSpec) -> Self {
         self.triggers.push(TriggerState { spec, written: 0 });
-        self
-    }
-
-    /// Journal events included per bundle (default 256).
-    #[must_use]
-    pub fn with_journal_tail(mut self, events: usize) -> Self {
-        self.journal_tail = events;
         self
     }
 
@@ -443,7 +437,13 @@ impl FlightRecorder {
         let path = self
             .dir
             .join(format!("bundle-{name}-{}.json", state.written));
-        let body = bundle_json(name, session, trace_id, &self.context, self.journal_tail);
+        let body = bundle_json(
+            name,
+            session,
+            trace_id,
+            &self.context,
+            BUNDLE_JOURNAL_EVENTS,
+        );
         let written = std::fs::create_dir_all(&self.dir).and_then(|()| write_atomic(&path, &body));
         if let Err(e) = written {
             self.last_error = Some(e);
@@ -572,7 +572,7 @@ pub struct HealthReport {
     pub ingest_backlog: u64,
     /// Frames processed in degraded (shed) mode.
     pub degraded_frames: u64,
-    /// Frames dropped by the late policy.
+    /// Frames dropped from a full inbox (drop-oldest).
     pub dropped_frames: u64,
     /// Replication records captured but not yet acked, in frames.
     pub replication_lag_frames: u64,
