@@ -7,7 +7,7 @@
 
 use crate::downsample::DownsamplingConfig;
 use crate::pruning::{AdaptivePruner, PruningConfig};
-use rtgs_render::ShardedScene;
+use rtgs_render::{GradSet, ShardedScene};
 use rtgs_slam::{FrameDirectives, IterationArtifacts, PipelineExtension};
 
 /// Full RTGS algorithm configuration.
@@ -89,6 +89,15 @@ impl PipelineExtension for RtgsExtension {
         }
     }
 
+    /// Per-Gaussian gradients only on the trials a pruning point of the
+    /// same frame can still read; without a pruner, none.
+    fn tracking_grads(&self, iteration: usize, last: usize) -> GradSet {
+        match &self.pruner {
+            Some(pruner) if pruner.reads_gradients(iteration, last) => GradSet::Full,
+            _ => GradSet::PoseOnly,
+        }
+    }
+
     fn after_tracking_iteration(&mut self, artifacts: &IterationArtifacts<'_>, mask: &mut [bool]) {
         if let Some(pruner) = &mut self.pruner {
             if artifacts.iteration == 0 {
@@ -127,10 +136,13 @@ impl PipelineExtension for RtgsExtension {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtgs_math::Se3;
     use rtgs_scene::{DatasetProfile, SyntheticDataset};
-    use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
+    use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline, SlamReport};
+    use rtgs_snapshot::{crc32, encode_scene};
+    use std::sync::{Arc, Mutex};
 
-    fn run(config: RtgsConfig, frames: usize) -> (rtgs_slam::SlamReport, RtgsConfig) {
+    fn run(config: RtgsConfig, frames: usize) -> (SlamReport, RtgsConfig) {
         // The small Replica analog is the smallest profile whose resolution
         // clears the pipeline's downsampling floor, so both techniques can
         // engage.
@@ -164,9 +176,7 @@ mod tests {
     fn downsampling_reduces_tracking_fragments() {
         let (base, _) = run(RtgsConfig::default(), 5);
         let (down, _) = run(RtgsConfig::downsampling_only(), 5);
-        let frag = |r: &rtgs_slam::SlamReport| -> u64 {
-            r.frames.iter().map(|f| f.tracking_fragments).sum()
-        };
+        let frag = |r: &SlamReport| -> u64 { r.frames.iter().map(|f| f.tracking_fragments).sum() };
         assert!(
             frag(&down) < frag(&base),
             "downsampling should reduce tracked fragments: {} vs {}",
@@ -200,6 +210,138 @@ mod tests {
             noop.frames.last().unwrap().gaussians
         );
         assert!((base.ate.rmse - noop.ate.rmse).abs() < 1e-9);
+    }
+
+    /// Wraps the extension the pipeline runs: logs K after every frame
+    /// and, with `all_full`, asks per-Gaussian gradients of every tracking
+    /// trial — the reference a per-trial answer must match bit for bit.
+    struct Logged {
+        inner: RtgsExtension,
+        all_full: bool,
+        intervals: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl PipelineExtension for Logged {
+        fn frame_directives(&mut self, index: usize, since_kf: usize) -> FrameDirectives {
+            self.inner.frame_directives(index, since_kf)
+        }
+        fn tracking_grads(&self, iteration: usize, last: usize) -> GradSet {
+            if self.all_full {
+                GradSet::Full
+            } else {
+                self.inner.tracking_grads(iteration, last)
+            }
+        }
+        fn after_tracking_iteration(&mut self, a: &IterationArtifacts<'_>, mask: &mut [bool]) {
+            self.inner.after_tracking_iteration(a, mask);
+        }
+        fn end_of_frame(
+            &mut self,
+            map: &ShardedScene,
+            mask: &[bool],
+            is_keyframe: bool,
+        ) -> Option<Vec<bool>> {
+            if let Some(pruner) = &self.inner.pruner {
+                self.intervals.lock().unwrap().push(pruner.interval());
+            }
+            self.inner.end_of_frame(map, mask, is_keyframe)
+        }
+        fn on_scene_resized(&mut self, new_capacity: usize) {
+            self.inner.on_scene_resized(new_capacity);
+        }
+    }
+
+    /// Asking per-Gaussian gradients only of the trials a pruning point can
+    /// still read moves no output bit of a whole session, through pruning
+    /// points that fire, K outgrowing MonoGS's 15-trial cap, and
+    /// downsampled frames, and runs fewer backward fragment events than
+    /// asking them of every trial.
+    ///
+    /// The paper's K₀ = 5 never lands a pruning point on the rule's
+    /// boundary here (`since + remaining == K`), so a fourth configuration
+    /// starts K at the cap: every trial of the first frame sits on the
+    /// boundary and the frame's one pruning point is its last trial.
+    #[test]
+    fn per_trial_gradients_keep_every_session_bit() {
+        let frames = 5;
+        let ds = SyntheticDataset::generate(DatasetProfile::replica_analog().small(), frames);
+        let cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(frames);
+        let cap = cfg.tracking.iterations;
+        let k0_at_cap = RtgsConfig {
+            pruning: Some(PruningConfig {
+                initial_interval: cap,
+                ..Default::default()
+            }),
+            ..RtgsConfig::full()
+        };
+        let run = |config: RtgsConfig, all_full: bool| {
+            let intervals = Arc::new(Mutex::new(Vec::new()));
+            let extension = Logged {
+                inner: RtgsExtension::new(config),
+                all_full,
+                intervals: Arc::clone(&intervals),
+            };
+            let mut pipeline = SlamPipeline::with_extension(cfg, &ds, Box::new(extension));
+            let report = pipeline.run();
+            let crc = crc32(&encode_scene(pipeline.scene()));
+            let intervals = intervals.lock().unwrap().clone();
+            (report, crc, intervals)
+        };
+        let pose_bits = |p: &Se3| {
+            let (q, t) = (p.rotation, p.translation);
+            [q.w, q.x, q.y, q.z, t.x, t.y, t.z].map(f32::to_bits)
+        };
+        let grad_events =
+            |r: &SlamReport| -> u64 { r.frames.iter().map(|f| f.tracking_grad_events).sum() };
+        for (name, config) in [
+            ("full", RtgsConfig::full()),
+            ("pruning_only", RtgsConfig::pruning_only()),
+            ("downsampling_only", RtgsConfig::downsampling_only()),
+            ("K₀ at the cap", k0_at_cap),
+        ] {
+            let (before, before_crc, before_k) = run(config, true);
+            let (after, after_crc, after_k) = run(config, false);
+            let poses = |r: &SlamReport| r.trajectory.iter().map(pose_bits).collect::<Vec<_>>();
+            assert_eq!(poses(&after), poses(&before), "{name}: trajectory");
+            let per_frame = |r: &SlamReport| {
+                r.frames
+                    .iter()
+                    .map(|f| (f.gaussians, f.tracking_loss.to_bits(), f.resolution_factor))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(per_frame(&after), per_frame(&before), "{name}: frames");
+            assert_eq!(
+                after.mean_psnr.to_bits(),
+                before.mean_psnr.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                after.ate.rmse.to_bits(),
+                before.ate.rmse.to_bits(),
+                "{name}"
+            );
+            assert_eq!(after_crc, before_crc, "{name}: final map");
+            assert_eq!(after_k, before_k, "{name}: K");
+            assert!(
+                grad_events(&after) < grad_events(&before),
+                "{name}: {} vs {} backward fragment events",
+                grad_events(&after),
+                grad_events(&before)
+            );
+            if let Some(pruning) = config.pruning {
+                // Pruning points fired (K moved off K₀), and K outgrew the
+                // cap, after which none fires.
+                let k0 = pruning.initial_interval;
+                assert!(after_k.iter().any(|&k| k != k0), "{name}: {after_k:?}");
+                assert!(
+                    after_k.last().is_some_and(|&k| k > cap),
+                    "{name}: {after_k:?}"
+                );
+            }
+            if config.downsampling.is_some() {
+                assert!(after.frames.iter().any(|f| f.resolution_factor > 1));
+            }
+        }
     }
 
     #[test]

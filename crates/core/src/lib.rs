@@ -8,7 +8,10 @@
 //!   Gaussian-level redundancy. Importance scores (Eq. 7) are computed by
 //!   reusing the gradients tracking already produces, low-importance
 //!   Gaussians are mask-pruned over a dynamically adapted interval `K`, and
-//!   removed permanently at the end of non-keyframes.
+//!   removed permanently at the end of non-keyframes. Tracking computes
+//!   per-Gaussian gradients only on the trials a pruning point can still
+//!   read ([`AdaptivePruner::reads_gradients`]); every other trial runs the
+//!   pose-only backward, as a base pipeline's does.
 //! - **Dynamic downsampling** ([`DownsamplingConfig`], Sec. 4.2):
 //!   pixel-level redundancy. Non-keyframes are tracked at reduced
 //!   resolution, ramping from 1/16 back to 1/4 of the pixels as distance

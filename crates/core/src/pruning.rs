@@ -6,6 +6,21 @@
 //! permanently at the end of non-keyframes. The interval adapts to the
 //! tile–Gaussian intersection change ratio: over 5% change halves `K`,
 //! otherwise `K` doubles.
+//!
+//! Scores are read only at a pruning point, and only that frame's:
+//! [`AdaptivePruner::begin_frame`] zeroes them on every frame's first
+//! iteration. So a tracking trial's per-Gaussian gradients matter only if a
+//! pruning point of the same frame follows it, and
+//! [`AdaptivePruner::reads_gradients`] tells the tracker when that can
+//! still happen; on every other trial tracking runs the pose-only backward
+//! (and none on the stopping trial).
+//!
+//! The count towards `K` restarts on every frame, and `K` adapts only at a
+//! pruning point. Once `K` exceeds the tracker's per-frame trial cap
+//! ([`rtgs_slam::TrackingConfig::iterations`], 15 for MonoGS), no frame
+//! runs enough trials to reach a pruning point, so none fires again and
+//! `K` stays where it is: pruning happens in a session's first few frames
+//! only, and from then on no trial's gradients are read.
 
 use rtgs_render::TileAssignment;
 use rtgs_slam::IterationArtifacts;
@@ -79,6 +94,22 @@ impl AdaptivePruner {
     /// Current pruning interval K.
     pub fn interval(&self) -> usize {
         self.interval
+    }
+
+    /// Whether a pruning point can still read the scores of tracking trial
+    /// `iteration`, asked before that trial's
+    /// [`Self::observe_iteration`]. `last` is the frame's last trial as far
+    /// as the tracker knows: exact on the stopping trial, an upper bound
+    /// otherwise. Trials `iteration..=last` observed from now reach the
+    /// next pruning point iff `since + (last − iteration + 1) ≥ K`, where
+    /// `since` counts the trials observed since the last pruning point —
+    /// 0 on iteration 0, whose observation starts a new frame
+    /// ([`Self::begin_frame`]). An upper-bound `last` can only turn a
+    /// `false` into a `true`, and a `true` is always safe: it asks for
+    /// gradients that may go unread.
+    pub fn reads_gradients(&self, iteration: usize, last: usize) -> bool {
+        let since = if iteration == 0 { 0 } else { self.since_prune };
+        since + last + 1 >= iteration + self.interval
     }
 
     /// Resets per-frame state (call at the start of each frame's tracking).
@@ -210,7 +241,9 @@ impl AdaptivePruner {
 mod tests {
     use super::*;
     use rtgs_math::{Quat, Se3, Vec3};
-    use rtgs_render::{FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera};
+    use rtgs_render::{
+        BackwardOutput, FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera,
+    };
     use rtgs_runtime::Serial;
 
     fn make_artifacts_scene() -> (GaussianScene, PinholeCamera) {
@@ -377,6 +410,80 @@ mod tests {
             intervals.iter().any(|&k| k != 2),
             "interval should have adapted: {intervals:?}"
         );
+    }
+
+    /// [`AdaptivePruner::reads_gradients`] against the pruning points that
+    /// actually fire, for every K in 1..=20, trial cap in 1..=16 and
+    /// stopping trial, over two frames in a row (the second starts with the
+    /// first's count and adapted K). A trial answered `false` is followed
+    /// by no pruning point before the stop; a trial where one fires was
+    /// answered `true`; and where `last` is exact — on the stopping trial,
+    /// and on every trial of a frame that runs to the cap — the answer is
+    /// exactly whether one follows.
+    #[test]
+    fn reads_gradients_is_exact() {
+        let tiles = |id: u32| TileAssignment {
+            tiles_x: 1,
+            tiles_y: 1,
+            entries: vec![0],
+            offsets: vec![0, 1],
+            slot_ids: vec![id],
+        };
+        let (still, moved) = (tiles(0), tiles(1));
+        let grads = BackwardOutput {
+            gaussians: Vec::new(),
+            pose: [0.0; 6],
+            stats: Default::default(),
+        };
+        let mut fired_total = 0;
+        for k in 1..=20 {
+            for cap in 1..=16 {
+                for stop in 0..cap {
+                    let config = PruningConfig {
+                        initial_interval: k,
+                        ..Default::default()
+                    };
+                    let mut pruner = AdaptivePruner::new(config, 0);
+                    for frame in 0..2 {
+                        let (mut asked, mut fired) = (Vec::new(), Vec::new());
+                        for iteration in 0..=stop {
+                            let last = if iteration == stop { stop } else { cap - 1 };
+                            asked.push(pruner.reads_gradients(iteration, last));
+                            if iteration == 0 {
+                                pruner.begin_frame(0);
+                            }
+                            // The tile lists move every third trial, so K
+                            // both halves and doubles at pruning points.
+                            let tiles = if (iteration / 3 + frame) % 2 == 0 {
+                                &still
+                            } else {
+                                &moved
+                            };
+                            let artifacts = IterationArtifacts {
+                                iteration,
+                                grads: &grads,
+                                visible_ids: &[],
+                                tiles,
+                            };
+                            pruner.observe_iteration(&artifacts, &mut []);
+                            fired.push(pruner.since_prune == 0);
+                        }
+                        fired_total += fired.iter().filter(|&&f| f).count();
+                        for i in 0..=stop {
+                            let case =
+                                format!("K {k}, cap {cap}, stop {stop}, frame {frame}, trial {i}");
+                            let follows = fired[i..].contains(&true);
+                            assert!(asked[i] || !follows, "{case}: read unasked");
+                            assert!(!fired[i] || asked[i], "{case}: fired unasked");
+                            if i == stop || stop == cap - 1 {
+                                assert_eq!(asked[i], follows, "{case}: not exact");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fired_total > 0);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use rtgs_accel::{simulate_run, HardwareModel, RunWorkload};
 use rtgs_baselines::{BaselineExtension, FlashGsPruner, LightGaussianPruner};
 use rtgs_core::{PruningConfig, RtgsConfig};
 use rtgs_metrics::per_frame_errors;
-use rtgs_scene::DatasetProfile;
-use rtgs_slam::{BaseAlgorithm, SlamPipeline};
+use rtgs_scene::{DatasetProfile, SyntheticDataset};
+use rtgs_slam::{BaseAlgorithm, SlamPipeline, SlamReport};
 
 /// Tab. 2: accuracy / speed / storage of the four base 3DGS-SLAM
 /// algorithms on the Replica analog, with hardware FPS modeled on the ONX.
@@ -272,36 +272,26 @@ pub fn fig14(scale: Scale) -> String {
 
     out.push_str("\nFig. 14(b): forward/backward work reduction by technique (fragment counts)\n");
     let mut table = Table::new(&["technique", "FF speedup", "BP speedup"]);
-    let frag_ff = |r: &rtgs_slam::SlamReport| -> f64 {
+    let frag_ff = |r: &SlamReport| -> f64 {
         r.frames
             .iter()
             .map(|fr| fr.tracking_fragments as f64)
             .sum::<f64>()
             .max(1.0)
     };
-    let frag_bp = |r: &rtgs_slam::SlamReport| -> f64 {
+    let frag_bp = |r: &SlamReport| -> f64 {
         r.frames
             .iter()
             .map(|fr| fr.tracking_grad_events as f64)
             .sum::<f64>()
             .max(1.0)
     };
-    let base = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, false);
-    for (name, rtgs) in [
-        ("adaptive pruning", RtgsConfig::pruning_only()),
-        ("dynamic downsampling", RtgsConfig::downsampling_only()),
-        ("both", RtgsConfig::full()),
-    ] {
-        let report = SlamPipeline::with_extension(
-            slam_config(BaseAlgorithm::MonoGs, scale, false),
-            &ds,
-            rtgs.into_extension(),
-        )
-        .run();
+    let (base, techniques) = fig14b_sessions(&ds, scale);
+    for (name, report) in &techniques {
         table.row(vec![
-            name.into(),
-            f(frag_ff(&base) / frag_ff(&report), 2) + "x",
-            f(frag_bp(&base) / frag_bp(&report), 2) + "x",
+            name.to_string(),
+            f(frag_ff(&base) / frag_ff(report), 2) + "x",
+            f(frag_bp(&base) / frag_bp(report), 2) + "x",
         ]);
     }
     out.push_str(&table.render());
@@ -309,9 +299,51 @@ pub fn fig14(scale: Scale) -> String {
     out
 }
 
+/// Fig. 14(b)'s sessions on `ds`: the MonoGS base, then each technique's
+/// on the same inputs.
+fn fig14b_sessions(
+    ds: &SyntheticDataset,
+    scale: Scale,
+) -> (SlamReport, [(&'static str, SlamReport); 3]) {
+    let run = |rtgs: RtgsConfig| {
+        let cfg = slam_config(BaseAlgorithm::MonoGs, scale, false);
+        SlamPipeline::with_extension(cfg, ds, rtgs.into_extension()).run()
+    };
+    let base = run_variant(BaseAlgorithm::MonoGs, ds, scale, Variant::Base, false);
+    let techniques = [
+        ("adaptive pruning", run(RtgsConfig::pruning_only())),
+        ("dynamic downsampling", run(RtgsConfig::downsampling_only())),
+        ("both", run(RtgsConfig::full())),
+    ];
+    (base, techniques)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fig. 14(b)'s bitwise half at quick scale: no technique runs more
+    /// tracking backward work (fragment gradient events) than its base, so
+    /// every BP speed-up is at least 1×.
+    #[test]
+    fn fig14b_no_technique_runs_more_backward_than_base() {
+        let scale = Scale::Quick;
+        let ds = dataset(
+            scale.profile(DatasetProfile::replica_analog()),
+            scale.frames(),
+        );
+        let events =
+            |r: &SlamReport| -> u64 { r.frames.iter().map(|f| f.tracking_grad_events).sum() };
+        let (base, techniques) = fig14b_sessions(&ds, scale);
+        for (name, report) in &techniques {
+            assert!(
+                events(report) <= events(&base),
+                "{name}: {} backward fragment events against the base's {}",
+                events(report),
+                events(&base)
+            );
+        }
+    }
 
     #[test]
     fn table2_contains_all_algorithms() {

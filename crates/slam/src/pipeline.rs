@@ -225,15 +225,22 @@ pub trait PipelineExtension {
         FrameDirectives::default()
     }
 
-    /// Which gradients [`Self::after_tracking_iteration`] reads, and so which
-    /// backward each tracking iteration runs. [`GradSet::Full`] (the
-    /// default) sees every iteration's per-Gaussian gradients.
-    /// [`GradSet::PoseOnly`] promises to read none of them: iterations run
-    /// the pose-only backward (the same pose bits), and the iteration after
-    /// which tracking stops runs no backward at all. Mapping always runs
+    /// Which gradients [`Self::after_tracking_iteration`] reads from
+    /// tracking trial `iteration`, and so which backward that trial runs.
+    /// Asked once per trial, after the trial's stop decision and before its
+    /// backward: `last` is the index of the frame's last trial as far as
+    /// tracking knows it: `iteration` itself on the trial after which
+    /// tracking stops, otherwise the cap's last index,
+    /// [`TrackingConfig::iterations`] − 1 (an upper bound, because a
+    /// plateau may stop the frame sooner).
+    ///
+    /// [`GradSet::Full`] (the default) shows the trial's per-Gaussian
+    /// gradients. [`GradSet::PoseOnly`] promises to read none of this
+    /// trial's: it runs the pose-only backward (the same pose bits), or,
+    /// when `iteration == last`, no backward at all. Mapping always runs
     /// the full backward, and so does tracking with
     /// [`TrackingConfig::record_traces`] on, whatever this returns.
-    fn tracking_grads(&self) -> GradSet {
+    fn tracking_grads(&self, _iteration: usize, _last: usize) -> GradSet {
         GradSet::Full
     }
 
@@ -280,7 +287,7 @@ pub trait PipelineExtension {
 pub struct NoExtension;
 
 impl PipelineExtension for NoExtension {
-    fn tracking_grads(&self) -> GradSet {
+    fn tracking_grads(&self, _iteration: usize, _last: usize) -> GradSet {
         GradSet::PoseOnly
     }
 }

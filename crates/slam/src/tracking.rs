@@ -23,10 +23,11 @@ use std::time::Instant;
 /// Tracking configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackingConfig {
-    /// Optimization iterations per frame, at most (matching the paper's
-    /// per-frame iteration counts). Each costs one render and, except the
-    /// one after which tracking stops when the extension reads only the
-    /// pose ([`GradSet::PoseOnly`]), one backward.
+    /// Optimization iterations (trials) per frame, at most (matching the
+    /// paper's per-frame iteration counts). Each costs one render and one
+    /// backward, except the one after which tracking stops when the
+    /// extension asks only the pose of it ([`GradSet::PoseOnly`] from
+    /// [`PipelineExtension::tracking_grads`]), which runs none.
     pub iterations: usize,
     /// Initial trust-region step length in meters along the normalized
     /// pose-gradient direction.
@@ -114,13 +115,13 @@ fn pose_step(grad: &[f32; 6], rms: &[f32; 6], step: f32, rotation_scale: f32) ->
 pub struct IterationArtifacts<'a> {
     /// Iteration index within the frame (0 on each frame's first).
     pub iteration: usize,
-    /// The iteration's backward output in frame-local index space: with
-    /// [`GradSet::Full`] (see [`PipelineExtension::tracking_grads`])
-    /// `grads.gaussians[k]` is the gradient of the Gaussian with stable ID
-    /// `visible_ids[k]`; with [`GradSet::PoseOnly`] `gaussians` is empty,
-    /// and on the iteration after which tracking stops, which then runs no
-    /// backward, the whole output is empty: zero pose, zero counters. Never
-    /// an earlier iteration's gradients.
+    /// The iteration's backward output in frame-local index space, as
+    /// [`PipelineExtension::tracking_grads`] asked for this iteration: with
+    /// [`GradSet::Full`] `grads.gaussians[k]` is the gradient of the
+    /// Gaussian with stable ID `visible_ids[k]`; with [`GradSet::PoseOnly`]
+    /// `gaussians` is empty, and on the iteration after which tracking
+    /// stops, which then runs no backward, the whole output is empty: zero
+    /// pose, zero counters. Never an earlier iteration's gradients.
     pub grads: &'a BackwardOutput,
     /// Frame-local index → stable map ID for this iteration's visible
     /// working set (the frustum-cull survivors).
@@ -143,8 +144,10 @@ pub struct TrackResult {
     pub traces: Vec<WorkloadTrace>,
     /// Total fragments processed across iterations (forward).
     pub fragments_processed: u64,
-    /// Total fragment gradient events across the backward passes that ran
-    /// (one fewer than iterations for a [`GradSet::PoseOnly`] extension).
+    /// Total fragment gradient events across the backward passes that ran:
+    /// every trial's but the stopping one's, plus the stopping one's when
+    /// the extension asked [`GradSet::Full`] of it. A full and a pose-only
+    /// backward of one trial count the same events.
     pub fragment_grad_events: u64,
 }
 
@@ -304,13 +307,14 @@ static NO_BACKWARD: BackwardOutput = BackwardOutput {
 /// After every iteration `extension`'s
 /// [`PipelineExtension::after_tracking_iteration`] sees the iteration's
 /// [`IterationArtifacts`] and may mask Gaussians off for the iterations
-/// that follow (the RTGS adaptive pruning plugs in here). What the
-/// backward computes follows [`PipelineExtension::tracking_grads`]: the
+/// that follow (the RTGS adaptive pruning plugs in here). What each
+/// iteration's backward computes follows
+/// [`PipelineExtension::tracking_grads`], asked once per iteration: the
 /// accept/reject decision and both stop tests read only the loss, so they
 /// are made before the backward, and the iteration after which tracking
-/// stops runs one only for a [`GradSet::Full`] reader. Standalone callers
-/// that observe nothing pass `&mut NoExtension`, which reads only the
-/// pose.
+/// stops runs one only when the extension asks [`GradSet::Full`] of it.
+/// Standalone callers that observe nothing pass `&mut NoExtension`, which
+/// reads only the pose.
 ///
 /// The shard cull and every render and backward inside the pose
 /// optimization run through `backend` into `arena`'s reused storage — a
@@ -354,12 +358,6 @@ pub fn track_frame(
     let mut step_scale = config.initial_step;
     let max_step = config.initial_step * 4.0;
     let mut rms = [0.0f32; 6];
-    // A trace counts backward events, so recording one needs them all.
-    let grads = if config.record_traces {
-        GradSet::Full
-    } else {
-        extension.tracking_grads()
-    };
 
     for iteration in 0..config.iterations {
         let it = iteration as u64;
@@ -396,9 +394,20 @@ pub fn track_frame(
         };
         let stop = iteration + 1 == config.iterations || plateaued || step_scale < 1e-6;
 
-        // Only the next pose step reads this trial's gradients, so the
+        let last = if stop {
+            iteration
+        } else {
+            config.iterations - 1
+        };
+        // A trace counts backward events, so recording one needs them all.
+        let grads = if config.record_traces {
+            GradSet::Full
+        } else {
+            extension.tracking_grads(iteration, last)
+        };
+        // Only the next pose step reads this trial's pose gradient, so the
         // stopping trial needs a backward only for an extension that reads
-        // them.
+        // its per-Gaussian ones.
         let ran = (!stop || grads == GradSet::Full).then_some(grads);
         timed_backward(arena, &w2c, camera, ran, loss_start, timings, it, backend);
         let backward = if ran.is_some() {
@@ -677,25 +686,37 @@ mod tests {
         assert!(mask.iter().filter(|&&m| m).count() <= map.capacity() / 4 + 1);
     }
 
-    /// An extension that reads only the pose moves no output bit: the
-    /// pose-only backward gives the full pass's pose, and the only backward
-    /// it skips is the stopping trial's — at the iteration cap and at a
-    /// plateau alike. Traces force the full set back on.
+    /// The hook is asked once per trial, and what a trial's backward
+    /// computes follows that trial's answer alone. No answer moves an
+    /// output bit: the pose-only backward gives the full pass's pose, and
+    /// the only backward a `PoseOnly` answer skips is the stopping trial's
+    /// — at the iteration cap and at a plateau alike. Traces force the full
+    /// set back on.
     #[test]
     fn pose_only_reader_skips_only_the_stopping_trials_backward() {
-        /// Declares `grads` and records what each call's `grads` held:
-        /// (Gaussian rows, fragment gradient events).
+        /// Answers `policy(iteration, last)` and records each call's
+        /// arguments and what `grads` then held: (Gaussian rows, fragment
+        /// gradient events).
         struct Reader {
-            grads: GradSet,
+            policy: fn(usize, usize) -> GradSet,
+            asked: std::cell::RefCell<Vec<(usize, usize)>>,
             seen: Vec<(usize, u64)>,
         }
         impl PipelineExtension for Reader {
-            fn tracking_grads(&self) -> GradSet {
-                self.grads
+            fn tracking_grads(&self, iteration: usize, last: usize) -> GradSet {
+                self.asked.borrow_mut().push((iteration, last));
+                (self.policy)(iteration, last)
             }
             fn after_tracking_iteration(&mut self, a: &IterationArtifacts<'_>, _: &mut [bool]) {
                 self.seen
                     .push((a.grads.gaussians.len(), a.grads.stats.fragment_grad_events));
+            }
+        }
+        fn reader(policy: fn(usize, usize) -> GradSet) -> Reader {
+            Reader {
+                policy,
+                asked: Default::default(),
+                seen: Vec::new(),
             }
         }
         let ds = small_dataset();
@@ -719,6 +740,25 @@ mod tests {
             let bits: Vec<u32> = result.losses.iter().map(|l| l.to_bits()).collect();
             (result, bits)
         };
+        // Full on even trials and on the stopping one; Full on even trials
+        // but the stopping one; pose only throughout.
+        let policies: [fn(usize, usize) -> GradSet; 3] = [
+            |i, last| {
+                if i % 2 == 0 || i == last {
+                    GradSet::Full
+                } else {
+                    GradSet::PoseOnly
+                }
+            },
+            |i, last| {
+                if i % 2 == 0 && i != last {
+                    GradSet::Full
+                } else {
+                    GradSet::PoseOnly
+                }
+            },
+            |_, _| GradSet::PoseOnly,
+        ];
         // 4 iterations stop at the cap; 100 stop early, by the plateau or
         // the collapsed trust region.
         for iterations in [4, 100] {
@@ -727,16 +767,19 @@ mod tests {
                 ..Default::default()
             };
             let (base, base_losses) = track(&config, &mut NoExtension);
-            let mut full = Reader {
-                grads: GradSet::Full,
-                seen: Vec::new(),
-            };
+            let mut full = reader(|_, _| GradSet::Full);
             let (with_full, full_losses) = track(&config, &mut full);
             let trials = base.losses.len();
             assert_eq!(trials < iterations, iterations == 100, "{iterations}");
             assert_eq!(with_full.w2c, base.w2c);
             assert_eq!(full_losses, base_losses);
             assert_eq!(with_full.final_loss.to_bits(), base.final_loss.to_bits());
+            // Asked once per trial; `last` is the cap's last index until
+            // the stopping trial, which names itself.
+            let mut want_asked: Vec<(usize, usize)> =
+                (0..trials).map(|i| (i, iterations - 1)).collect();
+            want_asked[trials - 1] = (trials - 1, trials - 1);
+            assert_eq!(*full.asked.borrow(), want_asked);
             let (_, stopping_events) = *full.seen.last().expect("one call per trial");
             assert!(stopping_events > 0);
             assert_eq!(
@@ -745,18 +788,28 @@ mod tests {
             );
             assert!(full.seen.iter().all(|&(rows, _)| rows > 0));
 
-            // What a pose-only reader is shown: no rows, this trial's events,
-            // and on the stopping trial an empty output.
-            let mut pose = Reader {
-                grads: GradSet::PoseOnly,
-                seen: Vec::new(),
-            };
-            let (with_pose, _) = track(&config, &mut pose);
-            assert_eq!(with_pose.w2c, base.w2c);
-            assert_eq!(pose.seen.len(), trials);
-            let mut want: Vec<(usize, u64)> = full.seen.iter().map(|&(_, e)| (0, e)).collect();
-            want[trials - 1] = (0, 0);
-            assert_eq!(pose.seen, want);
+            // A trial asked `Full` of shows its rows; any other shows none,
+            // but its events, except the stopping trial, which then ran no
+            // backward: an empty output.
+            for policy in policies {
+                let mut chosen = reader(policy);
+                let (with_chosen, chosen_losses) = track(&config, &mut chosen);
+                assert_eq!(with_chosen.w2c, base.w2c);
+                assert_eq!(chosen_losses, base_losses);
+                assert_eq!(*chosen.asked.borrow(), want_asked);
+                let want: Vec<(usize, u64)> = want_asked
+                    .iter()
+                    .zip(&full.seen)
+                    .map(|(&(i, last), &(rows, events))| match policy(i, last) {
+                        GradSet::Full => (rows, events),
+                        GradSet::PoseOnly if i == last => (0, 0),
+                        GradSet::PoseOnly => (0, events),
+                    })
+                    .collect();
+                assert_eq!(chosen.seen, want, "{iterations}");
+                let events: u64 = want.iter().map(|&(_, e)| e).sum();
+                assert_eq!(with_chosen.fragment_grad_events, events);
+            }
 
             // A trace counts backward events: recording one runs them all.
             let traced = TrackingConfig {
