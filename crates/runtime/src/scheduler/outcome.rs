@@ -26,16 +26,6 @@ pub struct SessionStats {
     /// Whether the session ran to natural completion (`false` when a
     /// shutdown stopped it early).
     pub completed: bool,
-    /// Times this session was hibernated to disk by the eviction policy.
-    pub hibernations: usize,
-    /// Times this session was rehydrated from disk.
-    pub rehydrations: usize,
-    /// Wall-clock spent writing this session's spill files (I/O that would
-    /// otherwise vanish from per-session accounting — it happens outside
-    /// the step window).
-    pub hibernate_wall: Duration,
-    /// Wall-clock spent reading this session's spill files back.
-    pub rehydrate_wall: Duration,
     /// Rounds this session was parked for lack of work (not ready, or a
     /// step that returned [`SessionStatus::Idle`](super::SessionStatus::Idle)).
     /// Parked rounds take no chunk of the round and record no latency
@@ -51,8 +41,8 @@ pub struct SessionStats {
     /// extraction; merge across sessions with [`fleet_latency`].
     pub latency: HistogramSnapshot,
     /// Aggregated health verdict for the session (ingest backlog, shed
-    /// state, replication lag, resident footprint vs. budget), for the
-    /// flight recorder and operator dashboards.
+    /// state, replication lag, resident footprint), for the flight recorder
+    /// and operator dashboards.
     pub health: HealthReport,
 }
 
@@ -95,22 +85,8 @@ pub(super) struct Entry<S> {
     pub(super) steps: usize,
     pub(super) wall: Duration,
     pub(super) done: bool,
-    /// Heavy state currently spilled to disk.
-    pub(super) hibernated: bool,
-    /// Bytes the session reported just before its last hibernation — the
-    /// headroom a just-in-time rehydration must clear first.
-    pub(super) parked_bytes: usize,
-    /// `false` once a hibernate attempt reported unsupported/failed.
-    pub(super) evictable: bool,
-    /// Round of the most recent step (coldness metric; ties broken by
-    /// insertion index).
-    pub(super) last_stepped_round: u64,
     /// Rounds skipped because the session had no work.
     pub(super) idle_rounds: usize,
-    pub(super) hibernations: usize,
-    pub(super) rehydrations: usize,
-    pub(super) hibernate_wall: Duration,
-    pub(super) rehydrate_wall: Duration,
     /// Whether the shutdown replication drain failed for this session
     /// (surfaces as a Critical health verdict).
     pub(super) drain_failed: bool,
@@ -127,15 +103,7 @@ impl<S> Entry<S> {
             steps: 0,
             wall: Duration::ZERO,
             done: false,
-            hibernated: false,
-            parked_bytes: 0,
-            evictable: true,
-            last_stepped_round: 0,
             idle_rounds: 0,
-            hibernations: 0,
-            rehydrations: 0,
-            hibernate_wall: Duration::ZERO,
-            rehydrate_wall: Duration::ZERO,
             drain_failed: false,
             latency: Histogram::new(),
         }
@@ -148,10 +116,6 @@ pub(super) struct SchedulerMetrics {
     pub(super) steps: Arc<Counter>,
     /// Live sessions parked (no work) as of the latest round.
     pub(super) idle_sessions: Arc<Gauge>,
-    pub(super) hibernations: Arc<Counter>,
-    pub(super) rehydrations: Arc<Counter>,
-    pub(super) hibernate_ns: Arc<Counter>,
-    pub(super) rehydrate_ns: Arc<Counter>,
     pool_jobs: Arc<Gauge>,
     pool_steals: Arc<Gauge>,
     pool_parks: Arc<Gauge>,
@@ -164,10 +128,6 @@ impl SchedulerMetrics {
             step_ns: registry.histogram("serve.step_ns"),
             steps: registry.counter("serve.steps"),
             idle_sessions: registry.gauge("serve.idle_sessions"),
-            hibernations: registry.counter("serve.hibernate.count"),
-            rehydrations: registry.counter("serve.rehydrate.count"),
-            hibernate_ns: registry.counter("serve.hibernate.ns"),
-            rehydrate_ns: registry.counter("serve.rehydrate.ns"),
             pool_jobs: registry.gauge("pool.jobs"),
             pool_steals: registry.gauge("pool.steals"),
             pool_parks: registry.gauge("pool.parks"),
@@ -186,19 +146,9 @@ impl<S: Session> SessionScheduler<S> {
         self.metrics.pool_parks.set(stats.parks as i64);
     }
 
-    /// The shutdown sequence, after the last round: every session resident
-    /// again, replication drained, pool stats exported, one outcome per
-    /// session in insertion order.
+    /// The shutdown sequence, after the last round: replication drained,
+    /// pool stats exported, one outcome per session in insertion order.
     pub(super) fn collect(mut self) -> Vec<SessionOutcome<S::Report>> {
-        // A hibernated session must be brought back before it can report
-        // (graceful shutdown can leave sessions parked).
-        for idx in 0..self.sessions.len() {
-            if self.sessions[idx].hibernated {
-                self.rehydrate(idx);
-            }
-        }
-        self.remove_spill_files();
-
         // Drain replication streams before reports are taken: outstanding
         // records get acked (or typed-fail) and journals are fsynced, so
         // `frames_processed == frames_replicated + frames_dropped_by_policy`
@@ -215,7 +165,6 @@ impl<S: Session> SessionScheduler<S> {
         // Fresh pool stats in the registry, after the replication drain.
         self.export_pool_stats();
 
-        let budget_bytes = self.budget_bytes();
         self.sessions
             .into_iter()
             .enumerate()
@@ -236,7 +185,6 @@ impl<S: Session> SessionScheduler<S> {
                 }
                 health.replication_failed = entry.drain_failed;
                 health.resident_bytes = entry.session.resident_bytes() as u64;
-                health.budget_bytes = budget_bytes;
                 SessionOutcome {
                     stats: SessionStats {
                         session,
@@ -244,10 +192,6 @@ impl<S: Session> SessionScheduler<S> {
                         steps: entry.steps,
                         wall: entry.wall,
                         completed: entry.done,
-                        hibernations: entry.hibernations,
-                        rehydrations: entry.rehydrations,
-                        hibernate_wall: entry.hibernate_wall,
-                        rehydrate_wall: entry.rehydrate_wall,
                         idle_rounds: entry.idle_rounds,
                         ingest,
                         replication,

@@ -18,16 +18,15 @@ pub enum SessionStatus {
     Finished,
 }
 
-/// Typed failure of a session's spill I/O hooks, replacing the former
-/// stringly `Result<(), String>` so callers can branch on the cause and
+/// Typed failure of a session's I/O hooks
+/// ([`Session::drain_replication`]), so callers can branch on the cause and
 /// error sources are preserved.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SessionIoError {
-    /// The session does not implement hibernation; the scheduler
-    /// permanently exempts it from eviction.
+    /// The session does not implement the hook.
     Unsupported(&'static str),
-    /// The spill file could not be read or written.
+    /// A file or stream could not be read or written.
     Io(std::io::Error),
     /// The session's snapshot layer failed (wraps e.g. `rtgs-snapshot`'s
     /// `SnapshotError`).
@@ -38,7 +37,7 @@ impl std::fmt::Display for SessionIoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Unsupported(what) => write!(f, "unsupported: {what}"),
-            Self::Io(e) => write!(f, "spill i/o failed: {e}"),
+            Self::Io(e) => write!(f, "i/o failed: {e}"),
             Self::Snapshot(e) => write!(f, "snapshot failed: {e}"),
         }
     }
@@ -92,35 +91,31 @@ pub trait Session: Send {
         None
     }
 
-    /// Approximate bytes of resident heavy state, summed against
-    /// [`EvictionPolicy::max_resident_bytes`](super::EvictionPolicy::max_resident_bytes).
+    /// Approximate bytes of resident heavy state, reported in
+    /// [`HealthReport::resident_bytes`](crate::HealthReport::resident_bytes).
     /// `0` (the default) means unknown/negligible.
     fn resident_bytes(&self) -> usize {
         0
     }
 
-    /// Spills the session's heavy state to `path` and releases the
-    /// memory. The default reports [`SessionIoError::Unsupported`], which
-    /// permanently exempts the session from eviction.
+    /// Not called; kept only so the benchmark harness, which forwards it,
+    /// compiles. It goes with the harness's next change (ROADMAP item 1a).
     ///
     /// # Errors
     ///
-    /// A typed [`SessionIoError`]; the scheduler marks the session
-    /// non-evictable and moves on.
+    /// Always [`SessionIoError::Unsupported`].
     fn hibernate(&mut self, _path: &Path) -> Result<(), SessionIoError> {
         Err(SessionIoError::Unsupported(
             "session does not support hibernation",
         ))
     }
 
-    /// Reloads state spilled by [`Session::hibernate`]. Only called on a
-    /// session the scheduler hibernated earlier.
+    /// Not called; kept only so the benchmark harness, which forwards it,
+    /// compiles. It goes with the harness's next change (ROADMAP item 1a).
     ///
     /// # Errors
     ///
-    /// A typed [`SessionIoError`]; the scheduler treats a rehydration
-    /// failure as fatal for the run (state on disk is the only copy) and
-    /// panics.
+    /// Always [`SessionIoError::Unsupported`].
     fn rehydrate(&mut self, _path: &Path) -> Result<(), SessionIoError> {
         Err(SessionIoError::Unsupported(
             "session does not support rehydration",

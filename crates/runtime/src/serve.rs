@@ -22,12 +22,11 @@
 //! assert!(outcomes.iter().all(|o| o.report == 2));
 //! ```
 //!
-//! Eviction and open-loop ingestion are opt-in rungs on the same chain:
-//! `.eviction(policy)`, `.ingest(&hub)`.
+//! Open-loop ingestion is an opt-in rung on the same chain: `.ingest(&hub)`.
 
 use crate::ingest::IngestHub;
 use crate::pool::ThreadPool;
-use crate::scheduler::{EvictionPolicy, Session, SessionOutcome, SessionScheduler};
+use crate::scheduler::{Session, SessionOutcome, SessionScheduler};
 use std::sync::Arc;
 
 /// Namespace for the serving entry point; see [`Serve::builder`].
@@ -41,7 +40,7 @@ impl Serve {
     }
 }
 
-/// Builder for a serving run: threads/pool, eviction, ingestion — finished
+/// Builder for a serving run: threads/pool, ingestion — finished
 /// with [`build`](ServeBuilder::build) (a configured
 /// [`SessionScheduler`]) or [`run`](ServeBuilder::run) (add sessions and
 /// serve to completion).
@@ -54,7 +53,6 @@ impl Serve {
 pub struct ServeBuilder {
     threads: usize,
     pool: Option<Arc<ThreadPool>>,
-    eviction: Option<EvictionPolicy>,
     ingest: Option<IngestHub>,
 }
 
@@ -81,12 +79,6 @@ impl ServeBuilder {
         self
     }
 
-    /// Attaches a hibernate-to-disk [`EvictionPolicy`].
-    pub fn eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.eviction = Some(policy);
-        self
-    }
-
     /// Attaches an open-loop [`IngestHub`]: the scheduler parks on the
     /// hub's work signal when no session has a frame queued. The hub's
     /// session cap is enforced where sessions get their inboxes,
@@ -105,9 +97,6 @@ impl ServeBuilder {
             Some(pool) => SessionScheduler::with_pool(pool),
             None => SessionScheduler::new(self.threads),
         };
-        if let Some(policy) = self.eviction {
-            scheduler.set_eviction_policy(policy);
-        }
         if let Some(hub) = &self.ingest {
             scheduler.set_ingest(hub);
         }

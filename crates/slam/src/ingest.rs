@@ -24,9 +24,8 @@
 //! (`FrameReport::resolution_factor`).
 
 use crate::pipeline::{SlamPipeline, SlamReport};
-use rtgs_runtime::{FrameInbox, IngestStats, Session, SessionIoError, SessionStatus};
+use rtgs_runtime::{FrameInbox, IngestStats, Session, SessionStatus};
 use rtgs_telemetry::{journal_record, EventKind, RecentWindow};
-use std::path::Path;
 use std::time::Duration;
 
 /// When and how an [`OpenLoopSession`] sheds load.
@@ -190,14 +189,6 @@ impl Session for OpenLoopSession<'_> {
 
     fn ingest_stats(&self) -> Option<IngestStats> {
         Some(self.inbox.stats())
-    }
-
-    fn hibernate(&mut self, path: &Path) -> Result<(), SessionIoError> {
-        Session::hibernate(&mut self.pipeline, path)
-    }
-
-    fn rehydrate(&mut self, path: &Path) -> Result<(), SessionIoError> {
-        Session::rehydrate(&mut self.pipeline, path)
     }
 }
 

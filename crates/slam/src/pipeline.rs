@@ -428,10 +428,6 @@ pub struct SlamPipeline<'d> {
     pub(crate) next_frame: usize,
     pub(crate) run_start: Option<Instant>,
     pub(crate) pending_mapping_traces: Vec<WorkloadTrace>,
-    /// `true` while the session's heavy state is spilled to disk (see
-    /// [`SlamPipeline::hibernate_to`]); stepping or reporting in this
-    /// state is a scheduler bug and panics loudly.
-    pub(crate) hibernated: bool,
     /// Load-shed resolution floor (1 = none): under SLO pressure the serve
     /// layer raises this so tracking runs on the downsampled path until the
     /// backlog drains. Combined with the extension's own downsampling ramp
@@ -480,7 +476,6 @@ impl<'d> SlamPipeline<'d> {
             next_frame: 0,
             run_start: None,
             pending_mapping_traces: Vec::new(),
-            hibernated: false,
             pressure_factor: 1,
             pending_trace: TraceCtx::NONE,
             last_trace: TraceCtx::NONE,
@@ -541,10 +536,6 @@ impl<'d> SlamPipeline<'d> {
 
     /// Processes the next frame; returns `None` when the sequence is done.
     pub fn step(&mut self) -> Option<usize> {
-        assert!(
-            !self.hibernated,
-            "hibernated session stepped without rehydration"
-        );
         if self.next_frame >= self.planned_frames() {
             return None;
         }
@@ -870,10 +861,6 @@ impl<'d> SlamPipeline<'d> {
     /// Builds the final report. Valid after [`SlamPipeline::run`] or once
     /// stepping is complete.
     pub fn report(&self) -> SlamReport {
-        assert!(
-            !self.hibernated,
-            "hibernated session reported without rehydration"
-        );
         let n = self.trajectory.len();
         let gt = &self.dataset.poses_c2w[..n.min(self.dataset.poses_c2w.len())];
         let ate = if n >= 2 {

@@ -8,19 +8,9 @@
 //! its frame's chunked loops out on the pool that is stepping it, onto
 //! whichever executors are idle, whatever pool size the choice names:
 //! nothing deadlocks and no second pool competes for the cores.
-//!
-//! Sessions are **hibernatable** tenants: the pipeline implements the
-//! scheduler's spill hooks through `rtgs-snapshot` checkpoints, so an
-//! [`EvictionPolicy`] can park the coldest session on disk when a
-//! resident-session or memory budget is exceeded and transparently bring
-//! it back for its next frame (`Serve::builder().eviction(policy)`).
-//! Hibernation is invisible in the results: an evicted-and-rehydrated
-//! session produces the same trajectory and per-session stats as one that
-//! stayed resident (tested below).
 
 use crate::pipeline::{SlamPipeline, SlamReport};
-use rtgs_runtime::{Session, SessionIoError, SessionStatus};
-use std::path::Path;
+use rtgs_runtime::{Session, SessionStatus};
 
 impl Session for SlamPipeline<'_> {
     type Report = SlamReport;
@@ -42,37 +32,20 @@ impl Session for SlamPipeline<'_> {
     fn resident_bytes(&self) -> usize {
         SlamPipeline::resident_bytes(self)
     }
-
-    fn hibernate(&mut self, path: &Path) -> Result<(), SessionIoError> {
-        self.hibernate_to(path)
-            .map_err(|e| SessionIoError::Snapshot(Box::new(e)))
-    }
-
-    fn rehydrate(&mut self, path: &Path) -> Result<(), SessionIoError> {
-        self.rehydrate_from(path)
-            .map_err(|e| SessionIoError::Snapshot(Box::new(e)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{BaseAlgorithm, SlamConfig};
-    use rtgs_runtime::{BackendChoice, EvictionPolicy, Serve, ShutdownHandle};
+    use rtgs_runtime::{BackendChoice, Serve, ShutdownHandle};
     use rtgs_scene::{DatasetProfile, SyntheticDataset};
-    use std::path::PathBuf;
 
     fn quick_config(algorithm: BaseAlgorithm, frames: usize) -> SlamConfig {
         let mut cfg = SlamConfig::for_algorithm(algorithm).with_frames(frames);
         cfg.tracking.iterations = 2;
         cfg.mapping_iterations = 2;
         cfg
-    }
-
-    fn spill_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("rtgs-serve-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     #[test]
@@ -134,67 +107,8 @@ mod tests {
         assert_eq!(standalone.ate.rmse, served.ate.rmse);
     }
 
-    /// The eviction acceptance scenario: more sessions than the residency
-    /// budget allows, so the scheduler hibernates cold tenants to disk and
-    /// rehydrates them frame by frame — with trajectories and per-session
-    /// stats identical to serving fully resident.
-    #[test]
-    fn hibernated_sessions_match_resident_sessions_bitwise() {
-        let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), 4);
-        let algos = [
-            BaseAlgorithm::GsSlam,
-            BaseAlgorithm::MonoGs,
-            BaseAlgorithm::SplaTam,
-        ];
-        let build = |ds| {
-            algos
-                .iter()
-                .map(|&algo| {
-                    (
-                        algo.name().to_string(),
-                        SlamPipeline::new(quick_config(algo, 4), ds),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-
-        let resident = Serve::builder().threads(2).run(build(&ds));
-        let policy = EvictionPolicy::new(spill_dir("bitwise")).with_max_resident_sessions(2);
-        let evicted = Serve::builder().threads(2).eviction(policy).run(build(&ds));
-
-        let hibernations: usize = evicted.iter().map(|o| o.stats.hibernations).sum();
-        assert!(
-            hibernations > 0,
-            "3 sessions under a 2-resident budget must hibernate"
-        );
-        for o in &evicted {
-            if o.stats.hibernations > 0 {
-                // Satellite: hibernation I/O wall-clock is accounted.
-                assert!(o.stats.hibernate_wall > std::time::Duration::ZERO);
-                assert!(o.stats.rehydrations >= 1, "{}", o.stats.label);
-                assert!(o.stats.rehydrate_wall > std::time::Duration::ZERO);
-            }
-        }
-        for (a, b) in resident.iter().zip(evicted.iter()) {
-            assert_eq!(a.stats.label, b.stats.label);
-            assert_eq!(a.stats.steps, b.stats.steps, "{}", a.stats.label);
-            assert_eq!(
-                a.report.frames_processed, b.report.frames_processed,
-                "{}",
-                a.stats.label
-            );
-            for (pa, pb) in a.report.trajectory.iter().zip(b.report.trajectory.iter()) {
-                assert_eq!(pa.translation, pb.translation, "{}", a.stats.label);
-                assert_eq!(pa.rotation, pb.rotation, "{}", a.stats.label);
-            }
-            assert_eq!(a.report.ate.rmse, b.report.ate.rmse);
-            assert_eq!(a.report.mean_psnr, b.report.mean_psnr);
-            assert_eq!(a.report.peak_gaussians, b.report.peak_gaussians);
-        }
-    }
-
     /// Wrapper session that requests a graceful shutdown after its k-th
-    /// frame, forwarding the hibernation hooks to the inner pipeline.
+    /// frame.
     struct StopAfter<'d> {
         inner: SlamPipeline<'d>,
         handle: ShutdownHandle,
@@ -217,33 +131,15 @@ mod tests {
         fn finish(self) -> SlamReport {
             Session::finish(self.inner)
         }
-
-        fn resident_bytes(&self) -> usize {
-            Session::resident_bytes(&self.inner)
-        }
-
-        fn hibernate(&mut self, path: &Path) -> Result<(), SessionIoError> {
-            Session::hibernate(&mut self.inner, path)
-        }
-
-        fn rehydrate(&mut self, path: &Path) -> Result<(), SessionIoError> {
-            Session::rehydrate(&mut self.inner, path)
-        }
     }
 
     /// Graceful shutdown mid-stream leaves every session at a frame
     /// boundary with consistent stats — frames in (scheduler steps) equal
-    /// frames processed (pipeline reports) — including a session that was
-    /// hibernated to disk when the shutdown arrived.
+    /// frames processed (pipeline reports).
     #[test]
-    fn shutdown_mid_stream_is_frame_consistent_including_hibernated() {
+    fn shutdown_mid_stream_is_frame_consistent() {
         let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), 50);
-        // 1-resident budget over 3 sessions: at any instant at least one
-        // live session is parked on disk.
-        let mut scheduler = Serve::builder()
-            .threads(2)
-            .eviction(EvictionPolicy::new(spill_dir("shutdown")).with_max_resident_sessions(1))
-            .build();
+        let mut scheduler = Serve::builder().threads(2).build();
         let handle = scheduler.shutdown_handle();
         for (i, algo) in [
             BaseAlgorithm::GsSlam,
@@ -268,17 +164,11 @@ mod tests {
         let outcomes = scheduler.run();
 
         assert_eq!(outcomes.len(), 3);
-        let hibernations: usize = outcomes.iter().map(|o| o.stats.hibernations).sum();
-        assert!(
-            hibernations > 0,
-            "a 1-resident budget over 3 sessions must have hibernated"
-        );
         for outcome in &outcomes {
             assert!(!outcome.stats.completed, "50-frame run cannot complete");
             assert!(outcome.stats.steps >= 1);
             // Frame-boundary consistency: every scheduled step processed
-            // exactly one full frame, and the (possibly rehydrated-for-
-            // reporting) session agrees.
+            // exactly one full frame, and the session's report agrees.
             assert_eq!(
                 outcome.stats.steps, outcome.report.frames_processed,
                 "{}: frames in != frames processed",

@@ -1,5 +1,4 @@
-//! Session persistence: checkpoint, restore and hibernate for
-//! [`SlamPipeline`].
+//! Session persistence: checkpoint and restore for [`SlamPipeline`].
 //!
 //! A checkpoint covers everything a session needs to continue
 //! bit-for-bit: the sharded map (through the canonical
@@ -15,18 +14,10 @@
 //! calls on one log write dirty-shard deltas, not full snapshots); the
 //! small session state travels as the log's opaque meta blob.
 //!
-//! Hibernate ([`SlamPipeline::hibernate_to`]) writes a single-capture log
-//! to disk and releases the heavy in-memory state; rehydrate restores it
-//! in place, preserving the session's extension object. The serving
-//! scheduler drives these under memory pressure
-//! (`rtgs_runtime::EvictionPolicy`).
-//!
 //! What is *not* persisted: wall-clock origins (`total_wall` restarts at
 //! resume), workload traces (checkpointing a trace-recording pipeline is
 //! rejected with [`SnapshotError::Unsupported`]) and extension-internal
-//! state (a restored session starts with no extension; a rehydrated one
-//! keeps its live extension, notified of the restored capacity through
-//! `on_scene_resized`).
+//! state (a restored session starts with no extension).
 
 use crate::keyframe::KeyframePolicy;
 use crate::optimizer::{MapOptimizer, PARAMS_PER_GAUSSIAN};
@@ -39,7 +30,6 @@ use rtgs_snapshot::{
     CaptureStats, Channel, CheckpointLog, SectionBuilder, Sections, SnapshotError,
 };
 use rtgs_telemetry::StageTimings;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Channel name of the Adam first moments.
@@ -280,11 +270,6 @@ impl SlamPipeline<'_> {
                 context: "checkpointing a pipeline with workload-trace recording enabled",
             });
         }
-        if self.hibernated {
-            return Err(SnapshotError::Unsupported {
-                context: "checkpointing a hibernated session",
-            });
-        }
         let capacity = self.scene.capacity();
         debug_assert!(self.map_optimizer.capacity() >= capacity);
         let mut adam_m = Channel::zeroed(CH_ADAM_M, PARAMS_PER_GAUSSIAN, capacity);
@@ -397,81 +382,14 @@ impl SlamPipeline<'_> {
         } else {
             None
         };
-        self.hibernated = false;
         self.extension.on_scene_resized(capacity);
         Ok(())
     }
 
-    /// Writes the session to disk and releases its heavy in-memory state
-    /// (map, optimizer moments, arena, trajectory, reports). The session
-    /// object stays usable as a handle; [`Self::rehydrate_from`] brings
-    /// the state back before the next step.
-    ///
-    /// # Errors
-    ///
-    /// Checkpoint errors (see [`Self::checkpoint_into`]) or file I/O.
-    pub fn hibernate_to(&mut self, path: &Path) -> Result<(), SnapshotError> {
-        let t0 = Instant::now();
-        let log = self.checkpoint()?;
-        let bytes = log.encode();
-        // Staged + renamed: a crash mid-spill leaves at worst a `.tmp`
-        // sibling, never a torn file shadowing a valid older snapshot.
-        rtgs_snapshot::write_file_atomic(path, &bytes)?;
-        let registry = rtgs_telemetry::global();
-        registry
-            .counter("snapshot.hibernate.bytes")
-            .add(bytes.len() as u64);
-        registry
-            .histogram("snapshot.hibernate_ns")
-            .record(t0.elapsed().as_nanos() as u64);
-        self.scene = ShardedScene::new(self.config.map.shard_cell_size);
-        self.map_optimizer = MapOptimizer::new(0, self.config.map_lrs);
-        self.arena = FrameArena::new();
-        self.mask = Vec::new();
-        self.trajectory = Vec::new();
-        self.keyframes = Vec::new();
-        self.last_keyframe_image = None;
-        self.frame_reports = Vec::new();
-        self.pending_mapping_traces = Vec::new();
-        self.hibernated = true;
-        Ok(())
-    }
-
-    /// Reloads state spilled by [`Self::hibernate_to`], in place. The
-    /// extension object (still in memory — only the heavy map state was
-    /// spilled) is preserved.
-    ///
-    /// # Errors
-    ///
-    /// File I/O, snapshot decode errors, or
-    /// [`SnapshotError::ConfigMismatch`] when the file was written under a
-    /// different configuration.
-    pub fn rehydrate_from(&mut self, path: &Path) -> Result<(), SnapshotError> {
-        let t0 = Instant::now();
-        let bytes = std::fs::read(path)?;
-        self.apply_restored(CheckpointLog::decode(&bytes)?.restore()?)?;
-        let registry = rtgs_telemetry::global();
-        registry
-            .counter("snapshot.rehydrate.bytes")
-            .add(bytes.len() as u64);
-        registry
-            .histogram("snapshot.rehydrate_ns")
-            .record(t0.elapsed().as_nanos() as u64);
-        Ok(())
-    }
-
-    /// Whether the session's heavy state is currently spilled to disk.
-    pub fn is_hibernated(&self) -> bool {
-        self.hibernated
-    }
-
     /// Rough resident-memory estimate of the session's heavy state in
-    /// bytes (map arena, optimizer moments, masks, reports) — the quantity
-    /// the scheduler's memory-budget eviction sums. Zero while hibernated.
+    /// bytes (map arena, optimizer moments, masks, reports) — what serving
+    /// reports as `health.resident_bytes`.
     pub fn resident_bytes(&self) -> usize {
-        if self.hibernated {
-            return 0;
-        }
         let per_id = std::mem::size_of::<rtgs_render::Gaussian3d>()
             + 2 * PARAMS_PER_GAUSSIAN * 4 // optimizer moments
             + 8 // handle
@@ -488,8 +406,7 @@ impl SlamPipeline<'_> {
 
 impl<'d> SlamPipeline<'d> {
     /// Rebuilds a session from a checkpoint log with no extension
-    /// attached (extension-internal state is not part of a checkpoint;
-    /// [`Self::rehydrate_from`] keeps a live session's extension).
+    /// attached (extension-internal state is not part of a checkpoint).
     ///
     /// # Errors
     ///
@@ -765,67 +682,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn hibernate_rehydrate_resumes_bitwise() {
-        let ds = tiny_dataset(5);
-        let cfg = quick_config(5);
-        let dir = std::env::temp_dir().join(format!("rtgs-hib-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("session.snap");
-
-        let mut resident = SlamPipeline::new(cfg, &ds);
-        let mut roaming = SlamPipeline::new(cfg, &ds);
-        for _ in 0..2 {
-            resident.step();
-            roaming.step();
-        }
-        let resident_bytes_before = roaming.resident_bytes();
-        assert!(resident_bytes_before > 0);
-        roaming.hibernate_to(&path).expect("hibernate");
-        assert!(roaming.is_hibernated());
-        assert_eq!(roaming.resident_bytes(), 0);
-        roaming.rehydrate_from(&path).expect("rehydrate");
-        assert!(!roaming.is_hibernated());
-
-        while resident.step().is_some() {}
-        while roaming.step().is_some() {}
-        let a = resident.report();
-        let b = roaming.report();
-        for (pa, pb) in a.trajectory.iter().zip(b.trajectory.iter()) {
-            assert_eq!(pa.translation, pb.translation);
-            assert_eq!(pa.rotation, pb.rotation);
-        }
-        assert_eq!(a.mean_psnr, b.mean_psnr);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_dir(&dir).ok();
-    }
-
-    /// Hibernate commits via atomic rename: no `.tmp` sibling survives,
-    /// and a stale torn temp from a crashed previous writer neither blocks
-    /// the spill nor gets read back.
-    #[test]
-    fn hibernate_is_crash_safe_against_torn_temps() {
-        let ds = tiny_dataset(4);
-        let cfg = quick_config(4);
-        let dir = std::env::temp_dir().join(format!("rtgs-hib-atomic-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("session.snap");
-
-        // A torn temp left by a "crashed" earlier writer.
-        let torn = rtgs_snapshot::tmp_path(&path);
-        std::fs::write(&torn, b"RTGSSNAP torn mid-write").unwrap();
-
-        let mut p = SlamPipeline::new(cfg, &ds);
-        p.step();
-        p.hibernate_to(&path).expect("hibernate");
-        assert!(!torn.exists(), "commit must consume the temp sibling");
-        p.rehydrate_from(&path)
-            .expect("rehydrate reads committed bytes");
-        assert!(!p.is_hibernated());
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Promoting from a follower's replay state continues exactly like
     /// restoring from the primary's own log: stream base + deltas into a
     /// ReplayState, promote, and the continuation is bitwise-identical to
@@ -884,21 +740,6 @@ mod tests {
                 assert_eq!(fa.gaussians, fb.gaussians);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "hibernated session stepped")]
-    fn stepping_a_hibernated_session_panics() {
-        let ds = tiny_dataset(3);
-        let cfg = quick_config(3);
-        let dir = std::env::temp_dir().join(format!("rtgs-hibpanic-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("session.snap");
-        let mut p = SlamPipeline::new(cfg, &ds);
-        p.step();
-        p.hibernate_to(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        p.step();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! test binary of its own with a single test: every pool in the cache was
 //! created by the lines below.
 
-use rtgs_runtime::{shared_pool_sizes, BackendChoice, EvictionPolicy, Serve};
+use rtgs_runtime::{shared_pool_sizes, BackendChoice, Serve};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline, SlamReport};
 
@@ -58,30 +58,18 @@ fn default_backend_sessions_use_the_pool_that_steps_them() {
     // Served: three workers and the serving thread are the only executors —
     // at most four threads ever run a chunk — and constructing the sessions
     // (on this thread, outside any pool) created nothing.
-    let sessions = |ds| {
-        BaseAlgorithm::all()
-            .into_iter()
-            .map(|algo| (algo.name().to_string(), SlamPipeline::new(config(algo), ds)))
-            .collect::<Vec<_>>()
-    };
-    let served = Serve::builder().threads(3).run(sessions(&ds));
+    let sessions = BaseAlgorithm::all()
+        .into_iter()
+        .map(|algo| {
+            (
+                algo.name().to_string(),
+                SlamPipeline::new(config(algo), &ds),
+            )
+        })
+        .collect();
+    let served = Serve::builder().threads(3).run(sessions);
     assert_eq!(shared_pool_sizes(), [3]);
     for (outcome, serial) in served.iter().zip(&serial) {
-        assert_bitwise_equal(&outcome.stats.label, serial, &outcome.report);
-    }
-
-    // Hibernated sessions are stepped by the serving thread itself, after
-    // the round's loop: still the serving pool's work.
-    let spill = std::env::temp_dir().join(format!("rtgs-one-pool-{}", std::process::id()));
-    let policy = EvictionPolicy::new(&spill).with_max_resident_sessions(2);
-    let evicted = Serve::builder()
-        .threads(3)
-        .eviction(policy)
-        .run(sessions(&ds));
-    std::fs::remove_dir_all(&spill).ok();
-    assert!(evicted.iter().any(|o| o.stats.hibernations > 0));
-    assert_eq!(shared_pool_sizes(), [3]);
-    for (outcome, serial) in evicted.iter().zip(&serial) {
         assert_bitwise_equal(&outcome.stats.label, serial, &outcome.report);
     }
 

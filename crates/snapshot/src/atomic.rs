@@ -26,8 +26,8 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// or the new complete file at `path` — never a truncated hybrid.
 ///
 /// Assumes a single writer per path (concurrent writers would race on the
-/// same `.tmp` sibling), which is how the serving stack uses it: one
-/// scheduler owns each spill file.
+/// same `.tmp` sibling), which is how the stack uses it: one replication
+/// primary owns each persisted log.
 ///
 /// # Errors
 ///

@@ -262,8 +262,7 @@ impl CheckpointLog {
         Ok(())
     }
 
-    /// Serializes the whole log (base + deltas) as one container, e.g. for
-    /// writing a hibernation file.
+    /// Serializes the whole log (base + deltas) as one container.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut builder = SectionBuilder::new();

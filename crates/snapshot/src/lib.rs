@@ -30,10 +30,8 @@
 //!    type, [`ReplayState`] ([`stream`]): a log folds its chain through
 //!    it, and a replication follower keeps one warm, a delta at a time.
 //!
-//! The SLAM layer builds session hibernate/resume on top of this crate
-//! (`rtgs_slam::SlamPipeline::checkpoint_into` / `restore_from`), and the
-//! serving scheduler uses those hooks to evict cold sessions to disk
-//! under memory pressure.
+//! The SLAM layer builds session checkpoint/restore on top of this crate
+//! (`rtgs_slam::SlamPipeline::checkpoint_into` / `restore_from`).
 //!
 //! # Example
 //!

@@ -153,9 +153,9 @@ fn semantically_inconsistent_state_is_corrupt() {
 
 /// A crash mid-write leaves a torn `.tmp` sibling, never a torn committed
 /// file: the atomic-rename path keeps the valid snapshot at the real path,
-/// and rehydrating from the truncated temp is a typed error, not a panic.
+/// and restoring from the truncated temp is a typed error, not a panic.
 #[test]
-fn torn_temp_file_is_ignored_on_rehydrate() {
+fn torn_temp_file_is_ignored_on_restore() {
     let dir = std::env::temp_dir().join(format!("rtgs-torn-fixture-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("session.snap");

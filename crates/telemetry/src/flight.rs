@@ -12,11 +12,11 @@
 //!   even when primary and follower rings are exported as separate
 //!   processes (see [`crate::chrome_trace_events`]).
 //! - **The journal** — a process-global, fixed-capacity, allocation-free
-//!   ring of structured [`JournalEvent`]s (admission rejects, shed
-//!   decisions, evictions, hibernate/rehydrate, resyncs, retransmits,
-//!   epoch bumps, promote), each stamped with trace id, session and
-//!   sequence. Overwrite-on-wrap like the span rings; recording is a mutex
-//!   fast-path lock plus an array write.
+//!   ring of structured [`JournalEvent`]s (admission rejects, frame
+//!   drops, shed decisions, resyncs, retransmits, epoch bumps, promote),
+//!   each stamped with trace id, session and sequence. Overwrite-on-wrap
+//!   like the span rings; recording is a mutex fast-path lock plus an
+//!   array write.
 //! - **[`FlightRecorder`]** — declarative triggers (drop-rate spike,
 //!   failover) that atomically dump a post-mortem bundle — registry
 //!   snapshot, journal tail, recent spans, config fingerprint and
@@ -113,7 +113,7 @@ const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 /// What happened. The taxonomy is closed on purpose: a bounded set of
 /// load-bearing control decisions, not a free-form log (see
-/// CONTRIBUTING.md "Journal events").
+/// CONTRIBUTING.md "Journal-event policy").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -125,12 +125,6 @@ pub enum EventKind {
     ShedDegrade,
     /// SLO shedding disengaged (back to full quality).
     ShedRestore,
-    /// The scheduler evicted a session under the memory budget.
-    Evict,
-    /// A session was hibernated to its spill file.
-    Hibernate,
-    /// A hibernated session was rehydrated.
-    Rehydrate,
     /// The primary re-based the replication stream (follower resync).
     Resync,
     /// An unacked replication record was retransmitted.
@@ -149,9 +143,6 @@ impl EventKind {
             EventKind::FrameDrop => "frame_drop",
             EventKind::ShedDegrade => "shed_degrade",
             EventKind::ShedRestore => "shed_restore",
-            EventKind::Evict => "evict",
-            EventKind::Hibernate => "hibernate",
-            EventKind::Rehydrate => "rehydrate",
             EventKind::Resync => "resync",
             EventKind::Retransmit => "retransmit",
             EventKind::EpochBump => "epoch_bump",
@@ -552,18 +543,17 @@ pub fn json_balanced(text: &str) -> bool {
 /// Three-level health roll-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthVerdict {
-    /// No backlog, no shedding, no replication lag, inside budget.
+    /// No backlog, no shedding, no replication lag.
     Healthy,
     /// Serving, but shedding load, running a backlog, or behind on
     /// replication.
     Degraded,
-    /// Replication failed or the session is over its memory budget.
+    /// Replication failed.
     Critical,
 }
 
 /// Per-session health aggregate the serving layer computes at drain time:
-/// ingest backlog, shed state, replication lag and resident bytes vs.
-/// budget.
+/// ingest backlog, shed state, replication lag and resident bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReport {
     /// Session label.
@@ -578,10 +568,8 @@ pub struct HealthReport {
     pub replication_lag_frames: u64,
     /// Whether replication latched a fatal error.
     pub replication_failed: bool,
-    /// Resident bytes at report time.
+    /// Resident bytes at report time (reported; nothing bounds it).
     pub resident_bytes: u64,
-    /// Memory budget (`None` = unbounded).
-    pub budget_bytes: Option<u64>,
 }
 
 impl HealthReport {
@@ -595,18 +583,14 @@ impl HealthReport {
             replication_lag_frames: 0,
             replication_failed: false,
             resident_bytes: 0,
-            budget_bytes: None,
         }
     }
 
     /// Folds the fields into the three-level verdict. Deterministic:
-    /// failure or over-budget ⇒ `Critical`; any backlog, shedding, drops
-    /// or replication lag ⇒ `Degraded`; otherwise `Healthy`.
+    /// replication failure ⇒ `Critical`; any backlog, shedding, drops or
+    /// replication lag ⇒ `Degraded`; otherwise `Healthy`.
     pub fn verdict(&self) -> HealthVerdict {
-        let over_budget = self
-            .budget_bytes
-            .is_some_and(|budget| self.resident_bytes > budget);
-        if self.replication_failed || over_budget {
+        if self.replication_failed {
             HealthVerdict::Critical
         } else if self.ingest_backlog > 0
             || self.degraded_frames > 0
@@ -791,10 +775,51 @@ mod tests {
         report.replication_failed = false;
         report.degraded_frames = 0;
         report.resident_bytes = 10;
-        report.budget_bytes = Some(5);
-        assert_eq!(report.verdict(), HealthVerdict::Critical, "over budget");
-        report.budget_bytes = Some(20);
-        assert_eq!(report.verdict(), HealthVerdict::Healthy);
+        assert_eq!(
+            report.verdict(),
+            HealthVerdict::Healthy,
+            "bytes are reported, not judged"
+        );
+    }
+
+    #[test]
+    fn event_kind_names_are_the_documented_taxonomy() {
+        // Bundles write a kind by name and their consumers grep it
+        // (CONTRIBUTING.md "Journal-event policy"): changing this list is a
+        // deliberate format change.
+        const TAXONOMY: [(EventKind, &str); 8] = [
+            (EventKind::AdmissionReject, "admission_reject"),
+            (EventKind::FrameDrop, "frame_drop"),
+            (EventKind::ShedDegrade, "shed_degrade"),
+            (EventKind::ShedRestore, "shed_restore"),
+            (EventKind::Resync, "resync"),
+            (EventKind::Retransmit, "retransmit"),
+            (EventKind::EpochBump, "epoch_bump"),
+            (EventKind::Promote, "promote"),
+        ];
+        // No wildcard arm: a new kind fails to compile here, which sends
+        // its author to the list above.
+        let _exhaustive = |kind: EventKind| match kind {
+            EventKind::AdmissionReject
+            | EventKind::FrameDrop
+            | EventKind::ShedDegrade
+            | EventKind::ShedRestore
+            | EventKind::Resync
+            | EventKind::Retransmit
+            | EventKind::EpochBump
+            | EventKind::Promote => (),
+        };
+        for (position, (kind, name)) in TAXONOMY.iter().enumerate() {
+            assert_eq!(
+                *kind as usize, position,
+                "{name} is out of declaration order"
+            );
+            assert_eq!(kind.name(), *name);
+        }
+        let mut names: Vec<&str> = TAXONOMY.iter().map(|(kind, _)| kind.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), TAXONOMY.len(), "duplicate names");
     }
 
     #[test]
