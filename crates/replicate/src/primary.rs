@@ -21,11 +21,10 @@ use crate::transport::ByteLink;
 use crate::wire::FrameScanner;
 use crate::ReplicationError;
 use rtgs_runtime::ReplicationStats;
-use rtgs_snapshot::{write_file_atomic, CaptureStats, CheckpointLog, SnapshotError};
+use rtgs_snapshot::{CaptureStats, CheckpointLog, SnapshotError};
 use rtgs_telemetry::flight::hops;
 use rtgs_telemetry::{emit_flow_span, journal_record, ns_since_epoch, EventKind, TraceCtx};
 use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Tuning for the send/retransmit side of a replication stream.
@@ -151,8 +150,6 @@ pub struct Replicator<L: ByteLink> {
     /// Session id stamped on black-box journal events (0 unless set via
     /// [`with_session_index`](Self::with_session_index)).
     session_index: u32,
-    /// Durable journal written (atomically) at drain time.
-    journal: Option<PathBuf>,
     metrics: PrimaryMetrics,
     frames_replicated: u64,
     frames_dropped_by_policy: u64,
@@ -179,7 +176,6 @@ impl<L: ByteLink> Replicator<L> {
             tick: 0,
             pending: VecDeque::new(),
             session_index: 0,
-            journal: None,
             metrics: PrimaryMetrics::from_global(),
             frames_replicated: 0,
             frames_dropped_by_policy: 0,
@@ -188,15 +184,6 @@ impl<L: ByteLink> Replicator<L> {
             retransmits: 0,
             resyncs: 0,
         }
-    }
-
-    /// Attaches a durable journal: [`Replicator::drain`] writes the full
-    /// encoded log there (staged + fsynced + renamed) so a machine that
-    /// lost both processes can still recover the stream's final state.
-    #[must_use]
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.journal = Some(path.into());
-        self
     }
 
     /// Sets the session id stamped on this stream's black-box journal
@@ -502,10 +489,9 @@ impl<L: ByteLink> Replicator<L> {
     /// Flushes the stream for shutdown: releases every fault-held
     /// envelope, then pumps until every outstanding record is acked —
     /// so `frames_processed == frames_replicated + frames_dropped_by_policy`
-    /// holds in final stats — and commits the durable journal (staged,
-    /// fsynced, renamed). Spins with short sleeps between pumps; the
-    /// follower must be pumping concurrently (or between our pumps via
-    /// the in-process link).
+    /// holds in final stats — then publishes the final lag gauges. Spins
+    /// with short sleeps between pumps; the follower must be pumping
+    /// concurrently (or between our pumps via the in-process link).
     ///
     /// # Errors
     ///
@@ -534,9 +520,6 @@ impl<L: ByteLink> Replicator<L> {
             }
         }
         self.export_lag();
-        if let Some(path) = &self.journal {
-            write_file_atomic(path, &self.log.encode())?;
-        }
         Ok(())
     }
 }
@@ -789,30 +772,5 @@ mod tests {
         assert_eq!(primary.stats().frames_behind, 0);
         assert_eq!(primary.stats().frames_replicated, 12);
         assert_converged(&primary, &follower, &map);
-    }
-
-    #[test]
-    fn drain_commits_the_journal_atomically() {
-        let dir = std::env::temp_dir().join("rtgs-replicate-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stream.journal");
-        let _ = std::fs::remove_file(&path);
-
-        let (mut primary, mut follower) = pair(ReplicationPolicy::new(), FaultPlan::lossless(6));
-        primary = primary.with_journal(&path);
-        let map = spread_map(4);
-        primary
-            .on_frame(0, |log| log.capture(&map, &[], b"j"))
-            .unwrap();
-        settle(&mut primary, &mut follower);
-        primary.drain().unwrap();
-
-        let log = CheckpointLog::decode(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(log.restore().unwrap().0.export_state(), map.export_state());
-        assert!(
-            !rtgs_snapshot::tmp_path(&path).exists(),
-            "staging file leaked"
-        );
-        std::fs::remove_file(&path).unwrap();
     }
 }

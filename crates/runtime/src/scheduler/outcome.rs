@@ -150,7 +150,7 @@ impl<S: Session> SessionScheduler<S> {
     /// pool stats exported, one outcome per session in insertion order.
     pub(super) fn collect(mut self) -> Vec<SessionOutcome<S::Report>> {
         // Drain replication streams before reports are taken: outstanding
-        // records get acked (or typed-fail) and journals are fsynced, so
+        // records get acked (or typed-fail), so
         // `frames_processed == frames_replicated + frames_dropped_by_policy`
         // holds in the final stats. Failures are counted, not fatal — the
         // report still collects.

@@ -130,9 +130,9 @@ pub trait Session: Send {
     }
 
     /// Flushes the session's replication stream — pump until every
-    /// outstanding record is acknowledged (or typed-fails) and the stream's
-    /// durable journal, if any, is fsynced. Called by the scheduler at
-    /// shutdown **before** [`Session::finish`], so the final stats satisfy
+    /// outstanding record is acknowledged (or typed-fails). Called by the
+    /// scheduler at shutdown **before** [`Session::finish`], so the final
+    /// stats satisfy
     /// `frames_processed == frames_replicated + frames_dropped_by_policy`.
     /// The default (non-replicating session) is a no-op.
     ///

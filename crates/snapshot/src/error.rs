@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Why a snapshot could not be written, parsed or restored.
+/// Why a snapshot could not be encoded, parsed or restored.
 ///
 /// Loaders never panic on malformed input: every structural defect —
 /// truncation, checksum damage, unknown format versions, dangling
@@ -11,8 +11,6 @@ use std::fmt;
 /// configuration" and react accordingly.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// Underlying file I/O failed.
-    Io(std::io::Error),
     /// The byte stream does not start with the snapshot magic.
     BadMagic,
     /// The container declares a format version this loader does not
@@ -74,7 +72,6 @@ fn tag(t: &[u8; 4]) -> String {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             SnapshotError::BadMagic => write!(f, "not a snapshot: bad magic"),
             SnapshotError::UnsupportedVersion { found, supported } => write!(
                 f,
@@ -101,20 +98,7 @@ impl fmt::Display for SnapshotError {
     }
 }
 
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
+impl std::error::Error for SnapshotError {}
 
 #[cfg(test)]
 mod tests {
@@ -134,12 +118,5 @@ mod tests {
             found: 2,
         };
         assert!(e.to_string().contains("fingerprint"));
-    }
-
-    #[test]
-    fn io_errors_convert_and_chain() {
-        let e: SnapshotError = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
-        assert!(matches!(e, SnapshotError::Io(_)));
-        assert!(std::error::Error::source(&e).is_some());
     }
 }

@@ -62,14 +62,12 @@
 //! assert_eq!(stats.shards_written, 1);
 //! ```
 
-pub mod atomic;
 pub mod checkpoint;
 pub mod error;
 pub mod format;
 pub mod scene;
 pub mod stream;
 
-pub use atomic::{tmp_path, write_file_atomic, TMP_SUFFIX};
 pub use checkpoint::{CaptureStats, Channel, CheckpointLog};
 pub use error::SnapshotError;
 pub use format::{crc32, Cursor, SectionBuilder, Sections, FORMAT_VERSION, MAGIC};

@@ -151,48 +151,6 @@ fn semantically_inconsistent_state_is_corrupt() {
     }
 }
 
-/// A crash mid-write leaves a torn `.tmp` sibling, never a torn committed
-/// file: the atomic-rename path keeps the valid snapshot at the real path,
-/// and restoring from the truncated temp is a typed error, not a panic.
-#[test]
-fn torn_temp_file_is_ignored_on_restore() {
-    let dir = std::env::temp_dir().join(format!("rtgs-torn-fixture-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("session.snap");
-
-    let mut log = CheckpointLog::new();
-    let mut map = sample_map();
-    let _ = log.capture(&map, &[], b"m0").unwrap();
-    map.gaussian_mut(7).position.x += 0.3;
-    let _ = log.capture(&map, &[], b"m1").unwrap();
-    let bytes = log.encode();
-    rtgs_snapshot::write_file_atomic(&path, &bytes).unwrap();
-
-    // Simulate a crash mid-write of the *next* snapshot: a truncated temp
-    // sibling beside the committed file.
-    let torn = rtgs_snapshot::tmp_path(&path);
-    std::fs::write(&torn, &bytes[..bytes.len() / 3]).unwrap();
-
-    // The committed path is intact and restores.
-    let committed = std::fs::read(&path).unwrap();
-    assert_eq!(committed, bytes);
-    assert!(CheckpointLog::decode(&committed).unwrap().restore().is_ok());
-
-    // A loader pointed at the torn temp gets a typed error, not a panic.
-    let torn_bytes = std::fs::read(&torn).unwrap();
-    match CheckpointLog::decode(&torn_bytes) {
-        Err(
-            SnapshotError::Truncated { .. }
-            | SnapshotError::ChecksumMismatch { .. }
-            | SnapshotError::BadMagic
-            | SnapshotError::Corrupt { .. },
-        ) => {}
-        other => panic!("expected typed corruption error, got {other:?}"),
-    }
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// Damage inside a checkpoint log (base or any delta) surfaces when the
 /// log is decoded, before any replay work happens.
 #[test]

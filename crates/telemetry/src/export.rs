@@ -154,9 +154,8 @@ pub fn wrap_trace_events(parts: &[String]) -> String {
 }
 
 /// Crash-safe write: stage in a `.tmp` sibling, fsync, rename into place,
-/// so a crash mid-dump never leaves a torn bundle visible.
-/// (Duplicated from `rtgs-snapshot` deliberately — telemetry stays
-/// dependency-free.)
+/// so a crash mid-dump never leaves a torn bundle visible. The process's
+/// one file writer; a failed write removes the `.tmp` sibling.
 pub(crate) fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     use std::io::Write as _;
     let mut tmp = path.as_os_str().to_owned();

@@ -1,5 +1,5 @@
 //! Flight recorder: cross-process frame tracing, a black-box event
-//! journal, and triggered post-mortem bundles.
+//! journal, and post-mortem bundles written on request.
 //!
 //! Aggregate counters say *that* frames were shed or retransmitted; the
 //! flight recorder answers *why this frame*. Three pieces:
@@ -17,19 +17,17 @@
 //!   each stamped with trace id, session and sequence. Overwrite-on-wrap
 //!   like the span rings; recording is a mutex fast-path lock plus an
 //!   array write.
-//! - **[`FlightRecorder`]** — declarative triggers (drop-rate spike,
-//!   failover) that atomically dump a post-mortem bundle — registry
-//!   snapshot, journal tail, recent spans, config fingerprint and
-//!   caller-provided context — via temp-file + fsync + rename,
-//!   rate-limited per trigger by a hard bundle-count cap so a trigger
-//!   storm cannot fill a disk.
+//! - **[`write_bundle`]** — dumps one post-mortem bundle (registry
+//!   snapshot, journal tail, recent spans and caller-provided context
+//!   such as the config fingerprint) via temp-file + fsync + rename, when
+//!   a caller asks for one.
 //!
 //! [`HealthReport`] is the per-session roll-up the serving layer surfaces:
 //! ingest backlog, shed state, replication lag and resident bytes vs.
 //! budget, folded into a three-level verdict.
 
 use std::io;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -265,72 +263,16 @@ fn journal_events_json(events: &[JournalEvent], out: &mut String) {
 }
 
 // ---------------------------------------------------------------------------
-// Trigger engine + post-mortem bundles
+// Post-mortem bundles
 // ---------------------------------------------------------------------------
-
-/// What fires a bundle dump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriggerKind {
-    /// Frame drop rate above a threshold fraction.
-    DropRateSpike,
-    /// A standby was promoted (failover).
-    Failover,
-}
-
-impl TriggerKind {
-    /// Stable lower-snake name used in bundle file names.
-    fn name(&self) -> &'static str {
-        match self {
-            TriggerKind::DropRateSpike => "drop_rate_spike",
-            TriggerKind::Failover => "failover",
-        }
-    }
-}
-
-/// One declarative trigger: what fires, its threshold, and the hard cap on
-/// bundles it may ever write (the rate limit — a trigger storm produces at
-/// most `max_bundles` dumps, the rest write nothing).
-#[derive(Debug, Clone, Copy)]
-pub struct TriggerSpec {
-    /// What fires.
-    pub kind: TriggerKind,
-    /// Drop-rate fraction that fires ([`TriggerKind::DropRateSpike`]).
-    pub drop_rate_threshold: f64,
-    /// Hard cap on bundles this trigger writes.
-    pub max_bundles: u32,
-}
-
-impl TriggerSpec {
-    /// Drop-rate spike above `threshold` (fraction of offered frames).
-    pub fn drop_rate(threshold: f64, max_bundles: u32) -> Self {
-        TriggerSpec {
-            kind: TriggerKind::DropRateSpike,
-            drop_rate_threshold: threshold,
-            max_bundles,
-        }
-    }
-
-    /// Edge trigger with no threshold ([`TriggerKind::Failover`]).
-    pub fn on(kind: TriggerKind, max_bundles: u32) -> Self {
-        TriggerSpec {
-            kind,
-            drop_rate_threshold: 0.0,
-            max_bundles,
-        }
-    }
-}
-
-struct TriggerState {
-    spec: TriggerSpec,
-    written: u32,
-}
 
 /// Journal events included per bundle.
 const BUNDLE_JOURNAL_EVENTS: usize = 256;
 
-/// The trigger engine: owns the bundle directory, the configured triggers
-/// and the caller-provided context (config fingerprint, replication
-/// stats), and dumps rate-limited post-mortem bundles atomically.
+/// Writes one post-mortem bundle to `path`, creating its directory. The
+/// caller decides when: nothing in the serving stack dumps a bundle on its
+/// own. `reason` lands under the bundle's `"trigger"` key, `context`
+/// (config fingerprints, replication counters) under `"context"`.
 ///
 /// A bundle is one JSON file, written via temp + fsync + rename so a
 /// crash mid-dump never leaves a partial bundle visible — at worst a
@@ -345,104 +287,24 @@ const BUNDLE_JOURNAL_EVENTS: usize = 256;
 ///   "spans":    {"traceEvents": [...]}
 /// }
 /// ```
-pub struct FlightRecorder {
-    dir: PathBuf,
-    triggers: Vec<TriggerState>,
-    context: Vec<(&'static str, u64)>,
-    last_error: Option<io::Error>,
-}
-
-impl FlightRecorder {
-    /// A recorder writing bundles under `dir` (created on first dump).
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        FlightRecorder {
-            dir: dir.into(),
-            triggers: Vec::new(),
-            context: Vec::new(),
-            last_error: None,
-        }
+///
+/// # Errors
+///
+/// Any I/O error of the directory creation or the staged write; a failed
+/// write never leaves a partial bundle at `path` (the temp sibling is
+/// removed).
+pub fn write_bundle(
+    path: &Path,
+    reason: &str,
+    session: u32,
+    trace_id: u64,
+    context: &[(&str, u64)],
+) -> io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
     }
-
-    /// Adds a trigger.
-    #[must_use]
-    pub fn with_trigger(mut self, spec: TriggerSpec) -> Self {
-        self.triggers.push(TriggerState { spec, written: 0 });
-        self
-    }
-
-    /// Sets (or replaces) one context value embedded in every bundle —
-    /// config fingerprints, replication counters, budget bytes.
-    pub fn set_context(&mut self, key: &'static str, value: u64) {
-        if let Some(slot) = self.context.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = value;
-        } else {
-            self.context.push((key, value));
-        }
-    }
-
-    /// Feeds one drop-rate observation to the drop-rate triggers.
-    pub fn observe_drop_rate(
-        &mut self,
-        session: u32,
-        dropped: u64,
-        offered: u64,
-    ) -> Option<PathBuf> {
-        if offered == 0 {
-            return None;
-        }
-        let rate = dropped as f64 / offered as f64;
-        for i in 0..self.triggers.len() {
-            if self.triggers[i].spec.kind == TriggerKind::DropRateSpike
-                && rate > self.triggers[i].spec.drop_rate_threshold
-            {
-                return self.fire(i, session, 0);
-            }
-        }
-        None
-    }
-
-    /// Notifies the edge triggers ([`TriggerKind::Failover`]) that their
-    /// event happened.
-    pub fn notify(&mut self, kind: TriggerKind, session: u32, trace_id: u64) -> Option<PathBuf> {
-        for i in 0..self.triggers.len() {
-            if self.triggers[i].spec.kind == kind {
-                return self.fire(i, session, trace_id);
-            }
-        }
-        None
-    }
-
-    /// The most recent bundle-write error, if any (a failed write never
-    /// leaves a partial bundle — the temp sibling is removed).
-    pub fn last_error(&self) -> Option<&io::Error> {
-        self.last_error.as_ref()
-    }
-
-    /// Writes the trigger's next bundle unless it reached its cap.
-    fn fire(&mut self, idx: usize, session: u32, trace_id: u64) -> Option<PathBuf> {
-        let state = &self.triggers[idx];
-        if state.written >= state.spec.max_bundles {
-            return None;
-        }
-        let name = state.spec.kind.name();
-        let path = self
-            .dir
-            .join(format!("bundle-{name}-{}.json", state.written));
-        let body = bundle_json(
-            name,
-            session,
-            trace_id,
-            &self.context,
-            BUNDLE_JOURNAL_EVENTS,
-        );
-        let written = std::fs::create_dir_all(&self.dir).and_then(|()| write_atomic(&path, &body));
-        if let Err(e) = written {
-            self.last_error = Some(e);
-            return None;
-        }
-        self.triggers[idx].written += 1;
-        Some(path)
-    }
+    let body = bundle_json(reason, session, trace_id, context, BUNDLE_JOURNAL_EVENTS);
+    write_atomic(path, &body)
 }
 
 /// Renders a post-mortem bundle document from the live global telemetry
@@ -452,7 +314,7 @@ fn bundle_json(
     trigger: &str,
     session: u32,
     trace_id: u64,
-    context: &[(&'static str, u64)],
+    context: &[(&str, u64)],
     journal_tail_events: usize,
 ) -> String {
     use std::fmt::Write as _;
@@ -607,6 +469,7 @@ impl HealthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     // Journal and registry state are process-global; tests that record
     // serialize on this lock and clear before use.
@@ -622,6 +485,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rtgs-flight-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn tmp_sibling(path: &Path) -> PathBuf {
+        PathBuf::from(format!("{}.tmp", path.display()))
     }
 
     #[test]
@@ -668,34 +535,6 @@ mod tests {
         assert_eq!(seqs, [5, 6, 7, 8]);
     }
 
-    #[test]
-    fn trigger_storm_is_rate_limited_to_max_bundles() {
-        let _guard = test_lock();
-        clear_journal();
-        let dir = test_dir("storm");
-        let mut rec =
-            FlightRecorder::new(&dir).with_trigger(TriggerSpec::on(TriggerKind::Failover, 2));
-        let mut written = 0;
-        for _ in 0..100 {
-            if rec.notify(TriggerKind::Failover, 0, 1).is_some() {
-                written += 1;
-            }
-        }
-        assert_eq!(written, 2, "storm capped at max_bundles");
-        let on_disk = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("bundle-")
-            })
-            .count();
-        assert_eq!(on_disk, 2, "at most the configured bundle count on disk");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// A stale `.tmp` from a torn previous dump must never surface as a
     /// bundle: the next dump replaces it atomically and the visible file
     /// is always complete.
@@ -710,58 +549,53 @@ mod tests {
         let bundle = dir.join("bundle-failover-0.json");
         // The torn fixture: a crashed writer left garbage at the staging
         // path of the exact bundle about to be written.
-        std::fs::write(
-            PathBuf::from(format!("{}.tmp", bundle.display())),
-            b"{\"torn\": tr",
+        std::fs::write(tmp_sibling(&bundle), b"{\"torn\": tr").unwrap();
+        write_bundle(
+            &bundle,
+            "failover",
+            0,
+            42,
+            &[("config_fingerprint", 0xfeed)],
         )
         .unwrap();
-        let mut rec =
-            FlightRecorder::new(&dir).with_trigger(TriggerSpec::on(TriggerKind::Failover, 1));
-        let path = rec.notify(TriggerKind::Failover, 0, 42).expect("fires");
-        assert_eq!(path, bundle);
         let text = std::fs::read_to_string(&bundle).unwrap();
         assert!(bundle_is_valid(&text), "visible bundle is complete: {text}");
         assert!(text.contains("\"trace_id\": 42"));
+        assert!(text.contains("\"config_fingerprint\": 65261"));
         assert!(
-            !PathBuf::from(format!("{}.tmp", bundle.display())).exists(),
+            !tmp_sibling(&bundle).exists(),
             "staging sibling consumed by the rename"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A failed dump (unwritable directory) leaves nothing visible,
-    /// surfaces through `last_error` and does not use up the trigger's
-    /// bundle budget.
+    /// Overwriting a longer file leaves exactly the new bundle: a partial
+    /// overwrite would keep trailing bytes, which `json_balanced` rejects.
+    #[test]
+    fn write_bundle_replaces_a_longer_file_whole() {
+        let _guard = test_lock();
+        let dir = test_dir("overwrite");
+        let bundle = dir.join("bundle-failover-0.json");
+        std::fs::write(&bundle, vec![b'x'; 1 << 20]).unwrap();
+        write_bundle(&bundle, "failover", 0, 0, &[]).unwrap();
+        let text = std::fs::read_to_string(&bundle).unwrap();
+        assert!(bundle_is_valid(&text), "{text}");
+        assert!(!tmp_sibling(&bundle).exists(), "staging file leaked");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A failed dump (unwritable directory) returns the error and leaves
+    /// nothing visible.
     #[test]
     fn failed_dump_leaves_no_partial_bundle() {
         let _guard = test_lock();
-        let dir = test_dir("fail").join("not-a-dir.txt");
+        let root = test_dir("fail");
+        let dir = root.join("not-a-dir.txt");
         std::fs::write(&dir, b"a file where the bundle dir should be").unwrap();
-        let mut rec =
-            FlightRecorder::new(&dir).with_trigger(TriggerSpec::on(TriggerKind::Failover, 1));
-        assert!(rec.notify(TriggerKind::Failover, 0, 0).is_none());
-        assert!(rec.last_error().is_some());
-        assert_eq!(rec.triggers[0].written, 0);
-        assert!(!dir.join("bundle-failover-0.json").exists());
-    }
-
-    #[test]
-    fn drop_rate_trigger_fires_above_threshold() {
-        let _guard = test_lock();
-        clear_journal();
-        let dir = test_dir("droprate");
-        let mut rec = FlightRecorder::new(&dir).with_trigger(TriggerSpec::drop_rate(0.2, 1));
-        rec.set_context("config_fingerprint", 0xfeed);
-        assert!(rec.observe_drop_rate(0, 1, 10).is_none(), "10% is fine");
-        assert!(
-            rec.observe_drop_rate(0, 0, 0).is_none(),
-            "no frames, no rate"
-        );
-        let path = rec.observe_drop_rate(0, 5, 10).expect("50% fires");
-        let text = std::fs::read_to_string(path).unwrap();
-        assert!(bundle_is_valid(&text), "{text}");
-        assert!(text.contains("\"config_fingerprint\": 65261"));
-        std::fs::remove_dir_all(&dir).ok();
+        let bundle = dir.join("bundle-failover-0.json");
+        assert!(write_bundle(&bundle, "failover", 0, 0, &[]).is_err());
+        assert!(!bundle.exists());
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

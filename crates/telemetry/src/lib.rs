@@ -48,8 +48,8 @@ mod stage;
 pub use export::{chrome_trace_events, chrome_trace_json, wrap_trace_events};
 pub use flight::{
     bundle_is_valid, clear_journal, journal_events, journal_record, json_balanced,
-    set_journal_enabled, warm_journal, EventKind, FlightRecorder, HealthReport, HealthVerdict,
-    JournalEvent, TraceCtx, TriggerKind, TriggerSpec,
+    set_journal_enabled, warm_journal, write_bundle, EventKind, HealthReport, HealthVerdict,
+    JournalEvent, TraceCtx,
 };
 pub use hist::{Histogram, HistogramSnapshot};
 pub use recent::RecentWindow;

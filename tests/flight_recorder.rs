@@ -8,8 +8,9 @@
 //!   hops (ingest → track → checkpoint → wire → replay).
 //! * Two open-loop tenants share a tight ingest hub under
 //!   `Serve::builder()`, and a third is refused admission. The journal
-//!   records the shed, the drops and the rejection, the drop-rate bundle is
-//!   valid, and the per-session health verdicts follow the load.
+//!   records the shed, the drops and the rejection, the swamped tenant's
+//!   drop rate is past 20 %, the drop-rate bundle is valid, and the
+//!   per-session health verdicts follow the load.
 //!
 //! Span tracing and the journal are process-global, so the drills run in
 //! this binary of their own, one at a time.
@@ -21,9 +22,9 @@ use rtgs::slam::{
     config_fingerprint, BaseAlgorithm, OpenLoopSession, SlamConfig, SlamPipeline, SloPolicy,
 };
 use rtgs::telemetry::flight::hops;
-use rtgs::telemetry::{self, EventKind, FlightRecorder, SpanEvent, TriggerKind, TriggerSpec};
+use rtgs::telemetry::{self, EventKind, SpanEvent};
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -80,9 +81,8 @@ fn journaled(kind: EventKind) -> usize {
         .count()
 }
 
-fn bundle_file_is_valid(path: Option<PathBuf>) -> bool {
-    path.and_then(|p| std::fs::read_to_string(p).ok())
-        .is_some_and(|text| telemetry::bundle_is_valid(&text))
+fn bundle_file_is_valid(path: &Path) -> bool {
+    std::fs::read_to_string(path).is_ok_and(|text| telemetry::bundle_is_valid(&text))
 }
 
 /// Every span recorded so far, on any thread.
@@ -110,9 +110,6 @@ fn blackbox_bundle_and_stitched_trace_reconstruct_the_crash() {
     let config = quick_config();
     let fingerprint = config_fingerprint(&config);
     arm_recorders();
-    let mut recorder =
-        FlightRecorder::new(&bundles.0).with_trigger(TriggerSpec::on(TriggerKind::Failover, 1));
-    recorder.set_context("config_fingerprint", fingerprint);
 
     // Every ticket is minted a trace at the ingest front door.
     let hub = IngestHub::new(IngestConfig::new().with_inbox_capacity(FRAMES));
@@ -160,10 +157,18 @@ fn blackbox_bundle_and_stitched_trace_reconstruct_the_crash() {
     while promoted.step().is_some() {}
     let follower_part = telemetry::chrome_trace_events(2);
     let follower_spans = all_spans();
-    let failover_bundle = recorder.notify(TriggerKind::Failover, 1, last_trace_id);
+    let failover_bundle = bundles.0.join("bundle-failover-0.json");
+    telemetry::write_bundle(
+        &failover_bundle,
+        "failover",
+        1,
+        last_trace_id,
+        &[("config_fingerprint", fingerprint)],
+    )
+    .expect("write the failover bundle");
     disarm_recorders();
 
-    assert!(bundle_file_is_valid(failover_bundle), "failover bundle");
+    assert!(bundle_file_is_valid(&failover_bundle), "failover bundle");
     assert!(
         journaled(EventKind::Promote) >= 1,
         "promotion not journaled"
@@ -200,7 +205,6 @@ fn overload_is_journaled_bundled_and_judged_per_session() {
     let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), FRAMES);
     let config = quick_config();
     arm_recorders();
-    let mut recorder = FlightRecorder::new(&bundles.0).with_trigger(TriggerSpec::drop_rate(0.2, 1));
 
     // Two tenants fit the hub; a third is refused at the door.
     let hub = IngestHub::new(
@@ -243,11 +247,16 @@ fn overload_is_journaled_bundled_and_judged_per_session() {
     };
 
     let swamped = stats("swamped").ingest.as_ref().expect("ingest stats");
-    let drop_bundle =
-        recorder.observe_drop_rate(swamped_channel, swamped.dropped(), swamped.offered);
+    assert!(
+        swamped.drop_rate() > 0.2,
+        "the swamped tenant dropped too little"
+    );
+    let drop_bundle = bundles.0.join("bundle-drop_rate_spike-0.json");
+    telemetry::write_bundle(&drop_bundle, "drop_rate_spike", swamped_channel, 0, &[])
+        .expect("write the drop-rate bundle");
     disarm_recorders();
 
-    assert!(bundle_file_is_valid(drop_bundle), "drop-rate bundle");
+    assert!(bundle_file_is_valid(&drop_bundle), "drop-rate bundle");
     for kind in [
         EventKind::AdmissionReject,
         EventKind::FrameDrop,
