@@ -220,7 +220,10 @@ fn bench_tile_sort(c: &mut Criterion) {
 /// → project → tile assign → fused forward → loss → fused backward —
 /// through a warm [`FrameArena`] (the production zero-allocation path)
 /// versus the same stages through a new arena per iteration. The delta is
-/// exactly the heap churn arena reuse removes.
+/// exactly the heap churn arena reuse removes. `arena_reuse_x4` is the warm
+/// iteration at the 18×10 frame (2 tiles) RTGS tracks at factor 4, with
+/// cull and projection in a trial scope ([`FrameArena::trials`]) as
+/// tracking runs them.
 fn bench_tracking_iteration_steady_state(c: &mut Criterion) {
     let mut group = c.benchmark_group("tracking_iteration_steady_state");
     group
@@ -250,6 +253,24 @@ fn bench_tracking_iteration_steady_state(c: &mut Criterion) {
     group.bench_function("fresh_alloc", |b| {
         b.iter(|| iteration(&mut FrameArena::new()))
     });
+
+    let camera = ds.camera.downsampled(4);
+    let color = frame.color.downsampled(4);
+    let depth = frame.depth.as_ref().map(|d| d.downsampled(4));
+    let mut trials = arena.trials(map);
+    let mut downsampled = || {
+        trials.cull(w2c, &camera, Some(&mask), &backend);
+        trials.project_visible(w2c, &camera, &backend);
+        trials.assign_tiles(&camera, &backend);
+        trials.render_fused(&camera, &backend);
+        let loss = trials.compute_loss(&color, depth.as_ref(), &cfg);
+        trials.backward_visible_fused(&camera, w2c, &backend);
+        (loss, trials.backward().pose)
+    };
+    for _ in 0..2 {
+        downsampled();
+    }
+    group.bench_function("arena_reuse_x4", |b| b.iter(&mut downsampled));
     group.finish();
 }
 

@@ -2,9 +2,10 @@
 //! frame-arena steady state and the per-stage budget at session size.
 
 use crate::common::{default_backend, f, Scale, Table};
-use rtgs_render::{FrameArena, GradSet, LossConfig};
+use rtgs_math::Se3;
+use rtgs_render::{FrameArena, GradSet, LossConfig, ShardedScene};
 use rtgs_runtime::{Backend, Serial};
-use rtgs_scene::{DatasetProfile, SyntheticDataset};
+use rtgs_scene::{DatasetProfile, RgbdFrame, SyntheticDataset};
 use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
 use std::time::Instant;
 
@@ -70,8 +71,52 @@ pub fn arena_steady_state(scale: Scale) -> String {
         map.len(),
         iterations,
         table.render(),
-        session_stage_table(scale)
+        {
+            let session = SessionMap::build(scale);
+            format!(
+                "{}\n{}",
+                session_stage_table(&session, scale),
+                downsampled_iteration_table(&session, scale)
+            )
+        }
     )
+}
+
+/// The map a MonoGS session builds over 75×42 `replica_analog` frames (12
+/// of them at full scale: ~1 k Gaussians, ~80 k blended fragments), and its
+/// last frame's pose and observations — what both stage tables run on.
+struct SessionMap {
+    ds: SyntheticDataset,
+    map: ShardedScene,
+    w2c: Se3,
+    frame: RgbdFrame,
+}
+
+impl SessionMap {
+    fn build(scale: Scale) -> Self {
+        let frames = match scale {
+            Scale::Quick => 3,
+            Scale::Full => 12,
+        };
+        let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), frames);
+        let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(frames);
+        if scale == Scale::Quick {
+            cfg.tracking.iterations = 4;
+            cfg.mapping_iterations = 4;
+        }
+        let mut session = SlamPipeline::new(cfg, &ds);
+        session.run();
+        let mut map = session.scene().clone();
+        map.refresh_bounds_with(&Serial);
+        let w2c = ds.poses_c2w[frames - 1].inverse();
+        let frame = ds.frames[frames - 1].clone();
+        Self {
+            ds,
+            map,
+            w2c,
+            frame,
+        }
+    }
 }
 
 /// The same warm-arena loop at the size a repository-benchmark session runs
@@ -87,23 +132,13 @@ pub fn arena_steady_state(scale: Scale) -> String {
 /// the pose-only Steps ❹–❺ a base pipeline's tracking runs instead, from
 /// the iterations in between, and the header's bitwise check includes that
 /// their pose is the full pass's.
-fn session_stage_table(scale: Scale) -> String {
-    let frames = match scale {
-        Scale::Quick => 3,
-        Scale::Full => 12,
-    };
-    let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), frames);
-    let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(frames);
-    if scale == Scale::Quick {
-        cfg.tracking.iterations = 4;
-        cfg.mapping_iterations = 4;
-    }
-    let mut session = SlamPipeline::new(cfg, &ds);
-    session.run();
-    let mut map = session.scene().clone();
-    map.refresh_bounds_with(&Serial);
-    let w2c = ds.poses_c2w[frames - 1].inverse();
-    let frame = &ds.frames[frames - 1];
+fn session_stage_table(session: &SessionMap, scale: Scale) -> String {
+    let SessionMap {
+        ds,
+        map,
+        w2c,
+        frame,
+    } = session;
     let cfg = LossConfig::default();
     let iterations: usize = match scale {
         Scale::Quick => 20,
@@ -159,8 +194,8 @@ fn session_stage_table(scale: Scale) -> String {
                 lap.nanos[stage] = t.elapsed().as_nanos() as u64;
                 lap.runs[stage] = 1;
             };
-            timed(0, &mut || arena.cull(&map, &w2c, &ds.camera, None, backend));
-            timed(1, &mut || arena.project_visible(&w2c, &ds.camera, backend));
+            timed(0, &mut || arena.cull(map, w2c, &ds.camera, None, backend));
+            timed(1, &mut || arena.project_visible(w2c, &ds.camera, backend));
             timed(2, &mut || arena.assign_tiles(&ds.camera, backend));
             timed(3, &mut || arena.render_fused(&ds.camera, backend));
             timed(4, &mut || {
@@ -173,7 +208,7 @@ fn session_stage_table(scale: Scale) -> String {
                 (GradSet::Full, 5)
             };
             let full_pose = arena.backward().pose.map(f32::to_bits);
-            arena.backward_visible_grads(&ds.camera, &w2c, grads, backend);
+            arena.backward_visible_grads(&ds.camera, w2c, grads, backend);
             let stats = arena.backward().stats;
             lap.nanos[first] = stats.rendering_bp_nanos;
             lap.nanos[first + 1] = stats.preprocessing_bp_nanos;
@@ -211,8 +246,8 @@ fn session_stage_table(scale: Scale) -> String {
         );
     }
     // Both arenas end on a pose-only pass; compare full gradients.
-    arena.backward_visible_fused(&ds.camera, &w2c, &Serial);
-    chosen_arena.backward_visible_fused(&ds.camera, &w2c, &*chosen_backend);
+    arena.backward_visible_fused(&ds.camera, w2c, &Serial);
+    chosen_arena.backward_visible_fused(&ds.camera, w2c, &*chosen_backend);
     let identical = serial.pose_mismatches + chosen.pose_mismatches == 0
         && chosen_arena.output().image == arena.output().image
         && chosen_arena.backward().pose == arena.backward().pose
@@ -258,6 +293,100 @@ fn session_stage_table(scale: Scale) -> String {
     )
 }
 
+/// One tracking iteration at each of RTGS's downsampled resolutions
+/// (factors 2, 3 and 4 of the 75×42 session frame: 6, 2 and 2 tiles), on
+/// [`Serial`] and on the process default backend, with Step ❸ and Step ❹
+/// apart: what a second core buys where RTGS tracks most frames. Iterations
+/// run as tracking runs them — through one trial scope over the session map
+/// ([`FrameArena::trials`]), pose-only backward — in alternating blocks of
+/// one process, as [`session_stage_table`]'s are; the `bitwise` column
+/// compares the two backends' images and pose tangents.
+fn downsampled_iteration_table(session: &SessionMap, scale: Scale) -> String {
+    let SessionMap {
+        ds,
+        map,
+        w2c,
+        frame,
+    } = session;
+    let cfg = LossConfig::default();
+    let iterations: usize = match scale {
+        Scale::Quick => 20,
+        Scale::Full => 400,
+    };
+    const BLOCKS: usize = 10;
+    /// Nanoseconds summed over a block: (iteration, Step ❸, Step ❹).
+    type Laps = [u64; 3];
+    let choice = default_backend();
+    let chosen_backend = choice.instantiate();
+    let mut table = Table::new(&[
+        "factor",
+        "frame",
+        "tiles",
+        "serial µs",
+        &format!("{} µs", choice.label()),
+        "vs serial",
+        "Step ❸ vs serial",
+        "Step ❹ vs serial",
+        "bitwise",
+    ]);
+    for factor in [2, 3, 4] {
+        let camera = ds.camera.downsampled(factor);
+        let color = frame.color.downsampled(factor);
+        let depth = frame.depth.as_ref().map(|d| d.downsampled(factor));
+        let run_block = |backend: &dyn Backend, arena: &mut FrameArena, laps: &mut Laps, n| {
+            let mut trials = arena.trials(map);
+            for _ in 0..n {
+                let t0 = std::time::Instant::now();
+                trials.cull(w2c, &camera, None, backend);
+                trials.project_visible(w2c, &camera, backend);
+                trials.assign_tiles(&camera, backend);
+                let t1 = std::time::Instant::now();
+                trials.render_fused(&camera, backend);
+                let t2 = std::time::Instant::now();
+                trials.compute_loss(&color, depth.as_ref(), &cfg);
+                trials.backward_visible_grads(&camera, w2c, GradSet::PoseOnly, backend);
+                laps[0] += t0.elapsed().as_nanos() as u64;
+                laps[1] += (t2 - t1).as_nanos() as u64;
+                laps[2] += trials.backward().stats.rendering_bp_nanos;
+            }
+        };
+        let (mut serial_arena, mut chosen_arena) = (FrameArena::new(), FrameArena::new());
+        let (mut serial, mut chosen) = ([0u64; 3], [0u64; 3]);
+        run_block(&Serial, &mut serial_arena, &mut [0; 3], 2);
+        run_block(&*chosen_backend, &mut chosen_arena, &mut [0; 3], 2);
+        for _ in 0..BLOCKS {
+            run_block(&Serial, &mut serial_arena, &mut serial, iterations / BLOCKS);
+            run_block(
+                &*chosen_backend,
+                &mut chosen_arena,
+                &mut chosen,
+                iterations / BLOCKS,
+            );
+        }
+        let identical = chosen_arena.output().image == serial_arena.output().image
+            && chosen_arena.backward().pose == serial_arena.backward().pose;
+        let us = |laps: &Laps| laps[0] as f64 / 1e3 / iterations as f64;
+        let ratio = |k: usize| format!("×{}", f(chosen[k] as f64 / serial[k] as f64, 2));
+        table.row(vec![
+            factor.to_string(),
+            format!("{}x{}", camera.width, camera.height),
+            serial_arena.tiles().tile_count().to_string(),
+            f(us(&serial), 1),
+            f(us(&chosen), 1),
+            ratio(0),
+            ratio(1),
+            ratio(2),
+            identical.to_string(),
+        ]);
+    }
+    format!(
+        "Tracking iteration at RTGS's downsampled resolutions ({} iterations each, trial scope, pose-only backward, {} CPUs):\n{}",
+        iterations / BLOCKS * BLOCKS,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        table.render()
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,5 +400,11 @@ mod tests {
         assert!(out.contains("Stage budget at session size"), "{out}");
         assert!(out.contains("Step ❺ preprocess BP"), "{out}");
         assert!(out.contains("Step ❺ preprocess BP (pose)"), "{out}");
+        assert!(out.contains("downsampled resolutions"), "{out}");
+        for row in ["37x21", "25x14", "18x10"] {
+            let line = out.lines().find(|l| l.contains(row));
+            let line = line.unwrap_or_else(|| panic!("no {row} row in {out}"));
+            assert!(line.trim_end().ends_with("true"), "bitwise flag: {line}");
+        }
     }
 }

@@ -8,9 +8,9 @@
 //! [`FrameArena`] keeps all of that storage alive across iterations and
 //! frames: every stage writes into arena-owned buffers through the
 //! `*_into` kernels (`clear()` + `resize()` reuse, capacities never
-//! shrink), per-chunk tile scratch (gathered splats, cut boxes, survivor
-//! list) comes from a shared [`rtgs_runtime::ScratchPool`], and the tile
-//! pass uses the CSR + radix layout of [`crate::TileAssignment`]. After a
+//! shrink), the tile pass uses the CSR + radix layout of
+//! [`crate::TileAssignment`], and Step ❸ gathers every tile's working set
+//! into one arena-owned tile-major buffer Step ❹ reads too. After a
 //! short warm-up (the first iteration or two at a new high-water mark), a
 //! steady-state iteration performs **zero heap allocations** — asserted by
 //! the counting-allocator regression test in `tests/zero_alloc.rs` — while
@@ -24,17 +24,30 @@
 //! results stay resident in the arena and are read through the borrowing
 //! accessors ([`FrameArena::output`], [`FrameArena::backward`], …) until
 //! the next call to the stage that produces them.
+//!
+//! **What is reused, and when.** Every iteration reuses the arena's
+//! *storage*; within one iteration, Step ❸ gathers each tile's working set
+//! once and Step ❹ reads that gather. Across iterations, *values* are
+//! reused only inside a [`Trials`] scope ([`FrameArena::trials`]), which
+//! borrows the map for its whole life — the borrow is the proof that the
+//! map cannot change under it: a trial whose cull keeps the previous
+//! trial's surviving shards and mask keeps its gathered working set, and
+//! Step ❶ loads the pose-independent activations its first projection of
+//! that working set computed. Outside a scope — mapping, evaluation
+//! re-renders, dataset generation — nothing computed is carried over.
+//! Either way, every output is bit for bit what a fresh arena produces.
 
 use crate::backward::{backward_into, BackwardOutput, BackwardScratch, GradSet};
 use crate::camera::{DepthImage, Image, PinholeCamera};
-use crate::forward::{render_into, FragmentCache, RenderOutput, RenderStats};
+use crate::forward::{render_into, FragmentCache, RenderOutput, RenderStats, TileWork, BANDS};
 use crate::gaussian::GaussianScene;
 use crate::loss::{compute_loss_into, LossConfig, LossOutput};
-use crate::project::{project_scene_into, ProjectScratch, Projection};
+use crate::project::{activations, project_scene_into, ProjectScratch, Projection};
 use crate::shard::{CullScratch, ShardedScene, VisibleFrame};
 use crate::tiles::{build_tiles_into, TileAssignment, TileBinScratch};
 use rtgs_math::Se3;
 use rtgs_runtime::Backend;
+use std::ops::{Deref, DerefMut};
 
 /// Arena-owned storage for the full render + backward pipeline of one
 /// session. See the module docs for the design.
@@ -45,26 +58,33 @@ pub struct FrameArena {
     cull_scratch: CullScratch,
     /// Projection result (SoA splat arrays).
     pub(crate) projection: Projection,
-    /// Projection workspace.
+    /// Projection workspace; its lane blocks hold the kept activations of a
+    /// trial scope's gather.
     project_scratch: ProjectScratch,
+    /// Whether `project_scratch`'s blocks hold the activations a trial
+    /// scope's first projection of the current gather kept (see
+    /// [`Trials::project_visible`]).
+    activations_kept: bool,
     /// CSR tile assignment.
     pub(crate) tiles: TileAssignment,
     /// Tile binning + radix-sort workspace.
     tile_scratch: TileBinScratch,
+    /// Every tile's gathered working set of the last render (Step ❸ and
+    /// Step ❹ read it).
+    pub(crate) work: TileWork,
     /// Forward render output.
     output: RenderOutput,
-    /// Per-tile fragment records of the fused forward pass.
+    /// Per-band fragment records of the fused forward pass.
     fragments: FragmentCache,
-    /// Per-tile forward statistics.
-    tile_stats: Vec<RenderStats>,
+    /// Per-(tile, band) forward statistics.
+    unit_stats: Vec<RenderStats>,
     /// Loss value + per-pixel gradients.
     loss: LossOutput,
     /// Valid-depth-pixel scratch of the loss.
     loss_scratch: Vec<(usize, f32, f32)>,
     /// Backward output (per-Gaussian gradients + pose tangent).
     pub(crate) backward: BackwardOutput,
-    /// Backward workspace; its tile-scratch pool is shared with the forward
-    /// pass.
+    /// Backward workspace.
     pub(crate) backward_scratch: BackwardScratch,
 }
 
@@ -83,11 +103,13 @@ impl FrameArena {
             cull_scratch: CullScratch::default(),
             projection: Projection::default(),
             project_scratch: ProjectScratch::default(),
+            activations_kept: false,
             tiles: TileAssignment::default(),
             tile_scratch: TileBinScratch::default(),
+            work: TileWork::default(),
             output: RenderOutput::empty(),
             fragments: FragmentCache::default(),
-            tile_stats: Vec::new(),
+            unit_stats: Vec::new(),
             loss: LossOutput::empty(),
             loss_scratch: Vec::new(),
             backward: BackwardOutput::empty(),
@@ -120,7 +142,23 @@ impl FrameArena {
             backend,
             &mut self.cull_scratch,
             &mut self.visible,
+            false,
         );
+        self.activations_kept = false;
+    }
+
+    /// Opens the trial scope of one tracking frame over `map`: see
+    /// [`Trials`].
+    pub fn trials<'a>(&'a mut self, map: &'a ShardedScene) -> Trials<'a> {
+        self.forget_trials();
+        Trials { arena: self, map }
+    }
+
+    /// Forgets every value a trial scope kept: the next cull gathers and the
+    /// next projection computes.
+    fn forget_trials(&mut self) {
+        self.cull_scratch.forget_gather();
+        self.activations_kept = false;
     }
 
     /// Step ❶ over an external scene: projects into [`Self::projection`].
@@ -137,7 +175,9 @@ impl FrameArena {
         active: Option<&[bool]>,
         backend: &dyn Backend,
     ) {
+        self.activations_kept = false;
         project_scene_into(
+            activations::COMPUTE,
             scene,
             w2c,
             camera,
@@ -151,7 +191,9 @@ impl FrameArena {
     /// Step ❶ over the arena's own cull result ([`Self::visible`]) — the
     /// tracking/mapping hot path (masking already happened in the cull).
     pub fn project_visible(&mut self, w2c: &Se3, camera: &PinholeCamera, backend: &dyn Backend) {
+        self.activations_kept = false;
         project_scene_into(
+            activations::COMPUTE,
             &self.visible.scene,
             w2c,
             camera,
@@ -191,9 +233,9 @@ impl FrameArena {
             &self.tiles,
             camera,
             backend,
-            &self.backward_scratch.pool,
+            &mut self.work,
             &mut self.output,
-            &mut self.tile_stats,
+            &mut self.unit_stats,
             None,
         );
     }
@@ -207,9 +249,9 @@ impl FrameArena {
             &self.tiles,
             camera,
             backend,
-            &self.backward_scratch.pool,
+            &mut self.work,
             &mut self.output,
-            &mut self.tile_stats,
+            &mut self.unit_stats,
             Some(&mut self.fragments),
         );
     }
@@ -283,7 +325,7 @@ impl FrameArena {
             camera,
             w2c,
             &self.loss.pixel_grads,
-            Some(&self.fragments),
+            Some((&self.fragments, &self.work)),
             backend,
             &mut self.backward_scratch,
             &mut self.backward,
@@ -325,7 +367,7 @@ impl FrameArena {
             camera,
             w2c,
             &self.loss.pixel_grads,
-            Some(&self.fragments),
+            Some((&self.fragments, &self.work)),
             backend,
             &mut self.backward_scratch,
             &mut self.backward,
@@ -334,13 +376,13 @@ impl FrameArena {
 
     fn assert_fragments_fresh(&self) {
         assert!(
-            !self.fragments.tiles().is_empty() || self.tiles.tile_count() == 0,
+            !self.fragments.bands().is_empty() || self.tiles.tile_count() == 0,
             "fragment cache is stale or missing (run render_fused first)"
         );
         assert_eq!(
-            self.fragments.tiles().len(),
-            self.tiles.tile_count(),
-            "fragment cache must cover the tile grid (run render_fused first)"
+            self.fragments.bands().len(),
+            self.tiles.tile_count() * BANDS,
+            "fragment cache must cover every band of the tile grid (run render_fused first)"
         );
     }
 
@@ -388,36 +430,142 @@ impl FrameArena {
         &self.backward
     }
 
-    /// Approximate bytes held by the arena's principal reusable buffers at
-    /// their current capacities. Capacities never shrink, so over a session
-    /// this is monotone — the arena's high-water mark, reported through the
-    /// `arena.high_water_bytes` telemetry gauge.
+    /// Bytes held by the arena's reusable buffers at their current
+    /// capacities — every stage's output and workspace, the gathered working
+    /// set and the kept activations. Capacities
+    /// never shrink, so over a session this is monotone: the arena's
+    /// high-water mark, reported through the `arena.high_water_bytes`
+    /// telemetry gauge.
     pub fn high_water_bytes(&self) -> usize {
         use crate::gaussian::{Gaussian3d, GaussianGrad};
         use rtgs_math::Vec3;
         use std::mem::size_of;
         let visible = self.visible.ids.capacity() * size_of::<u32>()
-            + self.visible.scene.len() * size_of::<Gaussian3d>();
+            + self.visible.scene.gaussians.capacity() * size_of::<Gaussian3d>();
         let tiles = (self.tiles.entries.capacity()
             + self.tiles.offsets.capacity()
             + self.tiles.slot_ids.capacity())
             * size_of::<u32>();
-        // Image, depth, transmittance and per-pixel workload buffers all
-        // share the camera's pixel count.
-        let pixels = self.output.final_transmittance.capacity();
-        let forward = pixels * (size_of::<Vec3>() + 2 * size_of::<f32>() + size_of::<u32>());
-        let fragments = self.fragments.capacity_bytes();
-        let grads = self.backward.gaussians.capacity() * size_of::<GaussianGrad>()
-            + self.loss.pixel_grads.color.capacity() * size_of::<Vec3>()
-            + (self.loss.pixel_grads.depth.capacity()
-                + self.loss.pixel_grads.transmittance.capacity())
-                * size_of::<f32>();
-        // Between stages every per-chunk scratch is back in the pool.
-        let scratch = self
-            .backward_scratch
-            .pool
-            .sum_idle(crate::forward::TileScratch::capacity_bytes);
-        visible + tiles + forward + fragments + grads + scratch
+        let output = &self.output;
+        let forward = std::mem::size_of_val(output.image.data())
+            + std::mem::size_of_val(output.depth.data())
+            + output.final_transmittance.capacity() * size_of::<f32>()
+            + output.pixel_workloads.capacity() * size_of::<u32>()
+            + self.unit_stats.capacity() * size_of::<RenderStats>()
+            + self.work.capacity_bytes()
+            + self.fragments.capacity_bytes();
+        let grads = &self.loss.pixel_grads;
+        let loss = grads.color.capacity() * size_of::<Vec3>()
+            + (grads.depth.capacity() + grads.transmittance.capacity()) * size_of::<f32>()
+            + self.loss_scratch.capacity() * size_of::<(usize, f32, f32)>();
+        let backward = self.backward.gaussians.capacity() * size_of::<GaussianGrad>()
+            + self.backward_scratch.capacity_bytes();
+        visible
+            + self.cull_scratch.capacity_bytes()
+            + self.projection.soa.capacity_bytes()
+            + self.project_scratch.capacity_bytes()
+            + tiles
+            + self.tile_scratch.capacity_bytes()
+            + forward
+            + loss
+            + backward
+    }
+}
+
+/// The trial scope of one tracking frame: the arena, and the map every
+/// trial of the frame renders, borrowed for the scope's whole life — so the
+/// map cannot change while the scope lives, and what a trial derived from
+/// it alone stays valid for the next trial. Opened by
+/// [`FrameArena::trials`]; every other stage is the arena's own (the scope
+/// dereferences to it).
+///
+/// Reused, bit for bit what recomputing gives:
+///
+/// * [`Self::cull`] tests the shards every trial, but keeps the gathered
+///   working set when the surviving shards and the mask equal those it was
+///   gathered for (an RTGS pruning point's mask change, or a pose that
+///   culls differently, gathers anew);
+/// * [`Self::project_visible`] computes Step ❶'s pose-independent
+///   activations once per gathered working set, for every Gaussian of it,
+///   and later trials load them.
+///
+/// Opening a scope, dropping it, and any stage that overwrites what it kept
+/// (an arena cull or projection) forget all of it.
+pub struct Trials<'a> {
+    arena: &'a mut FrameArena,
+    map: &'a ShardedScene,
+}
+
+impl Trials<'_> {
+    /// [`FrameArena::cull`] of the scope's map, keeping the previous trial's
+    /// gathered working set when it would gather the same one.
+    ///
+    /// # Panics
+    ///
+    /// As for [`FrameArena::cull`].
+    pub fn cull(
+        &mut self,
+        w2c: &Se3,
+        camera: &PinholeCamera,
+        active: Option<&[bool]>,
+        backend: &dyn Backend,
+    ) {
+        let arena = &mut *self.arena;
+        let gathered = self.map.visible_frame_into(
+            w2c,
+            camera,
+            active,
+            backend,
+            &mut arena.cull_scratch,
+            &mut arena.visible,
+            true,
+        );
+        if gathered {
+            arena.activations_kept = false;
+        }
+    }
+
+    /// [`FrameArena::project_visible`], computing the working set's
+    /// pose-independent activations on its first projection in the scope
+    /// and loading them on the later ones.
+    pub fn project_visible(&mut self, w2c: &Se3, camera: &PinholeCamera, backend: &dyn Backend) {
+        let arena = &mut *self.arena;
+        let act = if arena.activations_kept {
+            activations::LOAD
+        } else {
+            activations::KEEP
+        };
+        project_scene_into(
+            act,
+            &arena.visible.scene,
+            w2c,
+            camera,
+            None,
+            backend,
+            &mut arena.project_scratch,
+            &mut arena.projection,
+        );
+        arena.activations_kept = true;
+    }
+}
+
+impl Deref for Trials<'_> {
+    type Target = FrameArena;
+
+    fn deref(&self) -> &FrameArena {
+        self.arena
+    }
+}
+
+impl DerefMut for Trials<'_> {
+    fn deref_mut(&mut self) -> &mut FrameArena {
+        self.arena
+    }
+}
+
+impl Drop for Trials<'_> {
+    fn drop(&mut self) {
+        self.arena.forget_trials();
     }
 }
 
@@ -456,6 +604,59 @@ mod tests {
         assert!(out.stats.fragments_blended > 0);
         assert!(out.image.pixel(16, 16).x > 0.0);
         assert_eq!(arena.projection().visible_count(), 2);
+    }
+
+    /// The high-water mark covers at least the projection's SoA arrays and
+    /// the Step-❹ partials, summed here field by field.
+    #[test]
+    fn high_water_counts_the_soa_and_the_step4_partials() {
+        use std::mem::size_of;
+        let cam = PinholeCamera::from_fov(75, 42, 1.2);
+        let pose = Se3::IDENTITY;
+        let scene = scene();
+        let mut arena = FrameArena::new();
+        arena.project(&scene, &pose, &cam, None, &Serial);
+        arena.assign_tiles(&cam, &Serial);
+        arena.render_fused(&cam, &Serial);
+        arena.compute_loss(
+            &Image::new(cam.width, cam.height),
+            None,
+            &LossConfig::default(),
+        );
+        arena.backward_fused(&scene, &cam, &pose, &Serial);
+
+        let soa = &arena.projection.soa;
+        let bytes = |len: usize, size: usize| len * size;
+        let soa_bytes = bytes(soa.gaussian_ids.capacity(), 4)
+            + bytes(soa.slot_of_gaussian.capacity(), 4)
+            + bytes(soa.means.capacity(), size_of::<rtgs_math::Vec2>())
+            + bytes(soa.conics.capacity(), size_of::<rtgs_math::Sym2>())
+            + bytes(soa.covs.capacity(), size_of::<rtgs_math::Sym2>())
+            + bytes(soa.colors.capacity(), size_of::<Vec3>())
+            + bytes(soa.opacities.capacity(), 4)
+            + bytes(soa.depths.capacity(), 4)
+            + bytes(soa.radii.capacity(), 4)
+            + bytes(soa.t_cams.capacity(), size_of::<Vec3>())
+            + bytes(soa.q_cuts.capacity(), 4)
+            + bytes(soa.tile_rects.capacity(), size_of::<crate::TileRect>())
+            + bytes(
+                soa.cut_boxes.capacity(),
+                size_of::<crate::forward::CutBox>(),
+            )
+            + bytes(
+                soa.activations.capacity(),
+                size_of::<crate::gaussian::Activation>(),
+            );
+        let partial_bytes = arena.backward_scratch.step4_partial_bytes();
+        assert!(
+            soa_bytes > 0 && partial_bytes > 0,
+            "sanity: both are allocated"
+        );
+        assert!(
+            arena.high_water_bytes() >= soa_bytes + partial_bytes,
+            "{} < {soa_bytes} + {partial_bytes}",
+            arena.high_water_bytes()
+        );
     }
 
     #[test]

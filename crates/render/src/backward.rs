@@ -33,9 +33,12 @@
 //! lane — which is the order the lane kernel produces naturally and the
 //! order in which both scalar oracles visit pixels
 //! ([`crate::forward::tile_pixels`]); across tiles, tile order (the fold in
-//! `backward_into`). Because the records hold exactly the values the
-//! re-walk recomputes and every path adds the same terms in the same order,
-//! the gradients are bitwise-identical.
+//! `backward_into`). The fused driver reads a tile's splats from the one
+//! tile-major gather Step ❸ made of the iteration (`forward::TileWork`) and
+//! its records from the tile's four band slots, subtile by subtile; the
+//! re-walk gathers the same values itself. Because the records hold exactly
+//! the values the re-walk recomputes and every path adds the same terms in
+//! the same order, the gradients are bitwise-identical.
 //!
 //! **Step ❺ is lane-wide too, lanes = Gaussians.** Each `BP_GAUSS_CHUNK`
 //! chunk compacts its touched Gaussians into blocks of [`GAUSS_LANES`] and
@@ -61,8 +64,8 @@
 use crate::camera::PinholeCamera;
 use crate::forward::{
     fragment_alpha_fast, gather_tile, lane_mask, pixel_center, pixel_centers, select, tile_pixels,
-    FragmentCache, RecordRow, TileFragments, TileScratch, TileSplat, ALPHA_MAX, LANES, SUBTILES_X,
-    TERMINATION_THRESHOLD,
+    FragmentCache, RecordRow, TileFragments, TileSplat, TileWork, ALPHA_MAX, BANDS, LANES,
+    SUBTILES_X, TERMINATION_THRESHOLD,
 };
 use crate::gaussian::{Activation, GaussianGrad, GaussianScene};
 use crate::project::{
@@ -71,15 +74,22 @@ use crate::project::{
 };
 use crate::tiles::{TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE};
 use rtgs_math::{Mat3, Se3, Sym2, Sym3, Vec2, Vec3};
-use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
+use rtgs_runtime::{Backend, SharedSlice};
 
 /// Tiles per chunk in the parallel Rendering BP (fixed by the algorithm,
 /// not the worker count). The per-tile partials fold in tile order whatever
 /// the chunking, so the value moves no bit; one tile per chunk for the
-/// reason and with the numbers at `forward::RENDER_CHUNK` (Step ❹ on two
-/// threads: ×0.62…0.68 of serial at 4, ×0.52…0.57 at 1; with the pool's
-/// two-ended claiming, which runs a tile's Step ❹ where its Step ❸ ran,
+/// reason `forward::RENDER_CHUNK` gives (Step ❹ on two threads: ×0.62…0.68
+/// of serial at 4, ×0.52…0.57 at 1; with the pool's two-ended claiming,
 /// ×0.52…0.56 against ×0.54…0.59 over the same runs).
+///
+/// Step ❹'s unit stays a whole tile although Step ❸'s is a band: a
+/// Gaussian's per-pixel contributions within a tile are summed in ascending
+/// [`TileFragments::pixel_index`] order, and that order is the bitwise
+/// contract with both oracles (see the module docs). Splitting a tile's
+/// Step ❹ across bands would add per-band partial sums in a new tree and
+/// move bits, so on a two-tile frame (factor 3 and 4 tracking) Step ❹ keeps
+/// at most two units; that split is out of scope here.
 pub(crate) const BP_TILE_CHUNK: usize = 1;
 /// Gaussians per chunk in the parallel Preprocessing BP. The per-chunk
 /// pose-tangent partial sums fold in chunk order, so this constant — never
@@ -170,10 +180,9 @@ impl BackwardOutput {
 
 /// Workspace of [`backward_into`]: per-tile Step-❹ partials
 /// (inner accumulator vectors keep their capacities across frames), the
-/// per-Gaussian 2D-gradient fold buffer, per-chunk pose partials and the
-/// shared per-chunk tile-scratch pool. One workspace reused across
-/// iterations makes the steady-state backward pass allocation-free (the
-/// [`crate::FrameArena`] owns one).
+/// per-Gaussian 2D-gradient fold buffer and per-chunk pose partials. One
+/// workspace reused across iterations makes the steady-state backward pass
+/// allocation-free (the [`crate::FrameArena`] owns one).
 #[derive(Default)]
 pub(crate) struct BackwardScratch {
     /// One Step-❹ partial per tile.
@@ -182,9 +191,23 @@ pub(crate) struct BackwardScratch {
     accum: Vec<Accum2d>,
     /// Per-chunk (pose tangent, touched count) partials of Step ❺.
     pose_partials: Vec<([f32; 6], usize)>,
-    /// Pool of per-chunk tile scratch (shared with the forward pass when
-    /// owned by a [`crate::FrameArena`]).
-    pub(crate) pool: ScratchPool<TileScratch>,
+}
+
+impl BackwardScratch {
+    /// Bytes held at current capacities (for the arena's high-water mark).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let partial = |p: &TilePartial| {
+            size_of::<TilePartial>()
+                + p.accum.capacity() * size_of::<Accum2d>()
+                + p.rewalk.capacity() * size_of::<FragmentRecord>()
+                + p.gathered.capacity() * size_of::<TileSplat>()
+        };
+        self.partials.iter().map(partial).sum::<usize>()
+            + (self.partials.capacity() - self.partials.len()) * size_of::<TilePartial>()
+            + self.accum.capacity() * size_of::<Accum2d>()
+            + self.pose_partials.capacity() * size_of::<([f32; 6], usize)>()
+    }
 }
 
 /// Per-Gaussian accumulator of 2D (image-plane) gradients — the data the
@@ -237,6 +260,8 @@ pub(crate) struct TilePartial {
     /// Re-walk scratch of the unfused driver (one pixel's reconstructed
     /// fragment sequence); kept here so its capacity survives reuse.
     pub(crate) rewalk: Vec<FragmentRecord>,
+    /// The unfused driver's own gather of the tile's working set.
+    gathered: Vec<TileSplat>,
 }
 
 /// One recomputed fragment during the backward re-walk.
@@ -256,9 +281,9 @@ pub(crate) struct FragmentRecord {
 /// own `TilePartial` and the calling thread folds the partials in tile
 /// order (the software analog of the paper's GMU gradient merging — the
 /// atomic-add contention of Observation 4 is what this structure removes).
-/// With `fragments` it consumes the records of a fused forward pass over
-/// the same `(projection, tiles, camera)` triple; without, it re-walks each
-/// pixel's splat list. Step ❺ runs chunked over Gaussians with per-chunk
+/// With `fused` it consumes the records of a fused forward pass over the
+/// same `(projection, tiles, camera)` triple and the working set that pass
+/// gathered; without, it gathers and re-walks each pixel's splat list. Step ❺ runs chunked over Gaussians with per-chunk
 /// pose-tangent partials folded in chunk order. Both reduction trees are
 /// fixed by constants (`BP_TILE_CHUNK`, `BP_GAUSS_CHUNK`) rather than the
 /// worker count, so gradients are bitwise-identical on every backend and
@@ -283,7 +308,7 @@ pub(crate) fn backward_into<const FULL: bool>(
     camera: &PinholeCamera,
     w2c: &Se3,
     pixel_grads: &PixelGrads,
-    fragments: Option<&FragmentCache>,
+    fused: Option<(&FragmentCache, &TileWork)>,
     backend: &dyn Backend,
     ws: &mut BackwardScratch,
     out: &mut BackwardOutput,
@@ -306,38 +331,23 @@ pub(crate) fn backward_into<const FULL: bool>(
     let partials = &mut ws.partials[..tile_count];
     {
         let partial_view = SharedSlice::new(&mut *partials);
-        let pool = &ws.pool;
         backend.for_each_chunk(tile_count, BP_TILE_CHUNK, &|_, range| {
-            // Per-chunk scratch from the shared pool, reused across the
-            // chunk's tiles (and across iterations in the arena path).
-            let mut scratch = pool.take();
-            let gathered = &mut scratch.gathered;
             for tile in range.map(|chunk| tiles.tile_of_chunk(chunk)) {
                 // SAFETY: one partial slot per tile.
                 let partial = unsafe { partial_view.get_mut(tile) };
-                match fragments {
-                    Some(cache) => backward_tile_fused::<FULL>(
+                match fused {
+                    Some((cache, work)) => backward_tile_fused::<FULL>(
                         tile,
-                        projection,
                         tiles,
                         camera,
                         pixel_grads,
-                        &cache.tiles()[tile],
-                        gathered,
+                        &cache.bands()[tile * BANDS..][..BANDS],
+                        work.splats(tiles, tile),
                         partial,
                     ),
-                    None => backward_tile(
-                        tile,
-                        projection,
-                        tiles,
-                        camera,
-                        pixel_grads,
-                        gathered,
-                        partial,
-                    ),
+                    None => backward_tile(tile, projection, tiles, camera, pixel_grads, partial),
                 }
             }
-            pool.put(scratch);
         });
     }
 
@@ -447,17 +457,15 @@ pub(crate) fn backward_into<const FULL: bool>(
     out.stats = stats;
 }
 
-/// Step ❹ for one tile (re-walk variant): reconstructs every pixel's
-/// fragment sequence from the gathered SoA working set and accumulates
+/// Step ❹ for one tile (re-walk variant): gathers the tile's working set,
+/// reconstructs every pixel's fragment sequence from it and accumulates
 /// per-Gaussian 2D gradients into the tile's (reused) partial.
-#[allow(clippy::too_many_arguments)]
 fn backward_tile(
     tile: usize,
     projection: &Projection,
     tiles: &TileAssignment,
     camera: &PinholeCamera,
     pixel_grads: &PixelGrads,
-    gathered: &mut Vec<TileSplat>,
     partial: &mut TilePartial,
 ) {
     partial.events = 0;
@@ -466,7 +474,10 @@ fn backward_tile(
     if list.is_empty() {
         return;
     }
-    gather_tile(&projection.soa, list, gathered);
+    // Moved out of the partial for the recursion's split borrow and put
+    // back after (both are O(1)).
+    let mut gathered = std::mem::take(&mut partial.gathered);
+    gather_tile(&projection.soa, list, &mut gathered);
     let rect = tiles.tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
     let mut touched = false;
 
@@ -508,7 +519,7 @@ fn backward_tile(
         // split borrow and swapped back after (both are O(1)).
         let records = std::mem::take(&mut partial.rewalk);
         reverse_recursion(
-            gathered,
+            &gathered,
             partial,
             p,
             t,
@@ -521,33 +532,32 @@ fn backward_tile(
         );
         partial.rewalk = records;
     }
+    partial.gathered = gathered;
 }
 
-/// Step ❹ for one tile (fused variant): consumes the R&B records the fused
-/// forward pass wrote — no re-walk, no alpha recomputation — one subtile at
-/// a time, 16 pixel lanes wide (`merge_subtile`).
-#[allow(clippy::too_many_arguments)]
+/// Step ❹ for one tile (fused variant): consumes the R&B records of the
+/// tile's four `bands` the fused forward pass wrote, over the working set
+/// it gathered (`gathered`) — no re-walk, no alpha recomputation — one
+/// subtile at a time, 16 pixel lanes wide (`merge_subtile`).
 fn backward_tile_fused<const FULL: bool>(
     tile: usize,
-    projection: &Projection,
     tiles: &TileAssignment,
     camera: &PinholeCamera,
     pixel_grads: &PixelGrads,
-    cached: &TileFragments,
-    gathered: &mut Vec<TileSplat>,
+    bands: &[TileFragments],
+    gathered: &[TileSplat],
     partial: &mut TilePartial,
 ) {
     partial.events = 0;
     partial.accum.clear();
-    let list = tiles.tile(tile);
-    if list.is_empty() {
+    if gathered.is_empty() {
         return;
     }
-    gather_tile(&projection.soa, list, gathered);
     let (x0, y0, x1, y1) =
         tiles.tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
 
     for subtile in 0..SUBTILES_PER_TILE {
+        let cached = &bands[subtile / SUBTILES_X];
         // Nothing blended here (which includes every subtile outside the
         // image): no fragment, no gradient.
         if cached.subtile(subtile).is_empty() {
@@ -580,7 +590,7 @@ fn backward_tile_fused<const FULL: bool>(
             continue;
         }
         if partial.accum.is_empty() {
-            partial.accum.resize(list.len(), Accum2d::default());
+            partial.accum.resize(gathered.len(), Accum2d::default());
         }
         merge_subtile::<FULL>(gathered, partial, cached, subtile, (sx0, sy0), &upstream);
     }
@@ -1306,6 +1316,17 @@ pub(crate) fn preprocess_block<const FULL: bool>(
 }
 
 #[cfg(test)]
+impl BackwardScratch {
+    /// The Step-❹ partials' accumulator bytes, summed from the vectors
+    /// themselves (what the arena's high-water test checks its total
+    /// against).
+    pub(crate) fn step4_partial_bytes(&self) -> usize {
+        let accum = self.partials.iter().map(|p| p.accum.capacity());
+        accum.sum::<usize>() * std::mem::size_of::<Accum2d>()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::gaussian::Gaussian3d;
@@ -1455,7 +1476,7 @@ mod tests {
             &cam,
             &Se3::IDENTITY,
             &grads,
-            Some(arena.fragments()),
+            Some((arena.fragments(), &arena.work)),
             &Serial,
             &mut BackwardScratch::default(),
             &mut fused_out,
@@ -1573,7 +1594,7 @@ mod tests {
         );
         assert!(oracle.gaussians[poisoned].color.is_finite());
         assert!(oracle.gaussians[0].position.is_finite());
-        for fragments in [Some(arena.fragments()), None] {
+        for fragments in [Some((arena.fragments(), &arena.work)), None] {
             let mut out = BackwardOutput::empty();
             backward_into::<true>(
                 &scene,
@@ -1885,7 +1906,7 @@ mod tests {
                 &cam,
                 &w2c,
                 &grads,
-                Some(arena.fragments()),
+                Some((arena.fragments(), &arena.work)),
                 &Serial,
                 &mut BackwardScratch::default(),
                 &mut out,
@@ -1903,7 +1924,7 @@ mod tests {
                 &cam,
                 &w2c,
                 &grads,
-                Some(arena.fragments()),
+                Some((arena.fragments(), &arena.work)),
                 &Serial,
                 &mut BackwardScratch::default(),
                 &mut out,

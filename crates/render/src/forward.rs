@@ -2,12 +2,17 @@
 //! (paper Eqs. 2–3) with early ray termination.
 //!
 //! The kernel walks the projection's structure-of-arrays splat storage
-//! ([`crate::ProjectedSoA`]): each tile first gathers its (depth-sorted)
-//! splats into a compact contiguous working set — the software analog of
-//! staging a tile's Gaussians in shared memory — and then **streams that
-//! working set through the tile's 4×4 subtiles** (paper Sec. 5.1,
-//! [`SUBTILE_SIZE`] / [`SUBTILES_PER_TILE`]). A subtile keeps its 16 pixels
-//! as 16 *lanes* of blend state in fixed arrays; the loop is splat-outer:
+//! ([`crate::ProjectedSoA`]): one chunked loop over tiles first gathers
+//! every tile's (depth-sorted) splats into a compact tile-major working set
+//! (`TileWork`) — the software analog of staging a tile's Gaussians in
+//! shared memory, done once per iteration for Step ❸ and Step ❹ alike —
+//! and then **streams each tile's working set through its 4×4 subtiles**
+//! (paper Sec. 5.1, [`SUBTILE_SIZE`] / [`SUBTILES_PER_TILE`]), one band — a
+//! row of four subtiles — per unit of parallel work (subtile-level
+//! streaming and workload scheduling, paper Secs. 5.1–5.2: a downsampled
+//! tracking frame is only two to six tiles, but eight to 24 bands). A
+//! subtile keeps its 16 pixels as 16 *lanes* of blend state in fixed
+//! arrays; the loop is splat-outer:
 //!
 //! 1. a splat whose conservative [`CutBox`] (the axis-aligned extent of
 //!    `{d : dᵀ·conic·d ≤ q_cut}`, computed once per visible splat at
@@ -35,7 +40,8 @@
 //!
 //! The fused instantiation ([`crate::FrameArena::render_fused`])
 //! additionally writes out what the blend holds at that moment — the
-//! software analog of the paper's **R&B Buffer**: per subtile,
+//! software analog of the paper's **R&B Buffer**, one record set per (tile,
+//! band) ([`FragmentCache::bands`]): per subtile,
 //! splat-major, one [`RecordHead`] `{list position, 16-bit pass mask, first
 //! row}` per splat that blended anywhere in the subtile, plus one
 //! [`RecordRow`] `[α; 4], [G; 4], [T_before; 4]` per 4-pixel row of the
@@ -49,27 +55,47 @@ use crate::camera::{DepthImage, Image, PinholeCamera};
 use crate::project::{ProjectedSoA, Projection};
 use crate::tiles::{TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE, TILE_SIZE};
 use rtgs_math::{exp_nonpos, Sym2, Vec2, Vec3};
-use rtgs_runtime::{Backend, ScratchPool, SharedSlice};
+use rtgs_runtime::{Backend, SharedSlice};
 
-/// Tiles per chunk in the parallel forward render (fixed by the algorithm,
-/// not the worker count). Tiles are independent and their statistics fold
-/// per tile, so the value moves no bit — only how evenly the claimed chunks
-/// split the frame. One tile per chunk: a 75×42 session frame is 15 tiles of
-/// very unequal cost (edge tiles are partial, splats cluster), and in chunks
-/// of 4 the second thread's share was whatever two of four chunks happened
-/// to hold. `experiments arena --full`, 2 vCPUs, Step ❸ on the machine
-/// backend against serial in the same process: ×0.62…0.69 at 4, ×0.52…0.57
-/// at 1 (the whole iteration ×0.62…0.70 → ×0.55…0.61); on one thread 1 and 4
-/// are indistinguishable (a chunk costs one scratch-pool take/put). Since
-/// the pool claims from both ends, so that each core keeps the tiles it
-/// rendered for Step ❹, six alternating runs of each read Step ❸
-/// ×0.51…0.55 against ×0.52…0.59 before, and the iteration ×0.54…0.59
-/// (median ×0.57) against ×0.56…0.63 (median ×0.59; one more run before,
-/// still inside its first second, read ×0.86).
+/// Bands per tile: Step ❸'s unit of parallel work is one row of subtiles —
+/// a 16×4-pixel band — of one tile, so a frame is `tile_count × BANDS`
+/// units. A constant of the kernel, not a setting: a band's pixels, records
+/// and statistics go to its own slots, so the value moves no bit.
+pub(crate) const BANDS: usize = TILE_SIZE / SUBTILE_SIZE;
+
+/// (tile, band) units per chunk in the parallel forward render (fixed by
+/// the algorithm, not the worker count). Units are independent and their
+/// statistics fold per unit, so the value moves no bit — only how evenly
+/// the claimed chunks split the frame. One unit per chunk: a 75×42 session
+/// frame is 15 tiles of very unequal cost (edge tiles are partial, splats
+/// cluster), and RTGS's downsampled tracking frames are 6, 2 and 2 tiles
+/// (factors 2, 3 and 4; at 18×10 one tile holds 16 pixel columns and the
+/// other 2), so with whole tiles as the unit the second core idled through
+/// most of a small frame. Two cores ÷ one per tracking trial (cull through
+/// the pose-only backward, in a trial scope), in one process on a 2-vCPU
+/// x86-64 host over the 979-Gaussian map of a 12-frame MonoGS
+/// `replica_analog` session, the tile-unit kernel this replaced → bands:
+///
+/// | factor | frame | tiles | bands | two cores ÷ one |
+/// |--------|-------|-------|-------|-----------------|
+/// | 1      | 75×42 | 15    | 60    | ×0.56 → ×0.55   |
+/// | 2      | 37×21 | 6     | 24    | ×0.70 → ×0.70   |
+/// | 3      | 25×14 | 2     | 8     | ×0.71 → ×0.68   |
+/// | 4      | 18×10 | 2     | 8     | ×0.91 → ×0.81   |
+///
+/// (`experiments arena --full` prints the same rows with Step ❸ and Step ❹
+/// apart: Step ❸ reads ×0.56, ×0.65 and ×0.76 at factors 2–4; Step ❹ keeps
+/// whole tiles, see `backward::BP_TILE_CHUNK`.) On one thread the four
+/// times as many chunks cost nothing measurable: the serial unfused forward
+/// of dataset generation reads ×0.96–1.00 of the tile-unit kernel's in the
+/// same process.
 pub(crate) const RENDER_CHUNK: usize = 1;
 
 /// Lanes of the tile kernels: the pixels of one subtile.
 pub(crate) const LANES: usize = SUBTILE_SIZE * SUBTILE_SIZE;
+/// List positions per block of the forward kernel's subtile cull: one bit
+/// each of a `u64` mask.
+const CULL_BLOCK: usize = u64::BITS as usize;
 /// Subtiles along one tile edge.
 pub(crate) const SUBTILES_X: usize = TILE_SIZE / SUBTILE_SIZE;
 
@@ -175,21 +201,23 @@ pub struct RecordRow {
     pub t_before: [f32; SUBTILE_SIZE],
 }
 
-/// Per-tile R&B records from one fused forward pass.
+/// The R&B records of one band of one tile (one row of its subtiles) from
+/// one fused forward pass.
 #[derive(Debug, Clone, Default)]
 pub struct TileFragments {
-    /// The records of the whole tile: subtile-major (subtiles row-major
-    /// within the tile), front-to-back within a subtile — the order the
-    /// subtile-streamed blend emits them.
+    /// The records of the band's subtiles: subtile-major, front-to-back
+    /// within a subtile — the order the subtile-streamed blend emits them.
     pub heads: Vec<RecordHead>,
     /// The rows of [`Self::heads`], in the same order.
     pub rows: Vec<RecordRow>,
-    /// Per-subtile exclusive offsets into [`Self::heads`]; a subtile outside
-    /// the image, and every subtile of a tile without splats, owns an empty
-    /// range.
+    /// Exclusive offsets into [`Self::heads`] for every subtile of the tile
+    /// (subtiles row-major within the tile), monotone across all 16: the
+    /// subtiles of the other bands own empty ranges, as does a subtile
+    /// outside the image and every subtile of a tile without splats.
     pub subtile_heads: [u32; SUBTILES_PER_TILE + 1],
-    /// Final transmittance of every lane of every subtile (`1.0` where
-    /// nothing blended).
+    /// Final transmittance of every lane of the band's subtiles, indexed by
+    /// subtile within the tile (`1.0` where nothing blended; entries of the
+    /// other bands' subtiles are unspecified).
     pub final_t: [[f32; LANES]; SUBTILES_PER_TILE],
 }
 
@@ -236,31 +264,33 @@ pub(crate) fn tile_pixels(
 }
 
 /// The transmittance bookkeeping a fused forward pass hands to the backward
-/// pass: per tile, the R&B records of every subtile.
+/// pass: per (tile, band) — the unit Step ❸ renders — the R&B records of
+/// the band's subtiles.
 ///
-/// The tile slots are kept at the largest grid ever rendered: a session
-/// that alternates between resolutions (downsampled tracking, SLO shedding)
-/// gets each slot's record capacity back when the grid grows again.
+/// The slots are kept at the largest grid ever rendered: a session that
+/// alternates between resolutions (downsampled tracking, SLO shedding) gets
+/// each slot's record capacity back when the grid grows again.
 #[derive(Debug, Clone, Default)]
 pub struct FragmentCache {
-    /// One record set per tile slot; the first `live` describe the last
-    /// fused pass.
+    /// One record set per (tile, band) slot; the first `live` describe the
+    /// last fused pass.
     slots: Vec<TileFragments>,
     live: usize,
 }
 
 impl FragmentCache {
-    /// One record set per tile of the last fused pass (row-major tile
-    /// grid); empty when there is none.
+    /// One record set per band of every tile of the last fused pass, indexed
+    /// `tile * 4 + band` (tiles row-major, bands top to bottom); empty when
+    /// there is none.
     #[inline]
-    pub fn tiles(&self) -> &[TileFragments] {
+    pub fn bands(&self) -> &[TileFragments] {
         &self.slots[..self.live]
     }
 
     /// Total cached fragments (equals the forward pass's
     /// [`RenderStats::fragments_blended`]).
     pub fn total_fragments(&self) -> u64 {
-        let heads = self.tiles().iter().flat_map(|t| &t.heads);
+        let heads = self.bands().iter().flat_map(|t| &t.heads);
         heads.map(|h| h.mask.count_ones() as u64).sum()
     }
 
@@ -270,13 +300,14 @@ impl FragmentCache {
         self.live = 0;
     }
 
-    /// The slots of a `tile_count`-tile pass, for the kernel to refill.
-    fn begin(&mut self, tile_count: usize) -> &mut [TileFragments] {
-        if self.slots.len() < tile_count {
-            self.slots.resize_with(tile_count, TileFragments::default);
+    /// The slots of a pass over `units` (tile, band) units, for the kernel
+    /// to refill.
+    fn begin(&mut self, units: usize) -> &mut [TileFragments] {
+        if self.slots.len() < units {
+            self.slots.resize_with(units, TileFragments::default);
         }
-        self.live = tile_count;
-        &mut self.slots[..tile_count]
+        self.live = units;
+        &mut self.slots[..units]
     }
 
     /// Bytes held at current capacities, idle slots included (for the
@@ -377,22 +408,102 @@ pub(crate) struct TileSplat {
     pub q_cut: f32,
 }
 
-/// Gathers a tile's depth-sorted splat list from the SoA arrays into a
-/// reusable contiguous working set (cleared first).
-pub(crate) fn gather_tile(soa: &ProjectedSoA, list: &[u32], out: &mut Vec<TileSplat>) {
-    out.clear();
-    out.reserve(list.len());
-    for &slot in list {
+impl TileSplat {
+    /// Filler of a working-set buffer's not yet gathered entries.
+    const UNSET: Self = Self {
+        mean: Vec2::ZERO,
+        conic: Sym2 {
+            xx: 0.0,
+            xy: 0.0,
+            yy: 0.0,
+        },
+        opacity: 0.0,
+        color: Vec3::ZERO,
+        depth: 0.0,
+        q_cut: 0.0,
+    };
+
+    /// The working set of SoA slot `slot`.
+    #[inline]
+    fn of(soa: &ProjectedSoA, slot: u32) -> Self {
         let s = slot as usize;
-        out.push(TileSplat {
+        Self {
             mean: soa.means[s],
             conic: soa.conics[s],
             opacity: soa.opacities[s],
             color: soa.colors[s],
             depth: soa.depths[s],
             q_cut: soa.q_cuts[s],
-        });
+        }
     }
+}
+
+/// Gathers a tile's depth-sorted splat list from the SoA arrays into a
+/// reusable contiguous working set (cleared first) — the backward re-walk
+/// oracle's own gather.
+pub(crate) fn gather_tile(soa: &ProjectedSoA, list: &[u32], out: &mut Vec<TileSplat>) {
+    out.clear();
+    out.extend(list.iter().map(|&slot| TileSplat::of(soa, slot)));
+}
+
+/// Every tile's gathered working set of one pass — its depth-sorted splats
+/// and their cut boxes — tile-major and aligned with
+/// [`TileAssignment::entries`]: tile `t`'s are the entries
+/// `offsets[t]..offsets[t + 1]`. Gathered once per iteration by
+/// [`render_into`]; Step ❸'s bands and Step ❹'s tiles read slices of it (the
+/// software analog of staging a tile's Gaussians in shared memory once for
+/// both passes).
+#[derive(Debug, Default)]
+pub(crate) struct TileWork {
+    splats: Vec<TileSplat>,
+    boxes: Vec<CutBox>,
+}
+
+impl TileWork {
+    /// Tile `tile`'s gathered splats, front to back.
+    #[inline]
+    pub(crate) fn splats(&self, tiles: &TileAssignment, tile: usize) -> &[TileSplat] {
+        &self.splats[tiles.entry_range(tile)]
+    }
+
+    /// Bytes held at current capacities (for the arena's high-water mark).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.splats.capacity() * size_of::<TileSplat>()
+            + self.boxes.capacity() * size_of::<CutBox>()
+    }
+}
+
+/// Tiles per chunk of the gather.
+const GATHER_CHUNK: usize = 1;
+
+/// Gathers every tile's working set into `work`, chunked over tiles. The
+/// buffers keep their length between calls — every entry below the
+/// assignment's intersection count is overwritten — so a steady-state gather
+/// writes each entry once and initialises nothing.
+fn gather_into(
+    soa: &ProjectedSoA,
+    tiles: &TileAssignment,
+    backend: &dyn Backend,
+    work: &mut TileWork,
+) {
+    let total = tiles.entries.len();
+    work.splats.resize(total, TileSplat::UNSET);
+    work.boxes.resize(total, CutBox::NOWHERE);
+    let splat_view = SharedSlice::new(&mut work.splats);
+    let box_view = SharedSlice::new(&mut work.boxes);
+    backend.for_each_chunk(tiles.tile_count(), GATHER_CHUNK, &|_, range| {
+        for tile in range {
+            let at = tiles.entry_range(tile);
+            for (entry, &slot) in at.clone().zip(tiles.tile(tile)) {
+                // SAFETY: tiles own disjoint entry ranges.
+                unsafe {
+                    splat_view.write(entry, TileSplat::of(soa, slot));
+                    box_view.write(entry, soa.cut_boxes[slot as usize]);
+                }
+            }
+        }
+    });
 }
 
 /// [`fragment_alpha`] over a gathered [`TileSplat`], short-circuiting the
@@ -541,30 +652,6 @@ impl CutBox {
     }
 }
 
-/// Per-chunk scratch of the tile kernels, pooled by the arena
-/// ([`crate::backward::BackwardScratch`]) and shared by the forward and
-/// backward passes.
-#[derive(Default)]
-pub(crate) struct TileScratch {
-    /// The tile's gathered working set.
-    pub(crate) gathered: Vec<TileSplat>,
-    /// One cut box per gathered splat (forward only).
-    boxes: Vec<CutBox>,
-    /// List positions of the splats whose cut box reaches the current
-    /// subtile (forward only).
-    survivors: Vec<u32>,
-}
-
-impl TileScratch {
-    /// Bytes held at current capacities (for the arena's high-water mark).
-    pub(crate) fn capacity_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.gathered.capacity() * size_of::<TileSplat>()
-            + self.boxes.capacity() * size_of::<CutBox>()
-            + self.survivors.capacity() * size_of::<u32>()
-    }
-}
-
 /// A lane mask: all ones when `on`, zero otherwise.
 #[inline(always)]
 pub(crate) fn lane_mask(on: bool) -> u32 {
@@ -631,12 +718,13 @@ impl LaneCenters {
     }
 }
 
-/// Streams the tile's gathered splats (`scratch.gathered`, with their
-/// `scratch.boxes`) through subtile `subtile` of the tile, whose lanes sit at
+/// Streams the tile's gathered `splats` (with their cut `boxes`) through
+/// subtile `subtile` of the tile, whose lanes sit at
 /// `centers` and whose in-image extent is `w × h` pixels
 /// (`1..=SUBTILE_SIZE` each; lanes beyond it stay idle). Blended and
 /// terminated counts go to `stats`; when `RECORD`, the subtile's R&B
-/// records and final transmittances are written to `records`.
+/// records and final transmittances are written to `records` (`None` in the
+/// pass that records nothing).
 ///
 /// Kept out of line so that `centers` reaches the kernel as data: inlined,
 /// the compiler re-derives the lane coordinates from the tile origin and
@@ -644,19 +732,18 @@ impl LaneCenters {
 /// than it saves in multiplies (the forward pass is 5 % slower for it).
 #[inline(never)]
 #[allow(clippy::needless_range_loop)] // lane loops index parallel arrays
+#[allow(clippy::too_many_arguments)]
 fn blend_subtile<const RECORD: bool>(
-    scratch: &mut TileScratch,
-    records: &mut TileFragments,
+    splats: &[TileSplat],
+    boxes: &[CutBox],
+    records: Option<&mut TileFragments>,
     subtile: usize,
     centers: &LaneCenters,
     (w, h): (usize, usize),
     stats: &mut RenderStats,
 ) -> SubtileLanes {
-    let TileScratch {
-        gathered: splats,
-        boxes,
-        survivors,
-    } = scratch;
+    // Statically `None` in the instantiation that records nothing.
+    let mut records = if RECORD { records } else { None };
     let mut lanes = SubtileLanes {
         color: [[0.0; LANES]; 3],
         depth: [0.0; LANES],
@@ -669,117 +756,121 @@ fn blend_subtile<const RECORD: bool>(
     let (cx_lo, cy_lo) = (centers.x[0], centers.y[0]);
     let (cx_hi, cy_hi) = (centers.x[w - 1], centers.y[(h - 1) * SUBTILE_SIZE]);
 
-    // The cull: list positions whose cut box reaches this subtile's pixel
-    // centres, compacted branch-free (the slot is always written, the
-    // cursor advances only on a hit; `survivors` is as long as `boxes`).
-    let mut reached = 0;
-    for (pos, cut) in boxes.iter().enumerate() {
-        survivors[reached] = pos as u32;
-        reached += cut.overlaps(cx_lo, cx_hi, cy_lo, cy_hi) as usize;
-    }
-    if RECORD {
-        // Worst case: every survivor blends in every row.
-        records.heads.reserve(reached);
-        records.rows.reserve(reached * SUBTILE_SIZE);
-    }
-
-    for &pos in &survivors[..reached] {
-        let s = &splats[pos as usize];
-        // `Sym2::quadratic_form(p − mean)` for all lanes, as the scalar
-        // path spells it.
-        let mut q = [0.0f32; LANES];
-        for l in 0..LANES {
-            let d = Vec2::new(centers.x[l] - s.mean.x, centers.y[l] - s.mean.y);
-            q[l] = s.conic.quadratic_form(d);
+    // The cull, a block of `CULL_BLOCK` list positions at a time: one bit
+    // per splat whose cut box reaches this subtile's pixel centres, set
+    // branch-free; the stream then visits the set bits in list order.
+    // Blocks after a fully terminated subtile are never culled.
+    'stream: for (block, cuts) in boxes.chunks(CULL_BLOCK).enumerate() {
+        let mut hits = 0u64;
+        for (k, cut) in cuts.iter().enumerate() {
+            hits |= (cut.overlaps(cx_lo, cx_hi, cy_lo, cy_hi) as u64) << k;
         }
-        // Lanes that pass the quadratic-form test and whose ray is still
-        // running.
-        let mut admitted = [0u32; LANES];
-        for l in 0..LANES {
-            admitted[l] = lane_mask(!q_out_of_range(q[l], s.q_cut)) & lanes.alive[l];
+        if let Some(records) = records.as_deref_mut() {
+            // Worst case: every survivor blends in every row.
+            let reached = hits.count_ones() as usize;
+            records.heads.reserve(reached);
+            records.rows.reserve(reached * SUBTILE_SIZE);
         }
-        if !any_lane(&admitted) {
-            continue;
-        }
-
-        // [`alpha_of_q`] for all lanes. A lane outside `admitted` evaluates
-        // `q = 0` instead of its own, which can be far enough out for the
-        // weight to underflow (subnormal arithmetic is an order of
-        // magnitude slower, and such a lane's result is discarded).
-        let mut weight = [0.0f32; LANES];
-        let mut alpha = [0.0f32; LANES];
-        let mut pass = [0u32; LANES];
-        for l in 0..LANES {
-            weight[l] = gaussian_weight(select(admitted[l], q[l], 0.0));
-            alpha[l] = capped_alpha(s.opacity, weight[l]);
-            pass[l] = admitted[l] & !lane_mask(alpha[l] < ALPHA_MIN);
-        }
-        let pass_bits = lane_bits(&pass);
-        if pass_bits == 0 {
-            continue;
-        }
-        stats.fragments_blended += pass_bits.count_ones() as u64;
-
-        // The blend, the transmittance update and the termination test of
-        // the scalar path. Outside `pass` the alpha is zeroed first, which
-        // makes the lane's update the identity bit for bit: its color and
-        // depth terms are replaced by `+0.0` (an accumulator that starts at
-        // `+0.0` is never `−0.0` — a sum is `−0.0` only when both operands
-        // are — so adding `+0.0` returns it unchanged), and `t·(1 − 0)` is
-        // `t`.
-        let t_before = lanes.t;
-        let mut done = [0u32; LANES];
-        for l in 0..LANES {
-            alpha[l] = select(pass[l], alpha[l], 0.0);
-            let t = t_before[l];
-            let contribution = t * alpha[l];
-            for (channel, c) in lanes
-                .color
-                .iter_mut()
-                .zip([s.color.x, s.color.y, s.color.z])
-            {
-                channel[l] += select(pass[l], c * contribution, 0.0);
-            }
-            lanes.depth[l] += select(pass[l], s.depth * contribution, 0.0);
-            let t_after = t * (1.0 - alpha[l]);
-            lanes.t[l] = t_after;
-            done[l] = pass[l] & lane_mask(t_after < TERMINATION_THRESHOLD);
-        }
-        // Few splats end a ray: the bookkeeping of those that do stays off
-        // the common path.
-        let terminated = any_lane(&done);
-        if terminated {
-            stats.early_terminated_pixels += lane_bits(&done).count_ones() as u64;
+        while hits != 0 {
+            let pos = (block * CULL_BLOCK) as u32 + hits.trailing_zeros();
+            hits &= hits - 1;
+            let s = &splats[pos as usize];
+            // `Sym2::quadratic_form(p − mean)` for all lanes, as the scalar
+            // path spells it.
+            let mut q = [0.0f32; LANES];
             for l in 0..LANES {
-                lanes.processed[l] = (done[l] & (pos + 1)) | (!done[l] & lanes.processed[l]);
-                lanes.alive[l] &= !done[l];
+                let d = Vec2::new(centers.x[l] - s.mean.x, centers.y[l] - s.mean.y);
+                q[l] = s.conic.quadratic_form(d);
             }
-        }
+            // Lanes that pass the quadratic-form test and whose ray is still
+            // running.
+            let mut admitted = [0u32; LANES];
+            for l in 0..LANES {
+                admitted[l] = lane_mask(!q_out_of_range(q[l], s.q_cut)) & lanes.alive[l];
+            }
+            if !any_lane(&admitted) {
+                continue;
+            }
 
-        if RECORD {
-            let head = RecordHead {
-                list_pos: pos,
-                first_row: records.rows.len() as u32,
-                mask: pass_bits as u16,
-            };
-            for r in (0..SUBTILE_SIZE).filter(|&r| head.row_mask(r) != 0) {
-                let lanes = r * SUBTILE_SIZE..(r + 1) * SUBTILE_SIZE;
-                let zero_idle = |values: &[f32; LANES]| -> [f32; SUBTILE_SIZE] {
-                    std::array::from_fn(|c| {
-                        let l = lanes.start + c;
-                        select(pass[l], values[l], 0.0)
-                    })
-                };
-                records.rows.push(RecordRow {
-                    alpha: zero_idle(&alpha),
-                    weight: zero_idle(&weight),
-                    t_before: zero_idle(&t_before),
-                });
+            // [`alpha_of_q`] for all lanes. A lane outside `admitted` evaluates
+            // `q = 0` instead of its own, which can be far enough out for the
+            // weight to underflow (subnormal arithmetic is an order of
+            // magnitude slower, and such a lane's result is discarded).
+            let mut weight = [0.0f32; LANES];
+            let mut alpha = [0.0f32; LANES];
+            let mut pass = [0u32; LANES];
+            for l in 0..LANES {
+                weight[l] = gaussian_weight(select(admitted[l], q[l], 0.0));
+                alpha[l] = capped_alpha(s.opacity, weight[l]);
+                pass[l] = admitted[l] & !lane_mask(alpha[l] < ALPHA_MIN);
             }
-            records.heads.push(head);
-        }
-        if terminated && !any_lane(&lanes.alive) {
-            break;
+            let pass_bits = lane_bits(&pass);
+            if pass_bits == 0 {
+                continue;
+            }
+            stats.fragments_blended += pass_bits.count_ones() as u64;
+
+            // The blend, the transmittance update and the termination test of
+            // the scalar path. Outside `pass` the alpha is zeroed first, which
+            // makes the lane's update the identity bit for bit: its color and
+            // depth terms are replaced by `+0.0` (an accumulator that starts at
+            // `+0.0` is never `−0.0` — a sum is `−0.0` only when both operands
+            // are — so adding `+0.0` returns it unchanged), and `t·(1 − 0)` is
+            // `t`.
+            let t_before = lanes.t;
+            let mut done = [0u32; LANES];
+            for l in 0..LANES {
+                alpha[l] = select(pass[l], alpha[l], 0.0);
+                let t = t_before[l];
+                let contribution = t * alpha[l];
+                for (channel, c) in lanes
+                    .color
+                    .iter_mut()
+                    .zip([s.color.x, s.color.y, s.color.z])
+                {
+                    channel[l] += select(pass[l], c * contribution, 0.0);
+                }
+                lanes.depth[l] += select(pass[l], s.depth * contribution, 0.0);
+                let t_after = t * (1.0 - alpha[l]);
+                lanes.t[l] = t_after;
+                done[l] = pass[l] & lane_mask(t_after < TERMINATION_THRESHOLD);
+            }
+            // Few splats end a ray: the bookkeeping of those that do stays off
+            // the common path.
+            let terminated = any_lane(&done);
+            if terminated {
+                stats.early_terminated_pixels += lane_bits(&done).count_ones() as u64;
+                for l in 0..LANES {
+                    lanes.processed[l] = (done[l] & (pos + 1)) | (!done[l] & lanes.processed[l]);
+                    lanes.alive[l] &= !done[l];
+                }
+            }
+
+            if let Some(records) = records.as_deref_mut() {
+                let head = RecordHead {
+                    list_pos: pos,
+                    first_row: records.rows.len() as u32,
+                    mask: pass_bits as u16,
+                };
+                for r in (0..SUBTILE_SIZE).filter(|&r| head.row_mask(r) != 0) {
+                    let lanes = r * SUBTILE_SIZE..(r + 1) * SUBTILE_SIZE;
+                    let zero_idle = |values: &[f32; LANES]| -> [f32; SUBTILE_SIZE] {
+                        std::array::from_fn(|c| {
+                            let l = lanes.start + c;
+                            select(pass[l], values[l], 0.0)
+                        })
+                    };
+                    records.rows.push(RecordRow {
+                        alpha: zero_idle(&alpha),
+                        weight: zero_idle(&weight),
+                        t_before: zero_idle(&t_before),
+                    });
+                }
+                records.heads.push(head);
+            }
+            if terminated && !any_lane(&lanes.alive) {
+                break 'stream;
+            }
         }
     }
 
@@ -787,33 +878,42 @@ fn blend_subtile<const RECORD: bool>(
     for l in 0..LANES {
         lanes.processed[l] |= lanes.alive[l] & splats.len() as u32;
     }
-    if RECORD {
+    if let Some(records) = records {
         records.final_t[subtile] = lanes.t;
     }
     lanes
 }
 
+/// The (tile, band) unit — `tile * BANDS + band` — that chunk `chunk` of
+/// Step ❸ covers: tiles in [`TileAssignment::tile_of_chunk`]'s order, a
+/// tile's bands top to bottom.
+#[inline]
+fn unit_of_chunk(tiles: &TileAssignment, chunk: usize) -> usize {
+    tiles.tile_of_chunk(chunk / BANDS) * BANDS + chunk % BANDS
+}
+
 /// Step ❸: renders the projected splats into caller-owned storage; `RECORD`
 /// statically selects the fused (fragment-recording) instantiation.
 ///
-/// Iterates tiles (chunked over `backend`), then the subtiles of each tile,
-/// streaming the tile's depth-sorted splat list front-to-back through
-/// every subtile's 16 lanes (`blend_subtile`, see the module docs) and
-/// terminating each ray when the transmittance drops below
-/// [`TERMINATION_THRESHOLD`]. Tiles partition the image, so every pixel is
-/// written by exactly one tile's task; per-tile statistics are integer
-/// counters summed afterwards. The output is therefore bitwise-identical
-/// on every backend and pool size. Recording only copies values the blend
-/// already computed, so the [`RenderOutput`] of both instantiations is
-/// bitwise-identical and the cached fragments are exactly what a backward
-/// re-walk would reconstruct.
+/// First gathers every tile's depth-sorted working set into `work` (one
+/// chunked loop over tiles; Step ❹ reads the same gather), then iterates
+/// (tile, band) units (chunked over `backend`), streaming the tile's splats
+/// front-to-back through each of the band's four subtiles' 16 lanes
+/// (`blend_subtile`, see the module docs) and terminating each ray when the
+/// transmittance drops below [`TERMINATION_THRESHOLD`]. Bands partition the
+/// image, so every pixel is written by exactly one unit's task; per-unit
+/// statistics are integer counters summed afterwards. The output is
+/// therefore bitwise-identical on every backend and pool size. Recording
+/// only copies values the blend already computed, so the [`RenderOutput`] of
+/// both instantiations is bitwise-identical and the cached fragments are
+/// exactly what a backward re-walk would reconstruct.
 ///
-/// Every output buffer — image, depth, transmittance, workloads, per-tile
-/// stats and (when recording) the per-tile R&B records — is cleared and
-/// refilled in place, and per-chunk scratch (gathered splats, cut boxes,
-/// survivor list) comes from `pool`, so a steady-state re-render into the
-/// same storage performs **no heap allocation**. Results are
-/// bitwise-identical to a render into fresh buffers.
+/// Every output buffer — image, depth, transmittance, workloads, per-unit
+/// stats, the gathered working set and (when recording) the per-band R&B
+/// records — is refilled in place and the kernel needs no other scratch, so
+/// a steady-state re-render into the same storage performs **no heap
+/// allocation**. Results are bitwise-identical
+/// to a render into fresh buffers.
 ///
 /// # Panics
 ///
@@ -824,13 +924,12 @@ pub(crate) fn render_into<const RECORD: bool>(
     tiles: &TileAssignment,
     camera: &PinholeCamera,
     backend: &dyn Backend,
-    pool: &ScratchPool<TileScratch>,
+    work: &mut TileWork,
     out: &mut RenderOutput,
-    tile_stats: &mut Vec<RenderStats>,
+    unit_stats: &mut Vec<RenderStats>,
     fragments: Option<&mut FragmentCache>,
 ) {
-    let soa = &projection.soa;
-    let tile_count = tiles.tile_count();
+    let units = tiles.tile_count() * BANDS;
     out.image.reset(camera.width, camera.height);
     out.depth.reset(camera.width, camera.height);
     out.final_transmittance.clear();
@@ -838,65 +937,60 @@ pub(crate) fn render_into<const RECORD: bool>(
     out.pixel_workloads.clear();
     out.pixel_workloads.resize(camera.pixel_count(), 0);
     out.stats = RenderStats::default();
-    tile_stats.clear();
-    tile_stats.resize(tile_count, RenderStats::default());
+    unit_stats.clear();
+    unit_stats.resize(units, RenderStats::default());
 
-    // Reused per-tile record storage: each tile's records are reset inside
-    // the kernel before refilling.
-    let frag_tiles: &mut [TileFragments] = match fragments {
-        Some(cache) => cache.begin(tile_count),
+    // Reused per-band record storage: each slot is reset inside the kernel
+    // before refilling.
+    let frag_bands: &mut [TileFragments] = match fragments {
+        Some(cache) => cache.begin(units),
         None => {
             assert!(!RECORD, "recording pass requires a fragment cache");
             &mut []
         }
     };
 
+    gather_into(&projection.soa, tiles, backend, work);
+    let work = &*work;
     {
         let image_view = SharedSlice::new(out.image.data_mut());
         let depth_view = SharedSlice::new(out.depth.data_mut());
         let t_view = SharedSlice::new(&mut out.final_transmittance);
         let workload_view = SharedSlice::new(&mut out.pixel_workloads);
-        let stats_view = SharedSlice::new(tile_stats.as_mut_slice());
-        let frag_view = SharedSlice::new(frag_tiles);
-        backend.for_each_chunk(tile_count, RENDER_CHUNK, &|_, range| {
-            // Per-chunk scratch comes from the shared pool, so steady-state
-            // chunks allocate nothing.
-            let mut scratch = pool.take();
-            // Stands in for the tile's record set in the pass that records
-            // nothing.
-            let mut unrecorded = TileFragments::default();
-            for tile in range.map(|chunk| tiles.tile_of_chunk(chunk)) {
+        let stats_view = SharedSlice::new(unit_stats.as_mut_slice());
+        let frag_view = SharedSlice::new(frag_bands);
+        backend.for_each_chunk(units, RENDER_CHUNK, &|_, range| {
+            for unit in range.map(|chunk| unit_of_chunk(tiles, chunk)) {
+                let (tile, band) = (unit / BANDS, unit % BANDS);
                 // SAFETY (all accesses below): one record set and one stats
-                // slot per tile; tiles partition the image, so every pixel
-                // index is written by exactly one tile's task.
-                let records = if RECORD {
-                    let records = unsafe { frag_view.get_mut(tile) };
+                // slot per unit; bands partition the image, so every pixel
+                // index is written by exactly one unit's task.
+                let mut records = RECORD.then(|| {
+                    let records = unsafe { frag_view.get_mut(unit) };
                     records.reset();
                     records
-                } else {
-                    &mut unrecorded
-                };
-                let list = tiles.tile(tile);
-                if list.is_empty() {
-                    continue;
-                }
-                gather_tile(soa, list, &mut scratch.gathered);
-                scratch.boxes.clear();
-                scratch
-                    .boxes
-                    .extend(list.iter().map(|&slot| soa.cut_boxes[slot as usize]));
-                scratch.survivors.resize(list.len(), 0);
-                let mut stats = RenderStats::default();
+                });
                 let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);
                 let (x0, y0, x1, y1) = tiles.tile_pixel_rect(tx, ty, camera);
-                for subtile in 0..SUBTILES_PER_TILE {
+                let sy0 = y0 + band * SUBTILE_SIZE;
+                let at = tiles.entry_range(tile);
+                // A band below the image, or of a tile without splats, keeps
+                // its reset (empty, monotone) record set.
+                if at.is_empty() || sy0 >= y1 {
+                    continue;
+                }
+                let (splats, boxes) = (&work.splats[at.clone()], &work.boxes[at]);
+                let mut stats = RenderStats::default();
+                let h = (y1 - sy0).min(SUBTILE_SIZE);
+                let first = band * SUBTILES_X;
+                for subtile in first..first + SUBTILES_X {
                     let sx0 = x0 + (subtile % SUBTILES_X) * SUBTILE_SIZE;
-                    let sy0 = y0 + (subtile / SUBTILES_X) * SUBTILE_SIZE;
-                    if sx0 < x1 && sy0 < y1 {
-                        let (w, h) = ((x1 - sx0).min(SUBTILE_SIZE), (y1 - sy0).min(SUBTILE_SIZE));
+                    if sx0 < x1 {
+                        let w = (x1 - sx0).min(SUBTILE_SIZE);
                         let lanes = blend_subtile::<RECORD>(
-                            &mut scratch,
-                            records,
+                            splats,
+                            boxes,
+                            records.as_deref_mut(),
                             subtile,
                             &LaneCenters::of(sx0, sy0),
                             (w, h),
@@ -917,20 +1011,24 @@ pub(crate) fn render_into<const RECORD: bool>(
                             }
                         }
                     }
-                    if RECORD {
+                    if let Some(records) = records.as_deref_mut() {
                         records.subtile_heads[subtile + 1] = records.heads.len() as u32;
                     }
                 }
-                unsafe { stats_view.write(tile, stats) };
+                if let Some(records) = records {
+                    // The later bands' subtiles own empty ranges at the end.
+                    let end = records.heads.len() as u32;
+                    records.subtile_heads[first + SUBTILES_X + 1..].fill(end);
+                }
+                unsafe { stats_view.write(unit, stats) };
             }
-            pool.put(scratch);
         });
     }
 
-    for ts in tile_stats.iter() {
-        out.stats.fragments_processed += ts.fragments_processed;
-        out.stats.fragments_blended += ts.fragments_blended;
-        out.stats.early_terminated_pixels += ts.early_terminated_pixels;
+    for us in unit_stats.iter() {
+        out.stats.fragments_processed += us.fragments_processed;
+        out.stats.fragments_blended += us.fragments_blended;
+        out.stats.early_terminated_pixels += us.early_terminated_pixels;
     }
 }
 
@@ -1290,12 +1388,23 @@ mod tests {
         let final_t = &arena.output().final_transmittance;
         // Replaying each lane's records front to back must reproduce every
         // recorded incoming transmittance and land exactly on the final one.
+        let bands = arena.fragments().bands();
+        assert_eq!(bands.len(), tiles.tile_count() * BANDS);
         let mut blended = 0;
-        for (tile, tf) in arena.fragments().tiles().iter().enumerate() {
+        for (unit, tf) in bands.iter().enumerate() {
+            let (tile, band) = (unit / BANDS, unit % BANDS);
             let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);
             let (x0, y0, x1, y1) = tiles.tile_pixel_rect(tx, ty, &cam);
             let mut next_row = 0;
+            assert!(
+                tf.subtile_heads.windows(2).all(|w| w[0] <= w[1]),
+                "subtile offsets are monotone across the tile"
+            );
             for subtile in 0..SUBTILES_PER_TILE {
+                if subtile / SUBTILES_X != band {
+                    assert!(tf.subtile(subtile).is_empty(), "other bands' subtiles");
+                    continue;
+                }
                 let sx0 = x0 + (subtile % SUBTILES_X) * SUBTILE_SIZE;
                 let sy0 = y0 + (subtile / SUBTILES_X) * SUBTILE_SIZE;
                 let mut t = [1.0f32; LANES];

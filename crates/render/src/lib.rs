@@ -9,14 +9,19 @@
 //!    projection of 3D Gaussians to 2D splats compacted into a
 //!    structure-of-arrays layout ([`ProjectedSoA`]), eight Gaussians (one
 //!    per lane) at a time, keeping what it activates of a Gaussian's scale
-//!    and rotation for step 5.
+//!    and rotation for step 5. A tracking frame's trials run it inside a
+//!    [`Trials`] scope ([`FrameArena::trials`]), which reuses a trial's
+//!    gathered working set and these pose-independent activations while
+//!    the cull and the mask allow.
 //! 2. **Sorting** ([`FrameArena::assign_tiles`]) — tile intersection plus
 //!    front-to-back depth ordering via a stable radix sort on the monotone
 //!    depth key, stored as flat CSR tile lists ([`TileAssignment`]).
 //! 3. **Rendering** ([`FrameArena::render_fused`]) — per-pixel alpha
 //!    computing and blending with early ray termination (Eqs. 2–3),
-//!    streaming a per-tile gathered working set through the tile's 4×4
-//!    subtiles: 16 pixel lanes, splat-outer, behind a conservative
+//!    streaming a per-tile gathered working set (gathered once per
+//!    iteration; step 4 reads it too) through the tile's 4×4 subtiles, one
+//!    band of four subtiles per unit of parallel work: 16 pixel lanes,
+//!    splat-outer, behind a conservative
 //!    per-subtile cull, with the exponential, the blend and the termination
 //!    test lane-wide under masks — and writing, per (subtile, splat), the
 //!    R&B record ([`RecordHead`] + [`RecordRow`]s) step 4 consumes.
@@ -91,7 +96,7 @@ mod shard;
 mod tiles;
 mod trace;
 
-pub use arena::FrameArena;
+pub use arena::{FrameArena, Trials};
 pub use backward::{BackwardOutput, BackwardStats, GradSet, PixelGrads};
 pub use camera::{DepthImage, Image, PinholeCamera};
 pub use forward::{

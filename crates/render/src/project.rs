@@ -48,6 +48,25 @@ pub(crate) const GAUSS_LANES: usize = 8;
 /// One `f32` per Gaussian of a block.
 pub(crate) type Lanes = [f32; GAUSS_LANES];
 
+/// How Step ❶ comes by a Gaussian's pose-independent activations —
+/// `exp(log_scale)`, the quaternion's norm and unit form, the world-space
+/// covariance `Σ`, the opacity sigmoid and the cutoff's `ln`
+/// ([`splat_q_cut`]). One kernel, [`project_block`], instantiated per mode
+/// on a `const` (as `render_into::<RECORD>` is); the values are the same
+/// bits in every mode, only how often they are computed differs.
+pub(crate) mod activations {
+    /// Computed for the lanes that need them and kept for nothing else:
+    /// every projection outside a trial scope ([`crate::Trials`]).
+    pub(crate) const COMPUTE: u8 = 0;
+    /// Computed for every lane and kept in the workspace's blocks: a trial
+    /// scope's first projection of a gathered working set.
+    pub(crate) const KEEP: u8 = 1;
+    /// Loaded from what [`KEEP`] left in the blocks: the scope's later
+    /// projections of the same working set.
+    pub(crate) const LOAD: u8 = 2;
+}
+use activations::{COMPUTE, KEEP, LOAD};
+
 /// A 3×3 matrix of one lane, row-major, as a plain array: what the lane
 /// kernels compute with inside their lane loops, where every helper must
 /// inline (one opaque call in the loop body and the loop is scalar again).
@@ -268,6 +287,23 @@ impl ProjectedSoA {
         }
     }
 
+    /// Bytes held at current capacities (for the arena's high-water mark).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.gaussian_ids.capacity() + self.slot_of_gaussian.capacity()) * size_of::<u32>()
+            + self.means.capacity() * size_of::<Vec2>()
+            + (self.conics.capacity() + self.covs.capacity()) * size_of::<Sym2>()
+            + (self.colors.capacity() + self.t_cams.capacity()) * size_of::<Vec3>()
+            + (self.opacities.capacity()
+                + self.depths.capacity()
+                + self.radii.capacity()
+                + self.q_cuts.capacity())
+                * size_of::<f32>()
+            + self.tile_rects.capacity() * size_of::<TileRect>()
+            + self.cut_boxes.capacity() * size_of::<CutBox>()
+            + self.activations.capacity() * size_of::<Activation>()
+    }
+
     /// Resizes every per-slot array for a frame of `visible` splats over a
     /// scene of `scene_len` Gaussians. The per-slot arrays are not refilled:
     /// the projection scatter, the only caller, overwrites every slot below
@@ -315,6 +351,16 @@ pub(crate) struct ProjectScratch {
     visible_counts: Vec<usize>,
     /// Per-chunk output offsets (prefix-sum output).
     offsets: Vec<usize>,
+}
+
+impl ProjectScratch {
+    /// Bytes held at current capacities (for the arena's high-water mark).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.blocks.capacity() * size_of::<ProjectedBlock>()
+            + self.counts.capacity() * size_of::<(usize, usize, usize)>()
+            + (self.visible_counts.capacity() + self.offsets.capacity()) * size_of::<usize>()
+    }
 }
 
 /// Output of the preprocessing step: the dense SoA splat arrays plus counts
@@ -367,6 +413,13 @@ pub(crate) fn tile_rect_of(mean: Vec2, radius: f32, tiles_x: usize, tiles_y: usi
 
 /// Step ❶: projects every active Gaussian into the image plane of `camera`
 /// under the world-to-camera pose `w2c`, writing into caller-owned storage.
+/// `act` is the [`activations`] mode, which picks the kernel's
+/// instantiation; [`LOAD`] requires the previous call on `ws` to have been a
+/// [`KEEP`] or [`LOAD`] one over the same `scene` and `active`. (The mode is
+/// a value here, not a `const`: instantiated per mode, this driver was
+/// placed where its helpers no longer inline, and an unscoped projection
+/// took ×1.08 the time of the same code in a plain function, measured
+/// interleaved in one process on a 2-vCPU x86-64 host.)
 ///
 /// `active` is the paper's pruning mask: `None` renders everything;
 /// `Some(mask)` (one flag per Gaussian) skips masked-out Gaussians before
@@ -381,9 +434,9 @@ pub(crate) fn tile_rect_of(mean: Vec2, radius: f32, tiles_x: usize, tiles_y: usi
 /// kernel's lane arrays in the workspace, (2) a serial exclusive prefix sum
 /// over the per-chunk visible counts, (3) a chunked scatter that transposes
 /// each chunk's visible lanes into the dense SoA arrays at its precomputed
-/// offset, deriving the per-splat cutoff, tile rectangle and cut box on the
-/// way. Chunk geometry is a constant (`PROJECT_CHUNK`), lanes never interact
-/// and slots are assigned in Gaussian-ID order, so the result is
+/// offset, deriving the per-splat tile rectangle and cut box on the way.
+/// Chunk geometry is a constant (`PROJECT_CHUNK`), lanes never interact and
+/// slots are assigned in Gaussian-ID order, so the result is
 /// bitwise-identical on every backend and pool size — and to the scalar
 /// definition [`project_one`], which the AoS oracle calls.
 ///
@@ -396,6 +449,7 @@ pub(crate) fn tile_rect_of(mean: Vec2, radius: f32, tiles_x: usize, tiles_y: usi
 /// Panics if `active` is provided with a length different from the scene.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn project_scene_into(
+    act: u8,
     scene: &GaussianScene,
     w2c: &Se3,
     camera: &PinholeCamera,
@@ -435,7 +489,12 @@ pub(crate) fn project_scene_into(
             let mut project = |ids: &[u32]| {
                 // SAFETY: each chunk fills its own block slots.
                 let block = unsafe { block_view.get_mut(chunk * BLOCKS_PER_CHUNK + filled) };
-                project_block(&scene.gaussians, ids, &rot, w2c, camera, block);
+                let kernel = match act {
+                    COMPUTE => project_block::<COMPUTE>,
+                    KEEP => project_block::<KEEP>,
+                    _ => project_block::<LOAD>,
+                };
+                kernel(&scene.gaussians, ids, &rot, w2c, camera, block);
                 visible += block.visible.count_ones() as usize;
                 filled += 1;
             };
@@ -497,7 +556,7 @@ pub(crate) fn project_scene_into(
                 .iter()
                 .flat_map(|block| (0..GAUSS_LANES).filter_map(|lane| block.lane(lane)));
             // Blocks and lanes are in ascending Gaussian-ID order.
-            for (slot, (splat, activation)) in (offsets[chunk]..).zip(lanes) {
+            for (slot, (splat, activation, q_cut)) in (offsets[chunk]..).zip(lanes) {
                 let id = splat.id as usize;
                 let hot = TileSplat {
                     mean: splat.mean,
@@ -505,7 +564,7 @@ pub(crate) fn project_scene_into(
                     opacity: splat.opacity,
                     color: splat.color,
                     depth: splat.depth,
-                    q_cut: splat_q_cut(splat.opacity),
+                    q_cut,
                 };
                 // SAFETY: chunk offsets partition the slot space, so each
                 // slot (and each Gaussian id) is written by exactly one
@@ -686,20 +745,26 @@ pub(crate) struct ProjectedBlock {
     /// `(xx, xy, yy)`.
     conic: [Lanes; 3],
     radius: Lanes,
-    /// Activated opacity and color, current on visible lanes only.
+    /// Activated opacity, its cutoff ([`splat_q_cut`]) and the color —
+    /// current on visible lanes, on every lane after a [`KEEP`] projection.
     opacity: Lanes,
+    q_cut: Lanes,
     color: [Vec3; GAUSS_LANES],
-    /// Activated scale (zero on lanes behind the near plane).
+    /// Activated scale (zero on lanes behind the near plane, unless the
+    /// block was filled by a [`KEEP`] projection).
     scale: [Lanes; 3],
     /// Norm of the raw quaternion, and the unit quaternion `(w, x, y, z)`.
     rotation_norm: Lanes,
     unit_rotation: [Lanes; 4],
+    /// World-space covariance `Σ` `(xx, xy, xz, yy, yz, zz)`, kept by a
+    /// [`KEEP`] projection only.
+    world_cov: [Lanes; 6],
 }
 
 impl ProjectedBlock {
-    /// Lane `lane`'s splat, with the activations Step ❺ will want back;
-    /// `None` when the lane was culled (or replicates another).
-    pub(crate) fn lane(&self, lane: usize) -> Option<(Projected2d, Activation)> {
+    /// Lane `lane`'s splat, with the activations Step ❺ will want back and
+    /// its cutoff; `None` when the lane was culled (or replicates another).
+    pub(crate) fn lane(&self, lane: usize) -> Option<(Projected2d, Activation, f32)> {
         if self.visible & (1 << lane) == 0 {
             return None;
         }
@@ -722,7 +787,7 @@ impl ProjectedBlock {
             rotation_norm: self.rotation_norm[l],
             unit_rotation: Quat::new(q[0][l], q[1][l], q[2][l], q[3][l]),
         };
-        Some((splat, activation))
+        Some((splat, activation, self.q_cut[l]))
     }
 }
 
@@ -739,16 +804,23 @@ impl ProjectedBlock {
 /// floating point does not trap).
 ///
 /// libm stays scalar, between the lane loops: `exp(log_scale)` once per
-/// lane in front of the near plane, the opacity sigmoid once per visible
-/// lane — its `exp` is not ours to vectorise, and every bit has to be the
-/// one [`project_one`] computes. `sqrt` and `/` are correctly rounded in
-/// scalar and vector form alike and run inside the loop.
+/// lane in front of the near plane, the opacity sigmoid and the cutoff's
+/// `ln` once per visible lane — their libm calls are not ours to vectorise,
+/// and every bit has to be the one [`project_one`] computes. `sqrt` and `/`
+/// are correctly rounded in scalar and vector form alike and run inside the
+/// loop.
+///
+/// `ACT` ([`activations`]) decides where the pose-independent values come
+/// from: [`COMPUTE`] as just described; [`KEEP`] computes the scalar ones
+/// for every lane, whatever the pose culls, and keeps the world-space `Σ`
+/// in `out`; [`LOAD`] computes none of them and reads what a [`KEEP`] call
+/// left in `out` for the same `ids`.
 ///
 /// # Panics
 ///
 /// Panics unless `1 <= ids.len() <= GAUSS_LANES`.
 #[allow(clippy::needless_range_loop)] // lane loops index parallel arrays
-pub(crate) fn project_block(
+pub(crate) fn project_block<const ACT: u8>(
     gaussians: &[Gaussian3d],
     ids: &[u32],
     rot: &Mat3,
@@ -771,11 +843,17 @@ pub(crate) fn project_block(
         conic,
         radius,
         opacity,
+        q_cut,
         color,
         scale,
         rotation_norm,
         unit_rotation,
+        world_cov,
     } = out;
+    debug_assert!(
+        ACT != LOAD || lane_ids[..ids.len()] == *ids,
+        "stale activations"
+    );
     lane_ids[..ids.len()].copy_from_slice(ids);
 
     // Camera-frame means: `rot.mul_vec(position) + translation`.
@@ -796,36 +874,58 @@ pub(crate) fn project_block(
     }
 
     // Scalar: `exp(log_scale)` of the lanes that pass the near plane (the
-    // others, as in `project_one`, drop out before activating anything).
-    for l in 0..GAUSS_LANES {
-        let from = l.min(ids.len() - 1);
-        let s = if from < l {
-            Vec3::new(scale[0][from], scale[1][from], scale[2][from])
-        } else if t_cam[2][l] < NEAR_PLANE {
-            Vec3::ZERO
-        } else {
-            of_lane(l).scale()
-        };
-        (scale[0][l], scale[1][l], scale[2][l]) = (s.x, s.y, s.z);
+    // others, as in `project_one`, drop out before activating anything) —
+    // of every lane when kept for later poses.
+    if ACT != LOAD {
+        for l in 0..GAUSS_LANES {
+            let from = l.min(ids.len() - 1);
+            let s = if from < l {
+                Vec3::new(scale[0][from], scale[1][from], scale[2][from])
+            } else if ACT == COMPUTE && t_cam[2][l] < NEAR_PLANE {
+                Vec3::ZERO
+            } else {
+                of_lane(l).scale()
+            };
+            (scale[0][l], scale[1][l], scale[2][l]) = (s.x, s.y, s.z);
+        }
     }
 
     let limits = frustum_limits(camera);
     let (width, height) = (camera.width as f32, camera.height as f32);
     let mut culled = [0u32; GAUSS_LANES];
     for l in 0..GAUSS_LANES {
-        // `Quat::norm`, `Quat::normalized` (the identity below 1e-12),
-        // `Quat::to_rotation_matrix`, `Gaussian3d::covariance`.
-        let q = &raw_rotation;
-        let norm =
-            (q[0][l] * q[0][l] + q[1][l] * q[1][l] + q[2][l] * q[2][l] + q[3][l] * q[3][l]).sqrt();
-        let tiny = lane_mask(norm < 1e-12);
-        let unit = [
-            select(tiny, 1.0, q[0][l] / norm),
-            select(tiny, 0.0, q[1][l] / norm),
-            select(tiny, 0.0, q[2][l] / norm),
-            select(tiny, 0.0, q[3][l] / norm),
-        ];
-        let cov3d = covariance3(&rotation3(unit), [scale[0][l], scale[1][l], scale[2][l]]);
+        let cov3d = if ACT == LOAD {
+            let c = &*world_cov;
+            [
+                [c[0][l], c[1][l], c[2][l]],
+                [c[1][l], c[3][l], c[4][l]],
+                [c[2][l], c[4][l], c[5][l]],
+            ]
+        } else {
+            // `Quat::norm`, `Quat::normalized` (the identity below 1e-12),
+            // `Quat::to_rotation_matrix`, `Gaussian3d::covariance`.
+            let q = &raw_rotation;
+            let norm =
+                (q[0][l] * q[0][l] + q[1][l] * q[1][l] + q[2][l] * q[2][l] + q[3][l] * q[3][l])
+                    .sqrt();
+            let tiny = lane_mask(norm < 1e-12);
+            let unit = [
+                select(tiny, 1.0, q[0][l] / norm),
+                select(tiny, 0.0, q[1][l] / norm),
+                select(tiny, 0.0, q[2][l] / norm),
+                select(tiny, 0.0, q[3][l] / norm),
+            ];
+            let cov3d = covariance3(&rotation3(unit), [scale[0][l], scale[1][l], scale[2][l]]);
+            rotation_norm[l] = norm;
+            (unit_rotation[0][l], unit_rotation[1][l]) = (unit[0], unit[1]);
+            (unit_rotation[2][l], unit_rotation[3][l]) = (unit[2], unit[3]);
+            if ACT == KEEP {
+                (world_cov[0][l], world_cov[1][l]) = (cov3d[0][0], cov3d[0][1]);
+                (world_cov[2][l], world_cov[3][l]) = (cov3d[0][2], cov3d[1][1]);
+                (world_cov[4][l], world_cov[5][l]) = (cov3d[1][2], cov3d[2][2]);
+            }
+            cov3d
+        };
 
         let t = [t_cam[0][l], t_cam[1][l], t_cam[2][l]];
         let mean_x = camera.fx * t[0] / t[2] + camera.cx;
@@ -855,21 +955,21 @@ pub(crate) fn project_block(
                 | (mean_x - extent >= width)
                 | (mean_y - extent >= height),
         );
-        rotation_norm[l] = norm;
-        (unit_rotation[0][l], unit_rotation[1][l]) = (unit[0], unit[1]);
-        (unit_rotation[2][l], unit_rotation[3][l]) = (unit[2], unit[3]);
         (mean[0][l], mean[1][l]) = (mean_x, mean_y);
         (cov[0][l], cov[1][l], cov[2][l]) = (xx, xy, yy);
         (conic[0][l], conic[1][l], conic[2][l]) = (yy * inv, -xy * inv, xx * inv);
         radius[l] = extent;
     }
 
-    // Scalar: what only a visible splat needs.
+    // Scalar: what only a visible splat needs — every lane's when kept.
     *visible = 0;
     for l in 0..ids.len() {
         if culled[l] == 0 {
             *visible |= 1 << l;
+        }
+        if ACT == KEEP || (ACT == COMPUTE && culled[l] == 0) {
             opacity[l] = of_lane(l).opacity_activated();
+            q_cut[l] = splat_q_cut(opacity[l]);
             color[l] = of_lane(l).color;
         }
     }
@@ -1119,11 +1219,15 @@ mod tests {
                 .all(|v| v.is_finite())
     }
 
-    /// Runs `gaussians[ids]` through one block and holds every lane to the
-    /// scalar definitions: the same `Some` / `None` as [`project_one`], every
-    /// splat float and every activation float ([`Activation::of`]) equal on
-    /// bits — for a Gaussian with a non-finite parameter, equal or both NaN.
-    /// Returns which lanes were visible.
+    /// Runs `gaussians[ids]` through one block in every [`activations`]
+    /// mode and holds every lane to the scalar definitions: the same `Some` /
+    /// `None` as [`project_one`], every splat float, every activation float
+    /// ([`Activation::of`]) and the cutoff equal on bits — for a Gaussian
+    /// with a non-finite parameter, equal or both NaN. The [`LOAD`] block
+    /// loads what a [`KEEP`] projection left from far behind the camera,
+    /// where every finite lane is culled at the near plane, so activations
+    /// kept only for the lanes that pose needed would show. Returns which lanes were
+    /// visible.
     fn assert_block_matches_scalar(
         gaussians: &[Gaussian3d],
         ids: &[u32],
@@ -1132,47 +1236,65 @@ mod tests {
     ) -> Vec<bool> {
         let rot = w2c.rotation_matrix();
         // Stale contents of a reused block must not show through.
-        let mut block = ProjectedBlock::default();
         let decoys: Vec<u32> = (0..gaussians.len().min(GAUSS_LANES) as u32).collect();
-        project_block(gaussians, &decoys, &rot, w2c, camera, &mut block);
-        project_block(gaussians, ids, &rot, w2c, camera, &mut block);
+        let mut computed = ProjectedBlock::default();
+        project_block::<COMPUTE>(gaussians, &decoys, &rot, w2c, camera, &mut computed);
+        project_block::<COMPUTE>(gaussians, ids, &rot, w2c, camera, &mut computed);
+        let mut kept = ProjectedBlock::default();
+        project_block::<COMPUTE>(gaussians, &decoys, &rot, w2c, camera, &mut kept);
+        project_block::<KEEP>(gaussians, ids, &rot, w2c, camera, &mut kept);
+        let mut loaded = ProjectedBlock::default();
+        let behind = Se3::from_translation(Vec3::new(0.0, 0.0, -1e3)).compose(w2c);
+        let rot_behind = behind.rotation_matrix();
+        project_block::<KEEP>(gaussians, ids, &rot_behind, &behind, camera, &mut loaded);
+        project_block::<LOAD>(gaussians, ids, &rot, w2c, camera, &mut loaded);
         let mut visible = Vec::new();
-        for (lane, &id) in ids.iter().enumerate() {
-            let g = &gaussians[id as usize];
-            let want = project_one(g, id, &rot, w2c, camera);
-            let got = block.lane(lane);
-            assert_eq!(got.is_some(), want.is_some(), "lane {lane}: {g:?}");
-            visible.push(want.is_some());
-            let (Some((splat, activation)), Some(want)) = (got, want) else {
-                continue;
-            };
-            assert_eq!(splat.id, id);
-            let exact = is_finite(g);
-            let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (!exact && same_float(a, b));
-            for (k, (a, b)) in splat_floats(&splat)
-                .iter()
-                .zip(splat_floats(&want))
-                .enumerate()
-            {
+        for (mode, block) in [("compute", &computed), ("keep", &kept), ("load", &loaded)] {
+            for (lane, &id) in ids.iter().enumerate() {
+                let g = &gaussians[id as usize];
+                let want = project_one(g, id, &rot, w2c, camera);
+                let got = block.lane(lane);
+                assert_eq!(got.is_some(), want.is_some(), "{mode} lane {lane}: {g:?}");
+                if mode == "compute" {
+                    visible.push(want.is_some());
+                }
+                let (Some((splat, activation, q_cut)), Some(want)) = (got, want) else {
+                    continue;
+                };
+                assert_eq!(splat.id, id);
+                let exact = is_finite(g);
+                let same =
+                    |a: f32, b: f32| a.to_bits() == b.to_bits() || (!exact && same_float(a, b));
+                for (k, (a, b)) in splat_floats(&splat)
+                    .iter()
+                    .zip(splat_floats(&want))
+                    .enumerate()
+                {
+                    assert!(
+                        same(*a, b),
+                        "{mode} lane {lane}, splat float {k}: {a} vs {b} for {g:?}"
+                    );
+                }
+                let cutoff = splat_q_cut(want.opacity);
                 assert!(
-                    same(*a, b),
-                    "lane {lane}, splat float {k}: {a} vs {b} for {g:?}"
+                    same(q_cut, cutoff),
+                    "{mode} lane {lane}: cutoff {q_cut} vs {cutoff}"
+                );
+                let want = Activation::of(g);
+                let floats = activation_floats(&activation);
+                for (k, (a, b)) in floats.iter().zip(activation_floats(&want)).enumerate() {
+                    assert!(
+                        same(*a, b),
+                        "{mode} lane {lane}, activation float {k}: {a} vs {b} for {g:?}"
+                    );
+                }
+            }
+            for lane in ids.len()..GAUSS_LANES {
+                assert!(
+                    block.lane(lane).is_none(),
+                    "{mode} tail lane {lane} must stay dark"
                 );
             }
-            let want = Activation::of(g);
-            let floats = activation_floats(&activation);
-            for (k, (a, b)) in floats.iter().zip(activation_floats(&want)).enumerate() {
-                assert!(
-                    same(*a, b),
-                    "lane {lane}, activation float {k}: {a} vs {b} for {g:?}"
-                );
-            }
-        }
-        for lane in ids.len()..GAUSS_LANES {
-            assert!(
-                block.lane(lane).is_none(),
-                "tail lane {lane} must stay dark"
-            );
         }
         visible
     }

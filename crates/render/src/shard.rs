@@ -268,6 +268,35 @@ pub(crate) struct CullScratch {
     cand_flags: Vec<bool>,
     /// Indices of shards surviving both levels.
     surviving: Vec<u32>,
+    /// Within a trial scope, whether the frame's current gather is known to
+    /// be made of `gathered_shards` under `gathered_mask` — `Some(masked)`,
+    /// `masked` telling whether there was a mask at all. `None` outside a
+    /// scope, and after a cull that was not a scope's.
+    gathered_for: Option<bool>,
+    /// The surviving shards of the current gather (see `gathered_for`).
+    gathered_shards: Vec<u32>,
+    /// The mask of the current gather (see `gathered_for`).
+    gathered_mask: Vec<bool>,
+}
+
+impl CullScratch {
+    /// Forgets what the current gather was made of, so the next cull
+    /// gathers: the map may have changed since it was made.
+    pub(crate) fn forget_gather(&mut self) {
+        self.gathered_for = None;
+    }
+
+    /// Bytes held at current capacities (for the arena's high-water mark).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.macro_flags.capacity()
+            + self.cand_flags.capacity()
+            + self.gathered_mask.capacity()
+            + (self.candidates.capacity()
+                + self.surviving.capacity()
+                + self.gathered_shards.capacity())
+                * size_of::<u32>()
+    }
 }
 
 /// Serialized form of one [`Shard`]: exactly the state that cannot be
@@ -877,10 +906,18 @@ impl ShardedScene {
     /// refilled; once their capacities cover the frustum's contents, a
     /// steady-state cull + gather performs **no heap allocation**.
     ///
+    /// With `reuse` — a trial scope's cull, while the map cannot change —
+    /// the shards are still tested, but when the survivors and the mask
+    /// equal those `out` was last gathered for in the scope
+    /// (`scratch.gathered_for`), `out.scene` and `out.ids` are already what
+    /// the walk, the sort and the copy would produce, and are kept. Returns
+    /// whether it gathered.
+    ///
     /// # Panics
     ///
     /// Panics when bounds are stale (call [`Self::refresh_bounds_with`]
     /// after mutations) or `active` is not `capacity()` long.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn visible_frame_into(
         &self,
         w2c: &Se3,
@@ -889,7 +926,8 @@ impl ShardedScene {
         backend: &dyn Backend,
         scratch: &mut CullScratch,
         out: &mut VisibleFrame,
-    ) {
+        reuse: bool,
+    ) -> bool {
         assert_eq!(
             self.dirty_shards, 0,
             "shard bounds are stale; call refresh_bounds first"
@@ -901,7 +939,14 @@ impl ShardedScene {
                 "active mask length must match the arena capacity"
             );
         }
-        let shards_tested = self.surviving_shards_into(w2c, camera, backend, scratch);
+        out.shards_tested = self.surviving_shards_into(w2c, camera, backend, scratch);
+        if reuse
+            && scratch.gathered_for == Some(active.is_some())
+            && scratch.gathered_shards == scratch.surviving
+            && active.map_or(true, |mask| *mask == scratch.gathered_mask[..])
+        {
+            return false;
+        }
 
         // Walk only the surviving shards; their visit order is irrelevant
         // because the frame-local order is fixed by the ID sort below.
@@ -938,8 +983,16 @@ impl ShardedScene {
             .gaussians
             .extend(ids.iter().map(|&id| self.arena[id as usize]));
         out.shards_visible = shards_visible;
-        out.shards_tested = shards_tested;
         out.shard_culled = shard_culled;
+        scratch.gathered_for = reuse.then_some(active.is_some());
+        if reuse {
+            scratch.gathered_shards.clone_from(&scratch.surviving);
+            scratch.gathered_mask.clear();
+            scratch
+                .gathered_mask
+                .extend_from_slice(active.unwrap_or(&[]));
+        }
+        true
     }
 
     /// Computes the indices of shards surviving the two-level cull into

@@ -85,6 +85,21 @@ pub(crate) struct TileBinScratch {
     offsets: Vec<usize>,
 }
 
+impl TileBinScratch {
+    /// Bytes held at current capacities (for the arena's high-water mark).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.counts.capacity() + self.offsets.capacity()) * size_of::<usize>()
+            + (self.entry_slots.capacity()
+                + self.entry_tiles.capacity()
+                + self.entry_keys.capacity()
+                + self.tmp_slots.capacity()
+                + self.tmp_tiles.capacity()
+                + self.tmp_keys.capacity())
+                * size_of::<u32>()
+    }
+}
+
 /// Per-tile, depth-sorted splat lists covering one image, in CSR layout.
 #[derive(Debug, Clone, Default)]
 pub struct TileAssignment {
@@ -121,9 +136,13 @@ impl TileAssignment {
     /// Panics when `tile >= self.tile_count()`.
     #[inline]
     pub fn tile(&self, tile: usize) -> &[u32] {
-        let start = self.offsets[tile] as usize;
-        let end = self.offsets[tile + 1] as usize;
-        &self.entries[start..end]
+        &self.entries[self.entry_range(tile)]
+    }
+
+    /// The range of [`Self::entries`] that holds tile `tile`'s list.
+    #[inline]
+    pub(crate) fn entry_range(&self, tile: usize) -> std::ops::Range<usize> {
+        self.offsets[tile] as usize..self.offsets[tile + 1] as usize
     }
 
     /// Total number of (tile, Gaussian) intersection pairs — the statistic

@@ -18,14 +18,17 @@
 //! * **fusion**: fused forward + fused backward, unfused forward +
 //!   backward re-walk (`reference::backward_rewalk`);
 //! * **sharding**: flat [`FrameArena::project`] over the flattened map,
-//!   sharded [`FrameArena::cull`] + [`FrameArena::project_visible`].
+//!   sharded [`FrameArena::cull`] + [`FrameArena::project_visible`], and
+//!   sharded through a trial scope ([`FrameArena::trials`]) after a trial
+//!   at a nearby pose, so the cell reuses that trial's gather and Step ❶
+//!   activations wherever the cull allows — the spelling tracking runs.
 //!
 //! Every cell asserts, bit for bit: tile lists (against the oracle's in
 //! stable-ID space and against the legacy per-tile sort in slot space),
 //! image, depth, transmittance, per-pixel workloads, render stats, the
 //! loss and its pixel gradients, per-Gaussian gradients (in stable-ID
 //! space), the pose tangent and the backward counters. The fused sharded
-//! cells — what tracking runs — also run the [`GradSet::PoseOnly`]
+//! and scoped cells — what tracking runs — also run the [`GradSet::PoseOnly`]
 //! backward and assert that it leaves `gaussians` empty and equals the full
 //! pass's pose and counters.
 //!
@@ -158,11 +161,23 @@ fn arb_unit_gaussian() -> impl Strategy<Value = Gaussian3d> {
         })
 }
 
-/// Resolutions [`arb_case`] picks from. The last two are not multiples of
+/// Resolutions [`arb_case`] picks from. The last five are not multiples of
 /// the 4-pixel subtile: 75×42 is what every benchmark session renders
 /// (3-pixel-wide and 2-row edge subtiles, partial edge tiles), 19×13 adds
-/// 1-row subtiles.
-const CAMERAS: [(usize, usize); 6] = [(48, 36), (32, 32), (64, 48), (16, 16), (75, 42), (19, 13)];
+/// 1-row subtiles, and 37×21, 25×14 and 18×10 are 75×42 downsampled by 2, 3
+/// and 4 — the frames RTGS tracks at, grids of 6, 2 and 2 tiles with bands
+/// below the image, partial bands, and an 18×10 tile of 2 pixel columns.
+const CAMERAS: [(usize, usize); 9] = [
+    (48, 36),
+    (32, 32),
+    (64, 48),
+    (16, 16),
+    (75, 42),
+    (19, 13),
+    (37, 21),
+    (25, 14),
+    (18, 10),
+];
 
 /// Random cases in one of two world regimes — a narrow one where nearly
 /// every Gaussian lands in the frustum (blending, sorting and tie order
@@ -333,13 +348,18 @@ fn by_stable_id(local: &[GaussianGrad], ids: &[u32], capacity: usize) -> Vec<Gau
 }
 
 /// One cell of the matrix: drives `arena` through the selected spelling
-/// and asserts every stage result against the oracle.
+/// and asserts every stage result against the oracle. A `scoped` sharded
+/// cell culls and projects through a trial scope ([`FrameArena::trials`]),
+/// as tracking does, at the case's pose after a trial at a nearby pose: it
+/// reuses that trial's gather and activations whenever the cull allows.
+#[allow(clippy::too_many_arguments)]
 fn check_cell(
     arena: &mut FrameArena,
     case: &Case,
     oracle: &Oracle,
     backend: &dyn Backend,
     sharded: bool,
+    scoped: bool,
     fused: bool,
     cell: &str,
 ) {
@@ -352,7 +372,15 @@ fn check_cell(
     } = case;
 
     // Step ❶, and the frame-local → stable-ID map of its index space.
-    let ids: Vec<u32> = if sharded {
+    let ids: Vec<u32> = if scoped {
+        let nearby = Se3::from_translation(Vec3::new(0.01, -0.005, 0.02)).compose(pose);
+        let mut trials = arena.trials(map);
+        for w2c in [pose, &nearby, pose] {
+            trials.cull(w2c, camera, mask.as_deref(), backend);
+            trials.project_visible(w2c, camera, backend);
+        }
+        trials.visible().ids.clone()
+    } else if sharded {
         arena.cull(map, pose, camera, mask.as_deref(), backend);
         arena.project_visible(pose, camera, backend);
         arena.visible().ids.clone()
@@ -495,11 +523,22 @@ fn run_matrix(cases: &[Case]) {
     for threads in 1..=8usize {
         backends.push((format!("pool-{threads}"), Box::new(Parallel::new(threads))));
     }
-    let spellings = [(false, true), (true, true), (false, false), (true, false)];
-    let name = |backend: &str, arena: &str, i: usize, sharded: bool, fused: bool| {
+    // (sharded, scoped, fused)
+    let spellings = [
+        (false, false, true),
+        (true, false, true),
+        (true, true, true),
+        (false, false, false),
+        (true, false, false),
+    ];
+    let name = |backend: &str, arena: &str, i: usize, (sharded, scoped, fused)| {
         format!(
             "{backend}/{arena}/case {i}/{}/{}",
-            if sharded { "sharded" } else { "flat" },
+            match (sharded, scoped) {
+                (true, true) => "scoped",
+                (true, false) => "sharded",
+                _ => "flat",
+            },
             if fused { "fused" } else { "re-walk" }
         )
     };
@@ -508,24 +547,27 @@ fn run_matrix(cases: &[Case]) {
         let mut reused = FrameArena::new();
         let n = cases.len();
         for i in (0..n).chain((0..n).rev()) {
-            for (sharded, fused) in spellings {
-                let cell = name(backend_name, "reused", i, sharded, fused);
+            for spelling @ (sharded, scoped, fused) in spellings {
+                let cell = name(backend_name, "reused", i, spelling);
                 check_cell(
                     &mut reused,
                     &cases[i],
                     &oracles[i],
                     &**backend,
                     sharded,
+                    scoped,
                     fused,
                     &cell,
                 );
             }
         }
         for (i, (case, oracle)) in cases.iter().zip(&oracles).enumerate() {
-            for (sharded, fused) in spellings {
-                let cell = name(backend_name, "fresh", i, sharded, fused);
+            for spelling @ (sharded, scoped, fused) in spellings {
+                let cell = name(backend_name, "fresh", i, spelling);
                 let mut fresh = FrameArena::new();
-                check_cell(&mut fresh, case, oracle, &**backend, sharded, fused, &cell);
+                check_cell(
+                    &mut fresh, case, oracle, &**backend, sharded, scoped, fused, &cell,
+                );
             }
         }
     }

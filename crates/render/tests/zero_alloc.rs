@@ -354,6 +354,62 @@ fn pose_only_frames_and_a_backwardless_last_trial_allocate_nothing() {
     }
 }
 
+/// What a tracked frame runs since trials share a scope: trials through
+/// [`FrameArena::trials`] — the first gathers and keeps Step ❶'s
+/// activations, the next reuse them, a mid-frame mask change (an RTGS
+/// pruning point) gathers and keeps anew — then a keyframe's mapping
+/// iteration outside the scope, at the session frame and at the 18×10 frame
+/// of factor-4 tracking. Nothing allocates once one such cycle has run.
+#[test]
+fn trial_scopes_and_mask_changes_allocate_nothing() {
+    let map = ShardedScene::from_scene(&test_scene(180), 1.0);
+    let live = vec![true; map.capacity()];
+    let pruned: Vec<bool> = (0..map.capacity()).map(|id| id % 3 != 0).collect();
+    let cfg = LossConfig::default();
+    let poses = [
+        Se3::IDENTITY,
+        Se3::from_translation(Vec3::new(0.015, 0.01, -0.005)),
+        Se3::from_translation(Vec3::new(-0.01, 0.005, 0.01)),
+    ];
+    for camera in [cameras()[1], PinholeCamera::from_fov(18, 10, 1.2)] {
+        let gt = Image::new(camera.width, camera.height);
+        let mut arena = FrameArena::new();
+        let cycle = |arena: &mut FrameArena| {
+            {
+                let mut trials = arena.trials(&map);
+                for (i, w2c) in poses.iter().chain(&poses).enumerate() {
+                    let mask = if i < 2 { &live } else { &pruned };
+                    trials.cull(w2c, &camera, Some(mask), &Serial);
+                    trials.project_visible(w2c, &camera, &Serial);
+                    trials.assign_tiles(&camera, &Serial);
+                    trials.render_fused(&camera, &Serial);
+                    assert!(trials.compute_loss(&gt, None, &cfg).is_finite());
+                    trials.backward_visible_grads(&camera, w2c, GradSet::PoseOnly, &Serial);
+                }
+            }
+            let loss = iteration(arena, &map, &live, &poses[0], &camera, &gt, &cfg);
+            assert!(loss.is_finite());
+            assert!(arena.backward().stats.gaussians_touched > 0);
+        };
+        let warm_start = alloc_counter::thread_allocations();
+        cycle(&mut arena);
+        assert!(
+            alloc_counter::thread_allocations() > warm_start,
+            "sanity: the warm cycle must allocate (counter must be live)"
+        );
+        let before = alloc_counter::thread_allocations();
+        for _ in 0..3 {
+            cycle(&mut arena);
+        }
+        let steady_allocs = alloc_counter::thread_allocations() - before;
+        assert_eq!(
+            steady_allocs, 0,
+            "scoped trials + mapping at {}×{} must not allocate after one warm cycle",
+            camera.width, camera.height
+        );
+    }
+}
+
 #[test]
 fn steady_state_unfused_render_backward_is_allocation_free() {
     // The unfused render and the re-walk reference driver share the arena

@@ -8,11 +8,9 @@
 //! test binary of its own with a single test: no other test's thread can
 //! leak into the count.
 //!
-//! What "steady state" means here: which of the pooled per-chunk scratch
-//! values serves which tile depends on who claims which chunk, so the
-//! scratch buffers reach their high-water capacities after a few
-//! iterations, not after a fixed number. The test therefore waits for a
-//! quiet window instead of counting warm-up iterations — a dispatch that
+//! What "steady state" means here: the arena's buffers reach their
+//! high-water capacities during warm-up, and the test waits for a quiet
+//! window instead of counting warm-up iterations — a dispatch that
 //! allocates per loop (one `Arc` and one `Box` per chunk, before the
 //! parallel-for) never produces one. The pool's loop registry is no part
 //! of the warm-up: it is sized when the pool is built for one top-level and
@@ -21,7 +19,9 @@
 //! it, here or in the first round a scheduler serves.
 
 use rtgs_math::{Quat, Se3, Vec3};
-use rtgs_render::{FrameArena, Gaussian3d, GaussianScene, LossConfig, PinholeCamera, ShardedScene};
+use rtgs_render::{
+    FrameArena, Gaussian3d, GaussianScene, GradSet, LossConfig, PinholeCamera, ShardedScene,
+};
 use rtgs_runtime::{Backend, Parallel, Serial};
 
 #[global_allocator]
@@ -86,6 +86,20 @@ fn parallel_iterations_reach_an_allocation_free_steady_state() {
         assert!(loss.is_finite());
     };
 
+    // A tracked frame's trials through one scope: the second reuses the
+    // first's gather and activations.
+    let scoped_frame = |arena: &mut FrameArena, backend: &dyn Backend| {
+        let mut trials = arena.trials(&map);
+        for w2c in &poses {
+            trials.cull(w2c, &camera, Some(&mask), backend);
+            trials.project_visible(w2c, &camera, backend);
+            trials.assign_tiles(&camera, backend);
+            trials.render_fused(&camera, backend);
+            assert!(trials.compute_loss(&gt, None, &cfg).is_finite());
+            trials.backward_visible_grads(&camera, w2c, GradSet::PoseOnly, backend);
+        }
+    };
+
     // Two workers beside this thread, whatever the host has.
     let backend = Parallel::new(2);
     let mut arena = FrameArena::new();
@@ -99,6 +113,7 @@ fn parallel_iterations_reach_an_allocation_free_steady_state() {
              allocates in the steady state"
         );
         let before = alloc_counter::total_allocations();
+        scoped_frame(&mut arena, &backend);
         iteration(&mut arena, &poses[iterations % 2], &backend);
         if alloc_counter::total_allocations() == before {
             quiet += 1;
@@ -121,4 +136,8 @@ fn parallel_iterations_reach_an_allocation_free_steady_state() {
     assert_eq!(arena.output().image, serial.output().image);
     assert_eq!(arena.backward().pose, serial.backward().pose);
     assert_eq!(arena.backward().gaussians, serial.backward().gaussians);
+    scoped_frame(&mut arena, &backend);
+    scoped_frame(&mut serial, &Serial);
+    assert_eq!(arena.output().image, serial.output().image);
+    assert_eq!(arena.backward().pose, serial.backward().pose);
 }

@@ -62,7 +62,7 @@ mod serve;
 
 pub use backend::{
     exclusive_prefix_sum_into, shared_pool, shared_pool_sizes, Backend, BackendChoice, Parallel,
-    ScratchPool, Serial, SharedSlice,
+    Serial, SharedSlice,
 };
 pub use ingest::{
     AdmissionError, FrameInbox, FrameProducer, IngestConfig, IngestFrame, IngestHub, IngestStats,

@@ -13,7 +13,7 @@ use crate::pipeline::PipelineExtension;
 use rtgs_math::Se3;
 use rtgs_render::{
     BackwardOutput, BackwardStats, FrameArena, GradSet, LossConfig, PinholeCamera, ShardedScene,
-    TileAssignment, WorkloadTrace,
+    TileAssignment, Trials, WorkloadTrace,
 };
 use rtgs_runtime::Backend;
 use rtgs_scene::RgbdFrame;
@@ -162,9 +162,10 @@ fn record_stage(timings: &mut StageTimings, stage: StageId, start_ns: u64, dur_n
 }
 
 /// One timed render + backward iteration — the paper's five-step frame
-/// pipeline over the session arena, as mapping runs it: [`timed_forward`]
-/// then [`timed_backward`] with the full gradient set. Returns the loss;
-/// gradients and stage results stay in `arena`.
+/// pipeline over the session arena, as mapping runs it: the frustum cull
+/// and projection, [`timed_forward`], then [`timed_backward`] with the full
+/// gradient set. Returns the loss; gradients and stage results stay in
+/// `arena`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn timed_iteration(
     arena: &mut FrameArena,
@@ -178,28 +179,21 @@ pub(crate) fn timed_iteration(
     it: u64,
     backend: &dyn Backend,
 ) -> f32 {
-    let (loss, loss_start) = timed_forward(
-        arena,
-        map,
-        w2c,
-        camera,
-        mask,
-        frame,
-        loss_config,
-        timings,
-        it,
-        backend,
-    );
+    let t0 = Instant::now();
+    arena.cull(map, w2c, camera, Some(mask), backend);
+    arena.project_visible(w2c, camera, backend);
+    let (loss, loss_start) =
+        timed_forward(arena, t0, camera, frame, loss_config, timings, it, backend);
     let full = Some(GradSet::Full);
     timed_backward(arena, w2c, camera, full, loss_start, timings, it, backend);
     loss
 }
 
-/// The forward half of an iteration: frustum cull + projection
-/// (`Preprocess`) → tile assignment (`Sorting`) → fused render (`Render`),
-/// each interval accounted through [`record_stage`], then the loss. Returns
-/// the loss and the instant the loss started, which [`timed_backward`]
-/// accounts from.
+/// The forward half of an iteration after its frustum cull and projection,
+/// which started at `t0` (`Preprocess`): tile assignment (`Sorting`) →
+/// fused render (`Render`), each interval accounted through
+/// [`record_stage`], then the loss. Returns the loss and the instant the
+/// loss started, which [`timed_backward`] accounts from.
 ///
 /// Masked (pruned) IDs drop out in the cull, before any math. The fused
 /// render records each pixel's fragment sequence so the backward pass
@@ -207,19 +201,14 @@ pub(crate) fn timed_iteration(
 #[allow(clippy::too_many_arguments)]
 fn timed_forward(
     arena: &mut FrameArena,
-    map: &ShardedScene,
-    w2c: &Se3,
+    t0: Instant,
     camera: &PinholeCamera,
-    mask: &[bool],
     frame: &RgbdFrame,
     loss_config: &LossConfig,
     timings: &mut StageTimings,
     it: u64,
     backend: &dyn Backend,
 ) -> (f32, Instant) {
-    let t0 = Instant::now();
-    arena.cull(map, w2c, camera, Some(mask), backend);
-    arena.project_visible(w2c, camera, backend);
     let t1 = Instant::now();
     record_stage(
         timings,
@@ -319,7 +308,13 @@ static NO_BACKWARD: BackwardOutput = BackwardOutput {
 /// The shard cull and every render and backward inside the pose
 /// optimization run through `backend` into `arena`'s reused storage — a
 /// steady-state iteration performs zero heap allocations — with results
-/// bitwise-identical on a fresh arena and at any pool size. Sessions keep
+/// bitwise-identical on a fresh arena and at any pool size. The trials run
+/// in one [`FrameArena::trials`] scope over `map`, which the call borrows
+/// throughout: a trial whose cull keeps the previous trial's surviving
+/// shards and mask reuses that trial's gathered working set and Step ❶'s
+/// pose-independent activations of it; a mask change (an RTGS pruning
+/// point) or new survivors gather and compute anew. Nothing is carried into
+/// the next call, which may see a mutated map. Sessions keep
 /// one arena alive across frames (`SlamPipeline` owns one per session);
 /// one-shot callers pass `&mut FrameArena::new()` and
 /// `&rtgs_runtime::Serial`.
@@ -343,6 +338,59 @@ pub fn track_frame(
     backend: &dyn Backend,
 ) -> TrackResult {
     assert_eq!(mask.len(), map.capacity(), "mask must cover the map arena");
+    track_trials(
+        &mut arena.trials(map),
+        init_w2c,
+        frame,
+        camera,
+        config,
+        mask,
+        extension,
+        timings,
+        backend,
+    )
+}
+
+/// Where a frame's trials run the front of their forward pass.
+trait TrialStages {
+    /// Frustum-culls the map at `w2c` under `mask` and projects the
+    /// survivors; returns the arena that holds the trial's stage results.
+    fn preprocess(
+        &mut self,
+        w2c: &Se3,
+        camera: &PinholeCamera,
+        mask: &[bool],
+        backend: &dyn Backend,
+    ) -> &mut FrameArena;
+}
+
+impl TrialStages for Trials<'_> {
+    fn preprocess(
+        &mut self,
+        w2c: &Se3,
+        camera: &PinholeCamera,
+        mask: &[bool],
+        backend: &dyn Backend,
+    ) -> &mut FrameArena {
+        self.cull(w2c, camera, Some(mask), backend);
+        self.project_visible(w2c, camera, backend);
+        self
+    }
+}
+
+/// [`track_frame`]'s trials, run through `stages`.
+#[allow(clippy::too_many_arguments)]
+fn track_trials(
+    stages: &mut dyn TrialStages,
+    init_w2c: Se3,
+    frame: &RgbdFrame,
+    camera: &PinholeCamera,
+    config: &TrackingConfig,
+    mask: &mut [bool],
+    extension: &mut dyn PipelineExtension,
+    timings: &mut StageTimings,
+    backend: &dyn Backend,
+) -> TrackResult {
     assert_eq!(frame.color.width(), camera.width, "frame/camera resolution");
 
     let mut w2c = init_w2c;
@@ -361,18 +409,10 @@ pub fn track_frame(
 
     for iteration in 0..config.iterations {
         let it = iteration as u64;
-        let (loss, loss_start) = timed_forward(
-            arena,
-            map,
-            &w2c,
-            camera,
-            mask,
-            frame,
-            &config.loss,
-            timings,
-            it,
-            backend,
-        );
+        let t0 = Instant::now();
+        let arena = stages.preprocess(&w2c, camera, mask, backend);
+        let (loss, loss_start) =
+            timed_forward(arena, t0, camera, frame, &config.loss, timings, it, backend);
 
         // Trust-region accept/reject on the loss alone: keep the best pose,
         // adapt the step.
@@ -874,5 +914,202 @@ mod tests {
             &Serial,
         );
         assert!(obs.checked);
+    }
+
+    // ---- The trial scope's reuse contract --------------------------------
+
+    /// The reference spelling of a frame's trials: a fresh arena for every
+    /// trial, so nothing computed in one trial can reach the next.
+    struct FreshPerTrial<'m> {
+        map: &'m ShardedScene,
+        arena: FrameArena,
+    }
+
+    impl TrialStages for FreshPerTrial<'_> {
+        fn preprocess(
+            &mut self,
+            w2c: &Se3,
+            camera: &PinholeCamera,
+            mask: &[bool],
+            backend: &dyn Backend,
+        ) -> &mut FrameArena {
+            self.arena = FrameArena::new();
+            self.arena.cull(self.map, w2c, camera, Some(mask), backend);
+            self.arena.project_visible(w2c, camera, backend);
+            &mut self.arena
+        }
+    }
+
+    /// Masks a third of the Gaussians off after trial 1 and another third
+    /// after trial 4, as an RTGS pruning point does mid-frame, and records
+    /// every trial's bits: visible IDs, pose tangent and counters.
+    #[derive(Default)]
+    struct PruneMidFrame {
+        seen: Vec<(Vec<u32>, [u32; 6], u64)>,
+    }
+
+    impl PipelineExtension for PruneMidFrame {
+        fn tracking_grads(&self, _: usize, _: usize) -> GradSet {
+            GradSet::PoseOnly
+        }
+        fn after_tracking_iteration(&mut self, a: &IterationArtifacts<'_>, mask: &mut [bool]) {
+            let pose = a.grads.pose.map(f32::to_bits);
+            let events = a.grads.stats.fragment_grad_events;
+            self.seen.push((a.visible_ids.to_vec(), pose, events));
+            if let Some(phase) = [1, 4].iter().position(|&i| i == a.iteration) {
+                for (id, m) in mask.iter_mut().enumerate() {
+                    *m &= id % 3 != phase;
+                }
+            }
+        }
+    }
+
+    /// Every bit of a tracking result.
+    fn result_bits(r: &TrackResult) -> (Vec<u32>, Vec<u32>, u32, u64, u64) {
+        let (q, t) = (r.w2c.rotation, r.w2c.translation);
+        let pose = [q.w, q.x, q.y, q.z, t.x, t.y, t.z];
+        let losses = r.losses.iter().map(|l| l.to_bits()).collect();
+        (
+            pose.map(f32::to_bits).to_vec(),
+            losses,
+            r.final_loss.to_bits(),
+            r.fragments_processed,
+            r.fragment_grad_events,
+        )
+    }
+
+    /// Tracks `frame` from `start` under `mask` through `track_frame` on
+    /// `arena` (one trial scope) and through a fresh arena per trial, and
+    /// asserts both give the same bits, trial by trial. Returns the scoped
+    /// result and the mask the frame ended with.
+    fn assert_scope_matches_fresh_trials(
+        map: &ShardedScene,
+        ds: &SyntheticDataset,
+        start: Se3,
+        mask: &[bool],
+        arena: &mut FrameArena,
+    ) -> (TrackResult, Vec<bool>) {
+        let config = TrackingConfig {
+            iterations: 8,
+            convergence_threshold: 0.0,
+            ..Default::default()
+        };
+        let mut runs = Vec::new();
+        for scoped in [true, false] {
+            let mut mask = mask.to_vec();
+            let mut extension = PruneMidFrame::default();
+            let (frame, camera) = (&ds.frames[0], &ds.camera);
+            let mut timings = StageTimings::default();
+            let result = if scoped {
+                let (ext, t) = (&mut extension, &mut timings);
+                track_frame(
+                    map, start, frame, camera, &config, &mut mask, ext, t, arena, &Serial,
+                )
+            } else {
+                let mut fresh = FreshPerTrial {
+                    map,
+                    arena: FrameArena::new(),
+                };
+                let (ext, t) = (&mut extension, &mut timings);
+                track_trials(
+                    &mut fresh, start, frame, camera, &config, &mut mask, ext, t, &Serial,
+                )
+            };
+            runs.push((result, extension.seen, mask));
+        }
+        let (fresh, scoped) = (runs.pop().unwrap(), runs.pop().unwrap());
+        assert_eq!(scoped.0.losses.len(), config.iterations, "every trial ran");
+        assert_eq!(
+            result_bits(&scoped.0),
+            result_bits(&fresh.0),
+            "track result"
+        );
+        assert_eq!(
+            scoped.1, fresh.1,
+            "per-trial visible IDs, pose tangents, events"
+        );
+        assert_eq!(scoped.2, fresh.2, "final mask");
+        (scoped.0, scoped.2)
+    }
+
+    /// A frame tracked through one trial scope — which keeps a trial's
+    /// gather and Step ❶ activations while the cull's survivors and the
+    /// mask stay the same — gives every bit a fresh arena per trial gives,
+    /// across two mid-frame mask changes. Then the map changes (a colour, so
+    /// the same shards survive): the next frame, tracked from the same pose
+    /// under the mask the first one ended with, must not reuse the first
+    /// frame's gather, and a mapping iteration on the session arena equals a
+    /// fresh arena's.
+    #[test]
+    fn trial_scope_reuse_matches_a_fresh_arena_per_trial() {
+        let ds = small_dataset();
+        let mut map = sharded(&ds);
+        let start = ds.poses_c2w[0]
+            .inverse()
+            .retract([0.01, -0.006, 0.004, 0.003, -0.002, 0.002]);
+        let mut arena = FrameArena::new();
+        let live = map.live_flags().to_vec();
+        let (_, pruned) = assert_scope_matches_fresh_trials(&map, &ds, start, &live, &mut arena);
+        assert!(
+            pruned.iter().filter(|&&m| m).count() < live.len() / 2,
+            "both mask changes landed"
+        );
+
+        let recolour = map.live_ids().step_by(2).collect::<Vec<_>>();
+        for id in recolour {
+            map.gaussian_mut(id).color *= 0.5;
+        }
+        map.refresh_bounds();
+        let (tracked, _) = assert_scope_matches_fresh_trials(&map, &ds, start, &pruned, &mut arena);
+
+        let (frame, camera, loss) = (&ds.frames[0], &ds.camera, LossConfig::default());
+        let mut mapped = Vec::new();
+        for arena in [&mut arena, &mut FrameArena::new()] {
+            let mut timings = StageTimings::default();
+            let w2c = &tracked.w2c;
+            let l = timed_iteration(
+                arena,
+                &map,
+                w2c,
+                camera,
+                &live,
+                frame,
+                &loss,
+                &mut timings,
+                0,
+                &Serial,
+            );
+            let back = arena.backward();
+            let grads: Vec<[u32; 15]> = back
+                .gaussians
+                .iter()
+                .map(|g| {
+                    let (p, s, c, r) = (g.position, g.log_scale, g.color, g.rotation);
+                    [
+                        p.x,
+                        p.y,
+                        p.z,
+                        s.x,
+                        s.y,
+                        s.z,
+                        r[0],
+                        r[1],
+                        r[2],
+                        r[3],
+                        g.opacity,
+                        c.x,
+                        c.y,
+                        c.z,
+                        g.cov_frobenius,
+                    ]
+                    .map(f32::to_bits)
+                })
+                .collect();
+            mapped.push((l.to_bits(), back.pose.map(f32::to_bits), grads));
+        }
+        assert_eq!(
+            mapped[0], mapped[1],
+            "mapping after tracking == fresh arena"
+        );
     }
 }
