@@ -54,11 +54,6 @@ impl ArchConfig {
         }
     }
 
-    /// Total pixel lanes across all REs.
-    pub fn total_lanes(&self) -> usize {
-        self.rendering_engines * self.subtile_pixels
-    }
-
     /// Total Gaussian lanes across all PEs.
     pub fn total_pe_lanes(&self) -> usize {
         self.preprocessing_engines * self.gaussians_per_pe
@@ -140,7 +135,6 @@ mod tests {
         assert_eq!(a.preprocessing_engines, 16);
         assert_eq!(a.gmus, 4);
         assert_eq!(a.frequency_hz, 500_000_000);
-        assert_eq!(a.total_lanes(), 256); // one 16x16 tile in flight
         assert_eq!(a.total_pe_lanes(), 256);
     }
 

@@ -59,22 +59,6 @@ impl EnergyTable {
 /// the root of the plug-in's energy-efficiency headroom.
 pub const GPU_FRAGMENT_PJ: f64 = 480.0;
 
-/// Energy of one run window.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EnergyReport {
-    /// Dynamic energy in joules.
-    pub dynamic_j: f64,
-    /// Static (leakage + idle) energy in joules.
-    pub static_j: f64,
-}
-
-impl EnergyReport {
-    /// Total energy in joules.
-    pub fn total_j(&self) -> f64 {
-        self.dynamic_j + self.static_j
-    }
-}
-
 /// Static energy for a window: a fraction of the device's typical power
 /// drawn over the elapsed time.
 pub fn static_energy(power_w: f64, seconds: f64, idle_fraction: f64) -> f64 {
@@ -97,15 +81,6 @@ mod tests {
     fn gpu_fragment_energy_dominates_plugin() {
         let t = EnergyTable::n28();
         assert!(GPU_FRAGMENT_PJ > 5.0 * t.fragment_forward_pj);
-    }
-
-    #[test]
-    fn report_totals() {
-        let r = EnergyReport {
-            dynamic_j: 0.4,
-            static_j: 0.1,
-        };
-        assert!((r.total_j() - 0.5).abs() < 1e-12);
     }
 
     #[test]

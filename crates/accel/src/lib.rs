@@ -28,7 +28,7 @@ mod system;
 
 pub use config::{latency, ArchConfig, MemoryConfig};
 pub use devices::{DeviceSpec, GpuSpec, TechNode};
-pub use energy::{static_energy, EnergyReport, EnergyTable, GPU_FRAGMENT_PJ};
+pub use energy::{static_energy, EnergyTable, GPU_FRAGMENT_PJ};
 pub use gpu::{gpu_iteration, GpuIterationCycles};
 pub use plugin::{
     imbalance_factor, plugin_iteration, plugin_iteration_on_host, Aggregation, PluginConfig,

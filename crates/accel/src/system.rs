@@ -175,16 +175,6 @@ pub struct RunCost {
     pub energy_per_frame_j: f64,
 }
 
-impl RunCost {
-    /// Frames per joule — the energy-efficiency metric of Fig. 15(b).
-    pub fn frames_per_joule(&self) -> f64 {
-        if self.energy_per_frame_j <= 0.0 {
-            return 0.0;
-        }
-        1.0 / self.energy_per_frame_j
-    }
-}
-
 /// Models one iteration on the chosen hardware. `prev` is the previous
 /// iteration's trace (for the WSU pairing reuse).
 pub fn iteration_cost(
@@ -414,12 +404,5 @@ mod tests {
         let cost = simulate_run(&RunWorkload::default(), &HardwareModel::onx(), true);
         assert_eq!(cost.frames, 0);
         assert_eq!(cost.overall_fps, 0.0);
-    }
-
-    #[test]
-    fn frames_per_joule_inverts_energy() {
-        let run = run_of(3, 3);
-        let c = simulate_run(&run, &HardwareModel::rtgs(), true);
-        assert!((c.frames_per_joule() * c.energy_per_frame_j - 1.0).abs() < 1e-9);
     }
 }

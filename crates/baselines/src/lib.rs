@@ -78,11 +78,6 @@ impl TamingPruner {
             prev_scores: Vec::new(),
         }
     }
-
-    /// Iterations observed so far.
-    pub fn iterations_seen(&self) -> usize {
-        self.seen
-    }
 }
 
 impl Default for TamingPruner {
@@ -319,7 +314,7 @@ mod tests {
         let map = map_of(10);
         p.observe(&ids_of(10), &grads_with_signal(10, &[0, 1]));
         assert!(p.select(&map, 0.5).is_none());
-        assert_eq!(p.iterations_seen(), 1);
+        assert_eq!(p.seen, 1);
     }
 
     #[test]

@@ -131,6 +131,7 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
     };
     let (mut unfused, mut fused) = (prepared(), prepared());
     let pixel_grads = unfused.loss().pixel_grads.clone();
+    let mut rewalk = reference::RewalkScratch::default();
 
     group.bench_function("render_backward/unfused", |b| {
         b.iter(|| {
@@ -142,6 +143,7 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
                 w2c,
                 &pixel_grads,
                 &backend,
+                &mut rewalk,
             );
             unfused.backward().pose
         })

@@ -198,12 +198,6 @@ impl Sym3 {
         )
     }
 
-    /// Drops the third row/column, yielding the image-plane 2D covariance.
-    #[inline]
-    pub fn top_left_2x2(&self) -> Sym2 {
-        Sym2::new(self.xx, self.xy, self.yy)
-    }
-
     /// Matrix–vector product.
     #[inline]
     pub fn mul_vec(&self, v: Vec3) -> Vec3 {
@@ -316,12 +310,6 @@ mod tests {
                 assert!((dense.m[i][j] - compact.m[i][j]).abs() < 1e-5);
             }
         }
-    }
-
-    #[test]
-    fn sym3_top_left() {
-        let s = Sym3::new(1.0, 2.0, 3.0, 4.0, 5.0, 6.0);
-        assert_eq!(s.top_left_2x2(), Sym2::new(1.0, 2.0, 4.0));
     }
 
     #[test]

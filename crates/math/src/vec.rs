@@ -72,12 +72,6 @@ macro_rules! impl_vec_common {
             pub fn is_finite(self) -> bool {
                 true $(&& self.$f.is_finite())+
             }
-
-            /// Linear interpolation: `self * (1 - t) + rhs * t`.
-            #[inline]
-            pub fn lerp(self, rhs: Self, t: f32) -> Self {
-                self * (1.0 - t) + rhs * t
-            }
         }
 
         impl Add for $name {
@@ -168,14 +162,6 @@ pub struct Vec2 {
 }
 
 impl_vec_common!(Vec2, x, y);
-
-impl Vec2 {
-    /// 2D "cross product" (z component of the 3D cross product).
-    #[inline]
-    pub fn perp_dot(self, rhs: Self) -> f32 {
-        self.x * rhs.y - self.y * rhs.x
-    }
-}
 
 impl fmt::Display for Vec2 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -337,15 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn lerp_endpoints() {
-        let a = Vec2::new(0.0, 0.0);
-        let b = Vec2::new(2.0, 4.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec2::new(1.0, 2.0));
-    }
-
-    #[test]
     fn vec3_indexing() {
         let mut v = Vec3::new(1.0, 2.0, 3.0);
         assert_eq!(v[0], 1.0);
@@ -372,12 +349,6 @@ mod tests {
     fn vec4_xyz_truncation() {
         let v = Vec4::new(1.0, 2.0, 3.0, 4.0);
         assert_eq!(v.xyz(), Vec3::new(1.0, 2.0, 3.0));
-    }
-
-    #[test]
-    fn perp_dot_sign() {
-        assert!(Vec2::new(1.0, 0.0).perp_dot(Vec2::new(0.0, 1.0)) > 0.0);
-        assert!(Vec2::new(0.0, 1.0).perp_dot(Vec2::new(1.0, 0.0)) < 0.0);
     }
 
     #[test]

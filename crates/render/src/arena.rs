@@ -325,7 +325,8 @@ impl FrameArena {
             camera,
             w2c,
             &self.loss.pixel_grads,
-            Some((&self.fragments, &self.work)),
+            &self.fragments,
+            &self.work,
             backend,
             &mut self.backward_scratch,
             &mut self.backward,
@@ -367,7 +368,8 @@ impl FrameArena {
             camera,
             w2c,
             &self.loss.pixel_grads,
-            Some((&self.fragments, &self.work)),
+            &self.fragments,
+            &self.work,
             backend,
             &mut self.backward_scratch,
             &mut self.backward,

@@ -6,25 +6,20 @@
 //! accelerates in hardware). Step ❺ chains 2D gradients to the 3D Gaussian
 //! parameters and — during tracking — to the camera pose tangent.
 //!
-//! Two Step-❹ drivers share all surrounding machinery:
-//!
-//! * The fused driver ([`crate::FrameArena::backward_fused`], production)
-//!   consumes the R&B records a fused forward pass
-//!   ([`crate::FrameArena::render_fused`]) wrote — forward + backward share
-//!   one tile traversal. It is lane-wide like the forward kernel: per
-//!   subtile it walks the records back to front with the recursion's suffix
-//!   state held as 16 pixel lanes, evaluates the per-fragment expressions
-//!   four lanes (one record row) at a time on the rows that blended, and
-//!   merges a record's contributions into the splat's accumulator in one
-//!   read-modify-write (`merge_subtile`) — the GMU's job in the paper's
-//!   hardware.
-//! * The re-walk driver (`reference::backward_rewalk`, test oracle) mirrors
-//!   the reference CUDA rasterizer: each pixel's fragment list is re-walked
-//!   in forward order (recomputing alpha and transmittance from the SoA
-//!   splat arrays), then the reverse recursion of Eq. 4 runs with suffix
-//!   accumulators (`reverse_recursion`, the one scalar definition of the
-//!   per-fragment expressions; the lane kernel reproduces it and
-//!   `reference::backward_aos` mirrors it).
+//! Step ❹ has one driver, [`backward_into`]: it consumes the R&B records a
+//! fused forward pass ([`crate::FrameArena::render_fused`]) wrote, so
+//! forward + backward share one tile traversal (the paper's R&B Buffer,
+//! Sec. 5). It is lane-wide like the forward kernel: per subtile it walks
+//! the records back to front with the recursion's suffix state held as 16
+//! pixel lanes, evaluates the per-fragment expressions four lanes (one
+//! record row) at a time on the rows that blended, and merges a record's
+//! contributions into the splat's accumulator in one read-modify-write
+//! (`merge_subtile`) — the GMU's job in the paper's hardware. The tile
+//! partials' fold and Step ❺ are one crate-private step
+//! ([`fold_and_preprocess`]), which the test oracle
+//! `reference::backward_rewalk` — the reference CUDA rasterizer's re-walk of
+//! every pixel's fragment list, recomputing alpha and transmittance — calls
+//! after its own tile loop.
 //!
 //! **Summation order.** A Gaussian's accumulator receives one contribution
 //! per pixel it blended at, and floating-point sums depend on their order,
@@ -33,12 +28,12 @@
 //! lane — which is the order the lane kernel produces naturally and the
 //! order in which both scalar oracles visit pixels
 //! ([`crate::forward::tile_pixels`]); across tiles, tile order (the fold in
-//! `backward_into`). The fused driver reads a tile's splats from the one
+//! [`fold_and_preprocess`]). The driver reads a tile's splats from the one
 //! tile-major gather Step ❸ made of the iteration (`forward::TileWork`) and
-//! its records from the tile's four band slots, subtile by subtile; the
-//! re-walk gathers the same values itself. Because the records hold exactly
-//! the values the re-walk recomputes and every path adds the same terms in
-//! the same order, the gradients are bitwise-identical.
+//! its records from the tile's four band slots, subtile by subtile. Because
+//! the records hold exactly the values the re-walk recomputes and every path
+//! adds the same terms in the same order, the gradients are
+//! bitwise-identical.
 //!
 //! **Step ❺ is lane-wide too, lanes = Gaussians.** Each `BP_GAUSS_CHUNK`
 //! chunk compacts its touched Gaussians into blocks of [`GAUSS_LANES`] and
@@ -50,7 +45,7 @@
 //! pose-tangent adds then happen in ascending Gaussian ID, so the chunk fold
 //! is the same sum in the same order.
 //!
-//! **Two gradient sets, one program.** The fused Step ❹ and Step ❺ are
+//! **Two gradient sets, one program.** Step ❹ and Step ❺ are
 //! instantiated twice, on a `const FULL: bool` (as `render_into::<RECORD>`
 //! is): [`GradSet::Full`] for mapping and for tracking readers of
 //! per-Gaussian gradients, [`GradSet::PoseOnly`] for a tracking iteration
@@ -63,9 +58,8 @@
 
 use crate::camera::PinholeCamera;
 use crate::forward::{
-    fragment_alpha_fast, gather_tile, lane_mask, pixel_center, pixel_centers, select, tile_pixels,
-    FragmentCache, RecordRow, TileFragments, TileSplat, TileWork, ALPHA_MAX, BANDS, LANES,
-    SUBTILES_X, TERMINATION_THRESHOLD,
+    lane_mask, pixel_centers, select, FragmentCache, RecordRow, TileFragments, TileSplat, TileWork,
+    ALPHA_MAX, BANDS, LANES, SUBTILES_X,
 };
 use crate::gaussian::{Activation, GaussianGrad, GaussianScene};
 use crate::project::{
@@ -75,6 +69,7 @@ use crate::project::{
 use crate::tiles::{TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE};
 use rtgs_math::{Mat3, Se3, Sym2, Sym3, Vec2, Vec3};
 use rtgs_runtime::{Backend, SharedSlice};
+use std::time::Instant;
 
 /// Tiles per chunk in the parallel Rendering BP (fixed by the algorithm,
 /// not the worker count). The per-tile partials fold in tile order whatever
@@ -135,6 +130,14 @@ impl PixelGrads {
             depth: vec![0.0; width * height],
             transmittance: vec![0.0; width * height],
         }
+    }
+
+    /// Panics unless every gradient buffer holds one value per pixel of
+    /// `camera`.
+    pub(crate) fn assert_covers(&self, camera: &PinholeCamera) {
+        assert_eq!(self.color.len(), camera.pixel_count());
+        assert_eq!(self.depth.len(), camera.pixel_count());
+        assert_eq!(self.transmittance.len(), camera.pixel_count());
     }
 }
 
@@ -197,16 +200,23 @@ impl BackwardScratch {
     /// Bytes held at current capacities (for the arena's high-water mark).
     pub(crate) fn capacity_bytes(&self) -> usize {
         use std::mem::size_of;
-        let partial = |p: &TilePartial| {
-            size_of::<TilePartial>()
-                + p.accum.capacity() * size_of::<Accum2d>()
-                + p.rewalk.capacity() * size_of::<FragmentRecord>()
-                + p.gathered.capacity() * size_of::<TileSplat>()
-        };
+        let partial =
+            |p: &TilePartial| size_of::<TilePartial>() + p.accum.capacity() * size_of::<Accum2d>();
         self.partials.iter().map(partial).sum::<usize>()
             + (self.partials.capacity() - self.partials.len()) * size_of::<TilePartial>()
             + self.accum.capacity() * size_of::<Accum2d>()
             + self.pose_partials.capacity() * size_of::<([f32; 6], usize)>()
+    }
+
+    /// The first `tile_count` Step-❹ partials, one per tile. They only ever
+    /// grow in number: each tile's accumulator vector keeps its capacity —
+    /// across a smaller grid too — and is reset by the tile kernel that
+    /// fills it.
+    pub(crate) fn tile_partials(&mut self, tile_count: usize) -> &mut [TilePartial] {
+        if self.partials.len() < tile_count {
+            self.partials.resize_with(tile_count, TilePartial::default);
+        }
+        &mut self.partials[..tile_count]
     }
 }
 
@@ -246,10 +256,10 @@ impl Accum2d {
 
 /// One tile's contribution to Step ❹: per-Gaussian partial accumulators
 /// (indexed by position in the tile's splat list) plus event counters.
-/// Tiles compute partials independently — possibly in parallel — and the
-/// calling thread folds them in tile order, so the reduction tree is fixed
-/// by the tile grid alone and the result is bitwise-identical on every
-/// backend and pool size.
+/// Tiles compute partials independently — possibly in parallel — and
+/// [`fold_and_preprocess`] folds them in tile order on the calling thread,
+/// so the reduction tree is fixed by the tile grid alone and the result is
+/// bitwise-identical on every backend and pool size.
 #[derive(Default)]
 pub(crate) struct TilePartial {
     /// One accumulator per entry of the tile's splat list (empty when the
@@ -257,41 +267,21 @@ pub(crate) struct TilePartial {
     pub(crate) accum: Vec<Accum2d>,
     /// Fragment-level gradient events in this tile.
     pub(crate) events: u64,
-    /// Re-walk scratch of the unfused driver (one pixel's reconstructed
-    /// fragment sequence); kept here so its capacity survives reuse.
-    pub(crate) rewalk: Vec<FragmentRecord>,
-    /// The unfused driver's own gather of the tile's working set.
-    gathered: Vec<TileSplat>,
-}
-
-/// One recomputed fragment during the backward re-walk.
-pub(crate) struct FragmentRecord {
-    /// Position of the splat in the tile's list (indexes the gathered
-    /// working set and the tile partial).
-    list_pos: usize,
-    alpha: f32,
-    weight: f32,
-    t_before: f32,
 }
 
 /// Runs Steps ❹ and ❺ into caller-owned storage: computes gradients of the
 /// loss with respect to all Gaussian parameters and the camera pose.
 ///
-/// Step ❹ runs chunked over tiles: each tile accumulates gradients into its
-/// own `TilePartial` and the calling thread folds the partials in tile
-/// order (the software analog of the paper's GMU gradient merging — the
-/// atomic-add contention of Observation 4 is what this structure removes).
-/// With `fused` it consumes the records of a fused forward pass over the
-/// same `(projection, tiles, camera)` triple and the working set that pass
-/// gathered; without, it gathers and re-walks each pixel's splat list. Step ❺ runs chunked over Gaussians with per-chunk
-/// pose-tangent partials folded in chunk order. Both reduction trees are
-/// fixed by constants (`BP_TILE_CHUNK`, `BP_GAUSS_CHUNK`) rather than the
-/// worker count, so gradients are bitwise-identical on every backend and
-/// pool size.
+/// Step ❹ runs chunked over tiles: each tile consumes the R&B records of a
+/// fused forward pass over the same `(projection, tiles, camera)` triple
+/// (`cache`) and the working set that pass gathered (`work`), and
+/// accumulates gradients into its own `TilePartial`; [`fold_and_preprocess`]
+/// then folds the partials in tile order (the software analog of the
+/// paper's GMU gradient merging — the atomic-add contention of Observation 4
+/// is what this structure removes) and runs Step ❺.
 ///
-/// `FULL` selects the [`GradSet`]: without it, the fused Step ❹ and Step ❺
-/// compute only what the pose tangent reads and `out.gaussians` is left
-/// empty. The re-walk driver always accumulates every channel.
+/// `FULL` selects the [`GradSet`]: without it, Step ❹ and Step ❺ compute
+/// only what the pose tangent reads and `out.gaussians` is left empty.
 ///
 /// The workspace and the output gradient buffer are cleared and refilled;
 /// once their capacities cover the frame, a steady-state backward pass
@@ -308,48 +298,60 @@ pub(crate) fn backward_into<const FULL: bool>(
     camera: &PinholeCamera,
     w2c: &Se3,
     pixel_grads: &PixelGrads,
-    fused: Option<(&FragmentCache, &TileWork)>,
+    cache: &FragmentCache,
+    work: &TileWork,
     backend: &dyn Backend,
     ws: &mut BackwardScratch,
     out: &mut BackwardOutput,
 ) {
-    assert_eq!(pixel_grads.color.len(), camera.pixel_count());
-    assert_eq!(pixel_grads.depth.len(), camera.pixel_count());
-    assert_eq!(pixel_grads.transmittance.len(), camera.pixel_count());
-
-    let mut stats = BackwardStats::default();
-    let t_start = std::time::Instant::now();
+    pixel_grads.assert_covers(camera);
+    let t_start = Instant::now();
 
     // ---- Step ❹: Rendering BP -------------------------------------------
     let tile_count = tiles.tile_count();
-    // The per-tile partials only ever grow in number: each tile's
-    // accumulator vector keeps its capacity — across a smaller grid too —
-    // and is reset inside the tile kernel.
-    if ws.partials.len() < tile_count {
-        ws.partials.resize_with(tile_count, TilePartial::default);
-    }
-    let partials = &mut ws.partials[..tile_count];
-    {
-        let partial_view = SharedSlice::new(&mut *partials);
-        backend.for_each_chunk(tile_count, BP_TILE_CHUNK, &|_, range| {
-            for tile in range.map(|chunk| tiles.tile_of_chunk(chunk)) {
-                // SAFETY: one partial slot per tile.
-                let partial = unsafe { partial_view.get_mut(tile) };
-                match fused {
-                    Some((cache, work)) => backward_tile_fused::<FULL>(
-                        tile,
-                        tiles,
-                        camera,
-                        pixel_grads,
-                        &cache.bands()[tile * BANDS..][..BANDS],
-                        work.splats(tiles, tile),
-                        partial,
-                    ),
-                    None => backward_tile(tile, projection, tiles, camera, pixel_grads, partial),
-                }
-            }
-        });
-    }
+    let partials = SharedSlice::new(ws.tile_partials(tile_count));
+    backend.for_each_chunk(tile_count, BP_TILE_CHUNK, &|_, range| {
+        for tile in range.map(|chunk| tiles.tile_of_chunk(chunk)) {
+            // SAFETY: one partial slot per tile.
+            let partial = unsafe { partials.get_mut(tile) };
+            backward_tile::<FULL>(
+                tile,
+                tiles,
+                camera,
+                pixel_grads,
+                &cache.bands()[tile * BANDS..][..BANDS],
+                work.splats(tiles, tile),
+                partial,
+            );
+        }
+    });
+
+    fold_and_preprocess::<FULL>(
+        scene, projection, tiles, camera, w2c, t_start, backend, ws, out,
+    );
+}
+
+/// The rest of Steps ❹–❺ once every tile's partial in `ws` is filled: folds
+/// the partials in tile order — still inside the Rendering BP interval that
+/// started at `t_start` — then runs Step ❺ chunked over Gaussians, with
+/// per-chunk pose-tangent partials folded in chunk order. Both reduction
+/// trees are fixed by constants (`BP_TILE_CHUNK`, `BP_GAUSS_CHUNK`) rather
+/// than the worker count, so gradients are bitwise-identical on every
+/// backend and pool size. [`backward_into`] and the re-walk oracle
+/// (`reference::backward_rewalk`) both end here.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fold_and_preprocess<const FULL: bool>(
+    scene: &GaussianScene,
+    projection: &Projection,
+    tiles: &TileAssignment,
+    camera: &PinholeCamera,
+    w2c: &Se3,
+    t_start: Instant,
+    backend: &dyn Backend,
+    ws: &mut BackwardScratch,
+    out: &mut BackwardOutput,
+) {
+    let mut stats = BackwardStats::default();
 
     // Deterministic fold: tile order, then tile-list order within a tile —
     // the same tree regardless of how the partials were computed.
@@ -357,7 +359,7 @@ pub(crate) fn backward_into<const FULL: bool>(
     ws.accum.clear();
     ws.accum.resize(scene.len(), Accum2d::default());
     let accum = &mut ws.accum;
-    for (tile, partial) in partials.iter().enumerate() {
+    for (tile, partial) in ws.partials[..tiles.tile_count()].iter().enumerate() {
         stats.fragment_grad_events += partial.events;
         if partial.accum.is_empty() {
             continue;
@@ -371,7 +373,7 @@ pub(crate) fn backward_into<const FULL: bool>(
     }
 
     stats.rendering_bp_nanos = t_start.elapsed().as_nanos() as u64;
-    let t_phase2 = std::time::Instant::now();
+    let t_phase2 = Instant::now();
 
     // ---- Step ❺: Preprocessing BP ----------------------------------------
     let frame = PoseFrame::of(w2c);
@@ -457,89 +459,11 @@ pub(crate) fn backward_into<const FULL: bool>(
     out.stats = stats;
 }
 
-/// Step ❹ for one tile (re-walk variant): gathers the tile's working set,
-/// reconstructs every pixel's fragment sequence from it and accumulates
-/// per-Gaussian 2D gradients into the tile's (reused) partial.
-fn backward_tile(
-    tile: usize,
-    projection: &Projection,
-    tiles: &TileAssignment,
-    camera: &PinholeCamera,
-    pixel_grads: &PixelGrads,
-    partial: &mut TilePartial,
-) {
-    partial.events = 0;
-    partial.accum.clear();
-    let list = tiles.tile(tile);
-    if list.is_empty() {
-        return;
-    }
-    // Moved out of the partial for the recursion's split borrow and put
-    // back after (both are O(1)).
-    let mut gathered = std::mem::take(&mut partial.gathered);
-    gather_tile(&projection.soa, list, &mut gathered);
-    let rect = tiles.tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
-    let mut touched = false;
-
-    for (x, y) in tile_pixels(rect) {
-        let idx = y * camera.width + x;
-        let g_color = pixel_grads.color[idx];
-        let g_depth = pixel_grads.depth[idx];
-        let g_trans = pixel_grads.transmittance[idx];
-        if g_color == Vec3::ZERO && g_depth == 0.0 && g_trans == 0.0 {
-            continue;
-        }
-        if !touched {
-            touched = true;
-            partial.accum.resize(list.len(), Accum2d::default());
-        }
-        let p = pixel_center(x, y);
-
-        // Re-walk forward to reconstruct the fragment sequence.
-        partial.rewalk.clear();
-        let mut t = 1.0f32;
-        for (pos, s) in gathered.iter().enumerate() {
-            let Some((alpha, weight)) = fragment_alpha_fast(s, p) else {
-                continue;
-            };
-            partial.rewalk.push(FragmentRecord {
-                list_pos: pos,
-                alpha,
-                weight,
-                t_before: t,
-            });
-            t *= 1.0 - alpha;
-            if t < TERMINATION_THRESHOLD {
-                break;
-            }
-        }
-
-        // `t` now holds the pixel's final transmittance. The rewalk
-        // records are moved out of the partial for the recursion's
-        // split borrow and swapped back after (both are O(1)).
-        let records = std::mem::take(&mut partial.rewalk);
-        reverse_recursion(
-            &gathered,
-            partial,
-            p,
-            t,
-            g_color,
-            g_depth,
-            g_trans,
-            records
-                .iter()
-                .map(|f| (f.list_pos, f.alpha, f.weight, f.t_before)),
-        );
-        partial.rewalk = records;
-    }
-    partial.gathered = gathered;
-}
-
-/// Step ❹ for one tile (fused variant): consumes the R&B records of the
-/// tile's four `bands` the fused forward pass wrote, over the working set
-/// it gathered (`gathered`) — no re-walk, no alpha recomputation — one
-/// subtile at a time, 16 pixel lanes wide (`merge_subtile`).
-fn backward_tile_fused<const FULL: bool>(
+/// Step ❹ for one tile: consumes the R&B records of the tile's four `bands`
+/// the fused forward pass wrote, over the working set it gathered
+/// (`gathered`) — no re-walk, no alpha recomputation — one subtile at a
+/// time, 16 pixel lanes wide (`merge_subtile`).
+fn backward_tile<const FULL: bool>(
     tile: usize,
     tiles: &TileAssignment,
     camera: &PinholeCamera,
@@ -616,7 +540,8 @@ struct LaneGrads {
 /// Gaussian across a subtile's pixels before they reach the accumulators:
 /// one read-modify-write per (subtile, splat), not one per fragment.
 ///
-/// Per pixel this is [`reverse_recursion`]'s floating-point program,
+/// Per pixel this is the scalar reverse recursion's floating-point program
+/// (the re-walk oracle's `reference::reverse_recursion`),
 /// expression for expression, evaluated four lanes (one record row) at a
 /// time on the rows that blended. A record's contributions are added in
 /// ascending lane order; lanes the record did not blend, lanes without
@@ -679,8 +604,8 @@ fn merge_subtile<const FULL: bool>(
     }
 }
 
-/// The suffix accumulators of [`reverse_recursion`], one lane per pixel of a
-/// subtile.
+/// The suffix accumulators of the reverse recursion, one lane per pixel of
+/// a subtile.
 struct LaneSuffix {
     color: [[f32; LANES]; 3],
     depth: [f32; LANES],
@@ -780,58 +705,6 @@ fn merge_row<const FULL: bool>(
         }
         acc.mean += Vec2::new(d_mean[0][c], d_mean[1][c]);
         acc.conic = acc.conic + Sym2::new(d_conic[0][c], d_conic[1][c], d_conic[2][c]);
-    }
-}
-
-/// The reverse recursion of Eq. 4 with suffix accumulators, over one pixel's
-/// fragment sequence `(list_pos, alpha, weight, t_before)` given in forward
-/// order. Shared between the re-walk and fused Step-❹ drivers so both run
-/// the identical floating-point program.
-#[allow(clippy::too_many_arguments)]
-fn reverse_recursion<I>(
-    gathered: &[TileSplat],
-    partial: &mut TilePartial,
-    p: Vec2,
-    t_final: f32,
-    g_color: Vec3,
-    g_depth: f32,
-    g_trans: f32,
-    fragments: I,
-) where
-    I: Iterator<Item = (usize, f32, f32, f32)> + DoubleEndedIterator,
-{
-    let mut suffix_color = Vec3::ZERO;
-    let mut suffix_depth = 0.0f32;
-    for (list_pos, alpha, weight, t_k) in fragments.rev() {
-        let s = &gathered[list_pos];
-        let w = t_k * alpha;
-        let one_minus = 1.0 - alpha;
-
-        let dc_dalpha = s.color * t_k - suffix_color / one_minus;
-        let dd_dalpha = s.depth * t_k - suffix_depth / one_minus;
-        let dt_dalpha = -t_final / one_minus;
-        let dl_dalpha = g_color.dot(dc_dalpha) + g_depth * dd_dalpha + g_trans * dt_dalpha;
-
-        let a = &mut partial.accum[list_pos];
-        a.hit = true;
-        a.color += g_color * w;
-        a.depth += g_depth * w;
-
-        // Alpha clamping (Eq. 2 output capped at ALPHA_MAX) zeroes
-        // the parameter gradient at the cap.
-        if alpha < ALPHA_MAX {
-            a.opacity += dl_dalpha * weight;
-            let dl_dq = -0.5 * dl_dalpha * s.opacity * weight;
-            let delta = p - s.mean;
-            let conic_delta = s.conic.mul_vec(delta);
-            a.mean += conic_delta * (-2.0 * dl_dq);
-            a.conic = a.conic
-                + Sym2::new(delta.x * delta.x, delta.x * delta.y, delta.y * delta.y) * dl_dq;
-        }
-        partial.events += 1;
-
-        suffix_color += s.color * w;
-        suffix_depth += s.depth * w;
     }
 }
 
@@ -1330,7 +1203,7 @@ impl BackwardScratch {
 mod tests {
     use super::*;
     use crate::gaussian::Gaussian3d;
-    use crate::reference::backward_rewalk;
+    use crate::reference::{backward_rewalk, RewalkScratch};
     use crate::FrameArena;
     use rtgs_math::Quat;
     use rtgs_runtime::Serial;
@@ -1355,7 +1228,16 @@ mod tests {
         scene: &GaussianScene,
         grads: &PixelGrads,
     ) -> BackwardOutput {
-        backward_rewalk(arena, scene, &camera(), &Se3::IDENTITY, grads, &Serial);
+        let scratch = &mut RewalkScratch::default();
+        backward_rewalk(
+            arena,
+            scene,
+            &camera(),
+            &Se3::IDENTITY,
+            grads,
+            &Serial,
+            scratch,
+        );
         arena.backward().clone()
     }
 
@@ -1476,7 +1358,8 @@ mod tests {
             &cam,
             &Se3::IDENTITY,
             &grads,
-            Some((arena.fragments(), &arena.work)),
+            arena.fragments(),
+            &arena.work,
             &Serial,
             &mut BackwardScratch::default(),
             &mut fused_out,
@@ -1525,6 +1408,7 @@ mod tests {
     /// poisoned Gaussian itself included.
     #[test]
     fn nan_conic_splat_matches_the_oracles_bitwise() {
+        use crate::forward::gather_tile;
         use crate::reference::{backward_aos, build_tiles_aos, project_scene_aos, render_aos};
         let scene = GaussianScene::from_gaussians(vec![
             one_gaussian_scene().gaussians[0],
@@ -1594,21 +1478,36 @@ mod tests {
         );
         assert!(oracle.gaussians[poisoned].color.is_finite());
         assert!(oracle.gaussians[0].position.is_finite());
-        for fragments in [Some((arena.fragments(), &arena.work)), None] {
-            let mut out = BackwardOutput::empty();
-            backward_into::<true>(
-                &scene,
-                arena.projection(),
-                arena.tiles(),
-                &cam,
-                &Se3::IDENTITY,
-                &grads,
-                fragments,
-                &Serial,
-                &mut BackwardScratch::default(),
-                &mut out,
-            );
-            let fused = fragments.is_some();
+        for fused in [true, false] {
+            let out = if fused {
+                let mut out = BackwardOutput::empty();
+                backward_into::<true>(
+                    &scene,
+                    arena.projection(),
+                    arena.tiles(),
+                    &cam,
+                    &Se3::IDENTITY,
+                    &grads,
+                    arena.fragments(),
+                    &arena.work,
+                    &Serial,
+                    &mut BackwardScratch::default(),
+                    &mut out,
+                );
+                out
+            } else {
+                let scratch = &mut RewalkScratch::default();
+                backward_rewalk(
+                    &mut arena,
+                    &scene,
+                    &cam,
+                    &Se3::IDENTITY,
+                    &grads,
+                    &Serial,
+                    scratch,
+                );
+                arena.backward().clone()
+            };
             for (got, want) in out.gaussians.iter().zip(&oracle.gaussians) {
                 assert_eq!(grad_bits(got), grad_bits(want), "fused: {fused}");
             }
@@ -1906,7 +1805,8 @@ mod tests {
                 &cam,
                 &w2c,
                 &grads,
-                Some((arena.fragments(), &arena.work)),
+                arena.fragments(),
+                &arena.work,
                 &Serial,
                 &mut BackwardScratch::default(),
                 &mut out,
@@ -1924,7 +1824,8 @@ mod tests {
                 &cam,
                 &w2c,
                 &grads,
-                Some((arena.fragments(), &arena.work)),
+                arena.fragments(),
+                &arena.work,
                 &Serial,
                 &mut BackwardScratch::default(),
                 &mut out,

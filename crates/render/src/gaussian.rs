@@ -176,17 +176,6 @@ impl GaussianScene {
         self.gaussians.is_empty()
     }
 
-    /// Estimated parameter memory in bytes, using the paper's accounting of
-    /// 59 floats per Gaussian (position, scale, rotation, opacity and full
-    /// degree-3 SH color as stored by the reference implementation).
-    ///
-    /// We store only DC color, but report the reference footprint so that
-    /// peak-memory columns are comparable with the paper's tables.
-    pub fn parameter_bytes(&self) -> u64 {
-        const FLOATS_PER_GAUSSIAN: u64 = 59;
-        self.gaussians.len() as u64 * FLOATS_PER_GAUSSIAN * 4
-    }
-
     /// Zeroed gradient buffer sized for this scene.
     pub fn zero_grads(&self) -> Vec<GaussianGrad> {
         vec![GaussianGrad::default(); self.gaussians.len()]
@@ -349,12 +338,5 @@ mod tests {
         };
         assert!((g.importance_score(0.5) - 6.0).abs() < 1e-6);
         assert!((g.importance_score(0.0) - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scene_memory_accounting() {
-        let scene: GaussianScene = (0..10).map(|_| sample_gaussian()).collect();
-        assert_eq!(scene.len(), 10);
-        assert_eq!(scene.parameter_bytes(), 10 * 59 * 4);
     }
 }

@@ -13,7 +13,11 @@
 //! * **The legacy per-tile sort** ([`build_tile_lists_legacy`]), the
 //!   ordering ground truth for the CSR + radix tile assignment.
 //! * **The backward re-walk** ([`backward_rewalk`]), the unfused Step-❹
-//!   driver the fused pass must reproduce.
+//!   driver the fused pass must reproduce: its own tile loop re-walks every
+//!   pixel's splat list and runs the scalar reverse recursion of Eq. 4,
+//!   then hands the tile partials to production's fold and Step ❺. Its
+//!   buffers live in a caller-kept [`RewalkScratch`], not in the
+//!   [`FrameArena`].
 //!
 //! `tests/equivalence.rs` asserts that images, depth maps and gradients are
 //! **bitwise-identical** between these and every production spelling over
@@ -24,18 +28,20 @@
 
 use crate::arena::FrameArena;
 use crate::backward::{
-    backward_into, preprocess_one, Accum2d, BackwardOutput, BackwardStats, PixelGrads, PoseFrame,
+    fold_and_preprocess, preprocess_one, Accum2d, BackwardOutput, BackwardStats, PixelGrads,
+    PoseFrame, TilePartial, BP_TILE_CHUNK,
 };
 use crate::camera::{DepthImage, Image, PinholeCamera};
 use crate::forward::{
-    fragment_alpha, pixel_center, tile_pixels, RenderOutput, RenderStats, ALPHA_MAX, ALPHA_MIN,
-    TERMINATION_THRESHOLD,
+    fragment_alpha, fragment_alpha_fast, gather_tile, pixel_center, tile_pixels, RenderOutput,
+    RenderStats, TileSplat, ALPHA_MAX, ALPHA_MIN, TERMINATION_THRESHOLD,
 };
 use crate::gaussian::GaussianScene;
 use crate::project::{project_one, Projected2d, Projection};
-use crate::tiles::{tile_pixel_rect, TILE_SIZE};
-use rtgs_math::{Se3, Vec3};
-use rtgs_runtime::Backend;
+use crate::tiles::{tile_pixel_rect, TileAssignment, TILE_SIZE};
+use rtgs_math::{Se3, Sym2, Vec2, Vec3};
+use rtgs_runtime::{Backend, SharedSlice};
+use std::time::Instant;
 
 /// Gaussians per chunk of the reference preprocessing-BP fold; must match
 /// the production constant so the pose-tangent summation tree is identical.
@@ -241,9 +247,7 @@ pub fn backward_aos(
     w2c: &Se3,
     pixel_grads: &PixelGrads,
 ) -> BackwardOutput {
-    assert_eq!(pixel_grads.color.len(), camera.pixel_count());
-    assert_eq!(pixel_grads.depth.len(), camera.pixel_count());
-    assert_eq!(pixel_grads.transmittance.len(), camera.pixel_count());
+    pixel_grads.assert_covers(camera);
 
     let mut stats = BackwardStats::default();
     let t_start = std::time::Instant::now();
@@ -432,11 +436,45 @@ pub fn build_tile_lists_legacy(projection: &Projection, camera: &PinholeCamera) 
     tile_lists
 }
 
+/// The re-walk's per-tile buffers, kept by the caller across calls so a
+/// steady-state [`backward_rewalk`] allocates nothing.
+#[derive(Default)]
+pub struct RewalkScratch {
+    /// One slot per tile (only ever grows in number).
+    tiles: Vec<RewalkTile>,
+}
+
+/// One tile's re-walk buffers.
+#[derive(Default)]
+struct RewalkTile {
+    /// The tile's own gather of its working set.
+    gathered: Vec<TileSplat>,
+    /// One pixel's reconstructed fragment sequence.
+    records: Vec<FragmentRecord>,
+}
+
+/// One recomputed fragment during the backward re-walk.
+struct FragmentRecord {
+    /// Position of the splat in the tile's list (indexes the gathered
+    /// working set and the tile partial).
+    list_pos: usize,
+    alpha: f32,
+    weight: f32,
+    t_before: f32,
+}
+
 /// Steps ❹–❺ through the re-walk driver with explicit upstream gradients:
 /// consumes `arena`'s current projection and tile assignment (not its
 /// fragment cache or loss) and leaves the result in
 /// [`FrameArena::backward`]. `scene` must be the scene the projection was
 /// built from.
+///
+/// Step ❹ mirrors the reference CUDA rasterizer: chunked over tiles as
+/// production's is, each tile gathers its working set and re-walks every
+/// pixel's splat list in forward order — recomputing alpha and
+/// transmittance — before the reverse recursion of Eq. 4. The fold and
+/// Step ❺ are production's, so every channel is accumulated
+/// ([`crate::GradSet::Full`]).
 ///
 /// # Panics
 ///
@@ -448,19 +486,158 @@ pub fn backward_rewalk(
     w2c: &Se3,
     pixel_grads: &PixelGrads,
     backend: &dyn Backend,
+    scratch: &mut RewalkScratch,
 ) {
-    backward_into::<true>(
+    pixel_grads.assert_covers(camera);
+    let t_start = Instant::now();
+
+    let (projection, tiles) = (&arena.projection, &arena.tiles);
+    let tile_count = tiles.tile_count();
+    if scratch.tiles.len() < tile_count {
+        scratch.tiles.resize_with(tile_count, RewalkTile::default);
+    }
+    let partials = SharedSlice::new(arena.backward_scratch.tile_partials(tile_count));
+    let own = SharedSlice::new(&mut scratch.tiles[..tile_count]);
+    backend.for_each_chunk(tile_count, BP_TILE_CHUNK, &|_, range| {
+        for tile in range.map(|chunk| tiles.tile_of_chunk(chunk)) {
+            // SAFETY: one partial and one scratch slot per tile.
+            let (partial, own) = unsafe { (partials.get_mut(tile), own.get_mut(tile)) };
+            backward_tile(tile, projection, tiles, camera, pixel_grads, own, partial);
+        }
+    });
+
+    fold_and_preprocess::<true>(
         scene,
-        &arena.projection,
-        &arena.tiles,
+        projection,
+        tiles,
         camera,
         w2c,
-        pixel_grads,
-        None,
+        t_start,
         backend,
         &mut arena.backward_scratch,
         &mut arena.backward,
     );
+}
+
+/// Step ❹ for one tile (re-walk): gathers the tile's working set,
+/// reconstructs every pixel's fragment sequence from it and accumulates
+/// per-Gaussian 2D gradients into the tile's (reused) partial.
+fn backward_tile(
+    tile: usize,
+    projection: &Projection,
+    tiles: &TileAssignment,
+    camera: &PinholeCamera,
+    pixel_grads: &PixelGrads,
+    own: &mut RewalkTile,
+    partial: &mut TilePartial,
+) {
+    partial.events = 0;
+    partial.accum.clear();
+    let list = tiles.tile(tile);
+    if list.is_empty() {
+        return;
+    }
+    gather_tile(&projection.soa, list, &mut own.gathered);
+    let rect = tiles.tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
+    let mut touched = false;
+
+    for (x, y) in tile_pixels(rect) {
+        let idx = y * camera.width + x;
+        let g_color = pixel_grads.color[idx];
+        let g_depth = pixel_grads.depth[idx];
+        let g_trans = pixel_grads.transmittance[idx];
+        if g_color == Vec3::ZERO && g_depth == 0.0 && g_trans == 0.0 {
+            continue;
+        }
+        if !touched {
+            touched = true;
+            partial.accum.resize(list.len(), Accum2d::default());
+        }
+        let p = pixel_center(x, y);
+
+        // Re-walk forward to reconstruct the fragment sequence.
+        own.records.clear();
+        let mut t = 1.0f32;
+        for (pos, s) in own.gathered.iter().enumerate() {
+            let Some((alpha, weight)) = fragment_alpha_fast(s, p) else {
+                continue;
+            };
+            own.records.push(FragmentRecord {
+                list_pos: pos,
+                alpha,
+                weight,
+                t_before: t,
+            });
+            t *= 1.0 - alpha;
+            if t < TERMINATION_THRESHOLD {
+                break;
+            }
+        }
+
+        // `t` now holds the pixel's final transmittance.
+        reverse_recursion(
+            &own.gathered,
+            partial,
+            p,
+            t,
+            g_color,
+            g_depth,
+            g_trans,
+            &own.records,
+        );
+    }
+}
+
+/// The reverse recursion of Eq. 4 with suffix accumulators, over one pixel's
+/// fragment sequence given in forward order: the scalar definition of the
+/// per-fragment expressions, which production's lane kernel
+/// (`backward::merge_row`) evaluates four lanes at a time and
+/// [`backward_aos`] repeats over AoS storage.
+#[allow(clippy::too_many_arguments)]
+fn reverse_recursion(
+    gathered: &[TileSplat],
+    partial: &mut TilePartial,
+    p: Vec2,
+    t_final: f32,
+    g_color: Vec3,
+    g_depth: f32,
+    g_trans: f32,
+    fragments: &[FragmentRecord],
+) {
+    let mut suffix_color = Vec3::ZERO;
+    let mut suffix_depth = 0.0f32;
+    for f in fragments.iter().rev() {
+        let (alpha, weight, t_k) = (f.alpha, f.weight, f.t_before);
+        let s = &gathered[f.list_pos];
+        let w = t_k * alpha;
+        let one_minus = 1.0 - alpha;
+
+        let dc_dalpha = s.color * t_k - suffix_color / one_minus;
+        let dd_dalpha = s.depth * t_k - suffix_depth / one_minus;
+        let dt_dalpha = -t_final / one_minus;
+        let dl_dalpha = g_color.dot(dc_dalpha) + g_depth * dd_dalpha + g_trans * dt_dalpha;
+
+        let a = &mut partial.accum[f.list_pos];
+        a.hit = true;
+        a.color += g_color * w;
+        a.depth += g_depth * w;
+
+        // Alpha clamping (Eq. 2 output capped at ALPHA_MAX) zeroes
+        // the parameter gradient at the cap.
+        if alpha < ALPHA_MAX {
+            a.opacity += dl_dalpha * weight;
+            let dl_dq = -0.5 * dl_dalpha * s.opacity * weight;
+            let delta = p - s.mean;
+            let conic_delta = s.conic.mul_vec(delta);
+            a.mean += conic_delta * (-2.0 * dl_dq);
+            a.conic = a.conic
+                + Sym2::new(delta.x * delta.x, delta.x * delta.y, delta.y * delta.y) * dl_dq;
+        }
+        partial.events += 1;
+
+        suffix_color += s.color * w;
+        suffix_depth += s.depth * w;
+    }
 }
 
 #[cfg(test)]

@@ -437,12 +437,6 @@ impl ShardedScene {
         &self.shards
     }
 
-    /// Number of shards with stale bounds.
-    #[inline]
-    pub fn dirty_shard_count(&self) -> usize {
-        self.dirty_shards
-    }
-
     /// Whether stable ID `id` is live.
     #[inline]
     pub fn is_live(&self, id: u32) -> bool {
@@ -471,16 +465,6 @@ impl ShardedScene {
             Some(self.handle_of[id as usize])
         } else {
             None
-        }
-    }
-
-    /// The stable ID currently held by a handle's slot, `None` when the
-    /// slot is tombstoned or the handle out of range.
-    pub fn id_at(&self, handle: GaussianHandle) -> Option<u32> {
-        let shard = self.shards.get(handle.shard as usize)?;
-        match shard.members.get(handle.slot as usize) {
-            Some(&id) if id != DEAD_MEMBER && self.is_live(id) => Some(id),
-            _ => None,
         }
     }
 
@@ -1214,8 +1198,6 @@ mod tests {
         let ha = map.handle(a).unwrap();
         let hb = map.handle(b).unwrap();
         assert_ne!(ha.shard, hb.shard);
-        assert_eq!(map.id_at(ha), Some(a));
-        assert_eq!(map.id_at(hb), Some(b));
     }
 
     #[test]
@@ -1280,9 +1262,9 @@ mod tests {
         let mut map = ShardedScene::new(10.0);
         let id = map.insert(g_at(Vec3::new(0.0, 0.0, 2.0)));
         map.refresh_bounds();
-        assert_eq!(map.dirty_shard_count(), 0);
+        assert_eq!(map.dirty_shards, 0);
         map.gaussian_mut(id).position = Vec3::new(4.0, 0.0, 2.0);
-        assert_eq!(map.dirty_shard_count(), 1);
+        assert_eq!(map.dirty_shards, 1);
         map.refresh_bounds();
         let aabb = map.shards()[0].aabb();
         assert_eq!(aabb.min.x, 4.0);

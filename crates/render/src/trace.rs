@@ -77,11 +77,6 @@ impl WorkloadTrace {
         self.pixel_workloads.iter().map(|&w| w as u64).sum()
     }
 
-    /// Maximum per-pixel workload.
-    pub fn max_pixel_workload(&self) -> u32 {
-        self.pixel_workloads.iter().copied().max().unwrap_or(0)
-    }
-
     /// Mean per-pixel workload.
     pub fn mean_pixel_workload(&self) -> f64 {
         if self.pixel_workloads.is_empty() {
@@ -115,29 +110,6 @@ impl WorkloadTrace {
             }
         }
         out
-    }
-
-    /// Workload-imbalance factor: max over mean per-pixel workload within
-    /// each subtile, averaged over non-empty subtiles. 1.0 means perfectly
-    /// balanced; larger values quantify the stalls a fixed pixel-to-lane
-    /// mapping suffers (paper Observation 6 / Fig. 10).
-    pub fn subtile_imbalance(&self) -> f64 {
-        let mut total = 0.0f64;
-        let mut n = 0usize;
-        for lanes in self.subtile_workloads() {
-            let max = *lanes.iter().max().unwrap() as f64;
-            if max == 0.0 {
-                continue;
-            }
-            let mean = lanes.iter().map(|&w| w as f64).sum::<f64>() / lanes.len() as f64;
-            total += max / mean.max(1e-9);
-            n += 1;
-        }
-        if n == 0 {
-            1.0
-        } else {
-            total / n as f64
-        }
     }
 
     /// Similarity of per-pixel workloads to another trace of the same
@@ -254,12 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_at_least_one() {
-        let t = make_trace();
-        assert!(t.subtile_imbalance() >= 1.0);
-    }
-
-    #[test]
     fn identical_traces_are_perfectly_similar() {
         let t = make_trace();
         assert_eq!(t.workload_similarity(&t.clone()), 0.0);
@@ -288,10 +254,7 @@ mod tests {
             visible_gaussians: 1,
         };
         assert_eq!(trace.total_fragments(), 32);
-        assert_eq!(trace.max_pixel_workload(), 8);
         assert!((trace.mean_pixel_workload() - 2.0).abs() < 1e-9);
-        // One subtile, max 8, mean 2 => imbalance 4.
-        assert!((trace.subtile_imbalance() - 4.0).abs() < 1e-9);
     }
 
     #[test]

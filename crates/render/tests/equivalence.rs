@@ -347,7 +347,8 @@ fn by_stable_id(local: &[GaussianGrad], ids: &[u32], capacity: usize) -> Vec<Gau
     out
 }
 
-/// One cell of the matrix: drives `arena` through the selected spelling
+/// One cell of the matrix: drives `arena` (and, in a re-walk cell, the
+/// oracle's `rewalk` buffers kept beside it) through the selected spelling
 /// and asserts every stage result against the oracle. A `scoped` sharded
 /// cell culls and projects through a trial scope ([`FrameArena::trials`]),
 /// as tracking does, at the case's pose after a trial at a nearby pose: it
@@ -355,6 +356,7 @@ fn by_stable_id(local: &[GaussianGrad], ids: &[u32], capacity: usize) -> Vec<Gau
 #[allow(clippy::too_many_arguments)]
 fn check_cell(
     arena: &mut FrameArena,
+    rewalk: &mut reference::RewalkScratch,
     case: &Case,
     oracle: &Oracle,
     backend: &dyn Backend,
@@ -476,7 +478,7 @@ fn check_cell(
             } else {
                 &oracle.flat
             };
-            reference::backward_rewalk(arena, scene, camera, pose, want, backend);
+            reference::backward_rewalk(arena, scene, camera, pose, want, backend, rewalk);
         }
     }
     let back = arena.backward();
@@ -545,12 +547,14 @@ fn run_matrix(cases: &[Case]) {
 
     for (backend_name, backend) in &backends {
         let mut reused = FrameArena::new();
+        let mut reused_rewalk = reference::RewalkScratch::default();
         let n = cases.len();
         for i in (0..n).chain((0..n).rev()) {
             for spelling @ (sharded, scoped, fused) in spellings {
                 let cell = name(backend_name, "reused", i, spelling);
                 check_cell(
                     &mut reused,
+                    &mut reused_rewalk,
                     &cases[i],
                     &oracles[i],
                     &**backend,
@@ -565,8 +569,17 @@ fn run_matrix(cases: &[Case]) {
             for spelling @ (sharded, scoped, fused) in spellings {
                 let cell = name(backend_name, "fresh", i, spelling);
                 let mut fresh = FrameArena::new();
+                let mut fresh_rewalk = reference::RewalkScratch::default();
                 check_cell(
-                    &mut fresh, case, oracle, &**backend, sharded, scoped, fused, &cell,
+                    &mut fresh,
+                    &mut fresh_rewalk,
+                    case,
+                    oracle,
+                    &**backend,
+                    sharded,
+                    scoped,
+                    fused,
+                    &cell,
                 );
             }
         }

@@ -27,7 +27,7 @@
 //! does per frame. Observability must not cost the allocation contract.
 
 use rtgs_math::{Quat, Se3, Vec3};
-use rtgs_render::reference::backward_rewalk;
+use rtgs_render::reference::{backward_rewalk, RewalkScratch};
 use rtgs_render::{
     FrameArena, Gaussian3d, GaussianScene, GradSet, Image, LossConfig, PinholeCamera, ShardedScene,
 };
@@ -413,7 +413,7 @@ fn trial_scopes_and_mask_changes_allocate_nothing() {
 #[test]
 fn steady_state_unfused_render_backward_is_allocation_free() {
     // The unfused render and the re-walk reference driver share the arena
-    // contract.
+    // contract; the re-walk's own buffers are the caller's `RewalkScratch`.
     let scene = test_scene(120);
     let w2c = Se3::IDENTITY;
     let cfg = LossConfig::default();
@@ -425,13 +425,30 @@ fn steady_state_unfused_render_backward_is_allocation_free() {
         arena.forward(&scene, &w2c, &camera, None, &Serial);
         arena.compute_loss(&gt, None, &cfg);
         let grads = arena.loss().pixel_grads.clone();
-        backward_rewalk(&mut arena, &scene, &camera, &w2c, &grads, &Serial);
+        let mut rewalk = RewalkScratch::default();
+        backward_rewalk(
+            &mut arena,
+            &scene,
+            &camera,
+            &w2c,
+            &grads,
+            &Serial,
+            &mut rewalk,
+        );
 
         let before = alloc_counter::thread_allocations();
         for _ in 0..3 {
             arena.forward(&scene, &w2c, &camera, None, &Serial);
             arena.compute_loss(&gt, None, &cfg);
-            backward_rewalk(&mut arena, &scene, &camera, &w2c, &grads, &Serial);
+            backward_rewalk(
+                &mut arena,
+                &scene,
+                &camera,
+                &w2c,
+                &grads,
+                &Serial,
+                &mut rewalk,
+            );
         }
         let steady_allocs = alloc_counter::thread_allocations() - before;
         assert_eq!(

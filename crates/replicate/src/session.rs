@@ -11,7 +11,7 @@
 //!
 //! Replication failures never panic and never kill the session: the first
 //! error is latched, replication stops, and the error surfaces through
-//! [`ReplicatedSession::replication_error`] and the drain hook. The
+//! the drain hook. The
 //! pipeline itself keeps serving frames — a dead standby must not take
 //! down the primary.
 
@@ -38,12 +38,6 @@ impl<'d, L: ByteLink> ReplicatedSession<'d, L> {
             replicator,
             error: None,
         }
-    }
-
-    /// The first replication error, if replication has failed. The
-    /// session keeps serving frames regardless.
-    pub fn replication_error(&self) -> Option<&ReplicationError> {
-        self.error.as_ref()
     }
 
     /// The wrapped pipeline.

@@ -144,13 +144,6 @@ pub enum PushOutcome {
     Closed,
 }
 
-impl PushOutcome {
-    /// Whether the pushed frame made it into the queue.
-    pub fn is_accepted(self) -> bool {
-        matches!(self, Self::Accepted | Self::AcceptedDroppedOldest)
-    }
-}
-
 /// A timestamped frame in flight: sequence number, arrival instant, payload.
 #[derive(Debug)]
 pub struct IngestFrame<T> {
@@ -667,7 +660,10 @@ mod tests {
         let (tx, rx) = h.channel::<u64>().unwrap();
         for v in 0..10u64 {
             let outcome = tx.push(v);
-            assert!(outcome.is_accepted());
+            assert!(matches!(
+                outcome,
+                PushOutcome::Accepted | PushOutcome::AcceptedDroppedOldest
+            ));
         }
         // Capacity 3, drop-oldest: the queue is exactly the newest suffix.
         let kept: Vec<u64> = std::iter::from_fn(|| rx.try_pop().map(|f| f.payload)).collect();

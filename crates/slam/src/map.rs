@@ -22,47 +22,41 @@ pub struct MapConfig {
     /// Pixel stride when seeding from a frame (one Gaussian per
     /// `stride × stride` block).
     pub seed_stride: usize,
-    /// Scale multiplier relating seeded Gaussian size to pixel footprint.
-    pub seed_scale: f32,
-    /// Initial opacity of seeded Gaussians.
-    pub seed_opacity: f32,
     /// Photometric error (mean abs per channel) above which a pixel spawns
     /// a densification candidate.
     pub densify_error_threshold: f32,
     /// Maximum Gaussians added per densification pass.
     pub densify_max_per_pass: usize,
-    /// Activated opacity below which a Gaussian is removed during cleanup.
-    pub prune_opacity_threshold: f32,
-    /// Hard cap on the map size (memory budget).
-    pub max_gaussians: usize,
-    /// Depth assumed for monocular seeding when no depth image exists.
-    pub mono_depth_prior: f32,
-    /// World-grid cell edge length (meters) of the sharded map store.
-    pub shard_cell_size: f32,
 }
 
 impl Default for MapConfig {
     fn default() -> Self {
         Self {
             seed_stride: 2,
-            seed_scale: 0.9,
-            seed_opacity: 0.65,
             densify_error_threshold: 0.08,
             densify_max_per_pass: 200,
-            prune_opacity_threshold: 0.02,
-            max_gaussians: 60_000,
-            mono_depth_prior: 2.5,
-            shard_cell_size: DEFAULT_CELL_SIZE,
         }
     }
 }
+
+/// Scale multiplier relating seeded Gaussian size to pixel footprint.
+const SEED_SCALE: f32 = 0.9;
+/// Initial opacity of seeded Gaussians.
+const SEED_OPACITY: f32 = 0.65;
+/// Activated opacity below which a Gaussian is removed during cleanup.
+const PRUNE_OPACITY_THRESHOLD: f32 = 0.02;
+/// Hard cap on the map size (memory budget).
+const MAX_GAUSSIANS: usize = 60_000;
+/// Depth assumed for monocular seeding when no depth image exists.
+const MONO_DEPTH_PRIOR: f32 = 2.5;
 
 /// Seeds Gaussians from an observation by backprojecting a strided pixel
 /// grid (the standard RGB-D initialization of SplaTAM/MonoGS) into a fresh
 /// sharded map store.
 ///
 /// `c2w` is the camera-to-world pose of the frame. Pixels without valid
-/// depth fall back to `mono_depth_prior` with jitter (monocular seeding).
+/// depth fall back to `MONO_DEPTH_PRIOR` (2.5 m) with jitter (monocular
+/// seeding). The map's shards use [`DEFAULT_CELL_SIZE`].
 ///
 /// Degenerate inputs are handled explicitly: a zero-sized frame (or a
 /// frame smaller than the camera on either axis, which clamps the sampled
@@ -75,7 +69,7 @@ pub fn seed_from_frame(
     config: &MapConfig,
     seed: u64,
 ) -> ShardedScene {
-    let mut map = ShardedScene::new(config.shard_cell_size);
+    let mut map = ShardedScene::new(DEFAULT_CELL_SIZE);
     // Sample only where both the camera and the observation have pixels; a
     // zero-sized frame therefore seeds nothing rather than panicking on an
     // out-of-bounds read.
@@ -97,7 +91,7 @@ pub fn seed_from_frame(
                 .as_ref()
                 .map(|d| d.depth(x, y))
                 .filter(|&d| d > 0.0)
-                .unwrap_or_else(|| config.mono_depth_prior * rng.gen_range(0.7..1.3));
+                .unwrap_or_else(|| MONO_DEPTH_PRIOR * rng.gen_range(0.7..1.3));
             let p_cam = Vec3::new(
                 (x as f32 + 0.5 - camera.cx) * depth / camera.fx,
                 (y as f32 + 0.5 - camera.cy) * depth / camera.fy,
@@ -105,12 +99,12 @@ pub fn seed_from_frame(
             );
             let position = c2w.transform_point(p_cam);
             // Pixel footprint at this depth defines the Gaussian's extent.
-            let extent = config.seed_scale * depth * stride as f32 / camera.fx;
+            let extent = SEED_SCALE * depth * stride as f32 / camera.fx;
             map.insert(Gaussian3d::from_activated(
                 position,
                 Vec3::splat(extent.max(1e-3)),
                 Quat::IDENTITY,
-                config.seed_opacity,
+                SEED_OPACITY,
                 frame.color.pixel(x, y),
             ));
         }
@@ -132,7 +126,7 @@ pub fn densify(
     config: &MapConfig,
     seed: u64,
 ) -> Vec<u32> {
-    if map.len() >= config.max_gaussians {
+    if map.len() >= MAX_GAUSSIANS {
         return Vec::new();
     }
     let mut rng = StdRng::seed_from_u64(seed);
@@ -147,9 +141,7 @@ pub fn densify(
         }
     }
     candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    let budget = config
-        .densify_max_per_pass
-        .min(config.max_gaussians - map.len());
+    let budget = config.densify_max_per_pass.min(MAX_GAUSSIANS - map.len());
 
     let mut added = Vec::new();
     for &(_, x, y) in candidates.iter().take(budget) {
@@ -162,7 +154,7 @@ pub fn densify(
                 if rd > 0.0 {
                     rd
                 } else {
-                    config.mono_depth_prior * rng.gen_range(0.8..1.2)
+                    MONO_DEPTH_PRIOR * rng.gen_range(0.8..1.2)
                 }
             }
         };
@@ -171,12 +163,12 @@ pub fn densify(
             (y as f32 + 0.5 - camera.cy) * depth / camera.fy,
             depth,
         );
-        let extent = config.seed_scale * depth / camera.fx;
+        let extent = SEED_SCALE * depth / camera.fx;
         let id = map.insert(Gaussian3d::from_activated(
             c2w.transform_point(p_cam),
             Vec3::splat(extent.max(1e-3)),
             Quat::IDENTITY,
-            config.seed_opacity,
+            SEED_OPACITY,
             frame.color.pixel(x, y),
         ));
         optimizer.register(id);
@@ -186,15 +178,15 @@ pub fn densify(
 }
 
 /// Tombstones Gaussians whose activated opacity dropped below the cleanup
-/// threshold. Returns the number removed. Surviving IDs — and therefore
+/// threshold (0.02). Returns the number removed. Surviving IDs — and therefore
 /// the optimizer moments keyed by them — are untouched.
 ///
 /// This is the standard 3DGS housekeeping pass, distinct from RTGS's
 /// gradient-based adaptive pruning (`rtgs-core`).
-pub fn prune_transparent(map: &mut ShardedScene, config: &MapConfig) -> usize {
+pub fn prune_transparent(map: &mut ShardedScene) -> usize {
     let doomed: Vec<u32> = map
         .live_ids()
-        .filter(|&id| map.gaussian(id).opacity_activated() < config.prune_opacity_threshold)
+        .filter(|&id| map.gaussian(id).opacity_activated() < PRUNE_OPACITY_THRESHOLD)
         .collect();
     for &id in &doomed {
         map.tombstone(id);
@@ -279,13 +271,9 @@ mod tests {
         let cam = camera();
         let mut frame = frame_with_depth(2.0);
         frame.depth = None;
-        let cfg = MapConfig {
-            mono_depth_prior: 3.0,
-            ..Default::default()
-        };
-        let map = seed_from_frame(&frame, &cam, &Se3::IDENTITY, &cfg, 1);
+        let map = seed_from_frame(&frame, &cam, &Se3::IDENTITY, &MapConfig::default(), 1);
         for p in positions(&map) {
-            assert!(p.z > 3.0 * 0.6 && p.z < 3.0 * 1.4);
+            assert!(p.z > MONO_DEPTH_PRIOR * 0.6 && p.z < MONO_DEPTH_PRIOR * 1.4);
         }
     }
 
@@ -391,8 +379,12 @@ mod tests {
         let cam = camera();
         let frame = frame_with_depth(2.0);
         let mut map = seed_from_frame(&frame, &cam, &Se3::IDENTITY, &MapConfig::default(), 1);
-        let n = map.len();
-        let mut opt = MapOptimizer::new(n, MapLearningRates::default());
+        // Pre-fill the map to three below the cap.
+        let filler = *map.gaussian(0);
+        while map.len() < MAX_GAUSSIANS - 3 {
+            map.insert(filler);
+        }
+        let mut opt = MapOptimizer::new(map.capacity(), MapLearningRates::default());
         let rendered = RenderOutput {
             image: Image::new(cam.width, cam.height),
             depth: DepthImage::new(cam.width, cam.height),
@@ -401,7 +393,6 @@ mod tests {
             stats: Default::default(),
         };
         let cfg = MapConfig {
-            max_gaussians: n + 3,
             densify_max_per_pass: 100,
             ..Default::default()
         };
@@ -416,6 +407,7 @@ mod tests {
             2,
         );
         assert_eq!(added.len(), 3);
+        assert_eq!(map.len(), MAX_GAUSSIANS);
     }
 
     #[test]
@@ -466,7 +458,7 @@ mod tests {
         for id in 0..(n / 2) as u32 {
             map.gaussian_mut(id).opacity = rtgs_math::logit(0.001);
         }
-        let removed = prune_transparent(&mut map, &MapConfig::default());
+        let removed = prune_transparent(&mut map);
         assert_eq!(removed, n / 2);
         assert_eq!(map.len(), n - n / 2);
         // Tombstoning keeps the arena (and the moment arrays) sized.
@@ -483,6 +475,6 @@ mod tests {
         let cam = camera();
         let frame = frame_with_depth(2.0);
         let mut map = seed_from_frame(&frame, &cam, &Se3::IDENTITY, &MapConfig::default(), 1);
-        assert_eq!(prune_transparent(&mut map, &MapConfig::default()), 0);
+        assert_eq!(prune_transparent(&mut map), 0);
     }
 }

@@ -8,7 +8,7 @@ use crate::optimizer::{MapLearningRates, MapOptimizer};
 use crate::tracking::{timed_iteration, track_frame, IterationArtifacts, TrackingConfig};
 use rtgs_math::Se3;
 use rtgs_metrics::{absolute_trajectory_error, psnr, AteResult};
-use rtgs_render::{FrameArena, GradSet, Image, ShardedScene, WorkloadTrace};
+use rtgs_render::{FrameArena, GradSet, Image, ShardedScene, WorkloadTrace, DEFAULT_CELL_SIZE};
 use rtgs_runtime::{Backend, BackendChoice};
 use rtgs_scene::{RgbdFrame, SyntheticDataset};
 use rtgs_telemetry::flight::hops;
@@ -122,7 +122,6 @@ impl SlamConfig {
                     seed_stride: 2,
                     densify_error_threshold: 0.05,
                     densify_max_per_pass: 250,
-                    ..Default::default()
                 },
                 ..base
             },
@@ -459,7 +458,7 @@ impl<'d> SlamPipeline<'d> {
             dataset,
             backend: config.backend.instantiate(),
             extension,
-            scene: ShardedScene::new(config.map.shard_cell_size),
+            scene: ShardedScene::new(DEFAULT_CELL_SIZE),
             map_optimizer: MapOptimizer::new(0, config.map_lrs),
             arena: FrameArena::new(),
             mask: Vec::new(),
@@ -504,11 +503,6 @@ impl<'d> SlamPipeline<'d> {
     /// resolution floor.
     pub fn set_pressure_factor(&mut self, factor: usize) {
         self.pressure_factor = factor.max(1);
-    }
-
-    /// Current load-shed resolution factor (1 = no shedding).
-    pub fn pressure_factor(&self) -> usize {
-        self.pressure_factor
     }
 
     /// Current map (sharded store; stable IDs, frustum-cullable shards).
@@ -848,7 +842,7 @@ impl<'d> SlamPipeline<'d> {
             }
         }
 
-        let removed = prune_transparent(&mut self.scene, &self.config.map);
+        let removed = prune_transparent(&mut self.scene);
         if removed > 0 {
             // Tombstoned IDs drop out of the active mask; survivors stay
             // exactly where they were.

@@ -59,6 +59,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprint of every config field that shapes a session's results.
+/// Settings that are constants of the code (the tracking trust region,
+/// seeding, cleanup and the map cap) are not config fields and are not
+/// hashed.
 ///
 /// The execution backend is deliberately excluded: parallel execution is
 /// bitwise-identical to serial by construction, so a session checkpointed
@@ -95,26 +98,15 @@ pub fn config_fingerprint(config: &SlamConfig) -> u64 {
     }
     let t = &config.tracking;
     put_len(&mut b, t.iterations);
-    put_f32(&mut b, t.initial_step);
-    put_f32(&mut b, t.rotation_scale);
-    put_f32(&mut b, t.step_grow);
-    put_f32(&mut b, t.step_shrink);
     put_f32(&mut b, t.loss.lambda_pho);
     put_u8(&mut b, matches!(t.loss.kind, LossKind::L2) as u8);
     put_f32(&mut b, t.loss.min_depth_coverage);
-    put_f32(&mut b, t.convergence_threshold);
     put_u8(&mut b, t.record_traces as u8);
     put_len(&mut b, config.mapping_iterations);
     let m = &config.map;
     put_len(&mut b, m.seed_stride);
-    put_f32(&mut b, m.seed_scale);
-    put_f32(&mut b, m.seed_opacity);
     put_f32(&mut b, m.densify_error_threshold);
     put_len(&mut b, m.densify_max_per_pass);
-    put_f32(&mut b, m.prune_opacity_threshold);
-    put_len(&mut b, m.max_gaussians);
-    put_f32(&mut b, m.mono_depth_prior);
-    put_f32(&mut b, m.shard_cell_size);
     let l = &config.map_lrs;
     for v in [l.position, l.log_scale, l.rotation, l.opacity, l.color] {
         put_f32(&mut b, v);
