@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rtgs_math::Se3;
 use rtgs_render::reference;
-use rtgs_render::{FrameArena, GaussianScene, LossConfig, ShardedScene};
+use rtgs_render::{FrameArena, GaussianScene, LossConfig, ShardedScene, DEFAULT_CELL_SIZE};
 use rtgs_runtime::{Backend, BackendChoice, Serial};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
@@ -41,8 +41,6 @@ struct SessionSize {
     ds: SyntheticDataset,
     /// The session's sharded map.
     map: ShardedScene,
-    /// The same map flattened.
-    scene: GaussianScene,
     /// World-to-camera pose of frame 1.
     w2c: Se3,
 }
@@ -62,14 +60,8 @@ fn session_size() -> &'static SessionSize {
         let mut session = SlamPipeline::new(cfg, &ds);
         session.run();
         let map = session.scene().clone();
-        let scene = map.flatten().0;
         let w2c = ds.poses_c2w[1].inverse();
-        SessionSize {
-            ds,
-            map,
-            scene,
-            w2c,
-        }
+        SessionSize { ds, map, w2c }
     })
 }
 
@@ -83,15 +75,16 @@ fn bench_render_kernels(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
-    let SessionSize { ds, scene, w2c, .. } = session_size();
+    let SessionSize { ds, map, w2c } = session_size();
 
-    // Untimed: the projection and tile lists both rows run over.
-    // Re-projecting the same scene at the same pose leaves them as they are.
+    // Untimed: the cull, and the projection and tile lists both rows run
+    // over. Re-projecting the same working set at the same pose leaves them
+    // as they are.
     let mut arena = FrameArena::new();
-    arena.forward(scene, w2c, &ds.camera, None, &Serial);
+    arena.forward(map, w2c, &ds.camera, &Serial);
     group.bench_function("project_session_size", |b| {
         b.iter(|| {
-            arena.project(scene, w2c, &ds.camera, None, &Serial);
+            arena.project_visible(w2c, &ds.camera, &Serial);
             arena.projection().visible_count()
         })
     });
@@ -117,7 +110,7 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
-    let SessionSize { ds, scene, w2c, .. } = session_size();
+    let SessionSize { ds, map, w2c } = session_size();
     let backend = Serial;
 
     // Dense upstream gradients, identical for both variants: the loss of
@@ -125,12 +118,15 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
     let target = &ds.frames[0];
     let prepared = || {
         let mut arena = FrameArena::new();
-        arena.forward(scene, w2c, &ds.camera, None, &backend);
+        arena.forward(map, w2c, &ds.camera, &backend);
         arena.compute_loss(&target.color, target.depth.as_ref(), &LossConfig::default());
         arena
     };
     let (mut unfused, mut fused) = (prepared(), prepared());
     let pixel_grads = unfused.loss().pixel_grads.clone();
+    // The re-walk takes the scene the projection was built from: the cull's
+    // working set.
+    let gathered = unfused.visible().scene.clone();
     let mut rewalk = reference::RewalkScratch::default();
 
     group.bench_function("render_backward/unfused", |b| {
@@ -138,7 +134,7 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
             unfused.render(&ds.camera, &backend);
             reference::backward_rewalk(
                 &mut unfused,
-                scene,
+                &gathered,
                 &ds.camera,
                 w2c,
                 &pixel_grads,
@@ -151,7 +147,7 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
     group.bench_function("render_backward/fused", |b| {
         b.iter(|| {
             fused.render_fused(&ds.camera, &backend);
-            fused.backward_fused(scene, &ds.camera, w2c, &backend);
+            fused.backward_visible_fused(&ds.camera, w2c, &backend);
             fused.backward().pose
         })
     });
@@ -165,8 +161,8 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
 /// — property-tested in `crates/render/tests/equivalence.rs`).
 /// `csr_radix_reused` is the production path: rebuild into arena-owned
 /// storage, zero steady-state allocations; `csr_radix_fresh` builds into a
-/// new arena each time and pays the allocations (its projection happens in
-/// the untimed setup).
+/// new arena each time and pays the allocations (its cull and projection
+/// happen in the untimed setup).
 fn bench_tile_sort(c: &mut Criterion) {
     let mut group = c.benchmark_group("tile_sort");
     group
@@ -189,9 +185,11 @@ fn bench_tile_sort(c: &mut Criterion) {
             )
         })
         .collect();
+    let map = ShardedScene::from_scene(&scene, DEFAULT_CELL_SIZE);
     let projected = || {
         let mut arena = FrameArena::new();
-        arena.project(&scene, &Se3::IDENTITY, &camera, None, &Serial);
+        arena.cull(&map, &Se3::IDENTITY, &camera, None, &Serial);
+        arena.project_visible(&Se3::IDENTITY, &camera, &Serial);
         arena
     };
 
@@ -286,7 +284,7 @@ fn bench_runtime_scaling(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
-    let SessionSize { ds, scene, w2c, .. } = session_size();
+    let SessionSize { ds, map, w2c } = session_size();
     let machine = BackendChoice::default().instantiate();
     for (label, backend, warm_up) in [
         ("serial", &Serial as &dyn Backend, Duration::ZERO),
@@ -295,7 +293,7 @@ fn bench_runtime_scaling(c: &mut Criterion) {
         group.warm_up_time(warm_up);
         let mut arena = FrameArena::new();
         group.bench_function(BenchmarkId::new("forward_session_size", label), |b| {
-            b.iter(|| arena.forward(scene, w2c, &ds.camera, None, backend).stats)
+            b.iter(|| arena.forward(map, w2c, &ds.camera, backend).stats)
         });
         arena.render_fused(&ds.camera, backend);
         arena.compute_loss(
@@ -305,7 +303,7 @@ fn bench_runtime_scaling(c: &mut Criterion) {
         );
         group.bench_function(BenchmarkId::new("backward_session_size", label), |b| {
             b.iter(|| {
-                arena.backward_fused(scene, &ds.camera, w2c, backend);
+                arena.backward_visible_fused(&ds.camera, w2c, backend);
                 arena.backward().pose
             })
         });
@@ -313,17 +311,14 @@ fn bench_runtime_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Large-scene scaling: per-frame projection + render cost as the *total*
-/// map size grows from 60k to 500k Gaussians while the frustum's contents
-/// stay fixed (the camera sees the same slab of a long lateral strip; the
-/// rest of the map extends outside the field of view).
+/// Large-scene scaling: per-frame cull + projection + render cost as the
+/// *total* map size grows from 60k to 500k Gaussians while the frustum's
+/// contents stay fixed (the camera sees the same slab of a long lateral
+/// strip; the rest of the map extends outside the field of view).
 ///
 /// `sharded/N` runs the production path — shard frustum cull, gather,
 /// chunked projection, tile build, render — whose cost should stay
-/// near-flat in N. `flat/N` runs the same kernels over the flat full
-/// scene, which must walk (and individually cull) every Gaussian and
-/// therefore degrades linearly. Both produce bitwise-identical images
-/// (see `crates/render/tests/equivalence.rs`).
+/// near-flat in N.
 fn bench_large_scene_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("large_scene_scaling");
     group
@@ -350,7 +345,6 @@ fn bench_large_scene_scaling(c: &mut Criterion) {
             ));
         }
         map.refresh_bounds();
-        let (flat, _) = map.flatten();
         let backend = Serial;
 
         let mut arena = FrameArena::new();
@@ -362,9 +356,6 @@ fn bench_large_scene_scaling(c: &mut Criterion) {
                 arena.render(&cam, &backend);
                 arena.output().stats
             })
-        });
-        group.bench_with_input(BenchmarkId::new("flat", n), &flat, |b, flat| {
-            b.iter(|| arena.forward(flat, &w2c, &cam, None, &backend).stats)
         });
     }
     group.finish();

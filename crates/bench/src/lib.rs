@@ -5,12 +5,12 @@
 //!
 //! | group | measures |
 //! |---|---|
-//! | `render_kernels` | Step ❶ and the recording Step ❸ at session size |
+//! | `render_kernels` | Step ❶ (after an untimed cull) and the recording Step ❸ at session size |
 //! | `fused_tile_pass` | fused render+backward vs the unfused re-walk, session size |
 //! | `tile_sort` | CSR + radix tile assignment vs the legacy sort, dense scene |
 //! | `tracking_iteration_steady_state` | one tracking iteration, warm arena vs fresh, session size |
 //! | `runtime_scaling` | forward / backward at session size, serial vs the machine |
-//! | `large_scene_scaling` | sharded vs flat cull + render, 60k–500k Gaussians |
+//! | `large_scene_scaling` | cull + render as the map grows 60k–500k Gaussians at a fixed frustum |
 //! | `snapshot_full` | base capture and restore |
 //! | `snapshot_delta` | delta capture, full recapture, chain compaction |
 //! | `replication_stream` | one delta record's round trip vs capture alone |

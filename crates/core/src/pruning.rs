@@ -243,6 +243,7 @@ mod tests {
     use rtgs_math::{Quat, Se3, Vec3};
     use rtgs_render::{
         BackwardOutput, FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera,
+        ShardedScene, DEFAULT_CELL_SIZE,
     };
     use rtgs_runtime::Serial;
 
@@ -264,26 +265,26 @@ mod tests {
         )
     }
 
-    /// Drives the pruner through `iters` real tracking-style iterations.
-    ///
-    /// The gradients come from a flat full-scene backward pass, so the
-    /// frame-local index space coincides with the stable-ID space and
-    /// `visible_ids` is the identity map.
+    /// Drives the pruner through `iters` real tracking-style iterations,
+    /// each the production spelling the pipeline runs: the cull under
+    /// `mask`, then Steps ❶–❺ over its working set, whose frame-local
+    /// gradients `visible_ids` maps to stable IDs.
     fn drive(pruner: &mut AdaptivePruner, iters: usize, mask: &mut [bool]) {
         let (scene, cam) = make_artifacts_scene();
-        let all_ids: Vec<u32> = (0..scene.len() as u32).collect();
+        let map = ShardedScene::from_scene(&scene, DEFAULT_CELL_SIZE);
         let gt = Image::from_data(32, 32, vec![Vec3::splat(0.3); 32 * 32]);
         let mut arena = FrameArena::new();
         for it in 0..iters {
-            arena.project(&scene, &Se3::IDENTITY, &cam, Some(mask), &Serial);
+            arena.cull(&map, &Se3::IDENTITY, &cam, Some(mask), &Serial);
+            arena.project_visible(&Se3::IDENTITY, &cam, &Serial);
             arena.assign_tiles(&cam, &Serial);
             arena.render_fused(&cam, &Serial);
             arena.compute_loss(&gt, None, &LossConfig::default());
-            arena.backward_fused(&scene, &cam, &Se3::IDENTITY, &Serial);
+            arena.backward_visible_fused(&cam, &Se3::IDENTITY, &Serial);
             let artifacts = IterationArtifacts {
                 iteration: it,
                 grads: arena.backward(),
-                visible_ids: &all_ids,
+                visible_ids: &arena.visible().ids,
                 tiles: arena.tiles(),
             };
             pruner.observe_iteration(&artifacts, mask);

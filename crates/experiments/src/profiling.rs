@@ -4,7 +4,7 @@
 
 use crate::common::{dataset, f, run_variant, Scale, Table, Variant};
 use rtgs_metrics::{rmse, ssim};
-use rtgs_render::{FrameArena, ShardedScene};
+use rtgs_render::FrameArena;
 use rtgs_runtime::Serial;
 use rtgs_scene::DatasetProfile;
 use rtgs_slam::{
@@ -79,7 +79,7 @@ pub fn fig4(scale: Scale) -> String {
     // Track frame 1 against the reference scene, accumulating each
     // Gaussian's importance over the iterations (the distribution shape is
     // a property of the scene structure).
-    let map = ShardedScene::from_scene(&ds.reference_scene, 1.0);
+    let map = &ds.reference_scene;
     let mut mask = vec![true; map.capacity()];
     let mut timings = StageTimings::default();
     struct Collect {
@@ -97,7 +97,7 @@ pub fn fig4(scale: Scale) -> String {
         scores: vec![0.0f64; map.capacity()],
     };
     let _ = track_frame(
-        &map,
+        map,
         ds.poses_c2w[1].inverse(),
         &ds.frames[1],
         &ds.camera,

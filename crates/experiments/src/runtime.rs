@@ -16,7 +16,7 @@ use std::time::Instant;
 /// churn arena reuse removes from every optimizer iteration.
 pub fn arena_steady_state(scale: Scale) -> String {
     let ds = SyntheticDataset::generate(scale.profile(DatasetProfile::scannet_analog()), 2);
-    let map = rtgs_render::ShardedScene::from_scene(&ds.reference_scene, 1.0);
+    let map = &ds.reference_scene;
     let mask = vec![true; map.capacity()];
     let w2c = ds.poses_c2w[1].inverse();
     let frame = &ds.frames[1];
@@ -26,7 +26,7 @@ pub fn arena_steady_state(scale: Scale) -> String {
 
     let mut arena = FrameArena::new();
     let arena_iter = |arena: &mut FrameArena| {
-        arena.cull(&map, &w2c, &ds.camera, Some(&mask), &backend);
+        arena.cull(map, &w2c, &ds.camera, Some(&mask), &backend);
         arena.project_visible(&w2c, &ds.camera, &backend);
         arena.assign_tiles(&ds.camera, &backend);
         arena.render_fused(&ds.camera, &backend);

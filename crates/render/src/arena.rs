@@ -40,7 +40,6 @@
 use crate::backward::{backward_into, BackwardOutput, BackwardScratch, GradSet};
 use crate::camera::{DepthImage, Image, PinholeCamera};
 use crate::forward::{render_into, FragmentCache, RenderOutput, RenderStats, TileWork, BANDS};
-use crate::gaussian::GaussianScene;
 use crate::loss::{compute_loss_into, LossConfig, LossOutput};
 use crate::project::{activations, project_scene_into, ProjectScratch, Projection};
 use crate::shard::{CullScratch, ShardedScene, VisibleFrame};
@@ -161,35 +160,8 @@ impl FrameArena {
         self.activations_kept = false;
     }
 
-    /// Step ❶ over an external scene: projects into [`Self::projection`].
-    /// `active` is the pruning mask (one flag per Gaussian; `None` = all).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active` is provided with a length different from the scene.
-    pub fn project(
-        &mut self,
-        scene: &GaussianScene,
-        w2c: &Se3,
-        camera: &PinholeCamera,
-        active: Option<&[bool]>,
-        backend: &dyn Backend,
-    ) {
-        self.activations_kept = false;
-        project_scene_into(
-            activations::COMPUTE,
-            scene,
-            w2c,
-            camera,
-            active,
-            backend,
-            &mut self.project_scratch,
-            &mut self.projection,
-        );
-    }
-
-    /// Step ❶ over the arena's own cull result ([`Self::visible`]) — the
-    /// tracking/mapping hot path (masking already happened in the cull).
+    /// Step ❶ over the arena's own cull result ([`Self::visible`]): projects
+    /// into [`Self::projection`]. Masking already happened in the cull.
     pub fn project_visible(&mut self, w2c: &Se3, camera: &PinholeCamera, backend: &dyn Backend) {
         self.activations_kept = false;
         project_scene_into(
@@ -197,7 +169,6 @@ impl FrameArena {
             &self.visible.scene,
             w2c,
             camera,
-            None,
             backend,
             &mut self.project_scratch,
             &mut self.projection,
@@ -224,7 +195,7 @@ impl FrameArena {
     /// Invalidates [`Self::fragments`] — the cached records of an earlier
     /// fused pass no longer describe the current output, and consuming
     /// them would silently corrupt gradients; after this call,
-    /// [`Self::backward_fused`] panics until the next
+    /// [`Self::backward_visible_fused`] panics until the next
     /// [`Self::render_fused`].
     pub fn render(&mut self, camera: &PinholeCamera, backend: &dyn Backend) {
         self.fragments.invalidate();
@@ -256,23 +227,23 @@ impl FrameArena {
         );
     }
 
-    /// Steps ❶–❸ in one call — [`Self::project`] → [`Self::assign_tiles`] →
-    /// unfused [`Self::render`] — for callers that only need the image
-    /// (dataset generation, evaluation re-renders). Returns
-    /// [`Self::output`].
+    /// Steps ❶–❸ in one call — [`Self::cull`] (no mask) →
+    /// [`Self::project_visible`] → [`Self::assign_tiles`] → unfused
+    /// [`Self::render`] — for callers that only need the image (dataset
+    /// generation, evaluation re-renders). Returns [`Self::output`].
     ///
     /// # Panics
     ///
-    /// As for [`Self::project`].
+    /// As for [`Self::cull`]: when `map`'s shard bounds are stale.
     pub fn forward(
         &mut self,
-        scene: &GaussianScene,
+        map: &ShardedScene,
         w2c: &Se3,
         camera: &PinholeCamera,
-        active: Option<&[bool]>,
         backend: &dyn Backend,
     ) -> &RenderOutput {
-        self.project(scene, w2c, camera, active, backend);
+        self.cull(map, w2c, camera, None, backend);
+        self.project_visible(w2c, camera, backend);
         self.assign_tiles(camera, backend);
         self.render(camera, backend);
         &self.output
@@ -301,40 +272,16 @@ impl FrameArena {
         self.loss.loss
     }
 
-    /// Steps ❹–❺ (fused) over an external scene, consuming
-    /// [`Self::fragments`] and the gradients of [`Self::loss`]; results
-    /// land in [`Self::backward`].
+    /// Steps ❹–❺ (fused) over the arena's own cull result, consuming
+    /// [`Self::fragments`] and the gradients of [`Self::loss`]; results land
+    /// in [`Self::backward`], one gradient per Gaussian of
+    /// [`Self::visible`] (frame-local index space).
     ///
     /// # Panics
     ///
     /// Panics if [`Self::fragments`] is stale (no [`Self::render_fused`]
     /// since the last tile assignment or unfused render) or the loss
     /// gradients do not match `camera`'s pixel count.
-    pub fn backward_fused(
-        &mut self,
-        scene: &GaussianScene,
-        camera: &PinholeCamera,
-        w2c: &Se3,
-        backend: &dyn Backend,
-    ) {
-        self.assert_fragments_fresh();
-        backward_into::<true>(
-            scene,
-            &self.projection,
-            &self.tiles,
-            camera,
-            w2c,
-            &self.loss.pixel_grads,
-            &self.fragments,
-            &self.work,
-            backend,
-            &mut self.backward_scratch,
-            &mut self.backward,
-        );
-    }
-
-    /// [`Self::backward_fused`] over the arena's own cull result — the
-    /// tracking/mapping hot path.
     pub fn backward_visible_fused(
         &mut self,
         camera: &PinholeCamera,
@@ -542,7 +489,6 @@ impl Trials<'_> {
             &arena.visible.scene,
             w2c,
             camera,
-            None,
             backend,
             &mut arena.project_scratch,
             &mut arena.projection,
@@ -574,13 +520,13 @@ impl Drop for Trials<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gaussian::Gaussian3d;
+    use crate::gaussian::{Gaussian3d, GaussianScene};
     use crate::Image;
     use rtgs_math::{Quat, Vec3};
     use rtgs_runtime::Serial;
 
-    fn scene() -> GaussianScene {
-        GaussianScene::from_gaussians(vec![
+    fn map() -> ShardedScene {
+        let scene = GaussianScene::from_gaussians(vec![
             Gaussian3d::from_activated(
                 Vec3::new(0.0, 0.0, 2.0),
                 Vec3::splat(0.4),
@@ -595,17 +541,30 @@ mod tests {
                 0.6,
                 Vec3::new(0.2, 0.9, 0.4),
             ),
-        ])
+        ]);
+        ShardedScene::from_scene(&scene, crate::DEFAULT_CELL_SIZE)
     }
 
     #[test]
     fn forward_composes_pipeline() {
         let cam = PinholeCamera::from_fov(32, 32, 1.2);
         let mut arena = FrameArena::new();
-        let out = arena.forward(&scene(), &Se3::IDENTITY, &cam, None, &Serial);
+        let out = arena.forward(&map(), &Se3::IDENTITY, &cam, &Serial);
         assert!(out.stats.fragments_blended > 0);
         assert!(out.image.pixel(16, 16).x > 0.0);
         assert_eq!(arena.projection().visible_count(), 2);
+    }
+
+    /// Evaluation renders a map after its last mutation; on stale bounds
+    /// the cull, and with it `forward`, refuses rather than render a stale
+    /// working set.
+    #[test]
+    #[should_panic(expected = "shard bounds are stale")]
+    fn forward_panics_on_stale_bounds() {
+        let mut map = map();
+        map.tombstone(0);
+        let cam = PinholeCamera::from_fov(32, 32, 1.2);
+        FrameArena::new().forward(&map, &Se3::IDENTITY, &cam, &Serial);
     }
 
     /// The high-water mark covers at least the projection's SoA arrays and
@@ -615,9 +574,10 @@ mod tests {
         use std::mem::size_of;
         let cam = PinholeCamera::from_fov(75, 42, 1.2);
         let pose = Se3::IDENTITY;
-        let scene = scene();
+        let map = map();
         let mut arena = FrameArena::new();
-        arena.project(&scene, &pose, &cam, None, &Serial);
+        arena.cull(&map, &pose, &cam, None, &Serial);
+        arena.project_visible(&pose, &cam, &Serial);
         arena.assign_tiles(&cam, &Serial);
         arena.render_fused(&cam, &Serial);
         arena.compute_loss(
@@ -625,7 +585,7 @@ mod tests {
             None,
             &LossConfig::default(),
         );
-        arena.backward_fused(&scene, &cam, &pose, &Serial);
+        arena.backward_visible_fused(&cam, &pose, &Serial);
 
         let soa = &arena.projection.soa;
         let bytes = |len: usize, size: usize| len * size;
@@ -666,16 +626,17 @@ mod tests {
     fn unfused_render_invalidates_fragment_cache() {
         let cam = PinholeCamera::from_fov(32, 32, 1.2);
         let pose = Se3::IDENTITY;
-        let scene = scene();
+        let map = map();
         let gt = Image::new(cam.width, cam.height);
         let mut arena = FrameArena::new();
-        arena.project(&scene, &pose, &cam, None, &Serial);
+        arena.cull(&map, &pose, &cam, None, &Serial);
+        arena.project_visible(&pose, &cam, &Serial);
         arena.assign_tiles(&cam, &Serial);
         arena.render_fused(&cam, &Serial);
         // An unfused render supersedes the cached fragments; consuming them
         // afterwards must fail loudly instead of corrupting gradients.
         arena.render(&cam, &Serial);
         arena.compute_loss(&gt, None, &LossConfig::default());
-        arena.backward_fused(&scene, &cam, &pose, &Serial);
+        arena.backward_visible_fused(&cam, &pose, &Serial);
     }
 }

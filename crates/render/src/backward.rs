@@ -66,7 +66,7 @@ use crate::project::{
     covariance3, diagonal3, frustum_limits, jacobian_lane, jacobian_with_clamp, mul3, mul_vec3,
     rotation3, transpose3, Lanes, Projected2d, Projection, GAUSS_LANES, M3,
 };
-use crate::tiles::{TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE};
+use crate::tiles::{tile_pixel_rect, TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE};
 use rtgs_math::{Mat3, Se3, Sym2, Sym3, Vec2, Vec3};
 use rtgs_runtime::{Backend, SharedSlice};
 use std::time::Instant;
@@ -477,8 +477,7 @@ fn backward_tile<const FULL: bool>(
     if gathered.is_empty() {
         return;
     }
-    let (x0, y0, x1, y1) =
-        tiles.tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
+    let (x0, y0, x1, y1) = tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
 
     for subtile in 0..SUBTILES_PER_TILE {
         let cached = &bands[subtile / SUBTILES_X];
@@ -1204,7 +1203,7 @@ mod tests {
     use super::*;
     use crate::gaussian::Gaussian3d;
     use crate::reference::{backward_rewalk, RewalkScratch};
-    use crate::FrameArena;
+    use crate::{FrameArena, ShardedScene, DEFAULT_CELL_SIZE};
     use rtgs_math::Quat;
     use rtgs_runtime::Serial;
 
@@ -1212,33 +1211,51 @@ mod tests {
         PinholeCamera::from_fov(32, 32, 1.2)
     }
 
-    /// Projects, bins and fused-renders `scene` at the identity pose.
+    /// Culls `scene` (as a map, under the pruning mask `active`), projects,
+    /// bins and fused-renders it at the identity pose.
     fn setup(scene: &GaussianScene, active: Option<&[bool]>) -> FrameArena {
         let cam = camera();
+        let map = ShardedScene::from_scene(scene, DEFAULT_CELL_SIZE);
         let mut arena = FrameArena::new();
-        arena.project(scene, &Se3::IDENTITY, &cam, active, &Serial);
+        arena.cull(&map, &Se3::IDENTITY, &cam, active, &Serial);
+        arena.project_visible(&Se3::IDENTITY, &cam, &Serial);
         arena.assign_tiles(&cam, &Serial);
         arena.render_fused(&cam, &Serial);
         arena
     }
 
-    /// Backward pass over explicit upstream gradients (re-walk driver).
+    /// Frame-local gradients scattered into the stable-ID space of a map of
+    /// `len` Gaussians through the cull's `ids` (a Gaussian the cull left
+    /// out gets zeros).
+    fn by_id(local: &[GaussianGrad], ids: &[u32], len: usize) -> Vec<GaussianGrad> {
+        let mut out = vec![GaussianGrad::default(); len];
+        for (g, &id) in local.iter().zip(ids) {
+            out[id as usize] = *g;
+        }
+        out
+    }
+
+    /// Backward pass over explicit upstream gradients (re-walk driver) over
+    /// the cull's working set, with the gradients in `scene`'s stable IDs.
     fn backward(
         arena: &mut FrameArena,
         scene: &GaussianScene,
         grads: &PixelGrads,
     ) -> BackwardOutput {
+        let gathered = arena.visible().scene.clone();
         let scratch = &mut RewalkScratch::default();
         backward_rewalk(
             arena,
-            scene,
+            &gathered,
             &camera(),
             &Se3::IDENTITY,
             grads,
             &Serial,
             scratch,
         );
-        arena.backward().clone()
+        let mut out = arena.backward().clone();
+        out.gaussians = by_id(&out.gaussians, &arena.visible().ids, scene.len());
+        out
     }
 
     fn one_gaussian_scene() -> GaussianScene {
@@ -1352,7 +1369,7 @@ mod tests {
         // Same explicit gradients through the fused driver.
         let mut fused_out = BackwardOutput::empty();
         backward_into::<true>(
-            &scene,
+            &arena.visible().scene,
             arena.projection(),
             arena.tiles(),
             &cam,
@@ -1364,7 +1381,10 @@ mod tests {
             &mut BackwardScratch::default(),
             &mut fused_out,
         );
-        assert_eq!(rewalk.gaussians, fused_out.gaussians);
+        assert_eq!(
+            rewalk.gaussians,
+            by_id(&fused_out.gaussians, &arena.visible().ids, scene.len())
+        );
         assert_eq!(rewalk.pose, fused_out.pose);
         assert_eq!(
             rewalk.stats.fragment_grad_events,
@@ -1437,8 +1457,13 @@ mod tests {
         let aos_tiles = build_tiles_aos(&aos, &cam);
         let want = render_aos(&aos, &aos_tiles, &cam);
 
+        let map = ShardedScene::from_scene(&scene, DEFAULT_CELL_SIZE);
         let mut arena = FrameArena::new();
-        arena.project(&scene, &Se3::IDENTITY, &cam, None, &Serial);
+        arena.cull(&map, &Se3::IDENTITY, &cam, None, &Serial);
+        arena.project_visible(&Se3::IDENTITY, &cam, &Serial);
+        // Every Gaussian is gathered, so frame-local indices are stable IDs
+        // and the gathered working set is `scene` itself.
+        assert_eq!(arena.visible().ids, [0, 1, 2]);
         let slot = arena.projection.soa.slot(poisoned).expect("visible");
         let soa = &mut arena.projection.soa;
         soa.conics[slot] = nan_conic;
@@ -1761,7 +1786,7 @@ mod tests {
 
     /// The chunk loop around the kernel — compaction of touched IDs, tail
     /// replication, per-lane stores and pose adds in ascending ID — at every
-    /// tail length, with untouched (masked, culled) Gaussians in between,
+    /// tail length, with untouched (Step-❶-culled) Gaussians in between,
     /// against the AoS oracle, in both instantiations.
     #[test]
     fn every_touched_count_matches_the_oracle() {
@@ -1779,14 +1804,20 @@ mod tests {
                     0.5,
                     Vec3::new(0.8, 0.3, 0.2),
                 ));
-                // Never touched: behind the camera.
-                let mut behind = gaussians[gaussians.len() - 1];
-                behind.position.z = -NEAR_PLANE;
-                gaussians.push(behind);
+                // Never touched: in front of the camera but short of the
+                // near plane, in its twin's shard (the cells are 100 m), so
+                // the cull gathers it and Step ❶ culls it.
+                let mut too_near = gaussians[gaussians.len() - 1];
+                too_near.position.z = 0.5 * NEAR_PLANE;
+                gaussians.push(too_near);
             }
             let scene = GaussianScene::from_gaussians(gaussians);
+            let map = ShardedScene::from_scene(&scene, 100.0);
             let mut arena = FrameArena::new();
-            arena.project(&scene, &w2c, &cam, None, &Serial);
+            arena.cull(&map, &w2c, &cam, None, &Serial);
+            arena.project_visible(&w2c, &cam, &Serial);
+            assert_eq!(arena.visible().ids.len(), scene.len(), "all gathered");
+            assert_eq!(arena.projection().culled, n);
             arena.assign_tiles(&cam, &Serial);
             arena.render_fused(&cam, &Serial);
             let mut grads = PixelGrads::zeros(cam.width, cam.height);

@@ -53,7 +53,7 @@
 
 use crate::camera::{DepthImage, Image, PinholeCamera};
 use crate::project::{ProjectedSoA, Projection};
-use crate::tiles::{TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE, TILE_SIZE};
+use crate::tiles::{tile_pixel_rect, TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE, TILE_SIZE};
 use rtgs_math::{exp_nonpos, Sym2, Vec2, Vec3};
 use rtgs_runtime::{Backend, SharedSlice};
 
@@ -971,7 +971,7 @@ pub(crate) fn render_into<const RECORD: bool>(
                     records
                 });
                 let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);
-                let (x0, y0, x1, y1) = tiles.tile_pixel_rect(tx, ty, camera);
+                let (x0, y0, x1, y1) = tile_pixel_rect(tx, ty, camera);
                 let sy0 = y0 + band * SUBTILE_SIZE;
                 let at = tiles.entry_range(tile);
                 // A band below the image, or of a tile without splats, keeps
@@ -1036,7 +1036,7 @@ pub(crate) fn render_into<const RECORD: bool>(
 mod tests {
     use super::*;
     use crate::gaussian::{Gaussian3d, GaussianScene};
-    use crate::FrameArena;
+    use crate::{FrameArena, ShardedScene, DEFAULT_CELL_SIZE};
     use proptest::prelude::*;
     use rtgs_math::{Quat, Se3};
     use rtgs_runtime::Serial;
@@ -1045,9 +1045,13 @@ mod tests {
         PinholeCamera::from_fov(32, 32, 1.2)
     }
 
+    fn map_of(scene: &GaussianScene) -> ShardedScene {
+        ShardedScene::from_scene(scene, DEFAULT_CELL_SIZE)
+    }
+
     fn render_scene(scene: &GaussianScene) -> RenderOutput {
         FrameArena::new()
-            .forward(scene, &Se3::IDENTITY, &camera(), None, &Serial)
+            .forward(&map_of(scene), &Se3::IDENTITY, &camera(), &Serial)
             .clone()
     }
 
@@ -1158,7 +1162,8 @@ mod tests {
     fn alpha_never_exceeds_max() {
         let scene = GaussianScene::from_gaussians(vec![big_gaussian(2.0, 0.9999, Vec3::X)]);
         let mut arena = FrameArena::new();
-        arena.project(&scene, &Se3::IDENTITY, &camera(), None, &Serial);
+        arena.cull(&map_of(&scene), &Se3::IDENTITY, &camera(), None, &Serial);
+        arena.project_visible(&Se3::IDENTITY, &camera(), &Serial);
         let splat = arena.projection().splat_for_gaussian(0).unwrap();
         let (alpha, _) = fragment_alpha(splat.mean, &splat.conic, splat.opacity, splat.mean);
         assert!(alpha <= ALPHA_MAX);
@@ -1173,7 +1178,7 @@ mod tests {
         let cam = camera();
         let mut arena = FrameArena::new();
         let plain = arena
-            .forward(&scene, &Se3::IDENTITY, &cam, None, &Serial)
+            .forward(&map_of(&scene), &Se3::IDENTITY, &cam, &Serial)
             .clone();
         arena.render_fused(&cam, &Serial);
         let fused = arena.output();
@@ -1381,7 +1386,8 @@ mod tests {
         // Partial edge tiles, 3-pixel-wide and 1-row subtiles.
         let cam = PinholeCamera::from_fov(27, 21, 1.2);
         let mut arena = FrameArena::new();
-        arena.project(&scene, &Se3::IDENTITY, &cam, None, &Serial);
+        arena.cull(&map_of(&scene), &Se3::IDENTITY, &cam, None, &Serial);
+        arena.project_visible(&Se3::IDENTITY, &cam, &Serial);
         arena.assign_tiles(&cam, &Serial);
         arena.render_fused(&cam, &Serial);
         let tiles = arena.tiles();
@@ -1394,7 +1400,7 @@ mod tests {
         for (unit, tf) in bands.iter().enumerate() {
             let (tile, band) = (unit / BANDS, unit % BANDS);
             let (tx, ty) = (tile % tiles.tiles_x, tile / tiles.tiles_x);
-            let (x0, y0, x1, y1) = tiles.tile_pixel_rect(tx, ty, &cam);
+            let (x0, y0, x1, y1) = tile_pixel_rect(tx, ty, &cam);
             let mut next_row = 0;
             assert!(
                 tf.subtile_heads.windows(2).all(|w| w[0] <= w[1]),

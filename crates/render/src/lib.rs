@@ -2,11 +2,13 @@
 //!
 //! Implements the five pipeline steps of the paper (Sec. 2.1–2.2), each
 //! reached through exactly one public path — a stage method of
-//! [`FrameArena`], which owns every transient buffer of a frame:
+//! [`FrameArena`], which owns every transient buffer of a frame — over one
+//! kind of map, the [`ShardedScene`]. A frame starts with the frustum cull
+//! ([`FrameArena::cull`]), which gathers the map's visible working set and
+//! is the one place the paper's pruning mask (Sec. 4.1) acts:
 //!
-//! 1. **Preprocessing** ([`FrameArena::project`], or [`FrameArena::cull`] +
-//!    [`FrameArena::project_visible`] over a [`ShardedScene`]) — EWA
-//!    projection of 3D Gaussians to 2D splats compacted into a
+//! 1. **Preprocessing** ([`FrameArena::project_visible`]) — EWA projection
+//!    of the working set's 3D Gaussians to 2D splats compacted into a
 //!    structure-of-arrays layout ([`ProjectedSoA`]), eight Gaussians (one
 //!    per lane) at a time, keeping what it activates of a Gaussian's scale
 //!    and rotation for step 5. A tracking frame's trials run it inside a
@@ -27,11 +29,10 @@
 //!    R&B record ([`RecordHead`] + [`RecordRow`]s) step 4 consumes.
 //!    [`FrameArena::render`] is the forward-only spelling for evaluation
 //!    renders.
-//! 4. **Rendering BP** ([`FrameArena::backward_fused`] /
-//!    [`FrameArena::backward_visible_fused`]) — loss gradients
-//!    ([`FrameArena::compute_loss`]) to per-Gaussian 2D gradients (Eq. 4),
-//!    walking each subtile's records back to front, 16 lanes wide, and
-//!    merging every record's per-pixel gradients into its Gaussian's
+//! 4. **Rendering BP** ([`FrameArena::backward_visible_fused`]) — loss
+//!    gradients ([`FrameArena::compute_loss`]) to per-Gaussian 2D gradients
+//!    (Eq. 4), walking each subtile's records back to front, 16 lanes wide,
+//!    and merging every record's per-pixel gradients into its Gaussian's
 //!    accumulator at once.
 //! 5. **Preprocessing BP** (same call) — 2D gradients to 3D parameter
 //!    gradients and the camera-pose tangent, lanes = Gaussians like step 1,
@@ -41,21 +42,22 @@
 //! with [`GradSet::PoseOnly`] computes only the pose tangent — the full
 //! pass's bits — for tracking iterations nothing else reads.
 //!
-//! [`FrameArena::forward`] runs steps 1–3 in one call for callers that only
-//! need an image.
+//! [`FrameArena::forward`] runs the cull and steps 1–3 in one call for
+//! callers that only need an image.
 //!
-//! The seed's array-of-structs path, the legacy per-tile sort and the
-//! backward re-walk survive in the hidden `reference` module as the bitwise
-//! ground truth; `tests/equivalence.rs` proves AoS == SoA == fused ==
-//! sharded, fresh == reused arena, serial == parallel, bit for bit, over
-//! random scenes. The analytic backward pass is verified against finite
+//! The seed's array-of-structs path over a flat [`GaussianScene`], the
+//! legacy per-tile sort and the backward re-walk survive in the hidden
+//! `reference` module as the bitwise ground truth; `tests/equivalence.rs`
+//! proves production (cull → SoA → fused) == the flat AoS oracle, fresh ==
+//! reused arena, serial == parallel, bit for bit, over random maps. The analytic backward pass is verified against finite
 //! differences in `tests/grad_check.rs`.
 //!
 //! # Example
 //!
 //! ```
 //! use rtgs_render::{
-//!     FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera,
+//!     FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera, ShardedScene,
+//!     DEFAULT_CELL_SIZE,
 //! };
 //! use rtgs_math::{Quat, Se3, Vec3};
 //! use rtgs_runtime::Serial;
@@ -67,20 +69,25 @@
 //!     0.8,
 //!     Vec3::new(1.0, 0.2, 0.1),
 //! )]);
+//! let map = ShardedScene::from_scene(&scene, DEFAULT_CELL_SIZE); // bounds fresh
 //! let camera = PinholeCamera::from_fov(64, 48, 1.2);
 //! let pose = Se3::IDENTITY; // world-to-camera
 //!
 //! // One arena per session; every stage reuses its storage across frames.
 //! let mut arena = FrameArena::new();
-//! arena.project(&scene, &pose, &camera, None, &Serial);
+//! arena.cull(&map, &pose, &camera, None, &Serial); // no pruning mask
+//! arena.project_visible(&pose, &camera, &Serial);
 //! arena.assign_tiles(&camera, &Serial);
 //! arena.render_fused(&camera, &Serial);
 //!
 //! let gt = Image::new(64, 48); // all black target
 //! let loss = arena.compute_loss(&gt, None, &LossConfig::default());
-//! arena.backward_fused(&scene, &camera, &pose, &Serial);
+//! arena.backward_visible_fused(&camera, &pose, &Serial);
 //! assert!(loss > 0.0);
-//! assert_eq!(arena.backward().gaussians.len(), scene.len());
+//! // One gradient per gathered Gaussian; `visible().ids` maps them to the
+//! // map's stable IDs.
+//! assert_eq!(arena.backward().gaussians.len(), arena.visible().ids.len());
+//! assert_eq!(arena.visible().ids, [0]);
 //! ```
 
 mod arena;

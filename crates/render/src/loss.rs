@@ -3,7 +3,7 @@
 //! `L = λ_pho · E_pho + (1 − λ_pho) · E_geo`: a photometric residual over
 //! RGB plus a geometric residual over rendered depth. The per-pixel
 //! gradients produced here are the input to the backward pass
-//! ([`crate::FrameArena::backward_fused`]).
+//! ([`crate::FrameArena::backward_visible_fused`]).
 
 use crate::backward::PixelGrads;
 use crate::camera::{DepthImage, Image};

@@ -160,8 +160,7 @@ pub const FRUSTUM_CLAMP: f32 = 1.3;
 /// reference 3DGS rasterizer (ensures every splat covers at least ~1 pixel).
 pub const COV2D_BLUR: f32 = 0.3;
 
-/// Sentinel in [`ProjectedSoA::slot_of_gaussian`] for culled/masked
-/// Gaussians.
+/// Sentinel in [`ProjectedSoA::slot_of_gaussian`] for culled Gaussians.
 pub const NO_SLOT: u32 = u32::MAX;
 
 /// A 3D Gaussian projected onto the image plane (a 2D splat).
@@ -202,7 +201,7 @@ pub type TileRect = [u16; 4];
 /// layout — and everything derived from it — is independent of the backend
 /// and pool size that produced it. [`Self::gaussian_ids`] maps slot → source
 /// Gaussian, [`Self::slot_of_gaussian`] maps the other way ([`NO_SLOT`] when
-/// culled or masked).
+/// culled).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProjectedSoA {
     /// Slot → source Gaussian ID.
@@ -259,7 +258,7 @@ impl ProjectedSoA {
         self.gaussian_ids.is_empty()
     }
 
-    /// The slot of Gaussian `id`, or `None` when it was culled or masked.
+    /// The slot of Gaussian `id`, or `None` when it was culled.
     #[inline]
     pub fn slot(&self, id: usize) -> Option<usize> {
         match self.slot_of_gaussian.get(id) {
@@ -342,11 +341,11 @@ const BLOCKS_PER_CHUNK: usize = PROJECT_CHUNK.div_ceil(GAUSS_LANES);
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ProjectScratch {
     /// `BLOCKS_PER_CHUNK` block slots per chunk; a chunk fills the first
-    /// `ceil(active / GAUSS_LANES)` of its own (the rest are stale, and
-    /// never read).
+    /// `ceil(len / GAUSS_LANES)` of its own (the rest are stale, and never
+    /// read).
     blocks: Vec<ProjectedBlock>,
-    /// Per-chunk `(visible, culled, masked)` counters.
-    counts: Vec<(usize, usize, usize)>,
+    /// Per-chunk `(visible, culled)` counters.
+    counts: Vec<(usize, usize)>,
     /// Per-chunk visible counts (prefix-sum input).
     visible_counts: Vec<usize>,
     /// Per-chunk output offsets (prefix-sum output).
@@ -358,7 +357,7 @@ impl ProjectScratch {
     pub(crate) fn capacity_bytes(&self) -> usize {
         use std::mem::size_of;
         self.blocks.capacity() * size_of::<ProjectedBlock>()
-            + self.counts.capacity() * size_of::<(usize, usize, usize)>()
+            + self.counts.capacity() * size_of::<(usize, usize)>()
             + (self.visible_counts.capacity() + self.offsets.capacity()) * size_of::<usize>()
     }
 }
@@ -371,8 +370,6 @@ pub struct Projection {
     pub soa: ProjectedSoA,
     /// Number of Gaussians culled by the near plane or out-of-frustum test.
     pub culled: usize,
-    /// Number of Gaussians skipped because the active mask excluded them.
-    pub masked: usize,
 }
 
 impl Projection {
@@ -383,7 +380,7 @@ impl Projection {
     }
 
     /// The splat of Gaussian `id` as an array-of-structs view, or `None`
-    /// when it was culled or masked.
+    /// when it was culled.
     pub fn splat_for_gaussian(&self, id: usize) -> Option<Projected2d> {
         self.soa.slot(id).map(|s| self.soa.get(s))
     }
@@ -411,26 +408,26 @@ pub(crate) fn tile_rect_of(mean: Vec2, radius: f32, tiles_x: usize, tiles_y: usi
     ]
 }
 
-/// Step ❶: projects every active Gaussian into the image plane of `camera`
-/// under the world-to-camera pose `w2c`, writing into caller-owned storage.
-/// `act` is the [`activations`] mode, which picks the kernel's
-/// instantiation; [`LOAD`] requires the previous call on `ws` to have been a
-/// [`KEEP`] or [`LOAD`] one over the same `scene` and `active`. (The mode is
-/// a value here, not a `const`: instantiated per mode, this driver was
-/// placed where its helpers no longer inline, and an unscoped projection
-/// took ×1.08 the time of the same code in a plain function, measured
-/// interleaved in one process on a 2-vCPU x86-64 host.)
+/// Step ❶: projects every Gaussian of `scene` — the cull's gathered
+/// working set, already masked — into the image plane of `camera` under the
+/// world-to-camera pose `w2c`, writing into caller-owned storage. `act` is
+/// the [`activations`] mode, which picks the kernel's instantiation;
+/// [`LOAD`] requires the previous call on `ws` to have been a [`KEEP`] or
+/// [`LOAD`] one over the same `scene`. (The mode is a value here, not a
+/// `const`: instantiated per mode, this driver was placed where its helpers
+/// no longer inline, and an unscoped projection took ×1.08 the time of the
+/// same code in a plain function, measured interleaved in one process on a
+/// 2-vCPU x86-64 host.)
 ///
-/// `active` is the paper's pruning mask: `None` renders everything;
-/// `Some(mask)` (one flag per Gaussian) skips masked-out Gaussians before
-/// any math runs, which is exactly where the adaptive pruning of Sec. 4.1
-/// saves its work.
+/// The paper's pruning mask (Sec. 4.1) never reaches this stage: the cull
+/// ([`crate::FrameArena::cull`]) leaves masked Gaussians out of the
+/// gathered working set, so they cost Step ❶ nothing.
 ///
 /// Runs in three phases: (1) chunked projection with per-chunk
-/// visible/cull/mask counters — each chunk compacts its active IDs into
+/// visible/cull counters — each chunk splits its consecutive IDs into
 /// blocks of [`GAUSS_LANES`] and runs them through [`project_block`], one
 /// lane per Gaussian (a block never spans a chunk; the lanes past a chunk's
-/// last active ID replicate that Gaussian and are ignored), leaving the
+/// last ID replicate that Gaussian and are ignored), leaving the
 /// kernel's lane arrays in the workspace, (2) a serial exclusive prefix sum
 /// over the per-chunk visible counts, (3) a chunked scatter that transposes
 /// each chunk's visible lanes into the dense SoA arrays at its precomputed
@@ -443,28 +440,15 @@ pub(crate) fn tile_rect_of(mean: Vec2, radius: f32, tiles_x: usize, tiles_y: usi
 /// The workspace and output buffers are cleared and refilled; once their
 /// capacities cover the frame (scene size, visible count), re-projection
 /// performs **no heap allocation**.
-///
-/// # Panics
-///
-/// Panics if `active` is provided with a length different from the scene.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn project_scene_into(
     act: u8,
     scene: &GaussianScene,
     w2c: &Se3,
     camera: &PinholeCamera,
-    active: Option<&[bool]>,
     backend: &dyn Backend,
     ws: &mut ProjectScratch,
     out: &mut Projection,
 ) {
-    if let Some(mask) = active {
-        assert_eq!(
-            mask.len(),
-            scene.len(),
-            "active mask length must match scene size"
-        );
-    }
     let rot = w2c.rotation_matrix();
     let n = scene.len();
     let tiles_x = camera.width.div_ceil(TILE_SIZE);
@@ -472,60 +456,43 @@ pub(crate) fn project_scene_into(
     let chunks = n.div_ceil(PROJECT_CHUNK).max(1);
 
     // Phase 1: chunked projection into lane blocks with per-chunk (visible,
-    // culled, masked) counters.
+    // culled) counters.
     if ws.blocks.len() < chunks * BLOCKS_PER_CHUNK {
         ws.blocks
             .resize_with(chunks * BLOCKS_PER_CHUNK, ProjectedBlock::default);
     }
     ws.counts.clear();
-    ws.counts.resize(chunks, (0usize, 0usize, 0usize));
+    ws.counts.resize(chunks, (0usize, 0usize));
     {
         let block_view = SharedSlice::new(&mut ws.blocks);
         let count_view = SharedSlice::new(&mut ws.counts);
         backend.for_each_chunk(n, PROJECT_CHUNK, &|chunk, range| {
+            let kernel = match act {
+                COMPUTE => project_block::<COMPUTE>,
+                KEEP => project_block::<KEEP>,
+                _ => project_block::<LOAD>,
+            };
             let mut visible = 0usize;
-            let mut masked = 0usize;
-            let mut filled = 0usize;
-            let mut project = |ids: &[u32]| {
+            let mut ids = [0u32; GAUSS_LANES];
+            for (filled, start) in range.clone().step_by(GAUSS_LANES).enumerate() {
+                let live = (range.end - start).min(GAUSS_LANES);
+                for (lane, id) in ids[..live].iter_mut().enumerate() {
+                    *id = (start + lane) as u32;
+                }
                 // SAFETY: each chunk fills its own block slots.
                 let block = unsafe { block_view.get_mut(chunk * BLOCKS_PER_CHUNK + filled) };
-                let kernel = match act {
-                    COMPUTE => project_block::<COMPUTE>,
-                    KEEP => project_block::<KEEP>,
-                    _ => project_block::<LOAD>,
-                };
-                kernel(&scene.gaussians, ids, &rot, w2c, camera, block);
+                kernel(&scene.gaussians, &ids[..live], &rot, w2c, camera, block);
                 visible += block.visible.count_ones() as usize;
-                filled += 1;
-            };
-            let mut ids = [0u32; GAUSS_LANES];
-            let mut live = 0usize;
-            for id in range.clone() {
-                if active.is_some_and(|mask| !mask[id]) {
-                    masked += 1;
-                    continue;
-                }
-                ids[live] = id as u32;
-                live += 1;
-                if live == GAUSS_LANES {
-                    project(&ids);
-                    live = 0;
-                }
             }
-            if live > 0 {
-                project(&ids[..live]);
-            }
-            let culled = range.len() - masked - visible;
             // SAFETY: each chunk index is written once.
-            unsafe { count_view.write(chunk, (visible, culled, masked)) };
+            unsafe { count_view.write(chunk, (visible, range.len() - visible)) };
         });
     }
 
     // Phase 2: serial scan fixes every chunk's output offset (and thereby
     // the slot order: ascending Gaussian ID).
     ws.visible_counts.clear();
-    ws.visible_counts
-        .extend(ws.counts.iter().map(|&(v, _, _)| v));
+    ws.visible_counts.extend(ws.counts.iter().map(|&(v, _)| v));
     let total_visible = exclusive_prefix_sum_into(&ws.visible_counts, &mut ws.offsets);
     let offsets = &ws.offsets;
 
@@ -550,7 +517,7 @@ pub(crate) fn project_scene_into(
         let blocks = &ws.blocks;
         let counts = &ws.counts;
         backend.for_each_chunk(n, PROJECT_CHUNK, &|chunk, _| {
-            let (visible, culled, _) = counts[chunk];
+            let (visible, culled) = counts[chunk];
             let filled = (visible + culled).div_ceil(GAUSS_LANES);
             let lanes = blocks[chunk * BLOCKS_PER_CHUNK..][..filled]
                 .iter()
@@ -592,12 +559,7 @@ pub(crate) fn project_scene_into(
         });
     }
 
-    let (culled, masked) = ws
-        .counts
-        .iter()
-        .fold((0, 0), |(c, m), &(_, dc, dm)| (c + dc, m + dm));
-    out.culled = culled;
-    out.masked = masked;
+    out.culled = ws.counts.iter().map(|&(_, c)| c).sum();
 }
 
 /// Projects a single Gaussian (EWA splatting); `None` when culled.
@@ -985,15 +947,13 @@ mod tests {
         PinholeCamera::from_fov(64, 48, 1.2)
     }
 
-    fn projected(
-        scene: &GaussianScene,
-        w2c: &Se3,
-        camera: &PinholeCamera,
-        active: Option<&[bool]>,
-    ) -> Projection {
-        let mut arena = crate::FrameArena::new();
-        arena.project(scene, w2c, camera, active, &Serial);
-        arena.projection().clone()
+    /// Step ❶ alone over `scene` (no cull in front of it, so the near-plane
+    /// and frustum tests below are the kernel's own).
+    fn projected(scene: &GaussianScene, w2c: &Se3, camera: &PinholeCamera) -> Projection {
+        let mut out = Projection::default();
+        let mut ws = ProjectScratch::default();
+        project_scene_into(COMPUTE, scene, w2c, camera, &Serial, &mut ws, &mut out);
+        out
     }
 
     fn centered_gaussian(z: f32) -> Gaussian3d {
@@ -1009,7 +969,7 @@ mod tests {
     #[test]
     fn projects_centered_gaussian_to_image_center() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(2.0)]);
-        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
         let splat = proj.splat_for_gaussian(0).expect("should be visible");
         assert!((splat.mean - Vec2::new(32.0, 24.0)).max_abs() < 1e-4);
         assert!((splat.depth - 2.0).abs() < 1e-6);
@@ -1020,7 +980,7 @@ mod tests {
     #[test]
     fn culls_behind_camera() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(-1.0)]);
-        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
         assert!(proj.splat_for_gaussian(0).is_none());
         assert_eq!(proj.culled, 1);
     }
@@ -1035,24 +995,29 @@ mod tests {
             Vec3::X,
         );
         let scene = GaussianScene::from_gaussians(vec![g]);
-        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
         assert!(proj.splat_for_gaussian(0).is_none());
     }
 
+    /// The mask acts in the cull: a masked Gaussian never reaches Step ❶.
     #[test]
     fn mask_skips_gaussians() {
         let scene =
             GaussianScene::from_gaussians(vec![centered_gaussian(2.0), centered_gaussian(3.0)]);
-        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), Some(&[false, true]));
-        assert!(proj.splat_for_gaussian(0).is_none());
-        assert!(proj.splat_for_gaussian(1).is_some());
-        assert_eq!(proj.masked, 1);
+        let map = crate::ShardedScene::from_scene(&scene, crate::DEFAULT_CELL_SIZE);
+        let (w2c, cam) = (Se3::IDENTITY, test_camera());
+        let mut arena = crate::FrameArena::new();
+        arena.cull(&map, &w2c, &cam, Some(&[false, true]), &Serial);
+        arena.project_visible(&w2c, &cam, &Serial);
+        assert_eq!(arena.visible().ids, [1]);
+        assert_eq!(arena.projection().visible_count(), 1);
+        assert_eq!(arena.projection().culled, 0);
     }
 
     #[test]
     fn conic_is_inverse_of_cov() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(2.0)]);
-        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
         let s = proj.splat_for_gaussian(0).unwrap();
         let prod = s.cov.to_mat2() * s.conic.to_mat2();
         assert!((prod.m[0][0] - 1.0).abs() < 1e-4);
@@ -1063,7 +1028,7 @@ mod tests {
     fn closer_gaussian_has_larger_radius() {
         let scene =
             GaussianScene::from_gaussians(vec![centered_gaussian(1.0), centered_gaussian(4.0)]);
-        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
         let near = proj.splat_for_gaussian(0).unwrap();
         let far = proj.splat_for_gaussian(1).unwrap();
         assert!(near.radius > far.radius);
@@ -1075,7 +1040,7 @@ mod tests {
         let cam = test_camera();
         // Move the camera left: the point should appear to move right.
         let w2c = Se3::from_translation(Vec3::new(0.5, 0.0, 0.0));
-        let proj = projected(&scene, &w2c, &cam, None);
+        let proj = projected(&scene, &w2c, &cam);
         let splat = proj.splat_for_gaussian(0).unwrap();
         assert!(splat.mean.x > 32.0);
     }
@@ -1088,7 +1053,7 @@ mod tests {
             centered_gaussian(2.0),
             centered_gaussian(4.0),
         ]);
-        let proj = projected(&scene, &Se3::IDENTITY, &test_camera(), None);
+        let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
         assert_eq!(proj.soa.gaussian_ids, vec![0, 2, 3]);
         assert_eq!(proj.soa.slot_of_gaussian, vec![0, NO_SLOT, 1, 2]);
         assert_eq!(proj.soa.len(), 3);
@@ -1102,7 +1067,7 @@ mod tests {
     fn tile_rects_cover_splat_extent() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(2.0)]);
         let cam = test_camera();
-        let proj = projected(&scene, &Se3::IDENTITY, &cam, None);
+        let proj = projected(&scene, &Se3::IDENTITY, &cam);
         let [tx0, tx1, ty0, ty1] = proj.soa.tile_rects[0];
         let s = proj.soa.get(0);
         assert!(tx0 as usize <= (s.mean.x as usize) / TILE_SIZE);
@@ -1448,33 +1413,48 @@ mod tests {
     }
 
     /// Every active-mask pattern over one block's worth of Gaussians (some
-    /// of them culled), through the whole of Step ❶, against the AoS oracle:
-    /// splats, counters, and what the scatter derives per slot.
+    /// of them culled), through the cull — where the mask acts — and the
+    /// whole of Step ❶, against the AoS oracle: the gathered IDs, the
+    /// splats, the counters, and what the scatter derives per slot.
     #[test]
     fn every_mask_pattern_of_a_block_matches_the_oracle() {
         let mut gaussians = neighbours(GAUSS_LANES);
         gaussians[2].position.z = -1.0; // near plane
         gaussians[5].position.x = 40.0; // frustum
         let scene = GaussianScene::from_gaussians(gaussians);
+        let map = crate::ShardedScene::from_scene(&scene, crate::DEFAULT_CELL_SIZE);
         let (w2c, cam) = (tilted_pose(), session_camera());
         let mut arena = crate::FrameArena::new();
         for pattern in 0..1u32 << GAUSS_LANES {
             let mask: Vec<bool> = (0..GAUSS_LANES).map(|l| pattern & (1 << l) != 0).collect();
             let want = crate::reference::project_scene_aos(&scene, &w2c, &cam, Some(&mask));
-            arena.project(&scene, &w2c, &cam, Some(&mask), &Serial);
+            arena.cull(&map, &w2c, &cam, Some(&mask), &Serial);
+            arena.project_visible(&w2c, &cam, &Serial);
+            let ids = &arena.visible().ids;
+            assert!(
+                ids.iter().all(|&id| mask[id as usize]),
+                "{pattern:#b}: the cull gathers no masked Gaussian"
+            );
             let got = arena.projection();
             assert_eq!(
-                (got.culled, got.masked),
-                (want.culled, want.masked),
-                "{pattern:#b}"
+                got.visible_count(),
+                want.visible_count(),
+                "{pattern:#b}: visible"
             );
-            for (id, want) in want.splats.iter().enumerate() {
-                assert_eq!(
-                    got.splat_for_gaussian(id),
-                    *want,
-                    "{pattern:#b}, Gaussian {id}"
-                );
-                let Some(slot) = got.soa.slot(id) else {
+            assert_eq!(
+                got.culled,
+                ids.iter()
+                    .filter(|&&id| want.splats[id as usize].is_none())
+                    .count(),
+                "{pattern:#b}: culled"
+            );
+            for (k, &id) in ids.iter().enumerate() {
+                let id = id as usize;
+                let splat = got
+                    .splat_for_gaussian(k)
+                    .map(|s| Projected2d { id: id as u32, ..s });
+                assert_eq!(splat, want.splats[id], "{pattern:#b}, Gaussian {id}");
+                let Some(slot) = got.soa.slot(k) else {
                     continue;
                 };
                 assert_eq!(

@@ -538,7 +538,7 @@ fn backward_tile(
         return;
     }
     gather_tile(&projection.soa, list, &mut own.gathered);
-    let rect = tiles.tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
+    let rect = tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
     let mut touched = false;
 
     for (x, y) in tile_pixels(rect) {

@@ -21,8 +21,9 @@
 //! The shard cull is *conservative by construction*: a shard is culled only
 //! when the padded camera-space bound proves every member would be culled
 //! by [`crate::project::project_one`]'s near-plane or image-extent test, so
-//! culled-sharded rendering is bitwise-identical to flat full-scene
-//! rendering (property-tested in `tests/equivalence.rs`).
+//! culled-sharded rendering is bitwise-identical to rendering the whole
+//! flattened map with the flat array-of-structs oracle (property-tested in
+//! `tests/equivalence.rs`, and on a generated room in `rtgs-scene`).
 
 use crate::camera::PinholeCamera;
 use crate::gaussian::{Gaussian3d, GaussianScene};
@@ -602,8 +603,8 @@ impl ShardedScene {
 
     /// Flattens the live Gaussians in ascending stable-ID order. Returns
     /// the flat scene and the flat-index → stable-ID map. This is the
-    /// reference enumeration the shard-equivalence property tests compare
-    /// against.
+    /// reference enumeration the flat oracle renders, which the
+    /// equivalence tests compare the culled render against.
     pub fn flatten(&self) -> (GaussianScene, Vec<u32>) {
         let mut gaussians = Vec::with_capacity(self.live_len);
         let mut ids = Vec::with_capacity(self.live_len);
@@ -1295,7 +1296,7 @@ mod tests {
 
     #[test]
     fn cull_is_conservative_vs_projection() {
-        // Every Gaussian the flat projector keeps must be in the visible
+        // Every Gaussian the flat AoS oracle projects must be in the visible
         // frame, for a pose that sees only part of the map.
         let mut map = ShardedScene::new(0.5);
         let mut k = 0u32;
@@ -1310,12 +1311,10 @@ mod tests {
         let cam = camera();
         let w2c = Se3::from_translation(Vec3::new(0.3, 0.0, 1.0));
         let (flat, flat_ids) = map.flatten();
-        let mut arena = FrameArena::new();
-        arena.project(&flat, &w2c, &cam, None, &Serial);
-        let proj = arena.projection();
+        let proj = crate::reference::project_scene_aos(&flat, &w2c, &cam, None);
         let vf = visible_frame(&map, &w2c, &cam, None, &Serial);
-        for (flat_idx, &id) in flat_ids.iter().enumerate() {
-            if proj.splat_for_gaussian(flat_idx).is_some() {
+        for (splat, &id) in proj.splats.iter().zip(&flat_ids) {
+            if splat.is_some() {
                 assert!(
                     vf.ids.contains(&id),
                     "gaussian {id} visible in flat projection but shard-culled"

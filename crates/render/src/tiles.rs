@@ -218,17 +218,6 @@ impl TileAssignment {
     pub(crate) fn tile_of_chunk(&self, chunk: usize) -> usize {
         (chunk + self.tiles_y / 2 * self.tiles_x) % self.tile_count()
     }
-
-    /// The pixel rectangle `(x0, y0, x1_exclusive, y1_exclusive)` of tile
-    /// `(tx, ty)` clamped to the image bounds.
-    pub fn tile_pixel_rect(
-        &self,
-        tx: usize,
-        ty: usize,
-        camera: &PinholeCamera,
-    ) -> (usize, usize, usize, usize) {
-        tile_pixel_rect(tx, ty, camera)
-    }
 }
 
 /// Step ❷: builds a [`TileAssignment`] into caller-owned storage, assigning
@@ -380,8 +369,8 @@ fn radix_sort_by_key(scratch: &mut TileBinScratch, len: usize) {
 }
 
 /// The pixel rectangle `(x0, y0, x1_exclusive, y1_exclusive)` of tile
-/// `(tx, ty)` clamped to the image bounds (free function shared with the
-/// reference pipeline).
+/// `(tx, ty)` clamped to the image bounds: the one definition Steps ❸ and ❹
+/// and the reference pipeline share.
 pub(crate) fn tile_pixel_rect(
     tx: usize,
     ty: usize,
@@ -401,6 +390,7 @@ pub(crate) fn tile_pixel_rect(
 mod tests {
     use super::*;
     use crate::gaussian::{Gaussian3d, GaussianScene};
+    use crate::project::{activations, project_scene_into, ProjectScratch};
     use crate::reference::build_tile_lists_legacy;
     use crate::FrameArena;
     use rtgs_math::{Quat, Se3, Vec3};
@@ -410,10 +400,20 @@ mod tests {
         PinholeCamera::from_fov(64, 32, 1.2)
     }
 
-    /// Projects and bins `scene` at the identity pose through an arena.
-    fn binned(scene: &GaussianScene, cam: &PinholeCamera, active: Option<&[bool]>) -> FrameArena {
+    /// Projects `scene` at the identity pose (Step ❶ alone, no cull in
+    /// front of it, so slots map to the scene's own indices) and bins it
+    /// through an arena.
+    fn binned(scene: &GaussianScene, cam: &PinholeCamera) -> FrameArena {
         let mut arena = FrameArena::new();
-        arena.project(scene, &Se3::IDENTITY, cam, active, &Serial);
+        project_scene_into(
+            activations::COMPUTE,
+            scene,
+            &Se3::IDENTITY,
+            cam,
+            &Serial,
+            &mut ProjectScratch::default(),
+            &mut arena.projection,
+        );
         arena.assign_tiles(cam, &Serial);
         arena
     }
@@ -437,7 +437,7 @@ mod tests {
     fn grid_dimensions_cover_image() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, 2.0)]);
-        let arena = binned(&scene, &cam, None);
+        let arena = binned(&scene, &cam);
         let tiles = arena.tiles();
         assert_eq!(tiles.tiles_x, 4); // 64/16
         assert_eq!(tiles.tiles_y, 2); // 32/16
@@ -449,7 +449,7 @@ mod tests {
     fn small_central_gaussian_lands_in_central_tiles_only() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, 4.0)]);
-        let arena = binned(&scene, &cam, None);
+        let arena = binned(&scene, &cam);
         let tiles = arena.tiles();
         let total = tiles.intersection_count();
         assert!(total >= 1, "splat must land somewhere");
@@ -464,7 +464,7 @@ mod tests {
         let cam = camera();
         // Two Gaussians on the same ray, different depths, inserted far-first.
         let scene = scene_with(&[(0.0, 0.0, 5.0), (0.0, 0.0, 1.5)]);
-        let arena = binned(&scene, &cam, None);
+        let arena = binned(&scene, &cam);
         let (proj, tiles) = (arena.projection(), arena.tiles());
         for tile in 0..tiles.tile_count() {
             let list = tiles.tile(tile);
@@ -489,7 +489,7 @@ mod tests {
             (-0.1, 0.0, 1.2),
             (0.1, -0.05, 2.0),
         ]);
-        let arena = binned(&scene, &cam, None);
+        let arena = binned(&scene, &cam);
         let (proj, tiles) = (arena.projection(), arena.tiles());
         let legacy = build_tile_lists_legacy(proj, &cam);
         assert_eq!(legacy.len(), tiles.tile_count());
@@ -520,7 +520,7 @@ mod tests {
     fn rebuild_into_same_storage_is_allocation_stable() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, 2.0), (0.2, 0.1, 3.0), (-0.3, 0.0, 1.4)]);
-        let mut arena = binned(&scene, &cam, None);
+        let mut arena = binned(&scene, &cam);
         let first = arena.tiles().clone();
         // Rebuilding into the same storage reproduces the result exactly.
         arena.assign_tiles(&cam, &Serial);
@@ -533,7 +533,7 @@ mod tests {
     fn tile_lists_reference_soa_slots() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, -1.0), (0.0, 0.0, 2.0)]);
-        let arena = binned(&scene, &cam, None);
+        let arena = binned(&scene, &cam);
         let tiles = arena.tiles();
         // Gaussian 0 is culled, so the visible splat (Gaussian 1) occupies
         // slot 0, and the ID map recovers the source Gaussian.
@@ -552,7 +552,7 @@ mod tests {
     fn change_ratio_zero_for_identical() {
         let cam = camera();
         let scene = scene_with(&[(0.0, 0.0, 2.0), (0.2, 0.1, 3.0)]);
-        let arena = binned(&scene, &cam, None);
+        let arena = binned(&scene, &cam);
         let tiles = arena.tiles();
         assert_eq!(tiles.change_ratio(&tiles.clone()), 0.0);
     }
@@ -560,10 +560,10 @@ mod tests {
     #[test]
     fn change_ratio_one_for_disjoint() {
         let cam = camera();
-        let scene = scene_with(&[(0.0, 0.0, 2.0), (0.0, 0.0, 2.0)]);
+        // One splat in view and one behind the camera, in either order.
         let (a, b) = (
-            binned(&scene, &cam, Some(&[true, false])),
-            binned(&scene, &cam, Some(&[false, true])),
+            binned(&scene_with(&[(0.0, 0.0, 2.0), (0.0, 0.0, -1.0)]), &cam),
+            binned(&scene_with(&[(0.0, 0.0, -1.0), (0.0, 0.0, 2.0)]), &cam),
         );
         let (ta, tb) = (a.tiles(), b.tiles());
         // Same tiles — and identical slot indices — but the underlying
@@ -576,7 +576,7 @@ mod tests {
     fn change_ratio_empty_scenes() {
         let cam = camera();
         let scene = GaussianScene::new();
-        let arena = binned(&scene, &cam, None);
+        let arena = binned(&scene, &cam);
         let tiles = arena.tiles();
         assert_eq!(tiles.change_ratio(&tiles.clone()), 0.0);
     }
@@ -584,10 +584,7 @@ mod tests {
     #[test]
     fn tile_pixel_rect_clamps_to_image() {
         let cam = camera();
-        let scene = scene_with(&[(0.0, 0.0, 2.0)]);
-        let arena = binned(&scene, &cam, None);
-        let tiles = arena.tiles();
-        let (x0, y0, x1, y1) = tiles.tile_pixel_rect(3, 1, &cam);
+        let (x0, y0, x1, y1) = tile_pixel_rect(3, 1, &cam);
         assert_eq!((x0, y0), (48, 16));
         assert_eq!((x1, y1), (64, 32));
     }

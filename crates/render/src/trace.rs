@@ -179,7 +179,7 @@ mod tests {
     use crate::camera::{DepthImage, Image};
     use crate::forward::RenderStats;
     use crate::gaussian::{Gaussian3d, GaussianScene};
-    use crate::FrameArena;
+    use crate::{FrameArena, ShardedScene, DEFAULT_CELL_SIZE};
     use rtgs_math::{Quat, Se3, Vec3};
     use rtgs_runtime::Serial;
 
@@ -193,7 +193,8 @@ mod tests {
             Vec3::X,
         )]);
         let mut arena = FrameArena::new();
-        arena.forward(&scene, &Se3::IDENTITY, &cam, None, &Serial);
+        let map = ShardedScene::from_scene(&scene, DEFAULT_CELL_SIZE);
+        arena.forward(&map, &Se3::IDENTITY, &cam, &Serial);
         WorkloadTrace::from_render(
             arena.output(),
             arena.tiles(),

@@ -17,35 +17,39 @@
 //!   contents from an unrelated frame must never leak into results);
 //! * **fusion**: fused forward + fused backward, unfused forward +
 //!   backward re-walk (`reference::backward_rewalk`);
-//! * **sharding**: flat [`FrameArena::project`] over the flattened map,
-//!   sharded [`FrameArena::cull`] + [`FrameArena::project_visible`], and
-//!   sharded through a trial scope ([`FrameArena::trials`]) after a trial
+//! * **scope**: [`FrameArena::cull`] + [`FrameArena::project_visible`] on
+//!   the arena — what mapping, evaluation and dataset generation run — and
+//!   the same through a trial scope ([`FrameArena::trials`]) after a trial
 //!   at a nearby pose, so the cell reuses that trial's gather and Step ❶
-//!   activations wherever the cull allows — the spelling tracking runs.
+//!   activations wherever the cull allows — the spelling tracking runs. The
+//!   scoped cell is fused only.
+//!
+//! The map is the renderer's one input, so every cell culls it; the flat
+//! side of "sharded == flat" is the oracle itself.
 //!
 //! Every cell asserts, bit for bit: tile lists (against the oracle's in
 //! stable-ID space and against the legacy per-tile sort in slot space),
 //! image, depth, transmittance, per-pixel workloads, render stats, the
 //! loss and its pixel gradients, per-Gaussian gradients (in stable-ID
-//! space), the pose tangent and the backward counters. The fused sharded
-//! and scoped cells — what tracking runs — also run the [`GradSet::PoseOnly`]
-//! backward and assert that it leaves `gaussians` empty and equals the full
-//! pass's pose and counters.
+//! space), the pose tangent and the backward counters. The fused cells —
+//! what tracking runs — also run the [`GradSet::PoseOnly`] backward and
+//! assert that it leaves `gaussians` empty and equals the full pass's pose
+//! and counters.
 //!
 //! One documented limit: the pose tangent is a sum over Gaussians whose
 //! reduction tree is chunked over the pass's *own* index space
-//! ([`POSE_CHUNK`] Gaussians per partial). A sharded pass indexes the
-//! gathered working set, a flat pass the whole map, so their trees — and
+//! ([`POSE_CHUNK`] Gaussians per partial). Production indexes the gathered
+//! working set, the oracle the whole flattened map, so their trees — and
 //! the last bits of the sum — agree only while the flattened map fits one
-//! chunk. Per-Gaussian gradients have no cross-Gaussian reduction and
-//! match at any size.
+//! chunk or the cull gathers all of it. Per-Gaussian gradients have no
+//! cross-Gaussian reduction and match at any size.
 
 use proptest::prelude::*;
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::reference;
 use rtgs_render::{
-    BackwardOutput, DepthImage, FrameArena, Gaussian3d, GaussianGrad, GaussianScene, GradSet,
-    Image, LossConfig, LossOutput, PinholeCamera, RenderOutput, ShardedScene,
+    BackwardOutput, DepthImage, FrameArena, Gaussian3d, GaussianGrad, GradSet, Image, LossConfig,
+    LossOutput, PinholeCamera, RenderOutput, ShardedScene,
 };
 use rtgs_runtime::{Backend, Parallel, Serial};
 use std::ops::Range;
@@ -269,11 +273,8 @@ fn targets(case: &Case, rendered: &RenderOutput) -> (Image, DepthImage) {
 
 /// The serial AoS ground truth for one case.
 struct Oracle {
-    /// The live Gaussians in ascending stable-ID order, and those IDs.
-    flat: GaussianScene,
-    flat_ids: Vec<u32>,
-    /// The case's mask gathered into flat index space.
-    flat_mask: Option<Vec<bool>>,
+    /// Live Gaussians in the map (the flattened map's length).
+    live: usize,
     visible: usize,
     /// Per-tile depth-sorted stable-ID lists.
     tiles: Vec<Vec<u32>>,
@@ -310,12 +311,16 @@ impl Oracle {
         // matrix then proves equal to `out`.
         let (gt, gt_depth) = targets(case, &out);
         let mut seed = FrameArena::new();
-        seed.forward(&flat, pose, camera, flat_mask.as_deref(), &Serial);
+        seed.cull(map, pose, camera, mask.as_deref(), &Serial);
+        seed.project_visible(pose, camera, &Serial);
+        seed.assign_tiles(camera, &Serial);
+        seed.render(camera, &Serial);
         seed.compute_loss(&gt, Some(&gt_depth), &LossConfig::default());
         let loss = seed.loss().clone();
 
         let back = reference::backward_aos(&flat, &proj, &tiles, camera, pose, &loss.pixel_grads);
         Oracle {
+            live: flat.len(),
             visible: proj.visible_count(),
             tiles: tiles
                 .tile_lists
@@ -330,9 +335,6 @@ impl Oracle {
             pose_grad: back.pose,
             grad_events: back.stats.fragment_grad_events,
             touched: back.stats.gaussians_touched,
-            flat,
-            flat_ids,
-            flat_mask,
         }
     }
 }
@@ -349,10 +351,10 @@ fn by_stable_id(local: &[GaussianGrad], ids: &[u32], capacity: usize) -> Vec<Gau
 
 /// One cell of the matrix: drives `arena` (and, in a re-walk cell, the
 /// oracle's `rewalk` buffers kept beside it) through the selected spelling
-/// and asserts every stage result against the oracle. A `scoped` sharded
-/// cell culls and projects through a trial scope ([`FrameArena::trials`]),
-/// as tracking does, at the case's pose after a trial at a nearby pose: it
-/// reuses that trial's gather and activations whenever the cull allows.
+/// and asserts every stage result against the oracle. A `scoped` cell culls
+/// and projects through a trial scope ([`FrameArena::trials`]), as tracking
+/// does, at the case's pose after a trial at a nearby pose: it reuses that
+/// trial's gather and activations whenever the cull allows.
 #[allow(clippy::too_many_arguments)]
 fn check_cell(
     arena: &mut FrameArena,
@@ -360,7 +362,6 @@ fn check_cell(
     case: &Case,
     oracle: &Oracle,
     backend: &dyn Backend,
-    sharded: bool,
     scoped: bool,
     fused: bool,
     cell: &str,
@@ -373,29 +374,20 @@ fn check_cell(
         quiet: _,
     } = case;
 
-    // Step ❶, and the frame-local → stable-ID map of its index space.
-    let ids: Vec<u32> = if scoped {
+    // The cull, Step ❶, and the frame-local → stable-ID map of its index
+    // space.
+    if scoped {
         let nearby = Se3::from_translation(Vec3::new(0.01, -0.005, 0.02)).compose(pose);
         let mut trials = arena.trials(map);
         for w2c in [pose, &nearby, pose] {
             trials.cull(w2c, camera, mask.as_deref(), backend);
             trials.project_visible(w2c, camera, backend);
         }
-        trials.visible().ids.clone()
-    } else if sharded {
+    } else {
         arena.cull(map, pose, camera, mask.as_deref(), backend);
         arena.project_visible(pose, camera, backend);
-        arena.visible().ids.clone()
-    } else {
-        arena.project(
-            &oracle.flat,
-            pose,
-            camera,
-            oracle.flat_mask.as_deref(),
-            backend,
-        );
-        oracle.flat_ids.clone()
-    };
+    }
+    let ids = arena.visible().ids.clone();
     assert_eq!(
         arena.projection().visible_count(),
         oracle.visible,
@@ -452,34 +444,24 @@ fn check_cell(
     assert_eq!(got.depth, want.depth, "{cell}: dL/dD");
     assert_eq!(got.transmittance, want.transmittance, "{cell}: dL/dT");
 
-    // Steps ❹–❺. The fused sharded spelling is what tracking runs, so it
-    // runs the pose-only pass first, on the same arena: no Gaussian rows,
-    // and the full pass's pose and counters, bit for bit.
+    // Steps ❹–❺. The fused spelling is what tracking runs, so it runs the
+    // pose-only pass first, on the same arena: no Gaussian rows, and the
+    // full pass's pose and counters, bit for bit.
     let pose_and_counters = |back: &BackwardOutput| {
         let stats = back.stats;
         let counters = (stats.fragment_grad_events, stats.gaussians_touched);
         (back.pose.map(f32::to_bits), counters)
     };
     let mut pose_only = None;
-    match (fused, sharded) {
-        (true, true) => {
-            arena.backward_visible_grads(camera, pose, GradSet::PoseOnly, backend);
-            let back = arena.backward();
-            assert!(back.gaussians.is_empty(), "{cell}: pose-only rows");
-            pose_only = Some(pose_and_counters(back));
-            arena.backward_visible_fused(camera, pose, backend);
-        }
-        (true, false) => arena.backward_fused(&oracle.flat, camera, pose, backend),
-        (false, _) => {
-            let gathered;
-            let scene = if sharded {
-                gathered = arena.visible().scene.clone();
-                &gathered
-            } else {
-                &oracle.flat
-            };
-            reference::backward_rewalk(arena, scene, camera, pose, want, backend, rewalk);
-        }
+    if fused {
+        arena.backward_visible_grads(camera, pose, GradSet::PoseOnly, backend);
+        let back = arena.backward();
+        assert!(back.gaussians.is_empty(), "{cell}: pose-only rows");
+        pose_only = Some(pose_and_counters(back));
+        arena.backward_visible_fused(camera, pose, backend);
+    } else {
+        let gathered = arena.visible().scene.clone();
+        reference::backward_rewalk(arena, &gathered, camera, pose, want, backend, rewalk);
     }
     let back = arena.backward();
     assert_eq!(
@@ -487,7 +469,7 @@ fn check_cell(
         oracle.grads_by_id,
         "{cell}: gradients"
     );
-    if !sharded || oracle.flat.len() <= POSE_CHUNK {
+    if oracle.live <= POSE_CHUNK || ids.len() == oracle.live {
         assert_eq!(back.pose, oracle.pose_grad, "{cell}: pose tangent");
     }
     assert_eq!(
@@ -525,22 +507,12 @@ fn run_matrix(cases: &[Case]) {
     for threads in 1..=8usize {
         backends.push((format!("pool-{threads}"), Box::new(Parallel::new(threads))));
     }
-    // (sharded, scoped, fused)
-    let spellings = [
-        (false, false, true),
-        (true, false, true),
-        (true, true, true),
-        (false, false, false),
-        (true, false, false),
-    ];
-    let name = |backend: &str, arena: &str, i: usize, (sharded, scoped, fused)| {
+    // (scoped, fused)
+    let spellings = [(false, true), (true, true), (false, false)];
+    let name = |backend: &str, arena: &str, i: usize, (scoped, fused)| {
         format!(
             "{backend}/{arena}/case {i}/{}/{}",
-            match (sharded, scoped) {
-                (true, true) => "scoped",
-                (true, false) => "sharded",
-                _ => "flat",
-            },
+            if scoped { "scoped" } else { "sharded" },
             if fused { "fused" } else { "re-walk" }
         )
     };
@@ -550,7 +522,7 @@ fn run_matrix(cases: &[Case]) {
         let mut reused_rewalk = reference::RewalkScratch::default();
         let n = cases.len();
         for i in (0..n).chain((0..n).rev()) {
-            for spelling @ (sharded, scoped, fused) in spellings {
+            for spelling @ (scoped, fused) in spellings {
                 let cell = name(backend_name, "reused", i, spelling);
                 check_cell(
                     &mut reused,
@@ -558,7 +530,6 @@ fn run_matrix(cases: &[Case]) {
                     &cases[i],
                     &oracles[i],
                     &**backend,
-                    sharded,
                     scoped,
                     fused,
                     &cell,
@@ -566,7 +537,7 @@ fn run_matrix(cases: &[Case]) {
             }
         }
         for (i, (case, oracle)) in cases.iter().zip(&oracles).enumerate() {
-            for spelling @ (sharded, scoped, fused) in spellings {
+            for spelling @ (scoped, fused) in spellings {
                 let cell = name(backend_name, "fresh", i, spelling);
                 let mut fresh = FrameArena::new();
                 let mut fresh_rewalk = reference::RewalkScratch::default();
@@ -576,7 +547,6 @@ fn run_matrix(cases: &[Case]) {
                     case,
                     oracle,
                     &**backend,
-                    sharded,
                     scoped,
                     fused,
                     &cell,
@@ -590,7 +560,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// {Serial, reversed, shuffled, pool 1–8} × {fresh, reused arena} ×
-    /// {fused, re-walk} × {flat, sharded} (pose-only included where
+    /// {fused, re-walk, fused in a trial scope} (pose-only included where
     /// tracking runs) all reproduce the AoS oracle bitwise over random
     /// interleavings of random cases (two tests, one per world regime, so
     /// they run side by side).
@@ -659,7 +629,7 @@ fn masked_scene_matches_on_every_backend() {
 /// A deep map seen down a corridor: most shards sit outside the frustum,
 /// so the cull must actually fire — and the result must still match the
 /// flat oracle bitwise. Guards against the cull silently passing
-/// everything (vacuous sharded == flat equivalence).
+/// everything (a vacuous production == flat oracle equivalence).
 #[test]
 fn corridor_scene_culls_shards_and_stays_bitwise_identical() {
     let corridor = (0..400).map(|i| {

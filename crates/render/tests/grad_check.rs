@@ -6,7 +6,8 @@
 
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{
-    DepthImage, FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, LossKind, PinholeCamera,
+    DepthImage, FrameArena, Gaussian3d, GaussianGrad, GaussianScene, Image, LossConfig, LossKind,
+    PinholeCamera, ShardedScene, DEFAULT_CELL_SIZE,
 };
 use rtgs_runtime::Serial;
 
@@ -53,6 +54,11 @@ fn test_scene() -> GaussianScene {
     ])
 }
 
+/// `scene` as a map (bounds fresh): what every render stage takes.
+fn map_of(scene: &GaussianScene) -> ShardedScene {
+    ShardedScene::from_scene(scene, DEFAULT_CELL_SIZE)
+}
+
 /// Ground truth rendered from a slightly perturbed copy of the scene: the
 /// residuals stay small (so f32 cancellation does not swamp the central
 /// differences) and the depth map is zero outside the perturbed scene's
@@ -65,12 +71,12 @@ fn targets(cam: &PinholeCamera) -> (Image, DepthImage) {
         g.color += Vec3::new(-0.15, 0.12, 0.1);
     }
     let mut arena = FrameArena::new();
-    let out = arena.forward(&gt_scene, &Se3::IDENTITY, cam, None, &Serial);
+    let out = arena.forward(&map_of(&gt_scene), &Se3::IDENTITY, cam, &Serial);
     (out.image.clone(), out.depth.clone())
 }
 
-/// The production iteration (project → tiles → fused render → loss) on a
-/// fresh arena; returns the arena for the backward pass and the loss.
+/// The production iteration (cull → project → tiles → fused render → loss)
+/// on a fresh arena; returns the arena for the backward pass and the loss.
 fn forward_loss(
     scene: &GaussianScene,
     pose: &Se3,
@@ -79,7 +85,8 @@ fn forward_loss(
 ) -> (FrameArena, f32) {
     let cam = camera();
     let mut arena = FrameArena::new();
-    arena.project(scene, pose, &cam, None, &Serial);
+    arena.cull(&map_of(scene), pose, &cam, None, &Serial);
+    arena.project_visible(pose, &cam, &Serial);
     arena.assign_tiles(&cam, &Serial);
     arena.render_fused(&cam, &Serial);
     let loss = arena.compute_loss(gt_img, Some(gt_depth), &loss_config());
@@ -91,11 +98,20 @@ fn eval_loss(scene: &GaussianScene, pose: &Se3) -> f32 {
     forward_loss(scene, pose, &gt_img, &gt_depth).1
 }
 
+/// The fused backward's gradients, per-Gaussian ones mapped from the
+/// cull's working set back to `scene`'s indices (zeros for a Gaussian the
+/// cull left out).
 fn analytic_grads(scene: &GaussianScene, pose: &Se3) -> rtgs_render::BackwardOutput {
     let (gt_img, gt_depth) = targets(&camera());
     let (mut arena, _) = forward_loss(scene, pose, &gt_img, &gt_depth);
-    arena.backward_fused(scene, &camera(), pose, &Serial);
-    arena.backward().clone()
+    arena.backward_visible_fused(&camera(), pose, &Serial);
+    let mut out = arena.backward().clone();
+    let mut by_id = vec![GaussianGrad::default(); scene.len()];
+    for (g, &id) in out.gaussians.iter().zip(&arena.visible().ids) {
+        by_id[id as usize] = *g;
+    }
+    out.gaussians = by_id;
+    out
 }
 
 /// Relative-error comparison with an absolute floor for near-zero gradients.
@@ -257,7 +273,7 @@ fn gradients_vanish_at_perfect_reconstruction() {
     let cam = camera();
     let pose = Se3::IDENTITY;
     let out = FrameArena::new()
-        .forward(&scene, &pose, &cam, None, &Serial)
+        .forward(&map_of(&scene), &pose, &cam, &Serial)
         .clone();
     // Ground-truth depth is a *surface* depth: the rendered blend divided
     // by opacity coverage (matching the dataset generator's convention).
@@ -273,7 +289,7 @@ fn gradients_vanish_at_perfect_reconstruction() {
     }
     let (mut arena, loss) = forward_loss(&scene, &pose, &out.image, &gt_depth);
     assert!(loss < 1e-10);
-    arena.backward_fused(&scene, &cam, &pose, &Serial);
+    arena.backward_visible_fused(&cam, &pose, &Serial);
     let grads = arena.backward();
     for g in &grads.gaussians {
         assert!(g.position.max_abs() < 1e-6);

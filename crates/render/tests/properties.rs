@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{
     FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, LossKind, PinholeCamera,
-    WorkloadTrace,
+    ShardedScene, WorkloadTrace, DEFAULT_CELL_SIZE,
 };
 use rtgs_runtime::Serial;
 
@@ -35,15 +35,20 @@ fn camera() -> PinholeCamera {
     PinholeCamera::from_fov(32, 24, 1.2)
 }
 
-/// Steps ❶–❸ on a fresh arena, returned for inspection.
+/// The cull (under the pruning mask `active`) and Steps ❶–❸ of `scene` as
+/// a map, on a fresh arena, returned for inspection.
 fn rendered(
     scene: &GaussianScene,
     w2c: &Se3,
     cam: &PinholeCamera,
     active: Option<&[bool]>,
 ) -> FrameArena {
+    let map = ShardedScene::from_scene(scene, DEFAULT_CELL_SIZE);
     let mut arena = FrameArena::new();
-    arena.forward(scene, w2c, cam, active, &Serial);
+    arena.cull(&map, w2c, cam, active, &Serial);
+    arena.project_visible(w2c, cam, &Serial);
+    arena.assign_tiles(cam, &Serial);
+    arena.render(cam, &Serial);
     arena
 }
 
@@ -128,7 +133,7 @@ proptest! {
         arena.render_fused(&cam, &Serial);
         let own = arena.output().image.clone();
         arena.compute_loss(&own, None, &LossConfig::default());
-        arena.backward_fused(&scene, &cam, &Se3::IDENTITY, &Serial);
+        arena.backward_visible_fused(&cam, &Se3::IDENTITY, &Serial);
         let grads = arena.backward();
         prop_assert_eq!(grads.stats.fragment_grad_events, 0);
         prop_assert_eq!(grads.pose, [0.0; 6]);

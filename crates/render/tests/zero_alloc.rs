@@ -154,10 +154,9 @@ fn steady_state_at(
     // loss and its gradients are dense and non-trivial.
     let gt = FrameArena::new()
         .forward(
-            &map.flatten().0,
+            map,
             &Se3::from_translation(Vec3::new(0.02, -0.01, 0.0)),
             camera,
-            None,
             &Serial,
         )
         .image
@@ -258,10 +257,9 @@ fn alternating_resolutions_allocate_nothing_after_one_warm_cycle() {
             let camera = PinholeCamera::from_fov(w, h, 1.2);
             let gt = FrameArena::new()
                 .forward(
-                    &map.flatten().0,
+                    &map,
                     &Se3::from_translation(Vec3::new(0.02, -0.01, 0.0)),
                     &camera,
-                    None,
                     &Serial,
                 )
                 .image
@@ -414,21 +412,24 @@ fn trial_scopes_and_mask_changes_allocate_nothing() {
 fn steady_state_unfused_render_backward_is_allocation_free() {
     // The unfused render and the re-walk reference driver share the arena
     // contract; the re-walk's own buffers are the caller's `RewalkScratch`.
-    let scene = test_scene(120);
+    let map = ShardedScene::from_scene(&test_scene(120), 1.0);
     let w2c = Se3::IDENTITY;
     let cfg = LossConfig::default();
     for camera in [PinholeCamera::from_fov(48, 32, 1.2), cameras()[1]] {
         let gt = Image::new(camera.width, camera.height);
         let mut arena = FrameArena::new();
-        // Warm-up. The pixel-grad clone is part of the *test setup*, not the
-        // measured pipeline — the rewalk entry point takes external gradients.
-        arena.forward(&scene, &w2c, &camera, None, &Serial);
+        // Warm-up. The pixel-grad and gathered-scene clones are part of the
+        // *test setup*, not the measured pipeline — the rewalk entry point
+        // takes external gradients and the scene the projection was built
+        // from, which every forward at this pose gathers anew, bit for bit.
+        arena.forward(&map, &w2c, &camera, &Serial);
         arena.compute_loss(&gt, None, &cfg);
         let grads = arena.loss().pixel_grads.clone();
+        let gathered = arena.visible().scene.clone();
         let mut rewalk = RewalkScratch::default();
         backward_rewalk(
             &mut arena,
-            &scene,
+            &gathered,
             &camera,
             &w2c,
             &grads,
@@ -438,11 +439,11 @@ fn steady_state_unfused_render_backward_is_allocation_free() {
 
         let before = alloc_counter::thread_allocations();
         for _ in 0..3 {
-            arena.forward(&scene, &w2c, &camera, None, &Serial);
+            arena.forward(&map, &w2c, &camera, &Serial);
             arena.compute_loss(&gt, None, &cfg);
             backward_rewalk(
                 &mut arena,
-                &scene,
+                &gathered,
                 &camera,
                 &w2c,
                 &grads,

@@ -68,10 +68,9 @@ fn parallel_iterations_reach_an_allocation_free_steady_state() {
     ];
     let gt = FrameArena::new()
         .forward(
-            &map.flatten().0,
+            &map,
             &Se3::from_translation(Vec3::new(0.02, -0.01, 0.0)),
             &camera,
-            None,
             &Serial,
         )
         .image

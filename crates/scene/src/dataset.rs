@@ -10,7 +10,9 @@
 use crate::generator::{generate_indoor_scene, SceneConfig};
 use crate::trajectory::{generate_trajectory, TrajectoryConfig, TrajectoryStyle};
 use rtgs_math::Se3;
-use rtgs_render::{DepthImage, FrameArena, GaussianScene, Image, PinholeCamera};
+use rtgs_render::{
+    DepthImage, FrameArena, Image, PinholeCamera, RenderOutput, ShardedScene, DEFAULT_CELL_SIZE,
+};
 use rtgs_runtime::Serial;
 
 /// One RGB(-D) observation.
@@ -203,8 +205,10 @@ impl DatasetProfile {
 pub struct SyntheticDataset {
     /// The profile this sequence was generated from.
     pub profile: DatasetProfile,
-    /// Hidden reference world (never shown to the SLAM system).
-    pub reference_scene: GaussianScene,
+    /// Hidden reference world (never shown to the SLAM system), as the
+    /// map the renderer takes; generation tombstones nothing, so its
+    /// stable IDs are the generator's indices.
+    pub reference_scene: ShardedScene,
     /// Camera intrinsics.
     pub camera: PinholeCamera,
     /// Ground-truth camera-to-world poses.
@@ -236,7 +240,8 @@ impl SyntheticDataset {
             .trajectory
             .seed
             .wrapping_add(variant.wrapping_mul(2003));
-        let reference_scene = generate_indoor_scene(&profile.scene);
+        let reference_scene =
+            ShardedScene::from_scene(&generate_indoor_scene(&profile.scene), DEFAULT_CELL_SIZE);
         let camera = profile.camera();
         let mut traj_cfg = profile.trajectory;
         traj_cfg.frames = frames;
@@ -246,26 +251,8 @@ impl SyntheticDataset {
         let mut arena = FrameArena::new();
         for (index, pose) in poses_c2w.iter().enumerate() {
             let w2c = pose.inverse();
-            let rendered = arena.forward(&reference_scene, &w2c, &camera, None, &Serial);
-            // Normalize blended depth by opacity coverage so the synthetic
-            // depth observation is a true surface depth (a raw alpha-blend
-            // under-estimates depth wherever coverage < 1, which would
-            // corrupt map seeding).
-            let depth = profile.has_depth.then(|| {
-                let mut d = rendered.depth.clone();
-                for y in 0..camera.height {
-                    for x in 0..camera.width {
-                        let coverage = rendered.coverage(x, y);
-                        if coverage > 0.2 {
-                            let v = d.depth(x, y) / coverage;
-                            d.set_depth(x, y, v);
-                        } else {
-                            d.set_depth(x, y, 0.0);
-                        }
-                    }
-                }
-                d
-            });
+            let rendered = arena.forward(&reference_scene, &w2c, &camera, &Serial);
+            let depth = profile.has_depth.then(|| surface_depth(rendered));
             out_frames.push(RgbdFrame {
                 index,
                 color: rendered.image.clone(),
@@ -291,6 +278,26 @@ impl SyntheticDataset {
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
+}
+
+/// The depth observation of a render: blended depth normalized by opacity
+/// coverage, so it is a true surface depth (a raw alpha-blend
+/// under-estimates depth wherever coverage < 1, which would corrupt map
+/// seeding), and "no measurement" where coverage is 0.2 or less.
+fn surface_depth(rendered: &RenderOutput) -> DepthImage {
+    let mut d = rendered.depth.clone();
+    for y in 0..d.height() {
+        for x in 0..d.width() {
+            let coverage = rendered.coverage(x, y);
+            if coverage > 0.2 {
+                let v = d.depth(x, y) / coverage;
+                d.set_depth(x, y, v);
+            } else {
+                d.set_depth(x, y, 0.0);
+            }
+        }
+    }
+    d
 }
 
 #[cfg(test)]
@@ -367,6 +374,40 @@ mod tests {
         assert_eq!(DatasetProfile::tum_analog().scene_names().len(), 3);
         assert_eq!(DatasetProfile::scannet_analog().scene_names().len(), 6);
         assert_eq!(DatasetProfile::scannetpp_analog().scene_names().len(), 2);
+    }
+
+    /// The generator renders its room through the cull, as SLAM does; the
+    /// first frames of the full-size Replica analog (1 320 Gaussians over
+    /// many shards, most outside any one frustum) must equal the flat AoS
+    /// oracle's render of the whole flattened map, bit for bit, so the cull
+    /// drops nothing that contributes.
+    #[test]
+    fn generated_frames_equal_the_flat_oracle() {
+        let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), 3);
+        let (flat, _) = ds.reference_scene.flatten();
+        assert!(ds.reference_scene.shard_count() > 100, "a many-shard room");
+        let mut arena = FrameArena::new();
+        let mut shard_culled = 0;
+        for (frame, pose) in ds.frames.iter().zip(&ds.poses_c2w) {
+            arena.cull(
+                &ds.reference_scene,
+                &pose.inverse(),
+                &ds.camera,
+                None,
+                &Serial,
+            );
+            shard_culled += arena.visible().shard_culled;
+            let (_, _, want) =
+                rtgs_render::reference::render_frame_aos(&flat, &pose.inverse(), &ds.camera, None);
+            assert_eq!(frame.color, want.image, "frame {}: color", frame.index);
+            assert_eq!(
+                frame.depth.as_ref().expect("Replica has depth"),
+                &surface_depth(&want),
+                "frame {}: depth",
+                frame.index
+            );
+        }
+        assert!(shard_culled > 0, "the cull must drop shards here");
     }
 
     #[test]

@@ -868,18 +868,20 @@ impl<'d> SlamPipeline<'d> {
         };
 
         // Rendering fidelity: re-render each processed frame from its
-        // estimated pose and compare against the observation (flattened
-        // once — the report is a full-scene offline pass, not a hot path).
-        let (final_scene, _) = self.scene.flatten();
+        // estimated pose and compare against the observation. The last
+        // frame's pruning and tombstones leave shard bounds stale, and the
+        // report borrows the map, so it renders a copy with fresh bounds
+        // (the report is an offline pass, not a hot path).
+        let mut final_map = self.scene.clone();
+        final_map.refresh_bounds_with(&*self.backend);
         let mut eval_arena = FrameArena::new();
         let mut psnr_acc = 0.0f64;
         let mut psnr_n = 0usize;
         for (i, pose) in self.trajectory.iter().enumerate() {
             let rendered = eval_arena.forward(
-                &final_scene,
+                &final_map,
                 &pose.inverse(),
                 &self.dataset.camera,
-                None,
                 &*self.backend,
             );
             let p = psnr(&rendered.image, &self.dataset.frames[i].color);
@@ -1040,7 +1042,14 @@ mod tests {
                 _mask: &[bool],
                 _is_keyframe: bool,
             ) -> Option<Vec<bool>> {
-                Some((0..map.capacity()).map(|i| i % 2 == 0).collect())
+                // Odd IDs, and the highest live one: every frame, the last
+                // included, tombstones something.
+                let last = map.live_ids().last();
+                Some(
+                    (0..map.capacity() as u32)
+                        .map(|i| i % 2 == 0 && Some(i) != last)
+                        .collect(),
+                )
             }
             fn name(&self) -> &'static str {
                 "half-pruner"
@@ -1051,8 +1060,29 @@ mod tests {
         cfg.tracking.iterations = 2;
         cfg.mapping_iterations = 2;
         let base = SlamPipeline::new(cfg, &ds).run();
-        let pruned = SlamPipeline::with_extension(cfg, &ds, Box::new(HalfPruner)).run();
+        let mut pipeline = SlamPipeline::with_extension(cfg, &ds, Box::new(HalfPruner));
+        let pruned = pipeline.run();
         assert!(pruned.frames.last().unwrap().gaussians < base.frames.last().unwrap().gaussians);
+
+        // Evaluation renders the pruned map through the cull, on bounds the
+        // last frame's tombstones left stale: its PSNR is the flat AoS
+        // oracle's over the flattened map, bit for bit.
+        let (flat, _) = pipeline.scene().flatten();
+        let (mut acc, mut n) = (0.0f64, 0usize);
+        for (pose, frame) in pruned.trajectory.iter().zip(&ds.frames) {
+            let (_, _, out) =
+                rtgs_render::reference::render_frame_aos(&flat, &pose.inverse(), &ds.camera, None);
+            let p = psnr(&out.image, &frame.color);
+            if p.is_finite() {
+                acc += p;
+                n += 1;
+            }
+        }
+        assert!(n > 0);
+        assert_eq!(
+            pipeline.report().mean_psnr.to_bits(),
+            (acc / n as f64).to_bits()
+        );
     }
 
     /// The per-iteration contract `rtgs-core`'s pruner relies on, seen

@@ -513,10 +513,6 @@ mod tests {
         SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), 2)
     }
 
-    fn sharded(ds: &SyntheticDataset) -> ShardedScene {
-        ShardedScene::from_scene(&ds.reference_scene, 1.0)
-    }
-
     /// Tracking must reduce the pose error of a perturbed ground-truth pose.
     ///
     /// The perturbation magnitude (~1.3 cm) matches the per-frame correction
@@ -527,7 +523,7 @@ mod tests {
     fn tracking_recovers_perturbed_pose() {
         let ds = SyntheticDataset::generate(DatasetProfile::tum_analog(), 1);
         // Use the reference scene itself as a perfect map.
-        let map = sharded(&ds);
+        let map = &ds.reference_scene;
         let gt_w2c = ds.poses_c2w[0].inverse();
         let perturbed = gt_w2c.retract([0.01, -0.0075, 0.005, 0.004, -0.003, 0.002]);
         let mut mask = vec![true; map.capacity()];
@@ -538,7 +534,7 @@ mod tests {
         };
         let before_err = perturbed.translation_distance(&gt_w2c);
         let result = track_frame(
-            &map,
+            map,
             perturbed,
             &ds.frames[0],
             &ds.camera,
@@ -566,13 +562,13 @@ mod tests {
     #[test]
     fn tracking_loss_decreases() {
         let ds = small_dataset();
-        let map = sharded(&ds);
+        let map = &ds.reference_scene;
         let gt_w2c = ds.poses_c2w[0].inverse();
         let perturbed = gt_w2c.retract([0.015, 0.01, -0.01, 0.0, 0.005, 0.0]);
         let mut mask = vec![true; map.capacity()];
         let mut timings = StageTimings::default();
         let result = track_frame(
-            &map,
+            map,
             perturbed,
             &ds.frames[0],
             &ds.camera,
@@ -592,11 +588,11 @@ mod tests {
     #[test]
     fn timings_are_populated() {
         let ds = small_dataset();
-        let map = sharded(&ds);
+        let map = &ds.reference_scene;
         let mut mask = vec![true; map.capacity()];
         let mut timings = StageTimings::default();
         let _ = track_frame(
-            &map,
+            map,
             ds.poses_c2w[0].inverse(),
             &ds.frames[0],
             &ds.camera,
@@ -618,11 +614,11 @@ mod tests {
     #[test]
     fn traces_recorded_when_requested() {
         let ds = small_dataset();
-        let map = sharded(&ds);
+        let map = &ds.reference_scene;
         let mut mask = vec![true; map.capacity()];
         let mut timings = StageTimings::default();
         let result = track_frame(
-            &map,
+            map,
             ds.poses_c2w[0].inverse(),
             &ds.frames[0],
             &ds.camera,
@@ -645,7 +641,7 @@ mod tests {
     #[test]
     fn masking_reduces_fragments() {
         let ds = small_dataset();
-        let map = sharded(&ds);
+        let map = &ds.reference_scene;
         let mut full_mask = vec![true; map.capacity()];
         let mut half_mask: Vec<bool> = (0..map.capacity()).map(|i| i % 2 == 0).collect();
         let mut timings = StageTimings::default();
@@ -654,7 +650,7 @@ mod tests {
             ..Default::default()
         };
         let full = track_frame(
-            &map,
+            map,
             ds.poses_c2w[0].inverse(),
             &ds.frames[0],
             &ds.camera,
@@ -666,7 +662,7 @@ mod tests {
             &Serial,
         );
         let half = track_frame(
-            &map,
+            map,
             ds.poses_c2w[0].inverse(),
             &ds.frames[0],
             &ds.camera,
@@ -698,11 +694,11 @@ mod tests {
             }
         }
         let ds = small_dataset();
-        let map = sharded(&ds);
+        let map = &ds.reference_scene;
         let mut mask = vec![true; map.capacity()];
         let mut timings = StageTimings::default();
         let result = track_frame(
-            &map,
+            map,
             ds.poses_c2w[0].inverse(),
             &ds.frames[0],
             &ds.camera,
@@ -756,13 +752,13 @@ mod tests {
             }
         }
         let ds = small_dataset();
-        let map = sharded(&ds);
+        let map = &ds.reference_scene;
         let gt_w2c = ds.poses_c2w[0].inverse();
         let start = gt_w2c.retract([0.015, 0.01, -0.01, 0.0, 0.005, 0.0]);
         let track = |config: &TrackingConfig, extension: &mut dyn PipelineExtension| {
             let mut mask = vec![true; map.capacity()];
             let result = track_frame(
-                &map,
+                map,
                 start,
                 &ds.frames[0],
                 &ds.camera,
@@ -890,12 +886,12 @@ mod tests {
             }
         }
         let ds = small_dataset();
-        let map = sharded(&ds);
+        let map = &ds.reference_scene;
         let mut mask = vec![true; map.capacity()];
         let mut timings = StageTimings::default();
         let mut obs = CheckIds { checked: false };
         let _ = track_frame(
-            &map,
+            map,
             ds.poses_c2w[0].inverse(),
             &ds.frames[0],
             &ds.camera,
@@ -1040,7 +1036,7 @@ mod tests {
     #[test]
     fn trial_scope_reuse_matches_a_fresh_arena_per_trial() {
         let ds = small_dataset();
-        let mut map = sharded(&ds);
+        let mut map = ds.reference_scene.clone();
         let start = ds.poses_c2w[0]
             .inverse()
             .retract([0.01, -0.006, 0.004, 0.003, -0.002, 0.002]);

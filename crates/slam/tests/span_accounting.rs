@@ -5,7 +5,7 @@
 //!
 //! Integration test (own process): span tracing is process-global state.
 
-use rtgs_render::{FrameArena, ShardedScene};
+use rtgs_render::FrameArena;
 use rtgs_runtime::Serial;
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{track_frame, NoExtension, StageId, StageTimings, TrackingConfig};
@@ -17,11 +17,11 @@ fn span_accounting_matches_stage_accumulator() {
     telemetry::clear_spans();
 
     let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), 2);
-    let map = ShardedScene::from_scene(&ds.reference_scene, 1.0);
+    let map = &ds.reference_scene;
     let mut mask = vec![true; map.capacity()];
     let mut timings = StageTimings::default();
     let _ = track_frame(
-        &map,
+        map,
         ds.poses_c2w[1].inverse(),
         &ds.frames[1],
         &ds.camera,

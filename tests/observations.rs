@@ -3,7 +3,7 @@
 //! rests on.
 
 use rtgs::metrics::ssim;
-use rtgs::render::{FrameArena, ShardedScene};
+use rtgs::render::FrameArena;
 use rtgs::runtime::Serial;
 use rtgs::scene::{DatasetProfile, SyntheticDataset};
 use rtgs::slam::{
@@ -15,7 +15,7 @@ use rtgs::slam::{
 #[test]
 fn observation3_gradient_skew() {
     let ds = SyntheticDataset::generate(DatasetProfile::tum_analog(), 2);
-    let map = ShardedScene::from_scene(&ds.reference_scene, 1.0);
+    let map = &ds.reference_scene;
     struct Collect {
         scores: Vec<f64>,
     }
@@ -32,7 +32,7 @@ fn observation3_gradient_skew() {
     let mut mask = vec![true; map.capacity()];
     let mut t = StageTimings::default();
     let _ = track_frame(
-        &map,
+        map,
         ds.poses_c2w[1].inverse(),
         &ds.frames[1],
         &ds.camera,
@@ -48,7 +48,7 @@ fn observation3_gradient_skew() {
     );
     // Collect over a second tracking pass with the extension.
     let _ = track_frame(
-        &map,
+        map,
         ds.poses_c2w[1].inverse(),
         &ds.frames[1],
         &ds.camera,
@@ -97,11 +97,11 @@ fn observation5_frame_similarity() {
 #[test]
 fn observation6_iteration_similarity() {
     let ds = SyntheticDataset::generate(DatasetProfile::tum_analog(), 2);
-    let map = ShardedScene::from_scene(&ds.reference_scene, 1.0);
+    let map = &ds.reference_scene;
     let mut mask = vec![true; map.capacity()];
     let mut t = StageTimings::default();
     let result = track_frame(
-        &map,
+        map,
         ds.poses_c2w[1].inverse(),
         &ds.frames[1],
         &ds.camera,
