@@ -602,7 +602,6 @@ fn churned_snapshot_map(n: usize) -> (ShardedScene, Vec<Channel>) {
     let channels = vec![
         Channel::zeroed("adam.m", 14, capacity),
         Channel::zeroed("adam.v", 14, capacity),
-        Channel::zeroed("mask", 1, capacity),
     ];
     (map, channels)
 }

@@ -116,9 +116,11 @@ pub struct TileAssignment {
     /// Per-tile exclusive offsets into [`Self::entries`]; length is
     /// `tile_count() + 1`.
     pub offsets: Vec<u32>,
-    /// Slot → source Gaussian ID, copied from the projection so tile lists
-    /// can be reported in the stable per-scene ID space (workload traces,
-    /// inter-frame change ratios) without keeping the projection alive.
+    /// Slot → index of the source Gaussian in the scene the projection
+    /// was built from, copied so tile lists can be reported without keeping
+    /// the projection alive. For a map render that scene is the cull's
+    /// gathered working set, so these are frame-local indices; the stable
+    /// map ID of index `k` is [`crate::VisibleFrame::ids`]`[k]`.
     pub slot_ids: Vec<u32>,
 }
 
@@ -153,11 +155,13 @@ impl TileAssignment {
         self.entries.len()
     }
 
-    /// Iterates the depth-sorted *Gaussian IDs* of one tile (slots mapped
-    /// through [`Self::slot_ids`]) — the stable address stream consumed by
-    /// workload traces and cross-frame comparisons. Allocation-free; use
-    /// [`Self::tile_gaussian_ids`] only where an owned `Vec` is genuinely
-    /// needed (tests, trace snapshots).
+    /// Iterates the depth-sorted Gaussian indices of one tile (slots mapped
+    /// through [`Self::slot_ids`]): indices into the projected scene, which
+    /// for a map render is the cull's gathered working set — frame-local,
+    /// not stable map IDs (map them through [`crate::VisibleFrame::ids`]).
+    /// Workload traces and [`Self::change_ratio`] consume this stream.
+    /// Allocation-free; use [`Self::tile_gaussian_ids`] only where an owned
+    /// `Vec` is genuinely needed (tests, trace snapshots).
     pub fn tile_gaussian_id_iter(&self, tile: usize) -> impl Iterator<Item = u32> + '_ {
         self.tile(tile)
             .iter()
@@ -172,8 +176,11 @@ impl TileAssignment {
 
     /// Relative change in tile–Gaussian intersections versus a previous
     /// assignment, computed per tile as symmetric set difference over the
-    /// union. Comparison happens in Gaussian-ID space (slots are frame-local
-    /// and not comparable across assignments). Returns 0.0 when both are
+    /// union of [`Self::tile_gaussian_id_iter`]'s indices. Those index each
+    /// assignment's own projected scene, so the comparison is exact only
+    /// when both come from the same gathered working set; across two
+    /// gathers (a mask change, a pose that culls other shards) the same
+    /// index can name different Gaussians. Returns 0.0 when both are
     /// empty.
     ///
     /// # Panics

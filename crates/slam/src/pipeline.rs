@@ -8,7 +8,7 @@ use crate::optimizer::{MapLearningRates, MapOptimizer};
 use crate::tracking::{timed_iteration, track_frame, IterationArtifacts, TrackingConfig};
 use rtgs_math::Se3;
 use rtgs_metrics::{absolute_trajectory_error, psnr, AteResult};
-use rtgs_render::{FrameArena, GradSet, Image, ShardedScene, WorkloadTrace, DEFAULT_CELL_SIZE};
+use rtgs_render::{FrameArena, GradSet, ShardedScene, WorkloadTrace, DEFAULT_CELL_SIZE};
 use rtgs_runtime::{Backend, BackendChoice};
 use rtgs_scene::{RgbdFrame, SyntheticDataset};
 use rtgs_telemetry::flight::hops;
@@ -413,18 +413,18 @@ pub struct SlamPipeline<'d> {
     /// transient render/backward buffers live here and are reused across
     /// frames (zero steady-state allocations).
     pub(crate) arena: FrameArena,
+    /// Tracking's active mask, one entry per stable ID: each frame starts
+    /// it from the map's live flags, the extension masks entries off during
+    /// tracking, and `end_of_frame` sees it padded to the map's capacity.
     pub(crate) mask: Vec<bool>,
+    /// One pose per processed frame: its length is the next frame's index.
     pub(crate) trajectory: Vec<Se3>,
     pub(crate) keyframes: Vec<usize>,
-    pub(crate) last_keyframe_image: Option<Image>,
     pub(crate) frame_reports: Vec<FrameReport>,
     pub(crate) tracking_timings: StageTimings,
     pub(crate) mapping_timings: StageTimings,
     pub(crate) metrics: PipelineMetrics,
-    pub(crate) tracking_wall: Duration,
-    pub(crate) mapping_wall: Duration,
     pub(crate) peak_gaussians: usize,
-    pub(crate) next_frame: usize,
     pub(crate) run_start: Option<Instant>,
     pub(crate) pending_mapping_traces: Vec<WorkloadTrace>,
     /// Load-shed resolution floor (1 = none): under SLO pressure the serve
@@ -464,15 +464,11 @@ impl<'d> SlamPipeline<'d> {
             mask: Vec::new(),
             trajectory: Vec::new(),
             keyframes: Vec::new(),
-            last_keyframe_image: None,
             frame_reports: Vec::new(),
             tracking_timings: StageTimings::default(),
             mapping_timings: StageTimings::default(),
             metrics: PipelineMetrics::default(),
-            tracking_wall: Duration::ZERO,
-            mapping_wall: Duration::ZERO,
             peak_gaussians: 0,
-            next_frame: 0,
             run_start: None,
             pending_mapping_traces: Vec::new(),
             pressure_factor: 1,
@@ -519,7 +515,7 @@ impl<'d> SlamPipeline<'d> {
 
     /// Whether every planned frame has been processed.
     pub fn is_complete(&self) -> bool {
-        self.next_frame >= self.planned_frames()
+        self.trajectory.len() >= self.planned_frames()
     }
 
     /// Processes all frames and produces the final report.
@@ -530,14 +526,13 @@ impl<'d> SlamPipeline<'d> {
 
     /// Processes the next frame; returns `None` when the sequence is done.
     pub fn step(&mut self) -> Option<usize> {
-        if self.next_frame >= self.planned_frames() {
+        if self.is_complete() {
             return None;
         }
         if self.run_start.is_none() {
             self.run_start = Some(Instant::now());
         }
-        let index = self.next_frame;
-        self.next_frame += 1;
+        let index = self.trajectory.len();
         // Adopt the staged ingest trace, or mint one so closed-loop frames
         // (no ingest front-end) still stitch through checkpoint and wire.
         self.last_trace = if self.pending_trace.is_traced() {
@@ -600,6 +595,10 @@ impl<'d> SlamPipeline<'d> {
         // shard bounds once so every tracking iteration's frustum cull runs
         // on fresh boxes.
         self.scene.refresh_bounds_with(&*self.backend);
+        // Every live ID starts the frame active; the extension may mask some
+        // off during tracking.
+        self.mask.clear();
+        self.mask.extend_from_slice(self.scene.live_flags());
         let t0 = Instant::now();
         let result = track_frame(
             &self.scene,
@@ -614,16 +613,8 @@ impl<'d> SlamPipeline<'d> {
             &*self.backend,
         );
         let tracking_wall = t0.elapsed();
-        self.tracking_wall += tracking_wall;
         let pose_c2w = result.w2c.inverse();
         self.trajectory.push(pose_c2w);
-
-        // The extension may have masked Gaussians off during tracking
-        // (mask-prune). Capture that state for the end-of-frame decision and
-        // restore full visibility (every live ID) for mapping — permanent
-        // removal is the extension's call below.
-        let tracking_mask = self.mask.clone();
-        self.mask.copy_from_slice(self.scene.live_flags());
 
         // ---- Keyframe decision ---------------------------------------------
         let last_kf = self.keyframes.last().copied();
@@ -634,32 +625,26 @@ impl<'d> SlamPipeline<'d> {
             pose: &pose_c2w,
             last_keyframe_pose: last_kf_pose.as_ref(),
             image: &frame.color,
-            last_keyframe_image: self.last_keyframe_image.as_ref(),
+            last_keyframe_image: last_kf.map(|k| &self.dataset.frames[k].color),
         });
 
         // ---- Mapping (keyframes only) ---------------------------------------
+        // Mapping sees every live ID: the tracking mask's entries are the
+        // extension's to act on below.
         let mut mapping_wall = Duration::ZERO;
         if is_keyframe {
             let t1 = Instant::now();
             self.map_keyframe(index);
             mapping_wall = t1.elapsed();
-            self.mapping_wall += mapping_wall;
             self.keyframes.push(index);
-            self.last_keyframe_image = Some(frame.color.clone());
         }
 
         // ---- Extension end-of-frame (permanent pruning) ----------------------
-        let tracking_mask = if tracking_mask.len() == self.scene.capacity() {
-            tracking_mask
-        } else {
-            // Mapping appended new IDs; pad conservatively with "active".
-            let mut m = tracking_mask;
-            m.resize(self.scene.capacity(), true);
-            m
-        };
+        // Mapping may have appended new IDs; they count as active.
+        self.mask.resize(self.scene.capacity(), true);
         if let Some(keep) = self
             .extension
-            .end_of_frame(&self.scene, &tracking_mask, is_keyframe)
+            .end_of_frame(&self.scene, &self.mask, is_keyframe)
         {
             assert_eq!(keep.len(), self.scene.capacity(), "keep mask length");
             // Tombstone instead of compacting: surviving IDs — and the
@@ -667,7 +652,6 @@ impl<'d> SlamPipeline<'d> {
             for (id, &k) in keep.iter().enumerate() {
                 if !k && self.scene.is_live(id as u32) {
                     self.scene.tombstone(id as u32);
-                    self.mask[id] = false;
                 }
             }
         }
@@ -728,16 +712,13 @@ impl<'d> SlamPipeline<'d> {
             0xC0FFEE,
         );
         self.map_optimizer = MapOptimizer::new(self.scene.capacity(), self.config.map_lrs);
-        self.mask = self.scene.live_flags().to_vec();
         self.extension.on_scene_resized(self.scene.capacity());
 
         // Initial mapping to settle the seeded Gaussians.
         let t0 = Instant::now();
         self.map_keyframe(0);
-        self.mapping_wall += t0.elapsed();
+        let mapping_wall = t0.elapsed();
         self.keyframes.push(0);
-        self.last_keyframe_image = Some(frame.color.clone());
-        self.peak_gaussians = self.scene.len();
         self.frame_reports.push(FrameReport {
             index: 0,
             is_keyframe: true,
@@ -745,7 +726,7 @@ impl<'d> SlamPipeline<'d> {
             resolution_factor: 1,
             tracking_loss: 0.0,
             tracking_wall: Duration::ZERO,
-            mapping_wall: self.mapping_wall,
+            mapping_wall,
             gaussians: self.scene.len(),
             tracking_fragments: 0,
             tracking_grad_events: 0,
@@ -795,7 +776,6 @@ impl<'d> SlamPipeline<'d> {
                 &self.scene,
                 &w2c,
                 &camera,
-                &self.mask,
                 frame,
                 &self.config.tracking.loss,
                 &mut self.mapping_timings,
@@ -831,22 +811,15 @@ impl<'d> SlamPipeline<'d> {
                     0xDE5EED ^ index as u64,
                 );
                 if !added.is_empty() {
-                    // New IDs are either appended (grow the mask) or
-                    // recycled tombstones (flip their entry back on).
-                    self.mask.resize(self.scene.capacity(), true);
-                    for &id in &added {
-                        self.mask[id as usize] = true;
-                    }
                     self.extension.on_scene_resized(self.scene.capacity());
                 }
             }
         }
 
+        // Tombstoned IDs drop out of the next cull; survivors stay exactly
+        // where they were.
         let removed = prune_transparent(&mut self.scene);
         if removed > 0 {
-            // Tombstoned IDs drop out of the active mask; survivors stay
-            // exactly where they were.
-            self.mask.copy_from_slice(self.scene.live_flags());
             self.extension.on_scene_resized(self.scene.capacity());
         }
         self.peak_gaussians = self.peak_gaussians.max(self.scene.len());
@@ -893,6 +866,7 @@ impl<'d> SlamPipeline<'d> {
 
         let mut stage = self.tracking_timings;
         stage.accumulate(&self.mapping_timings);
+        let frames = &self.frame_reports;
         let total_wall = self
             .run_start
             .map(|s| s.elapsed())
@@ -909,8 +883,8 @@ impl<'d> SlamPipeline<'d> {
             },
             peak_gaussians: self.peak_gaussians,
             peak_param_bytes: self.peak_gaussians as u64 * 59 * 4,
-            tracking_wall: self.tracking_wall,
-            mapping_wall: self.mapping_wall,
+            tracking_wall: frames.iter().map(|f| f.tracking_wall).sum(),
+            mapping_wall: frames.iter().map(|f| f.mapping_wall).sum(),
             total_wall,
             stage_timings: stage,
             tracking_timings: self.tracking_timings,
@@ -1089,15 +1063,24 @@ mod tests {
     /// through the pipeline: one `after_tracking_iteration` per tracking
     /// iteration, `iteration` restarting at 0 on every frame, no call during
     /// mapping or frame 0's initialisation, one gradient per visible ID, and
-    /// a mask edit in effect from the next iteration.
+    /// a mask edit in effect from the next iteration. The mask itself lives
+    /// for one frame: `end_of_frame` sees the frame's edits with every ID
+    /// mapping appended active, and the next frame starts again from the
+    /// map's live flags, so a live ID masked the frame before is active.
     #[test]
     fn extension_sees_each_tracking_iteration_once() {
         use std::sync::Mutex;
         struct Probe {
             frame: Option<usize>,
             masked: Vec<u32>,
+            /// Mask length (the map's capacity) when tracking started.
+            tracked_capacity: usize,
+            /// The map's live flags at the previous frame's end.
+            live_at_end: Option<Vec<bool>>,
             /// `(frame, iteration)` of every call, in order.
             calls: Arc<Mutex<Vec<(usize, usize)>>>,
+            /// IDs mapping appended, per `end_of_frame`.
+            appended: Arc<Mutex<Vec<usize>>>,
         }
         impl PipelineExtension for Probe {
             fn frame_directives(&mut self, frame_index: usize, _: usize) -> FrameDirectives {
@@ -1111,12 +1094,37 @@ mod tests {
                 // Iteration 0 masks every other visible Gaussian off; no
                 // later iteration of the frame may render one of them.
                 if a.iteration == 0 {
+                    if let Some(live) = &self.live_at_end {
+                        assert_eq!(mask, &live[..], "frame {frame} starts from the live flags");
+                        assert!(
+                            self.masked.iter().any(|&id| mask[id as usize]),
+                            "a live ID masked in frame {} is active in frame {frame}",
+                            frame - 1
+                        );
+                    }
+                    self.tracked_capacity = mask.len();
                     self.masked = a.visible_ids.iter().copied().step_by(2).collect();
                     assert!(!self.masked.is_empty());
                     self.masked.iter().for_each(|&id| mask[id as usize] = false);
                 } else {
                     assert!(a.visible_ids.iter().all(|id| !self.masked.contains(id)));
                 }
+            }
+            fn end_of_frame(
+                &mut self,
+                map: &ShardedScene,
+                mask: &[bool],
+                _is_keyframe: bool,
+            ) -> Option<Vec<bool>> {
+                assert_eq!(mask.len(), map.capacity());
+                assert!(self.masked.iter().all(|&id| !mask[id as usize]));
+                assert!(mask[self.tracked_capacity..].iter().all(|&m| m));
+                self.appended
+                    .lock()
+                    .unwrap()
+                    .push(map.capacity() - self.tracked_capacity);
+                self.live_at_end = Some(map.live_flags().to_vec());
+                None
             }
         }
 
@@ -1128,11 +1136,17 @@ mod tests {
             .with_traces();
         cfg.tracking.iterations = 3;
         cfg.mapping_iterations = 2;
+        // Every pixel is a densification candidate: mapping appends IDs.
+        cfg.map.densify_error_threshold = 0.0;
         let calls = Arc::new(Mutex::new(Vec::new()));
+        let appended = Arc::new(Mutex::new(Vec::new()));
         let probe = Probe {
             frame: None,
             masked: Vec::new(),
+            tracked_capacity: 0,
+            live_at_end: None,
             calls: Arc::clone(&calls),
+            appended: Arc::clone(&appended),
         };
         let report = SlamPipeline::with_extension(cfg, &ds, Box::new(probe)).run();
 
@@ -1148,6 +1162,12 @@ mod tests {
         assert!(report.frames[1..]
             .iter()
             .all(|f| f.traces.len() >= 2 && !f.mapping_traces.is_empty()));
+        let appended = appended.lock().unwrap();
+        assert_eq!(appended.len(), 3, "one end_of_frame per tracked frame");
+        assert!(
+            appended.iter().any(|&n| n > 0),
+            "mapping appended IDs: {appended:?}"
+        );
     }
 
     #[test]

@@ -159,16 +159,15 @@ fn record_stage(timings: &mut StageTimings, stage: StageId, start_ns: u64, dur_n
 
 /// One timed render + backward iteration — the paper's five-step frame
 /// pipeline over the session arena, as mapping runs it: the frustum cull
-/// and projection, [`timed_forward`], then [`timed_backward`] with the full
-/// gradient set. Returns the loss; gradients and stage results stay in
-/// `arena`.
+/// of every live ID and projection, [`timed_forward`], then
+/// [`timed_backward`] with the full gradient set. Returns the loss;
+/// gradients and stage results stay in `arena`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn timed_iteration(
     arena: &mut FrameArena,
     map: &ShardedScene,
     w2c: &Se3,
     camera: &PinholeCamera,
-    mask: &[bool],
     frame: &RgbdFrame,
     loss_config: &LossConfig,
     timings: &mut StageTimings,
@@ -176,7 +175,7 @@ pub(crate) fn timed_iteration(
     backend: &dyn Backend,
 ) -> f32 {
     let t0 = Instant::now();
-    arena.cull(map, w2c, camera, Some(mask), backend);
+    arena.cull(map, w2c, camera, None, backend);
     arena.project_visible(w2c, camera, backend);
     let (loss, loss_start) =
         timed_forward(arena, t0, camera, frame, loss_config, timings, it, backend);
@@ -1065,7 +1064,6 @@ mod tests {
                 &map,
                 w2c,
                 camera,
-                &live,
                 frame,
                 &loss,
                 &mut timings,
