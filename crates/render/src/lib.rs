@@ -117,8 +117,7 @@ pub use project::{
     COV2D_BLUR, FRUSTUM_CLAMP, NEAR_PLANE, NO_SLOT,
 };
 pub use shard::{
-    Aabb, GaussianHandle, SceneState, Shard, ShardState, ShardedScene, VisibleFrame,
-    DEFAULT_CELL_SIZE, TOMBSTONED_SLOT, TOMBSTONE_FILL,
+    SceneState, Shard, ShardState, ShardedScene, VisibleFrame, DEFAULT_CELL_SIZE, TOMBSTONE_FILL,
 };
 pub use tiles::{TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE, TILE_SIZE};
 pub use trace::WorkloadTrace;

@@ -3,15 +3,18 @@
 //!
 //! [`ShardedScene`] keeps the map's Gaussians in an append-only arena whose
 //! indices are **stable IDs**: densification appends (or recycles a
-//! tombstoned slot from the free-list) and pruning tombstones in place, so
+//! tombstoned ID from the ID free-list) and pruning tombstones in place, so
 //! no mutation ever reindexes surviving Gaussians. Optimizer moments,
 //! pruning scores, active masks and workload traces can therefore all be
 //! keyed by ID across arbitrary densify/prune interleavings.
 //!
 //! On top of the arena, Gaussians are bucketed into spatial-hash *shards*
-//! keyed by a world-grid cell. Each shard tracks the axis-aligned bounding
-//! box of its live members, the largest activated scale among them and a
-//! dirty flag; [`crate::FrameArena::cull`] runs a conservative
+//! keyed by a world-grid cell. A shard is its cell plus the ascending list
+//! of its live IDs, so it holds the same members whatever order they came
+//! and went in. From those members it caches the axis-aligned bounding box
+//! of their centers and the largest activated scale among them, refreshed
+//! when the shard's mutation version is newer than the last refresh;
+//! [`crate::FrameArena::cull`] runs a conservative
 //! frustum test per shard (parallelized over shards through the
 //! [`Backend`] seam, deterministic output) and gathers only the surviving
 //! shards' members into a frame-local [`GaussianScene`] for the chunked
@@ -43,13 +46,6 @@ pub(crate) const CULL_CHUNK: usize = 16;
 /// raw shard count.
 pub(crate) const MACRO_FACTOR: i32 = 8;
 
-/// Sentinel for a tombstoned member slot inside a shard.
-const DEAD_MEMBER: u32 = u32::MAX;
-
-/// Sentinel marking a tombstoned slot in [`ShardState::members`] — the
-/// serialized form of a dead member slot.
-pub const TOMBSTONED_SLOT: u32 = DEAD_MEMBER;
-
 /// Canonical arena content of a tombstoned slot in an exported
 /// [`SceneState`]. A dead slot's in-memory Gaussian is unobservable (every
 /// read path skips non-live IDs and recycling overwrites the slot before
@@ -69,56 +65,44 @@ pub const TOMBSTONE_FILL: Gaussian3d = Gaussian3d {
 /// Default world-grid cell edge length in meters.
 pub const DEFAULT_CELL_SIZE: f32 = 1.0;
 
-/// Stable address of one Gaussian: the shard it lives in and its slot in
-/// that shard's member table. Neither component ever changes while the
-/// Gaussian is alive — pruning tombstones the slot and densification only
-/// appends or recycles already-dead slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GaussianHandle {
-    /// Index of the shard in [`ShardedScene::shards`].
-    pub shard: u32,
-    /// Slot in the shard's member table.
-    pub slot: u32,
-}
-
 /// Axis-aligned bounding box in world space.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Aabb {
+struct Aabb {
     /// Componentwise minimum corner.
-    pub min: Vec3,
+    min: Vec3,
     /// Componentwise maximum corner.
-    pub max: Vec3,
+    max: Vec3,
 }
 
 impl Aabb {
     /// The empty box (grows from infinities).
-    pub const EMPTY: Aabb = Aabb {
+    const EMPTY: Aabb = Aabb {
         min: Vec3::new(f32::INFINITY, f32::INFINITY, f32::INFINITY),
         max: Vec3::new(f32::NEG_INFINITY, f32::NEG_INFINITY, f32::NEG_INFINITY),
     };
 
     /// Grows the box to contain `p`.
     #[inline]
-    pub fn grow(&mut self, p: Vec3) {
+    fn grow(&mut self, p: Vec3) {
         self.min = self.min.min(p);
         self.max = self.max.max(p);
     }
 
     /// True when no point was ever added.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.min.x > self.max.x
     }
 
     /// Box center (undefined for empty boxes).
     #[inline]
-    pub fn center(&self) -> Vec3 {
+    fn center(&self) -> Vec3 {
         (self.min + self.max) * 0.5
     }
 
     /// Componentwise half-extent (undefined for empty boxes).
     #[inline]
-    pub fn half_extent(&self) -> Vec3 {
+    fn half_extent(&self) -> Vec3 {
         (self.max - self.min) * 0.5
     }
 }
@@ -129,85 +113,47 @@ pub struct Shard {
     /// World-grid cell key (`floor(position / cell_size)` per axis at
     /// insertion time).
     pub cell: [i32; 3],
-    /// Slot → arena ID; [`DEAD_MEMBER`] marks tombstoned slots.
+    /// Live member IDs, ascending.
     members: Vec<u32>,
-    /// Free-list of tombstoned member slots available for reuse.
-    free_slots: Vec<u32>,
-    /// Number of live members.
-    live_count: usize,
-    /// Bounding box of the live members' centers (world frame).
+    /// Bounding box of the members' centers (world frame).
     aabb: Aabb,
-    /// Largest activated scale component among live members — the padding
+    /// Largest activated scale component among the members — the padding
     /// radius the conservative frustum test needs.
     max_scale: f32,
-    /// Whether `aabb`/`max_scale` are stale.
-    dirty: bool,
     /// Index of the macro-cell this shard belongs to.
     macro_idx: u32,
-    /// Value of [`ShardedScene::mutation_clock`] at this shard's most
-    /// recent mutation (insert/tombstone/`gaussian_mut`). Unlike `dirty`
-    /// it is never cleared, so incremental checkpointing can ask "did this
-    /// shard change since clock value C?" regardless of how many bound
-    /// refreshes happened in between.
+    /// The store's mutation clock at this shard's most recent mutation
+    /// (insert, tombstone, `gaussian_mut`). Its bounds are stale while it
+    /// is newer than the clock at the last bounds refresh, and incremental
+    /// checkpointing asks "did this shard change since clock value C?".
     version: u64,
 }
 
 impl Shard {
-    fn new(cell: [i32; 3], macro_idx: u32) -> Self {
-        Self {
-            cell,
-            members: Vec::new(),
-            free_slots: Vec::new(),
-            live_count: 0,
-            aabb: Aabb::EMPTY,
-            max_scale: 0.0,
-            dirty: false,
-            macro_idx,
-            version: 0,
-        }
-    }
-
     /// Number of live members.
     #[inline]
     pub fn live_count(&self) -> usize {
-        self.live_count
+        self.members.len()
     }
 
-    /// Mutation-clock value of this shard's most recent mutation (see
-    /// [`ShardedScene::mutation_clock`]).
+    /// The store's mutation clock at this shard's most recent mutation.
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
     }
 
-    /// Slot → arena ID member table; [`TOMBSTONED_SLOT`] marks tombstoned
-    /// slots. Slot order is persistent state (free slots recycle in stack
-    /// order), which is why serializers read it directly.
+    /// The live member IDs, ascending — a function of the live set alone,
+    /// not of the insert/tombstone history that reached it.
     #[inline]
     pub fn members(&self) -> &[u32] {
         &self.members
     }
 
-    /// Free-list of tombstoned member slots, in recycle (stack) order.
-    #[inline]
-    pub fn free_slots(&self) -> &[u32] {
-        &self.free_slots
-    }
-
-    /// Current bounding box of live member centers (valid when not dirty).
-    #[inline]
-    pub fn aabb(&self) -> Aabb {
-        self.aabb
-    }
-
     /// Recomputes bounds and max scale from the arena.
-    fn refresh(&mut self, arena: &[Gaussian3d], live: &[bool]) {
+    fn refresh(&mut self, arena: &[Gaussian3d]) {
         let mut aabb = Aabb::EMPTY;
         let mut max_scale = 0.0f32;
         for &id in &self.members {
-            if id == DEAD_MEMBER || !live[id as usize] {
-                continue;
-            }
             let g = &arena[id as usize];
             aabb.grow(g.position);
             let s = g.scale();
@@ -215,7 +161,6 @@ impl Shard {
         }
         self.aabb = aabb;
         self.max_scale = max_scale;
-        self.dirty = false;
     }
 }
 
@@ -229,8 +174,9 @@ struct MacroCell {
     aabb: Aabb,
     /// Largest `max_scale` among member shards.
     max_scale: f32,
-    /// Whether the cached union bounds are stale.
-    dirty: bool,
+    /// The store's mutation clock at the most recent mutation of a member
+    /// shard (stale like a shard's bounds, see [`Shard`]).
+    version: u64,
 }
 
 /// Result of the frustum-cull pre-pass: the frame-local working set.
@@ -245,12 +191,6 @@ pub struct VisibleFrame {
     pub scene: GaussianScene,
     /// Frame-local index → stable arena ID.
     pub ids: Vec<u32>,
-    /// Shards whose AABB passed the conservative frustum test.
-    pub shards_visible: usize,
-    /// Shards individually tested by the cull — the level-2 candidates
-    /// inside surviving macro-cells, not the total shard count (the
-    /// macro-cell level spares the rest a test entirely).
-    pub shards_tested: usize,
     /// Live Gaussians skipped because their whole shard was culled.
     pub shard_culled: usize,
 }
@@ -300,34 +240,29 @@ impl CullScratch {
     }
 }
 
-/// Serialized form of one [`Shard`]: exactly the state that cannot be
-/// derived from the rest of a [`SceneState`].
+/// Serialized form of one [`Shard`]: exactly what the store keeps of it.
 ///
-/// Bounds (`aabb`, `max_scale`), the dirty flag and the macro-cell
-/// structure are all recomputed on import, so they are deliberately absent.
+/// Bounds, versions and the macro-cell structure are recomputed on import,
+/// so they are deliberately absent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardState {
     /// World-grid cell key.
     pub cell: [i32; 3],
-    /// Slot → arena ID; [`TOMBSTONED_SLOT`] marks tombstoned slots. Slot
-    /// order is part of the state: future inserts recycle
-    /// [`ShardState::free_slots`] in stack order.
+    /// Live member IDs, strictly ascending.
     pub members: Vec<u32>,
-    /// Free-list of tombstoned member slots, in recycle (stack) order.
-    pub free_slots: Vec<u32>,
 }
 
 /// Plain-data image of a [`ShardedScene`]'s complete persistent state —
 /// everything [`ShardedScene::import_state`] needs to rebuild a store that
 /// renders bitwise-identically to the original *and* behaves identically
-/// under continued densify/prune/recycle churn (stable IDs, free-list
-/// orders and slot layouts are all preserved).
+/// under continued densify/prune/recycle churn (stable IDs, shard creation
+/// order and the ID free-list order are all preserved).
 ///
 /// The state is **canonical**: tombstoned arena slots hold a fixed fill
 /// value instead of whatever stale Gaussian the live store kept there, so
 /// two stores with the same observable contents export equal states.
-/// Derived structure (handles, macro-cells, shard bounds, the spatial-hash
-/// indices) is rebuilt deterministically on import.
+/// Derived structure (each ID's shard, macro-cells, shard bounds, the
+/// spatial-hash indices) is rebuilt deterministically on import.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SceneState {
     /// World-grid cell edge length.
@@ -349,18 +284,20 @@ pub struct ShardedScene {
     cell_size: f32,
     arena: Vec<Gaussian3d>,
     live: Vec<bool>,
-    handle_of: Vec<GaussianHandle>,
+    /// ID → index of its shard (meaningful for live IDs only).
+    shard_of: Vec<u32>,
     free_ids: Vec<u32>,
     shards: Vec<Shard>,
     cell_index: HashMap<[i32; 3], u32>,
     macros: Vec<MacroCell>,
     macro_index: HashMap<[i32; 3], u32>,
-    live_len: usize,
-    dirty_shards: usize,
     /// Monotone mutation counter: bumped on every insert, tombstone and
     /// `gaussian_mut`, and stamped onto the mutated shard's
-    /// [`Shard::version`].
+    /// [`Shard::version`]. Session-local: an imported store restarts it.
     clock: u64,
+    /// `clock` at the last bounds refresh: shards and macro-cells with a
+    /// newer version have stale bounds.
+    bounds_clock: u64,
 }
 
 impl ShardedScene {
@@ -378,15 +315,14 @@ impl ShardedScene {
             cell_size,
             arena: Vec::new(),
             live: Vec::new(),
-            handle_of: Vec::new(),
+            shard_of: Vec::new(),
             free_ids: Vec::new(),
             shards: Vec::new(),
             cell_index: HashMap::new(),
             macros: Vec::new(),
             macro_index: HashMap::new(),
-            live_len: 0,
-            dirty_shards: 0,
             clock: 0,
+            bounds_clock: 0,
         }
     }
 
@@ -410,13 +346,14 @@ impl ShardedScene {
     /// Number of live Gaussians.
     #[inline]
     pub fn len(&self) -> usize {
-        self.live_len
+        // Every tombstoned ID is on the free-list (import checks it).
+        self.arena.len() - self.free_ids.len()
     }
 
     /// True when no Gaussian is live.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live_len == 0
+        self.len() == 0
     }
 
     /// Arena capacity: stable IDs are `0..capacity()`, including tombstoned
@@ -459,16 +396,6 @@ impl ShardedScene {
         &self.free_ids
     }
 
-    /// The stable `(shard, slot)` handle of a live Gaussian, `None` when
-    /// the ID is tombstoned or out of range.
-    pub fn handle(&self, id: u32) -> Option<GaussianHandle> {
-        if self.is_live(id) {
-            Some(self.handle_of[id as usize])
-        } else {
-            None
-        }
-    }
-
     /// Borrows a live Gaussian.
     ///
     /// # Panics
@@ -480,7 +407,7 @@ impl ShardedScene {
         &self.arena[id as usize]
     }
 
-    /// Mutably borrows a live Gaussian, marking its shard's bounds dirty
+    /// Mutably borrows a live Gaussian, marking its shard's bounds stale
     /// (the optimizer may move or rescale it).
     ///
     /// # Panics
@@ -488,19 +415,17 @@ impl ShardedScene {
     /// Panics when `id` is tombstoned or out of range.
     pub fn gaussian_mut(&mut self, id: u32) -> &mut Gaussian3d {
         assert!(self.is_live(id), "gaussian {id} is not live");
-        let shard = self.handle_of[id as usize].shard as usize;
-        self.mark_shard_dirty(shard);
+        self.touch(self.shard_of[id as usize]);
         &mut self.arena[id as usize]
     }
 
-    fn mark_shard_dirty(&mut self, shard: usize) {
+    /// Advances the mutation clock and stamps it on `shard` and its
+    /// macro-cell.
+    fn touch(&mut self, shard: u32) {
         self.clock += 1;
-        self.shards[shard].version = self.clock;
-        if !self.shards[shard].dirty {
-            self.shards[shard].dirty = true;
-            self.dirty_shards += 1;
-        }
-        self.macros[self.shards[shard].macro_idx as usize].dirty = true;
+        let shard = &mut self.shards[shard as usize];
+        shard.version = self.clock;
+        self.macros[shard.macro_idx as usize].version = self.clock;
     }
 
     /// Live stable IDs in ascending order.
@@ -511,93 +436,79 @@ impl ShardedScene {
             .filter_map(|(i, &l)| if l { Some(i as u32) } else { None })
     }
 
-    /// Inserts a Gaussian, recycling a tombstoned arena slot when one is
-    /// free. Returns the stable ID — callers owning per-ID side state
-    /// (optimizer moments, masks) must reset the slot for recycled IDs.
+    /// Inserts a Gaussian, recycling the most recently tombstoned ID when
+    /// one is free. Returns the stable ID — callers owning per-ID side
+    /// state (optimizer moments, masks) must reset the slot for recycled
+    /// IDs.
     pub fn insert(&mut self, g: Gaussian3d) -> u32 {
         let cell = self.cell_of(g.position);
-        let shard_idx = match self.cell_index.get(&cell) {
+        let shard = match self.cell_index.get(&cell) {
             Some(&s) => s,
-            None => {
-                let s = self.shards.len() as u32;
-                let mcell = [
-                    cell[0].div_euclid(MACRO_FACTOR),
-                    cell[1].div_euclid(MACRO_FACTOR),
-                    cell[2].div_euclid(MACRO_FACTOR),
-                ];
-                let m = match self.macro_index.get(&mcell) {
-                    Some(&m) => m,
-                    None => {
-                        let m = self.macros.len() as u32;
-                        self.macros.push(MacroCell {
-                            shards: Vec::new(),
-                            aabb: Aabb::EMPTY,
-                            max_scale: 0.0,
-                            dirty: false,
-                        });
-                        self.macro_index.insert(mcell, m);
-                        m
-                    }
-                };
-                self.macros[m as usize].shards.push(s);
-                self.shards.push(Shard::new(cell, m));
-                self.cell_index.insert(cell, s);
-                s
-            }
+            None => self.add_shard(cell),
         };
-
         let id = match self.free_ids.pop() {
             Some(id) => {
                 self.arena[id as usize] = g;
                 self.live[id as usize] = true;
+                self.shard_of[id as usize] = shard;
                 id
             }
             None => {
-                let id = self.arena.len() as u32;
                 self.arena.push(g);
                 self.live.push(true);
-                self.handle_of.push(GaussianHandle { shard: 0, slot: 0 });
-                id
+                self.shard_of.push(shard);
+                (self.arena.len() - 1) as u32
             }
         };
-
-        let shard = &mut self.shards[shard_idx as usize];
-        let slot = match shard.free_slots.pop() {
-            Some(slot) => {
-                shard.members[slot as usize] = id;
-                slot
-            }
-            None => {
-                let slot = shard.members.len() as u32;
-                shard.members.push(id);
-                slot
-            }
-        };
-        shard.live_count += 1;
-        self.mark_shard_dirty(shard_idx as usize);
-        self.handle_of[id as usize] = GaussianHandle {
-            shard: shard_idx,
-            slot,
-        };
-        self.live_len += 1;
+        let members = &mut self.shards[shard as usize].members;
+        members.insert(members.partition_point(|&m| m < id), id);
+        self.touch(shard);
         id
     }
 
-    /// Tombstones a Gaussian: its slot is recycled by later inserts, no
-    /// surviving ID changes. Returns `false` when already dead.
+    /// Appends an empty shard for `cell` (and its macro-cell when that is
+    /// new), returning its index.
+    fn add_shard(&mut self, cell: [i32; 3]) -> u32 {
+        let s = self.shards.len() as u32;
+        let mcell = cell.map(|c| c.div_euclid(MACRO_FACTOR));
+        let macros = &mut self.macros;
+        let m = *self.macro_index.entry(mcell).or_insert_with(|| {
+            macros.push(MacroCell {
+                shards: Vec::new(),
+                aabb: Aabb::EMPTY,
+                max_scale: 0.0,
+                version: 0,
+            });
+            (macros.len() - 1) as u32
+        });
+        self.macros[m as usize].shards.push(s);
+        self.shards.push(Shard {
+            cell,
+            members: Vec::new(),
+            aabb: Aabb::EMPTY,
+            max_scale: 0.0,
+            macro_idx: m,
+            version: 0,
+        });
+        self.cell_index.insert(cell, s);
+        s
+    }
+
+    /// Tombstones a Gaussian: its ID goes on the free-list for later
+    /// inserts, no surviving ID changes. Returns `false` when already dead.
     pub fn tombstone(&mut self, id: u32) -> bool {
         if !self.is_live(id) {
             return false;
         }
-        let handle = self.handle_of[id as usize];
-        let shard = &mut self.shards[handle.shard as usize];
-        shard.members[handle.slot as usize] = DEAD_MEMBER;
-        shard.free_slots.push(handle.slot);
-        shard.live_count -= 1;
-        self.mark_shard_dirty(handle.shard as usize);
+        let shard = self.shard_of[id as usize];
+        let members = &mut self.shards[shard as usize].members;
+        let pos = members
+            .binary_search(&id)
+            .expect("a live ID is a member of its shard");
+        members.remove(pos);
+        self.touch(shard);
         self.live[id as usize] = false;
         self.free_ids.push(id);
-        self.live_len -= 1;
         true
     }
 
@@ -606,24 +517,13 @@ impl ShardedScene {
     /// reference enumeration the flat oracle renders, which the
     /// equivalence tests compare the culled render against.
     pub fn flatten(&self) -> (GaussianScene, Vec<u32>) {
-        let mut gaussians = Vec::with_capacity(self.live_len);
-        let mut ids = Vec::with_capacity(self.live_len);
+        let mut gaussians = Vec::with_capacity(self.len());
+        let mut ids = Vec::with_capacity(self.len());
         for id in self.live_ids() {
             gaussians.push(self.arena[id as usize]);
             ids.push(id);
         }
         (GaussianScene::from_gaussians(gaussians), ids)
-    }
-
-    /// Monotone mutation counter: bumped on every insert, tombstone and
-    /// [`Self::gaussian_mut`]. Together with [`Shard::version`] it lets an
-    /// incremental checkpointer find the shards that changed since a
-    /// recorded clock value without relying on the (refresh-cleared) dirty
-    /// flags. The clock is session-local bookkeeping, not persistent
-    /// state: an imported store starts back at zero.
-    #[inline]
-    pub fn mutation_clock(&self) -> u64 {
-        self.clock
     }
 
     /// Exports the complete persistent state in canonical form (see
@@ -647,7 +547,6 @@ impl ShardedScene {
                 .map(|s| ShardState {
                     cell: s.cell,
                     members: s.members.clone(),
-                    free_slots: s.free_slots.clone(),
                 })
                 .collect(),
         }
@@ -658,13 +557,14 @@ impl ShardedScene {
     /// producing a store that panics later. The rebuilt store is
     /// bitwise-equivalent to the exporter for rendering and for continued
     /// densify/prune/recycle churn; its bounds are freshly computed and its
-    /// mutation clock restarts at zero.
+    /// mutation clock restarts (one tick per shard).
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency found (length
-    /// mismatches, out-of-range or duplicated IDs, liveness or free-list
-    /// disagreements, duplicate shard cells, non-finite cell size).
+    /// mismatches, members that are out of range, not live, not ascending
+    /// or in two shards, live IDs in no shard, free-list disagreements,
+    /// duplicate shard cells, non-finite cell size).
     pub fn import_state(state: &SceneState) -> Result<Self, String> {
         if !(state.cell_size > 0.0 && state.cell_size.is_finite()) {
             return Err(format!("invalid cell size {}", state.cell_size));
@@ -684,91 +584,42 @@ impl ShardedScene {
         map.arena = state.gaussians.clone();
         map.live = state.live.clone();
         map.free_ids = state.free_ids.clone();
-        map.handle_of = vec![GaussianHandle { shard: 0, slot: 0 }; capacity];
+        map.shard_of = vec![0; capacity];
 
         // Shards, their macro-cells and the spatial-hash indices are
         // rebuilt in creation order — the same order the exporter built
         // them in, so macro grouping (and hence cull iteration order) is
         // reproduced exactly.
-        let mut seen_live = vec![false; capacity];
+        let mut seen = vec![false; capacity];
         for (si, shard_state) in state.shards.iter().enumerate() {
-            let si32 = si as u32;
-            let mcell = [
-                shard_state.cell[0].div_euclid(MACRO_FACTOR),
-                shard_state.cell[1].div_euclid(MACRO_FACTOR),
-                shard_state.cell[2].div_euclid(MACRO_FACTOR),
-            ];
-            let m = match map.macro_index.get(&mcell) {
-                Some(&m) => m,
-                None => {
-                    let m = map.macros.len() as u32;
-                    map.macros.push(MacroCell {
-                        shards: Vec::new(),
-                        aabb: Aabb::EMPTY,
-                        max_scale: 0.0,
-                        dirty: false,
-                    });
-                    map.macro_index.insert(mcell, m);
-                    m
-                }
-            };
-            map.macros[m as usize].shards.push(si32);
-            if map.cell_index.insert(shard_state.cell, si32).is_some() {
+            if map.cell_index.contains_key(&shard_state.cell) {
                 return Err(format!("duplicate shard cell {:?}", shard_state.cell));
             }
-
-            let mut shard = Shard::new(shard_state.cell, m);
-            shard.members = shard_state.members.clone();
-            shard.free_slots = shard_state.free_slots.clone();
-            let mut dead_slots = 0usize;
-            for (slot, &id) in shard_state.members.iter().enumerate() {
-                if id == DEAD_MEMBER {
-                    dead_slots += 1;
-                    continue;
-                }
+            let shard = map.add_shard(shard_state.cell);
+            for (k, &id) in shard_state.members.iter().enumerate() {
                 let idx = id as usize;
+                if k > 0 && shard_state.members[k - 1] >= id {
+                    return Err(format!("shard {si} members are not ascending at ID {id}"));
+                }
                 if idx >= capacity {
                     return Err(format!("shard {si} member ID {id} out of range"));
                 }
                 if !state.live[idx] {
                     return Err(format!("shard {si} member ID {id} is not live"));
                 }
-                if seen_live[idx] {
-                    return Err(format!("ID {id} appears in more than one slot"));
+                if seen[idx] {
+                    return Err(format!("ID {id} is a member of more than one shard"));
                 }
-                seen_live[idx] = true;
-                map.handle_of[idx] = GaussianHandle {
-                    shard: si32,
-                    slot: slot as u32,
-                };
-                shard.live_count += 1;
+                seen[idx] = true;
+                map.shard_of[idx] = shard;
             }
-            if shard_state.free_slots.len() != dead_slots {
-                return Err(format!(
-                    "shard {si} free-list has {} slots but {dead_slots} members are tombstoned",
-                    shard_state.free_slots.len()
-                ));
-            }
-            let mut free_seen = vec![false; shard_state.members.len()];
-            for &slot in &shard_state.free_slots {
-                match shard_state.members.get(slot as usize) {
-                    Some(&DEAD_MEMBER) if !free_seen[slot as usize] => {
-                        free_seen[slot as usize] = true;
-                    }
-                    Some(&DEAD_MEMBER) => {
-                        return Err(format!("shard {si} free-list repeats slot {slot}"))
-                    }
-                    _ => {
-                        return Err(format!(
-                            "shard {si} free-list slot {slot} is not a tombstoned member"
-                        ))
-                    }
-                }
-            }
-            map.shards.push(shard);
+            map.shards[si].members = shard_state.members.clone();
+            // The import is each shard's first mutation: its bounds are
+            // stale until the refresh below.
+            map.touch(shard);
         }
 
-        for (id, (&live, &seen)) in state.live.iter().zip(seen_live.iter()).enumerate() {
+        for (id, (&live, &seen)) in state.live.iter().zip(seen.iter()).enumerate() {
             if live && !seen {
                 return Err(format!("live ID {id} is not a member of any shard"));
             }
@@ -792,77 +643,67 @@ impl ShardedScene {
             ));
         }
 
-        map.live_len = capacity - dead;
         // Bounds are derived data: recompute them all. The refresh is
         // deterministic (same members, same order, same float ops), so the
         // imported bounds match a refreshed exporter's bit for bit.
-        for si in 0..map.shards.len() {
-            map.shards[si].dirty = true;
-            map.macros[map.shards[si].macro_idx as usize].dirty = true;
-        }
-        map.dirty_shards = map.shards.len();
         map.refresh_bounds();
-        map.clock = 0;
-        for shard in &mut map.shards {
-            shard.version = 0;
-        }
         Ok(map)
     }
 
-    /// Recomputes bounds of dirty shards on the calling thread.
+    /// Recomputes the stale shards' bounds on the calling thread.
     pub fn refresh_bounds(&mut self) {
         self.refresh_bounds_with(&Serial);
     }
 
-    /// [`Self::refresh_bounds`] with the dirty shards chunked over an
+    /// [`Self::refresh_bounds`] with the stale shards chunked over an
     /// execution backend. Each shard's bounds depend only on its own
     /// members, so the result is identical on every backend and pool size.
     pub fn refresh_bounds_with(&mut self, backend: &dyn Backend) {
-        if self.dirty_shards == 0 {
+        let since = self.bounds_clock;
+        if self.clock == since {
             return;
         }
-        let dirty: Vec<usize> = self
+        self.bounds_clock = self.clock;
+        let stale: Vec<usize> = self
             .shards
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| if s.dirty { Some(i) } else { None })
+            .filter_map(|(i, s)| (s.version > since).then_some(i))
             .collect();
         let arena = &self.arena;
-        let live = &self.live;
         {
             let shards = SharedSlice::new(&mut self.shards);
-            let dirty_ref = &dirty;
-            backend.for_each_chunk(dirty_ref.len(), CULL_CHUNK, &|_, range| {
+            let stale_ref = &stale;
+            backend.for_each_chunk(stale_ref.len(), CULL_CHUNK, &|_, range| {
                 for k in range {
-                    // SAFETY: dirty indices are unique, so each shard is
+                    // SAFETY: stale indices are unique, so each shard is
                     // refreshed by exactly one chunk.
-                    let shard = unsafe { shards.get_mut(dirty_ref[k]) };
-                    shard.refresh(arena, live);
+                    let shard = unsafe { shards.get_mut(stale_ref[k]) };
+                    shard.refresh(arena);
                 }
             });
         }
-        self.dirty_shards = 0;
 
-        // Second level: re-union the dirty macro-cells from their members.
-        let dirty_macros: Vec<usize> = self
+        // Second level: re-union the stale macro-cells from their members.
+        let stale_macros: Vec<usize> = self
             .macros
             .iter()
             .enumerate()
-            .filter_map(|(i, m)| if m.dirty { Some(i) } else { None })
+            .filter_map(|(i, m)| (m.version > since).then_some(i))
             .collect();
         let shards_ref = &self.shards;
         {
             let macros = SharedSlice::new(&mut self.macros);
-            let dirty_ref = &dirty_macros;
-            backend.for_each_chunk(dirty_ref.len(), CULL_CHUNK, &|_, range| {
+            let stale_ref = &stale_macros;
+            backend.for_each_chunk(stale_ref.len(), CULL_CHUNK, &|_, range| {
                 for k in range {
-                    // SAFETY: dirty macro indices are unique.
-                    let mc = unsafe { macros.get_mut(dirty_ref[k]) };
+                    // SAFETY: stale macro indices are unique.
+                    let mc = unsafe { macros.get_mut(stale_ref[k]) };
                     let mut aabb = Aabb::EMPTY;
                     let mut max_scale = 0.0f32;
                     for &si in &mc.shards {
                         let shard = &shards_ref[si as usize];
-                        if shard.live_count == 0 || shard.aabb.is_empty() {
+                        if shard.aabb.is_empty() {
                             continue;
                         }
                         aabb.grow(shard.aabb.min);
@@ -871,7 +712,6 @@ impl ShardedScene {
                     }
                     mc.aabb = aabb;
                     mc.max_scale = max_scale;
-                    mc.dirty = false;
                 }
             });
         }
@@ -914,7 +754,7 @@ impl ShardedScene {
         reuse: bool,
     ) -> bool {
         assert_eq!(
-            self.dirty_shards, 0,
+            self.bounds_clock, self.clock,
             "shard bounds are stale; call refresh_bounds first"
         );
         if let Some(mask) = active {
@@ -924,7 +764,7 @@ impl ShardedScene {
                 "active mask length must match the arena capacity"
             );
         }
-        out.shards_tested = self.surviving_shards_into(w2c, camera, backend, scratch);
+        self.surviving_shards_into(w2c, camera, backend, scratch);
         if reuse
             && scratch.gathered_for == Some(active.is_some())
             && scratch.gathered_shards == scratch.surviving
@@ -938,26 +778,15 @@ impl ShardedScene {
         let ids = &mut out.ids;
         ids.clear();
         let mut gathered_live = 0usize;
-        let mut shards_visible = 0usize;
         for &si in &scratch.surviving {
-            let shard = &self.shards[si as usize];
-            gathered_live += shard.live_count;
-            if shard.live_count > 0 {
-                shards_visible += 1;
-            }
-            for &id in &shard.members {
-                if id == DEAD_MEMBER {
-                    continue;
-                }
-                if let Some(mask) = active {
-                    if !mask[id as usize] {
-                        continue;
-                    }
-                }
-                ids.push(id);
+            let members = &self.shards[si as usize].members;
+            gathered_live += members.len();
+            match active {
+                Some(mask) => ids.extend(members.iter().copied().filter(|&id| mask[id as usize])),
+                None => ids.extend_from_slice(members),
             }
         }
-        let shard_culled = self.live_len - gathered_live;
+        let shard_culled = self.len() - gathered_live;
         // Frame-local order is ascending stable ID: the same enumeration a
         // flat full-scene render walks, so depth-sort tie order (and hence
         // blending) matches bit for bit.
@@ -967,7 +796,6 @@ impl ShardedScene {
         out.scene
             .gaussians
             .extend(ids.iter().map(|&id| self.arena[id as usize]));
-        out.shards_visible = shards_visible;
         out.shard_culled = shard_culled;
         scratch.gathered_for = reuse.then_some(active.is_some());
         if reuse {
@@ -982,9 +810,8 @@ impl ShardedScene {
 
     /// Computes the indices of shards surviving the two-level cull into
     /// `scratch.surviving`, in macro order then creation order
-    /// (deterministic; not sorted by index). Returns the number of level-2
-    /// (per-shard) tests performed. Allocation-free once the scratch
-    /// capacities cover the map's macro/shard counts.
+    /// (deterministic; not sorted by index). Allocation-free once the
+    /// scratch capacities cover the map's macro/shard counts.
     ///
     /// Two levels: macro-cells (unions of `MACRO_FACTOR`³ grid cells) are
     /// tested first, and only the member shards of surviving macro-cells
@@ -999,7 +826,7 @@ impl ShardedScene {
         camera: &PinholeCamera,
         backend: &dyn Backend,
         scratch: &mut CullScratch,
-    ) -> usize {
+    ) {
         let rot = w2c.rotation_matrix();
         let frustum = FrustumBound::of(camera);
 
@@ -1039,8 +866,7 @@ impl ShardedScene {
             backend.for_each_chunk(cand_ref.len(), CULL_CHUNK, &|_, range| {
                 for k in range {
                     let s = &shards[cand_ref[k] as usize];
-                    let visible = s.live_count > 0
-                        && !s.aabb.is_empty()
+                    let visible = !s.aabb.is_empty()
                         && shard_may_contribute(&s.aabb, s.max_scale, &rot, w2c, &frustum);
                     // SAFETY: each candidate position is written by exactly
                     // one chunk.
@@ -1048,7 +874,6 @@ impl ShardedScene {
                 }
             });
         }
-        let tested = scratch.candidates.len();
         scratch.surviving.clear();
         scratch.surviving.extend(
             scratch
@@ -1058,7 +883,6 @@ impl ShardedScene {
                 .filter(|&(_, &f)| f)
                 .map(|(&si, _)| si),
         );
-        tested
     }
 
     fn cell_of(&self, p: Vec3) -> [i32; 3] {
@@ -1196,9 +1020,7 @@ mod tests {
         assert_eq!(map.len(), 2);
         assert_eq!(map.capacity(), 2);
         // Different cells → different shards.
-        let ha = map.handle(a).unwrap();
-        let hb = map.handle(b).unwrap();
-        assert_ne!(ha.shard, hb.shard);
+        assert_ne!(map.shard_of[a as usize], map.shard_of[b as usize]);
     }
 
     #[test]
@@ -1207,7 +1029,8 @@ mod tests {
         let a = map.insert(g_at(Vec3::new(0.1, 0.1, 0.1)));
         let b = map.insert(g_at(Vec3::new(0.9, 0.9, 0.9)));
         assert_eq!(map.shard_count(), 1);
-        assert_eq!(map.handle(a).unwrap().shard, map.handle(b).unwrap().shard);
+        assert_eq!(map.shard_of[a as usize], map.shard_of[b as usize]);
+        assert_eq!(map.shards()[0].members(), &[a, b]);
     }
 
     #[test]
@@ -1216,17 +1039,22 @@ mod tests {
         let ids: Vec<u32> = (0..5)
             .map(|i| map.insert(g_at(Vec3::new(i as f32 * 1.5, 0.0, 2.0))))
             .collect();
-        let handles: Vec<GaussianHandle> = ids.iter().map(|&i| map.handle(i).unwrap()).collect();
+        let shard_of = map.shard_of.clone();
         assert!(map.tombstone(ids[2]));
         assert!(!map.tombstone(ids[2]), "double tombstone is a no-op");
         assert_eq!(map.len(), 4);
         assert_eq!(map.capacity(), 5, "tombstoning never shrinks the arena");
         for (k, &id) in ids.iter().enumerate() {
+            let members = map.shards()[shard_of[id as usize] as usize].members();
             if k == 2 {
                 assert!(!map.is_live(id));
-                assert!(map.handle(id).is_none());
+                assert!(members.is_empty(), "the dead ID left its shard");
             } else {
-                assert_eq!(map.handle(id), Some(handles[k]), "handle {k} moved");
+                assert_eq!(
+                    map.shard_of[id as usize], shard_of[id as usize],
+                    "{k} moved"
+                );
+                assert_eq!(members, &[id]);
             }
         }
     }
@@ -1263,11 +1091,12 @@ mod tests {
         let mut map = ShardedScene::new(10.0);
         let id = map.insert(g_at(Vec3::new(0.0, 0.0, 2.0)));
         map.refresh_bounds();
-        assert_eq!(map.dirty_shards, 0);
+        assert_eq!(map.bounds_clock, map.clock);
         map.gaussian_mut(id).position = Vec3::new(4.0, 0.0, 2.0);
-        assert_eq!(map.dirty_shards, 1);
+        assert!(map.shards()[0].version() > map.bounds_clock, "stale");
         map.refresh_bounds();
-        let aabb = map.shards()[0].aabb();
+        assert_eq!(map.bounds_clock, map.clock);
+        let aabb = map.shards()[0].aabb;
         assert_eq!(aabb.min.x, 4.0);
         assert_eq!(aabb.max.x, 4.0);
     }
@@ -1365,15 +1194,16 @@ mod tests {
         assert_eq!(restored.len(), map.len());
         assert_eq!(restored.capacity(), map.capacity());
         for id in map.live_ids() {
-            assert_eq!(restored.handle(id), map.handle(id), "handle of {id}");
+            let i = id as usize;
+            assert_eq!(restored.shard_of[i], map.shard_of[i], "shard of {id}");
             assert_eq!(restored.gaussian(id), map.gaussian(id));
         }
         // Continued churn is bitwise-equivalent: the same insert recycles
-        // the same ID into the same slot on both stores.
+        // the same ID into the same shard on both stores.
         let a = map.insert(g_at(Vec3::new(-9.0, 0.0, 2.0)));
         let b = restored.insert(g_at(Vec3::new(-9.0, 0.0, 2.0)));
         assert_eq!(a, b);
-        assert_eq!(map.handle(a), restored.handle(b));
+        assert_eq!(map.shard_of[a as usize], restored.shard_of[b as usize]);
         // Exported state is canonical, so re-export matches.
         assert_eq!(map.export_state(), restored.export_state());
     }
@@ -1410,8 +1240,18 @@ mod tests {
         assert!(ShardedScene::import_state(&bad).is_err());
 
         let mut bad = good.clone();
-        bad.shards[0].members[0] = 9; // dangling member ID
+        bad.shards[1].members[0] = 9; // dangling member ID
         assert!(ShardedScene::import_state(&bad).is_err());
+
+        let mut bad = good.clone();
+        bad.shards[1].members.push(1); // repeated, so not ascending
+        let err = ShardedScene::import_state(&bad).unwrap_err();
+        assert!(err.contains("not ascending"), "{err}");
+
+        let mut bad = good.clone();
+        bad.shards[0].members.push(1); // ID 1 in two shards
+        let err = ShardedScene::import_state(&bad).unwrap_err();
+        assert!(err.contains("more than one shard"), "{err}");
 
         let mut bad = good.clone();
         bad.cell_size = f32::NAN;
@@ -1419,16 +1259,16 @@ mod tests {
     }
 
     #[test]
-    fn mutation_clock_tracks_shard_versions() {
+    fn clock_tracks_shard_versions() {
         let mut map = ShardedScene::new(1.0);
         let a = map.insert(g_at(Vec3::new(0.0, 0.0, 2.0)));
         let b = map.insert(g_at(Vec3::new(5.0, 0.0, 2.0)));
-        let clock = map.mutation_clock();
+        let clock = map.clock;
         assert!(clock >= 2);
-        let sa = map.handle(a).unwrap().shard as usize;
-        let sb = map.handle(b).unwrap().shard as usize;
+        let sa = map.shard_of[a as usize] as usize;
+        let sb = map.shard_of[b as usize] as usize;
 
-        // Refreshing bounds clears dirty flags but not versions.
+        // Refreshing bounds leaves versions as they are.
         map.refresh_bounds();
         assert!(map.shards()[sa].version() > 0);
 
@@ -1437,7 +1277,34 @@ mod tests {
         map.gaussian_mut(b).position.x = 5.1;
         assert!(map.shards()[sb].version() > clock);
         assert!(map.shards()[sa].version() <= clock);
-        assert_eq!(map.mutation_clock(), map.shards()[sb].version());
+        assert_eq!(map.clock, map.shards()[sb].version());
+    }
+
+    #[test]
+    fn shard_members_do_not_depend_on_history() {
+        let x = |k: f32| g_at(Vec3::new(0.1 * k, 0.1, 2.1)); // cell X
+        let y = g_at(Vec3::new(5.0, 0.0, 2.0)); // cell Y
+                                                // A: three IDs into X, then ID 0 freed and recycled into Y.
+        let mut a = ShardedScene::new(1.0);
+        for k in 0..3 {
+            a.insert(x(k as f32));
+        }
+        a.tombstone(0);
+        assert_eq!(a.insert(y), 0);
+        // B: ID 0 moves to Y before ID 2 is appended into X's freed room.
+        let mut b = ShardedScene::new(1.0);
+        b.insert(x(7.0));
+        b.insert(x(1.0));
+        b.tombstone(0);
+        assert_eq!(b.insert(y), 0);
+        assert_eq!(b.insert(x(2.0)), 2);
+
+        assert_eq!(a.export_state(), b.export_state());
+        for (sa, sb) in a.shards().iter().zip(b.shards()) {
+            assert_eq!(sa.members(), sb.members());
+            assert!(sa.members().windows(2).all(|w| w[0] < w[1]));
+        }
+        assert_eq!(a.shards()[0].members(), &[1, 2]);
     }
 
     #[test]

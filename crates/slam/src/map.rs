@@ -2,7 +2,7 @@
 //! high-error regions, and low-opacity cleanup.
 //!
 //! The map is a [`ShardedScene`]: seeding and densification insert through
-//! the spatial hash (recycling tombstoned slots), cleanup tombstones in
+//! the spatial hash (recycling tombstoned IDs), cleanup tombstones in
 //! place, and no operation ever reindexes a surviving Gaussian — the stable
 //! IDs the optimizer moments, pruning scores and active masks are keyed by
 //! stay valid across any interleaving.

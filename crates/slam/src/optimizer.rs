@@ -38,8 +38,8 @@ impl Default for MapLearningRates {
 }
 
 /// Adam state over the Gaussians of a [`ShardedScene`], with the moment
-/// arrays keyed by **stable ID** ([`ShardedScene`] arena index — one-to-one
-/// with the `(shard, slot)` handle while a Gaussian is alive).
+/// arrays keyed by **stable ID** (the [`ShardedScene`] arena index, which
+/// never changes while a Gaussian is alive).
 ///
 /// Because pruning tombstones instead of compacting, moments never move:
 /// a surviving Gaussian keeps its moments across any densify/prune
@@ -310,7 +310,7 @@ mod tests {
     }
 
     /// The core stable-ID contract: moments stay matched to the surviving
-    /// Gaussians' handles — not their old indices — across an interleaved
+    /// Gaussians' stable IDs — not their old indices — across an interleaved
     /// densify → prune → densify sequence.
     #[test]
     fn moments_follow_handles_across_densify_prune_densify() {

@@ -20,7 +20,7 @@
 //!
 //! The map and the ID-keyed arrays ride in the [`CheckpointLog`]'s scene
 //! sections and [`Channel`]s (so repeated [`SlamPipeline::checkpoint_into`]
-//! calls on one log write dirty-shard deltas, not full snapshots); the
+//! calls on one log write changed-shard deltas, not full snapshots); the
 //! small session state travels as the log's opaque meta blob.
 //!
 //! What is *not* persisted: wall-clock origins (`total_wall` restarts at
@@ -215,7 +215,7 @@ impl SlamPipeline<'_> {
     }
 
     /// Checkpoints the session into `log`: a full base on the log's first
-    /// capture, a dirty-shards-only delta afterwards. Persists the map, the
+    /// capture, a changed-shards-only delta afterwards. Persists the map, the
     /// optimizer moments (channels `adam.m` / `adam.v`) and step counter,
     /// the peak map size, the stage timings and the per-frame reports,
     /// stamped with the config fingerprint. A restore derives the
@@ -292,6 +292,17 @@ impl SlamPipeline<'_> {
                 found: meta.fingerprint,
             });
         }
+        // Report `i` is frame `i`, so the session must fit the dataset the
+        // report pass re-renders against.
+        if meta.frame_reports.len() > self.dataset.len() {
+            return Err(SnapshotError::Corrupt {
+                context: format!(
+                    "session has {} frame reports but the dataset has {} frames",
+                    meta.frame_reports.len(),
+                    self.dataset.len()
+                ),
+            });
+        }
 
         let capacity = scene.capacity();
         let channel = |name: &str, width: usize| -> Result<&Channel, SnapshotError> {
@@ -353,7 +364,7 @@ impl SlamPipeline<'_> {
     pub fn resident_bytes(&self) -> usize {
         let per_id = std::mem::size_of::<rtgs_render::Gaussian3d>()
             + 2 * PARAMS_PER_GAUSSIAN * 4 // optimizer moments
-            + 8 // handle
+            + 4 // shard index
             + 2; // liveness + mask
         self.scene.capacity() * per_id
             + self.trajectory.len() * std::mem::size_of::<Se3>()
@@ -541,9 +552,9 @@ mod tests {
 
     /// Incremental checkpoints into one log: a tracked non-keyframe
     /// mutates nothing, so its delta carries zero shard records; mapping
-    /// frames write only the frustum's dirty shards.
+    /// frames write only the frustum's changed shards.
     #[test]
-    fn tracked_frame_delta_writes_only_dirty_shards() {
+    fn tracked_frame_delta_writes_only_changed_shards() {
         let ds = tiny_dataset(5);
         // Pose-distance keyframes on a tiny ramp: frames 1.. are usually
         // non-keyframes, so tracking-only frames exist.
@@ -682,6 +693,33 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {:?}", other.err()),
         }
+    }
+
+    /// A session longer than the dataset it is restored against is a typed
+    /// error at restore, through the log and through a follower's replay,
+    /// not a panic in the report pass.
+    #[test]
+    fn session_longer_than_dataset_is_rejected() {
+        let long = tiny_dataset(5);
+        let short = tiny_dataset(3);
+        let cfg = quick_config(5);
+        let mut p = SlamPipeline::new(cfg, &long);
+        while p.step().is_some() {}
+        let log = p.checkpoint().unwrap();
+        let replay = rtgs_snapshot::ReplayState::from_base(log.base_bytes()).unwrap();
+        for restored in [
+            SlamPipeline::restore_from(cfg, &short, &log),
+            SlamPipeline::restore_from_replay(cfg, &short, &replay),
+        ] {
+            match restored {
+                Err(SnapshotError::Corrupt { context }) => assert!(
+                    context.contains("5 frame reports") && context.contains("3 frames"),
+                    "{context}"
+                ),
+                other => panic!("expected Corrupt, got {:?}", other.err()),
+            }
+        }
+        assert!(SlamPipeline::restore_from(cfg, &long, &log).is_ok());
     }
 
     /// A session checkpoint in the 0.14 layout — a `SESS` section that

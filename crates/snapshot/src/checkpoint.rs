@@ -1,4 +1,4 @@
-//! Incremental checkpointing: a base snapshot plus dirty-shard delta
+//! Incremental checkpointing: a base snapshot plus changed-shard delta
 //! records, with compaction folding the chain back into a single base.
 //!
 //! A [`CheckpointLog`] observes one [`ShardedScene`] over time. The first
@@ -7,27 +7,27 @@
 //! pruning scores, masks, …) and an opaque `meta` blob. Every later
 //! capture writes a **delta** holding only the shards whose
 //! [mutation version](rtgs_render::Shard::version) advanced since the
-//! previous capture — plus the channel rows and arena Gaussians of those
-//! shards' live members, the (small) global free-list, and a fresh copy of
-//! `meta`. Restore is base + replay; [`CheckpointLog::compact`] folds the
-//! chain into a new base that is **byte-identical** to a fresh full
-//! capture of the same state (the canonical-form property the scene codec
-//! guarantees, property-tested in `tests/roundtrip.rs`).
+//! previous capture — each as its cell and ascending member list, plus the
+//! channel rows and arena Gaussians of those members, the (small) ID
+//! free-list, and a fresh copy of `meta`. Restore is base + replay;
+//! [`CheckpointLog::compact`] folds the chain into a new base that is
+//! **byte-identical** to a fresh full capture of the same state (the
+//! canonical-form property the scene codec guarantees, property-tested in
+//! `tests/roundtrip.rs`).
 //!
 //! # Channel contract
 //!
 //! A channel row may only change between captures for an ID whose Gaussian
 //! was mutated in the same window (insert, tombstone or
 //! [`rtgs_render::ShardedScene::gaussian_mut`]) — that is what lets deltas
-//! carry only dirty shards' rows. The map optimizer satisfies this by
+//! carry only changed shards' rows. The map optimizer satisfies this by
 //! construction: Adam moments move only for IDs it also steps.
 
 use crate::error::SnapshotError;
-use crate::format::{
-    put_f32, put_i32, put_len, put_str, put_u32, Cursor, SectionBuilder, Sections,
-};
+use crate::format::{put_f32, put_len, put_str, put_u32, Cursor, SectionBuilder, Sections};
 use crate::scene::{
-    encode_state_into, is_tombstoned, put_gaussian, read_gaussian, tombstone_fill, GAUSSIANS_TAG,
+    encode_state_into, put_gaussian, put_shard, read_gaussian, read_shard, tombstone_fill,
+    GAUSSIANS_TAG, SHARD_RECORD_MIN,
 };
 use crate::stream::ReplayState;
 use rtgs_render::{SceneState, ShardState, ShardedScene};
@@ -101,7 +101,7 @@ pub struct CaptureStats {
     pub elapsed: std::time::Duration,
 }
 
-/// A base snapshot plus an ordered chain of dirty-shard deltas. See the
+/// A base snapshot plus an ordered chain of changed-shard deltas. See the
 /// module docs.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointLog {
@@ -423,24 +423,8 @@ fn encode_delta(
     for &si in changed {
         let shard = &scene.shards()[si as usize];
         put_u32(shd, si);
-        for &c in &shard.cell {
-            put_i32(shd, c);
-        }
-        put_len(shd, shard.members().len());
-        for &m in shard.members() {
-            put_u32(shd, m);
-        }
-        put_len(shd, shard.free_slots().len());
-        for &s in shard.free_slots() {
-            put_u32(shd, s);
-        }
-        touched.extend(
-            shard
-                .members()
-                .iter()
-                .copied()
-                .filter(|&m| !is_tombstoned(m)),
-        );
+        put_shard(shd, shard.cell, shard.members());
+        touched.extend_from_slice(shard.members());
     }
     touched.sort_unstable();
 
@@ -487,8 +471,8 @@ pub(crate) fn apply_delta(
             ),
         });
     }
-    // Every ID a delta adds occupies at least a 4-byte member or free-list
-    // entry somewhere in its payload, so growth beyond the delta's own
+    // Every ID a delta adds is live (a 4-byte member of a changed shard)
+    // or dead (a 4-byte free-list entry), so growth beyond the delta's own
     // size is corrupt — this bounds the resize a damaged length field can
     // request.
     if new_capacity - state.gaussians.len() > delta.len() {
@@ -516,7 +500,7 @@ pub(crate) fn apply_delta(
     // (An ID that merely moved between two changed shards is re-marked in
     // pass 2; one that went dead stays unmarked and is canonicalized.)
     let mut shd = Cursor::new(sections.get(DELTA_SHARDS_TAG)?, "delta shard records");
-    let record_count = shd.len(4 + 3 * 4 + 16)?;
+    let record_count = shd.len(4 + SHARD_RECORD_MIN)?;
     let mut records: Vec<(u32, ShardState)> = Vec::with_capacity(record_count);
     let mut last_index: Option<u32> = None;
     for _ in 0..record_count {
@@ -527,34 +511,18 @@ pub(crate) fn apply_delta(
             });
         }
         last_index = Some(si);
-        let cell = [shd.i32()?, shd.i32()?, shd.i32()?];
-        let member_len = shd.len(4)?;
-        let mut members = Vec::with_capacity(member_len);
-        for _ in 0..member_len {
-            members.push(shd.u32()?);
-        }
-        let free_len = shd.len(4)?;
-        let mut free_slots = Vec::with_capacity(free_len);
-        for _ in 0..free_len {
-            free_slots.push(shd.u32()?);
-        }
-        records.push((
-            si,
-            ShardState {
-                cell,
-                members,
-                free_slots,
-            },
-        ));
+        records.push((si, read_shard(&mut shd)?));
     }
     shd.expect_end()?;
 
+    // (A base is decoded without import's validation, so an out-of-range
+    // previous member is skipped here and left to `restore`.)
     let mut unmarked: Vec<u32> = Vec::new();
     for (si, _) in &records {
         if let Some(prev) = state.shards.get(*si as usize) {
             for &id in &prev.members {
-                if !is_tombstoned(id) {
-                    state.live[id as usize] = false;
+                if let Some(live) = state.live.get_mut(id as usize) {
+                    *live = false;
                     unmarked.push(id);
                 }
             }
@@ -573,9 +541,6 @@ pub(crate) fn apply_delta(
             });
         }
         for &id in &shard.members {
-            if is_tombstoned(id) {
-                continue;
-            }
             if id as usize >= new_capacity {
                 return Err(SnapshotError::Corrupt {
                     context: format!("delta member ID {id} out of range"),
@@ -695,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_carries_only_dirty_shards() {
+    fn delta_carries_only_changed_shards() {
         let mut map = spread_map(8); // 8 shards, one per Gaussian
         let mut log = CheckpointLog::new();
         let _ = log.capture(&map, &[], b"").unwrap();

@@ -47,8 +47,10 @@ pub const MAGIC: [u8; 8] = *b"RTGSSNAP";
 
 /// Current container format version. Bump on any layout or semantic
 /// change to the container or a section (see CONTRIBUTING, "Snapshot
-/// format versioning").
-pub const FORMAT_VERSION: u32 = 1;
+/// format versioning"). Version 2: a shard record is its cell and its
+/// ascending live member IDs (version 1 also carried tombstoned member
+/// slots and a per-shard slot free-list).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Bytes per section-table entry.
 const TABLE_ENTRY: usize = 4 + 8 + 8 + 4;

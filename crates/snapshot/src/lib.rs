@@ -7,8 +7,8 @@
 //! checksummed binary container and brought back **bitwise-equivalent**:
 //! a restored map renders identically to the live one and keeps behaving
 //! identically under continued densify/prune/recycle churn, because
-//! stable IDs, tombstoned slot layouts and both free-list orders are part
-//! of the format.
+//! stable IDs, each shard's ascending member list and the ID free-list
+//! order are part of the format.
 //!
 //! Three layers:
 //!
@@ -24,7 +24,7 @@
 //! 3. **Incremental checkpoints** ([`checkpoint`]) — a [`CheckpointLog`]
 //!    consumes per-shard mutation versions to append delta records
 //!    carrying only changed shards (plus their members' ID-keyed
-//!    [`Channel`] rows and the small global free-list); restore is base +
+//!    [`Channel`] rows and the small ID free-list); restore is base +
 //!    replay, and [`CheckpointLog::compact`] folds a chain back into a
 //!    base byte-identical to a fresh full snapshot. The replay is one
 //!    type, [`ReplayState`] ([`stream`]): a log folds its chain through

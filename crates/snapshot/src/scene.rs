@@ -1,8 +1,8 @@
 //! Canonical binary codec for [`ShardedScene`] — full map snapshots.
 //!
 //! The encoding is built from [`SceneState`], the store's canonical
-//! plain-data export: stable IDs, tombstoned slot layouts and both
-//! free-list orders are preserved exactly, so a decoded map renders
+//! plain-data export: stable IDs, each shard's ascending member list and
+//! the ID free-list order are preserved exactly, so a decoded map renders
 //! bitwise-identically to the live one *and* keeps behaving identically
 //! under continued densify/prune/recycle churn. Tombstoned arena slots are
 //! never serialized (their contents are unobservable), which makes the
@@ -16,12 +16,12 @@
 //! |--------|-------------------------------------------------------------|
 //! | `SCNE` | cell size, capacity, packed liveness bitmap, ID free-list   |
 //! | `GAUS` | live Gaussians as `(id, 14 × f32)` in ascending-ID order    |
-//! | `SHRD` | per shard: grid cell, member table, slot free-list          |
+//! | `SHRD` | per shard: grid cell, ascending live member IDs             |
 
 use crate::error::SnapshotError;
 use crate::format::{put_f32, put_i32, put_len, put_u32, Cursor, SectionBuilder, Sections};
 use rtgs_math::{Quat, Vec3};
-use rtgs_render::{Gaussian3d, SceneState, ShardState, ShardedScene, TOMBSTONED_SLOT};
+use rtgs_render::{Gaussian3d, SceneState, ShardState, ShardedScene};
 
 /// Tag of the scene-header section.
 pub const SCENE_TAG: [u8; 4] = *b"SCNE";
@@ -114,17 +114,7 @@ pub(crate) fn encode_state_into(state: &SceneState, builder: &mut SectionBuilder
     let shrd = builder.section(SHARDS_TAG);
     put_len(shrd, state.shards.len());
     for shard in &state.shards {
-        for &c in &shard.cell {
-            put_i32(shrd, c);
-        }
-        put_len(shrd, shard.members.len());
-        for &m in &shard.members {
-            put_u32(shrd, m);
-        }
-        put_len(shrd, shard.free_slots.len());
-        for &s in &shard.free_slots {
-            put_u32(shrd, s);
-        }
+        put_shard(shrd, shard.cell, &shard.members);
     }
 }
 
@@ -180,25 +170,10 @@ pub(crate) fn decode_state(sections: &Sections<'_>) -> Result<SceneState, Snapsh
     gaus.expect_end()?;
 
     let mut shrd = Cursor::new(sections.get(SHARDS_TAG)?, "shard table");
-    let shard_count = shrd.len(3 * 4 + 16)?;
+    let shard_count = shrd.len(SHARD_RECORD_MIN)?;
     let mut shards = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
-        let cell = [shrd.i32()?, shrd.i32()?, shrd.i32()?];
-        let member_len = shrd.len(4)?;
-        let mut members = Vec::with_capacity(member_len);
-        for _ in 0..member_len {
-            members.push(shrd.u32()?);
-        }
-        let free_len = shrd.len(4)?;
-        let mut free_slots = Vec::with_capacity(free_len);
-        for _ in 0..free_len {
-            free_slots.push(shrd.u32()?);
-        }
-        shards.push(ShardState {
-            cell,
-            members,
-            free_slots,
-        });
+        shards.push(read_shard(&mut shrd)?);
     }
     shrd.expect_end()?;
 
@@ -217,7 +192,8 @@ pub(crate) fn decode_state(sections: &Sections<'_>) -> Result<SceneState, Snapsh
 ///
 /// Structural damage surfaces from the section layer
 /// ([`SnapshotError::Truncated`], [`SnapshotError::ChecksumMismatch`], …);
-/// semantic inconsistencies (dangling IDs, free-list disagreements) as
+/// semantic inconsistencies (dangling or unordered members, free-list
+/// disagreements) as
 /// [`SnapshotError::Corrupt`] via [`ShardedScene::import_state`].
 pub fn decode_scene_sections(sections: &Sections<'_>) -> Result<ShardedScene, SnapshotError> {
     let state = decode_state(sections)?;
@@ -242,10 +218,30 @@ pub fn decode_scene(bytes: &[u8]) -> Result<ShardedScene, SnapshotError> {
     decode_scene_sections(&Sections::parse(bytes)?)
 }
 
-/// `true` when `members[slot]` marks a tombstone (re-exported sentinel
-/// check used by the delta codec).
-pub(crate) fn is_tombstoned(member: u32) -> bool {
-    member == TOMBSTONED_SLOT
+/// Smallest encoded shard record: a grid cell and an empty member list.
+pub(crate) const SHARD_RECORD_MIN: usize = 3 * 4 + 8;
+
+/// Reads one shard record (grid cell, then the member list) — the layout
+/// full scenes and deltas share.
+pub(crate) fn read_shard(c: &mut Cursor<'_>) -> Result<ShardState, SnapshotError> {
+    let cell = [c.i32()?, c.i32()?, c.i32()?];
+    let member_len = c.len(4)?;
+    let mut members = Vec::with_capacity(member_len);
+    for _ in 0..member_len {
+        members.push(c.u32()?);
+    }
+    Ok(ShardState { cell, members })
+}
+
+/// Writes one shard record in the layout [`read_shard`] reads.
+pub(crate) fn put_shard(out: &mut Vec<u8>, cell: [i32; 3], members: &[u32]) {
+    for c in cell {
+        put_i32(out, c);
+    }
+    put_len(out, members.len());
+    for &m in members {
+        put_u32(out, m);
+    }
 }
 
 #[cfg(test)]

@@ -3,10 +3,11 @@
 //! map. CI re-runs it by name in its corrupted-snapshot fixtures step.
 
 use rtgs_math::{Quat, Vec3};
-use rtgs_render::{Gaussian3d, ShardedScene};
+use rtgs_render::{Gaussian3d, SceneState, ShardState, ShardedScene};
+use rtgs_snapshot::format::{put_i32, put_len, put_u32};
 use rtgs_snapshot::{
-    decode_scene, encode_scene, CheckpointLog, SectionBuilder, Sections, SnapshotError,
-    FORMAT_VERSION, MAGIC,
+    decode_scene, encode_scene, CheckpointLog, ReplayState, SectionBuilder, Sections,
+    SnapshotError, FORMAT_VERSION, MAGIC,
 };
 
 fn sample_map() -> ShardedScene {
@@ -179,4 +180,207 @@ fn corrupted_log_members_are_detected_at_decode() {
     let last = bad.len() - 1;
     bad[last] ^= 0x10;
     assert!(CheckpointLog::decode(&bad).is_err());
+}
+
+/// Three shards of four Gaussians each, one of them tombstoned.
+fn clustered_map() -> ShardedScene {
+    let mut map = ShardedScene::new(1.0);
+    for i in 0..12 {
+        map.insert(Gaussian3d::from_activated(
+            Vec3::new((i % 3) as f32 * 2.0 + 0.05 * i as f32, 0.1, 2.0),
+            Vec3::splat(0.07),
+            Quat::IDENTITY,
+            0.8,
+            Vec3::new(0.3, 0.6, 0.9),
+        ));
+    }
+    map.tombstone(5);
+    map
+}
+
+/// Rebuilds a container with `tag`'s payload replaced, every other section
+/// kept in order: checksum-valid bytes that say something else.
+fn with_section(bytes: &[u8], tag: [u8; 4], payload: Vec<u8>) -> Vec<u8> {
+    let sections = Sections::parse(bytes).unwrap();
+    let mut builder = SectionBuilder::new();
+    let mut payload = Some(payload);
+    for t in sections.tags().collect::<Vec<_>>() {
+        let p = if t == tag {
+            payload.take().unwrap()
+        } else {
+            sections.get(t).unwrap().to_vec()
+        };
+        builder.push_section(t, p);
+    }
+    assert!(payload.is_none(), "no {tag:?} section to replace");
+    builder.finish()
+}
+
+/// One shard record as version 2 writes it: cell, then the member list.
+fn put_shard(out: &mut Vec<u8>, cell: [i32; 3], members: &[u32]) {
+    for c in cell {
+        put_i32(out, c);
+    }
+    put_len(out, members.len());
+    for &m in members {
+        put_u32(out, m);
+    }
+}
+
+/// The three shard-table damages import must reject, each applied to a
+/// shard list: a shard whose members are not ascending, an ID listed in
+/// two shards, and a member that is not live. `big` is a shard with two
+/// or more members, `other` a different non-empty shard.
+fn damaged_shards(
+    state: &SceneState,
+    big: usize,
+    other: usize,
+) -> Vec<(&'static str, Vec<ShardState>)> {
+    let dead = state.free_ids[0];
+    let mut cases = Vec::new();
+
+    let mut shards = state.shards.clone();
+    shards[big].members.reverse();
+    cases.push(("not ascending", shards));
+
+    let mut shards = state.shards.clone();
+    let stolen = state.shards[other].members[0];
+    shards[big].members.push(stolen);
+    shards[big].members.sort_unstable();
+    cases.push(("more than one shard", shards));
+
+    let mut shards = state.shards.clone();
+    shards[big].members.push(dead);
+    shards[big].members.sort_unstable();
+    cases.push(("not live", shards));
+    cases
+}
+
+/// The sample map's largest shard and another non-empty one.
+fn big_and_other(map: &ShardedScene) -> (usize, usize) {
+    let shards = map.shards();
+    let big = (0..shards.len())
+        .max_by_key(|&i| shards[i].live_count())
+        .unwrap();
+    assert!(shards[big].live_count() >= 2);
+    let other = (0..shards.len())
+        .find(|&i| i != big && shards[i].live_count() > 0)
+        .unwrap();
+    (big, other)
+}
+
+/// Version 2's shard invariants — members ascending, each live ID in
+/// exactly one shard, every member live — are checked by import, and a
+/// checksum-valid full snapshot breaking one decodes to `Corrupt`.
+#[test]
+fn shard_member_damage_is_corrupt_on_import() {
+    let map = clustered_map();
+    let state = map.export_state();
+    let (big, other) = big_and_other(&map);
+    let good = encode_scene(&map);
+    for (what, shards) in damaged_shards(&state, big, other) {
+        let bad_state = SceneState {
+            shards: shards.clone(),
+            ..state.clone()
+        };
+        match ShardedScene::import_state(&bad_state) {
+            Err(msg) => assert!(msg.contains(what), "{what}: {msg}"),
+            Ok(_) => panic!("{what}: imported"),
+        }
+
+        let mut shrd = Vec::new();
+        put_len(&mut shrd, shards.len());
+        for s in &shards {
+            put_shard(&mut shrd, s.cell, &s.members);
+        }
+        let bytes = with_section(&good, *b"SHRD", shrd);
+        match decode_scene(&bytes) {
+            Err(SnapshotError::Corrupt { context }) => assert!(context.contains(what), "{context}"),
+            other => panic!("{what}: expected Corrupt, got {:?}", other.err()),
+        }
+    }
+}
+
+/// The same damage arriving as a follower would meet it: a checksum-valid
+/// delta whose one shard record breaks an invariant. `apply_delta` may
+/// accept the record; `restore` then fails with `Corrupt`, never a panic.
+/// A delta's members define liveness, so "a member that is not live"
+/// arrives as a member the delta's own free-list still holds.
+#[test]
+fn shard_member_damage_in_a_delta_is_corrupt_on_restore() {
+    let mut map = clustered_map();
+    let (big, other) = big_and_other(&map);
+    let mut log = CheckpointLog::new();
+    let _ = log.capture(&map, &[], b"m0").unwrap();
+    let first = map.shards()[big].members()[0];
+    map.gaussian_mut(first).position.y += 0.01; // changes shard `big` only
+    let stats = log.capture(&map, &[], b"m1").unwrap();
+    assert_eq!(stats.shards_written, 1);
+    let delta = log.delta_bytes(0).unwrap();
+    let state = map.export_state();
+
+    for (what, shards) in damaged_shards(&state, big, other) {
+        let mut dshd = Vec::new();
+        put_len(&mut dshd, 1);
+        put_u32(&mut dshd, big as u32);
+        put_shard(&mut dshd, shards[big].cell, &shards[big].members);
+        let bad = with_section(delta, *b"DSHD", dshd);
+
+        let mut replay = ReplayState::from_base(log.base_bytes()).unwrap();
+        let outcome = replay
+            .apply_delta(&bad)
+            .and_then(|()| replay.restore().map(|_| ()));
+        match outcome {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+/// A base is replayed without import's validation, so a base shard may
+/// list an ID past the arena; a delta rewriting that shard must not index
+/// the liveness flags with it.
+#[test]
+fn out_of_range_base_member_under_a_delta_is_not_a_panic() {
+    let mut map = clustered_map();
+    let (big, _) = big_and_other(&map);
+    let mut log = CheckpointLog::new();
+    let _ = log.capture(&map, &[], b"m0").unwrap();
+    let first = map.shards()[big].members()[0];
+    map.gaussian_mut(first).position.y += 0.01;
+    let _ = log.capture(&map, &[], b"m1").unwrap();
+
+    let mut shards = map.export_state().shards;
+    shards[big].members.push(1_000_000);
+    let mut shrd = Vec::new();
+    put_len(&mut shrd, shards.len());
+    for s in &shards {
+        put_shard(&mut shrd, s.cell, &s.members);
+    }
+    let base = with_section(log.base_bytes(), *b"SHRD", shrd);
+    let mut replay = ReplayState::from_base(&base).unwrap();
+    assert!(matches!(
+        replay.restore(),
+        Err(SnapshotError::Corrupt { .. })
+    ));
+    // The delta replaces the damaged record, so the chain heals.
+    replay.apply_delta(log.delta_bytes(0).unwrap()).unwrap();
+    let (restored, _, _) = replay.restore().unwrap();
+    assert_eq!(restored.export_state(), map.export_state());
+}
+
+/// Version 1 (shard records with tombstoned slots and a slot free-list)
+/// is no longer read: its containers fail loudly, before any section is
+/// interpreted.
+#[test]
+fn version_one_container_is_unsupported() {
+    let mut bytes = encode_scene(&sample_map());
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    match decode_scene(&bytes) {
+        Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+            assert_eq!((found, supported), (1, FORMAT_VERSION));
+            assert_eq!(FORMAT_VERSION, 2);
+        }
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
 }

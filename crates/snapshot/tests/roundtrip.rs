@@ -1,13 +1,13 @@
 //! Property tests for snapshot round-trips.
 //!
 //! Contracts over random maps grown through insert/tombstone/recycle churn
-//! (non-contiguous stable IDs, recycled slots — the state an evolved SLAM
+//! (non-contiguous stable IDs, recycled IDs — the state an evolved SLAM
 //! map is in):
 //!
 //! 1. **save → load → render is bitwise-identical to never-saved** — the
 //!    restored map produces the same visible set, image, depth and
 //!    transmittance as the original at pool sizes 1–8, and *continued*
-//!    churn (tombstone/insert with slot recycling) stays in lockstep.
+//!    churn (tombstone/insert with ID recycling) stays in lockstep.
 //! 2. **base + deltas == full snapshot after compaction** — capturing a
 //!    delta after every churn step and compacting yields base bytes
 //!    identical to a fresh full capture of the final state, channels
@@ -122,7 +122,7 @@ proptest! {
         }
 
         // Continued churn stays in lockstep: the same mutation script
-        // recycles the same IDs into the same slots on both maps.
+        // recycles the same IDs into the same shards on both maps.
         for (sel, g) in churn {
             let target = (sel as u32) % (live.capacity() as u32);
             prop_assert_eq!(live.tombstone(target), restored.tombstone(target));
@@ -240,9 +240,10 @@ fn encoded_log_roundtrips_through_bytes() {
 /// Contract 3: the persisted container does not move. A fixed churn script
 /// (insert, tombstone, recycle, growth; one ID-keyed channel; Gaussians from
 /// exact binary fractions, so no libm call shapes a byte) encodes to the
-/// same bytes it always has — length and CRC-32 were recorded before
-/// replication records stopped being snapshot containers (and before
-/// `crc32` went by table; its values are pinned in `format.rs`).
+/// same bytes it always has. Length and CRC-32 were re-recorded once, for
+/// format version 2, whose shard records carry only the cell and the
+/// ascending live members (version 1's pin was `(4127, 0xa228_dfd7)`);
+/// `crc32`'s own values are pinned in `format.rs`.
 #[test]
 fn persisted_log_bytes_are_pinned() {
     let g = |i: u32| Gaussian3d {
@@ -288,7 +289,7 @@ fn persisted_log_bytes_are_pinned() {
     let bytes = log.encode();
     assert_eq!(
         (bytes.len(), rtgs_snapshot::crc32(&bytes)),
-        (4127, 0xa228_dfd7),
+        (3863, 0xfdf3_d4ca),
         "persisted log bytes moved"
     );
 
