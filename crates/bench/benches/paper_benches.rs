@@ -210,7 +210,7 @@ fn bench_tile_sort(c: &mut Criterion) {
     group.bench_function("csr_radix_reused/dense", |b| {
         b.iter(|| {
             arena.assign_tiles(&camera, &Serial);
-            arena.tiles().intersection_count()
+            arena.tiles().entries.len()
         })
     });
     group.finish();

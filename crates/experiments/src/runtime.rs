@@ -131,7 +131,9 @@ impl SessionMap {
 /// buys. Below the `iteration` row (cull through the full backward) come
 /// the pose-only Steps ❹–❺ a base pipeline's tracking runs instead, from
 /// the iterations in between, and the header's bitwise check includes that
-/// their pose is the full pass's.
+/// their pose is the full pass's. Under the table, the serial arena's
+/// [`FrameArena::high_water_bytes`]: what a change to the arena's layout
+/// does to its memory, without a traced benchmark run.
 fn session_stage_table(session: &SessionMap, scale: Scale) -> String {
     let SessionMap {
         ds,
@@ -280,7 +282,7 @@ fn session_stage_table(session: &SessionMap, scale: Scale) -> String {
         ]);
     }
     format!(
-        "Stage budget at session size ({} Gaussians visible of {}, {}x{}, {} blended fragments, {} warm iterations, {} CPUs; pose-only pose == full pose and {} bitwise == serial: {identical}):\n{}",
+        "Stage budget at session size ({} Gaussians visible of {}, {}x{}, {} blended fragments, {} warm iterations, {} CPUs; pose-only pose == full pose and {} bitwise == serial: {identical}):\n{}Arena high-water at session size: {} B ({} MB)\n",
         arena.projection().visible_count(),
         map.len(),
         ds.camera.width,
@@ -289,7 +291,9 @@ fn session_stage_table(session: &SessionMap, scale: Scale) -> String {
         iterations,
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         choice.label(),
-        table.render()
+        table.render(),
+        arena.high_water_bytes(),
+        f(arena.high_water_bytes() as f64 / 1e6, 4)
     )
 }
 
@@ -400,6 +404,7 @@ mod tests {
         assert!(out.contains("Stage budget at session size"), "{out}");
         assert!(out.contains("Step ❺ preprocess BP"), "{out}");
         assert!(out.contains("Step ❺ preprocess BP (pose)"), "{out}");
+        assert!(out.contains("Arena high-water at session size: "), "{out}");
         assert!(out.contains("downsampled resolutions"), "{out}");
         for row in ["37x21", "25x14", "18x10"] {
             let line = out.lines().find(|l| l.contains(row));

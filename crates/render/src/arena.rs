@@ -2,7 +2,7 @@
 //! cull → project → tile-assign → forward → loss → backward pipeline.
 //!
 //! Each tracking/mapping iteration of the seed pipeline rebuilt its working
-//! state from scratch — a dozen `Vec` allocations for the projected SoA,
+//! state from scratch — a dozen `Vec` allocations for the projected splats,
 //! per-tile lists, forward buffers, fragment records and gradient
 //! accumulators, times tens of optimizer iterations per frame per session.
 //! [`FrameArena`] keeps all of that storage alive across iterations and
@@ -55,7 +55,7 @@ pub struct FrameArena {
     visible: VisibleFrame,
     /// Cull workspace.
     cull_scratch: CullScratch,
-    /// Projection result (SoA splat arrays).
+    /// Projection result (per-slot splat records and cold arrays).
     pub(crate) projection: Projection,
     /// Projection workspace; its lane blocks hold the kept activations of a
     /// trial scope's gather.
@@ -411,7 +411,7 @@ impl FrameArena {
             + self.backward_scratch.capacity_bytes();
         visible
             + self.cull_scratch.capacity_bytes()
-            + self.projection.soa.capacity_bytes()
+            + self.projection.capacity_bytes()
             + self.project_scratch.capacity_bytes()
             + tiles
             + self.tile_scratch.capacity_bytes()
@@ -567,8 +567,8 @@ mod tests {
         FrameArena::new().forward(&map, &Se3::IDENTITY, &cam, &Serial);
     }
 
-    /// The high-water mark covers at least the projection's SoA arrays and
-    /// the Step-❹ partials, summed here field by field.
+    /// The high-water mark covers at least the projection's per-slot arrays
+    /// and the Step-❹ partials, summed here field by field.
     #[test]
     fn high_water_counts_the_soa_and_the_step4_partials() {
         use std::mem::size_of;
@@ -587,36 +587,35 @@ mod tests {
         );
         arena.backward_visible_fused(&cam, &pose, &Serial);
 
-        let soa = &arena.projection.soa;
+        let projection = &arena.projection;
         let bytes = |len: usize, size: usize| len * size;
-        let soa_bytes = bytes(soa.gaussian_ids.capacity(), 4)
-            + bytes(soa.slot_of_gaussian.capacity(), 4)
-            + bytes(soa.means.capacity(), size_of::<rtgs_math::Vec2>())
-            + bytes(soa.conics.capacity(), size_of::<rtgs_math::Sym2>())
-            + bytes(soa.covs.capacity(), size_of::<rtgs_math::Sym2>())
-            + bytes(soa.colors.capacity(), size_of::<Vec3>())
-            + bytes(soa.opacities.capacity(), 4)
-            + bytes(soa.depths.capacity(), 4)
-            + bytes(soa.radii.capacity(), 4)
-            + bytes(soa.t_cams.capacity(), size_of::<Vec3>())
-            + bytes(soa.q_cuts.capacity(), 4)
-            + bytes(soa.tile_rects.capacity(), size_of::<crate::TileRect>())
+        let projection_bytes = bytes(projection.gaussian_ids.capacity(), 4)
+            + bytes(projection.slot_of_gaussian.capacity(), 4)
             + bytes(
-                soa.cut_boxes.capacity(),
+                projection.splats.capacity(),
+                size_of::<crate::forward::TileSplat>(),
+            )
+            + bytes(projection.t_cams.capacity(), size_of::<Vec3>())
+            + bytes(
+                projection.tile_rects.capacity(),
+                size_of::<crate::project::TileRect>(),
+            )
+            + bytes(
+                projection.cut_boxes.capacity(),
                 size_of::<crate::forward::CutBox>(),
             )
             + bytes(
-                soa.activations.capacity(),
+                projection.activations.capacity(),
                 size_of::<crate::gaussian::Activation>(),
             );
         let partial_bytes = arena.backward_scratch.step4_partial_bytes();
         assert!(
-            soa_bytes > 0 && partial_bytes > 0,
+            projection_bytes > 0 && partial_bytes > 0,
             "sanity: both are allocated"
         );
         assert!(
-            arena.high_water_bytes() >= soa_bytes + partial_bytes,
-            "{} < {soa_bytes} + {partial_bytes}",
+            arena.high_water_bytes() >= projection_bytes + partial_bytes,
+            "{} < {projection_bytes} + {partial_bytes}",
             arena.high_water_bytes()
         );
     }

@@ -147,8 +147,6 @@ pub struct BackwardStats {
     /// Fragment-level gradient contributions (each is one atomic-add burst
     /// on a GPU; the paper's Observation 4 bottleneck).
     pub fragment_grad_events: u64,
-    /// Number of distinct Gaussians that received gradient.
-    pub gaussians_touched: usize,
     /// Wall-clock nanoseconds spent in Step ❹ Rendering BP.
     pub rendering_bp_nanos: u64,
     /// Wall-clock nanoseconds spent in Step ❺ Preprocessing BP.
@@ -192,8 +190,8 @@ pub(crate) struct BackwardScratch {
     partials: Vec<TilePartial>,
     /// Per-Gaussian 2D-gradient accumulators (fold target).
     accum: Vec<Accum2d>,
-    /// Per-chunk (pose tangent, touched count) partials of Step ❺.
-    pose_partials: Vec<([f32; 6], usize)>,
+    /// Per-chunk pose-tangent partials of Step ❺.
+    pose_partials: Vec<[f32; 6]>,
 }
 
 impl BackwardScratch {
@@ -205,7 +203,7 @@ impl BackwardScratch {
         self.partials.iter().map(partial).sum::<usize>()
             + (self.partials.capacity() - self.partials.len()) * size_of::<TilePartial>()
             + self.accum.capacity() * size_of::<Accum2d>()
-            + self.pose_partials.capacity() * size_of::<([f32; 6], usize)>()
+            + self.pose_partials.capacity() * size_of::<[f32; 6]>()
     }
 
     /// The first `tile_count` Step-❹ partials, one per tile. They only ever
@@ -355,7 +353,6 @@ pub(crate) fn fold_and_preprocess<const FULL: bool>(
 
     // Deterministic fold: tile order, then tile-list order within a tile —
     // the same tree regardless of how the partials were computed.
-    let soa = &projection.soa;
     ws.accum.clear();
     ws.accum.resize(scene.len(), Accum2d::default());
     let accum = &mut ws.accum;
@@ -367,7 +364,7 @@ pub(crate) fn fold_and_preprocess<const FULL: bool>(
         for (pos, &slot) in tiles.tile(tile).iter().enumerate() {
             let a = &partial.accum[pos];
             if a.hit {
-                accum[soa.gaussian_ids[slot as usize] as usize].merge::<FULL>(a);
+                accum[projection.gaussian_ids[slot as usize] as usize].merge::<FULL>(a);
             }
         }
     }
@@ -382,9 +379,9 @@ pub(crate) fn fold_and_preprocess<const FULL: bool>(
         out.gaussians.resize(scene.len(), GaussianGrad::default());
     }
     let chunks = scene.len().div_ceil(BP_GAUSS_CHUNK).max(1);
-    // Per-chunk (pose tangent, touched count) partials, folded in order.
+    // Per-chunk pose-tangent partials, folded in order.
     ws.pose_partials.clear();
-    ws.pose_partials.resize(chunks, ([0.0f32; 6], 0usize));
+    ws.pose_partials.resize(chunks, [0.0f32; 6]);
 
     {
         let grad_view = SharedSlice::new(&mut out.gaussians);
@@ -392,7 +389,6 @@ pub(crate) fn fold_and_preprocess<const FULL: bool>(
         let accum = &ws.accum;
         backend.for_each_chunk(scene.len(), BP_GAUSS_CHUNK, &|chunk, range| {
             let mut pose = [0.0f32; 6];
-            let mut touched = 0usize;
             // The chunk's touched Gaussians, compacted into blocks of
             // `GAUSS_LANES` (a block never spans a chunk). Per block: gather
             // the lanes, run the kernel, then store gradients and add pose
@@ -403,14 +399,15 @@ pub(crate) fn fold_and_preprocess<const FULL: bool>(
                     // Lanes past the chunk's last touched Gaussian replicate
                     // it; their results are not stored.
                     let id = ids[l.min(ids.len() - 1)];
-                    let slot = soa.slot_of_gaussian[id] as usize;
+                    let slot = projection.slot_of_gaussian[id] as usize;
+                    let splat = &projection.splats[slot];
                     lanes.set(
                         l,
-                        soa.conics[slot],
-                        soa.t_cams[slot],
-                        soa.opacities[slot],
+                        splat.conic,
+                        projection.t_cams[slot],
+                        splat.opacity,
                         &accum[id],
-                        &soa.activations[slot],
+                        &projection.activations[slot],
                     );
                 }
                 let block = preprocess_block::<FULL>(&lanes, camera, &frame);
@@ -427,10 +424,9 @@ pub(crate) fn fold_and_preprocess<const FULL: bool>(
             let mut ids = [0usize; GAUSS_LANES];
             let mut live = 0usize;
             for id in range {
-                if !accum[id].hit || soa.slot(id).is_none() {
+                if !accum[id].hit || projection.slot(id).is_none() {
                     continue;
                 }
-                touched += 1;
                 ids[live] = id;
                 live += 1;
                 if live == GAUSS_LANES {
@@ -442,16 +438,15 @@ pub(crate) fn fold_and_preprocess<const FULL: bool>(
                 preprocess(&ids[..live]);
             }
             // SAFETY: one partial slot per chunk.
-            unsafe { pose_view.write(chunk, (pose, touched)) };
+            unsafe { pose_view.write(chunk, pose) };
         });
     }
 
     let mut pose = [0.0f32; 6];
-    for (partial, touched) in &ws.pose_partials {
+    for partial in &ws.pose_partials {
         for (acc, p) in pose.iter_mut().zip(partial.iter()) {
             *acc += p;
         }
-        stats.gaussians_touched += touched;
     }
 
     stats.preprocessing_bp_nanos = t_phase2.elapsed().as_nanos() as u64;
@@ -1295,7 +1290,6 @@ mod tests {
         let out = backward(&mut arena, &scene, &grads);
         // Increasing the color increases the output everywhere it renders.
         assert!(out.gaussians[0].color.x > 0.0);
-        assert!(out.stats.gaussians_touched == 1);
         assert!(out.stats.fragment_grad_events > 0);
     }
 
@@ -1390,10 +1384,6 @@ mod tests {
             rewalk.stats.fragment_grad_events,
             fused_out.stats.fragment_grad_events
         );
-        assert_eq!(
-            rewalk.stats.gaussians_touched,
-            fused_out.stats.gaussians_touched
-        );
     }
 
     /// Every float of a gradient as its bit pattern: NaNs must compare too.
@@ -1428,7 +1418,6 @@ mod tests {
     /// poisoned Gaussian itself included.
     #[test]
     fn nan_conic_splat_matches_the_oracles_bitwise() {
-        use crate::forward::gather_tile;
         use crate::reference::{backward_aos, build_tiles_aos, project_scene_aos, render_aos};
         let scene = GaussianScene::from_gaussians(vec![
             one_gaussian_scene().gaussians[0],
@@ -1464,13 +1453,11 @@ mod tests {
         // Every Gaussian is gathered, so frame-local indices are stable IDs
         // and the gathered working set is `scene` itself.
         assert_eq!(arena.visible().ids, [0, 1, 2]);
-        let slot = arena.projection.soa.slot(poisoned).expect("visible");
-        let soa = &mut arena.projection.soa;
-        soa.conics[slot] = nan_conic;
+        let projection = &mut arena.projection;
+        let slot = projection.slot(poisoned).expect("visible");
+        projection.splats[slot].conic = nan_conic;
         // The cut box is derived from the conic at projection time.
-        let mut hot = Vec::new();
-        gather_tile(soa, &[slot as u32], &mut hot);
-        soa.cut_boxes[slot] = crate::forward::CutBox::of(&hot[0]);
+        projection.cut_boxes[slot] = crate::forward::CutBox::of(&projection.splats[slot]);
         arena.assign_tiles(&cam, &Serial);
         arena.render_fused(&cam, &Serial);
         let got = arena.output();
@@ -1541,7 +1528,6 @@ mod tests {
                 out.stats.fragment_grad_events,
                 oracle.stats.fragment_grad_events
             );
-            assert_eq!(out.stats.gaussians_touched, oracle.stats.gaussians_touched);
         }
     }
 
@@ -1817,7 +1803,7 @@ mod tests {
             arena.cull(&map, &w2c, &cam, None, &Serial);
             arena.project_visible(&w2c, &cam, &Serial);
             assert_eq!(arena.visible().ids.len(), scene.len(), "all gathered");
-            assert_eq!(arena.projection().culled, n);
+            assert_eq!(arena.projection().visible_count(), n, "the twins culled");
             arena.assign_tiles(&cam, &Serial);
             arena.render_fused(&cam, &Serial);
             let mut grads = PixelGrads::zeros(cam.width, cam.height);
@@ -1827,7 +1813,9 @@ mod tests {
             let aos = project_scene_aos(&scene, &w2c, &cam, None);
             let aos_tiles = build_tiles_aos(&aos, &cam);
             let oracle = backward_aos(&scene, &aos, &aos_tiles, &cam, &w2c, &grads);
-            assert_eq!(oracle.stats.gaussians_touched, n);
+            let touched = oracle.gaussians.iter();
+            let touched = touched.filter(|g| **g != GaussianGrad::default()).count();
+            assert_eq!(touched, n);
             let mut out = BackwardOutput::empty();
             backward_into::<true>(
                 &scene,
@@ -1846,7 +1834,6 @@ mod tests {
                 assert_eq!(grad_bits(got), grad_bits(want), "{n} touched");
             }
             assert_eq!(out.pose.map(f32::to_bits), oracle.pose.map(f32::to_bits));
-            assert_eq!(out.stats.gaussians_touched, n);
             // The pose-only instantiation, into the same (stale) output.
             backward_into::<false>(
                 &scene,
@@ -1863,7 +1850,6 @@ mod tests {
             );
             assert!(out.gaussians.is_empty());
             assert_eq!(out.pose.map(f32::to_bits), oracle.pose.map(f32::to_bits));
-            assert_eq!(out.stats.gaussians_touched, n);
             assert_eq!(
                 out.stats.fragment_grad_events,
                 oracle.stats.fragment_grad_events

@@ -1,11 +1,11 @@
 //! Step ❸ Rendering: per-pixel alpha computing and alpha blending
 //! (paper Eqs. 2–3) with early ray termination.
 //!
-//! The kernel walks the projection's structure-of-arrays splat storage
-//! ([`crate::ProjectedSoA`]): one chunked loop over tiles first gathers
-//! every tile's (depth-sorted) splats into a compact tile-major working set
-//! (`TileWork`) — the software analog of staging a tile's Gaussians in
-//! shared memory, done once per iteration for Step ❸ and Step ❹ alike —
+//! The kernel walks the projection's splat records ([`crate::Projection`]):
+//! one chunked loop over tiles first copies every tile's (depth-sorted)
+//! records into a compact tile-major working set (`TileWork`) — the
+//! software analog of staging a tile's Gaussians in shared memory, done
+//! once per iteration for Step ❸ and Step ❹ alike —
 //! and then **streams each tile's working set through its 4×4 subtiles**
 //! (paper Sec. 5.1, [`SUBTILE_SIZE`] / [`SUBTILES_PER_TILE`]), one band — a
 //! row of four subtiles — per unit of parallel work (subtile-level
@@ -52,7 +52,7 @@
 //! backward share one tile traversal.
 
 use crate::camera::{DepthImage, Image, PinholeCamera};
-use crate::project::{ProjectedSoA, Projection};
+use crate::project::Projection;
 use crate::tiles::{tile_pixel_rect, TileAssignment, SUBTILES_PER_TILE, SUBTILE_SIZE, TILE_SIZE};
 use rtgs_math::{exp_nonpos, Sym2, Vec2, Vec3};
 use rtgs_runtime::{Backend, SharedSlice};
@@ -124,8 +124,6 @@ pub struct RenderStats {
     pub fragments_processed: u64,
     /// Fragments that passed the `ALPHA_MIN` test and were blended.
     pub fragments_blended: u64,
-    /// Pixels whose ray terminated early (T below threshold).
-    pub early_terminated_pixels: u64,
 }
 
 /// Result of a forward render.
@@ -388,10 +386,11 @@ pub(crate) fn splat_q_cut(opacity: f32) -> f32 {
     2.0 * (opacity / ALPHA_MIN).ln() + Q_CUT_MARGIN
 }
 
-/// The hot-loop working set of one splat, gathered per tile from the SoA
-/// arrays so the subtile stream (and the backward re-walk) reads a compact
+/// The hot fields of one projected splat, as Step ❶ writes them
+/// ([`Projection`]'s per-slot record) and as Step ❸ copies them per tile,
+/// so the subtile stream (and the backward re-walk) reads a compact
 /// sequential buffer (no cold fields, no indirection).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TileSplat {
     /// 2D mean in pixel coordinates.
     pub mean: Vec2,
@@ -409,8 +408,8 @@ pub(crate) struct TileSplat {
 }
 
 impl TileSplat {
-    /// Filler of a working-set buffer's not yet gathered entries.
-    const UNSET: Self = Self {
+    /// Filler of a record buffer's not yet written entries.
+    pub(crate) const UNSET: Self = Self {
         mean: Vec2::ZERO,
         conic: Sym2 {
             xx: 0.0,
@@ -422,28 +421,14 @@ impl TileSplat {
         depth: 0.0,
         q_cut: 0.0,
     };
-
-    /// The working set of SoA slot `slot`.
-    #[inline]
-    fn of(soa: &ProjectedSoA, slot: u32) -> Self {
-        let s = slot as usize;
-        Self {
-            mean: soa.means[s],
-            conic: soa.conics[s],
-            opacity: soa.opacities[s],
-            color: soa.colors[s],
-            depth: soa.depths[s],
-            q_cut: soa.q_cuts[s],
-        }
-    }
 }
 
-/// Gathers a tile's depth-sorted splat list from the SoA arrays into a
-/// reusable contiguous working set (cleared first) — the backward re-walk
-/// oracle's own gather.
-pub(crate) fn gather_tile(soa: &ProjectedSoA, list: &[u32], out: &mut Vec<TileSplat>) {
+/// Gathers a tile's depth-sorted splat list from the projection's records
+/// into a reusable contiguous working set (cleared first) — the backward
+/// re-walk oracle's own gather.
+pub(crate) fn gather_tile(projection: &Projection, list: &[u32], out: &mut Vec<TileSplat>) {
     out.clear();
-    out.extend(list.iter().map(|&slot| TileSplat::of(soa, slot)));
+    out.extend(list.iter().map(|&slot| projection.splats[slot as usize]));
 }
 
 /// Every tile's gathered working set of one pass — its depth-sorted splats
@@ -482,7 +467,7 @@ const GATHER_CHUNK: usize = 1;
 /// assignment's intersection count is overwritten — so a steady-state gather
 /// writes each entry once and initialises nothing.
 fn gather_into(
-    soa: &ProjectedSoA,
+    projection: &Projection,
     tiles: &TileAssignment,
     backend: &dyn Backend,
     work: &mut TileWork,
@@ -498,8 +483,8 @@ fn gather_into(
             for (entry, &slot) in at.clone().zip(tiles.tile(tile)) {
                 // SAFETY: tiles own disjoint entry ranges.
                 unsafe {
-                    splat_view.write(entry, TileSplat::of(soa, slot));
-                    box_view.write(entry, soa.cut_boxes[slot as usize]);
+                    splat_view.write(entry, projection.splats[slot as usize]);
+                    box_view.write(entry, projection.cut_boxes[slot as usize]);
                 }
             }
         }
@@ -588,7 +573,7 @@ impl CutBox {
 
     /// The cut box of a splat, from its hot fields `(mean, conic, q_cut)` —
     /// computed once per visible splat by the projection scatter
-    /// (`ProjectedSoA::cut_boxes`).
+    /// (`Projection::cut_boxes`).
     ///
     /// With `Σ = conic⁻¹` the ellipse's half-extents are `sqrt(q_cut·Σxx)`
     /// and `sqrt(q_cut·Σyy)`. The kernel's f32 `q` differs from the exact
@@ -721,8 +706,8 @@ impl LaneCenters {
 /// Streams the tile's gathered `splats` (with their cut `boxes`) through
 /// subtile `subtile` of the tile, whose lanes sit at
 /// `centers` and whose in-image extent is `w × h` pixels
-/// (`1..=SUBTILE_SIZE` each; lanes beyond it stay idle). Blended and
-/// terminated counts go to `stats`; when `RECORD`, the subtile's R&B
+/// (`1..=SUBTILE_SIZE` each; lanes beyond it stay idle). The blended count
+/// goes to `stats`; when `RECORD`, the subtile's R&B
 /// records and final transmittances are written to `records` (`None` in the
 /// pass that records nothing).
 ///
@@ -839,7 +824,6 @@ fn blend_subtile<const RECORD: bool>(
             // the common path.
             let terminated = any_lane(&done);
             if terminated {
-                stats.early_terminated_pixels += lane_bits(&done).count_ones() as u64;
                 for l in 0..LANES {
                     lanes.processed[l] = (done[l] & (pos + 1)) | (!done[l] & lanes.processed[l]);
                     lanes.alive[l] &= !done[l];
@@ -950,7 +934,7 @@ pub(crate) fn render_into<const RECORD: bool>(
         }
     };
 
-    gather_into(&projection.soa, tiles, backend, work);
+    gather_into(projection, tiles, backend, work);
     let work = &*work;
     {
         let image_view = SharedSlice::new(out.image.data_mut());
@@ -1028,7 +1012,6 @@ pub(crate) fn render_into<const RECORD: bool>(
     for us in unit_stats.iter() {
         out.stats.fragments_processed += us.fragments_processed;
         out.stats.fragments_blended += us.fragments_blended;
-        out.stats.early_terminated_pixels += us.early_terminated_pixels;
     }
 }
 
@@ -1126,10 +1109,20 @@ mod tests {
             .map(|i| big_gaussian(1.0 + i as f32 * 0.1, 0.95, Vec3::X))
             .collect();
         let n = layers.len();
-        let out = render_scene(&GaussianScene::from_gaussians(layers));
+        let (map, cam) = (map_of(&GaussianScene::from_gaussians(layers)), camera());
+        let mut arena = FrameArena::new();
+        let out = arena.forward(&map, &Se3::IDENTITY, &cam, &Serial).clone();
         let w = out.pixel_workloads[16 * 32 + 16];
         assert!(w < n as u32 / 2, "expected early termination, workload {w}");
-        assert!(out.stats.early_terminated_pixels > 0);
+        // Without termination, every pixel consumes its tile's whole list.
+        let tiles = arena.tiles();
+        let whole_lists: usize = (0..tiles.tile_count())
+            .map(|t| {
+                let (x0, y0, x1, y1) = tile_pixel_rect(t % tiles.tiles_x, t / tiles.tiles_x, &cam);
+                (x1 - x0) * (y1 - y0) * tiles.tile(t).len()
+            })
+            .sum();
+        assert!(out.stats.fragments_processed < whole_lists as u64 / 2);
     }
 
     #[test]
@@ -1164,7 +1157,7 @@ mod tests {
         let mut arena = FrameArena::new();
         arena.cull(&map_of(&scene), &Se3::IDENTITY, &camera(), None, &Serial);
         arena.project_visible(&Se3::IDENTITY, &camera(), &Serial);
-        let splat = arena.projection().splat_for_gaussian(0).unwrap();
+        let splat = arena.projection().splats[0];
         let (alpha, _) = fragment_alpha(splat.mean, &splat.conic, splat.opacity, splat.mean);
         assert!(alpha <= ALPHA_MAX);
     }

@@ -74,7 +74,7 @@ impl Gaussian3d {
 /// computes on the way to the 2D covariance and Step ❺ would otherwise
 /// compute again.
 ///
-/// Step ❶ stores one per visible slot (`ProjectedSoA::activations`); Step ❺
+/// Step ❶ stores one per visible slot (`Projection::activations`); Step ❺
 /// of the same iteration reads it back rather than activating the
 /// parameters a second time — the paper's R&B idea (the backward step reuses
 /// what the forward step already computed) applied to preprocessing. The

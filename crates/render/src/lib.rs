@@ -8,10 +8,11 @@
 //! is the one place the paper's pruning mask (Sec. 4.1) acts:
 //!
 //! 1. **Preprocessing** ([`FrameArena::project_visible`]) — EWA projection
-//!    of the working set's 3D Gaussians to 2D splats compacted into a
-//!    structure-of-arrays layout ([`ProjectedSoA`]), eight Gaussians (one
-//!    per lane) at a time, keeping what it activates of a Gaussian's scale
-//!    and rotation for step 5. A tracking frame's trials run it inside a
+//!    of the working set's 3D Gaussians to 2D splats, eight Gaussians (one
+//!    per lane) at a time, compacted into a [`Projection`]: one record of
+//!    hot fields per visible splat (the record step 3 gathers per tile),
+//!    beside the tile rectangles step 2 reads and the camera-frame means
+//!    and activations of scale and rotation step 5 reads. A tracking frame's trials run it inside a
 //!    [`Trials`] scope ([`FrameArena::trials`]), which reuses a trial's
 //!    gathered working set and these pose-independent activations while
 //!    the cull and the mask allow.
@@ -48,7 +49,7 @@
 //! The seed's array-of-structs path over a flat [`GaussianScene`], the
 //! legacy per-tile sort and the backward re-walk survive in the hidden
 //! `reference` module as the bitwise ground truth; `tests/equivalence.rs`
-//! proves production (cull → SoA → fused) == the flat AoS oracle, fresh ==
+//! proves production (cull → records → fused) == the flat AoS oracle, fresh ==
 //! reused arena, serial == parallel, bit for bit, over random maps. The analytic backward pass is verified against finite
 //! differences in `tests/grad_check.rs`.
 //!
@@ -113,8 +114,8 @@ pub use forward::{
 pub use gaussian::{Gaussian3d, GaussianGrad, GaussianScene};
 pub use loss::{LossConfig, LossKind, LossOutput};
 pub use project::{
-    jacobian_with_clamp, projection_jacobian, Projected2d, ProjectedSoA, Projection, TileRect,
-    COV2D_BLUR, FRUSTUM_CLAMP, NEAR_PLANE, NO_SLOT,
+    jacobian_with_clamp, projection_jacobian, Projected2d, Projection, COV2D_BLUR, FRUSTUM_CLAMP,
+    NEAR_PLANE,
 };
 pub use shard::{
     SceneState, Shard, ShardState, ShardedScene, VisibleFrame, DEFAULT_CELL_SIZE, TOMBSTONE_FILL,

@@ -1,14 +1,15 @@
 //! Step ❶ Preprocessing: projection of 3D Gaussians to 2D splats
 //! (paper Fig. 1, Step ❶-1) via EWA splatting.
 //!
-//! The output is a dense structure-of-arrays layout ([`ProjectedSoA`]): one
-//! contiguous array per splat field (means, conic coefficients, colors,
-//! opacities, depths, tile ranges, …), indexed by *slot* — the rank of the
-//! splat among visible splats in Gaussian-ID order. The render and backward
-//! kernels walk these arrays sequentially per tile, which vectorizes and
-//! avoids dragging cold fields (covariance, camera-frame position) through
-//! the cache on the per-fragment hot path. The seed's array-of-structs path
-//! is preserved in [`crate::reference`] as the bitwise ground truth.
+//! The output ([`Projection`]) is indexed by *slot* — the rank of the splat
+//! among visible splats in Gaussian-ID order. A splat's hot fields (mean,
+//! conic, opacity, color, depth and the quadratic-form cutoff) are one
+//! record, the one Step ❸ gathers per tile for Steps ❸ and ❹ (the paper's
+//! R&B Buffer stages a tile's Gaussians once for both); the fields only
+//! Step ❷ or Step ❺ reads (tile rectangle, camera-frame position, kept
+//! activations) sit in arrays of their own, off the per-fragment hot path.
+//! The seed's array-of-structs path is preserved in [`crate::reference`]
+//! as the bitwise ground truth.
 //!
 //! Gaussians do not interact here, so the math runs **lanes = Gaussians**:
 //! [`project_block`] takes a block of [`GAUSS_LANES`] of them through
@@ -30,8 +31,8 @@ use rtgs_math::{Mat3, Quat, Se3, Sym2, Vec2, Vec3};
 use rtgs_runtime::{exclusive_prefix_sum_into, Backend, SharedSlice};
 
 /// Gaussians per chunk in the chunked projection. Fixed by the algorithm —
-/// never derived from the worker count — so per-chunk statistics fold
-/// identically on every backend and pool size.
+/// never derived from the worker count — so the chunks, their blocks and
+/// their output offsets are the same on every backend and pool size.
 pub(crate) const PROJECT_CHUNK: usize = 256;
 
 /// Gaussians per block of the per-Gaussian lane kernels ([`project_block`],
@@ -160,13 +161,14 @@ pub const FRUSTUM_CLAMP: f32 = 1.3;
 /// reference 3DGS rasterizer (ensures every splat covers at least ~1 pixel).
 pub const COV2D_BLUR: f32 = 0.3;
 
-/// Sentinel in [`ProjectedSoA::slot_of_gaussian`] for culled Gaussians.
-pub const NO_SLOT: u32 = u32::MAX;
+/// Sentinel in [`Projection::slot_of_gaussian`] for culled Gaussians.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
 
-/// A 3D Gaussian projected onto the image plane (a 2D splat).
-///
-/// This is the array-of-structs *view* of one [`ProjectedSoA`] slot (see
-/// [`ProjectedSoA::get`]); the pipeline stores splats field-per-array.
+/// A 3D Gaussian projected onto the image plane (a 2D splat): what the
+/// scalar definition `project_one` returns and the AoS oracle stores. The
+/// pipeline keeps a visible splat's hot fields as one `TileSplat` record
+/// and drops the covariance and radius once the conic, the tile rectangle
+/// and the cut box are derived from them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Projected2d {
     /// ID (index) of the source Gaussian in the scene.
@@ -192,46 +194,29 @@ pub struct Projected2d {
 /// Inclusive tile-index rectangle `[tx0, tx1, ty0, ty1]` covered by one
 /// splat's 3σ bounding square, precomputed at projection time so tile
 /// binning is a pure scatter.
-pub type TileRect = [u16; 4];
+pub(crate) type TileRect = [u16; 4];
 
-/// Dense structure-of-arrays storage for the visible splats of one frame.
+/// Step ❶'s output: the visible splats of one frame.
 ///
-/// All per-splat arrays share the same length and are indexed by *slot*;
-/// slots enumerate visible splats in ascending Gaussian-ID order, so the
-/// layout — and everything derived from it — is independent of the backend
-/// and pool size that produced it. [`Self::gaussian_ids`] maps slot → source
-/// Gaussian, [`Self::slot_of_gaussian`] maps the other way ([`NO_SLOT`] when
-/// culled).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProjectedSoA {
+/// Every per-splat array has one entry per visible splat and is indexed by
+/// *slot*; slots enumerate visible splats in ascending Gaussian-ID order, so
+/// the layout — and everything derived from it — is independent of the
+/// backend and pool size that produced it. A splat's hot fields are one
+/// `TileSplat` record, which Step ❸'s gather copies whole; the fields only
+/// Step ❷ or Step ❺ reads sit in arrays of their own.
+#[derive(Debug, Clone, Default)]
+pub struct Projection {
     /// Slot → source Gaussian ID.
-    pub gaussian_ids: Vec<u32>,
+    pub(crate) gaussian_ids: Vec<u32>,
     /// Gaussian ID → slot, [`NO_SLOT`] when the Gaussian produced no splat.
-    pub slot_of_gaussian: Vec<u32>,
-    /// 2D means in pixel coordinates (`μ★`).
-    pub means: Vec<Vec2>,
-    /// Conics (inverse 2D covariances), the Eq. 2 coefficients.
-    pub conics: Vec<Sym2>,
-    /// 2D covariances with low-pass blur (`Σ★`; cold — kept off the render
-    /// hot path, used by preprocessing BP and diagnostics).
-    pub covs: Vec<Sym2>,
-    /// View-independent RGB colors.
-    pub colors: Vec<Vec3>,
-    /// Activated opacities `o`.
-    pub opacities: Vec<f32>,
-    /// Camera-frame depths `t_z` (the sort keys).
-    pub depths: Vec<f32>,
-    /// Bounding radii in pixels (3σ).
-    pub radii: Vec<f32>,
-    /// Camera-frame mean positions (cold; backpropagation only).
-    pub t_cams: Vec<Vec3>,
-    /// Per-splat conservative quadratic-form cutoffs: a fragment with
-    /// `q > q_cut` provably falls below `ALPHA_MIN`, so the render kernels
-    /// skip its exponential. Computed once here (it depends only on the
-    /// opacity) rather than at every tile gather.
-    pub q_cuts: Vec<f32>,
-    /// Inclusive tile rectangles covered by each splat.
-    pub tile_rects: Vec<TileRect>,
+    pub(crate) slot_of_gaussian: Vec<u32>,
+    /// The hot fields: mean, conic, opacity, color, depth and the
+    /// quadratic-form cutoff (computed once here, from the opacity alone).
+    pub(crate) splats: Vec<TileSplat>,
+    /// Camera-frame mean positions (Step ❺ only).
+    pub(crate) t_cams: Vec<Vec3>,
+    /// Inclusive tile rectangles covered by each splat (Step ❷ only).
+    pub(crate) tile_rects: Vec<TileRect>,
     /// Per-splat conservative bounds of the pixels the splat can pass at —
     /// a function of `(mean, conic, q_cut)` alone, so computed once here and
     /// copied by every tile that lists the splat.
@@ -240,49 +225,24 @@ pub struct ProjectedSoA {
     /// kept for Step ❺ of the same iteration (see [`Activation`]).
     pub(crate) activations: Vec<Activation>,
     /// Tile-grid width the tile rectangles were computed for.
-    pub tiles_x: usize,
+    pub(crate) tiles_x: usize,
     /// Tile-grid height the tile rectangles were computed for.
-    pub tiles_y: usize,
+    pub(crate) tiles_y: usize,
 }
 
-impl ProjectedSoA {
+impl Projection {
     /// Number of visible splats.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub fn visible_count(&self) -> usize {
         self.gaussian_ids.len()
-    }
-
-    /// True when no splat survived projection.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.gaussian_ids.is_empty()
     }
 
     /// The slot of Gaussian `id`, or `None` when it was culled.
     #[inline]
-    pub fn slot(&self, id: usize) -> Option<usize> {
+    pub(crate) fn slot(&self, id: usize) -> Option<usize> {
         match self.slot_of_gaussian.get(id) {
             Some(&s) if s != NO_SLOT => Some(s as usize),
             _ => None,
-        }
-    }
-
-    /// Gathers slot `i` back into the array-of-structs view.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= self.len()`.
-    pub fn get(&self, i: usize) -> Projected2d {
-        Projected2d {
-            id: self.gaussian_ids[i],
-            mean: self.means[i],
-            cov: self.covs[i],
-            conic: self.conics[i],
-            color: self.colors[i],
-            opacity: self.opacities[i],
-            depth: self.depths[i],
-            radius: self.radii[i],
-            t_cam: self.t_cams[i],
         }
     }
 
@@ -290,14 +250,8 @@ impl ProjectedSoA {
     pub(crate) fn capacity_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.gaussian_ids.capacity() + self.slot_of_gaussian.capacity()) * size_of::<u32>()
-            + self.means.capacity() * size_of::<Vec2>()
-            + (self.conics.capacity() + self.covs.capacity()) * size_of::<Sym2>()
-            + (self.colors.capacity() + self.t_cams.capacity()) * size_of::<Vec3>()
-            + (self.opacities.capacity()
-                + self.depths.capacity()
-                + self.radii.capacity()
-                + self.q_cuts.capacity())
-                * size_of::<f32>()
+            + self.splats.capacity() * size_of::<TileSplat>()
+            + self.t_cams.capacity() * size_of::<Vec3>()
             + self.tile_rects.capacity() * size_of::<TileRect>()
             + self.cut_boxes.capacity() * size_of::<CutBox>()
             + self.activations.capacity() * size_of::<Activation>()
@@ -313,15 +267,8 @@ impl ProjectedSoA {
         self.slot_of_gaussian.clear();
         self.slot_of_gaussian.resize(scene_len, NO_SLOT);
         self.gaussian_ids.resize(visible, 0);
-        self.means.resize(visible, Vec2::ZERO);
-        self.conics.resize(visible, Sym2::default());
-        self.covs.resize(visible, Sym2::default());
-        self.colors.resize(visible, Vec3::ZERO);
-        self.opacities.resize(visible, 0.0);
-        self.depths.resize(visible, 0.0);
-        self.radii.resize(visible, 0.0);
+        self.splats.resize(visible, TileSplat::UNSET);
         self.t_cams.resize(visible, Vec3::ZERO);
-        self.q_cuts.resize(visible, 0.0);
         self.tile_rects.resize(visible, [0; 4]);
         self.cut_boxes.resize(visible, CutBox::NOWHERE);
         self.activations.resize(visible, Activation::default());
@@ -334,7 +281,7 @@ impl ProjectedSoA {
 const BLOCKS_PER_CHUNK: usize = PROJECT_CHUNK.div_ceil(GAUSS_LANES);
 
 /// Workspace of [`project_scene_into`]: the lane blocks the projection
-/// kernel leaves behind and the chunk counters/offsets of the count →
+/// kernel leaves behind and the chunk counts/offsets of the count →
 /// prefix-sum → scatter compaction. One workspace reused across frames makes
 /// steady-state projection allocation-free (the [`crate::FrameArena`] owns
 /// one).
@@ -344,8 +291,6 @@ pub(crate) struct ProjectScratch {
     /// `ceil(len / GAUSS_LANES)` of its own (the rest are stale, and never
     /// read).
     blocks: Vec<ProjectedBlock>,
-    /// Per-chunk `(visible, culled)` counters.
-    counts: Vec<(usize, usize)>,
     /// Per-chunk visible counts (prefix-sum input).
     visible_counts: Vec<usize>,
     /// Per-chunk output offsets (prefix-sum output).
@@ -357,32 +302,7 @@ impl ProjectScratch {
     pub(crate) fn capacity_bytes(&self) -> usize {
         use std::mem::size_of;
         self.blocks.capacity() * size_of::<ProjectedBlock>()
-            + self.counts.capacity() * size_of::<(usize, usize)>()
             + (self.visible_counts.capacity() + self.offsets.capacity()) * size_of::<usize>()
-    }
-}
-
-/// Output of the preprocessing step: the dense SoA splat arrays plus counts
-/// for the trace model.
-#[derive(Debug, Clone, Default)]
-pub struct Projection {
-    /// Visible splats in structure-of-arrays layout.
-    pub soa: ProjectedSoA,
-    /// Number of Gaussians culled by the near plane or out-of-frustum test.
-    pub culled: usize,
-}
-
-impl Projection {
-    /// Number of visible splats.
-    #[inline]
-    pub fn visible_count(&self) -> usize {
-        self.soa.len()
-    }
-
-    /// The splat of Gaussian `id` as an array-of-structs view, or `None`
-    /// when it was culled.
-    pub fn splat_for_gaussian(&self, id: usize) -> Option<Projected2d> {
-        self.soa.slot(id).map(|s| self.soa.get(s))
     }
 }
 
@@ -423,19 +343,20 @@ pub(crate) fn tile_rect_of(mean: Vec2, radius: f32, tiles_x: usize, tiles_y: usi
 /// ([`crate::FrameArena::cull`]) leaves masked Gaussians out of the
 /// gathered working set, so they cost Step ❶ nothing.
 ///
-/// Runs in three phases: (1) chunked projection with per-chunk
-/// visible/cull counters — each chunk splits its consecutive IDs into
-/// blocks of [`GAUSS_LANES`] and runs them through [`project_block`], one
-/// lane per Gaussian (a block never spans a chunk; the lanes past a chunk's
-/// last ID replicate that Gaussian and are ignored), leaving the
-/// kernel's lane arrays in the workspace, (2) a serial exclusive prefix sum
-/// over the per-chunk visible counts, (3) a chunked scatter that transposes
-/// each chunk's visible lanes into the dense SoA arrays at its precomputed
-/// offset, deriving the per-splat tile rectangle and cut box on the way.
-/// Chunk geometry is a constant (`PROJECT_CHUNK`), lanes never interact and
-/// slots are assigned in Gaussian-ID order, so the result is
-/// bitwise-identical on every backend and pool size — and to the scalar
-/// definition [`project_one`], which the AoS oracle calls.
+/// Runs in three phases: (1) chunked projection with per-chunk visible
+/// counts — each chunk splits its consecutive IDs into blocks of
+/// [`GAUSS_LANES`] and runs them through [`project_block`], one lane per
+/// Gaussian (a block never spans a chunk; the lanes past a chunk's last ID
+/// replicate that Gaussian and are ignored), leaving the kernel's lane
+/// arrays in the workspace, (2) a serial exclusive prefix sum over the
+/// per-chunk visible counts, (3) a chunked scatter that writes each chunk's
+/// visible lanes into the per-slot arrays at its precomputed offset — the
+/// hot fields as one [`TileSplat`] record — deriving the per-splat tile
+/// rectangle and cut box on the way. Chunk geometry is a constant
+/// (`PROJECT_CHUNK`), lanes never interact and slots are assigned in
+/// Gaussian-ID order, so the result is bitwise-identical on every backend
+/// and pool size — and to the scalar definition [`project_one`], which the
+/// AoS oracle calls.
 ///
 /// The workspace and output buffers are cleared and refilled; once their
 /// capacities cover the frame (scene size, visible count), re-projection
@@ -455,17 +376,17 @@ pub(crate) fn project_scene_into(
     let tiles_y = camera.height.div_ceil(TILE_SIZE);
     let chunks = n.div_ceil(PROJECT_CHUNK).max(1);
 
-    // Phase 1: chunked projection into lane blocks with per-chunk (visible,
-    // culled) counters.
+    // Phase 1: chunked projection into lane blocks with per-chunk visible
+    // counts.
     if ws.blocks.len() < chunks * BLOCKS_PER_CHUNK {
         ws.blocks
             .resize_with(chunks * BLOCKS_PER_CHUNK, ProjectedBlock::default);
     }
-    ws.counts.clear();
-    ws.counts.resize(chunks, (0usize, 0usize));
+    ws.visible_counts.clear();
+    ws.visible_counts.resize(chunks, 0);
     {
         let block_view = SharedSlice::new(&mut ws.blocks);
-        let count_view = SharedSlice::new(&mut ws.counts);
+        let count_view = SharedSlice::new(&mut ws.visible_counts);
         backend.for_each_chunk(n, PROJECT_CHUNK, &|chunk, range| {
             let kernel = match act {
                 COMPUTE => project_block::<COMPUTE>,
@@ -485,81 +406,56 @@ pub(crate) fn project_scene_into(
                 visible += block.visible.count_ones() as usize;
             }
             // SAFETY: each chunk index is written once.
-            unsafe { count_view.write(chunk, (visible, range.len() - visible)) };
+            unsafe { count_view.write(chunk, visible) };
         });
     }
 
     // Phase 2: serial scan fixes every chunk's output offset (and thereby
     // the slot order: ascending Gaussian ID).
-    ws.visible_counts.clear();
-    ws.visible_counts.extend(ws.counts.iter().map(|&(v, _)| v));
     let total_visible = exclusive_prefix_sum_into(&ws.visible_counts, &mut ws.offsets);
     let offsets = &ws.offsets;
 
-    // Phase 3: chunked scatter into the dense SoA arrays.
-    let soa = &mut out.soa;
-    soa.reset(total_visible, n, tiles_x, tiles_y);
-    {
-        let ids_view = SharedSlice::new(&mut soa.gaussian_ids);
-        let slot_view = SharedSlice::new(&mut soa.slot_of_gaussian);
-        let mean_view = SharedSlice::new(&mut soa.means);
-        let conic_view = SharedSlice::new(&mut soa.conics);
-        let cov_view = SharedSlice::new(&mut soa.covs);
-        let color_view = SharedSlice::new(&mut soa.colors);
-        let opacity_view = SharedSlice::new(&mut soa.opacities);
-        let depth_view = SharedSlice::new(&mut soa.depths);
-        let radius_view = SharedSlice::new(&mut soa.radii);
-        let t_cam_view = SharedSlice::new(&mut soa.t_cams);
-        let q_cut_view = SharedSlice::new(&mut soa.q_cuts);
-        let rect_view = SharedSlice::new(&mut soa.tile_rects);
-        let cut_box_view = SharedSlice::new(&mut soa.cut_boxes);
-        let activation_view = SharedSlice::new(&mut soa.activations);
-        let blocks = &ws.blocks;
-        let counts = &ws.counts;
-        backend.for_each_chunk(n, PROJECT_CHUNK, &|chunk, _| {
-            let (visible, culled) = counts[chunk];
-            let filled = (visible + culled).div_ceil(GAUSS_LANES);
-            let lanes = blocks[chunk * BLOCKS_PER_CHUNK..][..filled]
-                .iter()
-                .flat_map(|block| (0..GAUSS_LANES).filter_map(|lane| block.lane(lane)));
-            // Blocks and lanes are in ascending Gaussian-ID order.
-            for (slot, (splat, activation, q_cut)) in (offsets[chunk]..).zip(lanes) {
-                let id = splat.id as usize;
-                let hot = TileSplat {
-                    mean: splat.mean,
-                    conic: splat.conic,
-                    opacity: splat.opacity,
-                    color: splat.color,
-                    depth: splat.depth,
-                    q_cut,
-                };
-                // SAFETY: chunk offsets partition the slot space, so each
-                // slot (and each Gaussian id) is written by exactly one
-                // chunk.
-                unsafe {
-                    ids_view.write(slot, splat.id);
-                    slot_view.write(id, slot as u32);
-                    mean_view.write(slot, splat.mean);
-                    conic_view.write(slot, splat.conic);
-                    cov_view.write(slot, splat.cov);
-                    color_view.write(slot, splat.color);
-                    opacity_view.write(slot, splat.opacity);
-                    depth_view.write(slot, splat.depth);
-                    radius_view.write(slot, splat.radius);
-                    t_cam_view.write(slot, splat.t_cam);
-                    q_cut_view.write(slot, hot.q_cut);
-                    rect_view.write(
-                        slot,
-                        tile_rect_of(splat.mean, splat.radius, tiles_x, tiles_y),
-                    );
-                    cut_box_view.write(slot, CutBox::of(&hot));
-                    activation_view.write(slot, activation);
-                }
+    // Phase 3: chunked scatter into the per-slot arrays.
+    out.reset(total_visible, n, tiles_x, tiles_y);
+    let ids_view = SharedSlice::new(&mut out.gaussian_ids);
+    let slot_view = SharedSlice::new(&mut out.slot_of_gaussian);
+    let splat_view = SharedSlice::new(&mut out.splats);
+    let t_cam_view = SharedSlice::new(&mut out.t_cams);
+    let rect_view = SharedSlice::new(&mut out.tile_rects);
+    let cut_box_view = SharedSlice::new(&mut out.cut_boxes);
+    let activation_view = SharedSlice::new(&mut out.activations);
+    let blocks = &ws.blocks;
+    backend.for_each_chunk(n, PROJECT_CHUNK, &|chunk, range| {
+        let filled = range.len().div_ceil(GAUSS_LANES);
+        let lanes = blocks[chunk * BLOCKS_PER_CHUNK..][..filled]
+            .iter()
+            .flat_map(|block| (0..GAUSS_LANES).filter_map(|lane| block.lane(lane)));
+        // Blocks and lanes are in ascending Gaussian-ID order.
+        for (slot, (splat, activation, q_cut)) in (offsets[chunk]..).zip(lanes) {
+            let record = TileSplat {
+                mean: splat.mean,
+                conic: splat.conic,
+                opacity: splat.opacity,
+                color: splat.color,
+                depth: splat.depth,
+                q_cut,
+            };
+            // SAFETY: chunk offsets partition the slot space, so each slot
+            // (and each Gaussian id) is written by exactly one chunk.
+            unsafe {
+                ids_view.write(slot, splat.id);
+                slot_view.write(splat.id as usize, slot as u32);
+                splat_view.write(slot, record);
+                t_cam_view.write(slot, splat.t_cam);
+                rect_view.write(
+                    slot,
+                    tile_rect_of(splat.mean, splat.radius, tiles_x, tiles_y),
+                );
+                cut_box_view.write(slot, CutBox::of(&record));
+                activation_view.write(slot, activation);
             }
-        });
-    }
-
-    out.culled = ws.counts.iter().map(|&(_, c)| c).sum();
+        }
+    });
 }
 
 /// Projects a single Gaussian (EWA splatting); `None` when culled.
@@ -956,6 +852,31 @@ mod tests {
         out
     }
 
+    /// The record and camera-frame mean of Gaussian `id`'s splat, `None`
+    /// when it was culled.
+    fn splat_of(proj: &Projection, id: usize) -> Option<(TileSplat, Vec3)> {
+        proj.slot(id).map(|s| (proj.splats[s], proj.t_cams[s]))
+    }
+
+    /// The record and `t_cam` the scalar definition gives a splat.
+    fn record_of(s: &Projected2d) -> (TileSplat, Vec3) {
+        let record = TileSplat {
+            mean: s.mean,
+            conic: s.conic,
+            opacity: s.opacity,
+            color: s.color,
+            depth: s.depth,
+            q_cut: splat_q_cut(s.opacity),
+        };
+        (record, s.t_cam)
+    }
+
+    /// [`project_one`] of Gaussian `id` of `scene`.
+    fn scalar(scene: &GaussianScene, id: usize, w2c: &Se3, cam: &PinholeCamera) -> Projected2d {
+        let g = &scene.gaussians[id];
+        project_one(g, id as u32, &w2c.rotation_matrix(), w2c, cam).expect("visible")
+    }
+
     fn centered_gaussian(z: f32) -> Gaussian3d {
         Gaussian3d::from_activated(
             Vec3::new(0.0, 0.0, z),
@@ -969,11 +890,12 @@ mod tests {
     #[test]
     fn projects_centered_gaussian_to_image_center() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(2.0)]);
-        let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
-        let splat = proj.splat_for_gaussian(0).expect("should be visible");
+        let (w2c, cam) = (Se3::IDENTITY, test_camera());
+        let proj = projected(&scene, &w2c, &cam);
+        let (splat, t_cam) = splat_of(&proj, 0).expect("should be visible");
         assert!((splat.mean - Vec2::new(32.0, 24.0)).max_abs() < 1e-4);
         assert!((splat.depth - 2.0).abs() < 1e-6);
-        assert!(splat.radius > 0.0);
+        assert_eq!((splat, t_cam), record_of(&scalar(&scene, 0, &w2c, &cam)));
         assert_eq!(proj.visible_count(), 1);
     }
 
@@ -981,8 +903,8 @@ mod tests {
     fn culls_behind_camera() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(-1.0)]);
         let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
-        assert!(proj.splat_for_gaussian(0).is_none());
-        assert_eq!(proj.culled, 1);
+        assert!(splat_of(&proj, 0).is_none());
+        assert_eq!(proj.visible_count(), 0);
     }
 
     #[test]
@@ -996,7 +918,7 @@ mod tests {
         );
         let scene = GaussianScene::from_gaussians(vec![g]);
         let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
-        assert!(proj.splat_for_gaussian(0).is_none());
+        assert!(splat_of(&proj, 0).is_none());
     }
 
     /// The mask acts in the cull: a masked Gaussian never reaches Step ❶.
@@ -1011,15 +933,16 @@ mod tests {
         arena.project_visible(&w2c, &cam, &Serial);
         assert_eq!(arena.visible().ids, [1]);
         assert_eq!(arena.projection().visible_count(), 1);
-        assert_eq!(arena.projection().culled, 0);
     }
 
     #[test]
     fn conic_is_inverse_of_cov() {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(2.0)]);
-        let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
-        let s = proj.splat_for_gaussian(0).unwrap();
-        let prod = s.cov.to_mat2() * s.conic.to_mat2();
+        let (w2c, cam) = (Se3::IDENTITY, test_camera());
+        let (record, _) = splat_of(&projected(&scene, &w2c, &cam), 0).unwrap();
+        let s = scalar(&scene, 0, &w2c, &cam);
+        assert_eq!(record.conic, s.conic);
+        let prod = s.cov.to_mat2() * record.conic.to_mat2();
         assert!((prod.m[0][0] - 1.0).abs() < 1e-4);
         assert!(prod.m[0][1].abs() < 1e-4);
     }
@@ -1029,9 +952,10 @@ mod tests {
         let scene =
             GaussianScene::from_gaussians(vec![centered_gaussian(1.0), centered_gaussian(4.0)]);
         let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
-        let near = proj.splat_for_gaussian(0).unwrap();
-        let far = proj.splat_for_gaussian(1).unwrap();
-        assert!(near.radius > far.radius);
+        // A wider splat has the smaller inverse covariance.
+        let (near, _) = splat_of(&proj, 0).unwrap();
+        let (far, _) = splat_of(&proj, 1).unwrap();
+        assert!(near.conic.xx < far.conic.xx && near.conic.yy < far.conic.yy);
     }
 
     #[test]
@@ -1041,7 +965,7 @@ mod tests {
         // Move the camera left: the point should appear to move right.
         let w2c = Se3::from_translation(Vec3::new(0.5, 0.0, 0.0));
         let proj = projected(&scene, &w2c, &cam);
-        let splat = proj.splat_for_gaussian(0).unwrap();
+        let (splat, _) = splat_of(&proj, 0).unwrap();
         assert!(splat.mean.x > 32.0);
     }
 
@@ -1054,13 +978,11 @@ mod tests {
             centered_gaussian(4.0),
         ]);
         let proj = projected(&scene, &Se3::IDENTITY, &test_camera());
-        assert_eq!(proj.soa.gaussian_ids, vec![0, 2, 3]);
-        assert_eq!(proj.soa.slot_of_gaussian, vec![0, NO_SLOT, 1, 2]);
-        assert_eq!(proj.soa.len(), 3);
-        // The gathered view round-trips every stored field.
-        let s = proj.soa.get(1);
-        assert_eq!(s.id, 2);
-        assert!((s.depth - 2.0).abs() < 1e-6);
+        assert_eq!(proj.gaussian_ids, vec![0, 2, 3]);
+        assert_eq!(proj.slot_of_gaussian, vec![0, NO_SLOT, 1, 2]);
+        assert_eq!(proj.visible_count(), 3);
+        // Slot 1 holds Gaussian 2's record.
+        assert!((proj.splats[1].depth - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1068,11 +990,11 @@ mod tests {
         let scene = GaussianScene::from_gaussians(vec![centered_gaussian(2.0)]);
         let cam = test_camera();
         let proj = projected(&scene, &Se3::IDENTITY, &cam);
-        let [tx0, tx1, ty0, ty1] = proj.soa.tile_rects[0];
-        let s = proj.soa.get(0);
+        let [tx0, tx1, ty0, ty1] = proj.tile_rects[0];
+        let s = proj.splats[0];
         assert!(tx0 as usize <= (s.mean.x as usize) / TILE_SIZE);
         assert!(ty0 as usize <= (s.mean.y as usize) / TILE_SIZE);
-        assert!((tx1 as usize) < proj.soa.tiles_x && (ty1 as usize) < proj.soa.tiles_y);
+        assert!((tx1 as usize) < proj.tiles_x && (ty1 as usize) < proj.tiles_y);
         assert!(tx0 <= tx1 && ty0 <= ty1);
     }
 
@@ -1415,7 +1337,8 @@ mod tests {
     /// Every active-mask pattern over one block's worth of Gaussians (some
     /// of them culled), through the cull — where the mask acts — and the
     /// whole of Step ❶, against the AoS oracle: the gathered IDs, the
-    /// splats, the counters, and what the scatter derives per slot.
+    /// visible and culled counts, the records, and what the scatter derives
+    /// per slot (the radius reaches the output as the tile rectangle).
     #[test]
     fn every_mask_pattern_of_a_block_matches_the_oracle() {
         let mut gaussians = neighbours(GAUSS_LANES);
@@ -1442,7 +1365,7 @@ mod tests {
                 "{pattern:#b}: visible"
             );
             assert_eq!(
-                got.culled,
+                ids.len() - got.visible_count(),
                 ids.iter()
                     .filter(|&&id| want.splats[id as usize].is_none())
                     .count(),
@@ -1450,20 +1373,20 @@ mod tests {
             );
             for (k, &id) in ids.iter().enumerate() {
                 let id = id as usize;
-                let splat = got
-                    .splat_for_gaussian(k)
-                    .map(|s| Projected2d { id: id as u32, ..s });
-                assert_eq!(splat, want.splats[id], "{pattern:#b}, Gaussian {id}");
-                let Some(slot) = got.soa.slot(k) else {
+                let want = want.splats[id].as_ref();
+                assert_eq!(
+                    splat_of(got, k),
+                    want.map(record_of),
+                    "{pattern:#b}, Gaussian {id}"
+                );
+                let (Some(slot), Some(want)) = (got.slot(k), want) else {
                     continue;
                 };
-                assert_eq!(
-                    got.soa.activations[slot],
-                    Activation::of(&scene.gaussians[id])
-                );
-                let mut hot = Vec::new();
-                crate::forward::gather_tile(&got.soa, &[slot as u32], &mut hot);
-                assert_eq!(got.soa.cut_boxes[slot], CutBox::of(&hot[0]));
+                assert_eq!(got.activations[slot], Activation::of(&scene.gaussians[id]));
+                let (tiles_x, tiles_y) = (got.tiles_x, got.tiles_y);
+                let rect = tile_rect_of(want.mean, want.radius, tiles_x, tiles_y);
+                assert_eq!(got.tile_rects[slot], rect);
+                assert_eq!(got.cut_boxes[slot], CutBox::of(&got.splats[slot]));
             }
         }
     }

@@ -3,10 +3,10 @@
 //! the comparison benches only.
 //!
 //! * **The seed's array-of-structs (AoS) rasterizer**, preserved verbatim as
-//!   the bitwise ground truth for the SoA/fused kernels. The production
-//!   pipeline stores splats in a structure-of-arrays layout and fuses the
-//!   forward blend with the backward pass's transmittance bookkeeping (see
-//!   [`crate::ProjectedSoA`] and [`crate::FrameArena::render_fused`]). This
+//!   the bitwise ground truth for the production kernels. The production
+//!   pipeline stores splats as per-slot records and fuses the forward
+//!   blend with the backward pass's transmittance bookkeeping (see
+//!   [`crate::Projection`] and [`crate::FrameArena::render_fused`]). This
 //!   module keeps the original per-Gaussian path —
 //!   `Vec<Option<Projected2d>>` storage, Gaussian-ID tile lists, per-pixel
 //!   Option-checked fragment walks.
@@ -53,10 +53,6 @@ const BP_GAUSS_CHUNK: usize = crate::backward::BP_GAUSS_CHUNK;
 pub struct AosProjection {
     /// Per-Gaussian projection results.
     pub splats: Vec<Option<Projected2d>>,
-    /// Gaussians culled by the near plane or frustum test.
-    pub culled: usize,
-    /// Gaussians skipped by the active mask.
-    pub masked: usize,
 }
 
 impl AosProjection {
@@ -96,25 +92,16 @@ pub fn project_scene_aos(
         );
     }
     let rot = w2c.rotation_matrix();
-    let mut splats: Vec<Option<Projected2d>> = vec![None; scene.len()];
-    let mut culled = 0usize;
-    let mut masked = 0usize;
-    for (id, g) in scene.gaussians.iter().enumerate() {
-        if let Some(mask) = active {
-            if !mask[id] {
-                masked += 1;
-                continue;
-            }
+    let splats = scene.gaussians.iter().enumerate().map(|(id, g)| {
+        let masked = active.is_some_and(|mask| !mask[id]);
+        if masked {
+            None
+        } else {
+            project_one(g, id as u32, &rot, w2c, camera)
         }
-        match project_one(g, id as u32, &rot, w2c, camera) {
-            Some(splat) => splats[id] = Some(splat),
-            None => culled += 1,
-        }
-    }
+    });
     AosProjection {
-        splats,
-        culled,
-        masked,
+        splats: splats.collect(),
     }
 }
 
@@ -201,7 +188,6 @@ pub fn render_aos(
                     d_acc += splat.depth * (t * alpha);
                     t *= 1.0 - alpha;
                     if t < TERMINATION_THRESHOLD {
-                        stats.early_terminated_pixels += 1;
                         break;
                     }
                 }
@@ -367,7 +353,6 @@ pub fn backward_aos(
             let Some(splat) = projection.splats[id].as_ref() else {
                 continue;
             };
-            stats.gaussians_touched += 1;
             preprocess_one(
                 &scene.gaussians[id],
                 splat,
@@ -407,29 +392,29 @@ pub fn render_frame_aos(
 }
 
 /// The legacy tile binning: per-tile `Vec`s filled in slot order, each
-/// stably `sort_by`-ed on the SoA depth array — the seed's Step-❷
+/// stably `sort_by`-ed on the records' depths — the seed's Step-❷
 /// algorithm, preserved as the ordering ground truth for the CSR + radix
 /// path (equivalence property-tested in `tests/equivalence.rs`, compared
 /// in the `tile_sort` bench group).
 pub fn build_tile_lists_legacy(projection: &Projection, camera: &PinholeCamera) -> Vec<Vec<u32>> {
-    let soa = &projection.soa;
     let tiles_x = camera.width.div_ceil(TILE_SIZE);
     let tiles_y = camera.height.div_ceil(TILE_SIZE);
-    assert_eq!(soa.tiles_x, tiles_x, "projection/camera tile grid");
-    assert_eq!(soa.tiles_y, tiles_y, "projection/camera tile grid");
+    assert_eq!(projection.tiles_x, tiles_x, "projection/camera tile grid");
+    assert_eq!(projection.tiles_y, tiles_y, "projection/camera tile grid");
     let mut tile_lists: Vec<Vec<u32>> = vec![Vec::new(); tiles_x * tiles_y];
-    for (slot, &[tx0, tx1, ty0, ty1]) in soa.tile_rects.iter().enumerate() {
+    for (slot, &[tx0, tx1, ty0, ty1]) in projection.tile_rects.iter().enumerate() {
         for ty in ty0..=ty1 {
             for tx in tx0..=tx1 {
                 tile_lists[ty as usize * tiles_x + tx as usize].push(slot as u32);
             }
         }
     }
-    let depths = &soa.depths;
+    let splats = &projection.splats;
     for list in &mut tile_lists {
         list.sort_by(|&a, &b| {
-            depths[a as usize]
-                .partial_cmp(&depths[b as usize])
+            splats[a as usize]
+                .depth
+                .partial_cmp(&splats[b as usize].depth)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
     }
@@ -537,7 +522,7 @@ fn backward_tile(
     if list.is_empty() {
         return;
     }
-    gather_tile(&projection.soa, list, &mut own.gathered);
+    gather_tile(projection, list, &mut own.gathered);
     let rect = tile_pixel_rect(tile % tiles.tiles_x, tile / tiles.tiles_x, camera);
     let mut touched = false;
 

@@ -3,8 +3,8 @@
 //! The image is partitioned into 16×16-pixel tiles, each subdivided into
 //! 4×4-pixel subtiles — the tile/subtile geometry of the RTGS architecture
 //! (paper Sec. 5.1). Each tile holds a depth-sorted list of the splats that
-//! overlap it, referenced by SoA *slot* (dense index into
-//! [`crate::ProjectedSoA`]) so the render kernels never touch the sparse
+//! overlap it, referenced by *slot* (dense index into the
+//! [`crate::Projection`]) so the render kernels never touch the sparse
 //! per-Gaussian index space on the hot path. The subtile is the unit of
 //! work of the forward kernel (`forward.rs`): a tile's list is streamed
 //! through each of its [`SUBTILES_PER_TILE`] subtiles, whose
@@ -107,11 +107,11 @@ pub struct TileAssignment {
     pub tiles_x: usize,
     /// Number of tiles along y.
     pub tiles_y: usize,
-    /// SoA slots of all (tile, splat) intersections, tile-major: tile `t`'s
+    /// Slots of all (tile, splat) intersections, tile-major: tile `t`'s
     /// depth-sorted (front-to-back) list is
     /// `entries[offsets[t] as usize .. offsets[t + 1] as usize]`. Slots
-    /// index the [`crate::ProjectedSoA`] arrays of the projection this
-    /// assignment was built from.
+    /// index the [`crate::Projection`] this assignment was built from; the
+    /// length is the frame's intersection count.
     pub entries: Vec<u32>,
     /// Per-tile exclusive offsets into [`Self::entries`]; length is
     /// `tile_count() + 1`.
@@ -131,7 +131,7 @@ impl TileAssignment {
         self.tiles_x * self.tiles_y
     }
 
-    /// The depth-sorted SoA-slot list of one tile (CSR segment).
+    /// The depth-sorted slot list of one tile (CSR segment).
     ///
     /// # Panics
     ///
@@ -145,14 +145,6 @@ impl TileAssignment {
     #[inline]
     pub(crate) fn entry_range(&self, tile: usize) -> std::ops::Range<usize> {
         self.offsets[tile] as usize..self.offsets[tile + 1] as usize
-    }
-
-    /// Total number of (tile, Gaussian) intersection pairs — the statistic
-    /// whose inter-iteration change ratio drives the adaptive pruning
-    /// interval (paper Sec. 4.1).
-    #[inline]
-    pub fn intersection_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// Iterates the depth-sorted Gaussian indices of one tile (slots mapped
@@ -229,7 +221,7 @@ impl TileAssignment {
 
 /// Step ❷: builds a [`TileAssignment`] into caller-owned storage, assigning
 /// each visible splat to every tile its 3σ bounding square overlaps
-/// (precomputed at projection time as [`crate::ProjectedSoA::tile_rects`]),
+/// (precomputed at projection time as `Projection::tile_rects`),
 /// depth-ordered front-to-back. All of `out`'s and `scratch`'s buffers are
 /// cleared and refilled; once their capacities cover the frame's
 /// intersection count, a rebuild performs **no heap allocation**. The
@@ -259,11 +251,10 @@ pub(crate) fn build_tiles_into(
     scratch: &mut TileBinScratch,
     out: &mut TileAssignment,
 ) {
-    let soa = &projection.soa;
     let tiles_x = camera.width.div_ceil(TILE_SIZE);
     let tiles_y = camera.height.div_ceil(TILE_SIZE);
-    assert_eq!(soa.tiles_x, tiles_x, "projection/camera tile grid");
-    assert_eq!(soa.tiles_y, tiles_y, "projection/camera tile grid");
+    assert_eq!(projection.tiles_x, tiles_x, "projection/camera tile grid");
+    assert_eq!(projection.tiles_y, tiles_y, "projection/camera tile grid");
     let tile_count = tiles_x * tiles_y;
     out.tiles_x = tiles_x;
     out.tiles_y = tiles_y;
@@ -277,8 +268,8 @@ pub(crate) fn build_tiles_into(
     scratch.entry_slots.clear();
     scratch.entry_tiles.clear();
     scratch.entry_keys.clear();
-    for (slot, &[tx0, tx1, ty0, ty1]) in soa.tile_rects.iter().enumerate() {
-        let key = depth_key(soa.depths[slot]);
+    for (slot, &[tx0, tx1, ty0, ty1]) in projection.tile_rects.iter().enumerate() {
+        let key = depth_key(projection.splats[slot].depth);
         for ty in ty0..=ty1 {
             let row = ty as usize * tiles_x;
             for tx in tx0..=tx1 {
@@ -315,7 +306,7 @@ pub(crate) fn build_tiles_into(
     }
 
     out.slot_ids.clear();
-    out.slot_ids.extend_from_slice(&soa.gaussian_ids);
+    out.slot_ids.extend_from_slice(&projection.gaussian_ids);
 }
 
 /// Stable LSB radix sort of the first `len` records of
@@ -458,7 +449,7 @@ mod tests {
         let scene = scene_with(&[(0.0, 0.0, 4.0)]);
         let arena = binned(&scene, &cam);
         let tiles = arena.tiles();
-        let total = tiles.intersection_count();
+        let total = tiles.entries.len();
         assert!(total >= 1, "splat must land somewhere");
         assert!(
             total <= 4,
@@ -476,8 +467,8 @@ mod tests {
         for tile in 0..tiles.tile_count() {
             let list = tiles.tile(tile);
             if list.len() == 2 {
-                let d0 = proj.soa.depths[list[0] as usize];
-                let d1 = proj.soa.depths[list[1] as usize];
+                let d0 = proj.splats[list[0] as usize].depth;
+                let d1 = proj.splats[list[1] as usize].depth;
                 assert!(d0 <= d1, "tile list not depth sorted");
                 return;
             }

@@ -28,8 +28,10 @@ pub struct WorkloadTrace {
     pub tiles_x: usize,
     /// Tiles along y.
     pub tiles_y: usize,
-    /// Depth-sorted Gaussian ID list per tile: the gradient-aggregation
-    /// address stream seen by the GMU / atomic units.
+    /// Depth-sorted Gaussian list per tile, as frame-local indices of the
+    /// cull's gathered working set (not stable map IDs: the same index can
+    /// name another Gaussian in another iteration's gather): the
+    /// gradient-aggregation address stream seen by the GMU / atomic units.
     pub tile_gaussian_ids: Vec<Vec<u32>>,
     /// Total fragments blended in the forward pass.
     pub fragments_blended: u64,
@@ -60,9 +62,9 @@ impl WorkloadTrace {
             tile_gaussian_counts: tiles.offsets.windows(2).map(|w| w[1] - w[0]).collect(),
             tiles_x: tiles.tiles_x,
             tiles_y: tiles.tiles_y,
-            // Tile lists are SoA slots on the hot path; traces report the
-            // stable per-scene Gaussian IDs so the aggregation address
-            // stream is comparable across iterations.
+            // Tile lists hold projection slots on the hot path; traces
+            // report the Gaussians' frame-local indices in the cull's
+            // gathered working set — the rows Step ❺ accumulates into.
             tile_gaussian_ids: (0..tiles.tile_count())
                 .map(|t| tiles.tile_gaussian_ids(t))
                 .collect(),

@@ -387,7 +387,7 @@ mod tests {
         let (flat, _) = ds.reference_scene.flatten();
         assert!(ds.reference_scene.shard_count() > 100, "a many-shard room");
         let mut arena = FrameArena::new();
-        let mut shard_culled = 0;
+        let mut culled_some = false;
         for (frame, pose) in ds.frames.iter().zip(&ds.poses_c2w) {
             arena.cull(
                 &ds.reference_scene,
@@ -396,7 +396,7 @@ mod tests {
                 None,
                 &Serial,
             );
-            shard_culled += arena.visible().shard_culled;
+            culled_some |= arena.visible().ids.len() < ds.reference_scene.len();
             let (_, _, want) =
                 rtgs_render::reference::render_frame_aos(&flat, &pose.inverse(), &ds.camera, None);
             assert_eq!(frame.color, want.image, "frame {}: color", frame.index);
@@ -407,7 +407,7 @@ mod tests {
                 frame.index
             );
         }
-        assert!(shard_culled > 0, "the cull must drop shards here");
+        assert!(culled_some, "the cull must drop shards here");
     }
 
     #[test]

@@ -340,7 +340,9 @@ pub struct SlamReport {
     pub tracking_wall: Duration,
     /// Total wall-clock across mapping.
     pub mapping_wall: Duration,
-    /// Total wall-clock of the run.
+    /// Total wall-clock of the run: the sum of every [`SlamPipeline::step`]'s
+    /// wall time, frame 0's initialisation included. The report's own
+    /// evaluation (the PSNR re-renders) is not in it.
     pub total_wall: Duration,
     /// Per-stage timing breakdown (tracking + mapping).
     pub stage_timings: StageTimings,
@@ -355,7 +357,8 @@ pub struct SlamReport {
 }
 
 impl SlamReport {
-    /// End-to-end frames per second (tracking + mapping wall-clock).
+    /// End-to-end frames per second over [`Self::total_wall`]: tracking,
+    /// mapping and the rest of each step, not the report's evaluation.
     pub fn overall_fps(&self) -> f64 {
         let t = self.total_wall.as_secs_f64();
         if t <= 0.0 {
@@ -425,7 +428,9 @@ pub struct SlamPipeline<'d> {
     pub(crate) mapping_timings: StageTimings,
     pub(crate) metrics: PipelineMetrics,
     pub(crate) peak_gaussians: usize,
-    pub(crate) run_start: Option<Instant>,
+    /// Wall time of every `step` so far, frame 0's initialisation included.
+    /// Not persisted: a restored session starts it at zero.
+    pub(crate) run_wall: Duration,
     pub(crate) pending_mapping_traces: Vec<WorkloadTrace>,
     /// Load-shed resolution floor (1 = none): under SLO pressure the serve
     /// layer raises this so tracking runs on the downsampled path until the
@@ -469,7 +474,7 @@ impl<'d> SlamPipeline<'d> {
             mapping_timings: StageTimings::default(),
             metrics: PipelineMetrics::default(),
             peak_gaussians: 0,
-            run_start: None,
+            run_wall: Duration::ZERO,
             pending_mapping_traces: Vec::new(),
             pressure_factor: 1,
             pending_trace: TraceCtx::NONE,
@@ -529,9 +534,7 @@ impl<'d> SlamPipeline<'d> {
         if self.is_complete() {
             return None;
         }
-        if self.run_start.is_none() {
-            self.run_start = Some(Instant::now());
-        }
+        let step_start = Instant::now();
         let index = self.trajectory.len();
         // Adopt the staged ingest trace, or mint one so closed-loop frames
         // (no ingest front-end) still stitch through checkpoint and wire.
@@ -546,6 +549,7 @@ impl<'d> SlamPipeline<'d> {
             let t0 = Instant::now();
             self.initialize(frame);
             self.record_frame_metrics(index, t0.elapsed(), t0);
+            self.run_wall += step_start.elapsed();
             return Some(index);
         }
 
@@ -672,6 +676,7 @@ impl<'d> SlamPipeline<'d> {
             mapping_traces: std::mem::take(&mut self.pending_mapping_traces),
         });
         self.record_frame_metrics(index, tracking_wall + mapping_wall, t0);
+        self.run_wall += step_start.elapsed();
         Some(index)
     }
 
@@ -867,10 +872,6 @@ impl<'d> SlamPipeline<'d> {
         let mut stage = self.tracking_timings;
         stage.accumulate(&self.mapping_timings);
         let frames = &self.frame_reports;
-        let total_wall = self
-            .run_start
-            .map(|s| s.elapsed())
-            .unwrap_or(Duration::ZERO);
 
         SlamReport {
             frames_processed: n,
@@ -885,7 +886,7 @@ impl<'d> SlamPipeline<'d> {
             peak_param_bytes: self.peak_gaussians as u64 * 59 * 4,
             tracking_wall: frames.iter().map(|f| f.tracking_wall).sum(),
             mapping_wall: frames.iter().map(|f| f.mapping_wall).sum(),
-            total_wall,
+            total_wall: self.run_wall,
             stage_timings: stage,
             tracking_timings: self.tracking_timings,
             mapping_timings: self.mapping_timings,
@@ -991,6 +992,30 @@ mod tests {
         assert!(report.overall_fps() > 0.0);
         assert!(report.tracking_fps() >= report.overall_fps());
         assert!(report.stage_timings.total() > Duration::ZERO);
+    }
+
+    /// `total_wall` is the steps' wall time: the report's evaluation pass
+    /// (a PSNR re-render per pose) adds nothing to it, however often it runs.
+    #[test]
+    fn total_wall_excludes_the_evaluation() {
+        let ds = tiny_dataset(3);
+        let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(3);
+        cfg.tracking.iterations = 3;
+        cfg.mapping_iterations = 3;
+        let mut p = SlamPipeline::new(cfg, &ds);
+        let first = p.run();
+        let second = p.report();
+        assert_eq!(first.total_wall, second.total_wall);
+        let stepped: Duration = first
+            .frames
+            .iter()
+            .map(|f| f.tracking_wall + f.mapping_wall)
+            .sum();
+        assert!(
+            first.total_wall >= stepped,
+            "{:?} < {stepped:?}",
+            first.total_wall
+        );
     }
 
     #[test]

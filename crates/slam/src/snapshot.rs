@@ -23,10 +23,11 @@
 //! calls on one log write changed-shard deltas, not full snapshots); the
 //! small session state travels as the log's opaque meta blob.
 //!
-//! What is *not* persisted: wall-clock origins (`total_wall` restarts at
-//! resume), workload traces (checkpointing a trace-recording pipeline is
-//! rejected with [`SnapshotError::Unsupported`]) and extension-internal
-//! state (a restored session starts with no extension).
+//! What is *not* persisted: wall-clock totals (`total_wall` counts the
+//! steps since the resume), workload traces (checkpointing a
+//! trace-recording pipeline is rejected with [`SnapshotError::Unsupported`])
+//! and extension-internal state (a restored session starts with no
+//! extension).
 
 use crate::keyframe::KeyframePolicy;
 use crate::optimizer::{MapOptimizer, PARAMS_PER_GAUSSIAN};
@@ -39,7 +40,7 @@ use rtgs_snapshot::{
     CaptureStats, Channel, CheckpointLog, SectionBuilder, Sections, SnapshotError,
 };
 use rtgs_telemetry::StageTimings;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Channel name of the Adam first moments.
 const CH_ADAM_M: &str = "adam.m";
@@ -347,13 +348,9 @@ impl SlamPipeline<'_> {
         self.mapping_timings = meta.mapping_timings;
         self.peak_gaussians = meta.peak_gaussians;
         self.pending_mapping_traces = Vec::new();
-        // Wall-clock origins do not survive a process boundary: the
-        // report's total_wall counts time since the resume.
-        self.run_start = if !self.trajectory.is_empty() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        // Wall-clock totals do not survive a process boundary: the report's
+        // total_wall counts the steps since the resume.
+        self.run_wall = Duration::ZERO;
         self.extension.on_scene_resized(capacity);
         Ok(())
     }

@@ -274,7 +274,6 @@ static NO_BACKWARD: BackwardOutput = BackwardOutput {
     pose: [0.0; 6],
     stats: BackwardStats {
         fragment_grad_events: 0,
-        gaussians_touched: 0,
         rendering_bp_nanos: 0,
         preprocessing_bp_nanos: 0,
     },

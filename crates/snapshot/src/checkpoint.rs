@@ -529,7 +529,10 @@ pub(crate) fn apply_delta(
         }
     }
 
-    // Pass 2: install the new shard states and re-mark their members.
+    // Pass 2: install the new shard states and re-mark their members. The
+    // members of the changed shards, ascending, are the IDs `encode_delta`
+    // writes a Gaussian and a channel row for: exactly those, in that order.
+    let mut touched: Vec<u32> = Vec::new();
     for (si, shard) in records {
         let si = si as usize;
         if si > state.shards.len() {
@@ -548,6 +551,7 @@ pub(crate) fn apply_delta(
             }
             state.live[id as usize] = true;
         }
+        touched.extend_from_slice(&shard.members);
         if si == state.shards.len() {
             state.shards.push(shard);
         } else {
@@ -555,18 +559,14 @@ pub(crate) fn apply_delta(
         }
     }
 
+    touched.sort_unstable();
+
     // Arena values for the touched live members.
     let mut gaus = Cursor::new(sections.get(GAUSSIANS_TAG)?, "delta gaussian records");
-    let touched = gaus.len(4 + 14 * 4)?;
-    for _ in 0..touched {
-        let id = gaus.u32()? as usize;
-        let g = read_gaussian(&mut gaus)?;
-        if id >= new_capacity || !state.live[id] {
-            return Err(SnapshotError::Corrupt {
-                context: format!("delta gaussian record for non-live ID {id}"),
-            });
-        }
-        state.gaussians[id] = g;
+    expect_touched("gaussian records", gaus.len(4 + 14 * 4)?, &touched)?;
+    for &member in &touched {
+        expect_member("gaussian record", gaus.u32()?, member)?;
+        state.gaussians[member as usize] = read_gaussian(&mut gaus)?;
     }
     gaus.expect_end()?;
 
@@ -605,15 +605,10 @@ pub(crate) fn apply_delta(
                 ),
             });
         }
-        let rows = chan.len(4 + width * 4)?;
-        for _ in 0..rows {
-            let id = chan.u32()?;
-            if id as usize >= new_capacity || !state.live[id as usize] {
-                return Err(SnapshotError::Corrupt {
-                    context: format!("delta channel row for non-live ID {id}"),
-                });
-            }
-            for v in ch.row_mut(id) {
+        expect_touched("channel rows", chan.len(4 + width * 4)?, &touched)?;
+        for &member in &touched {
+            expect_member("channel row", chan.u32()?, member)?;
+            for v in ch.row_mut(member) {
                 *v = chan.f32()?;
             }
         }
@@ -621,6 +616,29 @@ pub(crate) fn apply_delta(
     chan.expect_end()?;
 
     Ok(sections.get(META_TAG)?.to_vec())
+}
+
+/// A delta section must carry one record per member of the changed shards.
+fn expect_touched(what: &str, count: usize, touched: &[u32]) -> Result<(), SnapshotError> {
+    if count == touched.len() {
+        return Ok(());
+    }
+    Err(SnapshotError::Corrupt {
+        context: format!(
+            "delta carries {count} {what} for {} changed-shard members",
+            touched.len()
+        ),
+    })
+}
+
+/// The next record of a delta section must be for the next member.
+fn expect_member(what: &str, id: u32, member: u32) -> Result<(), SnapshotError> {
+    if id == member {
+        return Ok(());
+    }
+    Err(SnapshotError::Corrupt {
+        context: format!("delta {what} for ID {id} where member {member} is due"),
+    })
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@
 
 use rtgs_math::{Quat, Vec3};
 use rtgs_render::{Gaussian3d, SceneState, ShardState, ShardedScene};
-use rtgs_snapshot::format::{put_i32, put_len, put_u32};
+use rtgs_snapshot::format::{put_f32, put_i32, put_len, put_str, put_u32};
 use rtgs_snapshot::{
-    decode_scene, encode_scene, CheckpointLog, ReplayState, SectionBuilder, Sections,
+    decode_scene, encode_scene, Channel, CheckpointLog, ReplayState, SectionBuilder, Sections,
     SnapshotError, FORMAT_VERSION, MAGIC,
 };
 
@@ -333,6 +333,75 @@ fn shard_member_damage_in_a_delta_is_corrupt_on_restore() {
         match outcome {
             Err(SnapshotError::Corrupt { .. }) => {}
             other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+/// A delta brings an ID to life by listing it in a changed shard, so it
+/// must also carry that member's Gaussian and its channel rows — exactly
+/// the ascending members of its changed shards, as `encode_delta` writes
+/// them. A checksum-valid delta that revives tombstoned ID 5 without a
+/// `GAUS` record, or one that drops a member's channel row, is `Corrupt`
+/// through a follower's replay and through a decoded log's restore, never
+/// a live `TOMBSTONE_FILL` in the map.
+#[test]
+fn a_delta_member_without_its_records_is_corrupt() {
+    let mut map = clustered_map();
+    let mut adam = Channel::zeroed("adam_m", 2, map.capacity());
+    for (i, v) in adam.data.iter_mut().enumerate() {
+        *v = i as f32;
+    }
+    let mut log = CheckpointLog::new();
+    let _ = log.capture(&map, &[adam.clone()], b"m0").unwrap();
+    // Tombstoned ID 5's shard: 2, 5, 8 and 11 were placed in it.
+    let shard = (0..map.shard_count())
+        .find(|&i| map.shards()[i].members().contains(&2))
+        .unwrap();
+    assert_eq!(map.shards()[shard].members(), [2, 8, 11]);
+    assert_eq!(map.free_ids(), [5]);
+    map.gaussian_mut(2).position.y += 0.01; // changes that shard only
+    let stats = log.capture(&map, &[adam.clone()], b"m1").unwrap();
+    assert_eq!(stats.shards_written, 1);
+    let delta = log.delta_bytes(0).unwrap();
+
+    // ID 5 listed in the changed shard and gone from the free-list, with
+    // the `GAUS` and `CHAN` sections the honest delta carries (2, 8, 11).
+    let mut dhdr = Vec::new();
+    put_len(&mut dhdr, map.capacity());
+    put_len(&mut dhdr, 0);
+    let mut dshd = Vec::new();
+    put_len(&mut dshd, 1);
+    put_u32(&mut dshd, shard as u32);
+    put_shard(&mut dshd, map.shards()[shard].cell, &[2, 5, 8, 11]);
+    let revived = with_section(&with_section(delta, *b"DHDR", dhdr), *b"DSHD", dshd);
+
+    // The honest delta with member 8's channel row left out.
+    let mut chan = Vec::new();
+    put_len(&mut chan, 1);
+    put_str(&mut chan, "adam_m");
+    put_len(&mut chan, 2);
+    put_len(&mut chan, 2);
+    for id in [2u32, 11] {
+        put_u32(&mut chan, id);
+        for &v in &adam.data[id as usize * 2..][..2] {
+            put_f32(&mut chan, v);
+        }
+    }
+    let rowless = with_section(delta, *b"CHAN", chan);
+
+    for (what, bad) in [("no GAUS for ID 5", revived), ("no row for ID 8", rowless)] {
+        let mut replay = ReplayState::from_base(log.base_bytes()).unwrap();
+        match replay.apply_delta(&bad) {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            other => panic!("{what}: replay expected Corrupt, got {other:?}"),
+        }
+        let bytes = with_section(&log.encode(), *b"DL\0\0", bad);
+        match CheckpointLog::decode(&bytes).unwrap().restore() {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            other => panic!(
+                "{what}: restore expected Corrupt, got {:?}",
+                other.map(|_| ())
+            ),
         }
     }
 }
