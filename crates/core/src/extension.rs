@@ -60,7 +60,6 @@ impl RtgsConfig {
 struct RtgsExtension {
     config: RtgsConfig,
     pruner: Option<AdaptivePruner>,
-    frame_active: bool,
 }
 
 impl RtgsExtension {
@@ -68,7 +67,6 @@ impl RtgsExtension {
         Self {
             config,
             pruner: config.pruning.map(|p| AdaptivePruner::new(p, 0)),
-            frame_active: false,
         }
     }
 }
@@ -79,7 +77,6 @@ impl PipelineExtension for RtgsExtension {
         _frame_index: usize,
         frames_since_keyframe: usize,
     ) -> FrameDirectives {
-        self.frame_active = true;
         FrameDirectives {
             resolution_factor: self
                 .config
@@ -113,19 +110,9 @@ impl PipelineExtension for RtgsExtension {
         _mask: &[bool],
         is_keyframe: bool,
     ) -> Option<Vec<bool>> {
-        if !self.frame_active {
-            return None;
-        }
-        self.frame_active = false;
         let pruner = self.pruner.as_mut()?;
         pruner.resize(map.capacity());
         pruner.end_frame(is_keyframe)
-    }
-
-    fn on_scene_resized(&mut self, new_capacity: usize) {
-        if let Some(pruner) = &mut self.pruner {
-            pruner.begin_frame(new_capacity);
-        }
     }
 
     fn name(&self) -> &'static str {
@@ -245,9 +232,6 @@ mod tests {
                 self.intervals.lock().unwrap().push(pruner.interval());
             }
             self.inner.end_of_frame(map, mask, is_keyframe)
-        }
-        fn on_scene_resized(&mut self, new_capacity: usize) {
-            self.inner.on_scene_resized(new_capacity);
         }
     }
 

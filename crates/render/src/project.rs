@@ -431,28 +431,21 @@ pub(crate) fn project_scene_into(
             .iter()
             .flat_map(|block| (0..GAUSS_LANES).filter_map(|lane| block.lane(lane)));
         // Blocks and lanes are in ascending Gaussian-ID order.
-        for (slot, (splat, activation, q_cut)) in (offsets[chunk]..).zip(lanes) {
-            let record = TileSplat {
-                mean: splat.mean,
-                conic: splat.conic,
-                opacity: splat.opacity,
-                color: splat.color,
-                depth: splat.depth,
-                q_cut,
-            };
+        for (slot, lane) in (offsets[chunk]..).zip(lanes) {
+            let record = lane.record;
             // SAFETY: chunk offsets partition the slot space, so each slot
             // (and each Gaussian id) is written by exactly one chunk.
             unsafe {
-                ids_view.write(slot, splat.id);
-                slot_view.write(splat.id as usize, slot as u32);
+                ids_view.write(slot, lane.id);
+                slot_view.write(lane.id as usize, slot as u32);
                 splat_view.write(slot, record);
-                t_cam_view.write(slot, splat.t_cam);
+                t_cam_view.write(slot, lane.t_cam);
                 rect_view.write(
                     slot,
-                    tile_rect_of(splat.mean, splat.radius, tiles_x, tiles_y),
+                    tile_rect_of(record.mean, lane.radius, tiles_x, tiles_y),
                 );
                 cut_box_view.write(slot, CutBox::of(&record));
-                activation_view.write(slot, activation);
+                activation_view.write(slot, lane.activation);
             }
         }
     });
@@ -587,7 +580,7 @@ pub(crate) fn jacobian_lane(
 }
 
 /// What [`project_block`] leaves behind for one block of Gaussians: every
-/// [`Projected2d`] and [`Activation`] scalar as one lane array.
+/// scalar Step ❶'s scatter reads, as one lane array each.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ProjectedBlock {
     /// The lanes' Gaussian IDs.
@@ -598,8 +591,6 @@ pub(crate) struct ProjectedBlock {
     visible: u32,
     t_cam: [Lanes; 3],
     mean: [Lanes; 2],
-    /// `(xx, xy, yy)`.
-    cov: [Lanes; 3],
     /// `(xx, xy, yy)`.
     conic: [Lanes; 3],
     radius: Lanes,
@@ -619,33 +610,48 @@ pub(crate) struct ProjectedBlock {
     world_cov: [Lanes; 6],
 }
 
+/// One visible lane of a [`ProjectedBlock`]: what Step ❶'s scatter writes
+/// for its splat, the tile rectangle and the cut box aside, which it
+/// derives from `radius` and `record`.
+#[derive(Debug)]
+pub(crate) struct BlockLane {
+    /// The source Gaussian's ID.
+    pub(crate) id: u32,
+    pub(crate) record: TileSplat,
+    pub(crate) t_cam: Vec3,
+    /// Bounding radius in pixels (3σ of the major axis).
+    pub(crate) radius: f32,
+    pub(crate) activation: Activation,
+}
+
 impl ProjectedBlock {
-    /// Lane `lane`'s splat, with the activations Step ❺ will want back and
-    /// its cutoff; `None` when the lane was culled (or replicates another).
-    pub(crate) fn lane(&self, lane: usize) -> Option<(Projected2d, Activation, f32)> {
+    /// Lane `lane`'s splat; `None` when the lane was culled (or replicates
+    /// another).
+    pub(crate) fn lane(&self, lane: usize) -> Option<BlockLane> {
         if self.visible & (1 << lane) == 0 {
             return None;
         }
         let l = lane;
         let vec3 = |v: &[Lanes; 3]| Vec3::new(v[0][l], v[1][l], v[2][l]);
-        let splat = Projected2d {
-            id: self.ids[l],
-            mean: Vec2::new(self.mean[0][l], self.mean[1][l]),
-            cov: Sym2::new(self.cov[0][l], self.cov[1][l], self.cov[2][l]),
-            conic: Sym2::new(self.conic[0][l], self.conic[1][l], self.conic[2][l]),
-            color: self.color[l],
-            opacity: self.opacity[l],
-            depth: self.t_cam[2][l],
-            radius: self.radius[l],
-            t_cam: vec3(&self.t_cam),
-        };
         let q = &self.unit_rotation;
-        let activation = Activation {
-            scale: vec3(&self.scale),
-            rotation_norm: self.rotation_norm[l],
-            unit_rotation: Quat::new(q[0][l], q[1][l], q[2][l], q[3][l]),
-        };
-        Some((splat, activation, self.q_cut[l]))
+        Some(BlockLane {
+            id: self.ids[l],
+            record: TileSplat {
+                mean: Vec2::new(self.mean[0][l], self.mean[1][l]),
+                conic: Sym2::new(self.conic[0][l], self.conic[1][l], self.conic[2][l]),
+                opacity: self.opacity[l],
+                color: self.color[l],
+                depth: self.t_cam[2][l],
+                q_cut: self.q_cut[l],
+            },
+            t_cam: vec3(&self.t_cam),
+            radius: self.radius[l],
+            activation: Activation {
+                scale: vec3(&self.scale),
+                rotation_norm: self.rotation_norm[l],
+                unit_rotation: Quat::new(q[0][l], q[1][l], q[2][l], q[3][l]),
+            },
+        })
     }
 }
 
@@ -697,7 +703,6 @@ pub(crate) fn project_block<const ACT: u8>(
         visible,
         t_cam,
         mean,
-        cov,
         conic,
         radius,
         opacity,
@@ -814,7 +819,6 @@ pub(crate) fn project_block<const ACT: u8>(
                 | (mean_y - extent >= height),
         );
         (mean[0][l], mean[1][l]) = (mean_x, mean_y);
-        (cov[0][l], cov[1][l], cov[2][l]) = (xx, xy, yy);
         (conic[0][l], conic[1][l], conic[2][l]) = (yy * inv, -xy * inv, xx * inv);
         radius[l] = extent;
     }
@@ -1084,11 +1088,11 @@ mod tests {
     };
     use proptest::prelude::*;
 
-    fn splat_floats(s: &Projected2d) -> [f32; 18] {
+    /// A splat's record, camera-frame mean and radius as floats.
+    fn splat_floats(r: &TileSplat, t_cam: Vec3, radius: f32) -> [f32; 15] {
         [
-            s.mean.x, s.mean.y, s.cov.xx, s.cov.xy, s.cov.yy, s.conic.xx, s.conic.xy, s.conic.yy,
-            s.color.x, s.color.y, s.color.z, s.opacity, s.depth, s.radius, s.t_cam.x, s.t_cam.y,
-            s.t_cam.z, 0.0,
+            r.mean.x, r.mean.y, r.conic.xx, r.conic.xy, r.conic.yy, r.opacity, r.color.x,
+            r.color.y, r.color.z, r.depth, r.q_cut, t_cam.x, t_cam.y, t_cam.z, radius,
         ]
     }
 
@@ -1108,9 +1112,10 @@ mod tests {
 
     /// Runs `gaussians[ids]` through one block in every [`activations`]
     /// mode and holds every lane to the scalar definitions: the same `Some` /
-    /// `None` as [`project_one`], every splat float, every activation float
-    /// ([`Activation::of`]) and the cutoff equal on bits — for a Gaussian
-    /// with a non-finite parameter, equal or both NaN. The [`LOAD`] block
+    /// `None` as [`project_one`], the ID, every float of the record (the
+    /// conic and the cutoff included), the camera-frame mean, the radius and
+    /// every activation float ([`Activation::of`]) equal on bits — for a
+    /// Gaussian with a non-finite parameter, equal or both NaN. The [`LOAD`] block
     /// loads what a [`KEEP`] projection left from far behind the camera,
     /// where every finite lane is culled at the near plane, so activations
     /// kept only for the lanes that pose needed would show. Returns which lanes were
@@ -1145,16 +1150,17 @@ mod tests {
                 if mode == "compute" {
                     visible.push(want.is_some());
                 }
-                let (Some((splat, activation, q_cut)), Some(want)) = (got, want) else {
+                let (Some(got), Some(want)) = (got, want) else {
                     continue;
                 };
-                assert_eq!(splat.id, id);
+                assert_eq!(got.id, id);
                 let exact = is_finite(g);
                 let same =
                     |a: f32, b: f32| a.to_bits() == b.to_bits() || (!exact && same_float(a, b));
-                for (k, (a, b)) in splat_floats(&splat)
+                let (record, t_cam) = record_of(&want);
+                for (k, (a, b)) in splat_floats(&got.record, got.t_cam, got.radius)
                     .iter()
-                    .zip(splat_floats(&want))
+                    .zip(splat_floats(&record, t_cam, want.radius))
                     .enumerate()
                 {
                     assert!(
@@ -1162,13 +1168,8 @@ mod tests {
                         "{mode} lane {lane}, splat float {k}: {a} vs {b} for {g:?}"
                     );
                 }
-                let cutoff = splat_q_cut(want.opacity);
-                assert!(
-                    same(q_cut, cutoff),
-                    "{mode} lane {lane}: cutoff {q_cut} vs {cutoff}"
-                );
                 let want = Activation::of(g);
-                let floats = activation_floats(&activation);
+                let floats = activation_floats(&got.activation);
                 for (k, (a, b)) in floats.iter().zip(activation_floats(&want)).enumerate() {
                     assert!(
                         same(*a, b),

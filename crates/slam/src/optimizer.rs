@@ -3,6 +3,7 @@
 
 use rtgs_math::{clamp, Vec3};
 use rtgs_render::{Gaussian3d, GaussianGrad, ShardedScene};
+use rtgs_snapshot::Channel;
 
 /// Number of scalar parameters per Gaussian
 /// (position 3 + log-scale 3 + quaternion 4 + opacity 1 + color 3).
@@ -37,6 +38,10 @@ impl Default for MapLearningRates {
     }
 }
 
+/// Names of the checkpoint channels that hold the Adam first and second
+/// moments.
+pub(crate) const MOMENT_CHANNELS: [&str; 2] = ["adam.m", "adam.v"];
+
 /// Adam state over the Gaussians of a [`ShardedScene`], with the moment
 /// arrays keyed by **stable ID** (the [`ShardedScene`] arena index, which
 /// never changes while a Gaussian is alive).
@@ -45,6 +50,11 @@ impl Default for MapLearningRates {
 /// a surviving Gaussian keeps its moments across any densify/prune
 /// interleaving. Densification only has to [`Self::register`] each new ID,
 /// which zeroes the slot when a tombstoned ID is recycled.
+///
+/// The two moment arrays are the session checkpoint's `adam.m` and
+/// `adam.v` channels, [`PARAMS_PER_GAUSSIAN`] floats per ID each, so a
+/// capture encodes them as they stand and a restore moves the decoded
+/// channels back in.
 #[derive(Debug, Clone)]
 pub struct MapOptimizer {
     lrs: MapLearningRates,
@@ -52,72 +62,51 @@ pub struct MapOptimizer {
     beta2: f32,
     eps: f32,
     step: u64,
-    m: Vec<[f32; PARAMS_PER_GAUSSIAN]>,
-    v: Vec<[f32; PARAMS_PER_GAUSSIAN]>,
+    /// The first and the second moments, in that order.
+    moments: [Channel; 2],
 }
 
 impl MapOptimizer {
     /// Creates an optimizer for a map of arena capacity `capacity`.
     pub fn new(capacity: usize, lrs: MapLearningRates) -> Self {
-        Self {
-            lrs,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            step: 0,
-            m: vec![[0.0; PARAMS_PER_GAUSSIAN]; capacity],
-            v: vec![[0.0; PARAMS_PER_GAUSSIAN]; capacity],
-        }
+        let moments =
+            MOMENT_CHANNELS.map(|name| Channel::zeroed(name, PARAMS_PER_GAUSSIAN, capacity));
+        Self::restored(lrs, 0, moments)
     }
 
-    /// Number of ID slots tracked (the arena capacity, live or not).
-    pub fn capacity(&self) -> usize {
-        self.m.len()
-    }
-
-    /// True when tracking no slots.
-    pub fn is_empty(&self) -> bool {
-        self.m.is_empty()
-    }
-
-    /// The first-moment row of one stable ID (diagnostics and tests).
-    pub fn first_moment(&self, id: u32) -> &[f32; PARAMS_PER_GAUSSIAN] {
-        &self.m[id as usize]
-    }
-
-    /// The second-moment row of one stable ID (serialization).
-    pub fn second_moment(&self, id: u32) -> &[f32; PARAMS_PER_GAUSSIAN] {
-        &self.v[id as usize]
-    }
-
-    /// Number of Adam steps taken so far (drives bias correction; part of
-    /// a session checkpoint's iteration counters).
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
-    /// Rebuilds an optimizer from checkpointed state: the step counter and
-    /// the per-ID moment rows (`m` and `v` must be the same length).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the moment arrays disagree in length.
-    pub fn from_parts(
-        lrs: MapLearningRates,
-        step: u64,
-        m: Vec<[f32; PARAMS_PER_GAUSSIAN]>,
-        v: Vec<[f32; PARAMS_PER_GAUSSIAN]>,
-    ) -> Self {
-        assert_eq!(m.len(), v.len(), "moment arrays must be the same length");
+    /// An optimizer continuing from a checkpoint: the step counter and the
+    /// decoded [`MOMENT_CHANNELS`], in that order.
+    pub(crate) fn restored(lrs: MapLearningRates, step: u64, moments: [Channel; 2]) -> Self {
         Self {
             lrs,
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
             step,
-            m,
-            v,
+            moments,
         }
+    }
+
+    /// Number of ID slots tracked (the arena capacity, live or not).
+    pub fn capacity(&self) -> usize {
+        self.moments[0].data.len() / PARAMS_PER_GAUSSIAN
+    }
+
+    /// True when tracking no slots.
+    pub fn is_empty(&self) -> bool {
+        self.moments[0].data.is_empty()
+    }
+
+    /// Number of Adam steps taken so far (drives bias correction; part of
+    /// a session checkpoint's iteration counters).
+    pub(crate) fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    /// The moments as checkpoint channels, `capacity() × PARAMS_PER_GAUSSIAN`
+    /// floats each.
+    pub(crate) fn moments(&self) -> &[Channel; 2] {
+        &self.moments
     }
 
     /// Registers a stable ID returned by [`ShardedScene::insert`]: grows
@@ -125,13 +114,13 @@ impl MapOptimizer {
     /// ones, so a reused arena slot never inherits a dead Gaussian's
     /// momentum.
     pub fn register(&mut self, id: u32) {
-        let idx = id as usize;
-        if idx < self.m.len() {
-            self.m[idx] = [0.0; PARAMS_PER_GAUSSIAN];
-            self.v[idx] = [0.0; PARAMS_PER_GAUSSIAN];
-        } else {
-            self.m.resize(idx + 1, [0.0; PARAMS_PER_GAUSSIAN]);
-            self.v.resize(idx + 1, [0.0; PARAMS_PER_GAUSSIAN]);
+        let end = (id as usize + 1) * PARAMS_PER_GAUSSIAN;
+        for ch in &mut self.moments {
+            if end <= ch.data.len() {
+                ch.data[end - PARAMS_PER_GAUSSIAN..end].fill(0.0);
+            } else {
+                ch.data.resize(end, 0.0);
+            }
         }
     }
 
@@ -145,24 +134,28 @@ impl MapOptimizer {
     ///
     /// # Panics
     ///
-    /// Panics if sizes disagree or an ID is out of range / tombstoned.
+    /// Panics if sizes disagree (the optimizer must have registered every
+    /// ID of the map, and no other) or an ID is out of range / tombstoned.
     pub fn step_visible(&mut self, map: &mut ShardedScene, ids: &[u32], grads: &[GaussianGrad]) {
         assert_eq!(ids.len(), grads.len(), "gradient buffer size mismatch");
-        assert!(
-            map.capacity() <= self.capacity(),
-            "optimizer not sized for the map (register new IDs first)"
+        assert_eq!(
+            map.capacity(),
+            self.capacity(),
+            "optimizer not sized for the map (register every new ID)"
         );
         self.step += 1;
         let bc1 = 1.0 - self.beta1.powi(self.step as i32);
         let bc2 = 1.0 - self.beta2.powi(self.step as i32);
 
+        let [m_all, v_all] = &mut self.moments;
         for (&id, grad) in ids.iter().zip(grads.iter()) {
             let flat = flatten_grad(grad);
             if flat.iter().all(|&x| x == 0.0) {
                 continue;
             }
-            let m = &mut self.m[id as usize];
-            let v = &mut self.v[id as usize];
+            let row = id as usize * PARAMS_PER_GAUSSIAN..(id as usize + 1) * PARAMS_PER_GAUSSIAN;
+            let m = &mut m_all.data[row.clone()];
+            let v = &mut v_all.data[row];
             let mut update = [0.0f32; PARAMS_PER_GAUSSIAN];
             for i in 0..PARAMS_PER_GAUSSIAN {
                 m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * flat[i];
@@ -238,6 +231,14 @@ mod tests {
 
     fn all_ids(map: &ShardedScene) -> Vec<u32> {
         map.live_ids().collect()
+    }
+
+    /// The first-moment row of `id`.
+    fn first_moment(opt: &MapOptimizer, id: u32) -> [f32; PARAMS_PER_GAUSSIAN] {
+        let start = id as usize * PARAMS_PER_GAUSSIAN;
+        opt.moments[0].data[start..start + PARAMS_PER_GAUSSIAN]
+            .try_into()
+            .unwrap()
     }
 
     #[test]
@@ -324,8 +325,8 @@ mod tests {
             })
             .collect();
         opt.step_visible(&mut map, &[0, 1, 2], &grads);
-        let m0 = *opt.first_moment(0);
-        let m2 = *opt.first_moment(2);
+        let m0 = first_moment(&opt, 0);
+        let m2 = first_moment(&opt, 2);
         assert!(m0[0] != 0.0 && m2[0] != 0.0 && m0[0] != m2[0]);
 
         // Densify: append a fresh Gaussian (ID 3).
@@ -338,13 +339,13 @@ mod tests {
         ));
         assert_eq!(id3, 3);
         opt.register(id3);
-        assert_eq!(opt.first_moment(id3)[0], 0.0);
+        assert_eq!(first_moment(&opt, id3)[0], 0.0);
 
         // Prune the middle Gaussian. Under the old compacting store this
         // shifted ID 2's moments down by one; tombstoning must not.
         map.tombstone(1);
-        assert_eq!(*opt.first_moment(0), m0, "survivor 0 moments moved");
-        assert_eq!(*opt.first_moment(2), m2, "survivor 2 moments moved");
+        assert_eq!(first_moment(&opt, 0), m0, "survivor 0 moments moved");
+        assert_eq!(first_moment(&opt, 2), m2, "survivor 2 moments moved");
 
         // Densify again: the freed slot (ID 1) is recycled and must start
         // with zeroed moments, not the dead Gaussian's momentum.
@@ -357,9 +358,9 @@ mod tests {
         ));
         assert_eq!(recycled, 1, "freed arena slot should be recycled");
         opt.register(recycled);
-        assert_eq!(opt.first_moment(recycled)[0], 0.0);
-        assert_eq!(*opt.first_moment(0), m0);
-        assert_eq!(*opt.first_moment(2), m2);
+        assert_eq!(first_moment(&opt, recycled)[0], 0.0);
+        assert_eq!(first_moment(&opt, 0), m0);
+        assert_eq!(first_moment(&opt, 2), m2);
 
         // A further step on the survivors keeps compounding the same slots.
         let g = vec![
@@ -370,9 +371,9 @@ mod tests {
             2
         ];
         opt.step_visible(&mut map, &[0, 2], &g);
-        assert!(opt.first_moment(0)[0] != m0[0]);
-        assert!(opt.first_moment(2)[0] != m2[0]);
-        assert_eq!(opt.first_moment(recycled)[0], 0.0);
+        assert!(first_moment(&opt, 0)[0] != m0[0]);
+        assert!(first_moment(&opt, 2)[0] != m2[0]);
+        assert_eq!(first_moment(&opt, recycled)[0], 0.0);
     }
 
     #[test]

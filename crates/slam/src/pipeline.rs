@@ -269,9 +269,10 @@ pub trait PipelineExtension {
         None
     }
 
-    /// Notifies the extension that the map's stable-ID capacity changed
-    /// (densification appended new IDs); per-ID buffers must be
-    /// re-synchronized to `new_capacity`.
+    /// Not called: an extension sizes its per-ID state from the mask and
+    /// the map its other hooks receive. Kept only so the benchmark harness,
+    /// which forwards it, compiles. It goes with the harness's next change
+    /// (ROADMAP item 1a).
     fn on_scene_resized(&mut self, _new_capacity: usize) {}
 
     /// Extension name for reports.
@@ -717,7 +718,6 @@ impl<'d> SlamPipeline<'d> {
             0xC0FFEE,
         );
         self.map_optimizer = MapOptimizer::new(self.scene.capacity(), self.config.map_lrs);
-        self.extension.on_scene_resized(self.scene.capacity());
 
         // Initial mapping to settle the seeded Gaussians.
         let t0 = Instant::now();
@@ -805,7 +805,7 @@ impl<'d> SlamPipeline<'d> {
             );
 
             if iter == densify_at && target_index == index {
-                let added = densify(
+                densify(
                     &mut self.scene,
                     &mut self.map_optimizer,
                     self.arena.output(),
@@ -815,18 +815,12 @@ impl<'d> SlamPipeline<'d> {
                     &self.config.map,
                     0xDE5EED ^ index as u64,
                 );
-                if !added.is_empty() {
-                    self.extension.on_scene_resized(self.scene.capacity());
-                }
             }
         }
 
         // Tombstoned IDs drop out of the next cull; survivors stay exactly
         // where they were.
-        let removed = prune_transparent(&mut self.scene);
-        if removed > 0 {
-            self.extension.on_scene_resized(self.scene.capacity());
-        }
+        prune_transparent(&mut self.scene);
         self.peak_gaussians = self.peak_gaussians.max(self.scene.len());
     }
 

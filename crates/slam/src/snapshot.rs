@@ -23,6 +23,13 @@
 //! calls on one log write changed-shard deltas, not full snapshots); the
 //! small session state travels as the log's opaque meta blob.
 //!
+//! The optimizer keeps its moments as the two channels `adam.m` and
+//! `adam.v`, so a capture lends them to the log, not a copy, and a restore
+//! moves the decoded channels back in. A tombstoned ID's moment row stays
+//! as it was until [`MapOptimizer::register`] zeroes it for a recycled ID,
+//! but it reaches no byte: the codec writes the rows of live IDs only, and
+//! a restore leaves dead rows zero.
+//!
 //! What is *not* persisted: wall-clock totals (`total_wall` counts the
 //! steps since the resume), workload traces (checkpointing a
 //! trace-recording pipeline is rejected with [`SnapshotError::Unsupported`])
@@ -30,7 +37,7 @@
 //! extension).
 
 use crate::keyframe::KeyframePolicy;
-use crate::optimizer::{MapOptimizer, PARAMS_PER_GAUSSIAN};
+use crate::optimizer::{MapOptimizer, MOMENT_CHANNELS, PARAMS_PER_GAUSSIAN};
 use crate::pipeline::{BaseAlgorithm, FrameReport, SlamConfig, SlamPipeline};
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{FrameArena, LossKind, ShardedScene};
@@ -41,11 +48,6 @@ use rtgs_snapshot::{
 };
 use rtgs_telemetry::StageTimings;
 use std::time::Duration;
-
-/// Channel name of the Adam first moments.
-const CH_ADAM_M: &str = "adam.m";
-/// Channel name of the Adam second moments.
-const CH_ADAM_V: &str = "adam.v";
 
 /// Meta-blob section: fingerprint + scalar counters.
 const META_TAG: [u8; 4] = *b"SESS";
@@ -235,19 +237,8 @@ impl SlamPipeline<'_> {
                 context: "checkpointing a pipeline with workload-trace recording enabled",
             });
         }
-        let capacity = self.scene.capacity();
-        debug_assert!(self.map_optimizer.capacity() >= capacity);
-        let mut adam_m = Channel::zeroed(CH_ADAM_M, PARAMS_PER_GAUSSIAN, capacity);
-        let mut adam_v = Channel::zeroed(CH_ADAM_V, PARAMS_PER_GAUSSIAN, capacity);
-        for id in self.scene.live_ids() {
-            let row = id as usize * PARAMS_PER_GAUSSIAN;
-            adam_m.data[row..row + PARAMS_PER_GAUSSIAN]
-                .copy_from_slice(self.map_optimizer.first_moment(id));
-            adam_v.data[row..row + PARAMS_PER_GAUSSIAN]
-                .copy_from_slice(self.map_optimizer.second_moment(id));
-        }
         let meta = self.encode_session_meta();
-        let stats = log.capture(&self.scene, &[adam_m, adam_v], &meta)?;
+        let stats = log.capture(&self.scene, self.map_optimizer.moments(), &meta)?;
         // Delta-vs-base byte accounting: how much the incremental encoding
         // saves is a first-class serving metric.
         let registry = rtgs_telemetry::global();
@@ -279,11 +270,11 @@ impl SlamPipeline<'_> {
 
     /// Installs restored state — what [`CheckpointLog::restore`] or a
     /// follower's [`ReplayState::restore`](rtgs_snapshot::ReplayState::restore)
-    /// returned — into this pipeline in place, keeping its extension object
-    /// (which is notified of the restored capacity).
+    /// returned — into this pipeline in place; the moment channels move into
+    /// the optimizer as decoded.
     pub(crate) fn apply_restored(
         &mut self,
-        (scene, channels, meta_bytes): (ShardedScene, Vec<Channel>, Vec<u8>),
+        (scene, mut channels, meta_bytes): (ShardedScene, Vec<Channel>, Vec<u8>),
     ) -> Result<(), SnapshotError> {
         let meta = decode_session_meta(&meta_bytes)?;
         let expected = config_fingerprint(&self.config);
@@ -305,35 +296,20 @@ impl SlamPipeline<'_> {
             });
         }
 
-        let capacity = scene.capacity();
-        let channel = |name: &str, width: usize| -> Result<&Channel, SnapshotError> {
+        let mut take = |name: &str| -> Result<Channel, SnapshotError> {
             channels
                 .iter()
-                .find(|c| c.name == name && c.width == width)
+                .position(|c| c.name == name && c.width == PARAMS_PER_GAUSSIAN)
+                .map(|i| channels.swap_remove(i))
                 .ok_or_else(|| SnapshotError::Corrupt {
-                    context: format!("session snapshot is missing channel '{name}'/{width}"),
+                    context: format!(
+                        "session snapshot is missing channel '{name}'/{PARAMS_PER_GAUSSIAN}"
+                    ),
                 })
         };
-        let adam_m = channel(CH_ADAM_M, PARAMS_PER_GAUSSIAN)?;
-        let adam_v = channel(CH_ADAM_V, PARAMS_PER_GAUSSIAN)?;
-        let to_rows = |ch: &Channel| -> Vec<[f32; PARAMS_PER_GAUSSIAN]> {
-            (0..capacity)
-                .map(|i| {
-                    let mut row = [0.0f32; PARAMS_PER_GAUSSIAN];
-                    row.copy_from_slice(
-                        &ch.data[i * PARAMS_PER_GAUSSIAN..(i + 1) * PARAMS_PER_GAUSSIAN],
-                    );
-                    row
-                })
-                .collect()
-        };
-
-        self.map_optimizer = MapOptimizer::from_parts(
-            self.config.map_lrs,
-            meta.optimizer_step,
-            to_rows(adam_m),
-            to_rows(adam_v),
-        );
+        let moments = [take(MOMENT_CHANNELS[0])?, take(MOMENT_CHANNELS[1])?];
+        self.map_optimizer =
+            MapOptimizer::restored(self.config.map_lrs, meta.optimizer_step, moments);
         self.scene = scene;
         self.arena = FrameArena::new();
         self.trajectory = meta.frame_reports.iter().map(|r| r.pose_c2w).collect();
@@ -351,7 +327,6 @@ impl SlamPipeline<'_> {
         // Wall-clock totals do not survive a process boundary: the report's
         // total_wall counts the steps since the resume.
         self.run_wall = Duration::ZERO;
-        self.extension.on_scene_resized(capacity);
         Ok(())
     }
 
@@ -488,6 +463,11 @@ mod tests {
     /// Photo-SLAM's photometric policy reads the last keyframe's image,
     /// GS-SLAM's pose-distance policy the last keyframe's pose, and SplaTAM
     /// maps every frame.
+    ///
+    /// Each restored session also re-checkpoints to the crashed session's
+    /// base bytes: what a capture lends and what a restore moves back in
+    /// encode alike (`dead_moment_rows_reach_no_byte` adds a dead row with
+    /// momentum, which these sessions never tombstone).
     #[test]
     fn restore_continues_bitwise_identically() {
         let ds = tiny_dataset(6);
@@ -521,6 +501,11 @@ mod tests {
             for log in [&full, &incremental] {
                 let mut restored = SlamPipeline::restore_from(cfg, &ds, log).expect("restore");
                 assert_eq!(
+                    restored.checkpoint().expect("re-checkpoint").base_bytes(),
+                    full.base_bytes(),
+                    "{algorithm:?}: a restored session re-captures the crashed one's bytes"
+                );
+                assert_eq!(
                     restored.trajectory.len(),
                     4,
                     "restore resumes after the last capture"
@@ -544,6 +529,44 @@ mod tests {
                     assert_eq!(fa.tracking_fragments, fb.tracking_fragments);
                 }
             }
+        }
+    }
+
+    /// A tombstoned ID keeps its moment row in the optimizer, which a
+    /// capture lends as it stands, while a restore leaves that row zero.
+    /// Both encode the same bytes, through a delta and through a base,
+    /// because the codec writes the rows of live IDs only.
+    #[test]
+    fn dead_moment_rows_reach_no_byte() {
+        let ds = tiny_dataset(3);
+        let cfg = quick_config(3);
+        let mut p = SlamPipeline::new(cfg, &ds);
+        p.step();
+        p.step();
+        let mut incremental = CheckpointLog::new();
+        let _ = p.checkpoint_into(&mut incremental).unwrap();
+        let first_moment = |p: &SlamPipeline<'_>, id: u32| {
+            let start = id as usize * PARAMS_PER_GAUSSIAN;
+            p.map_optimizer.moments()[0].data[start..start + PARAMS_PER_GAUSSIAN].to_vec()
+        };
+        let moving = |p: &SlamPipeline<'_>, id| first_moment(p, id).iter().any(|&x| x != 0.0);
+        let dead = p
+            .scene
+            .live_ids()
+            .find(|&id| moving(&p, id))
+            .expect("mapping moved some Gaussian");
+        p.scene.tombstone(dead);
+        let delta = p.checkpoint_into(&mut incremental).unwrap();
+        assert!(!delta.is_base && delta.shards_written > 0);
+        let full = p.checkpoint().unwrap();
+        assert!(moving(&p, dead), "the dead row keeps its momentum");
+        for log in [&incremental, &full] {
+            let restored = SlamPipeline::restore_from(cfg, &ds, log).unwrap();
+            assert!(!moving(&restored, dead), "a restore leaves dead rows zero");
+            assert_eq!(
+                restored.checkpoint().unwrap().base_bytes(),
+                full.base_bytes()
+            );
         }
     }
 
@@ -760,8 +783,8 @@ mod tests {
 
         let capacity = p.scene.capacity();
         let channels = [
-            Channel::zeroed(CH_ADAM_M, PARAMS_PER_GAUSSIAN, capacity),
-            Channel::zeroed(CH_ADAM_V, PARAMS_PER_GAUSSIAN, capacity),
+            Channel::zeroed(MOMENT_CHANNELS[0], PARAMS_PER_GAUSSIAN, capacity),
+            Channel::zeroed(MOMENT_CHANNELS[1], PARAMS_PER_GAUSSIAN, capacity),
             Channel::zeroed("mask", 1, capacity),
         ];
         let mut log = CheckpointLog::new();

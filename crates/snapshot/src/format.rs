@@ -432,15 +432,6 @@ impl<'a> Sections<'a> {
             .ok_or(SnapshotError::MissingSection { section: tag })
     }
 
-    /// Payload of `tag`, or `None` when the section is absent (for
-    /// optional sections).
-    pub fn get_optional(&self, tag: [u8; 4]) -> Option<&'a [u8]> {
-        self.table
-            .iter()
-            .find(|(t, _, _)| *t == tag)
-            .map(|&(_, offset, len)| &self.bytes[offset..offset + len])
-    }
-
     /// Tags present, in table order.
     pub fn tags(&self) -> impl Iterator<Item = [u8; 4]> + '_ {
         self.table.iter().map(|&(t, _, _)| t)
