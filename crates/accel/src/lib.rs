@@ -17,13 +17,15 @@
 //!   streaming, gradient merging, but no pixel pairing and no R&B reuse.
 //!
 //! [`simulate_run`] converts whole SLAM runs into FPS and energy-per-frame
-//! (Fig. 15/16, Tab. 7).
+//! (Fig. 15/16, Tab. 7); a [`TraceRecorder`] wrapped around a session's
+//! pipeline extension records the run's traces.
 
 mod config;
 mod devices;
 mod energy;
 mod gpu;
 mod plugin;
+mod recorder;
 mod system;
 
 pub use config::{latency, ArchConfig, MemoryConfig};
@@ -34,6 +36,7 @@ pub use plugin::{
     imbalance_factor, plugin_iteration, plugin_iteration_on_host, Aggregation, PluginConfig,
     PluginIterationCycles, Scheduling,
 };
+pub use recorder::TraceRecorder;
 pub use system::{
     iteration_cost, simulate_run, FrameWorkload, HardwareModel, IterationCost, RunCost, RunWorkload,
 };

@@ -6,7 +6,6 @@ use crate::energy::{static_energy, EnergyTable, GPU_FRAGMENT_PJ};
 use crate::gpu::{gpu_iteration, GpuIterationCycles};
 use crate::plugin::{PluginConfig, PluginIterationCycles};
 use rtgs_render::WorkloadTrace;
-use rtgs_slam::SlamReport;
 
 /// The hardware target of a simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,29 +113,12 @@ pub struct FrameWorkload {
     pub is_keyframe: bool,
 }
 
-/// A whole run's workload.
+/// A whole run's workload, as a [`crate::TraceRecorder`] wrapped around
+/// the session's extension records it.
 #[derive(Debug, Clone, Default)]
 pub struct RunWorkload {
     /// Per-frame workloads.
     pub frames: Vec<FrameWorkload>,
-}
-
-impl From<&SlamReport> for RunWorkload {
-    /// The workload traces a run recorded (empty per frame unless the run
-    /// was configured with `SlamConfig::with_traces`).
-    fn from(report: &SlamReport) -> Self {
-        Self {
-            frames: report
-                .frames
-                .iter()
-                .map(|f| FrameWorkload {
-                    tracking: f.traces.clone(),
-                    mapping: f.mapping_traces.clone(),
-                    is_keyframe: f.is_keyframe,
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Unified per-iteration cycle breakdown.

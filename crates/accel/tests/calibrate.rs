@@ -6,16 +6,17 @@
 
 use rtgs_accel::*;
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
-use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
+use rtgs_slam::{BaseAlgorithm, NoExtension, SlamConfig, SlamPipeline};
 
 fn real_run() -> RunWorkload {
     let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), 6);
-    let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs)
-        .with_frames(6)
-        .with_traces();
+    let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(6);
     cfg.tracking.iterations = 5;
     cfg.mapping_iterations = 6;
-    RunWorkload::from(&SlamPipeline::new(cfg, &ds).run())
+    let (recorder, run) = TraceRecorder::new(Box::new(NoExtension));
+    SlamPipeline::with_extension(cfg, &ds, Box::new(recorder)).run();
+    let run = std::mem::take(&mut *run.lock().expect("the trace recorder panicked"));
+    run
 }
 
 fn plugin(scheduling: Scheduling, rb: bool, agg: Aggregation) -> HardwareModel {

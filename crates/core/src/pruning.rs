@@ -242,8 +242,8 @@ mod tests {
     use super::*;
     use rtgs_math::{Quat, Se3, Vec3};
     use rtgs_render::{
-        BackwardOutput, FrameArena, Gaussian3d, GaussianScene, Image, LossConfig, PinholeCamera,
-        ShardedScene, DEFAULT_CELL_SIZE,
+        BackwardOutput, DepthImage, FrameArena, Gaussian3d, GaussianScene, Image, LossConfig,
+        PinholeCamera, RenderOutput, ShardedScene, DEFAULT_CELL_SIZE,
     };
     use rtgs_runtime::Serial;
 
@@ -286,6 +286,7 @@ mod tests {
                 grads: arena.backward(),
                 visible_ids: &arena.visible().ids,
                 tiles: arena.tiles(),
+                output: arena.output(),
             };
             pruner.observe_iteration(&artifacts, mask);
         }
@@ -436,6 +437,13 @@ mod tests {
             pose: [0.0; 6],
             stats: Default::default(),
         };
+        let output = RenderOutput {
+            image: Image::new(1, 1),
+            depth: DepthImage::new(1, 1),
+            final_transmittance: vec![1.0],
+            pixel_workloads: vec![0],
+            stats: Default::default(),
+        };
         let mut fired_total = 0;
         for k in 1..=20 {
             for cap in 1..=16 {
@@ -465,6 +473,7 @@ mod tests {
                                 grads: &grads,
                                 visible_ids: &[],
                                 tiles,
+                                output: &output,
                             };
                             pruner.observe_iteration(&artifacts, &mut []);
                             fired.push(pruner.since_prune == 0);

@@ -2,8 +2,8 @@
 //! (main algorithm results), Tab. 7 (GauSPU comparison), Fig. 13
 //! (precision baselines + drift) and Fig. 14 (pruning ablations).
 
-use crate::common::{dataset, f, run_variant, slam_config, Scale, Table, Variant};
-use rtgs_accel::{simulate_run, HardwareModel, RunWorkload};
+use crate::common::{dataset, f, run_traced, run_variant, slam_config, Scale, Table, Variant};
+use rtgs_accel::{simulate_run, HardwareModel};
 use rtgs_baselines::{BaselineExtension, FlashGsPruner, LightGaussianPruner};
 use rtgs_core::{PruningConfig, RtgsConfig};
 use rtgs_metrics::per_frame_errors;
@@ -28,8 +28,8 @@ pub fn table2(scale: Scale) -> String {
         "mono",
     ]);
     for algo in BaseAlgorithm::all() {
-        let report = run_variant(algo, &ds, scale, Variant::Base, true);
-        let cost = simulate_run(&RunWorkload::from(&report), &HardwareModel::onx(), true);
+        let (report, run) = run_traced(algo, &ds, scale, Variant::Base);
+        let cost = simulate_run(&run, &HardwareModel::onx(), true);
         table.row(vec![
             algo.name().into(),
             f(report.ate.rmse_cm(), 2),
@@ -67,7 +67,7 @@ pub fn table6(scale: Scale) -> String {
         for algo in BaseAlgorithm::keyframe_based() {
             let mut base_fps = 0.0;
             for variant in [Variant::Base, Variant::Taming, Variant::Ours] {
-                let report = run_variant(algo, &ds, scale, variant, false);
+                let report = run_variant(algo, &ds, scale, variant);
                 let fps = report.overall_fps();
                 if variant == Variant::Base {
                     base_fps = fps;
@@ -94,11 +94,8 @@ pub fn table7(scale: Scale) -> String {
         scale.profile(DatasetProfile::replica_analog()),
         scale.frames(),
     );
-    let base = run_variant(BaseAlgorithm::SplaTam, &ds, scale, Variant::Base, true);
-    let ours = run_variant(BaseAlgorithm::SplaTam, &ds, scale, Variant::Ours, true);
-
-    let base_run = RunWorkload::from(&base);
-    let ours_run = RunWorkload::from(&ours);
+    let (base, base_run) = run_traced(BaseAlgorithm::SplaTam, &ds, scale, Variant::Base);
+    let (ours, ours_run) = run_traced(BaseAlgorithm::SplaTam, &ds, scale, Variant::Ours);
     let rtx = simulate_run(&base_run, &HardwareModel::rtx3090(), true);
     let gauspu = simulate_run(&base_run, &HardwareModel::gauspu(), true);
     let ours_hw = simulate_run(&ours_run, &HardwareModel::rtgs_on_rtx3090(), true);
@@ -152,7 +149,7 @@ pub fn fig13(scale: Scale) -> String {
         String::from("Fig. 13(a): 50% pruning — quality vs throughput vs evaluation cost\n");
     let mut table = Table::new(&["method", "ATE(cm)", "relFPS", "score evaluation cost"]);
 
-    let base = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, false);
+    let base = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base);
     let base_fps = base.overall_fps();
     table.row(vec![
         "Baseline (no pruning)".into(),
@@ -161,7 +158,7 @@ pub fn fig13(scale: Scale) -> String {
         "0".into(),
     ]);
 
-    let cfg = slam_config(BaseAlgorithm::MonoGs, scale, false);
+    let cfg = slam_config(BaseAlgorithm::MonoGs, scale);
     // LightGaussian-style
     {
         let ext = BaselineExtension::new(LightGaussianPruner::new(), 0.5);
@@ -188,7 +185,7 @@ pub fn fig13(scale: Scale) -> String {
     }
     // RTGS
     {
-        let ours = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Ours, false);
+        let ours = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Ours);
         table.row(vec![
             "RTGS Algo (ours)".into(),
             f(ours.ate.rmse_cm(), 2),
@@ -202,7 +199,7 @@ pub fn fig13(scale: Scale) -> String {
     let mut table = Table::new(&["prune ratio", "ATE(cm)", "final-frame error (cm)"]);
     for ratio in [0.0f32, 0.25, 0.5, 0.8] {
         let report = if ratio == 0.0 {
-            run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, false)
+            run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base)
         } else {
             let rtgs = RtgsConfig {
                 pruning: Some(PruningConfig {
@@ -213,7 +210,7 @@ pub fn fig13(scale: Scale) -> String {
                 downsampling: None,
             };
             SlamPipeline::with_extension(
-                slam_config(BaseAlgorithm::MonoGs, scale, false),
+                slam_config(BaseAlgorithm::MonoGs, scale),
                 &ds,
                 rtgs.into_extension(),
             )
@@ -242,7 +239,7 @@ pub fn fig14(scale: Scale) -> String {
     let mut table = Table::new(&["prune ratio", "ATE(cm)", "latency/frame (ms)"]);
     for ratio in [0.0f32, 0.15, 0.3, 0.5, 0.7] {
         let report = if ratio == 0.0 {
-            run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, false)
+            run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base)
         } else {
             let rtgs = RtgsConfig {
                 pruning: Some(PruningConfig {
@@ -253,7 +250,7 @@ pub fn fig14(scale: Scale) -> String {
                 downsampling: None,
             };
             SlamPipeline::with_extension(
-                slam_config(BaseAlgorithm::MonoGs, scale, false),
+                slam_config(BaseAlgorithm::MonoGs, scale),
                 &ds,
                 rtgs.into_extension(),
             )
@@ -306,10 +303,10 @@ fn fig14b_sessions(
     scale: Scale,
 ) -> (SlamReport, [(&'static str, SlamReport); 3]) {
     let run = |rtgs: RtgsConfig| {
-        let cfg = slam_config(BaseAlgorithm::MonoGs, scale, false);
+        let cfg = slam_config(BaseAlgorithm::MonoGs, scale);
         SlamPipeline::with_extension(cfg, ds, rtgs.into_extension()).run()
     };
-    let base = run_variant(BaseAlgorithm::MonoGs, ds, scale, Variant::Base, false);
+    let base = run_variant(BaseAlgorithm::MonoGs, ds, scale, Variant::Base);
     let techniques = [
         ("adaptive pruning", run(RtgsConfig::pruning_only())),
         ("dynamic downsampling", run(RtgsConfig::downsampling_only())),

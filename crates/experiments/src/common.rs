@@ -1,11 +1,14 @@
 //! Shared experiment infrastructure: SLAM run orchestration, workload
 //! conversion and table formatting.
 
+use rtgs_accel::{RunWorkload, TraceRecorder};
 use rtgs_baselines::{BaselineExtension, TamingPruner};
 use rtgs_core::RtgsConfig;
 use rtgs_runtime::BackendChoice;
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
-use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline, SlamReport};
+use rtgs_slam::{
+    BaseAlgorithm, NoExtension, PipelineExtension, SlamConfig, SlamPipeline, SlamReport,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Encoded process-wide default backend: `0` = serial, `n > 0` =
@@ -101,14 +104,28 @@ impl Variant {
 
 /// Builds the SLAM configuration for an algorithm at a scale, on the
 /// process-wide default backend.
-pub fn slam_config(algo: BaseAlgorithm, scale: Scale, traces: bool) -> SlamConfig {
+pub fn slam_config(algo: BaseAlgorithm, scale: Scale) -> SlamConfig {
     let mut cfg = SlamConfig::for_algorithm(algo).with_frames(scale.frames());
     let k = scale.iteration_factor();
     cfg.tracking.iterations = ((cfg.tracking.iterations as f32 * k) as usize).max(2);
     cfg.mapping_iterations = ((cfg.mapping_iterations as f32 * k) as usize).max(2);
-    cfg.tracking.record_traces = traces;
     cfg.backend = default_backend();
     cfg
+}
+
+/// The pipeline extension a variant runs with.
+fn extension(variant: Variant, scale: Scale) -> Box<dyn PipelineExtension + Send> {
+    match variant {
+        Variant::Base => Box::new(NoExtension),
+        // Taming 3DGS needs ~500 iterations to converge — far more than a
+        // SLAM frame provides, so it acts with a shortened warm-up
+        // (mirroring how the paper had to adapt it) and prunes 50%.
+        Variant::Taming => Box::new(BaselineExtension::new(
+            TamingPruner::with_warmup(scale.tracking_iters() * 2),
+            0.5,
+        )),
+        Variant::Ours => RtgsConfig::full().into_extension(),
+    }
 }
 
 /// Runs one SLAM configuration on a dataset with the given variant.
@@ -117,23 +134,25 @@ pub fn run_variant(
     dataset: &SyntheticDataset,
     scale: Scale,
     variant: Variant,
-    traces: bool,
 ) -> SlamReport {
-    let cfg = slam_config(algo, scale, traces);
-    match variant {
-        Variant::Base => SlamPipeline::new(cfg, dataset).run(),
-        Variant::Taming => {
-            // Taming 3DGS needs ~500 iterations to converge — far more than
-            // a SLAM frame provides, so it acts with a shortened warm-up
-            // (mirroring how the paper had to adapt it) and prunes 50%.
-            let ext =
-                BaselineExtension::new(TamingPruner::with_warmup(scale.tracking_iters() * 2), 0.5);
-            SlamPipeline::with_extension(cfg, dataset, Box::new(ext)).run()
-        }
-        Variant::Ours => {
-            SlamPipeline::with_extension(cfg, dataset, RtgsConfig::full().into_extension()).run()
-        }
-    }
+    let cfg = slam_config(algo, scale);
+    SlamPipeline::with_extension(cfg, dataset, extension(variant, scale)).run()
+}
+
+/// [`run_variant`] with the variant's extension wrapped in a
+/// [`TraceRecorder`]: the report and the workload traces the hardware
+/// models price.
+pub fn run_traced(
+    algo: BaseAlgorithm,
+    dataset: &SyntheticDataset,
+    scale: Scale,
+    variant: Variant,
+) -> (SlamReport, RunWorkload) {
+    let cfg = slam_config(algo, scale);
+    let (recorder, run) = TraceRecorder::new(extension(variant, scale));
+    let report = SlamPipeline::with_extension(cfg, dataset, Box::new(recorder)).run();
+    let run = std::mem::take(&mut *run.lock().expect("the trace recorder panicked"));
+    (report, run)
 }
 
 /// Generates (and memoizes per call-site) the dataset for a profile.

@@ -2,7 +2,7 @@
 //! (GauSPU comparison per Replica scene), Fig. 17 (ablations) and
 //! Tab. 4/5 (configuration tables).
 
-use crate::common::{dataset, f, run_variant, Scale, Table, Variant};
+use crate::common::{dataset, f, run_traced, Scale, Table, Variant};
 use rtgs_accel::{
     imbalance_factor, simulate_run, Aggregation, ArchConfig, DeviceSpec, GpuSpec, HardwareModel,
     MemoryConfig, PluginConfig, RunWorkload, Scheduling, TechNode,
@@ -48,10 +48,8 @@ pub fn fig15(scale: Scale) -> String {
         // Fig. 15(a) uses three datasets; (b) all four.
         let ds = dataset(scale.profile(profile.clone()), scale.frames());
         for algo in BaseAlgorithm::keyframe_based() {
-            let base = run_variant(algo, &ds, scale, Variant::Base, true);
-            let ours = run_variant(algo, &ds, scale, Variant::Ours, true);
-            let base_run = RunWorkload::from(&base);
-            let ours_run = RunWorkload::from(&ours);
+            let (_, base_run) = run_traced(algo, &ds, scale, Variant::Base);
+            let (_, ours_run) = run_traced(algo, &ds, scale, Variant::Ours);
 
             let onx = simulate_run(&base_run, &HardwareModel::onx(), true);
             let dw = simulate_run(&base_run, &HardwareModel::onx_distwar(), true);
@@ -107,10 +105,8 @@ pub fn fig16(scale: Scale) -> String {
             scale.frames(),
             variant as u64,
         );
-        let base = run_variant(BaseAlgorithm::SplaTam, &ds, scale, Variant::Base, true);
-        let ours = run_variant(BaseAlgorithm::SplaTam, &ds, scale, Variant::Ours, true);
-        let base_run = RunWorkload::from(&base);
-        let ours_run = RunWorkload::from(&ours);
+        let (base, base_run) = run_traced(BaseAlgorithm::SplaTam, &ds, scale, Variant::Base);
+        let (ours, ours_run) = run_traced(BaseAlgorithm::SplaTam, &ds, scale, Variant::Ours);
         let rtx = simulate_run(&base_run, &HardwareModel::rtx3090(), true);
         let gauspu = simulate_run(&base_run, &HardwareModel::gauspu(), true);
         let ours_hw = simulate_run(&ours_run, &HardwareModel::rtgs_on_rtx3090(), true);
@@ -135,13 +131,16 @@ pub fn fig17(scale: Scale) -> String {
         scale.profile(DatasetProfile::replica_analog()),
         scale.frames(),
     );
-    let base = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, true);
-    let base_run = RunWorkload::from(&base);
+    let (_, base_run) = run_traced(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base);
 
     // (a) imbalance factors from a real mid-run trace pair.
     let mut out = String::from("Fig. 17(a): workload-imbalance ablation (achieved/ideal cycles)\n");
     let mut table = Table::new(&["scheduling", "imbalance factor (1.0 = ideal)"]);
-    let traces: Vec<_> = base.frames.iter().flat_map(|fr| fr.traces.iter()).collect();
+    let traces: Vec<_> = base_run
+        .frames
+        .iter()
+        .flat_map(|fr| fr.tracking.iter())
+        .collect();
     if traces.len() >= 2 {
         let (prev, now) = (traces[traces.len() - 2], traces[traces.len() - 1]);
         for (name, sched) in [
@@ -169,7 +168,7 @@ pub fn fig17(scale: Scale) -> String {
         "-".into(),
         "1.0x".into(),
     ]);
-    let steps: Vec<(&str, HardwareModel, &rtgs_accel::RunWorkload)> = vec![
+    let steps: Vec<(&str, HardwareModel, &RunWorkload)> = vec![
         (
             "w/ Pipeline (bare plug-in)",
             plugin(Scheduling::Static, false, Aggregation::Atomic),
@@ -202,10 +201,7 @@ pub fn fig17(scale: Scale) -> String {
         prev_fps = cost.overall_fps;
     }
     // Algorithm steps change the workload itself.
-    let pruned = {
-        let r = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Ours, true);
-        RunWorkload::from(&r)
-    };
+    let (_, pruned) = run_traced(BaseAlgorithm::MonoGs, &ds, scale, Variant::Ours);
     let full_hw = plugin(Scheduling::StreamingPaired, true, Aggregation::Gmu);
     let cost = simulate_run(&pruned, &full_hw, true);
     table.row(vec![

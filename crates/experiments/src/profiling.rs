@@ -2,7 +2,7 @@
 //! distribution), Fig. 5 (inter-frame similarity) and Fig. 6 (per-pixel
 //! workload distributions) — Sec. 3 of the paper.
 
-use crate::common::{dataset, f, run_variant, Scale, Table, Variant};
+use crate::common::{dataset, f, run_traced, run_variant, Scale, Table, Variant};
 use rtgs_metrics::{rmse, ssim};
 use rtgs_render::FrameArena;
 use rtgs_runtime::Serial;
@@ -25,7 +25,7 @@ pub fn fig3(scale: Scale) -> String {
     ] {
         let ds = dataset(scale.profile(profile), scale.frames());
         for algo in BaseAlgorithm::keyframe_based() {
-            let report = run_variant(algo, &ds, scale, Variant::Base, false);
+            let report = run_variant(algo, &ds, scale, Variant::Base);
             let total = report.total_wall.as_secs_f64().max(1e-12);
             let tracking = report.tracking_wall.as_secs_f64() / total * 100.0;
             let mapping = report.mapping_wall.as_secs_f64() / total * 100.0;
@@ -42,7 +42,7 @@ pub fn fig3(scale: Scale) -> String {
 
     out.push_str("\nFig. 3(b): per-step share within MonoGS tracking/mapping (percent)\n");
     let ds = dataset(scale.profile(DatasetProfile::tum_analog()), scale.frames());
-    let report = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, false);
+    let report = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base);
     let mut table = Table::new(&[
         "stage",
         "preprocess%",
@@ -135,7 +135,7 @@ pub fn fig4(scale: Scale) -> String {
 pub fn fig5(scale: Scale) -> String {
     let frames = scale.frames().max(8);
     let ds = dataset(scale.profile(DatasetProfile::tum_analog()), frames);
-    let report = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, false);
+    let report = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base);
     let keyframes: Vec<usize> = report
         .frames
         .iter()
@@ -168,17 +168,18 @@ pub fn fig5(scale: Scale) -> String {
 /// iterations within one frame.
 pub fn fig6(scale: Scale) -> String {
     let ds = dataset(scale.profile(DatasetProfile::tum_analog()), scale.frames());
-    let report = run_variant(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base, true);
+    let (_, run) = run_traced(BaseAlgorithm::MonoGs, &ds, scale, Variant::Base);
     let edges = [2u32, 10, 50, 200];
 
     let mut out = String::from(
         "Fig. 6 (top): workload distribution across frames (pixel counts per bucket)\n",
     );
     let mut table = Table::new(&["frame", "<2", "2-9", "10-49", "50-199", ">=200", "mean w"]);
-    for fr in report.frames.iter().filter(|fr| !fr.traces.is_empty()) {
-        let t = &fr.traces[0];
+    let frames = run.frames.iter().enumerate();
+    for (index, fr) in frames.filter(|(_, fr)| !fr.tracking.is_empty()) {
+        let t = &fr.tracking[0];
         let h = t.workload_histogram(&edges);
-        let mut row = vec![fr.index.to_string()];
+        let mut row = vec![index.to_string()];
         row.extend(h.iter().map(|c| c.to_string()));
         row.push(f(t.mean_pixel_workload(), 1));
         table.row(row);
@@ -195,15 +196,15 @@ pub fn fig6(scale: Scale) -> String {
         ">=200",
         "similarity to prev",
     ]);
-    if let Some(fr) = report.frames.iter().find(|fr| fr.traces.len() > 2) {
-        for (i, t) in fr.traces.iter().enumerate() {
+    if let Some(fr) = run.frames.iter().find(|fr| fr.tracking.len() > 2) {
+        for (i, t) in fr.tracking.iter().enumerate() {
             let h = t.workload_histogram(&edges);
             let mut row = vec![i.to_string()];
             row.extend(h.iter().map(|c| c.to_string()));
             row.push(if i == 0 {
                 "-".into()
             } else {
-                f(1.0 - t.workload_similarity(&fr.traces[i - 1]), 3)
+                f(1.0 - t.workload_similarity(&fr.tracking[i - 1]), 3)
             });
             table.row(row);
         }

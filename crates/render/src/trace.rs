@@ -9,7 +9,6 @@
 //! pass, so the hardware models in `rtgs-accel` see genuine imbalance and
 //! collision statistics.
 
-use crate::camera::PinholeCamera;
 use crate::forward::RenderOutput;
 use crate::tiles::{TileAssignment, SUBTILE_SIZE, TILE_SIZE};
 
@@ -43,7 +42,9 @@ pub struct WorkloadTrace {
 }
 
 impl WorkloadTrace {
-    /// Assembles a trace from the forward output and tile assignment.
+    /// Assembles a trace from the forward output and tile assignment: the
+    /// image gives the resolution, the tile assignment's slot list the
+    /// visible Gaussians.
     ///
     /// `fragment_grad_events` comes from the backward pass
     /// ([`crate::BackwardStats::fragment_grad_events`]); pass 0 when only
@@ -51,13 +52,11 @@ impl WorkloadTrace {
     pub fn from_render(
         output: &RenderOutput,
         tiles: &TileAssignment,
-        camera: &PinholeCamera,
         fragment_grad_events: u64,
-        visible_gaussians: usize,
     ) -> Self {
         Self {
-            width: camera.width,
-            height: camera.height,
+            width: output.image.width(),
+            height: output.image.height(),
             pixel_workloads: output.pixel_workloads.clone(),
             tile_gaussian_counts: tiles.offsets.windows(2).map(|w| w[1] - w[0]).collect(),
             tiles_x: tiles.tiles_x,
@@ -70,7 +69,7 @@ impl WorkloadTrace {
                 .collect(),
             fragments_blended: output.stats.fragments_blended,
             fragment_grad_events,
-            visible_gaussians,
+            visible_gaussians: tiles.slot_ids.len(),
         }
     }
 
@@ -178,7 +177,7 @@ impl WorkloadTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::camera::{DepthImage, Image};
+    use crate::camera::{DepthImage, Image, PinholeCamera};
     use crate::forward::RenderStats;
     use crate::gaussian::{Gaussian3d, GaussianScene};
     use crate::{FrameArena, ShardedScene, DEFAULT_CELL_SIZE};
@@ -197,13 +196,7 @@ mod tests {
         let mut arena = FrameArena::new();
         let map = ShardedScene::from_scene(&scene, DEFAULT_CELL_SIZE);
         arena.forward(&map, &Se3::IDENTITY, &cam, &Serial);
-        WorkloadTrace::from_render(
-            arena.output(),
-            arena.tiles(),
-            &cam,
-            42,
-            arena.projection().visible_count(),
-        )
+        WorkloadTrace::from_render(arena.output(), arena.tiles(), 42)
     }
 
     #[test]

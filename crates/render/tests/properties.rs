@@ -112,8 +112,9 @@ proptest! {
     fn trace_conservation(scene in arb_scene(10)) {
         let cam = camera();
         let ctx = rendered(&scene, &Se3::IDENTITY, &cam, None);
-        let trace = WorkloadTrace::from_render(
-            ctx.output(), ctx.tiles(), &cam, 0, ctx.projection().visible_count());
+        let trace = WorkloadTrace::from_render(ctx.output(), ctx.tiles(), 0);
+        prop_assert_eq!(trace.visible_gaussians, ctx.projection().visible_count());
+        prop_assert_eq!((trace.width, trace.height), (cam.width, cam.height));
         prop_assert_eq!(trace.total_fragments(), ctx.output().stats.fragments_processed);
         let subtile_total: u64 = trace
             .subtile_workloads()

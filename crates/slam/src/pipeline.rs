@@ -8,7 +8,7 @@ use crate::optimizer::{MapLearningRates, MapOptimizer};
 use crate::tracking::{timed_iteration, track_frame, IterationArtifacts, TrackingConfig};
 use rtgs_math::Se3;
 use rtgs_metrics::{absolute_trajectory_error, psnr, AteResult};
-use rtgs_render::{FrameArena, GradSet, ShardedScene, WorkloadTrace, DEFAULT_CELL_SIZE};
+use rtgs_render::{FrameArena, GradSet, ShardedScene, DEFAULT_CELL_SIZE};
 use rtgs_runtime::{Backend, BackendChoice};
 use rtgs_scene::{RgbdFrame, SyntheticDataset};
 use rtgs_telemetry::flight::hops;
@@ -77,8 +77,7 @@ pub struct SlamConfig {
     pub algorithm: BaseAlgorithm,
     /// Keyframe policy.
     pub keyframe_policy: KeyframePolicy,
-    /// Tracking settings; `tracking.record_traces` switches workload-trace
-    /// recording on for tracking and mapping alike.
+    /// Tracking settings.
     pub tracking: TrackingConfig,
     /// Mapping iterations per keyframe.
     pub mapping_iterations: usize,
@@ -179,13 +178,6 @@ impl SlamConfig {
         self
     }
 
-    /// Enables workload-trace recording (memory-heavy; hardware modelling
-    /// only) for tracking and mapping.
-    pub fn with_traces(mut self) -> Self {
-        self.tracking.record_traces = true;
-        self
-    }
-
     /// Selects the execution backend.
     pub fn with_backend(mut self, backend: BackendChoice) -> Self {
         self.backend = backend;
@@ -211,8 +203,9 @@ impl Default for FrameDirectives {
 
 /// The one seam between the SLAM pipeline and what plugs into it: the
 /// redundancy-reduction techniques (`rtgs-core`), the pruning baselines
-/// (`rtgs-baselines`) and standalone [`track_frame`] callers implement
-/// it; base algorithms run with [`NoExtension`].
+/// (`rtgs-baselines`), the hardware models' workload-trace recorder
+/// (`rtgs-accel`) and standalone [`track_frame`] callers implement it;
+/// base algorithms run with [`NoExtension`].
 pub trait PipelineExtension {
     /// Called before each frame; returns directives (e.g. the dynamic
     /// downsampling factor).
@@ -237,8 +230,7 @@ pub trait PipelineExtension {
     /// gradients. [`GradSet::PoseOnly`] promises to read none of this
     /// trial's: it runs the pose-only backward (the same pose bits), or,
     /// when `iteration == last`, no backward at all. Mapping always runs
-    /// the full backward, and so does tracking with
-    /// [`TrackingConfig::record_traces`] on, whatever this returns.
+    /// the full backward, whatever this returns.
     fn tracking_grads(&self, _iteration: usize, _last: usize) -> GradSet {
         GradSet::Full
     }
@@ -253,6 +245,12 @@ pub trait PipelineExtension {
         _mask: &mut [bool],
     ) {
     }
+
+    /// Called after each mapping iteration, frame 0's initial mapping
+    /// included, with `artifacts.iteration` restarting at 0 on every
+    /// keyframe. Mapping's backward is always the full set, and nothing
+    /// here can change what mapping does.
+    fn after_mapping_iteration(&mut self, _artifacts: &IterationArtifacts<'_>) {}
 
     /// Called at the end of each frame with the final tracking mask and the
     /// keyframe decision; returns a keep-mask (one entry per stable ID,
@@ -316,10 +314,6 @@ pub struct FrameReport {
     /// Fragment gradient events of the backward passes tracking ran (see
     /// [`TrackResult::fragment_grad_events`](crate::TrackResult)).
     pub tracking_grad_events: u64,
-    /// Workload traces from tracking iterations (if enabled).
-    pub traces: Vec<WorkloadTrace>,
-    /// Workload traces from mapping iterations (if enabled; keyframes only).
-    pub mapping_traces: Vec<WorkloadTrace>,
 }
 
 /// Aggregate report for a full run.
@@ -432,7 +426,6 @@ pub struct SlamPipeline<'d> {
     /// Wall time of every `step` so far, frame 0's initialisation included.
     /// Not persisted: a restored session starts it at zero.
     pub(crate) run_wall: Duration,
-    pub(crate) pending_mapping_traces: Vec<WorkloadTrace>,
     /// Load-shed resolution floor (1 = none): under SLO pressure the serve
     /// layer raises this so tracking runs on the downsampled path until the
     /// backlog drains. Combined with the extension's own downsampling ramp
@@ -476,7 +469,6 @@ impl<'d> SlamPipeline<'d> {
             metrics: PipelineMetrics::default(),
             peak_gaussians: 0,
             run_wall: Duration::ZERO,
-            pending_mapping_traces: Vec::new(),
             pressure_factor: 1,
             pending_trace: TraceCtx::NONE,
             last_trace: TraceCtx::NONE,
@@ -673,8 +665,6 @@ impl<'d> SlamPipeline<'d> {
             gaussians: self.scene.len(),
             tracking_fragments: result.fragments_processed,
             tracking_grad_events: result.fragment_grad_events,
-            traces: result.traces,
-            mapping_traces: std::mem::take(&mut self.pending_mapping_traces),
         });
         self.record_frame_metrics(index, tracking_wall + mapping_wall, t0);
         self.run_wall += step_start.elapsed();
@@ -735,8 +725,6 @@ impl<'d> SlamPipeline<'d> {
             gaussians: self.scene.len(),
             tracking_fragments: 0,
             tracking_grad_events: 0,
-            traces: Vec::new(),
-            mapping_traces: std::mem::take(&mut self.pending_mapping_traces),
         });
     }
 
@@ -787,17 +775,13 @@ impl<'d> SlamPipeline<'d> {
                 iter as u64,
                 &*self.backend,
             );
-            let grad_stats = self.arena.backward().stats;
-
-            if self.config.tracking.record_traces {
-                self.pending_mapping_traces.push(WorkloadTrace::from_render(
-                    self.arena.output(),
-                    self.arena.tiles(),
-                    &camera,
-                    grad_stats.fragment_grad_events,
-                    self.arena.projection().visible_count(),
-                ));
-            }
+            self.extension.after_mapping_iteration(&IterationArtifacts {
+                iteration: iter,
+                grads: self.arena.backward(),
+                visible_ids: &self.arena.visible().ids,
+                tiles: self.arena.tiles(),
+                output: self.arena.output(),
+            });
             self.map_optimizer.step_visible(
                 &mut self.scene,
                 &self.arena.visible().ids,
@@ -1013,19 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn traces_recorded_when_enabled() {
-        let ds = tiny_dataset(2);
-        let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs)
-            .with_frames(2)
-            .with_traces();
-        cfg.tracking.iterations = 2;
-        cfg.mapping_iterations = 2;
-        let mut p = SlamPipeline::new(cfg, &ds);
-        let report = p.run();
-        assert_eq!(report.frames[1].traces.len(), 2);
-    }
-
-    #[test]
     fn extension_can_mask_and_prune() {
         struct HalfPruner;
         impl PipelineExtension for HalfPruner {
@@ -1080,15 +1051,25 @@ mod tests {
 
     /// The per-iteration contract `rtgs-core`'s pruner relies on, seen
     /// through the pipeline: one `after_tracking_iteration` per tracking
-    /// iteration, `iteration` restarting at 0 on every frame, no call during
+    /// trial, `iteration` restarting at 0 on every frame, no call during
     /// mapping or frame 0's initialisation, one gradient per visible ID, and
-    /// a mask edit in effect from the next iteration. The mask itself lives
+    /// a mask edit in effect from the next iteration. Mapping iterations,
+    /// frame 0's included, go to `after_mapping_iteration` instead, once
+    /// each, with the full gradient set. The mask itself lives
     /// for one frame: `end_of_frame` sees the frame's edits with every ID
     /// mapping appended active, and the next frame starts again from the
     /// map's live flags, so a live ID masked the frame before is active.
     #[test]
     fn extension_sees_each_tracking_iteration_once() {
         use std::sync::Mutex;
+        /// One hook call: which hook, the frame (`None` before the first
+        /// `frame_directives`) and the iteration.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Call {
+            Grads(Option<usize>, usize),
+            Track(Option<usize>, usize),
+            Map(Option<usize>, usize),
+        }
         struct Probe {
             frame: Option<usize>,
             masked: Vec<u32>,
@@ -1096,8 +1077,8 @@ mod tests {
             tracked_capacity: usize,
             /// The map's live flags at the previous frame's end.
             live_at_end: Option<Vec<bool>>,
-            /// `(frame, iteration)` of every call, in order.
-            calls: Arc<Mutex<Vec<(usize, usize)>>>,
+            /// Every iteration hook's call, in order.
+            calls: Arc<Mutex<Vec<Call>>>,
             /// IDs mapping appended, per `end_of_frame`.
             appended: Arc<Mutex<Vec<usize>>>,
         }
@@ -1106,9 +1087,21 @@ mod tests {
                 self.frame = Some(frame_index);
                 FrameDirectives::default()
             }
+            fn tracking_grads(&self, iteration: usize, _last: usize) -> GradSet {
+                let call = Call::Grads(self.frame, iteration);
+                self.calls.lock().unwrap().push(call);
+                GradSet::Full
+            }
+            fn after_mapping_iteration(&mut self, a: &IterationArtifacts<'_>) {
+                let call = Call::Map(self.frame, a.iteration);
+                self.calls.lock().unwrap().push(call);
+                assert_eq!(a.grads.gaussians.len(), a.visible_ids.len());
+                assert_eq!(a.tiles.slot_ids.len(), a.visible_ids.len());
+            }
             fn after_tracking_iteration(&mut self, a: &IterationArtifacts<'_>, mask: &mut [bool]) {
                 let frame = self.frame.expect("called before the first tracked frame");
-                self.calls.lock().unwrap().push((frame, a.iteration));
+                let call = Call::Track(self.frame, a.iteration);
+                self.calls.lock().unwrap().push(call);
                 assert_eq!(a.grads.gaussians.len(), a.visible_ids.len());
                 // Iteration 0 masks every other visible Gaussian off; no
                 // later iteration of the frame may render one of them.
@@ -1148,11 +1141,10 @@ mod tests {
         }
 
         // SplaTAM maps every frame: each tracked frame is followed by
-        // mapping iterations the extension must not see.
+        // mapping iterations, which must reach `after_mapping_iteration`
+        // and never `after_tracking_iteration`.
         let ds = tiny_dataset(4);
-        let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::SplaTam)
-            .with_frames(4)
-            .with_traces();
+        let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::SplaTam).with_frames(4);
         cfg.tracking.iterations = 3;
         cfg.mapping_iterations = 2;
         // Every pixel is a densification candidate: mapping appends IDs.
@@ -1169,18 +1161,22 @@ mod tests {
         };
         let report = SlamPipeline::with_extension(cfg, &ds, Box::new(probe)).run();
 
-        // Tracking records one trace per iteration it ran (mapping's go to
-        // `mapping_traces`), so the calls are each frame's 0..trace count
-        // in order: none for frame 0, none from mapping.
-        let expected: Vec<(usize, usize)> = report
-            .frames
-            .iter()
-            .flat_map(|f| (0..f.traces.len()).map(move |it| (f.index, it)))
-            .collect();
-        assert_eq!(*calls.lock().unwrap(), expected);
-        assert!(report.frames[1..]
-            .iter()
-            .all(|f| f.traces.len() >= 2 && !f.mapping_traces.is_empty()));
+        // Frame 0 maps; every later frame asks and observes each tracking
+        // trial in turn, 0.. however many ran (at least 2 here), then maps.
+        let calls = calls.lock().unwrap();
+        let mut expected: Vec<Call> = (0..2).map(|it| Call::Map(None, it)).collect();
+        for f in &report.frames[1..] {
+            let frame = Some(f.index);
+            let asked = |c: &&Call| matches!(c, Call::Grads(at, _) if *at == frame);
+            let trials = calls.iter().filter(asked).count();
+            assert!(trials >= 2, "frame {}: {trials} trials", f.index);
+            for it in 0..trials {
+                expected.push(Call::Grads(frame, it));
+                expected.push(Call::Track(frame, it));
+            }
+            expected.extend((0..2).map(|it| Call::Map(frame, it)));
+        }
+        assert_eq!(*calls, expected);
         let appended = appended.lock().unwrap();
         assert_eq!(appended.len(), 3, "one end_of_frame per tracked frame");
         assert!(

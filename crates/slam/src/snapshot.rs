@@ -6,7 +6,7 @@
 //! - the sharded map, through the canonical [`rtgs_snapshot`] scene codec;
 //! - the [`MapOptimizer`]'s Adam moments and step counter;
 //! - the peak map size and the tracking and mapping stage timings;
-//! - the per-frame reports (without workload traces).
+//! - the per-frame reports.
 //!
 //! It is stamped with a **config fingerprint** so a snapshot written under
 //! one [`SlamConfig`] cannot be silently resumed under another
@@ -31,10 +31,8 @@
 //! a restore leaves dead rows zero.
 //!
 //! What is *not* persisted: wall-clock totals (`total_wall` counts the
-//! steps since the resume), workload traces (checkpointing a
-//! trace-recording pipeline is rejected with [`SnapshotError::Unsupported`])
-//! and extension-internal state (a restored session starts with no
-//! extension).
+//! steps since the resume) and extension-internal state (a restored
+//! session starts with no extension).
 
 use crate::keyframe::KeyframePolicy;
 use crate::optimizer::{MapOptimizer, MOMENT_CHANNELS, PARAMS_PER_GAUSSIAN};
@@ -51,7 +49,7 @@ use std::time::Duration;
 
 /// Meta-blob section: fingerprint + scalar counters.
 const META_TAG: [u8; 4] = *b"SESS";
-/// Meta-blob section: per-frame reports (without traces).
+/// Meta-blob section: per-frame reports.
 const FRPT_TAG: [u8; 4] = *b"FRPT";
 
 /// FNV-1a 64-bit hash.
@@ -107,7 +105,6 @@ pub fn config_fingerprint(config: &SlamConfig) -> u64 {
     put_f32(&mut b, t.loss.lambda_pho);
     put_u8(&mut b, matches!(t.loss.kind, LossKind::L2) as u8);
     put_f32(&mut b, t.loss.min_depth_coverage);
-    put_u8(&mut b, t.record_traces as u8);
     put_len(&mut b, config.mapping_iterations);
     let m = &config.map;
     put_len(&mut b, m.seed_stride);
@@ -228,15 +225,8 @@ impl SlamPipeline<'_> {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Unsupported`] when workload-trace recording is
-    /// enabled (traces are not persisted), or any capture error of the
-    /// underlying [`CheckpointLog`].
+    /// Any capture error of the underlying [`CheckpointLog`].
     pub fn checkpoint_into(&self, log: &mut CheckpointLog) -> Result<CaptureStats, SnapshotError> {
-        if self.config.tracking.record_traces {
-            return Err(SnapshotError::Unsupported {
-                context: "checkpointing a pipeline with workload-trace recording enabled",
-            });
-        }
         let meta = self.encode_session_meta();
         let stats = log.capture(&self.scene, self.map_optimizer.moments(), &meta)?;
         // Delta-vs-base byte accounting: how much the incremental encoding
@@ -323,7 +313,6 @@ impl SlamPipeline<'_> {
         self.tracking_timings = meta.tracking_timings;
         self.mapping_timings = meta.mapping_timings;
         self.peak_gaussians = meta.peak_gaussians;
-        self.pending_mapping_traces = Vec::new();
         // Wall-clock totals do not survive a process boundary: the report's
         // total_wall counts the steps since the resume.
         self.run_wall = Duration::ZERO;
@@ -419,8 +408,6 @@ fn decode_session_meta(bytes: &[u8]) -> Result<SessionMeta, SnapshotError> {
             gaussians: frpt.u64()? as usize,
             tracking_fragments: frpt.u64()?,
             tracking_grad_events: frpt.u64()?,
-            traces: Vec::new(),
-            mapping_traces: Vec::new(),
         });
     }
     frpt.expect_end()?;
@@ -438,6 +425,7 @@ fn decode_session_meta(bytes: &[u8]) -> Result<SessionMeta, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::MapLearningRates;
     use crate::pipeline::{BaseAlgorithm, SlamConfig};
     use rtgs_scene::DatasetProfile;
 
@@ -467,14 +455,26 @@ mod tests {
     /// Each restored session also re-checkpoints to the crashed session's
     /// base bytes: what a capture lends and what a restore moves back in
     /// encode alike (`dead_moment_rows_reach_no_byte` adds a dead row with
-    /// momentum, which these sessions never tombstone).
+    /// momentum).
+    ///
+    /// Every session runs twice: at the default opacity learning rate,
+    /// under which none tombstones, and at a steep one, under which
+    /// `prune_transparent` tombstones before the crash in every session
+    /// (and in SplaTAM's again after it), so the checkpoint carries dead
+    /// IDs and the continuation maps over them.
     #[test]
     fn restore_continues_bitwise_identically() {
         let ds = tiny_dataset(6);
-        for algorithm in BaseAlgorithm::all() {
+        let steep = 2.0;
+        for (algorithm, opacity_lr) in BaseAlgorithm::all()
+            .into_iter()
+            .flat_map(|a| [(a, MapLearningRates::default().opacity), (a, steep)])
+        {
             let mut cfg = SlamConfig::for_algorithm(algorithm).with_frames(6);
             cfg.tracking.iterations = 3;
             cfg.mapping_iterations = 3;
+            cfg.map_lrs.opacity = opacity_lr;
+            let case = format!("{algorithm:?} at opacity lr {opacity_lr}");
 
             let mut uninterrupted = SlamPipeline::new(cfg, &ds);
             let mut crashing = SlamPipeline::new(cfg, &ds);
@@ -485,12 +485,16 @@ mod tests {
                 let capture = crashing
                     .checkpoint_into(&mut incremental)
                     .expect("checkpoint_into");
-                assert_eq!(capture.is_base, frame == 0, "{algorithm:?} frame {frame}");
+                assert_eq!(capture.is_base, frame == 0, "{case} frame {frame}");
                 assert_eq!(
                     capture.shards_written > 0,
                     crashing.frame_reports[frame].is_keyframe,
-                    "{algorithm:?} frame {frame}"
+                    "{case} frame {frame}"
                 );
+            }
+            if opacity_lr == steep {
+                let (live, capacity) = (crashing.scene.len(), crashing.scene.capacity());
+                assert!(capacity > live, "{case}: {live}/{capacity} at the crash");
             }
             let full = crashing.checkpoint().expect("checkpoint");
             let crashed_keyframes = std::mem::take(&mut crashing.keyframes);
@@ -503,21 +507,21 @@ mod tests {
                 assert_eq!(
                     restored.checkpoint().expect("re-checkpoint").base_bytes(),
                     full.base_bytes(),
-                    "{algorithm:?}: a restored session re-captures the crashed one's bytes"
+                    "{case}: a restored session re-captures the crashed one's bytes"
                 );
                 assert_eq!(
                     restored.trajectory.len(),
                     4,
                     "restore resumes after the last capture"
                 );
-                assert_eq!(restored.keyframes, crashed_keyframes, "{algorithm:?}");
+                assert_eq!(restored.keyframes, crashed_keyframes, "{case}");
                 while restored.step().is_some() {}
                 let b = restored.report();
                 assert_eq!(a.frames_processed, b.frames_processed);
-                assert_eq!(a.keyframes, b.keyframes, "{algorithm:?}");
+                assert_eq!(a.keyframes, b.keyframes, "{case}");
                 for (pa, pb) in a.trajectory.iter().zip(b.trajectory.iter()) {
-                    assert_eq!(pa.translation, pb.translation, "{algorithm:?}");
-                    assert_eq!(pa.rotation, pb.rotation, "{algorithm:?}");
+                    assert_eq!(pa.translation, pb.translation, "{case}");
+                    assert_eq!(pa.rotation, pb.rotation, "{case}");
                 }
                 assert_eq!(a.ate.rmse.to_bits(), b.ate.rmse.to_bits());
                 assert_eq!(a.mean_psnr.to_bits(), b.mean_psnr.to_bits());
@@ -525,7 +529,7 @@ mod tests {
                 for (fa, fb) in a.frames.iter().zip(b.frames.iter()) {
                     assert_eq!(fa.tracking_loss.to_bits(), fb.tracking_loss.to_bits());
                     assert_eq!(fa.gaussians, fb.gaussians);
-                    assert_eq!(fa.is_keyframe, fb.is_keyframe, "{algorithm:?}");
+                    assert_eq!(fa.is_keyframe, fb.is_keyframe, "{case}");
                     assert_eq!(fa.tracking_fragments, fb.tracking_fragments);
                 }
             }
@@ -623,18 +627,6 @@ mod tests {
         let mut parallel = cfg;
         parallel.backend = rtgs_runtime::BackendChoice::Parallel { threads: 2 };
         assert!(SlamPipeline::restore_from(parallel, &ds, &log).is_ok());
-    }
-
-    #[test]
-    fn record_traces_checkpoint_is_rejected() {
-        let ds = tiny_dataset(2);
-        let cfg = quick_config(2).with_traces();
-        let mut p = SlamPipeline::new(cfg, &ds);
-        p.step();
-        assert!(matches!(
-            p.checkpoint(),
-            Err(SnapshotError::Unsupported { .. })
-        ));
     }
 
     /// Promoting from a follower's replay state continues exactly like

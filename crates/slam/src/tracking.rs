@@ -12,8 +12,8 @@
 use crate::pipeline::PipelineExtension;
 use rtgs_math::Se3;
 use rtgs_render::{
-    BackwardOutput, BackwardStats, FrameArena, GradSet, LossConfig, PinholeCamera, ShardedScene,
-    TileAssignment, Trials, WorkloadTrace,
+    BackwardOutput, BackwardStats, FrameArena, GradSet, LossConfig, PinholeCamera, RenderOutput,
+    ShardedScene, TileAssignment, Trials,
 };
 use rtgs_runtime::Backend;
 use rtgs_scene::RgbdFrame;
@@ -31,10 +31,6 @@ pub struct TrackingConfig {
     pub iterations: usize,
     /// Loss configuration (Eq. 6).
     pub loss: LossConfig,
-    /// Record per-iteration workload traces (needed by the hardware model;
-    /// costs memory). The pipeline's one trace switch: a `SlamPipeline`
-    /// records its mapping iterations' traces under it too.
-    pub record_traces: bool,
 }
 
 impl Default for TrackingConfig {
@@ -42,7 +38,6 @@ impl Default for TrackingConfig {
         Self {
             iterations: 12,
             loss: LossConfig::default(),
-            record_traces: false,
         }
     }
 }
@@ -105,14 +100,17 @@ fn pose_step(grad: &[f32; 6], rms: &[f32; 6], step: f32) -> [f32; 6] {
     ]
 }
 
-/// Artifacts of one tracking iteration, passed to
-/// [`PipelineExtension::after_tracking_iteration`].
+/// Artifacts of one tracking or mapping iteration, passed to
+/// [`PipelineExtension::after_tracking_iteration`] and
+/// [`PipelineExtension::after_mapping_iteration`].
 #[derive(Debug)]
 pub struct IterationArtifacts<'a> {
-    /// Iteration index within the frame (0 on each frame's first).
+    /// Iteration index within the frame's tracking or the keyframe's
+    /// mapping (0 on each one's first).
     pub iteration: usize,
-    /// The iteration's backward output in frame-local index space, as
-    /// [`PipelineExtension::tracking_grads`] asked for this iteration: with
+    /// The iteration's backward output in frame-local index space. A
+    /// mapping iteration's is always the full set; a tracking iteration's
+    /// is what [`PipelineExtension::tracking_grads`] asked for it: with
     /// [`GradSet::Full`] `grads.gaussians[k]` is the gradient of the
     /// Gaussian with stable ID `visible_ids[k]`; with [`GradSet::PoseOnly`]
     /// `gaussians` is empty, and on the iteration after which tracking
@@ -124,6 +122,9 @@ pub struct IterationArtifacts<'a> {
     pub visible_ids: &'a [u32],
     /// Tile assignment of this iteration.
     pub tiles: &'a TileAssignment,
+    /// The iteration's forward output: image, depth and per-pixel
+    /// workloads, at the resolution the iteration rendered.
+    pub output: &'a RenderOutput,
 }
 
 /// Result of tracking one frame.
@@ -135,9 +136,6 @@ pub struct TrackResult {
     pub final_loss: f32,
     /// Loss per iteration.
     pub losses: Vec<f32>,
-    /// Per-iteration workload traces (empty unless
-    /// [`TrackingConfig::record_traces`]).
-    pub traces: Vec<WorkloadTrace>,
     /// Total fragments processed across iterations (forward).
     pub fragments_processed: u64,
     /// Total fragment gradient events across the backward passes that ran:
@@ -389,7 +387,6 @@ fn track_trials(
 
     let mut w2c = init_w2c;
     let mut losses = Vec::with_capacity(config.iterations);
-    let mut traces = Vec::new();
     let mut fragments_processed = 0u64;
     let mut fragment_grad_events = 0u64;
     // Trust-region state: best pose seen, its loss and gradient.
@@ -433,12 +430,7 @@ fn track_trials(
         } else {
             config.iterations - 1
         };
-        // A trace counts backward events, so recording one needs them all.
-        let grads = if config.record_traces {
-            GradSet::Full
-        } else {
-            extension.tracking_grads(iteration, last)
-        };
+        let grads = extension.tracking_grads(iteration, last);
         // Only the next pose step reads this trial's pose gradient, so the
         // stopping trial needs a backward only for an extension that reads
         // its per-Gaussian ones.
@@ -468,21 +460,13 @@ fn track_trials(
         fragments_processed += arena.output().stats.fragments_processed;
         fragment_grad_events += backward.stats.fragment_grad_events;
         losses.push(loss);
-        if config.record_traces {
-            traces.push(WorkloadTrace::from_render(
-                arena.output(),
-                arena.tiles(),
-                camera,
-                backward.stats.fragment_grad_events,
-                arena.projection().visible_count(),
-            ));
-        }
 
         let artifacts = IterationArtifacts {
             iteration,
             grads: backward,
             visible_ids: &arena.visible().ids,
             tiles: arena.tiles(),
+            output: arena.output(),
         };
         extension.after_tracking_iteration(&artifacts, mask);
         if stop {
@@ -494,7 +478,6 @@ fn track_trials(
         w2c: best_pose,
         final_loss: best_loss.min(losses.last().copied().unwrap_or(f32::INFINITY)),
         losses,
-        traces,
         fragments_processed,
         fragment_grad_events,
     }
@@ -609,32 +592,6 @@ mod tests {
         assert!(timings.get(StageId::Preprocess) > 0);
     }
 
-    #[test]
-    fn traces_recorded_when_requested() {
-        let ds = small_dataset();
-        let map = &ds.reference_scene;
-        let mut mask = vec![true; map.capacity()];
-        let mut timings = StageTimings::default();
-        let result = track_frame(
-            map,
-            ds.poses_c2w[0].inverse(),
-            &ds.frames[0],
-            &ds.camera,
-            &TrackingConfig {
-                iterations: 3,
-                record_traces: true,
-                ..Default::default()
-            },
-            &mut mask,
-            &mut NoExtension,
-            &mut timings,
-            &mut FrameArena::new(),
-            &Serial,
-        );
-        assert_eq!(result.traces.len(), 3);
-        assert!(result.traces[0].is_consistent());
-    }
-
     /// Masking Gaussians reduces the workload.
     #[test]
     fn masking_reduces_fragments() {
@@ -677,13 +634,18 @@ mod tests {
     /// An extension can mask Gaussians mid-frame.
     #[test]
     fn observer_mask_updates_take_effect() {
-        struct MaskHalf;
+        /// Masks three quarters off after iteration 0 and records each
+        /// iteration's visible count.
+        struct MaskHalf {
+            visible: Vec<usize>,
+        }
         impl PipelineExtension for MaskHalf {
             fn after_tracking_iteration(
                 &mut self,
                 artifacts: &IterationArtifacts<'_>,
                 mask: &mut [bool],
             ) {
+                self.visible.push(artifacts.visible_ids.len());
                 if artifacts.iteration == 0 {
                     for (i, m) in mask.iter_mut().enumerate() {
                         *m = i % 4 == 0;
@@ -695,24 +657,26 @@ mod tests {
         let map = &ds.reference_scene;
         let mut mask = vec![true; map.capacity()];
         let mut timings = StageTimings::default();
-        let result = track_frame(
+        let mut extension = MaskHalf {
+            visible: Vec::new(),
+        };
+        let _ = track_frame(
             map,
             ds.poses_c2w[0].inverse(),
             &ds.frames[0],
             &ds.camera,
             &TrackingConfig {
                 iterations: 3,
-                record_traces: true,
                 ..Default::default()
             },
             &mut mask,
-            &mut MaskHalf,
+            &mut extension,
             &mut timings,
             &mut FrameArena::new(),
             &Serial,
         );
         // Iteration 0 ran with everything; later iterations with a quarter.
-        assert!(result.traces[1].visible_gaussians < result.traces[0].visible_gaussians);
+        assert!(extension.visible[1] < extension.visible[0]);
         assert!(mask.iter().filter(|&&m| m).count() <= map.capacity() / 4 + 1);
     }
 
@@ -720,8 +684,7 @@ mod tests {
     /// computes follows that trial's answer alone. No answer moves an
     /// output bit: the pose-only backward gives the full pass's pose, and
     /// the only backward a `PoseOnly` answer skips is the stopping trial's
-    /// — at the iteration cap and at a plateau alike. Traces force the full
-    /// set back on.
+    /// — at the iteration cap and at a plateau alike.
     #[test]
     fn pose_only_reader_skips_only_the_stopping_trials_backward() {
         /// Answers `policy(iteration, last)` and records each call's
@@ -840,17 +803,6 @@ mod tests {
                 let events: u64 = want.iter().map(|&(_, e)| e).sum();
                 assert_eq!(with_chosen.fragment_grad_events, events);
             }
-
-            // A trace counts backward events: recording one runs them all.
-            let traced = TrackingConfig {
-                record_traces: true,
-                ..config
-            };
-            let (with_traces, _) = track(&traced, &mut NoExtension);
-            assert_eq!(
-                with_traces.fragment_grad_events,
-                with_full.fragment_grad_events
-            );
         }
     }
 

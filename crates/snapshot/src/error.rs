@@ -51,9 +51,8 @@ pub enum SnapshotError {
         /// Fingerprint recorded in the snapshot.
         found: u64,
     },
-    /// The operation is not available in this state (e.g. appending a
-    /// delta to a log decoded from disk, or checkpointing a pipeline with
-    /// workload-trace recording enabled).
+    /// The operation is not available in this state: a capture into a log
+    /// decoded from bytes, or a restore from a log with no base.
     Unsupported {
         /// What was attempted.
         context: &'static str,

@@ -9,27 +9,35 @@
 //! cargo run --release --example edge_deployment
 //! ```
 
-use rtgs::accel::{simulate_run, HardwareModel, RunWorkload};
+use rtgs::accel::{simulate_run, HardwareModel, RunWorkload, TraceRecorder};
 use rtgs::core::RtgsConfig;
 use rtgs::scene::{DatasetProfile, SyntheticDataset};
-use rtgs::slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
+use rtgs::slam::{BaseAlgorithm, NoExtension, PipelineExtension, SlamConfig, SlamPipeline};
+
+/// Runs the configured session with `extension` wrapped in a trace
+/// recorder; returns the workload it recorded.
+fn record(
+    config: SlamConfig,
+    dataset: &SyntheticDataset,
+    extension: Box<dyn PipelineExtension + Send>,
+) -> RunWorkload {
+    let (recorder, run) = TraceRecorder::new(extension);
+    SlamPipeline::with_extension(config, dataset, Box::new(recorder)).run();
+    let run = std::mem::take(&mut *run.lock().expect("the trace recorder panicked"));
+    run
+}
 
 fn main() {
     let frames = 8;
     let dataset = SyntheticDataset::generate(DatasetProfile::scannet_analog().small(), frames);
 
-    let mut config = SlamConfig::for_algorithm(BaseAlgorithm::GsSlam)
-        .with_frames(frames)
-        .with_traces();
+    let mut config = SlamConfig::for_algorithm(BaseAlgorithm::GsSlam).with_frames(frames);
     config.tracking.iterations = 6;
     config.mapping_iterations = 8;
 
     println!("Capturing workload traces (GS-SLAM on ScanNet-analog)...");
-    let base = SlamPipeline::new(config, &dataset).run();
-    let ours =
-        SlamPipeline::with_extension(config, &dataset, RtgsConfig::full().into_extension()).run();
-    let base_run = RunWorkload::from(&base);
-    let ours_run = RunWorkload::from(&ours);
+    let base_run = record(config, &dataset, Box::new(NoExtension));
+    let ours_run = record(config, &dataset, RtgsConfig::full().into_extension());
 
     println!("\nSimulated deployment options:");
     println!(

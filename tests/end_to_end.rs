@@ -1,10 +1,14 @@
 //! Cross-crate integration tests: the full RTGS stack from dataset
 //! synthesis through SLAM, the RTGS algorithm, and the hardware models.
 
-use rtgs::accel::{simulate_run, HardwareModel, RunWorkload};
+use rtgs::accel::{simulate_run, HardwareModel, RunWorkload, TraceRecorder};
 use rtgs::core::RtgsConfig;
+use rtgs::math::Se3;
 use rtgs::scene::{DatasetProfile, SyntheticDataset};
-use rtgs::slam::{BaseAlgorithm, SlamConfig, SlamPipeline, SlamReport};
+use rtgs::slam::{
+    BaseAlgorithm, NoExtension, PipelineExtension, SlamConfig, SlamPipeline, SlamReport,
+};
+use rtgs::snapshot::{encode_scene, Sections};
 
 fn quick_config(algo: BaseAlgorithm, frames: usize) -> SlamConfig {
     let mut cfg = SlamConfig::for_algorithm(algo).with_frames(frames);
@@ -29,11 +33,38 @@ fn full_stack_base_vs_rtgs() {
     assert!(work(&ours) <= work(&base));
 }
 
+type Extension = Box<dyn PipelineExtension + Send>;
+
+/// Runs `cfg` with `extension`, wrapped in a [`TraceRecorder`] when
+/// `record`; returns the finished pipeline, its report and what the
+/// recorder recorded.
+fn run_recorded<'d>(
+    cfg: SlamConfig,
+    ds: &'d SyntheticDataset,
+    extension: Extension,
+    record: bool,
+) -> (SlamPipeline<'d>, SlamReport, Option<RunWorkload>) {
+    let (extension, run) = if record {
+        let (recorder, run) = TraceRecorder::new(extension);
+        (
+            Box::new(recorder) as Box<dyn PipelineExtension + Send>,
+            Some(run),
+        )
+    } else {
+        (extension, None)
+    };
+    let mut pipeline = SlamPipeline::with_extension(cfg, ds, extension);
+    let report = pipeline.run();
+    let run = run.map(|run| std::mem::take(&mut *run.lock().unwrap()));
+    (pipeline, report, run)
+}
+
 #[test]
 fn traces_flow_into_hardware_simulation() {
     let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), 4);
-    let cfg = quick_config(BaseAlgorithm::GsSlam, 4).with_traces();
-    let run = RunWorkload::from(&SlamPipeline::new(cfg, &ds).run());
+    let cfg = quick_config(BaseAlgorithm::GsSlam, 4);
+    let (_, _, run) = run_recorded(cfg, &ds, Box::new(NoExtension), true);
+    let run = run.unwrap();
     assert!(run.frames.iter().any(|f| !f.tracking.is_empty()));
 
     let onx = simulate_run(&run, &HardwareModel::onx(), true);
@@ -41,6 +72,69 @@ fn traces_flow_into_hardware_simulation() {
     assert!(onx.overall_fps > 0.0);
     assert!(rtgs.overall_fps > onx.overall_fps, "plug-in must win");
     assert!(rtgs.energy_per_frame_j < onx.energy_per_frame_j);
+}
+
+/// Recording a session's traces changes nothing it computes: the same
+/// trajectory, quality, final map and checkpoint, bit for bit, for a base
+/// session and an RTGS one (whose pruning and downsampling both engage on
+/// the small Replica analog). Only the checkpoint's `META` section may
+/// differ: it carries wall times and the backward event counters, which
+/// the recorder's all-`Full` gradient schedule raises.
+#[test]
+fn recorded_session_is_the_same_session() {
+    let frames = 5;
+    let ds = SyntheticDataset::generate(DatasetProfile::replica_analog().small(), frames);
+    let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(frames);
+    cfg.tracking.iterations = 6;
+    cfg.mapping_iterations = 4;
+    let pose_bits = |p: &Se3| {
+        let (q, t) = (p.rotation, p.translation);
+        [q.w, q.x, q.y, q.z, t.x, t.y, t.z].map(f32::to_bits)
+    };
+    for name in ["base", "rtgs"] {
+        let extension = || -> Extension {
+            match name {
+                "rtgs" => RtgsConfig::full().into_extension(),
+                _ => Box::new(NoExtension),
+            }
+        };
+        let (bare, bare_report, _) = run_recorded(cfg, &ds, extension(), false);
+        let (recorded, report, run) = run_recorded(cfg, &ds, extension(), true);
+        let poses = |r: &SlamReport| r.trajectory.iter().map(pose_bits).collect::<Vec<_>>();
+        assert_eq!(poses(&report), poses(&bare_report), "{name}: trajectory");
+        assert_eq!(
+            report.ate.rmse.to_bits(),
+            bare_report.ate.rmse.to_bits(),
+            "{name}: ATE"
+        );
+        assert_eq!(
+            report.mean_psnr.to_bits(),
+            bare_report.mean_psnr.to_bits(),
+            "{name}: PSNR"
+        );
+        assert!(
+            encode_scene(recorded.scene()) == encode_scene(bare.scene()),
+            "{name}: final map"
+        );
+        let (bare_log, log) = (bare.checkpoint().unwrap(), recorded.checkpoint().unwrap());
+        let bare_sections = Sections::parse(bare_log.base_bytes()).unwrap();
+        let sections = Sections::parse(log.base_bytes()).unwrap();
+        let tags: Vec<[u8; 4]> = sections.tags().collect();
+        assert_eq!(tags, bare_sections.tags().collect::<Vec<_>>(), "{name}");
+        for tag in tags.into_iter().filter(|t| t != b"META") {
+            assert!(
+                sections.get(tag).unwrap() == bare_sections.get(tag).unwrap(),
+                "{name}: section {:?}",
+                String::from_utf8_lossy(&tag)
+            );
+        }
+        assert_eq!(run.unwrap().frames.len(), frames, "{name}");
+        if name == "rtgs" {
+            assert!(report.frames.iter().any(|f| f.resolution_factor > 1));
+            let (first, last) = (&report.frames[0], report.frames.last().unwrap());
+            assert!(last.gaussians < first.gaussians, "pruning tombstoned");
+        }
+    }
 }
 
 #[test]

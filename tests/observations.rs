@@ -2,6 +2,7 @@
 //! (Sec. 3) on synthetic data — the empirical premises the whole design
 //! rests on.
 
+use rtgs::accel::TraceRecorder;
 use rtgs::metrics::ssim;
 use rtgs::render::FrameArena;
 use rtgs::runtime::Serial;
@@ -100,24 +101,26 @@ fn observation6_iteration_similarity() {
     let map = &ds.reference_scene;
     let mut mask = vec![true; map.capacity()];
     let mut t = StageTimings::default();
-    let result = track_frame(
+    let (mut recorder, run) = TraceRecorder::new(Box::new(NoExtension));
+    let _ = track_frame(
         map,
         ds.poses_c2w[1].inverse(),
         &ds.frames[1],
         &ds.camera,
         &TrackingConfig {
             iterations: 4,
-            record_traces: true,
             ..Default::default()
         },
         &mut mask,
-        &mut NoExtension,
+        &mut recorder,
         &mut t,
         &mut FrameArena::new(),
         &Serial,
     );
-    assert!(result.traces.len() >= 2);
-    for pair in result.traces.windows(2) {
+    let run = run.lock().unwrap();
+    let traces = &run.frames[0].tracking;
+    assert!(traces.len() >= 2);
+    for pair in traces.windows(2) {
         let sim = pair[0].workload_similarity(&pair[1]);
         assert!(
             sim < 0.15,

@@ -1,0 +1,148 @@
+//! Pinned end-to-end outputs: short sessions whose trajectory, final map
+//! and quality figures must not move by a single bit unless a change means
+//! them to (CONTRIBUTING: such a change says so in its title and in its
+//! CHANGES entry). Serial and the machine's pool must both hit every pin,
+//! and so must a session recording its workload traces.
+
+use rtgs::accel::TraceRecorder;
+use rtgs::core::RtgsConfig;
+use rtgs::runtime::BackendChoice;
+use rtgs::scene::{DatasetProfile, SyntheticDataset};
+use rtgs::slam::{BaseAlgorithm, NoExtension, PipelineExtension, SlamConfig, SlamPipeline};
+use rtgs::snapshot::{crc32, encode_scene};
+
+/// What a session is pinned by: CRC-32s of its trajectory's bits and of
+/// its final map's `encode_scene` bytes, and its report's ATE RMSE and mean
+/// PSNR, compared bit for bit.
+#[derive(Debug, Clone, Copy)]
+struct Pin {
+    trajectory: u32,
+    map: u32,
+    ate_rmse: f64,
+    mean_psnr: f64,
+}
+
+impl Pin {
+    fn bits(&self) -> (u32, u32, u64, u64) {
+        let (ate, psnr) = (self.ate_rmse.to_bits(), self.mean_psnr.to_bits());
+        (self.trajectory, self.map, ate, psnr)
+    }
+}
+
+const FRAMES: usize = 3;
+
+type Extension = Box<dyn PipelineExtension + Send>;
+
+/// Each base algorithm, then RTGS on MonoGS.
+const PINS: [(&str, Pin); 5] = [
+    (
+        "SplaTAM",
+        Pin {
+            trajectory: 4191340589,
+            map: 2346940767,
+            ate_rmse: 0.01738996737024054,
+            mean_psnr: 31.377783077911193,
+        },
+    ),
+    (
+        "GS-SLAM",
+        Pin {
+            trajectory: 1896675130,
+            map: 3098236309,
+            ate_rmse: 0.024148682137800213,
+            mean_psnr: 27.30839611639347,
+        },
+    ),
+    (
+        "MonoGS",
+        Pin {
+            trajectory: 3225224503,
+            map: 335152191,
+            ate_rmse: 0.016976648536297653,
+            mean_psnr: 28.855317784395464,
+        },
+    ),
+    (
+        "Photo-SLAM",
+        Pin {
+            trajectory: 2741525873,
+            map: 449858564,
+            ate_rmse: 0.02329975239846739,
+            mean_psnr: 27.096737472425716,
+        },
+    ),
+    (
+        "RTGS + MonoGS",
+        Pin {
+            trajectory: 2872458425,
+            map: 335152191,
+            ate_rmse: 0.02194648076804819,
+            mean_psnr: 28.476347619824285,
+        },
+    ),
+];
+
+/// Runs `FRAMES` frames of `algorithm` with 3 tracking and 3 mapping
+/// iterations and digests the result.
+fn session(
+    algorithm: BaseAlgorithm,
+    backend: BackendChoice,
+    ds: &SyntheticDataset,
+    extension: Extension,
+) -> Pin {
+    let mut cfg = SlamConfig::for_algorithm(algorithm)
+        .with_frames(FRAMES)
+        .with_backend(backend);
+    cfg.tracking.iterations = 3;
+    cfg.mapping_iterations = 3;
+    let mut pipeline = SlamPipeline::with_extension(cfg, ds, extension);
+    let report = pipeline.run();
+    let trajectory: Vec<u8> = report
+        .trajectory
+        .iter()
+        .flat_map(|p| {
+            let (q, t) = (p.rotation, p.translation);
+            [q.w, q.x, q.y, q.z, t.x, t.y, t.z]
+        })
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    Pin {
+        trajectory: crc32(&trajectory),
+        map: crc32(&encode_scene(pipeline.scene())),
+        ate_rmse: report.ate.rmse,
+        mean_psnr: report.mean_psnr,
+    }
+}
+
+#[test]
+fn end_to_end_outputs_are_pinned() {
+    let ds = SyntheticDataset::generate(DatasetProfile::replica_analog().small(), FRAMES);
+    for backend in [
+        BackendChoice::Serial,
+        BackendChoice::Parallel { threads: 0 },
+    ] {
+        let mut runs: Vec<(BaseAlgorithm, Box<dyn PipelineExtension + Send>)> =
+            BaseAlgorithm::all()
+                .into_iter()
+                .map(|a| {
+                    (
+                        a,
+                        Box::new(NoExtension) as Box<dyn PipelineExtension + Send>,
+                    )
+                })
+                .collect();
+        runs.push((BaseAlgorithm::MonoGs, RtgsConfig::full().into_extension()));
+        for ((algorithm, extension), (name, want)) in runs.into_iter().zip(PINS) {
+            let got = session(algorithm, backend, &ds, extension);
+            assert_eq!(got.bits(), want.bits(), "{name} on {backend:?}: {got:?}");
+        }
+        let (recorder, _) = TraceRecorder::new(Box::new(NoExtension));
+        let got = session(BaseAlgorithm::MonoGs, backend, &ds, Box::new(recorder));
+        let want = PINS[2].1;
+        assert_eq!(
+            got.bits(),
+            want.bits(),
+            "recorded MonoGS on {backend:?}: {got:?}"
+        );
+    }
+}
