@@ -15,7 +15,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// the full gradient set of every tracking trial: a trace counts backward
 /// events, and the GPU baseline the models price runs the full backward on
 /// every iteration. No output bit of the session moves; only its backward
-/// event counters grow.
+/// event counters grow. Answering `Full` on every trial, its traces price
+/// a backward on each rejected trial and on the stopping one, which an
+/// unrecorded session skips (ROADMAP item 25(b) makes that schedule part
+/// of the trace).
 ///
 /// The workload accumulates behind the handle [`TraceRecorder::new`]
 /// returns, which the caller keeps while the recorder goes into a

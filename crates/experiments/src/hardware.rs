@@ -120,7 +120,7 @@ pub fn fig16(scale: Scale) -> String {
         ]);
     }
     out.push_str(&table.render());
-    out.push_str("\nExpected shape (paper Fig. 16): Ours highest tracking FPS and lowest peak\nGaussian memory on every scene.\n");
+    out.push_str(crate::algorithm::SPLATAM_SHAPE_NOTE);
     out
 }
 

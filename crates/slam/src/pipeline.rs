@@ -228,9 +228,11 @@ pub trait PipelineExtension {
     ///
     /// [`GradSet::Full`] (the default) shows the trial's per-Gaussian
     /// gradients. [`GradSet::PoseOnly`] promises to read none of this
-    /// trial's: it runs the pose-only backward (the same pose bits), or,
-    /// when `iteration == last`, no backward at all. Mapping always runs
-    /// the full backward, whatever this returns.
+    /// trial's: an accepted trial then runs the pose-only backward (the
+    /// same pose bits), and a rejected trial, or one with
+    /// `iteration == last`, no backward at all. No answer moves an output
+    /// bit: the pose step reads only accepted trials' pose gradients.
+    /// Mapping always runs the full backward, whatever this returns.
     fn tracking_grads(&self, _iteration: usize, _last: usize) -> GradSet {
         GradSet::Full
     }

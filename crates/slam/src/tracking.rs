@@ -24,10 +24,12 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackingConfig {
     /// Optimization iterations (trials) per frame, at most (matching the
-    /// paper's per-frame iteration counts). Each costs one render and one
-    /// backward, except the one after which tracking stops when the
-    /// extension asks only the pose of it ([`GradSet::PoseOnly`] from
-    /// [`PipelineExtension::tracking_grads`]), which runs none.
+    /// paper's per-frame iteration counts). Each costs one render; an
+    /// accepted trial after which tracking goes on also costs one
+    /// backward, and so does any trial the extension asks
+    /// [`GradSet::Full`] of ([`PipelineExtension::tracking_grads`]). A
+    /// rejected trial and the one after which tracking stops, asked
+    /// [`GradSet::PoseOnly`], run none.
     pub iterations: usize,
     /// Loss configuration (Eq. 6).
     pub loss: LossConfig,
@@ -113,9 +115,10 @@ pub struct IterationArtifacts<'a> {
     /// is what [`PipelineExtension::tracking_grads`] asked for it: with
     /// [`GradSet::Full`] `grads.gaussians[k]` is the gradient of the
     /// Gaussian with stable ID `visible_ids[k]`; with [`GradSet::PoseOnly`]
-    /// `gaussians` is empty, and on the iteration after which tracking
-    /// stops, which then runs no backward, the whole output is empty: zero
-    /// pose, zero counters. Never an earlier iteration's gradients.
+    /// `gaussians` is empty, and on a rejected trial or the one after
+    /// which tracking stops, which then run no backward, the whole output
+    /// is empty: zero pose, zero counters. Never an earlier iteration's
+    /// gradients.
     pub grads: &'a BackwardOutput,
     /// Frame-local index → stable map ID for this iteration's visible
     /// working set (the frustum-cull survivors).
@@ -139,9 +142,9 @@ pub struct TrackResult {
     /// Total fragments processed across iterations (forward).
     pub fragments_processed: u64,
     /// Total fragment gradient events across the backward passes that ran:
-    /// every trial's but the stopping one's, plus the stopping one's when
-    /// the extension asked [`GradSet::Full`] of it. A full and a pose-only
-    /// backward of one trial count the same events.
+    /// every accepted trial's but the stopping one's, plus each rejected or
+    /// stopping trial's the extension asked [`GradSet::Full`] of. A full
+    /// and a pose-only backward of one trial count the same events.
     pub fragment_grad_events: u64,
 }
 
@@ -292,8 +295,12 @@ static NO_BACKWARD: BackwardOutput = BackwardOutput {
 /// iteration's backward computes follows
 /// [`PipelineExtension::tracking_grads`], asked once per iteration: the
 /// accept/reject decision and both stop tests read only the loss, so they
-/// are made before the backward, and the iteration after which tracking
-/// stops runs one only when the extension asks [`GradSet::Full`] of it.
+/// are made before the backward. The next pose step, its direction and
+/// its RMS preconditioner alike, reads the pose gradients of accepted
+/// trials only, so a rejected trial and the one after which tracking
+/// stops run a backward only when the extension asks [`GradSet::Full`] of
+/// them; after a rejection the next trial retries the best pose's step,
+/// shrunken.
 /// Standalone callers that observe nothing pass `&mut NoExtension`, which
 /// reads only the pose.
 ///
@@ -389,7 +396,8 @@ fn track_trials(
     let mut losses = Vec::with_capacity(config.iterations);
     let mut fragments_processed = 0u64;
     let mut fragment_grad_events = 0u64;
-    // Trust-region state: best pose seen, its loss and gradient.
+    // Trust-region state: best pose seen, its loss and gradient, and the
+    // RMS preconditioner of the accepted trials' gradients.
     let mut best_pose = init_w2c;
     let mut best_loss = f32::INFINITY;
     let mut best_grad = [0.0f32; 6];
@@ -431,17 +439,18 @@ fn track_trials(
             config.iterations - 1
         };
         let grads = extension.tracking_grads(iteration, last);
-        // Only the next pose step reads this trial's pose gradient, so the
-        // stopping trial needs a backward only for an extension that reads
-        // its per-Gaussian ones.
-        let ran = (!stop || grads == GradSet::Full).then_some(grads);
+        // Only the next pose step reads a pose gradient, and only an
+        // accepted trial's: a rejected or stopping trial needs a backward
+        // only for an extension that reads its per-Gaussian ones.
+        let steps_from_here = accepted && !stop;
+        let ran = (steps_from_here || grads == GradSet::Full).then_some(grads);
         timed_backward(arena, &w2c, camera, ran, loss_start, timings, it, backend);
         let backward = if ran.is_some() {
             arena.backward()
         } else {
             &NO_BACKWARD
         };
-        if !stop {
+        if steps_from_here {
             for (r, g) in rms.iter_mut().zip(backward.pose.iter()) {
                 let g2 = g * g;
                 *r = if iteration == 0 {
@@ -450,9 +459,10 @@ fn track_trials(
                     (0.9 * *r * *r + 0.1 * g2).sqrt()
                 };
             }
-            if accepted {
-                best_grad = backward.pose;
-            }
+            best_grad = backward.pose;
+        }
+        if !stop {
+            // After a rejection: the best pose's step again, shrunken.
             let delta = pose_step(&best_grad, &rms, step_scale);
             w2c = best_pose.retract(delta);
         }
@@ -683,10 +693,11 @@ mod tests {
     /// The hook is asked once per trial, and what a trial's backward
     /// computes follows that trial's answer alone. No answer moves an
     /// output bit: the pose-only backward gives the full pass's pose, and
-    /// the only backward a `PoseOnly` answer skips is the stopping trial's
-    /// — at the iteration cap and at a plateau alike.
+    /// the backwards a `PoseOnly` answer skips are those of the rejected
+    /// trials and of the stopping one — at the iteration cap and at a
+    /// plateau alike — whose pose gradients no step reads.
     #[test]
-    fn pose_only_reader_skips_only_the_stopping_trials_backward() {
+    fn pose_only_reader_skips_rejected_and_stopping_trials_backward() {
         /// Answers `policy(iteration, last)` and records each call's
         /// arguments and what `grads` then held: (Gaussian rows, fragment
         /// gradient events).
@@ -752,9 +763,9 @@ mod tests {
             },
             |_, _| GradSet::PoseOnly,
         ];
-        // 4 iterations stop at the cap; 100 stop early, by the plateau or
-        // the collapsed trust region.
-        for iterations in [4, 100] {
+        // 4 and 100 iterations stop at the cap; 1000 stop early, by the
+        // plateau or the collapsed trust region.
+        for iterations in [4, 100, 1000] {
             let config = TrackingConfig {
                 iterations,
                 ..Default::default()
@@ -763,27 +774,43 @@ mod tests {
             let mut full = reader(|_, _| GradSet::Full);
             let (with_full, full_losses) = track(&config, &mut full);
             let trials = base.losses.len();
-            assert_eq!(trials < iterations, iterations == 100, "{iterations}");
+            assert_eq!(trials < iterations, iterations == 1000, "{iterations}");
             assert_eq!(with_full.w2c, base.w2c);
             assert_eq!(full_losses, base_losses);
             assert_eq!(with_full.final_loss.to_bits(), base.final_loss.to_bits());
+            // A trial is accepted when its loss is no worse than every
+            // earlier trial's; each run rejects at least one, so the
+            // skipped backwards below are not vacuous.
+            let accepted: Vec<bool> = (0..trials)
+                .map(|i| base.losses[..i].iter().all(|&l| base.losses[i] <= l))
+                .collect();
+            assert!(accepted.contains(&false), "{iterations}: no rejected trial");
             // Asked once per trial; `last` is the cap's last index until
             // the stopping trial, which names itself.
             let mut want_asked: Vec<(usize, usize)> =
                 (0..trials).map(|i| (i, iterations - 1)).collect();
             want_asked[trials - 1] = (trials - 1, trials - 1);
             assert_eq!(*full.asked.borrow(), want_asked);
-            let (_, stopping_events) = *full.seen.last().expect("one call per trial");
-            assert!(stopping_events > 0);
+            assert!(full
+                .seen
+                .iter()
+                .all(|&(rows, events)| rows > 0 && events > 0));
+            let skipped: u64 = full
+                .seen
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| !accepted[i] || i + 1 == trials)
+                .map(|(_, &(_, events))| events)
+                .sum();
             assert_eq!(
                 with_full.fragment_grad_events - base.fragment_grad_events,
-                stopping_events
+                skipped
             );
-            assert!(full.seen.iter().all(|&(rows, _)| rows > 0));
 
-            // A trial asked `Full` of shows its rows; any other shows none,
-            // but its events, except the stopping trial, which then ran no
-            // backward: an empty output.
+            // A trial asked `Full` of shows its rows and events; a
+            // `PoseOnly` one shows its events if accepted and not the
+            // stopping trial, and otherwise ran no backward: an empty
+            // output.
             for policy in policies {
                 let mut chosen = reader(policy);
                 let (with_chosen, chosen_losses) = track(&config, &mut chosen);
@@ -795,7 +822,7 @@ mod tests {
                     .zip(&full.seen)
                     .map(|(&(i, last), &(rows, events))| match policy(i, last) {
                         GradSet::Full => (rows, events),
-                        GradSet::PoseOnly if i == last => (0, 0),
+                        GradSet::PoseOnly if i == last || !accepted[i] => (0, 0),
                         GradSet::PoseOnly => (0, events),
                     })
                     .collect();

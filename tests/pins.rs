@@ -82,18 +82,29 @@ const PINS: [(&str, Pin); 5] = [
     ),
 ];
 
-/// Runs `FRAMES` frames of `algorithm` with 3 tracking and 3 mapping
-/// iterations and digests the result.
+/// MonoGS with its own 15-trial tracking cap. Three trials never reject
+/// one on these frames, so only this pin reaches the trust region's
+/// rejected-trial path.
+const LONG_TRACKING: Pin = Pin {
+    trajectory: 76554636,
+    map: 335152191,
+    ate_rmse: 0.07510715629035254,
+    mean_psnr: 28.53063492883994,
+};
+
+/// Runs `FRAMES` frames of `algorithm` with `tracking_iterations` tracking
+/// and 3 mapping iterations and digests the result.
 fn session(
     algorithm: BaseAlgorithm,
     backend: BackendChoice,
     ds: &SyntheticDataset,
     extension: Extension,
+    tracking_iterations: usize,
 ) -> Pin {
     let mut cfg = SlamConfig::for_algorithm(algorithm)
         .with_frames(FRAMES)
         .with_backend(backend);
-    cfg.tracking.iterations = 3;
+    cfg.tracking.iterations = tracking_iterations;
     cfg.mapping_iterations = 3;
     let mut pipeline = SlamPipeline::with_extension(cfg, ds, extension);
     let report = pipeline.run();
@@ -133,16 +144,37 @@ fn end_to_end_outputs_are_pinned() {
                 .collect();
         runs.push((BaseAlgorithm::MonoGs, RtgsConfig::full().into_extension()));
         for ((algorithm, extension), (name, want)) in runs.into_iter().zip(PINS) {
-            let got = session(algorithm, backend, &ds, extension);
+            let got = session(algorithm, backend, &ds, extension, 3);
             assert_eq!(got.bits(), want.bits(), "{name} on {backend:?}: {got:?}");
         }
-        let (recorder, _) = TraceRecorder::new(Box::new(NoExtension));
-        let got = session(BaseAlgorithm::MonoGs, backend, &ds, Box::new(recorder));
-        let want = PINS[2].1;
+        let got = session(
+            BaseAlgorithm::MonoGs,
+            backend,
+            &ds,
+            Box::new(NoExtension),
+            15,
+        );
+        let want = LONG_TRACKING;
         assert_eq!(
             got.bits(),
             want.bits(),
-            "recorded MonoGS on {backend:?}: {got:?}"
+            "MonoGS, 15 trials, on {backend:?}: {got:?}"
         );
+        // A recorder answers `Full` on every trial, rejected ones included.
+        for (iterations, want) in [(3, PINS[2].1), (15, LONG_TRACKING)] {
+            let (recorder, _) = TraceRecorder::new(Box::new(NoExtension));
+            let got = session(
+                BaseAlgorithm::MonoGs,
+                backend,
+                &ds,
+                Box::new(recorder),
+                iterations,
+            );
+            assert_eq!(
+                got.bits(),
+                want.bits(),
+                "recorded MonoGS, {iterations} trials, on {backend:?}: {got:?}"
+            );
+        }
     }
 }
