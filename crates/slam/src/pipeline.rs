@@ -292,7 +292,9 @@ impl PipelineExtension for NoExtension {
     }
 }
 
-/// Report for one processed frame.
+/// Report for one processed frame: what it computed, nothing a clock read
+/// (its wall time goes to the `slam.frame_ns` histogram and the
+/// `slam.frame` span), so a checkpoint persists it whole.
 #[derive(Debug, Clone)]
 pub struct FrameReport {
     /// Frame index.
@@ -305,10 +307,6 @@ pub struct FrameReport {
     pub resolution_factor: usize,
     /// Final tracking loss.
     pub tracking_loss: f32,
-    /// Wall-clock spent tracking.
-    pub tracking_wall: Duration,
-    /// Wall-clock spent mapping (zero for non-keyframes).
-    pub mapping_wall: Duration,
     /// Map size after this frame.
     pub gaussians: usize,
     /// Fragments processed during tracking (forward).
@@ -318,11 +316,16 @@ pub struct FrameReport {
     pub tracking_grad_events: u64,
 }
 
-/// Aggregate report for a full run.
+/// Aggregate report for a full run. Its outputs cover every frame of the
+/// session, a restored one's included; its timings (walls, stage timings,
+/// [`Self::overall_fps`]) cover the [`Self::timed_steps`] this process ran.
 #[derive(Debug, Clone)]
 pub struct SlamReport {
     /// Frames processed.
     pub frames_processed: usize,
+    /// Steps this process ran and timed: every frame, or for a restored
+    /// session the frames since the resume.
+    pub timed_steps: usize,
     /// Estimated trajectory (camera-to-world).
     pub trajectory: Vec<Se3>,
     /// ATE versus ground truth.
@@ -333,19 +336,21 @@ pub struct SlamReport {
     pub peak_gaussians: usize,
     /// Peak parameter memory (bytes, reference accounting).
     pub peak_param_bytes: u64,
-    /// Total wall-clock across tracking.
+    /// Wall time the timed steps spent tracking.
     pub tracking_wall: Duration,
-    /// Total wall-clock across mapping.
+    /// Wall time the timed steps spent mapping, frame 0's initial mapping
+    /// included.
     pub mapping_wall: Duration,
-    /// Total wall-clock of the run: the sum of every [`SlamPipeline::step`]'s
-    /// wall time, frame 0's initialisation included. The report's own
-    /// evaluation (the PSNR re-renders) is not in it.
+    /// Wall time of the timed steps: the sum of each [`SlamPipeline::step`]'s
+    /// wall time, frame 0's initialisation included, so at least
+    /// `tracking_wall + mapping_wall`. The report's own evaluation (the
+    /// PSNR re-renders) is not in it.
     pub total_wall: Duration,
-    /// Per-stage timing breakdown (tracking + mapping).
+    /// Per-stage timing breakdown of the timed steps (tracking + mapping).
     pub stage_timings: StageTimings,
-    /// Stage timings for tracking only.
+    /// Stage timings of the timed steps' tracking.
     pub tracking_timings: StageTimings,
-    /// Stage timings for mapping only.
+    /// Stage timings of the timed steps' mapping.
     pub mapping_timings: StageTimings,
     /// Number of keyframes.
     pub keyframes: usize,
@@ -354,24 +359,28 @@ pub struct SlamReport {
 }
 
 impl SlamReport {
-    /// End-to-end frames per second over [`Self::total_wall`]: tracking,
-    /// mapping and the rest of each step, not the report's evaluation.
+    /// End-to-end frames per second: [`Self::timed_steps`] over
+    /// [`Self::total_wall`] (tracking, mapping and the rest of each step,
+    /// not the report's evaluation).
     pub fn overall_fps(&self) -> f64 {
         let t = self.total_wall.as_secs_f64();
         if t <= 0.0 {
             return 0.0;
         }
-        self.frames_processed as f64 / t
+        self.timed_steps as f64 / t
     }
+}
 
-    /// Tracking-only frames per second.
-    pub fn tracking_fps(&self) -> f64 {
-        let t = self.tracking_wall.as_secs_f64();
-        if t <= 0.0 {
-            return 0.0;
-        }
-        self.frames_processed as f64 / t
-    }
+/// Wall time this process spent stepping one session, as totals only: the
+/// source of every [`SlamReport`] timing. Never persisted.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StepClock {
+    tracking_timings: StageTimings,
+    mapping_timings: StageTimings,
+    tracking_wall: Duration,
+    mapping_wall: Duration,
+    total_wall: Duration,
+    steps: usize,
 }
 
 /// Pre-resolved global-registry handles recorded once per frame. Resolving
@@ -421,13 +430,10 @@ pub struct SlamPipeline<'d> {
     pub(crate) trajectory: Vec<Se3>,
     pub(crate) keyframes: Vec<usize>,
     pub(crate) frame_reports: Vec<FrameReport>,
-    pub(crate) tracking_timings: StageTimings,
-    pub(crate) mapping_timings: StageTimings,
+    /// The steps this process ran, timed.
+    pub(crate) clock: StepClock,
     pub(crate) metrics: PipelineMetrics,
     pub(crate) peak_gaussians: usize,
-    /// Wall time of every `step` so far, frame 0's initialisation included.
-    /// Not persisted: a restored session starts it at zero.
-    pub(crate) run_wall: Duration,
     /// Load-shed resolution floor (1 = none): under SLO pressure the serve
     /// layer raises this so tracking runs on the downsampled path until the
     /// backlog drains. Combined with the extension's own downsampling ramp
@@ -466,11 +472,9 @@ impl<'d> SlamPipeline<'d> {
             trajectory: Vec::new(),
             keyframes: Vec::new(),
             frame_reports: Vec::new(),
-            tracking_timings: StageTimings::default(),
-            mapping_timings: StageTimings::default(),
+            clock: StepClock::default(),
             metrics: PipelineMetrics::default(),
             peak_gaussians: 0,
-            run_wall: Duration::ZERO,
             pressure_factor: 1,
             pending_trace: TraceCtx::NONE,
             last_trace: TraceCtx::NONE,
@@ -544,7 +548,8 @@ impl<'d> SlamPipeline<'d> {
             let t0 = Instant::now();
             self.initialize(frame);
             self.record_frame_metrics(index, t0.elapsed(), t0);
-            self.run_wall += step_start.elapsed();
+            self.clock.total_wall += step_start.elapsed();
+            self.clock.steps += 1;
             return Some(index);
         }
 
@@ -607,7 +612,7 @@ impl<'d> SlamPipeline<'d> {
             &self.config.tracking,
             &mut self.mask,
             self.extension.as_mut(),
-            &mut self.tracking_timings,
+            &mut self.clock.tracking_timings,
             &mut self.arena,
             &*self.backend,
         );
@@ -637,6 +642,8 @@ impl<'d> SlamPipeline<'d> {
             mapping_wall = t1.elapsed();
             self.keyframes.push(index);
         }
+        self.clock.tracking_wall += tracking_wall;
+        self.clock.mapping_wall += mapping_wall;
 
         // ---- Extension end-of-frame (permanent pruning) ----------------------
         // Mapping may have appended new IDs; they count as active.
@@ -662,14 +669,13 @@ impl<'d> SlamPipeline<'d> {
             pose_c2w,
             resolution_factor: factor,
             tracking_loss: result.final_loss,
-            tracking_wall,
-            mapping_wall,
             gaussians: self.scene.len(),
             tracking_fragments: result.fragments_processed,
             tracking_grad_events: result.fragment_grad_events,
         });
         self.record_frame_metrics(index, tracking_wall + mapping_wall, t0);
-        self.run_wall += step_start.elapsed();
+        self.clock.total_wall += step_start.elapsed();
+        self.clock.steps += 1;
         Some(index)
     }
 
@@ -714,7 +720,7 @@ impl<'d> SlamPipeline<'d> {
         // Initial mapping to settle the seeded Gaussians.
         let t0 = Instant::now();
         self.map_keyframe(0);
-        let mapping_wall = t0.elapsed();
+        self.clock.mapping_wall += t0.elapsed();
         self.keyframes.push(0);
         self.frame_reports.push(FrameReport {
             index: 0,
@@ -722,8 +728,6 @@ impl<'d> SlamPipeline<'d> {
             pose_c2w,
             resolution_factor: 1,
             tracking_loss: 0.0,
-            tracking_wall: Duration::ZERO,
-            mapping_wall,
             gaussians: self.scene.len(),
             tracking_fragments: 0,
             tracking_grad_events: 0,
@@ -773,7 +777,7 @@ impl<'d> SlamPipeline<'d> {
                 &camera,
                 frame,
                 &self.config.tracking.loss,
-                &mut self.mapping_timings,
+                &mut self.clock.mapping_timings,
                 iter as u64,
                 &*self.backend,
             );
@@ -849,12 +853,13 @@ impl<'d> SlamPipeline<'d> {
             }
         }
 
-        let mut stage = self.tracking_timings;
-        stage.accumulate(&self.mapping_timings);
-        let frames = &self.frame_reports;
+        let clock = &self.clock;
+        let mut stage = clock.tracking_timings;
+        stage.accumulate(&clock.mapping_timings);
 
         SlamReport {
             frames_processed: n,
+            timed_steps: clock.steps,
             trajectory: self.trajectory.clone(),
             ate,
             mean_psnr: if psnr_n > 0 {
@@ -864,12 +869,12 @@ impl<'d> SlamPipeline<'d> {
             },
             peak_gaussians: self.peak_gaussians,
             peak_param_bytes: self.peak_gaussians as u64 * 59 * 4,
-            tracking_wall: frames.iter().map(|f| f.tracking_wall).sum(),
-            mapping_wall: frames.iter().map(|f| f.mapping_wall).sum(),
-            total_wall: self.run_wall,
+            tracking_wall: clock.tracking_wall,
+            mapping_wall: clock.mapping_wall,
+            total_wall: clock.total_wall,
             stage_timings: stage,
-            tracking_timings: self.tracking_timings,
-            mapping_timings: self.mapping_timings,
+            tracking_timings: clock.tracking_timings,
+            mapping_timings: clock.mapping_timings,
             keyframes: self.keyframes.len(),
             frames: self.frame_reports.clone(),
         }
@@ -970,7 +975,6 @@ mod tests {
         let report = p.run();
         assert!(report.total_wall >= report.tracking_wall);
         assert!(report.overall_fps() > 0.0);
-        assert!(report.tracking_fps() >= report.overall_fps());
         assert!(report.stage_timings.total() > Duration::ZERO);
     }
 
@@ -986,11 +990,7 @@ mod tests {
         let first = p.run();
         let second = p.report();
         assert_eq!(first.total_wall, second.total_wall);
-        let stepped: Duration = first
-            .frames
-            .iter()
-            .map(|f| f.tracking_wall + f.mapping_wall)
-            .sum();
+        let stepped = first.tracking_wall + first.mapping_wall;
         assert!(
             first.total_wall >= stepped,
             "{:?} < {stepped:?}",

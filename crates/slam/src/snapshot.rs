@@ -5,7 +5,7 @@
 //!
 //! - the sharded map, through the canonical [`rtgs_snapshot`] scene codec;
 //! - the [`MapOptimizer`]'s Adam moments and step counter;
-//! - the peak map size and the tracking and mapping stage timings;
+//! - the peak map size;
 //! - the per-frame reports.
 //!
 //! It is stamped with a **config fingerprint** so a snapshot written under
@@ -15,8 +15,7 @@
 //! A restore derives the rest. The trajectory is the reports' poses, the
 //! keyframes are the indices of the keyframe reports, and the next frame
 //! is the number of reports. The last keyframe's image is the dataset's
-//! frame, the tracking and mapping wall totals are sums over the reports,
-//! and the active mask starts each frame from the map's live flags.
+//! frame, and the active mask starts each frame from the map's live flags.
 //!
 //! The map and the ID-keyed arrays ride in the [`CheckpointLog`]'s scene
 //! sections and [`Channel`]s (so repeated [`SlamPipeline::checkpoint_into`]
@@ -30,13 +29,22 @@
 //! but it reaches no byte: the codec writes the rows of live IDs only, and
 //! a restore leaves dead rows zero.
 //!
-//! What is *not* persisted: wall-clock totals (`total_wall` counts the
-//! steps since the resume) and extension-internal state (a restored
-//! session starts with no extension).
+//! What is *not* persisted: wall time, stage timings included, so a
+//! checkpoint is a pure function of the session's inputs (two runs of one
+//! seeded session write identical bytes, base and deltas alike) and a
+//! restored session's report times only the steps it ran after the resume;
+//! and extension-internal state (a restored session starts with no
+//! extension).
+//!
+//! The session meta blob is a `SESS` section (fingerprint, peak map size,
+//! optimizer step: 24 bytes) and an `FRPT` section (a report count, then
+//! one 73-byte row per frame). The 0.15–0.20 layout, whose `SESS` also held
+//! two stage-timing blocks (120 bytes) and whose rows held two walls,
+//! restores as [`SnapshotError::Corrupt`] and is never misread.
 
 use crate::keyframe::KeyframePolicy;
 use crate::optimizer::{MapOptimizer, MOMENT_CHANNELS, PARAMS_PER_GAUSSIAN};
-use crate::pipeline::{BaseAlgorithm, FrameReport, SlamConfig, SlamPipeline};
+use crate::pipeline::{BaseAlgorithm, FrameReport, SlamConfig, SlamPipeline, StepClock};
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::{FrameArena, LossKind, ShardedScene};
 use rtgs_scene::SyntheticDataset;
@@ -44,13 +52,14 @@ use rtgs_snapshot::format::{put_f32, put_len, put_u64, put_u8, Cursor};
 use rtgs_snapshot::{
     CaptureStats, Channel, CheckpointLog, SectionBuilder, Sections, SnapshotError,
 };
-use rtgs_telemetry::StageTimings;
-use std::time::Duration;
 
 /// Meta-blob section: fingerprint + scalar counters.
 const META_TAG: [u8; 4] = *b"SESS";
 /// Meta-blob section: per-frame reports.
 const FRPT_TAG: [u8; 4] = *b"FRPT";
+/// Bytes of one `FRPT` row: index, keyframe flag, pose (7 × f32),
+/// resolution factor, tracking loss, map size, fragments, gradient events.
+const FRPT_ROW_BYTES: usize = 8 + 1 + 7 * 4 + 8 + 4 + 8 + 8 + 8;
 
 /// FNV-1a 64-bit hash.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -124,32 +133,6 @@ pub fn config_fingerprint(config: &SlamConfig) -> u64 {
     fnv1a(&b)
 }
 
-fn put_duration(out: &mut Vec<u8>, d: Duration) {
-    put_u64(out, d.as_nanos() as u64);
-}
-
-fn read_duration(c: &mut Cursor<'_>) -> Result<Duration, SnapshotError> {
-    Ok(Duration::from_nanos(c.u64()?))
-}
-
-// Stage accumulators travel as six u64 nanosecond counts — the exact byte
-// layout the format has always used (each stage was a `Duration` encoded
-// via `put_duration`), so the nanosecond `StageTimings` changes no snapshot
-// bytes.
-fn put_timings(out: &mut Vec<u8>, t: &StageTimings) {
-    for ns in t.nanos {
-        put_u64(out, ns);
-    }
-}
-
-fn read_timings(c: &mut Cursor<'_>) -> Result<StageTimings, SnapshotError> {
-    let mut nanos = [0u64; rtgs_telemetry::STAGE_COUNT];
-    for ns in &mut nanos {
-        *ns = c.u64()?;
-    }
-    Ok(StageTimings { nanos })
-}
-
 fn put_pose(out: &mut Vec<u8>, pose: &Se3) {
     for v in [
         pose.rotation.w,
@@ -180,8 +163,6 @@ struct SessionMeta {
     fingerprint: u64,
     peak_gaussians: usize,
     optimizer_step: u64,
-    tracking_timings: StageTimings,
-    mapping_timings: StageTimings,
     frame_reports: Vec<FrameReport>,
 }
 
@@ -193,8 +174,6 @@ impl SlamPipeline<'_> {
         put_u64(meta, config_fingerprint(&self.config));
         put_len(meta, self.peak_gaussians);
         put_u64(meta, self.map_optimizer.step_count());
-        put_timings(meta, &self.tracking_timings);
-        put_timings(meta, &self.mapping_timings);
 
         let frpt = builder.section(FRPT_TAG);
         put_len(frpt, self.frame_reports.len());
@@ -204,8 +183,6 @@ impl SlamPipeline<'_> {
             put_pose(frpt, &r.pose_c2w);
             put_len(frpt, r.resolution_factor);
             put_f32(frpt, r.tracking_loss);
-            put_duration(frpt, r.tracking_wall);
-            put_duration(frpt, r.mapping_wall);
             put_len(frpt, r.gaussians);
             put_u64(frpt, r.tracking_fragments);
             put_u64(frpt, r.tracking_grad_events);
@@ -217,11 +194,11 @@ impl SlamPipeline<'_> {
     /// Checkpoints the session into `log`: a full base on the log's first
     /// capture, a changed-shards-only delta afterwards. Persists the map, the
     /// optimizer moments (channels `adam.m` / `adam.v`) and step counter,
-    /// the peak map size, the stage timings and the per-frame reports,
-    /// stamped with the config fingerprint. A restore derives the
-    /// trajectory, the keyframes, the next frame and the wall totals from
-    /// the reports, the last keyframe's image from the dataset, and the
-    /// active mask from the map.
+    /// the peak map size and the per-frame reports, stamped with the config
+    /// fingerprint, and no wall time: two runs of one seeded session write
+    /// identical records. A restore derives the trajectory, the keyframes
+    /// and the next frame from the reports, the last keyframe's image from
+    /// the dataset, and the active mask from the map.
     ///
     /// # Errors
     ///
@@ -310,12 +287,10 @@ impl SlamPipeline<'_> {
             .map(|r| r.index)
             .collect();
         self.frame_reports = meta.frame_reports;
-        self.tracking_timings = meta.tracking_timings;
-        self.mapping_timings = meta.mapping_timings;
         self.peak_gaussians = meta.peak_gaussians;
-        // Wall-clock totals do not survive a process boundary: the report's
-        // total_wall counts the steps since the resume.
-        self.run_wall = Duration::ZERO;
+        // Wall time is not session state: the report times the steps this
+        // process runs from here on.
+        self.clock = StepClock::default();
         Ok(())
     }
 
@@ -381,12 +356,10 @@ fn decode_session_meta(bytes: &[u8]) -> Result<SessionMeta, SnapshotError> {
     let fingerprint = meta.u64()?;
     let peak_gaussians = meta.u64()? as usize;
     let optimizer_step = meta.u64()?;
-    let tracking_timings = read_timings(&mut meta)?;
-    let mapping_timings = read_timings(&mut meta)?;
     meta.expect_end()?;
 
     let mut frpt = Cursor::new(sections.get(FRPT_TAG)?, "session frame reports");
-    let n = frpt.len(8)?;
+    let n = frpt.len(FRPT_ROW_BYTES)?;
     let mut frame_reports = Vec::with_capacity(n);
     for position in 0..n {
         let index = frpt.u64()? as usize;
@@ -403,8 +376,6 @@ fn decode_session_meta(bytes: &[u8]) -> Result<SessionMeta, SnapshotError> {
             pose_c2w: read_pose(&mut frpt)?,
             resolution_factor: frpt.u64()? as usize,
             tracking_loss: frpt.f32()?,
-            tracking_wall: read_duration(&mut frpt)?,
-            mapping_wall: read_duration(&mut frpt)?,
             gaussians: frpt.u64()? as usize,
             tracking_fragments: frpt.u64()?,
             tracking_grad_events: frpt.u64()?,
@@ -416,8 +387,6 @@ fn decode_session_meta(bytes: &[u8]) -> Result<SessionMeta, SnapshotError> {
         fingerprint,
         peak_gaussians,
         optimizer_step,
-        tracking_timings,
-        mapping_timings,
         frame_reports,
     })
 }
@@ -428,6 +397,7 @@ mod tests {
     use crate::optimizer::MapLearningRates;
     use crate::pipeline::{BaseAlgorithm, SlamConfig};
     use rtgs_scene::DatasetProfile;
+    use std::time::Duration;
 
     fn tiny_dataset(frames: usize) -> SyntheticDataset {
         SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), frames)
@@ -455,7 +425,8 @@ mod tests {
     /// Each restored session also re-checkpoints to the crashed session's
     /// base bytes: what a capture lends and what a restore moves back in
     /// encode alike (`dead_moment_rows_reach_no_byte` adds a dead row with
-    /// momentum).
+    /// momentum). Run to the end, it checkpoints to the uninterrupted
+    /// session's bytes, whole: a checkpoint holds no wall time.
     ///
     /// Every session runs twice: at the default opacity learning rate,
     /// under which none tombstones, and at a steep one, under which
@@ -516,6 +487,11 @@ mod tests {
                 );
                 assert_eq!(restored.keyframes, crashed_keyframes, "{case}");
                 while restored.step().is_some() {}
+                assert_eq!(
+                    restored.checkpoint().expect("checkpoint").encode(),
+                    uninterrupted.checkpoint().expect("checkpoint").encode(),
+                    "{case}: the continuation checkpoints like the uninterrupted session"
+                );
                 let b = restored.report();
                 assert_eq!(a.frames_processed, b.frames_processed);
                 assert_eq!(a.keyframes, b.keyframes, "{case}");
@@ -734,10 +710,69 @@ mod tests {
         assert!(SlamPipeline::restore_from(cfg, &long, &log).is_ok());
     }
 
-    /// A session checkpoint in the 0.14 layout — a `SESS` section that
-    /// also carried the next frame index and the two wall totals, `TRAJ`
-    /// and `KEYF` sections, and a `mask` channel — fails to restore with a
-    /// typed error and is never misread.
+    /// A restored session's report times only the steps this process ran:
+    /// MonoGS restored after 5 of 6 frames and stepped once reports all six
+    /// frames but one timed step, a `total_wall` that covers that step's
+    /// tracking and mapping walls, and `overall_fps` over that step alone.
+    #[test]
+    fn restored_report_times_only_its_own_steps() {
+        let ds = tiny_dataset(6);
+        let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs).with_frames(6);
+        cfg.tracking.iterations = 3;
+        cfg.mapping_iterations = 3;
+        let mut p = SlamPipeline::new(cfg, &ds);
+        for _ in 0..5 {
+            p.step();
+        }
+        assert_eq!(p.report().timed_steps, 5);
+        let log = p.checkpoint().unwrap();
+        let mut restored = SlamPipeline::restore_from(cfg, &ds, &log).unwrap();
+        assert_eq!(restored.report().timed_steps, 0);
+        assert_eq!(restored.report().overall_fps(), 0.0);
+        assert_eq!(restored.step(), Some(5));
+        assert_eq!(restored.step(), None);
+        let r = restored.report();
+        assert_eq!((r.frames_processed, r.timed_steps), (6, 1));
+        assert!(r.frames[5].is_keyframe, "frame 5 tracks and maps");
+        assert!(r.tracking_wall > Duration::ZERO && r.mapping_wall > Duration::ZERO);
+        assert!(
+            r.total_wall >= r.tracking_wall + r.mapping_wall,
+            "{:?} < {:?} + {:?}",
+            r.total_wall,
+            r.tracking_wall,
+            r.mapping_wall
+        );
+        assert_eq!(r.overall_fps(), 1.0 / r.total_wall.as_secs_f64());
+    }
+
+    /// Writes a frame-report section the way every layout before 0.21 did:
+    /// each row also held the frame's tracking and mapping walls.
+    fn put_walled_reports(builder: &mut SectionBuilder, reports: &[FrameReport]) {
+        let frpt = builder.section(FRPT_TAG);
+        put_len(frpt, reports.len());
+        for r in reports {
+            put_len(frpt, r.index);
+            put_u8(frpt, r.is_keyframe as u8);
+            put_pose(frpt, &r.pose_c2w);
+            put_len(frpt, r.resolution_factor);
+            put_f32(frpt, r.tracking_loss);
+            put_u64(frpt, 1_500_000); // tracking wall, ns
+            put_u64(frpt, 2_500_000); // mapping wall, ns
+            put_len(frpt, r.gaussians);
+            put_u64(frpt, r.tracking_fragments);
+            put_u64(frpt, r.tracking_grad_events);
+        }
+        assert_eq!(frpt.len(), 8 + reports.len() * (FRPT_ROW_BYTES + 16));
+    }
+
+    /// Session checkpoints in the two earlier layouts fail to restore with
+    /// a typed error, through the log and through a follower's replay, and
+    /// are never misread. Both wrote two walls in every `FRPT` row. The
+    /// 0.14 layout's `SESS` also carried the next frame index, two wall
+    /// totals and two stage-timing blocks (144 bytes), beside `TRAJ` and
+    /// `KEYF` sections and a `mask` channel. The 0.15–0.20 layout's `SESS`
+    /// carried the two stage-timing blocks (120 bytes). No writer of either
+    /// is left, so the test writes their bytes itself.
     #[test]
     fn previous_session_layout_is_rejected() {
         let ds = tiny_dataset(3);
@@ -745,47 +780,122 @@ mod tests {
         let mut p = SlamPipeline::new(cfg, &ds);
         p.step();
         p.step();
+        // A stage-timing block is six u64 nanosecond counts.
+        let put_timing_blocks = |out: &mut Vec<u8>| (0..12).for_each(|i| put_u64(out, 1_000 * i));
+        let capacity = p.scene.capacity();
+        let moments =
+            || MOMENT_CHANNELS.map(|name| Channel::zeroed(name, PARAMS_PER_GAUSSIAN, capacity));
 
-        let mut builder = SectionBuilder::new();
-        let meta = builder.section(META_TAG);
+        let mut v14 = SectionBuilder::new();
+        let meta = v14.section(META_TAG);
         put_u64(meta, config_fingerprint(&cfg));
         put_len(meta, p.trajectory.len());
         put_len(meta, p.peak_gaussians);
         put_u64(meta, p.map_optimizer.step_count());
-        let walls = |f: fn(&FrameReport) -> Duration| p.frame_reports.iter().map(f).sum();
-        put_duration(meta, walls(|r| r.tracking_wall));
-        put_duration(meta, walls(|r| r.mapping_wall));
-        put_timings(meta, &p.tracking_timings);
-        put_timings(meta, &p.mapping_timings);
+        put_u64(meta, 3_000_000); // tracking wall total, ns
+        put_u64(meta, 5_000_000); // mapping wall total, ns
+        put_timing_blocks(meta);
         assert_eq!(meta.len(), 144, "the 0.14 SESS layout");
-        let traj = builder.section(*b"TRAJ");
+        let traj = v14.section(*b"TRAJ");
         put_len(traj, p.trajectory.len());
         p.trajectory.iter().for_each(|pose| put_pose(traj, pose));
-        let keyf = builder.section(*b"KEYF");
+        let keyf = v14.section(*b"KEYF");
         put_len(keyf, p.keyframes.len());
         p.keyframes.iter().for_each(|&k| put_len(keyf, k));
         put_u8(keyf, 0);
-        let current = Sections::parse(&p.encode_session_meta())
-            .unwrap()
-            .get(FRPT_TAG)
-            .unwrap()
-            .to_vec();
-        builder.section(FRPT_TAG).extend_from_slice(&current);
-        let old_meta = builder.finish();
+        put_walled_reports(&mut v14, &p.frame_reports);
+        let mut v14_channels = moments().to_vec();
+        v14_channels.push(Channel::zeroed("mask", 1, capacity));
 
-        let capacity = p.scene.capacity();
-        let channels = [
-            Channel::zeroed(MOMENT_CHANNELS[0], PARAMS_PER_GAUSSIAN, capacity),
-            Channel::zeroed(MOMENT_CHANNELS[1], PARAMS_PER_GAUSSIAN, capacity),
-            Channel::zeroed("mask", 1, capacity),
-        ];
-        let mut log = CheckpointLog::new();
-        assert!(log.capture(&p.scene, &channels, &old_meta).unwrap().is_base);
-        match SlamPipeline::restore_from(cfg, &ds, &log) {
-            Err(SnapshotError::Corrupt { context }) => {
-                assert!(context.contains("session meta"), "{context}")
+        let mut v20 = SectionBuilder::new();
+        let meta = v20.section(META_TAG);
+        put_u64(meta, config_fingerprint(&cfg));
+        put_len(meta, p.peak_gaussians);
+        put_u64(meta, p.map_optimizer.step_count());
+        put_timing_blocks(meta);
+        assert_eq!(meta.len(), 120, "the 0.15–0.20 SESS layout");
+        put_walled_reports(&mut v20, &p.frame_reports);
+
+        for (layout, old_meta, channels, trailing) in [
+            ("0.14", v14.finish(), v14_channels, 120),
+            ("0.15–0.20", v20.finish(), moments().to_vec(), 96),
+        ] {
+            let mut log = CheckpointLog::new();
+            assert!(log.capture(&p.scene, &channels, &old_meta).unwrap().is_base);
+            let replay = rtgs_snapshot::ReplayState::from_base(log.base_bytes()).unwrap();
+            for restored in [
+                SlamPipeline::restore_from(cfg, &ds, &log),
+                SlamPipeline::restore_from_replay(cfg, &ds, &replay),
+            ] {
+                match restored {
+                    Err(SnapshotError::Corrupt { context }) => assert_eq!(
+                        context,
+                        format!("session meta has {trailing} trailing bytes"),
+                        "{layout}"
+                    ),
+                    other => panic!("{layout}: expected Corrupt, got {:?}", other.err()),
+                }
             }
-            other => panic!("expected Corrupt, got {:?}", other.err()),
+        }
+    }
+
+    /// Hostile session meta: a `SESS` or an `FRPT` body cut at every byte
+    /// boundary, and report counts that overstate the rows, each captured
+    /// into a log the way a checkpoint is. Every one comes back from
+    /// `restore_from` and from `restore_from_replay` as a typed error,
+    /// never a panic and never a session.
+    #[test]
+    fn hostile_session_meta_is_a_typed_error() {
+        let ds = tiny_dataset(3);
+        let cfg = quick_config(3);
+        let mut p = SlamPipeline::new(cfg, &ds);
+        p.step();
+        p.step();
+        let meta = p.encode_session_meta();
+        let sections = Sections::parse(&meta).unwrap();
+        let sess = sections.get(META_TAG).unwrap();
+        let frpt = sections.get(FRPT_TAG).unwrap();
+        assert_eq!(sess.len(), 24);
+        assert_eq!(frpt.len(), 8 + 2 * FRPT_ROW_BYTES);
+        let blob = |sess: &[u8], frpt: &[u8]| {
+            let mut builder = SectionBuilder::new();
+            builder.section(META_TAG).extend_from_slice(sess);
+            builder.section(FRPT_TAG).extend_from_slice(frpt);
+            builder.finish()
+        };
+        assert_eq!(blob(sess, frpt), meta, "the cases rebuild the real blob");
+
+        let mut hostile: Vec<(String, Vec<u8>)> = Vec::new();
+        for cut in 0..sess.len() {
+            hostile.push((format!("SESS cut to {cut} B"), blob(&sess[..cut], frpt)));
+        }
+        for cut in 0..frpt.len() {
+            hostile.push((format!("FRPT cut to {cut} B"), blob(sess, &frpt[..cut])));
+        }
+        for count in [3, 1 << 40, u64::MAX] {
+            let mut overstated = frpt.to_vec();
+            overstated[..8].copy_from_slice(&count.to_le_bytes());
+            hostile.push((
+                format!("{count} reports over 2 rows"),
+                blob(sess, &overstated),
+            ));
+        }
+
+        for (case, meta) in hostile {
+            let mut log = CheckpointLog::new();
+            let _ = log
+                .capture(&p.scene, p.map_optimizer.moments(), &meta)
+                .unwrap();
+            let replay = rtgs_snapshot::ReplayState::from_base(log.base_bytes()).unwrap();
+            for restored in [
+                SlamPipeline::restore_from(cfg, &ds, &log),
+                SlamPipeline::restore_from_replay(cfg, &ds, &replay),
+            ] {
+                match restored {
+                    Err(SnapshotError::Truncated { .. } | SnapshotError::Corrupt { .. }) => {}
+                    other => panic!("{case}: expected a typed error, got {:?}", other.err()),
+                }
+            }
         }
     }
 

@@ -1,31 +1,44 @@
-//! Pinned end-to-end outputs: short sessions whose trajectory, final map
-//! and quality figures must not move by a single bit unless a change means
-//! them to (CONTRIBUTING: such a change says so in its title and in its
-//! CHANGES entry). Serial and the machine's pool must both hit every pin,
-//! and so must a session recording its workload traces.
+//! Pinned end-to-end outputs: short sessions whose trajectory, final map,
+//! quality figures and checkpoint records must not move by a single bit
+//! unless a change means them to (CONTRIBUTING: such a change says so in
+//! its title and in its CHANGES entry). Serial and the machine's pool must
+//! both hit every pin, and so must a session recording its workload traces.
+//! A checkpoint holds no wall time, so two runs of one seeded session write
+//! identical records.
 
 use rtgs::accel::TraceRecorder;
 use rtgs::core::RtgsConfig;
 use rtgs::runtime::BackendChoice;
 use rtgs::scene::{DatasetProfile, SyntheticDataset};
 use rtgs::slam::{BaseAlgorithm, NoExtension, PipelineExtension, SlamConfig, SlamPipeline};
-use rtgs::snapshot::{crc32, encode_scene};
+use rtgs::snapshot::{crc32, encode_scene, CheckpointLog};
 
 /// What a session is pinned by: CRC-32s of its trajectory's bits and of
-/// its final map's `encode_scene` bytes, and its report's ATE RMSE and mean
-/// PSNR, compared bit for bit.
+/// its final map's `encode_scene` bytes, its report's ATE RMSE and mean
+/// PSNR, compared bit for bit, and CRC-32s of two checkpoint records: the
+/// final session's full checkpoint (`checkpoint()?.base_bytes()`) and the
+/// last delta of the log it captured after every frame.
 #[derive(Debug, Clone, Copy)]
 struct Pin {
     trajectory: u32,
     map: u32,
     ate_rmse: f64,
     mean_psnr: f64,
+    checkpoint: u32,
+    last_delta: u32,
 }
 
 impl Pin {
-    fn bits(&self) -> (u32, u32, u64, u64) {
+    fn bits(&self) -> (u32, u32, u64, u64, u32, u32) {
         let (ate, psnr) = (self.ate_rmse.to_bits(), self.mean_psnr.to_bits());
-        (self.trajectory, self.map, ate, psnr)
+        (
+            self.trajectory,
+            self.map,
+            ate,
+            psnr,
+            self.checkpoint,
+            self.last_delta,
+        )
     }
 }
 
@@ -42,6 +55,8 @@ const PINS: [(&str, Pin); 5] = [
             map: 2346940767,
             ate_rmse: 0.01738996737024054,
             mean_psnr: 31.377783077911193,
+            checkpoint: 717026339,
+            last_delta: 1798427327,
         },
     ),
     (
@@ -51,6 +66,8 @@ const PINS: [(&str, Pin); 5] = [
             map: 3098236309,
             ate_rmse: 0.024148682137800213,
             mean_psnr: 27.30839611639347,
+            checkpoint: 2310631134,
+            last_delta: 944198551,
         },
     ),
     (
@@ -60,6 +77,8 @@ const PINS: [(&str, Pin); 5] = [
             map: 335152191,
             ate_rmse: 0.016976648536297653,
             mean_psnr: 28.855317784395464,
+            checkpoint: 1589781852,
+            last_delta: 491771675,
         },
     ),
     (
@@ -69,6 +88,8 @@ const PINS: [(&str, Pin); 5] = [
             map: 449858564,
             ate_rmse: 0.02329975239846739,
             mean_psnr: 27.096737472425716,
+            checkpoint: 292660995,
+            last_delta: 1503931376,
         },
     ),
     (
@@ -78,6 +99,8 @@ const PINS: [(&str, Pin); 5] = [
             map: 335152191,
             ate_rmse: 0.02194648076804819,
             mean_psnr: 28.476347619824285,
+            checkpoint: 1926355393,
+            last_delta: 1099607538,
         },
     ),
 ];
@@ -90,10 +113,43 @@ const LONG_TRACKING: Pin = Pin {
     map: 335152191,
     ate_rmse: 0.07510715629035254,
     mean_psnr: 28.53063492883994,
+    checkpoint: 4160160202,
+    last_delta: 3370540947,
 };
 
-/// Runs `FRAMES` frames of `algorithm` with `tracking_iterations` tracking
-/// and 3 mapping iterations and digests the result.
+/// The checkpoint records of a `TraceRecorder`-wrapped MonoGS session, at
+/// 3 and at 15 trials. Its trajectory, map and quality bits are MonoGS's
+/// pins, but its frame reports count the full backward it asks for on
+/// every trial (`tracking_grad_events`), so its records are its own.
+const RECORDED_CHECKPOINTS: [(u32, u32); 2] = [(3068694137, 3978318211), (2780383987, 680685861)];
+
+/// `FRAMES` frames of `algorithm` with `tracking_iterations` tracking and 3
+/// mapping iterations.
+fn config(
+    algorithm: BaseAlgorithm,
+    backend: BackendChoice,
+    tracking_iterations: usize,
+) -> SlamConfig {
+    let mut cfg = SlamConfig::for_algorithm(algorithm)
+        .with_frames(FRAMES)
+        .with_backend(backend);
+    cfg.tracking.iterations = tracking_iterations;
+    cfg.mapping_iterations = 3;
+    cfg
+}
+
+/// Each base algorithm, then RTGS on MonoGS, in [`PINS`]' order.
+fn pinned_runs() -> Vec<(BaseAlgorithm, Extension)> {
+    let mut runs: Vec<(BaseAlgorithm, Extension)> = BaseAlgorithm::all()
+        .into_iter()
+        .map(|a| (a, Box::new(NoExtension) as Extension))
+        .collect();
+    runs.push((BaseAlgorithm::MonoGs, RtgsConfig::full().into_extension()));
+    runs
+}
+
+/// Runs [`config`]'s session, capturing a checkpoint after every frame, and
+/// digests the result.
 fn session(
     algorithm: BaseAlgorithm,
     backend: BackendChoice,
@@ -101,13 +157,16 @@ fn session(
     extension: Extension,
     tracking_iterations: usize,
 ) -> Pin {
-    let mut cfg = SlamConfig::for_algorithm(algorithm)
-        .with_frames(FRAMES)
-        .with_backend(backend);
-    cfg.tracking.iterations = tracking_iterations;
-    cfg.mapping_iterations = 3;
+    let cfg = config(algorithm, backend, tracking_iterations);
     let mut pipeline = SlamPipeline::with_extension(cfg, ds, extension);
-    let report = pipeline.run();
+    let mut log = CheckpointLog::new();
+    while pipeline.step().is_some() {
+        let _ = pipeline.checkpoint_into(&mut log).expect("checkpoint_into");
+    }
+    let last_delta = log
+        .delta_bytes(FRAMES - 2)
+        .expect("one delta per later frame");
+    let report = pipeline.report();
     let trajectory: Vec<u8> = report
         .trajectory
         .iter()
@@ -122,6 +181,8 @@ fn session(
         map: crc32(&encode_scene(pipeline.scene())),
         ate_rmse: report.ate.rmse,
         mean_psnr: report.mean_psnr,
+        checkpoint: crc32(pipeline.checkpoint().expect("checkpoint").base_bytes()),
+        last_delta: crc32(last_delta),
     }
 }
 
@@ -132,18 +193,7 @@ fn end_to_end_outputs_are_pinned() {
         BackendChoice::Serial,
         BackendChoice::Parallel { threads: 0 },
     ] {
-        let mut runs: Vec<(BaseAlgorithm, Box<dyn PipelineExtension + Send>)> =
-            BaseAlgorithm::all()
-                .into_iter()
-                .map(|a| {
-                    (
-                        a,
-                        Box::new(NoExtension) as Box<dyn PipelineExtension + Send>,
-                    )
-                })
-                .collect();
-        runs.push((BaseAlgorithm::MonoGs, RtgsConfig::full().into_extension()));
-        for ((algorithm, extension), (name, want)) in runs.into_iter().zip(PINS) {
+        for ((algorithm, extension), (name, want)) in pinned_runs().into_iter().zip(PINS) {
             let got = session(algorithm, backend, &ds, extension, 3);
             assert_eq!(got.bits(), want.bits(), "{name} on {backend:?}: {got:?}");
         }
@@ -161,7 +211,15 @@ fn end_to_end_outputs_are_pinned() {
             "MonoGS, 15 trials, on {backend:?}: {got:?}"
         );
         // A recorder answers `Full` on every trial, rejected ones included.
-        for (iterations, want) in [(3, PINS[2].1), (15, LONG_TRACKING)] {
+        for ((iterations, want), (checkpoint, last_delta)) in [(3, PINS[2].1), (15, LONG_TRACKING)]
+            .into_iter()
+            .zip(RECORDED_CHECKPOINTS)
+        {
+            let want = Pin {
+                checkpoint,
+                last_delta,
+                ..want
+            };
             let (recorder, _) = TraceRecorder::new(Box::new(NoExtension));
             let got = session(
                 BaseAlgorithm::MonoGs,
@@ -176,5 +234,35 @@ fn end_to_end_outputs_are_pinned() {
                 "recorded MonoGS, {iterations} trials, on {backend:?}: {got:?}"
             );
         }
+    }
+}
+
+/// A checkpoint is a pure function of the session's inputs: two pipelines
+/// of one seeded session, stepped side by side and each capturing after
+/// every frame, write byte-identical records, whole: the base, every delta
+/// and the encoded log.
+#[test]
+fn two_runs_of_one_session_write_identical_checkpoints() {
+    let ds = SyntheticDataset::generate(DatasetProfile::replica_analog().small(), FRAMES);
+    let twins = pinned_runs().into_iter().zip(pinned_runs());
+    for (((algorithm, first), (_, second)), (name, _)) in twins.zip(PINS) {
+        let cfg = config(algorithm, BackendChoice::default(), 3);
+        let mut pipelines =
+            [first, second].map(|extension| SlamPipeline::with_extension(cfg, &ds, extension));
+        let mut logs = [CheckpointLog::new(), CheckpointLog::new()];
+        for frame in 0..FRAMES {
+            for (pipeline, log) in pipelines.iter_mut().zip(&mut logs) {
+                assert_eq!(pipeline.step(), Some(frame));
+                let _ = pipeline.checkpoint_into(log).expect("checkpoint_into");
+            }
+            let [a, b] = &logs;
+            assert_eq!(a.base_bytes(), b.base_bytes(), "{name}, frame {frame}");
+            for i in 0..frame {
+                let (da, db) = (a.delta_bytes(i), b.delta_bytes(i));
+                assert!(da.is_some(), "{name}, frame {frame}: delta {i}");
+                assert_eq!(da, db, "{name}, frame {frame}: delta {i}");
+            }
+        }
+        assert_eq!(logs[0].encode(), logs[1].encode(), "{name}");
     }
 }
