@@ -67,6 +67,8 @@ impl GpuIterationCycles {
 }
 
 /// Models one full tracking/mapping iteration (Steps ❶–❺) on the GPU.
+/// Rendering BP and its aggregation walk the forward's per-pixel fragments:
+/// the GPU runs the full backward on every iteration ([`crate::iteration_cost`]).
 ///
 /// `distwar` enables warp-level gradient merging (DISTWAR), which reduces
 /// atomic serialization at a small per-fragment merge cost.
@@ -191,7 +193,6 @@ mod tests {
             tiles_y,
             tile_gaussian_ids: vec![(0..gaussians_per_tile as u32).collect(); tiles],
             fragments_blended: (w * h) as u64 * workload as u64,
-            fragment_grad_events: (w * h) as u64 * workload as u64,
             visible_gaussians: gaussians_per_tile * tiles,
         }
     }

@@ -271,11 +271,11 @@ fn assign_res(sub_costs: &[u64], res: u64, scheduling: Scheduling) -> u64 {
 /// GMU aggregation: the Benes network + merging trees accept one fragment
 /// gradient per cycle per GMU group, and the Stage Buffer absorbs
 /// per-Gaussian accumulation without stalls (evictable entries, Sec. 5.3).
+/// The full backward yields one fragment gradient per fragment the forward
+/// blended ([`crate::iteration_cost`] states the choice).
 fn gmu_cycles(trace: &WorkloadTrace, config: &PluginConfig) -> u64 {
     let gmus = config.arch.gmus as u64;
-    // Four REs feed each GMU in a pipelined tree (Fig. 11): throughput is
-    // 4 merged fragments per cycle per GMU after fill.
-    let frag = trace.fragment_grad_events.max(trace.fragments_blended);
+    let frag = trace.fragments_blended;
     // Each GMU group merges gradients from four REs through a pipelined
     // bypass tree (Fig. 11), sustaining ~12 merged fragments per cycle per
     // GMU after fill.
@@ -342,7 +342,6 @@ mod tests {
             tiles_y,
             tile_gaussian_ids: vec![(0..16).collect(); tiles],
             fragments_blended: total,
-            fragment_grad_events: total,
             visible_gaussians: 16 * tiles,
         }
     }

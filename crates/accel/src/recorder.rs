@@ -11,14 +11,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// included, holding one [`WorkloadTrace`] per tracking trial and one per
 /// mapping iteration.
 ///
-/// It forwards every hook to the extension it wraps, except that it asks
-/// the full gradient set of every tracking trial: a trace counts backward
-/// events, and the GPU baseline the models price runs the full backward on
-/// every iteration. No output bit of the session moves; only its backward
-/// event counters grow. Answering `Full` on every trial, its traces price
-/// a backward on each rejected trial and on the stopping one, which an
-/// unrecorded session skips (ROADMAP item 25(b) makes that schedule part
-/// of the trace).
+/// It forwards every hook to the extension it wraps and changes nothing:
+/// a recorded session computes and checkpoints what the unrecorded one
+/// does, bit for bit.
 ///
 /// The workload accumulates behind the handle [`TraceRecorder::new`]
 /// returns, which the caller keeps while the recorder goes into a
@@ -60,11 +55,7 @@ impl TraceRecorder {
 }
 
 fn trace_of(artifacts: &IterationArtifacts<'_>) -> WorkloadTrace {
-    WorkloadTrace::from_render(
-        artifacts.output,
-        artifacts.tiles,
-        artifacts.grads.stats.fragment_grad_events,
-    )
+    WorkloadTrace::from_render(artifacts.output, artifacts.tiles)
 }
 
 impl PipelineExtension for TraceRecorder {
@@ -73,8 +64,8 @@ impl PipelineExtension for TraceRecorder {
         self.inner.frame_directives(frame_index, since_keyframe)
     }
 
-    fn tracking_grads(&self, _iteration: usize, _last: usize) -> GradSet {
-        GradSet::Full
+    fn tracking_grads(&self, iteration: usize, last: usize) -> GradSet {
+        self.inner.tracking_grads(iteration, last)
     }
 
     fn after_tracking_iteration(&mut self, artifacts: &IterationArtifacts<'_>, mask: &mut [bool]) {
@@ -100,10 +91,6 @@ impl PipelineExtension for TraceRecorder {
         self.inner.end_of_frame(map, mask, is_keyframe)
     }
 
-    fn on_scene_resized(&mut self, new_capacity: usize) {
-        self.inner.on_scene_resized(new_capacity);
-    }
-
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -121,8 +108,8 @@ mod tests {
     };
 
     /// A standalone `track_frame` caller passes the recorder as `&mut`
-    /// and gets one frame with a trace per trial, the stopping trial's
-    /// backward included.
+    /// and gets one frame with a trace per trial, the stopping trial
+    /// included.
     #[test]
     fn records_one_trace_per_tracking_trial() {
         let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), 2);
@@ -150,9 +137,6 @@ mod tests {
         assert_eq!(traces.len(), result.losses.len());
         assert_eq!(traces.len(), 3);
         assert!(traces.iter().all(|t| t.is_consistent()));
-        assert!(traces.iter().all(|t| t.fragment_grad_events > 0));
-        let events: u64 = traces.iter().map(|t| t.fragment_grad_events).sum();
-        assert_eq!(events, result.fragment_grad_events);
         assert_eq!(
             (traces[0].width, traces[0].height),
             (ds.camera.width, ds.camera.height)
@@ -184,14 +168,9 @@ mod tests {
                 assert_eq!(w.tracking.len(), 2, "frame {}", f.index);
             }
             let fragments: u64 = w.tracking.iter().map(|t| t.total_fragments()).sum();
-            let events: u64 = w.tracking.iter().map(|t| t.fragment_grad_events).sum();
             assert_eq!(fragments, f.tracking_fragments, "frame {}", f.index);
-            assert_eq!(events, f.tracking_grad_events, "frame {}", f.index);
             for t in w.tracking.iter().chain(&w.mapping) {
                 assert!(t.is_consistent());
-                // The full backward ran on every trial, the stopping one
-                // included.
-                assert!(t.fragment_grad_events > 0);
             }
         }
         assert!(report.frames.iter().any(|f| f.index > 0 && f.is_keyframe));

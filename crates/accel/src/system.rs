@@ -159,6 +159,12 @@ pub struct RunCost {
 
 /// Models one iteration on the chosen hardware. `prev` is the previous
 /// iteration's trace (for the WSU pairing reuse).
+///
+/// Every modelled target runs the full backward on every iteration, which
+/// yields one gradient per fragment the forward blended: the backward's
+/// cycles and energy are priced from the trace's forward workload
+/// (`pixel_workloads`, `fragments_blended`). A trace therefore says nothing
+/// about which backward the software ran.
 pub fn iteration_cost(
     trace: &WorkloadTrace,
     prev: Option<&WorkloadTrace>,
@@ -167,7 +173,7 @@ pub fn iteration_cost(
     match hw {
         HardwareModel::Gpu { spec, distwar, .. } => {
             let c: GpuIterationCycles = gpu_iteration(trace, spec, *distwar);
-            let frag = trace.total_fragments() + trace.fragment_grad_events;
+            let frag = trace.total_fragments() + trace.fragments_blended;
             IterationCost {
                 stages: [
                     c.preprocess,
@@ -187,7 +193,7 @@ pub fn iteration_cost(
                 crate::plugin::plugin_iteration_on_host(trace, prev, config, host);
             let e = EnergyTable::scaled(*node);
             let fwd_frag = trace.total_fragments() as f64;
-            let bwd_frag = trace.fragment_grad_events as f64;
+            let bwd_frag = trace.fragments_blended as f64;
             let visible = trace.visible_gaussians as f64;
             // Gaussian parameter traffic: visible Gaussians at 236 B with an
             // L2-resident working set (the paper measures 21.5% DRAM /
@@ -311,7 +317,6 @@ mod tests {
             tiles_y,
             tile_gaussian_ids: vec![(0..24).collect(); tiles],
             fragments_blended: (w * h) as u64 * workload as u64,
-            fragment_grad_events: (w * h) as u64 * workload as u64,
             visible_gaussians: 24 * tiles,
         }
     }

@@ -26,7 +26,6 @@ fn arb_trace() -> impl Strategy<Value = WorkloadTrace> {
                 tiles_y: ty,
                 tile_gaussian_ids: vec![(0..gaussians_per_tile as u32).collect(); tiles],
                 fragments_blended: total,
-                fragment_grad_events: total,
                 visible_gaussians: gaussians_per_tile * tiles,
             }
         })
@@ -80,7 +79,6 @@ proptest! {
             *w *= 2;
         }
         heavier.fragments_blended = trace.fragments_blended * 2;
-        heavier.fragment_grad_events = trace.fragment_grad_events * 2;
         let a = gpu_iteration(&trace, &GpuSpec::onx(), false);
         let b = gpu_iteration(&heavier, &GpuSpec::onx(), false);
         prop_assert!(b.forward >= a.forward);

@@ -5,9 +5,10 @@
 //! traces extracted from real 3DGS-SLAM executions (Sec. 6.1, "Simulator
 //! Test Trace Derivation"). [`WorkloadTrace`] plays that role here: it
 //! captures per-pixel fragment workloads, per-tile Gaussian populations and
-//! gradient-aggregation address streams from an actual render + backward
-//! pass, so the hardware models in `rtgs-accel` see genuine imbalance and
-//! collision statistics.
+//! gradient-aggregation address streams from an actual render, so the
+//! hardware models in `rtgs-accel` see genuine imbalance and collision
+//! statistics. A trace observes the forward pass only; the models derive
+//! the backward's work from it.
 
 use crate::forward::RenderOutput;
 use crate::tiles::{TileAssignment, SUBTILE_SIZE, TILE_SIZE};
@@ -34,9 +35,6 @@ pub struct WorkloadTrace {
     pub tile_gaussian_ids: Vec<Vec<u32>>,
     /// Total fragments blended in the forward pass.
     pub fragments_blended: u64,
-    /// Total fragment-level gradient events in the backward pass (each is
-    /// an atomic-add burst on the GPU baseline).
-    pub fragment_grad_events: u64,
     /// Number of Gaussians visible this iteration.
     pub visible_gaussians: usize,
 }
@@ -45,15 +43,7 @@ impl WorkloadTrace {
     /// Assembles a trace from the forward output and tile assignment: the
     /// image gives the resolution, the tile assignment's slot list the
     /// visible Gaussians.
-    ///
-    /// `fragment_grad_events` comes from the backward pass
-    /// ([`crate::BackwardStats::fragment_grad_events`]); pass 0 when only
-    /// the forward workload matters.
-    pub fn from_render(
-        output: &RenderOutput,
-        tiles: &TileAssignment,
-        fragment_grad_events: u64,
-    ) -> Self {
+    pub fn from_render(output: &RenderOutput, tiles: &TileAssignment) -> Self {
         Self {
             width: output.image.width(),
             height: output.image.height(),
@@ -68,7 +58,6 @@ impl WorkloadTrace {
                 .map(|t| tiles.tile_gaussian_ids(t))
                 .collect(),
             fragments_blended: output.stats.fragments_blended,
-            fragment_grad_events,
             visible_gaussians: tiles.slot_ids.len(),
         }
     }
@@ -196,14 +185,13 @@ mod tests {
         let mut arena = FrameArena::new();
         let map = ShardedScene::from_scene(&scene, DEFAULT_CELL_SIZE);
         arena.forward(&map, &Se3::IDENTITY, &cam, &Serial);
-        WorkloadTrace::from_render(arena.output(), arena.tiles(), 42)
+        WorkloadTrace::from_render(arena.output(), arena.tiles())
     }
 
     #[test]
     fn trace_is_consistent() {
         let t = make_trace();
         assert!(t.is_consistent());
-        assert_eq!(t.fragment_grad_events, 42);
         assert_eq!(t.visible_gaussians, 1);
     }
 
@@ -246,7 +234,6 @@ mod tests {
             tiles_y: 1,
             tile_gaussian_ids: vec![vec![0]],
             fragments_blended: 32,
-            fragment_grad_events: 32,
             visible_gaussians: 1,
         };
         assert_eq!(trace.total_fragments(), 32);

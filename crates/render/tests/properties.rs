@@ -112,7 +112,7 @@ proptest! {
     fn trace_conservation(scene in arb_scene(10)) {
         let cam = camera();
         let ctx = rendered(&scene, &Se3::IDENTITY, &cam, None);
-        let trace = WorkloadTrace::from_render(ctx.output(), ctx.tiles(), 0);
+        let trace = WorkloadTrace::from_render(ctx.output(), ctx.tiles());
         prop_assert_eq!(trace.visible_gaussians, ctx.projection().visible_count());
         prop_assert_eq!((trace.width, trace.height), (cam.width, cam.height));
         prop_assert_eq!(trace.total_fragments(), ctx.output().stats.fragments_processed);
@@ -141,6 +141,34 @@ proptest! {
         for g in &grads.gaussians {
             prop_assert_eq!(g.position, Vec3::ZERO);
             prop_assert_eq!(g.opacity, 0.0);
+        }
+    }
+
+    /// A fused backward counts one gradient event per blended fragment
+    /// whose pixel carries upstream gradient, so never more events than the
+    /// forward blended fragments. Against a black target every covered
+    /// pixel that renders any color carries gradient; when all of them do,
+    /// the two counts are equal.
+    #[test]
+    fn grad_events_are_bounded_by_blended_fragments(scene in arb_scene(10)) {
+        let cam = camera();
+        let mut arena = rendered(&scene, &Se3::IDENTITY, &cam, None);
+        arena.render_fused(&cam, &Serial);
+        let black = Image::new(cam.width, cam.height);
+        arena.compute_loss(&black, None, &LossConfig::default());
+        arena.backward_visible_fused(&cam, &Se3::IDENTITY, &Serial);
+        let blended = arena.output().stats.fragments_blended;
+        let events = arena.backward().stats.fragment_grad_events;
+        prop_assert!(events <= blended, "{events} events > {blended} blended");
+        let output = arena.output();
+        let covered_black = output
+            .image
+            .data()
+            .iter()
+            .zip(&output.final_transmittance)
+            .any(|(c, &t)| t < 1.0 && *c == Vec3::ZERO);
+        if !covered_black {
+            prop_assert_eq!(events, blended);
         }
     }
 

@@ -8,7 +8,7 @@ use rtgs::scene::{DatasetProfile, SyntheticDataset};
 use rtgs::slam::{
     BaseAlgorithm, NoExtension, PipelineExtension, SlamConfig, SlamPipeline, SlamReport,
 };
-use rtgs::snapshot::{encode_scene, Sections};
+use rtgs::snapshot::encode_scene;
 
 fn quick_config(algo: BaseAlgorithm, frames: usize) -> SlamConfig {
     let mut cfg = SlamConfig::for_algorithm(algo).with_frames(frames);
@@ -74,12 +74,10 @@ fn traces_flow_into_hardware_simulation() {
     assert!(rtgs.energy_per_frame_j < onx.energy_per_frame_j);
 }
 
-/// Recording a session's traces changes nothing it computes: the same
-/// trajectory, quality, final map and checkpoint, bit for bit, for a base
-/// session and an RTGS one (whose pruning and downsampling both engage on
-/// the small Replica analog). Only the checkpoint's `META` section may
-/// differ: it carries wall times and the backward event counters, which
-/// the recorder's all-`Full` gradient schedule raises.
+/// Recording a session's traces changes nothing it computes or persists:
+/// the same trajectory, quality, final map and checkpoint records, bit for
+/// bit, for a base session and an RTGS one (whose pruning and downsampling
+/// both engage on the small Replica analog).
 #[test]
 fn recorded_session_is_the_same_session() {
     let frames = 5;
@@ -117,17 +115,11 @@ fn recorded_session_is_the_same_session() {
             "{name}: final map"
         );
         let (bare_log, log) = (bare.checkpoint().unwrap(), recorded.checkpoint().unwrap());
-        let bare_sections = Sections::parse(bare_log.base_bytes()).unwrap();
-        let sections = Sections::parse(log.base_bytes()).unwrap();
-        let tags: Vec<[u8; 4]> = sections.tags().collect();
-        assert_eq!(tags, bare_sections.tags().collect::<Vec<_>>(), "{name}");
-        for tag in tags.into_iter().filter(|t| t != b"META") {
-            assert!(
-                sections.get(tag).unwrap() == bare_sections.get(tag).unwrap(),
-                "{name}: section {:?}",
-                String::from_utf8_lossy(&tag)
-            );
-        }
+        assert!(
+            log.base_bytes() == bare_log.base_bytes(),
+            "{name}: checkpoint base"
+        );
+        assert!(log.encode() == bare_log.encode(), "{name}: checkpoint log");
         assert_eq!(run.unwrap().frames.len(), frames, "{name}");
         if name == "rtgs" {
             assert!(report.frames.iter().any(|f| f.resolution_factor > 1));

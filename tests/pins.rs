@@ -8,9 +8,14 @@
 
 use rtgs::accel::TraceRecorder;
 use rtgs::core::RtgsConfig;
-use rtgs::runtime::BackendChoice;
+use rtgs::math::Se3;
+use rtgs::render::FrameArena;
+use rtgs::runtime::{BackendChoice, Serial};
 use rtgs::scene::{DatasetProfile, SyntheticDataset};
-use rtgs::slam::{BaseAlgorithm, NoExtension, PipelineExtension, SlamConfig, SlamPipeline};
+use rtgs::slam::{
+    track_frame, BaseAlgorithm, NoExtension, PipelineExtension, SlamConfig, SlamPipeline,
+    StageTimings,
+};
 use rtgs::snapshot::{crc32, encode_scene, CheckpointLog};
 
 /// What a session is pinned by: CRC-32s of its trajectory's bits and of
@@ -117,12 +122,6 @@ const LONG_TRACKING: Pin = Pin {
     last_delta: 3370540947,
 };
 
-/// The checkpoint records of a `TraceRecorder`-wrapped MonoGS session, at
-/// 3 and at 15 trials. Its trajectory, map and quality bits are MonoGS's
-/// pins, but its frame reports count the full backward it asks for on
-/// every trial (`tracking_grad_events`), so its records are its own.
-const RECORDED_CHECKPOINTS: [(u32, u32); 2] = [(3068694137, 3978318211), (2780383987, 680685861)];
-
 /// `FRAMES` frames of `algorithm` with `tracking_iterations` tracking and 3
 /// mapping iterations.
 fn config(
@@ -210,16 +209,8 @@ fn end_to_end_outputs_are_pinned() {
             want.bits(),
             "MonoGS, 15 trials, on {backend:?}: {got:?}"
         );
-        // A recorder answers `Full` on every trial, rejected ones included.
-        for ((iterations, want), (checkpoint, last_delta)) in [(3, PINS[2].1), (15, LONG_TRACKING)]
-            .into_iter()
-            .zip(RECORDED_CHECKPOINTS)
-        {
-            let want = Pin {
-                checkpoint,
-                last_delta,
-                ..want
-            };
+        // A recorded session is the unrecorded one, checkpoints included.
+        for (iterations, want) in [(3, PINS[2].1), (15, LONG_TRACKING)] {
             let (recorder, _) = TraceRecorder::new(Box::new(NoExtension));
             let got = session(
                 BaseAlgorithm::MonoGs,
@@ -265,4 +256,52 @@ fn two_runs_of_one_session_write_identical_checkpoints() {
         }
         assert_eq!(logs[0].encode(), logs[1].encode(), "{name}");
     }
+}
+
+/// Why [`LONG_TRACKING`] tracks worse than MonoGS's 3-trial pin: frame 1
+/// tracks against frame 0's map at both caps, and on that map, mapped for
+/// 3 iterations, the photometric loss is lower at the 3-trial pose than at
+/// the true one, and lower still at the 15-trial pose, which lies further
+/// from the truth. The tracker finds lower minima; the minimum lies off the
+/// true pose. On an under-mapped session ATE does not measure the tracker.
+#[test]
+fn under_mapped_minimum_lies_off_the_true_pose() {
+    let ds = SyntheticDataset::generate(DatasetProfile::replica_analog().small(), FRAMES);
+    let [(mut map, at_3), (map_15, at_15)] = [3, 15].map(|iterations| {
+        let cfg = config(BaseAlgorithm::MonoGs, BackendChoice::Serial, iterations);
+        let mut pipeline = SlamPipeline::new(cfg, &ds);
+        assert_eq!(pipeline.step(), Some(0));
+        let map = pipeline.scene().clone();
+        assert_eq!(pipeline.step(), Some(1));
+        (map, pipeline.report().trajectory[1])
+    });
+    assert!(encode_scene(&map) == encode_scene(&map_15), "one map");
+    // As the pipeline does before tracking a frame.
+    map.refresh_bounds();
+    let tracking = config(BaseAlgorithm::MonoGs, BackendChoice::Serial, 1).tracking;
+    let loss_at = |c2w: &Se3| {
+        let mut mask = map.live_flags().to_vec();
+        let result = track_frame(
+            &map,
+            c2w.inverse(),
+            &ds.frames[1],
+            &ds.camera,
+            &tracking,
+            &mut mask,
+            &mut NoExtension,
+            &mut StageTimings::default(),
+            &mut FrameArena::new(),
+            &Serial,
+        );
+        result.losses[0]
+    };
+    let truth = ds.poses_c2w[1];
+    let error = |c2w: &Se3| (c2w.translation - truth.translation).norm();
+    let losses = [loss_at(&truth), loss_at(&at_3), loss_at(&at_15)];
+    let errors = [error(&at_3), error(&at_15)];
+    assert!(
+        losses[0] > losses[1] && losses[1] > losses[2],
+        "loss at truth, 3 trials, 15 trials: {losses:?}"
+    );
+    assert!(errors[0] < errors[1], "translation error: {errors:?}");
 }
