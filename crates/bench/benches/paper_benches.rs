@@ -155,10 +155,12 @@ fn bench_fused_tile_pass(c: &mut Criterion) {
 }
 
 /// Step ❷ in isolation on a dense overlap scene (hundreds of splats per
-/// tile, sort-dominated — the regime the radix pass targets): the CSR +
-/// stable-radix tile assignment against the legacy per-tile `Vec` +
+/// tile, sort-dominated): the CSR tile assignment (per-chunk count and
+/// scatter, then a per-tile key sort) against the legacy per-tile `Vec` +
 /// comparison `sort_by` it replaced (both produce identical depth ordering
-/// — property-tested in `crates/render/tests/equivalence.rs`).
+/// — property-tested in `crates/render/tests/equivalence.rs`). The row
+/// names keep the `csr_radix` of the radix sort the CSR path first used,
+/// so the gate's baseline still names them.
 /// `csr_radix_reused` is the production path: rebuild into arena-owned
 /// storage, zero steady-state allocations; `csr_radix_fresh` builds into a
 /// new arena each time and pays the allocations (its cull and projection

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | `render_kernels` | Step ❶ (after an untimed cull) and the recording Step ❸ at session size |
 //! | `fused_tile_pass` | fused render+backward vs the unfused re-walk, session size |
-//! | `tile_sort` | CSR + radix tile assignment vs the legacy sort, dense scene |
+//! | `tile_sort` | CSR tile assignment vs the legacy sort, dense scene |
 //! | `tracking_iteration_steady_state` | one tracking iteration, warm arena vs fresh, session size |
 //! | `runtime_scaling` | forward / backward at session size, serial vs the machine |
 //! | `large_scene_scaling` | cull + render as the map grows 60k–500k Gaussians at a fixed frustum |

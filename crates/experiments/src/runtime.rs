@@ -6,7 +6,7 @@ use rtgs_math::Se3;
 use rtgs_render::{FrameArena, GradSet, LossConfig, ShardedScene};
 use rtgs_runtime::{Backend, Serial};
 use rtgs_scene::{DatasetProfile, RgbdFrame, SyntheticDataset};
-use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline};
+use rtgs_slam::{BaseAlgorithm, MapLearningRates, MapOptimizer, SlamConfig, SlamPipeline};
 use std::time::Instant;
 
 /// Frame-arena steady state: wall-clock of one full tracking-style
@@ -74,8 +74,9 @@ pub fn arena_steady_state(scale: Scale) -> String {
         {
             let session = SessionMap::build(scale);
             format!(
-                "{}\n{}",
+                "{}\n{}\n{}",
                 session_stage_table(&session, scale),
+                mapping_stage_table(&session, scale),
                 downsampled_iteration_table(&session, scale)
             )
         }
@@ -201,7 +202,7 @@ fn session_stage_table(session: &SessionMap, scale: Scale) -> String {
             timed(2, &mut || arena.assign_tiles(&ds.camera, backend));
             timed(3, &mut || arena.render_fused(&ds.camera, backend));
             timed(4, &mut || {
-                arena.compute_loss(&frame.color, frame.depth.as_ref(), &cfg);
+                arena.compute_loss_with(&frame.color, frame.depth.as_ref(), &cfg, backend);
             });
             let pose_only = i % 2 == 1;
             let (grads, first) = if pose_only {
@@ -297,6 +298,146 @@ fn session_stage_table(session: &SessionMap, scale: Scale) -> String {
     )
 }
 
+/// One mapping iteration at session size, stage by stage, on [`Serial`] and
+/// on the process default backend in alternating blocks of one process, as
+/// [`session_stage_table`]'s are: the bounds refresh, the cull, Steps ❶–❺
+/// with the full gradient set and the loss, then the Adam step — what each
+/// of a keyframe's mapping iterations runs. Each backend maps its own copy
+/// of the session map from the same start, so after the same iterations
+/// both copies must be the same bits, shard versions included (the
+/// header's bitwise check).
+fn mapping_stage_table(session: &SessionMap, scale: Scale) -> String {
+    let SessionMap {
+        ds,
+        map,
+        w2c,
+        frame,
+    } = session;
+    let camera = &ds.camera;
+    let cfg = LossConfig::default();
+    let iterations: usize = match scale {
+        Scale::Quick => 20,
+        Scale::Full => 400,
+    };
+    const STAGES: [&str; 9] = [
+        "bounds refresh",
+        "cull",
+        "Step ❶ project",
+        "tile-bin",
+        "Step ❸ render",
+        "loss",
+        "Step ❹ render BP",
+        "Step ❺ preprocess BP",
+        "Adam step",
+    ];
+    /// One backend's mapping state and its per-stage nanoseconds.
+    struct Mapper {
+        map: ShardedScene,
+        optimizer: MapOptimizer,
+        arena: FrameArena,
+        nanos: [u64; STAGES.len()],
+    }
+    let mapper = || Mapper {
+        map: map.clone(),
+        optimizer: MapOptimizer::new(map.capacity(), MapLearningRates::default()),
+        arena: FrameArena::new(),
+        nanos: [0; STAGES.len()],
+    };
+    let run_block = |backend: &dyn Backend, mapper: &mut Mapper, n: usize, record: bool| {
+        let Mapper {
+            map,
+            optimizer,
+            arena,
+            nanos,
+        } = mapper;
+        for _ in 0..n {
+            let timed = |run: &mut dyn FnMut()| {
+                let t = Instant::now();
+                run();
+                t.elapsed().as_nanos() as u64
+            };
+            let mut lap = [0u64; STAGES.len()];
+            lap[0] = timed(&mut || map.refresh_bounds_with(backend));
+            lap[1] = timed(&mut || arena.cull(map, w2c, camera, None, backend));
+            lap[2] = timed(&mut || arena.project_visible(w2c, camera, backend));
+            lap[3] = timed(&mut || arena.assign_tiles(camera, backend));
+            lap[4] = timed(&mut || arena.render_fused(camera, backend));
+            lap[5] = timed(&mut || {
+                arena.compute_loss_with(&frame.color, frame.depth.as_ref(), &cfg, backend);
+            });
+            arena.backward_visible_fused(camera, w2c, backend);
+            lap[6] = arena.backward().stats.rendering_bp_nanos;
+            lap[7] = arena.backward().stats.preprocessing_bp_nanos;
+            lap[8] = timed(&mut || {
+                let (ids, grads) = (&arena.visible().ids, &arena.backward().gaussians);
+                optimizer.step_visible_with(map, ids, grads, backend);
+            });
+            if record {
+                for (sum, lap) in nanos.iter_mut().zip(lap) {
+                    *sum += lap;
+                }
+            }
+        }
+    };
+    const BLOCKS: usize = 10;
+    let choice = default_backend();
+    let chosen_backend = choice.instantiate();
+    let (mut serial, mut chosen) = (mapper(), mapper());
+    run_block(&Serial, &mut serial, 2, false);
+    run_block(&*chosen_backend, &mut chosen, 2, false);
+    let per_block = iterations.div_ceil(BLOCKS);
+    for _ in 0..BLOCKS {
+        run_block(&Serial, &mut serial, per_block, true);
+        run_block(&*chosen_backend, &mut chosen, per_block, true);
+    }
+    let versions = |m: &Mapper| {
+        m.map
+            .shards()
+            .iter()
+            .map(|s| s.version())
+            .collect::<Vec<_>>()
+    };
+    let identical = serial.map.export_state() == chosen.map.export_state()
+        && versions(&serial) == versions(&chosen)
+        && serial.arena.loss().loss.to_bits() == chosen.arena.loss().loss.to_bits()
+        && serial.arena.backward().gaussians == chosen.arena.backward().gaussians;
+
+    let mut table = Table::new(&[
+        "stage",
+        "serial µs",
+        "share",
+        &format!("{} µs", choice.label()),
+        "vs serial",
+    ]);
+    let us = |m: &Mapper, stage: usize| m.nanos[stage] as f64 / 1e3 / (per_block * BLOCKS) as f64;
+    let total = |m: &Mapper| (0..STAGES.len()).map(|c| us(m, c)).sum::<f64>();
+    let rows = STAGES
+        .iter()
+        .enumerate()
+        .map(|(c, &stage)| (stage, us(&serial, c), us(&chosen, c)))
+        .chain([("mapping iteration", total(&serial), total(&chosen))]);
+    for (stage, us, chosen_us) in rows {
+        table.row(vec![
+            stage.to_string(),
+            f(us, 1),
+            f(us / total(&serial), 3),
+            f(chosen_us, 1),
+            format!("×{}", f(chosen_us / us, 2)),
+        ]);
+    }
+    format!(
+        "Mapping iteration budget at session size ({} Gaussians visible of {}, {}x{}, full backward + Adam, {} iterations, {} CPUs; {} bitwise == serial: {identical}):\n{}",
+        serial.arena.visible().ids.len(),
+        map.len(),
+        camera.width,
+        camera.height,
+        per_block * BLOCKS,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        choice.label(),
+        table.render(),
+    )
+}
+
 /// One tracking iteration at each of RTGS's downsampled resolutions
 /// (factors 2, 3 and 4 of the 75×42 session frame: 6, 2 and 2 tiles), on
 /// [`Serial`] and on the process default backend, with Step ❸ and Step ❹
@@ -347,7 +488,7 @@ fn downsampled_iteration_table(session: &SessionMap, scale: Scale) -> String {
                 let t1 = std::time::Instant::now();
                 trials.render_fused(&camera, backend);
                 let t2 = std::time::Instant::now();
-                trials.compute_loss(&color, depth.as_ref(), &cfg);
+                trials.compute_loss_with(&color, depth.as_ref(), &cfg, backend);
                 trials.backward_visible_grads(&camera, w2c, GradSet::PoseOnly, backend);
                 laps[0] += t0.elapsed().as_nanos() as u64;
                 laps[1] += (t2 - t1).as_nanos() as u64;
@@ -405,6 +546,11 @@ mod tests {
         assert!(out.contains("Step ❺ preprocess BP"), "{out}");
         assert!(out.contains("Step ❺ preprocess BP (pose)"), "{out}");
         assert!(out.contains("Arena high-water at session size: "), "{out}");
+        assert!(
+            out.contains("Mapping iteration budget at session size"),
+            "{out}"
+        );
+        assert!(out.contains("Adam step"), "{out}");
         assert!(out.contains("downsampled resolutions"), "{out}");
         for row in ["37x21", "25x14", "18x10"] {
             let line = out.lines().find(|l| l.contains(row));

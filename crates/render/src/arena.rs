@@ -8,7 +8,7 @@
 //! [`FrameArena`] keeps all of that storage alive across iterations and
 //! frames: every stage writes into arena-owned buffers through the
 //! `*_into` kernels (`clear()` + `resize()` reuse, capacities never
-//! shrink), the tile pass uses the CSR + radix layout of
+//! shrink), the tile pass uses the CSR layout of
 //! [`crate::TileAssignment`], and Step ❸ gathers every tile's working set
 //! into one arena-owned tile-major buffer Step ❹ reads too. After a
 //! short warm-up (the first iteration or two at a new high-water mark), a
@@ -45,7 +45,7 @@ use crate::project::{activations, project_scene_into, ProjectScratch, Projection
 use crate::shard::{CullScratch, ShardedScene, VisibleFrame};
 use crate::tiles::{build_tiles_into, TileAssignment, TileBinScratch};
 use rtgs_math::Se3;
-use rtgs_runtime::Backend;
+use rtgs_runtime::{Backend, Serial};
 use std::ops::{Deref, DerefMut};
 
 /// Arena-owned storage for the full render + backward pipeline of one
@@ -66,7 +66,7 @@ pub struct FrameArena {
     activations_kept: bool,
     /// CSR tile assignment.
     pub(crate) tiles: TileAssignment,
-    /// Tile binning + radix-sort workspace.
+    /// Tile binning workspace (chunk counts, sort keys).
     tile_scratch: TileBinScratch,
     /// Every tile's gathered working set of the last render (Step ❸ and
     /// Step ❹ read it).
@@ -79,8 +79,9 @@ pub struct FrameArena {
     unit_stats: Vec<RenderStats>,
     /// Loss value + per-pixel gradients.
     loss: LossOutput,
-    /// Valid-depth-pixel scratch of the loss.
-    loss_scratch: Vec<(usize, f32, f32)>,
+    /// Per-pixel photometric and geometric loss terms, folded in pixel
+    /// order.
+    loss_terms: Vec<[f32; 2]>,
     /// Backward output (per-Gaussian gradients + pose tangent).
     pub(crate) backward: BackwardOutput,
     /// Backward workspace.
@@ -110,7 +111,7 @@ impl FrameArena {
             fragments: FragmentCache::default(),
             unit_stats: Vec::new(),
             loss: LossOutput::empty(),
-            loss_scratch: Vec::new(),
+            loss_terms: Vec::new(),
             backward: BackwardOutput::empty(),
             backward_scratch: BackwardScratch::default(),
         }
@@ -175,16 +176,17 @@ impl FrameArena {
         );
     }
 
-    /// Step ❷: rebuilds the CSR tile assignment from [`Self::projection`].
+    /// Step ❷: rebuilds the CSR tile assignment from [`Self::projection`],
+    /// chunked over `backend`.
     ///
     /// # Panics
     ///
     /// Panics if the projection's tile grid does not match `camera`.
     pub fn assign_tiles(&mut self, camera: &PinholeCamera, backend: &dyn Backend) {
-        let _ = backend; // linear, memory-bound pass; runs on the caller.
         build_tiles_into(
             &self.projection,
             camera,
+            backend,
             &mut self.tile_scratch,
             &mut self.tiles,
         );
@@ -250,7 +252,8 @@ impl FrameArena {
     }
 
     /// Loss (Eq. 6) of [`Self::output`] against ground truth, with
-    /// per-pixel gradients into [`Self::loss`]. Returns the loss value.
+    /// per-pixel gradients into [`Self::loss`], on the calling thread.
+    /// Returns the loss value.
     ///
     /// # Panics
     ///
@@ -261,12 +264,30 @@ impl FrameArena {
         gt_depth: Option<&DepthImage>,
         config: &LossConfig,
     ) -> f32 {
+        self.compute_loss_with(gt_color, gt_depth, config, &Serial)
+    }
+
+    /// [`Self::compute_loss`] with the per-pixel loop chunked over pixel
+    /// rows on `backend`. The loss and every gradient are the same bits on
+    /// every backend: the scalar terms fold on the caller, in pixel order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if image dimensions disagree.
+    pub fn compute_loss_with(
+        &mut self,
+        gt_color: &Image,
+        gt_depth: Option<&DepthImage>,
+        config: &LossConfig,
+        backend: &dyn Backend,
+    ) -> f32 {
         compute_loss_into(
             &self.output,
             gt_color,
             gt_depth,
             config,
-            &mut self.loss_scratch,
+            backend,
+            &mut self.loss_terms,
             &mut self.loss,
         );
         self.loss.loss
@@ -406,7 +427,7 @@ impl FrameArena {
         let grads = &self.loss.pixel_grads;
         let loss = grads.color.capacity() * size_of::<Vec3>()
             + (grads.depth.capacity() + grads.transmittance.capacity()) * size_of::<f32>()
-            + self.loss_scratch.capacity() * size_of::<(usize, f32, f32)>();
+            + self.loss_terms.capacity() * size_of::<[f32; 2]>();
         let backward = self.backward.gaussians.capacity() * size_of::<GaussianGrad>()
             + self.backward_scratch.capacity_bytes();
         visible
@@ -523,7 +544,6 @@ mod tests {
     use crate::gaussian::{Gaussian3d, GaussianScene};
     use crate::Image;
     use rtgs_math::{Quat, Vec3};
-    use rtgs_runtime::Serial;
 
     fn map() -> ShardedScene {
         let scene = GaussianScene::from_gaussians(vec![

@@ -133,13 +133,13 @@ impl Image {
         }
     }
 
-    /// Resizes in place to `width × height` and blanks every pixel,
-    /// retaining the buffer's capacity — the allocation-free reuse path of
-    /// the frame arena.
-    pub fn reset(&mut self, width: usize, height: usize) {
+    /// Resizes in place to `width × height`, retaining the buffer's
+    /// capacity — the allocation-free reuse path of the frame arena. Pixels
+    /// that were already there keep their stale values: the caller writes
+    /// every pixel (the render kernel's chunks do).
+    pub(crate) fn resize_for_overwrite(&mut self, width: usize, height: usize) {
         self.width = width;
         self.height = height;
-        self.data.clear();
         self.data.resize(width * height, Vec3::ZERO);
     }
 
@@ -268,12 +268,12 @@ impl DepthImage {
         }
     }
 
-    /// Resizes in place to `width × height` and invalidates every sample
-    /// (depth 0.0), retaining the buffer's capacity.
-    pub fn reset(&mut self, width: usize, height: usize) {
+    /// Resizes in place to `width × height`, retaining the buffer's
+    /// capacity; as [`Image::resize_for_overwrite`], the caller writes every
+    /// sample.
+    pub(crate) fn resize_for_overwrite(&mut self, width: usize, height: usize) {
         self.width = width;
         self.height = height;
-        self.data.clear();
         self.data.resize(width * height, 0.0);
     }
 

@@ -914,11 +914,11 @@ pub(crate) fn render_into<const RECORD: bool>(
     fragments: Option<&mut FragmentCache>,
 ) {
     let units = tiles.tile_count() * BANDS;
-    out.image.reset(camera.width, camera.height);
-    out.depth.reset(camera.width, camera.height);
-    out.final_transmittance.clear();
+    // Bands partition the image and each writes every one of its pixels,
+    // so the per-pixel buffers are resized, not cleared.
+    out.image.resize_for_overwrite(camera.width, camera.height);
+    out.depth.resize_for_overwrite(camera.width, camera.height);
     out.final_transmittance.resize(camera.pixel_count(), 1.0);
-    out.pixel_workloads.clear();
     out.pixel_workloads.resize(camera.pixel_count(), 0);
     out.stats = RenderStats::default();
     unit_stats.clear();
@@ -959,13 +959,27 @@ pub(crate) fn render_into<const RECORD: bool>(
                 let sy0 = y0 + band * SUBTILE_SIZE;
                 let at = tiles.entry_range(tile);
                 // A band below the image, or of a tile without splats, keeps
-                // its reset (empty, monotone) record set.
-                if at.is_empty() || sy0 >= y1 {
+                // its reset (empty, monotone) record set and zero stats.
+                if sy0 >= y1 {
+                    continue;
+                }
+                let h = (y1 - sy0).min(SUBTILE_SIZE);
+                if at.is_empty() {
+                    // Nothing blends here: the band's pixels are blank.
+                    for idx in
+                        (sy0..sy0 + h).flat_map(|y| y * camera.width + x0..y * camera.width + x1)
+                    {
+                        unsafe {
+                            image_view.write(idx, Vec3::ZERO);
+                            depth_view.write(idx, 0.0);
+                            t_view.write(idx, 1.0);
+                            workload_view.write(idx, 0);
+                        }
+                    }
                     continue;
                 }
                 let (splats, boxes) = (&work.splats[at.clone()], &work.boxes[at]);
                 let mut stats = RenderStats::default();
-                let h = (y1 - sy0).min(SUBTILE_SIZE);
                 let first = band * SUBTILES_X;
                 for subtile in first..first + SUBTILES_X {
                     let sx0 = x0 + (subtile % SUBTILES_X) * SUBTILE_SIZE;

@@ -17,8 +17,8 @@
 //!    gathered working set and these pose-independent activations while
 //!    the cull and the mask allow.
 //! 2. **Sorting** ([`FrameArena::assign_tiles`]) — tile intersection plus
-//!    front-to-back depth ordering via a stable radix sort on the monotone
-//!    depth key, stored as flat CSR tile lists ([`TileAssignment`]).
+//!    front-to-back depth ordering by a per-tile sort on the monotone depth
+//!    key, stored as flat CSR tile lists ([`TileAssignment`]).
 //! 3. **Rendering** ([`FrameArena::render_fused`]) — per-pixel alpha
 //!    computing and blending with early ray termination (Eqs. 2–3),
 //!    streaming a per-tile gathered working set (gathered once per

@@ -9,6 +9,10 @@ use crate::backward::PixelGrads;
 use crate::camera::{DepthImage, Image};
 use crate::forward::RenderOutput;
 use rtgs_math::Vec3;
+use rtgs_runtime::{Backend, SharedSlice};
+
+/// Pixel rows per chunk of the loss loop.
+const LOSS_ROWS: usize = 8;
 
 /// Residual norm used for both loss terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,8 +78,16 @@ impl LossOutput {
 /// `gt_depth` is optional: monocular pipelines (MonoGS on RGB) pass `None`
 /// and the geometric term vanishes with its weight folded out.
 ///
-/// The gradient buffers and the valid-depth-pixel scratch are cleared and
-/// refilled; once their capacities cover the frame, a steady-state loss
+/// The per-pixel residuals, gradients and loss terms are chunked over pixel
+/// rows on `backend`; every pixel, valid for the depth term or not, is
+/// written by the chunk that owns its row. The valid-depth-pixel count the
+/// depth weight needs comes first, an integer sum. `E_pho` and `E_geo` are
+/// then folded on the caller, in f64, from the per-pixel `f32` terms in
+/// ascending pixel order — the same expressions in the same order on every
+/// backend, so the loss bits do not depend on it.
+///
+/// The gradient buffers and the per-pixel term scratch are resized and
+/// overwritten; once their capacities cover the frame, a steady-state loss
 /// evaluation performs **no heap allocation**.
 ///
 /// # Panics
@@ -86,7 +98,8 @@ pub(crate) fn compute_loss_into(
     gt_color: &Image,
     gt_depth: Option<&DepthImage>,
     config: &LossConfig,
-    valid_scratch: &mut Vec<(usize, f32, f32)>,
+    backend: &dyn Backend,
+    terms: &mut Vec<[f32; 2]>,
     out: &mut LossOutput,
 ) {
     let w = rendered.image.width();
@@ -97,78 +110,93 @@ pub(crate) fn compute_loss_into(
     }
 
     let n_pix = (w * h) as f32;
-    let grads = &mut out.pixel_grads;
-    grads.color.clear();
-    grads.color.resize(w * h, Vec3::ZERO);
-    grads.depth.clear();
-    grads.depth.resize(w * h, 0.0);
-    grads.transmittance.clear();
-    grads.transmittance.resize(w * h, 0.0);
-    let mut e_pho = 0.0f64;
     let pho_weight = config.lambda_pho / (3.0 * n_pix);
+    // Residual on the blend side: `r = D - c·D_gt` with `c` the opacity
+    // coverage (1 - T_final). Ground-truth depth is a *surface* depth,
+    // while the rasterizer produces an opacity-weighted blend `D ≈ c·d`;
+    // comparing `D` to `D_gt` directly would leave a nonzero residual
+    // even for a pixel-perfect reconstruction (biasing tracking away
+    // from the true pose wherever coverage < 1). The `c`-dependence
+    // backpropagates through the transmittance channel.
+    let valid = |gt: f32, t: f32| gt > 0.0 && 1.0 - t >= config.min_depth_coverage;
+    // Count valid pixels first so the normalization is well-defined.
+    let n_valid = gt_depth.map_or(0, |d| {
+        d.data()
+            .iter()
+            .zip(&rendered.final_transmittance)
+            .filter(|&(&gt, &t)| valid(gt, t))
+            .count()
+    }) as f32;
+    let geo_weight = (1.0 - config.lambda_pho) / n_valid;
 
-    for (i, (c, gt)) in rendered
-        .image
-        .data()
-        .iter()
-        .zip(gt_color.data().iter())
-        .enumerate()
+    let grads = &mut out.pixel_grads;
+    grads.color.resize(w * h, Vec3::ZERO);
+    grads.depth.resize(w * h, 0.0);
+    grads.transmittance.resize(w * h, 0.0);
+    terms.resize(w * h, [0.0; 2]);
     {
-        let r = *c - *gt;
-        match config.kind {
-            LossKind::L1 => {
-                e_pho += ((r.x.abs() + r.y.abs() + r.z.abs()) / (3.0 * n_pix)) as f64;
-                grads.color[i] = Vec3::new(sign(r.x), sign(r.y), sign(r.z)) * pho_weight;
-            }
-            LossKind::L2 => {
-                e_pho += ((r.x * r.x + r.y * r.y + r.z * r.z) / (3.0 * n_pix)) as f64;
-                grads.color[i] = r * (2.0 * pho_weight);
-            }
-        }
-    }
-
-    let mut e_geo = 0.0f64;
-    if let Some(depth_gt) = gt_depth {
-        // Residual on the blend side: `r = D - c·D_gt` with `c` the opacity
-        // coverage (1 - T_final). Ground-truth depth is a *surface* depth,
-        // while the rasterizer produces an opacity-weighted blend `D ≈ c·d`;
-        // comparing `D` to `D_gt` directly would leave a nonzero residual
-        // even for a pixel-perfect reconstruction (biasing tracking away
-        // from the true pose wherever coverage < 1). The `c`-dependence
-        // backpropagates through the transmittance channel.
-        // Count valid pixels first so the normalization is well-defined.
-        let valid = valid_scratch;
-        valid.clear();
-        for y in 0..h {
-            for x in 0..w {
-                let gt = depth_gt.depth(x, y);
-                if gt > 0.0 && rendered.coverage(x, y) >= config.min_depth_coverage {
-                    let r = rendered.depth.depth(x, y) - rendered.coverage(x, y) * gt;
-                    valid.push((y * w + x, r, gt));
-                }
-            }
-        }
-        if !valid.is_empty() {
-            let n_valid = valid.len() as f32;
-            let geo_weight = (1.0 - config.lambda_pho) / n_valid;
-            for &(i, r, gt) in valid.iter() {
-                // ∂r/∂D = 1 and, via c = 1 - T_final, ∂r/∂T_final = +gt.
-                let dl_dr = match config.kind {
+        let color = SharedSlice::new(&mut grads.color);
+        let depth = SharedSlice::new(&mut grads.depth);
+        let transmittance = SharedSlice::new(&mut grads.transmittance);
+        let terms = SharedSlice::new(terms);
+        backend.for_each_chunk(h, LOSS_ROWS, &|_, rows| {
+            let pixels = rows.start * w..rows.end * w;
+            // SAFETY: row chunks are disjoint pixel ranges.
+            let (color, depth, transmittance, terms) = unsafe {
+                (
+                    color.range_mut(pixels.clone()),
+                    depth.range_mut(pixels.clone()),
+                    transmittance.range_mut(pixels.clone()),
+                    terms.range_mut(pixels.clone()),
+                )
+            };
+            let rendered_color = &rendered.image.data()[pixels.clone()];
+            let gt = &gt_color.data()[pixels.clone()];
+            for (k, (&c, &gt)) in rendered_color.iter().zip(gt).enumerate() {
+                let r = c - gt;
+                terms[k][0] = match config.kind {
                     LossKind::L1 => {
-                        e_geo += (r.abs() / n_valid) as f64;
-                        sign(r) * geo_weight
+                        color[k] = Vec3::new(sign(r.x), sign(r.y), sign(r.z)) * pho_weight;
+                        (r.x.abs() + r.y.abs() + r.z.abs()) / (3.0 * n_pix)
                     }
                     LossKind::L2 => {
-                        e_geo += ((r * r) / n_valid) as f64;
-                        2.0 * r * geo_weight
+                        color[k] = r * (2.0 * pho_weight);
+                        (r.x * r.x + r.y * r.y + r.z * r.z) / (3.0 * n_pix)
                     }
                 };
-                grads.depth[i] = dl_dr;
-                grads.transmittance[i] = dl_dr * gt;
             }
-        }
+            let Some(gt_depth) = gt_depth else {
+                depth.fill(0.0);
+                transmittance.fill(0.0);
+                terms.iter_mut().for_each(|t| t[1] = 0.0);
+                return;
+            };
+            let gt = &gt_depth.data()[pixels.clone()];
+            let rendered_depth = &rendered.depth.data()[pixels.clone()];
+            let rendered_t = &rendered.final_transmittance[pixels];
+            for k in 0..gt.len() {
+                let (mut dl_dr, mut geo) = (0.0, 0.0);
+                if valid(gt[k], rendered_t[k]) {
+                    let r = rendered_depth[k] - (1.0 - rendered_t[k]) * gt[k];
+                    // ∂r/∂D = 1 and, via c = 1 - T_final, ∂r/∂T_final = +gt.
+                    (dl_dr, geo) = match config.kind {
+                        LossKind::L1 => (sign(r) * geo_weight, r.abs() / n_valid),
+                        LossKind::L2 => (2.0 * r * geo_weight, (r * r) / n_valid),
+                    };
+                }
+                depth[k] = dl_dr;
+                transmittance[k] = dl_dr * gt[k];
+                terms[k][1] = geo;
+            }
+        });
     }
 
+    // Invalid pixels add +0.0 to a sum of non-negative terms: no bit moves.
+    let (mut e_pho, mut e_geo) = (0.0f64, 0.0f64);
+    for &[pho, geo] in terms.iter() {
+        e_pho += pho as f64;
+        e_geo += geo as f64;
+    }
     let photometric = e_pho as f32;
     let geometric = e_geo as f32;
     out.loss = config.lambda_pho * photometric + (1.0 - config.lambda_pho) * geometric;
@@ -176,15 +204,13 @@ pub(crate) fn compute_loss_into(
     out.geometric = geometric;
 }
 
+/// `1.0` or `-1.0` by the sign of `x`, `0.0` for a zero or NaN `x`: the
+/// sign bit copied onto `1.0`, masked off unless `|x| > 0`, so no branch
+/// follows a residual's coin-flip sign.
 #[inline]
 fn sign(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else if x < 0.0 {
-        -1.0
-    } else {
-        0.0
-    }
+    let keep = 0u32.wrapping_sub(u32::from(x.abs() > 0.0));
+    f32::from_bits(1.0f32.copysign(x).to_bits() & keep)
 }
 
 #[cfg(test)]
@@ -192,6 +218,7 @@ mod tests {
     use super::*;
     use crate::camera::PinholeCamera;
     use crate::forward::RenderStats;
+    use rtgs_runtime::Serial;
 
     fn compute_loss(
         rendered: &RenderOutput,
@@ -205,6 +232,7 @@ mod tests {
             gt_color,
             gt_depth,
             config,
+            &Serial,
             &mut Vec::new(),
             &mut out,
         );
@@ -296,6 +324,67 @@ mod tests {
         assert!((l.photometric - 0.1).abs() < 1e-6);
         assert!((l.geometric - 0.5).abs() < 1e-6);
         assert!((l.loss - (0.7 * 0.1 + 0.3 * 0.5)).abs() < 1e-6);
+    }
+
+    /// The photometric term folds in pixel order, whatever the row chunks:
+    /// on this 16×24 frame (three chunks) two pixels' terms sum to exactly
+    /// `1 + 2⁻²⁴` — the midpoint between two `f32`s — and each of the other
+    /// 382 adds `2⁻⁵⁹`, below half an `f64` ulp of the running sum, so the
+    /// pixel-order fold stays on the midpoint and rounds to `1.0`. Folding
+    /// per-chunk partial sums instead would add two `2⁻⁵²`s and round up.
+    #[test]
+    fn photometric_term_folds_in_pixel_order() {
+        let (w, h) = (16, 24);
+        assert!(h > 2 * LOSS_ROWS, "three row chunks");
+        let (n, tiny) = ((w * h) as f32, 2f32.powi(-59));
+        let mut color = vec![Vec3::new(tiny * 3.0 * n, 0.0, 0.0); w * h];
+        color[0].x = 576.0; // term 576 / 1152 = 0.5
+        color[1].x = f32::from_bits(576f32.to_bits() + 1); // term 0.5 + 2⁻²⁴
+        let mut out = dummy_render(w, h, Vec3::ZERO, 0.0);
+        out.image = Image::from_data(w, h, color);
+        let cfg = LossConfig {
+            lambda_pho: 1.0,
+            ..Default::default()
+        };
+        let gt = Image::new(w, h);
+        for backend in [&Serial as &dyn Backend, &rtgs_runtime::Parallel::new(2)] {
+            let mut l = LossOutput::empty();
+            compute_loss_into(&out, &gt, None, &cfg, backend, &mut Vec::new(), &mut l);
+            assert_eq!(
+                l.photometric.to_bits(),
+                1f32.to_bits(),
+                "{}",
+                backend.name()
+            );
+        }
+    }
+
+    /// The branch-free `sign` is the three-way branch it replaced, bit for
+    /// bit: zero of either sign and NaN give `+0.0`.
+    #[test]
+    fn sign_is_the_branchy_sign() {
+        let values = [
+            2.5f32,
+            -0.1,
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::from_bits(1),
+        ];
+        for x in values {
+            let branchy = if x > 0.0 {
+                1.0f32
+            } else if x < 0.0 {
+                -1.0
+            } else {
+                0.0
+            };
+            assert_eq!(sign(x).to_bits(), branchy.to_bits(), "{x}");
+        }
     }
 
     #[test]

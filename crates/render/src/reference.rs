@@ -11,7 +11,7 @@
 //!   `Vec<Option<Projected2d>>` storage, Gaussian-ID tile lists, per-pixel
 //!   Option-checked fragment walks.
 //! * **The legacy per-tile sort** ([`build_tile_lists_legacy`]), the
-//!   ordering ground truth for the CSR + radix tile assignment.
+//!   ordering ground truth for the CSR tile assignment.
 //! * **The backward re-walk** ([`backward_rewalk`]), the unfused Step-❹
 //!   driver the fused pass must reproduce: its own tile loop re-walks every
 //!   pixel's splat list and runs the scalar reverse recursion of Eq. 4,
@@ -22,7 +22,7 @@
 //! `tests/equivalence.rs` asserts that images, depth maps and gradients are
 //! **bitwise-identical** between these and every production spelling over
 //! random scenes; the `tile_sort` and `fused_tile_pass` bench groups keep
-//! measuring what the production radix sort and fused pass actually buy.
+//! measuring what the production tile binning and fused pass actually buy.
 //!
 //! The AoS path runs serially: it is a correctness oracle, not a fast path.
 
@@ -393,8 +393,8 @@ pub fn render_frame_aos(
 
 /// The legacy tile binning: per-tile `Vec`s filled in slot order, each
 /// stably `sort_by`-ed on the records' depths — the seed's Step-❷
-/// algorithm, preserved as the ordering ground truth for the CSR + radix
-/// path (equivalence property-tested in `tests/equivalence.rs`, compared
+/// algorithm, preserved as the ordering ground truth for the CSR binning
+/// (equivalence property-tested in `tests/equivalence.rs`, compared
 /// in the `tile_sort` bench group).
 pub fn build_tile_lists_legacy(projection: &Projection, camera: &PinholeCamera) -> Vec<Vec<u32>> {
     let tiles_x = camera.width.div_ceil(TILE_SIZE);

@@ -35,9 +35,17 @@ use rtgs_math::{Mat3, Se3, Vec3};
 use rtgs_runtime::{Backend, Serial, SharedSlice};
 use std::collections::HashMap;
 
-/// Shards per chunk in the parallel frustum-cull pre-pass (fixed by the
-/// algorithm, not the worker count, so the surviving set is deterministic).
-pub(crate) const CULL_CHUNK: usize = 16;
+/// Shards (or macro-cells) per chunk of the frustum-cull pre-pass's tests
+/// (fixed by the algorithm, not the worker count, so the surviving set is
+/// deterministic). A test is tens of nanoseconds, less than a loop's join:
+/// the few dozen candidates of a session-size map are one chunk, which
+/// runs on the caller (`experiments arena --full` on a 2-vCPU host: at 16
+/// the two-core cull read ×1.04 of serial, at 64 ×0.90–0.98).
+pub(crate) const CULL_CHUNK: usize = 64;
+
+/// Stale shards per chunk of a bounds refresh, which walks each shard's
+/// members.
+const REFRESH_CHUNK: usize = 16;
 
 /// Coarse-level grouping: each macro-cell spans `MACRO_FACTOR` grid cells
 /// per axis. The cull pre-pass tests macro-cells first and descends into
@@ -296,6 +304,12 @@ pub struct ShardedScene {
     /// `clock` at the last bounds refresh: shards and macro-cells with a
     /// newer version have stale bounds.
     bounds_clock: u64,
+    /// Scratch, not state: a bounds refresh's stale shard (then macro-cell)
+    /// indices, and [`Self::update_with`]'s per-row change flags. Kept so a
+    /// mapping iteration allocates nothing; never exported, not resident
+    /// map data.
+    stale: Vec<u32>,
+    changed: Vec<bool>,
 }
 
 impl ShardedScene {
@@ -321,6 +335,8 @@ impl ShardedScene {
             macro_index: HashMap::new(),
             clock: 0,
             bounds_clock: 0,
+            stale: Vec::new(),
+            changed: Vec::new(),
         }
     }
 
@@ -415,6 +431,59 @@ impl ShardedScene {
         assert!(self.is_live(id), "gaussian {id} is not live");
         self.touch(self.shard_of[id as usize]);
         &mut self.arena[id as usize]
+    }
+
+    /// Updates live Gaussians in place, chunked over `backend` in chunks of
+    /// `chunk_size` rows: `update(k, g)` runs once for each `ids[k]`, on its
+    /// Gaussian, and returns whether it changed it. Afterwards, on the
+    /// calling thread and in `ids` order, each changed ID's shard is stamped
+    /// with the mutation clock — exactly what calling [`Self::gaussian_mut`]
+    /// on the changed IDs in that order does — so shard versions, and with
+    /// them bounds staleness and checkpoint deltas, are the same on every
+    /// backend. Each call sees its own Gaussian only, so which thread runs
+    /// which chunk, and when, changes no bit of the map either.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ids` is strictly ascending (which makes the rows
+    /// distinct) and every ID is live.
+    pub fn update_with<F>(
+        &mut self,
+        ids: &[u32],
+        chunk_size: usize,
+        backend: &dyn Backend,
+        update: F,
+    ) where
+        F: Fn(usize, &mut Gaussian3d) -> bool + Sync,
+    {
+        assert!(
+            ids.windows(2).all(|pair| pair[0] < pair[1]),
+            "updated IDs must be strictly ascending"
+        );
+        self.changed.resize(ids.len(), false);
+        {
+            let live = &self.live;
+            let arena = SharedSlice::new(&mut self.arena);
+            let changed = SharedSlice::new(&mut self.changed);
+            backend.for_each_chunk(ids.len(), chunk_size, &|_, range| {
+                // SAFETY: chunk ranges are disjoint, and so are the rows of
+                // strictly ascending IDs.
+                let flags = unsafe { changed.range_mut(range.clone()) };
+                for (flag, k) in flags.iter_mut().zip(range) {
+                    let id = ids[k];
+                    assert!(
+                        live.get(id as usize) == Some(&true),
+                        "gaussian {id} is not live"
+                    );
+                    *flag = update(k, unsafe { arena.get_mut(id as usize) });
+                }
+            });
+        }
+        for (k, &id) in ids.iter().enumerate() {
+            if self.changed[k] {
+                self.touch(self.shard_of[id as usize]);
+            }
+        }
     }
 
     /// Advances the mutation clock and stamps it on `shard` and its
@@ -656,47 +725,49 @@ impl ShardedScene {
     /// [`Self::refresh_bounds`] with the stale shards chunked over an
     /// execution backend. Each shard's bounds depend only on its own
     /// members, so the result is identical on every backend and pool size.
+    /// The stale indices go to kept scratch: once it has grown, a refresh
+    /// allocates nothing.
     pub fn refresh_bounds_with(&mut self, backend: &dyn Backend) {
         let since = self.bounds_clock;
         if self.clock == since {
             return;
         }
         self.bounds_clock = self.clock;
-        let stale: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| (s.version > since).then_some(i))
-            .collect();
+        self.stale.clear();
+        self.stale.extend(
+            (0u32..)
+                .zip(&self.shards)
+                .filter_map(|(i, s)| (s.version > since).then_some(i)),
+        );
         let arena = &self.arena;
         {
             let shards = SharedSlice::new(&mut self.shards);
-            let stale_ref = &stale;
-            backend.for_each_chunk(stale_ref.len(), CULL_CHUNK, &|_, range| {
+            let stale = &self.stale;
+            backend.for_each_chunk(stale.len(), REFRESH_CHUNK, &|_, range| {
                 for k in range {
                     // SAFETY: stale indices are unique, so each shard is
                     // refreshed by exactly one chunk.
-                    let shard = unsafe { shards.get_mut(stale_ref[k]) };
+                    let shard = unsafe { shards.get_mut(stale[k] as usize) };
                     shard.refresh(arena);
                 }
             });
         }
 
         // Second level: re-union the stale macro-cells from their members.
-        let stale_macros: Vec<usize> = self
-            .macros
-            .iter()
-            .enumerate()
-            .filter_map(|(i, m)| (m.version > since).then_some(i))
-            .collect();
+        self.stale.clear();
+        self.stale.extend(
+            (0u32..)
+                .zip(&self.macros)
+                .filter_map(|(i, m)| (m.version > since).then_some(i)),
+        );
         let shards_ref = &self.shards;
         {
             let macros = SharedSlice::new(&mut self.macros);
-            let stale_ref = &stale_macros;
-            backend.for_each_chunk(stale_ref.len(), CULL_CHUNK, &|_, range| {
+            let stale = &self.stale;
+            backend.for_each_chunk(stale.len(), REFRESH_CHUNK, &|_, range| {
                 for k in range {
                     // SAFETY: stale macro indices are unique.
-                    let mc = unsafe { macros.get_mut(stale_ref[k]) };
+                    let mc = unsafe { macros.get_mut(stale[k] as usize) };
                     let mut aabb = Aabb::EMPTY;
                     let mut max_scale = 0.0f32;
                     for &si in &mc.shards {
@@ -1302,6 +1373,70 @@ mod tests {
             assert!(sa.members().windows(2).all(|w| w[0] < w[1]));
         }
         assert_eq!(a.shards()[0].members(), &[1, 2]);
+    }
+
+    /// `update_with` is a `gaussian_mut` loop over the changed IDs in
+    /// ascending order, chunked: the same Gaussians, the same mutation
+    /// clock, the same shard versions (macro-cells' too, which the refresh
+    /// and the next cull read) — on every backend, with unchanged rows
+    /// among the changed ones and IDs spread over many shards and chunks.
+    #[test]
+    fn update_with_stamps_like_a_gaussian_mut_loop() {
+        let mut map = ShardedScene::new(0.4);
+        for i in 0..300 {
+            let p = Vec3::new(
+                ((i * 37) % 23) as f32 * 0.5 - 5.0,
+                ((i * 17) % 11) as f32 * 0.4 - 2.0,
+                ((i * 29) % 19) as f32 * 0.6 - 3.0,
+            );
+            map.insert(g_at(p));
+        }
+        map.tombstone(7);
+        map.refresh_bounds();
+        let ids: Vec<u32> = map.live_ids().filter(|id| id % 5 != 0).collect();
+        let changes = |id: u32| id % 3 != 0;
+        let nudge = |id: u32, g: &mut Gaussian3d| g.position.x += 0.01 * id as f32;
+
+        let mut looped = map.clone();
+        for &id in &ids {
+            if changes(id) {
+                nudge(id, looped.gaussian_mut(id));
+            }
+        }
+        looped.refresh_bounds();
+        let state = |m: &ShardedScene| {
+            let versions: Vec<(u64, u64)> = m
+                .shards
+                .iter()
+                .map(|s| (s.version, m.macros[s.macro_idx as usize].version))
+                .collect();
+            (format!("{:?}", m.export_state()), versions, m.clock)
+        };
+        let backends: [&dyn Backend; 3] = [
+            &Serial,
+            &rtgs_runtime::Parallel::new(1),
+            &rtgs_runtime::Parallel::new(3),
+        ];
+        for backend in backends {
+            let mut chunked = map.clone();
+            chunked.update_with(&ids, 16, backend, |k, g| {
+                let id = ids[k];
+                if changes(id) {
+                    nudge(id, g);
+                }
+                changes(id)
+            });
+            chunked.refresh_bounds();
+            assert!(state(&chunked) == state(&looped), "{}", backend.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn update_with_refuses_repeated_ids() {
+        let mut map = ShardedScene::new(1.0);
+        map.insert(g_at(Vec3::new(0.0, 0.0, 2.0)));
+        map.update_with(&[0, 0], 16, &Serial, |_, _| true);
     }
 
     #[test]

@@ -14,20 +14,21 @@
 //!
 //! Tile lists are stored in **CSR layout**: one flat [`TileAssignment::entries`]
 //! array plus per-tile [`TileAssignment::offsets`] — no per-tile `Vec`s, so a
-//! rebuilt assignment reuses one contiguous allocation. Depth ordering comes
-//! from a **stable LSB radix sort** over the monotone `f32 → u32` depth-key
-//! mapping (the tile-binning + key-sort design of the GPU splatting
-//! rasterizers), followed by a stable counting scatter into tile segments.
-//! Because both passes are stable and the initial entry order is slot-major
-//! (ascending Gaussian-ID order), each tile's segment is depth-ascending
-//! with slot order breaking ties — bitwise-identical to the legacy per-tile
+//! rebuilt assignment reuses one contiguous allocation. The binning is the
+//! key-sort design of the GPU splatting rasterizers, chunked over the
+//! session's backend: per-chunk tile counts, a prefix sum, a scatter of
+//! `(depth key, slot)` keys in chunk order — which leaves every tile segment
+//! in slot order (= ascending Gaussian-ID order) — then a depth sort of each
+//! tile's segment by that key, chunked over tiles. The slot in the key's low
+//! half breaks depth ties in slot order, so each segment is depth-ascending
+//! with slot-order ties: bitwise-identical to the legacy per-tile stable
 //! `sort_by` (`reference::build_tile_lists_legacy`, property-tested in
-//! `tests/equivalence.rs`) without its O(n log n) comparisons or per-tile
+//! `tests/equivalence.rs`) on every backend and claim order, without per-tile
 //! allocations.
 
 use crate::camera::PinholeCamera;
-use crate::project::Projection;
-use rtgs_runtime::exclusive_prefix_sum_into;
+use crate::project::{Projection, TileRect};
+use rtgs_runtime::{Backend, SharedSlice};
 
 /// Tile edge length in pixels (16×16 tiles, paper convention).
 pub const TILE_SIZE: usize = 16;
@@ -36,10 +37,9 @@ pub const SUBTILE_SIZE: usize = 4;
 /// Number of subtiles per tile.
 pub const SUBTILES_PER_TILE: usize = (TILE_SIZE / SUBTILE_SIZE) * (TILE_SIZE / SUBTILE_SIZE);
 
-/// Radix width of the depth-key sort: 8-bit digits, 4 passes over a `u32`.
-const RADIX_BITS: usize = 8;
-/// Buckets per radix pass.
-const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
+/// Projected splats per chunk of Step ❷'s count and scatter loops (the
+/// Step ❶ chunk); the depth sort runs one tile per chunk.
+const BIN_CHUNK: usize = 256;
 
 /// The monotone `f32 → u32` key mapping: for any two finite floats
 /// `a < b ⇔ key(a) < key(b)` and `a == b ⇔ key(a) == key(b)`, so a stable
@@ -61,42 +61,24 @@ pub(crate) fn depth_key(depth: f32) -> u32 {
     }
 }
 
-/// Workspace of [`build_tiles_into`]: the flat binning arrays, radix
-/// ping-pong buffers and per-tile counters. Reusing one workspace across
-/// rebuilds makes the steady-state tile pass allocation-free (the
-/// [`crate::FrameArena`] owns one).
+/// Workspace of [`build_tiles_into`]: the per-chunk tile counts and the
+/// sort keys. Reusing one workspace across rebuilds makes the steady-state
+/// tile pass allocation-free (the [`crate::FrameArena`] owns one).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TileBinScratch {
-    /// Per-tile intersection counts (then reused as scatter cursors).
-    counts: Vec<usize>,
-    /// Slot of every (splat, tile) intersection, slot-major order.
-    entry_slots: Vec<u32>,
-    /// Tile of every intersection, aligned with `entry_slots`.
-    entry_tiles: Vec<u32>,
-    /// Depth key of every intersection, aligned with `entry_slots`.
-    entry_keys: Vec<u32>,
-    /// Radix ping-pong buffer for `entry_slots`.
-    tmp_slots: Vec<u32>,
-    /// Radix ping-pong buffer for `entry_tiles`.
-    tmp_tiles: Vec<u32>,
-    /// Radix ping-pong buffer for `entry_keys`.
-    tmp_keys: Vec<u32>,
-    /// Exclusive prefix of `counts` (usize working copy of the offsets).
-    offsets: Vec<usize>,
+    /// Chunk-major `chunks × tiles` intersection counts, then each chunk's
+    /// per-tile scatter cursors.
+    chunk_counts: Vec<u32>,
+    /// `depth_key << 32 | slot` of every (tile, splat) intersection,
+    /// tile-major like [`TileAssignment::entries`].
+    keys: Vec<u64>,
 }
 
 impl TileBinScratch {
     /// Bytes held at current capacities (for the arena's high-water mark).
     pub(crate) fn capacity_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.counts.capacity() + self.offsets.capacity()) * size_of::<usize>()
-            + (self.entry_slots.capacity()
-                + self.entry_tiles.capacity()
-                + self.entry_keys.capacity()
-                + self.tmp_slots.capacity()
-                + self.tmp_tiles.capacity()
-                + self.tmp_keys.capacity())
-                * size_of::<u32>()
+        self.chunk_counts.capacity() * size_of::<u32>() + self.keys.capacity() * size_of::<u64>()
     }
 }
 
@@ -223,24 +205,27 @@ impl TileAssignment {
 /// each visible splat to every tile its 3σ bounding square overlaps
 /// (precomputed at projection time as `Projection::tile_rects`),
 /// depth-ordered front-to-back. All of `out`'s and `scratch`'s buffers are
-/// cleared and refilled; once their capacities cover the frame's
-/// intersection count, a rebuild performs **no heap allocation**. The
-/// passes are linear and memory-bound, so they run on the calling thread.
+/// refilled; once their capacities cover the frame's intersection count, a
+/// rebuild performs **no heap allocation**.
 ///
-/// Pipeline (all passes linear and stable):
+/// Three chunked loops on `backend`, with a prefix sum on the caller between
+/// the first two:
 ///
-/// 1. *Count + flatten* (one walk over the tile rectangles): per-tile
-///    intersection counts plus one `(slot, tile, depth-key)` record per
-///    intersection, in slot-major order (= ascending Gaussian-ID order —
-///    the tie-break order).
-/// 2. *Radix sort*: stable LSB sort of the records by depth key (8-bit
-///    digits; passes whose digit is uniform across all records are
-///    skipped).
-/// 3. *Scatter*: stable counting scatter by tile into the CSR `entries`.
+/// 1. *Count*: each chunk of [`BIN_CHUNK`] slots counts its intersections
+///    per tile into its own row of `chunk_counts`.
+/// 2. *Prefix*: tile-major, chunk-minor — tile `t`'s segment holds chunk
+///    0's intersections with `t`, then chunk 1's, and so on — giving the
+///    CSR offsets and every chunk's per-tile write cursors.
+/// 3. *Scatter*: each chunk writes `depth_key << 32 | slot` for each of its
+///    intersections at its own cursors, so every segment is in slot order.
+/// 4. *Sort*: each tile's segment is sorted by key (one tile per chunk;
+///    `sort_unstable` is in place, and keys are unique) and its slots are
+///    written to `entries`.
 ///
-/// Stability of passes 2–3 over the slot-major initial order makes each
-/// tile segment depth-ascending with slot-order ties — exactly the order
-/// the legacy per-tile stable `sort_by` produced.
+/// A key sorts by depth, then by slot: each segment is depth-ascending with
+/// slot-order ties — exactly the order the legacy per-tile stable `sort_by`
+/// produced. Every chunk writes only its own row, cursors and segments, so
+/// the lists are the same on every backend and claim order.
 ///
 /// # Panics
 ///
@@ -248,6 +233,7 @@ impl TileAssignment {
 pub(crate) fn build_tiles_into(
     projection: &Projection,
     camera: &PinholeCamera,
+    backend: &dyn Backend,
     scratch: &mut TileBinScratch,
     out: &mut TileAssignment,
 ) {
@@ -258,111 +244,92 @@ pub(crate) fn build_tiles_into(
     let tile_count = tiles_x * tiles_y;
     out.tiles_x = tiles_x;
     out.tiles_y = tiles_y;
+    let rects = &projection.tile_rects;
+    let slots = rects.len();
+    let chunks = slots.div_ceil(BIN_CHUNK);
 
-    // Pass 1: one walk over the tile rectangles both counts per-tile
-    // intersections and emits the flat (slot, tile, key) records in
-    // slot-major order (= the slot-order tie-break the stable sorts
-    // preserve).
-    scratch.counts.clear();
-    scratch.counts.resize(tile_count, 0);
-    scratch.entry_slots.clear();
-    scratch.entry_tiles.clear();
-    scratch.entry_keys.clear();
-    for (slot, &[tx0, tx1, ty0, ty1]) in projection.tile_rects.iter().enumerate() {
-        let key = depth_key(projection.splats[slot].depth);
-        for ty in ty0..=ty1 {
-            let row = ty as usize * tiles_x;
-            for tx in tx0..=tx1 {
-                let tile = row + tx as usize;
-                scratch.counts[tile] += 1;
-                scratch.entry_slots.push(slot as u32);
-                scratch.entry_tiles.push(tile as u32);
-                scratch.entry_keys.push(key);
+    // 1. Count.
+    scratch.chunk_counts.clear();
+    scratch.chunk_counts.resize(chunks * tile_count, 0);
+    {
+        let counts = SharedSlice::new(&mut scratch.chunk_counts);
+        backend.for_each_chunk(slots, BIN_CHUNK, &|chunk, range| {
+            // SAFETY: each chunk owns its row.
+            let row = unsafe { counts.range_mut(chunk * tile_count..(chunk + 1) * tile_count) };
+            for rect in &rects[range] {
+                for_each_tile(rect, tiles_x, |tile| row[tile] += 1);
             }
-        }
+        });
     }
-    let total = scratch.entry_slots.len();
 
-    // Pass 2: stable LSB radix sort by depth key.
-    radix_sort_by_key(scratch, total);
-
-    // Pass 3: stable counting scatter by tile id into the CSR arrays.
-    let total_check = exclusive_prefix_sum_into(&scratch.counts, &mut scratch.offsets);
-    debug_assert_eq!(total_check, total);
+    // 2. Prefix, tile-major and chunk-minor; the counts become cursors.
     out.offsets.clear();
     out.offsets.reserve(tile_count + 1);
-    for &o in scratch.offsets.iter() {
-        out.offsets.push(o as u32);
+    let mut total = 0u32;
+    for tile in 0..tile_count {
+        out.offsets.push(total);
+        for chunk in 0..chunks {
+            let cell = &mut scratch.chunk_counts[chunk * tile_count + tile];
+            let count = *cell;
+            *cell = total;
+            total += count;
+        }
     }
-    out.offsets.push(total as u32);
-    out.entries.clear();
+    out.offsets.push(total);
+    let total = total as usize;
+
+    // 3. Scatter. Every key is written below, so stale contents never show.
+    scratch.keys.resize(total, 0);
+    {
+        let cursors = SharedSlice::new(&mut scratch.chunk_counts);
+        let keys = SharedSlice::new(&mut scratch.keys);
+        let splats = &projection.splats;
+        backend.for_each_chunk(slots, BIN_CHUNK, &|chunk, range| {
+            // SAFETY: each chunk owns its cursor row, and its cursors cover
+            // key positions no other chunk's do.
+            let row = unsafe { cursors.range_mut(chunk * tile_count..(chunk + 1) * tile_count) };
+            for slot in range {
+                let key = u64::from(depth_key(splats[slot].depth)) << 32 | slot as u64;
+                for_each_tile(&rects[slot], tiles_x, |tile| {
+                    unsafe { keys.write(row[tile] as usize, key) };
+                    row[tile] += 1;
+                });
+            }
+        });
+    }
+
+    // 4. Sort each tile's segment, and copy its slots out.
     out.entries.resize(total, 0);
-    // Reuse `counts` as the per-tile write cursors.
-    scratch.counts.copy_from_slice(&scratch.offsets);
-    for (&slot, &tile) in scratch.entry_slots.iter().zip(scratch.entry_tiles.iter()) {
-        let cursor = &mut scratch.counts[tile as usize];
-        out.entries[*cursor] = slot;
-        *cursor += 1;
+    {
+        let offsets = &out.offsets;
+        let keys = SharedSlice::new(&mut scratch.keys);
+        let entries = SharedSlice::new(&mut out.entries);
+        backend.for_each_chunk(tile_count, 1, &|_, range| {
+            for tile in range {
+                let segment = offsets[tile] as usize..offsets[tile + 1] as usize;
+                // SAFETY: tile segments are disjoint.
+                let (keys, entries) =
+                    unsafe { (keys.range_mut(segment.clone()), entries.range_mut(segment)) };
+                keys.sort_unstable();
+                for (entry, &key) in entries.iter_mut().zip(keys.iter()) {
+                    *entry = key as u32;
+                }
+            }
+        });
     }
 
     out.slot_ids.clear();
     out.slot_ids.extend_from_slice(&projection.gaussian_ids);
 }
 
-/// Stable LSB radix sort of the first `len` records of
-/// `(entry_slots, entry_tiles, entry_keys)` by `entry_keys`, ping-ponging
-/// through the scratch `tmp_*` buffers.
-///
-/// Digit counts are order-independent, so all four 8-bit histograms are
-/// built in a single pass over the keys; executed passes then only pay the
-/// scatter. Passes whose digit is uniform across every record are skipped
-/// outright (a stable scatter of a uniform digit is the identity), which
-/// collapses the typical 4 passes to 2–3 for the narrow depth ranges of
-/// indoor frames.
-fn radix_sort_by_key(scratch: &mut TileBinScratch, len: usize) {
-    const PASSES: usize = 32 / RADIX_BITS;
-    scratch.tmp_slots.clear();
-    scratch.tmp_slots.resize(len, 0);
-    scratch.tmp_tiles.clear();
-    scratch.tmp_tiles.resize(len, 0);
-    scratch.tmp_keys.clear();
-    scratch.tmp_keys.resize(len, 0);
-
-    // One pass over the keys builds every pass's histogram at once.
-    let mut histograms = [[0u32; RADIX_BUCKETS]; PASSES];
-    for &k in &scratch.entry_keys[..len] {
-        for (pass, histogram) in histograms.iter_mut().enumerate() {
-            histogram[((k >> (pass * RADIX_BITS)) as usize) & (RADIX_BUCKETS - 1)] += 1;
+/// Visits the tiles of one splat's rectangle, row by row.
+#[inline]
+fn for_each_tile(&[tx0, tx1, ty0, ty1]: &TileRect, tiles_x: usize, mut visit: impl FnMut(usize)) {
+    for ty in ty0 as usize..ty1 as usize + 1 {
+        let row = ty * tiles_x;
+        for tile in row + tx0 as usize..row + tx1 as usize + 1 {
+            visit(tile);
         }
-    }
-
-    // Each executed pass scatters entry → tmp, then the buffer pairs are
-    // pointer-swapped so the current data always lives in the `entry_*`
-    // arrays (including after skipped passes and at exit).
-    for (pass, histogram) in histograms.iter_mut().enumerate() {
-        // Uniform digit ⇒ the stable scatter is the identity; skip the copy.
-        if histogram.iter().any(|&c| c as usize == len) {
-            continue;
-        }
-        let shift = pass * RADIX_BITS;
-        let mut cursor = 0u32;
-        for h in histogram.iter_mut() {
-            let c = *h;
-            *h = cursor;
-            cursor += c;
-        }
-        for i in 0..len {
-            let k = scratch.entry_keys[i];
-            let bucket = ((k >> shift) as usize) & (RADIX_BUCKETS - 1);
-            let dst = histogram[bucket] as usize;
-            histogram[bucket] += 1;
-            scratch.tmp_keys[dst] = k;
-            scratch.tmp_slots[dst] = scratch.entry_slots[i];
-            scratch.tmp_tiles[dst] = scratch.entry_tiles[i];
-        }
-        std::mem::swap(&mut scratch.entry_keys, &mut scratch.tmp_keys);
-        std::mem::swap(&mut scratch.entry_slots, &mut scratch.tmp_slots);
-        std::mem::swap(&mut scratch.entry_tiles, &mut scratch.tmp_tiles);
     }
 }
 

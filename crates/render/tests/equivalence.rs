@@ -30,7 +30,8 @@
 //! Every cell asserts, bit for bit: tile lists (against the oracle's in
 //! stable-ID space and against the legacy per-tile sort in slot space),
 //! image, depth, transmittance, per-pixel workloads, render stats, the
-//! loss and its pixel gradients, per-Gaussian gradients (in stable-ID
+//! loss and its pixel gradients (computed on the cell's backend, against
+//! `Serial`'s), per-Gaussian gradients (in stable-ID
 //! space), the pose tangent and the backward counters. The fused cells —
 //! what tracking runs — also run the [`GradSet::PoseOnly`] backward and
 //! assert that it leaves `gaussians` empty and equals the full pass's pose
@@ -49,7 +50,7 @@ use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::reference;
 use rtgs_render::{
     BackwardOutput, DepthImage, FrameArena, Gaussian3d, GaussianGrad, GradSet, Image, LossConfig,
-    LossOutput, PinholeCamera, RenderOutput, ShardedScene,
+    LossKind, LossOutput, PinholeCamera, RenderOutput, ShardedScene,
 };
 use rtgs_runtime::{Backend, Parallel, Serial};
 use std::ops::Range;
@@ -392,7 +393,8 @@ fn check_cell(
         "{cell}: visible splats"
     );
 
-    // Step ❷: CSR + radix == legacy per-tile sort == the oracle's lists.
+    // Step ❷: the chunked binning == legacy per-tile sort == the oracle's
+    // lists.
     arena.assign_tiles(camera, backend);
     let legacy = reference::build_tile_lists_legacy(arena.projection(), camera);
     assert_eq!(legacy.len(), arena.tiles().tile_count());
@@ -434,8 +436,9 @@ fn check_cell(
     );
     assert_eq!(out.stats, oracle.out.stats, "{cell}: stats");
 
-    // Loss.
-    let loss = arena.compute_loss(&oracle.gt, Some(&oracle.gt_depth), &LossConfig::default());
+    // Loss, chunked over the cell's backend; the oracle's ran on `Serial`.
+    let config = LossConfig::default();
+    let loss = arena.compute_loss_with(&oracle.gt, Some(&oracle.gt_depth), &config, backend);
     assert_eq!(loss, oracle.loss.loss, "{cell}: loss");
     let (got, want) = (&arena.loss().pixel_grads, &oracle.loss.pixel_grads);
     assert_eq!(got.color, want.color, "{cell}: dL/dC");
@@ -682,6 +685,73 @@ fn block_and_chunk_boundaries_match_on_every_backend() {
             "{touched} of {visible} touched: the tail blocks must carry gradient"
         );
         run_matrix(&[case]);
+    }
+}
+
+/// RTGS's factor-4 tracking frame, 18×10: two tiles, ten pixel rows and a
+/// few dozen splats, so the tile-bin's count and scatter loops are one chunk
+/// each, which every backend runs inline — next to its 37×21 factor-2
+/// frame, six tiles.
+#[test]
+fn downsampled_frames_match_on_every_backend() {
+    let cases: Vec<Case> = [(18, 10), (37, 21)]
+        .into_iter()
+        .map(|res| case_of(ramp_scene(), 1.0, Se3::IDENTITY, res))
+        .collect();
+    run_matrix(&cases);
+}
+
+/// The loss outside the matrix's default configuration — L1 and L2, with
+/// and without a depth target — is the same bits on every backend as on
+/// `Serial`: the value, its two terms and every per-pixel gradient, at the
+/// 18×10 frame (a pixel-row loop of two chunks) and at the 75×42 session
+/// frame.
+#[test]
+fn every_loss_configuration_matches_on_every_backend() {
+    let backends: Vec<Box<dyn Backend>> = vec![
+        Box::new(Reversed),
+        Box::new(Shuffled::new(7)),
+        Box::new(Parallel::new(2)),
+        Box::new(Parallel::new(3)),
+    ];
+    for res in [(18, 10), (75, 42)] {
+        let case = case_of(ramp_scene(), 1.0, Se3::IDENTITY, res);
+        let mut arena = FrameArena::new();
+        let rendered = arena
+            .forward(&case.map, &case.pose, &case.camera, &Serial)
+            .clone();
+        let (gt, gt_depth) = targets(&case, &rendered);
+        for kind in [LossKind::L1, LossKind::L2] {
+            for depth in [Some(&gt_depth), None] {
+                let config = LossConfig {
+                    kind,
+                    ..LossConfig::default()
+                };
+                arena.compute_loss_with(&gt, depth, &config, &Serial);
+                let want = arena.loss().clone();
+                assert!(want.photometric > 0.0);
+                for backend in &backends {
+                    let cell = format!(
+                        "{res:?}/{kind:?}/depth {}/{}",
+                        depth.is_some(),
+                        backend.name()
+                    );
+                    let loss = arena.compute_loss_with(&gt, depth, &config, &**backend);
+                    let got = arena.loss();
+                    assert_eq!(loss.to_bits(), want.loss.to_bits(), "{cell}: loss");
+                    assert_eq!(
+                        got.photometric.to_bits(),
+                        want.photometric.to_bits(),
+                        "{cell}"
+                    );
+                    assert_eq!(got.geometric.to_bits(), want.geometric.to_bits(), "{cell}");
+                    let (got, want) = (&got.pixel_grads, &want.pixel_grads);
+                    assert_eq!(got.color, want.color, "{cell}: dL/dC");
+                    assert_eq!(got.depth, want.depth, "{cell}: dL/dD");
+                    assert_eq!(got.transmittance, want.transmittance, "{cell}: dL/dT");
+                }
+            }
+        }
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Installs the counting global allocator from the `alloc-counter` shim and
 //! drives full tracking-style iterations — frustum cull → project → CSR
-//! tile assign (radix depth sort) → fused forward → loss → fused backward —
-//! through one reused [`FrameArena`]. After a warm-up that establishes
+//! tile assign (per-tile depth sort) → fused forward → loss → fused
+//! backward — through one reused [`FrameArena`], and whole mapping
+//! iterations: a bounds refresh before them and an Adam step after. After a warm-up that establishes
 //! every buffer's high-water capacity, the measured iterations must perform
 //! **zero** heap allocations on the calling thread.
 //!
@@ -32,6 +33,7 @@ use rtgs_render::{
     FrameArena, Gaussian3d, GaussianScene, GradSet, Image, LossConfig, PinholeCamera, ShardedScene,
 };
 use rtgs_runtime::Serial;
+use rtgs_slam::{MapLearningRates, MapOptimizer};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
@@ -404,6 +406,75 @@ fn trial_scopes_and_mask_changes_allocate_nothing() {
             steady_allocs, 0,
             "scoped trials + mapping at {}×{} must not allocate after one warm cycle",
             camera.width, camera.height
+        );
+    }
+}
+
+/// One whole mapping iteration, as each of a keyframe's runs it: bounds
+/// refresh → cull → project → tile-bin → fused render → loss (with a depth
+/// target) → `Full` backward → Adam step — at the session frame and at the
+/// 18×10 frame. The refresh's stale indices, the Adam step's change flags
+/// and every arena buffer are kept storage. The Adam step moves the map
+/// every iteration, so a tile's fragment count can still set a new
+/// high-water mark after warm-up, and the steady state is reached, not
+/// counted (as the parallel gate does): within [`MAPPING_LIMIT`] iterations
+/// there must be [`MAPPING_QUIET`] in a row that allocate nothing, which an
+/// allocation per iteration never allows.
+#[test]
+fn mapping_iterations_reach_an_allocation_free_steady_state() {
+    const MAPPING_QUIET: usize = 10;
+    const MAPPING_LIMIT: usize = 200;
+    let cfg = LossConfig::default();
+    let pose = Se3::IDENTITY;
+    for camera in [cameras()[1], PinholeCamera::from_fov(18, 10, 1.2)] {
+        let mut map = ShardedScene::from_scene(&test_scene(180), 1.0);
+        let target = FrameArena::new()
+            .forward(
+                &map,
+                &Se3::from_translation(Vec3::new(0.02, -0.01, 0.0)),
+                &camera,
+                &Serial,
+            )
+            .clone();
+        let mut optimizer = MapOptimizer::new(map.capacity(), MapLearningRates::default());
+        let mut arena = FrameArena::new();
+        let mut mapping = |arena: &mut FrameArena, map: &mut ShardedScene| {
+            map.refresh_bounds_with(&Serial);
+            arena.cull(map, &pose, &camera, None, &Serial);
+            arena.project_visible(&pose, &camera, &Serial);
+            arena.assign_tiles(&camera, &Serial);
+            arena.render_fused(&camera, &Serial);
+            let loss = arena.compute_loss_with(&target.image, Some(&target.depth), &cfg, &Serial);
+            assert!(loss.is_finite());
+            arena.backward_visible_fused(&camera, &pose, &Serial);
+            let (ids, grads) = (&arena.visible().ids, &arena.backward().gaussians);
+            assert!(
+                grads.iter().any(|g| g.position != Vec3::ZERO),
+                "gradients flow"
+            );
+            optimizer.step_visible_with(map, ids, grads, &Serial);
+        };
+        let (mut quiet, mut iterations) = (0, 0);
+        while quiet < MAPPING_QUIET {
+            assert!(
+                iterations < MAPPING_LIMIT,
+                "no {MAPPING_QUIET} allocation-free mapping iterations in a row within \
+                 {MAPPING_LIMIT} at {}×{}: a mapping stage allocates in the steady state",
+                camera.width,
+                camera.height
+            );
+            let before = alloc_counter::thread_allocations();
+            mapping(&mut arena, &mut map);
+            if alloc_counter::thread_allocations() == before {
+                quiet += 1;
+            } else {
+                quiet = 0;
+            }
+            iterations += 1;
+        }
+        assert!(
+            iterations > MAPPING_QUIET,
+            "sanity: warm-up must allocate (counter must be live)"
         );
     }
 }

@@ -8,6 +8,10 @@
 //! test binary of its own with a single test: no other test's thread can
 //! leak into the count.
 //!
+//! Each measured round runs a tracked frame's trials, a full iteration and
+//! a keyframe's whole mapping iteration (bounds refresh and Adam step
+//! included, on a map of its own that the Adam step moves).
+//!
 //! What "steady state" means here: the arena's buffers reach their
 //! high-water capacities during warm-up, and the test waits for a quiet
 //! window instead of counting warm-up iterations — a dispatch that
@@ -23,6 +27,7 @@ use rtgs_render::{
     FrameArena, Gaussian3d, GaussianScene, GradSet, LossConfig, PinholeCamera, ShardedScene,
 };
 use rtgs_runtime::{Backend, Parallel, Serial};
+use rtgs_slam::{MapLearningRates, MapOptimizer};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
@@ -80,7 +85,7 @@ fn parallel_iterations_reach_an_allocation_free_steady_state() {
         arena.project_visible(w2c, &camera, backend);
         arena.assign_tiles(&camera, backend);
         arena.render_fused(&camera, backend);
-        let loss = arena.compute_loss(&gt, None, &cfg);
+        let loss = arena.compute_loss_with(&gt, None, &cfg, backend);
         arena.backward_visible_fused(&camera, w2c, backend);
         assert!(loss.is_finite());
     };
@@ -94,14 +99,69 @@ fn parallel_iterations_reach_an_allocation_free_steady_state() {
             trials.project_visible(w2c, &camera, backend);
             trials.assign_tiles(&camera, backend);
             trials.render_fused(&camera, backend);
-            assert!(trials.compute_loss(&gt, None, &cfg).is_finite());
+            assert!(trials
+                .compute_loss_with(&gt, None, &cfg, backend)
+                .is_finite());
             trials.backward_visible_grads(&camera, w2c, GradSet::PoseOnly, backend);
         }
+    };
+
+    // A keyframe's mapping iteration, on a map of its own that the Adam
+    // step changes: bounds refresh → cull → project → tile-bin → fused
+    // render → loss (with a depth target) → `Full` backward → Adam step.
+    // The step learns colours only, so every row is still updated and
+    // stamped, and the refresh has every shard to redo, but the geometry —
+    // hence every tile's and band's fragment count — holds still: a drifting
+    // map keeps setting new per-band high-water marks for hundreds of
+    // iterations, which `zero_alloc.rs` gates with a real step on the
+    // serial backend, and this gate is about the dispatch.
+    let target = FrameArena::new()
+        .forward(
+            &map,
+            &Se3::from_translation(Vec3::new(0.02, -0.01, 0.0)),
+            &camera,
+            &Serial,
+        )
+        .clone();
+    let colours_only = MapLearningRates {
+        position: 0.0,
+        log_scale: 0.0,
+        rotation: 0.0,
+        opacity: 0.0,
+        ..MapLearningRates::default()
+    };
+    struct Mapper {
+        map: ShardedScene,
+        optimizer: MapOptimizer,
+        arena: FrameArena,
+    }
+    let mapper = || Mapper {
+        map: map.clone(),
+        optimizer: MapOptimizer::new(map.capacity(), colours_only),
+        arena: FrameArena::new(),
+    };
+    let mapping = |m: &mut Mapper, backend: &dyn Backend| {
+        let pose = &poses[0];
+        m.map.refresh_bounds_with(backend);
+        m.arena.cull(&m.map, pose, &camera, None, backend);
+        m.arena.project_visible(pose, &camera, backend);
+        m.arena.assign_tiles(&camera, backend);
+        m.arena.render_fused(&camera, backend);
+        let depth = Some(&target.depth);
+        assert!(m
+            .arena
+            .compute_loss_with(&target.image, depth, &cfg, backend)
+            .is_finite());
+        m.arena.backward_visible_fused(&camera, pose, backend);
+        let (ids, grads) = (&m.arena.visible().ids, &m.arena.backward().gaussians);
+        m.optimizer
+            .step_visible_with(&mut m.map, ids, grads, backend);
     };
 
     // Two workers beside this thread, whatever the host has.
     let backend = Parallel::new(2);
     let mut arena = FrameArena::new();
+    let mut mapped = mapper();
     let mut quiet = 0;
     let mut iterations = 0;
     while quiet < QUIET_WINDOW {
@@ -114,6 +174,7 @@ fn parallel_iterations_reach_an_allocation_free_steady_state() {
         let before = alloc_counter::total_allocations();
         scoped_frame(&mut arena, &backend);
         iteration(&mut arena, &poses[iterations % 2], &backend);
+        mapping(&mut mapped, &backend);
         if alloc_counter::total_allocations() == before {
             quiet += 1;
         } else {
@@ -139,4 +200,19 @@ fn parallel_iterations_reach_an_allocation_free_steady_state() {
     scoped_frame(&mut serial, &Serial);
     assert_eq!(arena.output().image, serial.output().image);
     assert_eq!(arena.backward().pose, serial.backward().pose);
+    // As many mapping iterations on `Serial` end on the same map (its
+    // colours carry the moments' bits), shard versions included.
+    let mut serial_mapped = mapper();
+    for _ in 0..iterations {
+        mapping(&mut serial_mapped, &Serial);
+    }
+    assert_eq!(mapped.map.export_state(), serial_mapped.map.export_state());
+    let versions = |m: &Mapper| {
+        m.map
+            .shards()
+            .iter()
+            .map(|s| s.version())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(versions(&mapped), versions(&serial_mapped));
 }

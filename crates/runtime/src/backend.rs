@@ -290,6 +290,26 @@ impl<'a, T> SharedSlice<'a, T> {
     pub unsafe fn write(&self, i: usize, value: T) {
         *self.get_mut(i) = value;
     }
+
+    /// Returns the elements of `range` as one mutable slice.
+    ///
+    /// # Safety
+    ///
+    /// As for [`SharedSlice::get_mut`]: no two concurrently-live references
+    /// returned by this method or by `get_mut` may overlap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds or decreasing.
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn range_mut(&self, range: Range<usize>) -> &mut [T] {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "range {range:?} out of bounds (len {})",
+            self.len
+        );
+        std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len())
+    }
 }
 
 #[cfg(test)]
@@ -411,5 +431,26 @@ mod tests {
             }
         });
         assert!(data.iter().enumerate().all(|(i, &v)| v == i * 3));
+    }
+
+    #[test]
+    fn shared_slice_disjoint_range_writes() {
+        let backend = Parallel::new(2);
+        let mut data = vec![0usize; 100];
+        let view = SharedSlice::new(&mut data);
+        backend.for_each_chunk(100, 16, &|chunk, range| {
+            // SAFETY: chunk ranges are disjoint.
+            unsafe { view.range_mut(range) }.fill(chunk + 1);
+        });
+        assert!(data.iter().enumerate().all(|(i, &v)| v == i / 16 + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn shared_slice_range_is_bounds_checked() {
+        let mut data = [0u8; 4];
+        let view = SharedSlice::new(&mut data);
+        // SAFETY: the only reference; the call panics before creating it.
+        let _ = unsafe { view.range_mut(2..5) };
     }
 }

@@ -3,11 +3,15 @@
 
 use rtgs_math::{clamp, Vec3};
 use rtgs_render::{Gaussian3d, GaussianGrad, ShardedScene};
+use rtgs_runtime::{Backend, Serial, SharedSlice};
 use rtgs_snapshot::Channel;
 
 /// Number of scalar parameters per Gaussian
 /// (position 3 + log-scale 3 + quaternion 4 + opacity 1 + color 3).
 pub const PARAMS_PER_GAUSSIAN: usize = 14;
+
+/// Visible rows per chunk of the Adam step.
+const ADAM_CHUNK: usize = 128;
 
 /// Per-group learning rates for the Gaussian Adam optimizer, following the
 /// reference 3DGS training recipe (scaled for SLAM's few iterations per
@@ -127,16 +131,37 @@ impl MapOptimizer {
     /// Applies one Adam step to the frame's visible working set: `ids[k]`
     /// is the stable ID of the Gaussian whose gradient is `grads[k]` (the
     /// frame-local layout of `rtgs_render::FrameArena::visible` after a
-    /// cull). Gaussians outside the
+    /// cull, ascending). Gaussians outside the
     /// visible set — and visible ones with an all-zero gradient — are
     /// untouched, matching the sparse-update behaviour of the reference
-    /// trainer.
+    /// trainer. Runs on the calling thread: [`Self::step_visible_with`] on
+    /// [`Serial`].
     ///
     /// # Panics
     ///
     /// Panics if sizes disagree (the optimizer must have registered every
-    /// ID of the map, and no other) or an ID is out of range / tombstoned.
+    /// ID of the map, and no other), `ids` is not strictly ascending, or an
+    /// ID is out of range / tombstoned.
     pub fn step_visible(&mut self, map: &mut ShardedScene, ids: &[u32], grads: &[GaussianGrad]) {
+        self.step_visible_with(map, ids, grads, &Serial);
+    }
+
+    /// [`Self::step_visible`] with the visible rows chunked over `backend`
+    /// ([`ShardedScene::update_with`]). A row's moments and parameters
+    /// depend on its own gradient alone, and the map stamps the changed
+    /// rows' shards afterwards in ascending-ID order, so the moments, the
+    /// map and every shard version are the same bits on every backend.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Self::step_visible`].
+    pub fn step_visible_with(
+        &mut self,
+        map: &mut ShardedScene,
+        ids: &[u32],
+        grads: &[GaussianGrad],
+        backend: &dyn Backend,
+    ) {
         assert_eq!(ids.len(), grads.len(), "gradient buffer size mismatch");
         assert_eq!(
             map.capacity(),
@@ -147,25 +172,38 @@ impl MapOptimizer {
         let bc1 = 1.0 - self.beta1.powi(self.step as i32);
         let bc2 = 1.0 - self.beta2.powi(self.step as i32);
 
-        let [m_all, v_all] = &mut self.moments;
-        for (&id, grad) in ids.iter().zip(grads.iter()) {
-            let flat = flatten_grad(grad);
+        let Self {
+            lrs,
+            beta1,
+            beta2,
+            eps,
+            moments: [m_all, v_all],
+            ..
+        } = self;
+        let (beta1, beta2, eps) = (*beta1, *beta2, *eps);
+        let m_all = SharedSlice::new(&mut m_all.data);
+        let v_all = SharedSlice::new(&mut v_all.data);
+        map.update_with(ids, ADAM_CHUNK, backend, |k, gaussian| {
+            let flat = flatten_grad(&grads[k]);
             if flat.iter().all(|&x| x == 0.0) {
-                continue;
+                return false;
             }
-            let row = id as usize * PARAMS_PER_GAUSSIAN..(id as usize + 1) * PARAMS_PER_GAUSSIAN;
-            let m = &mut m_all.data[row.clone()];
-            let v = &mut v_all.data[row];
+            let id = ids[k] as usize;
+            let row = id * PARAMS_PER_GAUSSIAN..(id + 1) * PARAMS_PER_GAUSSIAN;
+            // SAFETY: `update_with` visits each `k` once, and its IDs are
+            // strictly ascending, so no two calls share a moment row.
+            let (m, v) = unsafe { (m_all.range_mut(row.clone()), v_all.range_mut(row)) };
             let mut update = [0.0f32; PARAMS_PER_GAUSSIAN];
             for i in 0..PARAMS_PER_GAUSSIAN {
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * flat[i];
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * flat[i] * flat[i];
+                m[i] = beta1 * m[i] + (1.0 - beta1) * flat[i];
+                v[i] = beta2 * v[i] + (1.0 - beta2) * flat[i] * flat[i];
                 let m_hat = m[i] / bc1;
                 let v_hat = v[i] / bc2;
-                update[i] = m_hat / (v_hat.sqrt() + self.eps);
+                update[i] = m_hat / (v_hat.sqrt() + eps);
             }
-            apply_update(map.gaussian_mut(id), &update, &self.lrs);
-        }
+            apply_update(gaussian, &update, lrs);
+            true
+        });
     }
 }
 
@@ -374,6 +412,142 @@ mod tests {
         assert!(first_moment(&opt, 0)[0] != m0[0]);
         assert!(first_moment(&opt, 2)[0] != m2[0]);
         assert_eq!(first_moment(&opt, recycled)[0], 0.0);
+    }
+
+    /// Runs a loop's chunks on the caller in a fixed permutation of their
+    /// indices: last first, or a seeded shuffle.
+    struct Permuted(fn(usize) -> Vec<usize>);
+
+    impl Backend for Permuted {
+        fn name(&self) -> &'static str {
+            "permuted"
+        }
+
+        fn for_each_chunk(
+            &self,
+            len: usize,
+            chunk_size: usize,
+            body: &(dyn Fn(usize, std::ops::Range<usize>) + Sync),
+        ) {
+            for index in (self.0)(len.div_ceil(chunk_size)) {
+                body(
+                    index,
+                    index * chunk_size..((index + 1) * chunk_size).min(len),
+                );
+            }
+        }
+    }
+
+    fn reversed(chunks: usize) -> Vec<usize> {
+        (0..chunks).rev().collect()
+    }
+
+    fn shuffled(chunks: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..chunks).collect();
+        let mut state = 0x5EED_u64;
+        for i in (1..chunks).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        order
+    }
+
+    /// Everything an Adam step leaves behind that a checkpoint or a cull
+    /// reads: the moments, the map's persistent state and the shard
+    /// versions.
+    fn outcome(opt: &MapOptimizer, map: &ShardedScene) -> impl PartialEq + std::fmt::Debug {
+        let bits = |ch: &Channel| ch.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let versions: Vec<u64> = map.shards().iter().map(|s| s.version()).collect();
+        (
+            [bits(&opt.moments[0]), bits(&opt.moments[1])],
+            format!("{:?}", map.export_state()),
+            versions,
+        )
+    }
+
+    /// Chunked over `Parallel`, `Reversed` and `Shuffled` claim orders, a
+    /// run of Adam steps leaves the moments, the map and every shard
+    /// version bit for bit where `Serial` leaves them — over five chunks of
+    /// rows, with zero-gradient rows (skipped, so never stamped), a step
+    /// that sees a subset, and a densify between steps; and over a working
+    /// set smaller than one chunk, which every backend runs inline.
+    #[test]
+    fn chunked_steps_match_serial_on_every_backend() {
+        for n in [600, 40] {
+            let run = |backend: &dyn Backend| {
+                let mut map = ShardedScene::new(0.7);
+                for i in 0..n {
+                    map.insert(Gaussian3d::from_activated(
+                        Vec3::new(
+                            (i % 23) as f32 * 0.3,
+                            (i % 7) as f32 * 0.2,
+                            2.0 + (i % 5) as f32,
+                        ),
+                        Vec3::splat(0.1),
+                        Quat::IDENTITY,
+                        0.5,
+                        Vec3::splat(0.5),
+                    ));
+                }
+                let mut opt = MapOptimizer::new(map.capacity(), MapLearningRates::default());
+                for step in 0..4u32 {
+                    let ids: Vec<u32> = map
+                        .live_ids()
+                        .filter(|id| step != 2 || id % 3 != 0)
+                        .collect();
+                    let grads: Vec<GaussianGrad> = ids
+                        .iter()
+                        .map(|&id| {
+                            if (id + step) % 11 == 0 {
+                                return GaussianGrad::default();
+                            }
+                            let x = ((id * 7 + step * 13) % 17) as f32 / 17.0 - 0.5;
+                            GaussianGrad {
+                                position: Vec3::new(x, -0.5 * x, 0.25),
+                                log_scale: Vec3::splat(0.1 * x),
+                                rotation: [x, 0.0, -x, 0.5],
+                                opacity: -x,
+                                color: Vec3::new(0.3, x, -0.2),
+                                ..Default::default()
+                            }
+                        })
+                        .collect();
+                    opt.step_visible_with(&mut map, &ids, &grads, backend);
+                    if step == 1 {
+                        let id = map.insert(Gaussian3d::from_activated(
+                            Vec3::new(-1.0, 0.0, 2.0),
+                            Vec3::splat(0.1),
+                            Quat::IDENTITY,
+                            0.5,
+                            Vec3::splat(0.5),
+                        ));
+                        opt.register(id);
+                    }
+                }
+                outcome(&opt, &map)
+            };
+            let want = run(&Serial);
+            let backends: [(&str, &dyn Backend); 4] = [
+                ("parallel", &rtgs_runtime::Parallel::new(2)),
+                ("parallel-3", &rtgs_runtime::Parallel::new(3)),
+                ("reversed", &Permuted(reversed)),
+                ("shuffled", &Permuted(shuffled)),
+            ];
+            for (name, backend) in backends {
+                assert_eq!(run(backend), want, "{name}, {n} Gaussians");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn unsorted_ids_are_refused() {
+        let mut map = map_of(2);
+        let mut opt = MapOptimizer::new(map.capacity(), MapLearningRates::default());
+        let grads = vec![GaussianGrad::default(); 2];
+        opt.step_visible(&mut map, &[1, 0], &grads);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 use crate::keyframe::{KeyframeContext, KeyframePolicy};
 use crate::map::{densify, prune_transparent, seed_from_frame, MapConfig};
 use crate::optimizer::{MapLearningRates, MapOptimizer};
-use crate::tracking::{timed_iteration, track_frame, IterationArtifacts, TrackingConfig};
+use crate::tracking::{
+    record_since, timed_iteration, track_frame, IterationArtifacts, TrackingConfig,
+};
 use rtgs_math::Se3;
 use rtgs_metrics::{absolute_trajectory_error, psnr, AteResult};
 use rtgs_render::{FrameArena, GradSet, ShardedScene, DEFAULT_CELL_SIZE};
@@ -13,7 +15,7 @@ use rtgs_runtime::{Backend, BackendChoice};
 use rtgs_scene::{RgbdFrame, SyntheticDataset};
 use rtgs_telemetry::flight::hops;
 use rtgs_telemetry::{
-    emit_flow_span, ns_since_epoch, Counter, Gauge, Histogram, StageTimings, TraceCtx,
+    emit_flow_span, ns_since_epoch, Counter, Gauge, Histogram, StageId, StageTimings, TraceCtx,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -751,6 +753,12 @@ impl<'d> SlamPipeline<'d> {
     /// current keyframe with random earlier keyframes (forgetting
     /// mitigation), densifies once mid-way, prunes transparent Gaussians at
     /// the end.
+    ///
+    /// Every interval of it is a stage: Steps ❶–❺ and the loss as
+    /// [`timed_iteration`] accounts them, and the rest — each iteration's
+    /// bounds refresh, then its extension hook, Adam step and densification,
+    /// and the closing prune — as [`StageId::Other`], so the mapping stages
+    /// cover the mapping wall time.
     fn map_keyframe(&mut self, index: usize) {
         let camera = self.dataset.camera;
         let iterations = self.config.mapping_iterations;
@@ -769,7 +777,10 @@ impl<'d> SlamPipeline<'d> {
             // The previous iteration's optimizer step (or densification)
             // moved Gaussians; re-validate shard bounds, then cull + gather
             // the keyframe frustum's working set into the session arena.
+            let start = Instant::now();
             self.scene.refresh_bounds_with(&*self.backend);
+            let timings = &mut self.clock.mapping_timings;
+            record_since(timings, StageId::Other, start, iter as u64);
             timed_iteration(
                 &mut self.arena,
                 &self.scene,
@@ -781,6 +792,7 @@ impl<'d> SlamPipeline<'d> {
                 iter as u64,
                 &*self.backend,
             );
+            let start = Instant::now();
             self.extension.after_mapping_iteration(&IterationArtifacts {
                 iteration: iter,
                 grads: self.arena.backward(),
@@ -788,10 +800,11 @@ impl<'d> SlamPipeline<'d> {
                 tiles: self.arena.tiles(),
                 output: self.arena.output(),
             });
-            self.map_optimizer.step_visible(
+            self.map_optimizer.step_visible_with(
                 &mut self.scene,
                 &self.arena.visible().ids,
                 &self.arena.backward().gaussians,
+                &*self.backend,
             );
 
             if iter == densify_at && target_index == index {
@@ -806,11 +819,16 @@ impl<'d> SlamPipeline<'d> {
                     0xDE5EED ^ index as u64,
                 );
             }
+            let timings = &mut self.clock.mapping_timings;
+            record_since(timings, StageId::Other, start, iter as u64);
         }
 
         // Tombstoned IDs drop out of the next cull; survivors stay exactly
         // where they were.
+        let start = Instant::now();
         prune_transparent(&mut self.scene);
+        let timings = &mut self.clock.mapping_timings;
+        record_since(timings, StageId::Other, start, iterations as u64);
         self.peak_gaussians = self.peak_gaussians.max(self.scene.len());
     }
 

@@ -158,6 +158,12 @@ fn record_stage(timings: &mut StageTimings, stage: StageId, start_ns: u64, dur_n
     emit_span(stage.span_name(), "stage", start_ns, dur_ns, arg);
 }
 
+/// [`record_stage`] of the interval from `start` to now.
+pub(crate) fn record_since(timings: &mut StageTimings, stage: StageId, start: Instant, arg: u64) {
+    let dur_ns = start.elapsed().as_nanos() as u64;
+    record_stage(timings, stage, ns_since_epoch(start), dur_ns, arg);
+}
+
 /// One timed render + backward iteration — the paper's five-step frame
 /// pipeline over the session arena, as mapping runs it: the frustum cull
 /// of every live ID and projection, [`timed_forward`], then
@@ -231,7 +237,7 @@ fn timed_forward(
         (t3 - t2).as_nanos() as u64,
         it,
     );
-    let loss = arena.compute_loss(&frame.color, frame.depth.as_ref(), loss_config);
+    let loss = arena.compute_loss_with(&frame.color, frame.depth.as_ref(), loss_config, backend);
     (loss, t3)
 }
 
