@@ -2,11 +2,11 @@
 //! quality figures and checkpoint records must not move by a single bit
 //! unless a change means them to (CONTRIBUTING: such a change says so in
 //! its title and in its CHANGES entry). Serial and the machine's pool must
-//! both hit every pin, and so must a session recording its workload traces.
-//! A checkpoint holds no wall time, so two runs of one seeded session write
-//! identical records.
+//! both hit every pin, and so must a session recording its workload traces,
+//! whose traces are pinned too. A checkpoint holds no wall time, so two runs
+//! of one seeded session write identical records.
 
-use rtgs::accel::TraceRecorder;
+use rtgs::accel::{RunWorkload, TraceRecorder};
 use rtgs::core::RtgsConfig;
 use rtgs::math::Se3;
 use rtgs::render::FrameArena;
@@ -122,6 +122,41 @@ const LONG_TRACKING: Pin = Pin {
     last_delta: 3370540947,
 };
 
+/// CRC-32s of every trace a recorder kept, one per recorded session:
+/// MonoGS at 3 and at 15 trials, then RTGS on MonoGS (whose tracking
+/// renders at factors 2-4). See [`trace_digest`].
+const TRACES: [(&str, u32); 3] = [
+    ("MonoGS, 3 trials", 3726806474),
+    ("MonoGS, 15 trials", 1246881120),
+    ("RTGS + MonoGS", 460788199),
+];
+
+/// CRC-32 over every trace of `run`, frame by frame, tracking before
+/// mapping, in little-endian words: each frame's keyframe flag and trace
+/// counts, then each trace's resolution, per-pixel workloads, blended
+/// count and tile ID lists (each list's length first).
+fn trace_digest(run: &RunWorkload) -> u32 {
+    let mut bytes = Vec::new();
+    let mut word = |w: u32| bytes.extend_from_slice(&w.to_le_bytes());
+    for frame in &run.frames {
+        word(frame.is_keyframe as u32);
+        word(frame.tracking.len() as u32);
+        word(frame.mapping.len() as u32);
+        for trace in frame.tracking.iter().chain(&frame.mapping) {
+            word(trace.width as u32);
+            word(trace.height as u32);
+            trace.pixel_workloads.iter().for_each(|&w| word(w));
+            word(trace.fragments_blended as u32);
+            word((trace.fragments_blended >> 32) as u32);
+            for ids in &trace.tile_gaussian_ids {
+                word(ids.len() as u32);
+                ids.iter().for_each(|&id| word(id));
+            }
+        }
+    }
+    crc32(&bytes)
+}
+
 /// `FRAMES` frames of `algorithm` with `tracking_iterations` tracking and 3
 /// mapping iterations.
 fn config(
@@ -209,9 +244,15 @@ fn end_to_end_outputs_are_pinned() {
             want.bits(),
             "MonoGS, 15 trials, on {backend:?}: {got:?}"
         );
-        // A recorded session is the unrecorded one, checkpoints included.
-        for (iterations, want) in [(3, PINS[2].1), (15, LONG_TRACKING)] {
-            let (recorder, _) = TraceRecorder::new(Box::new(NoExtension));
+        // A recorded session is the unrecorded one, checkpoints included,
+        // and records the pinned traces.
+        let recorded: [(usize, fn() -> Extension, Pin); 3] = [
+            (3, || Box::new(NoExtension), PINS[2].1),
+            (15, || Box::new(NoExtension), LONG_TRACKING),
+            (3, || RtgsConfig::full().into_extension(), PINS[4].1),
+        ];
+        for ((iterations, inner, want), (name, traces)) in recorded.into_iter().zip(TRACES) {
+            let (recorder, run) = TraceRecorder::new(inner());
             let got = session(
                 BaseAlgorithm::MonoGs,
                 backend,
@@ -222,8 +263,10 @@ fn end_to_end_outputs_are_pinned() {
             assert_eq!(
                 got.bits(),
                 want.bits(),
-                "recorded MonoGS, {iterations} trials, on {backend:?}: {got:?}"
+                "recorded {name} on {backend:?}: {got:?}"
             );
+            let digest = trace_digest(&run.lock().expect("the session has ended"));
+            assert_eq!(digest, traces, "{name} traces on {backend:?}");
         }
     }
 }
