@@ -112,8 +112,7 @@ pub fn gpu_iteration(trace: &WorkloadTrace, gpu: &GpuSpec, distwar: bool) -> Gpu
     let visible = trace.visible_gaussians as u64;
     let thread_parallelism = (gpu.sms * gpu.warps_per_sm * gpu.warp_size) as u64;
     let preprocess = visible * PREPROCESS_CYCLES / thread_parallelism.max(1) + 400;
-    let intersections: u64 = trace.tile_gaussian_counts.iter().map(|&c| c as u64).sum();
-    let sorting = intersections * SORT_CYCLES / parallelism.max(1) + 600;
+    let sorting = trace.tile_intersections() * SORT_CYCLES / parallelism.max(1) + 600;
     let preprocess_bp = visible * (PREPROCESS_CYCLES / 2) / thread_parallelism.max(1) + 200;
 
     GpuIterationCycles {
@@ -188,7 +187,6 @@ mod tests {
             width: w,
             height: h,
             pixel_workloads: vec![workload; w * h],
-            tile_gaussian_counts: vec![gaussians_per_tile as u32; tiles],
             tiles_x,
             tiles_y,
             tile_gaussian_ids: vec![(0..gaussians_per_tile as u32).collect(); tiles],

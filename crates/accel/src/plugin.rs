@@ -205,8 +205,7 @@ pub fn plugin_iteration_on_host(
     let thread_parallelism = (host.sms * host.warps_per_sm * host.warp_size) as u64;
     let visible = trace.visible_gaussians as u64;
     let preprocess = visible * crate::gpu::PREPROCESS_CYCLES / thread_parallelism.max(1) + 400;
-    let intersections: u64 = trace.tile_gaussian_counts.iter().map(|&c| c as u64).sum();
-    let sorting = intersections * crate::gpu::SORT_CYCLES
+    let sorting = trace.tile_intersections() * crate::gpu::SORT_CYCLES
         / ((host.sms * host.warps_per_sm) as u64).max(1)
         + 600;
 
@@ -337,7 +336,6 @@ mod tests {
             width: w,
             height: h,
             pixel_workloads: pw,
-            tile_gaussian_counts: vec![16; tiles],
             tiles_x,
             tiles_y,
             tile_gaussian_ids: vec![(0..16).collect(); tiles],

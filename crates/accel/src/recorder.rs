@@ -55,7 +55,7 @@ impl TraceRecorder {
 }
 
 fn trace_of(artifacts: &IterationArtifacts<'_>) -> WorkloadTrace {
-    WorkloadTrace::from_render(artifacts.output, artifacts.tiles)
+    WorkloadTrace::from_render(artifacts.output, artifacts.tiles, artifacts.fragments)
 }
 
 impl PipelineExtension for TraceRecorder {

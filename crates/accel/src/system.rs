@@ -312,7 +312,6 @@ mod tests {
             width: w,
             height: h,
             pixel_workloads: vec![workload; w * h],
-            tile_gaussian_counts: vec![24; tiles],
             tiles_x,
             tiles_y,
             tile_gaussian_ids: vec![(0..24).collect(); tiles],

@@ -21,7 +21,6 @@ fn arb_trace() -> impl Strategy<Value = WorkloadTrace> {
                 width: w,
                 height: h,
                 pixel_workloads: workloads,
-                tile_gaussian_counts: vec![gaussians_per_tile as u32; tiles],
                 tiles_x: tx,
                 tiles_y: ty,
                 tile_gaussian_ids: vec![(0..gaussians_per_tile as u32).collect(); tiles],

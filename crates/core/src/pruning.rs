@@ -242,8 +242,8 @@ mod tests {
     use super::*;
     use rtgs_math::{Quat, Se3, Vec3};
     use rtgs_render::{
-        BackwardOutput, DepthImage, FrameArena, Gaussian3d, GaussianScene, Image, LossConfig,
-        PinholeCamera, RenderOutput, ShardedScene, DEFAULT_CELL_SIZE,
+        BackwardOutput, DepthImage, FragmentCache, FrameArena, Gaussian3d, GaussianScene, Image,
+        LossConfig, PinholeCamera, RenderOutput, ShardedScene, DEFAULT_CELL_SIZE,
     };
     use rtgs_runtime::Serial;
 
@@ -287,6 +287,7 @@ mod tests {
                 visible_ids: &arena.visible().ids,
                 tiles: arena.tiles(),
                 output: arena.output(),
+                fragments: arena.fragments(),
             };
             pruner.observe_iteration(&artifacts, mask);
         }
@@ -441,7 +442,6 @@ mod tests {
             image: Image::new(1, 1),
             depth: DepthImage::new(1, 1),
             final_transmittance: vec![1.0],
-            pixel_workloads: vec![0],
             stats: Default::default(),
         };
         let mut fired_total = 0;
@@ -474,6 +474,7 @@ mod tests {
                                 visible_ids: &[],
                                 tiles,
                                 output: &output,
+                                fragments: &FragmentCache::default(),
                             };
                             pruner.observe_iteration(&artifacts, &mut []);
                             fired.push(pruner.since_prune == 0);

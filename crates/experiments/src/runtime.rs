@@ -288,7 +288,7 @@ fn session_stage_table(session: &SessionMap, scale: Scale) -> String {
         map.len(),
         ds.camera.width,
         ds.camera.height,
-        arena.output().stats.fragments_blended,
+        arena.fragments().total_fragments(),
         iterations,
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         choice.label(),

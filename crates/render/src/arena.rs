@@ -420,7 +420,6 @@ impl FrameArena {
         let forward = std::mem::size_of_val(output.image.data())
             + std::mem::size_of_val(output.depth.data())
             + output.final_transmittance.capacity() * size_of::<f32>()
-            + output.pixel_workloads.capacity() * size_of::<u32>()
             + self.unit_stats.capacity() * size_of::<RenderStats>()
             + self.work.capacity_bytes()
             + self.fragments.capacity_bytes();
@@ -570,7 +569,7 @@ mod tests {
         let cam = PinholeCamera::from_fov(32, 32, 1.2);
         let mut arena = FrameArena::new();
         let out = arena.forward(&map(), &Se3::IDENTITY, &cam, &Serial);
-        assert!(out.stats.fragments_blended > 0);
+        assert!(out.stats.fragments_processed > 0);
         assert!(out.image.pixel(16, 16).x > 0.0);
         assert_eq!(arena.projection().visible_count(), 2);
     }

@@ -1198,7 +1198,7 @@ mod tests {
     use super::*;
     use crate::gaussian::Gaussian3d;
     use crate::reference::{backward_rewalk, RewalkScratch};
-    use crate::{FrameArena, ShardedScene, DEFAULT_CELL_SIZE};
+    use crate::{FrameArena, ShardedScene, WorkloadTrace, DEFAULT_CELL_SIZE};
     use rtgs_math::Quat;
     use rtgs_runtime::Serial;
 
@@ -1444,7 +1444,8 @@ mod tests {
         let mut aos = project_scene_aos(&scene, &Se3::IDENTITY, &cam, None);
         aos.splats[poisoned].as_mut().expect("visible").conic = nan_conic;
         let aos_tiles = build_tiles_aos(&aos, &cam);
-        let want = render_aos(&aos, &aos_tiles, &cam);
+        let rendered = render_aos(&aos, &aos_tiles, &cam);
+        let want = &rendered.output;
 
         let map = ShardedScene::from_scene(&scene, DEFAULT_CELL_SIZE);
         let mut arena = FrameArena::new();
@@ -1464,8 +1465,10 @@ mod tests {
         assert_eq!(got.image, want.image);
         assert_eq!(got.depth, want.depth);
         assert_eq!(got.final_transmittance, want.final_transmittance);
-        assert_eq!(got.pixel_workloads, want.pixel_workloads);
         assert_eq!(got.stats, want.stats);
+        let trace = WorkloadTrace::from_render(got, arena.tiles(), arena.fragments());
+        assert_eq!(trace.pixel_workloads, rendered.pixel_workloads);
+        assert_eq!(trace.fragments_blended, rendered.fragments_blended);
         // The poisoned splat covers its whole tile at the cap.
         let capped = want
             .final_transmittance

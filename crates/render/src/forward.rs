@@ -111,8 +111,9 @@ pub const ALPHA_MIN: f32 = 1.0 / 255.0;
 /// backward transmittance recursion stays finite.
 pub const ALPHA_MAX: f32 = 0.99;
 
-/// Aggregate counters from one forward pass, consumed by the hardware
-/// workload model.
+/// Aggregate counters from one forward pass. A workload trace derives the
+/// per-pixel workloads and the blended count from the fused pass's R&B
+/// records ([`crate::WorkloadTrace::from_render`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RenderStats {
     /// Tile-list positions consumed, summed over pixels: per pixel, the
@@ -122,8 +123,6 @@ pub struct RenderStats {
     /// subtile cull skips work, never positions, so the value does not
     /// depend on what it rejected.
     pub fragments_processed: u64,
-    /// Fragments that passed the `ALPHA_MIN` test and were blended.
-    pub fragments_blended: u64,
 }
 
 /// Result of a forward render.
@@ -135,11 +134,6 @@ pub struct RenderOutput {
     pub depth: DepthImage,
     /// Final transmittance per pixel (row-major).
     pub final_transmittance: Vec<f32>,
-    /// Fragments *processed* per pixel (row-major) — tile-list positions
-    /// consumed, as defined at [`RenderStats::fragments_processed`]: the
-    /// per-pixel workload of the paper's Fig. 6 and the input to the WSU
-    /// scheduling model.
-    pub pixel_workloads: Vec<u32>,
     /// Aggregate counters.
     pub stats: RenderStats,
 }
@@ -157,7 +151,6 @@ impl RenderOutput {
             image: Image::new(0, 0),
             depth: DepthImage::new(0, 0),
             final_transmittance: Vec::new(),
-            pixel_workloads: Vec::new(),
             stats: RenderStats::default(),
         }
     }
@@ -285,8 +278,8 @@ impl FragmentCache {
         &self.slots[..self.live]
     }
 
-    /// Total cached fragments (equals the forward pass's
-    /// [`RenderStats::fragments_blended`]).
+    /// Total cached fragments: the fragments the pass blended, one per set
+    /// mask bit.
     pub fn total_fragments(&self) -> u64 {
         let heads = self.bands().iter().flat_map(|t| &t.heads);
         heads.map(|h| h.mask.count_ones() as u64).sum()
@@ -706,10 +699,9 @@ impl LaneCenters {
 /// Streams the tile's gathered `splats` (with their cut `boxes`) through
 /// subtile `subtile` of the tile, whose lanes sit at
 /// `centers` and whose in-image extent is `w × h` pixels
-/// (`1..=SUBTILE_SIZE` each; lanes beyond it stay idle). The blended count
-/// goes to `stats`; when `RECORD`, the subtile's R&B
-/// records and final transmittances are written to `records` (`None` in the
-/// pass that records nothing).
+/// (`1..=SUBTILE_SIZE` each; lanes beyond it stay idle). When `RECORD`, the
+/// subtile's R&B records and final transmittances are written to `records`
+/// (`None` in the pass that records nothing).
 ///
 /// Kept out of line so that `centers` reaches the kernel as data: inlined,
 /// the compiler re-derives the lane coordinates from the tile origin and
@@ -725,7 +717,6 @@ fn blend_subtile<const RECORD: bool>(
     subtile: usize,
     centers: &LaneCenters,
     (w, h): (usize, usize),
-    stats: &mut RenderStats,
 ) -> SubtileLanes {
     // Statically `None` in the instantiation that records nothing.
     let mut records = if RECORD { records } else { None };
@@ -793,7 +784,6 @@ fn blend_subtile<const RECORD: bool>(
             if pass_bits == 0 {
                 continue;
             }
-            stats.fragments_blended += pass_bits.count_ones() as u64;
 
             // The blend, the transmittance update and the termination test of
             // the scalar path. Outside `pass` the alpha is zeroed first, which
@@ -892,9 +882,9 @@ fn unit_of_chunk(tiles: &TileAssignment, chunk: usize) -> usize {
 /// both instantiations is bitwise-identical and the cached fragments are
 /// exactly what a backward re-walk would reconstruct.
 ///
-/// Every output buffer — image, depth, transmittance, workloads, per-unit
-/// stats, the gathered working set and (when recording) the per-band R&B
-/// records — is refilled in place and the kernel needs no other scratch, so
+/// Every output buffer — image, depth, transmittance, per-unit stats, the
+/// gathered working set and (when recording) the per-band R&B records — is
+/// refilled in place and the kernel needs no other scratch, so
 /// a steady-state re-render into the same storage performs **no heap
 /// allocation**. Results are bitwise-identical
 /// to a render into fresh buffers.
@@ -919,7 +909,6 @@ pub(crate) fn render_into<const RECORD: bool>(
     out.image.resize_for_overwrite(camera.width, camera.height);
     out.depth.resize_for_overwrite(camera.width, camera.height);
     out.final_transmittance.resize(camera.pixel_count(), 1.0);
-    out.pixel_workloads.resize(camera.pixel_count(), 0);
     out.stats = RenderStats::default();
     unit_stats.clear();
     unit_stats.resize(units, RenderStats::default());
@@ -940,7 +929,6 @@ pub(crate) fn render_into<const RECORD: bool>(
         let image_view = SharedSlice::new(out.image.data_mut());
         let depth_view = SharedSlice::new(out.depth.data_mut());
         let t_view = SharedSlice::new(&mut out.final_transmittance);
-        let workload_view = SharedSlice::new(&mut out.pixel_workloads);
         let stats_view = SharedSlice::new(unit_stats.as_mut_slice());
         let frag_view = SharedSlice::new(frag_bands);
         backend.for_each_chunk(units, RENDER_CHUNK, &|_, range| {
@@ -973,7 +961,6 @@ pub(crate) fn render_into<const RECORD: bool>(
                             image_view.write(idx, Vec3::ZERO);
                             depth_view.write(idx, 0.0);
                             t_view.write(idx, 1.0);
-                            workload_view.write(idx, 0);
                         }
                     }
                     continue;
@@ -992,7 +979,6 @@ pub(crate) fn render_into<const RECORD: bool>(
                             subtile,
                             &LaneCenters::of(sx0, sy0),
                             (w, h),
-                            &mut stats,
                         );
                         for dy in 0..h {
                             for dx in 0..w {
@@ -1004,7 +990,6 @@ pub(crate) fn render_into<const RECORD: bool>(
                                     image_view.write(idx, Vec3::new(r, g, b));
                                     depth_view.write(idx, lanes.depth[l]);
                                     t_view.write(idx, lanes.t[l]);
-                                    workload_view.write(idx, lanes.processed[l]);
                                 }
                             }
                         }
@@ -1025,7 +1010,6 @@ pub(crate) fn render_into<const RECORD: bool>(
 
     for us in unit_stats.iter() {
         out.stats.fragments_processed += us.fragments_processed;
-        out.stats.fragments_blended += us.fragments_blended;
     }
 }
 
@@ -1033,7 +1017,8 @@ pub(crate) fn render_into<const RECORD: bool>(
 mod tests {
     use super::*;
     use crate::gaussian::{Gaussian3d, GaussianScene};
-    use crate::{FrameArena, ShardedScene, DEFAULT_CELL_SIZE};
+    use crate::reference::render_frame_aos;
+    use crate::{FrameArena, ShardedScene, WorkloadTrace, DEFAULT_CELL_SIZE};
     use proptest::prelude::*;
     use rtgs_math::{Quat, Se3};
     use rtgs_runtime::Serial;
@@ -1125,9 +1110,12 @@ mod tests {
         let n = layers.len();
         let (map, cam) = (map_of(&GaussianScene::from_gaussians(layers)), camera());
         let mut arena = FrameArena::new();
-        let out = arena.forward(&map, &Se3::IDENTITY, &cam, &Serial).clone();
-        let w = out.pixel_workloads[16 * 32 + 16];
+        arena.forward(&map, &Se3::IDENTITY, &cam, &Serial);
+        arena.render_fused(&cam, &Serial);
+        let trace = WorkloadTrace::from_render(arena.output(), arena.tiles(), arena.fragments());
+        let w = trace.pixel_workloads[16 * 32 + 16];
         assert!(w < n as u32 / 2, "expected early termination, workload {w}");
+        let out = arena.output();
         // Without termination, every pixel consumes its tile's whole list.
         let tiles = arena.tiles();
         let whole_lists: usize = (0..tiles.tile_count())
@@ -1154,15 +1142,23 @@ mod tests {
         assert!(out.image.pixel(16, 16).x > single.image.pixel(16, 16).x);
     }
 
+    /// The workloads a trace derives from the R&B records sum to the
+    /// kernel's own count of the positions it consumed.
     #[test]
     fn workload_matches_stats_total() {
         let scene = GaussianScene::from_gaussians(vec![
             big_gaussian(2.0, 0.4, Vec3::X),
             big_gaussian(3.0, 0.4, Vec3::Y),
         ]);
-        let out = render_scene(&scene);
-        let total: u64 = out.pixel_workloads.iter().map(|&w| w as u64).sum();
-        assert_eq!(total, out.stats.fragments_processed);
+        let (map, cam) = (map_of(&scene), camera());
+        let mut arena = FrameArena::new();
+        arena.forward(&map, &Se3::IDENTITY, &cam, &Serial);
+        arena.render_fused(&cam, &Serial);
+        let trace = WorkloadTrace::from_render(arena.output(), arena.tiles(), arena.fragments());
+        assert_eq!(
+            trace.total_fragments(),
+            arena.output().stats.fragments_processed
+        );
     }
 
     #[test]
@@ -1193,10 +1189,11 @@ mod tests {
         assert_eq!(plain.depth, fused.depth);
         assert_eq!(plain.final_transmittance, fused.final_transmittance);
         assert_eq!(plain.stats, fused.stats);
-        // Every blended fragment was recorded.
+        // Every fragment the pixel-outer oracle blends was recorded.
+        let (_, _, oracle) = render_frame_aos(&scene, &Se3::IDENTITY, &cam, None);
         assert_eq!(
             arena.fragments().total_fragments(),
-            plain.stats.fragments_blended
+            oracle.fragments_blended
         );
     }
 
@@ -1459,6 +1456,7 @@ mod tests {
             }
             assert_eq!(next_row, tf.rows.len(), "every row belongs to a record");
         }
-        assert_eq!(blended, arena.output().stats.fragments_blended);
+        let (_, _, oracle) = render_frame_aos(&scene, &Se3::IDENTITY, &cam, None);
+        assert_eq!(blended, oracle.fragments_blended);
     }
 }

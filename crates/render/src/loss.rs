@@ -244,7 +244,6 @@ mod tests {
             image: Image::from_data(w, h, vec![value; w * h]),
             depth: DepthImage::from_data(w, h, vec![depth; w * h]),
             final_transmittance: vec![0.0; w * h], // coverage 1.0
-            pixel_workloads: vec![1; w * h],
             stats: RenderStats::default(),
         }
     }

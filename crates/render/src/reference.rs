@@ -146,18 +146,33 @@ pub fn build_tiles_aos(projection: &AosProjection, camera: &PinholeCamera) -> Ao
     }
 }
 
+/// The output of [`render_aos`]: the production forward's [`RenderOutput`],
+/// plus the counts its pixel-outer walk takes as it goes — the ground truth
+/// for what a [`crate::WorkloadTrace`] derives from the R&B records.
+#[derive(Debug, Clone)]
+pub struct AosRender {
+    /// Image, depth, final transmittance and stats.
+    pub output: RenderOutput,
+    /// Tile-list positions each pixel consumed (row-major), as defined at
+    /// [`RenderStats::fragments_processed`].
+    pub pixel_workloads: Vec<u32>,
+    /// Fragments that passed the `ALPHA_MIN` test and were blended.
+    pub fragments_blended: u64,
+}
+
 /// The seed's forward render: per pixel, walk the tile's Gaussian-ID list
 /// through the `Option` storage.
 pub fn render_aos(
     projection: &AosProjection,
     tiles: &AosTileAssignment,
     camera: &PinholeCamera,
-) -> RenderOutput {
+) -> AosRender {
     let mut image = Image::new(camera.width, camera.height);
     let mut depth = DepthImage::new(camera.width, camera.height);
     let mut final_t = vec![1.0f32; camera.pixel_count()];
     let mut workloads = vec![0u32; camera.pixel_count()];
     let mut stats = RenderStats::default();
+    let mut blended = 0;
 
     for tile in 0..tiles.tile_lists.len() {
         let list = &tiles.tile_lists[tile];
@@ -183,7 +198,7 @@ pub fn render_aos(
                     if alpha < ALPHA_MIN {
                         continue;
                     }
-                    stats.fragments_blended += 1;
+                    blended += 1;
                     color += splat.color * (t * alpha);
                     d_acc += splat.depth * (t * alpha);
                     t *= 1.0 - alpha;
@@ -200,12 +215,15 @@ pub fn render_aos(
         }
     }
 
-    RenderOutput {
-        image,
-        depth,
-        final_transmittance: final_t,
+    AosRender {
+        output: RenderOutput {
+            image,
+            depth,
+            final_transmittance: final_t,
+            stats,
+        },
         pixel_workloads: workloads,
-        stats,
+        fragments_blended: blended,
     }
 }
 
@@ -384,7 +402,7 @@ pub fn render_frame_aos(
     w2c: &Se3,
     camera: &PinholeCamera,
     active: Option<&[bool]>,
-) -> (AosProjection, AosTileAssignment, RenderOutput) {
+) -> (AosProjection, AosTileAssignment, AosRender) {
     let projection = project_scene_aos(scene, w2c, camera, active);
     let tiles = build_tiles_aos(&projection, camera);
     let output = render_aos(&projection, &tiles, camera);
@@ -643,6 +661,6 @@ mod tests {
         let cam = PinholeCamera::from_fov(32, 32, 1.2);
         let (proj, _, out) = render_frame_aos(&scene, &Se3::IDENTITY, &cam, None);
         assert_eq!(proj.visible_count(), 1);
-        assert!(out.image.pixel(16, 16).x > 0.0);
+        assert!(out.output.image.pixel(16, 16).x > 0.0);
     }
 }

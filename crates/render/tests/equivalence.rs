@@ -29,13 +29,15 @@
 //!
 //! Every cell asserts, bit for bit: tile lists (against the oracle's in
 //! stable-ID space and against the legacy per-tile sort in slot space),
-//! image, depth, transmittance, per-pixel workloads, render stats, the
+//! image, depth, transmittance, render stats, the
 //! loss and its pixel gradients (computed on the cell's backend, against
 //! `Serial`'s), per-Gaussian gradients (in stable-ID
 //! space), the pose tangent and the backward counters. The fused cells —
-//! what tracking runs — also run the [`GradSet::PoseOnly`] backward and
-//! assert that it leaves `gaussians` empty and equals the full pass's pose
-//! and counters.
+//! what tracking runs — also derive a [`WorkloadTrace`] from their R&B
+//! records and assert its per-pixel workloads and blended count against
+//! the oracle's pixel-outer counts, and run the [`GradSet::PoseOnly`]
+//! backward and assert that it leaves `gaussians` empty and equals the
+//! full pass's pose and counters.
 //!
 //! One documented limit: the pose tangent is a sum over Gaussians whose
 //! reduction tree is chunked over the pass's *own* index space
@@ -50,7 +52,7 @@ use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::reference;
 use rtgs_render::{
     BackwardOutput, DepthImage, FrameArena, Gaussian3d, GaussianGrad, GradSet, Image, LossConfig,
-    LossKind, LossOutput, PinholeCamera, RenderOutput, ShardedScene,
+    LossKind, LossOutput, PinholeCamera, RenderOutput, ShardedScene, WorkloadTrace,
 };
 use rtgs_runtime::{Backend, Parallel, Serial};
 use std::ops::Range;
@@ -280,6 +282,10 @@ struct Oracle {
     /// Per-tile depth-sorted stable-ID lists.
     tiles: Vec<Vec<u32>>,
     out: RenderOutput,
+    /// Tile-list positions each pixel's walk consumed (row-major).
+    pixel_workloads: Vec<u32>,
+    /// Fragments the walk blended.
+    fragments_blended: u64,
     /// Loss targets (see [`targets`]) and the loss of `out` against them.
     gt: Image,
     gt_depth: DepthImage,
@@ -303,8 +309,13 @@ impl Oracle {
         let flat_mask: Option<Vec<bool>> = mask
             .as_ref()
             .map(|m| flat_ids.iter().map(|&id| m[id as usize]).collect());
-        let (proj, tiles, out) =
+        let (proj, tiles, rendered) =
             reference::render_frame_aos(&flat, pose, camera, flat_mask.as_deref());
+        let reference::AosRender {
+            output: out,
+            pixel_workloads,
+            fragments_blended,
+        } = rendered;
 
         // The loss is a deterministic function of the rendered output, so
         // the upstream gradients come from any arena whose output the
@@ -328,6 +339,8 @@ impl Oracle {
                 .map(|l| l.iter().map(|&k| flat_ids[k as usize]).collect())
                 .collect(),
             out,
+            pixel_workloads,
+            fragments_blended,
             gt,
             gt_depth,
             loss,
@@ -415,10 +428,14 @@ fn check_cell(
     // Step ❸.
     if fused {
         arena.render_fused(camera, backend);
+        let trace = WorkloadTrace::from_render(arena.output(), arena.tiles(), arena.fragments());
         assert_eq!(
-            arena.fragments().total_fragments(),
-            oracle.out.stats.fragments_blended,
+            trace.fragments_blended, oracle.fragments_blended,
             "{cell}: every blended fragment is recorded"
+        );
+        assert_eq!(
+            trace.pixel_workloads, oracle.pixel_workloads,
+            "{cell}: workloads"
         );
     } else {
         arena.render(camera, backend);
@@ -429,10 +446,6 @@ fn check_cell(
     assert_eq!(
         out.final_transmittance, oracle.out.final_transmittance,
         "{cell}: transmittance"
-    );
-    assert_eq!(
-        out.pixel_workloads, oracle.out.pixel_workloads,
-        "{cell}: workloads"
     );
     assert_eq!(out.stats, oracle.out.stats, "{cell}: stats");
 

@@ -111,8 +111,9 @@ proptest! {
     #[test]
     fn trace_conservation(scene in arb_scene(10)) {
         let cam = camera();
-        let ctx = rendered(&scene, &Se3::IDENTITY, &cam, None);
-        let trace = WorkloadTrace::from_render(ctx.output(), ctx.tiles());
+        let mut ctx = rendered(&scene, &Se3::IDENTITY, &cam, None);
+        ctx.render_fused(&cam, &Serial);
+        let trace = WorkloadTrace::from_render(ctx.output(), ctx.tiles(), ctx.fragments());
         prop_assert_eq!(trace.visible_gaussians, ctx.projection().visible_count());
         prop_assert_eq!((trace.width, trace.height), (cam.width, cam.height));
         prop_assert_eq!(trace.total_fragments(), ctx.output().stats.fragments_processed);
@@ -157,7 +158,7 @@ proptest! {
         let black = Image::new(cam.width, cam.height);
         arena.compute_loss(&black, None, &LossConfig::default());
         arena.backward_visible_fused(&cam, &Se3::IDENTITY, &Serial);
-        let blended = arena.output().stats.fragments_blended;
+        let blended = arena.fragments().total_fragments();
         let events = arena.backward().stats.fragment_grad_events;
         prop_assert!(events <= blended, "{events} events > {blended} blended");
         let output = arena.output();

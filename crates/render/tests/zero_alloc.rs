@@ -179,7 +179,7 @@ fn steady_state_at(
         "sanity: warm-up must allocate (counter must be live)"
     );
     assert!(
-        arena.output().stats.fragments_blended > 0,
+        arena.fragments().total_fragments() > 0,
         "sanity: the workload must be non-trivial"
     );
     assert!(

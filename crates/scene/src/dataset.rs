@@ -397,8 +397,9 @@ mod tests {
                 &Serial,
             );
             culled_some |= arena.visible().ids.len() < ds.reference_scene.len();
-            let (_, _, want) =
+            let (_, _, rendered) =
                 rtgs_render::reference::render_frame_aos(&flat, &pose.inverse(), &ds.camera, None);
+            let want = rendered.output;
             assert_eq!(frame.color, want.image, "frame {}: color", frame.index);
             assert_eq!(
                 frame.depth.as_ref().expect("Replica has depth"),

@@ -24,4 +24,4 @@ mod trajectory;
 
 pub use dataset::{DatasetProfile, RgbdFrame, SyntheticDataset};
 pub use generator::{generate_indoor_scene, SceneConfig};
-pub use trajectory::{generate_trajectory, look_at, mean_step, TrajectoryConfig, TrajectoryStyle};
+pub use trajectory::{generate_trajectory, look_at, TrajectoryConfig, TrajectoryStyle};

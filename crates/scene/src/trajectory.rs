@@ -128,22 +128,21 @@ pub fn look_at(eye: Vec3, target: Vec3) -> Se3 {
     Se3::new(Quat::from_rotation_matrix(&rot), eye)
 }
 
-/// Mean translational frame-to-frame step of a trajectory (meters); sanity
-/// measure used by tests and the dataset profiles.
-pub fn mean_step(poses: &[Se3]) -> f32 {
-    if poses.len() < 2 {
-        return 0.0;
-    }
-    let total: f32 = poses
-        .windows(2)
-        .map(|w| w[0].translation_distance(&w[1]))
-        .sum();
-    total / (poses.len() - 1) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean translational frame-to-frame step of a trajectory (meters).
+    fn mean_step(poses: &[Se3]) -> f32 {
+        if poses.len() < 2 {
+            return 0.0;
+        }
+        let total: f32 = poses
+            .windows(2)
+            .map(|w| w[0].translation_distance(&w[1]))
+            .sum();
+        total / (poses.len() - 1) as f32
+    }
 
     #[test]
     fn look_at_points_camera_at_target() {

@@ -352,7 +352,6 @@ mod tests {
             image: Image::new(cam.width, cam.height),
             depth: DepthImage::new(cam.width, cam.height),
             final_transmittance: vec![1.0; cam.pixel_count()],
-            pixel_workloads: vec![0; cam.pixel_count()],
             stats: Default::default(),
         };
         let cfg = MapConfig {
@@ -389,7 +388,6 @@ mod tests {
             image: Image::new(cam.width, cam.height),
             depth: DepthImage::new(cam.width, cam.height),
             final_transmittance: vec![1.0; cam.pixel_count()],
-            pixel_workloads: vec![0; cam.pixel_count()],
             stats: Default::default(),
         };
         let cfg = MapConfig {
@@ -423,7 +421,6 @@ mod tests {
             image: Image::new(cam.width, cam.height),
             depth: DepthImage::new(cam.width, cam.height),
             final_transmittance: vec![1.0; cam.pixel_count()],
-            pixel_workloads: vec![0; cam.pixel_count()],
             stats: Default::default(),
         };
         let cfg = MapConfig {

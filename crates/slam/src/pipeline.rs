@@ -799,6 +799,7 @@ impl<'d> SlamPipeline<'d> {
                 visible_ids: &self.arena.visible().ids,
                 tiles: self.arena.tiles(),
                 output: self.arena.output(),
+                fragments: self.arena.fragments(),
             });
             self.map_optimizer.step_visible_with(
                 &mut self.scene,
@@ -1056,7 +1057,7 @@ mod tests {
         for (pose, frame) in pruned.trajectory.iter().zip(&ds.frames) {
             let (_, _, out) =
                 rtgs_render::reference::render_frame_aos(&flat, &pose.inverse(), &ds.camera, None);
-            let p = psnr(&out.image, &frame.color);
+            let p = psnr(&out.output.image, &frame.color);
             if p.is_finite() {
                 acc += p;
                 n += 1;

@@ -12,8 +12,8 @@
 use crate::pipeline::PipelineExtension;
 use rtgs_math::Se3;
 use rtgs_render::{
-    BackwardOutput, BackwardStats, FrameArena, GradSet, LossConfig, PinholeCamera, RenderOutput,
-    ShardedScene, TileAssignment, Trials,
+    BackwardOutput, BackwardStats, FragmentCache, FrameArena, GradSet, LossConfig, PinholeCamera,
+    RenderOutput, ShardedScene, TileAssignment, Trials,
 };
 use rtgs_runtime::Backend;
 use rtgs_scene::RgbdFrame;
@@ -87,7 +87,13 @@ fn pose_step(grad: &[f32; 6], rms: &[f32; 6], step: f32) -> [f32; 6] {
         d[4] * ROTATION_SCALE,
         d[5] * ROTATION_SCALE,
     ];
-    let norm = h.iter().map(|x| x * x).sum::<f32>().sqrt();
+    // Summed left to right from `+0.0` (CONTRIBUTING, "Determinism
+    // contracts": no `Iterator::sum` over floats).
+    let mut norm2 = 0.0f32;
+    for x in h {
+        norm2 += x * x;
+    }
+    let norm = norm2.sqrt();
     if norm < 1e-12 {
         return [0.0; 6];
     }
@@ -125,9 +131,12 @@ pub struct IterationArtifacts<'a> {
     pub visible_ids: &'a [u32],
     /// Tile assignment of this iteration.
     pub tiles: &'a TileAssignment,
-    /// The iteration's forward output: image, depth and per-pixel
-    /// workloads, at the resolution the iteration rendered.
+    /// The iteration's forward output: image, depth and final
+    /// transmittance, at the resolution the iteration rendered.
     pub output: &'a RenderOutput,
+    /// The R&B records of the iteration's fused forward pass, from which a
+    /// workload trace derives per-pixel workloads and the blended count.
+    pub fragments: &'a FragmentCache,
 }
 
 /// Result of tracking one frame.
@@ -483,6 +492,7 @@ fn track_trials(
             visible_ids: &arena.visible().ids,
             tiles: arena.tiles(),
             output: arena.output(),
+            fragments: arena.fragments(),
         };
         extension.after_tracking_iteration(&artifacts, mask);
         if stop {

@@ -182,6 +182,16 @@ fn pinned_runs() -> Vec<(BaseAlgorithm, Extension)> {
     runs
 }
 
+/// The recorded MonoGS sessions, in [`TRACES`]' order: tracking trials, the
+/// extension the recorder wraps, and the pin the session must hit.
+fn recorded_runs() -> [(usize, Extension, Pin); 3] {
+    [
+        (3, Box::new(NoExtension), PINS[2].1),
+        (15, Box::new(NoExtension), LONG_TRACKING),
+        (3, RtgsConfig::full().into_extension(), PINS[4].1),
+    ]
+}
+
 /// Runs [`config`]'s session, capturing a checkpoint after every frame, and
 /// digests the result.
 fn session(
@@ -246,13 +256,8 @@ fn end_to_end_outputs_are_pinned() {
         );
         // A recorded session is the unrecorded one, checkpoints included,
         // and records the pinned traces.
-        let recorded: [(usize, fn() -> Extension, Pin); 3] = [
-            (3, || Box::new(NoExtension), PINS[2].1),
-            (15, || Box::new(NoExtension), LONG_TRACKING),
-            (3, || RtgsConfig::full().into_extension(), PINS[4].1),
-        ];
-        for ((iterations, inner, want), (name, traces)) in recorded.into_iter().zip(TRACES) {
-            let (recorder, run) = TraceRecorder::new(inner());
+        for ((iterations, inner, want), (name, traces)) in recorded_runs().into_iter().zip(TRACES) {
+            let (recorder, run) = TraceRecorder::new(inner);
             let got = session(
                 BaseAlgorithm::MonoGs,
                 backend,
