@@ -405,8 +405,8 @@ pub fn render_frame_aos(
 ) -> (AosProjection, AosTileAssignment, AosRender) {
     let projection = project_scene_aos(scene, w2c, camera, active);
     let tiles = build_tiles_aos(&projection, camera);
-    let output = render_aos(&projection, &tiles, camera);
-    (projection, tiles, output)
+    let rendered = render_aos(&projection, &tiles, camera);
+    (projection, tiles, rendered)
 }
 
 /// The legacy tile binning: per-tile `Vec`s filled in slot order, each

@@ -10,10 +10,9 @@
 //! statistics. A trace observes the forward pass only; the models derive
 //! the backward's work from it.
 //!
-//! Step ❸ counts no workload for a trace: the per-pixel workloads and the
-//! blended count are derived from what the fused forward already recorded
-//! for Step ❹, the R&B records ([`FragmentCache`]), so a session that
-//! records no trace pays nothing for them.
+//! Step ❸ counts nothing for a trace: the per-pixel workloads and the
+//! blended count are derived from the R&B records ([`FragmentCache`]) the
+//! fused forward keeps for Step ❹.
 
 use crate::forward::{
     FragmentCache, RenderOutput, TileFragments, BANDS, LANES, TERMINATION_THRESHOLD,
@@ -197,12 +196,10 @@ impl WorkloadTrace {
     }
 }
 
-/// Each pixel's workload (row-major), derived from the R&B records `bands`
-/// of the pass that rendered `output` over `tiles`. A ray that terminated
-/// (final transmittance below [`TERMINATION_THRESHOLD`]) consumed its
-/// tile's list up to the splat that ended it, which is the last record
-/// covering its lane: a terminated lane admits no further splat. Any other
-/// ray consumed the whole list, an empty tile's included.
+/// Each pixel's workload (row-major), as [`WorkloadTrace::from_render`]
+/// states it, from the R&B records `bands` of the pass that rendered
+/// `output` over `tiles`. A terminated lane admits no further splat, so the
+/// last record covering it is the splat that ended its ray.
 fn pixel_workloads(
     output: &RenderOutput,
     tiles: &TileAssignment,
