@@ -131,6 +131,25 @@ const TRACES: [(&str, u32); 3] = [
     ("RTGS + MonoGS", 460788199),
 ];
 
+/// Frames of the full-size session [`FULL_SIZE_RTGS`] pins.
+const FULL_SIZE_FRAMES: usize = 5;
+
+/// RTGS on MonoGS, recorded, over [`FULL_SIZE_FRAMES`] frames of the
+/// full-size Replica analog (75×42), where the 16×10 px floor clamps no
+/// factor: frames 1-4 track at factors 4, 3, 2 and 2. The session's pin and
+/// its traces' CRC-32.
+const FULL_SIZE_RTGS: (Pin, u32) = (
+    Pin {
+        trajectory: 1105314099,
+        map: 2171581596,
+        ate_rmse: 0.02026580814202358,
+        mean_psnr: 26.15871628937952,
+        checkpoint: 1262128187,
+        last_delta: 2354303891,
+    },
+    2502915198,
+);
+
 /// CRC-32 over every trace of `run`, frame by frame, tracking before
 /// mapping, in little-endian words: each frame's keyframe flag and trace
 /// counts, then each trace's resolution, per-pixel workloads, blended
@@ -157,15 +176,16 @@ fn trace_digest(run: &RunWorkload) -> u32 {
     crc32(&bytes)
 }
 
-/// `FRAMES` frames of `algorithm` with `tracking_iterations` tracking and 3
+/// `frames` frames of `algorithm` with `tracking_iterations` tracking and 3
 /// mapping iterations.
 fn config(
     algorithm: BaseAlgorithm,
     backend: BackendChoice,
+    frames: usize,
     tracking_iterations: usize,
 ) -> SlamConfig {
     let mut cfg = SlamConfig::for_algorithm(algorithm)
-        .with_frames(FRAMES)
+        .with_frames(frames)
         .with_backend(backend);
     cfg.tracking.iterations = tracking_iterations;
     cfg.mapping_iterations = 3;
@@ -199,16 +219,17 @@ fn session(
     backend: BackendChoice,
     ds: &SyntheticDataset,
     extension: Extension,
+    frames: usize,
     tracking_iterations: usize,
 ) -> Pin {
-    let cfg = config(algorithm, backend, tracking_iterations);
+    let cfg = config(algorithm, backend, frames, tracking_iterations);
     let mut pipeline = SlamPipeline::with_extension(cfg, ds, extension);
     let mut log = CheckpointLog::new();
     while pipeline.step().is_some() {
         let _ = pipeline.checkpoint_into(&mut log).expect("checkpoint_into");
     }
     let last_delta = log
-        .delta_bytes(FRAMES - 2)
+        .delta_bytes(frames - 2)
         .expect("one delta per later frame");
     let report = pipeline.report();
     let trajectory: Vec<u8> = report
@@ -238,7 +259,7 @@ fn end_to_end_outputs_are_pinned() {
         BackendChoice::Parallel { threads: 0 },
     ] {
         for ((algorithm, extension), (name, want)) in pinned_runs().into_iter().zip(PINS) {
-            let got = session(algorithm, backend, &ds, extension, 3);
+            let got = session(algorithm, backend, &ds, extension, FRAMES, 3);
             assert_eq!(got.bits(), want.bits(), "{name} on {backend:?}: {got:?}");
         }
         let got = session(
@@ -246,6 +267,7 @@ fn end_to_end_outputs_are_pinned() {
             backend,
             &ds,
             Box::new(NoExtension),
+            FRAMES,
             15,
         );
         let want = LONG_TRACKING;
@@ -263,6 +285,7 @@ fn end_to_end_outputs_are_pinned() {
                 backend,
                 &ds,
                 Box::new(recorder),
+                FRAMES,
                 iterations,
             );
             assert_eq!(
@@ -276,6 +299,52 @@ fn end_to_end_outputs_are_pinned() {
     }
 }
 
+/// The downsampling ramp's factors 4 and 3, which the small sessions above
+/// never reach, pinned on a full-size recorded RTGS session.
+#[test]
+fn every_downsampling_factor_is_pinned() {
+    let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), FULL_SIZE_FRAMES);
+    for backend in [
+        BackendChoice::Serial,
+        BackendChoice::Parallel { threads: 0 },
+    ] {
+        let (recorder, run) = TraceRecorder::new(RtgsConfig::full().into_extension());
+        let got = session(
+            BaseAlgorithm::MonoGs,
+            backend,
+            &ds,
+            Box::new(recorder),
+            FULL_SIZE_FRAMES,
+            3,
+        );
+        let run = run.lock().expect("the session has ended");
+        let resolutions: Vec<(usize, usize)> = run
+            .frames
+            .iter()
+            .flat_map(|frame| &frame.tracking)
+            .map(|trace| (trace.width, trace.height))
+            .collect();
+        for factor in [4, 3, 2] {
+            let camera = ds.camera.downsampled(factor);
+            assert!(
+                resolutions.contains(&(camera.width, camera.height)),
+                "factor {factor} on {backend:?}: {resolutions:?}"
+            );
+        }
+        let (want, traces) = FULL_SIZE_RTGS;
+        assert_eq!(
+            got.bits(),
+            want.bits(),
+            "full-size RTGS on {backend:?}: {got:?}"
+        );
+        assert_eq!(
+            trace_digest(&run),
+            traces,
+            "full-size RTGS traces on {backend:?}"
+        );
+    }
+}
+
 /// A checkpoint is a pure function of the session's inputs: two pipelines
 /// of one seeded session, stepped side by side and each capturing after
 /// every frame, write byte-identical records, whole: the base, every delta
@@ -285,7 +354,7 @@ fn two_runs_of_one_session_write_identical_checkpoints() {
     let ds = SyntheticDataset::generate(DatasetProfile::replica_analog().small(), FRAMES);
     let twins = pinned_runs().into_iter().zip(pinned_runs());
     for (((algorithm, first), (_, second)), (name, _)) in twins.zip(PINS) {
-        let cfg = config(algorithm, BackendChoice::default(), 3);
+        let cfg = config(algorithm, BackendChoice::default(), FRAMES, 3);
         let mut pipelines =
             [first, second].map(|extension| SlamPipeline::with_extension(cfg, &ds, extension));
         let mut logs = [CheckpointLog::new(), CheckpointLog::new()];
@@ -316,7 +385,12 @@ fn two_runs_of_one_session_write_identical_checkpoints() {
 fn under_mapped_minimum_lies_off_the_true_pose() {
     let ds = SyntheticDataset::generate(DatasetProfile::replica_analog().small(), FRAMES);
     let [(mut map, at_3), (map_15, at_15)] = [3, 15].map(|iterations| {
-        let cfg = config(BaseAlgorithm::MonoGs, BackendChoice::Serial, iterations);
+        let cfg = config(
+            BaseAlgorithm::MonoGs,
+            BackendChoice::Serial,
+            FRAMES,
+            iterations,
+        );
         let mut pipeline = SlamPipeline::new(cfg, &ds);
         assert_eq!(pipeline.step(), Some(0));
         let map = pipeline.scene().clone();
@@ -326,7 +400,7 @@ fn under_mapped_minimum_lies_off_the_true_pose() {
     assert!(encode_scene(&map) == encode_scene(&map_15), "one map");
     // As the pipeline does before tracking a frame.
     map.refresh_bounds();
-    let tracking = config(BaseAlgorithm::MonoGs, BackendChoice::Serial, 1).tracking;
+    let tracking = config(BaseAlgorithm::MonoGs, BackendChoice::Serial, FRAMES, 1).tracking;
     let loss_at = |c2w: &Se3| {
         let mut mask = map.live_flags().to_vec();
         let result = track_frame(
