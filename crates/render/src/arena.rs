@@ -20,7 +20,8 @@
 //! Ownership model: one arena per SLAM session (owned by
 //! `rtgs_slam::SlamPipeline` alongside the optimizer state and threaded
 //! through `track_frame`); standalone callers create one with
-//! [`FrameArena::new`] and drive the stage methods in pipeline order. Stage
+//! [`FrameArena::new`] and drive the stage methods in pipeline order;
+//! [`render_poses`] lends one to each claim of [`POSE_CHUNK`] frames. Stage
 //! results stay resident in the arena and are read through the borrowing
 //! accessors ([`FrameArena::output`], [`FrameArena::backward`], …) until
 //! the next call to the stage that produces them.
@@ -45,8 +46,9 @@ use crate::project::{activations, project_scene_into, ProjectScratch, Projection
 use crate::shard::{CullScratch, ShardedScene, VisibleFrame};
 use crate::tiles::{build_tiles_into, TileAssignment, TileBinScratch};
 use rtgs_math::Se3;
-use rtgs_runtime::{Backend, Serial};
+use rtgs_runtime::{Backend, Serial, SharedSlice};
 use std::ops::{Deref, DerefMut};
+use std::sync::Mutex;
 
 /// Arena-owned storage for the full render + backward pipeline of one
 /// session. See the module docs for the design.
@@ -439,6 +441,56 @@ impl FrameArena {
             + loss
             + backward
     }
+}
+
+/// Frames one claim of [`render_poses`] renders through one arena: a
+/// constant, so which frames a claim renders never depends on the worker
+/// count.
+pub const POSE_CHUNK: usize = 4;
+
+/// Renders `map` at every pose of `poses_w2c` ([`FrameArena::forward`]) and
+/// returns `per_frame(index, output)` of each frame, in pose order — the
+/// many-pose spelling for dataset generation and evaluation re-renders.
+///
+/// Frames are independent, so they render frame-parallel: `backend` claims
+/// [`POSE_CHUNK`] frames at a time, and each claim renders its frames in
+/// pose order through one arena of its own on [`Serial`], so no loop nests
+/// inside another (a 75×42 render is a handful of short loops, whose joins
+/// would cost more than they share out). A claim takes the arena an earlier
+/// claim finished with, or a new one when none is free, so the loop warms
+/// one arena per thread, not one per claim. A claim decides only who
+/// renders a frame: every output is bit for bit what one arena rendering
+/// every pose in order gives (arena == fresh, parallel == serial), on every
+/// backend and in every claim order.
+///
+/// # Panics
+///
+/// As for [`FrameArena::cull`]: when `map`'s shard bounds are stale.
+pub fn render_poses<T: Send>(
+    map: &ShardedScene,
+    poses_w2c: &[Se3],
+    camera: &PinholeCamera,
+    backend: &dyn Backend,
+    per_frame: impl Fn(usize, &RenderOutput) -> T + Sync,
+) -> Vec<T> {
+    let mut results: Vec<Option<T>> = poses_w2c.iter().map(|_| None).collect();
+    let slots = SharedSlice::new(&mut results);
+    let free: Mutex<Vec<FrameArena>> = Mutex::new(Vec::new());
+    let lock = || free.lock().expect("no claim panics holding the free list");
+    backend.for_each_chunk(poses_w2c.len(), POSE_CHUNK, &|_, range| {
+        // SAFETY: the chunks of one loop cover disjoint index ranges.
+        let slots = unsafe { slots.range_mut(range.clone()) };
+        let mut arena = lock().pop().unwrap_or_default();
+        for (slot, index) in slots.iter_mut().zip(range) {
+            let output = arena.forward(map, &poses_w2c[index], camera, &Serial);
+            *slot = Some(per_frame(index, output));
+        }
+        lock().push(arena);
+    });
+    results
+        .into_iter()
+        .map(|result| result.expect("every chunk of the loop ran"))
+        .collect()
 }
 
 /// The trial scope of one tracking frame: the arena, and the map every

@@ -44,7 +44,8 @@
 //! pass's bits — for tracking iterations nothing else reads.
 //!
 //! [`FrameArena::forward`] runs the cull and steps 1–3 in one call for
-//! callers that only need an image.
+//! callers that only need an image; [`render_poses`] runs it at many poses
+//! of one map, frame-parallel, [`POSE_CHUNK`] frames per arena.
 //!
 //! The seed's array-of-structs path over a flat [`GaussianScene`], the
 //! legacy per-tile sort and the backward re-walk survive in the hidden
@@ -104,7 +105,7 @@ mod shard;
 mod tiles;
 mod trace;
 
-pub use arena::{FrameArena, Trials};
+pub use arena::{render_poses, FrameArena, Trials, POSE_CHUNK};
 pub use backward::{BackwardOutput, BackwardStats, GradSet, PixelGrads};
 pub use camera::{DepthImage, Image, PinholeCamera};
 pub use forward::{

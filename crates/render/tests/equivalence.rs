@@ -41,18 +41,22 @@
 //!
 //! One documented limit: the pose tangent is a sum over Gaussians whose
 //! reduction tree is chunked over the pass's *own* index space
-//! ([`POSE_CHUNK`] Gaussians per partial). Production indexes the gathered
+//! ([`BP_GAUSS_CHUNK`] Gaussians per partial). Production indexes the gathered
 //! working set, the oracle the whole flattened map, so their trees — and
 //! the last bits of the sum — agree only while the flattened map fits one
 //! chunk or the cull gathers all of it. Per-Gaussian gradients have no
 //! cross-Gaussian reduction and match at any size.
+//!
+//! Beside the matrix, the many-pose loop ([`render_poses`]) is held to a
+//! plain loop over one arena on the same backends.
 
 use proptest::prelude::*;
 use rtgs_math::{Quat, Se3, Vec3};
 use rtgs_render::reference;
 use rtgs_render::{
-    BackwardOutput, DepthImage, FrameArena, Gaussian3d, GaussianGrad, GradSet, Image, LossConfig,
-    LossKind, LossOutput, PinholeCamera, RenderOutput, ShardedScene, WorkloadTrace,
+    render_poses, BackwardOutput, DepthImage, FrameArena, Gaussian3d, GaussianGrad, GradSet, Image,
+    LossConfig, LossKind, LossOutput, PinholeCamera, RenderOutput, RenderStats, ShardedScene,
+    WorkloadTrace, POSE_CHUNK,
 };
 use rtgs_runtime::{Backend, Parallel, Serial};
 use std::ops::Range;
@@ -60,7 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Gaussians per pose-tangent partial sum in Preprocessing BP (the
 /// kernel's `BP_GAUSS_CHUNK`).
-const POSE_CHUNK: usize = 256;
+const BP_GAUSS_CHUNK: usize = 256;
 
 /// The range of chunk `index` of a loop, as every backend must give it.
 fn chunk_range(index: usize, len: usize, chunk_size: usize) -> Range<usize> {
@@ -480,7 +484,7 @@ fn check_cell(
         oracle.grads_by_id,
         "{cell}: gradients"
     );
-    if oracle.live <= POSE_CHUNK || ids.len() == oracle.live {
+    if oracle.live <= BP_GAUSS_CHUNK || ids.len() == oracle.live {
         assert_eq!(back.pose, oracle.pose_grad, "{cell}: pose tangent");
     }
     assert_eq!(
@@ -656,7 +660,7 @@ fn corridor_scene_culls_shards_and_stays_bitwise_identical() {
     let pose = Se3::from_translation(Vec3::new(0.0, 0.0, -8.0));
     let case = case_of(corridor, 0.8, pose, (48, 36));
     assert!(
-        case.map.len() > POSE_CHUNK,
+        case.map.len() > BP_GAUSS_CHUNK,
         "also covers the multi-chunk fold"
     );
 
@@ -698,6 +702,56 @@ fn block_and_chunk_boundaries_match_on_every_backend() {
             "{touched} of {visible} touched: the tail blocks must carry gradient"
         );
         run_matrix(&[case]);
+    }
+}
+
+/// Every bit of a render: image, depth and final transmittance, then the
+/// counters.
+fn output_bits(out: &RenderOutput) -> (Vec<u32>, RenderStats) {
+    let image = out.image.data().iter().flat_map(|c| [c.x, c.y, c.z]);
+    let rest = out.depth.data().iter().chain(&out.final_transmittance);
+    let bits = image.chain(rest.copied()).map(f32::to_bits).collect();
+    (bits, out.stats)
+}
+
+/// The many-pose loop: nine poses — two full claims of [`POSE_CHUNK`]
+/// frames and a partial third — return per frame exactly what one arena
+/// rendering them in pose order returns, on `Serial`, a two-worker pool,
+/// last claim first and in a shuffled claim order.
+#[test]
+fn many_pose_renders_equal_one_arena_in_pose_order() {
+    let case = case_of(ramp_scene(), 0.5, Se3::IDENTITY, (75, 42));
+    let poses: Vec<Se3> = (0..9)
+        .map(|i| {
+            let t = i as f32;
+            Se3::from_translation(Vec3::new(0.15 * t - 0.6, 0.05 * t - 0.2, 0.1 * t - 0.4))
+        })
+        .collect();
+    assert_ne!(poses.len() % POSE_CHUNK, 0, "a partial claim");
+    let mut arena = FrameArena::new();
+    let want: Vec<_> = poses
+        .iter()
+        .map(|w2c| output_bits(arena.forward(&case.map, w2c, &case.camera, &Serial)))
+        .collect();
+    assert!(
+        want.windows(2).all(|pair| pair[0] != pair[1]),
+        "every pose renders another frame"
+    );
+    let backends: [&dyn Backend; 4] = [
+        &Serial,
+        &Parallel::new(2),
+        &Reversed,
+        &Shuffled::new(0x5EED),
+    ];
+    for backend in backends {
+        let got = render_poses(&case.map, &poses, &case.camera, backend, |i, out| {
+            (i, output_bits(out))
+        });
+        let indices: Vec<usize> = got.iter().map(|(i, _)| *i).collect();
+        assert_eq!(indices, (0..poses.len()).collect::<Vec<_>>(), "pose order");
+        for (i, ((_, got), want)) in got.iter().zip(&want).enumerate() {
+            assert!(got == want, "{}: frame {i}", backend.name());
+        }
     }
 }
 

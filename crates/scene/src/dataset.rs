@@ -11,9 +11,9 @@ use crate::generator::{generate_indoor_scene, SceneConfig};
 use crate::trajectory::{generate_trajectory, TrajectoryConfig, TrajectoryStyle};
 use rtgs_math::Se3;
 use rtgs_render::{
-    DepthImage, FrameArena, Image, PinholeCamera, RenderOutput, ShardedScene, DEFAULT_CELL_SIZE,
+    render_poses, DepthImage, Image, PinholeCamera, RenderOutput, ShardedScene, DEFAULT_CELL_SIZE,
 };
-use rtgs_runtime::Serial;
+use rtgs_runtime::BackendChoice;
 
 /// One RGB(-D) observation.
 #[derive(Debug, Clone)]
@@ -223,13 +223,19 @@ impl SyntheticDataset {
     /// Generation is deterministic in the profile's seeds. The scene-variant
     /// index (`0` for the canonical scene) shifts the seeds so each named
     /// scene of a dataset gets distinct content — see
-    /// [`SyntheticDataset::generate_scene_variant`].
+    /// [`SyntheticDataset::generate_scene_variant`]. Frames render
+    /// frame-parallel on the machine, bit for bit the frames a serial
+    /// render gives.
     pub fn generate(profile: DatasetProfile, frames: usize) -> Self {
         Self::generate_scene_variant(profile, frames, 0)
     }
 
     /// Generates the `variant`-th scene of a dataset (e.g. Replica Rm0 vs
     /// Of3): same profile, different content seed.
+    ///
+    /// The frames render frame-parallel ([`render_poses`] on
+    /// [`BackendChoice::default`], the machine): every colour and depth bit
+    /// is what rendering them one after another on `Serial` gives.
     pub fn generate_scene_variant(
         mut profile: DatasetProfile,
         frames: usize,
@@ -247,18 +253,19 @@ impl SyntheticDataset {
         traj_cfg.frames = frames;
         let poses_c2w = generate_trajectory(&traj_cfg, profile.scene.room_half_extent);
 
-        let mut out_frames = Vec::with_capacity(frames);
-        let mut arena = FrameArena::new();
-        for (index, pose) in poses_c2w.iter().enumerate() {
-            let w2c = pose.inverse();
-            let rendered = arena.forward(&reference_scene, &w2c, &camera, &Serial);
-            let depth = profile.has_depth.then(|| surface_depth(rendered));
-            out_frames.push(RgbdFrame {
+        let poses_w2c: Vec<Se3> = poses_c2w.iter().map(Se3::inverse).collect();
+        let has_depth = profile.has_depth;
+        let out_frames = render_poses(
+            &reference_scene,
+            &poses_w2c,
+            &camera,
+            &*BackendChoice::default().instantiate(),
+            |index, rendered| RgbdFrame {
                 index,
                 color: rendered.image.clone(),
-                depth,
-            });
-        }
+                depth: has_depth.then(|| surface_depth(rendered)),
+            },
+        );
 
         Self {
             profile,
@@ -303,6 +310,8 @@ fn surface_depth(rendered: &RenderOutput) -> DepthImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtgs_render::{FrameArena, POSE_CHUNK};
+    use rtgs_runtime::Serial;
 
     #[test]
     fn profiles_have_increasing_resolution() {
@@ -376,14 +385,17 @@ mod tests {
         assert_eq!(DatasetProfile::scannetpp_analog().scene_names().len(), 2);
     }
 
-    /// The generator renders its room through the cull, as SLAM does; the
-    /// first frames of the full-size Replica analog (1 320 Gaussians over
-    /// many shards, most outside any one frustum) must equal the flat AoS
-    /// oracle's render of the whole flattened map, bit for bit, so the cull
-    /// drops nothing that contributes.
+    /// The generator renders its room through the cull, as SLAM does, and
+    /// frame-parallel; the first frames of the full-size Replica analog
+    /// (1 320 Gaussians over many shards, most outside any one frustum) must
+    /// equal the flat AoS oracle's render of the whole flattened map, bit
+    /// for bit, so the cull drops nothing that contributes. Nine frames are
+    /// three claims of the frame loop, the last one partial.
     #[test]
     fn generated_frames_equal_the_flat_oracle() {
-        let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), 3);
+        let frames = 2 * POSE_CHUNK + 1;
+        let ds = SyntheticDataset::generate(DatasetProfile::replica_analog(), frames);
+        assert_eq!(ds.len(), frames);
         let (flat, _) = ds.reference_scene.flatten();
         assert!(ds.reference_scene.shard_count() > 100, "a many-shard room");
         let mut arena = FrameArena::new();

@@ -10,7 +10,7 @@ use crate::tracking::{
 };
 use rtgs_math::Se3;
 use rtgs_metrics::{absolute_trajectory_error, psnr, AteResult};
-use rtgs_render::{FrameArena, GradSet, ShardedScene, DEFAULT_CELL_SIZE};
+use rtgs_render::{render_poses, FrameArena, GradSet, ShardedScene, DEFAULT_CELL_SIZE};
 use rtgs_runtime::{Backend, BackendChoice};
 use rtgs_scene::{RgbdFrame, SyntheticDataset};
 use rtgs_telemetry::flight::hops;
@@ -834,7 +834,9 @@ impl<'d> SlamPipeline<'d> {
     }
 
     /// Builds the final report. Valid after [`SlamPipeline::run`] or once
-    /// stepping is complete.
+    /// stepping is complete. The PSNR re-renders run frame-parallel on the
+    /// session backend ([`render_poses`]) and fold in frame order, so
+    /// `mean_psnr` is bitwise a serial evaluation's.
     pub fn report(&self) -> SlamReport {
         let n = self.trajectory.len();
         let gt = &self.dataset.poses_c2w[..n.min(self.dataset.poses_c2w.len())];
@@ -855,17 +857,18 @@ impl<'d> SlamPipeline<'d> {
         // (the report is an offline pass, not a hot path).
         let mut final_map = self.scene.clone();
         final_map.refresh_bounds_with(&*self.backend);
-        let mut eval_arena = FrameArena::new();
+        let poses_w2c: Vec<Se3> = self.trajectory.iter().map(Se3::inverse).collect();
+        let observed = &self.dataset.frames;
+        let psnrs = render_poses(
+            &final_map,
+            &poses_w2c,
+            &self.dataset.camera,
+            &*self.backend,
+            |i, rendered| psnr(&rendered.image, &observed[i].color),
+        );
         let mut psnr_acc = 0.0f64;
         let mut psnr_n = 0usize;
-        for (i, pose) in self.trajectory.iter().enumerate() {
-            let rendered = eval_arena.forward(
-                &final_map,
-                &pose.inverse(),
-                &self.dataset.camera,
-                &*self.backend,
-            );
-            let p = psnr(&rendered.image, &self.dataset.frames[i].color);
+        for p in psnrs {
             if p.is_finite() {
                 psnr_acc += p;
                 psnr_n += 1;
@@ -1015,6 +1018,38 @@ mod tests {
             "{:?} < {stepped:?}",
             first.total_wall
         );
+    }
+
+    /// The evaluation renders its poses frame-parallel and folds their PSNRs
+    /// in frame order: on a two-worker pool, over two full claims of frames
+    /// and a partial one, `mean_psnr` is bitwise a serial evaluation's, one
+    /// arena rendering frame after frame. (Folded last frame first, these
+    /// nine PSNRs sum to other bits.)
+    #[test]
+    fn report_psnr_is_a_frame_order_serial_evaluation() {
+        let frames = 2 * rtgs_render::POSE_CHUNK + 1;
+        let ds = tiny_dataset(frames);
+        let mut cfg = SlamConfig::for_algorithm(BaseAlgorithm::MonoGs)
+            .with_frames(frames)
+            .with_backend(BackendChoice::Parallel { threads: 2 });
+        cfg.tracking.iterations = 2;
+        cfg.mapping_iterations = 2;
+        let mut pipeline = SlamPipeline::new(cfg, &ds);
+        let report = pipeline.run();
+        let mut map = pipeline.scene().clone();
+        map.refresh_bounds();
+        let mut arena = FrameArena::new();
+        let (mut acc, mut n) = (0.0f64, 0usize);
+        for (pose, frame) in report.trajectory.iter().zip(&ds.frames) {
+            let out = arena.forward(&map, &pose.inverse(), &ds.camera, &rtgs_runtime::Serial);
+            let p = psnr(&out.image, &frame.color);
+            if p.is_finite() {
+                acc += p;
+                n += 1;
+            }
+        }
+        assert_eq!(n, frames);
+        assert_eq!(report.mean_psnr.to_bits(), (acc / n as f64).to_bits());
     }
 
     #[test]

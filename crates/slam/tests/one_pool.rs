@@ -5,9 +5,11 @@
 //!
 //! The check reads the process-wide cache of shared pools, so this is a
 //! test binary of its own with a single test: every pool in the cache was
-//! created by the lines below.
+//! created by the lines below. Generating the dataset renders its frames on
+//! the machine default, so the machine pool exists from the start; that a
+//! served session publishes nothing on it is read from its loop count.
 
-use rtgs_runtime::{shared_pool_sizes, BackendChoice, Serve};
+use rtgs_runtime::{shared_pool, shared_pool_sizes, BackendChoice, Serve};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
 use rtgs_slam::{BaseAlgorithm, SlamConfig, SlamPipeline, SlamReport};
 
@@ -48,12 +50,27 @@ fn default_backend_sessions_use_the_pool_that_steps_them() {
         BackendChoice::Parallel { threads: 0 },
         "the default backend is the machine"
     );
+    // The machine pool — `available_parallelism() − 1` workers beside the
+    // thread that publishes — and on a one-CPU host no pool thread at all.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let machine: Vec<usize> = (cpus > 1).then_some(cpus - 1).into_iter().collect();
+    let machine_jobs = || {
+        machine
+            .iter()
+            .map(|&n| shared_pool(n).stats().jobs)
+            .sum::<u64>()
+    };
     let ds = SyntheticDataset::generate(DatasetProfile::tum_analog().tiny(), FRAMES);
+    assert_eq!(
+        shared_pool_sizes(),
+        machine,
+        "generation renders on the machine"
+    );
     let serial: Vec<SlamReport> = BaseAlgorithm::all()
         .into_iter()
         .map(|algo| SlamPipeline::new(config(algo).with_backend(BackendChoice::Serial), &ds).run())
         .collect();
-    assert_eq!(shared_pool_sizes(), [], "serial sessions need no pool");
+    assert_eq!(shared_pool_sizes(), machine, "serial sessions need no pool");
 
     // Served: three workers and the serving thread are the only executors —
     // at most four threads ever run a chunk — and constructing the sessions
@@ -67,23 +84,33 @@ fn default_backend_sessions_use_the_pool_that_steps_them() {
             )
         })
         .collect();
+    let mut expected = machine.clone();
+    expected.push(3);
+    expected.sort_unstable();
+    expected.dedup();
+    let jobs_before = machine_jobs();
     let served = Serve::builder().threads(3).run(sessions);
-    assert_eq!(shared_pool_sizes(), [3]);
+    assert_eq!(shared_pool_sizes(), expected, "{cpus} CPUs");
+    if !machine.contains(&3) {
+        assert_eq!(
+            machine_jobs(),
+            jobs_before,
+            "served sessions publish on the Serve pool"
+        );
+    }
     for (outcome, serial) in served.iter().zip(&serial) {
         assert_bitwise_equal(&outcome.stats.label, serial, &outcome.report);
     }
 
-    // Alone: the machine pool — `available_parallelism() − 1` workers beside
-    // this thread — and on a one-CPU host no pool thread at all.
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Alone: the machine pool.
     let first = BaseAlgorithm::all()[0];
     let lone = SlamPipeline::new(config(first), &ds).run();
     assert_bitwise_equal("lone session", &serial[0], &lone);
-    let mut expected = vec![3];
-    if cpus > 1 {
-        expected.push(cpus - 1);
-        expected.sort_unstable();
-        expected.dedup();
-    }
     assert_eq!(shared_pool_sizes(), expected, "{cpus} CPUs");
+    if cpus > 1 {
+        assert!(
+            machine_jobs() > jobs_before,
+            "a lone session runs on the machine pool"
+        );
+    }
 }
