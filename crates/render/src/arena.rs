@@ -21,7 +21,7 @@
 //! `rtgs_slam::SlamPipeline` alongside the optimizer state and threaded
 //! through `track_frame`); standalone callers create one with
 //! [`FrameArena::new`] and drive the stage methods in pipeline order;
-//! [`render_poses`] lends one to each claim of [`POSE_CHUNK`] frames. Stage
+//! [`render_poses`] gives each claim of [`POSE_CHUNK`] frames its own. Stage
 //! results stay resident in the arena and are read through the borrowing
 //! accessors ([`FrameArena::output`], [`FrameArena::backward`], …) until
 //! the next call to the stage that produces them.
@@ -48,7 +48,6 @@ use crate::tiles::{build_tiles_into, TileAssignment, TileBinScratch};
 use rtgs_math::Se3;
 use rtgs_runtime::{Backend, Serial, SharedSlice};
 use std::ops::{Deref, DerefMut};
-use std::sync::Mutex;
 
 /// Arena-owned storage for the full render + backward pipeline of one
 /// session. See the module docs for the design.
@@ -456,12 +455,10 @@ pub const POSE_CHUNK: usize = 4;
 /// [`POSE_CHUNK`] frames at a time, and each claim renders its frames in
 /// pose order through one arena of its own on [`Serial`], so no loop nests
 /// inside another (a 75×42 render is a handful of short loops, whose joins
-/// would cost more than they share out). A claim takes the arena an earlier
-/// claim finished with, or a new one when none is free, so the loop warms
-/// one arena per thread, not one per claim. A claim decides only who
-/// renders a frame: every output is bit for bit what one arena rendering
-/// every pose in order gives (arena == fresh, parallel == serial), on every
-/// backend and in every claim order.
+/// would cost more than they share out). A claim decides only who renders
+/// a frame: every output is bit for bit what one arena rendering every pose
+/// in order gives (arena == fresh, parallel == serial), on every backend
+/// and in every claim order.
 ///
 /// # Panics
 ///
@@ -475,17 +472,14 @@ pub fn render_poses<T: Send>(
 ) -> Vec<T> {
     let mut results: Vec<Option<T>> = poses_w2c.iter().map(|_| None).collect();
     let slots = SharedSlice::new(&mut results);
-    let free: Mutex<Vec<FrameArena>> = Mutex::new(Vec::new());
-    let lock = || free.lock().expect("no claim panics holding the free list");
     backend.for_each_chunk(poses_w2c.len(), POSE_CHUNK, &|_, range| {
         // SAFETY: the chunks of one loop cover disjoint index ranges.
         let slots = unsafe { slots.range_mut(range.clone()) };
-        let mut arena = lock().pop().unwrap_or_default();
+        let mut arena = FrameArena::new();
         for (slot, index) in slots.iter_mut().zip(range) {
             let output = arena.forward(map, &poses_w2c[index], camera, &Serial);
             *slot = Some(per_frame(index, output));
         }
-        lock().push(arena);
     });
     results
         .into_iter()

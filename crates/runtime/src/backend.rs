@@ -13,7 +13,10 @@
 //! rounds — is published on *that* pool, whatever pool the backend itself
 //! names: a served session fans out onto the executors that are stepping
 //! it (the idle ones), and only a free-standing caller brings the
-//! backend's own pool. Two pools never compete for the same cores.
+//! backend's own pool: a served session never brings a second pool. The
+//! guarantee is per loop, not per process: a free-standing loop on another
+//! backend (dataset generation renders on the machine default) brings that
+//! backend's pool, whose workers park once the loop ends.
 
 use crate::pool::ThreadPool;
 use std::collections::BTreeMap;
@@ -149,7 +152,10 @@ pub fn shared_pool(threads: usize) -> Arc<ThreadPool> {
 
 /// Worker counts of the shared pools created so far, ascending — the check
 /// behind "one pool, always": a process that serves on `threads(3)` and
-/// runs every session on the default backend lists `[3]`.
+/// runs every session on the default backend adds only `3`. Generating a
+/// dataset brings the machine pool too, so such a process lists `[1, 3]` on
+/// two CPUs (`[3]` on one CPU or four, where the machine is `Serial` or
+/// the 3-worker pool itself).
 pub fn shared_pool_sizes() -> Vec<usize> {
     pools().keys().copied().collect()
 }

@@ -7,7 +7,8 @@
 //! test binary of its own with a single test: every pool in the cache was
 //! created by the lines below. Generating the dataset renders its frames on
 //! the machine default, so the machine pool exists from the start; that a
-//! served session publishes nothing on it is read from its loop count.
+//! serial or served session publishes nothing on it is read from its loop
+//! count.
 
 use rtgs_runtime::{shared_pool, shared_pool_sizes, BackendChoice, Serve};
 use rtgs_scene::{DatasetProfile, SyntheticDataset};
@@ -66,11 +67,17 @@ fn default_backend_sessions_use_the_pool_that_steps_them() {
         machine,
         "generation renders on the machine"
     );
+    let jobs_before = machine_jobs();
     let serial: Vec<SlamReport> = BaseAlgorithm::all()
         .into_iter()
         .map(|algo| SlamPipeline::new(config(algo).with_backend(BackendChoice::Serial), &ds).run())
         .collect();
     assert_eq!(shared_pool_sizes(), machine, "serial sessions need no pool");
+    assert_eq!(
+        machine_jobs(),
+        jobs_before,
+        "serial sessions publish nothing on the machine pool"
+    );
 
     // Served: three workers and the serving thread are the only executors —
     // at most four threads ever run a chunk — and constructing the sessions
